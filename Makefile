@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build test race bench-smoke bench-build loc bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
 
 ## check: everything CI runs — format, vet, build, tests (incl. -race),
-## bench smoke, the facade-equivalence golden diff, the coverage floor,
-## the chaos sweep, and the client/server and multinode smokes.
-check: fmt vet build test race bench-smoke equiv cover chaos server-smoke multinode-smoke
+## bench smoke, the bench/ module's own vet + test, the
+## facade-equivalence golden diff, the coverage floor, the chaos sweep,
+## and the client/server and multinode smokes.
+check: fmt vet build test race bench-smoke bench-build equiv cover chaos server-smoke multinode-smoke
 
 ## COVER_FLOOR: minimum total statement coverage (percent) make cover accepts.
 COVER_FLOOR ?= 70.0
@@ -31,6 +32,17 @@ race:
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+## bench-build: bench/ is a module of its own (BENCHMARK.json's
+## harness), so build/test above never compile it; vet it and run its
+## quick-scale test here so a public-API slip surfaces before the
+## benchmark pipeline does.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## loc: the code-line ruler simplicity PRs quote (see scripts/loc.sh).
+loc:
+	@./scripts/loc.sh
 
 ## bench: the real benchmark suite with allocation reporting.
 bench:

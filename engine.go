@@ -18,8 +18,8 @@ import (
 // The interface is the intersection of the three surfaces, not their
 // union. Backend-specific capability stays on the concrete types:
 // mutation and administration (CreateTable, Insert, Analyze,
-// SetFaultPolicy), local-only introspection (Rows.Plan,
-// Rows.SmoothStats, ShardedRows.Plan), wire-level control
+// SetFaultPolicy), in-process introspection (Rows.Plan,
+// Rows.SmoothStats), wire-level control
 // (Conn.SetFetchRows, Conn.Broken, Conn.ServerStats) and
 // Explain-before-execute. ExecStats is the one diagnostic rich enough
 // to keep: every backend fills IO, RowsReturned, PlanCacheHit and the
@@ -27,7 +27,7 @@ import (
 type Engine interface {
 	// Table starts a composable query over the named table. The
 	// builder records errors internally and reports them from Run (or
-	// PrepareQuery), like the concrete builders it wraps.
+	// PrepareQuery), like the Query it wraps.
 	Table(name string) Builder
 	// PrepareQuery compiles a builder made by this engine's Table into
 	// a reusable prepared statement. Passing a Builder from a
@@ -39,9 +39,8 @@ type Engine interface {
 }
 
 // Builder is the composable query surface shared by every Engine. The
-// methods mirror Query/ShardedQuery/ssclient.Query exactly; each call
-// mutates the underlying builder and returns the same Builder for
-// chaining.
+// methods mirror Query exactly; each call mutates the underlying query
+// and returns the same Builder for chaining.
 type Builder interface {
 	Where(col string, p Pred) Builder
 	Join(table, leftCol, rightCol string) Builder
@@ -55,11 +54,11 @@ type Builder interface {
 	Run(ctx context.Context) (Cursor, error)
 }
 
-// Cursor iterates a result stream: the uniform subset of *Rows,
-// *ShardedRows and *ssclient.Rows, which all satisfy it directly.
-// ExecStats is fully populated once the stream is drained; a remote
-// cursor's statistics arrive with the server's closing summary, so
-// mid-stream reads return the zero value there.
+// Cursor iterates a result stream: the uniform subset of *Rows (local
+// and sharded executions alike) and *ssclient.Rows, which satisfy it
+// directly. ExecStats is fully populated once the stream is drained; a
+// remote cursor's statistics arrive with the server's closing summary,
+// so mid-stream reads return the zero value there.
 type Cursor interface {
 	Next() bool
 	Row() []int64
@@ -78,109 +77,80 @@ type PreparedQuery interface {
 	Close() error
 }
 
-// Compile-time checks that the concrete row types satisfy Cursor and
-// the engines satisfy Engine.
+// Compile-time checks that Rows satisfies Cursor and the engines
+// satisfy Engine.
 var (
 	_ Cursor = (*Rows)(nil)
-	_ Cursor = (*ShardedRows)(nil)
 	_ Engine = (*DB)(nil)
 	_ Engine = (*ShardedDB)(nil)
 )
 
-// queryBuilder adapts *Query to Builder.
-type queryBuilder struct{ q *Query }
+// builder adapts *Query (whose methods return *Query) to Builder.
+type builder struct{ q *Query }
 
-func (b queryBuilder) Where(col string, p Pred) Builder { b.q.Where(col, p); return b }
-func (b queryBuilder) Join(table, leftCol, rightCol string) Builder {
+func (b builder) Where(col string, p Pred) Builder { b.q.Where(col, p); return b }
+func (b builder) Join(table, leftCol, rightCol string) Builder {
 	b.q.Join(table, leftCol, rightCol)
 	return b
 }
-func (b queryBuilder) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) Builder {
+func (b builder) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) Builder {
 	b.q.JoinWithOptions(table, leftCol, rightCol, opts)
 	return b
 }
-func (b queryBuilder) Select(cols ...string) Builder           { b.q.Select(cols...); return b }
-func (b queryBuilder) GroupBy(col string, aggs ...Agg) Builder { b.q.GroupBy(col, aggs...); return b }
-func (b queryBuilder) OrderBy(col string) Builder              { b.q.OrderBy(col); return b }
-func (b queryBuilder) Limit(n any) Builder                     { b.q.Limit(n); return b }
-func (b queryBuilder) WithOptions(opts ScanOptions) Builder    { b.q.WithOptions(opts); return b }
-func (b queryBuilder) Run(ctx context.Context) (Cursor, error) {
-	r, err := b.q.Run(ctx)
+func (b builder) Select(cols ...string) Builder           { b.q.Select(cols...); return b }
+func (b builder) GroupBy(col string, aggs ...Agg) Builder { b.q.GroupBy(col, aggs...); return b }
+func (b builder) OrderBy(col string) Builder              { b.q.OrderBy(col); return b }
+func (b builder) Limit(n any) Builder                     { b.q.Limit(n); return b }
+func (b builder) WithOptions(opts ScanOptions) Builder    { b.q.WithOptions(opts); return b }
+func (b builder) Run(ctx context.Context) (Cursor, error) { return cursorOf(b.q.Run(ctx)) }
+
+// cursorOf keeps a failed Run's nil *Rows from becoming a non-nil
+// Cursor.
+func cursorOf(r *Rows, err error) (Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// shardedBuilder adapts *ShardedQuery to Builder.
-type shardedBuilder struct{ sq *ShardedQuery }
+// rowsStmt is what *Stmt and *ShardedStmt have in common.
+type rowsStmt interface {
+	Params() []string
+	Run(ctx context.Context, b Bind) (*Rows, error)
+	Close() error
+}
 
-func (b shardedBuilder) Where(col string, p Pred) Builder { b.sq.Where(col, p); return b }
-func (b shardedBuilder) Join(table, leftCol, rightCol string) Builder {
-	b.sq.Join(table, leftCol, rightCol)
-	return b
+// prepared adapts a rowsStmt to PreparedQuery.
+type prepared struct{ rowsStmt }
+
+func (p prepared) Run(ctx context.Context, b Bind) (Cursor, error) {
+	return cursorOf(p.rowsStmt.Run(ctx, b))
 }
-func (b shardedBuilder) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) Builder {
-	b.sq.JoinWithOptions(table, leftCol, rightCol, opts)
-	return b
-}
-func (b shardedBuilder) Select(cols ...string) Builder { b.sq.Select(cols...); return b }
-func (b shardedBuilder) GroupBy(col string, aggs ...Agg) Builder {
-	b.sq.GroupBy(col, aggs...)
-	return b
-}
-func (b shardedBuilder) OrderBy(col string) Builder           { b.sq.OrderBy(col); return b }
-func (b shardedBuilder) Limit(n any) Builder                  { b.sq.Limit(n); return b }
-func (b shardedBuilder) WithOptions(opts ScanOptions) Builder { b.sq.WithOptions(opts); return b }
-func (b shardedBuilder) Run(ctx context.Context) (Cursor, error) {
-	r, err := b.sq.Run(ctx)
-	if err != nil {
-		return nil, err
+
+// ownQuery unwraps a Builder made by eng's Table.
+func ownQuery(eng queryEngine, b Builder) (*Query, error) {
+	qb, ok := b.(builder)
+	if !ok || qb.q.eng != eng {
+		return nil, fmt.Errorf("smoothscan: PrepareQuery: builder %T was not created by this engine's Table", b)
 	}
-	return r, nil
+	return qb.q, nil
 }
-
-// stmtPrepared adapts *Stmt to PreparedQuery.
-type stmtPrepared struct{ st *Stmt }
-
-func (p stmtPrepared) Params() []string { return p.st.Params() }
-func (p stmtPrepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	r, err := p.st.Run(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-func (p stmtPrepared) Close() error { return p.st.Close() }
-
-// shardedPrepared adapts *ShardedStmt to PreparedQuery.
-type shardedPrepared struct{ st *ShardedStmt }
-
-func (p shardedPrepared) Params() []string { return p.st.Params() }
-func (p shardedPrepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	r, err := p.st.Run(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-func (p shardedPrepared) Close() error { return p.st.Close() }
 
 // Table implements Engine.
-func (db *DB) Table(name string) Builder { return queryBuilder{q: db.Query(name)} }
+func (db *DB) Table(name string) Builder { return builder{db.Query(name)} }
 
 // PrepareQuery implements Engine; the Builder must come from this
 // DB's Table.
 func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) {
-	qb, ok := b.(queryBuilder)
-	if !ok || qb.q.db != db {
-		return nil, errForeignBuilder(b)
-	}
-	st, err := db.Prepare(qb.q)
+	q, err := ownQuery(db, b)
 	if err != nil {
 		return nil, err
 	}
-	return stmtPrepared{st: st}, nil
+	st, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return prepared{st}, nil
 }
 
 // Close implements Engine. A DB holds no resources beyond its own
@@ -189,22 +159,18 @@ func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) {
 func (db *DB) Close() error { return nil }
 
 // Table implements Engine.
-func (s *ShardedDB) Table(name string) Builder { return shardedBuilder{sq: s.Query(name)} }
+func (s *ShardedDB) Table(name string) Builder { return builder{s.Query(name)} }
 
 // PrepareQuery implements Engine; the Builder must come from this
 // ShardedDB's Table.
 func (s *ShardedDB) PrepareQuery(b Builder) (PreparedQuery, error) {
-	sb, ok := b.(shardedBuilder)
-	if !ok || sb.sq.s != s {
-		return nil, errForeignBuilder(b)
-	}
-	st, err := s.Prepare(sb.sq)
+	q, err := ownQuery(s, b)
 	if err != nil {
 		return nil, err
 	}
-	return shardedPrepared{st: st}, nil
-}
-
-func errForeignBuilder(b Builder) error {
-	return fmt.Errorf("smoothscan: PrepareQuery: builder %T was not created by this engine's Table", b)
+	st, err := s.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return prepared{st}, nil
 }

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"smoothscan/internal/core"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
+	"smoothscan/internal/wire"
 )
 
 // ResultCacheExec describes one execution's interaction with the
@@ -109,51 +109,27 @@ type ExecStats struct {
 	Shards []ShardStats
 }
 
-// ExecStats returns the query's unified execution statistics. It may
-// be called while the scan is still running (counters are then
-// partial); after Close the snapshot is final, including the I/O
-// delta frozen at Close time.
-func (r *Rows) ExecStats() ExecStats {
-	st := ExecStats{}
-	if r.closed {
-		st.IO = r.ioDelta
-	} else if r.db != nil {
-		st.IO = r.db.dev.Stats().Sub(r.ioStart)
+// SummaryStats converts a remote execution's closing wire summary back
+// into the engine's shape — what ssclient's cursor and the remote
+// shard driver report as ExecStats. The fields a remote execution
+// cannot observe — operator and worker breakdowns, smooth-scan morph
+// state — stay zero; I/O, row count, plan-cache reuse, retry and fault
+// counters, the degradation ladder and the result-cache outcome all
+// survive the wire.
+func SummaryStats(sum wire.ExecSummary) ExecStats {
+	return ExecStats{
+		IO:           sum.IO,
+		RowsReturned: sum.Rows,
+		PlanCacheHit: sum.PlanCacheHit,
+		Retries:      sum.Retries,
+		FaultsSeen:   sum.FaultsSeen,
+		Degraded:     sum.Degraded,
+		ResultCache: ResultCacheExec{
+			Hit:   sum.ResultCacheHit,
+			Bytes: sum.ResultCacheBytes,
+			Age:   time.Duration(sum.ResultCacheAgeNs),
+		},
 	}
-	switch {
-	case r.smooth != nil:
-		// Serial: the operator runs on the caller's goroutine, so a
-		// live snapshot is safe.
-		st.HasSmooth = true
-		st.Smooth = r.smooth.Stats()
-	case len(r.smoothAll) > 0:
-		st.HasSmooth = true
-		if r.closed || r.done {
-			// Workers have quiesced; their counters are stable.
-			st.Smooth = aggregateWorkers(r.smoothAll)
-			st.Workers = make([]SmoothStats, len(r.smoothAll))
-			for i, w := range r.smoothAll {
-				st.Workers[i] = w.Stats()
-			}
-		}
-	}
-	for _, j := range r.joins {
-		st.Joins = append(st.Joins, j.JoinStats())
-	}
-	for _, c := range r.counters {
-		st.Operators = append(st.Operators, OperatorStats{Name: c.name, Rows: c.rows, Batches: c.batches})
-	}
-	if n := len(r.counters); n > 0 {
-		st.RowsReturned = r.counters[n-1].rows
-	}
-	st.PlanCacheHit = r.planCached
-	st.ResultCache = ResultCacheExec{Hit: r.cacheHit, Bytes: r.cacheBytes, Age: r.cacheAge}
-	st.Retries = st.IO.Retries
-	st.FaultsSeen = st.IO.Faults + st.IO.Corruptions + st.IO.LatencySpikes
-	if r.compiled != nil && len(r.compiled.degraded) > 0 {
-		st.Degraded = append([]string(nil), r.compiled.degraded...)
-	}
-	return st
 }
 
 // ShardStats is one shard's slice of a sharded query's execution:
@@ -196,38 +172,37 @@ type ShardStats struct {
 	Degraded []string
 }
 
-// ExecStats returns the sharded query's unified statistics: summed
-// device deltas, coordinator operator counts, and the per-shard
-// breakdown. Per-shard scan internals (rows, morphing counters,
-// degradations) are filled once the query has drained or closed —
+// stats reports the sharded part of ExecStats: summed device deltas and
+// the per-shard breakdown. Per-shard scan internals (rows, morphing
+// counters, degradations) are filled once the query has quiesced —
 // before that the workers may still be running and only the I/O
 // deltas are read.
-func (r *ShardedRows) ExecStats() ExecStats {
-	st := ExecStats{}
-	quiesced := r.closed || r.done
-	shards := make([]ShardStats, len(r.s.shards))
+func (se *shardExec) stats(closed, quiesced bool) ExecStats {
+	var st ExecStats
+	s := se.s
+	shards := make([]ShardStats, len(s.shards))
 	for i := range shards {
 		shards[i] = ShardStats{
 			Shard:     i,
-			Owns:      r.se.part.DescribeShard(i),
-			Addr:      r.s.drivers[i].address(),
+			Owns:      se.part.DescribeShard(i),
+			Addr:      s.drivers[i].address(),
 			Pruned:    true,
-			PrunedWhy: r.se.prunedWhy[i],
+			PrunedWhy: se.prunedWhy[i],
 		}
-		if r.closed {
-			shards[i].IO = r.ioDelta[i]
+		if closed {
+			shards[i].IO = se.ioDelta[i]
 		} else {
-			shards[i].IO = r.s.shards[i].dev.Stats().Sub(r.ioStart[i])
+			shards[i].IO = s.shards[i].dev.Stats().Sub(se.ioStart[i])
 		}
 	}
-	for k, si := range r.se.active {
+	for k, si := range se.active {
 		sh := &shards[si]
 		sh.Pruned = false
 		sh.PrunedWhy = ""
-		if !quiesced || k >= len(r.adapters) {
+		if !quiesced || k >= len(se.adapters) {
 			continue
 		}
-		a := r.adapters[k]
+		a := se.adapters[k]
 		sh.Unavailable = a.unavailable
 		if a.cur == nil {
 			continue
@@ -255,31 +230,7 @@ func (r *ShardedRows) ExecStats() ExecStats {
 		st.IO = addIO(st.IO, shards[i].IO)
 	}
 	st.Shards = shards
-	for _, c := range r.counters {
-		st.Operators = append(st.Operators, OperatorStats{Name: c.name, Rows: c.rows, Batches: c.batches})
-	}
-	if n := len(r.counters); n > 0 {
-		st.RowsReturned = r.counters[n-1].rows
-	}
-	st.PlanCacheHit = r.planCached
-	st.ResultCache = ResultCacheExec{Hit: r.cacheHit, Bytes: r.cacheBytes, Age: r.cacheAge}
-	st.Retries = st.IO.Retries
-	st.FaultsSeen = st.IO.Faults + st.IO.Corruptions + st.IO.LatencySpikes
 	return st
-}
-
-// Column returns the current row's value for the named column,
-// distinguishing the two miss reasons that Col folds into one false:
-// a column the table never had (ErrUnknownColumn) and a column the
-// query projected away via Select or GroupBy (ErrNotSelected).
-func (r *Rows) Column(name string) (int64, error) {
-	if i := r.schema.ColIndex(name); i >= 0 {
-		return r.cur.Int(i), nil
-	}
-	if r.baseSchema != nil && r.baseSchema.ColIndex(name) >= 0 {
-		return 0, fmt.Errorf("%w: %q (use Select/GroupBy to include it)", ErrNotSelected, name)
-	}
-	return 0, fmt.Errorf("%w: %q", ErrUnknownColumn, name)
 }
 
 // opCounter accumulates one operator's output counts. It is written
@@ -345,13 +296,4 @@ func (g *ctxGuard) NextBatch(b *tuple.Batch) (int, error) {
 		return 0, err
 	}
 	return exec.NextBatch(g.inner, b)
-}
-
-// aggregateWorkers folds per-worker smooth stats into query totals.
-func aggregateWorkers(workers []*core.SmoothScan) SmoothStats {
-	parts := make([]core.Stats, len(workers))
-	for i, ss := range workers {
-		parts[i] = ss.Stats()
-	}
-	return core.AggregateStats(parts)
 }

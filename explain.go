@@ -61,6 +61,12 @@ type Plan struct {
 	// entry), but this execution touched no operator and no device.
 	// Like Degraded, only plans retrieved from a Rows can carry it.
 	CachedResult bool
+	// Sharded is the scatter-gather plan of a query compiled against a
+	// ShardedDB — strategy, pruning, gather mode, coordinator stages and
+	// each active shard's own Plan. When set, the single-DB fields
+	// above other than Table, Binds and CachedResult stay zero and Root
+	// is nil; String renders the sharded plan.
+	Sharded *ShardedPlan
 	// Root is the plan's root operator node.
 	Root *PlanNode
 }
@@ -69,6 +75,9 @@ type Plan struct {
 // two extra header lines: the bound parameter values and the
 // re-planned-at-bind decisions.
 func (p *Plan) String() string {
+	if p.Sharded != nil {
+		return p.Sharded.String()
+	}
 	var b strings.Builder
 	if len(p.Tables) > 1 {
 		fmt.Fprintf(&b, "Query(%s)", strings.Join(p.Tables, " ⋈ "))
@@ -134,9 +143,10 @@ type ShardPlan struct {
 	Plan *Plan
 }
 
-// ShardedPlan is the compiled form of a ShardedQuery: the scatter
-// strategy, the pruning decisions, the gather mode, the coordinator
-// stages, and each active shard's plan tree.
+// ShardedPlan is the compiled form of a Query on a ShardedDB
+// (Plan.Sharded): the scatter strategy, the pruning decisions, the
+// gather mode, the coordinator stages, and each active shard's plan
+// tree.
 type ShardedPlan struct {
 	// Table is the driving table.
 	Table string
@@ -206,9 +216,10 @@ func (p *ShardedPlan) String() string {
 	return b.String()
 }
 
-// shardedPlan assembles the ShardedPlan for a compiled execution;
-// perShard supplies each active shard's own Explain tree.
-func (s *ShardedDB) shardedPlan(se *shardExec, perShard func(si int) (*Plan, error)) (*ShardedPlan, error) {
+// explain assembles the plan of a compiled execution; perShard
+// supplies each active shard's own Explain tree.
+func (se *shardExec) explain(perShard func(si int) (*Plan, error)) (*Plan, error) {
+	s := se.s
 	p := &ShardedPlan{
 		Table:     se.pt.Inputs[0].Table,
 		Partition: se.part.Describe(),
@@ -218,10 +229,10 @@ func (s *ShardedDB) shardedPlan(se *shardExec, perShard func(si int) (*Plan, err
 	if se.cq0.annotate {
 		p.Binds = renderBinds(se.cq0.binds)
 	}
-	p.CachedResult = se.cq0.cacheServed
+	whole := &Plan{Table: p.Table, Binds: p.Binds, Sharded: p}
 	if se.emptyWhy != "" {
 		p.Gather = "none"
-		return p, nil
+		return whole, nil
 	}
 	if se.ordered {
 		p.Gather = fmt.Sprintf("ordered merge by %s", se.gatherSchema.Col(se.keyCol).Name)
@@ -266,7 +277,7 @@ func (s *ShardedDB) shardedPlan(se *shardExec, perShard func(si int) (*Plan, err
 		}
 		p.Shards = append(p.Shards, sp)
 	}
-	return p, nil
+	return whole, nil
 }
 
 // fmtPred renders a range predicate over a named column compactly,
@@ -388,7 +399,6 @@ func (cq *compiledQuery) plan() *Plan {
 	if len(cq.degraded) > 0 {
 		p.Degraded = append([]string(nil), cq.degraded...)
 	}
-	p.CachedResult = cq.cacheServed
 	for _, a := range cq.inputs {
 		p.Tables = append(p.Tables, a.name)
 	}

@@ -267,41 +267,41 @@ func (cq *compiledQuery) degradeOnFault() *compiledQuery {
 }
 
 // degradeAndReopen walks the degradation ladder until a plan opens
-// cleanly, returning the degraded compiled query and its opened
-// operator tree. When the ladder is exhausted (or a step fails with a
-// non-fault error) it returns the last error; the caller reports that
-// to the user. The caller holds db.mu (read).
-func (db *DB) degradeAndReopen(ctx context.Context, cq *compiledQuery, cause error) (*compiledQuery, *builtQuery, error) {
+// cleanly, returning the degraded query's opened operator tree. When
+// the ladder is exhausted (or a step fails with a non-fault error) it
+// returns the last error; the caller reports that to the user. The
+// caller holds db.mu (read).
+func (db *DB) degradeAndReopen(ctx context.Context, cq *compiledQuery, cause error) (*localExec, error) {
 	err := cause
 	for IsFaultError(err) {
 		next := cq.degradeOnFault()
 		if next == nil {
-			return cq, nil, err
+			return nil, err
 		}
 		cq = next
 		bq, berr := cq.build(db, ctx)
 		if berr != nil {
-			return cq, nil, berr
+			return nil, berr
 		}
 		if err = bq.root.Open(); err == nil {
-			return cq, bq, nil
+			return bq, nil
 		}
 	}
-	return cq, nil, err
+	return nil, err
 }
 
-// tryDegrade attempts mid-stream recovery after a fault surfaced from
-// NextBatch: only before any row has been delivered (afterwards a
-// restart would replay rows), and only for fault-classed errors. On
-// success the Rows transparently switches to the degraded plan's
-// operator tree and reports the fallbacks via ExecStats.Degraded.
-func (r *Rows) tryDegrade(err error) bool {
-	if r.delivered || r.closed || r.db == nil || r.compiled == nil || !IsFaultError(err) {
+// degrade attempts mid-stream recovery after a fault surfaced from
+// NextBatch (the Rows only asks before any row has been delivered —
+// afterwards a restart would replay rows): for fault-classed errors
+// the Rows transparently switches to the degraded plan's operator tree
+// and reports the fallbacks via ExecStats.Degraded.
+func (l *localExec) degrade(r *Rows, err error) bool {
+	if !IsFaultError(err) {
 		return false
 	}
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	cq, bq, derr := r.db.degradeAndReopen(r.ctx, r.compiled, err)
+	l.db.mu.RLock()
+	defer l.db.mu.RUnlock()
+	next, derr := l.db.degradeAndReopen(r.ctx, l.cq, err)
 	if derr != nil {
 		return false
 	}
@@ -309,17 +309,8 @@ func (r *Rows) tryDegrade(err error) bool {
 	// failure above leaves the Rows exactly as it was (Close still
 	// closes the original operator once).
 	_ = r.op.Close()
-	r.op = bq.root
-	r.compiled = cq
-	r.counters = bq.counters
-	r.smooth = bq.smooth
-	r.smoothAll = bq.workers
-	r.joins = bq.joins
-	r.choice = cq.driving().choice
+	next.ioStart = l.ioStart // failed attempts stay inside the query's I/O window
+	r.run, r.op, r.counters = next, next.root, next.counters
 	r.plan = nil // re-render: the plan now carries degradation notes
-	if r.batch != nil {
-		r.batch.Reset()
-	}
-	r.pos = 0
 	return true
 }

@@ -55,6 +55,7 @@ func (r *Rows) Next() bool {
 		r.pos++
 		return true
 	}
+	r.pos, r.n = 0, 0 // past the buffered batch no row is current
 	if r.done {
 		return false
 	}
@@ -157,8 +158,7 @@ func (r *Rows) detach() {
 // Row returns the current row's values as a fresh slice.
 func (r *Rows) Row() []int64 {
 	out := make([]int64, r.width)
-	r.CopyRow(out)
-	return out
+	return out[:r.CopyRow(out)]
 }
 
 // CopyRow copies the current row's values into dst, returning the
@@ -208,6 +208,7 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
+	r.pos, r.n = 0, 0
 	if !r.done {
 		r.done = true
 		r.abort()

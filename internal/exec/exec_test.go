@@ -52,8 +52,7 @@ func TestOperatorsRejectNextBeforeOpen(t *testing.T) {
 		NewSort(v, nil, 0),
 		NewHashAgg(v, nil, -1, []AggSpec{{Name: "n", Kind: AggCount}}),
 		NewHashJoin(v, v, nil, 0, 0),
-		NewMergeJoin(v, v, nil, 0, 0),
-		NewNestedLoopJoin(v, v, nil, func(l, r tuple.Row) bool { return true }),
+		NewMergeJoinBatch(v, v, nil, 0, 0),
 	}
 	for i, op := range ops {
 		if _, _, err := op.Next(); !errors.Is(err, ErrClosed) {
@@ -255,59 +254,8 @@ func TestHashJoin(t *testing.T) {
 	}
 }
 
-func TestMergeJoinWithDuplicates(t *testing.T) {
-	left := []tuple.Row{tuple.IntsRow(1, 0), tuple.IntsRow(2, 1), tuple.IntsRow(2, 2), tuple.IntsRow(5, 3)}
-	right := []tuple.Row{tuple.IntsRow(2, 10), tuple.IntsRow(2, 11), tuple.IntsRow(3, 12), tuple.IntsRow(5, 13)}
-	j := NewMergeJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0)
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceJoin(left, right, 0, 0) // 2x2 for key 2 + 1 for key 5
-	normalise(got)
-	normalise(want)
-	if !joinRowsEqual(got, want) {
-		t.Errorf("merge join = %v, want %v", got, want)
-	}
-}
-
-func TestMergeJoinDetectsUnsortedInput(t *testing.T) {
-	left := []tuple.Row{tuple.IntsRow(3), tuple.IntsRow(1), tuple.IntsRow(3)}
-	right := []tuple.Row{tuple.IntsRow(1), tuple.IntsRow(3)}
-	j := NewMergeJoin(NewValues(tuple.Ints(1), left), NewValues(tuple.Ints(1), right), nil, 0, 0)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	for err == nil {
-		var ok bool
-		_, ok, err = j.Next()
-		if !ok && err == nil {
-			t.Fatal("unsorted input not detected")
-		}
-	}
-}
-
-func TestNestedLoopJoinThetaPredicate(t *testing.T) {
-	left := []tuple.Row{tuple.IntsRow(1), tuple.IntsRow(5)}
-	right := []tuple.Row{tuple.IntsRow(3), tuple.IntsRow(4)}
-	j := NewNestedLoopJoin(
-		NewValues(tuple.Ints(1), left),
-		NewValues(tuple.Ints(1), right),
-		nil,
-		func(l, r tuple.Row) bool { return l.Int(0) < r.Int(0) },
-	)
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 { // (1,3), (1,4)
-		t.Errorf("theta join = %v", got)
-	}
-}
-
-// Property: hash join, merge join (over sorted inputs) and nested-loop
-// join agree with the reference equi-join for random inputs.
+// Property: hash join and merge join (over sorted inputs) agree with
+// the reference equi-join for random inputs.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	f := func(lraw, rraw []uint8) bool {
 		left := make([]tuple.Row, len(lraw))
@@ -334,22 +282,12 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		sr := append([]tuple.Row(nil), right...)
 		sort.SliceStable(sl, func(i, j int) bool { return sl[i].Int(0) < sl[j].Int(0) })
 		sort.SliceStable(sr, func(i, j int) bool { return sr[i].Int(0) < sr[j].Int(0) })
-		mj, err := Drain(NewMergeJoin(NewValues(tuple.Ints(2), sl), NewValues(tuple.Ints(2), sr), nil, 0, 0))
+		mj, err := Drain(NewMergeJoinBatch(NewValues(tuple.Ints(2), sl), NewValues(tuple.Ints(2), sr), nil, 0, 0))
 		if err != nil {
 			return false
 		}
 		normalise(mj)
-		if !joinRowsEqual(mj, want) {
-			return false
-		}
-
-		nl, err := Drain(NewNestedLoopJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil,
-			func(l, r tuple.Row) bool { return l.Int(0) == r.Int(0) }))
-		if err != nil {
-			return false
-		}
-		normalise(nl)
-		return joinRowsEqual(nl, want)
+		return joinRowsEqual(mj, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -390,7 +328,7 @@ func TestLookupsReturnAllMatches(t *testing.T) {
 	file, pool, tree, _, rows := lookupFixture(t)
 	for _, mk := range []func() Lookup{
 		func() Lookup { return NewIndexLookup(file, pool, tree) },
-		func() Lookup { return NewSmoothLookup(file, pool, tree) },
+		func() Lookup { return NewMorphingLookup(file, pool, tree, 1) },
 	} {
 		lk := mk()
 		for key := int64(-1); key < 32; key++ {
@@ -416,40 +354,6 @@ func TestLookupsReturnAllMatches(t *testing.T) {
 	}
 }
 
-func TestSmoothLookupUsesFewerRequests(t *testing.T) {
-	// For keys with many matches spread over the heap, the per-key
-	// morphing variant groups accesses and issues fewer I/O requests
-	// than one-at-a-time look-ups (Section IV-B).
-	file, pool, tree, dev, _ := lookupFixture(t)
-
-	pool.Reset()
-	dev.ResetStats()
-	il := NewIndexLookup(file, pool, tree)
-	for key := int64(0); key < 30; key++ {
-		if _, err := il.Find(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plain := dev.Stats()
-
-	pool.Reset()
-	dev.ResetStats()
-	sl := NewSmoothLookup(file, pool, tree)
-	for key := int64(0); key < 30; key++ {
-		if _, err := sl.Find(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	smooth := dev.Stats()
-
-	if smooth.Requests >= plain.Requests {
-		t.Errorf("smooth lookup requests = %d, plain = %d", smooth.Requests, plain.Requests)
-	}
-	if smooth.IOTime >= plain.IOTime {
-		t.Errorf("smooth lookup I/O = %v, plain = %v", smooth.IOTime, plain.IOTime)
-	}
-}
-
 func TestIndexNestedLoopJoin(t *testing.T) {
 	file, pool, tree, dev, rows := lookupFixture(t)
 	// Outer: 10 rows with keys 0..9 in column 0.
@@ -459,7 +363,7 @@ func TestIndexNestedLoopJoin(t *testing.T) {
 	}
 	j := NewIndexNestedLoopJoin(
 		NewValues(tuple.Ints(2), outer),
-		NewSmoothLookup(file, pool, tree),
+		NewIndexLookup(file, pool, tree),
 		dev, 0,
 	)
 	got, err := Drain(j)

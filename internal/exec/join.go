@@ -169,243 +169,3 @@ func (j *IndexNestedLoopJoin) Close() error {
 	j.pending = nil
 	return j.outer.Close()
 }
-
-// MergeJoin equi-joins two inputs that are already ordered by their
-// join columns — the operator whose "interesting order" requirement
-// motivates the ordered (Result Cache) variant of Smooth Scan
-// (Section IV-B). It handles duplicate keys on both sides.
-type MergeJoin struct {
-	left, right       Operator
-	leftCol, rightCol int
-	dev               *disk.Device
-	schema            *tuple.Schema
-
-	leftRow   tuple.Row
-	leftOK    bool
-	rightRow  tuple.Row
-	rightOK   bool
-	group     []tuple.Row // right rows sharing the current key
-	groupKey  int64
-	leftInGrp bool
-	grpIdx    int
-	started   bool
-	lastLeft  int64
-	lastRight int64
-	open      bool
-}
-
-// NewMergeJoin joins left.leftCol = right.rightCol; both inputs must
-// be sorted ascending on those columns (verified at run time).
-func NewMergeJoin(left, right Operator, dev *disk.Device, leftCol, rightCol int) *MergeJoin {
-	return &MergeJoin{
-		left: left, right: right,
-		leftCol: leftCol, rightCol: rightCol, dev: dev,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *MergeJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open opens both inputs and primes the cursors.
-func (j *MergeJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	var err error
-	if j.leftRow, j.leftOK, err = j.nextLeft(); err != nil {
-		return err
-	}
-	if j.rightRow, j.rightOK, err = j.nextRight(); err != nil {
-		return err
-	}
-	j.group = nil
-	j.leftInGrp = false
-	j.open = true
-	return nil
-}
-
-func (j *MergeJoin) nextLeft() (tuple.Row, bool, error) {
-	row, ok, err := j.left.Next()
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	if j.dev != nil {
-		j.dev.ChargeCPU(simcost.Compare)
-	}
-	k := row.Int(j.leftCol)
-	if j.started && k < j.lastLeft {
-		return nil, false, fmt.Errorf("merge join: left input not sorted (%d after %d)", k, j.lastLeft)
-	}
-	j.lastLeft = k
-	return row, true, nil
-}
-
-func (j *MergeJoin) nextRight() (tuple.Row, bool, error) {
-	row, ok, err := j.right.Next()
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	if j.dev != nil {
-		j.dev.ChargeCPU(simcost.Compare)
-	}
-	k := row.Int(j.rightCol)
-	if j.started && k < j.lastRight {
-		return nil, false, fmt.Errorf("merge join: right input not sorted (%d after %d)", k, j.lastRight)
-	}
-	j.lastRight = k
-	return row, true, nil
-}
-
-// Next returns the next joined row.
-func (j *MergeJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	j.started = true
-	for {
-		// Emit from the current (leftRow × right group) block.
-		if j.leftInGrp {
-			if j.grpIdx < len(j.group) {
-				r := j.leftRow.Concat(j.group[j.grpIdx])
-				j.grpIdx++
-				return r, true, nil
-			}
-			// Advance left; if the key is unchanged, replay the group.
-			var err error
-			j.leftRow, j.leftOK, err = j.nextLeft()
-			if err != nil {
-				return nil, false, err
-			}
-			j.grpIdx = 0
-			if !j.leftOK || j.leftRow.Int(j.leftCol) != j.groupKey {
-				j.leftInGrp = false
-				j.group = nil
-			}
-			continue
-		}
-		if !j.leftOK || !j.rightOK {
-			return nil, false, nil
-		}
-		lk, rk := j.leftRow.Int(j.leftCol), j.rightRow.Int(j.rightCol)
-		switch {
-		case lk < rk:
-			var err error
-			if j.leftRow, j.leftOK, err = j.nextLeft(); err != nil {
-				return nil, false, err
-			}
-		case lk > rk:
-			var err error
-			if j.rightRow, j.rightOK, err = j.nextRight(); err != nil {
-				return nil, false, err
-			}
-		default:
-			// Materialise the right group for this key.
-			j.groupKey = rk
-			j.group = j.group[:0]
-			for j.rightOK && j.rightRow.Int(j.rightCol) == rk {
-				j.group = append(j.group, j.rightRow)
-				var err error
-				if j.rightRow, j.rightOK, err = j.nextRight(); err != nil {
-					return nil, false, err
-				}
-			}
-			j.grpIdx = 0
-			j.leftInGrp = true
-		}
-	}
-}
-
-// Close closes both inputs.
-func (j *MergeJoin) Close() error {
-	j.open = false
-	j.group = nil
-	errL := j.left.Close()
-	errR := j.right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
-}
-
-// NestedLoopJoin is the naive θ-join: for every outer row it rescans
-// the inner input. Used as a baseline and for non-equi predicates.
-type NestedLoopJoin struct {
-	outer, inner Operator
-	on           func(l, r tuple.Row) bool
-	dev          *disk.Device
-	schema       *tuple.Schema
-
-	outerRow tuple.Row
-	haveOut  bool
-	open     bool
-}
-
-// NewNestedLoopJoin joins with an arbitrary predicate.
-func NewNestedLoopJoin(outer, inner Operator, dev *disk.Device, on func(l, r tuple.Row) bool) *NestedLoopJoin {
-	return &NestedLoopJoin{
-		outer: outer, inner: inner, on: on, dev: dev,
-		schema: outer.Schema().Concat(inner.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *NestedLoopJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open opens the outer input.
-func (j *NestedLoopJoin) Open() error {
-	if err := j.outer.Open(); err != nil {
-		return err
-	}
-	j.haveOut = false
-	j.open = true
-	return nil
-}
-
-// Next returns the next joined row.
-func (j *NestedLoopJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		if !j.haveOut {
-			row, ok, err := j.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.outerRow = row
-			j.haveOut = true
-			if err := j.inner.Open(); err != nil {
-				return nil, false, err
-			}
-		}
-		for {
-			row, ok, err := j.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			if j.dev != nil {
-				j.dev.ChargeCPU(simcost.Compare)
-			}
-			if j.on(j.outerRow, row) {
-				return j.outerRow.Concat(row), true, nil
-			}
-		}
-		if err := j.inner.Close(); err != nil {
-			return nil, false, err
-		}
-		j.haveOut = false
-	}
-}
-
-// Close closes both inputs.
-func (j *NestedLoopJoin) Close() error {
-	j.open = false
-	return j.outer.Close()
-}

@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"sort"
-
 	"smoothscan/internal/btree"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/heap"
@@ -50,71 +47,4 @@ func (l *IndexLookup) Find(key int64) ([]tuple.Row, error) {
 		l.pool.Device().ChargeCPU(simcost.Tuple)
 		out = append(out, row)
 	}
-}
-
-// SmoothLookup is the per-key morphing variant of Section IV-B: when
-// Smooth Scan serves as the inner (parameterised) input of an INLJ,
-// result order per key is irrelevant, so for each key it collects the
-// matching TIDs, sorts them in heap-page order and fetches them as
-// grouped runs — turning the repeated random accesses of a multi-match
-// key into a flattened pattern.
-type SmoothLookup struct {
-	file *heap.File
-	pool *bufferpool.Pool
-	tree *btree.Tree
-}
-
-// NewSmoothLookup creates the per-key morphing look-up.
-func NewSmoothLookup(file *heap.File, pool *bufferpool.Pool, tree *btree.Tree) *SmoothLookup {
-	return &SmoothLookup{file: file, pool: pool, tree: tree}
-}
-
-// Schema returns the table schema.
-func (l *SmoothLookup) Schema() *tuple.Schema { return l.file.Schema() }
-
-// Find returns all rows with the given key using page-grouped fetches.
-func (l *SmoothLookup) Find(key int64) ([]tuple.Row, error) {
-	it, err := l.tree.SeekGE(l.pool, key)
-	if err != nil {
-		return nil, err
-	}
-	var tids []heap.TID
-	for {
-		e, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok || e.Key != key {
-			break
-		}
-		tids = append(tids, e.TID)
-	}
-	if len(tids) == 0 {
-		return nil, nil
-	}
-	l.pool.Device().ChargeCPU(simcost.SortCost(len(tids)))
-	sort.Slice(tids, func(i, j int) bool { return tids[i].Less(tids[j]) })
-
-	out := make([]tuple.Row, 0, len(tids))
-	for i := 0; i < len(tids); {
-		runStart := tids[i].Page
-		runEnd := runStart + 1
-		j := i
-		for j < len(tids) && tids[j].Page < runEnd+1 {
-			if tids[j].Page >= runEnd {
-				runEnd = tids[j].Page + 1
-			}
-			j++
-		}
-		pages, err := l.file.GetRun(l.pool, runStart, runEnd-runStart, nil)
-		if err != nil {
-			return nil, fmt.Errorf("smooth lookup: %w", err)
-		}
-		for ; i < j; i++ {
-			page := pages[tids[i].Page-runStart]
-			l.pool.Device().ChargeCPU(simcost.Tuple)
-			out = append(out, l.file.DecodeRow(page, int(tids[i].Slot), nil))
-		}
-	}
-	return out, nil
 }

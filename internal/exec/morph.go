@@ -4,27 +4,21 @@ import (
 	"smoothscan/internal/bitmap"
 	"smoothscan/internal/btree"
 	"smoothscan/internal/bufferpool"
-	"smoothscan/internal/disk"
 	"smoothscan/internal/heap"
 	"smoothscan/internal/simcost"
 	"smoothscan/internal/tuple"
 )
 
 // This file implements the join-level morphing Section IV-B sketches
-// as the natural extension of Smooth Scan's philosophy:
+// as the natural extension of Smooth Scan's philosophy — MorphingLookup:
+// "by performing caching of additional (qualifying) tuples from the
+// inner input found along the way (i.e., for each page we fetch, we
+// put the remaining tuples in the cache), INLJ morphs into a variant
+// of Hash Join (HJ) over time, with the index used only when a tuple
+// is not found in the cache."
 //
-//   - MorphingLookup: "by performing caching of additional
-//     (qualifying) tuples from the inner input found along the way
-//     (i.e., for each page we fetch, we put the remaining tuples in
-//     the cache), INLJ morphs into a variant of Hash Join (HJ) over
-//     time, with the index used only when a tuple is not found in the
-//     cache."
-//   - SymmetricHashJoin: "MJ morphs into a symmetric Hash Join,
-//     frequently used in data streaming environments due to its
-//     pipelining nature."
-//
-// The paper leaves these as future work and does not use them in its
-// evaluation; they are provided (and tested) as documented extensions.
+// The paper leaves it as future work and does not use it in its
+// evaluation; it is provided (and tested) as a documented extension.
 
 // MorphingLookup is an INLJ inner input that morphs toward a hash
 // join: every heap page it fetches is analysed completely and all its
@@ -156,134 +150,4 @@ func (l *MorphingLookup) Find(key int64) ([]tuple.Row, error) {
 		}
 	}
 	return l.cache[key], nil
-}
-
-// SymmetricHashJoin is the pipelined equi-join the paper names as the
-// morphing target for merge joins: both inputs are consumed
-// incrementally, each row is inserted into its side's hash table and
-// immediately probed against the other side's, so results stream out
-// without any blocking phase and without requiring sorted inputs.
-type SymmetricHashJoin struct {
-	left, right       Operator
-	leftCol, rightCol int
-	dev               *disk.Device
-	schema            *tuple.Schema
-
-	leftTable  map[int64][]tuple.Row
-	rightTable map[int64][]tuple.Row
-	leftDone   bool
-	rightDone  bool
-	turn       bool // false: pull left next, true: pull right next
-	pending    []tuple.Row
-	pendingIdx int
-	open       bool
-}
-
-// NewSymmetricHashJoin joins left.leftCol = right.rightCol with
-// symmetric, fully pipelined execution. dev may be nil.
-func NewSymmetricHashJoin(left, right Operator, dev *disk.Device, leftCol, rightCol int) *SymmetricHashJoin {
-	return &SymmetricHashJoin{
-		left: left, right: right,
-		leftCol: leftCol, rightCol: rightCol,
-		dev:    dev,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *SymmetricHashJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open opens both inputs.
-func (j *SymmetricHashJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.leftTable = map[int64][]tuple.Row{}
-	j.rightTable = map[int64][]tuple.Row{}
-	j.leftDone, j.rightDone = false, false
-	j.turn = false
-	j.pending = nil
-	j.pendingIdx = 0
-	j.open = true
-	return nil
-}
-
-// Next returns the next joined row, alternating pulls between the two
-// inputs.
-func (j *SymmetricHashJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		if j.pendingIdx < len(j.pending) {
-			r := j.pending[j.pendingIdx]
-			j.pendingIdx++
-			return r, true, nil
-		}
-		if j.leftDone && j.rightDone {
-			return nil, false, nil
-		}
-		// Alternate sides; skip a finished side.
-		pullLeft := !j.turn
-		j.turn = !j.turn
-		if pullLeft && j.leftDone {
-			pullLeft = false
-		}
-		if !pullLeft && j.rightDone {
-			pullLeft = true
-		}
-		j.pending = j.pending[:0]
-		j.pendingIdx = 0
-		if pullLeft {
-			row, ok, err := j.left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.leftDone = true
-				continue
-			}
-			if j.dev != nil {
-				j.dev.ChargeCPU(simcost.Hash)
-			}
-			k := row.Int(j.leftCol)
-			j.leftTable[k] = append(j.leftTable[k], row)
-			for _, r := range j.rightTable[k] {
-				j.pending = append(j.pending, row.Concat(r))
-			}
-		} else {
-			row, ok, err := j.right.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.rightDone = true
-				continue
-			}
-			if j.dev != nil {
-				j.dev.ChargeCPU(simcost.Hash)
-			}
-			k := row.Int(j.rightCol)
-			j.rightTable[k] = append(j.rightTable[k], row)
-			for _, l := range j.leftTable[k] {
-				j.pending = append(j.pending, l.Concat(row))
-			}
-		}
-	}
-}
-
-// Close closes both inputs and drops the tables.
-func (j *SymmetricHashJoin) Close() error {
-	j.open = false
-	j.leftTable, j.rightTable = nil, nil
-	j.pending = nil
-	errL := j.left.Close()
-	errR := j.right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
 }

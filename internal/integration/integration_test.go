@@ -341,7 +341,7 @@ func TestMergeJoinOverOrderedSmoothScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mj := exec.NewMergeJoin(lScan, rScan, dev, 1, 1)
+	mj := exec.NewMergeJoinBatch(lScan, rScan, dev, 1, 1)
 	nMerge, err := exec.Count(mj)
 	if err != nil {
 		t.Fatalf("merge join over smooth scans: %v", err)

@@ -10,6 +10,7 @@ import (
 	"smoothscan"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
+	"smoothscan/internal/wire"
 	"smoothscan/ssclient"
 )
 
@@ -40,11 +41,11 @@ func dial(t *testing.T, addr string) *ssclient.Client {
 }
 
 // rangeQuery composes the standard probe query.
-func rangeQuery(c *ssclient.Client, lo, hi any) *ssclient.Query {
-	return c.Query(loadgen.Table).Where(loadgen.IndexedCol, ssclient.Between(lo, hi))
+func rangeQuery(c *ssclient.Client, lo, hi any) smoothscan.Builder {
+	return c.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(lo, hi))
 }
 
-func drain(t *testing.T, rows *ssclient.Rows) int64 {
+func drain(t *testing.T, rows smoothscan.Cursor) int64 {
 	t.Helper()
 	var n int64
 	for rows.Next() {
@@ -67,8 +68,8 @@ func TestStmtTableEviction(t *testing.T) {
 	addr, _ := startServer(t, server.Config{MaxStmtsPerSession: 2})
 	c := dial(t, addr)
 
-	prep := func() *ssclient.Stmt {
-		s, err := c.Prepare(rangeQuery(c, ssclient.Param("lo"), ssclient.Param("hi")).Limit(ssclient.Param("n")))
+	prep := func() smoothscan.PreparedQuery {
+		s, err := c.PrepareQuery(rangeQuery(c, smoothscan.Param("lo"), smoothscan.Param("hi")).Limit(smoothscan.Param("n")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestStmtTableEviction(t *testing.T) {
 		t.Fatalf("evicted stmt Run: %v, want ErrStmtEvicted", err)
 	}
 	// Survivors keep working.
-	for _, s := range []*ssclient.Stmt{s1, s3} {
+	for _, s := range []smoothscan.PreparedQuery{s1, s3} {
 		rows, err := s.Run(context.Background(), smoothscan.Bind{"lo": 0, "hi": 50, "n": 5})
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +103,7 @@ func TestStmtTableEviction(t *testing.T) {
 func TestStmtDoubleClose(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
 	c := dial(t, addr)
-	s, err := c.Prepare(rangeQuery(c, ssclient.Param("lo"), ssclient.Param("hi")))
+	s, err := c.PrepareQuery(rangeQuery(c, smoothscan.Param("lo"), smoothscan.Param("hi")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestCloseAfterServerShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	stmt, err := c.Prepare(rangeQuery(c, ssclient.Param("lo"), ssclient.Param("hi")))
+	stmt, err := c.PrepareQuery(rangeQuery(c, smoothscan.Param("lo"), smoothscan.Param("hi")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +360,11 @@ func TestBadRequests(t *testing.T) {
 	c := dial(t, addr)
 
 	// Unknown table: a not-found reject, not a dropped connection.
-	if _, err := c.Query("nope").Run(context.Background()); err == nil {
+	if _, err := c.Table("nope").Run(context.Background()); err == nil {
 		t.Fatal("query on unknown table succeeded")
 	}
 	var re *ssclient.RemoteError
-	_, err := c.Query("nope").Run(context.Background())
+	_, err := c.Table("nope").Run(context.Background())
 	if !errors.As(err, &re) {
 		t.Fatalf("unknown table error is %T, want RemoteError", err)
 	}
@@ -372,12 +373,34 @@ func TestBadRequests(t *testing.T) {
 	if _, err := rangeQuery(c, 0, 10).Select("ghost").Run(context.Background()); err == nil {
 		t.Fatal("select of unknown column succeeded")
 	}
-	s, err := c.Prepare(rangeQuery(c, ssclient.Param("lo"), ssclient.Param("hi")))
+	s, err := c.PrepareQuery(rangeQuery(c, smoothscan.Param("lo"), smoothscan.Param("hi")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(context.Background(), smoothscan.Bind{"lo": 1}); err == nil {
 		t.Fatal("run with unbound parameter succeeded")
+	}
+
+	// Specs no builder can produce — what a hostile or broken peer
+	// might send (the wire fuzz seeds carry the same shapes): each is a
+	// classified bad-request reject on both request kinds, never an
+	// executed query.
+	hostile := map[string]wire.QuerySpec{
+		"predicate kind": {Table: loadgen.Table,
+			Preds: []wire.PredSpec{{Col: loadgen.IndexedCol, Kind: wire.PredGe + 1, A: wire.ArgSpec{Lit: 1}}}},
+		"aggregate kind": {Table: loadgen.Table, HasAgg: true, GroupCol: loadgen.IndexedCol,
+			Aggs: []wire.AggSpec{{Kind: wire.AggMax + 1, Col: "id", As: "x"}}},
+		"parameter name": {Table: loadgen.Table,
+			Preds: []wire.PredSpec{{Col: loadgen.IndexedCol, Kind: wire.PredEq, A: wire.ArgSpec{Param: "a|b"}}}},
+	}
+	for what, spec := range hostile {
+		_, qerr := c.Conn.RunSpec(context.Background(), spec)
+		_, perr := c.Conn.PrepareSpec(spec)
+		for _, err := range []error{qerr, perr} {
+			if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
+				t.Errorf("out-of-range %s: %v, want a bad-request RemoteError", what, err)
+			}
+		}
 	}
 
 	// The session survived all of it.

@@ -208,7 +208,7 @@ func (ss *session) handle(fr frame) bool {
 		if err != nil {
 			return ss.fail(err)
 		}
-		return ss.handlePrepare(&m.Spec)
+		return ss.handlePrepare(m.Spec)
 	case wire.MsgExecute:
 		m, err := wire.DecodeExecute(fr.payload)
 		if err != nil {
@@ -220,7 +220,7 @@ func (ss *session) handle(fr frame) bool {
 		if err != nil {
 			return ss.fail(err)
 		}
-		return ss.handleQuery(&m.Spec)
+		return ss.handleQuery(m.Spec)
 	case wire.MsgFetch:
 		m, err := wire.DecodeFetch(fr.payload)
 		if err != nil {
@@ -265,8 +265,11 @@ func (ss *session) handle(fr frame) bool {
 	}
 }
 
-func (ss *session) handlePrepare(spec *wire.QuerySpec) bool {
-	stmt, err := ss.srv.db.Prepare(buildQuery(ss.srv.db, spec))
+// handlePrepare compiles a decoded spec. QueryFromSpec owns the
+// validation of everything a hostile peer can put in one (kind bytes,
+// parameter names); semantic validation is Prepare's.
+func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
+	stmt, err := ss.srv.db.Prepare(ss.srv.db.QueryFromSpec(spec))
 	if err != nil {
 		return ss.fail(err)
 	}
@@ -318,12 +321,12 @@ func (ss *session) handleExecute(m wire.Execute) bool {
 	})
 }
 
-func (ss *session) handleQuery(spec *wire.QuerySpec) bool {
+func (ss *session) handleQuery(spec wire.QuerySpec) bool {
 	if ss.cur != nil {
 		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
 	}
 	return ss.openCursor(func(ctx context.Context) (*smoothscan.Rows, error) {
-		return buildQuery(ss.srv.db, spec).Run(ctx)
+		return ss.srv.db.QueryFromSpec(spec).Run(ctx)
 	})
 }
 

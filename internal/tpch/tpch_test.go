@@ -237,8 +237,8 @@ func TestQ1AggregatesAreStable(t *testing.T) {
 	}
 }
 
-func TestSmoothLookupWorksAsInner(t *testing.T) {
-	// Q14 with the per-key morphing inner (Section IV-B extension):
+func TestMorphingLookupWorksAsInner(t *testing.T) {
+	// Q14 with the join-level morphing inner (Section IV-B extension):
 	// same result as the plain look-up inner.
 	db := genDB(t, 800)
 	pool := newPool(db)
@@ -256,13 +256,13 @@ func TestSmoothLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinSmooth := exec.NewIndexNestedLoopJoin(scan2, exec.NewSmoothLookup(db.Part.File, pool, db.Part.PK), db.Dev, LPartkey)
-	nSmooth, err := exec.Count(joinSmooth)
+	joinMorph := exec.NewIndexNestedLoopJoin(scan2, exec.NewMorphingLookup(db.Part.File, pool, db.Part.PK, PPartkey), db.Dev, LPartkey)
+	nMorph, err := exec.Count(joinMorph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nPlain != nSmooth {
-		t.Errorf("inner variants disagree: %d vs %d", nPlain, nSmooth)
+	if nPlain != nMorph {
+		t.Errorf("inner variants disagree: %d vs %d", nPlain, nMorph)
 	}
 }
 

@@ -19,6 +19,19 @@ func FuzzDecodeMessage(f *testing.F) {
 		Limit: ArgSpec{Lit: 10}, HasLim: true,
 		Opts: OptsSpec{Path: 1, Parallelism: 2},
 	}
+	// Shapes no builder produces: kind bytes past the last defined
+	// value decode fine here (the codec does not interpret them) and
+	// must be refused by whoever binds the spec — internal/server's
+	// TestBadRequests sends the same three and expects bad-request.
+	hostile := QuerySpec{
+		Table: "t",
+		Preds: []PredSpec{
+			{Col: "val", Kind: PredGe + 1, A: ArgSpec{Lit: 1}},
+			{Col: "val", Kind: PredEq, A: ArgSpec{Param: "a|b"}},
+		},
+		Aggs:   []AggSpec{{Kind: AggMax + 1, Col: "val", As: "x"}},
+		HasAgg: true, GroupCol: "g",
+	}
 	var batch Encoder
 	batch.AppendBatch([]int64{1, -2, 3, 4, -5, 6}, 2, 3)
 	seeds := []struct {
@@ -39,6 +52,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		{MsgCloseStmt, CloseStmt{StmtID: 1}.Marshal()},
 		{MsgOK, nil},
 		{MsgQuery, Query{Spec: spec}.Marshal()},
+		{MsgQuery, Query{Spec: hostile}.Marshal()},
+		{MsgPrepare, Prepare{Spec: hostile}.Marshal()},
 		{MsgStatsReply, ServerStats{QueriesServed: 1}.Marshal()},
 		{MsgFaultCtl, FaultCtl{Seed: 1, Rules: []FaultRuleSpec{{Kind: 0, Rate: 0.5}}}.Marshal()},
 	}

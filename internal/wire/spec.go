@@ -1,12 +1,15 @@
 package wire
 
-// QuerySpec is a query's structure serialised for the wire: the same
-// shape the smoothscan.Query builder composes — driving table, joins,
-// conjunctive predicates, projection, grouping, ordering, limit, scan
-// options — with every argument either an inline literal or a named
-// parameter placeholder. The server rebuilds the in-process builder
-// chain from it; all semantic validation (unknown tables and columns,
-// ambiguous conjuncts) happens there, in the one place that owns it.
+// QuerySpec is a query's structure as plain data: driving table,
+// joins, conjunctive predicates, projection, grouping, ordering, limit,
+// scan options, with every argument either an inline literal or a
+// named parameter placeholder. It is both the wire's payload and the
+// state of the smoothscan.Query builder, so there is nothing to
+// translate on either side: a client ships its query's spec, the
+// server binds the decoded spec to its DB. All validation happens
+// there, in the one place that owns it — of what a peer can forge
+// (kind bytes, parameter names) when the spec is bound, of semantics
+// (unknown tables and columns, ambiguous conjuncts) at compile time.
 
 // Decode caps: a spec announcing more elements than these is malformed.
 // They are far above anything the builder API can express usefully and
@@ -21,8 +24,8 @@ const (
 	maxTables  = 256
 )
 
-// Predicate comparison kinds (the wire's own numbering, decoupled from
-// the planner's).
+// Predicate comparison kinds (the spec's own numbering; smoothscan maps
+// it to the planner's).
 const (
 	PredBetween byte = 0 // lo <= v < hi (two arguments)
 	PredEq      byte = 1

@@ -13,6 +13,7 @@ import (
 	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
+	"smoothscan/internal/wire"
 )
 
 // Arg is one argument of a predicate constructor or Limit: an int64
@@ -22,9 +23,8 @@ import (
 // which is what lets one prepared Stmt run many times with different
 // constants.
 type Arg struct {
-	param string
-	lit   int64
-	err   error
+	spec wire.ArgSpec
+	err  error
 }
 
 // Param is a named placeholder usable anywhere a literal goes: in the
@@ -33,16 +33,27 @@ type Arg struct {
 // DB.Prepare; running it directly returns ErrUnboundParam. Names
 // consist of letters, digits and underscores.
 func Param(name string) Arg {
+	if err := checkParamName(name); err != nil {
+		return Arg{err: err}
+	}
+	return Arg{spec: wire.ArgSpec{Param: name}}
+}
+
+// checkParamName enforces the parameter-name alphabet; canonicalKey
+// embeds names unquoted, so nothing outside it may get in.
+func checkParamName(name string) error {
 	if name == "" {
-		return Arg{err: fmt.Errorf("smoothscan: empty parameter name")}
+		return fmt.Errorf("smoothscan: empty parameter name")
 	}
 	for _, r := range name {
 		if !(r == '_' || r >= '0' && r <= '9' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') {
-			return Arg{err: fmt.Errorf("smoothscan: parameter name %q: only letters, digits and underscores are allowed", name)}
+			return fmt.Errorf("smoothscan: parameter name %q: only letters, digits and underscores are allowed", name)
 		}
 	}
-	return Arg{param: name}
+	return nil
 }
+
+func lit(v int64) Arg { return Arg{spec: wire.ArgSpec{Lit: v}} }
 
 // asArg converts a constructor argument: an Arg passes through, any
 // integer kind becomes a literal, everything else is ErrArgType.
@@ -51,31 +62,31 @@ func asArg(v any) Arg {
 	case Arg:
 		return x
 	case int:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case int64:
-		return Arg{lit: x}
+		return lit(x)
 	case int32:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case int16:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case int8:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case uint8:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case uint16:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case uint32:
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case uint:
 		if uint64(x) > math.MaxInt64 {
 			return Arg{err: fmt.Errorf("%w: %d overflows int64", ErrArgType, x)}
 		}
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	case uint64:
 		if x > math.MaxInt64 {
 			return Arg{err: fmt.Errorf("%w: %d overflows int64", ErrArgType, x)}
 		}
-		return Arg{lit: int64(x)}
+		return lit(int64(x))
 	default:
 		return Arg{err: fmt.Errorf("%w: %T (want an integer or Param)", ErrArgType, v)}
 	}
@@ -91,64 +102,92 @@ func asArg(v any) Arg {
 // the value math.MaxInt64 itself; the engine's data generators and
 // workloads never store it.
 type Pred struct {
-	kind plan.PredKind
-	a, b Arg
+	spec wire.PredSpec // Col is filled in by Where
 	err  error
 }
 
+// predKinds maps the spec's predicate kind bytes to the planner's.
+var predKinds = [...]plan.PredKind{
+	wire.PredBetween: plan.KindBetween,
+	wire.PredEq:      plan.KindEq,
+	wire.PredLt:      plan.KindLt,
+	wire.PredLe:      plan.KindLe,
+	wire.PredGt:      plan.KindGt,
+	wire.PredGe:      plan.KindGe,
+}
+
 // pred assembles a Pred, recording the first bad argument.
-func pred(kind plan.PredKind, a, b Arg) Pred {
+func pred(kind byte, a, b Arg) Pred {
 	err := a.err
 	if err == nil {
 		err = b.err
 	}
-	return Pred{kind: kind, a: a, b: b, err: err}
+	return Pred{spec: wire.PredSpec{Kind: kind, A: a.spec, B: b.spec}, err: err}
 }
 
 // Between matches lo <= v < hi.
-func Between(lo, hi any) Pred { return pred(plan.KindBetween, asArg(lo), asArg(hi)) }
+func Between(lo, hi any) Pred { return pred(wire.PredBetween, asArg(lo), asArg(hi)) }
 
 // Eq matches v == x.
-func Eq(x any) Pred { return pred(plan.KindEq, asArg(x), Arg{}) }
+func Eq(x any) Pred { return pred(wire.PredEq, asArg(x), Arg{}) }
 
 // Lt matches v < x.
-func Lt(x any) Pred { return pred(plan.KindLt, asArg(x), Arg{}) }
+func Lt(x any) Pred { return pred(wire.PredLt, asArg(x), Arg{}) }
 
 // Le matches v <= x.
-func Le(x any) Pred { return pred(plan.KindLe, asArg(x), Arg{}) }
+func Le(x any) Pred { return pred(wire.PredLe, asArg(x), Arg{}) }
 
 // Gt matches v > x.
-func Gt(x any) Pred { return pred(plan.KindGt, asArg(x), Arg{}) }
+func Gt(x any) Pred { return pred(wire.PredGt, asArg(x), Arg{}) }
 
 // Ge matches v >= x.
-func Ge(x any) Pred { return pred(plan.KindGe, asArg(x), Arg{}) }
+func Ge(x any) Pred { return pred(wire.PredGe, asArg(x), Arg{}) }
 
 // Agg is an aggregate expression for Query.GroupBy. Build one with
 // Sum, Count, Min or Max, and rename its output column with As.
 type Agg struct {
-	name string
-	col  string
+	spec wire.AggSpec // As always carries the output name
+}
+
+// aggKinds maps the spec's aggregate kind bytes to the executor's kind
+// and the constructor-default output name prefix.
+var aggKinds = [...]struct {
 	kind exec.AggKind
+	name string
+}{
+	wire.AggSum:   {exec.AggSum, "sum"},
+	wire.AggCount: {exec.AggCount, "count"},
+	wire.AggMin:   {exec.AggMin, "min"},
+	wire.AggMax:   {exec.AggMax, "max"},
+}
+
+// agg builds an aggregate under its default output name.
+func agg(kind byte, col string) Agg {
+	name := aggKinds[kind].name
+	if kind != wire.AggCount {
+		name += "_" + col
+	}
+	return Agg{wire.AggSpec{Kind: kind, Col: col, As: name}}
 }
 
 // Sum aggregates the sum of col per group; the output column is named
 // "sum_<col>".
-func Sum(col string) Agg { return Agg{name: "sum_" + col, col: col, kind: exec.AggSum} }
+func Sum(col string) Agg { return agg(wire.AggSum, col) }
 
 // Count counts the rows of each group; the output column is named
 // "count".
-func Count() Agg { return Agg{name: "count", kind: exec.AggCount} }
+func Count() Agg { return agg(wire.AggCount, "") }
 
 // Min aggregates the minimum of col per group; the output column is
 // named "min_<col>".
-func Min(col string) Agg { return Agg{name: "min_" + col, col: col, kind: exec.AggMin} }
+func Min(col string) Agg { return agg(wire.AggMin, col) }
 
 // Max aggregates the maximum of col per group; the output column is
 // named "max_<col>".
-func Max(col string) Agg { return Agg{name: "max_" + col, col: col, kind: exec.AggMax} }
+func Max(col string) Agg { return agg(wire.AggMax, col) }
 
 // As renames the aggregate's output column.
-func (a Agg) As(name string) Agg { a.name = name; return a }
+func (a Agg) As(name string) Agg { a.spec.As = name; return a }
 
 // ErrUnknownColumn is returned (wrapped) when a query references a
 // column the table does not have.
@@ -163,46 +202,32 @@ var ErrNotSelected = errors.New("smoothscan: column not in query output")
 // Limit receives an argument that is neither an integer nor a Param.
 var ErrArgType = errors.New("smoothscan: unsupported argument type")
 
-// cond is one Where clause before compilation.
-type cond struct {
-	col string
-	p   Pred
+// queryEngine is what a Query is bound to: the engine its Run and
+// Explain execute on. *DB and *ShardedDB implement it.
+type queryEngine interface {
+	runQuery(ctx context.Context, q *Query) (*Rows, error)
+	explainQuery(q *Query) (*Plan, error)
 }
 
-// joinClause is one Join call before compilation.
-type joinClause struct {
-	table    string
-	leftCol  string
-	rightCol string
-	opts     ScanOptions
-}
-
-// Query is a composable query under construction. Build one with
-// DB.Query, chain Where / Select / GroupBy / OrderBy / Limit /
-// WithOptions, then call Run to execute it or Explain to inspect the
-// plan the optimizer would choose. Builder methods record the first
+// Query is a composable query under construction. Start one with
+// DB.Query or ShardedDB.Query (bound to that engine) or NewQuery
+// (detached), chain Where / Join / Select / GroupBy / OrderBy / Limit
+// / WithOptions, then call Run to execute it or Explain to inspect the
+// plan the bound engine would choose. Builder methods record the first
 // error and make Run/Explain return it, so call sites can chain
 // without per-call checks.
 //
-// A Query is a plain value owned by its builder chain; it is not safe
-// for concurrent use, but the Rows returned by Run is independent of
-// it. Compilation reads table statistics at Run/Explain time, so the
-// same Query re-run after Analyze may pick a different access path.
+// The query's structure is one plain value — the spec the wire
+// protocol encodes — so the in-process engines, the sharded
+// coordinator and the remote surfaces all execute the same thing.
+//
+// A Query is owned by its builder chain; it is not safe for concurrent
+// use, but the Rows returned by Run is independent of it. Compilation
+// reads table statistics at Run/Explain time, so the same Query re-run
+// after Analyze may pick a different access path.
 type Query struct {
-	db       *DB
-	table    string
-	conds    []cond
-	joins    []joinClause
-	sel      []string
-	hasSel   bool
-	group    string
-	aggs     []Agg
-	hasAgg   bool
-	order    string
-	hasOrd   bool
-	limitArg Arg
-	hasLim   bool
-	opts     ScanOptions
+	eng  queryEngine // nil for a detached query
+	spec wire.QuerySpec
 	// compat is set by the DB.Scan wrapper: it preserves the exact
 	// pre-builder Scan semantics (no empty-range short-circuit, and a
 	// missing index is an error rather than a full-scan fallback).
@@ -215,7 +240,94 @@ type Query struct {
 // (Smooth Scan when the driving column has an index, full scan
 // otherwise).
 func (db *DB) Query(table string) *Query {
-	return &Query{db: db, table: table}
+	return &Query{eng: db, spec: wire.QuerySpec{Table: table}}
+}
+
+// NewQuery starts a composable query that is not attached to any
+// engine. Detached queries are the portable currency of the remote
+// surfaces — ssclient serialises their Spec to the wire; running one
+// directly fails, since there is no database to run against.
+func NewQuery(table string) *Query {
+	return &Query{spec: wire.QuerySpec{Table: table}}
+}
+
+// QueryFromSpec binds a query structure received from a peer to this
+// database — the server side of the wire protocol. Everything the
+// builder methods would have refused is refused here, as a builder
+// error reported from Run/Prepare: out-of-range predicate and
+// aggregate kind bytes, parameter names outside the Param alphabet, an
+// empty Select or GroupBy, a negative literal limit.
+func (db *DB) QueryFromSpec(spec wire.QuerySpec) *Query {
+	q := &Query{eng: db, spec: spec}
+	q.err = q.checkPeerSpec()
+	return q
+}
+
+// checkPeerSpec validates (and normalises the aggregate naming of) a
+// spec that did not come out of this package's constructors.
+func (q *Query) checkPeerSpec() error {
+	s := &q.spec
+	checkArg := func(a wire.ArgSpec) error {
+		if a.Param == "" {
+			return nil
+		}
+		if err := checkParamName(a.Param); err != nil {
+			return fmt.Errorf("%w: %v", wire.ErrMalformed, err)
+		}
+		return nil
+	}
+	for _, p := range s.Preds {
+		if int(p.Kind) >= len(predKinds) {
+			return fmt.Errorf("%w: predicate kind %d on %q", wire.ErrMalformed, p.Kind, p.Col)
+		}
+		if err := checkArg(p.A); err != nil {
+			return err
+		}
+		if err := checkArg(p.B); err != nil {
+			return err
+		}
+	}
+	if s.HasLim {
+		if s.Limit.Param == "" && s.Limit.Lit < 0 {
+			return fmt.Errorf("smoothscan: negative limit %d", s.Limit.Lit)
+		}
+		if err := checkArg(s.Limit); err != nil {
+			return err
+		}
+	}
+	if s.HasSel && len(s.Select) == 0 {
+		return fmt.Errorf("smoothscan: Select requires at least one column")
+	}
+	if s.HasAgg && len(s.Aggs) == 0 {
+		return fmt.Errorf("smoothscan: GroupBy requires at least one aggregate")
+	}
+	for i := range s.Aggs {
+		a := &s.Aggs[i]
+		if int(a.Kind) >= len(aggKinds) {
+			return fmt.Errorf("%w: aggregate kind %d", wire.ErrMalformed, a.Kind)
+		}
+		if a.Kind == wire.AggCount {
+			a.Col = ""
+		}
+		if a.As == "" { // the protocol's "constructor default"
+			a.As = agg(a.Kind, a.Col).spec.As
+		}
+	}
+	return nil
+}
+
+// Spec returns the query's structure as the wire protocol encodes it —
+// what ssclient and the remote shard driver ship to a server. It
+// propagates any builder error and rejects the one shape the spec
+// cannot express (the DB.Scan compat query).
+func (q *Query) Spec() (wire.QuerySpec, error) {
+	if q.err != nil {
+		return wire.QuerySpec{}, q.err
+	}
+	if q.compat {
+		return wire.QuerySpec{}, fmt.Errorf("smoothscan: a DB.Scan compat query cannot be serialised; use the Query builder")
+	}
+	return q.spec, nil
 }
 
 // fail records the first builder error.
@@ -231,12 +343,14 @@ func (q *Query) fail(err error) *Query {
 // into one range. The optimizer picks the most selective indexed
 // predicate to drive the scan; the remaining conjuncts become residual
 // predicates evaluated inside the page decode wherever the chosen
-// access path supports it.
+// access path supports it. On a sharded engine, predicates on the
+// partition column additionally prune shards.
 func (q *Query) Where(col string, p Pred) *Query {
 	if p.err != nil {
 		return q.fail(fmt.Errorf("Where(%q): %w", col, p.err))
 	}
-	q.conds = append(q.conds, cond{col: col, p: p})
+	p.spec.Col = col
+	q.spec.Preds = append(q.spec.Preds, p.spec)
 	return q
 }
 
@@ -260,16 +374,19 @@ func (q *Query) Where(col string, p Pred) *Query {
 // column); later stages of a chain always hash, since a join output's
 // ordering is not tracked. The joined table's scan uses default
 // ScanOptions; use JoinWithOptions to configure it.
+//
+// On a sharded engine a join of tables co-partitioned on the join keys
+// runs partition-wise (shard i joins shard i); otherwise the smaller
+// estimated side is broadcast to every shard of the other.
 func (q *Query) Join(table, leftCol, rightCol string) *Query {
-	q.joins = append(q.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol})
-	return q
+	return q.JoinWithOptions(table, leftCol, rightCol, ScanOptions{})
 }
 
 // JoinWithOptions is Join with explicit ScanOptions for the joined
 // table's access path (the builder-level WithOptions only configures
 // the driving table).
 func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) *Query {
-	q.joins = append(q.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol, opts: opts})
+	q.spec.Joins = append(q.spec.Joins, wire.JoinSpec{Table: table, LeftCol: leftCol, RightCol: rightCol, Opts: optsSpec(opts)})
 	return q
 }
 
@@ -278,30 +395,35 @@ func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts ScanOption
 // is present, its group and aggregate columns are resolved against the
 // selected columns.
 func (q *Query) Select(cols ...string) *Query {
-	if q.hasSel {
+	if q.spec.HasSel {
 		return q.fail(fmt.Errorf("smoothscan: Select set twice"))
 	}
 	if len(cols) == 0 {
 		return q.fail(fmt.Errorf("smoothscan: Select requires at least one column"))
 	}
-	q.sel = append([]string(nil), cols...)
-	q.hasSel = true
+	q.spec.Select = append([]string(nil), cols...)
+	q.spec.HasSel = true
 	return q
 }
 
 // GroupBy groups rows by a column and computes the aggregates per
 // group. The output schema is the group column followed by one column
-// per aggregate, ordered by ascending group key.
+// per aggregate, ordered by ascending group key. On a sharded engine
+// each shard aggregates its local rows and the coordinator merges the
+// partials, so raw rows never cross the gather for an aggregate query.
 func (q *Query) GroupBy(col string, aggs ...Agg) *Query {
-	if q.hasAgg {
+	if q.spec.HasAgg {
 		return q.fail(fmt.Errorf("smoothscan: GroupBy set twice"))
 	}
 	if len(aggs) == 0 {
 		return q.fail(fmt.Errorf("smoothscan: GroupBy requires at least one aggregate"))
 	}
-	q.group = col
-	q.aggs = append([]Agg(nil), aggs...)
-	q.hasAgg = true
+	q.spec.GroupCol = col
+	q.spec.Aggs = make([]wire.AggSpec, len(aggs))
+	for i, a := range aggs {
+		q.spec.Aggs[i] = a.spec
+	}
+	q.spec.HasAgg = true
 	return q
 }
 
@@ -309,29 +431,33 @@ func (q *Query) GroupBy(col string, aggs ...Agg) *Query {
 // column must be part of the query output. When the order is already
 // delivered — by an order-preserving access path on the driving
 // column, or by GroupBy's key-ordered output — no sort operator is
-// added; otherwise a posterior (external) sort is.
+// added; otherwise a posterior (external) sort is. On a sharded engine
+// each shard delivers its slice ordered and the gather runs a k-way
+// ordered merge (with aggregation, the coordinator orders the merged
+// groups).
 func (q *Query) OrderBy(col string) *Query {
-	if q.hasOrd {
+	if q.spec.HasOrd {
 		return q.fail(fmt.Errorf("smoothscan: OrderBy set twice"))
 	}
-	q.order = col
-	q.hasOrd = true
+	q.spec.OrderCol = col
+	q.spec.HasOrd = true
 	return q
 }
 
 // Limit caps the number of output rows; it accepts an integer or a
 // Param placeholder. Limit(0) yields an empty result without touching
-// the device.
+// the device. On a sharded engine a limit without aggregation also
+// pushes into every shard (no shard delivers more than n rows).
 func (q *Query) Limit(n any) *Query {
 	a := asArg(n)
 	if a.err != nil {
 		return q.fail(fmt.Errorf("Limit: %w", a.err))
 	}
-	if a.param == "" && a.lit < 0 {
-		return q.fail(fmt.Errorf("smoothscan: negative limit %d", a.lit))
+	if a.spec.Param == "" && a.spec.Lit < 0 {
+		return q.fail(fmt.Errorf("smoothscan: negative limit %d", a.spec.Lit))
 	}
-	q.limitArg = a
-	q.hasLim = true
+	q.spec.Limit = a.spec
+	q.spec.HasLim = true
 	return q
 }
 
@@ -339,9 +465,40 @@ func (q *Query) Limit(n any) *Query {
 // path, morphing policy and trigger, parallelism, cardinality
 // estimate, SLA bound, Result Cache budget. The builder owns
 // everything above the scan, the options configure the scan itself.
+// On a sharded engine they apply to every shard's driving-table access
+// (each shard still plans — and morphs — independently).
 func (q *Query) WithOptions(opts ScanOptions) *Query {
-	q.opts = opts
+	q.spec.Opts = optsSpec(opts)
 	return q
+}
+
+// optsSpec and scanOptions are the one ScanOptions <-> spec mapping.
+func optsSpec(o ScanOptions) wire.OptsSpec {
+	return wire.OptsSpec{
+		Path:              byte(o.Path),
+		Policy:            byte(o.Policy),
+		Trigger:           byte(o.Trigger),
+		Ordered:           o.Ordered,
+		EstimatedRows:     o.EstimatedRows,
+		SLABound:          o.SLABound,
+		MaxRegionPages:    o.MaxRegionPages,
+		ResultCacheBudget: o.ResultCacheBudget,
+		Parallelism:       int32(o.Parallelism),
+	}
+}
+
+func scanOptions(o wire.OptsSpec) ScanOptions {
+	return ScanOptions{
+		Path:              AccessPath(o.Path),
+		Policy:            Policy(o.Policy),
+		Trigger:           Trigger(o.Trigger),
+		Ordered:           o.Ordered,
+		EstimatedRows:     o.EstimatedRows,
+		SLABound:          o.SLABound,
+		MaxRegionPages:    o.MaxRegionPages,
+		ResultCacheBudget: o.ResultCacheBudget,
+		Parallelism:       int(o.Parallelism),
+	}
 }
 
 // resolvedPred is a bound predicate with its column name kept for plan
@@ -474,11 +631,8 @@ type compiledQuery struct {
 	// constant — and resEpochs the write epochs of the referenced
 	// tables captured at bind time; both empty when the execution does
 	// not participate (tier disabled, compat query, empty plan).
-	// cacheServed marks an execution answered from the cache, rendered
-	// by Plan as "served from result cache".
-	resKey      string
-	resEpochs   map[string]uint64
-	cacheServed bool
+	resKey    string
+	resEpochs map[string]uint64
 }
 
 // bindPair is one bound parameter captured at bind time (the caller's
@@ -718,12 +872,13 @@ type qtemplate struct {
 // right here, so Eq(5) and Between(5, 6) canonicalise to the same
 // shape and share one cached template; a parameterized predicate
 // keeps its comparison kind for bind-time folding.
-func canonPred(p Pred) (kind plan.PredKind, a, b Arg) {
-	if p.a.param == "" && (p.kind != plan.KindBetween || p.b.param == "") {
-		lo, hi := plan.FoldRange(p.kind, p.a.lit, p.b.lit)
-		return plan.KindBetween, Arg{lit: lo}, Arg{lit: hi}
+func canonPred(p wire.PredSpec) (kind plan.PredKind, a, b wire.ArgSpec) {
+	kind = predKinds[p.Kind]
+	if p.A.Param == "" && (kind != plan.KindBetween || p.B.Param == "") {
+		lo, hi := plan.FoldRange(kind, p.A.Lit, p.B.Lit)
+		return plan.KindBetween, wire.ArgSpec{Lit: lo}, wire.ArgSpec{Lit: hi}
 	}
-	return p.kind, p.a, p.b
+	return kind, p.A, p.B
 }
 
 // forEachArg visits every bind-time argument of the query in canonical
@@ -733,16 +888,16 @@ func canonPred(p Pred) (kind plan.PredKind, a, b Arg) {
 // this order — the three walks must never diverge, or a cached
 // template would bind another query's literals to the wrong
 // predicates.
-func (q *Query) forEachArg(f func(a Arg)) {
-	for _, c := range q.conds {
-		kind, a, b := canonPred(c.p)
+func (q *Query) forEachArg(f func(a wire.ArgSpec)) {
+	for _, p := range q.spec.Preds {
+		kind, a, b := canonPred(p)
 		f(a)
 		if kind == plan.KindBetween {
 			f(b)
 		}
 	}
-	if q.hasLim {
-		f(q.limitArg)
+	if q.spec.HasLim {
+		f(q.spec.Limit)
 	}
 }
 
@@ -750,9 +905,9 @@ func (q *Query) forEachArg(f func(a Arg)) {
 // order.
 func (q *Query) collectLits() []int64 {
 	var lits []int64
-	q.forEachArg(func(a Arg) {
-		if a.param == "" {
-			lits = append(lits, a.lit)
+	q.forEachArg(func(a wire.ArgSpec) {
+		if a.Param == "" {
+			lits = append(lits, a.Lit)
 		}
 	})
 	return lits
@@ -779,10 +934,10 @@ func (q *Query) semanticKey() string { return q.structKey(true) }
 
 func (q *Query) structKey(blind bool) string {
 	var sb strings.Builder
-	arg := func(a Arg) {
-		if a.param != "" && !blind {
+	arg := func(a wire.ArgSpec) {
+		if a.Param != "" && !blind {
 			sb.WriteByte('$')
-			sb.WriteString(a.param)
+			sb.WriteString(a.Param)
 		} else {
 			sb.WriteByte('?')
 		}
@@ -791,72 +946,73 @@ func (q *Query) structKey(blind bool) string {
 	if q.compat {
 		sb.WriteString("compat|")
 	}
-	fmt.Fprintf(&sb, "%q", q.table)
-	for _, j := range q.joins {
-		fmt.Fprintf(&sb, "|J:%q,%q,%q,%+v", j.table, j.leftCol, j.rightCol, j.opts)
+	sp := &q.spec
+	fmt.Fprintf(&sb, "%q", sp.Table)
+	for _, j := range sp.Joins {
+		fmt.Fprintf(&sb, "|J:%q,%q,%q,%+v", j.Table, j.LeftCol, j.RightCol, scanOptions(j.Opts))
 	}
-	for _, c := range q.conds {
-		kind, a, b := canonPred(c.p)
+	for _, c := range sp.Preds {
+		kind, a, b := canonPred(c)
 		if blind {
 			// Every predicate folds to a half-open [lo, hi) range at
 			// bind time, so the semantic shape of any conjunct is a
 			// two-endpoint Between regardless of which comparison
 			// spelled it — Eq(x) and Between(x, x+1) must share.
-			fmt.Fprintf(&sb, "|W:%q,%d,?,?", c.col, int(plan.KindBetween))
+			fmt.Fprintf(&sb, "|W:%q,%d,?,?", c.Col, int(plan.KindBetween))
 			continue
 		}
-		fmt.Fprintf(&sb, "|W:%q,%d,", c.col, int(kind))
+		fmt.Fprintf(&sb, "|W:%q,%d,", c.Col, int(kind))
 		arg(a)
 		if kind == plan.KindBetween {
 			sb.WriteByte(',')
 			arg(b)
 		}
 	}
-	if q.hasSel {
+	if sp.HasSel {
 		sb.WriteString("|S:")
-		for i, s := range q.sel {
+		for i, s := range sp.Select {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
 			fmt.Fprintf(&sb, "%q", s)
 		}
 	}
-	if q.hasAgg {
-		fmt.Fprintf(&sb, "|G:%q", q.group)
-		for _, a := range q.aggs {
-			fmt.Fprintf(&sb, ",%q:%q:%d", a.name, a.col, int(a.kind))
+	if sp.HasAgg {
+		fmt.Fprintf(&sb, "|G:%q", sp.GroupCol)
+		for _, a := range sp.Aggs {
+			fmt.Fprintf(&sb, ",%q:%q:%d", a.As, a.Col, int(aggKinds[a.Kind].kind))
 		}
 	}
-	if q.hasOrd {
-		fmt.Fprintf(&sb, "|O:%q", q.order)
+	if sp.HasOrd {
+		fmt.Fprintf(&sb, "|O:%q", sp.OrderCol)
 	}
-	if q.hasLim {
+	if sp.HasLim {
 		sb.WriteString("|L:")
-		arg(q.limitArg)
+		arg(sp.Limit)
 	}
-	fmt.Fprintf(&sb, "|opts:%+v", q.opts)
+	fmt.Fprintf(&sb, "|opts:%+v", scanOptions(sp.Opts))
 	return sb.String()
 }
 
 // buildTemplate runs the structural (prepare) phase: table and column
 // resolution, conjunct routing, join tree shape, projection / grouping
 // / ordering schemas — everything about the query that does not depend
-// on its constant values. The caller holds db.mu (read). The result is
-// immutable; bindTemplate turns it into an executable compiledQuery
-// per execution.
-func (q *Query) buildTemplate() (*qtemplate, error) {
+// on its constant values — against db's catalog. The caller holds
+// db.mu (read). The result is immutable; bindTemplate turns it into an
+// executable compiledQuery per execution.
+func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	db := q.db
+	sp := &q.spec
 	pt := &plan.Template{GroupIdx: -1, OrderIdx: -1}
 
 	// Resolve every input table.
-	names := []string{q.table}
-	optsPer := []ScanOptions{q.opts}
-	for _, j := range q.joins {
-		names = append(names, j.table)
-		optsPer = append(optsPer, j.opts)
+	names := []string{sp.Table}
+	optsPer := []ScanOptions{scanOptions(sp.Opts)}
+	for _, j := range sp.Joins {
+		names = append(names, j.Table)
+		optsPer = append(optsPer, scanOptions(j.Opts))
 	}
 	tabs := make([]*table, len(names))
 	for i, name := range names {
@@ -872,22 +1028,22 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 	// registered by name.
 	slots := 0
 	seen := map[string]bool{}
-	val := func(a Arg) plan.Value {
-		if a.param != "" {
-			if !seen[a.param] {
-				seen[a.param] = true
-				pt.Params = append(pt.Params, a.param)
+	val := func(a wire.ArgSpec) plan.Value {
+		if a.Param != "" {
+			if !seen[a.Param] {
+				seen[a.Param] = true
+				pt.Params = append(pt.Params, a.Param)
 			}
-			return plan.Value{Param: a.param}
+			return plan.Value{Param: a.Param}
 		}
 		v := plan.Value{Slot: slots}
 		slots++
 		return v
 	}
-	condKinds := make([]plan.PredKind, len(q.conds))
-	condVals := make([][2]plan.Value, len(q.conds))
-	for ci, c := range q.conds {
-		kind, a, b := canonPred(c.p)
+	condKinds := make([]plan.PredKind, len(sp.Preds))
+	condVals := make([][2]plan.Value, len(sp.Preds))
+	for ci, c := range sp.Preds {
+		kind, a, b := canonPred(c)
 		condKinds[ci] = kind
 		condVals[ci][0] = val(a)
 		if kind == plan.KindBetween {
@@ -905,59 +1061,59 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 		pt.Inputs[i] = plan.AccessT{Table: names[i], Schema: tabs[i].file.Schema()}
 		byColPer[i] = map[string]int{}
 	}
-	for ci, c := range q.conds {
+	for ci, c := range sp.Preds {
 		at := -1
 		for i, t := range tabs {
-			if t.file.Schema().ColIndex(c.col) < 0 {
+			if t.file.Schema().ColIndex(c.Col) < 0 {
 				continue
 			}
 			if at >= 0 {
-				return nil, fmt.Errorf("smoothscan: Where column %q is ambiguous between tables %q and %q", c.col, names[at], names[i])
+				return nil, fmt.Errorf("smoothscan: Where column %q is ambiguous between tables %q and %q", c.Col, names[at], names[i])
 			}
 			at = i
 		}
 		if at < 0 {
 			if len(names) == 1 {
-				return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, q.table, c.col)
+				return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, sp.Table, c.Col)
 			}
-			return nil, fmt.Errorf("%w: no joined table has column %q", ErrUnknownColumn, c.col)
+			return nil, fmt.Errorf("%w: no joined table has column %q", ErrUnknownColumn, c.Col)
 		}
 		in := &pt.Inputs[at]
 		ct := plan.CondT{
-			Col:  in.Schema.ColIndex(c.col),
-			Name: c.col,
+			Col:  in.Schema.ColIndex(c.Col),
+			Name: c.Col,
 			Kind: condKinds[ci],
 			A:    condVals[ci][0],
 			B:    condVals[ci][1],
 		}
 		idx := len(in.Conds)
 		in.Conds = append(in.Conds, ct)
-		if g, ok := byColPer[at][c.col]; ok {
+		if g, ok := byColPer[at][c.Col]; ok {
 			in.Merged[g] = append(in.Merged[g], idx)
 		} else {
-			byColPer[at][c.col] = len(in.Merged)
+			byColPer[at][c.Col] = len(in.Merged)
 			in.Merged = append(in.Merged, []int{idx})
 		}
 	}
 
 	// Only the driving table of a join-free query can satisfy an ORDER
 	// BY through an order-preserving scan; joins and grouping reorder.
-	if len(q.joins) == 0 && q.hasOrd && !q.hasAgg {
-		pt.FreeOrderCol = q.order
+	if len(sp.Joins) == 0 && sp.HasOrd && !sp.HasAgg {
+		pt.FreeOrderCol = sp.OrderCol
 	}
 
 	// Join stages: resolve the equi-join columns and precompute each
 	// stage's output schema. Algorithm and build side are bind-time.
 	base := pt.Inputs[0].Schema
-	for k, jc := range q.joins {
+	for k, jc := range sp.Joins {
 		right := &pt.Inputs[k+1]
-		leftCol := base.ColIndex(jc.leftCol)
+		leftCol := base.ColIndex(jc.LeftCol)
 		if leftCol < 0 {
-			return nil, fmt.Errorf("%w: join %d: %q is not a column of the query output joined so far", ErrUnknownColumn, k+1, jc.leftCol)
+			return nil, fmt.Errorf("%w: join %d: %q is not a column of the query output joined so far", ErrUnknownColumn, k+1, jc.LeftCol)
 		}
-		rightCol := right.Schema.ColIndex(jc.rightCol)
+		rightCol := right.Schema.ColIndex(jc.RightCol)
 		if rightCol < 0 {
-			return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, right.Table, jc.rightCol)
+			return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, right.Table, jc.RightCol)
 		}
 		joined, err := joinOutputSchema(base, right.Schema)
 		if err != nil {
@@ -976,14 +1132,14 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 
 	// SELECT list.
 	pt.SelSchema = pt.Base
-	if q.hasSel {
-		cols := make([]tuple.Column, len(q.sel))
-		pt.SelIdx = make([]int, len(q.sel))
-		for i, name := range q.sel {
+	if sp.HasSel {
+		cols := make([]tuple.Column, len(sp.Select))
+		pt.SelIdx = make([]int, len(sp.Select))
+		for i, name := range sp.Select {
 			col := pt.Base.ColIndex(name)
 			if col < 0 {
 				if len(pt.Inputs) == 1 {
-					return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, q.table, name)
+					return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, sp.Table, name)
 				}
 				return nil, fmt.Errorf("%w: join output has no column %q", ErrUnknownColumn, name)
 			}
@@ -999,27 +1155,27 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 
 	// GROUP BY + aggregates.
 	stage := pt.SelSchema
-	if q.hasAgg {
-		pt.GroupIdx = pt.SelSchema.ColIndex(q.group)
+	if sp.HasAgg {
+		pt.GroupIdx = pt.SelSchema.ColIndex(sp.GroupCol)
 		if pt.GroupIdx < 0 {
-			return nil, templColErr(pt, q.group, "GroupBy")
+			return nil, templColErr(pt, sp.GroupCol, "GroupBy")
 		}
-		outNames := map[string]bool{q.group: true}
-		outCols := []tuple.Column{{Name: q.group, Type: tuple.Int64}}
-		for _, a := range q.aggs {
-			spec := exec.AggSpec{Name: a.name, Kind: a.kind}
-			if a.kind != exec.AggCount {
-				spec.Col = pt.SelSchema.ColIndex(a.col)
+		outNames := map[string]bool{sp.GroupCol: true}
+		outCols := []tuple.Column{{Name: sp.GroupCol, Type: tuple.Int64}}
+		for _, a := range sp.Aggs {
+			spec := exec.AggSpec{Name: a.As, Kind: aggKinds[a.Kind].kind}
+			if a.Kind != wire.AggCount {
+				spec.Col = pt.SelSchema.ColIndex(a.Col)
 				if spec.Col < 0 {
-					return nil, templColErr(pt, a.col, "aggregate")
+					return nil, templColErr(pt, a.Col, "aggregate")
 				}
 			}
-			if outNames[a.name] {
-				return nil, fmt.Errorf("smoothscan: duplicate output column %q in GroupBy", a.name)
+			if outNames[a.As] {
+				return nil, fmt.Errorf("smoothscan: duplicate output column %q in GroupBy", a.As)
 			}
-			outNames[a.name] = true
+			outNames[a.As] = true
 			pt.AggSpecs = append(pt.AggSpecs, spec)
-			outCols = append(outCols, tuple.Column{Name: a.name, Type: tuple.Int64})
+			outCols = append(outCols, tuple.Column{Name: a.As, Type: tuple.Int64})
 		}
 		s, err := tuple.NewSchema(outCols...)
 		if err != nil {
@@ -1030,17 +1186,17 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 	}
 
 	// ORDER BY resolution (sort-vs-free decisions are bind-time).
-	if q.hasOrd {
-		pt.OrderIdx = stage.ColIndex(q.order)
+	if sp.HasOrd {
+		pt.OrderIdx = stage.ColIndex(sp.OrderCol)
 		if pt.OrderIdx < 0 {
-			return nil, fmt.Errorf("%w: %q is not in the query output; add it to Select or GroupBy", ErrUnknownColumn, q.order)
+			return nil, fmt.Errorf("%w: %q is not in the query output; add it to Select or GroupBy", ErrUnknownColumn, sp.OrderCol)
 		}
-		pt.OrderName = q.order
+		pt.OrderName = sp.OrderCol
 	}
 
-	pt.HasLim = q.hasLim
-	if q.hasLim {
-		pt.Limit = val(q.limitArg)
+	pt.HasLim = sp.HasLim
+	if sp.HasLim {
+		pt.Limit = val(sp.Limit)
 	}
 	pt.Out = stage
 	pt.Slots = slots
@@ -1056,7 +1212,7 @@ func (db *DB) templateFor(q *Query) (qt *qtemplate, lits []int64, hit bool, err 
 		return nil, nil, false, q.err
 	}
 	if db.planCache == nil {
-		qt, err = q.buildTemplate()
+		qt, err = q.buildTemplate(db)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -1071,7 +1227,7 @@ func (db *DB) templateFor(q *Query) (qt *qtemplate, lits []int64, hit bool, err 
 	if v, ok := db.planCache.Get(key); ok {
 		return v.(*qtemplate), q.collectLits(), true, nil
 	}
-	qt, err = q.buildTemplate()
+	qt, err = q.buildTemplate(db)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -1367,12 +1523,12 @@ func (cq *compiledQuery) renderBindNotes() []string {
 // literals — the same prepare → bind pipeline a Stmt uses, which is
 // what keeps ad-hoc and prepared execution value-for-value identical.
 // The caller holds db.mu (read).
-func (q *Query) compile() (*compiledQuery, error) {
-	qt, lits, hit, err := q.db.templateFor(q)
+func (db *DB) compile(q *Query) (*compiledQuery, error) {
+	qt, lits, hit, err := db.templateFor(q)
 	if err != nil {
 		return nil, err
 	}
-	cq, err := q.db.bindTemplate(qt, lits, nil, false)
+	cq, err := db.bindTemplate(qt, lits, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1380,21 +1536,10 @@ func (q *Query) compile() (*compiledQuery, error) {
 	return cq, nil
 }
 
-// builtQuery is the executable outcome of build: the root operator
-// plus the handles ExecStats reads (the driving table's Smooth Scan
-// operator(s), the join operators, the per-stage counters).
-type builtQuery struct {
-	root     exec.Operator
-	smooth   *core.SmoothScan
-	workers  []*core.SmoothScan
-	joins    []exec.JoinStatser
-	counters []*opCounter
-}
-
 // buildInput constructs one table access through the plan layer,
 // wrapped in its counter, context guard and (when the access path
 // could not absorb the residual conjuncts) a filter operator.
-func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess, bq *builtQuery, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
+func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess, bq *localExec, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
 	spec := plan.ScanSpec{
 		File:            a.tab.file,
 		Pool:            db.pool,
@@ -1444,11 +1589,9 @@ func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess,
 		scanName = fmt.Sprintf("parallel[%d] %s", a.par, scanName)
 	}
 	cur := count(scanName, built.Op)
-	if ctx != nil {
-		// Each input gets its own guard, so a blocking consumer (a
-		// hash-join build, a sort) observes cancellation per batch.
-		cur = &ctxGuard{inner: cur, ctx: ctx}
-	}
+	// Each input gets its own guard, so a blocking consumer (a
+	// hash-join build, a sort) observes cancellation per batch.
+	cur = &ctxGuard{inner: cur, ctx: ctx}
 	if len(a.residual) > 0 && !built.ResidualPushed {
 		preds := a.residualPreds()
 		name := "filter"
@@ -1465,8 +1608,8 @@ func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess,
 // build constructs the operator tree for a compiled query, wrapping
 // every stage in a row/batch counter for ExecStats. The caller holds
 // db.mu (read).
-func (cq *compiledQuery) build(db *DB, ctx context.Context) (*builtQuery, error) {
-	bq := &builtQuery{}
+func (cq *compiledQuery) build(db *DB, ctx context.Context) (*localExec, error) {
+	bq := &localExec{db: db, cq: cq}
 	count := func(name string, op exec.Operator) exec.Operator {
 		c := &opCounter{name: name}
 		bq.counters = append(bq.counters, c)
@@ -1525,40 +1668,54 @@ func (cq *compiledQuery) build(db *DB, ctx context.Context) (*builtQuery, error)
 	return bq, nil
 }
 
-// Explain compiles the query — access-path choice, residual placement,
-// parallelism, per-node cardinality estimates — without executing it
-// or touching the simulated device, and returns the printable plan.
+// errDetached is what Run and Explain return for a query no engine is
+// bound to.
+var errDetached = errors.New("smoothscan: query has no database")
+
+// Explain compiles the query against its engine — access-path choice,
+// residual placement, parallelism, per-node cardinality estimates; on
+// a sharded engine the scatter strategy, pruning decisions, gather
+// mode and each active shard's own plan (Plan.Sharded) — without
+// executing it or touching any device, and returns the printable plan.
 func (q *Query) Explain() (*Plan, error) {
-	if q.db == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
+	if q.eng == nil {
+		return nil, errDetached
 	}
-	q.db.mu.RLock()
-	defer q.db.mu.RUnlock()
-	cq, err := q.compile()
+	return q.eng.explainQuery(q)
+}
+
+// Run compiles and starts the query on its engine. The context cancels
+// it: the returned Rows checks ctx once per batch refill (never per
+// tuple), parallel scan workers and shard workers observe it between
+// batches and exit promptly, and blocking operators (sort,
+// aggregation) check it between the batches they drain. After
+// cancellation Rows.Err reports ctx.Err().
+//
+// As with Scan, always Close the returned Rows.
+func (q *Query) Run(ctx context.Context) (*Rows, error) {
+	if q.eng == nil {
+		return nil, errDetached
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return q.eng.runQuery(ctx, q)
+}
+
+func (db *DB) explainQuery(q *Query) (*Plan, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	cq, err := db.compile(q)
 	if err != nil {
 		return nil, err
 	}
 	return cq.plan(), nil
 }
 
-// Run compiles and starts the query. The context cancels it: the
-// returned Rows checks ctx once per batch refill (never per tuple),
-// parallel scan workers observe it between batches and exit promptly,
-// and blocking operators (sort, aggregation) check it between the
-// batches they drain. After cancellation Rows.Err reports ctx.Err().
-//
-// As with Scan, always Close the returned Rows.
-func (q *Query) Run(ctx context.Context) (*Rows, error) {
-	if q.db == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	db := q.db
+func (db *DB) runQuery(ctx context.Context, q *Query) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := q.compile()
+	cq, err := db.compile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -1578,7 +1735,7 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 	cache := db.cacheable(cq)
 	if cache {
 		if v, ok := db.resCache.Lookup(cq.resKey, db.epochOfLocked); ok {
-			return db.serveCached(ctx, cq, v), nil
+			return (&localExec{db: db, cq: cq, ioStart: db.dev.Stats()}).rows(ctx).serveCached(v), nil
 		}
 	}
 	bq, err := cq.build(db, ctx)
@@ -1593,29 +1750,15 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 		if !IsFaultError(openErr) {
 			return nil, openErr
 		}
-		cq, bq, openErr = db.degradeAndReopen(ctx, cq, openErr)
+		bq, openErr = db.degradeAndReopen(ctx, cq, openErr)
 		if openErr != nil {
 			return nil, openErr
 		}
 	}
-	rows := &Rows{
-		schema:     cq.out,
-		baseSchema: cq.base,
-		ctx:        ctx,
-		counters:   bq.counters,
-		compiled:   cq,
-		choice:     cq.driving().choice,
-		op:         bq.root,
-		smooth:     bq.smooth,
-		smoothAll:  bq.workers,
-		joins:      bq.joins,
-		planCached: cq.planCached,
-		ioStart:    ioStart,
-	}
-	if cache && len(cq.degraded) == 0 {
+	bq.ioStart = ioStart
+	rows := bq.rows(ctx)
+	if cache && len(bq.cq.degraded) == 0 {
 		rows.acc = newResAccum(cq.resKey, cq.resEpochs, db.resCache.EntryCap(), cq.out.NumCols())
 	}
-	rows.db = db
-	db.openScans.Add(1)
 	return rows, nil
 }

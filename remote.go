@@ -100,6 +100,7 @@ func OpenShardedRemote(placements []Placement, parts map[string]Partitioning, op
 		if err != nil {
 			return nil, fmt.Errorf("smoothscan: shard %d (%s) catalog: %w", i, p.Addr, err)
 		}
+		d.mirror = db
 		d.rows = make(map[string]int64, len(tables))
 		for _, t := range tables {
 			d.rows[t.Name] = t.Rows
@@ -154,6 +155,8 @@ func catalogMirror(opts Options, tables []wire.TableSpec) (*DB, error) {
 type remoteDriver struct {
 	shard int
 	addr  string
+	// mirror is the node's schema-only planning DB (see catalogMirror).
+	mirror *DB
 	// rows is the node's per-table row count, snapshotted from its
 	// catalog at open time (ShardRows serves it; the mirrors are empty).
 	rows map[string]int64
@@ -248,7 +251,7 @@ func (d *remoteDriver) wrapErr(err error) error {
 }
 
 func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
-	spec, err := q.wireSpec()
+	spec, err := q.Spec()
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +278,11 @@ func (d *remoteDriver) prepare(q *Query) (shardStmt, error) {
 	// mirror — carries the coordinator-side half: parameter names for
 	// bind filtering and checkBind, and Explain. Remote handles are
 	// prepared lazily, one per connection actually used.
-	local, err := q.db.Prepare(q)
+	local, err := d.mirror.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := q.wireSpec()
+	spec, err := q.Spec()
 	if err != nil {
 		return nil, err
 	}
@@ -370,22 +373,7 @@ func (rc *remoteCursor) next() (tuple.Row, bool, error) {
 
 func (rc *remoteCursor) execStats() (ExecStats, bool) {
 	sum, ok := rc.rows.Summary()
-	if !ok {
-		return ExecStats{}, false
-	}
-	return ExecStats{
-		IO:           sum.IO,
-		RowsReturned: sum.Rows,
-		PlanCacheHit: sum.PlanCacheHit,
-		Retries:      sum.Retries,
-		FaultsSeen:   sum.FaultsSeen,
-		Degraded:     sum.Degraded,
-		ResultCache: ResultCacheExec{
-			Hit:   sum.ResultCacheHit,
-			Bytes: sum.ResultCacheBytes,
-			Age:   time.Duration(sum.ResultCacheAgeNs),
-		},
-	}, true
+	return SummaryStats(sum), ok
 }
 
 // ioStats: the node's summary is the authority for the shard's I/O

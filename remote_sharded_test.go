@@ -156,7 +156,7 @@ func buildRemoteSharded(t *testing.T, n int, scheme string) *remoteShardedFixtur
 	return fx
 }
 
-func drainSharded(t *testing.T, rows *smoothscan.ShardedRows, err error) [][]int64 {
+func drainSharded(t *testing.T, rows *smoothscan.Rows, err error) [][]int64 {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func drainSharded(t *testing.T, rows *smoothscan.ShardedRows, err error) [][]int
 	return out
 }
 
-func runDrain(t *testing.T, q *smoothscan.ShardedQuery, ctx context.Context) [][]int64 {
+func runDrain(t *testing.T, q *smoothscan.Query, ctx context.Context) [][]int64 {
 	t.Helper()
 	rows, err := q.Run(ctx)
 	return drainSharded(t, rows, err)
@@ -192,41 +192,41 @@ func stmtDrain(t *testing.T, st *smoothscan.ShardedStmt, ctx context.Context, b 
 type rsCase struct {
 	name  string
 	exact bool
-	q     func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery
+	q     func(s *smoothscan.ShardedDB) *smoothscan.Query
 }
 
 func rsCases() []rsCase {
 	return []rsCase{
-		{"scan", false, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"scan", false, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Where("val", smoothscan.Between(600, 1200))
 		}},
-		{"index", false, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"index", false, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Where("val", smoothscan.Between(100, 220)).
 				WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathIndex})
 		}},
-		{"ordered", true, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"ordered", true, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Where("val", smoothscan.Between(600, 1200)).OrderBy("id")
 		}},
-		{"select", false, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"select", false, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Select("val", "p").Where("val", smoothscan.Ge(1500))
 		}},
-		{"agg", true, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"agg", true, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").GroupBy("g", smoothscan.Count(), smoothscan.Sum("p"), smoothscan.Min("val"), smoothscan.Max("val"))
 		}},
-		{"agg-where-ord", true, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"agg-where-ord", true, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Where("val", smoothscan.Between(300, 1700)).
 				GroupBy("g", smoothscan.Sum("p")).OrderBy("g")
 		}},
-		{"topn", true, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"topn", true, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Where("val", smoothscan.Ge(800)).OrderBy("id").Limit(53)
 		}},
-		{"join-broadcast", false, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"join-broadcast", false, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Join("d", "g", "d_cat").Where("val", smoothscan.Between(200, 500))
 		}},
-		{"join-agg", true, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"join-agg", true, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Join("d", "g", "d_cat").GroupBy("g", smoothscan.Count(), smoothscan.Sum("d_w"))
 		}},
-		{"empty-range", true, func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+		{"empty-range", true, func(s *smoothscan.ShardedDB) *smoothscan.Query {
 			return s.Query("t").Where("val", smoothscan.Between(500, 500))
 		}},
 	}
@@ -254,7 +254,7 @@ func TestRemoteShardedEquivalenceGrid(t *testing.T) {
 func TestRemoteShardedPrepared(t *testing.T) {
 	ctx := context.Background()
 	fx := buildRemoteSharded(t, 4, "range")
-	build := func(s *smoothscan.ShardedDB) *smoothscan.ShardedQuery {
+	build := func(s *smoothscan.ShardedDB) *smoothscan.Query {
 		return s.Query("t").
 			Where("val", smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
 			OrderBy("id")
@@ -415,7 +415,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestRemoteShardedFailover(t *testing.T) {
 	ctx := context.Background()
 	fx := buildRemoteSharded(t, 2, "range")
-	query := func() *smoothscan.ShardedQuery {
+	query := func() *smoothscan.Query {
 		return fx.remote.Query("t").Where("val", smoothscan.Between(0, rsDomain))
 	}
 	// Healthy baseline.

@@ -290,8 +290,8 @@ func TestRemoteFaultPropagation(t *testing.T) {
 	c := f.dial(t)
 
 	run := func() error {
-		rows, err := c.Query(loadgen.Table).
-			Where(loadgen.IndexedCol, ssclient.Between(0, 1500)).
+		rows, err := c.Table(loadgen.Table).
+			Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).
 			Run(context.Background())
 		if err != nil {
 			return err
@@ -361,8 +361,8 @@ func TestRemoteRowsDoubleClose(t *testing.T) {
 	c := f.dial(t)
 	c.SetFetchRows(64)
 
-	rows, err := c.Query(loadgen.Table).
-		Where(loadgen.IndexedCol, ssclient.Between(0, 1500)).
+	rows, err := c.Table(loadgen.Table).
+		Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).
 		Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +382,8 @@ func TestRemoteRowsDoubleClose(t *testing.T) {
 
 	// The connection is resynchronised; a drained stream closes clean
 	// too, and its summary is available.
-	rows2, err := c.Query(loadgen.Table).
-		Where(loadgen.IndexedCol, ssclient.Between(0, 100)).
+	rows2, err := c.Table(loadgen.Table).
+		Where(loadgen.IndexedCol, smoothscan.Between(0, 100)).
 		Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestRemoteRowsDoubleClose(t *testing.T) {
 	if rows2.Err() != nil {
 		t.Fatal(rows2.Err())
 	}
-	sum, ok := rows2.Summary()
+	sum, ok := rows2.(*ssclient.Rows).Summary()
 	if !ok {
 		t.Fatal("summary missing after full drain")
 	}
@@ -421,8 +421,8 @@ func TestRemoteContextCancel(t *testing.T) {
 	c.SetFetchRows(32)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	rows, err := c.Query(loadgen.Table).
-		Where(loadgen.IndexedCol, ssclient.Between(0, 1500)).
+	rows, err := c.Table(loadgen.Table).
+		Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).
 		WithOptions(smoothscan.ScanOptions{Parallelism: 4}).
 		Run(ctx)
 	if err != nil {
@@ -439,5 +439,95 @@ func TestRemoteContextCancel(t *testing.T) {
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatalf("Close after cancel: %v", err)
+	}
+}
+
+// TestCursorNoCurrentRow pins the part of the cursor contract that
+// three separate implementations used to disagree on: on every engine,
+// Next is false after Close (and after the end) with Err unchanged,
+// and while no row is current — before the first Next, after the end,
+// after Close — Col reports false, CopyRow copies nothing and Column
+// (where the cursor has it) fails with ErrNoRow instead of panicking.
+func TestCursorNoCurrentRow(t *testing.T) {
+	f := buildRemoteFixture(t)
+	sharded, err := loadgen.BuildShardedDB(6000, 1500, 7, 2, smoothscan.Options{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := f.dial(t)
+	remote.SetFetchRows(64)
+	engines := []struct {
+		name string
+		e    smoothscan.Engine
+	}{{"local", f.db}, {"sharded", sharded}, {"remote", remote}}
+
+	// rowCursor is what *smoothscan.Rows and *ssclient.Rows share
+	// beyond Cursor.
+	type rowCursor interface {
+		smoothscan.Cursor
+		Col(name string) (int64, bool)
+		CopyRow(dst []int64) int
+	}
+	states := []struct {
+		name     string
+		arrange  func(t *testing.T, cur rowCursor)
+		nextDone bool // Next must now report false, Err nil
+	}{
+		{"before-first-next", func(*testing.T, rowCursor) {}, false},
+		{"closed-mid-stream", func(t *testing.T, cur rowCursor) {
+			// The fixture's 6000 rows span several batches and fetch
+			// windows, so a buffered batch is still pending here.
+			if !cur.Next() {
+				t.Fatalf("no first row: %v", cur.Err())
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"drained", func(t *testing.T, cur rowCursor) {
+			for cur.Next() {
+			}
+		}, true},
+		{"drained-and-closed", func(t *testing.T, cur rowCursor) {
+			for cur.Next() {
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+	}
+	for _, eng := range engines {
+		for _, st := range states {
+			t.Run(eng.name+"/"+st.name, func(t *testing.T) {
+				c, err := eng.e.Table(loadgen.Table).
+					Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				cur := c.(rowCursor)
+				st.arrange(t, cur)
+				if st.nextDone && cur.Next() {
+					t.Error("Next returned true")
+				}
+				if err := cur.Err(); err != nil {
+					t.Errorf("Err = %v", err)
+				}
+				if v, ok := cur.Col(loadgen.IndexedCol); ok || v != 0 {
+					t.Errorf("Col with no current row = (%d, %v), want (0, false)", v, ok)
+				}
+				if n := cur.CopyRow(make([]int64, 16)); n != 0 {
+					t.Errorf("CopyRow with no current row copied %d values", n)
+				}
+				if row := cur.Row(); len(row) != 0 {
+					t.Errorf("Row with no current row = %v", row)
+				}
+				if cc, ok := c.(interface{ Column(string) (int64, error) }); ok {
+					if _, err := cc.Column(loadgen.IndexedCol); !errors.Is(err, smoothscan.ErrNoRow) {
+						t.Errorf("Column with no current row: %v, want ErrNoRow", err)
+					}
+				}
+			})
+		}
 	}
 }

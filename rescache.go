@@ -1,8 +1,6 @@
 package smoothscan
 
 import (
-	"context"
-
 	"smoothscan/internal/exec"
 	"smoothscan/internal/rescache"
 	"smoothscan/internal/tuple"
@@ -17,6 +15,9 @@ import (
 // before the lock (its epoch bump fails the revalidation) or waits
 // until after the serve. A hit builds a Rows over cachedOp — a pure
 // in-memory operator — so the execution performs zero device I/O.
+// The sharded coordinator runs the same lookup/tee/store above
+// scatter-gather with its own tier and epoch reader (see
+// sharded_rescache.go).
 //
 // The store path is a passive tee: a cacheable miss gets a resAccum
 // that copies every delivered batch; Close admits the accumulated
@@ -68,25 +69,18 @@ func (a *resAccum) addBatch(b *tuple.Batch, n int) {
 
 // storeResult admits a drained execution's accumulated result into the
 // cache — unless the result overflowed the entry cap, or a write moved
-// any referenced table's epoch since bind time (the entry would be
-// born stale).
-func (db *DB) storeResult(a *resAccum) {
-	if a.overflow || db.resCache == nil {
+// any referenced table's epoch (as epochOf reads it now) since bind
+// time: the entry would be born stale.
+func storeResult(cache *rescache.Cache, a *resAccum, epochOf func(table string) uint64) {
+	if a.overflow || cache == nil {
 		return
 	}
-	db.mu.RLock()
-	fresh := true
 	for name, ep := range a.epochs {
-		if db.epochOfLocked(name) != ep {
-			fresh = false
-			break
+		if epochOf(name) != ep {
+			return
 		}
 	}
-	db.mu.RUnlock()
-	if !fresh {
-		return
-	}
-	db.resCache.Store(a.key, a.flat, a.rows, a.width, a.epochs)
+	cache.Store(a.key, a.flat, a.rows, a.width, a.epochs)
 }
 
 // cachedOp is the leaf operator serving a materialized result set: a
@@ -143,27 +137,14 @@ func (db *DB) cacheable(cq *compiledQuery) bool {
 	return db.resCache != nil && cq.resKey != "" && db.dev.FaultPolicy() == nil
 }
 
-// serveCached opens a Rows over a cache hit. The caller holds db.mu
-// (read).
-func (db *DB) serveCached(ctx context.Context, cq *compiledQuery, v rescache.View) *Rows {
-	cq.cacheServed = true
+// serveCached turns a not-yet-started Rows into the replay of a
+// result-cache hit: its operator becomes a cachedOp under a single
+// "result-cache" counter, whatever tree the execution would have run.
+func (r *Rows) serveCached(v rescache.View) *Rows {
 	c := &opCounter{name: "result-cache"}
-	op := &countedOp{inner: newCachedOp(cq.out, v), c: c}
-	_ = op.Open() // cachedOp.Open cannot fail
-	rows := &Rows{
-		db:         db,
-		op:         op,
-		schema:     cq.out,
-		baseSchema: cq.base,
-		ctx:        ctx,
-		counters:   []*opCounter{c},
-		compiled:   cq,
-		planCached: cq.planCached,
-		ioStart:    db.dev.Stats(),
-		cacheHit:   true,
-		cacheBytes: v.Bytes,
-		cacheAge:   v.Age,
-	}
-	db.openScans.Add(1)
-	return rows
+	r.op = &countedOp{inner: newCachedOp(r.schema, v), c: c}
+	_ = r.op.Open() // cachedOp.Open cannot fail
+	r.counters = []*opCounter{c}
+	r.cacheHit, r.cacheBytes, r.cacheAge = true, v.Bytes, v.Age
+	return r
 }

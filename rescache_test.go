@@ -315,14 +315,11 @@ func TestResultCacheSharded(t *testing.T) {
 	if !pr.ExecStats().ResultCache.Hit {
 		t.Fatal("repeat prepared run missed")
 	}
-	plan, err := pr.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := pr.Plan()
 	if err := pr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || !plan.CachedResult {
+	if plan == nil || !plan.CachedResult || !plan.Sharded.CachedResult {
 		t.Fatalf("sharded plan not marked cached:\n%v", plan)
 	}
 	if !strings.Contains(plan.String(), "served from result cache") {
@@ -352,7 +349,7 @@ func TestResultCacheRemote(t *testing.T) {
 	ctx := context.Background()
 
 	run := func() (int, smoothscan.ExecStats) {
-		cur, err := c.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(70, 90)).Run(ctx)
+		cur, err := c.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(70, 90)).Run(ctx)
 		return drainCount(t, cur, err)
 	}
 	n1, st1 := run()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"smoothscan/internal/exec"
 	"smoothscan/internal/parallel"
@@ -14,6 +13,7 @@ import (
 	"smoothscan/internal/rescache"
 	"smoothscan/internal/shard"
 	"smoothscan/internal/tuple"
+	"smoothscan/internal/wire"
 )
 
 // Partitioning describes how a sharded table's rows distribute across
@@ -60,7 +60,7 @@ var ErrShardJoin = errors.New("smoothscan: join cannot be sharded")
 // equivalence suite pins.
 //
 // Concurrency follows DB: any number of queries may run concurrently;
-// a ShardedRows is owned by one goroutine.
+// a Rows is owned by one goroutine.
 type ShardedDB struct {
 	// shards holds each shard's planning DB: the shard's own embedded
 	// engine for in-process topologies, a schema-only catalog mirror
@@ -377,190 +377,47 @@ func addIO(a, b IOStats) IOStats {
 	return a
 }
 
-// ShardedQuery is the Query builder over a ShardedDB: the same
-// Where/Join/Select/GroupBy/OrderBy/Limit surface, compiled into a
-// scatter-gather plan. Builder methods record the first error, like
-// Query.
-type ShardedQuery struct {
-	s        *ShardedDB
-	table    string
-	conds    []cond
-	joins    []joinClause
-	sel      []string
-	hasSel   bool
-	group    string
-	aggs     []Agg
-	hasAgg   bool
-	order    string
-	hasOrd   bool
-	limitArg Arg
-	hasLim   bool
-	opts     ScanOptions
-	err      error
+// Query starts a composable query over the named sharded table — the
+// one Query builder, bound to the scatter-gather engine.
+func (s *ShardedDB) Query(table string) *Query {
+	return &Query{eng: s, spec: wire.QuerySpec{Table: table}}
 }
 
-// Query starts a composable query over the named sharded table.
-func (s *ShardedDB) Query(table string) *ShardedQuery {
-	return &ShardedQuery{s: s, table: table}
-}
-
-func (sq *ShardedQuery) fail(err error) *ShardedQuery {
-	if sq.err == nil {
-		sq.err = err
-	}
-	return sq
-}
-
-// Where adds a conjunctive predicate on a column; predicates on the
-// partition column additionally prune shards.
-func (sq *ShardedQuery) Where(col string, p Pred) *ShardedQuery {
-	if p.err != nil {
-		return sq.fail(fmt.Errorf("Where(%q): %w", col, p.err))
-	}
-	sq.conds = append(sq.conds, cond{col: col, p: p})
-	return sq
-}
-
-// Join adds an inner equi-join with another sharded table. When the
-// two tables are co-partitioned on the join keys the join runs
-// partition-wise (shard i joins shard i); otherwise the smaller
-// estimated side is broadcast to every shard of the other.
-func (sq *ShardedQuery) Join(table, leftCol, rightCol string) *ShardedQuery {
-	sq.joins = append(sq.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol})
-	return sq
-}
-
-// JoinWithOptions is Join with explicit ScanOptions for the joined
-// table's per-shard access path.
-func (sq *ShardedQuery) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) *ShardedQuery {
-	sq.joins = append(sq.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol, opts: opts})
-	return sq
-}
-
-// Select projects the output onto the named columns.
-func (sq *ShardedQuery) Select(cols ...string) *ShardedQuery {
-	if sq.hasSel {
-		return sq.fail(fmt.Errorf("smoothscan: Select set twice"))
-	}
-	if len(cols) == 0 {
-		return sq.fail(fmt.Errorf("smoothscan: Select requires at least one column"))
-	}
-	sq.sel = append([]string(nil), cols...)
-	sq.hasSel = true
-	return sq
-}
-
-// GroupBy groups rows by a column and computes the aggregates per
-// group: each shard aggregates its local rows, the coordinator merges
-// the partials (COUNT partials sum; SUM/MIN/MAX merge with their own
-// function), so raw rows never cross the gather for an aggregate
-// query.
-func (sq *ShardedQuery) GroupBy(col string, aggs ...Agg) *ShardedQuery {
-	if sq.hasAgg {
-		return sq.fail(fmt.Errorf("smoothscan: GroupBy set twice"))
-	}
-	if len(aggs) == 0 {
-		return sq.fail(fmt.Errorf("smoothscan: GroupBy requires at least one aggregate"))
-	}
-	sq.group = col
-	sq.aggs = append([]Agg(nil), aggs...)
-	sq.hasAgg = true
-	return sq
-}
-
-// OrderBy orders the output by the named column, ascending. Without
-// aggregation, each shard delivers its slice ordered and the gather
-// runs a k-way ordered merge; with aggregation the coordinator orders
-// the merged groups.
-func (sq *ShardedQuery) OrderBy(col string) *ShardedQuery {
-	if sq.hasOrd {
-		return sq.fail(fmt.Errorf("smoothscan: OrderBy set twice"))
-	}
-	sq.order = col
-	sq.hasOrd = true
-	return sq
-}
-
-// Limit caps the number of output rows. Without aggregation it also
-// pushes into every shard (no shard delivers more than n rows).
-func (sq *ShardedQuery) Limit(n any) *ShardedQuery {
-	a := asArg(n)
-	if a.err != nil {
-		return sq.fail(fmt.Errorf("Limit: %w", a.err))
-	}
-	if a.param == "" && a.lit < 0 {
-		return sq.fail(fmt.Errorf("smoothscan: negative limit %d", a.lit))
-	}
-	sq.limitArg = a
-	sq.hasLim = true
-	return sq
-}
-
-// WithOptions applies ScanOptions to every shard's driving-table
-// access (each shard still plans — and morphs — independently).
-func (sq *ShardedQuery) WithOptions(opts ScanOptions) *ShardedQuery {
-	sq.opts = opts
-	return sq
-}
-
-// snapshot deep-copies the builder state (a prepared ShardedStmt must
-// not alias slices the caller keeps appending to).
-func (sq *ShardedQuery) snapshot() *ShardedQuery {
-	cp := *sq
-	cp.conds = append([]cond(nil), sq.conds...)
-	cp.joins = append([]joinClause(nil), sq.joins...)
-	cp.sel = append([]string(nil), sq.sel...)
-	cp.aggs = append([]Agg(nil), sq.aggs...)
+// clone deep-copies the builder state (a prepared ShardedStmt must not
+// alias slices the caller keeps appending to).
+func (q *Query) clone() *Query {
+	cp := *q
+	cp.spec.Preds = append([]wire.PredSpec(nil), q.spec.Preds...)
+	cp.spec.Joins = append([]wire.JoinSpec(nil), q.spec.Joins...)
+	cp.spec.Select = append([]string(nil), q.spec.Select...)
+	cp.spec.Aggs = append([]wire.AggSpec(nil), q.spec.Aggs...)
 	return &cp
 }
 
-// fullQuery rebuilds the whole query against one shard DB — the
-// validation and template source (shard 0), and the per-shard plan of
-// the scan and partition-wise strategies before pushdown pruning.
-func (sq *ShardedQuery) fullQuery(db *DB) *Query {
-	return &Query{
-		db:       db,
-		table:    sq.table,
-		conds:    sq.conds,
-		joins:    sq.joins,
-		sel:      sq.sel,
-		hasSel:   sq.hasSel,
-		group:    sq.group,
-		aggs:     sq.aggs,
-		hasAgg:   sq.hasAgg,
-		order:    sq.order,
-		hasOrd:   sq.hasOrd,
-		limitArg: sq.limitArg,
-		hasLim:   sq.hasLim,
-		opts:     sq.opts,
-		err:      sq.err,
-	}
-}
-
 // perShardQuery is the query each shard runs under the scan and
-// partition-wise strategies. Aggregate queries drop OrderBy and Limit
-// — shards emit partial groups, and ordering/limiting only make sense
-// after the coordinator merges them; everything else (including
-// OrderBy and a pushed Limit) runs as-is per shard.
-func (sq *ShardedQuery) perShardQuery(db *DB) *Query {
-	q := sq.fullQuery(db)
-	if sq.hasAgg {
-		q.order = ""
-		q.hasOrd = false
-		q.limitArg = Arg{}
-		q.hasLim = false
+// partition-wise strategies: the query itself, re-bound to the shard.
+// Aggregate queries drop OrderBy and Limit — shards emit partial
+// groups, and ordering/limiting only make sense after the coordinator
+// merges them; everything else (including OrderBy and a pushed Limit)
+// runs as-is per shard.
+func (q *Query) perShardQuery(db *DB) *Query {
+	cp := *q
+	cp.eng = db
+	if cp.spec.HasAgg {
+		cp.spec.OrderCol, cp.spec.HasOrd = "", false
+		cp.spec.Limit, cp.spec.HasLim = wire.ArgSpec{}, false
 	}
-	return q
+	return &cp
 }
 
 // splitConds routes the Where conjuncts to the one input whose schema
 // has the column, mirroring buildTemplate's routing (ambiguity was
 // already rejected there).
-func (sq *ShardedQuery) splitConds(pt *plan.Template) [][]cond {
-	out := make([][]cond, len(pt.Inputs))
-	for _, c := range sq.conds {
+func (q *Query) splitConds(pt *plan.Template) [][]wire.PredSpec {
+	out := make([][]wire.PredSpec, len(pt.Inputs))
+	for _, c := range q.spec.Preds {
 		for i := range pt.Inputs {
-			if pt.Inputs[i].Schema.ColIndex(c.col) >= 0 {
+			if pt.Inputs[i].Schema.ColIndex(c.Col) >= 0 {
 				out[i] = append(out[i], c)
 				break
 			}
@@ -572,40 +429,38 @@ func (sq *ShardedQuery) splitConds(pt *plan.Template) [][]cond {
 // sideQuery builds the single-table query for one side of a broadcast
 // join: that table, its routed conjuncts, its ScanOptions — no
 // projection, ordering or limit (those happen above the join).
-func (sq *ShardedQuery) sideQuery(db *DB, input int, pt *plan.Template) *Query {
-	opts := sq.opts
+func (q *Query) sideQuery(db *DB, input int, pt *plan.Template) *Query {
+	opts := q.spec.Opts
 	if input > 0 {
-		opts = sq.joins[input-1].opts
+		opts = q.spec.Joins[input-1].Opts
 	}
-	return &Query{
-		db:    db,
-		table: pt.Inputs[input].Table,
-		conds: sq.splitConds(pt)[input],
-		opts:  opts,
-		err:   sq.err,
-	}
+	return &Query{eng: db, err: q.err, spec: wire.QuerySpec{
+		Table: pt.Inputs[input].Table,
+		Preds: q.splitConds(pt)[input],
+		Opts:  opts,
+	}}
 }
 
 // resolveArg resolves a predicate argument against a bind set; false
 // when it names an unbound parameter.
-func resolveArg(a Arg, b Bind) (int64, bool) {
-	if a.param != "" {
-		v, ok := b[a.param]
+func resolveArg(a wire.ArgSpec, b Bind) (int64, bool) {
+	if a.Param != "" {
+		v, ok := b[a.Param]
 		return v, ok
 	}
-	return a.lit, true
+	return a.Lit, true
 }
 
 // foldCondsRange folds the conjuncts on one column into a single
 // half-open range, for shard pruning. Conjuncts with unresolvable
 // parameters are skipped — pruning just gets more conservative.
-func foldCondsRange(conds []cond, col string, b Bind) tuple.RangePred {
+func foldCondsRange(conds []wire.PredSpec, col string, b Bind) tuple.RangePred {
 	pr := tuple.RangePred{Lo: math.MinInt64, Hi: math.MaxInt64}
 	for _, c := range conds {
-		if c.col != col {
+		if c.Col != col {
 			continue
 		}
-		kind, aArg, bArg := canonPred(c.p)
+		kind, aArg, bArg := canonPred(c)
 		av, ok := resolveArg(aArg, b)
 		if !ok {
 			continue
@@ -645,10 +500,14 @@ const (
 	strategyBroadcast = "broadcast"      // one join, smaller side replicated to every shard
 )
 
-// shardExec is a compiled scatter-gather execution: which shards run,
-// why the others don't, what each worker produces, and the coordinator
-// stages above the gather.
+// shardExec is one scatter-gather execution. Compiled: which shards
+// run, why the others don't, what each worker produces, and the
+// coordinator stages above the gather. Started: the gather tree and
+// what the Rows over it needs at Close and for ExecStats — it is the
+// sharded implementation of the Rows' execution seam. One is built per
+// Run/Explain and never shared.
 type shardExec struct {
+	s        *ShardedDB
 	pt       *plan.Template
 	cq0      *compiledQuery // shard-0 binding: limit, emptyWhy, annotations
 	part     shard.Partitioning
@@ -681,6 +540,14 @@ type shardExec struct {
 
 	out      *tuple.Schema
 	emptyWhy string
+
+	// Execution state, filled by ShardedDB.execute.
+	run      runnerset
+	root     exec.Operator
+	counters []*opCounter
+	adapters []*shardRowsOp
+	ioStart  []IOStats
+	ioDelta  []IOStats // per-shard device deltas frozen at Close
 }
 
 // strategyFor decides the scatter strategy structurally: scan for
@@ -768,13 +635,11 @@ func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind)
 // binding (constants, limit, contradiction short-circuits), strategy,
 // partition pruning from the folded Where conjuncts, and the gather /
 // coordinator configuration.
-func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
+func (s *ShardedDB) compileShardExec(q *Query, qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
 	pt := qt.pt
-	s.mu.RLock()
-	part, ok := s.parts[sq.table]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotSharded, sq.table)
+	part, err := s.Partitioning(q.spec.Table)
+	if err != nil {
+		return nil, err
 	}
 
 	shard0 := s.shards[0]
@@ -791,6 +656,7 @@ func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int
 	}
 
 	se := &shardExec{
+		s:           s,
 		pt:          pt,
 		cq0:         cq0,
 		part:        part,
@@ -805,7 +671,7 @@ func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int
 		emptyWhy:    cq0.emptyWhy,
 	}
 
-	condsPer := sq.splitConds(pt)
+	condsPer := q.splitConds(pt)
 
 	// Broadcast side selection: replicate the smaller estimated input.
 	if strategy == strategyBroadcast {
@@ -828,7 +694,7 @@ func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int
 
 	// Partition pruning: fold each input's conjuncts on its partition
 	// column and keep only the shards that can hold matching rows.
-	prune := func(p shard.Partitioning, conds []cond) {
+	prune := func(p shard.Partitioning, conds []wire.PredSpec) {
 		pr := foldCondsRange(conds, p.Column, b)
 		if pr.Lo == math.MinInt64 && pr.Hi == math.MaxInt64 {
 			return
@@ -980,38 +846,64 @@ func (o *shardRowsOp) Close() error {
 }
 
 // runnerset supplies the per-shard executions of one run: ad-hoc
-// queries or prepared statements, per shard (and per broadcast side).
+// queries or prepared statements, per shard (and per broadcast side),
+// and each active shard's own Explain tree.
 type runnerset struct {
 	planCached bool
 	shard      func(ctx context.Context, si int) (shardCursor, error)
 	side       func(ctx context.Context, input, si int) (shardCursor, error)
+	explain    func(si int) (*Plan, error)
 }
 
-// startSharded builds and opens the gather tree: one worker per
-// active shard feeding the parallel exchange, coordinator stages above
-// it. The broadcast side, when present, is drained first and
-// replicated into every worker's join.
-func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runnerset) (*ShardedRows, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// ioSnapshot reads every shard's device counters.
+func (s *ShardedDB) ioSnapshot() []IOStats {
+	out := make([]IOStats, len(s.shards))
+	for i, db := range s.shards {
+		out[i] = db.dev.Stats()
 	}
-	if err := ctx.Err(); err != nil {
+	return out
+}
+
+// execute runs a compiled scatter-gather. A coordinator result-cache
+// hit serves the materialized result with every shard untouched; a
+// miss captures the epochs now — before any shard worker starts — so
+// a write interleaving with the gather fails the store-time re-check.
+func (s *ShardedDB) execute(ctx context.Context, se *shardExec, run runnerset) (*Rows, error) {
+	se.run = run
+	se.ioStart = s.ioSnapshot()
+	cache := se.cacheable()
+	var eps map[string]uint64
+	if cache {
+		if v, ok := s.resCache.Lookup(se.cq0.resKey, s.epochOf); ok {
+			return se.rows(ctx).serveCached(v), nil
+		}
+		eps = make(map[string]uint64, len(se.cq0.resEpochs))
+		for name := range se.cq0.resEpochs {
+			eps[name] = s.epochOf(name)
+		}
+	}
+	if err := se.start(ctx); err != nil {
 		return nil, err
 	}
-	sr := &ShardedRows{
-		s:          s,
-		se:         se,
-		schema:     se.out,
-		ctx:        ctx,
-		planCached: run.planCached,
+	rows := se.rows(ctx)
+	if cache {
+		rows.acc = newResAccum(se.cq0.resKey, eps, s.resCache.EntryCap(), se.out.NumCols())
 	}
-	sr.ioStart = make([]IOStats, len(s.shards))
-	for i, db := range s.shards {
-		sr.ioStart[i] = db.dev.Stats()
+	return rows, nil
+}
+
+// start builds and opens the gather tree: one worker per active shard
+// feeding the parallel exchange, coordinator stages above it. The
+// broadcast side, when present, is drained first and replicated into
+// every worker's join.
+func (se *shardExec) start(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	s, run := se.s, se.run
 	count := func(name string, op exec.Operator) exec.Operator {
 		c := &opCounter{name: name}
-		sr.counters = append(sr.counters, c)
+		se.counters = append(se.counters, c)
 		return &countedOp{inner: op, c: c}
 	}
 
@@ -1026,7 +918,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 			for _, si := range se.bcActive {
 				cur, err := run.side(ctx, se.bcInput, si)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for {
 					row, ok, rerr := cur.next()
@@ -1040,7 +932,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 					err = cerr
 				}
 				if err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -1054,7 +946,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 					schema: se.scanSchema,
 					start:  func() (shardCursor, error) { return run.side(ctx, se.scanInput, si) },
 				}
-				sr.adapters = append(sr.adapters, scanOp)
+				se.adapters = append(se.adapters, scanOp)
 				vals := exec.NewValues(se.bcSchema, bcRows)
 				spec := plan.JoinSpec{
 					LeftCol:  se.pt.Joins[0].LeftCol,
@@ -1069,7 +961,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 				}
 				j, err := plan.BuildJoin(spec)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				op = j
 			} else {
@@ -1077,7 +969,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 					schema: se.gatherSchema,
 					start:  func() (shardCursor, error) { return run.shard(ctx, si) },
 				}
-				sr.adapters = append(sr.adapters, a)
+				se.adapters = append(se.adapters, a)
 				op = a
 			}
 			workers = append(workers, parallel.Worker{Op: op})
@@ -1089,7 +981,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 			Ctx:     ctx,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name := fmt.Sprintf("gather[%d]", len(workers))
 		if se.ordered {
@@ -1100,7 +992,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 		if se.selIdx != nil {
 			p, err := exec.NewColProject(cur, se.selIdx)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cur = count("project", p)
 		}
@@ -1122,272 +1014,110 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 		}
 	}
 
-	sr.op = cur
+	se.root = cur
 	if err := cur.Open(); err != nil {
 		// Blocking coordinator stages already closed the gather beneath
 		// them on failure; this sweeps up pass-through stages. Close is
 		// idempotent everywhere in the tree.
 		_ = cur.Close()
-		return nil, err
+		return err
 	}
-	return sr, nil
+	return nil
 }
 
-// Run compiles and starts the sharded query: scatter to the unpruned
-// shards, gather through the exchange. As with Query.Run, always
-// Close the returned rows; ctx cancellation propagates to every
-// shard's scan.
-func (sq *ShardedQuery) Run(ctx context.Context) (*ShardedRows, error) {
-	if sq.s == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
+// rows hands out the Rows over the execution's tree.
+func (se *shardExec) rows(ctx context.Context) *Rows {
+	return &Rows{
+		run:        se,
+		op:         se.root,
+		schema:     se.out,
+		baseSchema: se.pt.Base,
+		ctx:        ctx,
+		counters:   se.counters,
+		planCached: se.run.planCached,
 	}
-	s := sq.s
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	qt, lits, hit, err := shard0.templateFor(sq.fullQuery(shard0))
-	shard0.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	se, err := s.compileShardExec(sq, qt, lits, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	planFn := func() (*ShardedPlan, error) {
-		return s.shardedPlan(se, func(si int) (*Plan, error) {
-			if se.strategy == strategyBroadcast {
-				return sq.sideQuery(s.shards[si], se.scanInput, qt.pt).Explain()
-			}
-			return sq.perShardQuery(s.shards[si]).Explain()
-		})
-	}
-	// Coordinator result-cache tier: a hit serves the materialized
-	// result with every shard untouched; a miss captures the epochs
-	// now — before any shard worker starts — so a write interleaving
-	// with the gather fails the store-time re-check.
-	cache := s.cacheableSharded(se)
-	if cache {
-		if v, ok := s.resCache.Lookup(se.cq0.resKey, s.epochOf); ok {
-			sr := s.serveShardedCached(ctx, se, v, hit)
-			sr.planFn = planFn
-			return sr, nil
+}
+
+// degrade: fault degradation happens inside each shard's own Rows (one
+// shard's fault degrades that shard, not the query), never up here.
+func (se *shardExec) degrade(*Rows, error) bool { return false }
+
+// finish freezes the per-shard I/O deltas once the gather has closed
+// (stopping the shard workers).
+func (se *shardExec) finish() error {
+	// Workers close their shard cursors before their stream shuts down;
+	// this sweep only matters when the gather never opened.
+	var first error
+	for _, a := range se.adapters {
+		if err := a.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
-	var eps map[string]uint64
-	if cache {
-		eps = s.epochsFor(se.cq0)
+	se.ioDelta = se.s.ioSnapshot()
+	for i := range se.ioDelta {
+		se.ioDelta[i] = se.ioDelta[i].Sub(se.ioStart[i])
 	}
-	run := runnerset{
+	return first
+}
+
+// plan renders the scatter-gather plan, each active shard's own tree
+// included; nil if a shard's plan no longer compiles.
+func (se *shardExec) plan() *Plan {
+	p, err := se.explain(se.run.explain)
+	if err != nil {
+		return nil
+	}
+	return p
+}
+
+// compileQuery compiles an ad-hoc sharded query — shard 0 is the
+// validation and template source — into its scatter-gather execution
+// and the per-shard runners.
+func (s *ShardedDB) compileQuery(q *Query) (*shardExec, runnerset, error) {
+	shard0 := s.shards[0]
+	shard0.mu.RLock()
+	qt, lits, hit, err := shard0.templateFor(q)
+	shard0.mu.RUnlock()
+	if err != nil {
+		return nil, runnerset{}, err
+	}
+	se, err := s.compileShardExec(q, qt, lits, nil, false)
+	if err != nil {
+		return nil, runnerset{}, err
+	}
+	return se, runnerset{
 		planCached: hit,
 		shard: func(ctx context.Context, si int) (shardCursor, error) {
-			return s.drivers[si].run(ctx, sq.perShardQuery(s.shards[si]))
+			return s.drivers[si].run(ctx, q.perShardQuery(s.shards[si]))
 		},
 		side: func(ctx context.Context, input, si int) (shardCursor, error) {
-			return s.drivers[si].run(ctx, sq.sideQuery(s.shards[si], input, qt.pt))
+			return s.drivers[si].run(ctx, q.sideQuery(s.shards[si], input, qt.pt))
 		},
-	}
-	sr, err := s.startSharded(ctx, se, run)
-	if err != nil {
-		return nil, err
-	}
-	if cache {
-		sr.acc = newResAccum(se.cq0.resKey, eps, s.resCache.EntryCap(), se.out.NumCols())
-	}
-	sr.planFn = planFn
-	return sr, nil
-}
-
-// Explain compiles the sharded query without executing it: the
-// strategy, the pruning decisions, the gather mode, the coordinator
-// stages, and each active shard's own compiled plan.
-func (sq *ShardedQuery) Explain() (*ShardedPlan, error) {
-	if sq.s == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
-	}
-	s := sq.s
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(sq.fullQuery(shard0))
-	shard0.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	se, err := s.compileShardExec(sq, qt, lits, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.shardedPlan(se, func(si int) (*Plan, error) {
-		if se.strategy == strategyBroadcast {
-			return sq.sideQuery(s.shards[si], se.scanInput, qt.pt).Explain()
-		}
-		return sq.perShardQuery(s.shards[si]).Explain()
-	})
-}
-
-// ShardedRows iterates a sharded query result, mirroring Rows: a
-// batched drain of the coordinator tree, one owning goroutine, always
-// Close it. Per-shard fault degradation happens inside each shard's
-// own Rows (one shard's fault degrades that shard, not the query).
-type ShardedRows struct {
-	s          *ShardedDB
-	se         *shardExec
-	op         exec.Operator
-	schema     *tuple.Schema
-	ctx        context.Context
-	batch      *tuple.Batch
-	pos        int
-	cur        tuple.Row
-	err        error
-	adapters   []*shardRowsOp
-	counters   []*opCounter
-	ioStart    []IOStats
-	ioDelta    []IOStats
-	planCached bool
-	planFn     func() (*ShardedPlan, error)
-	plan       *ShardedPlan
-	done       bool
-	closed     bool
-	closeErr   error
-
-	// Coordinator result-cache tier state: acc tees delivered batches
-	// toward a store-on-Close; the cache* fields describe a served hit
-	// (see sharded_rescache.go).
-	acc        *resAccum
-	cacheHit   bool
-	cacheBytes int64
-	cacheAge   time.Duration
-}
-
-// Next advances to the next row; false at end-of-stream or on error
-// (check Err).
-func (r *ShardedRows) Next() bool {
-	if r.done || r.err != nil {
-		return false
-	}
-	if r.batch == nil {
-		r.batch = tuple.NewBatchFor(r.schema, exec.DefaultBatchSize)
-	}
-	for r.pos >= r.batch.Len() {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				r.done = true
-				return false
+		explain: func(si int) (*Plan, error) {
+			if se.strategy == strategyBroadcast {
+				return q.sideQuery(s.shards[si], se.scanInput, qt.pt).Explain()
 			}
-		}
-		n, err := exec.NextBatch(r.op, r.batch)
-		if err != nil {
-			r.err = err
-			r.done = true
-			return false
-		}
-		if n == 0 {
-			r.done = true
-			return false
-		}
-		if r.acc != nil {
-			r.acc.addBatch(r.batch, n)
-		}
-		r.pos = 0
-	}
-	r.cur = r.batch.Row(r.pos)
-	r.pos++
-	return true
+			return q.perShardQuery(s.shards[si]).Explain()
+		},
+	}, nil
 }
 
-// Row returns the current row's values.
-func (r *ShardedRows) Row() []int64 {
-	out := make([]int64, len(r.cur))
-	for i := range r.cur {
-		out[i] = r.cur.Int(i)
+// runQuery scatters the query to the unpruned shards and gathers
+// through the exchange.
+func (s *ShardedDB) runQuery(ctx context.Context, q *Query) (*Rows, error) {
+	se, run, err := s.compileQuery(q)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return s.execute(ctx, se, run)
 }
 
-// CopyRow copies the current row into dst without allocating.
-func (r *ShardedRows) CopyRow(dst []int64) int {
-	n := len(r.cur)
-	if len(dst) < n {
-		n = len(dst)
+func (s *ShardedDB) explainQuery(q *Query) (*Plan, error) {
+	se, run, err := s.compileQuery(q)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.cur.Int(i)
-	}
-	return n
-}
-
-// Columns returns the result column names in output order.
-func (r *ShardedRows) Columns() []string {
-	out := make([]string, r.schema.NumCols())
-	for i := range out {
-		out[i] = r.schema.Col(i).Name
-	}
-	return out
-}
-
-// Col returns the current row's value for the named column.
-func (r *ShardedRows) Col(name string) (int64, bool) {
-	i := r.schema.ColIndex(name)
-	if i < 0 {
-		return 0, false
-	}
-	return r.cur.Int(i), true
-}
-
-// Column is Col with distinguished miss reasons (ErrUnknownColumn vs
-// ErrNotSelected), like Rows.Column.
-func (r *ShardedRows) Column(name string) (int64, error) {
-	if i := r.schema.ColIndex(name); i >= 0 {
-		return r.cur.Int(i), nil
-	}
-	if r.se != nil && r.se.pt.Base.ColIndex(name) >= 0 {
-		return 0, fmt.Errorf("%w: %q (use Select/GroupBy to include it)", ErrNotSelected, name)
-	}
-	return 0, fmt.Errorf("%w: %q", ErrUnknownColumn, name)
-}
-
-// Err returns the first error encountered.
-func (r *ShardedRows) Err() error { return r.err }
-
-// Close releases the gather (stopping the shard workers) and freezes
-// the per-shard I/O deltas. Idempotent, like Rows.Close.
-func (r *ShardedRows) Close() error {
-	if r.closed {
-		return r.closeErr
-	}
-	r.closed = true
-	r.closeErr = r.op.Close()
-	// Workers close their shard Rows before their stream shuts down;
-	// this sweep only matters when the gather never opened.
-	for _, a := range r.adapters {
-		if err := a.Close(); err != nil && r.closeErr == nil {
-			r.closeErr = err
-		}
-	}
-	if r.err == nil && r.closeErr != nil {
-		r.err = r.closeErr
-	}
-	r.ioDelta = make([]IOStats, len(r.s.shards))
-	for i, db := range r.s.shards {
-		r.ioDelta[i] = db.dev.Stats().Sub(r.ioStart[i])
-	}
-	if r.acc != nil && r.storeEligible() {
-		r.s.storeShardedResult(r.acc)
-	}
-	return r.closeErr
-}
-
-// Plan returns the compiled scatter-gather plan, rendered lazily on
-// first call.
-func (r *ShardedRows) Plan() (*ShardedPlan, error) {
-	if r.plan == nil && r.planFn != nil {
-		p, err := r.planFn()
-		if err != nil {
-			return nil, err
-		}
-		r.plan = p
-	}
-	return r.plan, nil
+	return se.explain(run.explain)
 }
 
 // ShardedStmt is a prepared sharded statement: the structural template
@@ -1397,43 +1127,40 @@ func (r *ShardedRows) Plan() (*ShardedPlan, error) {
 // for a wide one.
 type ShardedStmt struct {
 	s         *ShardedDB
-	sq        *ShardedQuery
+	q         *Query
 	qt        *qtemplate
 	lits      []int64
 	params    []string
-	strategy  string
 	pstmts    []shardStmt
 	sideStmts [2][]shardStmt
 }
 
 // Prepare validates and compiles the sharded query's structure into
 // per-shard prepared statements plus the scatter template.
-func (s *ShardedDB) Prepare(sq *ShardedQuery) (*ShardedStmt, error) {
-	if sq == nil || sq.s == nil {
+func (s *ShardedDB) Prepare(q *Query) (*ShardedStmt, error) {
+	if q == nil || q.eng == nil {
 		return nil, fmt.Errorf("smoothscan: Prepare of a nil or detached query")
 	}
-	if sq.s != s {
+	if q.eng != queryEngine(s) {
 		return nil, fmt.Errorf("smoothscan: Prepare of a query built on a different database")
 	}
-	snap := sq.snapshot()
+	snap := q.clone()
 	shard0 := s.shards[0]
 	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(snap.fullQuery(shard0))
+	qt, lits, _, err := shard0.templateFor(snap)
 	shard0.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	part, ok := s.parts[snap.table]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotSharded, snap.table)
+	part, err := s.Partitioning(snap.spec.Table)
+	if err != nil {
+		return nil, err
 	}
 	strategy, _, err := s.strategyFor(qt.pt, part)
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedStmt{s: s, sq: snap, qt: qt, lits: lits, params: qt.pt.Params, strategy: strategy}
+	st := &ShardedStmt{s: s, q: snap, qt: qt, lits: lits, params: qt.pt.Params}
 	if strategy == strategyBroadcast {
 		for input := 0; input < 2; input++ {
 			for si, db := range s.shards {
@@ -1461,13 +1188,6 @@ func (st *ShardedStmt) Params() []string {
 	return append([]string(nil), st.params...)
 }
 
-// checkBind rejects bind sets naming parameters the statement does
-// not have, mirroring Stmt.checkBind.
-func (st *ShardedStmt) checkBind(b Bind) error {
-	proxy := &Stmt{qt: st.qt, params: st.params}
-	return proxy.checkBind(b)
-}
-
 // filterBind keeps only the bindings a per-shard statement's own
 // parameters use — pushdown drops Limit/OrderBy for aggregates, so a
 // sub-statement may have fewer parameters than the full query.
@@ -1484,33 +1204,19 @@ func filterBind(ps *Stmt, b Bind) Bind {
 	return out
 }
 
-// Run binds the parameters, re-prunes the shard set from the bound
-// predicate values, and executes. Safe for concurrent use; always
-// Close the returned rows.
-func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*ShardedRows, error) {
-	if err := st.checkBind(b); err != nil {
-		return nil, err
+// bind checks the bind set (mirroring Stmt.checkBind), re-prunes the
+// shard set from the bound predicate values and assembles the
+// per-shard runners of this execution.
+func (st *ShardedStmt) bind(b Bind) (*shardExec, runnerset, error) {
+	proxy := &Stmt{qt: st.qt, params: st.params}
+	if err := proxy.checkBind(b); err != nil {
+		return nil, runnerset{}, err
 	}
-	se, err := st.s.compileShardExec(st.sq, st.qt, st.lits, b, true)
+	se, err := st.s.compileShardExec(st.q, st.qt, st.lits, b, true)
 	if err != nil {
-		return nil, err
+		return nil, runnerset{}, err
 	}
-	// Coordinator result-cache tier, as in ShardedQuery.Run: prepared
-	// executions share entries with ad-hoc ones (the key is the
-	// canonical shape plus the resolved values).
-	cache := st.s.cacheableSharded(se)
-	if cache {
-		if v, ok := st.s.resCache.Lookup(se.cq0.resKey, st.s.epochOf); ok {
-			sr := st.s.serveShardedCached(ctx, se, v, true)
-			sr.planFn = func() (*ShardedPlan, error) { return st.explainWith(se, b) }
-			return sr, nil
-		}
-	}
-	var eps map[string]uint64
-	if cache {
-		eps = st.s.epochsFor(se.cq0)
-	}
-	run := runnerset{
+	return se, runnerset{
 		planCached: true,
 		shard: func(ctx context.Context, si int) (shardCursor, error) {
 			return st.pstmts[si].run(ctx, b)
@@ -1518,38 +1224,39 @@ func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*ShardedRows, error) {
 		side: func(ctx context.Context, input, si int) (shardCursor, error) {
 			return st.sideStmts[input][si].run(ctx, b)
 		},
+		explain: func(si int) (*Plan, error) {
+			if se.strategy == strategyBroadcast {
+				return st.sideStmts[se.scanInput][si].explain(b)
+			}
+			return st.pstmts[si].explain(b)
+		},
+	}, nil
+}
+
+// Run binds the parameters, re-prunes the shard set from the bound
+// predicate values, and executes. Prepared executions share
+// coordinator result-cache entries with ad-hoc ones (the key is the
+// canonical shape plus the resolved values). Safe for concurrent use;
+// always Close the returned rows.
+func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*Rows, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	sr, err := st.s.startSharded(ctx, se, run)
+	se, run, err := st.bind(b)
 	if err != nil {
 		return nil, err
 	}
-	if cache {
-		sr.acc = newResAccum(se.cq0.resKey, eps, st.s.resCache.EntryCap(), se.out.NumCols())
-	}
-	sr.planFn = func() (*ShardedPlan, error) { return st.explainWith(se, b) }
-	return sr, nil
+	return st.s.execute(ctx, se, run)
 }
 
 // Explain binds the parameters and renders the scatter-gather plan
 // this execution would run, without touching any device.
-func (st *ShardedStmt) Explain(b Bind) (*ShardedPlan, error) {
-	if err := st.checkBind(b); err != nil {
-		return nil, err
-	}
-	se, err := st.s.compileShardExec(st.sq, st.qt, st.lits, b, true)
+func (st *ShardedStmt) Explain(b Bind) (*Plan, error) {
+	se, run, err := st.bind(b)
 	if err != nil {
 		return nil, err
 	}
-	return st.explainWith(se, b)
-}
-
-func (st *ShardedStmt) explainWith(se *shardExec, b Bind) (*ShardedPlan, error) {
-	return st.s.shardedPlan(se, func(si int) (*Plan, error) {
-		if se.strategy == strategyBroadcast {
-			return st.sideStmts[se.scanInput][si].explain(b)
-		}
-		return st.pstmts[si].explain(b)
-	})
+	return se.explain(run.explain)
 }
 
 // Close releases the per-shard prepared statements. In-process
@@ -1558,17 +1265,11 @@ func (st *ShardedStmt) explainWith(se *shardExec, b Bind) (*ShardedPlan, error) 
 // already-released handles harmlessly.
 func (st *ShardedStmt) Close() error {
 	var first error
-	note := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, ps := range st.pstmts {
-		note(ps.close())
-	}
-	for input := 0; input < 2; input++ {
-		for _, ps := range st.sideStmts[input] {
-			note(ps.close())
+	for _, set := range [][]shardStmt{st.pstmts, st.sideStmts[0], st.sideStmts[1]} {
+		for _, ps := range set {
+			if err := ps.close(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	return first

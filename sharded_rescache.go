@@ -1,10 +1,6 @@
 package smoothscan
 
-import (
-	"context"
-
-	"smoothscan/internal/rescache"
-)
+import "smoothscan/internal/rescache"
 
 // Coordinator-level result caching: the sharded engine carries its own
 // rescache tier above scatter-gather, so a repeated sharded query is
@@ -40,33 +36,20 @@ func (s *ShardedDB) ResultCacheStats() ResultCacheStats { return s.resCache.Stat
 func (s *ShardedDB) epochOf(name string) uint64 {
 	var sum uint64
 	for _, db := range s.shards {
-		db.mu.RLock()
-		sum += db.epochOfLocked(name)
-		db.mu.RUnlock()
+		sum += db.epochOf(name)
 	}
 	return sum
 }
 
-// epochsFor captures the coordinator epochs of every table the
-// compiled query reads, keyed like cq0.resEpochs. Must be called
-// before the gather starts so a write interleaving with the scan
-// fails the store-time re-check.
-func (s *ShardedDB) epochsFor(cq0 *compiledQuery) map[string]uint64 {
-	eps := make(map[string]uint64, len(cq0.resEpochs))
-	for name := range cq0.resEpochs {
-		eps[name] = s.epochOf(name)
-	}
-	return eps
-}
-
-// cacheableSharded reports whether this sharded execution participates
-// in the coordinator tier. Beyond the local rules (tier enabled, key
-// derived, no empty short-circuit), any shard carrying a fault policy
-// bypasses — degraded shard runs may skip corrupted pages, and a
-// partial result must never be pinned. A remote broadcast join also
-// bypasses: its replicated side drains through cursors whose
-// degradation state the coordinator cannot observe.
-func (s *ShardedDB) cacheableSharded(se *shardExec) bool {
+// cacheable reports whether this sharded execution participates in the
+// coordinator tier. Beyond the local rules (tier enabled, key derived,
+// no empty short-circuit), any shard carrying a fault policy bypasses
+// — degraded shard runs may skip corrupted pages, and a partial result
+// must never be pinned. A remote broadcast join also bypasses: its
+// replicated side drains through cursors whose degradation state the
+// coordinator cannot observe.
+func (se *shardExec) cacheable() bool {
+	s := se.s
 	if s.resCache == nil || se.cq0.resKey == "" || se.emptyWhy != "" {
 		return false
 	}
@@ -75,72 +58,25 @@ func (s *ShardedDB) cacheableSharded(se *shardExec) bool {
 			return false
 		}
 	}
-	if s.remote && se.strategy == strategyBroadcast {
-		return false
-	}
-	return true
+	return !(s.remote && se.strategy == strategyBroadcast)
 }
 
-// serveShardedCached opens a ShardedRows over a coordinator-tier hit:
-// a pure in-memory drain of the materialized result, with every shard
-// left untouched.
-func (s *ShardedDB) serveShardedCached(ctx context.Context, se *shardExec, v rescache.View, planCached bool) *ShardedRows {
-	se.cq0.cacheServed = true
-	c := &opCounter{name: "result-cache"}
-	op := &countedOp{inner: newCachedOp(se.out, v), c: c}
-	_ = op.Open() // cachedOp.Open cannot fail
-	sr := &ShardedRows{
-		s:          s,
-		se:         se,
-		op:         op,
-		schema:     se.out,
-		ctx:        ctx,
-		counters:   []*opCounter{c},
-		planCached: planCached,
-		cacheHit:   true,
-		cacheBytes: v.Bytes,
-		cacheAge:   v.Age,
-	}
-	sr.ioStart = make([]IOStats, len(s.shards))
-	for i, db := range s.shards {
-		sr.ioStart[i] = db.dev.Stats()
-	}
-	return sr
-}
-
-// storeEligible reports whether a drained sharded execution's result
-// may enter the coordinator cache: fully drained, error-free, and no
-// shard unavailable or degraded (a gather that lost or degraded a
-// shard delivered a best-effort result, not the query's answer).
-func (r *ShardedRows) storeEligible() bool {
-	if !r.done || r.err != nil {
-		return false
-	}
-	for _, a := range r.adapters {
-		if a.unavailable {
-			return false
+// store admits a drained sharded result unless a shard was unavailable
+// or degraded (a gather that lost or degraded a shard delivered a
+// best-effort result, not the query's answer). The coordinator epochs
+// are re-checked inside: a write that routed to any shard during the
+// gather moves the sum and the entry would be born stale.
+func (se *shardExec) store(a *resAccum) {
+	for _, ad := range se.adapters {
+		if ad.unavailable {
+			return
 		}
-		if a.cur == nil {
+		if ad.cur == nil {
 			continue
 		}
-		if st, ok := a.cur.execStats(); ok && len(st.Degraded) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// storeShardedResult admits a drained sharded result, re-checking the
-// coordinator epochs first — a write that routed to any shard during
-// the gather moves the sum and the entry would be born stale.
-func (s *ShardedDB) storeShardedResult(a *resAccum) {
-	if a.overflow || s.resCache == nil {
-		return
-	}
-	for name, ep := range a.epochs {
-		if s.epochOf(name) != ep {
+		if st, ok := ad.cur.execStats(); ok && len(st.Degraded) > 0 {
 			return
 		}
 	}
-	s.resCache.Store(a.key, a.flat, a.rows, a.width, a.epochs)
+	storeResult(se.s.resCache, a, se.s.epochOf)
 }

@@ -103,7 +103,7 @@ func buildGridSharded(t testing.TB, n int, scheme string) *ShardedDB {
 	return s
 }
 
-// shardedIter is the common drain surface of *Rows and *ShardedRows.
+// shardedIter is the drain surface the grids use of a *Rows.
 type shardedIter interface {
 	Next() bool
 	Row() []int64
@@ -144,74 +144,74 @@ type shardCase struct {
 	name  string
 	exact bool
 	un    func(db *DB) *Query
-	sh    func(s *ShardedDB) *ShardedQuery
+	sh    func(s *ShardedDB) *Query
 }
 
 func shardGridCases() []shardCase {
 	return []shardCase{
 		{"smooth", false,
 			func(db *DB) *Query { return db.Query("t").Where("val", Between(600, 1200)) },
-			func(s *ShardedDB) *ShardedQuery { return s.Query("t").Where("val", Between(600, 1200)) }},
+			func(s *ShardedDB) *Query { return s.Query("t").Where("val", Between(600, 1200)) }},
 		{"index", false,
 			func(db *DB) *Query {
 				return db.Query("t").Where("val", Between(100, 220)).WithOptions(ScanOptions{Path: PathIndex})
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Between(100, 220)).WithOptions(ScanOptions{Path: PathIndex})
 			}},
 		{"full", false,
 			func(db *DB) *Query {
 				return db.Query("t").Where("val", Ge(2500)).WithOptions(ScanOptions{Path: PathFull})
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Ge(2500)).WithOptions(ScanOptions{Path: PathFull})
 			}},
 		{"parallel", false,
 			func(db *DB) *Query {
 				return db.Query("t").Where("val", Between(0, 2000)).WithOptions(ScanOptions{Path: PathFull, Parallelism: 4})
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Between(0, 2000)).WithOptions(ScanOptions{Path: PathFull, Parallelism: 4})
 			}},
 		{"parallel-smooth", false,
 			func(db *DB) *Query {
 				return db.Query("t").Where("val", Between(400, 1800)).WithOptions(ScanOptions{Parallelism: 4})
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Between(400, 1800)).WithOptions(ScanOptions{Parallelism: 4})
 			}},
 		{"ordered", true,
 			func(db *DB) *Query { return db.Query("t").Where("val", Between(600, 1200)).OrderBy("id") },
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Between(600, 1200)).OrderBy("id")
 			}},
 		{"select", false,
 			func(db *DB) *Query { return db.Query("t").Select("val", "p").Where("val", Ge(2000)) },
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Select("val", "p").Where("val", Ge(2000))
 			}},
 		{"agg", true,
 			func(db *DB) *Query {
 				return db.Query("t").GroupBy("g", Count(), Sum("p"), Min("val"), Max("val"))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").GroupBy("g", Count(), Sum("p"), Min("val"), Max("val"))
 			}},
 		{"agg-where-ord", true,
 			func(db *DB) *Query {
 				return db.Query("t").Where("val", Between(300, 2400)).GroupBy("g", Sum("p")).OrderBy("g")
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Between(300, 2400)).GroupBy("g", Sum("p")).OrderBy("g")
 			}},
 		{"topn", true,
 			func(db *DB) *Query { return db.Query("t").Where("val", Ge(1000)).OrderBy("id").Limit(53) },
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("t").Where("val", Ge(1000)).OrderBy("id").Limit(53)
 			}},
 		{"empty-range", true,
 			func(db *DB) *Query { return db.Query("t").Where("val", Between(500, 500)) },
-			func(s *ShardedDB) *ShardedQuery { return s.Query("t").Where("val", Between(500, 500)) }},
+			func(s *ShardedDB) *Query { return s.Query("t").Where("val", Between(500, 500)) }},
 	}
 }
 
@@ -433,7 +433,7 @@ func TestShardedShortCircuits(t *testing.T) {
 	ctx := context.Background()
 	var zero IOStats
 
-	check := func(t *testing.T, sq *ShardedQuery, wantWhy string) {
+	check := func(t *testing.T, sq *Query, wantWhy string) {
 		t.Helper()
 		rows, err := sq.Run(ctx)
 		got, es := drainStats(t, rows, err)
@@ -452,8 +452,8 @@ func TestShardedShortCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.EmptyWhy == "" || !strings.Contains(sp.EmptyWhy, wantWhy) {
-			t.Errorf("EmptyWhy = %q, want mention of %q", sp.EmptyWhy, wantWhy)
+		if sp.Sharded.EmptyWhy == "" || !strings.Contains(sp.Sharded.EmptyWhy, wantWhy) {
+			t.Errorf("EmptyWhy = %q, want mention of %q", sp.Sharded.EmptyWhy, wantWhy)
 		}
 	}
 
@@ -610,7 +610,7 @@ func TestShardedStmtBindPruning(t *testing.T) {
 			t.Errorf("stmt Explain misses bind annotation:\n%s", str)
 		}
 		pruned := 0
-		for _, shp := range sp.Shards {
+		for _, shp := range sp.Sharded.Shards {
 			if shp.Pruned {
 				pruned++
 			}
@@ -788,23 +788,23 @@ func bcParts(n int) map[string]Partitioning {
 	}
 }
 
-func TestShardedJoinEquivalence(t *testing.T) {
-	un := buildJoinUnsharded(t)
-	ctx := context.Background()
-
-	cases := []shardCase{
+// shardJoinCases are the join shapes whose keys co-partition under
+// pwParts (every stage partition-wise); shardBroadcastCases run against
+// bcParts, where the f↔d join must broadcast one side.
+func shardJoinCases() []shardCase {
+	return []shardCase{
 		{"pw-hash", false,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900))
 			}},
 		{"pw-pruned", false,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Where("fkey", Between(100, 180))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Where("fkey", Between(100, 180))
 			}},
 		{"pw-merge", false,
@@ -812,7 +812,7 @@ func TestShardedJoinEquivalence(t *testing.T) {
 				return db.Query("f").JoinWithOptions("d", "fkey", "did", ScanOptions{Path: PathIndex}).
 					Where("fkey", Between(0, joinDimRowsN)).WithOptions(ScanOptions{Path: PathIndex})
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").JoinWithOptions("d", "fkey", "did", ScanOptions{Path: PathIndex}).
 					Where("fkey", Between(0, joinDimRowsN)).WithOptions(ScanOptions{Path: PathIndex})
 			}},
@@ -820,61 +820,70 @@ func TestShardedJoinEquivalence(t *testing.T) {
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").GroupBy("cat", Count(), Sum("w"))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").GroupBy("cat", Count(), Sum("w"))
 			}},
 		{"pw-3way", false,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Join("e", "fkey", "eid").Where("fval", Lt(400))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Join("e", "fkey", "eid").Where("fval", Lt(400))
 			}},
 		{"pw-ord", true,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900)).OrderBy("fid")
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900)).OrderBy("fid")
 			}},
 	}
-	bcCases := []shardCase{
+}
+
+func shardBroadcastCases() []shardCase {
+	return []shardCase{
 		{"bc", false,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900))
 			}},
 		{"bc-agg", true,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").GroupBy("cat", Count(), Sum("w"))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").GroupBy("cat", Count(), Sum("w"))
 			}},
 		{"bc-ord", true,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900)).OrderBy("fid")
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900)).OrderBy("fid")
 			}},
 		{"bc-sel", false,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Select("fid", "cat").Where("cat", Eq(3))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Select("fid", "cat").Where("cat", Eq(3))
 			}},
 		{"bc-dim-pruned", false,
 			func(db *DB) *Query {
 				return db.Query("f").Join("d", "fkey", "did").Where("did", Eq(7))
 			},
-			func(s *ShardedDB) *ShardedQuery {
+			func(s *ShardedDB) *Query {
 				return s.Query("f").Join("d", "fkey", "did").Where("did", Eq(7))
 			}},
 	}
+}
+
+func TestShardedJoinEquivalence(t *testing.T) {
+	un := buildJoinUnsharded(t)
+	ctx := context.Background()
+	cases, bcCases := shardJoinCases(), shardBroadcastCases()
 
 	for _, n := range []int{1, 2, 4, 7} {
 		pw := buildJoinSharded(t, n, pwParts(n))
@@ -913,11 +922,11 @@ func TestShardedJoinStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.Strategy != "partition-wise" {
-			t.Errorf("co-partitioned join strategy = %q, want partition-wise", sp.Strategy)
+		if sp.Sharded.Strategy != "partition-wise" {
+			t.Errorf("co-partitioned join strategy = %q, want partition-wise", sp.Sharded.Strategy)
 		}
 		pruned := 0
-		for _, shp := range sp.Shards {
+		for _, shp := range sp.Sharded.Shards {
 			if shp.Pruned {
 				pruned++
 			}
@@ -934,7 +943,7 @@ func TestShardedJoinStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		found := false
-		for _, shp := range sp.Shards {
+		for _, shp := range sp.Sharded.Shards {
 			if shp.Plan != nil && shp.Plan.Root != nil && shp.Plan.Root.Name == "merge-join" {
 				found = true
 			}
@@ -949,8 +958,8 @@ func TestShardedJoinStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.Strategy != "broadcast" {
-			t.Errorf("non-co-partitioned join strategy = %q, want broadcast", sp.Strategy)
+		if sp.Sharded.Strategy != "broadcast" {
+			t.Errorf("non-co-partitioned join strategy = %q, want broadcast", sp.Sharded.Strategy)
 		}
 		if !strings.Contains(sp.String(), "broadcast") {
 			t.Errorf("rendered plan misses the broadcast stage:\n%s", sp.String())
@@ -1115,11 +1124,11 @@ func TestShardedExplainRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Strategy != "scan" {
-		t.Errorf("Strategy = %q, want scan", sp.Strategy)
+	if sp.Sharded.Strategy != "scan" {
+		t.Errorf("Strategy = %q, want scan", sp.Sharded.Strategy)
 	}
-	if sp.Gather != "ordered merge by id" {
-		t.Errorf("Gather = %q, want ordered merge by id", sp.Gather)
+	if sp.Sharded.Gather != "ordered merge by id" {
+		t.Errorf("Gather = %q, want ordered merge by id", sp.Sharded.Gather)
 	}
 	str := sp.String()
 	for _, want := range []string{"strategy=scan", "range(val)", "pruned", "ordered merge by id"} {
@@ -1128,7 +1137,7 @@ func TestShardedExplainRendering(t *testing.T) {
 		}
 	}
 	var active, pruned int
-	for _, shp := range sp.Shards {
+	for _, shp := range sp.Sharded.Shards {
 		if shp.Pruned {
 			pruned++
 			if shp.Plan != nil {
@@ -1160,12 +1169,12 @@ func TestShardedExplainRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rows.Close()
-	rp, err := rows.Plan()
-	if err != nil {
-		t.Fatal(err)
+	rp := rows.Plan()
+	if rp == nil {
+		t.Fatal("Rows.Plan did not render")
 	}
-	if rp.Strategy != "scan" {
-		t.Errorf("Rows.Plan strategy = %q", rp.Strategy)
+	if rp.Sharded.Strategy != "scan" {
+		t.Errorf("Rows.Plan strategy = %q", rp.Sharded.Strategy)
 	}
 }
 

@@ -15,6 +15,11 @@
 //	rows, _ := db.Query("t").Where("val", smoothscan.Between(0, 100)).Run(ctx)
 //	for rows.Next() { use(rows.Row()) }
 //
+// There is one Query builder and one Rows cursor for every engine:
+// ShardedDB.Query runs the same builder as a scatter-gather over
+// shards (in-process or remote), ssclient runs it against a server,
+// and the Engine interface abstracts over all three.
+//
 // Scans default to the adaptive Smooth Scan path (Elastic policy,
 // Eager trigger — the paper's recommendation); ScanOptions selects the
 // traditional paths, other morphing policies and triggers, and
@@ -37,7 +42,6 @@ import (
 	"smoothscan/internal/core"
 	"smoothscan/internal/costmodel"
 	"smoothscan/internal/disk"
-	"smoothscan/internal/exec"
 	"smoothscan/internal/heap"
 	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
@@ -277,6 +281,13 @@ func (db *DB) epochOfLocked(name string) uint64 {
 		return t.epoch
 	}
 	return 0
+}
+
+// epochOf is epochOfLocked for callers that do not hold db.mu.
+func (db *DB) epochOf(name string) uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.epochOfLocked(name)
 }
 
 // ErrNoTable is returned for operations on unknown tables.
@@ -596,251 +607,6 @@ type ScanOptions struct {
 
 // MaxParallelism caps ScanOptions.Parallelism.
 const MaxParallelism = 64
-
-// Rows iterates a scan result. Internally it drains the operator tree
-// through the batched (vectorized) protocol: Next refills a private
-// row batch once per exec.DefaultBatchSize rows and then serves views
-// into it, so the per-row cost of the public iterator is a bounds
-// check and a slice header.
-//
-// A Rows is owned by a single goroutine — share the DB, not the Rows.
-// Always Close a Rows when done with it; open Rows block ColdCache
-// and ResetStats.
-type Rows struct {
-	db         *DB
-	op         exec.Operator
-	schema     *tuple.Schema
-	baseSchema *tuple.Schema // scanned table's schema (Column miss reasons)
-	ctx        context.Context
-	batch      *tuple.Batch
-	pos        int
-	cur        tuple.Row
-	err        error
-	smooth     *core.SmoothScan
-	smoothAll  []*core.SmoothScan // parallel workers (PathSmooth)
-	joins      []exec.JoinStatser // batched join operators, leaf-most first
-	choice     *optimizer.Choice
-	counters   []*opCounter
-	compiled   *compiledQuery // replaced wholesale on fault degradation; renders Plan lazily
-	plan       *Plan          // cached Plan() result
-	ioStart    IOStats
-	ioDelta    IOStats // device delta frozen at Close
-	planCached bool    // template reused (plan cache hit or prepared Stmt)
-	delivered  bool    // at least one row handed out (blocks mid-stream degradation)
-	done       bool
-	closed     bool
-	closeErr   error // first Close error, replayed by idempotent re-Close
-
-	// Result-cache tier state: acc accumulates the stream for a
-	// store-on-Close when the execution is cacheable; the cache*
-	// fields describe a served hit (surfaced via ExecStats.ResultCache).
-	acc        *resAccum
-	cacheHit   bool
-	cacheBytes int64
-	cacheAge   time.Duration
-}
-
-// Next advances to the next row; it returns false at the end of the
-// scan or on error (check Err).
-func (r *Rows) Next() bool {
-	if r.done || r.err != nil {
-		return false
-	}
-	if r.batch == nil {
-		r.batch = tuple.NewBatchFor(r.schema, exec.DefaultBatchSize)
-	}
-	for r.pos >= r.batch.Len() {
-		// Cancellation is checked once per batch refill, never per
-		// tuple, to keep the hot path a bounds check.
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				r.done = true
-				return false
-			}
-		}
-		n, err := exec.NextBatch(r.op, r.batch)
-		if err != nil {
-			// A fault surfacing before any row was delivered can still
-			// be degraded around (tryDegrade swaps in a fallback plan
-			// and the loop refills from it); afterwards it is final.
-			if r.tryDegrade(err) {
-				continue
-			}
-			r.err = err
-			r.done = true
-			return false
-		}
-		if n == 0 {
-			r.done = true
-			return false
-		}
-		if r.acc != nil {
-			r.acc.addBatch(r.batch, n)
-		}
-		r.pos = 0
-	}
-	r.cur = r.batch.Row(r.pos)
-	r.pos++
-	r.delivered = true
-	return true
-}
-
-// fillBatch drains the scan batch-at-a-time into a caller-owned batch
-// — the hook the sharded gather's worker adapter drives, keeping the
-// shard-to-exchange hop zero-copy per row. It shares Next's semantics
-// (per-batch cancellation check, open-stream fault degradation) but
-// bypasses the Rows' own iteration state; callers use either fillBatch
-// or Next on a given Rows, never both.
-func (r *Rows) fillBatch(b *tuple.Batch) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	if r.done {
-		return 0, nil
-	}
-	for {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				r.done = true
-				return 0, err
-			}
-		}
-		n, err := exec.NextBatch(r.op, b)
-		if err != nil {
-			if r.tryDegrade(err) {
-				continue
-			}
-			r.err = err
-			r.done = true
-			return 0, err
-		}
-		if n == 0 {
-			r.done = true
-			return 0, nil
-		}
-		if r.acc != nil {
-			r.acc.addBatch(b, n)
-		}
-		r.delivered = true
-		return n, nil
-	}
-}
-
-// Row returns the current row's values. The slice is valid until the
-// next call to Next.
-func (r *Rows) Row() []int64 {
-	out := make([]int64, len(r.cur))
-	for i := range r.cur {
-		out[i] = r.cur.Int(i)
-	}
-	return out
-}
-
-// CopyRow copies the current row's values into dst and returns the
-// number of values copied (the smaller of the row width and len(dst)).
-// Unlike Row it allocates nothing, so streaming consumers — the wire
-// server's result encoder is the canonical one — can drain a scan into
-// a reused buffer.
-func (r *Rows) CopyRow(dst []int64) int {
-	n := len(r.cur)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.cur.Int(i)
-	}
-	return n
-}
-
-// Columns returns the names of the result columns, in output order —
-// the schema Select/GroupBy produced, or the table's columns when the
-// query projected nothing away.
-func (r *Rows) Columns() []string {
-	out := make([]string, r.schema.NumCols())
-	for i := range out {
-		out[i] = r.schema.Col(i).Name
-	}
-	return out
-}
-
-// Col returns the current row's value for the named column, reporting
-// false when the name does not resolve in the row schema. The false
-// return folds two distinct situations together — a column the table
-// never had, and one the query projected away via Select or GroupBy;
-// use Column when the miss reason matters.
-func (r *Rows) Col(name string) (int64, bool) {
-	i := r.schema.ColIndex(name)
-	if i < 0 {
-		return 0, false
-	}
-	return r.cur.Int(i), true
-}
-
-// Err returns the first error encountered.
-func (r *Rows) Err() error { return r.err }
-
-// Close releases the scan (stopping any parallel workers still
-// running) and freezes the query's ExecStats. Closing an
-// already-closed Rows is idempotent: the first call's error (if any)
-// is recorded and returned again by every later call, and is also
-// surfaced through Err when iteration itself saw no earlier error.
-func (r *Rows) Close() error {
-	if r.closed {
-		return r.closeErr
-	}
-	r.closed = true
-	r.closeErr = r.op.Close()
-	if r.err == nil && r.closeErr != nil {
-		r.err = r.closeErr
-	}
-	if r.db != nil {
-		// Workers have quiesced and flushed their deferred CPU charges
-		// by the time op.Close returns, so the delta is complete.
-		r.ioDelta = r.db.dev.Stats().Sub(r.ioStart)
-		r.db.openScans.Add(-1)
-	}
-	// A fully drained, error-free, non-degraded stream feeds the
-	// result cache (no device access; epochs re-checked inside).
-	if r.acc != nil && r.done && r.err == nil &&
-		(r.compiled == nil || len(r.compiled.degraded) == 0) {
-		r.db.storeResult(r.acc)
-	}
-	return r.closeErr
-}
-
-// Plan returns the compiled plan the query executed — the same tree
-// Query.Explain renders. The tree is rendered lazily on first call,
-// so queries that never ask for it pay nothing.
-func (r *Rows) Plan() *Plan {
-	if r.plan == nil && r.compiled != nil {
-		r.plan = r.compiled.plan()
-	}
-	return r.plan
-}
-
-// SmoothStats returns the Smooth Scan operator counters when the scan
-// used PathSmooth. For a parallel scan it returns the per-worker
-// counters aggregated into query totals (core.AggregateStats); read it
-// after draining or closing the scan, when the workers have quiesced.
-func (r *Rows) SmoothStats() (SmoothStats, bool) {
-	if r.smooth != nil {
-		return r.smooth.Stats(), true
-	}
-	if len(r.smoothAll) > 0 {
-		return aggregateWorkers(r.smoothAll), true
-	}
-	return SmoothStats{}, false
-}
-
-// Choice returns the optimizer's decision when the scan used PathAuto.
-func (r *Rows) Choice() (path string, estimatedRows int64, ok bool) {
-	if r.choice == nil {
-		return "", 0, false
-	}
-	return r.choice.Path.String(), r.choice.EstimatedCard, true
-}
 
 // Scan returns the rows of tableName whose column value v satisfies
 // lo <= v < hi, using the configured access path. All paths except

@@ -2,148 +2,107 @@ package ssclient
 
 import (
 	"context"
+	"fmt"
 
 	"smoothscan"
-	"smoothscan/internal/qbridge"
 )
 
-// The remote query builder IS the engine's builder: Conn.Query wraps a
-// detached smoothscan.Query and every method delegates to it, so the
-// same Where / Join / Select / GroupBy / OrderBy / Limit / WithOptions
-// call sites — with the same predicate, aggregate and Param types —
-// compile against a *smoothscan.DB, a *smoothscan.ShardedDB or a
-// *ssclient.Conn. At Run/Prepare the query serialises to a wire spec;
-// all semantic validation (unknown tables and columns, ambiguous
-// conjuncts) happens server-side, where the schema lives, while
-// builder-level mistakes (bad argument types, Select set twice) are
-// recorded by the engine builder and reported from Run/Prepare — the
-// same error-channel contract as the embedded engine.
-
-// Aliases for the engine's argument, predicate and aggregate types.
-// New code can use the smoothscan package directly; these keep
-// existing ssclient call sites compiling unchanged.
-type (
-	// Arg is one predicate or Limit argument: an integer literal or a
-	// Param placeholder.
-	Arg = smoothscan.Arg
-	// Pred is a predicate on one integer column.
-	Pred = smoothscan.Pred
-	// Agg is an aggregate expression for Query.GroupBy.
-	Agg = smoothscan.Agg
+// A Conn is a smoothscan.Engine: the same harness code that drives a
+// *smoothscan.DB or *smoothscan.ShardedDB drives a remote server by
+// swapping in a dialed Conn. Wire-specific capability (SetFetchRows,
+// Broken, ServerStats, fault administration) stays on the concrete
+// type, as does Rows.Summary — assert the Cursor to *Rows for it;
+// Engine code reads ExecStats instead, which every backend fills.
+var (
+	_ smoothscan.Engine        = (*Conn)(nil)
+	_ smoothscan.Builder       = (*Query)(nil)
+	_ smoothscan.PreparedQuery = (*Stmt)(nil)
+	_ smoothscan.Cursor        = (*Rows)(nil)
 )
 
-// Param is a named placeholder usable anywhere a literal goes, exactly
-// as with smoothscan.Param; a query containing parameters must be
-// compiled with Conn.Prepare.
-func Param(name string) Arg { return smoothscan.Param(name) }
-
-// Between matches lo <= v < hi.
-func Between(lo, hi any) Pred { return smoothscan.Between(lo, hi) }
-
-// Eq matches v == x.
-func Eq(x any) Pred { return smoothscan.Eq(x) }
-
-// Lt matches v < x.
-func Lt(x any) Pred { return smoothscan.Lt(x) }
-
-// Le matches v <= x.
-func Le(x any) Pred { return smoothscan.Le(x) }
-
-// Gt matches v > x.
-func Gt(x any) Pred { return smoothscan.Gt(x) }
-
-// Ge matches v >= x.
-func Ge(x any) Pred { return smoothscan.Ge(x) }
-
-// Sum aggregates the sum of col per group.
-func Sum(col string) Agg { return smoothscan.Sum(col) }
-
-// Count counts the rows of each group.
-func Count() Agg { return smoothscan.Count() }
-
-// Min aggregates the minimum of col per group.
-func Min(col string) Agg { return smoothscan.Min(col) }
-
-// Max aggregates the maximum of col per group.
-func Max(col string) Agg { return smoothscan.Max(col) }
-
-// Query is a remote query under construction. Build one with
-// Conn.Query, chain the builder methods, then Run it (ad hoc) or
-// Prepare it into a Stmt.
+// Query is a remote query under construction: a detached
+// smoothscan.Query — the engine's own builder, so predicates,
+// aggregates and Param placeholders are the root package's types and
+// the local and remote surfaces cannot drift — plus the connection it
+// will run on. It implements smoothscan.Builder. At Run/PrepareQuery
+// the query's spec goes to the wire; all semantic validation (unknown
+// tables and columns, ambiguous conjuncts) happens server-side, where
+// the schema lives, while builder-level mistakes (bad argument types,
+// Select set twice) are recorded by the engine builder and reported
+// from Run/PrepareQuery — the same error-channel contract as the
+// embedded engine.
 type Query struct {
 	c *Conn
 	q *smoothscan.Query
 }
 
-// Query starts a composable query over the named server-side table.
-func (c *Conn) Query(table string) *Query {
-	return &Query{c: c, q: smoothscan.NewQuery(table)}
+// Table implements smoothscan.Engine: it starts a composable query
+// over the named server-side table.
+func (c *Conn) Table(name string) smoothscan.Builder {
+	return &Query{c: c, q: smoothscan.NewQuery(name)}
 }
 
-// Where adds a conjunctive predicate on a column.
-func (q *Query) Where(col string, p Pred) *Query {
+func (q *Query) Where(col string, p smoothscan.Pred) smoothscan.Builder {
 	q.q.Where(col, p)
 	return q
 }
 
-// Join adds an inner equi-join with another table (see
-// smoothscan.Query.Join for the semantics).
-func (q *Query) Join(table, leftCol, rightCol string) *Query {
+func (q *Query) Join(table, leftCol, rightCol string) smoothscan.Builder {
 	q.q.Join(table, leftCol, rightCol)
 	return q
 }
 
-// JoinWithOptions is Join with explicit ScanOptions for the joined
-// table's access path.
-func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts smoothscan.ScanOptions) *Query {
+func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts smoothscan.ScanOptions) smoothscan.Builder {
 	q.q.JoinWithOptions(table, leftCol, rightCol, opts)
 	return q
 }
 
-// Select projects the output onto the named columns, in order.
-func (q *Query) Select(cols ...string) *Query {
-	q.q.Select(cols...)
-	return q
-}
+func (q *Query) Select(cols ...string) smoothscan.Builder { q.q.Select(cols...); return q }
 
-// GroupBy groups rows by a column and computes the aggregates per
-// group.
-func (q *Query) GroupBy(col string, aggs ...Agg) *Query {
+func (q *Query) GroupBy(col string, aggs ...smoothscan.Agg) smoothscan.Builder {
 	q.q.GroupBy(col, aggs...)
 	return q
 }
 
-// OrderBy orders the output by the named column, ascending.
-func (q *Query) OrderBy(col string) *Query {
-	q.q.OrderBy(col)
-	return q
-}
+func (q *Query) OrderBy(col string) smoothscan.Builder { q.q.OrderBy(col); return q }
 
-// Limit caps the number of output rows; it accepts an integer or a
-// Param placeholder.
-func (q *Query) Limit(n any) *Query {
-	q.q.Limit(n)
-	return q
-}
+func (q *Query) Limit(n any) smoothscan.Builder { q.q.Limit(n); return q }
 
 // WithOptions applies ScanOptions to the driving table access. The
 // options type is shared with the embedded engine, so a workload
 // configuration moves between local and remote execution unchanged.
-func (q *Query) WithOptions(opts smoothscan.ScanOptions) *Query {
+func (q *Query) WithOptions(opts smoothscan.ScanOptions) smoothscan.Builder {
 	q.q.WithOptions(opts)
 	return q
 }
 
 // Run executes the query ad hoc (literals inline) and opens a result
-// stream. Parameterized queries must go through Prepare.
-func (q *Query) Run(ctx context.Context) (*Rows, error) {
-	spec, err := qbridge.Spec(q.q)
+// stream, a *Rows. Parameterized queries must go through
+// PrepareQuery.
+func (q *Query) Run(ctx context.Context) (smoothscan.Cursor, error) {
+	spec, err := q.q.Spec()
 	if err != nil {
 		return nil, err
 	}
-	r, err := q.c.Conn.RunSpec(ctx, spec)
+	return cursorOf(q.c.Conn.RunSpec(ctx, spec))
+}
+
+// PrepareQuery implements smoothscan.Engine: it compiles a Builder
+// made by this Conn's Table into a server-side statement, a *Stmt.
+// Structural errors (unknown tables or columns, bad argument types)
+// surface here, as with DB.Prepare.
+func (c *Conn) PrepareQuery(b smoothscan.Builder) (smoothscan.PreparedQuery, error) {
+	q, ok := b.(*Query)
+	if !ok || q.c != c {
+		return nil, fmt.Errorf("ssclient: PrepareQuery: builder %T was not created by this connection's Table", b)
+	}
+	spec, err := q.q.Spec()
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{Rows: r}, nil
+	st, err := c.Conn.PrepareSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &Stmt{Stmt: st}, nil
 }

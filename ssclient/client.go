@@ -4,19 +4,19 @@
 //
 //	c, _ := ssclient.Dial(addr)
 //	defer c.Close()
-//	stmt, _ := c.Prepare(c.Query("t").
+//	stmt, _ := c.PrepareQuery(c.Table("t").
 //		Where("val", smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))))
 //	rows, _ := stmt.Run(ctx, smoothscan.Bind{"lo": 10, "hi": 20})
 //	for rows.Next() { use(rows.Row()) }
 //	rows.Close()
 //
-// The query builder is the engine's own: Conn.Query composes a real
-// smoothscan.Query (via smoothscan.NewQuery), so predicates,
-// aggregates and Param placeholders are the root package's types —
-// smoothscan.Between works identically at a local and a remote call
-// site — and ssclient's Between/Param/Sum aliases exist only for
-// backward compatibility. The transport itself lives in
-// internal/client, shared with the engine's remote shard driver.
+// A Conn is a smoothscan.Engine, and the query builder is the engine's
+// own: Conn.Table composes a real smoothscan.Query (via
+// smoothscan.NewQuery), so predicates, aggregates and Param
+// placeholders are the root package's types — smoothscan.Between works
+// identically at a local and a remote call site. The transport itself
+// lives in internal/client, shared with the engine's remote shard
+// driver.
 //
 // Error classes survive the wire: a remote error unwraps to the same
 // typed sentinels the embedded engine returns, so errors.Is and
@@ -38,7 +38,6 @@ import (
 
 	"smoothscan"
 	"smoothscan/internal/client"
-	"smoothscan/internal/qbridge"
 	"smoothscan/internal/wire"
 )
 
@@ -109,21 +108,6 @@ func Dial(addr string) (*Conn, error) {
 	return &Conn{Conn: c}, nil
 }
 
-// Prepare compiles the query into a server-side statement. Structural
-// errors (unknown tables or columns, bad argument types) surface here,
-// as with DB.Prepare.
-func (c *Conn) Prepare(q *Query) (*Stmt, error) {
-	spec, err := qbridge.Spec(q.q)
-	if err != nil {
-		return nil, err
-	}
-	st, err := c.Conn.PrepareSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{Stmt: st}, nil
-}
-
 // SetFaultPolicy attaches a deterministic fault-injection policy to
 // the server's device (rules apply to every space), or detaches any
 // policy when rules is empty. The server must run with fault
@@ -140,16 +124,22 @@ func (c *Conn) SetFaultPolicy(seed int64, rules ...FaultRule) error {
 	return c.Conn.SetFaultPolicy(seed, specs...)
 }
 
-// Stmt is a remote prepared statement handle. The embedded transport
-// contributes Params and Close.
+// Stmt is a remote prepared statement handle; it implements
+// smoothscan.PreparedQuery. The embedded transport contributes Params
+// and Close.
 type Stmt struct {
 	*client.Stmt
 }
 
 // Run binds the parameters and executes the statement, opening a
-// result stream. One stream may be open per Conn at a time.
-func (s *Stmt) Run(ctx context.Context, b smoothscan.Bind) (*Rows, error) {
-	r, err := s.Stmt.Run(ctx, b)
+// result stream, a *Rows. One stream may be open per Conn at a time.
+func (s *Stmt) Run(ctx context.Context, b smoothscan.Bind) (smoothscan.Cursor, error) {
+	return cursorOf(s.Stmt.Run(ctx, b))
+}
+
+// cursorOf wraps a transport stream, keeping a failed open's nil from
+// becoming a non-nil Cursor.
+func cursorOf(r *client.Rows, err error) (smoothscan.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}

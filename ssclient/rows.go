@@ -1,8 +1,6 @@
 package ssclient
 
 import (
-	"time"
-
 	"smoothscan"
 	"smoothscan/internal/client"
 )
@@ -31,21 +29,6 @@ type Rows struct {
 // plan-cache reuse, retry and fault counters, and the degradation
 // ladder all survive the wire.
 func (r *Rows) ExecStats() smoothscan.ExecStats {
-	sum, ok := r.Summary()
-	if !ok {
-		return smoothscan.ExecStats{}
-	}
-	return smoothscan.ExecStats{
-		IO:           sum.IO,
-		RowsReturned: sum.Rows,
-		PlanCacheHit: sum.PlanCacheHit,
-		Retries:      sum.Retries,
-		FaultsSeen:   sum.FaultsSeen,
-		Degraded:     sum.Degraded,
-		ResultCache: smoothscan.ResultCacheExec{
-			Hit:   sum.ResultCacheHit,
-			Bytes: sum.ResultCacheBytes,
-			Age:   time.Duration(sum.ResultCacheAgeNs),
-		},
-	}
+	sum, _ := r.Summary()
+	return smoothscan.SummaryStats(sum)
 }

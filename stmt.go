@@ -56,10 +56,10 @@ type Stmt struct {
 // The template is also registered in the DB-wide plan cache under the
 // query's canonical shape, so ad-hoc runs of the same shape hit it.
 func (db *DB) Prepare(q *Query) (*Stmt, error) {
-	if q == nil || q.db == nil {
+	if q == nil || q.eng == nil {
 		return nil, fmt.Errorf("smoothscan: Prepare of a nil or detached query")
 	}
-	if q.db != db {
+	if q.eng != queryEngine(db) {
 		return nil, fmt.Errorf("smoothscan: Prepare of a query built on a different DB")
 	}
 	db.mu.RLock()

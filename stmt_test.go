@@ -582,7 +582,7 @@ func TestPreparedBindAllocs(t *testing.T) {
 
 	compileAllocs := testing.AllocsPerRun(200, func() {
 		db.mu.RLock()
-		if _, err := lq.compile(); err != nil {
+		if _, err := db.compile(lq); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RUnlock()
