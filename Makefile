@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke bench-build loc bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build test race bench-smoke bench-build loc bench cover equiv chaos server-smoke multinode-smoke
 
 ## check: everything CI runs — format, vet, build, tests (incl. -race),
 ## bench smoke, the bench/ module's own vet + test, the
@@ -47,23 +47,6 @@ loc:
 ## bench: the real benchmark suite with allocation reporting.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-## bench-parallel: the P=1/2/4/8 parallel-scan sweep, refreshing the
-## machine-readable trajectory file BENCH_parallel.json.
-bench-parallel:
-	$(GO) run ./cmd/ssload -bench parallel -json BENCH_parallel.json
-
-## bench-baseline: regenerate the committed throughput baseline the CI
-## perf gate compares against. Run after deliberate perf changes (or a
-## CI runner class change) and commit testdata/bench_baseline.json.
-bench-baseline:
-	$(GO) run ./cmd/benchgate -write
-
-## bench-gate: fail on a >25% tuples/s regression against the
-## committed baseline (best-of-3 runs; see cmd/benchgate for the
-## noise-tolerance rationale).
-bench-gate:
-	$(GO) run ./cmd/benchgate
 
 ## COVER_DIR: where coverage artifacts land — an ignored scratch dir,
 ## so `make cover` never strands a cover.out in the working tree.

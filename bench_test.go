@@ -300,8 +300,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 // reported per sub-benchmark: tuples/s (wall clock) and simcost (the
 // simulated device cost of one cold scan — parallel runs may differ
 // from serial only in random/sequential classification; the delta is
-// visible by comparing the sub-benchmarks). cmd/ssload -bench parallel
-// emits the same sweep as machine-readable BENCH_parallel.json.
+// visible by comparing the sub-benchmarks).
 func BenchmarkParallelSmoothScan(b *testing.B) {
 	const (
 		numRows = 200_000
@@ -370,11 +369,10 @@ func BenchmarkParallelSmoothScan(b *testing.B) {
 // scatter-gather full scan at N = 1/2/4 range-partitioned shards,
 // unordered fan-in (the shard-parallel analogue of
 // BenchmarkParallelSmoothScan, through the ShardedDB facade). Two
-// custom metrics per sub-benchmark: tuples/s (wall clock, the gated
-// one — benchgate also derives the N=4/N=1 scaling ratio from these)
-// and simcost (deterministic simulated device cost of one cold
-// gather). On a single-processor runner the tuples/s ratio across N
-// carries no scaling signal; benchgate reports it non-binding there.
+// custom metrics per sub-benchmark: tuples/s (wall clock) and simcost
+// (deterministic simulated device cost of one cold gather). On a
+// single-processor runner the tuples/s ratio across N carries no
+// scaling signal.
 func BenchmarkShardedScan(b *testing.B) {
 	const (
 		numRows = 100_000
@@ -477,8 +475,7 @@ func BenchmarkHashJoinThroughput(b *testing.B) {
 // query (plan cache disabled), "adhoc-cached" hits the DB-wide plan
 // cache, "prepared" binds a shared Stmt. The interesting metrics are
 // allocs/op (the bind phase allocates a fraction of a full compile —
-// see TestPreparedBindAllocs for the enforced 50% floor) and tuples/s,
-// which benchgate guards.
+// see TestPreparedBindAllocs for the enforced 50% floor) and tuples/s.
 func BenchmarkPreparedExec(b *testing.B) {
 	// build and drain take the sub-benchmark's own *testing.B: Fatal
 	// must run on the goroutine of the benchmark it fails.
@@ -580,7 +577,7 @@ func BenchmarkPreparedExec(b *testing.B) {
 // query from the semantic result-cache tier (docs/CACHING.md): the
 // first execution scans and stores, every timed iteration after it is
 // a pure in-memory replay of the materialized result — the tier's
-// zero-device-I/O fast path, which benchgate guards in tuples/s.
+// zero-device-I/O fast path.
 func BenchmarkResultCacheHit(b *testing.B) {
 	db, err := Open(Options{PoolPages: 2048, ResultCacheBytes: 16 << 20})
 	if err != nil {

@@ -6,11 +6,13 @@
 //	ssbench -list
 //	ssbench -exp fig5a
 //	ssbench -exp all -micro-rows 400000
-//	ssbench -exp all -exclude concurrent -format csv   # CI equivalence diff
-//	ssbench -plan "0.02"                               # Explain a builder query
+//	ssbench -exp all -format csv      # CI equivalence diff
+//	ssbench -plan "0.02"              # Explain a builder query
 //
 // Times are simulated cost units (one sequential 8 KB page read = 1);
 // the reproduction targets the paper's shapes, not absolute seconds.
+// Every table is deterministic; wall-clock performance is bench/'s job
+// (BENCHMARK.json), not this harness's.
 package main
 
 import (
@@ -45,7 +47,6 @@ func main() {
 		poolFrac   = flag.Float64("pool", 0.1, "buffer pool size as a fraction of the scanned table")
 		seed       = flag.Int64("seed", 42, "generator seed")
 		format     = flag.String("format", "table", "output format: table or csv")
-		exclude    = flag.String("exclude", "", "comma-separated experiment ids to skip with -exp all (e.g. the wall-clock 'concurrent' for deterministic diffs)")
 		planSel    = flag.String("plan", "", "instead of experiments: build the micro table through the public API and print the Explain plan of a builder query at this selectivity (0..1]")
 	)
 	flag.Parse()
@@ -103,16 +104,7 @@ func main() {
 	}
 
 	if strings.EqualFold(*exp, "all") {
-		skip := map[string]bool{}
-		for _, id := range strings.Split(*exclude, ",") {
-			if id != "" {
-				skip[id] = true
-			}
-		}
 		for _, id := range experimentIDs() {
-			if skip[id] {
-				continue
-			}
 			if err := run(id); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)

@@ -1,14 +1,18 @@
-// Command ssload is a concurrent load driver for the smoothscan
-// engine: it bulk-loads a synthetic table, then hammers it from many
-// client goroutines, reporting aggregate tuples/s, queries/s and
-// p50/p99 query latency. It is the inter-query counterpart of
-// ScanOptions.Parallelism (intra-query): both can be combined.
+// Command ssload is the concurrent correctness driver for the
+// smoothscan engine: it bulk-loads a synthetic table, then hammers it
+// from many client goroutines and reports an order-independent result
+// digest that must agree across topologies, prepared and ad-hoc
+// execution, fault schedules and cache tiers. The tuples/s, queries/s
+// and latencies it prints are what its clients observed, not a
+// performance claim — bench/ (BENCHMARK.json) is the one tool that
+// times. It is the inter-query counterpart of ScanOptions.Parallelism
+// (intra-query): both can be combined.
 //
 // Usage:
 //
 //	ssload -rows 200000 -clients 8 -queries 64 -selectivity 0.01
 //	ssload -clients 4 -parallelism 4 -ordered
-//	ssload -bench parallel -json BENCH_parallel.json
+//	ssload -shards 4 -prepare
 //	ssload -chaos -clients 4 -queries 64
 //	ssload -cache -clients 4 -queries 256
 //	ssload -addr 127.0.0.1:7744 -clients 8 -queries 64
@@ -17,28 +21,23 @@
 // workload runs against a remote ssserver instead: every client
 // goroutine owns one ssclient connection, queries travel the wire
 // protocol, and the reported latencies are client-observed (dial,
-// frame round trips and result streaming included), directly
-// comparable to the in-process numbers from the same flags. The
-// -prepare and -chaos modes work remotely too — statements are
-// prepared per session, and chaos schedules are installed through the
-// fault-administration frame (the server must run with -fault-admin).
-// A client whose connection is lost re-dials transparently; reconnect
-// counts land in the JSON output next to the retry counters.
-//
-// The -bench parallel mode runs the fixed P=1/2/4/8 intra-query sweep
-// of BenchmarkParallelSmoothScan and writes machine-readable JSON, so
-// the parallel-scan perf trajectory can be tracked across commits.
-// Wall-clock numbers depend on the host (see the reported cpus);
-// simulated cost is deterministic up to random/sequential
-// classification differences between worker interleavings.
+// frame round trips and result streaming included). -shards N and
+// -shard-addrs run it through the scatter-gather engine over
+// in-process or remote shards. -prepare routes every query through a
+// prepared statement (one shared Stmt in-process, one per session
+// remotely) and combines with every topology and with -chaos; chaos
+// schedules are installed remotely through the fault-administration
+// frame (the server must run with -fault-admin). A client whose
+// connection is lost re-dials transparently; reconnect counts land in
+// the JSON output next to the retry counters.
 //
 // The -cache mode exercises the semantic result-cache tier
 // (Options.ResultCacheBytes; see docs/CACHING.md): a Zipf-skewed
 // repeat-query workload runs once with the tier off and once with it
-// on — reporting the hit rate and the p50/p99 latency delta — then a
-// third time with rows being inserted mid-run, so the write-driven
-// invalidation churn (every Insert bumps the table epoch and kills the
-// entries that read it) shows up in the counters. The cached run's
+// on (reporting the hit rate), then a third time with rows being
+// inserted mid-run, so the write-driven invalidation churn (every
+// Insert bumps the table epoch and kills the entries that read it)
+// shows up in the counters. The cached run's
 // digest must match the tier-off control's exactly: rows served from
 // the cache are bit-identical to re-executed ones. Local modes only
 // (with -addr the server side of the tier is the server's
@@ -81,52 +80,56 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "ssload:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command behind main: flags in, error (exit 1) out.
+func run(args []string) error {
+	fs := flag.NewFlagSet("ssload", flag.ExitOnError)
 	var (
-		rows        = flag.Int64("rows", 200_000, "table rows (10 int64 columns, like the paper's micro table); local modes only")
-		domain      = flag.Int64("domain", 100_000, "indexed-column value domain (must match the server's with -addr)")
-		clients     = flag.Int("clients", 4, "concurrent client goroutines")
-		queries     = flag.Int("queries", 64, "total queries across all clients")
-		selectivity = flag.Float64("selectivity", 0.01, "per-query selectivity (0..1]")
-		parallelism = flag.Int("parallelism", 1, "ScanOptions.Parallelism per query")
-		ordered     = flag.Bool("ordered", false, "request index-key-ordered output")
-		policy      = flag.String("policy", "elastic", "morphing policy: elastic, greedy, si")
-		path        = flag.String("path", "smooth", "access path: smooth, full, index, sort, switch")
-		seed        = flag.Int64("seed", 42, "generator seed")
-		pool        = flag.Int("pool", 2048, "buffer pool pages; local modes only")
-		bench       = flag.String("bench", "", "run a fixed benchmark instead: 'parallel' (P=1/2/4/8 sweep)")
-		jsonOut     = flag.String("json", "", "also write results as JSON to this file")
-		timeout     = flag.Duration("timeout", 0, "deadline for the whole load; in-flight queries are cancelled through their context")
-		prepare     = flag.Bool("prepare", false, "prepared-statement mode: clients bind and execute a prepared Stmt per query; reports plan reuse and the latency delta vs an ad-hoc control run")
-		adhoc       = flag.Bool("adhoc", true, "with -prepare: run the ad-hoc control load first (disable to measure only the prepared run)")
-		chaos       = flag.Bool("chaos", false, "chaos mode: run a fault-free oracle load, then re-run under injected fault schedules and verify the result digests match")
-		addr        = flag.String("addr", "", "run against a remote ssserver at this address instead of in-process (the server owns the data; use matching -domain/-seed flags on both sides)")
-		shards      = flag.Int("shards", 0, "range-partition the table across N in-process shards and run the load through the scatter-gather engine (0 = unsharded); local modes only")
-		shardAddrs  = flag.String("shard-addrs", "", "comma-separated ssserver addresses, one per shard (each server started with -shard-id I -shard-count N and matching -rows/-domain/-seed); runs the load through the scatter-gather engine with remote shard drivers")
-		cache       = flag.Bool("cache", false, "result-cache mode: a Zipf-skewed repeat-query workload with the tier on vs off (hit rate, p50/p99 delta), then re-run under interleaved Inserts to show invalidation churn; local modes only")
-		rcBytes     = flag.Int64("result-cache-bytes", 0, "result-cache tier byte budget for local modes (0 disables the tier; -cache mode defaults it to 16 MiB)")
-		rcTTL       = flag.Duration("result-cache-ttl", 0, "result-cache entry time-to-live for local modes (0 = no expiry)")
-		clean       = flag.Bool("require-clean", false, "exit non-zero if any query failed")
+		rows        = fs.Int64("rows", 200_000, "table rows (10 int64 columns, like the paper's micro table); local modes only")
+		domain      = fs.Int64("domain", 100_000, "indexed-column value domain (must match the server's with -addr)")
+		clients     = fs.Int("clients", 4, "concurrent client goroutines")
+		queries     = fs.Int("queries", 64, "total queries across all clients")
+		selectivity = fs.Float64("selectivity", 0.01, "per-query selectivity (0..1]")
+		parallelism = fs.Int("parallelism", 1, "ScanOptions.Parallelism per query")
+		ordered     = fs.Bool("ordered", false, "request index-key-ordered output")
+		policy      = fs.String("policy", "elastic", "morphing policy: elastic, greedy, si")
+		path        = fs.String("path", "smooth", "access path: smooth, full, index, sort, switch")
+		seed        = fs.Int64("seed", 42, "generator seed")
+		pool        = fs.Int("pool", 2048, "buffer pool pages; local modes only")
+		jsonOut     = fs.String("json", "", "also write results as JSON to this file")
+		timeout     = fs.Duration("timeout", 0, "deadline for the whole load; in-flight queries are cancelled through their context")
+		prepare     = fs.Bool("prepare", false, "clients bind and execute a prepared statement per query instead of composing an ad-hoc one")
+		chaos       = fs.Bool("chaos", false, "chaos mode: run a fault-free oracle load, then re-run under injected fault schedules and verify the result digests match")
+		addr        = fs.String("addr", "", "run against a remote ssserver at this address instead of in-process (the server owns the data; use matching -domain/-seed flags on both sides)")
+		shards      = fs.Int("shards", 0, "range-partition the table across N in-process shards and run the load through the scatter-gather engine (0 = unsharded); local modes only")
+		shardAddrs  = fs.String("shard-addrs", "", "comma-separated ssserver addresses, one per shard (each server started with -shard-id I -shard-count N and matching -rows/-domain/-seed); runs the load through the scatter-gather engine with remote shard drivers")
+		cache       = fs.Bool("cache", false, "result-cache mode: a Zipf-skewed repeat-query workload with the tier on vs off (hit rate, digest equality), then re-run under interleaved Inserts to show invalidation churn; local modes only")
+		rcBytes     = fs.Int64("result-cache-bytes", 0, "result-cache tier byte budget for local modes (0 disables the tier; -cache mode defaults it to 16 MiB)")
+		rcTTL       = fs.Duration("result-cache-ttl", 0, "result-cache entry time-to-live for local modes (0 = no expiry)")
+		clean       = fs.Bool("require-clean", false, "exit non-zero if any query failed")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here, as the flag package's own set would
 
 	if *shards < 0 {
-		fatal(fmt.Errorf("-shards %d (want >= 0)", *shards))
+		return fmt.Errorf("-shards %d (want >= 0)", *shards)
 	}
 	if *shards > 0 && *addr != "" {
-		fatal(fmt.Errorf("-shards needs the in-process engine (drop -addr)"))
+		return fmt.Errorf("-shards needs the in-process engine (drop -addr)")
 	}
-	if *shards > 0 && *bench != "" {
-		fatal(fmt.Errorf("-shards does not combine with -bench"))
-	}
-	if *shardAddrs != "" && (*addr != "" || *shards > 0 || *bench != "") {
-		fatal(fmt.Errorf("-shard-addrs does not combine with -addr, -shards or -bench"))
+	if *shardAddrs != "" && (*addr != "" || *shards > 0) {
+		return fmt.Errorf("-shard-addrs does not combine with -addr or -shards")
 	}
 	if *cache {
 		if *addr != "" || *shardAddrs != "" {
-			fatal(fmt.Errorf("-cache needs the in-process engine (the server's -result-cache-bytes owns the tier remotely)"))
+			return fmt.Errorf("-cache needs the in-process engine (the server's -result-cache-bytes owns the tier remotely)")
 		}
-		if *bench != "" || *chaos || *prepare {
-			fatal(fmt.Errorf("-cache does not combine with -bench, -chaos or -prepare"))
+		if *chaos || *prepare {
+			return fmt.Errorf("-cache does not combine with -chaos or -prepare")
 		}
 	}
 
@@ -137,85 +140,9 @@ func main() {
 		defer cancel()
 	}
 
-	if *bench != "" {
-		if *addr != "" {
-			fatal(fmt.Errorf("-bench needs the in-process engine (drop -addr)"))
-		}
-		if *bench != "parallel" {
-			fatal(fmt.Errorf("unknown -bench %q (known: parallel)", *bench))
-		}
-		db, err := loadgen.BuildDB(*rows, *domain, *seed, smoothscan.Options{PoolPages: *pool})
-		if err != nil {
-			fatal(err)
-		}
-		if err := benchParallel(db, *rows, *domain, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *cache {
-		sopts, err := scanOptions(*path, *policy, *ordered, *parallelism)
-		if err != nil {
-			fatal(err)
-		}
-		ccfg := cacheCompareConfig{
-			rows: *rows, domain: *domain, seed: *seed,
-			pool: *pool, shards: *shards,
-			budget: *rcBytes, ttl: *rcTTL,
-			load: loadConfig{
-				clients:     *clients,
-				queries:     *queries,
-				selectivity: *selectivity,
-				domain:      *domain,
-				seed:        *seed,
-				opts:        sopts,
-			},
-		}
-		report, err := runCacheCompare(ctx, ccfg, *jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		if *clean && report.errors() > 0 {
-			fatal(fmt.Errorf("-require-clean: %d queries failed", report.errors()))
-		}
-		return
-	}
-
-	var h harness
-	switch {
-	case *shardAddrs != "":
-		rh, err := newRemoteShardedHarness(strings.Split(*shardAddrs, ","), *domain)
-		if err != nil {
-			fatal(fmt.Errorf("shard-addrs %s: %w", *shardAddrs, err))
-		}
-		h = rh
-	case *addr != "":
-		rh, err := newRemoteHarness(*addr)
-		if err != nil {
-			fatal(fmt.Errorf("dial %s: %w", *addr, err))
-		}
-		h = rh
-	case *shards > 0:
-		s, err := loadgen.BuildShardedDB(*rows, *domain, *seed, *shards,
-			smoothscan.Options{PoolPages: *pool, ResultCacheBytes: *rcBytes, ResultCacheTTL: *rcTTL})
-		if err != nil {
-			fatal(err)
-		}
-		h = &shardedHarness{s: s}
-	default:
-		db, err := loadgen.BuildDB(*rows, *domain, *seed,
-			smoothscan.Options{PoolPages: *pool, ResultCacheBytes: *rcBytes, ResultCacheTTL: *rcTTL})
-		if err != nil {
-			fatal(err)
-		}
-		h = &localHarness{db: db}
-	}
-	defer h.close()
-
 	opts, err := scanOptions(*path, *policy, *ordered, *parallelism)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := loadConfig{
 		clients:     *clients,
@@ -224,140 +151,78 @@ func main() {
 		domain:      *domain,
 		seed:        *seed,
 		opts:        opts,
+		prepared:    *prepare,
 	}
+
+	if *cache {
+		cfg.cacheTemplates, cfg.reportCache = cacheTemplateCount, true
+		ccfg := cacheCompareConfig{
+			rows: *rows, domain: *domain, seed: *seed,
+			pool: *pool, shards: *shards,
+			budget: *rcBytes, ttl: *rcTTL,
+			load: cfg,
+		}
+		if ccfg.budget <= 0 {
+			ccfg.budget = 16 << 20
+		}
+		fmt.Printf("ssload -cache: tier-on backend gets a %d byte budget\n", ccfg.budget)
+		report, err := runCacheCompare(ctx, ccfg, *jsonOut)
+		if err != nil {
+			return err
+		}
+		if *clean && report.errors() > 0 {
+			return fmt.Errorf("-require-clean: %d queries failed", report.errors())
+		}
+		return nil
+	}
+
+	var h *harness
+	dbOpts := smoothscan.Options{PoolPages: *pool, ResultCacheBytes: *rcBytes, ResultCacheTTL: *rcTTL}
+	switch {
+	case *shardAddrs != "":
+		if h, err = remoteShardedHarness(strings.Split(*shardAddrs, ","), *domain); err != nil {
+			return fmt.Errorf("shard-addrs %s: %w", *shardAddrs, err)
+		}
+	case *addr != "":
+		if h, err = remoteHarness(*addr); err != nil {
+			return fmt.Errorf("dial %s: %w", *addr, err)
+		}
+	case *shards > 0:
+		s, err := loadgen.BuildShardedDB(*rows, *domain, *seed, *shards, dbOpts)
+		if err != nil {
+			return err
+		}
+		h = shardedHarness(s)
+	default:
+		db, err := loadgen.BuildDB(*rows, *domain, *seed, dbOpts)
+		if err != nil {
+			return err
+		}
+		h = localHarness(db)
+	}
+	defer h.close()
 
 	if *chaos {
 		// Chaos is clean by construction: any unrecovered error fails it.
-		if err := runChaos(ctx, h, cfg, *seed, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *prepare {
-		report, err := runPrepared(ctx, h, cfg, *adhoc, *jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		errors := report.Prepared.Errors
-		if report.AdHoc != nil {
-			errors += report.AdHoc.Errors
-		}
-		if *clean && errors > 0 {
-			fatal(fmt.Errorf("-require-clean: %d queries failed", errors))
-		}
-		return
+		return runChaos(ctx, h, cfg, *seed, chaosSchedules, *jsonOut)
 	}
 
 	res, err := runLoad(ctx, h, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("ssload: %d clients x %d queries, sel=%.4f%%, path=%s, parallelism=%d, ordered=%v, mode=%s, cpus=%d\n",
-		*clients, *queries, *selectivity*100, *path, *parallelism, *ordered, h.mode(), runtime.NumCPU())
+	fmt.Printf("ssload: %d clients x %d queries, sel=%.4f%%, path=%s, parallelism=%d, ordered=%v, prepared=%v, mode=%s, cpus=%d\n",
+		*clients, *queries, *selectivity*100, *path, *parallelism, *ordered, *prepare, h.mode, runtime.NumCPU())
 	res.print(os.Stdout)
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, res); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *clean && res.Errors > 0 {
-		fatal(fmt.Errorf("-require-clean: %d queries failed", res.Errors))
+		return fmt.Errorf("-require-clean: %d queries failed", res.Errors)
 	}
-}
-
-// prepareReport is the -prepare JSON document: the prepared run, the
-// optional ad-hoc control, the p50/p99 latency deltas (prepared minus
-// ad-hoc; negative = prepared faster) and the plan-cache traffic
-// attributed per run (counter deltas around each run — Stmt.Run binds
-// its own template, so the prepared delta only shows the Prepare
-// misses: one for a local shared Stmt, one per session remotely with
-// the rest hitting the server's shared plan cache).
-type prepareReport struct {
-	AdHoc             *loadResult                `json:"adhoc,omitempty"`
-	Prepared          loadResult                 `json:"prepared"`
-	P50DeltaMS        float64                    `json:"p50_delta_ms"`
-	P99DeltaMS        float64                    `json:"p99_delta_ms"`
-	PlanCacheAdHoc    *smoothscan.PlanCacheStats `json:"plan_cache_adhoc,omitempty"`
-	PlanCachePrepared smoothscan.PlanCacheStats  `json:"plan_cache_prepared"`
-}
-
-// cacheDelta attributes plan-cache counter traffic to one run.
-func cacheDelta(before, after smoothscan.PlanCacheStats) smoothscan.PlanCacheStats {
-	return smoothscan.PlanCacheStats{
-		Hits:      after.Hits - before.Hits,
-		Misses:    after.Misses - before.Misses,
-		Evictions: after.Evictions - before.Evictions,
-		Entries:   after.Entries,
-		Capacity:  after.Capacity,
-	}
-}
-
-// runPrepared runs the -prepare comparison: an ad-hoc control load
-// (every query compiled through the builder — transparently sharing
-// templates via the DB plan cache), then the same workload through
-// prepared statements bound per query — one Stmt shared by every
-// client locally, one Stmt per session remotely.
-func runPrepared(ctx context.Context, h harness, cfg loadConfig, control bool, jsonOut string) (prepareReport, error) {
-	report := prepareReport{}
-
-	if control {
-		before, err := h.planCache()
-		if err != nil {
-			return report, err
-		}
-		res, err := runLoad(ctx, h, cfg)
-		if err != nil {
-			return report, err
-		}
-		after, err := h.planCache()
-		if err != nil {
-			return report, err
-		}
-		report.AdHoc = &res
-		delta := cacheDelta(before, after)
-		report.PlanCacheAdHoc = &delta
-		fmt.Printf("ssload -prepare: ad-hoc control (%d clients x %d queries, mode=%s, cpus=%d)\n",
-			cfg.clients, cfg.queries, h.mode(), runtime.NumCPU())
-		res.print(os.Stdout)
-		fmt.Printf("  plan cache %d hits / %d misses this run\n", delta.Hits, delta.Misses)
-	}
-
-	before, err := h.planCache()
-	if err != nil {
-		return report, err
-	}
-	pcfg := cfg
-	pcfg.prepared = true
-	res, err := runLoad(ctx, h, pcfg)
-	if err != nil {
-		return report, err
-	}
-	after, err := h.planCache()
-	if err != nil {
-		return report, err
-	}
-	report.Prepared = res
-	report.PlanCachePrepared = cacheDelta(before, after)
-	fmt.Printf("ssload -prepare: prepared Stmt (%d clients x %d queries, mode=%s)\n",
-		cfg.clients, cfg.queries, h.mode())
-	res.print(os.Stdout)
-	fmt.Printf("  plan cache %d hits / %d misses this run (Stmt binds its own template; expect only the Prepare traffic)\n",
-		report.PlanCachePrepared.Hits, report.PlanCachePrepared.Misses)
-
-	if report.AdHoc != nil {
-		report.P50DeltaMS = res.P50MS - report.AdHoc.P50MS
-		report.P99DeltaMS = res.P99MS - report.AdHoc.P99MS
-		fmt.Printf("  delta      p50 %+.3f ms, p99 %+.3f ms vs ad-hoc (negative = prepared faster)\n",
-			report.P50DeltaMS, report.P99DeltaMS)
-	}
-
-	if jsonOut != "" {
-		if err := writeJSON(jsonOut, report); err != nil {
-			return report, err
-		}
-	}
-	return report, nil
+	return nil
 }
 
 // cacheTemplateCount is the -cache mode's predicate-range pool size:
@@ -369,8 +234,8 @@ const cacheTemplateCount = 32
 type cacheCompareConfig struct {
 	rows, domain, seed int64
 	pool, shards       int
-	// budget/ttl configure the cached backend's result-cache tier
-	// (budget 0 defaults to 16 MiB; the control backend runs tier-off).
+	// budget/ttl configure the cached backend's result-cache tier (the
+	// control backend runs tier-off).
 	budget int64
 	ttl    time.Duration
 	load   loadConfig
@@ -378,13 +243,11 @@ type cacheCompareConfig struct {
 
 // cacheReport is the -cache JSON document: the tier-off control run,
 // the tier-on run of the identical workload (same Zipf range stream),
-// their p50/p99 deltas, and a third tier-on run under interleaved
-// Inserts showing the write-driven invalidation churn.
+// and a third tier-on run under interleaved Inserts showing the
+// write-driven invalidation churn.
 type cacheReport struct {
-	Control    loadResult `json:"control"`
-	Cached     loadResult `json:"cached"`
-	P50DeltaMS float64    `json:"p50_delta_ms"`
-	P99DeltaMS float64    `json:"p99_delta_ms"`
+	Control loadResult `json:"control"`
+	Cached  loadResult `json:"cached"`
 	// DigestMatch reports whether the cached run reproduced the control
 	// run's result digest — served-from-cache rows must be bit-identical
 	// to re-executed ones. (The churn run's digest is not comparable:
@@ -398,92 +261,85 @@ func (r cacheReport) errors() int {
 	return r.Control.Errors + r.Cached.Errors + r.Churn.Errors
 }
 
-// runCacheCompare runs the -cache comparison. Three runs of the same
-// Zipf-skewed repeat-query workload: tier off (control), tier on (the
-// hit-rate and latency-delta measurement), and tier on with a
-// background writer inserting rows mid-run — every Insert bumps the
-// table's epoch, so hot entries keep getting invalidated and re-cached,
-// which is the churn the third run's counters make visible.
-func runCacheCompare(ctx context.Context, ccfg cacheCompareConfig, jsonOut string) (cacheReport, error) {
-	report := cacheReport{}
-	cfg := ccfg.load
-	cfg.cacheTemplates = cacheTemplateCount
-	cfg.reportCache = true
-
-	budget := ccfg.budget
-	if budget <= 0 {
-		budget = 16 << 20
+// build constructs one -cache backend (sharded when -shards is set)
+// with the tier on or off, returning its harness and an insert closure
+// for the churn writer.
+func (c cacheCompareConfig) build(tierOn bool) (*harness, func(vals ...int64) error, error) {
+	opts := smoothscan.Options{PoolPages: c.pool}
+	if tierOn {
+		opts.ResultCacheBytes = c.budget
+		opts.ResultCacheTTL = c.ttl
 	}
-	// build constructs one backend (sharded when -shards is set) with
-	// the tier on or off, returning its harness and an insert closure
-	// for the churn writer.
-	build := func(tierOn bool) (harness, func(vals ...int64) error, error) {
-		opts := smoothscan.Options{PoolPages: ccfg.pool}
-		if tierOn {
-			opts.ResultCacheBytes = budget
-			opts.ResultCacheTTL = ccfg.ttl
-		}
-		if ccfg.shards > 0 {
-			s, err := loadgen.BuildShardedDB(ccfg.rows, ccfg.domain, ccfg.seed, ccfg.shards, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return &shardedHarness{s: s}, func(vals ...int64) error {
-				return s.Insert(loadgen.Table, vals...)
-			}, nil
-		}
-		db, err := loadgen.BuildDB(ccfg.rows, ccfg.domain, ccfg.seed, opts)
+	if c.shards > 0 {
+		s, err := loadgen.BuildShardedDB(c.rows, c.domain, c.seed, c.shards, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &localHarness{db: db}, func(vals ...int64) error {
-			return db.Insert(loadgen.Table, vals...)
+		return shardedHarness(s), func(vals ...int64) error {
+			return s.Insert(loadgen.Table, vals...)
 		}, nil
 	}
-
-	control, _, err := build(false)
+	db, err := loadgen.BuildDB(c.rows, c.domain, c.seed, opts)
 	if err != nil {
-		return report, err
+		return nil, nil, err
 	}
-	defer control.close()
+	return localHarness(db), func(vals ...int64) error {
+		return db.Insert(loadgen.Table, vals...)
+	}, nil
+}
+
+// compareCached runs the same Zipf-skewed repeat-query workload on the
+// tier-off control backend, then on the tier-on one, and fails unless
+// the cached run reproduces the control's digest.
+func compareCached(ctx context.Context, control, cached *harness, cfg loadConfig) (cacheReport, error) {
+	report := cacheReport{}
 	res, err := runLoad(ctx, control, cfg)
 	if err != nil {
 		return report, err
 	}
 	report.Control = res
 	fmt.Printf("ssload -cache: control, tier off (%d clients x %d queries over %d Zipf ranges, mode=%s, cpus=%d)\n",
-		cfg.clients, cfg.queries, cacheTemplateCount, control.mode(), runtime.NumCPU())
+		cfg.clients, cfg.queries, cacheTemplateCount, control.mode, runtime.NumCPU())
 	res.print(os.Stdout)
 
-	cached, insert, err := build(true)
-	if err != nil {
-		return report, err
-	}
-	defer cached.close()
 	res, err = runLoad(ctx, cached, cfg)
 	if err != nil {
 		return report, err
 	}
 	report.Cached = res
-	report.P50DeltaMS = res.P50MS - report.Control.P50MS
-	report.P99DeltaMS = res.P99MS - report.Control.P99MS
 	report.DigestMatch = res.Digest == report.Control.Digest && res.Tuples == report.Control.Tuples
-	fmt.Printf("ssload -cache: tier on, %d byte budget (same workload)\n", budget)
+	fmt.Println("ssload -cache: tier on (same workload)")
 	res.print(os.Stdout)
-	fmt.Printf("  delta      p50 %+.3f ms, p99 %+.3f ms vs tier-off control (negative = cached faster)\n",
-		report.P50DeltaMS, report.P99DeltaMS)
 	if !report.DigestMatch {
 		return report, fmt.Errorf("cache: cached run diverged from control (digest %016x vs %016x, %d vs %d tuples)",
 			res.Digest, report.Control.Digest, res.Tuples, report.Control.Tuples)
 	}
 	fmt.Println("  digest     matches the tier-off control (cached rows are bit-identical)")
+	return report, nil
+}
 
-	// Churn run: the same workload on the same cached backend while a
-	// writer inserts rows. Every Insert bumps the table epoch, so each
-	// hot entry serves only until the next write lands, then misses,
-	// re-executes and re-caches — invalidation churn under load, with
-	// pre-write entries never served (the -race tests pin that; here the
-	// counters make it visible at workload scale).
+// runCacheCompare runs the -cache mode: compareCached on two fresh
+// backends, then the same workload a third time on the cached one
+// while a writer inserts rows. Every Insert bumps the table epoch, so
+// each hot entry serves only until the next write lands, then misses,
+// re-executes and re-caches — invalidation churn under load, with
+// pre-write entries never served (the -race tests pin that; here the
+// counters make it visible at workload scale).
+func runCacheCompare(ctx context.Context, ccfg cacheCompareConfig, jsonOut string) (cacheReport, error) {
+	control, _, err := ccfg.build(false)
+	if err != nil {
+		return cacheReport{}, err
+	}
+	defer control.close()
+	cached, insert, err := ccfg.build(true)
+	if err != nil {
+		return cacheReport{}, err
+	}
+	defer cached.close()
+	report, err := compareCached(ctx, control, cached, ccfg.load)
+	if err != nil {
+		return report, err
+	}
 	var (
 		churnInserts int64
 		stopChurn    = make(chan struct{})
@@ -513,7 +369,7 @@ func runCacheCompare(ctx context.Context, ccfg cacheCompareConfig, jsonOut strin
 			time.Sleep(500 * time.Microsecond)
 		}
 	}()
-	res, err = runLoad(ctx, cached, cfg)
+	res, err := runLoad(ctx, cached, ccfg.load)
 	close(stopChurn)
 	werr := <-churnDone
 	if err == nil {
@@ -533,11 +389,6 @@ func runCacheCompare(ctx context.Context, ccfg cacheCompareConfig, jsonOut strin
 		}
 	}
 	return report, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ssload:", err)
-	os.Exit(1)
 }
 
 func scanOptions(path, policy string, ordered bool, parallelism int) (smoothscan.ScanOptions, error) {
@@ -607,40 +458,6 @@ type queryResult struct {
 	faults   int64
 }
 
-// runner executes one client goroutine's queries against a backend;
-// it is owned by that goroutine and never shared.
-type runner interface {
-	runQuery(ctx context.Context, lo, hi int64) (queryResult, error)
-	// reconnects reports how many times the runner had to re-dial a
-	// lost connection (always 0 for the in-process backend).
-	reconnects() int
-	close()
-}
-
-// harness abstracts where the workload runs: the in-process engine or
-// a remote ssserver over the wire protocol. The load loop, the
-// latency accounting and the digest are identical either way — that
-// symmetry is what makes local and remote numbers comparable.
-type harness interface {
-	mode() string
-	// mark starts a measurement window: the local backend cold-starts
-	// the cache and zeroes device stats; the remote backend snapshots
-	// the server counters so simCost can report a delta.
-	mark() error
-	// simCost is the simulated device cost attributed to the window
-	// opened by mark.
-	simCost() (float64, error)
-	planCache() (smoothscan.PlanCacheStats, error)
-	// resultCache snapshots the result-cache tier's counters: the
-	// query-boundary tier(s) the backend owns, summed across shards or
-	// nodes. All zero when the tier is disabled.
-	resultCache() (smoothscan.ResultCacheStats, error)
-	newRunner(cfg loadConfig, client int) (runner, error)
-	// setFault installs a fault-injection schedule (nil clears it).
-	setFault(seed int64, rule *smoothscan.FaultRule) error
-	close()
-}
-
 // loadTemplate is the workload's one query shape, composed through
 // the Engine interface so every backend — in-process, sharded,
 // remote — compiles exactly the same builder calls.
@@ -650,36 +467,51 @@ func loadTemplate(e smoothscan.Engine, opts smoothscan.ScanOptions) smoothscan.B
 		WithOptions(opts)
 }
 
-// engineRunner is the single runner for every backend: it drives a
-// smoothscan.Engine and drains the uniform Cursor, so the measured
-// query path is literally the same code local and remote. Only the
-// remote backends set redial (an in-process engine cannot lose its
-// connection).
+// engineRunner executes one client goroutine's queries; it is owned by
+// that goroutine and never shared. It drives a smoothscan.Engine and
+// drains the uniform Cursor, so the measured query path is literally
+// the same code on every topology.
 type engineRunner struct {
 	cfg  loadConfig
 	eng  smoothscan.Engine
 	stmt smoothscan.PreparedQuery
-	// ownsEngine: close eng with the runner (per-client remote
-	// sessions); shared engines are closed by their harness.
-	ownsEngine bool
-	// broken reports whether the current engine's connection is dead;
-	// redial replaces it (and the prepared statement). Both nil for
-	// in-process engines.
-	broken func(smoothscan.Engine) bool
-	redial func() (smoothscan.Engine, smoothscan.PreparedQuery, error)
-	recon  int
+	// dial is set when the client owns its engine — conn, an ssclient
+	// session dialed through it, re-dialed when lost and closed with the
+	// runner. Both nil for an engine (and statement) shared through the
+	// harness.
+	dial  func() (*ssclient.Conn, error)
+	conn  *ssclient.Conn
+	recon int
+}
+
+// connect dials this client's session and, in prepared mode, prepares
+// its statement (handles are per session; the compiled template is
+// still shared through the server's plan cache).
+func (r *engineRunner) connect() error {
+	c, err := r.dial()
+	if err != nil {
+		return err
+	}
+	var stmt smoothscan.PreparedQuery
+	if r.cfg.prepared {
+		if stmt, err = c.PrepareQuery(loadTemplate(c, r.cfg.opts)); err != nil {
+			c.Close()
+			return err
+		}
+	}
+	r.close()
+	r.conn, r.eng, r.stmt = c, c, stmt
+	return nil
 }
 
 func (r *engineRunner) runQuery(ctx context.Context, lo, hi int64) (queryResult, error) {
 	var qr queryResult
-	if r.broken != nil && r.broken(r.eng) {
+	if r.conn != nil && r.conn.Broken() {
 		// Transparent re-dial on a lost connection; the count lands in
 		// the per-client JSON so flapping is visible, not averaged away.
-		eng, stmt, err := r.redial()
-		if err != nil {
+		if err := r.connect(); err != nil {
 			return qr, err
 		}
-		r.eng, r.stmt = eng, stmt
 		r.recon++
 	}
 	var cur smoothscan.Cursor
@@ -713,110 +545,220 @@ func (r *engineRunner) runQuery(ctx context.Context, lo, hi int64) (queryResult,
 	return qr, err
 }
 
-func (r *engineRunner) reconnects() int { return r.recon }
-
 func (r *engineRunner) close() {
-	if r.stmt != nil && r.ownsEngine {
+	if r.conn == nil {
+		return
+	}
+	if r.stmt != nil {
 		r.stmt.Close()
 	}
-	if r.ownsEngine {
-		r.eng.Close()
+	r.conn.Close()
+}
+
+// nodeCost is a node's cumulative device counters.
+type nodeCost struct {
+	sim   float64
+	pages int64
+}
+
+// node is one simulated device behind the workload, in the form the
+// harness can administer it: an in-process DB, or a control session to
+// the ssserver that owns it (a client session is single-goroutine, so
+// the query connections cannot double as controls).
+type node interface {
+	cost() (nodeCost, error)
+	// setFault installs a fault-injection schedule (nil clears it).
+	setFault(seed int64, rule *smoothscan.FaultRule) error
+	// resultCache reports the node's result-cache tier where this process
+	// owns it; a server's tier is its own and reads as zero.
+	resultCache() smoothscan.ResultCacheStats
+	// close releases what the node holds beyond the harness's engine.
+	close()
+}
+
+type dbNode struct{ *smoothscan.DB }
+
+func (n dbNode) cost() (nodeCost, error) {
+	st := n.Stats()
+	return nodeCost{sim: st.Time(), pages: st.PagesRead}, nil
+}
+
+func (n dbNode) setFault(seed int64, rule *smoothscan.FaultRule) error {
+	var p *smoothscan.FaultPolicy
+	if rule != nil {
+		p = smoothscan.NewFaultPolicy(seed, *rule)
 	}
-}
-
-// localHarness runs the workload against an in-process DB shared by
-// all clients.
-type localHarness struct {
-	db   *smoothscan.DB
-	stmt smoothscan.PreparedQuery // shared prepared statement, created lazily
-}
-
-func (h *localHarness) mode() string { return "local" }
-
-func (h *localHarness) mark() error {
-	if err := h.db.ColdCache(); err != nil {
-		return err
-	}
-	return h.db.ResetStats()
-}
-
-func (h *localHarness) simCost() (float64, error) { return h.db.Stats().Time(), nil }
-
-func (h *localHarness) planCache() (smoothscan.PlanCacheStats, error) {
-	return h.db.PlanCacheStats(), nil
-}
-
-func (h *localHarness) resultCache() (smoothscan.ResultCacheStats, error) {
-	return h.db.ResultCacheStats(), nil
-}
-
-func (h *localHarness) newRunner(cfg loadConfig, _ int) (runner, error) {
-	if cfg.prepared && h.stmt == nil {
-		stmt, err := h.db.PrepareQuery(loadTemplate(h.db, cfg.opts))
-		if err != nil {
-			return nil, err
-		}
-		h.stmt = stmt
-	}
-	return &engineRunner{cfg: cfg, eng: h.db, stmt: h.stmt}, nil
-}
-
-func (h *localHarness) setFault(seed int64, rule *smoothscan.FaultRule) error {
-	if rule == nil {
-		h.db.SetFaultPolicy(nil)
-		return nil
-	}
-	h.db.SetFaultPolicy(smoothscan.NewFaultPolicy(seed, *rule))
+	n.SetFaultPolicy(p)
 	return nil
 }
 
-func (h *localHarness) close() {}
+func (n dbNode) resultCache() smoothscan.ResultCacheStats { return n.ResultCacheStats() }
 
-// shardedHarness runs the workload against an in-process ShardedDB:
-// the same query surface, scattered to the owning shards and gathered
-// through the exchange. Digests stay comparable to the unsharded
-// harness because the row stream (and thus every predicate's result
-// multiset) is identical — only the placement differs.
-type shardedHarness struct {
-	s    *smoothscan.ShardedDB
-	stmt smoothscan.PreparedQuery // shared prepared statement, created lazily
+func (n dbNode) close() {} // the harness's engine owns the DB
+
+// ctlNode reports simulated cost only: the server counters do not
+// break pages out (per-query page counts travel in ExecStats.Shards,
+// which the load loop does not accumulate).
+type ctlNode struct{ *ssclient.Conn }
+
+func (n ctlNode) cost() (nodeCost, error) {
+	st, err := n.ServerStats()
+	return nodeCost{sim: st.DeviceSimCost}, err
 }
 
-func (h *shardedHarness) mode() string { return fmt.Sprintf("sharded[%d]", h.s.NumShards()) }
-
-func (h *shardedHarness) mark() error {
-	if err := h.s.ColdCache(); err != nil {
-		return err
+func (n ctlNode) setFault(seed int64, rule *smoothscan.FaultRule) error {
+	if rule == nil {
+		return n.ClearFaultPolicy()
 	}
-	return h.s.ResetStats()
+	err := n.SetFaultPolicy(seed, ssclient.FaultRule{Kind: rule.Kind, Rate: rule.Rate, ExtraCost: rule.ExtraCost})
+	if err != nil {
+		return fmt.Errorf("%w (remote fault schedules need ssserver -fault-admin)", err)
+	}
+	return nil
 }
 
-func (h *shardedHarness) simCost() (float64, error) { return h.s.Stats().Time(), nil }
+func (n ctlNode) resultCache() smoothscan.ResultCacheStats { return smoothscan.ResultCacheStats{} }
 
-func (h *shardedHarness) planCache() (smoothscan.PlanCacheStats, error) {
-	// Each shard owns a plan cache; the run-level counters are their sum
-	// (sizing fields are per shard and reported from shard 0).
-	var total smoothscan.PlanCacheStats
-	for i := 0; i < h.s.NumShards(); i++ {
-		st := h.s.Shard(i).PlanCacheStats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Evictions += st.Evictions
-		if i == 0 {
-			total.Entries, total.Capacity = st.Entries, st.Capacity
+func (n ctlNode) close() { n.Close() }
+
+// harness is where the workload runs — the product {in-process,
+// remote} × {one device, N devices}: clients share one engine (a DB, or
+// a ShardedDB coordinator over in-process or remote shards) or dial a
+// session each, and the devices behind them are a list of nodes. The
+// load loop, the latency accounting and the digest are identical on all
+// four, which is what makes their digests comparable: the row stream,
+// and thus every predicate's result multiset, is the same — only the
+// placement differs.
+type harness struct {
+	mode string
+	// eng is the engine every client shares (the coordinator is safe for
+	// concurrent queries: each remote shard driver pools its
+	// connections); nil when every client dials its own session.
+	eng  smoothscan.Engine
+	stmt smoothscan.PreparedQuery // shared prepared statement over eng, created lazily
+	dial func() (*ssclient.Conn, error)
+	// cold empties every buffer pool and result-cache tier. An ssserver
+	// without -fault-admin refuses; noCold then lets later windows
+	// measure warm instead of failing the run.
+	cold   func() error
+	noCold bool
+	nodes  []node
+	base   []nodeCost // per node, at the last mark
+	// sharded is the coordinator of an N-device topology, shardMode
+	// where its shards live: "in-process" (-shards) or "remote"
+	// (-shard-addrs).
+	sharded   *smoothscan.ShardedDB
+	shardMode string
+}
+
+func localHarness(db *smoothscan.DB) *harness {
+	return &harness{mode: "local", eng: db, cold: db.ColdCache, nodes: []node{dbNode{db}}}
+}
+
+func shardedHarness(s *smoothscan.ShardedDB) *harness {
+	h := &harness{mode: fmt.Sprintf("sharded[%d]", s.NumShards()), eng: s, cold: s.ColdCache, sharded: s, shardMode: "in-process"}
+	for i := 0; i < s.NumShards(); i++ {
+		h.nodes = append(h.nodes, dbNode{s.Shard(i)})
+	}
+	return h
+}
+
+func remoteHarness(addr string) (*harness, error) {
+	ctl, err := ssclient.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	dial := func() (*ssclient.Conn, error) { return ssclient.Dial(addr) }
+	return &harness{mode: "remote", dial: dial, cold: ctl.ColdCache, nodes: []node{ctlNode{ctl}}}, nil
+}
+
+// remoteShardedHarness gathers one ssserver per shard (each serving its
+// BuildShardSlice) through an in-process coordinator.
+func remoteShardedHarness(addrs []string, domain int64) (*harness, error) {
+	placements := make([]smoothscan.Placement, len(addrs))
+	for i, a := range addrs {
+		if placements[i].Addr = strings.TrimSpace(a); placements[i].Addr == "" {
+			return nil, fmt.Errorf("empty shard address at position %d", i)
 		}
 	}
-	return total, nil
+	parts := map[string]smoothscan.Partitioning{
+		loadgen.Table: loadgen.ShardParts(domain, len(addrs)),
+	}
+	s, err := smoothscan.OpenShardedRemote(placements, parts, smoothscan.Options{PoolPages: 64})
+	if err != nil {
+		return nil, err
+	}
+	h := &harness{mode: fmt.Sprintf("remote-sharded[%d]", len(addrs)), eng: s, cold: s.ColdCache, sharded: s, shardMode: "remote"}
+	for _, p := range placements {
+		ctl, err := ssclient.Dial(p.Addr)
+		if err != nil {
+			h.close()
+			return nil, fmt.Errorf("control dial %s: %w", p.Addr, err)
+		}
+		h.nodes = append(h.nodes, ctlNode{ctl})
+	}
+	return h, nil
 }
 
-func (h *shardedHarness) resultCache() (smoothscan.ResultCacheStats, error) {
-	// The coordinator tier serves whole sharded queries; each shard's
-	// own tier would only see direct single-shard executions. Both are
-	// this backend's cache traffic, so the counters are their sum
-	// (sizing fields stay the coordinator's).
-	total := h.s.ResultCacheStats()
-	for i := 0; i < h.s.NumShards(); i++ {
-		st := h.s.Shard(i).ResultCacheStats()
+// mark starts a measurement window: cold-start every node where
+// allowed, then snapshot its counters so window can report deltas.
+func (h *harness) mark() error {
+	if !h.noCold {
+		if err := h.cold(); err != nil {
+			var re *ssclient.RemoteError
+			if !errors.As(err, &re) {
+				return err
+			}
+			h.noCold = true
+		}
+	}
+	h.base = h.base[:0]
+	for _, n := range h.nodes {
+		c, err := n.cost()
+		if err != nil {
+			return err
+		}
+		h.base = append(h.base, c)
+	}
+	return nil
+}
+
+// window reports the simulated device cost since mark, summed over the
+// nodes, and on a sharded topology its per-shard balance.
+func (h *harness) window() (float64, []shardBalance, error) {
+	var rows []int64
+	if h.sharded != nil {
+		var err error
+		if rows, err = h.sharded.ShardRows(loadgen.Table); err != nil {
+			return 0, nil, err
+		}
+	}
+	var total float64
+	var bal []shardBalance
+	for i, n := range h.nodes {
+		c, err := n.cost()
+		if err != nil {
+			return 0, nil, err
+		}
+		sim := c.sim - h.base[i].sim
+		total += sim
+		if rows != nil {
+			bal = append(bal, shardBalance{Shard: i, Rows: rows[i], SimCost: sim, PagesRead: c.pages - h.base[i].pages})
+		}
+	}
+	return total, bal, nil
+}
+
+// resultCache sums the counters of every result-cache tier this
+// process owns: the coordinator's (whole sharded queries) and each
+// in-process DB's. All zero when the tier is disabled.
+func (h *harness) resultCache() smoothscan.ResultCacheStats {
+	var total smoothscan.ResultCacheStats
+	if h.sharded != nil {
+		total = h.sharded.ResultCacheStats()
+	}
+	for _, n := range h.nodes {
+		st := n.resultCache()
 		total.Hits += st.Hits
 		total.Misses += st.Misses
 		total.Stores += st.Stores
@@ -827,373 +769,48 @@ func (h *shardedHarness) resultCache() (smoothscan.ResultCacheStats, error) {
 		total.Entries += st.Entries
 		total.Bytes += st.Bytes
 	}
-	return total, nil
+	return total
 }
 
-func (h *shardedHarness) newRunner(cfg loadConfig, _ int) (runner, error) {
+func (h *harness) newRunner(cfg loadConfig) (*engineRunner, error) {
+	r := &engineRunner{cfg: cfg, eng: h.eng, dial: h.dial}
+	if h.dial != nil {
+		if err := r.connect(); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
 	if cfg.prepared && h.stmt == nil {
-		stmt, err := h.s.PrepareQuery(loadTemplate(h.s, cfg.opts))
+		stmt, err := h.eng.PrepareQuery(loadTemplate(h.eng, cfg.opts))
 		if err != nil {
 			return nil, err
 		}
 		h.stmt = stmt
 	}
-	return &engineRunner{cfg: cfg, eng: h.s, stmt: h.stmt}, nil
+	r.stmt = h.stmt
+	return r, nil
 }
 
-func (h *shardedHarness) setFault(seed int64, rule *smoothscan.FaultRule) error {
-	for i := 0; i < h.s.NumShards(); i++ {
-		if rule == nil {
-			h.s.Shard(i).SetFaultPolicy(nil)
-			continue
-		}
-		// One independent policy per shard device, same seed: decisions
-		// stay deterministic per (shard, space, page, attempt).
-		h.s.Shard(i).SetFaultPolicy(smoothscan.NewFaultPolicy(seed, *rule))
-	}
-	return nil
-}
-
-func (h *shardedHarness) close() {}
-
-func (h *shardedHarness) shardMode() string { return "in-process" }
-
-// shardBalance reports the per-shard row and device-cost balance of a
-// sharded run (see loadResult.Shards).
-func (h *shardedHarness) shardBalance() []shardBalance {
-	rows, err := h.s.ShardRows(loadgen.Table)
-	if err != nil {
-		return nil
-	}
-	per := h.s.ShardIOStats()
-	out := make([]shardBalance, len(per))
-	for i := range per {
-		out[i] = shardBalance{
-			Shard:     i,
-			Rows:      rows[i],
-			SimCost:   per[i].Time(),
-			PagesRead: per[i].PagesRead,
-		}
-	}
-	return out
-}
-
-// remoteHarness runs the workload against an ssserver: one control
-// connection for stats and fault administration, plus one connection
-// per client goroutine (an ssclient.Client is single-goroutine by
-// contract).
-type remoteHarness struct {
-	addr string
-	ctl  *ssclient.Client
-	base ssclient.ServerStats
-	// noCold is set once the server refuses cache administration;
-	// later windows measure warm instead of failing the run.
-	noCold bool
-}
-
-func newRemoteHarness(addr string) (*remoteHarness, error) {
-	ctl, err := ssclient.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &remoteHarness{addr: addr, ctl: ctl}, nil
-}
-
-func (h *remoteHarness) mode() string { return "remote" }
-
-func (h *remoteHarness) mark() error {
-	if !h.noCold {
-		// Match the local harness's cold-start semantics when the
-		// server allows it (ssserver -fault-admin); a refusal just
-		// means this window measures a warm pool.
-		if err := h.ctl.ColdCache(); err != nil {
-			var re *ssclient.RemoteError
-			if !errors.As(err, &re) {
-				return err
-			}
-			h.noCold = true
-		}
-	}
-	st, err := h.ctl.ServerStats()
-	if err != nil {
-		return err
-	}
-	h.base = st
-	return nil
-}
-
-func (h *remoteHarness) simCost() (float64, error) {
-	st, err := h.ctl.ServerStats()
-	if err != nil {
-		return 0, err
-	}
-	return st.DeviceSimCost - h.base.DeviceSimCost, nil
-}
-
-func (h *remoteHarness) planCache() (smoothscan.PlanCacheStats, error) {
-	st, err := h.ctl.ServerStats()
-	if err != nil {
-		return smoothscan.PlanCacheStats{}, err
-	}
-	// The wire stats carry the hit/miss counters; sizing fields stay
-	// zero, and cacheDelta only reports differences anyway.
-	return smoothscan.PlanCacheStats{
-		Hits:   uint64(st.PlanCacheHits),
-		Misses: uint64(st.PlanCacheMisses),
-	}, nil
-}
-
-func (h *remoteHarness) resultCache() (smoothscan.ResultCacheStats, error) {
-	st, err := h.ctl.ServerStats()
-	if err != nil {
-		return smoothscan.ResultCacheStats{}, err
-	}
-	// The wire stats carry the counters a comparison needs; the sizing
-	// fields the server does not export stay zero.
-	return smoothscan.ResultCacheStats{
-		Hits:             st.ResultCacheHits,
-		Misses:           st.ResultCacheMisses,
-		InvalidatedStale: st.ResultCacheInvalidated,
-		Entries:          int(st.ResultCacheEntries),
-		Bytes:            st.ResultCacheBytes,
-	}, nil
-}
-
-func (h *remoteHarness) newRunner(cfg loadConfig, _ int) (runner, error) {
-	// Each client dials a fresh session; in prepared mode it prepares
-	// this session's statement (handles are per session, so each
-	// client owns one; the compiled template is still shared through
-	// the server's plan cache).
-	redial := func() (smoothscan.Engine, smoothscan.PreparedQuery, error) {
-		c, err := ssclient.Dial(h.addr)
-		if err != nil {
-			return nil, nil, err
-		}
-		var stmt smoothscan.PreparedQuery
-		if cfg.prepared {
-			stmt, err = c.PrepareQuery(loadTemplate(c, cfg.opts))
-			if err != nil {
-				c.Close()
-				return nil, nil, err
-			}
-		}
-		return c, stmt, nil
-	}
-	eng, stmt, err := redial()
-	if err != nil {
-		return nil, err
-	}
-	return &engineRunner{
-		cfg:        cfg,
-		eng:        eng,
-		stmt:       stmt,
-		ownsEngine: true,
-		broken:     func(e smoothscan.Engine) bool { return e.(*ssclient.Conn).Broken() },
-		redial:     redial,
-	}, nil
-}
-
-func (h *remoteHarness) setFault(seed int64, rule *smoothscan.FaultRule) error {
-	if rule == nil {
-		return h.ctl.ClearFaultPolicy()
-	}
-	err := h.ctl.SetFaultPolicy(seed, ssclient.FaultRule{
-		Kind:      rule.Kind,
-		Rate:      rule.Rate,
-		ExtraCost: rule.ExtraCost,
-	})
-	if err != nil {
-		return fmt.Errorf("%w (remote fault schedules need ssserver -fault-admin)", err)
-	}
-	return nil
-}
-
-func (h *remoteHarness) close() { h.ctl.Close() }
-
-// remoteShardedHarness runs the workload through the scatter-gather
-// engine backed by remote shard drivers: one ssserver per shard, each
-// serving its BuildShardSlice, gathered by an in-process coordinator.
-// The query path is the shared engineRunner over the ShardedDB
-// engine; this harness only adds per-node administration — one
-// control connection per shard for stats snapshots and fault
-// schedules (an ssclient session is single-goroutine, so the
-// coordinator's own pooled connections cannot double as controls).
-type remoteShardedHarness struct {
-	s     *smoothscan.ShardedDB
-	stmt  smoothscan.PreparedQuery // shared prepared statement, created lazily
-	addrs []string
-	ctls  []*ssclient.Client
-	base  []ssclient.ServerStats
-	// noCold is set once a server refuses cache administration; later
-	// windows measure warm instead of failing the run.
-	noCold bool
-}
-
-func newRemoteShardedHarness(addrs []string, domain int64) (*remoteShardedHarness, error) {
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
-		if addrs[i] == "" {
-			return nil, fmt.Errorf("empty shard address at position %d", i)
-		}
-	}
-	placements := make([]smoothscan.Placement, len(addrs))
-	for i, a := range addrs {
-		placements[i] = smoothscan.Placement{Addr: a}
-	}
-	parts := map[string]smoothscan.Partitioning{
-		loadgen.Table: loadgen.ShardParts(domain, len(addrs)),
-	}
-	s, err := smoothscan.OpenShardedRemote(placements, parts, smoothscan.Options{PoolPages: 64})
-	if err != nil {
-		return nil, err
-	}
-	h := &remoteShardedHarness{s: s, addrs: addrs, base: make([]ssclient.ServerStats, len(addrs))}
-	for _, a := range addrs {
-		ctl, err := ssclient.Dial(a)
-		if err != nil {
-			h.close()
-			return nil, fmt.Errorf("control dial %s: %w", a, err)
-		}
-		h.ctls = append(h.ctls, ctl)
-	}
-	return h, nil
-}
-
-func (h *remoteShardedHarness) mode() string {
-	return fmt.Sprintf("remote-sharded[%d]", len(h.addrs))
-}
-
-func (h *remoteShardedHarness) mark() error {
-	if !h.noCold {
-		// ShardedDB.ColdCache forwards to every node; a refusal (no
-		// -fault-admin on the servers) downgrades to warm windows.
-		if err := h.s.ColdCache(); err != nil {
-			var re *ssclient.RemoteError
-			if !errors.As(err, &re) {
-				return err
-			}
-			h.noCold = true
-		}
-	}
-	for i, ctl := range h.ctls {
-		st, err := ctl.ServerStats()
-		if err != nil {
+// setFault installs one independent policy per node, same seed, so
+// decisions stay deterministic per (node, space, page, attempt); nil
+// clears them.
+func (h *harness) setFault(seed int64, rule *smoothscan.FaultRule) error {
+	for _, n := range h.nodes {
+		if err := n.setFault(seed, rule); err != nil {
 			return err
 		}
-		h.base[i] = st
 	}
 	return nil
 }
 
-func (h *remoteShardedHarness) simCost() (float64, error) {
-	total := 0.0
-	for i, ctl := range h.ctls {
-		st, err := ctl.ServerStats()
-		if err != nil {
-			return 0, err
-		}
-		total += st.DeviceSimCost - h.base[i].DeviceSimCost
+func (h *harness) close() {
+	for _, n := range h.nodes {
+		n.close()
 	}
-	return total, nil
+	if h.eng != nil {
+		h.eng.Close()
+	}
 }
-
-func (h *remoteShardedHarness) planCache() (smoothscan.PlanCacheStats, error) {
-	var total smoothscan.PlanCacheStats
-	for _, ctl := range h.ctls {
-		st, err := ctl.ServerStats()
-		if err != nil {
-			return smoothscan.PlanCacheStats{}, err
-		}
-		total.Hits += uint64(st.PlanCacheHits)
-		total.Misses += uint64(st.PlanCacheMisses)
-	}
-	return total, nil
-}
-
-func (h *remoteShardedHarness) resultCache() (smoothscan.ResultCacheStats, error) {
-	// The coordinator's own tier plus each node's server-side tier.
-	total := h.s.ResultCacheStats()
-	for _, ctl := range h.ctls {
-		st, err := ctl.ServerStats()
-		if err != nil {
-			return smoothscan.ResultCacheStats{}, err
-		}
-		total.Hits += st.ResultCacheHits
-		total.Misses += st.ResultCacheMisses
-		total.InvalidatedStale += st.ResultCacheInvalidated
-		total.Entries += int(st.ResultCacheEntries)
-		total.Bytes += st.ResultCacheBytes
-	}
-	return total, nil
-}
-
-func (h *remoteShardedHarness) newRunner(cfg loadConfig, _ int) (runner, error) {
-	if cfg.prepared && h.stmt == nil {
-		stmt, err := h.s.PrepareQuery(loadTemplate(h.s, cfg.opts))
-		if err != nil {
-			return nil, err
-		}
-		h.stmt = stmt
-	}
-	// The coordinator is safe for concurrent queries (each shard driver
-	// pools its connections), so every client shares the one engine.
-	return &engineRunner{cfg: cfg, eng: h.s, stmt: h.stmt}, nil
-}
-
-func (h *remoteShardedHarness) setFault(seed int64, rule *smoothscan.FaultRule) error {
-	// One independent policy per shard node, same seed — the remote
-	// mirror of shardedHarness.setFault.
-	for _, ctl := range h.ctls {
-		if rule == nil {
-			if err := ctl.ClearFaultPolicy(); err != nil {
-				return err
-			}
-			continue
-		}
-		err := ctl.SetFaultPolicy(seed, ssclient.FaultRule{
-			Kind:      rule.Kind,
-			Rate:      rule.Rate,
-			ExtraCost: rule.ExtraCost,
-		})
-		if err != nil {
-			return fmt.Errorf("%w (remote fault schedules need ssserver -fault-admin)", err)
-		}
-	}
-	return nil
-}
-
-func (h *remoteShardedHarness) close() {
-	for _, ctl := range h.ctls {
-		ctl.Close()
-	}
-	h.s.Close()
-}
-
-// shardBalance reports each node's static row count and this window's
-// simulated-cost delta. PagesRead stays zero: the server counters do
-// not break pages out per window (per-query page counts do travel in
-// ExecStats.Shards, but the load loop does not accumulate them).
-func (h *remoteShardedHarness) shardBalance() []shardBalance {
-	rows, err := h.s.ShardRows(loadgen.Table)
-	if err != nil {
-		return nil
-	}
-	out := make([]shardBalance, len(h.ctls))
-	for i, ctl := range h.ctls {
-		st, err := ctl.ServerStats()
-		if err != nil {
-			return nil
-		}
-		out[i] = shardBalance{
-			Shard:   i,
-			Rows:    rows[i],
-			SimCost: st.DeviceSimCost - h.base[i].DeviceSimCost,
-		}
-	}
-	return out
-}
-
-func (h *remoteShardedHarness) shardMode() string { return "remote" }
 
 // clientStat is one client goroutine's tally, reported in the JSON
 // output so a sick client is visible instead of averaged away.
@@ -1295,15 +912,6 @@ type shardBalance struct {
 	PagesRead int64   `json:"pages_read"`
 }
 
-// shardReporter is implemented by harnesses that can break a run down
-// per shard.
-type shardReporter interface {
-	shardBalance() []shardBalance
-	// shardMode labels where the shards live: "in-process" (-shards)
-	// or "remote" (-shard-addrs).
-	shardMode() string
-}
-
 func (r loadResult) print(w *os.File) {
 	fmt.Fprintf(w, "  wall       %.1f ms\n", r.WallMS)
 	fmt.Fprintf(w, "  tuples     %d (%.2fM tuples/s aggregate)\n", r.Tuples, r.TuplesPerS/1e6)
@@ -1350,7 +958,7 @@ func rowHash(vals []int64) uint64 {
 // library's users compose, local or remote — with ctx cancelling
 // in-flight queries (and their parallel scan workers, on either side
 // of the wire) when the -timeout deadline hits.
-func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error) {
+func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error) {
 	if cfg.clients < 1 || cfg.queries < 1 {
 		return loadResult{}, fmt.Errorf("need at least one client and one query")
 	}
@@ -1380,18 +988,15 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 	}
 	var rcBefore smoothscan.ResultCacheStats
 	if cfg.reportCache {
-		var err error
-		if rcBefore, err = h.resultCache(); err != nil {
-			return loadResult{}, err
-		}
+		rcBefore = h.resultCache()
 	}
 
 	// Runners are created up front so a backend that cannot serve the
 	// run at all (bad prepare, unreachable server) fails it cleanly
 	// instead of being tallied as per-query errors.
-	runners := make([]runner, cfg.clients)
+	runners := make([]*engineRunner, cfg.clients)
 	for c := range runners {
-		r, err := h.newRunner(cfg, c)
+		r, err := h.newRunner(cfg)
 		if err != nil {
 			for _, prev := range runners[:c] {
 				prev.close()
@@ -1419,7 +1024,7 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 	start := time.Now()
 	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
-		go func(c int, run runner) {
+		go func(c int, run *engineRunner) {
 			defer wg.Done()
 			// Distribute exactly cfg.queries across the clients.
 			n := cfg.queries / cfg.clients
@@ -1490,7 +1095,7 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 				localDigest += qr.digest
 				localLat = append(localLat, time.Since(qStart))
 			}
-			stat.Reconnects = run.reconnects()
+			stat.Reconnects = run.recon
 			mu.Lock()
 			latencies = append(latencies, localLat...)
 			tuples += localTuples
@@ -1506,15 +1111,9 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 	if err := ctx.Err(); err != nil {
 		return loadResult{}, err
 	}
-	simCost, err := h.simCost()
+	simCost, shardBal, err := h.window()
 	if err != nil {
 		return loadResult{}, err
-	}
-	var shardBal []shardBalance
-	shardMode := ""
-	if sr, ok := h.(shardReporter); ok {
-		shardBal = sr.shardBalance()
-		shardMode = sr.shardMode()
 	}
 
 	sort.Slice(perClient, func(i, j int) bool { return perClient[i].Client < perClient[j].Client })
@@ -1531,7 +1130,7 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 		reuseRate = float64(reused) / float64(len(latencies))
 	}
 	res := loadResult{
-		Mode:          h.mode(),
+		Mode:          h.mode,
 		Clients:       cfg.clients,
 		Queries:       len(latencies),
 		Parallelism:   cfg.opts.Parallelism,
@@ -1545,7 +1144,7 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 		MaxMS:         pct(1.0),
 		SimCost:       simCost,
 		PlanReuseRate: reuseRate,
-		ShardMode:     shardMode,
+		ShardMode:     h.shardMode,
 		Shards:        shardBal,
 		Digest:        digest,
 		PerClient:     perClient,
@@ -1558,10 +1157,7 @@ func runLoad(ctx context.Context, h harness, cfg loadConfig) (loadResult, error)
 		res.Reconnects += st.Reconnects
 	}
 	if cfg.reportCache {
-		rcAfter, err := h.resultCache()
-		if err != nil {
-			return loadResult{}, err
-		}
+		rcAfter := h.resultCache()
 		blk := &resultCacheBlock{
 			Hits:        rcAfter.Hits - rcBefore.Hits,
 			Misses:      rcAfter.Misses - rcBefore.Misses,
@@ -1596,6 +1192,20 @@ type chaosReport struct {
 	Runs   []chaosRun `json:"runs"`
 }
 
+// chaosSchedule is one injected fault schedule.
+type chaosSchedule struct {
+	name string
+	rule smoothscan.FaultRule
+}
+
+// chaosSchedules is the -chaos sweep.
+var chaosSchedules = []chaosSchedule{
+	{"transient r=0.05", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 0.05}},
+	{"transient r=0.15", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 0.15}},
+	{"corrupt r=0.05", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultCorrupt, Rate: 0.05}},
+	{"latency r=0.50 +50u", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultLatency, Rate: 0.50, ExtraCost: 50}},
+}
+
 // chaosQueryRetries is the application-level retry budget chaos mode
 // gives each query on top of the engine's page-level retry: transient
 // decisions re-roll per attempt, so a recoverable schedule converges.
@@ -1612,7 +1222,7 @@ const chaosQueryRetries = 8
 // same holds with the wire in the loop: schedules are installed via
 // fault administration, typed fault errors drive the same client-side
 // retries, and the digest must still match the remote oracle.
-func runChaos(ctx context.Context, h harness, cfg loadConfig, seed int64, jsonOut string) error {
+func runChaos(ctx context.Context, h *harness, cfg loadConfig, seed int64, schedules []chaosSchedule, jsonOut string) error {
 	oracle, err := runLoad(ctx, h, cfg)
 	if err != nil {
 		return err
@@ -1621,18 +1231,9 @@ func runChaos(ctx context.Context, h harness, cfg loadConfig, seed int64, jsonOu
 		return fmt.Errorf("chaos: fault-free oracle run had %d errors", oracle.Errors)
 	}
 	fmt.Printf("ssload -chaos: fault-free oracle (%d clients x %d queries, mode=%s, digest %016x)\n",
-		cfg.clients, cfg.queries, h.mode(), oracle.Digest)
+		cfg.clients, cfg.queries, h.mode, oracle.Digest)
 	oracle.print(os.Stdout)
 
-	schedules := []struct {
-		name string
-		rule smoothscan.FaultRule
-	}{
-		{"transient r=0.05", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 0.05}},
-		{"transient r=0.15", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 0.15}},
-		{"corrupt r=0.05", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultCorrupt, Rate: 0.05}},
-		{"latency r=0.50 +50u", smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultLatency, Rate: 0.50, ExtraCost: 50}},
-	}
 	ccfg := cfg
 	ccfg.retryFaults = chaosQueryRetries
 	report := chaosReport{Oracle: oracle}
@@ -1669,103 +1270,6 @@ func runChaos(ctx context.Context, h harness, cfg loadConfig, seed int64, jsonOu
 		return fmt.Errorf("chaos: %d of %d schedules diverged from the fault-free oracle", failed, len(schedules))
 	}
 	fmt.Printf("chaos: all %d schedules recovered to the oracle digest\n", len(schedules))
-	return nil
-}
-
-// parallelBenchResult is one point of the -bench parallel sweep.
-type parallelBenchResult struct {
-	Parallelism int     `json:"parallelism"`
-	WallMS      float64 `json:"wall_ms"`
-	TuplesPerS  float64 `json:"tuples_per_s"`
-	SpeedupP1   float64 `json:"speedup_vs_p1"`
-	SimCost     float64 `json:"simcost"`
-	// SimCostDeltaP1 is the simulated-cost delta vs the serial run —
-	// by construction purely random/sequential classification and
-	// per-worker leaf-walk differences, never different heap pages.
-	SimCostDeltaP1 float64 `json:"simcost_delta_vs_p1"`
-}
-
-// parallelBenchReport is the BENCH_parallel.json document.
-type parallelBenchReport struct {
-	Benchmark string `json:"benchmark"`
-	Rows      int64  `json:"rows"`
-	CPUs      int    `json:"cpus"`
-	// Warning flags runs whose wall-clock numbers cannot show parallel
-	// speedup (GOMAXPROCS=1: workers time-slice one processor), so a
-	// downstream reader does not mistake flat scaling for a regression.
-	Warning string                `json:"warning,omitempty"`
-	Results []parallelBenchResult `json:"results"`
-}
-
-// benchParallel runs the P=1/2/4/8 intra-query sweep at 100%
-// selectivity (the decode-bound regime) and reports wall-clock
-// tuples/s plus the simulated-cost delta vs serial.
-func benchParallel(db *smoothscan.DB, rows, domain int64, jsonOut string) error {
-	const iters = 5
-	report := parallelBenchReport{
-		Benchmark: "BenchmarkParallelSmoothScan",
-		Rows:      rows,
-		CPUs:      runtime.NumCPU(),
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		report.Warning = "GOMAXPROCS=1: wall-clock speedup is not measurable on one processor; read simcost deltas only"
-	}
-	var base parallelBenchResult
-	for _, p := range []int{1, 2, 4, 8} {
-		best := time.Duration(1<<63 - 1)
-		var produced int64
-		var simCost float64
-		for i := 0; i < iters; i++ {
-			if err := db.ColdCache(); err != nil {
-				return err
-			}
-			if err := db.ResetStats(); err != nil {
-				return err
-			}
-			start := time.Now()
-			rs, err := db.Scan("t", "val", 0, domain, smoothscan.ScanOptions{Parallelism: p})
-			if err != nil {
-				return err
-			}
-			produced = 0
-			for rs.Next() {
-				produced++
-			}
-			if rs.Err() != nil {
-				rs.Close()
-				return rs.Err()
-			}
-			if err := rs.Close(); err != nil {
-				return err
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			simCost = db.Stats().Time()
-		}
-		res := parallelBenchResult{
-			Parallelism: p,
-			WallMS:      float64(best) / float64(time.Millisecond),
-			TuplesPerS:  float64(produced) / best.Seconds(),
-			SimCost:     simCost,
-		}
-		if p == 1 {
-			base = res
-		}
-		if base.WallMS > 0 {
-			res.SpeedupP1 = base.WallMS / res.WallMS
-		}
-		res.SimCostDeltaP1 = res.SimCost - base.SimCost
-		report.Results = append(report.Results, res)
-		fmt.Printf("P=%d  %8.1f ms  %8.2fM tuples/s  speedup %.2fx  simcost %.0f (Δ%+.0f vs P=1)\n",
-			p, res.WallMS, res.TuplesPerS/1e6, res.SpeedupP1, res.SimCost, res.SimCostDeltaP1)
-	}
-	if report.CPUs == 1 {
-		fmt.Println("note: single-CPU host; wall-clock speedup is not expected here, only overhead is visible")
-	}
-	if jsonOut != "" {
-		return writeJSON(jsonOut, report)
-	}
 	return nil
 }
 

@@ -70,7 +70,7 @@ func TestByIDUnknown(t *testing.T) {
 	if _, err := r.ByID("nope"); err == nil {
 		t.Error("unknown id accepted")
 	}
-	if len(IDs()) != 18 {
+	if len(IDs()) != 17 {
 		t.Errorf("IDs() = %v", IDs())
 	}
 }
@@ -458,26 +458,6 @@ func TestModelAccuracyShape(t *testing.T) {
 	if v := cell(t, tab, last, ssCol); v < 0.75 || v > 1.3 {
 		t.Errorf("100%%: smooth-scan prediction ratio %v, want near 1", v)
 	}
-}
-
-func TestConcurrentShape(t *testing.T) {
-	r := smallRunner()
-	tab, err := r.Concurrent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 { // 4 client counts + 4 worker counts
-		t.Fatalf("rows = %d, want 8", len(tab.Rows))
-	}
-	tput := colIndex(t, tab, "Mtuples/s")
-	for i := range tab.Rows {
-		if cell(t, tab, i, tput) <= 0 {
-			t.Errorf("row %d: non-positive throughput", i)
-		}
-	}
-	// Concurrent() itself fails if any parallel configuration produces
-	// a tuple count different from serial, so reaching here also
-	// asserts exactly-once under both concurrency axes.
 }
 
 func TestAllRunsEverything(t *testing.T) {

@@ -295,8 +295,7 @@ func (r *Runner) All() ([]*Table, error) {
 		r.Fig1, r.Fig1Q12, r.Fig4, r.Table2,
 		r.Fig5a, r.Fig5b, r.Fig6, r.Fig7a, r.Fig7b,
 		r.Fig8, r.Fig9, r.Fig10, r.Fig11,
-		r.CompetitiveRatios, r.ModelAccuracy, r.JoinExp, r.Concurrent,
-		r.FaultExp,
+		r.CompetitiveRatios, r.ModelAccuracy, r.JoinExp, r.FaultExp,
 	}
 	out := make([]*Table, 0, len(fns))
 	for _, fn := range fns {
@@ -312,24 +311,23 @@ func (r *Runner) All() ([]*Table, error) {
 // ByID runs one experiment by identifier.
 func (r *Runner) ByID(id string) (*Table, error) {
 	m := map[string]func() (*Table, error){
-		"fig1":       r.Fig1,
-		"fig1-q12":   r.Fig1Q12,
-		"fig4":       r.Fig4,
-		"tab2":       r.Table2,
-		"fig5a":      r.Fig5a,
-		"fig5b":      r.Fig5b,
-		"fig6":       r.Fig6,
-		"fig7a":      r.Fig7a,
-		"fig7b":      r.Fig7b,
-		"fig8":       r.Fig8,
-		"fig9":       r.Fig9,
-		"fig10":      r.Fig10,
-		"fig11":      r.Fig11,
-		"tab-cr":     r.CompetitiveRatios,
-		"model":      r.ModelAccuracy,
-		"join":       r.JoinExp,
-		"concurrent": r.Concurrent,
-		"fault":      r.FaultExp,
+		"fig1":     r.Fig1,
+		"fig1-q12": r.Fig1Q12,
+		"fig4":     r.Fig4,
+		"tab2":     r.Table2,
+		"fig5a":    r.Fig5a,
+		"fig5b":    r.Fig5b,
+		"fig6":     r.Fig6,
+		"fig7a":    r.Fig7a,
+		"fig7b":    r.Fig7b,
+		"fig8":     r.Fig8,
+		"fig9":     r.Fig9,
+		"fig10":    r.Fig10,
+		"fig11":    r.Fig11,
+		"tab-cr":   r.CompetitiveRatios,
+		"model":    r.ModelAccuracy,
+		"join":     r.JoinExp,
+		"fault":    r.FaultExp,
 	}
 	fn, ok := m[id]
 	if !ok {
@@ -340,5 +338,5 @@ func (r *Runner) ByID(id string) (*Table, error) {
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"fig1", "fig1-q12", "fig4", "tab2", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11", "tab-cr", "model", "join", "concurrent", "fault"}
+	return []string{"fig1", "fig1-q12", "fig4", "tab2", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11", "tab-cr", "model", "join", "fault"}
 }

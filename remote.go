@@ -316,18 +316,6 @@ func (d *remoteDriver) coldCache() error {
 	return d.wrapErr(err)
 }
 
-// serverStats fetches the node's server counters (ssload uses the
-// device-sim-cost delta for per-shard balance reporting).
-func (d *remoteDriver) serverStats() (wire.ServerStats, error) {
-	c, err := d.acquire()
-	if err != nil {
-		return wire.ServerStats{}, err
-	}
-	st, err := c.ServerStats()
-	d.release(c)
-	return st, d.wrapErr(err)
-}
-
 // remoteCursor streams one shard's slice from its node, adapting the
 // wire cursor to the shardCursor protocol. The connection is owned for
 // the stream's lifetime and returned to the driver pool on close.

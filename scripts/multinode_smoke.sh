@@ -4,7 +4,7 @@
 # drive them with a remote-sharded ssload (-shard-addrs), plain and
 # prepared. Both runs must finish with zero failed queries, report
 # shard_mode "remote" with a per-shard balance, and — the actual
-# equivalence proof — reproduce the exact result digest of an
+# equivalence proof — both reproduce the exact result digest of an
 # in-process run of the same workload, sharded and unsharded. The
 # digest is an order-independent checksum over every result row, so a
 # match means the scatter-gather over real processes returned exactly
@@ -94,13 +94,14 @@ digest() {
 	sed -n 's/.*"digest": *\([0-9][0-9]*\).*/\1/p' "$1" | head -n 1
 }
 D_REMOTE="$(digest "$TMP/remote.json")"
+D_PREPARED="$(digest "$TMP/prepared.json")"
 D_SHARDED="$(digest "$TMP/local_sharded.json")"
 D_LOCAL="$(digest "$TMP/local.json")"
-if [ -z "$D_REMOTE" ] || [ "$D_REMOTE" != "$D_SHARDED" ] || [ "$D_REMOTE" != "$D_LOCAL" ]; then
-	echo "multinode-smoke: digests diverged: remote=$D_REMOTE sharded=$D_SHARDED local=$D_LOCAL" >&2
+if [ -z "$D_REMOTE" ] || [ "$D_REMOTE" != "$D_PREPARED" ] || [ "$D_REMOTE" != "$D_SHARDED" ] || [ "$D_REMOTE" != "$D_LOCAL" ]; then
+	echo "multinode-smoke: digests diverged: remote=$D_REMOTE prepared=$D_PREPARED sharded=$D_SHARDED local=$D_LOCAL" >&2
 	exit 1
 fi
-echo "multinode-smoke: digest $D_REMOTE identical across remote-sharded, in-process sharded and unsharded"
+echo "multinode-smoke: digest $D_REMOTE identical across remote-sharded (plain and prepared), in-process sharded and unsharded"
 
 for pid in "${SRV_PIDS[@]}"; do
 	kill -TERM "$pid" 2>/dev/null || true

@@ -2,8 +2,9 @@
 # Server smoke: boot ssserver on an ephemeral port and drive it with
 # ssload -addr, both race-instrumented. Three remote runs — plain,
 # prepared-statement and chaos — must finish with zero failed queries
-# (-require-clean) and the plain run must report nonzero
-# client-observed throughput. This is the CI proof that the wire path
+# (-require-clean), the plain run must report nonzero client-observed
+# throughput, and the prepared run must reproduce the plain run's
+# result digest. This is the CI proof that the wire path
 # works end to end as processes, not just in-process test harnesses.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,6 +72,17 @@ echo "server-smoke: prepared-statement remote load"
 "$TMP/ssload" -addr "$ADDR" -domain "$DOMAIN" -seed "$SEED" \
 	-clients 4 -queries 24 -selectivity 0.02 -prepare \
 	-require-clean -json "$TMP/prepared.json"
+
+digest() {
+	sed -n 's/.*"digest": *\([0-9][0-9]*\).*/\1/p' "$1" | head -n 1
+}
+D_PLAIN="$(digest "$TMP/plain.json")"
+D_PREPARED="$(digest "$TMP/prepared.json")"
+if [ -z "$D_PLAIN" ] || [ "$D_PLAIN" != "$D_PREPARED" ]; then
+	echo "server-smoke: digests diverged: plain=$D_PLAIN prepared=$D_PREPARED" >&2
+	exit 1
+fi
+echo "server-smoke: digest $D_PLAIN identical across plain and prepared"
 
 echo "server-smoke: chaos remote load (typed faults over the wire)"
 "$TMP/ssload" -addr "$ADDR" -domain "$DOMAIN" -seed "$SEED" \

@@ -308,7 +308,13 @@ func (s *ShardedDB) ShardRows(table string) ([]int64, error) {
 	return out, nil
 }
 
-// Stats sums the device counters across shards.
+// Stats sums the device counters across shards. On a remote topology
+// the shards here are the coordinator's schema-only catalog mirrors,
+// whose devices see no data I/O: a remote query's I/O arrives per
+// query in ExecStats.Shards, and node-lifetime counters are read from
+// each node directly (ssclient's ServerStats — the reason ssload keeps
+// a control session per node). The same holds for ShardIOStats and
+// ResetStats.
 func (s *ShardedDB) Stats() IOStats {
 	var total IOStats
 	for _, db := range s.shards {
@@ -317,7 +323,8 @@ func (s *ShardedDB) Stats() IOStats {
 	return total
 }
 
-// ShardIOStats returns each shard's device counters, in shard order.
+// ShardIOStats returns each shard's device counters, in shard order
+// (the catalog mirrors' on a remote topology; see Stats).
 func (s *ShardedDB) ShardIOStats() []IOStats {
 	out := make([]IOStats, len(s.shards))
 	for i, db := range s.shards {
@@ -327,7 +334,9 @@ func (s *ShardedDB) ShardIOStats() []IOStats {
 }
 
 // ResetStats zeroes every shard's device counters (refused while any
-// shard has open scans, like DB.ResetStats).
+// shard has open scans, like DB.ResetStats). On a remote topology it
+// zeroes only the catalog mirrors' counters, never a node's (see
+// Stats).
 func (s *ShardedDB) ResetStats() error {
 	for _, db := range s.shards {
 		if err := db.ResetStats(); err != nil {
