@@ -42,15 +42,12 @@ type ShardDriver interface {
 
 // shardCursor is one shard's result stream, the driver-neutral face of
 // a *Rows (in-process) or a wire stream (remote). The gather exchange
-// drives it through the batched operator protocol via shardRowsOp.
+// drives it as an operator via shardRowsOp; the broadcast drain calls
+// fill directly.
 type shardCursor interface {
 	// fill appends rows into b, returning the count; 0 means
 	// end-of-stream or error.
 	fill(b *tuple.Batch) (int, error)
-	// next is the row-at-a-time protocol used by the broadcast drain:
-	// (row, true, nil) per row, (nil, false, err) at end (err nil on a
-	// clean end-of-stream).
-	next() (tuple.Row, bool, error)
 	// execStats reports the shard execution's statistics; ok is false
 	// while a remote stream has not yet received its closing summary.
 	execStats() (ExecStats, bool)
@@ -75,7 +72,7 @@ type shardStmt interface {
 
 // localDriver runs a shard's queries against its in-process DB — the
 // only driver kind before remote topologies, and still the N=1
-// equivalence baseline: its cursor forwards fillBatch/Next/Err/Close
+// equivalence baseline: its cursor forwards fillBatch/Close
 // verbatim, so a local sharded execution is byte-identical to the
 // pre-driver engine.
 type localDriver struct {
@@ -109,13 +106,6 @@ type localCursor struct {
 }
 
 func (c *localCursor) fill(b *tuple.Batch) (int, error) { return c.rows.fillBatch(b) }
-
-func (c *localCursor) next() (tuple.Row, bool, error) {
-	if c.rows.Next() {
-		return c.rows.cur, true, nil
-	}
-	return nil, false, c.rows.Err()
-}
 
 func (c *localCursor) execStats() (ExecStats, bool) { return c.rows.ExecStats(), true }
 

@@ -244,7 +244,7 @@ type opCounter struct {
 
 // countedOp decorates an operator with row/batch counting. It adds no
 // simulated cost — the counters are host-side observability — and
-// forwards the batched protocol, so decoration never changes the
+// forwards NextBatch unchanged, so decoration never changes the
 // operator tree's I/O schedule or CPU charge sequence.
 type countedOp struct {
 	inner exec.Operator
@@ -255,16 +255,8 @@ func (o *countedOp) Schema() *tuple.Schema { return o.inner.Schema() }
 func (o *countedOp) Open() error           { return o.inner.Open() }
 func (o *countedOp) Close() error          { return o.inner.Close() }
 
-func (o *countedOp) Next() (tuple.Row, bool, error) {
-	row, ok, err := o.inner.Next()
-	if ok {
-		o.c.rows++
-	}
-	return row, ok, err
-}
-
 func (o *countedOp) NextBatch(b *tuple.Batch) (int, error) {
-	n, err := exec.NextBatch(o.inner, b)
+	n, err := o.inner.NextBatch(b)
 	if n > 0 {
 		o.c.rows += int64(n)
 		o.c.batches++
@@ -284,16 +276,9 @@ func (g *ctxGuard) Schema() *tuple.Schema { return g.inner.Schema() }
 func (g *ctxGuard) Open() error           { return g.inner.Open() }
 func (g *ctxGuard) Close() error          { return g.inner.Close() }
 
-func (g *ctxGuard) Next() (tuple.Row, bool, error) {
-	if err := g.ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	return g.inner.Next()
-}
-
 func (g *ctxGuard) NextBatch(b *tuple.Batch) (int, error) {
 	if err := g.ctx.Err(); err != nil {
 		return 0, err
 	}
-	return exec.NextBatch(g.inner, b)
+	return g.inner.NextBatch(b)
 }

@@ -3,9 +3,10 @@
 // Index Scan and Sort Scan (PostgreSQL's bitmap heap scan), plus the
 // straw-man adaptive Switch Scan of Sections III and VI-F.
 //
-// All operators follow the Volcano iterator protocol (Open/Next/Close)
-// and therefore compose with the executor in internal/exec and with the
-// Smooth Scan operator in internal/core, which shares the same shape.
+// All operators follow the batched Volcano protocol
+// (Open/NextBatch/Close) and therefore compose with the executor in
+// internal/exec and with the Smooth Scan operator in internal/core,
+// which shares the same shape.
 package access
 
 import (
@@ -20,7 +21,7 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// ErrClosed is returned by Next after Close or before Open.
+// ErrClosed is returned by NextBatch after Close or before Open.
 var ErrClosed = errors.New("access: operator is not open")
 
 // fullScanChunk is the number of pages a full scan requests per I/O,
@@ -48,7 +49,6 @@ type FullScan struct {
 	runBuf  [][]byte // scratch backing for pages, reused across chunks
 	pageIdx int      // index into pages
 	slot    int      // next slot in current page
-	row     tuple.Row
 }
 
 // NewFullScan creates a full scan of file with the given predicate.
@@ -85,7 +85,6 @@ func (s *FullScan) Open() error {
 	s.pages = nil
 	s.pageIdx = 0
 	s.slot = 0
-	s.row = tuple.NewRow(s.file.Schema())
 	return nil
 }
 
@@ -106,33 +105,6 @@ func (s *FullScan) nextChunk() (bool, error) {
 	s.slot = 0
 	s.pageNo += n
 	return true, nil
-}
-
-// Next returns the next matching tuple.
-func (s *FullScan) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		if s.pageIdx >= len(s.pages) {
-			ok, err := s.nextChunk()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-		}
-		page := s.pages[s.pageIdx]
-		count := heap.PageTupleCount(page)
-		for s.slot < count {
-			s.row = s.file.DecodeRow(page, s.slot, s.row)
-			s.slot++
-			s.pool.ChargeCPU(simcost.Tuple)
-			if s.pred.Matches(s.row) && tuple.MatchesAll(s.residual, s.row) {
-				return s.row.Clone(), true, nil
-			}
-		}
-		s.pageIdx++
-		s.slot = 0
-	}
 }
 
 // NextBatch fills out with the next matching tuples, decoding whole
@@ -220,30 +192,6 @@ func (s *IndexScan) Open() error {
 	s.open = true
 	s.done = false
 	return nil
-}
-
-// Next returns the next matching tuple in key order.
-func (s *IndexScan) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	if s.done {
-		return nil, false, nil
-	}
-	e, ok, err := s.it.Next()
-	if err != nil {
-		return nil, false, fmt.Errorf("index scan: %w", err)
-	}
-	if !ok || e.Key >= s.pred.Hi {
-		s.done = true
-		return nil, false, nil
-	}
-	row, err := s.file.RowAt(s.pool, e.TID)
-	if err != nil {
-		return nil, false, fmt.Errorf("index scan: %w", err)
-	}
-	s.pool.Device().ChargeCPU(simcost.Tuple)
-	return row, true, nil
 }
 
 // NextBatch fills out with the next matching tuples in key order. Each
@@ -385,20 +333,6 @@ func (s *SortScan) Open() error {
 	s.pos = 0
 	s.open = true
 	return nil
-}
-
-// Next streams the materialised result. Rows are copies owned by the
-// caller.
-func (s *SortScan) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	if s.pos >= s.results.Len() {
-		return nil, false, nil
-	}
-	row := s.results.Row(s.pos).Clone()
-	s.pos++
-	return row, true, nil
 }
 
 // NextBatch streams the materialised result in blocks.

@@ -54,32 +54,20 @@ func newFixture(t *testing.T, numRows int64, poolPages int, gen func(i int64) in
 	return &fixture{dev: dev, pool: bufferpool.New(dev, poolPages), file: file, tree: tree, rows: rows}
 }
 
+// operator is the batched operator shape (mirrors exec.Operator without
+// importing exec).
 type operator interface {
+	Schema() *tuple.Schema
 	Open() error
-	Next() (tuple.Row, bool, error)
+	NextBatch(b *tuple.Batch) (int, error)
 	Close() error
 }
 
+// drain runs an operator to completion one row per pull — a capacity-1
+// batch, the narrowest consumer an operator can meet.
 func drain(t *testing.T, op operator) []tuple.Row {
 	t.Helper()
-	if err := op.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var out []tuple.Row
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return drainBatch(t, op, 1)
 }
 
 func expected(rows []tuple.Row, pred tuple.RangePred) []tuple.Row {
@@ -291,8 +279,8 @@ func TestOperatorsNotOpen(t *testing.T) {
 		NewSwitchScan(fx.file, fx.pool, fx.tree, pred, 10),
 	}
 	for i, op := range ops {
-		if _, _, err := op.Next(); !errors.Is(err, ErrClosed) {
-			t.Errorf("op %d Next before Open: err = %v, want ErrClosed", i, err)
+		if _, err := op.NextBatch(tuple.NewBatchFor(op.Schema(), 1)); !errors.Is(err, ErrClosed) {
+			t.Errorf("op %d NextBatch before Open: err = %v, want ErrClosed", i, err)
 		}
 	}
 }
@@ -312,10 +300,11 @@ func TestErrorPropagationThroughScans(t *testing.T) {
 			t.Fatalf("op %d open: %v", i, err)
 		}
 		fx.dev.FailAfter(3)
+		b := tuple.NewBatchFor(op.Schema(), 1)
 		var err error
 		for err == nil {
-			_, ok, e := op.Next()
-			if !ok && e == nil {
+			n, e := op.NextBatch(b)
+			if n == 0 && e == nil {
 				t.Fatalf("op %d finished despite injected failure", i)
 			}
 			err = e

@@ -7,17 +7,9 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// batchOperator is the vectorized protocol shape (mirrors
-// exec.BatchOperator without importing exec).
-type batchOperator interface {
-	operator
-	Schema() *tuple.Schema
-	NextBatch(b *tuple.Batch) (int, error)
-}
-
-// drainBatch runs a batch operator to completion with the given batch
+// drainBatch runs an operator to completion with the given batch
 // capacity, cloning rows out.
-func drainBatch(t *testing.T, op batchOperator, batchCap int) []tuple.Row {
+func drainBatch(t *testing.T, op operator, batchCap int) []tuple.Row {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
@@ -42,10 +34,11 @@ func drainBatch(t *testing.T, op batchOperator, batchCap int) []tuple.Row {
 	return out
 }
 
-// TestBatchedAccessPathEquivalence checks, for every traditional access
-// path, that batched execution returns exactly the per-tuple rows in
-// the same order and leaves bit-identical device statistics (I/O
-// requests, random/sequential split, simulated I/O and CPU time).
+// TestBatchedAccessPathEquivalence is the capacity-invariance test of
+// the traditional access paths: whatever batch capacity the consumer
+// pulls with, each path returns exactly the rows of a one-row-per-pull
+// drain in the same order and leaves bit-identical device statistics
+// (I/O requests, random/sequential split, simulated I/O and CPU time).
 func TestBatchedAccessPathEquivalence(t *testing.T) {
 	const numRows = 500
 	gen := func(i int64) int64 { return (i * 89) % numRows }
@@ -54,21 +47,21 @@ func TestBatchedAccessPathEquivalence(t *testing.T) {
 		"wide":   {Col: 1, Lo: 0, Hi: 400},
 		"all":    {Col: 1, Lo: 0, Hi: numRows},
 	}
-	paths := map[string]func(fx *fixture, pred tuple.RangePred) batchOperator{
-		"full": func(fx *fixture, pred tuple.RangePred) batchOperator { return NewFullScan(fx.file, fx.pool, pred) },
-		"index": func(fx *fixture, pred tuple.RangePred) batchOperator {
+	paths := map[string]func(fx *fixture, pred tuple.RangePred) operator{
+		"full": func(fx *fixture, pred tuple.RangePred) operator { return NewFullScan(fx.file, fx.pool, pred) },
+		"index": func(fx *fixture, pred tuple.RangePred) operator {
 			return NewIndexScan(fx.file, fx.pool, fx.tree, pred)
 		},
-		"sort": func(fx *fixture, pred tuple.RangePred) batchOperator {
+		"sort": func(fx *fixture, pred tuple.RangePred) operator {
 			return NewSortScan(fx.file, fx.pool, fx.tree, pred, true)
 		},
-		"switch": func(fx *fixture, pred tuple.RangePred) batchOperator {
+		"switch": func(fx *fixture, pred tuple.RangePred) operator {
 			return NewSwitchScan(fx.file, fx.pool, fx.tree, pred, 20)
 		},
 	}
 	for pathName, mk := range paths {
 		for predName, pred := range preds {
-			for _, batchCap := range []int{1, 9, 128} {
+			for _, batchCap := range []int{1, 9, 128, 1024} {
 				name := fmt.Sprintf("%s/%s/batch=%d", pathName, predName, batchCap)
 				t.Run(name, func(t *testing.T) {
 					fxA := newFixture(t, numRows, 24, gen)
@@ -78,10 +71,10 @@ func TestBatchedAccessPathEquivalence(t *testing.T) {
 					got := drainBatch(t, mk(fxB, pred), batchCap)
 
 					if !rowsEqual(want, got) {
-						t.Fatalf("rows differ: per-tuple %d, batched %d", len(want), len(got))
+						t.Fatalf("rows differ: batch=1 %d, batch=%d %d", len(want), batchCap, len(got))
 					}
 					if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-						t.Errorf("device stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+						t.Errorf("device stats differ:\n batch=1: %+v\n batch=%d: %+v", sa, batchCap, sb)
 					}
 				})
 			}

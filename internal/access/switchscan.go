@@ -70,63 +70,6 @@ func (s *SwitchScan) tidBit(tid heap.TID) int64 {
 	return tid.Page*int64(s.file.TuplesPerPage()) + int64(tid.Slot)
 }
 
-// Next returns the next matching tuple: index-ordered until the
-// switch, physical order afterwards.
-func (s *SwitchScan) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	if !s.switched {
-		if s.done {
-			return nil, false, nil
-		}
-		e, ok, err := s.it.Next()
-		if err != nil {
-			return nil, false, fmt.Errorf("switch scan: %w", err)
-		}
-		if !ok || e.Key >= s.pred.Hi {
-			s.done = true
-			return nil, false, nil
-		}
-		if s.produced < s.threshold {
-			row, err := s.file.RowAt(s.pool, e.TID)
-			if err != nil {
-				return nil, false, fmt.Errorf("switch scan: %w", err)
-			}
-			s.pool.Device().ChargeCPU(simcost.Tuple)
-			s.produced++
-			s.seen.Set(s.tidBit(e.TID))
-			return row, true, nil
-		}
-		// The estimate is violated: switch before producing this
-		// tuple. All remaining results come from a fresh full scan;
-		// already-produced tuples are filtered through the bitmap.
-		s.switched = true
-		s.it = nil
-		s.full = NewFullScan(s.file, s.pool, s.pred)
-		if err := s.full.Open(); err != nil {
-			return nil, false, fmt.Errorf("switch scan: %w", err)
-		}
-	}
-	for {
-		row, ok, err := s.full.Next()
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		// Recover the TID from the full scan position: FullScan
-		// produces tuples in strict load order, so we track it with a
-		// running row number. See fullScanTID below.
-		tid, err := s.full.currentTID()
-		if err != nil {
-			return nil, false, fmt.Errorf("switch scan: %w", err)
-		}
-		if s.seen.Get(s.tidBit(tid)) {
-			continue // produced during the index phase
-		}
-		return row, true, nil
-	}
-}
-
 // NextBatch fills out with the next matching tuples: index-ordered
 // until the switch, physical order afterwards. The full-scan phase
 // decodes qualifying pages directly into the batch, vetoing tuples
@@ -188,15 +131,4 @@ func (s *SwitchScan) Close() error {
 		return err
 	}
 	return nil
-}
-
-// currentTID returns the TID of the tuple most recently returned by
-// Next. FullScan walks pages and slots in order; the last decoded
-// position is (pageNo-len(pages)+pageIdx, slot-1) in its state.
-func (s *FullScan) currentTID() (heap.TID, error) {
-	if s.pageIdx >= len(s.pages) || s.slot == 0 {
-		return heap.TID{}, fmt.Errorf("access: no current tuple")
-	}
-	page := s.pageNo - int64(len(s.pages)) + int64(s.pageIdx)
-	return heap.TID{Page: page, Slot: int32(s.slot - 1)}, nil
 }

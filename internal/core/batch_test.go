@@ -7,29 +7,9 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// drainPerTuple runs the scan tuple at a time.
-func drainPerTuple(t *testing.T, s *SmoothScan) []tuple.Row {
-	t.Helper()
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var out []tuple.Row
-	for {
-		row, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, row)
-	}
-}
-
 // drainBatched runs the scan through NextBatch with the given batch
 // capacity, cloning rows out of the batch.
-func drainBatched(t *testing.T, s *SmoothScan, batchCap int) []tuple.Row {
+func drainBatched(t testing.TB, s *SmoothScan, batchCap int) []tuple.Row {
 	t.Helper()
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
@@ -51,13 +31,14 @@ func drainBatched(t *testing.T, s *SmoothScan, batchCap int) []tuple.Row {
 	}
 }
 
-// TestBatchedSmoothScanEquivalence is the batching acceptance test: for
+// TestBatchedSmoothScanEquivalence is the capacity-invariance test: for
 // every morphing policy, ordered and unordered delivery, and a spread
-// of selectivities, the batched execution must produce exactly the rows
-// of tuple-at-a-time execution in the same order, AND leave the
-// simulated device in a bit-identical state — same I/O request counts,
-// same random/sequential split, same simulated I/O and CPU time.
-// Batching changes CPU wall-clock work, not the simulated schedule.
+// of selectivities, a drain at any batch capacity must produce exactly
+// the rows of a one-row-per-pull drain in the same order, AND leave the
+// simulated device and the operator's own counters in a bit-identical
+// state — same I/O request counts, same random/sequential split, same
+// simulated I/O and CPU time. The capacity changes CPU wall-clock work,
+// not the simulated schedule.
 func TestBatchedSmoothScanEquivalence(t *testing.T) {
 	const numRows = 600
 	gen := func(i int64) int64 { return (i * 131) % numRows } // scattered values
@@ -69,7 +50,7 @@ func TestBatchedSmoothScanEquivalence(t *testing.T) {
 	for _, policy := range []Policy{Elastic, Greedy, SelectivityIncrease} {
 		for _, ordered := range []bool{false, true} {
 			for selName, pred := range selPreds {
-				for _, batchCap := range []int{1, 7, 256} {
+				for _, batchCap := range []int{1, 7, 9, 128, 256, 1024} {
 					name := fmt.Sprintf("%v/ordered=%v/%s/batch=%d", policy, ordered, selName, batchCap)
 					t.Run(name, func(t *testing.T) {
 						cfg := Config{Policy: policy, Ordered: ordered, MaxRegionPages: 8}
@@ -79,7 +60,7 @@ func TestBatchedSmoothScanEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := drainPerTuple(t, ssA)
+						want := drainBatched(t, ssA, 1)
 
 						fxB := newFixture(t, numRows, 32, gen)
 						ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, cfg)
@@ -89,13 +70,13 @@ func TestBatchedSmoothScanEquivalence(t *testing.T) {
 						got := drainBatched(t, ssB, batchCap)
 
 						if !rowsEqual(want, got) {
-							t.Fatalf("batched rows differ: per-tuple %d rows, batched %d rows", len(want), len(got))
+							t.Fatalf("rows differ: batch=1 %d rows, wider %d rows", len(want), len(got))
 						}
 						if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-							t.Errorf("device stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+							t.Errorf("device stats differ:\n batch=1: %+v\n wider:   %+v", sa, sb)
 						}
 						if sa, sb := ssA.Stats(), ssB.Stats(); sa != sb {
-							t.Errorf("operator stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+							t.Errorf("operator stats differ:\n batch=1: %+v\n wider:   %+v", sa, sb)
 						}
 					})
 				}
@@ -125,7 +106,7 @@ func TestBatchedSmoothScanTriggersAndModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := drainPerTuple(t, ssA)
+			want := drainBatched(t, ssA, 1)
 
 			fxB := newFixture(t, numRows, 32, gen)
 			ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, cfg)
@@ -135,18 +116,19 @@ func TestBatchedSmoothScanTriggersAndModes(t *testing.T) {
 			got := drainBatched(t, ssB, 64)
 
 			if !rowsEqual(want, got) {
-				t.Fatalf("batched rows differ: per-tuple %d rows, batched %d rows", len(want), len(got))
+				t.Fatalf("rows differ: batch=1 %d rows, wider %d rows", len(want), len(got))
 			}
 			if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-				t.Errorf("device stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+				t.Errorf("device stats differ:\n batch=1: %+v\n wider:   %+v", sa, sb)
 			}
 		})
 	}
 }
 
-// TestSmoothScanMixedProtocol interleaves per-tuple and batched pulls
-// on one operator; both drain the same cursor.
-func TestSmoothScanMixedProtocol(t *testing.T) {
+// TestSmoothScanMixedCapacities alternates one-row and 32-row pulls on
+// one open scan (a Limit above a scan narrows the fill cap mid-stream
+// the same way): every pull drains the same cursor.
+func TestSmoothScanMixedCapacities(t *testing.T) {
 	const numRows = 400
 	gen := func(i int64) int64 { return (i * 37) % numRows }
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: numRows}
@@ -156,7 +138,7 @@ func TestSmoothScanMixedProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := drainPerTuple(t, ssA)
+	want := drainBatched(t, ssA, 1)
 
 	fxB := newFixture(t, numRows, 32, gen)
 	ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, Config{MaxRegionPages: 8})
@@ -170,16 +152,9 @@ func TestSmoothScanMixedProtocol(t *testing.T) {
 	b := tuple.NewBatchFor(ssB.Schema(), 32)
 	var got []tuple.Row
 	for i := 0; ; i++ {
+		b.SetFillLimit(0)
 		if i%2 == 0 {
-			row, ok, err := ssB.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, row)
-			continue
+			b.SetFillLimit(1)
 		}
 		n, err := ssB.NextBatch(b)
 		if err != nil {
@@ -193,9 +168,9 @@ func TestSmoothScanMixedProtocol(t *testing.T) {
 		}
 	}
 	if !rowsEqual(want, got) {
-		t.Fatalf("mixed protocol: %d rows, want %d", len(got), len(want))
+		t.Fatalf("mixed capacities: %d rows, want %d", len(got), len(want))
 	}
 	if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-		t.Errorf("device stats differ:\n per-tuple: %+v\n mixed:     %+v", sa, sb)
+		t.Errorf("device stats differ:\n batch=1: %+v\n mixed:   %+v", sa, sb)
 	}
 }

@@ -264,7 +264,7 @@ func (s Stats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// ErrClosed is returned by Next before Open or after Close.
+// ErrClosed is returned by NextBatch before Open or after Close.
 var ErrClosed = errors.New("core: smooth scan is not open")
 
 // SmoothScan is the morphing access-path operator. It produces exactly
@@ -427,33 +427,6 @@ func (s *SmoothScan) Close() error {
 
 func (s *SmoothScan) tidBit(tid heap.TID) int64 {
 	return tid.Page*int64(s.file.TuplesPerPage()) + int64(tid.Slot)
-}
-
-// Next returns the next qualifying tuple. The returned row is owned by
-// the caller.
-func (s *SmoothScan) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	// Unordered mode: drain pending tuples from the last region. The
-	// queue is a reused flat buffer, so hand out a copy.
-	if s.queuePos < s.queue.Len() {
-		row := s.queue.Row(s.queuePos).Clone()
-		s.queuePos++
-		s.stats.Produced++
-		return row, true, nil
-	}
-	row, ok, err := s.advance()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if row == nil {
-		// advance refilled the queue.
-		row = s.queue.Row(s.queuePos).Clone()
-		s.queuePos++
-	}
-	s.stats.Produced++
-	return row, true, nil
 }
 
 // NextBatch fills out with the next qualifying tuples. Whole regions

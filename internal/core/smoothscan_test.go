@@ -89,23 +89,8 @@ func (fx *fixture) scan(t testing.TB, pred tuple.RangePred, cfg Config) (*Smooth
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var out []tuple.Row
-	for {
-		row, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// One row per pull: a capacity-1 batch is the narrowest consumer.
+	out := drainBatched(t, s, 1)
 	return s, out
 }
 
@@ -166,7 +151,7 @@ func TestNextBeforeOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Next(); !errors.Is(err, ErrClosed) {
+	if _, err := s.NextBatch(tuple.NewBatchFor(s.Schema(), 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
 }
@@ -463,14 +448,15 @@ func TestErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.dev.FailAfter(5)
+	b := tuple.NewBatchFor(s.Schema(), 1)
 	var last error
 	for {
-		_, ok, err := s.Next()
+		n, err := s.NextBatch(b)
 		if err != nil {
 			last = err
 			break
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
 	}

@@ -11,52 +11,22 @@ import (
 // (1024 rows × 10 columns × 8 B = 80 KB).
 const DefaultBatchSize = 1024
 
-// Simulation invariance: every batch implementation preserves the I/O
-// request schedule and the per-tuple CPU charge counts of its
-// per-tuple twin exactly. Within one operator the charge *sequence* is
-// also preserved (see disk.ChargeCPUN), so pure scan pipelines — the
-// paper-figure experiments — produce bit-identical simulated costs.
-// Across operator boundaries batching groups charges (a Filter charges
-// its whole input batch before the consumer charges any of it), so a
-// pipeline mixing different cost constants (e.g. HashAgg's Aggregate
-// over Filter's Tuple) accumulates the same terms in a different
-// order; CPUTime then agrees only to floating-point reassociation
-// (ULPs), which is invisible at any reported precision.
+// Invariance under batch capacity: the capacity of the batch a consumer
+// passes changes neither the I/O request schedule nor the per-tuple CPU
+// charge counts of any operator. Within one operator the charge
+// *sequence* is also preserved (see disk.ChargeCPUN), so pure scan
+// pipelines — the paper-figure experiments — produce bit-identical
+// simulated costs at every capacity, one row included. Across operator
+// boundaries a wider batch groups charges (a Filter charges its whole
+// input batch before the consumer charges any of it), so a pipeline
+// mixing different cost constants (e.g. HashAgg's Aggregate over
+// Filter's Tuple) accumulates the same terms in a different order;
+// CPUTime then agrees only to floating-point reassociation (ULPs),
+// which is invisible at any reported precision.
 
-// BatchOperator is the vectorized fast path of the operator protocol.
-// NextBatch resets b and fills it with up to b.Cap() rows, returning
-// the number appended; 0 means end of stream (a batch operator never
-// returns an empty batch mid-stream). The rows in b are views into the
-// batch and remain valid until the next NextBatch call on the same
-// batch; callers that retain rows must copy them.
-//
-// Every BatchOperator also implements the per-tuple protocol, and the
-// two may be interleaved: both drain the same underlying cursor.
-type BatchOperator interface {
-	Operator
-	NextBatch(b *tuple.Batch) (int, error)
-}
-
-// NextBatch fills b from op: directly when op implements BatchOperator,
-// otherwise by looping the per-tuple protocol and copying rows in. It
-// is the bridge that lets batch-aware consumers drain any operator.
-func NextBatch(op Operator, b *tuple.Batch) (int, error) {
-	if bo, ok := op.(BatchOperator); ok {
-		return bo.NextBatch(b)
-	}
-	b.Reset()
-	for !b.Full() {
-		row, ok, err := op.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		b.Append(row)
-	}
-	return b.Len(), nil
-}
+// NextBatch is op.NextBatch(b); the free-function form is what the
+// frozen bench/ module calls.
+func NextBatch(op Operator, b *tuple.Batch) (int, error) { return op.NextBatch(b) }
 
 // newScratchFor returns a scratch batch sized for op's schema.
 func newScratchFor(op Operator) *tuple.Batch {
@@ -83,7 +53,7 @@ func (f *Filter) NextBatch(out *tuple.Batch) (int, error) {
 		return 0, ErrClosed
 	}
 	for {
-		n, err := NextBatch(f.child, out)
+		n, err := f.child.NextBatch(out)
 		if err != nil {
 			return 0, err
 		}
@@ -111,7 +81,7 @@ func (p *Project) NextBatch(out *tuple.Batch) (int, error) {
 	// Pull no more child rows than out can take, so no projected row is
 	// ever dropped on the floor.
 	p.scratch.SetFillLimit(out.FillCap())
-	n, err := NextBatch(p.child, p.scratch)
+	n, err := p.child.NextBatch(p.scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -135,7 +105,7 @@ func (p *ColProject) NextBatch(out *tuple.Batch) (int, error) {
 	// Pull no more child rows than out can take, so no projected row is
 	// ever dropped on the floor.
 	p.scratch.SetFillLimit(out.FillCap())
-	n, err := NextBatch(p.child, p.scratch)
+	n, err := p.child.NextBatch(p.scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -152,7 +122,7 @@ func (p *ColProject) NextBatch(out *tuple.Batch) (int, error) {
 
 // NextBatch fills out with the next rows while under the limit. The
 // batch's fill limit stops the child from producing (and paying for)
-// rows beyond the limit, exactly as the per-tuple protocol would.
+// rows beyond the limit.
 func (l *Limit) NextBatch(out *tuple.Batch) (int, error) {
 	if !l.open {
 		return 0, ErrClosed
@@ -167,7 +137,7 @@ func (l *Limit) NextBatch(out *tuple.Batch) (int, error) {
 		out.SetFillLimit(int(remaining))
 		defer out.SetFillLimit(prev)
 	}
-	n, err := NextBatch(l.child, out)
+	n, err := l.child.NextBatch(out)
 	if err != nil {
 		return 0, err
 	}

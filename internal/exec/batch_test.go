@@ -15,8 +15,7 @@ func intRows(vals ...int64) []tuple.Row {
 	return rows
 }
 
-// drainBatched runs op to completion through the batch protocol with
-// the given batch capacity.
+// drainBatched runs op to completion with the given batch capacity.
 func drainBatched(t *testing.T, op Operator, batchCap int) []tuple.Row {
 	t.Helper()
 	if err := op.Open(); err != nil {
@@ -26,7 +25,7 @@ func drainBatched(t *testing.T, op Operator, batchCap int) []tuple.Row {
 	b := tuple.NewBatchFor(op.Schema(), batchCap)
 	var out []tuple.Row
 	for {
-		n, err := NextBatch(op, b)
+		n, err := op.NextBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +113,7 @@ func TestLimitNextBatchDoesNotOverpull(t *testing.T) {
 	l.Close()
 }
 
-// TestHashAggBatchInput checks HashAgg over the batched input path and
-// that per-tuple and batched children agree.
+// TestHashAggBatchInput checks HashAgg's grouped output.
 func TestHashAggBatchInput(t *testing.T) {
 	dev := disk.NewDevice(disk.HDD)
 	mk := func() *HashAgg {
@@ -140,31 +138,5 @@ func TestHashAggBatchInput(t *testing.T) {
 		if got[i].Int(0) != w[0] || got[i].Int(1) != w[1] || got[i].Int(2) != w[2] {
 			t.Errorf("group %d = (%d,%d,%d), want %v", i, got[i].Int(0), got[i].Int(1), got[i].Int(2), w)
 		}
-	}
-}
-
-// TestNextBatchAdapterFallback drains a per-tuple-only operator through
-// the adapter. Wrapping *Values in a struct that embeds only the
-// Operator interface hides its NextBatch, forcing the fallback.
-func TestNextBatchAdapterFallback(t *testing.T) {
-	var iface Operator = struct{ Operator }{NewValues(tuple.Ints(1), intRows(4, 5, 6))}
-	if err := iface.Open(); err != nil {
-		t.Fatal(err)
-	}
-	b := tuple.NewBatch(1, 2)
-	n, err := NextBatch(iface, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || b.Row(0).Int(0) != 4 || b.Row(1).Int(0) != 5 {
-		t.Fatalf("adapter batch = %d rows (%v), want 2 rows starting at 4", n, b)
-	}
-	n, err = NextBatch(iface, b)
-	if err != nil || n != 1 || b.Row(0).Int(0) != 6 {
-		t.Fatalf("adapter second batch = %d rows, err %v", n, err)
-	}
-	n, err = NextBatch(iface, b)
-	if err != nil || n != 0 {
-		t.Fatalf("adapter at EOS = %d rows, err %v", n, err)
 	}
 }

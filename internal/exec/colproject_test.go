@@ -42,35 +42,6 @@ func TestColProject(t *testing.T) {
 	}
 }
 
-func TestColProjectPerTupleAgrees(t *testing.T) {
-	in, _ := colProjectInput()
-	p, err := NewColProject(in, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	n := int64(0)
-	for {
-		row, ok, err := p.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if row.Int(0) != n*2 {
-			t.Fatalf("row %d = %v", n, row)
-		}
-		n++
-	}
-	if n != 2500 {
-		t.Errorf("per-tuple drain produced %d rows", n)
-	}
-}
-
 func TestColProjectValidatesColumns(t *testing.T) {
 	in, _ := colProjectInput()
 	if _, err := NewColProject(in, []int{3}); err == nil {

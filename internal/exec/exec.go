@@ -1,13 +1,15 @@
-// Package exec implements a Volcano-style query executor: pipelined
-// operators composed into trees, the substrate the paper's TPC-H
-// experiments run on (Section VI-B). Access paths (package access and
-// the Smooth Scan of package core) plug in as leaves; this package
+// Package exec implements a batched Volcano-style query executor:
+// pipelined operators composed into trees, the substrate the paper's
+// TPC-H experiments run on (Section VI-B). Access paths (package access
+// and the Smooth Scan of package core) plug in as leaves; this package
 // provides selection, projection, sorting, aggregation, limits and the
-// joins the TPC-H plans use (nested-loop, index-nested-loop, hash and
+// joins the TPC-H and builder plans use (index-nested-loop, hash and
 // merge join).
 //
-// All per-tuple work charges simulated CPU time on the device so the
-// harness can reproduce the paper's CPU-vs-I/O breakdowns.
+// There is one pull protocol, NextBatch; a per-tuple pull is a batch of
+// capacity one (see IndexNestedLoopJoin, the one operator that needs
+// it). All per-tuple work charges simulated CPU time on the device so
+// the harness can reproduce the paper's CPU-vs-I/O breakdowns.
 package exec
 
 import (
@@ -20,25 +22,28 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// Operator is the Volcano iterator contract shared by every node of a
-// plan, including the access paths of packages access and core.
+// Operator is the iterator contract shared by every node of a plan,
+// including the access paths of packages access and core.
 type Operator interface {
-	// Schema describes the rows Next returns.
+	// Schema describes the rows NextBatch produces.
 	Schema() *tuple.Schema
 	// Open prepares the operator (and its children).
 	Open() error
-	// Next returns the next row; ok is false at end of stream.
-	Next() (row tuple.Row, ok bool, err error)
+	// NextBatch resets b and fills it with up to b.FillCap() rows,
+	// returning the number appended; 0 means end of stream (an operator
+	// never returns an empty batch mid-stream). The rows in b are views
+	// into the batch and remain valid until the next NextBatch call on
+	// the same batch; callers that retain rows must copy them.
+	NextBatch(b *tuple.Batch) (int, error)
 	// Close releases resources; the operator may be reopened.
 	Close() error
 }
 
-// ErrClosed is returned by Next before Open or after Close.
+// ErrClosed is returned by NextBatch before Open or after Close.
 var ErrClosed = errors.New("exec: operator is not open")
 
-// Drain runs an operator to completion and returns all rows. It pulls
-// through the batched protocol, cloning each row out of the batch (the
-// returned rows are owned by the caller).
+// Drain runs an operator to completion and returns all rows, cloning
+// each out of the batch (the returned rows are owned by the caller).
 func Drain(op Operator) ([]tuple.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -47,7 +52,7 @@ func Drain(op Operator) ([]tuple.Row, error) {
 	var out []tuple.Row
 	b := newScratchFor(op)
 	for {
-		n, err := NextBatch(op, b)
+		n, err := op.NextBatch(b)
 		if err != nil {
 			return nil, err
 		}
@@ -61,8 +66,7 @@ func Drain(op Operator) ([]tuple.Row, error) {
 }
 
 // Count runs an operator to completion, discarding rows, and returns
-// the row count. It drains through the batched protocol, so counting a
-// scan moves no per-tuple allocations at all (benchmarks).
+// the row count; counting a scan allocates nothing per tuple.
 func Count(op Operator) (int64, error) {
 	if err := op.Open(); err != nil {
 		return 0, err
@@ -71,7 +75,7 @@ func Count(op Operator) (int64, error) {
 	var n int64
 	b := newScratchFor(op)
 	for {
-		k, err := NextBatch(op, b)
+		k, err := op.NextBatch(b)
 		if err != nil {
 			return n, err
 		}
@@ -101,19 +105,6 @@ func (v *Values) Schema() *tuple.Schema { return v.schema }
 
 // Open rewinds the operator.
 func (v *Values) Open() error { v.pos = 0; v.open = true; return nil }
-
-// Next returns the next row.
-func (v *Values) Next() (tuple.Row, bool, error) {
-	if !v.open {
-		return nil, false, ErrClosed
-	}
-	if v.pos >= len(v.rows) {
-		return nil, false, nil
-	}
-	r := v.rows[v.pos]
-	v.pos++
-	return r, true, nil
-}
 
 // Close marks the operator closed.
 func (v *Values) Close() error { v.open = false; return nil }
@@ -147,25 +138,6 @@ func (f *Filter) Open() error {
 	return nil
 }
 
-// Next returns the next row matching the predicate.
-func (f *Filter) Next() (tuple.Row, bool, error) {
-	if !f.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		row, ok, err := f.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.dev != nil {
-			f.dev.ChargeCPU(simcost.Tuple)
-		}
-		if f.pred(row) {
-			return row, true, nil
-		}
-	}
-}
-
 // Close closes the child.
 func (f *Filter) Close() error { f.open = false; return f.child.Close() }
 
@@ -196,18 +168,6 @@ func (p *Project) Open() error {
 	return nil
 }
 
-// Next returns the next projected row.
-func (p *Project) Next() (tuple.Row, bool, error) {
-	if !p.open {
-		return nil, false, ErrClosed
-	}
-	row, ok, err := p.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return p.fn(row), true, nil
-}
-
 // Close closes the child.
 func (p *Project) Close() error { p.open = false; return p.child.Close() }
 
@@ -220,7 +180,6 @@ type ColProject struct {
 	cols    []int
 	schema  *tuple.Schema
 	scratch *tuple.Batch // lazily allocated by NextBatch
-	row     tuple.Row    // per-tuple protocol scratch
 	open    bool
 }
 
@@ -255,22 +214,6 @@ func (p *ColProject) Open() error {
 	return nil
 }
 
-// Next returns the next projected row.
-func (p *ColProject) Next() (tuple.Row, bool, error) {
-	if !p.open {
-		return nil, false, ErrClosed
-	}
-	row, ok, err := p.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(tuple.Row, len(p.cols))
-	for i, c := range p.cols {
-		out[i] = row[c]
-	}
-	return out, true, nil
-}
-
 // Close closes the child.
 func (p *ColProject) Close() error { p.open = false; return p.child.Close() }
 
@@ -296,22 +239,6 @@ func (l *Limit) Open() error {
 	l.seen = 0
 	l.open = true
 	return nil
-}
-
-// Next returns the next row while under the limit.
-func (l *Limit) Next() (tuple.Row, bool, error) {
-	if !l.open {
-		return nil, false, ErrClosed
-	}
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	row, ok, err := l.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
 }
 
 // Close closes the child.
@@ -378,19 +305,6 @@ func (s *SortOp) Open() error {
 	s.pos = 0
 	s.open = true
 	return nil
-}
-
-// Next streams the sorted rows.
-func (s *SortOp) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
 }
 
 // Close releases the buffered rows.
@@ -481,7 +395,7 @@ func (h *HashAgg) Open() error {
 	var order []int64
 	in := newScratchFor(h.child)
 	for {
-		n, err := NextBatch(h.child, in)
+		n, err := h.child.NextBatch(in)
 		if err != nil {
 			return err
 		}
@@ -548,19 +462,6 @@ func (h *HashAgg) Open() error {
 	h.pos = 0
 	h.open = true
 	return nil
-}
-
-// Next streams the per-group results, ordered by group key.
-func (h *HashAgg) Next() (tuple.Row, bool, error) {
-	if !h.open {
-		return nil, false, ErrClosed
-	}
-	if h.pos >= len(h.out) {
-		return nil, false, nil
-	}
-	r := h.out[h.pos]
-	h.pos++
-	return r, true, nil
 }
 
 // Close releases the buffered groups.

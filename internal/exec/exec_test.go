@@ -51,11 +51,12 @@ func TestOperatorsRejectNextBeforeOpen(t *testing.T) {
 		NewLimit(v, 1),
 		NewSort(v, nil, 0),
 		NewHashAgg(v, nil, -1, []AggSpec{{Name: "n", Kind: AggCount}}),
-		NewHashJoin(v, v, nil, 0, 0),
+		NewHashJoinBatch(v, v, nil, 0, 0, false),
 		NewMergeJoinBatch(v, v, nil, 0, 0),
+		NewIndexNestedLoopJoin(v, mapLookup{schema: tuple.Ints(1)}, 0),
 	}
 	for i, op := range ops {
-		if _, _, err := op.Next(); !errors.Is(err, ErrClosed) {
+		if _, err := op.NextBatch(tuple.NewBatch(1, 1)); !errors.Is(err, ErrClosed) {
 			t.Errorf("op %d: err = %v, want ErrClosed", i, err)
 		}
 	}
@@ -238,7 +239,7 @@ func joinRowsEqual(a, b []tuple.Row) bool {
 func TestHashJoin(t *testing.T) {
 	left := []tuple.Row{tuple.IntsRow(1, 100), tuple.IntsRow(2, 200), tuple.IntsRow(3, 300)}
 	right := []tuple.Row{tuple.IntsRow(2, 7), tuple.IntsRow(2, 8), tuple.IntsRow(4, 9)}
-	j := NewHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0)
+	j := NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, false)
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +270,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		want := referenceJoin(left, right, 0, 0)
 		normalise(want)
 
-		hj, err := Drain(NewHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0))
+		hj, err := Drain(NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, false))
 		if err != nil {
 			return false
 		}
@@ -355,7 +356,7 @@ func TestLookupsReturnAllMatches(t *testing.T) {
 }
 
 func TestIndexNestedLoopJoin(t *testing.T) {
-	file, pool, tree, dev, rows := lookupFixture(t)
+	file, pool, tree, _, rows := lookupFixture(t)
 	// Outer: 10 rows with keys 0..9 in column 0.
 	var outer []tuple.Row
 	for i := int64(0); i < 10; i++ {
@@ -364,7 +365,7 @@ func TestIndexNestedLoopJoin(t *testing.T) {
 	j := NewIndexNestedLoopJoin(
 		NewValues(tuple.Ints(2), outer),
 		NewIndexLookup(file, pool, tree),
-		dev, 0,
+		0,
 	)
 	got, err := Drain(j)
 	if err != nil {
@@ -396,11 +397,12 @@ func TestErrorPropagationThroughPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.FailAfter(2)
+	b := tuple.NewBatchFor(plan.Schema(), 1)
 	var err error
 	for err == nil {
-		var ok bool
-		_, ok, err = plan.Next()
-		if !ok && err == nil {
+		var n int
+		n, err = plan.NextBatch(b)
+		if n == 0 && err == nil {
 			t.Fatal("plan completed despite injected failure")
 		}
 	}
@@ -429,25 +431,23 @@ func (h *heapScan) Schema() *tuple.Schema { return h.file.Schema() }
 func (h *heapScan) Open() error           { h.page, h.slot, h.open = 0, 0, true; return nil }
 func (h *heapScan) Close() error          { h.open = false; return nil }
 
-func (h *heapScan) Next() (tuple.Row, bool, error) {
+func (h *heapScan) NextBatch(b *tuple.Batch) (int, error) {
 	if !h.open {
-		return nil, false, ErrClosed
+		return 0, ErrClosed
 	}
-	for {
-		if h.page >= h.file.NumPages() {
-			return nil, false, nil
-		}
+	b.Reset()
+	for !b.Full() && h.page < h.file.NumPages() {
 		page, err := h.file.GetPage(h.pool, h.page)
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		if h.slot >= heap.PageTupleCount(page) {
 			h.page++
 			h.slot = 0
 			continue
 		}
-		row := h.file.DecodeRow(page, h.slot, nil)
+		h.file.DecodeRow(page, h.slot, b.AppendSlotRaw())
 		h.slot++
-		return row, true, nil
 	}
+	return b.Len(), nil
 }

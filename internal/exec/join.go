@@ -3,92 +3,8 @@ package exec
 import (
 	"fmt"
 
-	"smoothscan/internal/disk"
-	"smoothscan/internal/simcost"
 	"smoothscan/internal/tuple"
 )
-
-// HashJoin is an equi-join: it builds a hash table on the right
-// (build) input and probes it with the left (probe) input. Blocking on
-// the build side, pipelined on the probe side.
-type HashJoin struct {
-	left, right       Operator
-	leftCol, rightCol int
-	dev               *disk.Device
-	schema            *tuple.Schema
-	table             map[int64][]tuple.Row
-	pending           []tuple.Row
-	pendingLeft       tuple.Row
-	pendingIdx        int
-	open              bool
-}
-
-// NewHashJoin joins left.leftCol = right.rightCol.
-func NewHashJoin(left, right Operator, dev *disk.Device, leftCol, rightCol int) *HashJoin {
-	return &HashJoin{
-		left: left, right: right,
-		leftCol: leftCol, rightCol: rightCol,
-		dev:    dev,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open builds the hash table from the right input.
-func (j *HashJoin) Open() error {
-	rows, err := Drain(j.right)
-	if err != nil {
-		return err
-	}
-	j.table = make(map[int64][]tuple.Row, len(rows))
-	for _, r := range rows {
-		if j.dev != nil {
-			j.dev.ChargeCPU(simcost.Hash)
-		}
-		k := r.Int(j.rightCol)
-		j.table[k] = append(j.table[k], r)
-	}
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	j.pending = nil
-	j.open = true
-	return nil
-}
-
-// Next returns the next joined row.
-func (j *HashJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		if j.pendingIdx < len(j.pending) {
-			r := j.pendingLeft.Concat(j.pending[j.pendingIdx])
-			j.pendingIdx++
-			return r, true, nil
-		}
-		row, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if j.dev != nil {
-			j.dev.ChargeCPU(simcost.Hash)
-		}
-		j.pending = j.table[row.Int(j.leftCol)]
-		j.pendingLeft = row
-		j.pendingIdx = 0
-	}
-}
-
-// Close closes both inputs and drops the table.
-func (j *HashJoin) Close() error {
-	j.open = false
-	j.table = nil
-	j.pending = nil
-	return j.left.Close()
-}
 
 // Lookup is a parameterised inner input for index-nested-loop joins:
 // given a join key, it returns the matching rows. Implementations
@@ -104,24 +20,35 @@ type Lookup interface {
 // IndexNestedLoopJoin probes a Lookup for each outer row — the INLJ of
 // the paper's TPC-H plans, where the inner is a primary-key look-up or
 // a per-key Smooth Scan.
+//
+// It fills the caller's batch like any operator, but pulls its outer
+// through a persistent one-row batch: the one place the per-tuple
+// discipline survives. In the paper's plans the outer scan's I/O must
+// interleave with the inner look-ups row by row; a wider pull would run
+// the outer scan ahead of the look-ups, reorder requests on the shared
+// disk.Channel head (changing which are sequential) and move the
+// simulated-cost goldens. The capacity-one pull propagates down through
+// Filter, Project and a nested IndexNestedLoopJoin unchanged.
 type IndexNestedLoopJoin struct {
 	outer    Operator
 	inner    Lookup
 	outerCol int
-	dev      *disk.Device
 	schema   *tuple.Schema
+	lw       int
 
-	pending    []tuple.Row
-	pendingRow tuple.Row
-	pendingIdx int
-	open       bool
+	cur     *tuple.Batch // the one-row outer batch; Row(0) is the current outer row
+	matches []tuple.Row  // inner matches of the current outer row
+	mi      int
+	open    bool
 }
 
 // NewIndexNestedLoopJoin joins outer.outerCol = inner key.
-func NewIndexNestedLoopJoin(outer Operator, inner Lookup, dev *disk.Device, outerCol int) *IndexNestedLoopJoin {
+func NewIndexNestedLoopJoin(outer Operator, inner Lookup, outerCol int) *IndexNestedLoopJoin {
 	return &IndexNestedLoopJoin{
-		outer: outer, inner: inner, outerCol: outerCol, dev: dev,
+		outer: outer, inner: inner, outerCol: outerCol,
 		schema: outer.Schema().Concat(inner.Schema()),
+		lw:     outer.Schema().NumCols(),
+		cur:    tuple.NewBatchFor(outer.Schema(), 1),
 	}
 }
 
@@ -133,39 +60,50 @@ func (j *IndexNestedLoopJoin) Open() error {
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
-	j.pending = nil
+	j.matches, j.mi = nil, 0
 	j.open = true
 	return nil
 }
 
-// Next returns the next joined row.
-func (j *IndexNestedLoopJoin) Next() (tuple.Row, bool, error) {
+// NextBatch fills out with joined rows until it is full or the outer
+// input ends. An outer row with more matches than out has room for
+// resumes on the next call.
+func (j *IndexNestedLoopJoin) NextBatch(out *tuple.Batch) (int, error) {
 	if !j.open {
-		return nil, false, ErrClosed
+		return 0, ErrClosed
 	}
+	out.Reset()
 	for {
-		if j.pendingIdx < len(j.pending) {
-			r := j.pendingRow.Concat(j.pending[j.pendingIdx])
-			j.pendingIdx++
-			return r, true, nil
+		for j.mi < len(j.matches) {
+			slot := out.AppendSlotRaw()
+			if slot == nil {
+				return out.Len(), nil
+			}
+			copy(slot[:j.lw], j.cur.Row(0))
+			copy(slot[j.lw:], j.matches[j.mi])
+			j.mi++
 		}
-		row, ok, err := j.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if out.Full() {
+			return out.Len(), nil
 		}
-		matches, err := j.inner.Find(row.Int(j.outerCol))
+		n, err := j.outer.NextBatch(j.cur)
 		if err != nil {
-			return nil, false, fmt.Errorf("inlj: %w", err)
+			return 0, err
 		}
-		j.pending = matches
-		j.pendingRow = row
-		j.pendingIdx = 0
+		if n == 0 {
+			return out.Len(), nil
+		}
+		j.matches, err = j.inner.Find(j.cur.Row(0).Int(j.outerCol))
+		if err != nil {
+			return 0, fmt.Errorf("inlj: %w", err)
+		}
+		j.mi = 0
 	}
 }
 
 // Close closes the outer input.
 func (j *IndexNestedLoopJoin) Close() error {
 	j.open = false
-	j.pending = nil
+	j.matches = nil
 	return j.outer.Close()
 }

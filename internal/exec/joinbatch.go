@@ -48,8 +48,7 @@ type JoinStatser interface {
 // batch-at-a-time. Output batches are filled in place through
 // AppendSlotRaw, so the steady-state probe loop allocates nothing.
 //
-// Unlike the per-tuple HashJoin (which always builds on the right),
-// the planner chooses the build side; the output schema is always
+// The planner chooses the build side; the output schema is always
 // left ++ right regardless of that choice.
 type HashJoinBatch struct {
 	left, right       Operator
@@ -69,7 +68,6 @@ type HashJoinBatch struct {
 	matches  []int32      // pending build matches for probe row pi
 	mi       int
 	stats    JoinStats
-	tup      *tuple.Batch // per-tuple protocol scratch (capacity 1)
 	open     bool
 	probing  bool // probe input opened (false when the build was empty)
 }
@@ -122,7 +120,7 @@ func (j *HashJoinBatch) Open() error {
 	j.table = make(map[int64][]int32)
 	scratch := newScratchFor(build)
 	for {
-		n, err := NextBatch(build, scratch)
+		n, err := build.NextBatch(scratch)
 		if err != nil {
 			build.Close()
 			return err
@@ -160,8 +158,7 @@ func (j *HashJoinBatch) Open() error {
 
 	// An empty build side means no probe row can match: skip the
 	// probe entirely — its whole scan (I/O and CPU charges) would buy
-	// nothing. This deliberately diverges from the per-tuple HashJoin,
-	// which still drains its probe input.
+	// nothing.
 	j.probing = len(j.table) > 0
 	if j.probing {
 		if err := probe.Open(); err != nil {
@@ -221,7 +218,7 @@ func (j *HashJoinBatch) NextBatch(out *tuple.Batch) (int, error) {
 				if j.pb == nil {
 					j.pb = newScratchFor(j.probe)
 				}
-				n, err := NextBatch(j.probe, j.pb)
+				n, err := j.probe.NextBatch(j.pb)
 				if err != nil {
 					return 0, err
 				}
@@ -247,12 +244,6 @@ func (j *HashJoinBatch) NextBatch(out *tuple.Batch) (int, error) {
 	}
 }
 
-// Next serves the per-tuple protocol through a one-row batch, so
-// interleaving Next and NextBatch drains the same cursor.
-func (j *HashJoinBatch) Next() (tuple.Row, bool, error) {
-	return nextViaBatch(j, &j.tup, j.schema)
-}
-
 // Close closes the probe input and drops the table. The build input
 // was closed at the end of Open.
 func (j *HashJoinBatch) Close() error {
@@ -267,26 +258,9 @@ func (j *HashJoinBatch) Close() error {
 	return j.probe.Close()
 }
 
-// nextViaBatch implements the per-tuple protocol on top of a batch
-// operator using a persistent one-row scratch batch, keeping the two
-// protocols on one cursor.
-func nextViaBatch(op BatchOperator, tup **tuple.Batch, schema *tuple.Schema) (tuple.Row, bool, error) {
-	if *tup == nil {
-		*tup = tuple.NewBatchFor(schema, 1)
-	}
-	n, err := op.NextBatch(*tup)
-	if err != nil {
-		return nil, false, err
-	}
-	if n == 0 {
-		return nil, false, nil
-	}
-	return (*tup).Row(0), true, nil
-}
-
 // MergeJoinBatch is the batched merge equi-join: both inputs must
 // arrive sorted ascending on their join columns (verified at run
-// time, as in the per-tuple MergeJoin), the case when both sides come
+// time), the case when both sides come
 // key-ordered from index / sort / ordered-smooth access paths. It
 // handles duplicate keys on both sides by materialising the right
 // side's current key group in a reusable growable batch.
@@ -310,7 +284,6 @@ type MergeJoinBatch struct {
 	inGroup  bool
 
 	stats JoinStats
-	tup   *tuple.Batch
 	open  bool
 }
 
@@ -362,7 +335,7 @@ func (j *MergeJoinBatch) Open() error {
 // verifying sort order across each refilled batch.
 func (j *MergeJoinBatch) fillLeft() error {
 	for !j.leftEOS && j.li >= j.ln {
-		n, err := NextBatch(j.left, j.lb)
+		n, err := j.left.NextBatch(j.lb)
 		if err != nil {
 			return err
 		}
@@ -390,7 +363,7 @@ func (j *MergeJoinBatch) fillLeft() error {
 // fillRight is fillLeft for the right input.
 func (j *MergeJoinBatch) fillRight() error {
 	for !j.rightEOS && j.ri >= j.rn {
-		n, err := NextBatch(j.right, j.rb)
+		n, err := j.right.NextBatch(j.rb)
 		if err != nil {
 			return err
 		}
@@ -482,11 +455,6 @@ func (j *MergeJoinBatch) NextBatch(out *tuple.Batch) (int, error) {
 			j.gi, j.inGroup = 0, true
 		}
 	}
-}
-
-// Next serves the per-tuple protocol through a one-row batch.
-func (j *MergeJoinBatch) Next() (tuple.Row, bool, error) {
-	return nextViaBatch(j, &j.tup, j.schema)
 }
 
 // Close closes both inputs.

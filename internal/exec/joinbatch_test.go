@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"smoothscan/internal/disk"
 	"smoothscan/internal/tuple"
 )
 
@@ -89,54 +90,6 @@ func TestHashJoinBatchTinyOutputBatches(t *testing.T) {
 		if !joinRowsEqual(got, want) {
 			t.Errorf("capacity %d: %d rows, want %d", capacity, len(got), len(want))
 		}
-	}
-}
-
-// TestHashJoinBatchPerTupleProtocol interleaves Next with NextBatch:
-// both must drain the same cursor without loss or duplication.
-func TestHashJoinBatchPerTupleProtocol(t *testing.T) {
-	var left, right []tuple.Row
-	for i := int64(0); i < 30; i++ {
-		left = append(left, tuple.IntsRow(i%5, i))
-	}
-	for i := int64(0); i < 10; i++ {
-		right = append(right, tuple.IntsRow(i%5, 100+i))
-	}
-	j := NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, false)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	var got []tuple.Row
-	b := tuple.NewBatchFor(j.Schema(), 4)
-	for step := 0; ; step++ {
-		if step%2 == 0 {
-			row, ok, err := j.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, row.Clone())
-			continue
-		}
-		n, err := j.NextBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			got = append(got, b.Row(i).Clone())
-		}
-	}
-	want := referenceJoin(left, right, 0, 0)
-	normalise(got)
-	normalise(want)
-	if !joinRowsEqual(got, want) {
-		t.Errorf("interleaved drain = %d rows, want %d", len(got), len(want))
 	}
 }
 
@@ -243,8 +196,11 @@ func sortRowsByCol(rows []tuple.Row, col int) {
 	}
 }
 
-// TestHashJoinBatchAgreesWithPerTupleTwin proves the batched operator
-// and the classic HashJoin produce the same multiset of rows.
+// TestHashJoinBatchAgreesWithPerTupleTwin checks the hash join against
+// an independent reference — referenceJoin's nested loop over the two
+// row slices — on an output several default batches long. (The twin of
+// the name, a second per-tuple hash join operator, was deleted; the
+// assertion it anchored is kept.)
 func TestHashJoinBatchAgreesWithPerTupleTwin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var left, right []tuple.Row
@@ -254,17 +210,64 @@ func TestHashJoinBatchAgreesWithPerTupleTwin(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		right = append(right, tuple.IntsRow(rng.Int63n(64), int64(i)+5_000))
 	}
-	twin, err := Drain(NewHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0))
+	want := referenceJoin(left, right, 0, 0)
+	got, err := Drain(NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := Drain(NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, false))
-	if err != nil {
-		t.Fatal(err)
+	normalise(want)
+	normalise(got)
+	if !joinRowsEqual(want, got) {
+		t.Errorf("hash join diverges from the nested-loop reference: %d vs %d rows", len(got), len(want))
 	}
-	normalise(twin)
-	normalise(batched)
-	if !joinRowsEqual(twin, batched) {
-		t.Errorf("batched join diverges from per-tuple twin: %d vs %d rows", len(batched), len(twin))
+}
+
+// TestJoinCapacityInvariance drains each batched join at consumer batch
+// capacities from one row up: the rows (in order), the join's own
+// counters and the device's simulated cost must not depend on it.
+func TestJoinCapacityInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var left, right []tuple.Row
+	for i := 0; i < 400; i++ {
+		left = append(left, tuple.IntsRow(rng.Int63n(48), int64(i)))
+	}
+	for i := 0; i < 250; i++ {
+		right = append(right, tuple.IntsRow(rng.Int63n(48), int64(i)+5_000))
+	}
+	sortRowsByCol(left, 0)
+	sortRowsByCol(right, 0)
+	joins := map[string]func(dev *disk.Device) Operator{
+		"hash": func(dev *disk.Device) Operator {
+			return NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev, 0, 0, false)
+		},
+		"hash-build-left": func(dev *disk.Device) Operator {
+			return NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev, 0, 0, true)
+		},
+		"merge": func(dev *disk.Device) Operator {
+			return NewMergeJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev, 0, 0)
+		},
+	}
+	wantLen := len(referenceJoin(left, right, 0, 0))
+	for name, mk := range joins {
+		devA := disk.NewDevice(disk.HDD)
+		opA := mk(devA)
+		want := drainBatched(t, opA, 1)
+		if len(want) != wantLen {
+			t.Fatalf("%s batch=1: %d rows, want %d", name, len(want), wantLen)
+		}
+		for _, batchCap := range []int{9, 128, 1024} {
+			devB := disk.NewDevice(disk.HDD)
+			opB := mk(devB)
+			got := drainBatched(t, opB, batchCap)
+			if !joinRowsEqual(want, got) {
+				t.Errorf("%s batch=%d: rows differ from batch=1 (%d vs %d)", name, batchCap, len(got), len(want))
+			}
+			if sa, sb := opA.(JoinStatser).JoinStats(), opB.(JoinStatser).JoinStats(); sa != sb {
+				t.Errorf("%s batch=%d: join stats differ:\n batch=1: %+v\n wider:   %+v", name, batchCap, sa, sb)
+			}
+			if sa, sb := devA.Stats(), devB.Stats(); sa != sb {
+				t.Errorf("%s batch=%d: device stats differ:\n batch=1: %+v\n wider:   %+v", name, batchCap, sa, sb)
+			}
+		}
 	}
 }

@@ -90,7 +90,7 @@ func TestMorphingLookupNeverRereadsPages(t *testing.T) {
 }
 
 func TestMorphingLookupInINLJ(t *testing.T) {
-	file, pool, tree, dev, rows := lookupFixture(t)
+	file, pool, tree, _, rows := lookupFixture(t)
 	var outer []tuple.Row
 	for i := int64(0); i < 60; i++ {
 		outer = append(outer, tuple.IntsRow(i%30)) // keys repeat: morphing pays off
@@ -98,7 +98,7 @@ func TestMorphingLookupInINLJ(t *testing.T) {
 	j := NewIndexNestedLoopJoin(
 		NewValues(tuple.Ints(1), outer),
 		NewMorphingLookup(file, pool, tree, 1),
-		dev, 0,
+		0,
 	)
 	got, err := Drain(j)
 	if err != nil {

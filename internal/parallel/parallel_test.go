@@ -80,15 +80,22 @@ func TestPartitionPages(t *testing.T) {
 	}
 }
 
-// drainPairs drains a Scan and returns the (k, v) pairs it produced.
+// drainPairs drains a Scan through a deliberately small batch (forces
+// partial copies) and returns the (k, v) pairs it produced.
 func drainPairs(t *testing.T, s *Scan) [][2]int64 {
+	t.Helper()
+	return drainPairsCap(t, s, 7)
+}
+
+// drainPairsCap is drainPairs at the given batch capacity.
+func drainPairsCap(t *testing.T, s *Scan, batchCap int) [][2]int64 {
 	t.Helper()
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	var got [][2]int64
-	b := tuple.NewBatchFor(s.Schema(), 7) // deliberately small, forces partial copies
+	b := tuple.NewBatchFor(s.Schema(), batchCap)
 	for {
 		n, err := s.NextBatch(b)
 		if err != nil {
@@ -264,30 +271,50 @@ func TestCloseEarlyStopsWorkers(t *testing.T) {
 	}
 }
 
-func TestPerTupleAdapter(t *testing.T) {
+// TestScanCapacityInvariance drains the same scan at consumer batch
+// capacities from one row up: the ordered merge must deliver the exact
+// same sequence, the unordered fan-in the same multiset (its order
+// depends on worker scheduling at any capacity).
+func TestScanCapacityInvariance(t *testing.T) {
 	schema := testSchema()
-	s, err := NewScan([]Worker{
-		{Op: exec.NewValues(schema, rowsOf([2]int64{3, 0}, [2]int64{1, 0}))},
-	}, Options{Schema: schema})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var got []int64
-	for {
-		row, ok, err := s.Next()
+	for _, ordered := range []bool{false, true} {
+		var workers []Worker
+		for w := 0; w < 3; w++ {
+			var rows []tuple.Row
+			for i := 0; i < 700; i++ {
+				rows = append(rows, tuple.IntsRow(int64(i/2), int64(w)))
+			}
+			workers = append(workers, Worker{Op: exec.NewValues(schema, rows)})
+		}
+		s, err := NewScan(workers, Options{Schema: schema, Ordered: ordered, KeyCol: 0, BatchSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		sorted := func(pairs [][2]int64) [][2]int64 {
+			if !ordered {
+				sort.Slice(pairs, func(i, j int) bool {
+					if pairs[i][0] != pairs[j][0] {
+						return pairs[i][0] < pairs[j][0]
+					}
+					return pairs[i][1] < pairs[j][1]
+				})
+			}
+			return pairs
 		}
-		got = append(got, row.Int(0))
-	}
-	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("per-tuple drain = %v", got)
+		want := sorted(drainPairsCap(t, s, 1))
+		if len(want) != 3*700 {
+			t.Fatalf("ordered=%v batch=1: %d rows, want %d", ordered, len(want), 3*700)
+		}
+		for _, batchCap := range []int{9, 128, 1024} {
+			got := sorted(drainPairsCap(t, s, batchCap))
+			if len(got) != len(want) {
+				t.Fatalf("ordered=%v batch=%d: %d rows, want %d", ordered, batchCap, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("ordered=%v batch=%d: row %d = %v, want %v", ordered, batchCap, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

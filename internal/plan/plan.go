@@ -273,7 +273,7 @@ type JoinSpec struct {
 
 // BuildJoin constructs the batched join operator for the spec. The
 // returned operator also implements exec.JoinStatser.
-func BuildJoin(spec JoinSpec) (exec.BatchOperator, error) {
+func BuildJoin(spec JoinSpec) (exec.Operator, error) {
 	if spec.Left == nil || spec.Right == nil {
 		return nil, fmt.Errorf("plan: join requires two inputs")
 	}

@@ -141,12 +141,12 @@ func TestBuildParallelCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := tuple.NewBatchFor(file.Schema(), 64)
-	if _, err := exec.NextBatch(built.Op, b); err != nil {
+	if _, err := built.Op.NextBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 	for i := 0; i < 1000; i++ {
-		n, err := exec.NextBatch(built.Op, b)
+		n, err := built.Op.NextBatch(b)
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("NextBatch error = %v, want context.Canceled", err)

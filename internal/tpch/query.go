@@ -175,7 +175,7 @@ func (db *DB) Q4(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 	late := exec.NewFilter(scan, db.Dev, func(r tuple.Row) bool {
 		return r.Int(LCommitdate) < r.Int(LReceiptdate)
 	})
-	join := exec.NewIndexNestedLoopJoin(late, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), db.Dev, LOrderkey)
+	join := exec.NewIndexNestedLoopJoin(late, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), LOrderkey)
 	// o_orderdate lands after the 13 lineitem columns.
 	ordCol := lineitemCols + OOrderdate
 	priCol := lineitemCols + OOrderpriority
@@ -224,13 +224,13 @@ func (db *DB) Q7(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	// lineitem ⋈ supplier (s_suppkey).
-	jSupp := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Supplier.File, pool, db.Supplier.PK), db.Dev, LSuppkey)
+	jSupp := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Supplier.File, pool, db.Supplier.PK), LSuppkey)
 	sNation := lineitemCols + SNationkey
 	// ⋈ orders (l_orderkey).
-	jOrd := exec.NewIndexNestedLoopJoin(jSupp, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), db.Dev, LOrderkey)
+	jOrd := exec.NewIndexNestedLoopJoin(jSupp, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), LOrderkey)
 	oCust := lineitemCols + supplierCols + OCustkey
 	// ⋈ customer (o_custkey).
-	jCust := exec.NewIndexNestedLoopJoin(jOrd, exec.NewIndexLookup(db.Customer.File, pool, db.Customer.PK), db.Dev, oCust)
+	jCust := exec.NewIndexNestedLoopJoin(jOrd, exec.NewIndexLookup(db.Customer.File, pool, db.Customer.PK), oCust)
 	cNation := lineitemCols + supplierCols + ordersCols + CNationkey
 	// nation pair filter: (supp ∈ 1, cust ∈ 2) or (supp ∈ 2, cust ∈ 1).
 	pair := exec.NewFilter(jCust, db.Dev, func(r tuple.Row) bool {
@@ -255,7 +255,7 @@ func (db *DB) Q14(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	join := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Part.File, pool, db.Part.PK), db.Dev, LPartkey)
+	join := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Part.File, pool, db.Part.PK), LPartkey)
 	pType := lineitemCols + PType
 	rev := exec.NewProject(join, tuple.Ints(2), func(r tuple.Row) tuple.Row {
 		promo := int64(0)

@@ -247,7 +247,7 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinPlain := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Part.File, pool, db.Part.PK), db.Dev, LPartkey)
+	joinPlain := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Part.File, pool, db.Part.PK), LPartkey)
 	nPlain, err := exec.Count(joinPlain)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinMorph := exec.NewIndexNestedLoopJoin(scan2, exec.NewMorphingLookup(db.Part.File, pool, db.Part.PK, PPartkey), db.Dev, LPartkey)
+	joinMorph := exec.NewIndexNestedLoopJoin(scan2, exec.NewMorphingLookup(db.Part.File, pool, db.Part.PK, PPartkey), LPartkey)
 	nMorph, err := exec.Count(joinMorph)
 	if err != nil {
 		t.Fatal(err)

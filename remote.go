@@ -324,13 +324,12 @@ type remoteCursor struct {
 	conn    *client.Conn
 	rows    *client.Rows
 	scratch []int64
-	rowBuf  tuple.Row
 	closed  bool
 }
 
 func newRemoteCursor(d *remoteDriver, c *client.Conn, rows *client.Rows) *remoteCursor {
 	w := len(rows.Columns())
-	return &remoteCursor{drv: d, conn: c, rows: rows, scratch: make([]int64, w), rowBuf: make(tuple.Row, w)}
+	return &remoteCursor{drv: d, conn: c, rows: rows, scratch: make([]int64, w)}
 }
 
 func (rc *remoteCursor) fill(b *tuple.Batch) (int, error) {
@@ -346,17 +345,6 @@ func (rc *remoteCursor) fill(b *tuple.Batch) (int, error) {
 		return n, nil
 	}
 	return 0, rc.drv.wrapErr(rc.rows.Err())
-}
-
-func (rc *remoteCursor) next() (tuple.Row, bool, error) {
-	if !rc.rows.Next() {
-		return nil, false, rc.drv.wrapErr(rc.rows.Err())
-	}
-	rc.rows.CopyRow(rc.scratch)
-	for i, v := range rc.scratch {
-		rc.rowBuf.SetInt(i, v)
-	}
-	return rc.rowBuf, true, nil
 }
 
 func (rc *remoteCursor) execStats() (ExecStats, bool) {

@@ -522,6 +522,59 @@ func TestRemoteShardedFailoverPrepared(t *testing.T) {
 	requireSameRows(t, want, got, false)
 }
 
+// TestRemoteShardedBroadcastDrainErrors: the broadcast-side drain (the
+// coordinator pulling the replicated input batch by batch before the
+// workers start) keeps errors typed — an engine fault on a node stays a
+// fault, a dead node is ErrShardUnavailable — releases its cursor on
+// the way out, and the same query heals once the cause is gone.
+func TestRemoteShardedBroadcastDrainErrors(t *testing.T) {
+	ctx := context.Background()
+	fx := buildRemoteSharded(t, 2, "range")
+	query := func(s *smoothscan.ShardedDB) *smoothscan.Query {
+		return s.Query("t").Join("d", "g", "d_cat").Where("val", smoothscan.Between(200, 500))
+	}
+	runErr := func() error {
+		rows, err := query(fx.remote).Run(ctx)
+		if err == nil {
+			for rows.Next() {
+			}
+			err = rows.Err()
+			if cerr := rows.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return err
+	}
+	want := runDrain(t, query(fx.local), ctx)
+
+	ctl, err := ssclient.Dial(fx.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if err := ctl.SetFaultPolicy(7, ssclient.FaultRule{Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.remote.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	if err := runErr(); !smoothscan.IsFaultError(err) || errors.Is(err, smoothscan.ErrShardUnavailable) {
+		t.Fatalf("engine fault under a broadcast join surfaced as: %v", err)
+	}
+	if err := ctl.ClearFaultPolicy(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, want, runDrain(t, query(fx.remote), ctx), false)
+
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	fx.srvs[1].Close()
+	if err := runErr(); !errors.Is(err, smoothscan.ErrShardUnavailable) {
+		t.Fatalf("dead node under a broadcast join: want ErrShardUnavailable, got: %v", err)
+	}
+	waitGoroutines(t, base)
+}
+
 // TestRemoteShardedReadOnly: load-time mutators are refused on a
 // remote topology — data lives on the nodes.
 func TestRemoteShardedReadOnly(t *testing.T) {

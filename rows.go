@@ -118,7 +118,7 @@ func (r *Rows) refill(b *tuple.Batch) (int, error) {
 		if err := r.ctx.Err(); err != nil {
 			return 0, err
 		}
-		n, err := exec.NextBatch(r.op, b)
+		n, err := r.op.NextBatch(b)
 		if err != nil {
 			if !r.delivered && !r.closed && r.run.degrade(r, err) {
 				continue

@@ -831,11 +831,6 @@ func (o *shardRowsOp) NextBatch(b *tuple.Batch) (int, error) {
 	return n, o.noteErr(err)
 }
 
-func (o *shardRowsOp) Next() (tuple.Row, bool, error) {
-	row, ok, err := o.cur.next()
-	return row, ok, o.noteErr(err)
-}
-
 // noteErr flags a shard-unavailable failure on its way out. The flag
 // is written by the worker goroutine driving this op and read only
 // after the gather has quiesced, the same discipline as the cursor's
@@ -924,18 +919,20 @@ func (se *shardExec) start(ctx context.Context) error {
 		// into memory once, before the workers start.
 		var bcRows []tuple.Row
 		if se.strategy == strategyBroadcast {
+			b := tuple.NewBatchFor(se.bcSchema, exec.DefaultBatchSize)
 			for _, si := range se.bcActive {
 				cur, err := run.side(ctx, se.bcInput, si)
 				if err != nil {
 					return err
 				}
 				for {
-					row, ok, rerr := cur.next()
-					if rerr != nil || !ok {
-						err = rerr
+					var n int
+					if n, err = cur.fill(b); n == 0 {
 						break
 					}
-					bcRows = append(bcRows, row.Clone())
+					for i := 0; i < n; i++ {
+						bcRows = append(bcRows, b.Row(i).Clone())
+					}
 				}
 				if cerr := cur.close(); err == nil {
 					err = cerr
@@ -949,7 +946,7 @@ func (se *shardExec) start(ctx context.Context) error {
 		workers := make([]parallel.Worker, 0, len(se.active))
 		for _, si := range se.active {
 			si := si
-			var op exec.BatchOperator
+			var op exec.Operator
 			if se.strategy == strategyBroadcast {
 				scanOp := &shardRowsOp{
 					schema: se.scanSchema,
