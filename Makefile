@@ -22,11 +22,12 @@ build:
 	$(GO) build ./...
 
 ## test: the suite, then the tests that assert determinism under
-## parallelism again at several GOMAXPROCS — a single-P run cannot see
-## that class of failure.
+## parallelism (and the Row view contract over recycled buffers) again
+## at several GOMAXPROCS — a single-P run cannot see that class of
+## failure.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext' .
 
 ## race: the test suite under the race detector (the concurrent scan
 ## and session tests only prove anything when this runs).

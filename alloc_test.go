@@ -1,22 +1,150 @@
-package smoothscan
+package smoothscan_test
 
 // Allocation-regression tests for the batched execution pipeline. The
 // contract of the tentpole batching work: moving a tuple through the
-// batched scan path costs (amortised) no allocation. These tests pin
-// that down with testing.AllocsPerRun so a regression fails CI rather
-// than silently eroding throughput.
+// batched scan path costs (amortised) no allocation — inside the
+// operator, and through the public API and the wire to the caller.
+// These tests pin that down with testing.AllocsPerRun so a regression
+// fails CI rather than silently eroding throughput.
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
+	"smoothscan"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/heap"
+	"smoothscan/internal/loadgen"
+	"smoothscan/internal/server"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/workload"
+	"smoothscan/ssclient"
 )
+
+// The public-API budgets run the benchmark's table shape at a tenth of
+// its size: 20 000 rows of ten columns, the indexed column uniform over
+// allocDomain, so one value matches about two rows.
+const (
+	allocRows   = 20_000
+	allocDomain = 10_000
+)
+
+// scanFifth is the benchmark's scan: the fifth of the table whose
+// indexed column falls in the first fifth of its domain.
+func scanFifth(e smoothscan.Engine, domain int64) smoothscan.Builder {
+	return e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, domain/5))
+}
+
+// drainRows runs b and walks the result through Next and Row, the way
+// an application does, returning the number of rows delivered.
+func drainRows(t *testing.T, b smoothscan.Builder) int {
+	t.Helper()
+	cur, err := b.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for cur.Next() {
+		if len(cur.Row()) != 10 {
+			t.Fatalf("row %d has %d columns", n, len(cur.Row()))
+		}
+		n++
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestFacadeScanAllocBudget: a 20 % range scan through
+// Engine.Table(...).Where(...).Run and Next/Row costs what the operator
+// tree costs to build and run — nothing per row, nothing per batch.
+func TestFacadeScanAllocBudget(t *testing.T) {
+	db, err := loadgen.BuildDB(allocRows, allocDomain, 3, smoothscan.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := drainRows(t, scanFifth(db, allocDomain))
+	if rows < allocRows/6 || rows > allocRows/4 {
+		t.Fatalf("scan delivered %d rows, want about %d", rows, allocRows/5)
+	}
+	allocs := testing.AllocsPerRun(5, func() { drainRows(t, scanFifth(db, allocDomain)) })
+	t.Logf("facade scan: %.0f allocs/query for %d rows", allocs, rows)
+	if allocs > 250 {
+		t.Errorf("facade scan allocates %.0f times per query, budget is 250", allocs)
+	}
+}
+
+// TestFacadePointQueryAllocBudget: a warm two-row lookup pays for its
+// builder, plan-cache probe and operator tree, not for a fresh
+// exec.DefaultBatchSize-row drain batch.
+func TestFacadePointQueryAllocBudget(t *testing.T) {
+	db, err := loadgen.BuildDB(allocRows, allocDomain, 3, smoothscan.Options{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func() { drainRows(t, db.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Eq(allocDomain/2))) }
+	point() // warm the pool, the plan cache and the drain-batch pool
+	if allocs := testing.AllocsPerRun(200, point); allocs > 40 {
+		t.Errorf("point query allocates %.1f times, budget is 40", allocs)
+	}
+	if raceEnabled {
+		return // the byte budget counts on the pooled drain batch coming back
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		point()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("point query: %.0f bytes/query", perQuery)
+	if perQuery > 8<<10 {
+		t.Errorf("point query allocates %.0f bytes, budget is 8 KB", perQuery)
+	}
+}
+
+// TestWireScanAllocsPerRow drains the 20 % scan through ssclient on
+// loopback. AllocsPerRun counts the whole process, so the budget covers
+// the server session's encode side and the client's decode side alike.
+// The budget is per delivered row, so the table is five times the other
+// budgets': the query's fixed cost (operator tree, a dozen control
+// frames) has to amortise over the rows the way it does in the
+// benchmark's scan_wire.
+func TestWireScanAllocsPerRow(t *testing.T) {
+	db, err := loadgen.BuildDB(5*allocRows, 5*allocDomain, 3, smoothscan.Options{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := ssclient.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rows := drainRows(t, scanFifth(conn, 5*allocDomain))
+	if rows < allocRows*5/6 || rows > allocRows*5/4 {
+		t.Fatalf("scan delivered %d rows, want about %d", rows, allocRows)
+	}
+	allocs := testing.AllocsPerRun(5, func() { drainRows(t, scanFifth(conn, 5*allocDomain)) })
+	perRow := allocs / float64(rows)
+	t.Logf("wire scan: %.0f allocs/query, %.5f allocs/row over %d rows", allocs, perRow, rows)
+	if perRow > 0.02 {
+		t.Errorf("wire scan allocates %.4f times per delivered row, budget is 0.02", perRow)
+	}
+}
 
 // TestBatchedScanAllocsPerTuple drives a full batched Smooth Scan at
 // 100% selectivity (the paper's worst case and the benchmark's

@@ -59,6 +59,11 @@ type Builder interface {
 // directly. ExecStats is fully populated once the stream is drained; a
 // remote cursor's statistics arrive with the server's closing summary,
 // so mid-stream reads return the zero value there.
+//
+// Row returns the current row as a view into a buffer the cursor owns:
+// it is valid until the next Next or Close on every engine, and has
+// length 0 when no row is current. A caller that keeps a row copies it
+// (slices.Clone, or the concrete cursors' CopyRow).
 type Cursor interface {
 	Next() bool
 	Row() []int64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func faultyRows(t *testing.T, policy *FaultPolicy, onSpace func(db *DB) *FaultPo
 	defer rows.Close()
 	var out [][]int64
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = append(out, slices.Clone(rows.Row()))
 	}
 	st := rows.ExecStats()
 	return out, st, rows.Err()
@@ -148,7 +149,7 @@ func TestFaultDeadIndexDegradesToFullScan(t *testing.T) {
 			defer rows.Close()
 			var got [][]int64
 			for rows.Next() {
-				got = append(got, rows.Row())
+				got = append(got, slices.Clone(rows.Row()))
 			}
 			if rows.Err() != nil {
 				t.Fatalf("Err: %v", rows.Err())
@@ -196,7 +197,7 @@ func TestFaultParallelDegradesThroughSerial(t *testing.T) {
 	defer rows.Close()
 	var got [][]int64
 	for rows.Next() {
-		got = append(got, rows.Row())
+		got = append(got, slices.Clone(rows.Row()))
 	}
 	if rows.Err() != nil {
 		t.Fatalf("Err: %v", rows.Err())
@@ -243,7 +244,7 @@ func TestFaultMidStreamDegrade(t *testing.T) {
 		}
 		var out [][]int64
 		for rows.Next() {
-			out = append(out, rows.Row())
+			out = append(out, slices.Clone(rows.Row()))
 		}
 		if rows.Err() != nil {
 			t.Fatalf("Err: %v", rows.Err())
@@ -376,7 +377,7 @@ func TestFaultJoinMatchesOracle(t *testing.T) {
 		}
 		var out [][]int64
 		for rows.Next() {
-			out = append(out, rows.Row())
+			out = append(out, slices.Clone(rows.Row()))
 		}
 		if rows.Err() != nil {
 			t.Fatalf("Err: %v", rows.Err())

@@ -14,6 +14,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -43,9 +44,18 @@ const DefaultFetchRows = 4096
 // handshakeTimeout bounds Dial's Hello/HelloOK exchange.
 const handshakeTimeout = 10 * time.Second
 
+// maxKeptPayload is the largest response payload buffer a Conn keeps
+// for the next frame. A frame may be as large as wire.MaxFrame; a
+// buffer grown past this by one such frame is dropped after use, so a
+// peer cannot pin memory on the client by sending a single huge frame.
+const maxKeptPayload = 1 << 20
+
 // Conn is one protocol session. Not safe for concurrent use.
 type Conn struct {
 	conn      net.Conn
+	br        *bufio.Reader
+	bw        *bufio.Writer // a request frame leaves as one Write
+	payload   []byte        // recv's reused frame buffer, at most maxKeptPayload
 	mu        sync.Mutex
 	err       error // sticky: once the connection failed, everything does
 	closed    bool
@@ -62,13 +72,13 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{conn: conn, fetchRows: DefaultFetchRows}
+	c := &Conn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), fetchRows: DefaultFetchRows}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: wire.Version}.Marshal()); err != nil {
+	if err := c.writeFrame(wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: wire.Version}.Marshal()); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
-	typ, payload, err := wire.ReadFrame(conn)
+	typ, payload, err := wire.ReadFrame(c.br)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
@@ -154,19 +164,35 @@ func (c *Conn) usable() error {
 	return nil
 }
 
+// writeFrame assembles one frame in the write buffer and flushes it.
+func (c *Conn) writeFrame(typ byte, payload []byte) error {
+	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
 // send writes one request frame.
 func (c *Conn) send(typ byte, payload []byte) error {
-	if err := wire.WriteFrame(c.conn, typ, payload); err != nil {
+	if err := c.writeFrame(typ, payload); err != nil {
 		return c.broken(err)
 	}
 	return nil
 }
 
-// recv reads one response frame.
+// recv reads one response frame. The payload is a view into the Conn's
+// reused frame buffer, valid until the next recv: every decoder copies
+// out what it keeps (strings via Decoder.Str, batches into Rows.flat).
 func (c *Conn) recv() (byte, []byte, error) {
-	typ, payload, err := wire.ReadFrame(c.conn)
+	typ, payload, err := wire.ReadFrameBuf(c.br, c.payload)
 	if err != nil {
 		return 0, nil, c.broken(err)
+	}
+	if payload != nil {
+		c.payload = payload
+		if cap(payload) > maxKeptPayload {
+			c.payload = nil
+		}
 	}
 	return typ, payload, nil
 }

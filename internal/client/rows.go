@@ -155,20 +155,21 @@ func (r *Rows) detach() {
 	c.mu.Unlock()
 }
 
-// Row returns the current row's values as a fresh slice.
+// Row returns the current row's values as a view into the decoded
+// batch: it is valid until the next Next or Close, like
+// smoothscan.Rows.Row, and has length 0 when no row is current. CopyRow
+// is how a caller retains a row.
 func (r *Rows) Row() []int64 {
-	out := make([]int64, r.width)
-	return out[:r.CopyRow(out)]
+	if r.pos == 0 || r.pos > r.n {
+		return nil
+	}
+	return r.flat[(r.pos-1)*r.width : r.pos*r.width : r.pos*r.width]
 }
 
 // CopyRow copies the current row's values into dst, returning the
-// number of values copied; it allocates nothing.
+// number of values copied; it is the retaining form of Row.
 func (r *Rows) CopyRow(dst []int64) int {
-	if r.pos == 0 || r.pos > r.n {
-		return 0
-	}
-	row := r.flat[(r.pos-1)*r.width : r.pos*r.width]
-	return copy(dst, row)
+	return copy(dst, r.Row())
 }
 
 // Col returns the current row's value for the named column, reporting

@@ -450,10 +450,18 @@ func (d *Device) ChargeCPUN(t float64, n int64) {
 		return
 	}
 	d.mu.Lock()
-	for i := int64(0); i < n; i++ {
-		d.stats.CPUTime += t
-	}
+	d.stats.CPUTime = addN(d.stats.CPUTime, t, n)
 	d.mu.Unlock()
+}
+
+// addN returns acc after n successive additions of t — the same
+// additions in the same order as a loop over the accumulator's memory,
+// carried in a register.
+func addN(acc, t float64, n int64) float64 {
+	for i := int64(0); i < n; i++ {
+		acc += t
+	}
+	return acc
 }
 
 // ChargeCPU adds t cost units to the CPU clock via this channel: on a
@@ -476,9 +484,7 @@ func (c *Channel) ChargeCPUN(t float64, n int64) {
 		c.dev.ChargeCPUN(t, n)
 		return
 	}
-	for i := int64(0); i < n; i++ {
-		c.pendingCPU += t
-	}
+	c.pendingCPU = addN(c.pendingCPU, t, n)
 }
 
 // FlushCPU folds the channel's pending deferred CPU charges into the

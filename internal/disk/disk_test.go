@@ -3,8 +3,12 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"smoothscan/internal/simcost"
 )
 
 func newTestDevice(t *testing.T) *Device {
@@ -349,5 +353,58 @@ func TestAccountingInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChargeCPUNMatchesSuccessiveCharges pins the identity batched
+// operators rely on: ChargeCPUN(t, n) leaves CPUTime bit-equal to n
+// successive ChargeCPU(t) calls from the same starting value — the
+// same additions in the same order — on the device and on a deferred
+// channel followed by FlushCPU.
+func TestChargeCPUNMatchesSuccessiveCharges(t *testing.T) {
+	type triple struct {
+		start, t float64
+		n        int64
+	}
+	var cases []triple
+	for _, n := range []int64{0, 1, 7, 102, 200_000} {
+		cases = append(cases,
+			triple{0, simcost.Tuple, n},
+			triple{2476.405, simcost.Tuple, n},
+			triple{0.2804, simcost.Hash, n})
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 300; i++ {
+		cases = append(cases, triple{
+			start: rng.Float64() * math.Pow(10, float64(rng.Intn(9)-2)),
+			t:     rng.Float64() * math.Pow(10, float64(-rng.Intn(6))),
+			n:     rng.Int63n(2000),
+		})
+	}
+	for _, c := range cases {
+		batched, oneByOne := newTestDevice(t), newTestDevice(t)
+		batched.ChargeCPU(c.start)
+		batched.ChargeCPUN(c.t, c.n)
+		oneByOne.ChargeCPU(c.start)
+		for i := int64(0); i < c.n; i++ {
+			oneByOne.ChargeCPU(c.t)
+		}
+		if got, want := batched.Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("device: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
+		}
+
+		batched, oneByOne = newTestDevice(t), newTestDevice(t)
+		bc, oc := batched.NewChannel(), oneByOne.NewChannel()
+		bc.ChargeCPU(c.start)
+		bc.ChargeCPUN(c.t, c.n)
+		bc.FlushCPU()
+		oc.ChargeCPU(c.start)
+		for i := int64(0); i < c.n; i++ {
+			oc.ChargeCPU(c.t)
+		}
+		oc.FlushCPU()
+		if got, want := batched.Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("deferred channel: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
+		}
 	}
 }

@@ -17,6 +17,13 @@ import (
 // comfort zone.
 const batchRows = 1024
 
+// writeBufSize sizes the session's write buffer so that a full
+// batchRows-row Batch frame of a typical result (ten columns of
+// clustered or small values, two to six bytes a value) leaves as one
+// Write; a larger frame passes through bufio straight to the
+// connection.
+const writeBufSize = 64 << 10
+
 // evictedCap bounds the evicted-ID memory a session keeps for
 // distinguishing "evicted" from "never existed". Past it the set
 // resets: ancient evicted handles then report not-found, which is the
@@ -43,7 +50,6 @@ type cursor struct {
 	cancel  context.CancelFunc
 	release func()
 	width   int
-	flat    []int64 // reused batch buffer, batchRows*width
 }
 
 // session serves one connection. Two goroutines cooperate: the reader
@@ -54,6 +60,7 @@ type cursor struct {
 type session struct {
 	srv  *Server
 	conn net.Conn
+	br   *bufio.Reader // the reader goroutine's
 	bw   *bufio.Writer
 
 	inbox chan frame
@@ -70,13 +77,19 @@ type session struct {
 	seq     uint64
 
 	cur *cursor
+
+	// handleFetch's staging, reused across batches and cursors: the
+	// session has one cursor at a time and one goroutine fetching.
+	flat []int64      // row-major batch, batchRows*width of the widest cursor so far
+	enc  wire.Encoder // the Batch payload under construction
 }
 
 func newSession(s *Server, conn net.Conn) *session {
 	return &session{
 		srv:     s,
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
+		br:      bufio.NewReader(conn),
+		bw:      bufio.NewWriterSize(conn, writeBufSize),
 		inbox:   make(chan frame, 4),
 		ctx:     s.ctx,
 		stmts:   make(map[uint32]*stmtEntry),
@@ -91,7 +104,7 @@ func newSession(s *Server, conn net.Conn) *session {
 func (ss *session) readLoop() {
 	defer close(ss.inbox)
 	for {
-		typ, payload, err := wire.ReadFrame(ss.conn)
+		typ, payload, err := wire.ReadFrame(ss.br)
 		if err != nil {
 			return
 		}
@@ -353,7 +366,9 @@ func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error
 		cancel:  cancel,
 		release: release,
 		width:   len(cols),
-		flat:    make([]int64, batchRows*len(cols)),
+	}
+	if need := batchRows * len(cols); len(ss.flat) < need {
+		ss.flat = make([]int64, need)
 	}
 	return ss.send(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal())
 }
@@ -392,13 +407,13 @@ func (ss *session) handleFetch(maxRows int) bool {
 		}
 		n := 0
 		for n < chunk && c.rows.Next() {
-			c.rows.CopyRow(c.flat[n*c.width : (n+1)*c.width])
+			c.rows.CopyRow(ss.flat[n*c.width : (n+1)*c.width])
 			n++
 		}
 		if n > 0 {
-			var e wire.Encoder
-			e.AppendBatch(c.flat, n, c.width)
-			if !ss.send(wire.MsgBatch, e.B) {
+			ss.enc.B = ss.enc.B[:0]
+			ss.enc.AppendBatch(ss.flat, n, c.width)
+			if !ss.send(wire.MsgBatch, ss.enc.B) {
 				return false
 			}
 			ss.srv.ctr.rowsSent.Add(int64(n))

@@ -75,7 +75,9 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // FuzzReadFrame feeds arbitrary byte streams to the framing layer;
-// headers announcing absurd lengths must fail without allocating.
+// headers announcing absurd lengths must fail without allocating, and
+// the owned-payload entry (ReadFrame) and the reused-buffer entry
+// (ReadFrameBuf fed its previous payload) must read the same frames.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, MsgOK, nil)
@@ -84,14 +86,24 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
+		r, rr := bytes.NewReader(stream), bytes.NewReader(stream)
+		var reused []byte
 		for {
 			typ, payload, err := ReadFrame(r)
+			rtyp, rpayload, rerr := ReadFrameBuf(rr, reused)
+			if typ != rtyp || !bytes.Equal(payload, rpayload) || (payload == nil) != (rpayload == nil) ||
+				(err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+				t.Fatalf("ReadFrame = (%#02x, %d bytes, %v), with a reused buffer (%#02x, %d bytes, %v)",
+					typ, len(payload), err, rtyp, len(rpayload), rerr)
+			}
 			if err != nil {
 				return
 			}
 			if len(payload)+1 > MaxFrame {
 				t.Fatalf("frame type %#02x exceeds MaxFrame with %d payload bytes", typ, len(payload))
+			}
+			if rpayload != nil {
+				reused = rpayload
 			}
 		}
 	})

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"smoothscan/internal/disk"
 )
@@ -222,11 +223,20 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, returning its type and payload. Frames
-// longer than MaxFrame (or shorter than the type byte) are malformed:
-// the caller must drop the connection, since the stream can no longer
-// be resynchronised.
+// ReadFrame reads one frame, returning its type and a payload the
+// caller owns. Frames longer than MaxFrame (or shorter than the type
+// byte) are malformed: the caller must drop the connection, since the
+// stream can no longer be resynchronised.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
+	return ReadFrameBuf(r, nil)
+}
+
+// ReadFrameBuf is ReadFrame reading the payload into buf's backing
+// array when it is large enough and into a fresh slice otherwise; a
+// connection passes the previous payload back once it has decoded it.
+// The MaxFrame check runs before buf is touched or anything is
+// allocated.
+func ReadFrameBuf(r io.Reader, buf []byte) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, err
@@ -242,7 +252,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if n == 1 {
 		return typ, nil, nil
 	}
-	payload = make([]byte, n-1)
+	payload = slices.Grow(buf[:0], int(n-1))[:n-1]
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}

@@ -50,6 +50,77 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	}
 }
 
+// TestReadFrameBufReusesAndGrows: a large-enough buffer is reused in
+// place, a too-small one is replaced, and the oversize check runs
+// before the buffer is touched.
+func TestReadFrameBufReusesAndGrows(t *testing.T) {
+	var stream bytes.Buffer
+	WriteFrame(&stream, MsgBatch, []byte("abcdef"))
+	WriteFrame(&stream, MsgEnd, []byte("xyz"))
+	WriteFrame(&stream, MsgBatch, bytes.Repeat([]byte{7}, 64))
+	_, first, err := ReadFrameBuf(&stream, make([]byte, 0, 16))
+	if err != nil || string(first) != "abcdef" || cap(first) != 16 {
+		t.Fatalf("first frame: %q cap %d err %v, want the 16-byte buffer reused", first, cap(first), err)
+	}
+	_, second, err := ReadFrameBuf(&stream, first)
+	if err != nil || string(second) != "xyz" || &second[0] != &first[0] {
+		t.Fatalf("second frame: %q err %v, want it in the first frame's array", second, err)
+	}
+	_, third, err := ReadFrameBuf(&stream, second)
+	if err != nil || len(third) != 64 || third[63] != 7 {
+		t.Fatalf("third frame: %d bytes err %v, want a grown 64-byte payload", len(third), err)
+	}
+	keep := []byte("keep")
+	hdr := []byte{0xff, 0xff, 0xff, 0xff, MsgBatch}
+	if _, _, err := ReadFrameBuf(bytes.NewReader(hdr), keep); !errors.Is(err, ErrMalformed) || string(keep) != "keep" {
+		t.Fatalf("oversized frame: err %v buffer %q, want ErrMalformed and the buffer untouched", err, keep)
+	}
+}
+
+// TestDecodedMessagesOutliveThePayload: a connection reuses one payload
+// buffer across frames, so no decoder may keep a sub-slice of it. The
+// three frames a client decodes mid-stream are decoded, their buffer is
+// overwritten, and the decoded values must still be what was sent.
+func TestDecodedMessagesOutliveThePayload(t *testing.T) {
+	execOK := ExecOK{Cols: []string{"id", "val", "a_rather_longer_column_name"}}
+	end := End{Summary: ExecSummary{Rows: 3, PlanCacheHit: true, Degraded: []string{"smooth→full", "full→index"}}}
+	errMsg := ErrorMsg{Class: ClassTransient, Msg: "injected transient fault on page 12"}
+	scribble := func(p []byte) {
+		for i := range p {
+			p[i] = 0xee
+		}
+	}
+
+	p := execOK.Marshal()
+	gotOK, err := DecodeExecOK(p)
+	scribble(p)
+	if err != nil || !reflect.DeepEqual(gotOK, execOK) {
+		t.Errorf("ExecOK after its payload was overwritten: %+v (err %v), want %+v", gotOK, err, execOK)
+	}
+
+	p = end.Marshal()
+	gotEnd, err := DecodeEnd(p)
+	scribble(p)
+	if err != nil || !reflect.DeepEqual(gotEnd, end) {
+		t.Errorf("End after its payload was overwritten: %+v (err %v), want %+v", gotEnd, err, end)
+	}
+
+	p = errMsg.Marshal()
+	gotErr, err := DecodeError(p)
+	scribble(p)
+	if err != nil || gotErr != errMsg || gotErr.Err().Error() != errMsg.Err().Error() {
+		t.Errorf("Error after its payload was overwritten: %+v (err %v), want %+v", gotErr, err, errMsg)
+	}
+
+	var e Encoder
+	e.AppendBatch([]int64{1, -2, 3, 4, -5, 6}, 2, 3)
+	flat, n, width, err := DecodeBatchPayload(e.B, nil)
+	scribble(e.B)
+	if err != nil || n != 2 || width != 3 || !reflect.DeepEqual(flat, []int64{1, -2, 3, 4, -5, 6}) {
+		t.Errorf("Batch after its payload was overwritten: %v %dx%d (err %v)", flat, n, width, err)
+	}
+}
+
 func TestMessageRoundTrips(t *testing.T) {
 	spec := QuerySpec{
 		Table: "items",

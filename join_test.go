@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -107,7 +108,7 @@ func collectRows(t testing.TB, rows *Rows) [][]int64 {
 	defer rows.Close()
 	var out [][]int64
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = append(out, slices.Clone(rows.Row()))
 	}
 	if rows.Err() != nil {
 		t.Fatal(rows.Err())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func collectScan(t testing.TB, db *DB, opts ScanOptions, lo, hi int64) [][]int64
 	defer rows.Close()
 	var out [][]int64
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = append(out, slices.Clone(rows.Row()))
 	}
 	if rows.Err() != nil {
 		t.Fatal(rows.Err())

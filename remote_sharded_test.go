@@ -13,6 +13,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,7 +164,7 @@ func drainSharded(t *testing.T, rows *smoothscan.Rows, err error) [][]int64 {
 	}
 	var out [][]int64
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = append(out, slices.Clone(rows.Row()))
 	}
 	if rows.Err() != nil {
 		t.Fatal(rows.Err())

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -79,7 +80,7 @@ func drainCursor(t *testing.T, cur smoothscan.Cursor, err error) [][]int64 {
 	}
 	var out [][]int64
 	for cur.Next() {
-		out = append(out, cur.Row())
+		out = append(out, slices.Clone(cur.Row()))
 	}
 	if cur.Err() != nil {
 		t.Fatal(cur.Err())

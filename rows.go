@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"smoothscan/internal/core"
@@ -47,6 +48,9 @@ type execution interface {
 // so the per-row cost of the public iterator is a bounds check and a
 // slice header.
 //
+// Row returns a view that the next Next or Close invalidates; CopyRow
+// (or slices.Clone(rows.Row())) is how a caller retains a row.
+//
 // A Rows is owned by a single goroutine — share the DB, not the Rows.
 // Always Close a Rows when done with it; open Rows block ColdCache
 // and ResetStats.
@@ -56,9 +60,10 @@ type Rows struct {
 	schema     *tuple.Schema
 	baseSchema *tuple.Schema // pre-projection schema (Column miss reasons)
 	ctx        context.Context
-	batch      *tuple.Batch
+	batch      *tuple.Batch // drain batch, on loan from drainBatches until Close
 	pos        int
 	cur        tuple.Row // nil while no row is current
+	view       []int64   // Row's result, overwritten row after row
 	err        error
 	counters   []*opCounter
 	plan       *Plan // cached Plan() result
@@ -91,7 +96,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if r.batch == nil {
-		r.batch = tuple.NewBatchFor(r.schema, exec.DefaultBatchSize)
+		r.batch = takeDrainBatch(r.schema)
 	}
 	for r.pos >= r.batch.Len() {
 		n, err := r.refill(r.batch)
@@ -105,6 +110,27 @@ func (r *Rows) Next() bool {
 	r.pos++
 	r.delivered = true
 	return true
+}
+
+// drainBatches recycles the batches Next drains the operator tree
+// into: a Rows takes one at its first Next and hands it back at Close,
+// so a query's fixed cost does not include a fresh
+// exec.DefaultBatchSize-row buffer. A batch is only ever visible to the
+// one Rows holding it.
+var drainBatches sync.Pool
+
+// takeDrainBatch returns an empty batch for rows of schema s: a
+// recycled one when its width fits, a fresh one otherwise. A recycled
+// batch may carry the fill limit a Limit left on it, and its backing
+// array may have been exchanged by a parallel gather's TrySwap, which
+// the append path tolerates.
+func takeDrainBatch(s *tuple.Schema) *tuple.Batch {
+	if b, _ := drainBatches.Get().(*tuple.Batch); b != nil && b.Width() == s.NumCols() {
+		b.Reset()
+		b.SetFillLimit(0)
+		return b
+	}
+	return tuple.NewBatchFor(s, exec.DefaultBatchSize)
 }
 
 // refill pulls the next non-empty batch of the stream into b; 0 means
@@ -150,19 +176,22 @@ func (r *Rows) fillBatch(b *tuple.Batch) (int, error) {
 	return n, nil
 }
 
-// Row returns the current row's values as a freshly allocated slice
-// the caller owns; CopyRow is the non-allocating variant.
+// Row returns the current row's values as a view into a buffer the
+// Rows owns: it is valid until the next Next or Close, like
+// bufio.Scanner.Bytes, and has length 0 when no row is current. CopyRow
+// (or slices.Clone(rows.Row())) is how a caller retains a row.
 func (r *Rows) Row() []int64 {
-	out := make([]int64, len(r.cur))
-	r.CopyRow(out)
-	return out
+	if r.view == nil {
+		r.view = make([]int64, r.schema.NumCols())
+	}
+	return r.view[:r.CopyRow(r.view)]
 }
 
 // CopyRow copies the current row's values into dst and returns the
 // number of values copied (the smaller of the row width and len(dst);
-// 0 when no row is current). Unlike Row it allocates nothing, so
+// 0 when no row is current). It is the retaining form of Row, and
 // streaming consumers — the wire server's result encoder is the
-// canonical one — can drain a scan into a reused buffer.
+// canonical one — drain a scan into a reused buffer with it.
 func (r *Rows) CopyRow(dst []int64) int {
 	n := len(r.cur)
 	if len(dst) < n {
@@ -231,6 +260,11 @@ func (r *Rows) Close() error {
 	r.closed = true
 	r.cur = nil
 	r.closeErr = r.op.Close()
+	if r.batch != nil {
+		// The tree has closed (workers quiesced) and no view is out.
+		drainBatches.Put(r.batch)
+		r.batch = nil
+	}
 	if err := r.run.finish(); r.closeErr == nil {
 		r.closeErr = err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,7 +122,7 @@ func drainStats(t testing.TB, it shardedIter, err error) ([][]int64, ExecStats) 
 	}
 	var out [][]int64
 	for it.Next() {
-		out = append(out, it.Row())
+		out = append(out, slices.Clone(it.Row()))
 	}
 	if e := it.Err(); e != nil {
 		it.Close()

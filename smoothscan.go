@@ -15,6 +15,9 @@
 //	rows, _ := db.Query("t").Where("val", smoothscan.Between(0, 100)).Run(ctx)
 //	for rows.Next() { use(rows.Row()) }
 //
+// Row returns a view that is valid until the next Next or Close;
+// CopyRow (or slices.Clone(rows.Row())) retains a row.
+//
 // There is one Query builder and one Rows cursor for every engine:
 // ShardedDB.Query runs the same builder as a scatter-gather over
 // shards (in-process or remote), ssclient runs it against a server,

@@ -3,6 +3,7 @@ package smoothscan
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -39,7 +40,7 @@ func collect(t testing.TB, rows *Rows) [][]int64 {
 	t.Helper()
 	var out [][]int64
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = append(out, slices.Clone(rows.Row()))
 	}
 	if rows.Err() != nil {
 		t.Fatal(rows.Err())

@@ -10,6 +10,9 @@
 //	for rows.Next() { use(rows.Row()) }
 //	rows.Close()
 //
+// Row returns a view that is valid until the next Next or Close, as in
+// the embedded engine; CopyRow retains a row.
+//
 // A Conn is a smoothscan.Engine, and the query builder is the engine's
 // own: Conn.Table composes a real smoothscan.Query (via
 // smoothscan.NewQuery), so predicates, aggregates and Param

@@ -10,7 +10,9 @@ import (
 // pull cursor: rows arrive in column-encoded batches, a fetch window
 // at a time, so the server never runs unboundedly ahead of the
 // consumer. The embedded transport stream contributes Columns, Next,
-// Row, CopyRow, Col, Err, Summary and Close.
+// Row, CopyRow, Col, Err, Summary and Close. Row is a view into the
+// decoded batch, valid until the next Next or Close; CopyRow is how a
+// caller retains a row.
 //
 // A Rows is owned by a single goroutine, and its Conn can serve no
 // other request until the stream is drained or closed. Close is safe
