@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke bench-build loc bench cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build test race bench-smoke bench-build ab-gate loc bench cover equiv chaos server-smoke multinode-smoke
 
 ## check: everything CI runs — format, vet, build, tests (incl. -race),
 ## bench smoke, the bench/ module's own vet + test, the
@@ -44,6 +44,18 @@ bench-smoke:
 ## benchmark pipeline does.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## AB_BASE: the ref ab-gate pairs the working tree against.
+AB_BASE ?= HEAD~1
+
+## ab-gate: one quick paired run of BENCHMARK.json against AB_BASE
+## (scripts/ab.sh, 1 pair x 2 s; needs jq; overwrites BENCH_e2e.json),
+## failing only on the cells no machine phase moves — simcost_per_query,
+## allocs_per_query, alloc_kb_per_query beyond BENCHMARK.json's bounds,
+## or more failed operations — and printing every other cell.
+ab-gate:
+	./scripts/ab.sh $(AB_BASE) 1 2
+	@jq -r --slurpfile spec BENCHMARK.json -f scripts/ab_gate.jq BENCH_e2e.json
 
 ## loc: the code-line ruler simplicity PRs quote (see scripts/loc.sh).
 loc:

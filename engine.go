@@ -74,8 +74,9 @@ type Cursor interface {
 }
 
 // PreparedQuery is a reusable compiled statement: bind parameters,
-// run, repeat. Close releases any backend resources (a server-side
-// statement handle remotely; nothing locally).
+// run, repeat. Close releases any backend resources (server-side
+// statement handles of a remote connection or of remote shards; a
+// single DB's statement holds none).
 type PreparedQuery interface {
 	Params() []string
 	Run(ctx context.Context, b Bind) (Cursor, error)
@@ -118,27 +119,25 @@ func cursorOf(r *Rows, err error) (Cursor, error) {
 	return r, nil
 }
 
-// rowsStmt is what *Stmt and *ShardedStmt have in common.
-type rowsStmt interface {
-	Params() []string
-	Run(ctx context.Context, b Bind) (*Rows, error)
-	Close() error
-}
-
-// prepared adapts a rowsStmt to PreparedQuery.
-type prepared struct{ rowsStmt }
+// prepared adapts a *Stmt to PreparedQuery.
+type prepared struct{ *Stmt }
 
 func (p prepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	return cursorOf(p.rowsStmt.Run(ctx, b))
+	return cursorOf(p.Stmt.Run(ctx, b))
 }
 
-// ownQuery unwraps a Builder made by eng's Table.
-func ownQuery(eng queryEngine, b Builder) (*Query, error) {
+// prepareBuilder is PrepareQuery on both in-process engines: unwrap a
+// Builder made by eng's Table and prepare its query.
+func prepareBuilder(eng queryEngine, b Builder) (PreparedQuery, error) {
 	qb, ok := b.(builder)
 	if !ok || qb.q.eng != eng {
 		return nil, fmt.Errorf("smoothscan: PrepareQuery: builder %T was not created by this engine's Table", b)
 	}
-	return qb.q, nil
+	st, err := eng.prepare(qb.q)
+	if err != nil {
+		return nil, err
+	}
+	return prepared{st}, nil
 }
 
 // Table implements Engine.
@@ -146,17 +145,7 @@ func (db *DB) Table(name string) Builder { return builder{db.Query(name)} }
 
 // PrepareQuery implements Engine; the Builder must come from this
 // DB's Table.
-func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) {
-	q, err := ownQuery(db, b)
-	if err != nil {
-		return nil, err
-	}
-	st, err := db.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return prepared{st}, nil
-}
+func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) { return prepareBuilder(db, b) }
 
 // Close implements Engine. A DB holds no resources beyond its own
 // memory, so Close is a no-op kept for surface uniformity — code
@@ -168,14 +157,4 @@ func (s *ShardedDB) Table(name string) Builder { return builder{s.Query(name)} }
 
 // PrepareQuery implements Engine; the Builder must come from this
 // ShardedDB's Table.
-func (s *ShardedDB) PrepareQuery(b Builder) (PreparedQuery, error) {
-	q, err := ownQuery(s, b)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return prepared{st}, nil
-}
+func (s *ShardedDB) PrepareQuery(b Builder) (PreparedQuery, error) { return prepareBuilder(s, b) }

@@ -243,22 +243,7 @@ func (se *shardExec) explain(perShard func(si int) (*Plan, error)) (*Plan, error
 		p.Coordinator = append(p.Coordinator, fmt.Sprintf("broadcast %s (shards %v) into every %s join",
 			se.pt.Inputs[se.bcInput].Table, se.bcActive, se.pt.Inputs[se.scanInput].Table))
 	}
-	if se.selIdx != nil {
-		p.Coordinator = append(p.Coordinator, "project")
-	}
-	if se.aggGroupIdx >= 0 {
-		if se.aggMerge {
-			p.Coordinator = append(p.Coordinator, "merge-agg")
-		} else {
-			p.Coordinator = append(p.Coordinator, "hash-agg")
-		}
-	}
-	if se.sortIdx >= 0 {
-		p.Coordinator = append(p.Coordinator, "sort by "+se.out.Col(se.sortIdx).Name)
-	}
-	if se.hasLim {
-		p.Coordinator = append(p.Coordinator, fmt.Sprintf("limit %d", se.limit))
-	}
+	p.Coordinator = append(p.Coordinator, se.coord.describe(se.pt.Out)...)
 	active := make(map[int]bool, len(se.active))
 	for _, si := range se.active {
 		active[si] = true
@@ -459,7 +444,7 @@ func (cq *compiledQuery) plan() *Plan {
 	}
 	if cq.orderIdx >= 0 {
 		name := cq.out.Col(cq.orderIdx).Name
-		if cq.needSort {
+		if cq.sortIdx >= 0 {
 			wrap(&PlanNode{Name: "sort", Detail: "by " + name, EstRows: cur.EstRows})
 		} else {
 			via := "order-preserving scan"

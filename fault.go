@@ -233,7 +233,7 @@ func (cq *compiledQuery) degradeOnFault() *compiledQuery {
 				// Plan-level ORDER BY rode the scan order; a posterior
 				// sort restores it.
 				next.orderVia = ""
-				next.needSort = true
+				next.sortIdx = next.orderIdx
 				next.degraded = append(next.degraded,
 					fmt.Sprintf("order by %s: scan order -> posterior sort (fault)",
 						na.driving.name))

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"smoothscan/internal/core"
+	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
@@ -202,11 +203,18 @@ var ErrNotSelected = errors.New("smoothscan: column not in query output")
 // Limit receives an argument that is neither an integer nor a Param.
 var ErrArgType = errors.New("smoothscan: unsupported argument type")
 
-// queryEngine is what a Query is bound to: the engine its Run and
-// Explain execute on. *DB and *ShardedDB implement it.
+// queryEngine is what a Query — and the Stmt prepared from it — is
+// bound to: the engine its Run and Explain execute on. *DB and
+// *ShardedDB implement it.
 type queryEngine interface {
 	runQuery(ctx context.Context, q *Query) (*Rows, error)
 	explainQuery(q *Query) (*Plan, error)
+	// prepare compiles q, already checked to be bound to this engine.
+	prepare(q *Query) (*Stmt, error)
+	// runStmt and explainStmt bind a statement this engine prepared; the
+	// bind set has passed Stmt.checkBind.
+	runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error)
+	explainStmt(st *Stmt, b Bind) (*Plan, error)
 }
 
 // Query is a composable query under construction. Start one with
@@ -228,11 +236,7 @@ type queryEngine interface {
 type Query struct {
 	eng  queryEngine // nil for a detached query
 	spec wire.QuerySpec
-	// compat is set by the DB.Scan wrapper: it preserves the exact
-	// pre-builder Scan semantics (no empty-range short-circuit, and a
-	// missing index is an error rather than a full-scan fallback).
-	compat bool
-	err    error
+	err  error
 }
 
 // Query starts a composable query over the named table. The zero
@@ -318,14 +322,10 @@ func (q *Query) checkPeerSpec() error {
 
 // Spec returns the query's structure as the wire protocol encodes it —
 // what ssclient and the remote shard driver ship to a server. It
-// propagates any builder error and rejects the one shape the spec
-// cannot express (the DB.Scan compat query).
+// propagates any builder error.
 func (q *Query) Spec() (wire.QuerySpec, error) {
 	if q.err != nil {
 		return wire.QuerySpec{}, q.err
-	}
-	if q.compat {
-		return wire.QuerySpec{}, fmt.Errorf("smoothscan: a DB.Scan compat query cannot be serialised; use the Query builder")
 	}
 	return q.spec, nil
 }
@@ -554,6 +554,22 @@ func (a *tableAccess) residualPreds() []tuple.RangePred {
 	return out
 }
 
+// rangeOn returns the folded range of the access's conjuncts on the
+// named column (every column's conjuncts fold into one predicate, the
+// driving one or a residual), unbounded when it has none — what the
+// sharded coordinator prunes by.
+func (a *tableAccess) rangeOn(col string) tuple.RangePred {
+	if a.driving.name == col {
+		return a.driving.pred // All when there is no predicate at all
+	}
+	for _, r := range a.residual {
+		if r.name == col {
+			return r.pred
+		}
+	}
+	return tuple.All(0)
+}
+
 // deliversOrderOn reports whether the access emits rows ordered by the
 // given base-schema column: the column must drive the scan and the
 // path must preserve index-key order (index scans always do; smooth
@@ -591,19 +607,12 @@ type compiledQuery struct {
 	base     *tuple.Schema  // joined row schema (inputs[0].base when no joins)
 	emptyWhy string         // non-empty: plan short-circuits to an empty result
 
-	selIdx    []int
-	selSchema *tuple.Schema
-
-	groupIdx  int // in selSchema; -1 = no grouping
-	aggSpecs  []exec.AggSpec
-	aggSchema *tuple.Schema
-
-	orderIdx int // in the pre-sort schema; -1 = no ordering
-	needSort bool
+	// stages is what runs above the scan/join tree. Its sortIdx is
+	// orderIdx when the ordering needs a posterior sort and -1 when it
+	// comes for free (orderVia says from where).
+	stages
+	orderIdx int    // in the pre-sort schema; -1 = no ordering
 	orderVia string // "", "scan" (native order) or "group" (agg key order)
-
-	limit  int64
-	hasLim bool
 
 	out *tuple.Schema
 
@@ -630,7 +639,7 @@ type compiledQuery struct {
 	// execution's entry key — canonical shape plus every resolved
 	// constant — and resEpochs the write epochs of the referenced
 	// tables captured at bind time; both empty when the execution does
-	// not participate (tier disabled, compat query, empty plan).
+	// not participate (tier disabled, empty plan).
 	resKey    string
 	resEpochs map[string]uint64
 }
@@ -662,18 +671,15 @@ func (cq *compiledQuery) estRoot() int64 {
 // — from the table's current statistics, with zero device I/O.
 // orderCol, when non-empty, names a column whose order the plan could
 // use for free if it happens to drive an order-preserving path (the
-// free-ORDER-BY case); compat preserves the historical DB.Scan
-// strictness.
-func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanOptions, orderCol string, compat bool) (*tableAccess, error) {
+// free-ORDER-BY case).
+func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanOptions, orderCol string) (*tableAccess, error) {
 	a := &tableAccess{tab: t, name: name, base: t.file.Schema()}
 	if opts.MaxRegionPages == 0 {
 		opts.MaxRegionPages = core.DefaultMaxRegionPages
 	}
-	if !compat {
-		for _, m := range merged {
-			if m.pred.Empty() {
-				a.emptyWhy = fmt.Sprintf("predicates on %q are contradictory", m.name)
-			}
+	for _, m := range merged {
+		if m.pred.Empty() {
+			a.emptyWhy = fmt.Sprintf("predicates on %q are contradictory", m.name)
 		}
 	}
 
@@ -687,21 +693,17 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	// (by the optimizer's cardinality estimate) drives the access path;
 	// everything else is residual.
 	drivingAt := -1
-	if compat {
-		drivingAt = 0 // exactly one predicate by construction
-	} else {
-		bestCard := int64(math.MaxInt64)
-		for i, m := range merged {
-			if _, ok := t.indexes[m.name]; !ok {
-				continue
-			}
-			if card := stats.EstimateCard(m.pred); card < bestCard {
-				bestCard, drivingAt = card, i
-			}
+	bestCard := int64(math.MaxInt64)
+	for i, m := range merged {
+		if _, ok := t.indexes[m.name]; !ok {
+			continue
 		}
-		if drivingAt < 0 && len(merged) > 0 {
-			drivingAt = 0 // no indexed conjunct: full scan driven by the first
+		if card := stats.EstimateCard(m.pred); card < bestCard {
+			bestCard, drivingAt = card, i
 		}
+	}
+	if drivingAt < 0 && len(merged) > 0 {
+		drivingAt = 0 // no indexed conjunct: full scan driven by the first
 	}
 	if drivingAt >= 0 {
 		a.driving = merged[drivingAt]
@@ -756,12 +758,11 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	switch path {
 	case PathSmooth, PathIndex, PathSort, PathSwitch:
 		if !hasIndex {
-			if path == PathSmooth && !compat {
+			if path == PathSmooth {
 				// The builder's default path is PathSmooth; without an
 				// index on the driving column it degrades gracefully to
 				// a full scan instead of failing, so predicate-less and
-				// unindexed queries still run. DB.Scan keeps the strict
-				// historical behaviour.
+				// unindexed queries still run (DB.Scan refuses up front).
 				path = PathFull
 			} else {
 				return nil, fmt.Errorf("%w: %q.%q", ErrNoIndex, name, a.driving.name)
@@ -846,13 +847,12 @@ func estJoinRows(estL, estR, rightTableRows int64) int64 {
 
 // qtemplate is a query's compiled template: the structural
 // plan.Template plus the facade-level configuration that rides along
-// with the shape (per-input ScanOptions, DB.Scan compat). It is
+// with the shape (per-input ScanOptions). It is
 // immutable once built and shared freely — by the DB-wide plan cache,
 // and by every execution of a prepared Stmt.
 type qtemplate struct {
 	pt      *plan.Template
 	optsPer []ScanOptions
-	compat  bool
 	// key is the canonical shape the template was compiled from — the
 	// same string the plan cache indexes by. It distinguishes named
 	// parameters from literal slots, because the bind phase resolves
@@ -943,9 +943,6 @@ func (q *Query) structKey(blind bool) string {
 		}
 	}
 	sb.WriteString("v1|")
-	if q.compat {
-		sb.WriteString("compat|")
-	}
 	sp := &q.spec
 	fmt.Fprintf(&sb, "%q", sp.Table)
 	for _, j := range sp.Joins {
@@ -1200,7 +1197,7 @@ func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
 	}
 	pt.Out = stage
 	pt.Slots = slots
-	return &qtemplate{pt: pt, optsPer: optsPer, compat: q.compat}, nil
+	return &qtemplate{pt: pt, optsPer: optsPer}, nil
 }
 
 // templateFor returns the query's compiled template together with its
@@ -1313,6 +1310,29 @@ func foldGroup(at *plan.AccessT, group []int, lits []int64, b Bind) (resolvedPre
 	return out, nil
 }
 
+// bindInput plans input i of the template against db's copy of the
+// table: fold each column's conjuncts with the execution's constants,
+// then bindAccess. Only the driving table of a join-free query can
+// deliver a free ORDER BY. The caller holds db.mu (read).
+func (db *DB) bindInput(qt *qtemplate, i int, lits []int64, b Bind) (*tableAccess, error) {
+	at := &qt.pt.Inputs[i]
+	t, err := db.tableLocked(at.Table)
+	if err != nil {
+		return nil, err
+	}
+	merged := make([]resolvedPred, len(at.Merged))
+	for g, group := range at.Merged {
+		if merged[g], err = foldGroup(at, group, lits, b); err != nil {
+			return nil, err
+		}
+	}
+	orderCol := ""
+	if i == 0 {
+		orderCol = qt.pt.FreeOrderCol
+	}
+	return bindAccess(db, at.Table, t, merged, qt.optsPer[i], orderCol)
+}
+
 // bindTemplate runs the bind (execute-side) phase: substitute the
 // constants into the template and re-decide everything
 // estimate-sensitive — driving conjunct, access path, join algorithm
@@ -1326,26 +1346,15 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 	if len(lits) != pt.Slots {
 		return nil, fmt.Errorf("smoothscan: internal: %d literals for a %d-slot template", len(lits), pt.Slots)
 	}
-	cq := &compiledQuery{groupIdx: -1, orderIdx: -1}
+	cq := &compiledQuery{
+		stages:   stages{selIdx: pt.SelIdx, groupIdx: pt.GroupIdx, aggSpecs: pt.AggSpecs, sortIdx: -1},
+		orderIdx: -1,
+		out:      pt.Out,
+	}
 
 	cq.inputs = make([]*tableAccess, len(pt.Inputs))
 	for i := range pt.Inputs {
-		at := &pt.Inputs[i]
-		t, err := db.tableLocked(at.Table)
-		if err != nil {
-			return nil, err
-		}
-		merged := make([]resolvedPred, len(at.Merged))
-		for g, group := range at.Merged {
-			if merged[g], err = foldGroup(at, group, lits, b); err != nil {
-				return nil, err
-			}
-		}
-		orderCol := ""
-		if i == 0 {
-			orderCol = pt.FreeOrderCol
-		}
-		a, err := bindAccess(db, at.Table, t, merged, qt.optsPer[i], orderCol, qt.compat)
+		a, err := db.bindInput(qt, i, lits, b)
 		if err != nil {
 			return nil, err
 		}
@@ -1365,7 +1374,7 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 		}
 		cq.limit, cq.hasLim = n, true
 	}
-	if !qt.compat && cq.hasLim && cq.limit == 0 {
+	if cq.hasLim && cq.limit == 0 {
 		cq.emptyWhy = "LIMIT 0"
 	}
 
@@ -1395,13 +1404,6 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 		cq.joins = append(cq.joins, st)
 	}
 
-	cq.selIdx = pt.SelIdx
-	cq.selSchema = pt.SelSchema
-	cq.groupIdx = pt.GroupIdx
-	cq.aggSpecs = pt.AggSpecs
-	cq.aggSchema = pt.AggSchema
-	cq.out = pt.Out
-
 	// ORDER BY: decide whether the order comes for free (from the
 	// bind-chosen driving scan, or the aggregation's key order) or
 	// needs a posterior sort.
@@ -1413,7 +1415,7 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 		case len(cq.joins) == 0 && cq.driving().ordered && pt.GroupIdx < 0 && pt.OrderName == cq.driving().driving.name:
 			cq.orderVia = "scan"
 		default:
-			cq.needSort = true
+			cq.sortIdx = pt.OrderIdx
 		}
 	}
 
@@ -1433,11 +1435,9 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 	// tables' write epochs under the same lock the execution will run
 	// under. Resolving parameters to their values before keying is
 	// what lets an ad-hoc query with inline literals and a prepared
-	// statement bound to the same values share one entry. Compat
-	// (DB.Scan) queries and empty-plan short-circuits stay out: the
-	// former pins historical device behaviour, the latter already costs
-	// zero I/O.
-	if db.resCache != nil && qt.semKey != "" && !qt.compat && cq.emptyWhy == "" {
+	// statement bound to the same values share one entry. Empty-plan
+	// short-circuits stay out: they already cost zero I/O.
+	if db.resCache != nil && qt.semKey != "" && cq.emptyWhy == "" {
 		var sb strings.Builder
 		sb.WriteString(qt.semKey)
 		sb.WriteString("#v:")
@@ -1648,24 +1648,79 @@ func (cq *compiledQuery) build(db *DB, ctx context.Context) (*localExec, error) 
 		cur = count(st.algo.String()+"-join", op)
 	}
 
-	if cq.selIdx != nil {
-		p, err := exec.NewColProject(cur, cq.selIdx)
+	root, err := cq.stages.build(cur, db.dev, cq.out, count)
+	if err != nil {
+		return nil, err
+	}
+	bq.root = root
+	return bq, nil
+}
+
+// stages is the operator list above a scan/join tree or above a
+// sharded gather, in execution order: project, aggregate, sort, limit.
+// A compiledQuery embeds the one its binding decided; the sharded
+// coordinator derives its own from the shard-0 binding's (see
+// compileShardExec). The zero value of an index field is a real
+// column, so "absent" is spelled out: selIdx nil, groupIdx and sortIdx
+// -1, hasLim false.
+type stages struct {
+	selIdx   []int          // projection onto these input columns
+	aggSpecs []exec.AggSpec // with groupIdx
+	limit    int64
+	groupIdx int  // group column in the (projected) input
+	sortIdx  int  // posterior-sort column in the output
+	merge    bool // the aggregate merges per-shard partials ("merge-agg")
+	hasLim   bool
+}
+
+// aggName is the aggregate stage's operator name.
+func (st *stages) aggName() string {
+	if st.merge {
+		return "merge-agg"
+	}
+	return "hash-agg"
+}
+
+// build stacks the stages on cur, each wrapped by count. dev is the
+// device blocking stages charge (nil above a gather: the per-shard work
+// is already charged to the shard devices, and merging partials is
+// host-side bookkeeping); out is the schema of the finished stack.
+func (st *stages) build(cur exec.Operator, dev *disk.Device, out *tuple.Schema, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
+	if st.selIdx != nil {
+		p, err := exec.NewColProject(cur, st.selIdx)
 		if err != nil {
 			return nil, err
 		}
 		cur = count("project", p)
 	}
-	if cq.groupIdx >= 0 {
-		cur = count("hash-agg", exec.NewHashAggNamed(cur, db.dev, cq.groupIdx, cq.out.Col(0).Name, cq.aggSpecs))
+	if st.groupIdx >= 0 {
+		cur = count(st.aggName(), exec.NewHashAggNamed(cur, dev, st.groupIdx, out.Col(0).Name, st.aggSpecs))
 	}
-	if cq.needSort {
-		cur = count("sort", exec.NewSort(cur, db.dev, cq.orderIdx))
+	if st.sortIdx >= 0 {
+		cur = count("sort", exec.NewSort(cur, dev, st.sortIdx))
 	}
-	if cq.hasLim {
-		cur = count("limit", exec.NewLimit(cur, cq.limit))
+	if st.hasLim {
+		cur = count("limit", exec.NewLimit(cur, st.limit))
 	}
-	bq.root = cur
-	return bq, nil
+	return cur, nil
+}
+
+// describe names the stages for a sharded plan's Coordinator line.
+func (st *stages) describe(out *tuple.Schema) []string {
+	var d []string
+	if st.selIdx != nil {
+		d = append(d, "project")
+	}
+	if st.groupIdx >= 0 {
+		d = append(d, st.aggName())
+	}
+	if st.sortIdx >= 0 {
+		d = append(d, "sort by "+out.Col(st.sortIdx).Name)
+	}
+	if st.hasLim {
+		d = append(d, fmt.Sprintf("limit %d", st.limit))
+	}
+	return d
 }
 
 // errDetached is what Run and Explain return for a query no engine is

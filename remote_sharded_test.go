@@ -181,7 +181,7 @@ func runDrain(t *testing.T, q *smoothscan.Query, ctx context.Context) [][]int64 
 	return drainSharded(t, rows, err)
 }
 
-func stmtDrain(t *testing.T, st *smoothscan.ShardedStmt, ctx context.Context, b smoothscan.Bind) [][]int64 {
+func stmtDrain(t *testing.T, st *smoothscan.Stmt, ctx context.Context, b smoothscan.Bind) [][]int64 {
 	t.Helper()
 	rows, err := st.Run(ctx, b)
 	return drainSharded(t, rows, err)

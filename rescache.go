@@ -26,10 +26,10 @@ import (
 // that interleaved with the scan — open-scan interference — makes the
 // re-check fail and the store is skipped).
 //
-// Bypass rules (no lookup, no store): tier disabled, compat (DB.Scan)
-// queries, plans short-circuited to empty, executions with a fault
-// policy attached, and fault-degraded runs. ColdCache purges the tier
-// wholesale so cold measurements stay cold.
+// Bypass rules (no lookup, no store): tier disabled, plans
+// short-circuited to empty, executions with a fault policy attached,
+// and fault-degraded runs. ColdCache purges the tier wholesale so cold
+// measurements stay cold.
 
 // resAccum accumulates one execution's result stream for a
 // store-on-Close, bounded by the cache's per-entry byte cap.

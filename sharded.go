@@ -392,8 +392,8 @@ func (s *ShardedDB) Query(table string) *Query {
 	return &Query{eng: s, spec: wire.QuerySpec{Table: table}}
 }
 
-// clone deep-copies the builder state (a prepared ShardedStmt must not
-// alias slices the caller keeps appending to).
+// clone deep-copies the builder state (a statement prepared on a
+// sharded engine must not alias slices the caller keeps appending to).
 func (q *Query) clone() *Query {
 	cp := *q
 	cp.spec.Preds = append([]wire.PredSpec(nil), q.spec.Preds...)
@@ -419,71 +419,21 @@ func (q *Query) perShardQuery(db *DB) *Query {
 	return &cp
 }
 
-// splitConds routes the Where conjuncts to the one input whose schema
-// has the column, mirroring buildTemplate's routing (ambiguity was
-// already rejected there).
-func (q *Query) splitConds(pt *plan.Template) [][]wire.PredSpec {
-	out := make([][]wire.PredSpec, len(pt.Inputs))
-	for _, c := range q.spec.Preds {
-		for i := range pt.Inputs {
-			if pt.Inputs[i].Schema.ColIndex(c.Col) >= 0 {
-				out[i] = append(out[i], c)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // sideQuery builds the single-table query for one side of a broadcast
-// join: that table, its routed conjuncts, its ScanOptions — no
+// join: that table, the Where conjuncts on its columns (buildTemplate
+// has rejected a column two inputs share), its ScanOptions — no
 // projection, ordering or limit (those happen above the join).
 func (q *Query) sideQuery(db *DB, input int, pt *plan.Template) *Query {
-	opts := q.spec.Opts
+	side := &Query{eng: db, err: q.err, spec: wire.QuerySpec{Table: pt.Inputs[input].Table, Opts: q.spec.Opts}}
 	if input > 0 {
-		opts = q.spec.Joins[input-1].Opts
+		side.spec.Opts = q.spec.Joins[input-1].Opts
 	}
-	return &Query{eng: db, err: q.err, spec: wire.QuerySpec{
-		Table: pt.Inputs[input].Table,
-		Preds: q.splitConds(pt)[input],
-		Opts:  opts,
-	}}
-}
-
-// resolveArg resolves a predicate argument against a bind set; false
-// when it names an unbound parameter.
-func resolveArg(a wire.ArgSpec, b Bind) (int64, bool) {
-	if a.Param != "" {
-		v, ok := b[a.Param]
-		return v, ok
+	for _, c := range q.spec.Preds {
+		if pt.Inputs[input].Schema.ColIndex(c.Col) >= 0 {
+			side.spec.Preds = append(side.spec.Preds, c)
+		}
 	}
-	return a.Lit, true
-}
-
-// foldCondsRange folds the conjuncts on one column into a single
-// half-open range, for shard pruning. Conjuncts with unresolvable
-// parameters are skipped — pruning just gets more conservative.
-func foldCondsRange(conds []wire.PredSpec, col string, b Bind) tuple.RangePred {
-	pr := tuple.RangePred{Lo: math.MinInt64, Hi: math.MaxInt64}
-	for _, c := range conds {
-		if c.Col != col {
-			continue
-		}
-		kind, aArg, bArg := canonPred(c)
-		av, ok := resolveArg(aArg, b)
-		if !ok {
-			continue
-		}
-		var bv int64
-		if kind == plan.KindBetween {
-			if bv, ok = resolveArg(bArg, b); !ok {
-				continue
-			}
-		}
-		lo, hi := plan.FoldRange(kind, av, bv)
-		pr = pr.Intersect(tuple.RangePred{Lo: lo, Hi: hi})
-	}
-	return pr
+	return side
 }
 
 // mergeSpecs derives the coordinator's merge aggregates from the
@@ -518,7 +468,7 @@ const (
 type shardExec struct {
 	s        *ShardedDB
 	pt       *plan.Template
-	cq0      *compiledQuery // shard-0 binding: limit, emptyWhy, annotations
+	cq0      *compiledQuery // the whole query bound on shard 0
 	part     shard.Partitioning
 	strategy string
 
@@ -526,28 +476,18 @@ type shardExec struct {
 	prunedWhy []string // per shard; "" for active shards
 
 	// Broadcast-join configuration (strategyBroadcast only).
-	bcInput    int // the replicated side (0 or 1)
-	scanInput  int
-	bcPart     shard.Partitioning
-	bcActive   []int // broadcast-side shards to read
-	scanSchema *tuple.Schema
-	bcSchema   *tuple.Schema
+	bcInput   int // the replicated side (0 or 1)
+	scanInput int
+	bcActive  []int // broadcast-side shards to read
 
 	gatherSchema *tuple.Schema
 	ordered      bool
 	keyCol       int
 
-	// Coordinator stages, in order: project, aggregate, sort, limit.
-	selIdx      []int
-	aggGroupIdx int
-	aggName     string
-	aggSpecs    []exec.AggSpec
-	aggMerge    bool // merging per-shard partials vs aggregating raw rows
-	sortIdx     int
-	limit       int64
-	hasLim      bool
+	// coord is the stage list above the gather: cq0's own, minus what
+	// the shards already did beneath it (see compileShardExec).
+	coord stages
 
-	out      *tuple.Schema
 	emptyWhy string
 
 	// Execution state, filled by ShardedDB.execute.
@@ -613,24 +553,13 @@ func (s *ShardedDB) strategyFor(pt *plan.Template, part shard.Partitioning) (str
 
 // sideEstimate sums one input's post-predicate cardinality estimate
 // across shards — the broadcast strategy replicates the smaller side.
+// Each shard binds the input exactly as the side query it would run
+// does (a join query has no free-order column).
 func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind) (int64, error) {
-	at := &qt.pt.Inputs[input]
 	var total int64
 	for _, db := range s.shards {
 		db.mu.RLock()
-		t, err := db.tableLocked(at.Table)
-		if err != nil {
-			db.mu.RUnlock()
-			return 0, err
-		}
-		merged := make([]resolvedPred, len(at.Merged))
-		for g, group := range at.Merged {
-			if merged[g], err = foldGroup(at, group, lits, b); err != nil {
-				db.mu.RUnlock()
-				return 0, err
-			}
-		}
-		a, err := bindAccess(db, at.Table, t, merged, qt.optsPer[input], "", false)
+		a, err := db.bindInput(qt, input, lits, b)
 		db.mu.RUnlock()
 		if err != nil {
 			return 0, err
@@ -640,13 +569,15 @@ func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind)
 	return total, nil
 }
 
-// compileShardExec binds a sharded execution: shard-0 template
-// binding (constants, limit, contradiction short-circuits), strategy,
-// partition pruning from the folded Where conjuncts, and the gather /
-// coordinator configuration.
-func (s *ShardedDB) compileShardExec(q *Query, qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
+// compileShardExec binds a sharded execution. The shard-0 binding of
+// the whole query supplies what the planner has already worked out —
+// the folded predicates per input, the contradiction and LIMIT 0
+// short-circuits, the stage list — and the coordinator decides only
+// what is its own: the scatter strategy, the broadcast side, which
+// shards the partition predicates prune, and the gather mode.
+func (s *ShardedDB) compileShardExec(qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
 	pt := qt.pt
-	part, err := s.Partitioning(q.spec.Table)
+	part, err := s.Partitioning(pt.Inputs[0].Table)
 	if err != nil {
 		return nil, err
 	}
@@ -665,22 +596,16 @@ func (s *ShardedDB) compileShardExec(q *Query, qt *qtemplate, lits []int64, b Bi
 	}
 
 	se := &shardExec{
-		s:           s,
-		pt:          pt,
-		cq0:         cq0,
-		part:        part,
-		strategy:    strategy,
-		prunedWhy:   make([]string, len(s.shards)),
-		keyCol:      -1,
-		aggGroupIdx: -1,
-		sortIdx:     -1,
-		limit:       cq0.limit,
-		hasLim:      cq0.hasLim,
-		out:         pt.Out,
-		emptyWhy:    cq0.emptyWhy,
+		s:         s,
+		pt:        pt,
+		cq0:       cq0,
+		part:      part,
+		strategy:  strategy,
+		prunedWhy: make([]string, len(s.shards)),
+		keyCol:    -1,
+		coord:     cq0.stages,
+		emptyWhy:  cq0.emptyWhy,
 	}
-
-	condsPer := q.splitConds(pt)
 
 	// Broadcast side selection: replicate the smaller estimated input.
 	if strategy == strategyBroadcast {
@@ -696,28 +621,26 @@ func (s *ShardedDB) compileShardExec(q *Query, qt *qtemplate, lits []int64, b Bi
 		if est0 < est1 {
 			se.bcInput, se.scanInput = 0, 1
 		}
-		se.bcPart = parts[se.bcInput]
-		se.scanSchema = pt.Inputs[se.scanInput].Schema
-		se.bcSchema = pt.Inputs[se.bcInput].Schema
 	}
 
-	// Partition pruning: fold each input's conjuncts on its partition
-	// column and keep only the shards that can hold matching rows.
-	prune := func(p shard.Partitioning, conds []wire.PredSpec) {
-		pr := foldCondsRange(conds, p.Column, b)
+	// Partition pruning: keep only the shards that can hold rows inside
+	// the range input i's conjuncts fold to on its partition column.
+	prune := func(i int) {
+		p := parts[i]
+		pr := cq0.inputs[i].rangeOn(p.Column)
 		if pr.Lo == math.MinInt64 && pr.Hi == math.MaxInt64 {
 			return
 		}
 		keep := make(map[int]bool, p.N)
-		for _, i := range p.Prune(pr.Lo, pr.Hi) {
-			keep[i] = true
+		for _, si := range p.Prune(pr.Lo, pr.Hi) {
+			keep[si] = true
 		}
 		next := se.active[:0]
-		for _, i := range se.active {
-			if keep[i] {
-				next = append(next, i)
-			} else if se.prunedWhy[i] == "" {
-				se.prunedWhy[i] = fmt.Sprintf("%s excludes %s", fmtPred(p.Column, pr), p.DescribeShard(i))
+		for _, si := range se.active {
+			if keep[si] {
+				next = append(next, si)
+			} else if se.prunedWhy[si] == "" {
+				se.prunedWhy[si] = fmt.Sprintf("%s excludes %s", fmtPred(p.Column, pr), p.DescribeShard(si))
 			}
 		}
 		se.active = next
@@ -728,21 +651,19 @@ func (s *ShardedDB) compileShardExec(q *Query, qt *qtemplate, lits []int64, b Bi
 		for i := range se.active {
 			se.active[i] = i
 		}
-		switch strategy {
-		case strategyScan:
-			prune(part, condsPer[0])
-		case strategyPartition:
-			// Co-partitioned: a shard excluded by any input's partition
-			// predicate produces no join output there.
-			for i := range pt.Inputs {
-				prune(parts[i], condsPer[i])
-			}
-		case strategyBroadcast:
-			prune(parts[se.scanInput], condsPer[se.scanInput])
-			bcPr := foldCondsRange(condsPer[se.bcInput], se.bcPart.Column, b)
-			se.bcActive = se.bcPart.Prune(bcPr.Lo, bcPr.Hi)
+		if strategy == strategyBroadcast {
+			prune(se.scanInput)
+			bcPart := parts[se.bcInput]
+			bcPr := cq0.inputs[se.bcInput].rangeOn(bcPart.Column)
+			se.bcActive = bcPart.Prune(bcPr.Lo, bcPr.Hi)
 			if len(se.bcActive) == 0 {
 				se.emptyWhy = fmt.Sprintf("broadcast side %q fully pruned", pt.Inputs[se.bcInput].Table)
+			}
+		} else {
+			// One input, or co-partitioned ones: a shard excluded by any
+			// input's partition predicate produces no output there.
+			for i := range pt.Inputs {
+				prune(i)
 			}
 		}
 		if len(se.active) == 0 && se.emptyWhy == "" {
@@ -759,45 +680,26 @@ func (s *ShardedDB) compileShardExec(q *Query, qt *qtemplate, lits []int64, b Bi
 		return se, nil
 	}
 
-	// Gather and coordinator configuration.
-	hasAgg := pt.GroupIdx >= 0
-	switch strategy {
-	case strategyScan, strategyPartition:
-		if hasAgg {
-			// Shards emit partial groups (pt.AggSchema); the coordinator
-			// merges them, then orders/limits.
-			se.gatherSchema = pt.AggSchema
-			se.aggGroupIdx = 0
-			se.aggName = pt.AggSchema.Col(0).Name
-			se.aggSpecs = mergeSpecs(pt.AggSpecs)
-			se.aggMerge = true
-			if pt.OrderIdx >= 0 && pt.OrderName != se.aggName {
-				se.sortIdx = pt.OrderIdx
-			}
-		} else {
-			// Shards emit final rows (projected, ordered, limited); the
-			// coordinator merges and re-limits.
-			se.gatherSchema = pt.Out
-			if pt.OrderIdx >= 0 {
-				se.ordered = true
-				se.keyCol = pt.OrderIdx
-			}
-		}
-	case strategyBroadcast:
-		// Shards emit raw join output; projection, aggregation and
-		// ordering all happen at the coordinator (a join output's
-		// per-shard ordering is not usable for a merge).
+	// Gather mode, and which of cq0's stages are left for the
+	// coordinator.
+	switch {
+	case strategy == strategyBroadcast:
+		// Shards emit raw join output (whose per-shard ordering is not
+		// usable for a merge): every stage runs at the coordinator.
 		se.gatherSchema = pt.Joins[0].Joined
-		se.selIdx = pt.SelIdx
-		if hasAgg {
-			se.aggGroupIdx = pt.GroupIdx
-			se.aggName = pt.AggSchema.Col(0).Name
-			se.aggSpecs = pt.AggSpecs
-			if pt.OrderIdx >= 0 && pt.OrderName != se.aggName {
-				se.sortIdx = pt.OrderIdx
-			}
-		} else if pt.OrderIdx >= 0 {
-			se.sortIdx = pt.OrderIdx
+	case pt.GroupIdx >= 0:
+		// Shards emit partial groups, already projected; the coordinator
+		// merges them, then orders and limits as cq0 would.
+		se.gatherSchema = pt.Out
+		se.coord.selIdx, se.coord.groupIdx, se.coord.merge = nil, 0, true
+		se.coord.aggSpecs = mergeSpecs(pt.AggSpecs)
+	default:
+		// Shards emit final rows — projected, ordered, limited; the
+		// coordinator merges the streams in order and re-limits.
+		se.gatherSchema = pt.Out
+		se.coord.selIdx, se.coord.sortIdx = nil, -1
+		if pt.OrderIdx >= 0 {
+			se.ordered, se.keyCol = true, pt.OrderIdx
 		}
 	}
 	return se, nil
@@ -891,7 +793,7 @@ func (s *ShardedDB) execute(ctx context.Context, se *shardExec, run runnerset) (
 	}
 	rows := se.rows(ctx)
 	if cache {
-		rows.acc = newResAccum(se.cq0.resKey, eps, s.resCache.EntryCap(), se.out.NumCols())
+		rows.acc = newResAccum(se.cq0.resKey, eps, s.resCache.EntryCap(), se.pt.Out.NumCols())
 	}
 	return rows, nil
 }
@@ -913,13 +815,13 @@ func (se *shardExec) start(ctx context.Context) error {
 
 	var cur exec.Operator
 	if se.emptyWhy != "" {
-		cur = count("empty", exec.NewValues(se.out, nil))
+		cur = count("empty", exec.NewValues(se.pt.Out, nil))
 	} else {
 		// Broadcast side: drain the replicated input's active shards
 		// into memory once, before the workers start.
 		var bcRows []tuple.Row
 		if se.strategy == strategyBroadcast {
-			b := tuple.NewBatchFor(se.bcSchema, exec.DefaultBatchSize)
+			b := tuple.NewBatchFor(se.pt.Inputs[se.bcInput].Schema, exec.DefaultBatchSize)
 			for _, si := range se.bcActive {
 				cur, err := run.side(ctx, se.bcInput, si)
 				if err != nil {
@@ -949,11 +851,11 @@ func (se *shardExec) start(ctx context.Context) error {
 			var op exec.Operator
 			if se.strategy == strategyBroadcast {
 				scanOp := &shardRowsOp{
-					schema: se.scanSchema,
+					schema: se.pt.Inputs[se.scanInput].Schema,
 					start:  func() (shardCursor, error) { return run.side(ctx, se.scanInput, si) },
 				}
 				se.adapters = append(se.adapters, scanOp)
-				vals := exec.NewValues(se.bcSchema, bcRows)
+				vals := exec.NewValues(se.pt.Inputs[se.bcInput].Schema, bcRows)
 				spec := plan.JoinSpec{
 					LeftCol:  se.pt.Joins[0].LeftCol,
 					RightCol: se.pt.Joins[0].RightCol,
@@ -993,30 +895,9 @@ func (se *shardExec) start(ctx context.Context) error {
 		if se.ordered {
 			name = fmt.Sprintf("gather-merge[%d]", len(workers))
 		}
-		cur = count(name, g)
-		cur = &ctxGuard{inner: cur, ctx: ctx}
-		if se.selIdx != nil {
-			p, err := exec.NewColProject(cur, se.selIdx)
-			if err != nil {
-				return err
-			}
-			cur = count("project", p)
-		}
-		if se.aggGroupIdx >= 0 {
-			name := "hash-agg"
-			if se.aggMerge {
-				name = "merge-agg"
-			}
-			// Coordinator stages run on no device: the per-shard work is
-			// already charged to the shard devices, and merging partials
-			// is host-side bookkeeping.
-			cur = count(name, exec.NewHashAggNamed(cur, nil, se.aggGroupIdx, se.aggName, se.aggSpecs))
-		}
-		if se.sortIdx >= 0 {
-			cur = count("sort", exec.NewSort(cur, nil, se.sortIdx))
-		}
-		if se.hasLim {
-			cur = count("limit", exec.NewLimit(cur, se.limit))
+		cur = &ctxGuard{inner: count(name, g), ctx: ctx}
+		if cur, err = se.coord.build(cur, nil, se.pt.Out, count); err != nil {
+			return err
 		}
 	}
 
@@ -1036,7 +917,7 @@ func (se *shardExec) rows(ctx context.Context) *Rows {
 	return &Rows{
 		run:        se,
 		op:         se.root,
-		schema:     se.out,
+		schema:     se.pt.Out,
 		baseSchema: se.pt.Base,
 		ctx:        ctx,
 		counters:   se.counters,
@@ -1076,18 +957,23 @@ func (se *shardExec) plan() *Plan {
 	return p
 }
 
-// compileQuery compiles an ad-hoc sharded query — shard 0 is the
-// validation and template source — into its scatter-gather execution
-// and the per-shard runners.
-func (s *ShardedDB) compileQuery(q *Query) (*shardExec, runnerset, error) {
+// templateFor is DB.templateFor on shard 0, the validation and
+// template source of every sharded query.
+func (s *ShardedDB) templateFor(q *Query) (*qtemplate, []int64, bool, error) {
 	shard0 := s.shards[0]
 	shard0.mu.RLock()
-	qt, lits, hit, err := shard0.templateFor(q)
-	shard0.mu.RUnlock()
+	defer shard0.mu.RUnlock()
+	return shard0.templateFor(q)
+}
+
+// compileQuery compiles an ad-hoc sharded query into its scatter-gather
+// execution and the per-shard runners.
+func (s *ShardedDB) compileQuery(q *Query) (*shardExec, runnerset, error) {
+	qt, lits, hit, err := s.templateFor(q)
 	if err != nil {
 		return nil, runnerset{}, err
 	}
-	se, err := s.compileShardExec(q, qt, lits, nil, false)
+	se, err := s.compileShardExec(qt, lits, nil, false)
 	if err != nil {
 		return nil, runnerset{}, err
 	}
@@ -1126,35 +1012,14 @@ func (s *ShardedDB) explainQuery(q *Query) (*Plan, error) {
 	return se.explain(run.explain)
 }
 
-// ShardedStmt is a prepared sharded statement: the structural template
-// compiles once (per shard, against each shard's own plan cache); each
-// Run re-binds and re-prunes from the bound parameter values, so the
-// same statement can touch one shard for a narrow bind and all of them
-// for a wide one.
-type ShardedStmt struct {
-	s         *ShardedDB
-	q         *Query
-	qt        *qtemplate
-	lits      []int64
-	params    []string
-	pstmts    []shardStmt
-	sideStmts [2][]shardStmt
-}
+// Prepare validates and compiles the sharded query's structure into a
+// Stmt holding per-shard prepared statements plus the scatter template.
+// Close it when done.
+func (s *ShardedDB) Prepare(q *Query) (*Stmt, error) { return prepareOn(s, q) }
 
-// Prepare validates and compiles the sharded query's structure into
-// per-shard prepared statements plus the scatter template.
-func (s *ShardedDB) Prepare(q *Query) (*ShardedStmt, error) {
-	if q == nil || q.eng == nil {
-		return nil, fmt.Errorf("smoothscan: Prepare of a nil or detached query")
-	}
-	if q.eng != queryEngine(s) {
-		return nil, fmt.Errorf("smoothscan: Prepare of a query built on a different database")
-	}
+func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 	snap := q.clone()
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(snap)
-	shard0.mu.RUnlock()
+	qt, lits, _, err := s.templateFor(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -1166,7 +1031,7 @@ func (s *ShardedDB) Prepare(q *Query) (*ShardedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedStmt{s: s, q: snap, qt: qt, lits: lits, params: qt.pt.Params}
+	st := &Stmt{eng: s, qt: qt, lits: lits}
 	if strategy == strategyBroadcast {
 		for input := 0; input < 2; input++ {
 			for si, db := range s.shards {
@@ -1189,11 +1054,6 @@ func (s *ShardedDB) Prepare(q *Query) (*ShardedStmt, error) {
 	return st, nil
 }
 
-// Params returns the statement's parameter names in first-use order.
-func (st *ShardedStmt) Params() []string {
-	return append([]string(nil), st.params...)
-}
-
 // filterBind keeps only the bindings a per-shard statement's own
 // parameters use — pushdown drops Limit/OrderBy for aggregates, so a
 // sub-statement may have fewer parameters than the full query.
@@ -1201,8 +1061,8 @@ func filterBind(ps *Stmt, b Bind) Bind {
 	if len(b) == 0 {
 		return nil
 	}
-	out := make(Bind, len(ps.params))
-	for _, p := range ps.params {
+	out := make(Bind, len(ps.qt.pt.Params))
+	for _, p := range ps.qt.pt.Params {
 		if v, ok := b[p]; ok {
 			out[p] = v
 		}
@@ -1210,15 +1070,10 @@ func filterBind(ps *Stmt, b Bind) Bind {
 	return out
 }
 
-// bind checks the bind set (mirroring Stmt.checkBind), re-prunes the
-// shard set from the bound predicate values and assembles the
-// per-shard runners of this execution.
-func (st *ShardedStmt) bind(b Bind) (*shardExec, runnerset, error) {
-	proxy := &Stmt{qt: st.qt, params: st.params}
-	if err := proxy.checkBind(b); err != nil {
-		return nil, runnerset{}, err
-	}
-	se, err := st.s.compileShardExec(st.q, st.qt, st.lits, b, true)
+// bindStmt re-prunes the shard set from the bound predicate values and
+// assembles the per-shard runners of this execution.
+func (s *ShardedDB) bindStmt(st *Stmt, b Bind) (*shardExec, runnerset, error) {
+	se, err := s.compileShardExec(st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, runnerset{}, err
 	}
@@ -1239,44 +1094,18 @@ func (st *ShardedStmt) bind(b Bind) (*shardExec, runnerset, error) {
 	}, nil
 }
 
-// Run binds the parameters, re-prunes the shard set from the bound
-// predicate values, and executes. Prepared executions share
-// coordinator result-cache entries with ad-hoc ones (the key is the
-// canonical shape plus the resolved values). Safe for concurrent use;
-// always Close the returned rows.
-func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*Rows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	se, run, err := st.bind(b)
+func (s *ShardedDB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
+	se, run, err := s.bindStmt(st, b)
 	if err != nil {
 		return nil, err
 	}
-	return st.s.execute(ctx, se, run)
+	return s.execute(ctx, se, run)
 }
 
-// Explain binds the parameters and renders the scatter-gather plan
-// this execution would run, without touching any device.
-func (st *ShardedStmt) Explain(b Bind) (*Plan, error) {
-	se, run, err := st.bind(b)
+func (s *ShardedDB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
+	se, run, err := s.bindStmt(st, b)
 	if err != nil {
 		return nil, err
 	}
 	return se.explain(run.explain)
-}
-
-// Close releases the per-shard prepared statements. In-process
-// statements hold no external resources; remote ones release their
-// server-side handles. Idempotent in effect — closing twice re-closes
-// already-released handles harmlessly.
-func (st *ShardedStmt) Close() error {
-	var first error
-	for _, set := range [][]shardStmt{st.pstmts, st.sideStmts[0], st.sideStmts[1]} {
-		for _, ps := range set {
-			if err := ps.close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }

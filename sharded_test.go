@@ -1211,3 +1211,267 @@ func TestShardedRowsColumns(t *testing.T) {
 		t.Errorf("CopyRow = %d", n)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Coordinator stages: strategy × shape
+// ---------------------------------------------------------------------------
+
+// TestShardedCoordinatorStages pins, for every scatter strategy and
+// every shape of the stage list above the gather, the exact
+// Plan.Sharded.Coordinator strings, the gather mode, and the operator
+// names ExecStats reports in order. The expectations were recorded at
+// the commit before the coordinator started reading its stage list from
+// the shard-0 binding; a planning refactor must leave them untouched.
+func TestShardedCoordinatorStages(t *testing.T) {
+	type fixture struct {
+		s            *ShardedDB
+		base         func(s *ShardedDB) *Query
+		sel          [2]string
+		group, order string
+	}
+	join := func(s *ShardedDB) *Query { return s.Query("f").Join("d", "fkey", "did") }
+	fixtures := map[string]fixture{
+		"scan": {buildGridSharded(t, 3, "range"),
+			func(s *ShardedDB) *Query { return s.Query("t") }, [2]string{"id", "g"}, "g", "id"},
+		"partition-wise": {buildJoinSharded(t, 3, pwParts(3)), join, [2]string{"fid", "cat"}, "cat", "fid"},
+		"broadcast":      {buildJoinSharded(t, 3, bcParts(3)), join, [2]string{"fid", "cat"}, "cat", "fid"},
+	}
+	shapes := map[string]func(q *Query, f fixture) *Query{
+		"plain":         func(q *Query, f fixture) *Query { return q },
+		"select":        func(q *Query, f fixture) *Query { return q.Select(f.sel[0], f.sel[1]) },
+		"group":         func(q *Query, f fixture) *Query { return q.GroupBy(f.group, Count()) },
+		"group-ord-agg": func(q *Query, f fixture) *Query { return q.GroupBy(f.group, Count()).OrderBy("count") },
+		"ord":           func(q *Query, f fixture) *Query { return q.OrderBy(f.order) },
+		"limit":         func(q *Query, f fixture) *Query { return q.Limit(7) },
+		"ord-limit":     func(q *Query, f fixture) *Query { return q.OrderBy(f.order).Limit(7) },
+	}
+	const bcStage = "broadcast d (shards [0 1 2]) into every f join"
+	cases := []struct {
+		strategy, shape string
+		coordinator     []string
+		gather          string
+		operators       []string
+	}{
+		{"scan", "plain", nil, "unordered fan-in", []string{"gather[3]"}},
+		{"scan", "select", nil, "unordered fan-in", []string{"gather[3]"}},
+		{"scan", "group", []string{"merge-agg"}, "unordered fan-in", []string{"gather[3]", "merge-agg"}},
+		{"scan", "group-ord-agg", []string{"merge-agg", "sort by count"}, "unordered fan-in", []string{"gather[3]", "merge-agg", "sort"}},
+		{"scan", "ord", nil, "ordered merge by id", []string{"gather-merge[3]"}},
+		{"scan", "limit", []string{"limit 7"}, "unordered fan-in", []string{"gather[3]", "limit"}},
+		{"scan", "ord-limit", []string{"limit 7"}, "ordered merge by id", []string{"gather-merge[3]", "limit"}},
+		{"partition-wise", "plain", nil, "unordered fan-in", []string{"gather[3]"}},
+		{"partition-wise", "select", nil, "unordered fan-in", []string{"gather[3]"}},
+		{"partition-wise", "group", []string{"merge-agg"}, "unordered fan-in", []string{"gather[3]", "merge-agg"}},
+		{"partition-wise", "group-ord-agg", []string{"merge-agg", "sort by count"}, "unordered fan-in", []string{"gather[3]", "merge-agg", "sort"}},
+		{"partition-wise", "ord", nil, "ordered merge by fid", []string{"gather-merge[3]"}},
+		{"partition-wise", "limit", []string{"limit 7"}, "unordered fan-in", []string{"gather[3]", "limit"}},
+		{"partition-wise", "ord-limit", []string{"limit 7"}, "ordered merge by fid", []string{"gather-merge[3]", "limit"}},
+		{"broadcast", "plain", []string{bcStage}, "unordered fan-in", []string{"gather[3]"}},
+		{"broadcast", "select", []string{bcStage, "project"}, "unordered fan-in", []string{"gather[3]", "project"}},
+		{"broadcast", "group", []string{bcStage, "hash-agg"}, "unordered fan-in", []string{"gather[3]", "hash-agg"}},
+		{"broadcast", "group-ord-agg", []string{bcStage, "hash-agg", "sort by count"}, "unordered fan-in", []string{"gather[3]", "hash-agg", "sort"}},
+		{"broadcast", "ord", []string{bcStage, "sort by fid"}, "unordered fan-in", []string{"gather[3]", "sort"}},
+		{"broadcast", "limit", []string{bcStage, "limit 7"}, "unordered fan-in", []string{"gather[3]", "limit"}},
+		{"broadcast", "ord-limit", []string{bcStage, "sort by fid", "limit 7"}, "unordered fan-in", []string{"gather[3]", "sort", "limit"}},
+	}
+	if len(cases) != len(fixtures)*len(shapes) {
+		t.Fatalf("%d cases for %d strategies × %d shapes", len(cases), len(fixtures), len(shapes))
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.strategy+"/"+c.shape, func(t *testing.T) {
+			f := fixtures[c.strategy]
+			q := shapes[c.shape](f.base(f.s), f)
+			p, err := q.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Sharded.Strategy != c.strategy {
+				t.Fatalf("Strategy = %q, want %q", p.Sharded.Strategy, c.strategy)
+			}
+			if !slices.Equal(p.Sharded.Coordinator, c.coordinator) {
+				t.Errorf("Coordinator = %q, want %q", p.Sharded.Coordinator, c.coordinator)
+			}
+			if p.Sharded.Gather != c.gather {
+				t.Errorf("Gather = %q, want %q", p.Sharded.Gather, c.gather)
+			}
+			rows, err := q.Run(context.Background())
+			_, es := drainStats(t, rows, err)
+			var ops []string
+			for _, o := range es.Operators {
+				ops = append(ops, o.Name)
+			}
+			if !slices.Equal(ops, c.operators) {
+				t.Errorf("Operators = %q, want %q", ops, c.operators)
+			}
+		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Pruning against a brute-force oracle
+// ---------------------------------------------------------------------------
+
+// pruneConjunct is one generated comparison on a partition column; pa
+// and pb say which of its arguments the prepared form passes as Params.
+type pruneConjunct struct {
+	kind   int // 0 Eq, 1 Lt, 2 Le, 3 Gt, 4 Ge, 5 Between
+	a, b   int64
+	pa, pb bool
+}
+
+func (c pruneConjunct) matches(v int64) bool {
+	switch c.kind {
+	case 0:
+		return v == c.a
+	case 1:
+		return v < c.a
+	case 2:
+		return v <= c.a
+	case 3:
+		return v > c.a
+	case 4:
+		return v >= c.a
+	}
+	return c.a <= v && v < c.b
+}
+
+// pred builds the conjunct's predicate. With a non-nil bind set the
+// arguments flagged pa/pb become parameters named after the conjunct's
+// position and their values land in bind.
+func (c pruneConjunct) pred(i int, bind Bind) Pred {
+	arg := func(asParam bool, name string, v int64) any {
+		if bind == nil || !asParam {
+			return v
+		}
+		name += itoa(i)
+		bind[name] = v
+		return Param(name)
+	}
+	a := arg(c.pa, "a", c.a)
+	switch c.kind {
+	case 0:
+		return Eq(a)
+	case 1:
+		return Lt(a)
+	case 2:
+		return Le(a)
+	case 3:
+		return Gt(a)
+	case 4:
+		return Ge(a)
+	}
+	return Between(a, arg(c.pb, "b", c.b))
+}
+
+// TestShardedPruningOracle checks partition pruning against brute
+// force: for generated conjunct sets on a partition column — mixed
+// comparison kinds, duplicates, contradictions, literal and
+// parameter-bound arguments — on the driving table and on the second
+// input of a partition-wise join, the shards that run are exactly
+// {Route(v) : v in the domain satisfies every conjunct}, and every
+// other shard reports why it was pruned.
+func TestShardedPruningOracle(t *testing.T) {
+	const (
+		n            = 3
+		keys         = 300 // constants fall in [0, keys]
+		domLo, domHi = -200, 500
+	)
+	ctx := context.Background()
+	for _, scheme := range []string{"range", "hash"} {
+		part := func(col string) Partitioning {
+			if scheme == "hash" {
+				return HashPartitioning(col, n)
+			}
+			return RangePartitioning(col, 100, 200)
+		}
+		s, err := OpenSharded(n, Options{PoolPages: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range [][3]string{{"a", "ak", "av"}, {"b", "bk", "bv"}} {
+			tb, err := s.CreateShardedTable(tab[0], part(tab[1]), tab[1], tab[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < keys; i++ {
+				if err := tb.Append(i, i%7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tb.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CreateIndex(tab[0], tab[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		targets := []struct {
+			name string
+			base func() *Query
+			col  string
+		}{
+			{"driving", func() *Query { return s.Query("a") }, "ak"},
+			{"join-driving", func() *Query { return s.Query("a").Join("b", "ak", "bk") }, "ak"},
+			{"join-second", func() *Query { return s.Query("a").Join("b", "ak", "bk") }, "bk"},
+		}
+		check := func(t *testing.T, rows *Rows, err error, want [n]bool) {
+			t.Helper()
+			_, es := drainStats(t, rows, err)
+			for i, sh := range es.Shards {
+				if sh.Pruned == want[i] {
+					t.Errorf("shard %d (%s): pruned=%v, oracle active=%v (%q)", i, sh.Owns, sh.Pruned, want[i], sh.PrunedWhy)
+				}
+				if (sh.PrunedWhy != "") != sh.Pruned {
+					t.Errorf("shard %d: pruned=%v with reason %q", i, sh.Pruned, sh.PrunedWhy)
+				}
+			}
+		}
+
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 60; trial++ {
+			var conj []pruneConjunct
+			for k := rng.Intn(5); k > 0; k-- {
+				c := pruneConjunct{kind: rng.Intn(6), a: rng.Int63n(keys + 1), pa: rng.Intn(2) == 0, pb: rng.Intn(2) == 0}
+				c.b = c.a + rng.Int63n(6) // narrow (or empty) Between: hash pruning enumerates it
+				if rng.Intn(3) == 0 {
+					c.b = rng.Int63n(keys + 1)
+				}
+				conj = append(conj, c)
+				if rng.Intn(4) == 0 {
+					conj = append(conj, c) // duplicate
+				}
+			}
+			p := part("k")
+			var want [n]bool
+			for v := int64(domLo); v < domHi; v++ {
+				ok := true
+				for _, c := range conj {
+					ok = ok && c.matches(v)
+				}
+				if ok {
+					want[p.Route(v)] = true
+				}
+			}
+			for _, tg := range targets {
+				t.Run(strings.Join([]string{scheme, tg.name, "trial" + itoa(trial/10) + itoa(trial%10)}, "/"), func(t *testing.T) {
+					lit, par := tg.base(), tg.base()
+					bind := Bind{}
+					for i, c := range conj {
+						lit.Where(tg.col, c.pred(i, nil))
+						par.Where(tg.col, c.pred(i, bind))
+					}
+					rows, err := lit.Run(ctx)
+					check(t, rows, err, want)
+					st, err := s.Prepare(par)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					rows, err = st.Run(ctx, bind)
+					check(t, rows, err, want)
+				})
+			}
+		}
+	}
+}

@@ -615,23 +615,23 @@ const MaxParallelism = 64
 // lo <= v < hi, using the configured access path. All paths except
 // PathFull require an index on the column (CreateIndex).
 //
-// Scan is a thin wrapper over the Query builder —
-// db.Query(table).Where(column, Between(lo, hi)).WithOptions(opts) —
-// kept for compatibility: it compiles through the same
-// plan-construction step, produces byte-identical results and
-// simulated costs to the pre-builder implementation (the harness's
-// `ssbench -exp all` output is diffed against a committed golden in
-// CI), and preserves the historical strictness the builder relaxes
-// (a missing index is an error rather than a full-scan fallback, and
-// an empty range still walks the index).
+// Scan is the Query builder under another name —
+// db.Query(table).Where(column, Between(lo, hi)).WithOptions(opts).Run
+// — with one piece of strictness in front: the default PathSmooth on a
+// column without an index returns ErrNoIndex here, where the builder
+// falls back to a full scan. Everything else is the builder's
+// behaviour, including what earlier versions of Scan did differently:
+// an empty range short-circuits to an empty result without walking the
+// index, and a DB with the result cache enabled serves repeated Scans
+// from it. The simulated-cost golden (`make equiv`) is recorded through
+// the harness's own operator trees and pins the engine, not Scan.
 //
-// Scan is effectively deprecated for new code: prefer the Query
-// builder (db.Query, or the backend-neutral Engine.Table), which
-// composes with joins, grouping, prepared statements and every Engine
-// backend — sharded and remote included. Scan remains supported and
-// the golden-diffed harness pins its behaviour, but it gains no new
-// capability. (The comment deliberately avoids the machine-readable
-// "Deprecated:" marker so existing callers stay lint-clean.)
+// Prefer the Query builder (db.Query, or the backend-neutral
+// Engine.Table) in new code: it composes with joins, grouping, prepared
+// statements and every Engine backend — sharded and remote included.
+// Scan remains supported but gains no new capability. (The comment
+// deliberately avoids the machine-readable "Deprecated:" marker so
+// existing callers stay lint-clean.)
 func (db *DB) Scan(tableName, column string, lo, hi int64, opts ScanOptions) (*Rows, error) {
 	return db.ScanContext(context.Background(), tableName, column, lo, hi, opts)
 }
@@ -641,9 +641,12 @@ func (db *DB) Scan(tableName, column string, lo, hi int64, opts ScanOptions) (*R
 // to any parallel scan workers, which observe cancellation between
 // batches and exit promptly.
 func (db *DB) ScanContext(ctx context.Context, tableName, column string, lo, hi int64, opts ScanOptions) (*Rows, error) {
-	q := db.Query(tableName).Where(column, Between(lo, hi)).WithOptions(opts)
-	q.compat = true
-	return q.Run(ctx)
+	if opts.Path == PathSmooth {
+		if _, err := db.IndexSpace(tableName, column); err != nil {
+			return nil, err
+		}
+	}
+	return db.Query(tableName).Where(column, Between(lo, hi)).WithOptions(opts).Run(ctx)
 }
 
 // costParams derives Section V cost-model parameters for a table.

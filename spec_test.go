@@ -163,11 +163,4 @@ func TestQueryEngineBinding(t *testing.T) {
 	if _, err := db.Prepare(detached); err == nil {
 		t.Error("DB.Prepare accepted a detached query")
 	}
-
-	// The DB.Scan compat shape is the one query the spec cannot carry.
-	compat := db.Query("t").Where("val", Between(0, 10))
-	compat.compat = true
-	if _, err := compat.Spec(); err == nil || !strings.Contains(err.Error(), "cannot be serialised") {
-		t.Errorf("compat Spec: %v", err)
-	}
 }

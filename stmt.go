@@ -24,26 +24,47 @@ var ErrUnknownParam = errors.New("smoothscan: bind names unknown parameter")
 type Bind map[string]int64
 
 // Stmt is a prepared statement: the compile-once half of the
-// prepare → bind → execute query lifecycle. DB.Prepare validates the
-// query's structure — tables, columns, join tree, projection — and
-// compiles it into an immutable plan template exactly once; each Run
-// or Explain then performs only the cheap bind phase: substitute the
-// Bind values and re-decide the estimate-sensitive choices (driving
-// index among the indexed conjuncts, access path under PathAuto,
-// hash-join build side and hash-vs-merge selection, parallelism clamp)
-// from the tables' statistics at that moment, with zero device I/O.
-// Two bind sets can therefore execute the same Stmt with different
-// driving indexes — the paper's statistics-robustness argument applied
-// at the API layer.
+// prepare → bind → execute query lifecycle. Prepare (DB.Prepare or
+// ShardedDB.Prepare) validates the query's structure — tables, columns,
+// join tree, projection — and compiles it into an immutable plan
+// template exactly once; each Run or Explain then performs only the
+// cheap bind phase: substitute the Bind values and re-decide the
+// estimate-sensitive choices (driving index among the indexed
+// conjuncts, access path under PathAuto, hash-join build side and
+// hash-vs-merge selection, parallelism clamp) from the tables'
+// statistics at that moment, with zero device I/O. Two bind sets can
+// therefore execute the same Stmt with different driving indexes — the
+// paper's statistics-robustness argument applied at the API layer.
+//
+// On a sharded engine the statement additionally holds one prepared
+// statement per shard (each compiled against that shard's own plan
+// cache), and every Run re-prunes the shard set from the bound
+// predicate values, so the same statement can touch one shard for a
+// narrow bind and all of them for a wide one.
 //
 // A Stmt is immutable and safe for concurrent use: any number of
 // goroutines may Run it simultaneously, each getting an independent
-// Rows. It needs no Close and holds no device or pool state.
+// Rows. It holds no device or pool state. A DB's statement needs no
+// Close; a sharded one should be closed, which releases its per-shard
+// statements (remote shards hold server-side handles).
 type Stmt struct {
-	db     *DB
-	qt     *qtemplate
-	lits   []int64
-	params []string
+	eng  queryEngine
+	qt   *qtemplate
+	lits []int64
+	// Sharded engine only: the per-shard statements Run scatters to —
+	// pstmts under the scan and partition-wise strategies, sideStmts
+	// (one set per join input) under broadcast.
+	pstmts    []shardStmt
+	sideStmts [2][]shardStmt
+}
+
+// prepareOn is Prepare on every engine: refuse a query the engine does
+// not own, then compile.
+func prepareOn(eng queryEngine, q *Query) (*Stmt, error) {
+	if q == nil || q.eng != eng {
+		return nil, errors.New("smoothscan: Prepare of a query that was not built on this engine (nil, detached, or another engine's)")
+	}
+	return eng.prepare(q)
 }
 
 // Prepare validates and compiles the query's structure into a
@@ -55,25 +76,21 @@ type Stmt struct {
 //
 // The template is also registered in the DB-wide plan cache under the
 // query's canonical shape, so ad-hoc runs of the same shape hit it.
-func (db *DB) Prepare(q *Query) (*Stmt, error) {
-	if q == nil || q.eng == nil {
-		return nil, fmt.Errorf("smoothscan: Prepare of a nil or detached query")
-	}
-	if q.eng != queryEngine(db) {
-		return nil, fmt.Errorf("smoothscan: Prepare of a query built on a different DB")
-	}
+func (db *DB) Prepare(q *Query) (*Stmt, error) { return prepareOn(db, q) }
+
+func (db *DB) prepare(q *Query) (*Stmt, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	qt, lits, _, err := db.templateFor(q)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, qt: qt, lits: lits, params: qt.pt.Params}, nil
+	return &Stmt{eng: db, qt: qt, lits: lits}, nil
 }
 
 // Params returns the statement's parameter names in first-use order.
 func (s *Stmt) Params() []string {
-	return append([]string(nil), s.params...)
+	return append([]string(nil), s.qt.pt.Params...)
 }
 
 // checkBind rejects bind sets naming parameters the statement does
@@ -89,23 +106,20 @@ func (s *Stmt) checkBind(b Bind) error {
 		return nil
 	}
 	sort.Strings(unknown)
-	return fmt.Errorf("%w: %s (statement has %s)", ErrUnknownParam,
-		strings.Join(unknown, ", "), s.describeParams())
-}
-
-func (s *Stmt) describeParams() string {
-	if len(s.params) == 0 {
-		return "no parameters"
+	have := "no parameters"
+	if ps := s.qt.pt.Params; len(ps) > 0 {
+		have = "$" + strings.Join(ps, ", $")
 	}
-	return "$" + strings.Join(s.params, ", $")
+	return fmt.Errorf("%w: %s (statement has %s)", ErrUnknownParam, strings.Join(unknown, ", "), have)
 }
 
 // Run binds the parameters and executes the statement. Binding is the
 // cheap phase — constants substituted, estimate-sensitive plan choices
-// re-decided, no template recompilation, no device access — and the
-// execution is value-for-value identical to running the equivalent
-// literal query ad hoc. Missing parameters return ErrUnboundParam,
-// extra ones ErrUnknownParam.
+// re-decided (on a sharded engine: the shard set re-pruned), no
+// template recompilation, no device access — and the execution is
+// value-for-value identical to running the equivalent literal query ad
+// hoc; the two also share result-cache entries. Missing parameters
+// return ErrUnboundParam, extra ones ErrUnknownParam.
 //
 // Run is safe to call from many goroutines at once; as with Query.Run,
 // always Close the returned Rows.
@@ -116,14 +130,18 @@ func (s *Stmt) Run(ctx context.Context, b Bind) (*Rows, error) {
 	if err := s.checkBind(b); err != nil {
 		return nil, err
 	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	cq, err := s.db.bindTemplate(s.qt, s.lits, b, true)
+	return s.eng.runStmt(ctx, s, b)
+}
+
+func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	cq, err := db.bindTemplate(st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}
 	cq.planCached = true
-	return s.db.startRows(ctx, cq)
+	return db.startRows(ctx, cq)
 }
 
 // Explain binds the parameters and returns the plan this execution
@@ -136,18 +154,31 @@ func (s *Stmt) Explain(b Bind) (*Plan, error) {
 	if err := s.checkBind(b); err != nil {
 		return nil, err
 	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	cq, err := s.db.bindTemplate(s.qt, s.lits, b, true)
+	return s.eng.explainStmt(s, b)
+}
+
+func (db *DB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	cq, err := db.bindTemplate(st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}
 	return cq.plan(), nil
 }
 
-// Close releases the statement. An in-process statement holds no
-// resources beyond its compiled template, so Close is a no-op; it
-// exists so code written against the Engine interface — where a remote
-// statement does hold a server-side handle — can treat every
-// PreparedQuery uniformly.
-func (s *Stmt) Close() error { return nil }
+// Close releases the statement's per-shard statements: nothing for a
+// DB's statement, which holds only its compiled template; the
+// server-side handles of a remote sharded one. Closing twice is
+// harmless (released handles re-close as no-ops).
+func (s *Stmt) Close() error {
+	var first error
+	for _, set := range [][]shardStmt{s.pstmts, s.sideStmts[0], s.sideStmts[1]} {
+		for _, ps := range set {
+			if err := ps.close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}

@@ -325,76 +325,123 @@ func TestStmtDrivingIndexFlip(t *testing.T) {
 	}
 }
 
-// TestStmtParamErrors covers the parameter error paths: unbound,
-// unknown, type mismatches, bad parameter names, negative bound limit,
-// and ad-hoc execution of a parameterized query.
+// stmtEngine is what the statement lifecycle needs of an engine; *DB
+// and *ShardedDB both have it, and both hand out the one *Stmt.
+type stmtEngine interface {
+	Query(table string) *Query
+	Prepare(q *Query) (*Stmt, error)
+}
+
+// TestStmtParamErrors covers the statement lifecycle and its error
+// paths on every in-process engine through the same *Stmt code:
+// Params, unbound, unknown (one message shape), Explain(b) against
+// Run(b).Plan(), Close twice, type mismatches, bad parameter names,
+// negative bound limit, ad-hoc execution of a parameterized query, and
+// Prepare of a query the engine does not own (one shared message).
 func TestStmtParamErrors(t *testing.T) {
-	db := buildWideDB(t, 2_000, 1_000, 8)
-	q := func() *Query { return db.Query("t").Where("val", Between(Param("lo"), Param("hi"))) }
-
-	// Ad-hoc Run/Explain of a parameterized query: unbound.
-	if _, err := q().Run(context.Background()); !errors.Is(err, ErrUnboundParam) {
-		t.Errorf("ad-hoc Run = %v, want ErrUnboundParam", err)
-	}
-	if _, err := q().Explain(); !errors.Is(err, ErrUnboundParam) {
-		t.Errorf("ad-hoc Explain = %v, want ErrUnboundParam", err)
-	}
-
-	stmt, err := db.Prepare(q())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stmt.Params(); len(got) != 2 || got[0] != "lo" || got[1] != "hi" {
-		t.Errorf("Params() = %v", got)
-	}
-	// Missing one parameter.
-	if _, err := stmt.Run(context.Background(), Bind{"lo": 1}); !errors.Is(err, ErrUnboundParam) {
-		t.Errorf("partial bind = %v, want ErrUnboundParam", err)
-	}
-	// Unknown parameter name.
-	if _, err := stmt.Run(context.Background(), Bind{"lo": 1, "hi": 2, "typo": 3}); !errors.Is(err, ErrUnknownParam) {
-		t.Errorf("extra bind = %v, want ErrUnknownParam", err)
-	}
-	if _, err := stmt.Explain(Bind{"nope": 1}); !errors.Is(err, ErrUnknownParam) {
-		t.Errorf("Explain extra bind = %v, want ErrUnknownParam", err)
-	}
-
-	// Type mismatches are recorded at construction and surface from
-	// Run/Explain/Prepare.
-	if _, err := db.Query("t").Where("val", Eq("five")).Run(context.Background()); !errors.Is(err, ErrArgType) {
-		t.Errorf("Eq(string) = %v, want ErrArgType", err)
-	}
-	if _, err := db.Query("t").Limit(3.5).Explain(); !errors.Is(err, ErrArgType) {
-		t.Errorf("Limit(float) = %v, want ErrArgType", err)
-	}
-	if _, err := db.Prepare(db.Query("t").Where("val", Gt(uint64(1)<<63))); !errors.Is(err, ErrArgType) {
-		t.Errorf("overflowing uint64 = %v, want ErrArgType", err)
-	}
-
-	// Bad parameter names.
-	if _, err := db.Prepare(db.Query("t").Where("val", Eq(Param("")))); err == nil {
-		t.Error("empty parameter name accepted")
-	}
-	if _, err := db.Prepare(db.Query("t").Where("val", Eq(Param("a|b")))); err == nil {
-		t.Error("parameter name with separator accepted")
-	}
-
-	// Negative limit bound at bind time.
-	ls, err := db.Prepare(db.Query("t").Where("val", Between(0, 10)).Limit(Param("n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ls.Run(context.Background(), Bind{"n": -1}); err == nil {
-		t.Error("negative bound limit accepted")
-	}
-
-	// Prepare on a foreign or detached query.
 	other := buildWideDB(t, 100, 10, 4)
-	if _, err := db.Prepare(other.Query("t")); err == nil {
-		t.Error("Prepare of a query from another DB accepted")
-	}
-	if _, err := db.Prepare(nil); err == nil {
-		t.Error("Prepare(nil) accepted")
+	for _, eng := range []struct {
+		name string
+		e    stmtEngine
+	}{
+		{"db", buildWideDB(t, 2_000, 1_000, 8)},
+		{"sharded-N1", buildGridSharded(t, 1, "range")},
+		{"sharded-N3", buildGridSharded(t, 3, "range")},
+	} {
+		db := eng.e
+		t.Run(eng.name, func(t *testing.T) {
+			q := func() *Query { return db.Query("t").Where("val", Between(Param("lo"), Param("hi"))) }
+
+			// Ad-hoc Run/Explain of a parameterized query: unbound.
+			if _, err := q().Run(context.Background()); !errors.Is(err, ErrUnboundParam) {
+				t.Errorf("ad-hoc Run = %v, want ErrUnboundParam", err)
+			}
+			if _, err := q().Explain(); !errors.Is(err, ErrUnboundParam) {
+				t.Errorf("ad-hoc Explain = %v, want ErrUnboundParam", err)
+			}
+
+			stmt, err := db.Prepare(q())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stmt.Params(); len(got) != 2 || got[0] != "lo" || got[1] != "hi" {
+				t.Errorf("Params() = %v", got)
+			}
+			// Missing one parameter.
+			if _, err := stmt.Run(context.Background(), Bind{"lo": 1}); !errors.Is(err, ErrUnboundParam) {
+				t.Errorf("partial bind = %v, want ErrUnboundParam", err)
+			}
+			// Unknown parameter name.
+			_, err = stmt.Run(context.Background(), Bind{"lo": 1, "hi": 2, "typo": 3})
+			if !errors.Is(err, ErrUnknownParam) {
+				t.Errorf("extra bind = %v, want ErrUnknownParam", err)
+			} else if want := ErrUnknownParam.Error() + ": $typo (statement has $lo, $hi)"; err.Error() != want {
+				t.Errorf("extra bind message %q, want %q", err, want)
+			}
+			if _, err := stmt.Explain(Bind{"nope": 1}); !errors.Is(err, ErrUnknownParam) {
+				t.Errorf("Explain extra bind = %v, want ErrUnknownParam", err)
+			}
+
+			// Explain(b) is the plan Run(b) executes.
+			b := Bind{"lo": 100, "hi": 400}
+			plan, err := stmt.Explain(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := stmt.Run(context.Background(), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rows.Plan().String(); got != plan.String() {
+				t.Errorf("Run(b).Plan() diverges from Explain(b):\n%s\nvs\n%s", got, plan)
+			}
+			if n := len(collect(t, rows)); n == 0 {
+				t.Error("bound statement returned no rows")
+			}
+			for i := 0; i < 2; i++ {
+				if err := stmt.Close(); err != nil {
+					t.Errorf("Close #%d = %v", i+1, err)
+				}
+			}
+
+			// Type mismatches are recorded at construction and surface from
+			// Run/Explain/Prepare.
+			if _, err := db.Query("t").Where("val", Eq("five")).Run(context.Background()); !errors.Is(err, ErrArgType) {
+				t.Errorf("Eq(string) = %v, want ErrArgType", err)
+			}
+			if _, err := db.Query("t").Limit(3.5).Explain(); !errors.Is(err, ErrArgType) {
+				t.Errorf("Limit(float) = %v, want ErrArgType", err)
+			}
+			if _, err := db.Prepare(db.Query("t").Where("val", Gt(uint64(1)<<63))); !errors.Is(err, ErrArgType) {
+				t.Errorf("overflowing uint64 = %v, want ErrArgType", err)
+			}
+
+			// Bad parameter names.
+			if _, err := db.Prepare(db.Query("t").Where("val", Eq(Param("")))); err == nil {
+				t.Error("empty parameter name accepted")
+			}
+			if _, err := db.Prepare(db.Query("t").Where("val", Eq(Param("a|b")))); err == nil {
+				t.Error("parameter name with separator accepted")
+			}
+
+			// Negative limit bound at bind time.
+			ls, err := db.Prepare(db.Query("t").Where("val", Between(0, 10)).Limit(Param("n")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
+			if _, err := ls.Run(context.Background(), Bind{"n": -1}); err == nil {
+				t.Error("negative bound limit accepted")
+			}
+
+			// Prepare on a foreign, detached or nil query: one message.
+			const refusal = "smoothscan: Prepare of a query that was not built on this engine (nil, detached, or another engine's)"
+			for name, bad := range map[string]*Query{"foreign": other.Query("t"), "detached": NewQuery("t"), "nil": nil} {
+				if _, err := db.Prepare(bad); err == nil || err.Error() != refusal {
+					t.Errorf("Prepare of a %s query = %v, want %q", name, err, refusal)
+				}
+			}
+		})
 	}
 }
 
