@@ -1,9 +1,9 @@
 package smoothscan
 
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per exhibit, backed by internal/harness),
-// plus operator-level micro-benchmarks and the ablation studies listed
-// in DESIGN.md.
+// Operator-level micro-benchmarks, the ablation studies of Smooth
+// Scan's design knobs, and end-to-end benchmarks of the public API.
+// The paper's exhibits are benchmarked where they live, by
+// internal/harness's BenchmarkExperiments.
 //
 // Run them all:
 //
@@ -25,90 +25,10 @@ import (
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
-	"smoothscan/internal/harness"
 	"smoothscan/internal/heap"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/workload"
 )
-
-// benchConfig keeps the harness-backed benchmarks fast enough to run
-// as a suite while preserving every paper shape.
-func benchConfig() harness.Config {
-	return harness.Config{
-		MicroRows:  100_000,
-		SkewRows:   150_000,
-		TPCHOrders: 5_000,
-		Seed:       1,
-	}
-}
-
-// runExperiment executes one harness experiment per iteration.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	r := harness.New(benchConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab, err := r.ByID(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty experiment result")
-		}
-	}
-}
-
-// BenchmarkFig1TunedRegression regenerates Figure 1 (tuning-induced
-// regressions on the 19-query workload under stale statistics).
-func BenchmarkFig1TunedRegression(b *testing.B) { runExperiment(b, "fig1") }
-
-// BenchmarkFig4TPCH regenerates Figure 4 (TPC-H Q1/Q4/Q6/Q7/Q14 with
-// and without Smooth Scan, CPU vs I/O breakdown).
-func BenchmarkFig4TPCH(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkTable2IOAnalysis regenerates Table II (I/O requests and
-// data volume per query).
-func BenchmarkTable2IOAnalysis(b *testing.B) { runExperiment(b, "tab2") }
-
-// BenchmarkFig5aOrderBy regenerates Figure 5a (selectivity sweep with
-// ORDER BY).
-func BenchmarkFig5aOrderBy(b *testing.B) { runExperiment(b, "fig5a") }
-
-// BenchmarkFig5bNoOrderBy regenerates Figure 5b (sweep without ORDER
-// BY).
-func BenchmarkFig5bNoOrderBy(b *testing.B) { runExperiment(b, "fig5b") }
-
-// BenchmarkFig6Modes regenerates Figure 6 (Entire Page Probe vs
-// Flattening Access sensitivity).
-func BenchmarkFig6Modes(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7aPolicies regenerates Figure 7a (Greedy vs
-// Selectivity-Increase vs Elastic).
-func BenchmarkFig7aPolicies(b *testing.B) { runExperiment(b, "fig7a") }
-
-// BenchmarkFig7bTriggers regenerates Figure 7b (Eager vs
-// Optimizer-driven vs SLA-driven triggers).
-func BenchmarkFig7bTriggers(b *testing.B) { runExperiment(b, "fig7b") }
-
-// BenchmarkFig8Skew regenerates Figure 8 (skewed distribution:
-// execution time and pages read per access path).
-func BenchmarkFig8Skew(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9Caches regenerates Figure 9 (Result Cache overhead and
-// hit rate; morphing accuracy).
-func BenchmarkFig9Caches(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10SSD regenerates Figure 10 (the sweep on the SSD
-// profile).
-func BenchmarkFig10SSD(b *testing.B) { runExperiment(b, "fig10") }
-
-// BenchmarkFig11SwitchScan regenerates Figure 11 (the Switch Scan
-// performance cliff).
-func BenchmarkFig11SwitchScan(b *testing.B) { runExperiment(b, "fig11") }
-
-// BenchmarkCompetitiveRatio regenerates the Section V-A competitive
-// analysis summary.
-func BenchmarkCompetitiveRatio(b *testing.B) { runExperiment(b, "tab-cr") }
 
 // --- operator-level micro-benchmarks (wall-clock performance of the
 // engine itself, complementing the simulated-cost experiments) ---

@@ -22,7 +22,7 @@ import (
 // under fixed seeds, so the table is deterministic and lives in the
 // ssbench golden like any other experiment.
 func (r *Runner) FaultExp() (*Table, error) {
-	tab, dev, err := r.microHDD()
+	tab, dev, err := r.micro(disk.HDD)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,6 @@ func (r *Runner) FaultExp() (*Table, error) {
 	}
 
 	return &Table{
-		ID:     "fault",
 		Title:  "Fault injection: Smooth Scan under deterministic fault schedules (HDD, 10% sel)",
 		Header: []string{"schedule", "rows", "result", "faults", "retries", "time", "vs clean"},
 		Rows:   rows,

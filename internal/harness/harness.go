@@ -1,8 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (Section VI) on the simulated substrate. Each experiment
-// is a method on Runner returning a Table of the same rows/series the
-// paper plots; cmd/ssbench prints them and bench_test.go wraps them as
-// Go benchmarks.
+// evaluation (Section VI) on the simulated substrate, plus the
+// sharding and result-cache sweeps over the public facade. Each
+// experiment is a method on Runner returning a Table of the same
+// rows/series the paper plots; the experiments registry names them,
+// cmd/ssbench prints them and BenchmarkExperiments times them.
 //
 // Absolute numbers are simulated cost units (1 unit = one sequential
 // 8 KB page read), not seconds; the object of the reproduction is the
@@ -72,9 +73,61 @@ func New(cfg Config) *Runner {
 // Config returns the effective configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
+// experiments is the one registry of experiments, in `-exp all`
+// order: the paper's exhibits, then the facade sweeps.
+var experiments = []struct {
+	id  string
+	run func(*Runner) (*Table, error)
+}{
+	{"fig1", (*Runner).Fig1},
+	{"fig1-q12", (*Runner).Fig1Q12},
+	{"fig4", (*Runner).Fig4},
+	{"tab2", (*Runner).Table2},
+	{"fig5a", (*Runner).Fig5a},
+	{"fig5b", (*Runner).Fig5b},
+	{"fig6", (*Runner).Fig6},
+	{"fig7a", (*Runner).Fig7a},
+	{"fig7b", (*Runner).Fig7b},
+	{"fig8", (*Runner).Fig8},
+	{"fig9", (*Runner).Fig9},
+	{"fig10", (*Runner).Fig10},
+	{"fig11", (*Runner).Fig11},
+	{"tab-cr", (*Runner).CompetitiveRatios},
+	{"model", (*Runner).ModelAccuracy},
+	{"join", (*Runner).JoinExp},
+	{"fault", (*Runner).FaultExp},
+	{"shard", (*Runner).ShardExp},
+	{"cache", (*Runner).CacheExp},
+}
+
+// IDs lists the experiment identifiers in registry order.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// ByID runs one experiment by identifier and stamps the table with it.
+func (r *Runner) ByID(id string) (*Table, error) {
+	for _, e := range experiments {
+		if e.id != id {
+			continue
+		}
+		t, err := e.run(r)
+		if err != nil {
+			return nil, err
+		}
+		t.ID = id
+		return t, nil
+	}
+	return nil, fmt.Errorf("harness: unknown experiment %q (known: %v)", id, IDs())
+}
+
 // Table is a printable experiment result.
 type Table struct {
-	// ID is the experiment identifier ("fig5a", "tab2", ...).
+	// ID is the experiment's registry id, stamped by ByID.
 	ID string
 	// Title describes the experiment.
 	Title string
@@ -135,16 +188,10 @@ func (r *Runner) poolFor(dev *disk.Device, numPages int64) *bufferpool.Pool {
 	return bufferpool.New(dev, n)
 }
 
-// microHDD builds the micro-benchmark table on an HDD profile.
-func (r *Runner) microHDD() (*workload.Table, *disk.Device, error) {
-	dev := disk.NewDevice(disk.HDD)
-	tab, err := workload.BuildMicro(dev, workload.MicroConfig{NumRows: r.cfg.MicroRows, Seed: r.cfg.Seed})
-	return tab, dev, err
-}
-
-// microSSD builds the micro-benchmark table on an SSD profile.
-func (r *Runner) microSSD() (*workload.Table, *disk.Device, error) {
-	dev := disk.NewDevice(disk.SSD)
+// micro builds the micro-benchmark table on a device of the given
+// profile.
+func (r *Runner) micro(prof disk.Profile) (*workload.Table, *disk.Device, error) {
+	dev := disk.NewDevice(prof)
 	tab, err := workload.BuildMicro(dev, workload.MicroConfig{NumRows: r.cfg.MicroRows, Seed: r.cfg.Seed})
 	return tab, dev, err
 }

@@ -70,9 +70,6 @@ func TestByIDUnknown(t *testing.T) {
 	if _, err := r.ByID("nope"); err == nil {
 		t.Error("unknown id accepted")
 	}
-	if len(IDs()) != 17 {
-		t.Errorf("IDs() = %v", IDs())
-	}
 }
 
 func TestFig1Shape(t *testing.T) {
@@ -214,8 +211,8 @@ func parseK(t *testing.T, s string) float64 {
 
 func TestFig5Shapes(t *testing.T) {
 	r := smallRunner()
-	for _, mk := range []func() (*Table, error){r.Fig5a, r.Fig5b} {
-		tab, err := mk()
+	for _, id := range []string{"fig5a", "fig5b"} {
+		tab, err := r.ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,20 +457,31 @@ func TestModelAccuracyShape(t *testing.T) {
 	}
 }
 
-func TestAllRunsEverything(t *testing.T) {
+// TestRegistry runs every registered experiment through ByID: ids are
+// unique, each table carries the id it was run under, and none is
+// empty.
+func TestRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	r := smallRunner()
-	tabs, err := r.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != len(IDs()) {
-		t.Errorf("All returned %d tables, want %d", len(tabs), len(IDs()))
-	}
+	seen := map[string]bool{}
 	var buf bytes.Buffer
-	for _, tab := range tabs {
+	for _, id := range IDs() {
+		if seen[id] {
+			t.Errorf("id %q registered twice", id)
+		}
+		seen[id] = true
+		tab, err := r.ByID(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if tab.ID != id {
+			t.Errorf("ByID(%q).ID = %q", id, tab.ID)
+		}
+		if len(tab.Rows) == 0 {
+			t.Errorf("%s: no rows", id)
+		}
 		tab.Print(&buf)
 	}
 	if buf.Len() == 0 {
@@ -502,6 +510,71 @@ func TestFaultExpRecoversOrTypes(t *testing.T) {
 		}
 		if strings.HasPrefix(row[0], "transient") && row[retries] == "0" {
 			t.Errorf("%s: recovery reported zero retries", row[0])
+		}
+	}
+}
+
+// TestShardExp pins the scatter-gather sweep: the narrow predicate
+// activates one of four range shards and prunes three, and a
+// predicate's row count depends on neither the shard count nor the
+// gather mode.
+func TestShardExp(t *testing.T) {
+	tab, err := smallRunner().ShardExp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 3*3*2 {
+		t.Fatalf("rows = %d, want 3 shard counts x 3 widths x 2 gathers", len(tab.Rows))
+	}
+	shards, sel, rows := colIndex(t, tab, "shards"), colIndex(t, tab, "sel"), colIndex(t, tab, "rows")
+	active, pruned := colIndex(t, tab, "active"), colIndex(t, tab, "pruned")
+	want := map[string]string{}
+	for _, row := range tab.Rows {
+		if w, ok := want[row[sel]]; ok && row[rows] != w {
+			t.Errorf("%v: rows %s, want %s as in every other %s row", row, row[rows], w, row[sel])
+		}
+		want[row[sel]] = row[rows]
+		if row[shards] == "4" && row[sel] == "narrow" && (row[active] != "1" || row[pruned] != "3") {
+			t.Errorf("N=4 narrow: active=%s pruned=%s, want 1 and 3", row[active], row[pruned])
+		}
+	}
+}
+
+// TestCacheExp pins the result-cache sweep: repeats are served from
+// memory with zero device I/O, first runs and the run after an Insert
+// execute, and that run sees the inserted row.
+func TestCacheExp(t *testing.T) {
+	tab, err := smallRunner().CacheExp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 2*3*4 {
+		t.Fatalf("rows = %d, want 2 engines x 3 widths x 4 runs", len(tab.Rows))
+	}
+	eng, sel, run := colIndex(t, tab, "engine"), colIndex(t, tab, "sel"), colIndex(t, tab, "run")
+	rows, cached := colIndex(t, tab, "rows"), colIndex(t, tab, "cached")
+	first := map[string]float64{}
+	for i, row := range tab.Rows {
+		key := row[eng] + "/" + row[sel]
+		switch row[run] {
+		case "first":
+			first[key] = cell(t, tab, i, rows)
+		case "after-insert":
+			if got := cell(t, tab, i, rows); got != first[key]+1 {
+				t.Errorf("%s after-insert: rows %v, want first+1 = %v", key, got, first[key]+1)
+			}
+		}
+		hit := row[run] == "repeat" || row[run] == "repeat-2"
+		if (row[cached] == "yes") != hit {
+			t.Errorf("%s %s: cached=%s", key, row[run], row[cached])
+		}
+		if !hit {
+			continue
+		}
+		for _, col := range []string{"io-req", "pages", "time"} {
+			if v := cell(t, tab, i, colIndex(t, tab, col)); v != 0 {
+				t.Errorf("%s %s: %s = %v, want 0", key, row[run], col, v)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tpch"
 )
 
@@ -24,7 +25,7 @@ func (r *Runner) JoinExp() (*Table, error) {
 
 	lineGrid := []float64{0.01, 0.10, 0.50}
 	orderGrid := []float64{0.10, 0.50, 1.00}
-	paths := []tpch.Path{tpch.PathFull, tpch.PathIndex, tpch.PathSmooth}
+	paths := []plan.Path{plan.PathFull, plan.PathIndex, plan.PathSmooth}
 
 	var rows [][]string
 	for _, lsel := range lineGrid {
@@ -61,7 +62,6 @@ func (r *Runner) JoinExp() (*Table, error) {
 		}
 	}
 	return &Table{
-		ID:     "join",
 		Title:  "Q3-style hash join: LINEITEM probe path sweep over both input selectivities (simulated cost units)",
 		Header: []string{"sel_l(%)", "sel_o(%)", "full", "index", "smooth", "build", "probe", "joined"},
 		Rows:   rows,

@@ -65,16 +65,36 @@ func switchPath(threshold int64) microPath {
 	}}
 }
 
-// sweep measures every path over the selectivity grid (percentages)
-// and returns one row per grid point: sel, then total simulated time
-// per path.
-func (r *Runner) sweep(tab *workload.Table, dev *disk.Device, grid []float64, ordered bool, paths []microPath) ([][]string, error) {
+// sweepSpec is one selectivity sweep over the micro-benchmark table:
+// every path measured cold at every grid point (percentages), one row
+// per point — sel, then total simulated time per path.
+type sweepSpec struct {
+	title   string
+	profile disk.Profile
+	grid    []float64
+	// ordered requests index-key order (an ORDER BY on the indexed
+	// column).
+	ordered bool
+	paths   []microPath
+	notes   []string
+}
+
+// sweep runs the spec and wraps its rows in a Table.
+func (r *Runner) sweep(s sweepSpec) (*Table, error) {
+	tab, dev, err := r.micro(s.profile)
+	if err != nil {
+		return nil, err
+	}
 	pool := r.poolFor(dev, tab.File.NumPages())
-	rows := make([][]string, 0, len(grid))
-	for _, pct := range grid {
+	header := []string{"sel(%)"}
+	for _, p := range s.paths {
+		header = append(header, p.name)
+	}
+	rows := make([][]string, 0, len(s.grid))
+	for _, pct := range s.grid {
 		row := []string{fmtSel(pct)}
-		for _, p := range paths {
-			op, err := p.build(tab, dev, pool, pct/100, ordered)
+		for _, p := range s.paths {
+			op, err := p.build(tab, dev, pool, pct/100, s.ordered)
 			if err != nil {
 				return nil, fmt.Errorf("%s at %v%%: %w", p.name, pct, err)
 			}
@@ -86,174 +106,133 @@ func (r *Runner) sweep(tab *workload.Table, dev *disk.Device, grid []float64, or
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return &Table{Title: s.title, Header: header, Rows: rows, Notes: s.notes}, nil
 }
 
-func sweepHeader(paths []microPath) []string {
-	h := []string{"sel(%)"}
-	for _, p := range paths {
-		h = append(h, p.name)
-	}
-	return h
+// classicPaths are the Figure 5/10 series: the traditional access
+// paths against Elastic Smooth Scan.
+func classicPaths() []microPath {
+	return []microPath{fullScanPath(), indexScanPath(), sortScanPath(),
+		smoothPath("SmoothScan", core.Config{Policy: core.Elastic})}
 }
 
 // Fig5a reproduces Figure 5a: Smooth Scan vs the traditional access
 // paths across the selectivity range, with an ORDER BY on the indexed
 // column. Paths without an interesting order pay a posterior sort.
 func (r *Runner) Fig5a() (*Table, error) {
-	tab, dev, err := r.microHDD()
-	if err != nil {
-		return nil, err
-	}
-	paths := []microPath{fullScanPath(), indexScanPath(), sortScanPath(),
-		smoothPath("SmoothScan", core.Config{Policy: core.Elastic})}
-	rows, err := r.sweep(tab, dev, selGrid, true, paths)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: "fig5a", Title: "Smooth Scan vs alternatives WITH order by (HDD, simulated time units)",
-		Header: sweepHeader(paths), Rows: rows,
-		Notes: []string{
+	return r.sweep(sweepSpec{
+		title:   "Smooth Scan vs alternatives WITH order by (HDD, simulated time units)",
+		profile: disk.HDD, grid: selGrid, ordered: true, paths: classicPaths(),
+		notes: []string{
 			"paper: IndexScan degrades 10x by 0.1% sel and >100x at 100%; SortScan best below 1%;",
 			"SmoothScan best above ~2.5% because it avoids the posterior sort.",
 		},
-	}, nil
+	})
 }
 
 // Fig5b reproduces Figure 5b: the same sweep without the ORDER BY.
 func (r *Runner) Fig5b() (*Table, error) {
-	tab, dev, err := r.microHDD()
-	if err != nil {
-		return nil, err
-	}
-	paths := []microPath{fullScanPath(), indexScanPath(), sortScanPath(),
-		smoothPath("SmoothScan", core.Config{Policy: core.Elastic})}
-	rows, err := r.sweep(tab, dev, selGrid, false, paths)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: "fig5b", Title: "Smooth Scan vs alternatives WITHOUT order by (HDD)",
-		Header: sweepHeader(paths), Rows: rows,
-		Notes: []string{
+	return r.sweep(sweepSpec{
+		title:   "Smooth Scan vs alternatives WITHOUT order by (HDD)",
+		profile: disk.HDD, grid: selGrid, paths: classicPaths(),
+		notes: []string{
 			"paper: FullScan best above ~2.5%; SmoothScan within ~20% of FullScan at 100%",
 			"(here the gap includes the index leaf walk, shrinking with table size).",
 		},
-	}, nil
+	})
 }
 
 // Fig6 reproduces Figure 6: sensitivity to the morphing modes —
 // Smooth Scan capped at Mode 1 (Entire Page Probe) vs full Mode 2+
 // (Flattening Access), against Full and Index Scan.
 func (r *Runner) Fig6() (*Table, error) {
-	tab, dev, err := r.microHDD()
-	if err != nil {
-		return nil, err
-	}
-	grid := []float64{0, 0.001, 0.01, 0.1, 1, 5, 20, 50, 75, 100}
-	paths := []microPath{
-		fullScanPath(),
-		indexScanPath(),
-		smoothPath("SS(EntirePage)", core.Config{Policy: core.Elastic, MaxMode: core.ModeEntirePage}),
-		smoothPath("SS(Flattening)", core.Config{Policy: core.Elastic}),
-	}
-	rows, err := r.sweep(tab, dev, grid, false, paths)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: "fig6", Title: "Sensitivity to Smooth Scan modes (HDD)",
-		Header: sweepHeader(paths), Rows: rows,
-		Notes: []string{
+	return r.sweep(sweepSpec{
+		title:   "Sensitivity to Smooth Scan modes (HDD)",
+		profile: disk.HDD,
+		grid:    []float64{0, 0.001, 0.01, 0.1, 1, 5, 20, 50, 75, 100},
+		paths: []microPath{
+			fullScanPath(),
+			indexScanPath(),
+			smoothPath("SS(EntirePage)", core.Config{Policy: core.Elastic, MaxMode: core.ModeEntirePage}),
+			smoothPath("SS(Flattening)", core.Config{Policy: core.Elastic}),
+		},
+		notes: []string{
 			"paper: EntirePage-only beats IndexScan 10x at 100% but stays ~14x over FullScan;",
 			"Flattening closes the gap to ~1.2x of FullScan.",
 		},
-	}, nil
+	})
 }
 
 // Fig7a reproduces Figure 7a: the impact of the morphing policy
 // (Greedy vs Selectivity-Increase vs Elastic) with the Eager trigger.
 func (r *Runner) Fig7a() (*Table, error) {
-	tab, dev, err := r.microHDD()
-	if err != nil {
-		return nil, err
-	}
-	paths := []microPath{
-		smoothPath("Greedy", core.Config{Policy: core.Greedy}),
-		smoothPath("SelIncrease", core.Config{Policy: core.SelectivityIncrease}),
-		smoothPath("Elastic", core.Config{Policy: core.Elastic}),
-	}
-	rows, err := r.sweep(tab, dev, fineGrid, false, paths)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: "fig7a", Title: "Impact of morphing policies (HDD)",
-		Header: sweepHeader(paths), Rows: rows,
-		Notes: []string{
+	return r.sweep(sweepSpec{
+		title:   "Impact of morphing policies (HDD)",
+		profile: disk.HDD, grid: fineGrid,
+		paths: []microPath{
+			smoothPath("Greedy", core.Config{Policy: core.Greedy}),
+			smoothPath("SelIncrease", core.Config{Policy: core.SelectivityIncrease}),
+			smoothPath("Elastic", core.Config{Policy: core.Elastic}),
+		},
+		notes: []string{
 			"paper: Greedy converges fastest and over-reads at low selectivity;",
 			"Elastic adapts best and is the paper's default.",
 		},
-	}, nil
+	})
 }
 
 // Fig7b reproduces Figure 7b: the impact of the morphing trigger —
 // Eager vs Optimizer-driven (morph after the optimizer's estimate is
 // violated) vs SLA-driven (morph at the cost-model trigger point for
-// an SLA of two full scans). The SLA bound row mirrors the dotted
+// an SLA of two full scans). The SLA bound column mirrors the dotted
 // line of the paper's plot.
 func (r *Runner) Fig7b() (*Table, error) {
-	tab, dev, err := r.microHDD()
-	if err != nil {
-		return nil, err
-	}
-	params := r.microParams(dev, tab.File.NumTuples())
+	params := r.microParams(disk.NewDevice(disk.HDD), r.cfg.MicroRows)
 	slaBound := 2 * params.FullScanCost()
 	// The paper's optimizer estimate is 15K tuples of 400M; scale it.
 	estimate := int64(15000.0 * float64(r.cfg.MicroRows) / 400_000_000)
 	if estimate < 2 {
 		estimate = 2
 	}
-	paths := []microPath{
-		smoothPath("Eager", core.Config{Policy: core.Elastic}),
-		smoothPath("OptDriven", core.Config{
-			Policy:        core.SelectivityIncrease, // per the paper: SI after the shift
-			Trigger:       core.OptimizerDriven,
-			EstimatedCard: estimate,
-		}),
-		smoothPath("SLADriven", core.Config{
-			Policy:     core.Greedy, // per the paper: Greedy after the SLA switch
-			Trigger:    core.SLADriven,
-			SLABound:   slaBound,
-			CostParams: params,
-		}),
-	}
-	rows, err := r.sweep(tab, dev, fineGrid, false, paths)
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i] = append(rows[i], fmtTime(slaBound))
-	}
-	return &Table{
-		ID: "fig7b", Title: "Impact of morphing triggers (HDD)",
-		Header: append(sweepHeader(paths), "SLA-bound"),
-		Rows:   rows,
-		Notes: []string{
+	t, err := r.sweep(sweepSpec{
+		title:   "Impact of morphing triggers (HDD)",
+		profile: disk.HDD, grid: fineGrid,
+		paths: []microPath{
+			smoothPath("Eager", core.Config{Policy: core.Elastic}),
+			smoothPath("OptDriven", core.Config{
+				Policy:        core.SelectivityIncrease, // per the paper: SI after the shift
+				Trigger:       core.OptimizerDriven,
+				EstimatedCard: estimate,
+			}),
+			smoothPath("SLADriven", core.Config{
+				Policy:     core.Greedy, // per the paper: Greedy after the SLA switch
+				Trigger:    core.SLADriven,
+				SLABound:   slaBound,
+				CostParams: params,
+			}),
+		},
+		notes: []string{
 			fmt.Sprintf("optimizer estimate (scaled) = %d tuples; SLA = 2 full scans = %s units; cost-model trigger card = %d",
 				estimate, fmtTime(slaBound), params.SLATriggerCard(slaBound)),
 			"paper: Eager is smooth everywhere; the other triggers show a cliff where they morph",
 			"but stay below the SLA bound at 100% selectivity.",
 		},
-	}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.Header = append(t.Header, "SLA-bound")
+	for i := range t.Rows {
+		t.Rows[i] = append(t.Rows[i], fmtTime(slaBound))
+	}
+	return t, nil
 }
 
 // Fig9 reproduces Figure 9: the auxiliary-structure analysis — Result
 // Cache overhead and hit rate (9a), morphing accuracy (9b) — on the
 // ordered micro-benchmark query.
 func (r *Runner) Fig9() (*Table, error) {
-	tab, dev, err := r.microHDD()
+	tab, dev, err := r.micro(disk.HDD)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +277,7 @@ func (r *Runner) Fig9() (*Table, error) {
 		})
 	}
 	return &Table{
-		ID: "fig9", Title: "Auxiliary data structures: Result Cache and morphing accuracy",
+		Title:  "Auxiliary data structures: Result Cache and morphing accuracy",
 		Header: []string{"sel(%)", "cache-overhead", "cache-hit-rate", "morph-accuracy", "peak-tuples", "peak-bytes"},
 		Rows:   rows,
 		Notes: []string{
@@ -311,24 +290,14 @@ func (r *Runner) Fig9() (*Table, error) {
 // Fig10 reproduces Figure 10: the Figure 5b sweep on the SSD profile
 // (random:sequential = 2:1).
 func (r *Runner) Fig10() (*Table, error) {
-	tab, dev, err := r.microSSD()
-	if err != nil {
-		return nil, err
-	}
-	paths := []microPath{fullScanPath(), indexScanPath(), sortScanPath(),
-		smoothPath("SmoothScan", core.Config{Policy: core.Elastic})}
-	rows, err := r.sweep(tab, dev, selGrid, false, paths)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: "fig10", Title: "Smooth Scan on SSD (rand:seq = 2:1)",
-		Header: sweepHeader(paths), Rows: rows,
-		Notes: []string{
+	return r.sweep(sweepSpec{
+		title:   "Smooth Scan on SSD (rand:seq = 2:1)",
+		profile: disk.SSD, grid: selGrid, paths: classicPaths(),
+		notes: []string{
 			"paper: the index-beneficial region extends to ~0.1% on SSD (vs 0.01% on HDD);",
 			"SmoothScan beats SortScan above 0.1% and is within ~10% of FullScan at 100%.",
 		},
-	}, nil
+	})
 }
 
 // Fig11 reproduces Figure 11: the Switch Scan performance cliff. The
@@ -336,30 +305,22 @@ func (r *Runner) Fig10() (*Table, error) {
 // table size so that the cliff lands at the paper's ~0.009%
 // selectivity.
 func (r *Runner) Fig11() (*Table, error) {
-	tab, dev, err := r.microHDD()
-	if err != nil {
-		return nil, err
-	}
 	threshold := int64(0.00009 * float64(r.cfg.MicroRows)) // 0.009% of rows
 	if threshold < 4 {
 		threshold = 4
 	}
-	grid := []float64{0.001, 0.004, 0.008, 0.009, 0.01, 0.02, 0.05, 0.1, 1, 10, 100}
-	paths := []microPath{
-		fullScanPath(),
-		switchPath(threshold),
-		smoothPath("SmoothScan", core.Config{Policy: core.Elastic}),
-	}
-	rows, err := r.sweep(tab, dev, grid, false, paths)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID: "fig11", Title: fmt.Sprintf("Switch Scan cliff (threshold = %d tuples = 0.009%% sel)", threshold),
-		Header: sweepHeader(paths), Rows: rows,
-		Notes: []string{
+	return r.sweep(sweepSpec{
+		title:   fmt.Sprintf("Switch Scan cliff (threshold = %d tuples = 0.009%% sel)", threshold),
+		profile: disk.HDD,
+		grid:    []float64{0.001, 0.004, 0.008, 0.009, 0.01, 0.02, 0.05, 0.1, 1, 10, 100},
+		paths: []microPath{
+			fullScanPath(),
+			switchPath(threshold),
+			smoothPath("SmoothScan", core.Config{Policy: core.Elastic}),
+		},
+		notes: []string{
 			"paper: Switch Scan jumps by a full-scan's worth of time the moment the",
 			"threshold is crossed, then tracks FullScan; SmoothScan degrades smoothly.",
 		},
-	}, nil
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"smoothscan/internal/access"
 	"smoothscan/internal/core"
+	"smoothscan/internal/disk"
 	"smoothscan/internal/simcost"
 )
 
@@ -16,7 +17,7 @@ import (
 // this is that experiment. A ratio near 1.00 means the analytical
 // model predicts the engine.
 func (r *Runner) ModelAccuracy() (*Table, error) {
-	tab, dev, err := r.microHDD()
+	tab, dev, err := r.micro(disk.HDD)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +58,6 @@ func (r *Runner) ModelAccuracy() (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:     "model",
 		Title:  "Cost-model validation: predicted / measured total cost",
 		Header: []string{"sel(%)", "card", "FullScan", "IndexScan", "SmoothScan"},
 		Rows:   rows,

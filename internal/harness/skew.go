@@ -97,7 +97,6 @@ func (r *Runner) Fig8() (*Table, error) {
 		notes = append(notes, fmt.Sprintf("measured: SI fetched %.1fx the pages of Elastic", float64(siPages)/float64(elasticPages)))
 	}
 	return &Table{
-		ID:     "fig8",
 		Title:  fmt.Sprintf("Handling skew: dense head (%d rows) + sparse tail (every %dth)", cfg.DenseRows, cfg.SparseEvery),
 		Header: []string{"access path", "time", "pages read", "results"},
 		Rows:   rows,

@@ -5,6 +5,7 @@ import (
 
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/disk"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tpch"
 )
 
@@ -80,12 +81,12 @@ func (r *Runner) Fig1() (*Table, error) {
 		// VI-B), so the simulated advisor chooses between full scan
 		// and index scan, preferring the pipelined index at low
 		// estimates as commercial optimizers do.
-		tunedPath := tpch.PathFull
+		tunedPath := plan.PathFull
 		if params.IndexScanCost(estCard) < params.FullScanCost() {
-			tunedPath = tpch.PathIndex
+			tunedPath = plan.PathIndex
 		}
 
-		runScan := func(path tpch.Path) (float64, error) {
+		runScan := func(path plan.Path) (float64, error) {
 			op, err := db.ScanLineitem(pool, pred, tpch.ScanSpec{Path: path})
 			if err != nil {
 				return 0, err
@@ -93,7 +94,7 @@ func (r *Runner) Fig1() (*Table, error) {
 			st, _, err := measure(db.Dev, pool, op)
 			return st.Time(), err
 		}
-		original, err := runScan(tpch.PathFull)
+		original, err := runScan(plan.PathFull)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +115,6 @@ func (r *Runner) Fig1() (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:     "fig1",
 		Title:  "Tuning-induced regressions under stale statistics (tuned / original, log-scale in paper)",
 		Header: []string{"query", "true-sel", "est-card", "tuned-path", "normalized-time"},
 		Rows:   rows,
@@ -139,19 +139,19 @@ func (r *Runner) Fig1Q12() (*Table, error) {
 	pool := r.tpchPool(db)
 	var rows [][]string
 	var original float64
-	for _, plan := range []tpch.Q12Plan{tpch.Q12PlanHash, tpch.Q12PlanTunedINLJ, tpch.Q12PlanSmooth} {
+	for _, q12 := range []tpch.Q12Plan{tpch.Q12PlanHash, tpch.Q12PlanTunedINLJ, tpch.Q12PlanSmooth} {
 		pool.Reset()
 		db.Dev.ResetStats()
-		res, err := db.Q12(pool, plan)
+		res, err := db.Q12(pool, q12)
 		if err != nil {
 			return nil, err
 		}
 		st := db.Dev.Stats()
-		if plan == tpch.Q12PlanHash {
+		if q12 == tpch.Q12PlanHash {
 			original = st.Time()
 		}
 		rows = append(rows, []string{
-			plan.String(),
+			q12.String(),
 			fmtTime(st.Time()),
 			fmtRatio(st.Time() / original),
 			fmt.Sprintf("%d", st.Requests),
@@ -159,7 +159,6 @@ func (r *Runner) Fig1Q12() (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:     "fig1-q12",
 		Title:  "Figure 1 detail: Q12 plan-level regression and Smooth Scan rescue",
 		Header: []string{"plan", "time", "vs original", "io-requests", "rows"},
 		Rows:   rows,
@@ -187,7 +186,7 @@ func (r *Runner) Fig4() (*Table, error) {
 			spec  tpch.ScanSpec
 		}{
 			{"pSQL", tpch.ScanSpec{Path: plans[q.Name]}},
-			{"pSQL+SS", tpch.ScanSpec{Path: tpch.PathSmooth, Smooth: tpch.DefaultSmooth()}},
+			{"pSQL+SS", tpch.ScanSpec{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()}},
 		} {
 			pool.Reset()
 			db.Dev.ResetStats()
@@ -208,7 +207,6 @@ func (r *Runner) Fig4() (*Table, error) {
 		}
 	}
 	return &Table{
-		ID:     "fig4",
 		Title:  "TPC-H with and without Smooth Scan (simulated time; CPU vs I/O-wait breakdown)",
 		Header: []string{"query", "variant", "lineitem-path", "time", "cpu", "io-wait", "rows"},
 		Rows:   rows,
@@ -232,7 +230,7 @@ func (r *Runner) Table2() (*Table, error) {
 		cells := []string{q.Name}
 		for _, spec := range []tpch.ScanSpec{
 			{Path: plans[q.Name]},
-			{Path: tpch.PathSmooth, Smooth: tpch.DefaultSmooth()},
+			{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()},
 		} {
 			pool.Reset()
 			db.Dev.ResetStats()
@@ -248,7 +246,6 @@ func (r *Runner) Table2() (*Table, error) {
 		rows = append(rows, cells)
 	}
 	return &Table{
-		ID:     "tab2",
 		Title:  "I/O analysis: requests and data read, pSQL vs Smooth Scan",
 		Header: []string{"query", "pSQL req", "pSQL read", "SS req", "SS read"},
 		Rows:   rows,
@@ -277,7 +274,6 @@ func (r *Runner) CompetitiveRatios() (*Table, error) {
 		})
 	}
 	return &Table{
-		ID:     "tab-cr",
 		Title:  "Competitive analysis (Section V-A)",
 		Header: []string{"device", "rand:seq", "elastic CR (r+1)/2", "bound r+1", "numeric worst CR", "greedy CR @card=20"},
 		Rows:   rows,
@@ -286,57 +282,4 @@ func (r *Runner) CompetitiveRatios() (*Table, error) {
 			"the measured SSD ratio r=2 gives 1.5/3). Empirically the paper observes CR ~2.",
 		},
 	}, nil
-}
-
-// All runs every experiment in paper order.
-func (r *Runner) All() ([]*Table, error) {
-	type expFn func() (*Table, error)
-	fns := []expFn{
-		r.Fig1, r.Fig1Q12, r.Fig4, r.Table2,
-		r.Fig5a, r.Fig5b, r.Fig6, r.Fig7a, r.Fig7b,
-		r.Fig8, r.Fig9, r.Fig10, r.Fig11,
-		r.CompetitiveRatios, r.ModelAccuracy, r.JoinExp, r.FaultExp,
-	}
-	out := make([]*Table, 0, len(fns))
-	for _, fn := range fns {
-		t, err := fn()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// ByID runs one experiment by identifier.
-func (r *Runner) ByID(id string) (*Table, error) {
-	m := map[string]func() (*Table, error){
-		"fig1":     r.Fig1,
-		"fig1-q12": r.Fig1Q12,
-		"fig4":     r.Fig4,
-		"tab2":     r.Table2,
-		"fig5a":    r.Fig5a,
-		"fig5b":    r.Fig5b,
-		"fig6":     r.Fig6,
-		"fig7a":    r.Fig7a,
-		"fig7b":    r.Fig7b,
-		"fig8":     r.Fig8,
-		"fig9":     r.Fig9,
-		"fig10":    r.Fig10,
-		"fig11":    r.Fig11,
-		"tab-cr":   r.CompetitiveRatios,
-		"model":    r.ModelAccuracy,
-		"join":     r.JoinExp,
-		"fault":    r.FaultExp,
-	}
-	fn, ok := m[id]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown experiment %q (known: %v)", id, IDs())
-	}
-	return fn()
-}
-
-// IDs lists the experiment identifiers in paper order.
-func IDs() []string {
-	return []string{"fig1", "fig1-q12", "fig4", "tab2", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11", "tab-cr", "model", "join", "fault"}
 }

@@ -16,6 +16,7 @@ import (
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tpch"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/workload"
@@ -274,7 +275,7 @@ func TestFailureInjectionThroughJoinPlans(t *testing.T) {
 	for _, q := range db.Queries() {
 		pool.Reset()
 		dev.FailAfter(3)
-		_, err := q.Run(pool, tpch.ScanSpec{Path: tpch.PathSmooth, Smooth: tpch.DefaultSmooth()})
+		_, err := q.Run(pool, tpch.ScanSpec{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()})
 		if !errors.Is(err, disk.ErrInjected) {
 			t.Errorf("%s: err = %v, want ErrInjected", q.Name, err)
 		}
@@ -282,7 +283,7 @@ func TestFailureInjectionThroughJoinPlans(t *testing.T) {
 		// And the same query must succeed afterwards (no poisoned
 		// state).
 		pool.Reset()
-		if _, err := q.Run(pool, tpch.ScanSpec{Path: tpch.PathSmooth, Smooth: tpch.DefaultSmooth()}); err != nil {
+		if _, err := q.Run(pool, tpch.ScanSpec{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()}); err != nil {
 			t.Errorf("%s after recovery: %v", q.Name, err)
 		}
 	}

@@ -18,35 +18,44 @@ const Table = "t"
 // IndexedCol is the indexed query column.
 const IndexedCol = "val"
 
-// BuildDB loads the micro-benchmark-shaped table: id dense key, val
-// indexed uniform over the domain, p1..p8 payload.
-func BuildDB(rows, domain, seed int64, opts smoothscan.Options) (*smoothscan.DB, error) {
-	db, err := smoothscan.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	tb, err := db.CreateTable(Table, "id", "val", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
-	if err != nil {
-		return nil, err
-	}
+// columns is the generated table's schema: id dense key, val indexed,
+// p1..p8 payload.
+var columns = []string{"id", "val", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8"}
+
+// appender is the bulk-load surface TableBuilder and
+// ShardedTableBuilder share.
+type appender interface {
+	Append(vals ...int64) error
+	Finish() error
+}
+
+// fill generates the one row stream every topology shares — id dense,
+// every other column uniform over [0, domain) from seed's rng — appends
+// the rows whose val keep accepts (nil keeps all) and finishes the
+// table. The rng advances for skipped rows too, so every caller sees
+// the same global row multiset.
+func fill(tb appender, rows, domain, seed int64, keep func(val int64) bool) error {
 	rng := rand.New(rand.NewSource(seed))
-	vals := make([]int64, 10)
+	vals := make([]int64, len(columns))
 	for i := int64(0); i < rows; i++ {
 		vals[0] = i
 		for c := 1; c < len(vals); c++ {
 			vals[c] = rng.Int63n(domain)
 		}
+		if keep != nil && !keep(vals[1]) {
+			continue
+		}
 		if err := tb.Append(vals...); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := tb.Finish(); err != nil {
-		return nil, err
-	}
-	if err := db.CreateIndex(Table, IndexedCol); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return tb.Finish()
+}
+
+// BuildDB loads the micro-benchmark-shaped table, val indexed uniform
+// over the domain.
+func BuildDB(rows, domain, seed int64, opts smoothscan.Options) (*smoothscan.DB, error) {
+	return buildDB(rows, domain, seed, opts, nil)
 }
 
 // ShardParts is the partitioning every sharded topology of the
@@ -60,39 +69,29 @@ func ShardParts(domain int64, n int) smoothscan.Partitioning {
 }
 
 // BuildShardSlice loads shard shardID's slice of the n-way sharded
-// table as a standalone DB: the generator consumes the identical rng
-// stream as BuildDB/BuildShardedDB (so the global row multiset is
-// byte-identical) and keeps only the rows ShardParts routes to this
-// shard. N ssserver processes each serving their BuildShardSlice are
-// collectively the same table BuildShardedDB holds in one process.
+// table as a standalone DB: the rows of BuildDB's stream that
+// ShardParts routes to this shard. N ssserver processes each serving
+// their BuildShardSlice are collectively the same table BuildShardedDB
+// holds in one process.
 func BuildShardSlice(rows, domain, seed int64, shardID, n int, opts smoothscan.Options) (*smoothscan.DB, error) {
 	if shardID < 0 || shardID >= n {
 		return nil, fmt.Errorf("loadgen: shard id %d out of range [0, %d)", shardID, n)
 	}
 	part := ShardParts(domain, n)
+	return buildDB(rows, domain, seed, opts, func(val int64) bool { return part.Route(val) == shardID })
+}
+
+// buildDB loads the rows keep accepts into a fresh DB and indexes val.
+func buildDB(rows, domain, seed int64, opts smoothscan.Options, keep func(int64) bool) (*smoothscan.DB, error) {
 	db, err := smoothscan.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	tb, err := db.CreateTable(Table, "id", "val", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
+	tb, err := db.CreateTable(Table, columns...)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]int64, 10)
-	for i := int64(0); i < rows; i++ {
-		vals[0] = i
-		for c := 1; c < len(vals); c++ {
-			vals[c] = rng.Int63n(domain)
-		}
-		if part.Route(vals[1]) != shardID {
-			continue
-		}
-		if err := tb.Append(vals...); err != nil {
-			return nil, err
-		}
-	}
-	if err := tb.Finish(); err != nil {
+	if err := fill(tb, rows, domain, seed, keep); err != nil {
 		return nil, err
 	}
 	if err := db.CreateIndex(Table, IndexedCol); err != nil {
@@ -101,33 +100,21 @@ func BuildShardSlice(rows, domain, seed int64, shardID, n int, opts smoothscan.O
 	return db, nil
 }
 
-// BuildShardedDB loads the same table range-partitioned on the indexed
-// column across n shards (equal-width bounds over the domain, so a
-// uniform load balances). The row stream is identical to BuildDB's —
-// only the placement differs — so digests over the same predicate
-// ranges are comparable between sharded and unsharded runs.
+// BuildShardedDB loads the same table across n shards placed by
+// ShardParts (equal-width ranges, so a uniform load balances). The row
+// stream is BuildDB's — only the placement differs — so digests over
+// the same predicate ranges are comparable between sharded and
+// unsharded runs.
 func BuildShardedDB(rows, domain, seed int64, n int, opts smoothscan.Options) (*smoothscan.ShardedDB, error) {
 	s, err := smoothscan.OpenSharded(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	part := smoothscan.RangePartitioning(IndexedCol, smoothscan.EqualWidthBounds(0, domain, n)...)
-	tb, err := s.CreateShardedTable(Table, part, "id", "val", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
+	tb, err := s.CreateShardedTable(Table, ShardParts(domain, n), columns...)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]int64, 10)
-	for i := int64(0); i < rows; i++ {
-		vals[0] = i
-		for c := 1; c < len(vals); c++ {
-			vals[c] = rng.Int63n(domain)
-		}
-		if err := tb.Append(vals...); err != nil {
-			return nil, err
-		}
-	}
-	if err := tb.Finish(); err != nil {
+	if err := fill(tb, rows, domain, seed, nil); err != nil {
 		return nil, err
 	}
 	if err := s.CreateIndex(Table, IndexedCol); err != nil {

@@ -6,8 +6,8 @@
 // subsystem with its fan-in or ordered merge).
 //
 // Every workload in the repository goes through this one constructor:
-// the public Query builder and DB.Scan facade, the TPC-H query plans,
-// and the concurrency harness. The optimizer (internal/optimizer)
+// the public Query builder and DB.Scan facade, and the TPC-H query
+// plans the experiment harness runs. The optimizer (internal/optimizer)
 // decides *which* spec to build; this package owns *how* a spec
 // becomes operators, so access-path construction has exactly one home.
 package plan

@@ -3,12 +3,6 @@ package plan
 import (
 	"math"
 	"testing"
-
-	"smoothscan/internal/bufferpool"
-	"smoothscan/internal/disk"
-	"smoothscan/internal/exec"
-	"smoothscan/internal/tuple"
-	"smoothscan/internal/workload"
 )
 
 // TestFoldRange pins the bind-time fold against the eager literal
@@ -77,75 +71,5 @@ func TestCacheLRU(t *testing.T) {
 	}
 	if got := c.Stats().Entries; got != 2 {
 		t.Errorf("entries after refresh = %d", got)
-	}
-}
-
-// TestScanTemplateBindMatchesBuild: binding predicates through a
-// validated template yields the same rows and simulated cost as fresh
-// Build calls.
-func TestScanTemplateBindMatchesBuild(t *testing.T) {
-	dev := disk.NewDevice(disk.HDD)
-	tab, err := workload.BuildMicro(dev, workload.MicroConfig{NumRows: 20_000, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := bufferpool.New(dev, int(tab.File.NumPages())+16)
-	spec := ScanSpec{File: tab.File, Pool: pool, Tree: tab.Index, Path: PathSmooth}
-	tm, err := NewScanTemplate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int64{50, 500, 5_000} {
-		pred := tuple.RangePred{Col: tab.IndexCol, Lo: 100, Hi: 100 + width}
-
-		pool.Reset()
-		dev.ResetStats()
-		spec.Pred = pred
-		direct, err := Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nDirect, err := exec.Count(direct.Op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costDirect := dev.Stats().Time()
-
-		pool.Reset()
-		dev.ResetStats()
-		bound, err := tm.Bind(pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nBound, err := exec.Count(bound.Op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nBound != nDirect {
-			t.Errorf("width %d: template bind produced %d rows, direct build %d", width, nBound, nDirect)
-		}
-		if got := dev.Stats().Time(); got != costDirect {
-			t.Errorf("width %d: template bind cost %.3f, direct build %.3f", width, got, costDirect)
-		}
-	}
-}
-
-// TestScanTemplateValidates: structural errors surface at template
-// construction, not at bind.
-func TestScanTemplateValidates(t *testing.T) {
-	dev := disk.NewDevice(disk.HDD)
-	tab, err := workload.BuildMicro(dev, workload.MicroConfig{NumRows: 1_000, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := bufferpool.New(dev, 64)
-	if _, err := NewScanTemplate(ScanSpec{File: tab.File, Pool: pool, Path: PathIndex}); err == nil {
-		t.Error("index path without a tree accepted")
-	}
-	if _, err := NewScanTemplate(ScanSpec{File: tab.File, Pool: pool, Path: Path(99)}); err == nil {
-		t.Error("unknown path accepted")
-	}
-	if _, err := NewScanTemplate(ScanSpec{File: tab.File, Pool: pool, Path: PathFull}); err != nil {
-		t.Errorf("full scan template refused: %v", err)
 	}
 }

@@ -3,9 +3,9 @@
 // touch and hand-built physical plans for the five queries of
 // Figure 4 / Table II (Q1, Q4, Q6, Q7, Q14).
 //
-// The substitution (documented in DESIGN.md): the paper runs TPC-H
-// SF10 on PostgreSQL; this package generates structurally equivalent
-// integer-only tables at configurable scale, with the predicate
+// The substitution: the paper runs TPC-H SF10 on PostgreSQL; this
+// package generates structurally equivalent integer-only tables at
+// configurable scale, with the predicate
 // columns and per-query LINEITEM selectivities the paper reports
 // (98%, 65%, 2%, 30%, 1%). Dates are day numbers from 1992-01-01,
 // money is cents.

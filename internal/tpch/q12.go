@@ -6,6 +6,7 @@ import (
 	"smoothscan/internal/access"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/exec"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
@@ -53,7 +54,7 @@ func (p Q12Plan) String() string {
 
 // Q12 runs the query under the chosen physical plan. All plans return
 // the identical result.
-func (db *DB) Q12(pool *bufferpool.Pool, plan Q12Plan) (QueryResult, error) {
+func (db *DB) Q12(pool *bufferpool.Pool, p Q12Plan) (QueryResult, error) {
 	pred := db.ShipdatePred(0.60)
 	priCol := lineitemCols + OOrderpriority
 
@@ -66,9 +67,9 @@ func (db *DB) Q12(pool *bufferpool.Pool, plan Q12Plan) (QueryResult, error) {
 		})
 	}
 
-	switch plan {
+	switch p {
 	case Q12PlanHash:
-		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathFull})
+		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathFull})
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -76,20 +77,20 @@ func (db *DB) Q12(pool *bufferpool.Pool, plan Q12Plan) (QueryResult, error) {
 		join := exec.NewHashJoinBatch(scan, orders, db.Dev, LOrderkey, OOrderkey, false)
 		return run(buildAgg(join))
 	case Q12PlanTunedINLJ:
-		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathIndex})
+		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathIndex})
 		if err != nil {
 			return QueryResult{}, err
 		}
 		join := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), LOrderkey)
 		return run(buildAgg(join))
 	case Q12PlanSmooth:
-		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()})
+		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
 		if err != nil {
 			return QueryResult{}, err
 		}
 		join := exec.NewIndexNestedLoopJoin(scan, exec.NewMorphingLookup(db.Orders.File, pool, db.Orders.PK, OOrderkey), LOrderkey)
 		return run(buildAgg(join))
 	default:
-		return QueryResult{}, fmt.Errorf("tpch: unknown Q12 plan %d", plan)
+		return QueryResult{}, fmt.Errorf("tpch: unknown Q12 plan %d", p)
 	}
 }

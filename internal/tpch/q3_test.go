@@ -6,6 +6,7 @@ import (
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
@@ -15,7 +16,7 @@ func q3Oracle(t *testing.T, db *DB, pool *bufferpool.Pool, lineSel, orderSel flo
 	t.Helper()
 	lpred := db.ShipdatePred(lineSel)
 	opred := db.OrderDatePred(orderSel)
-	liScan, err := db.ScanLineitem(pool, lpred, ScanSpec{Path: PathFull})
+	liScan, err := db.ScanLineitem(pool, lpred, ScanSpec{Path: plan.PathFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestQ3AgainstOracle(t *testing.T) {
 		{0, 0.5}, {0.02, 0.3}, {0.3, 1}, {1, 0}, {0.5, 0.5},
 	} {
 		want := q3Oracle(t, db, pool, sel.l, sel.o)
-		for _, path := range []Path{PathFull, PathSmooth, PathIndex} {
+		for _, path := range []plan.Path{plan.PathFull, plan.PathSmooth, plan.PathIndex} {
 			pool.Reset()
 			dev.ResetStats()
 			res, js, err := db.Q3(pool, ScanSpec{Path: path, Smooth: DefaultSmooth()}, sel.l, sel.o)
@@ -89,7 +90,7 @@ func TestQ3Deterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := bufferpool.New(dev, 128)
-		_, js, err := db.Q3(pool, ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()}, 0.1, 0.5)
+		_, js, err := db.Q3(pool, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()}, 0.1, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

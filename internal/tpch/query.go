@@ -10,41 +10,12 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// Path selects the access path used for the LINEITEM table — the only
+// ScanSpec selects the LINEITEM access path and its knobs — the only
 // plan difference between the paper's "pSQL" and "pSQL with Smooth
 // Scan" runs (Section VI-B: "the access path operator choice is the
 // only change compared to the original plan").
-type Path int
-
-// LINEITEM access paths.
-const (
-	PathFull Path = iota
-	PathIndex
-	PathSort
-	PathSmooth
-	PathSwitch
-)
-
-func (p Path) String() string {
-	switch p {
-	case PathFull:
-		return "full-scan"
-	case PathIndex:
-		return "index-scan"
-	case PathSort:
-		return "sort-scan"
-	case PathSmooth:
-		return "smooth-scan"
-	case PathSwitch:
-		return "switch-scan"
-	default:
-		return fmt.Sprintf("Path(%d)", int(p))
-	}
-}
-
-// ScanSpec bundles the path with its knobs.
 type ScanSpec struct {
-	Path Path
+	Path plan.Path
 	// Smooth configures PathSmooth; the zero value is the paper's
 	// favoured Elastic + Eager configuration.
 	Smooth core.Config
@@ -60,63 +31,28 @@ func DefaultSmooth() core.Config {
 	return core.Config{Policy: core.Elastic, Trigger: core.Eager}
 }
 
-// planPath maps the TPC-H path enum onto the shared plan layer's.
-func (p Path) planPath() (plan.Path, error) {
-	switch p {
-	case PathFull:
-		return plan.PathFull, nil
-	case PathIndex:
-		return plan.PathIndex, nil
-	case PathSort:
-		return plan.PathSort, nil
-	case PathSmooth:
-		return plan.PathSmooth, nil
-	case PathSwitch:
-		return plan.PathSwitch, nil
-	default:
-		return 0, fmt.Errorf("tpch: unknown path %d", int(p))
-	}
-}
-
-// PrepareLineitem validates a LINEITEM scan spec once and returns the
-// reusable template: the plan layer's compile-once/bind-many surface
-// (plan.ScanTemplate). Callers replaying the same spec over many
-// predicates — the Figure 4 runs, the selectivity sweeps — bind each
-// predicate against the validated template instead of re-validating
-// per query; the bound operator trees are identical to fresh builds.
-func (db *DB) PrepareLineitem(spec ScanSpec) (*plan.ScanTemplate, error) {
-	pp, err := spec.Path.planPath()
-	if err != nil {
-		return nil, err
-	}
-	cfg := spec.Smooth
-	cfg.Ordered = spec.Ordered
-	return plan.NewScanTemplate(plan.ScanSpec{
-		File:            db.Lineitem.File,
-		Tree:            db.ShipIdx,
-		Path:            pp,
-		Smooth:          cfg,
-		Ordered:         spec.Ordered,
-		SwitchThreshold: spec.SwitchThreshold,
-	})
-}
-
 // ScanLineitem builds the LINEITEM access operator for a shipdate
 // range predicate through the shared plan-construction layer
 // (internal/plan) — the same constructor behind the public Query
 // builder — so the TPC-H plans differ from user queries only in their
 // declarative spec, exactly as the paper frames it ("the access path
 // operator choice is the only change compared to the original plan").
-// It is PrepareLineitem + one bind.
 func (db *DB) ScanLineitem(pool *bufferpool.Pool, pred tuple.RangePred, spec ScanSpec) (exec.Operator, error) {
 	if pred.Col != LShipdate {
 		return nil, fmt.Errorf("tpch: lineitem scans are driven by the l_shipdate index, got predicate on column %d", pred.Col)
 	}
-	tm, err := db.PrepareLineitem(spec)
-	if err != nil {
-		return nil, err
-	}
-	built, err := tm.BindOn(pool, pred)
+	cfg := spec.Smooth
+	cfg.Ordered = spec.Ordered
+	built, err := plan.Build(plan.ScanSpec{
+		File:            db.Lineitem.File,
+		Pool:            pool,
+		Tree:            db.ShipIdx,
+		Pred:            pred,
+		Path:            spec.Path,
+		Smooth:          cfg,
+		Ordered:         spec.Ordered,
+		SwitchThreshold: spec.SwitchThreshold,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +65,9 @@ type QueryResult struct {
 	Rows int64
 }
 
-// run drains a plan.
-func run(plan exec.Operator) (QueryResult, error) {
-	n, err := exec.Count(plan)
+// run drains a query's root operator.
+func run(root exec.Operator) (QueryResult, error) {
+	n, err := exec.Count(root)
 	return QueryResult{Rows: n}, err
 }
 
@@ -280,13 +216,13 @@ func (db *DB) MonthPred(month int64) tuple.RangePred {
 
 // PaperPlans returns the access path plain PostgreSQL chose for each
 // query in the paper's Figure 4 runs.
-func PaperPlans() map[string]Path {
-	return map[string]Path{
-		"Q1":  PathSort,  // optimal at 98%
-		"Q4":  PathFull,  // optimal at 65%
-		"Q6":  PathIndex, // suboptimal: costs 10× in the paper
-		"Q7":  PathIndex, // suboptimal: costs 7×
-		"Q14": PathIndex, // suboptimal: costs 8×
+func PaperPlans() map[string]plan.Path {
+	return map[string]plan.Path{
+		"Q1":  plan.PathSort,  // optimal at 98%
+		"Q4":  plan.PathFull,  // optimal at 65%
+		"Q6":  plan.PathIndex, // suboptimal: costs 10× in the paper
+		"Q7":  plan.PathIndex, // suboptimal: costs 7×
+		"Q14": plan.PathIndex, // suboptimal: costs 8×
 	}
 }
 

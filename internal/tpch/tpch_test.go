@@ -9,6 +9,7 @@ import (
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/heap"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
@@ -131,12 +132,12 @@ func TestReferentialIntegrity(t *testing.T) {
 func TestQueriesPathIndependent(t *testing.T) {
 	db := genDB(t, 1500)
 	specs := []ScanSpec{
-		{Path: PathFull},
-		{Path: PathIndex},
-		{Path: PathSort},
-		{Path: PathSmooth, Smooth: DefaultSmooth()},
-		{Path: PathSmooth, Smooth: core.Config{Policy: core.Greedy, Trigger: core.Eager}},
-		{Path: PathSwitch, SwitchThreshold: 100},
+		{Path: plan.PathFull},
+		{Path: plan.PathIndex},
+		{Path: plan.PathSort},
+		{Path: plan.PathSmooth, Smooth: DefaultSmooth()},
+		{Path: plan.PathSmooth, Smooth: core.Config{Policy: core.Greedy, Trigger: core.Eager}},
+		{Path: plan.PathSwitch, SwitchThreshold: 100},
 	}
 	for _, q := range db.Queries() {
 		var want QueryResult
@@ -160,10 +161,10 @@ func TestQueriesPathIndependent(t *testing.T) {
 func TestScanLineitemRejectsWrongColumn(t *testing.T) {
 	db := genDB(t, 200)
 	pool := newPool(db)
-	if _, err := db.ScanLineitem(pool, tuple.RangePred{Col: LQuantity, Lo: 0, Hi: 10}, ScanSpec{Path: PathFull}); err == nil {
+	if _, err := db.ScanLineitem(pool, tuple.RangePred{Col: LQuantity, Lo: 0, Hi: 10}, ScanSpec{Path: plan.PathFull}); err == nil {
 		t.Error("predicate on non-indexed column accepted")
 	}
-	if _, err := db.ScanLineitem(pool, db.ShipdatePred(0.5), ScanSpec{Path: Path(99)}); err == nil {
+	if _, err := db.ScanLineitem(pool, db.ShipdatePred(0.5), ScanSpec{Path: plan.Path(99)}); err == nil {
 		t.Error("unknown path accepted")
 	}
 }
@@ -188,7 +189,7 @@ func TestFig4Shape(t *testing.T) {
 	plans := PaperPlans()
 	for _, q := range db.Queries() {
 		pSQL := measure(q, ScanSpec{Path: plans[q.Name]})
-		smooth := measure(q, ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()})
+		smooth := measure(q, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
 		ratio := pSQL / smooth
 		switch q.Name {
 		case "Q6", "Q7", "Q14":
@@ -218,8 +219,8 @@ func TestTableIIIOAccounting(t *testing.T) {
 		}
 		return db.Dev.Stats()
 	}
-	is := measure(ScanSpec{Path: PathIndex})
-	ss := measure(ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()})
+	is := measure(ScanSpec{Path: plan.PathIndex})
+	ss := measure(ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
 	if ss.Requests >= is.Requests {
 		t.Errorf("smooth scan requests %d >= index scan %d", ss.Requests, is.Requests)
 	}
@@ -228,7 +229,7 @@ func TestTableIIIOAccounting(t *testing.T) {
 func TestQ1AggregatesAreStable(t *testing.T) {
 	db := genDB(t, 800)
 	pool := newPool(db)
-	r1, err := db.Q1(pool, ScanSpec{Path: PathFull})
+	r1, err := db.Q1(pool, ScanSpec{Path: plan.PathFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	db := genDB(t, 800)
 	pool := newPool(db)
 	pred := db.MonthPred(72)
-	scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()})
+	scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan2, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()})
+	scan2, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,56 +264,5 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	}
 	if nPlain != nMorph {
 		t.Errorf("inner variants disagree: %d vs %d", nPlain, nMorph)
-	}
-}
-
-// TestPreparedLineitemTemplate: one validated scan template bound over
-// a month sweep produces the same rows and simulated cost as fresh
-// per-query ScanLineitem builds — the compile-once/bind-many lifecycle
-// at the plan layer.
-func TestPreparedLineitemTemplate(t *testing.T) {
-	db := genDB(t, 2000)
-	pool := newPool(db)
-	spec := ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()}
-	tm, err := db.PrepareLineitem(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, month := range []int64{0, 24, 60} {
-		pred := db.MonthPred(month)
-
-		pool.Reset()
-		db.Dev.ResetStats()
-		direct, err := db.ScanLineitem(pool, pred, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nDirect, err := exec.Count(direct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costDirect := db.Dev.Stats().Time()
-
-		pool.Reset()
-		db.Dev.ResetStats()
-		bound, err := tm.BindOn(pool, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nBound, err := exec.Count(bound.Op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nBound != nDirect {
-			t.Errorf("month %d: template bind produced %d rows, fresh build %d", month, nBound, nDirect)
-		}
-		if got := db.Dev.Stats().Time(); got != costDirect {
-			t.Errorf("month %d: template bind cost %.3f, fresh build %.3f", month, got, costDirect)
-		}
-	}
-	// Structural validation happens at prepare: an unknown path fails
-	// before any predicate exists.
-	if _, err := db.PrepareLineitem(ScanSpec{Path: Path(42)}); err == nil {
-		t.Error("unknown path accepted by PrepareLineitem")
 	}
 }
