@@ -24,10 +24,11 @@ build:
 ## test: the suite, then the tests that assert determinism under
 ## parallelism (and the Row view contract over recycled buffers) again
 ## at several GOMAXPROCS — a single-P run cannot see that class of
-## failure.
+## failure. The sharded statement tests ride along: each shard builds
+## its bound query inside a gather worker goroutine.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared' .
 
 ## race: the test suite under the race detector (the concurrent scan
 ## and session tests only prove anything when this runs).

@@ -393,12 +393,39 @@ func BenchmarkHashJoinThroughput(b *testing.B) {
 // lifecycle against ad-hoc compilation on a warm ~1%-selectivity
 // two-conjunct query: "adhoc-uncached" recompiles the structure every
 // query (plan cache disabled), "adhoc-cached" hits the DB-wide plan
-// cache, "prepared" binds a shared Stmt. The interesting metrics are
+// cache, "prepared" binds a shared Stmt, "sharded-prepared" binds one
+// on a four-shard ShardedDB. The interesting metrics are
 // allocs/op (the bind phase allocates a fraction of a full compile —
 // see TestPreparedBindAllocs for the enforced 50% floor) and tuples/s.
 func BenchmarkPreparedExec(b *testing.B) {
-	// build and drain take the sub-benchmark's own *testing.B: Fatal
-	// must run on the goroutine of the benchmark it fails.
+	// fill, build and drain take the sub-benchmark's own *testing.B:
+	// Fatal must run on the goroutine of the benchmark it fails. fill
+	// loads and indexes t through either engine's loader.
+	fill := func(b *testing.B, tb interface {
+		Append(...int64) error
+		Finish() error
+	}, eng interface {
+		CreateIndex(table, column string) error
+		Analyze(table string, columns ...string) error
+	}) {
+		b.Helper()
+		for i := int64(0); i < 50_000; i++ {
+			if err := tb.Append(i, (i*7919)%10_000, (i*104729)%50, i%1000); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tb.Finish(); err != nil {
+			b.Fatal(err)
+		}
+		for _, col := range []string{"val", "cat"} {
+			if err := eng.CreateIndex("t", col); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := eng.Analyze("t", "val", "cat"); err != nil {
+			b.Fatal(err)
+		}
+	}
 	build := func(b *testing.B, planCache int) *DB {
 		b.Helper()
 		db, err := Open(Options{PoolPages: 2048, PlanCache: planCache})
@@ -409,22 +436,7 @@ func BenchmarkPreparedExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := int64(0); i < 50_000; i++ {
-			if err := tb.Append(i, (i*7919)%10_000, (i*104729)%50, i%1000); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := tb.Finish(); err != nil {
-			b.Fatal(err)
-		}
-		for _, col := range []string{"val", "cat"} {
-			if err := db.CreateIndex("t", col); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := db.Analyze("t", "val", "cat"); err != nil {
-			b.Fatal(err)
-		}
+		fill(b, tb, db)
 		return db
 	}
 	drain := func(b *testing.B, rows *Rows, err error) int64 {
@@ -476,6 +488,35 @@ func BenchmarkPreparedExec(b *testing.B) {
 	b.Run("prepared", func(b *testing.B) {
 		db := build(b, 0)
 		stmt, err := db.Prepare(db.Query("t").
+			Where("val", Between(Param("lo"), Param("hi"))).
+			Where("cat", Lt(25)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bind := Bind{"lo": lo, "hi": hi}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var produced int64
+		for i := 0; i < b.N; i++ {
+			rows, err := stmt.Run(ctx, bind)
+			produced += drain(b, rows, err)
+		}
+		b.ReportMetric(float64(produced)/b.Elapsed().Seconds(), "tuples/s")
+	})
+	b.Run("sharded-prepared", func(b *testing.B) {
+		// Hash-partitioned on id, so the val range prunes nothing: every
+		// Run binds the coordinator template and scatters the bound
+		// query to all four shards.
+		s, err := OpenSharded(4, Options{PoolPages: 512})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tb, err := s.CreateShardedTable("t", HashPartitioning("id", 4), "id", "val", "cat", "payload")
+		if err != nil {
+			b.Fatal(err)
+		}
+		fill(b, tb, s)
+		stmt, err := s.Prepare(s.Query("t").
 			Where("val", Between(Param("lo"), Param("hi"))).
 			Where("cat", Lt(25)))
 		if err != nil {

@@ -15,27 +15,19 @@ import (
 // other shards' work is cancelled cleanly, never leaked.
 var ErrShardUnavailable = errors.New("smoothscan: shard unavailable")
 
-// ShardDriver executes one shard's slice of a sharded query. ShardedDB
+// shardDriver executes one shard's slice of a sharded query. ShardedDB
 // holds one driver per shard: the in-process driver runs against the
 // shard's own embedded DB; the remote driver ships the query over the
-// wire to an ssserver instance. The interface is deliberately narrow —
-// run a query, prepare a statement, identify yourself — so the
-// scatter-gather machinery above it is identical for both.
-//
-// The methods are unexported: drivers are constructed only by
-// OpenSharded (in-process) and OpenShardedRemote (remote); the type is
-// exported so topology-aware callers can name it.
-type ShardDriver interface {
-	// describe labels the driver kind ("in-process", "remote <addr>")
-	// for stats and plan rendering.
-	describe() string
+// wire to an ssserver instance. The seam is deliberately narrow — run
+// a query, name your address — so the scatter-gather machinery above
+// it is identical for both, and an ad-hoc query and a Stmt's bound one
+// reach a shard the same way.
+type shardDriver interface {
 	// address is the shard's network address; "" for in-process shards.
 	address() string
 	// run executes q — a per-shard query built against the shard's
 	// planning DB — and opens its cursor.
 	run(ctx context.Context, q *Query) (shardCursor, error)
-	// prepare compiles q into a per-shard prepared statement.
-	prepare(q *Query) (shardStmt, error)
 	// close releases the driver's resources (remote: its connections).
 	close() error
 }
@@ -60,27 +52,13 @@ type shardCursor interface {
 	close() error
 }
 
-// shardStmt is one shard's prepared statement. run and explain take
-// the full sharded bind set and filter it down to the statement's own
-// parameters (pushdown drops Limit/OrderBy for aggregates, so a
-// sub-statement may use fewer parameters than the full query).
-type shardStmt interface {
-	run(ctx context.Context, b Bind) (shardCursor, error)
-	explain(b Bind) (*Plan, error)
-	close() error
-}
+// localDriver runs a shard's queries against its in-process DB (the
+// one each per-shard query is bound to) — the N=1 equivalence
+// baseline: its cursor forwards fillBatch/Close verbatim, so a local
+// sharded execution is byte-identical to the unsharded engine.
+type localDriver struct{}
 
-// localDriver runs a shard's queries against its in-process DB — the
-// only driver kind before remote topologies, and still the N=1
-// equivalence baseline: its cursor forwards fillBatch/Close
-// verbatim, so a local sharded execution is byte-identical to the
-// pre-driver engine.
-type localDriver struct {
-	db *DB
-}
-
-func (d *localDriver) describe() string { return "in-process" }
-func (d *localDriver) address() string  { return "" }
+func (d *localDriver) address() string { return "" }
 
 func (d *localDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 	rows, err := q.Run(ctx)
@@ -88,14 +66,6 @@ func (d *localDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 		return nil, err
 	}
 	return &localCursor{rows: rows}, nil
-}
-
-func (d *localDriver) prepare(q *Query) (shardStmt, error) {
-	st, err := d.db.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return &localStmt{st: st}, nil
 }
 
 func (d *localDriver) close() error { return nil }
@@ -115,22 +85,3 @@ func (c *localCursor) execStats() (ExecStats, bool) { return c.rows.ExecStats(),
 func (c *localCursor) ioStats() (IOStats, bool) { return IOStats{}, false }
 
 func (c *localCursor) close() error { return c.rows.Close() }
-
-// localStmt adapts a *Stmt to the shardStmt protocol.
-type localStmt struct {
-	st *Stmt
-}
-
-func (s *localStmt) run(ctx context.Context, b Bind) (shardCursor, error) {
-	rows, err := s.st.Run(ctx, filterBind(s.st, b))
-	if err != nil {
-		return nil, err
-	}
-	return &localCursor{rows: rows}, nil
-}
-
-func (s *localStmt) explain(b Bind) (*Plan, error) {
-	return s.st.Explain(filterBind(s.st, b))
-}
-
-func (s *localStmt) close() error { return s.st.Close() }

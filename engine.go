@@ -74,9 +74,9 @@ type Cursor interface {
 }
 
 // PreparedQuery is a reusable compiled statement: bind parameters,
-// run, repeat. Close releases any backend resources (server-side
-// statement handles of a remote connection or of remote shards; a
-// single DB's statement holds none).
+// run, repeat. Close releases any backend resources: a remote
+// connection's server-side statement handle; an in-process or sharded
+// engine's statement holds none.
 type PreparedQuery interface {
 	Params() []string
 	Run(ctx context.Context, b Bind) (Cursor, error)

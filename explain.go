@@ -216,9 +216,9 @@ func (p *ShardedPlan) String() string {
 	return b.String()
 }
 
-// explain assembles the plan of a compiled execution; perShard
-// supplies each active shard's own Explain tree.
-func (se *shardExec) explain(perShard func(si int) (*Plan, error)) (*Plan, error) {
+// explain assembles the plan of a compiled execution, each active
+// shard's tree the Explain of the query that shard runs.
+func (se *shardExec) explain() (*Plan, error) {
 	s := se.s
 	p := &ShardedPlan{
 		Table:     se.pt.Inputs[0].Table,
@@ -254,7 +254,7 @@ func (se *shardExec) explain(perShard func(si int) (*Plan, error)) (*Plan, error
 			sp.Pruned = true
 			sp.Why = se.prunedWhy[i]
 		} else {
-			plan, err := perShard(i)
+			plan, err := se.shardQuery(i).Explain()
 			if err != nil {
 				return nil, err
 			}

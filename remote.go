@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smoothscan/internal/client"
+	"smoothscan/internal/rescache"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/wire"
 )
@@ -72,8 +73,7 @@ func OpenShardedRemote(placements []Placement, parts map[string]Partitioning, op
 			return nil, fmt.Errorf("smoothscan: partitioning of %q covers %d shards, %d placed", table, p.N, len(placements))
 		}
 	}
-	s := &ShardedDB{remote: true, parts: map[string]Partitioning{}}
-	s.initResultCache(opts)
+	s := &ShardedDB{remote: true, parts: map[string]Partitioning{}, resCache: rescache.New(opts.ResultCacheBytes, opts.ResultCacheTTL)}
 	for t, p := range parts {
 		s.parts[t] = p
 	}
@@ -100,7 +100,6 @@ func OpenShardedRemote(placements []Placement, parts map[string]Partitioning, op
 		if err != nil {
 			return nil, fmt.Errorf("smoothscan: shard %d (%s) catalog: %w", i, p.Addr, err)
 		}
-		d.mirror = db
 		d.rows = make(map[string]int64, len(tables))
 		for _, t := range tables {
 			d.rows[t.Name] = t.Rows
@@ -155,8 +154,6 @@ func catalogMirror(opts Options, tables []wire.TableSpec) (*DB, error) {
 type remoteDriver struct {
 	shard int
 	addr  string
-	// mirror is the node's schema-only planning DB (see catalogMirror).
-	mirror *DB
 	// rows is the node's per-table row count, snapshotted from its
 	// catalog at open time (ShardRows serves it; the mirrors are empty).
 	rows map[string]int64
@@ -166,8 +163,7 @@ type remoteDriver struct {
 	closed bool
 }
 
-func (d *remoteDriver) describe() string { return "remote " + d.addr }
-func (d *remoteDriver) address() string  { return d.addr }
+func (d *remoteDriver) address() string { return d.addr }
 
 // acquire hands out an idle connection or dials a fresh one.
 func (d *remoteDriver) acquire() (*client.Conn, error) {
@@ -262,7 +258,7 @@ func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 		}
 		rows, err := c.RunSpec(ctx, spec)
 		if err == nil {
-			return newRemoteCursor(d, c, rows), nil
+			return &remoteCursor{drv: d, conn: c, rows: rows}, nil
 		}
 		d.discard(c)
 		// A pooled connection may have died idle; retry once fresh.
@@ -271,22 +267,6 @@ func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 		}
 		return nil, d.wrapErr(err)
 	}
-}
-
-func (d *remoteDriver) prepare(q *Query) (shardStmt, error) {
-	// The local statement — prepared against the shard's schema-only
-	// mirror — carries the coordinator-side half: parameter names for
-	// bind filtering and checkBind, and Explain. Remote handles are
-	// prepared lazily, one per connection actually used.
-	local, err := d.mirror.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := q.Spec()
-	if err != nil {
-		return nil, err
-	}
-	return &remoteStmt{drv: d, local: local, spec: spec, handles: map[*client.Conn]*client.Stmt{}}, nil
 }
 
 func (d *remoteDriver) close() error {
@@ -320,24 +300,17 @@ func (d *remoteDriver) coldCache() error {
 // wire cursor to the shardCursor protocol. The connection is owned for
 // the stream's lifetime and returned to the driver pool on close.
 type remoteCursor struct {
-	drv     *remoteDriver
-	conn    *client.Conn
-	rows    *client.Rows
-	scratch []int64
-	closed  bool
-}
-
-func newRemoteCursor(d *remoteDriver, c *client.Conn, rows *client.Rows) *remoteCursor {
-	w := len(rows.Columns())
-	return &remoteCursor{drv: d, conn: c, rows: rows, scratch: make([]int64, w)}
+	drv    *remoteDriver
+	conn   *client.Conn
+	rows   *client.Rows
+	closed bool
 }
 
 func (rc *remoteCursor) fill(b *tuple.Batch) (int, error) {
 	b.Reset()
 	for !b.Full() && rc.rows.Next() {
 		slot := b.AppendSlotRaw()
-		rc.rows.CopyRow(rc.scratch)
-		for i, v := range rc.scratch {
+		for i, v := range rc.rows.Row() {
 			slot.SetInt(i, v)
 		}
 	}
@@ -371,90 +344,4 @@ func (rc *remoteCursor) close() error {
 	err := rc.rows.Close()
 	rc.drv.release(rc.conn)
 	return rc.drv.wrapErr(err)
-}
-
-// remoteStmt is one shard's prepared statement against a remote node:
-// a local statement on the schema-only mirror (parameters, bind
-// filtering, Explain) plus lazily-prepared server-side handles, one
-// per connection the statement has actually run on. An evicted handle
-// (the session's statement table is bounded) is re-prepared
-// transparently.
-type remoteStmt struct {
-	drv   *remoteDriver
-	local *Stmt
-	spec  wire.QuerySpec
-
-	mu      sync.Mutex
-	handles map[*client.Conn]*client.Stmt
-}
-
-func (s *remoteStmt) handle(c *client.Conn) (*client.Stmt, error) {
-	s.mu.Lock()
-	h := s.handles[c]
-	s.mu.Unlock()
-	if h != nil {
-		return h, nil
-	}
-	h, err := c.PrepareSpec(s.spec)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.handles[c] = h
-	s.mu.Unlock()
-	return h, nil
-}
-
-func (s *remoteStmt) dropHandle(c *client.Conn) {
-	s.mu.Lock()
-	delete(s.handles, c)
-	s.mu.Unlock()
-}
-
-func (s *remoteStmt) run(ctx context.Context, b Bind) (shardCursor, error) {
-	bind := filterBind(s.local, b)
-	for attempt := 0; ; attempt++ {
-		c, err := s.drv.acquire()
-		if err != nil {
-			return nil, err
-		}
-		h, err := s.handle(c)
-		if err == nil {
-			var rows *client.Rows
-			rows, err = h.Run(ctx, bind)
-			if errors.Is(err, wire.ErrStmtEvicted) {
-				// The session LRU-evicted the handle; re-prepare on this
-				// connection and retry once.
-				s.dropHandle(c)
-				if h, err = s.handle(c); err == nil {
-					rows, err = h.Run(ctx, bind)
-				}
-			}
-			if err == nil {
-				return newRemoteCursor(s.drv, c, rows), nil
-			}
-		}
-		s.dropHandle(c)
-		s.drv.discard(c)
-		// A pooled connection may have died idle; retry once fresh.
-		if attempt == 0 && errors.Is(err, client.ErrConnLost) {
-			continue
-		}
-		return nil, s.drv.wrapErr(err)
-	}
-}
-
-func (s *remoteStmt) explain(b Bind) (*Plan, error) {
-	return s.local.Explain(filterBind(s.local, b))
-}
-
-// close drops the handle cache and closes the local statement. No wire
-// traffic: the server's per-session statement table is bounded (LRU)
-// and handles die with their sessions, so eager remote closes would
-// only race pooled connections for no reclaim worth having.
-func (s *remoteStmt) close() error {
-	s.mu.Lock()
-	s.handles = map[*client.Conn]*client.Stmt{}
-	s.mu.Unlock()
-	return s.local.Close()
 }

@@ -62,7 +62,8 @@ func rsPartitioning(scheme string, n int) smoothscan.Partitioning {
 
 // loadRemoteShardedTables loads the fixture tables into a sharded DB.
 // The fact table "t" partitions by the given scheme; the dimension "d"
-// partitions by a non-join column, so t⋈d always broadcasts.
+// partitions by d_w, so t⋈d on g = d_cat always broadcasts (on
+// val = d_w it runs partition-wise under hash partitioning).
 func loadRemoteShardedTables(t *testing.T, s *smoothscan.ShardedDB, parts map[string]smoothscan.Partitioning) {
 	t.Helper()
 	tb, err := s.CreateShardedTable("t", parts["t"], "id", "val", "g", "p")
@@ -113,7 +114,7 @@ type remoteShardedFixture struct {
 func rsParts(scheme string, n int) map[string]smoothscan.Partitioning {
 	return map[string]smoothscan.Partitioning{
 		"t": rsPartitioning(scheme, n),
-		// Partitioned on a non-join column: a t⋈d join broadcasts.
+		// Partitioned off the g = d_cat join key: that join broadcasts.
 		"d": smoothscan.HashPartitioning("d_w", n),
 	}
 }
@@ -285,6 +286,182 @@ func TestRemoteShardedPrepared(t *testing.T) {
 		rrows, rerr := rst.Run(ctx, b)
 		got := drainSharded(t, rrows, rerr)
 		requireSameRows(t, want, got, true)
+	}
+}
+
+// rsUnsharded loads the fixture tables into one unsharded DB: the
+// oracle sharded statements over the same rows must agree with.
+func rsUnsharded(t *testing.T) *smoothscan.DB {
+	t.Helper()
+	db, err := smoothscan.Open(smoothscan.Options{PoolPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []struct {
+		name, index string
+		cols        []string
+		rows        [][]int64
+	}{
+		{"t", "val", []string{"id", "val", "g", "p"}, rsTableRows()},
+		{"d", "d_id", []string{"d_id", "d_cat", "d_w"}, rsDimRows()},
+	} {
+		tb, err := db.CreateTable(ts.name, ts.cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ts.rows {
+			if err := tb.Append(r...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex(ts.name, ts.index); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// stratShape is one prepared query shape of TestShardedStmtStrategies.
+// build spells the query with arg(name) in every parameter position:
+// Param for the statements, the bound value for the literal twin.
+type stratShape struct {
+	name     string
+	strategy string
+	exact    bool
+	build    func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query
+	binds    []smoothscan.Bind
+}
+
+func stratShapes() []stratShape {
+	valRange := func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+		return q.Where("val", smoothscan.Between(arg("lo"), arg("hi")))
+	}
+	// Under hash(val) % N, t⋈d on val = d_w is co-partitioned; on
+	// g = d_cat it is not, and one side broadcasts. Each join shape
+	// carries a parameter on both inputs.
+	pwJoin := func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+		return valRange(q.Join("d", "val", "d_w"), arg).Where("d_id", smoothscan.Lt(arg("dhi")))
+	}
+	bcJoin := func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+		return valRange(q.Join("d", "g", "d_cat"), arg).Where("d_id", smoothscan.Lt(arg("dhi")))
+	}
+	// topN aggregates, orders the groups and limits them by $n: the
+	// parameter lives only above the gather.
+	topN := func(col string, q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+		return q.GroupBy(col, smoothscan.Count(), smoothscan.Sum("p")).OrderBy(col).Limit(arg("n"))
+	}
+	// Each bind list holds a wide bind, a single-value val range (one
+	// shard of t under hash(val)), an empty range and a middling one.
+	return []stratShape{
+		{"scan", "scan", false, valRange, []smoothscan.Bind{
+			{"lo": 0, "hi": rsDomain}, {"lo": 37, "hi": 38}, {"lo": 700, "hi": 600}, {"lo": 300, "hi": 900},
+		}},
+		{"scan-topn", "scan", true,
+			func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+				return topN("g", valRange(q, arg), arg)
+			},
+			[]smoothscan.Bind{
+				{"lo": 0, "hi": rsDomain, "n": 5}, {"lo": 37, "hi": 38, "n": 3}, {"lo": 700, "hi": 600, "n": 4}, {"lo": 300, "hi": 900, "n": 100},
+			}},
+		{"pw", "partition-wise", false, pwJoin, []smoothscan.Bind{
+			{"lo": 0, "hi": rsDomain, "dhi": 500}, {"lo": 37, "hi": 38, "dhi": 500}, {"lo": 90, "hi": 10, "dhi": 500}, {"lo": 10, "hi": 80, "dhi": 250},
+		}},
+		{"pw-topn", "partition-wise", true,
+			func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+				return topN("d_cat", pwJoin(q, arg), arg)
+			},
+			[]smoothscan.Bind{
+				{"lo": 0, "hi": rsDomain, "dhi": 500, "n": 5}, {"lo": 37, "hi": 38, "dhi": 500, "n": 2}, {"lo": 90, "hi": 10, "dhi": 500, "n": 5}, {"lo": 10, "hi": 80, "dhi": 250, "n": 100},
+			}},
+		{"bc", "broadcast", false, bcJoin, []smoothscan.Bind{
+			{"lo": 0, "hi": rsDomain, "dhi": 40}, {"lo": 37, "hi": 38, "dhi": 40}, {"lo": 700, "hi": 600, "dhi": 40}, {"lo": 300, "hi": 900, "dhi": 16},
+		}},
+		{"bc-topn", "broadcast", true,
+			func(q *smoothscan.Query, arg func(string) any) *smoothscan.Query {
+				return topN("d_w", bcJoin(q, arg), arg)
+			},
+			[]smoothscan.Bind{
+				{"lo": 0, "hi": rsDomain, "dhi": 40, "n": 5}, {"lo": 37, "hi": 38, "dhi": 40, "n": 2}, {"lo": 700, "hi": 600, "dhi": 40, "n": 5}, {"lo": 300, "hi": 900, "dhi": 16, "n": 100},
+			}},
+	}
+}
+
+// TestShardedStmtStrategies prepares one statement per scatter strategy
+// × shape on an in-process and a remote sharded engine, and requires
+// every bind to return the rows of the literal query and of the
+// unsharded statement, to run the plan Explain shows, and — for a
+// single-value range outside broadcast — to prune to one shard.
+func TestShardedStmtStrategies(t *testing.T) {
+	ctx := context.Background()
+	oracle := rsUnsharded(t)
+	local, err := smoothscan.OpenSharded(3, smoothscan.Options{PoolPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRemoteShardedTables(t, local, rsParts("hash", 3))
+	engines := []struct {
+		name string
+		s    *smoothscan.ShardedDB
+	}{
+		{"in-process-N3", local},
+		{"remote-N2", buildRemoteSharded(t, 2, "hash").remote},
+	}
+	param := func(name string) any { return smoothscan.Param(name) }
+	for _, eng := range engines {
+		for _, c := range stratShapes() {
+			eng, c := eng, c
+			t.Run(eng.name+"/"+c.name, func(t *testing.T) {
+				un, err := oracle.Prepare(c.build(oracle.Query("t"), param))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := eng.s.Prepare(c.build(eng.s.Query("t"), param))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range c.binds {
+					lit := func(name string) any { return b[name] }
+					rows, err := st.Run(ctx, b)
+					if err != nil {
+						t.Fatalf("bind %v: %v", b, err)
+					}
+					ran := rows.Plan().String()
+					got := drainSharded(t, rows, nil)
+					requireSameRows(t, stmtDrain(t, un, ctx, b), got, c.exact)
+					requireSameRows(t, runDrain(t, c.build(eng.s.Query("t"), lit), ctx), got, c.exact)
+
+					p, err := st.Explain(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p.String() != ran {
+						t.Errorf("bind %v: Explain differs from the plan Run executed:\n%s\nvs\n%s", b, p.String(), ran)
+					}
+					if p.Sharded.Strategy != c.strategy {
+						t.Errorf("strategy %q, want %q", p.Sharded.Strategy, c.strategy)
+					}
+					if c.strategy != "broadcast" && b["hi"]-b["lo"] == 1 {
+						active := 0
+						for _, sp := range p.Sharded.Shards {
+							if !sp.Pruned {
+								active++
+							}
+						}
+						if active != 1 {
+							t.Errorf("bind %v runs %d shards, want 1:\n%s", b, active, p.String())
+						}
+					}
+				}
+				for i := 0; i < 2; i++ {
+					if err := st.Close(); err != nil {
+						t.Fatalf("Close #%d: %v", i+1, err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -472,8 +649,7 @@ func TestRemoteShardedFailover(t *testing.T) {
 
 // TestRemoteShardedFailoverPrepared: a shard node dying between a
 // statement's runs surfaces ErrShardUnavailable from Run, and the
-// statement heals when the node returns (fresh connections re-prepare
-// lazily).
+// statement heals when the node returns (the driver re-dials).
 func TestRemoteShardedFailoverPrepared(t *testing.T) {
 	ctx := context.Background()
 	fx := buildRemoteSharded(t, 2, "range")

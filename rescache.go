@@ -17,7 +17,7 @@ import (
 // in-memory operator — so the execution performs zero device I/O.
 // The sharded coordinator runs the same lookup/tee/store above
 // scatter-gather with its own tier and epoch reader (see
-// sharded_rescache.go).
+// "Coordinator-level result caching" in sharded.go).
 //
 // The store path is a passive tee: a cacheable miss gets a resAccum
 // that copies every delivered batch; Close admits the accumulated

@@ -68,7 +68,7 @@ type ShardedDB struct {
 	// against these; drivers decide where execution actually happens.
 	shards []*DB
 	// drivers execute the per-shard slices, one per shard.
-	drivers []ShardDriver
+	drivers []shardDriver
 	// remote marks a topology opened with OpenShardedRemote: shards
 	// are schema-only mirrors, data lives on the nodes, and load-time
 	// mutators are refused.
@@ -76,7 +76,7 @@ type ShardedDB struct {
 	// resCache is the coordinator-level result-cache tier: repeated
 	// sharded queries are served above scatter-gather with zero shard
 	// traffic. nil when Options.ResultCacheBytes leaves the tier
-	// disabled. See sharded_rescache.go.
+	// disabled. See "Coordinator-level result caching" below.
 	resCache *rescache.Cache
 	mu       sync.RWMutex // guards parts
 	parts    map[string]shard.Partitioning
@@ -95,25 +95,20 @@ func OpenSharded(n int, opts Options) (*ShardedDB, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("smoothscan: shard count %d (want >= 1)", n)
 	}
-	s := &ShardedDB{parts: map[string]shard.Partitioning{}}
-	s.initResultCache(opts)
+	s := &ShardedDB{parts: map[string]shard.Partitioning{}, resCache: rescache.New(opts.ResultCacheBytes, opts.ResultCacheTTL)}
 	for i := 0; i < n; i++ {
 		db, err := Open(opts)
 		if err != nil {
 			return nil, err
 		}
 		s.shards = append(s.shards, db)
-		s.drivers = append(s.drivers, &localDriver{db: db})
+		s.drivers = append(s.drivers, &localDriver{})
 	}
 	return s, nil
 }
 
 // NumShards returns the shard count.
 func (s *ShardedDB) NumShards() int { return len(s.shards) }
-
-// Driver returns the i-th shard's driver — for topology inspection
-// (ShardDriver carries the shard's kind and address).
-func (s *ShardedDB) Driver(i int) ShardDriver { return s.drivers[i] }
 
 // Close releases every shard driver. In-process shards hold no
 // external resources (Close is then a no-op); remote shards close
@@ -403,6 +398,27 @@ func (q *Query) clone() *Query {
 	return &cp
 }
 
+// bound returns the query with every parameter replaced by its value
+// in b: the literal query the shards of a sharded Stmt's execution run.
+// The coordinator's own binding has already rejected a missing
+// parameter.
+func (q *Query) bound(b Bind) *Query {
+	arg := func(a wire.ArgSpec) wire.ArgSpec {
+		if a.Param != "" {
+			return wire.ArgSpec{Lit: b[a.Param]}
+		}
+		return a
+	}
+	cp := *q
+	cp.spec.Preds = make([]wire.PredSpec, len(q.spec.Preds))
+	for i, p := range q.spec.Preds {
+		p.A, p.B = arg(p.A), arg(p.B)
+		cp.spec.Preds[i] = p
+	}
+	cp.spec.Limit = arg(q.spec.Limit)
+	return &cp
+}
+
 // perShardQuery is the query each shard runs under the scan and
 // partition-wise strategies: the query itself, re-bound to the shard.
 // Aggregate queries drop OrderBy and Limit — shards emit partial
@@ -472,6 +488,12 @@ type shardExec struct {
 	part     shard.Partitioning
 	strategy string
 
+	// q is the literal query the shards derive theirs from (shardQuery):
+	// an ad-hoc query as written, a Stmt's query with its bind
+	// substituted. planCached: the coordinator template was reused.
+	q          *Query
+	planCached bool
+
 	active    []int    // shard indexes that run, ascending
 	prunedWhy []string // per shard; "" for active shards
 
@@ -491,7 +513,6 @@ type shardExec struct {
 	emptyWhy string
 
 	// Execution state, filled by ShardedDB.execute.
-	run      runnerset
 	root     exec.Operator
 	counters []*opCounter
 	adapters []*shardRowsOp
@@ -751,14 +772,15 @@ func (o *shardRowsOp) Close() error {
 	return o.cur.close()
 }
 
-// runnerset supplies the per-shard executions of one run: ad-hoc
-// queries or prepared statements, per shard (and per broadcast side),
-// and each active shard's own Explain tree.
-type runnerset struct {
-	planCached bool
-	shard      func(ctx context.Context, si int) (shardCursor, error)
-	side       func(ctx context.Context, input, si int) (shardCursor, error)
-	explain    func(si int) (*Plan, error)
+// shardQuery is the query active shard si runs, bound to the shard's
+// planning DB: its slice of the scanned input under broadcast, the
+// whole query otherwise.
+func (se *shardExec) shardQuery(si int) *Query {
+	db := se.s.shards[si]
+	if se.strategy == strategyBroadcast {
+		return se.q.sideQuery(db, se.scanInput, se.pt)
+	}
+	return se.q.perShardQuery(db)
 }
 
 // ioSnapshot reads every shard's device counters.
@@ -774,8 +796,7 @@ func (s *ShardedDB) ioSnapshot() []IOStats {
 // hit serves the materialized result with every shard untouched; a
 // miss captures the epochs now — before any shard worker starts — so
 // a write interleaving with the gather fails the store-time re-check.
-func (s *ShardedDB) execute(ctx context.Context, se *shardExec, run runnerset) (*Rows, error) {
-	se.run = run
+func (s *ShardedDB) execute(ctx context.Context, se *shardExec) (*Rows, error) {
 	se.ioStart = s.ioSnapshot()
 	cache := se.cacheable()
 	var eps map[string]uint64
@@ -806,7 +827,7 @@ func (se *shardExec) start(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s, run := se.s, se.run
+	s := se.s
 	count := func(name string, op exec.Operator) exec.Operator {
 		c := &opCounter{name: name}
 		se.counters = append(se.counters, c)
@@ -823,7 +844,7 @@ func (se *shardExec) start(ctx context.Context) error {
 		if se.strategy == strategyBroadcast {
 			b := tuple.NewBatchFor(se.pt.Inputs[se.bcInput].Schema, exec.DefaultBatchSize)
 			for _, si := range se.bcActive {
-				cur, err := run.side(ctx, se.bcInput, si)
+				cur, err := s.drivers[si].run(ctx, se.q.sideQuery(s.shards[si], se.bcInput, se.pt))
 				if err != nil {
 					return err
 				}
@@ -848,13 +869,14 @@ func (se *shardExec) start(ctx context.Context) error {
 		workers := make([]parallel.Worker, 0, len(se.active))
 		for _, si := range se.active {
 			si := si
-			var op exec.Operator
+			a := &shardRowsOp{
+				schema: se.gatherSchema,
+				start:  func() (shardCursor, error) { return s.drivers[si].run(ctx, se.shardQuery(si)) },
+			}
+			se.adapters = append(se.adapters, a)
+			var op exec.Operator = a
 			if se.strategy == strategyBroadcast {
-				scanOp := &shardRowsOp{
-					schema: se.pt.Inputs[se.scanInput].Schema,
-					start:  func() (shardCursor, error) { return run.side(ctx, se.scanInput, si) },
-				}
-				se.adapters = append(se.adapters, scanOp)
+				a.schema = se.pt.Inputs[se.scanInput].Schema
 				vals := exec.NewValues(se.pt.Inputs[se.bcInput].Schema, bcRows)
 				spec := plan.JoinSpec{
 					LeftCol:  se.pt.Joins[0].LeftCol,
@@ -863,22 +885,15 @@ func (se *shardExec) start(ctx context.Context) error {
 					Dev:      s.shards[si].dev,
 				}
 				if se.bcInput == 0 {
-					spec.Left, spec.Right, spec.BuildLeft = vals, exec.Operator(scanOp), true
+					spec.Left, spec.Right, spec.BuildLeft = vals, exec.Operator(a), true
 				} else {
-					spec.Left, spec.Right = scanOp, vals
+					spec.Left, spec.Right = a, vals
 				}
 				j, err := plan.BuildJoin(spec)
 				if err != nil {
 					return err
 				}
 				op = j
-			} else {
-				a := &shardRowsOp{
-					schema: se.gatherSchema,
-					start:  func() (shardCursor, error) { return run.shard(ctx, si) },
-				}
-				se.adapters = append(se.adapters, a)
-				op = a
 			}
 			workers = append(workers, parallel.Worker{Op: op})
 		}
@@ -921,7 +936,7 @@ func (se *shardExec) rows(ctx context.Context) *Rows {
 		baseSchema: se.pt.Base,
 		ctx:        ctx,
 		counters:   se.counters,
-		planCached: se.run.planCached,
+		planCached: se.planCached,
 	}
 }
 
@@ -950,7 +965,7 @@ func (se *shardExec) finish() error {
 // plan renders the scatter-gather plan, each active shard's own tree
 // included; nil if a shard's plan no longer compiles.
 func (se *shardExec) plan() *Plan {
-	p, err := se.explain(se.run.explain)
+	p, err := se.explain()
 	if err != nil {
 		return nil
 	}
@@ -967,54 +982,40 @@ func (s *ShardedDB) templateFor(q *Query) (*qtemplate, []int64, bool, error) {
 }
 
 // compileQuery compiles an ad-hoc sharded query into its scatter-gather
-// execution and the per-shard runners.
-func (s *ShardedDB) compileQuery(q *Query) (*shardExec, runnerset, error) {
+// execution; the shards run the query as written.
+func (s *ShardedDB) compileQuery(q *Query) (*shardExec, error) {
 	qt, lits, hit, err := s.templateFor(q)
 	if err != nil {
-		return nil, runnerset{}, err
+		return nil, err
 	}
 	se, err := s.compileShardExec(qt, lits, nil, false)
 	if err != nil {
-		return nil, runnerset{}, err
+		return nil, err
 	}
-	return se, runnerset{
-		planCached: hit,
-		shard: func(ctx context.Context, si int) (shardCursor, error) {
-			return s.drivers[si].run(ctx, q.perShardQuery(s.shards[si]))
-		},
-		side: func(ctx context.Context, input, si int) (shardCursor, error) {
-			return s.drivers[si].run(ctx, q.sideQuery(s.shards[si], input, qt.pt))
-		},
-		explain: func(si int) (*Plan, error) {
-			if se.strategy == strategyBroadcast {
-				return q.sideQuery(s.shards[si], se.scanInput, qt.pt).Explain()
-			}
-			return q.perShardQuery(s.shards[si]).Explain()
-		},
-	}, nil
+	se.q, se.planCached = q, hit
+	return se, nil
 }
 
 // runQuery scatters the query to the unpruned shards and gathers
 // through the exchange.
 func (s *ShardedDB) runQuery(ctx context.Context, q *Query) (*Rows, error) {
-	se, run, err := s.compileQuery(q)
+	se, err := s.compileQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	return s.execute(ctx, se, run)
+	return s.execute(ctx, se)
 }
 
 func (s *ShardedDB) explainQuery(q *Query) (*Plan, error) {
-	se, run, err := s.compileQuery(q)
+	se, err := s.compileQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	return se.explain(run.explain)
+	return se.explain()
 }
 
-// Prepare validates and compiles the sharded query's structure into a
-// Stmt holding per-shard prepared statements plus the scatter template.
-// Close it when done.
+// Prepare validates and compiles the sharded query's structure — its
+// coordinator template and its scatter strategy — into a Stmt.
 func (s *ShardedDB) Prepare(q *Query) (*Stmt, error) { return prepareOn(s, q) }
 
 func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
@@ -1027,85 +1028,109 @@ func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy, _, err := s.strategyFor(qt.pt, part)
+	if _, _, err := s.strategyFor(qt.pt, part); err != nil {
+		return nil, err
+	}
+	return &Stmt{eng: s, qt: qt, lits: lits, q: snap}, nil
+}
+
+// bindStmt re-prunes the shard set from the bound predicate values; the
+// shards run the statement's query with the bind substituted, each
+// re-planning its slice through its own plan cache.
+func (s *ShardedDB) bindStmt(st *Stmt, b Bind) (*shardExec, error) {
+	se, err := s.compileShardExec(st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{eng: s, qt: qt, lits: lits}
-	if strategy == strategyBroadcast {
-		for input := 0; input < 2; input++ {
-			for si, db := range s.shards {
-				ps, err := s.drivers[si].prepare(snap.sideQuery(db, input, qt.pt))
-				if err != nil {
-					return nil, err
-				}
-				st.sideStmts[input] = append(st.sideStmts[input], ps)
-			}
-		}
-	} else {
-		for si, db := range s.shards {
-			ps, err := s.drivers[si].prepare(snap.perShardQuery(db))
-			if err != nil {
-				return nil, err
-			}
-			st.pstmts = append(st.pstmts, ps)
-		}
-	}
-	return st, nil
-}
-
-// filterBind keeps only the bindings a per-shard statement's own
-// parameters use — pushdown drops Limit/OrderBy for aggregates, so a
-// sub-statement may have fewer parameters than the full query.
-func filterBind(ps *Stmt, b Bind) Bind {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make(Bind, len(ps.qt.pt.Params))
-	for _, p := range ps.qt.pt.Params {
-		if v, ok := b[p]; ok {
-			out[p] = v
-		}
-	}
-	return out
-}
-
-// bindStmt re-prunes the shard set from the bound predicate values and
-// assembles the per-shard runners of this execution.
-func (s *ShardedDB) bindStmt(st *Stmt, b Bind) (*shardExec, runnerset, error) {
-	se, err := s.compileShardExec(st.qt, st.lits, b, true)
-	if err != nil {
-		return nil, runnerset{}, err
-	}
-	return se, runnerset{
-		planCached: true,
-		shard: func(ctx context.Context, si int) (shardCursor, error) {
-			return st.pstmts[si].run(ctx, b)
-		},
-		side: func(ctx context.Context, input, si int) (shardCursor, error) {
-			return st.sideStmts[input][si].run(ctx, b)
-		},
-		explain: func(si int) (*Plan, error) {
-			if se.strategy == strategyBroadcast {
-				return st.sideStmts[se.scanInput][si].explain(b)
-			}
-			return st.pstmts[si].explain(b)
-		},
-	}, nil
+	se.q, se.planCached = st.q.bound(b), true
+	return se, nil
 }
 
 func (s *ShardedDB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
-	se, run, err := s.bindStmt(st, b)
+	se, err := s.bindStmt(st, b)
 	if err != nil {
 		return nil, err
 	}
-	return s.execute(ctx, se, run)
+	return s.execute(ctx, se)
 }
 
 func (s *ShardedDB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
-	se, run, err := s.bindStmt(st, b)
+	se, err := s.bindStmt(st, b)
 	if err != nil {
 		return nil, err
 	}
-	return se.explain(run.explain)
+	return se.explain()
+}
+
+// Coordinator-level result caching: the sharded engine carries its own
+// rescache tier above scatter-gather, so a repeated sharded query is
+// served from the coordinator's memory without touching any shard —
+// no gather, no per-shard cursors, no device or network traffic. The
+// per-shard slices still flow through each shard DB's own tier (the
+// same Options configure both), so a coordinator miss can still be
+// assembled from per-shard hits.
+//
+// Epochs at this level are the sum of the shard epochs for each table:
+// every Insert routes to exactly one shard and bumps that shard's
+// table epoch under its lock, so the sum is monotonic and moves on
+// every write regardless of which shard took it. A remote topology's
+// planning mirrors hold no rows and the coordinator refuses mutations,
+// so its epochs are static — consistent with the open-time catalog
+// snapshot the coordinator already treats as the data's state.
+
+// ResultCacheStats snapshots the coordinator-level result-cache tier's
+// counters (zero when the tier is disabled). Per-shard tiers are
+// reachable via Shard(i).ResultCacheStats().
+func (s *ShardedDB) ResultCacheStats() ResultCacheStats { return s.resCache.Stats() }
+
+// epochOf sums the named table's write epoch across shards — the
+// coordinator tier's invalidation clock. Each shard's epoch is read
+// under its own lock; the sum is monotonic because shard epochs only
+// ever increase.
+func (s *ShardedDB) epochOf(name string) uint64 {
+	var sum uint64
+	for _, db := range s.shards {
+		sum += db.epochOf(name)
+	}
+	return sum
+}
+
+// cacheable reports whether this sharded execution participates in the
+// coordinator tier. Beyond the local rules (tier enabled, key derived,
+// no empty short-circuit), any shard carrying a fault policy bypasses
+// — degraded shard runs may skip corrupted pages, and a partial result
+// must never be pinned. A remote broadcast join also bypasses: its
+// replicated side drains through cursors whose degradation state the
+// coordinator cannot observe.
+func (se *shardExec) cacheable() bool {
+	s := se.s
+	if s.resCache == nil || se.cq0.resKey == "" || se.emptyWhy != "" {
+		return false
+	}
+	for _, db := range s.shards {
+		if db.dev.FaultPolicy() != nil {
+			return false
+		}
+	}
+	return !(s.remote && se.strategy == strategyBroadcast)
+}
+
+// store admits a drained sharded result unless a shard was unavailable
+// or degraded (a gather that lost or degraded a shard delivered a
+// best-effort result, not the query's answer). The coordinator epochs
+// are re-checked inside: a write that routed to any shard during the
+// gather moves the sum and the entry would be born stale.
+func (se *shardExec) store(a *resAccum) {
+	for _, ad := range se.adapters {
+		if ad.unavailable {
+			return
+		}
+		if ad.cur == nil {
+			continue
+		}
+		if st, ok := ad.cur.execStats(); ok && len(st.Degraded) > 0 {
+			return
+		}
+	}
+	storeResult(se.s.resCache, a, se.s.epochOf)
 }

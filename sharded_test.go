@@ -627,10 +627,9 @@ func TestShardedStmtAggregateLimitParam(t *testing.T) {
 	s := buildGridSharded(t, 4, "range")
 	ctx := context.Background()
 
-	// The per-shard statements drop OrderBy/Limit (partials are merged,
+	// The per-shard queries drop OrderBy/Limit (partials are merged,
 	// ordered and limited at the coordinator), so the $n parameter only
-	// exists above the gather — filterBind must keep the sub-statements
-	// happy.
+	// exists above the gather: the shards must run without it.
 	stU, err := un.Prepare(un.Query("t").Where("val", Between(Param("lo"), Param("hi"))).
 		GroupBy("g", Count(), Sum("p")).OrderBy("g").Limit(Param("n")))
 	if err != nil {

@@ -36,26 +36,22 @@ type Bind map[string]int64
 // therefore execute the same Stmt with different driving indexes — the
 // paper's statistics-robustness argument applied at the API layer.
 //
-// On a sharded engine the statement additionally holds one prepared
-// statement per shard (each compiled against that shard's own plan
-// cache), and every Run re-prunes the shard set from the bound
-// predicate values, so the same statement can touch one shard for a
-// narrow bind and all of them for a wide one.
+// On a sharded engine every Run binds the coordinator's template, which
+// re-prunes the shard set from the bound predicate values — so the same
+// statement can touch one shard for a narrow bind and all of them for a
+// wide one — and each active shard runs the query with the bind
+// substituted, re-planning its slice through its own plan cache.
 //
 // A Stmt is immutable and safe for concurrent use: any number of
 // goroutines may Run it simultaneously, each getting an independent
-// Rows. It holds no device or pool state. A DB's statement needs no
-// Close; a sharded one should be closed, which releases its per-shard
-// statements (remote shards hold server-side handles).
+// Rows. It holds no device, pool or server state, so Close is a no-op.
 type Stmt struct {
 	eng  queryEngine
 	qt   *qtemplate
 	lits []int64
-	// Sharded engine only: the per-shard statements Run scatters to —
-	// pstmts under the scan and partition-wise strategies, sideStmts
-	// (one set per join input) under broadcast.
-	pstmts    []shardStmt
-	sideStmts [2][]shardStmt
+	// q is the query as prepared, on a sharded engine only: bound per
+	// execution into the literal query the shards run.
+	q *Query
 }
 
 // prepareOn is Prepare on every engine: refuse a query the engine does
@@ -167,18 +163,6 @@ func (db *DB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
 	return cq.plan(), nil
 }
 
-// Close releases the statement's per-shard statements: nothing for a
-// DB's statement, which holds only its compiled template; the
-// server-side handles of a remote sharded one. Closing twice is
-// harmless (released handles re-close as no-ops).
-func (s *Stmt) Close() error {
-	var first error
-	for _, set := range [][]shardStmt{s.pstmts, s.sideStmts[0], s.sideStmts[1]} {
-		for _, ps := range set {
-			if err := ps.close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
+// Close is a no-op on every engine — a statement holds nothing to
+// release — kept so a Stmt satisfies PreparedQuery.
+func (s *Stmt) Close() error { return nil }
