@@ -88,9 +88,10 @@ equiv:
 ## chaos: the fault-injection matrix under the race detector plus the
 ## ssload chaos sweep — recovered results must be byte-identical to
 ## the fault-free oracle, unrecoverable faults must surface as typed
-## errors with no goroutine leaks.
+## errors with no goroutine leaks. -cpu 4 gives the ladder's
+## parallel -> serial step real concurrent workers.
 chaos:
-	$(GO) test -race -run 'TestFault' -count=1 . ./internal/disk/
+	$(GO) test -race -cpu 1,4 -run 'TestFault' -count=1 . ./internal/disk/
 	$(GO) run ./cmd/ssload -chaos -rows 60000 -clients 4 -queries 32
 
 ## server-smoke: boot ssserver and drive it with ssload -addr, both

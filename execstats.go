@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/wire"
@@ -227,7 +228,7 @@ func (se *shardExec) stats(closed, quiesced bool) ExecStats {
 		}
 	}
 	for i := range shards {
-		st.IO = addIO(st.IO, shards[i].IO)
+		st.IO = disk.Add(st.IO, shards[i].IO)
 	}
 	st.Shards = shards
 	return st

@@ -3,9 +3,9 @@ package smoothscan
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"smoothscan/internal/disk"
-	"smoothscan/internal/plan"
 )
 
 // Fault injection.
@@ -27,7 +27,9 @@ import (
 //     which degrades the plan one step at a time — parallel scans drop
 //     to serial, index-driven paths (index, sort, switch) fall back to
 //     Smooth Scan, Smooth Scan falls back to a full scan — re-opening
-//     the query after each step;
+//     the query after each step. A step only edits one input's
+//     ScanOptions and re-binds the query (degradeOnFault); the binder
+//     re-decides everything else, as it does for a fresh query;
 //   - what cannot be recovered or degraded around surfaces as a typed
 //     error from Run/Next/Err, never as a panic, with every worker
 //     goroutine exited.
@@ -142,128 +144,89 @@ func (db *DB) IndexSpace(tableName, col string) (SpaceID, error) {
 	return tree.Space(), nil
 }
 
-// clone copies the compiled query one level deep: the inputs and join
-// stages the degradation ladder mutates are duplicated, everything else
-// (schemas, predicates, estimates) is shared immutably.
-func (cq *compiledQuery) clone() *compiledQuery {
-	c := *cq
-	c.inputs = make([]*tableAccess, len(cq.inputs))
-	for i, a := range cq.inputs {
-		aa := *a
-		c.inputs[i] = &aa
-	}
-	c.joins = make([]*joinStage, len(cq.joins))
-	for i, st := range cq.joins {
-		ss := *st
-		c.joins[i] = &ss
-	}
-	c.degraded = append([]string(nil), cq.degraded...)
-	return &c
-}
-
-// degradeOnFault returns a copy of the compiled query one step further
-// down the degradation ladder, or nil when nothing is left to degrade.
-// The ladder, in order:
+// degradeOnFault re-binds the query one step further down the
+// degradation ladder, or returns nil when nothing is left to degrade.
+// A step edits one input's ScanOptions; the ladder, in order:
 //
 //  1. a parallel input drops to serial (a failing worker stops taking
-//     the siblings down with it);
+//     the siblings down with it): Parallelism = 1;
 //  2. an index-driven path (index, sort, switch) falls back to Smooth
 //     Scan — same index, but morphing tolerates regions of the heap
-//     being re-read;
+//     being re-read: Path = PathSmooth;
 //  3. Smooth Scan falls back to a full heap scan, which touches no
-//     index space at all.
+//     index space at all: Path = PathFull, Ordered = false.
 //
-// Each step preserves the query's result contract: an input whose
-// order feeds a merge join stays order-delivering (or the join flips
-// to hash), a plan-level ORDER BY satisfied by scan order regains it
-// through a posterior sort, and a scan-level Ordered contract that a
-// full scan cannot honour blocks step 3 for that input. The caller
-// loops: a degraded plan that still hits the fault degrades again, so
+// The binder then re-decides everything else exactly as for a fresh
+// query — residual pushdown, scan order, merge or hash join and build
+// side, whether ORDER BY needs a posterior sort — so each step keeps
+// the query's result contract. Step 3 passes over only the driving
+// table of a join-free query whose Ordered option defines the result
+// order with no ORDER BY sort to restore it. The caller loops: a
+// degraded plan that still hits the fault degrades again, so
 // multi-input queries converge even when the ladder picks a healthy
-// input first.
-func (cq *compiledQuery) degradeOnFault() *compiledQuery {
+// input first. The caller holds db.mu (read).
+func (db *DB) degradeOnFault(cq *compiledQuery) (*compiledQuery, error) {
 	if cq.emptyWhy != "" {
-		return nil
+		return nil, nil
 	}
-	mergeFed := func(c *compiledQuery, i int) bool {
-		return i <= 1 && len(c.joins) > 0 && c.joins[0].algo == plan.JoinMerge
-	}
-	// Step 1: drop parallelism.
 	for i, a := range cq.inputs {
 		if a.par > 1 {
-			next := cq.clone()
-			na := next.inputs[i]
-			next.degraded = append(next.degraded,
-				fmt.Sprintf("%s: parallel[%d] -> serial (fault)", a.name, a.par))
-			na.par = 1
-			return next
+			o := cq.opts[i]
+			o.Parallelism = 1
+			return db.rebind(cq, i, o, fmt.Sprintf("%s: parallel[%d] -> serial (fault)", a.name, a.par))
 		}
 	}
-	// Step 2: index-driven paths fall back to Smooth Scan.
 	for i, a := range cq.inputs {
 		switch a.path {
 		case PathIndex, PathSort, PathSwitch:
-			next := cq.clone()
-			na := next.inputs[i]
-			next.degraded = append(next.degraded,
-				fmt.Sprintf("%s: %s scan -> smooth scan (fault)", a.name, a.path))
-			na.path = PathSmooth
-			na.choice = nil // the optimizer's pick no longer describes the plan
-			if mergeFed(next, i) {
-				// An index scan delivers order even without the ordered
-				// flag; the smooth replacement must opt in to keep the
-				// merge join's input contract.
-				na.ordered = true
-			}
-			na.cfg.Ordered = na.ordered
-			na.pushed = len(na.residual) > 0 && !na.ordered
-			return next
+			o := cq.opts[i]
+			o.Path = PathSmooth
+			return db.rebind(cq, i, o, fmt.Sprintf("%s: %s scan -> smooth scan (fault)", a.name, a.path))
 		}
 	}
-	// Step 3: Smooth Scan falls back to a full scan.
 	for i, a := range cq.inputs {
-		if a.path != PathSmooth {
+		o := cq.opts[i]
+		if a.path != PathSmooth || len(cq.joins) == 0 && o.Ordered && cq.orderVia != "scan" {
 			continue
 		}
-		next := cq.clone()
-		na := next.inputs[i]
-		if na.ordered {
-			switch {
-			case i == 0 && next.orderVia == "scan":
-				// Plan-level ORDER BY rode the scan order; a posterior
-				// sort restores it.
-				next.orderVia = ""
-				next.sortIdx = next.orderIdx
-				next.degraded = append(next.degraded,
-					fmt.Sprintf("order by %s: scan order -> posterior sort (fault)",
-						na.driving.name))
-			case mergeFed(next, i):
-				// Order only fed the merge join; the flip below removes
-				// the need for it.
-			default:
-				// A scan-level Ordered contract cannot survive a full
-				// scan; leave this input alone.
-				continue
-			}
-			na.ordered = false
-			na.cfg.Ordered = false
-		}
-		if mergeFed(next, i) {
-			st := next.joins[0]
-			st.algo = plan.JoinHash
-			st.buildLeft = next.inputs[0].estScan < next.inputs[1].estScan
-			next.degraded = append(next.degraded,
-				fmt.Sprintf("%s=%s: merge join -> hash join (fault)",
-					st.leftName, st.rightName))
-		}
-		next.degraded = append(next.degraded,
-			fmt.Sprintf("%s: smooth scan -> full scan (fault)", a.name))
-		na.path = PathFull
-		na.choice = nil
-		na.pushed = len(na.residual) > 0
-		return next
+		o.Path, o.Ordered = PathFull, false
+		return db.rebind(cq, i, o, fmt.Sprintf("%s: smooth scan -> full scan (fault)", a.name))
 	}
-	return nil
+	return nil, nil
+}
+
+// rebind binds cq's template again with input i's options replaced by
+// o, under the bind values cq captured. The degradation notes are what
+// the binder decided differently — ORDER BY losing its scan order, a
+// join changing algorithm — followed by the step's own note.
+func (db *DB) rebind(cq *compiledQuery, i int, o ScanOptions, note string) (*compiledQuery, error) {
+	opts := slices.Clone(cq.opts)
+	opts[i] = o
+	var b Bind
+	if len(cq.binds) > 0 {
+		b = make(Bind, len(cq.binds))
+		for _, p := range cq.binds {
+			b[p.name] = p.val
+		}
+	}
+	next, err := db.bindTemplate(cq.qt, opts, cq.lits, b, cq.annotate)
+	if err != nil {
+		return nil, err
+	}
+	next.planCached = cq.planCached
+	next.degraded = slices.Clone(cq.degraded)
+	if cq.orderVia == "scan" && next.sortIdx >= 0 {
+		next.degraded = append(next.degraded,
+			fmt.Sprintf("order by %s: scan order -> posterior sort (fault)", cq.qt.pt.OrderName))
+	}
+	for k, st := range cq.joins {
+		if algo := next.joins[k].algo; algo != st.algo {
+			next.degraded = append(next.degraded,
+				fmt.Sprintf("%s=%s: %s join -> %s join (fault)", st.leftName, st.rightName, st.algo, algo))
+		}
+	}
+	next.degraded = append(next.degraded, note)
+	return next, nil
 }
 
 // degradeAndReopen walks the degradation ladder until a plan opens
@@ -274,7 +237,10 @@ func (cq *compiledQuery) degradeOnFault() *compiledQuery {
 func (db *DB) degradeAndReopen(ctx context.Context, cq *compiledQuery, cause error) (*localExec, error) {
 	err := cause
 	for IsFaultError(err) {
-		next := cq.degradeOnFault()
+		next, berr := db.degradeOnFault(cq)
+		if berr != nil {
+			return nil, berr
+		}
 		if next == nil {
 			return nil, err
 		}

@@ -3,6 +3,8 @@ package smoothscan
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -347,28 +349,34 @@ func TestFaultUnrecoverableCorruption(t *testing.T) {
 	}
 }
 
+// buildFaultJoinDB is buildParallelTestDB's t (10 000 rows, val indexed)
+// plus u(uval, tag), 2 000 rows keyed 0..1999 and indexed on uval — the
+// join partner whose index can die independently of t's.
+func buildFaultJoinDB(t *testing.T) *DB {
+	t.Helper()
+	db := buildParallelTestDB(t, 10_000, 2_000, 13)
+	tb, err := db.CreateTable("u", "uval", "tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 2_000; i++ {
+		if err := tb.Append(i, i%7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("u", "uval"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // TestFaultJoinMatchesOracle: the oracle property holds through a join
 // plan, and a join whose right index dies degrades and still answers.
 func TestFaultJoinMatchesOracle(t *testing.T) {
-	build := func() *DB {
-		db := buildParallelTestDB(t, 10_000, 2_000, 13)
-		tb, err := db.CreateTable("u", "uval", "tag")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 2_000; i++ {
-			if err := tb.Append(i, i%7); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tb.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.CreateIndex("u", "uval"); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
+	build := func() *DB { return buildFaultJoinDB(t) }
 	run := func(db *DB) ([][]int64, *Rows) {
 		rows, err := db.Query("t").Where("val", Between(500, 1_500)).
 			Join("u", "val", "uval").Run(context.Background())
@@ -418,6 +426,226 @@ func TestFaultJoinMatchesOracle(t *testing.T) {
 	}
 	if st := rows.ExecStats(); len(st.Degraded) == 0 {
 		t.Fatal("join survived a dead index without recording degradation")
+	}
+}
+
+// planOps lists a plan's operator names, root first, depth first.
+func planOps(p *Plan) []string {
+	var out []string
+	var walk func(n *PlanNode)
+	walk = func(n *PlanNode) {
+		out = append(out, n.Name)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(p.Root)
+	return out
+}
+
+// TestFaultLadder walks the degradation ladder over a table of query
+// shapes, each with one or more index spaces permanently dead. A shape
+// that recovers must return the fault-free rows (in sequence under
+// ORDER BY), record exactly the expected ExecStats.Degraded steps and
+// end on the expected operators; a shape whose result order only a
+// dead index can deliver must fail with ErrPermanentFault and leave no
+// goroutine behind.
+func TestFaultLadder(t *testing.T) {
+	ctx := context.Background()
+	const lo, hi = 500, 1_000
+	scan := func(opts ScanOptions) func(db *DB) *Query {
+		return func(db *DB) *Query {
+			return db.Query("t").Where("val", Between(lo, hi)).WithOptions(opts)
+		}
+	}
+	join := func(lopts, ropts ScanOptions) func(db *DB) *Query {
+		return func(db *DB) *Query {
+			return scan(lopts)(db).JoinWithOptions("u", "val", "uval", ropts)
+		}
+	}
+	const (
+		parSerial  = "t: parallel[4] -> serial (fault)"
+		tIdxSmooth = "t: index scan -> smooth scan (fault)"
+		uIdxSmooth = "u: index scan -> smooth scan (fault)"
+		tFull      = "t: smooth scan -> full scan (fault)"
+		uFull      = "u: smooth scan -> full scan (fault)"
+		sortVal    = "order by val: scan order -> posterior sort (fault)"
+		toHash     = "val=uval: merge join -> hash join (fault)"
+	)
+	tDead, uDead, bothDead := []string{"t.val"}, []string{"u.uval"}, []string{"t.val", "u.uval"}
+	mergeIndex := join(ScanOptions{Path: PathIndex}, ScanOptions{Path: PathIndex})
+	mergeOrdered := join(ScanOptions{Ordered: true}, ScanOptions{Ordered: true})
+	hashOrdered := join(ScanOptions{Ordered: true}, ScanOptions{})
+
+	cases := []struct {
+		name  string
+		query func(db *DB) *Query
+		bind  Bind // non-nil: Prepare the query and Run the Stmt
+		dead  []string
+		// pageLo, pageHi narrow the dead index pages (FaultRule's bounds).
+		pageLo, pageHi int64
+		ordered        bool // rows must match in sequence
+		// midStream: Run opens cleanly and the fault surfaces from the
+		// first Next; the caller's Bind is overwritten in between.
+		midStream bool
+		degraded  []string
+		ops       []string
+		wantErr   bool
+	}{
+		{name: "parallel-smooth+residual", dead: tDead,
+			query: func(db *DB) *Query {
+				return scan(ScanOptions{Parallelism: 4})(db).Where("p2", Lt(15_000))
+			},
+			degraded: []string{parSerial, tFull}, ops: []string{"full-scan"}},
+		{name: "sort+orderby", dead: tDead, ordered: true,
+			query: func(db *DB) *Query {
+				return scan(ScanOptions{Path: PathSort})(db).OrderBy("val")
+			},
+			degraded: []string{"t: sort scan -> smooth scan (fault)", sortVal, tFull},
+			ops:      []string{"sort", "full-scan"}},
+		{name: "orderby", dead: tDead, ordered: true,
+			query:    func(db *DB) *Query { return scan(ScanOptions{})(db).OrderBy("val") },
+			degraded: []string{sortVal, tFull}, ops: []string{"sort", "full-scan"}},
+		{name: "orderby+ordered", dead: tDead, ordered: true,
+			query:    func(db *DB) *Query { return scan(ScanOptions{Ordered: true})(db).OrderBy("val") },
+			degraded: []string{sortVal, tFull}, ops: []string{"sort", "full-scan"}},
+		{name: "ordered-no-orderby", dead: tDead, wantErr: true,
+			query: scan(ScanOptions{Ordered: true})},
+		{name: "ordered-groupby", dead: tDead, wantErr: true,
+			query: func(db *DB) *Query { return scan(ScanOptions{Ordered: true})(db).GroupBy("val", Count()) }},
+		{name: "prepared-switch", dead: tDead, bind: Bind{"lo": lo, "hi": hi},
+			query: func(db *DB) *Query {
+				return db.Query("t").Where("val", Between(Param("lo"), Param("hi"))).
+					WithOptions(ScanOptions{Path: PathSwitch})
+			},
+			degraded: []string{"t: switch scan -> smooth scan (fault)", tFull}, ops: []string{"full-scan"}},
+		{name: "prepared-midstream", dead: tDead, pageLo: 1, pageHi: 2, bind: Bind{"lo": 0, "hi": 150},
+			midStream: true,
+			query: func(db *DB) *Query {
+				return db.Query("t").Where("val", Between(Param("lo"), Param("hi")))
+			},
+			degraded: []string{tFull}, ops: []string{"full-scan"}},
+
+		{name: "merge-index/t-dead", query: mergeIndex, dead: tDead,
+			degraded: []string{toHash, tIdxSmooth, uIdxSmooth, tFull},
+			ops:      []string{"hash-join", "full-scan", "smooth-scan"}},
+		{name: "merge-index/u-dead", query: mergeIndex, dead: uDead,
+			degraded: []string{toHash, tIdxSmooth, uIdxSmooth, tFull, uFull},
+			ops:      []string{"hash-join", "full-scan", "full-scan"}},
+		{name: "merge-index/both-dead", query: mergeIndex, dead: bothDead,
+			degraded: []string{toHash, tIdxSmooth, uIdxSmooth, tFull, uFull},
+			ops:      []string{"hash-join", "full-scan", "full-scan"}},
+		{name: "merge-ordered/t-dead", query: mergeOrdered, dead: tDead,
+			degraded: []string{toHash, tFull},
+			ops:      []string{"hash-join", "full-scan", "smooth-scan"}},
+		{name: "merge-ordered/u-dead", query: mergeOrdered, dead: uDead,
+			degraded: []string{toHash, tFull, uFull},
+			ops:      []string{"hash-join", "full-scan", "full-scan"}},
+		{name: "merge-ordered/both-dead", query: mergeOrdered, dead: bothDead,
+			degraded: []string{toHash, tFull, uFull},
+			ops:      []string{"hash-join", "full-scan", "full-scan"}},
+		{name: "hash-ordered/t-dead", query: hashOrdered, dead: tDead,
+			degraded: []string{tFull},
+			ops:      []string{"hash-join", "full-scan", "smooth-scan"}},
+		{name: "hash-ordered/u-dead", query: hashOrdered, dead: uDead,
+			degraded: []string{tFull, uFull},
+			ops:      []string{"hash-join", "full-scan", "full-scan"}},
+		{name: "hash-ordered/both-dead", query: hashOrdered, dead: bothDead,
+			degraded: []string{tFull, uFull},
+			ops:      []string{"hash-join", "full-scan", "full-scan"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			start := func(db *DB, b Bind) (*Rows, error) {
+				if c.bind == nil {
+					return c.query(db).Run(ctx)
+				}
+				st, err := db.Prepare(c.query(db))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.Run(ctx, b)
+			}
+			want := collect(t, func() *Rows {
+				rows, err := start(buildFaultJoinDB(t), c.bind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rows
+			}())
+			if !c.ordered {
+				sortRows(want)
+			}
+
+			runtime.GC()
+			base := runtime.NumGoroutine()
+			db := buildFaultJoinDB(t)
+			var rules []FaultRule
+			for _, d := range c.dead {
+				tab, col, _ := strings.Cut(d, ".")
+				sp, err := db.IndexSpace(tab, col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rules = append(rules, FaultRule{Space: sp, PageLo: c.pageLo, PageHi: c.pageHi, Kind: FaultPermanent, Rate: 1})
+			}
+			db.SetFaultPolicy(NewFaultPolicy(5, rules...))
+			b := maps.Clone(c.bind)
+			rows, err := start(db, b)
+			if c.wantErr {
+				if err == nil {
+					for rows.Next() {
+					}
+					err = rows.Err()
+					rows.Close()
+				}
+				if !errors.Is(err, ErrPermanentFault) {
+					t.Fatalf("err = %v, want ErrPermanentFault", err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Errorf("%d goroutines alive after failed query (baseline %d)", n, base)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ladder did not rescue the query: %v", err)
+			}
+			if c.midStream {
+				if d := rows.ExecStats().Degraded; len(d) != 0 {
+					t.Fatalf("degraded at open (%v); the case wants a mid-stream fault", d)
+				}
+				for k := range b {
+					b[k] = 0 // the re-bind must use the snapshot taken at Run
+				}
+			}
+			got := collect(t, rows)
+			if !c.ordered {
+				sortRows(got)
+			}
+			if !rowsEqual(got, want) {
+				t.Fatalf("degraded run returned %d rows != fault-free %d", len(got), len(want))
+			}
+			plan, st := rows.Plan(), rows.ExecStats()
+			if !slices.Equal(st.Degraded, c.degraded) {
+				t.Errorf("Degraded = %q\nwant       %q", st.Degraded, c.degraded)
+			}
+			if ops := planOps(plan); !slices.Equal(ops, c.ops) {
+				t.Errorf("plan operators = %v, want %v\n%s", ops, c.ops, plan)
+			}
+			if c.bind != nil {
+				s := plan.String()
+				header := fmt.Sprintf("bind: $hi=%d, $lo=%d", c.bind["hi"], c.bind["lo"])
+				for _, frag := range []string{header, "$lo<=val<$hi"} {
+					if !strings.Contains(s, frag) {
+						t.Errorf("degraded prepared plan lost %q:\n%s", frag, s)
+					}
+				}
+			}
+		})
 	}
 }
 

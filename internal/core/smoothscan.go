@@ -300,14 +300,49 @@ type SmoothScan struct {
 	stats Stats
 }
 
+// Validate checks everything about the configuration that does not
+// depend on the scanned file: the region cap (zero means the default),
+// the policy, the trigger and the inputs the trigger needs, and that
+// residual conjuncts are not combined with ordered delivery.
+func (c Config) Validate() error {
+	if c.MaxRegionPages < 0 {
+		return fmt.Errorf("core: MaxRegionPages %d < 1", c.MaxRegionPages)
+	}
+	if c.Ordered && len(c.Residual) > 0 {
+		return fmt.Errorf("core: residual predicates are incompatible with ordered delivery; filter above the scan instead")
+	}
+	switch c.Policy {
+	case Elastic, Greedy, SelectivityIncrease:
+	default:
+		return fmt.Errorf("core: unknown policy %d", c.Policy)
+	}
+	switch c.Trigger {
+	case Eager:
+	case OptimizerDriven:
+		if c.EstimatedCard < 0 {
+			return fmt.Errorf("core: negative cardinality estimate")
+		}
+	case SLADriven:
+		if err := c.CostParams.Validate(); err != nil {
+			return fmt.Errorf("core: SLA trigger: %w", err)
+		}
+		if c.SLABound <= 0 {
+			return fmt.Errorf("core: SLA trigger requires a positive bound")
+		}
+	default:
+		return fmt.Errorf("core: unknown trigger %d", c.Trigger)
+	}
+	return nil
+}
+
 // NewSmoothScan creates a Smooth Scan over file using the secondary
 // index tree, which must index pred.Col.
 func NewSmoothScan(file *heap.File, pool *bufferpool.Pool, tree *btree.Tree, pred tuple.RangePred, cfg Config) (*SmoothScan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.MaxRegionPages == 0 {
 		cfg.MaxRegionPages = DefaultMaxRegionPages
-	}
-	if cfg.MaxRegionPages < 1 {
-		return nil, fmt.Errorf("core: MaxRegionPages %d < 1", cfg.MaxRegionPages)
 	}
 	if cfg.PageLo == 0 && cfg.PageHi == 0 {
 		cfg.PageHi = file.NumPages()
@@ -317,32 +352,8 @@ func NewSmoothScan(file *heap.File, pool *bufferpool.Pool, tree *btree.Tree, pre
 			cfg.PageLo, cfg.PageHi, file.NumPages())
 	}
 	sharded := cfg.PageLo > 0 || cfg.PageHi < file.NumPages()
-	if cfg.Ordered && len(cfg.Residual) > 0 {
-		return nil, fmt.Errorf("core: residual predicates are incompatible with ordered delivery; filter above the scan instead")
-	}
 	if cfg.MaxMode == ModeIndex {
 		cfg.MaxMode = ModeFlattening
-	}
-	switch cfg.Policy {
-	case Elastic, Greedy, SelectivityIncrease:
-	default:
-		return nil, fmt.Errorf("core: unknown policy %d", cfg.Policy)
-	}
-	switch cfg.Trigger {
-	case Eager:
-	case OptimizerDriven:
-		if cfg.EstimatedCard < 0 {
-			return nil, fmt.Errorf("core: negative cardinality estimate")
-		}
-	case SLADriven:
-		if err := cfg.CostParams.Validate(); err != nil {
-			return nil, fmt.Errorf("core: SLA trigger: %w", err)
-		}
-		if cfg.SLABound <= 0 {
-			return nil, fmt.Errorf("core: SLA trigger requires a positive bound")
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown trigger %d", cfg.Trigger)
 	}
 	return &SmoothScan{file: file, pool: pool, tree: tree, pred: pred, cfg: cfg, sharded: sharded}, nil
 }

@@ -514,6 +514,13 @@ func (c *Channel) Stats() Stats {
 	return st
 }
 
+// Add returns the field-wise sum of two counter snapshots — how the
+// deltas of independent devices (one per shard) combine.
+func Add(a, b Stats) Stats {
+	a.add(b)
+	return a
+}
+
 // add accumulates t into s field by field.
 func (s *Stats) add(t Stats) {
 	s.Requests += t.Requests

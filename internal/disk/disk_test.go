@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -405,6 +406,40 @@ func TestChargeCPUNMatchesSuccessiveCharges(t *testing.T) {
 		oc.FlushCPU()
 		if got, want := batched.Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("deferred channel: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
+		}
+	}
+}
+
+// TestStatsFieldListsComplete: Add and Sub each list the Stats fields
+// by hand. Filling every field through reflect with a distinct
+// non-zero value makes a counter missing from either list show up.
+func TestStatsFieldListsComplete(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("Stats.%s: unhandled kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	sum, diff := reflect.ValueOf(Add(s, s)), reflect.ValueOf(s.Sub(s))
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		var doubled bool
+		if v.Field(i).Kind() == reflect.Float64 {
+			doubled = sum.Field(i).Float() == 2*v.Field(i).Float()
+		} else {
+			doubled = sum.Field(i).Int() == 2*v.Field(i).Int()
+		}
+		if !doubled {
+			t.Errorf("Add(s, s).%s = %v, want twice %v", name, sum.Field(i), v.Field(i))
+		}
+		if !diff.Field(i).IsZero() {
+			t.Errorf("s.Sub(s).%s = %v, want 0", name, diff.Field(i))
 		}
 	}
 }

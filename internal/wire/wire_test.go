@@ -77,6 +77,32 @@ func TestReadFrameBufReusesAndGrows(t *testing.T) {
 	}
 }
 
+// TestEndCarriesEveryIOCounter: the End summary's disk.Stats block is
+// encoded and decoded field by field. Every field, filled through
+// reflect with a distinct non-zero value, must survive the round trip,
+// so a counter added to disk.Stats but not to the codec fails here.
+func TestEndCarriesEveryIOCounter(t *testing.T) {
+	var io disk.Stats
+	v := reflect.ValueOf(&io).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("disk.Stats.%s: unhandled kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	got, err := DecodeEnd(End{Summary: ExecSummary{IO: io}}.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary.IO != io {
+		t.Errorf("IO after End round trip = %+v, want %+v", got.Summary.IO, io)
+	}
+}
+
 // TestDecodedMessagesOutliveThePayload: a connection reuses one payload
 // buffer across frames, so no decoder may keep a sub-slice of it. The
 // three frames a client decodes mid-stream are decoded, their buffer is

@@ -634,6 +634,11 @@ type compiledQuery struct {
 	// degradeOnFault); empty for a plan that ran as compiled. Surfaced
 	// via ExecStats.Degraded and the Explain header.
 	degraded []string
+	// qt, opts and lits are what this plan was bound from; a ladder
+	// step re-binds them with one input's options changed.
+	qt   *qtemplate
+	opts []ScanOptions
+	lits []int64
 
 	// Result-cache tier fields (see rescache.go). resKey is the
 	// execution's entry key — canonical shape plus every resolved
@@ -1312,9 +1317,9 @@ func foldGroup(at *plan.AccessT, group []int, lits []int64, b Bind) (resolvedPre
 
 // bindInput plans input i of the template against db's copy of the
 // table: fold each column's conjuncts with the execution's constants,
-// then bindAccess. Only the driving table of a join-free query can
-// deliver a free ORDER BY. The caller holds db.mu (read).
-func (db *DB) bindInput(qt *qtemplate, i int, lits []int64, b Bind) (*tableAccess, error) {
+// then bindAccess under opts. Only the driving table of a join-free
+// query can deliver a free ORDER BY. The caller holds db.mu (read).
+func (db *DB) bindInput(qt *qtemplate, i int, opts ScanOptions, lits []int64, b Bind) (*tableAccess, error) {
 	at := &qt.pt.Inputs[i]
 	t, err := db.tableLocked(at.Table)
 	if err != nil {
@@ -1330,18 +1335,21 @@ func (db *DB) bindInput(qt *qtemplate, i int, lits []int64, b Bind) (*tableAcces
 	if i == 0 {
 		orderCol = qt.pt.FreeOrderCol
 	}
-	return bindAccess(db, at.Table, t, merged, qt.optsPer[i], orderCol)
+	return bindAccess(db, at.Table, t, merged, opts, orderCol)
 }
 
 // bindTemplate runs the bind (execute-side) phase: substitute the
 // constants into the template and re-decide everything
 // estimate-sensitive — driving conjunct, access path, join algorithm
-// and build side, parallelism — from the tables' current statistics.
-// It allocates a fresh compiledQuery per call (templates are shared
-// across goroutines, bindings are not) and touches no device state.
-// annotate enables the prepared-statement Explain extras (bind markers
-// and re-planned-at-bind notes). The caller holds db.mu (read).
-func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (*compiledQuery, error) {
+// and build side, parallelism — from the tables' current statistics
+// and opts, the per-input ScanOptions (qt.optsPer, or a degradation
+// step's edit of them). It is the only code that produces an
+// executable plan. It allocates a fresh compiledQuery per call
+// (templates are shared across goroutines, bindings are not) and
+// touches no device state. annotate enables the prepared-statement
+// Explain extras (bind markers and re-planned-at-bind notes). The
+// caller holds db.mu (read).
+func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bind, annotate bool) (*compiledQuery, error) {
 	pt := qt.pt
 	if len(lits) != pt.Slots {
 		return nil, fmt.Errorf("smoothscan: internal: %d literals for a %d-slot template", len(lits), pt.Slots)
@@ -1350,11 +1358,14 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 		stages:   stages{selIdx: pt.SelIdx, groupIdx: pt.GroupIdx, aggSpecs: pt.AggSpecs, sortIdx: -1},
 		orderIdx: -1,
 		out:      pt.Out,
+		qt:       qt,
+		opts:     opts,
+		lits:     lits,
 	}
 
 	cq.inputs = make([]*tableAccess, len(pt.Inputs))
 	for i := range pt.Inputs {
-		a, err := db.bindInput(qt, i, lits, b)
+		a, err := db.bindInput(qt, i, opts[i], lits, b)
 		if err != nil {
 			return nil, err
 		}
@@ -1376,6 +1387,17 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 	}
 	if cq.hasLim && cq.limit == 0 {
 		cq.emptyWhy = "LIMIT 0"
+	}
+	if cq.emptyWhy == "" {
+		// Refuse here what NewSmoothScan would refuse at open, so Explain
+		// and Run reject the same options with the same error.
+		for _, a := range cq.inputs {
+			if a.path == PathSmooth {
+				if err := a.cfg.Validate(); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
 	// Join stages: pick the algorithm (merge when both inputs already
@@ -1528,7 +1550,7 @@ func (db *DB) compile(q *Query) (*compiledQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	cq, err := db.bindTemplate(qt, lits, nil, false)
+	cq, err := db.bindTemplate(qt, qt.optsPer, lits, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1568,9 +1590,6 @@ func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess,
 	}
 	built, err := plan.Build(spec)
 	if err != nil {
-		if errors.Is(err, plan.ErrNeedsIndex) {
-			return nil, fmt.Errorf("%w: %q.%q", ErrNoIndex, a.name, a.driving.name)
-		}
 		return nil, err
 	}
 	if a == cq.driving() {

@@ -391,6 +391,57 @@ func TestQueryExplainTouchesNoDevice(t *testing.T) {
 	}
 }
 
+// TestExplainRefusesWhatRunRefuses: Smooth Scan options that no Run
+// can execute are refused at bind time, so Query.Explain, Stmt.Explain
+// and Run fail with the same error on every engine instead of Explain
+// rendering a plan that cannot run.
+func TestExplainRefusesWhatRunRefuses(t *testing.T) {
+	ctx := context.Background()
+	bad := []struct {
+		name string
+		opts ScanOptions
+	}{
+		{"max-region", ScanOptions{MaxRegionPages: -1}},
+		{"policy", ScanOptions{Policy: Policy(9)}},
+		{"trigger", ScanOptions{Trigger: Trigger(9)}},
+		{"negative-estimate", ScanOptions{Trigger: OptimizerDriven, EstimatedRows: -5}},
+		{"sla-without-bound", ScanOptions{Trigger: SLADriven}},
+	}
+	db, sdb := buildGridUnsharded(t), buildGridSharded(t, 2, "hash")
+	engines := []struct {
+		name    string
+		query   func(table string) *Query
+		prepare func(q *Query) (*Stmt, error)
+	}{
+		{"db", db.Query, db.Prepare},
+		{"sharded", sdb.Query, sdb.Prepare},
+	}
+	for _, e := range engines {
+		for _, c := range bad {
+			t.Run(e.name+"/"+c.name, func(t *testing.T) {
+				q := e.query("t").Where("val", Between(100, 900)).WithOptions(c.opts)
+				_, explainErr := q.Explain()
+				if explainErr == nil {
+					t.Fatal("Query.Explain accepted options Run refuses")
+				}
+				st, err := e.prepare(e.query("t").Where("val", Between(Param("lo"), Param("hi"))).WithOptions(c.opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, stmtErr := st.Explain(Bind{"lo": 100, "hi": 900})
+				rows, runErr := q.Run(ctx)
+				if runErr == nil {
+					rows.Close()
+					t.Fatal("Run accepted the options")
+				}
+				if stmtErr == nil || stmtErr.Error() != explainErr.Error() || runErr.Error() != explainErr.Error() {
+					t.Fatalf("errors differ:\n Query.Explain: %v\n Stmt.Explain:  %v\n Run:           %v", explainErr, stmtErr, runErr)
+				}
+			})
+		}
+	}
+}
+
 // TestQueryAutoPath: PathAuto still flows through the optimizer and
 // reports its choice.
 func TestQueryAutoPath(t *testing.T) {

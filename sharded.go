@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 
+	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/parallel"
 	"smoothscan/internal/plan"
@@ -313,7 +314,7 @@ func (s *ShardedDB) ShardRows(table string) ([]int64, error) {
 func (s *ShardedDB) Stats() IOStats {
 	var total IOStats
 	for _, db := range s.shards {
-		total = addIO(total, db.Stats())
+		total = disk.Add(total, db.Stats())
 	}
 	return total
 }
@@ -360,25 +361,6 @@ func (s *ShardedDB) ColdCache() error {
 		}
 	}
 	return nil
-}
-
-// addIO sums two device-counter snapshots field-wise (shards have
-// independent devices, so query deltas across them add).
-func addIO(a, b IOStats) IOStats {
-	a.Requests += b.Requests
-	a.RandomAccesses += b.RandomAccesses
-	a.SeqAccesses += b.SeqAccesses
-	a.SkippedPages += b.SkippedPages
-	a.PagesRead += b.PagesRead
-	a.PagesWritten += b.PagesWritten
-	a.BytesRead += b.BytesRead
-	a.IOTime += b.IOTime
-	a.CPUTime += b.CPUTime
-	a.Faults += b.Faults
-	a.Corruptions += b.Corruptions
-	a.LatencySpikes += b.LatencySpikes
-	a.Retries += b.Retries
-	return a
 }
 
 // Query starts a composable query over the named sharded table — the
@@ -580,7 +562,7 @@ func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind)
 	var total int64
 	for _, db := range s.shards {
 		db.mu.RLock()
-		a, err := db.bindInput(qt, input, lits, b)
+		a, err := db.bindInput(qt, input, qt.optsPer[input], lits, b)
 		db.mu.RUnlock()
 		if err != nil {
 			return 0, err
@@ -605,7 +587,7 @@ func (s *ShardedDB) compileShardExec(qt *qtemplate, lits []int64, b Bind, annota
 
 	shard0 := s.shards[0]
 	shard0.mu.RLock()
-	cq0, err := shard0.bindTemplate(qt, lits, b, annotate)
+	cq0, err := shard0.bindTemplate(qt, qt.optsPer, lits, b, annotate)
 	shard0.mu.RUnlock()
 	if err != nil {
 		return nil, err

@@ -132,7 +132,7 @@ func (s *Stmt) Run(ctx context.Context, b Bind) (*Rows, error) {
 func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := db.bindTemplate(st.qt, st.lits, b, true)
+	cq, err := db.bindTemplate(st.qt, st.qt.optsPer, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (s *Stmt) Explain(b Bind) (*Plan, error) {
 func (db *DB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := db.bindTemplate(st.qt, st.lits, b, true)
+	cq, err := db.bindTemplate(st.qt, st.qt.optsPer, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}

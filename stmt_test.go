@@ -650,7 +650,7 @@ func TestPreparedBindAllocs(t *testing.T) {
 	// are rendered lazily in plan(), not here).
 	bindAllocs := testing.AllocsPerRun(200, func() {
 		db.mu.RLock()
-		if _, err := db.bindTemplate(stmt.qt, stmt.lits, b, true); err != nil {
+		if _, err := db.bindTemplate(stmt.qt, stmt.qt.optsPer, stmt.lits, b, true); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RUnlock()
