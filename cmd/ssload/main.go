@@ -24,7 +24,7 @@
 // frame round trips and result streaming included). -shards N and
 // -shard-addrs run it through the scatter-gather engine over
 // in-process or remote shards. -prepare routes every query through a
-// prepared statement (one shared Stmt in-process, one per session
+// prepared statement (one shared Stmt in-process, one per connection
 // remotely) and combines with every topology and with -chaos; chaos
 // schedules are installed remotely through the fault-administration
 // frame (the server must run with -fault-admin). A client whose
@@ -485,8 +485,8 @@ type engineRunner struct {
 }
 
 // connect dials this client's session and, in prepared mode, prepares
-// its statement (handles are per session; the compiled template is
-// still shared through the server's plan cache).
+// its statement (a remote Stmt runs on the connection that prepared it;
+// the compiled template is shared through the server's plan cache).
 func (r *engineRunner) connect() error {
 	c, err := r.dial()
 	if err != nil {

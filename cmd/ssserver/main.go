@@ -1,8 +1,7 @@
 // Command ssserver serves a smoothscan engine over the wire protocol
 // (see docs/PROTOCOL.md): it bulk-loads the same synthetic table
 // ssload generates locally, then accepts ssclient sessions with
-// prepared-statement lifecycle, admission control and fault
-// injection.
+// prepared statements, admission control and fault injection.
 //
 // Usage:
 //
@@ -52,7 +51,6 @@ func main() {
 		seed          = flag.Int64("seed", 42, "generator seed")
 		pool          = flag.Int("pool", 2048, "buffer pool pages")
 		maxConns      = flag.Int("max-conns", 64, "max concurrently open sessions; more are rejected typed at accept")
-		maxStmts      = flag.Int("max-stmts", 32, "per-session statement-table capacity (LRU eviction beyond it)")
 		maxInflight   = flag.Int("max-inflight", 16, "max queries executing at once across all sessions")
 		queueDeadline = flag.Duration("queue-deadline", 2*time.Second, "how long a query may wait for an admission slot before a typed overloaded reject")
 		idleTimeout   = flag.Duration("idle-timeout", 0, "close sessions silent longer than this (0 disables)")
@@ -114,12 +112,11 @@ func main() {
 	}
 
 	cfg := server.Config{
-		MaxConns:           *maxConns,
-		MaxStmtsPerSession: *maxStmts,
-		MaxInFlight:        *maxInflight,
-		QueueDeadline:      *queueDeadline,
-		IdleTimeout:        *idleTimeout,
-		FaultAdmin:         *faultAdmin,
+		MaxConns:      *maxConns,
+		MaxInFlight:   *maxInflight,
+		QueueDeadline: *queueDeadline,
+		IdleTimeout:   *idleTimeout,
+		FaultAdmin:    *faultAdmin,
 	}
 	if *verbose {
 		cfg.Logf = log.New(os.Stderr, "ssserver: ", log.LstdFlags).Printf
@@ -135,8 +132,8 @@ func main() {
 		fmt.Printf("ssserver: serving table %q (%d rows, domain %d) on %s\n",
 			loadgen.Table, *rows, *domain, srv.Addr())
 	}
-	fmt.Printf("ssserver: limits: %d conns, %d stmts/session, %d in flight (queue %s), idle timeout %s, fault admin %v\n",
-		*maxConns, *maxStmts, *maxInflight, *queueDeadline, *idleTimeout, *faultAdmin)
+	fmt.Printf("ssserver: limits: %d conns, %d in flight (queue %s), idle timeout %s, fault admin %v\n",
+		*maxConns, *maxInflight, *queueDeadline, *idleTimeout, *faultAdmin)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -148,8 +145,8 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("ssserver: served %d sessions, %d queries (%d failed, %d shed), %d rows in %d batches\n",
 		st.SessionsTotal, st.QueriesServed, st.QueriesFailed, st.QueriesRejected, st.RowsSent, st.BatchesSent)
-	fmt.Printf("ssserver: %d stmts prepared (%d evicted, %d closed), %d cancels, %d idle closes, %d conns rejected, simcost %.1f\n",
-		st.StmtsPrepared, st.StmtsEvicted, st.StmtsClosed, st.Cancels, st.IdleCloses, st.ConnsRejected, st.DeviceSimCost)
+	fmt.Printf("ssserver: %d stmts prepared, %d cancels, %d idle closes, %d conns rejected, simcost %.1f\n",
+		st.StmtsPrepared, st.Cancels, st.IdleCloses, st.ConnsRejected, st.DeviceSimCost)
 	if *resCacheBytes > 0 {
 		fmt.Printf("ssserver: result cache: %d hits, %d misses, %d invalidated, %d entries / %d bytes resident\n",
 			st.ResultCacheHits, st.ResultCacheMisses, st.ResultCacheInvalidated, st.ResultCacheEntries, st.ResultCacheBytes)

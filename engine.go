@@ -74,9 +74,9 @@ type Cursor interface {
 }
 
 // PreparedQuery is a reusable compiled statement: bind parameters,
-// run, repeat. Close releases any backend resources: a remote
-// connection's server-side statement handle; an in-process or sharded
-// engine's statement holds none.
+// run, repeat. No backend keeps state for a statement — a remote one
+// is its spec, shipped with every Run — so Close releases nothing; a
+// remote statement refuses Run after it.
 type PreparedQuery interface {
 	Params() []string
 	Run(ctx context.Context, b Bind) (Cursor, error)

@@ -4,13 +4,15 @@
 // the public ssclient package (which re-exports it behind the engine's
 // builder surface) and the root package's remote shard driver can share
 // one implementation without an import cycle through smoothscan.
+// Statements hold no server state: PrepareSpec only validates a spec,
+// and ExecuteSpec ships it again with each bind.
 //
 // A Conn owns one connection and runs one request/response exchange at
 // a time; it is not safe for concurrent use — give each goroutine its
-// own Conn. Rows.Close and Stmt.Close are always safe to call,
-// including after the server has disconnected: they release local state
-// first and treat an unreachable server as already-closed rather than
-// an error to propagate.
+// own Conn. Rows.Close is always safe to call, including after the
+// server has disconnected: it releases local state first and treats an
+// unreachable server as already-closed rather than an error to
+// propagate.
 package client
 
 import (
@@ -123,7 +125,8 @@ func (c *Conn) Broken() bool {
 }
 
 // Close closes the connection. Idempotent, and safe whatever state the
-// connection is in.
+// connection is in. A stream still open ends with ErrConnLost, so its
+// consumer cannot mistake the cut for a complete result.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,7 +135,7 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	if c.cur != nil {
-		c.cur.closed = true
+		c.cur.err, c.cur.done = ErrConnLost, true
 		c.cur = nil
 	}
 	return c.conn.Close()
@@ -226,10 +229,11 @@ func (c *Conn) roundTrip(reqTyp byte, payload []byte, wantTyp byte) ([]byte, err
 	}
 }
 
-// PrepareSpec compiles the query spec into a server-side statement.
+// PrepareSpec compiles the query spec on the server, which keeps
+// nothing, and returns its parameter names in first-use order.
 // Structural errors (unknown tables or columns, bad argument types)
 // surface here, as with DB.Prepare.
-func (c *Conn) PrepareSpec(spec wire.QuerySpec) (*Stmt, error) {
+func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
@@ -241,13 +245,24 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) (*Stmt, error) {
 	if err != nil {
 		return nil, c.broken(err)
 	}
-	return &Stmt{c: c, id: m.StmtID, params: m.Params}, nil
+	return m.Params, nil
 }
 
 // RunSpec executes the query spec ad hoc (literals inline) and opens a
-// result stream. Parameterized specs must go through PrepareSpec.
+// result stream. Parameterized specs must go through ExecuteSpec.
 func (c *Conn) RunSpec(ctx context.Context, spec wire.QuerySpec) (*Rows, error) {
 	return c.openRows(ctx, wire.MsgQuery, wire.Query{Spec: spec}.Marshal())
+}
+
+// ExecuteSpec prepares the spec server-side, binds b and opens a result
+// stream: one prepared statement's Run. One stream may be open per
+// Conn at a time.
+func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64) (*Rows, error) {
+	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b))}
+	for name, val := range b {
+		m.Binds = append(m.Binds, wire.BindKV{Name: name, Val: val})
+	}
+	return c.openRows(ctx, wire.MsgExecute, m.Marshal())
 }
 
 // ServerStats fetches the server's counter snapshot.
@@ -308,53 +323,6 @@ func (c *Conn) ColdCache() error {
 		return err
 	}
 	_, err := c.roundTrip(wire.MsgColdCache, nil, wire.MsgOK)
-	return err
-}
-
-// Stmt is a remote prepared statement handle.
-type Stmt struct {
-	c      *Conn
-	id     uint32
-	params []string
-	closed bool
-}
-
-// Params returns the statement's parameter names in first-use order.
-func (s *Stmt) Params() []string {
-	return append([]string(nil), s.params...)
-}
-
-// Run binds the parameters and executes the statement, opening a
-// result stream. One stream may be open per Conn at a time.
-func (s *Stmt) Run(ctx context.Context, b map[string]int64) (*Rows, error) {
-	if s.closed {
-		return nil, fmt.Errorf("ssclient: Run on a closed Stmt")
-	}
-	m := wire.Execute{StmtID: s.id}
-	for name, val := range b {
-		m.Binds = append(m.Binds, wire.BindKV{Name: name, Val: val})
-	}
-	return s.c.openRows(ctx, wire.MsgExecute, m.Marshal())
-}
-
-// Close drops the server-side statement handle. It is idempotent and
-// safe after a server disconnect: a handle that cannot be reached is
-// gone by definition, so Close only reports errors from a live,
-// misbehaving exchange.
-func (s *Stmt) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.c.usable(); err != nil {
-		// Busy, broken or closed: the handle dies with the session;
-		// nothing to deliver, nothing to report.
-		return nil
-	}
-	_, err := s.c.roundTrip(wire.MsgCloseStmt, wire.CloseStmt{StmtID: s.id}.Marshal(), wire.MsgOK)
-	if errors.Is(err, ErrConnLost) || errors.Is(err, wire.ErrSessionClosed) {
-		return nil
-	}
 	return err
 }
 

@@ -1,7 +1,9 @@
 // Package server is the serving side of the smoothscan wire protocol:
 // it owns one embedded smoothscan.DB and exposes it to remote clients
 // (package ssclient) over TCP. Each accepted connection becomes a
-// session with its own prepared-statement table; queries from every
+// session holding at most one open cursor and no statements: a
+// prepared statement's every Execute carries its spec, which the DB's
+// plan cache resolves to the compiled template. Queries from every
 // session funnel through one shared admission gate, so a saturated
 // server sheds load with a typed overloaded reject instead of queueing
 // without bound.
@@ -27,10 +29,6 @@ type Config struct {
 	// is rejected at accept time with an overloaded Error frame, before
 	// any handshake (default 64).
 	MaxConns int
-	// MaxStmtsPerSession caps each session's statement table; preparing
-	// past it evicts the least recently executed statement, whose later
-	// Execute fails with ErrStmtEvicted (default 32).
-	MaxStmtsPerSession int
 	// MaxInFlight caps queries executing across all sessions (default
 	// 16). An Execute past the cap queues up to QueueDeadline, then is
 	// rejected with an overloaded Error frame — backpressure with a
@@ -57,9 +55,6 @@ func (c *Config) fill() {
 	if c.MaxConns == 0 {
 		c.MaxConns = 64
 	}
-	if c.MaxStmtsPerSession == 0 {
-		c.MaxStmtsPerSession = 32
-	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 16
 	}
@@ -77,8 +72,6 @@ type counters struct {
 	sessionsTotal   atomic.Int64
 	connsRejected   atomic.Int64
 	stmtsPrepared   atomic.Int64
-	stmtsEvicted    atomic.Int64
-	stmtsClosed     atomic.Int64
 	queriesServed   atomic.Int64
 	queriesFailed   atomic.Int64
 	queriesRejected atomic.Int64
@@ -266,8 +259,6 @@ func (s *Server) Stats() wire.ServerStats {
 		SessionsTotal:   s.ctr.sessionsTotal.Load(),
 		ConnsRejected:   s.ctr.connsRejected.Load(),
 		StmtsPrepared:   s.ctr.stmtsPrepared.Load(),
-		StmtsEvicted:    s.ctr.stmtsEvicted.Load(),
-		StmtsClosed:     s.ctr.stmtsClosed.Load(),
 		QueriesServed:   s.ctr.queriesServed.Load(),
 		QueriesFailed:   s.ctr.queriesFailed.Load(),
 		QueriesRejected: s.ctr.queriesRejected.Load(),

@@ -3,7 +3,10 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +33,7 @@ func startServer(t *testing.T, cfg server.Config) (addr string, db *smoothscan.D
 	return srv.Addr().String(), db
 }
 
-func dial(t *testing.T, addr string) *ssclient.Client {
+func dial(t *testing.T, addr string) *ssclient.Conn {
 	t.Helper()
 	c, err := ssclient.Dial(addr)
 	if err != nil {
@@ -41,7 +44,7 @@ func dial(t *testing.T, addr string) *ssclient.Client {
 }
 
 // rangeQuery composes the standard probe query.
-func rangeQuery(c *ssclient.Client, lo, hi any) smoothscan.Builder {
+func rangeQuery(c *ssclient.Conn, lo, hi any) smoothscan.Builder {
 	return c.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(lo, hi))
 }
 
@@ -60,61 +63,61 @@ func drain(t *testing.T, rows smoothscan.Cursor) int64 {
 	return n
 }
 
-// TestStmtTableEviction prepares past the per-session limit and
-// checks the least recently executed statement is the one evicted,
-// failing its Execute with the typed ErrStmtEvicted (not a generic
-// not-found).
-func TestStmtTableEviction(t *testing.T) {
-	addr, _ := startServer(t, server.Config{MaxStmtsPerSession: 2})
-	c := dial(t, addr)
-
-	prep := func() smoothscan.PreparedQuery {
-		s, err := c.PrepareQuery(rangeQuery(c, smoothscan.Param("lo"), smoothscan.Param("hi")).Limit(smoothscan.Param("n")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s1, s2 := prep(), prep()
-	// Touch s1 so s2 is the least recently executed when s3 arrives.
-	rows, err := s1.Run(context.Background(), smoothscan.Bind{"lo": 0, "hi": 50, "n": 5})
+// TestHelloVersionMismatch speaks the handshake by hand with a
+// version-1 Hello: the server answers a bad-request Error naming both
+// versions rather than a statement protocol the peer does not speak.
+func TestHelloVersionMismatch(t *testing.T) {
+	addr, _ := startServer(t, server.Config{})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(t, rows)
-	s3 := prep()
-
-	if _, err := s2.Run(context.Background(), smoothscan.Bind{"lo": 0, "hi": 50, "n": 5}); !errors.Is(err, ssclient.ErrStmtEvicted) {
-		t.Fatalf("evicted stmt Run: %v, want ErrStmtEvicted", err)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: 1}.Marshal()); err != nil {
+		t.Fatal(err)
 	}
-	// Survivors keep working.
-	for _, s := range []smoothscan.PreparedQuery{s1, s3} {
-		rows, err := s.Run(context.Background(), smoothscan.Bind{"lo": 0, "hi": 50, "n": 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drain(t, rows)
+	typ, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.MsgError {
+		t.Fatalf("v1 Hello answered with frame %#02x, want Error", typ)
+	}
+	m, err := wire.DecodeError(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("version 1 not supported (server speaks %d)", wire.Version)
+	if m.Class != wire.ClassBadRequest || !strings.Contains(m.Msg, want) {
+		t.Fatalf("v1 Hello: %s %q, want bad-request naming %q", wire.ClassName(m.Class), m.Msg, want)
 	}
 }
 
-// TestStmtDoubleClose closes a statement twice (both nil) and checks
-// a closed handle's Execute is a typed not-found, while an unknown
-// handle is never confused with an evicted one.
-func TestStmtDoubleClose(t *testing.T) {
+// TestConnCloseEndsOpenStream closes the connection under an open
+// stream: the stream must end with ErrConnLost, not look complete.
+func TestConnCloseEndsOpenStream(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
 	c := dial(t, addr)
-	s, err := c.PrepareQuery(rangeQuery(c, smoothscan.Param("lo"), smoothscan.Param("hi")))
+	c.SetFetchRows(64)
+	rows, err := rangeQuery(c, 0, 2000).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Run(context.Background(), smoothscan.Bind{"lo": 0, "hi": 10}); err == nil {
-		t.Fatal("Run on a closed Stmt succeeded")
+	if rows.Next() {
+		t.Fatal("Next advanced after Conn.Close")
+	}
+	if !errors.Is(rows.Err(), ssclient.ErrConnLost) {
+		t.Fatalf("stream error after Conn.Close: %v, want ErrConnLost", rows.Err())
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatalf("Rows.Close after Conn.Close: %v", err)
 	}
 }
 
@@ -383,8 +386,8 @@ func TestBadRequests(t *testing.T) {
 
 	// Specs no builder can produce — what a hostile or broken peer
 	// might send (the wire fuzz seeds carry the same shapes): each is a
-	// classified bad-request reject on both request kinds, never an
-	// executed query.
+	// classified bad-request reject on every request kind that carries a
+	// spec, never an executed query.
 	hostile := map[string]wire.QuerySpec{
 		"predicate kind": {Table: loadgen.Table,
 			Preds: []wire.PredSpec{{Col: loadgen.IndexedCol, Kind: wire.PredGe + 1, A: wire.ArgSpec{Lit: 1}}}},
@@ -396,7 +399,8 @@ func TestBadRequests(t *testing.T) {
 	for what, spec := range hostile {
 		_, qerr := c.Conn.RunSpec(context.Background(), spec)
 		_, perr := c.Conn.PrepareSpec(spec)
-		for _, err := range []error{qerr, perr} {
+		_, eerr := c.Conn.ExecuteSpec(context.Background(), spec, map[string]int64{"a|b": 1})
+		for _, err := range []error{qerr, perr, eerr} {
 			if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
 				t.Errorf("out-of-range %s: %v, want a bad-request RemoteError", what, err)
 			}

@@ -24,24 +24,11 @@ const batchRows = 1024
 // connection.
 const writeBufSize = 64 << 10
 
-// evictedCap bounds the evicted-ID memory a session keeps for
-// distinguishing "evicted" from "never existed". Past it the set
-// resets: ancient evicted handles then report not-found, which is the
-// acceptable end of the precision.
-const evictedCap = 65536
-
 // frame is one decoded wire frame in flight from the reader goroutine
 // to the session loop.
 type frame struct {
 	typ     byte
 	payload []byte
-}
-
-// stmtEntry is one slot of the session's statement table; seq is the
-// LRU clock (bumped on Prepare and Execute).
-type stmtEntry struct {
-	stmt *smoothscan.Stmt
-	seq  uint64
 }
 
 // cursor is the session's one open result stream.
@@ -71,11 +58,6 @@ type session struct {
 	curMu     sync.Mutex
 	curCancel context.CancelFunc
 
-	stmts   map[uint32]*stmtEntry
-	evicted map[uint32]struct{}
-	nextID  uint32
-	seq     uint64
-
 	cur *cursor
 
 	// handleFetch's staging, reused across batches and cursors: the
@@ -86,14 +68,12 @@ type session struct {
 
 func newSession(s *Server, conn net.Conn) *session {
 	return &session{
-		srv:     s,
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriterSize(conn, writeBufSize),
-		inbox:   make(chan frame, 4),
-		ctx:     s.ctx,
-		stmts:   make(map[uint32]*stmtEntry),
-		evicted: make(map[uint32]struct{}),
+		srv:   s,
+		conn:  conn,
+		br:    bufio.NewReader(conn),
+		bw:    bufio.NewWriterSize(conn, writeBufSize),
+		inbox: make(chan frame, 4),
+		ctx:   s.ctx,
 	}
 }
 
@@ -240,18 +220,6 @@ func (ss *session) handle(fr frame) bool {
 			return ss.fail(err)
 		}
 		return ss.handleFetch(int(m.MaxRows))
-	case wire.MsgCloseStmt:
-		m, err := wire.DecodeCloseStmt(fr.payload)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if _, present := ss.stmts[m.StmtID]; present {
-			delete(ss.stmts, m.StmtID)
-			ss.srv.ctr.stmtsClosed.Add(1)
-		}
-		// Closing an unknown, evicted or already-closed handle is a
-		// no-op by contract: the client may be racing an eviction.
-		return ss.send(wire.MsgOK, nil)
 	case wire.MsgCancel:
 		// The reader already fired the context; here the cursor (if
 		// any) is torn down and the cancel acknowledged, giving the
@@ -278,59 +246,36 @@ func (ss *session) handle(fr frame) bool {
 	}
 }
 
-// handlePrepare compiles a decoded spec. QueryFromSpec owns the
-// validation of everything a hostile peer can put in one (kind bytes,
-// parameter names); semantic validation is Prepare's.
+// handlePrepare compiles a decoded spec and answers its parameters;
+// the session keeps nothing. QueryFromSpec owns the validation of
+// everything a hostile peer can put in one (kind bytes, parameter
+// names); semantic validation is Prepare's.
 func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
 	stmt, err := ss.srv.db.Prepare(ss.srv.db.QueryFromSpec(spec))
 	if err != nil {
 		return ss.fail(err)
 	}
-	if max := ss.srv.cfg.MaxStmtsPerSession; max > 0 && len(ss.stmts) >= max {
-		// Evict the least recently executed statement to make room.
-		var victim uint32
-		first := true
-		for id, e := range ss.stmts {
-			if first || e.seq < ss.stmts[victim].seq {
-				victim, first = id, false
-			}
-		}
-		delete(ss.stmts, victim)
-		if len(ss.evicted) >= evictedCap {
-			ss.evicted = make(map[uint32]struct{})
-		}
-		ss.evicted[victim] = struct{}{}
-		ss.srv.ctr.stmtsEvicted.Add(1)
-	}
-	id := ss.nextID
-	ss.nextID++
-	ss.seq++
-	ss.stmts[id] = &stmtEntry{stmt: stmt, seq: ss.seq}
 	ss.srv.ctr.stmtsPrepared.Add(1)
-	return ss.send(wire.MsgPrepareOK, wire.PrepareOK{StmtID: id, Params: stmt.Params()}.Marshal())
+	return ss.send(wire.MsgPrepareOK, wire.PrepareOK{Params: stmt.Params()}.Marshal())
 }
 
+// handleExecute runs one prepared statement's execution: the spec is
+// prepared again — a plan-cache hit after the first time — and bound,
+// so bind errors and ExecStats are exactly a local Stmt.Run's.
 func (ss *session) handleExecute(m wire.Execute) bool {
 	if ss.cur != nil {
 		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
 	}
-	entry, ok := ss.stmts[m.StmtID]
-	if !ok {
-		if _, was := ss.evicted[m.StmtID]; was {
-			return ss.sendErr(wire.ClassEvicted,
-				"statement %d was evicted (per-session limit %d); re-Prepare",
-				m.StmtID, ss.srv.cfg.MaxStmtsPerSession)
-		}
-		return ss.sendErr(wire.ClassNotFound, "no statement %d on this session", m.StmtID)
-	}
-	ss.seq++
-	entry.seq = ss.seq
 	bind := make(smoothscan.Bind, len(m.Binds))
 	for _, b := range m.Binds {
 		bind[b.Name] = b.Val
 	}
 	return ss.openCursor(func(ctx context.Context) (*smoothscan.Rows, error) {
-		return entry.stmt.Run(ctx, bind)
+		stmt, err := ss.srv.db.Prepare(ss.srv.db.QueryFromSpec(m.Spec))
+		if err != nil {
+			return nil, err
+		}
+		return stmt.Run(ctx, bind)
 	})
 }
 

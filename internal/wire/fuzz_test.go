@@ -41,15 +41,14 @@ func FuzzDecodeMessage(f *testing.F) {
 		{MsgHello, Hello{Magic: Magic, Version: Version}.Marshal()},
 		{MsgHelloOK, HelloOK{Version: 1}.Marshal()},
 		{MsgPrepare, Prepare{Spec: spec}.Marshal()},
-		{MsgPrepareOK, PrepareOK{StmtID: 1, Params: []string{"hi"}}.Marshal()},
-		{MsgExecute, Execute{StmtID: 1, Binds: []BindKV{{Name: "hi", Val: 42}}}.Marshal()},
+		{MsgPrepareOK, PrepareOK{Params: []string{"hi"}}.Marshal()},
+		{MsgExecute, Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 42}}}.Marshal()},
 		{MsgExecOK, ExecOK{Cols: []string{"id", "val"}}.Marshal()},
 		{MsgFetch, Fetch{MaxRows: 1024}.Marshal()},
 		{MsgBatch, batch.B},
 		{MsgEnd, End{More: true}.Marshal()},
 		{MsgEnd, End{Summary: ExecSummary{Rows: 2, PlanCacheHit: true, Degraded: []string{"a"}}}.Marshal()},
 		{MsgError, ErrorMsg{Class: ClassTransient, Msg: "injected"}.Marshal()},
-		{MsgCloseStmt, CloseStmt{StmtID: 1}.Marshal()},
 		{MsgOK, nil},
 		{MsgQuery, Query{Spec: spec}.Marshal()},
 		{MsgQuery, Query{Spec: hostile}.Marshal()},

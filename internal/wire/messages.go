@@ -47,7 +47,9 @@ func DecodeHelloOK(p []byte) (HelloOK, error) {
 	return m, d.Finish()
 }
 
-// Prepare compiles a query structure into a server-side statement.
+// Prepare compiles a query structure and reports its parameters. The
+// server keeps nothing: a prepared statement lives on the client as its
+// spec, and every Execute carries that spec again.
 type Prepare struct {
 	Spec QuerySpec
 }
@@ -66,17 +68,15 @@ func DecodePrepare(p []byte) (Prepare, error) {
 	return m, d.Finish()
 }
 
-// PrepareOK returns the statement handle and its parameter names, in
-// first-use order (smoothscan.Stmt.Params).
+// PrepareOK returns the statement's parameter names, in first-use
+// order (smoothscan.Stmt.Params).
 type PrepareOK struct {
-	StmtID uint32
 	Params []string
 }
 
 // Marshal serialises the message payload.
 func (m PrepareOK) Marshal() []byte {
 	var e Encoder
-	e.Uvarint(uint64(m.StmtID))
 	e.Uvarint(uint64(len(m.Params)))
 	for _, p := range m.Params {
 		e.Str(p)
@@ -88,7 +88,6 @@ func (m PrepareOK) Marshal() []byte {
 func DecodePrepareOK(p []byte) (PrepareOK, error) {
 	d := NewDecoder(p)
 	var m PrepareOK
-	m.StmtID = uint32(d.Uvarint())
 	n := d.Count(maxParams, "param")
 	m.Params = make([]string, 0, n)
 	for i := 0; i < n && d.Err == nil; i++ {
@@ -103,17 +102,17 @@ type BindKV struct {
 	Val  int64
 }
 
-// Execute binds and runs a prepared statement, opening the session's
-// cursor.
+// Execute prepares the spec, binds it and runs it, opening the
+// session's cursor: a prepared statement's execution, self-contained.
 type Execute struct {
-	StmtID uint32
-	Binds  []BindKV
+	Spec  QuerySpec
+	Binds []BindKV
 }
 
 // Marshal serialises the message payload.
 func (m Execute) Marshal() []byte {
 	var e Encoder
-	e.Uvarint(uint64(m.StmtID))
+	e.AppendSpec(&m.Spec)
 	e.Uvarint(uint64(len(m.Binds)))
 	for _, b := range m.Binds {
 		e.Str(b.Name)
@@ -125,8 +124,7 @@ func (m Execute) Marshal() []byte {
 // DecodeExecute parses an Execute payload.
 func DecodeExecute(p []byte) (Execute, error) {
 	d := NewDecoder(p)
-	var m Execute
-	m.StmtID = uint32(d.Uvarint())
+	m := Execute{Spec: d.DecodeSpec()}
 	n := d.Count(maxParams, "bind")
 	m.Binds = make([]BindKV, 0, n)
 	for i := 0; i < n && d.Err == nil; i++ {
@@ -135,8 +133,8 @@ func DecodeExecute(p []byte) (Execute, error) {
 	return m, d.Finish()
 }
 
-// Query executes an ad-hoc query (literals inline) without a prepared
-// handle; the server still routes it through its plan cache.
+// Query executes an ad-hoc query (literals inline); the server still
+// routes it through its plan cache.
 type Query struct {
 	Spec QuerySpec
 }
@@ -335,26 +333,6 @@ func DecodeError(p []byte) (ErrorMsg, error) {
 // Err converts the frame to the client-side error value.
 func (m ErrorMsg) Err() error { return &RemoteError{Class: m.Class, Msg: m.Msg} }
 
-// CloseStmt drops a statement handle. Closing an unknown or already
-// closed handle succeeds (idempotent).
-type CloseStmt struct {
-	StmtID uint32
-}
-
-// Marshal serialises the message payload.
-func (m CloseStmt) Marshal() []byte {
-	var e Encoder
-	e.Uvarint(uint64(m.StmtID))
-	return e.B
-}
-
-// DecodeCloseStmt parses a CloseStmt payload.
-func DecodeCloseStmt(p []byte) (CloseStmt, error) {
-	d := NewDecoder(p)
-	m := CloseStmt{StmtID: uint32(d.Uvarint())}
-	return m, d.Finish()
-}
-
 // ServerStats is the server's counter snapshot, served to clients via
 // the Stats message — the wire-layer counterpart of ExecStats for
 // whole-server observability.
@@ -364,10 +342,8 @@ type ServerStats struct {
 	SessionsTotal int64
 	// ConnsRejected counts connections refused at the limit.
 	ConnsRejected int64
-	// Statement-table traffic across all sessions.
+	// Prepare requests answered across all sessions.
 	StmtsPrepared int64
-	StmtsEvicted  int64
-	StmtsClosed   int64
 	// Query admission and completion.
 	QueriesServed   int64 // streams that completed (End with summary)
 	QueriesFailed   int64 // streams that ended in an Error frame
@@ -399,8 +375,6 @@ func (m ServerStats) Marshal() []byte {
 	e.Varint(m.SessionsTotal)
 	e.Varint(m.ConnsRejected)
 	e.Varint(m.StmtsPrepared)
-	e.Varint(m.StmtsEvicted)
-	e.Varint(m.StmtsClosed)
 	e.Varint(m.QueriesServed)
 	e.Varint(m.QueriesFailed)
 	e.Varint(m.QueriesRejected)
@@ -427,8 +401,6 @@ func DecodeServerStats(p []byte) (ServerStats, error) {
 	m.SessionsTotal = d.Varint()
 	m.ConnsRejected = d.Varint()
 	m.StmtsPrepared = d.Varint()
-	m.StmtsEvicted = d.Varint()
-	m.StmtsClosed = d.Varint()
 	m.QueriesServed = d.Varint()
 	m.QueriesFailed = d.Varint()
 	m.QueriesRejected = d.Varint()
@@ -579,8 +551,6 @@ func DecodeMessage(typ byte, payload []byte) (any, error) {
 		return DecodeEnd(payload)
 	case MsgError:
 		return DecodeError(payload)
-	case MsgCloseStmt:
-		return DecodeCloseStmt(payload)
 	case MsgOK, MsgCancel, MsgStats, MsgColdCache, MsgCatalog:
 		if len(payload) != 0 {
 			return nil, NewDecoder(payload).Finish()

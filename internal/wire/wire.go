@@ -1,7 +1,10 @@
 // Package wire is the smoothscan wire protocol: a small length-prefixed
 // binary framing carrying the prepare → bind → execute query lifecycle
 // between a remote client (package ssclient) and the serving subsystem
-// (internal/server, cmd/ssserver).
+// (internal/server, cmd/ssserver). The protocol is stateless about
+// statements: Prepare only validates a spec and names its parameters,
+// and each Execute carries the spec again with its binds, so a server
+// session holds no statement handles.
 //
 // # Framing
 //
@@ -43,8 +46,9 @@ const (
 	// Magic opens the Hello message: "SSWP" (SmoothScan Wire Protocol).
 	Magic uint32 = 0x53535750
 	// Version is the protocol revision; the server rejects a Hello
-	// carrying a different major version.
-	Version uint32 = 1
+	// carrying a different one. Version 2 made statements stateless:
+	// Execute carries its spec, and the server holds no handles.
+	Version uint32 = 2
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20
@@ -57,18 +61,17 @@ const (
 const (
 	MsgHello        byte = 0x01 // client → server: handshake
 	MsgHelloOK      byte = 0x02 // server → client: handshake accepted
-	MsgPrepare      byte = 0x03 // client: compile a QuerySpec into a server-side Stmt
-	MsgPrepareOK    byte = 0x04 // server: statement handle + parameter names
-	MsgExecute      byte = 0x05 // client: bind + execute a prepared statement
+	MsgPrepare      byte = 0x03 // client: validate a QuerySpec, learn its parameters
+	MsgPrepareOK    byte = 0x04 // server: parameter names
+	MsgExecute      byte = 0x05 // client: prepare + bind + execute a QuerySpec
 	MsgExecOK       byte = 0x06 // server: cursor opened, result columns follow
 	MsgFetch        byte = 0x07 // client: pull up to MaxRows rows from the cursor
 	MsgBatch        byte = 0x08 // server: one column-encoded row batch
 	MsgEnd          byte = 0x09 // server: fetch window done (More) or stream complete (summary)
 	MsgError        byte = 0x0a // server: typed error, terminates the current command
-	MsgCloseStmt    byte = 0x0b // client: drop a statement handle (idempotent)
 	MsgOK           byte = 0x0c // server: generic success
 	MsgCancel       byte = 0x0d // client: cancel the open cursor (also valid mid-stream)
-	MsgQuery        byte = 0x0e // client: ad-hoc execute (literals inline, no handle)
+	MsgQuery        byte = 0x0e // client: ad-hoc execute (literals inline)
 	MsgStats        byte = 0x0f // client: server counters snapshot
 	MsgStatsReply   byte = 0x10 // server: ServerStats
 	MsgFaultCtl     byte = 0x11 // client: attach/clear a fault-injection policy (admin)
@@ -83,14 +86,13 @@ const (
 const (
 	ClassInternal   byte = 0x00 // unclassified server-side failure
 	ClassBadRequest byte = 0x01 // malformed or out-of-protocol request
-	ClassNotFound   byte = 0x02 // unknown table/column/statement
+	ClassNotFound   byte = 0x02 // unknown table/column
 	ClassOverloaded byte = 0x03 // admission control rejected (ErrOverloaded)
 	ClassCancelled  byte = 0x04 // query cancelled (context.Canceled)
 	ClassIdle       byte = 0x05 // server closed the session (idle timeout / shutdown)
 	ClassTransient  byte = 0x06 // injected transient fault (retry can succeed)
 	ClassPermanent  byte = 0x07 // injected permanent fault
 	ClassCorrupt    byte = 0x08 // page checksum mismatch
-	ClassEvicted    byte = 0x09 // statement evicted from the session table (ErrStmtEvicted)
 )
 
 // Typed sentinels for conditions born on the wire layer itself. The
@@ -102,10 +104,6 @@ var (
 	// in-flight queries past the queue deadline) was reached. Back off
 	// and retry; the server is shedding load, not failing.
 	ErrOverloaded = errors.New("wire: server overloaded")
-	// ErrStmtEvicted marks an Execute of a statement handle the server
-	// evicted from the session's statement table (per-session limit,
-	// least recently used first). Re-Prepare to continue.
-	ErrStmtEvicted = errors.New("wire: prepared statement evicted")
 	// ErrSessionClosed marks a server-initiated session close: idle
 	// timeout or server shutdown.
 	ErrSessionClosed = errors.New("wire: session closed by server")
@@ -131,8 +129,6 @@ func classSentinel(class byte) error {
 		return disk.ErrPermanentFault
 	case ClassCorrupt:
 		return disk.ErrPageCorrupt
-	case ClassEvicted:
-		return ErrStmtEvicted
 	default:
 		return nil
 	}
@@ -159,8 +155,6 @@ func ClassName(class byte) string {
 		return "permanent-fault"
 	case ClassCorrupt:
 		return "page-corrupt"
-	case ClassEvicted:
-		return "stmt-evicted"
 	default:
 		return fmt.Sprintf("class-%#02x", class)
 	}
@@ -199,8 +193,6 @@ func Classify(err error) byte {
 		return ClassTransient
 	case errors.Is(err, ErrOverloaded):
 		return ClassOverloaded
-	case errors.Is(err, ErrStmtEvicted):
-		return ClassEvicted
 	case errors.Is(err, ErrSessionClosed):
 		return ClassIdle
 	default:

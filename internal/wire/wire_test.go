@@ -180,11 +180,11 @@ func TestMessageRoundTrips(t *testing.T) {
 			func(p []byte) (any, error) { return DecodePrepare(p) }, Prepare{Spec: spec}},
 		{"query", Query{Spec: spec}.Marshal(),
 			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec}},
-		{"prepareok", PrepareOK{StmtID: 9, Params: []string{"lo", "hi"}}.Marshal(),
-			func(p []byte) (any, error) { return DecodePrepareOK(p) }, PrepareOK{StmtID: 9, Params: []string{"lo", "hi"}}},
-		{"execute", Execute{StmtID: 3, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}.Marshal(),
+		{"prepareok", PrepareOK{Params: []string{"lo", "hi"}}.Marshal(),
+			func(p []byte) (any, error) { return DecodePrepareOK(p) }, PrepareOK{Params: []string{"lo", "hi"}}},
+		{"execute", Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecute(p) },
-			Execute{StmtID: 3, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}},
+			Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}},
 		{"execok", ExecOK{Cols: []string{"a", "b"}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecOK(p) }, ExecOK{Cols: []string{"a", "b"}}},
 		{"fetch", Fetch{MaxRows: 512}.Marshal(),
@@ -196,8 +196,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			End{Summary: ExecSummary{Rows: 4, Retries: 1, FaultsSeen: 2, PlanCacheHit: true, Degraded: []string{"parallel->serial"}}}},
 		{"error", ErrorMsg{Class: ClassCorrupt, Msg: "page 7"}.Marshal(),
 			func(p []byte) (any, error) { return DecodeError(p) }, ErrorMsg{Class: ClassCorrupt, Msg: "page 7"}},
-		{"closestmt", CloseStmt{StmtID: 12}.Marshal(),
-			func(p []byte) (any, error) { return DecodeCloseStmt(p) }, CloseStmt{StmtID: 12}},
 		{"stats", ServerStats{SessionsOpen: 1, QueriesServed: 2, RowsSent: 3, DeviceSimCost: 4.5, PlanCacheHits: 6}.Marshal(),
 			func(p []byte) (any, error) { return DecodeServerStats(p) },
 			ServerStats{SessionsOpen: 1, QueriesServed: 2, RowsSent: 3, DeviceSimCost: 4.5, PlanCacheHits: 6}},
@@ -273,7 +271,6 @@ func TestErrorClassPreservation(t *testing.T) {
 		{ClassCorrupt, disk.ErrPageCorrupt},
 		{ClassCancelled, context.Canceled},
 		{ClassOverloaded, ErrOverloaded},
-		{ClassEvicted, ErrStmtEvicted},
 		{ClassIdle, ErrSessionClosed},
 	}
 	for _, tc := range cases {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"smoothscan"
@@ -59,7 +60,7 @@ func buildRemoteFixture(t *testing.T) *remoteFixture {
 	return &remoteFixture{db: db, srv: srv, addr: srv.Addr().String()}
 }
 
-func (f *remoteFixture) dial(t *testing.T) *ssclient.Client {
+func (f *remoteFixture) dial(t *testing.T) *ssclient.Conn {
 	t.Helper()
 	c, err := ssclient.Dial(f.addr)
 	if err != nil {
@@ -228,7 +229,8 @@ func TestRemoteEquivalenceShaped(t *testing.T) {
 }
 
 // TestRemotePreparedEquivalence binds the same parameterized template
-// through DB.Prepare and Client.Prepare across several bind sets.
+// through DB.PrepareQuery and Conn.PrepareQuery across several bind
+// sets.
 func TestRemotePreparedEquivalence(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
@@ -280,6 +282,79 @@ func TestRemotePreparedEquivalence(t *testing.T) {
 	if _, err := c.PrepareQuery(build(f.db)); err == nil {
 		t.Fatal("Conn.PrepareQuery accepted a local DB's builder")
 	}
+}
+
+// TestRemoteStmtLifecycle holds more remote statements on one session
+// than any per-session table would have to, runs them in prepare order
+// and in reverse, and checks each behaves like the local Stmt of the
+// same query: parameters, rows, plan-cache reuse and bind-error text.
+// Close is local: idempotent, and the closed statement refuses Run.
+func TestRemoteStmtLifecycle(t *testing.T) {
+	f := buildRemoteFixture(t)
+	c := f.dial(t)
+	ctx := context.Background()
+
+	build := func(e smoothscan.Engine) smoothscan.Builder {
+		return e.Table(loadgen.Table).
+			Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
+			Limit(smoothscan.Param("n"))
+	}
+	lstmt, err := f.db.PrepareQuery(build(f.db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	stmts := make([]smoothscan.PreparedQuery, n)
+	for i := range stmts {
+		if stmts[i], err = c.PrepareQuery(build(c)); err != nil {
+			t.Fatalf("prepare %d: %v", i, err)
+		}
+		if lp, rp := lstmt.Params(), stmts[i].Params(); !slices.Equal(lp, rp) {
+			t.Fatalf("stmt %d: parameters local %v, remote %v", i, lp, rp)
+		}
+	}
+	bind := func(i int) smoothscan.Bind {
+		return smoothscan.Bind{"lo": int64(i * 35), "hi": int64(i*35 + 60), "n": 1000}
+	}
+	run := func(i int) {
+		t.Helper()
+		lcur, lerr := lstmt.Run(ctx, bind(i))
+		local := drainCursor(t, lcur, lerr)
+		rcur, rerr := stmts[i].Run(ctx, bind(i))
+		remote := drainCursor(t, rcur, rerr)
+		requireSameRows(t, local, remote, false)
+		if !rcur.ExecStats().PlanCacheHit {
+			t.Errorf("stmt %d: remote run missed the plan cache", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		run(i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		run(i)
+	}
+
+	for _, b := range []smoothscan.Bind{
+		{"lo": 0, "hi": 10, "n": 5, "typo": 1}, // unknown parameter
+		{"lo": 0},                              // unbound parameters
+	} {
+		_, lerr := lstmt.Run(ctx, b)
+		_, rerr := stmts[n-1].Run(ctx, b)
+		if lerr == nil || rerr == nil || !strings.HasSuffix(rerr.Error(), ": "+lerr.Error()) {
+			t.Errorf("bind %v: remote error %v, want the local %v", b, rerr, lerr)
+		}
+	}
+
+	if err := stmts[0].Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	if err := stmts[0].Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, err := stmts[0].Run(ctx, bind(0)); err == nil {
+		t.Fatal("Run on a closed Stmt succeeded")
+	}
+	run(1) // the other statements are untouched
 }
 
 // TestRemoteFaultPropagation injects faults via the admin frame and

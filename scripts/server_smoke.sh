@@ -3,8 +3,9 @@
 # ssload -addr, both race-instrumented. Three remote runs — plain,
 # prepared-statement and chaos — must finish with zero failed queries
 # (-require-clean), the plain run must report nonzero client-observed
-# throughput, and the prepared run must reproduce the plain run's
-# result digest. This is the CI proof that the wire path
+# throughput, the prepared run must reproduce the plain run's result
+# digest, and the server's summary must count at least one Prepare per
+# prepared-run client. This is the CI proof that the wire path
 # works end to end as processes, not just in-process test harnesses.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -94,4 +95,9 @@ wait "$SRV_PID" || true
 SRV_PID=
 echo "server-smoke: server summary:"
 grep '^ssserver: served\|^ssserver: .*stmts prepared' "$TMP/server.log" || cat "$TMP/server.log"
+PREPARED="$(sed -n 's/^ssserver: \([0-9][0-9]*\) stmts prepared.*/\1/p' "$TMP/server.log" | head -n 1)"
+if [ "${PREPARED:-0}" -lt 4 ]; then
+	echo "server-smoke: server counted ${PREPARED:-no} prepared statements, want >= 4 (one per client)" >&2
+	exit 1
+fi
 echo "server-smoke: OK"

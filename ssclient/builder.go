@@ -88,9 +88,9 @@ func (q *Query) Run(ctx context.Context) (smoothscan.Cursor, error) {
 }
 
 // PrepareQuery implements smoothscan.Engine: it compiles a Builder
-// made by this Conn's Table into a server-side statement, a *Stmt.
-// Structural errors (unknown tables or columns, bad argument types)
-// surface here, as with DB.Prepare.
+// made by this Conn's Table on the server and returns the statement, a
+// *Stmt. Structural errors (unknown tables or columns, bad argument
+// types) surface here, as with DB.Prepare.
 func (c *Conn) PrepareQuery(b smoothscan.Builder) (smoothscan.PreparedQuery, error) {
 	q, ok := b.(*Query)
 	if !ok || q.c != c {
@@ -100,9 +100,9 @@ func (c *Conn) PrepareQuery(b smoothscan.Builder) (smoothscan.PreparedQuery, err
 	if err != nil {
 		return nil, err
 	}
-	st, err := c.Conn.PrepareSpec(spec)
+	params, err := c.Conn.PrepareSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{Stmt: st}, nil
+	return &Stmt{c: c, spec: spec, params: params}, nil
 }

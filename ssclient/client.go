@@ -1,6 +1,9 @@
 // Package ssclient is the remote client for the smoothscan wire
 // protocol: the same prepare → bind → execute query surface the
-// embedded engine exposes, spoken to a cmd/ssserver over TCP.
+// embedded engine exposes, spoken to a cmd/ssserver over TCP. A
+// prepared statement is a client-side value — its spec plus the
+// connection — and each Run ships the spec with its bind, so the
+// server keeps no per-session statement state.
 //
 //	c, _ := ssclient.Dial(addr)
 //	defer c.Close()
@@ -32,12 +35,14 @@
 // its own Conn (connections are cheap; the server pools admission
 // across all of them). Rows.Close and Stmt.Close are always safe to
 // call, including after the server has disconnected or the client is
-// closed: they release local state first and treat an unreachable
-// server as already-closed rather than an error to propagate.
+// closed: Stmt.Close never talks to the server, and Rows.Close treats
+// an unreachable server as already-closed rather than an error to
+// propagate.
 package ssclient
 
 import (
 	"context"
+	"errors"
 
 	"smoothscan"
 	"smoothscan/internal/client"
@@ -50,9 +55,6 @@ var (
 	// ErrOverloaded: the server shed this connection or query under
 	// admission control. Back off and retry.
 	ErrOverloaded = wire.ErrOverloaded
-	// ErrStmtEvicted: the statement handle fell out of the session's
-	// statement table; re-Prepare.
-	ErrStmtEvicted = wire.ErrStmtEvicted
 	// ErrSessionClosed: the server closed the session (idle timeout or
 	// shutdown).
 	ErrSessionClosed = wire.ErrSessionClosed
@@ -95,10 +97,6 @@ type Conn struct {
 	*client.Conn
 }
 
-// Client is the historical name for Conn, kept as an alias so
-// existing call sites compile unchanged.
-type Client = Conn
-
 // Dial connects and performs the protocol handshake. A server at its
 // connection limit answers with an overloaded Error frame, so the
 // returned error satisfies errors.Is(err, ErrOverloaded) rather than
@@ -127,17 +125,37 @@ func (c *Conn) SetFaultPolicy(seed int64, rules ...FaultRule) error {
 	return c.Conn.SetFaultPolicy(seed, specs...)
 }
 
-// Stmt is a remote prepared statement handle; it implements
-// smoothscan.PreparedQuery. The embedded transport contributes Params
-// and Close.
+// Stmt is a remote prepared statement; it implements
+// smoothscan.PreparedQuery. It is the spec Conn.PrepareQuery compiled
+// plus its parameter names: each Run sends the spec with the bind, and
+// the server prepares, binds and runs it exactly as a local Stmt.Run
+// would, through its plan cache.
 type Stmt struct {
-	*client.Stmt
+	c      *Conn
+	spec   wire.QuerySpec
+	params []string
+	closed bool
+}
+
+// Params returns the statement's parameter names in first-use order.
+func (s *Stmt) Params() []string {
+	return append([]string(nil), s.params...)
 }
 
 // Run binds the parameters and executes the statement, opening a
 // result stream, a *Rows. One stream may be open per Conn at a time.
 func (s *Stmt) Run(ctx context.Context, b smoothscan.Bind) (smoothscan.Cursor, error) {
-	return cursorOf(s.Stmt.Run(ctx, b))
+	if s.closed {
+		return nil, errors.New("ssclient: Run on a closed Stmt")
+	}
+	return cursorOf(s.c.ExecuteSpec(ctx, s.spec, b))
+}
+
+// Close marks the statement closed; later Runs fail. There is nothing
+// on the server to release, so Close is idempotent and never fails.
+func (s *Stmt) Close() error {
+	s.closed = true
+	return nil
 }
 
 // cursorOf wraps a transport stream, keeping a failed open's nil from
