@@ -1,6 +1,9 @@
 // Package client is the SSWP client transport: one connection speaking
 // the prepare → bind → execute → fetch lifecycle against an
-// internal/server session. It depends only on the wire codec, so both
+// internal/server session. Opening a stream is one round trip: the
+// Execute or Query request carries the first fetch window's budget, and
+// the server answers ExecOK followed by that window, so a short result
+// needs no Fetch at all. It depends only on the wire codec, so both
 // the public ssclient package (which re-exports it behind the engine's
 // builder surface) and the root package's remote shard driver can share
 // one implementation without an import cycle through smoothscan.
@@ -20,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -39,8 +43,8 @@ var (
 	ErrBusy = errors.New("ssclient: a result stream is open")
 )
 
-// DefaultFetchRows is the per-Fetch row budget Rows uses unless
-// Conn.SetFetchRows overrides it.
+// DefaultFetchRows is the fetch window (the first one included) Rows
+// uses unless Conn.SetFetchRows overrides it.
 const DefaultFetchRows = 4096
 
 // handshakeTimeout bounds Dial's Hello/HelloOK exchange.
@@ -106,14 +110,15 @@ func Dial(addr string) (*Conn, error) {
 	}
 }
 
-// SetFetchRows overrides the per-Fetch row budget of subsequent Rows
-// (n <= 0 restores the default). Smaller windows trade throughput for
-// finer cancellation granularity.
+// SetFetchRows overrides the fetch window of subsequent Rows, the first
+// window included (n <= 0 restores the default; a window is at most
+// math.MaxUint32 rows). Smaller windows trade throughput for finer
+// cancellation granularity.
 func (c *Conn) SetFetchRows(n int) {
 	if n <= 0 {
 		n = DefaultFetchRows
 	}
-	c.fetchRows = n
+	c.fetchRows = min(n, math.MaxUint32)
 }
 
 // Broken reports whether the connection has failed; a broken
@@ -251,14 +256,14 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 // RunSpec executes the query spec ad hoc (literals inline) and opens a
 // result stream. Parameterized specs must go through ExecuteSpec.
 func (c *Conn) RunSpec(ctx context.Context, spec wire.QuerySpec) (*Rows, error) {
-	return c.openRows(ctx, wire.MsgQuery, wire.Query{Spec: spec}.Marshal())
+	return c.openRows(ctx, wire.MsgQuery, wire.Query{Spec: spec, FetchRows: uint32(c.fetchRows)}.Marshal())
 }
 
 // ExecuteSpec prepares the spec server-side, binds b and opens a result
 // stream: one prepared statement's Run. One stream may be open per
 // Conn at a time.
 func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64) (*Rows, error) {
-	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b))}
+	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b)), FetchRows: uint32(c.fetchRows)}
 	for name, val := range b {
 		m.Binds = append(m.Binds, wire.BindKV{Name: name, Val: val})
 	}
@@ -327,7 +332,9 @@ func (c *Conn) ColdCache() error {
 }
 
 // openRows issues an Execute/Query request and materialises the
-// ExecOK response into a Rows stream.
+// ExecOK response into a Rows stream. The request carried the first
+// window's budget, so that window is already on its way: the Rows
+// starts with it open and reads it without sending a Fetch.
 func (c *Conn) openRows(ctx context.Context, reqTyp byte, payload []byte) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -346,7 +353,7 @@ func (c *Conn) openRows(ctx context.Context, reqTyp byte, payload []byte) (*Rows
 	if err != nil {
 		return nil, c.broken(err)
 	}
-	r := &Rows{c: c, ctx: ctx, cols: m.Cols, fetchRows: c.fetchRows}
+	r := &Rows{c: c, ctx: ctx, cols: m.Cols, fetchRows: c.fetchRows, windowOpen: true}
 	c.mu.Lock()
 	c.cur = r
 	c.mu.Unlock()

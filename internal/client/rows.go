@@ -30,7 +30,7 @@ type Rows struct {
 	width int
 	pos   int // next row to serve
 
-	windowOpen bool // a Fetch was sent and its End not yet seen
+	windowOpen bool // a window was requested (the open or a Fetch) and its End not yet seen
 	done       bool // terminal frame seen (End without More, or Error)
 	closed     bool
 

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -63,34 +64,167 @@ func drain(t *testing.T, rows smoothscan.Cursor) int64 {
 	return n
 }
 
-// TestHelloVersionMismatch speaks the handshake by hand with a
-// version-1 Hello: the server answers a bad-request Error naming both
-// versions rather than a statement protocol the peer does not speak.
+// TestHelloVersionMismatch speaks the handshake by hand with the
+// versions before this one: the server answers each with a bad-request
+// Error naming both versions rather than a stream protocol the peer
+// does not speak (version 1 kept statement handles, version 2 waited
+// for a Fetch before serving any row).
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
+	for _, v := range []uint32{1, 2} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: v}.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := wire.ReadFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != wire.MsgError {
+			t.Fatalf("v%d Hello answered with frame %#02x, want Error", v, typ)
+		}
+		m, err := wire.DecodeError(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d not supported (server speaks %d)", v, wire.Version)
+		if m.Class != wire.ClassBadRequest || !strings.Contains(m.Msg, want) {
+			t.Fatalf("v%d Hello: %s %q, want bad-request naming %q", v, wire.ClassName(m.Class), m.Msg, want)
+		}
+	}
+}
+
+// rawSession dials addr and completes the handshake by hand, for tests
+// that check the exact frames the server writes.
+func rawSession(t *testing.T, addr string) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: 1}.Marshal()); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: wire.Version}.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := wire.ReadFrame(conn)
-	if err != nil {
+	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgHelloOK {
+		t.Fatalf("handshake: frame %#02x, %v", typ, err)
+	}
+	return conn
+}
+
+// readUntilEnd reads the frames of one response up to and including its
+// End or Error, returning their types, the rows its batches carried, and
+// the last frame's payload.
+func readUntilEnd(t *testing.T, conn net.Conn) (types []byte, rows int, last []byte) {
+	t.Helper()
+	for {
+		typ, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("after frames %x: %v", types, err)
+		}
+		types = append(types, typ)
+		switch typ {
+		case wire.MsgBatch:
+			_, n, _, err := wire.DecodeBatchPayload(payload, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += n
+		case wire.MsgEnd, wire.MsgError:
+			return types, rows, payload
+		}
+	}
+}
+
+// TestOpenServesFirstWindow pins protocol version 3 on raw frames: a
+// Query or Execute is answered by ExecOK and its first window with no
+// Fetch sent, a window budget in the request sizes that window, a Fetch
+// continues the stream, and a failed open writes one Error frame and
+// nothing else.
+func TestOpenServesFirstWindow(t *testing.T) {
+	addr, _ := startServer(t, server.Config{})
+	conn := rawSession(t, addr)
+	spec := func(q *smoothscan.Query) wire.QuerySpec {
+		t.Helper()
+		sp, err := q.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	all := func() *smoothscan.Query {
+		return smoothscan.NewQuery(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000))
+	}
+	end := func(p []byte) wire.End {
+		t.Helper()
+		m, err := wire.DecodeEnd(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	// A short result is the whole exchange: ExecOK, Batch, End{Summary}.
+	short := []struct {
+		typ     byte
+		payload []byte
+	}{
+		{wire.MsgQuery, wire.Query{Spec: spec(all().Limit(2))}.Marshal()},
+		{wire.MsgExecute, wire.Execute{Spec: spec(all().Limit(smoothscan.Param("n"))),
+			Binds: []wire.BindKV{{Name: "n", Val: 2}}}.Marshal()},
+	}
+	for _, req := range short {
+		if err := wire.WriteFrame(conn, req.typ, req.payload); err != nil {
+			t.Fatal(err)
+		}
+		types, rows, last := readUntilEnd(t, conn)
+		if want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) {
+			t.Fatalf("request %#02x: frames %x, want %x", req.typ, types, want)
+		}
+		if m := end(last); m.More || m.Summary.Rows != 2 || rows != 2 {
+			t.Fatalf("request %#02x: End %+v after %v rows, want the summary of 2", req.typ, m, rows)
+		}
+	}
+
+	// FetchRows: 64 sizes the first window; a Fetch serves the rest.
+	if err := wire.WriteFrame(conn, wire.MsgQuery, wire.Query{Spec: spec(all().Limit(2000)), FetchRows: 64}.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if typ != wire.MsgError {
-		t.Fatalf("v1 Hello answered with frame %#02x, want Error", typ)
+	types, rows, last := readUntilEnd(t, conn)
+	if want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) || rows != 64 {
+		t.Fatalf("first window: frames %x rows %v, want %x with 64 rows", types, rows, want)
 	}
-	m, err := wire.DecodeError(payload)
-	if err != nil {
+	if m := end(last); !m.More {
+		t.Fatalf("first window of 64 out of 2000 rows ended %+v, want More", m)
+	}
+	if err := wire.WriteFrame(conn, wire.MsgFetch, wire.Fetch{}.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("version 1 not supported (server speaks %d)", wire.Version)
-	if m.Class != wire.ClassBadRequest || !strings.Contains(m.Msg, want) {
-		t.Fatalf("v1 Hello: %s %q, want bad-request naming %q", wire.ClassName(m.Class), m.Msg, want)
+	types, rows, last = readUntilEnd(t, conn)
+	if m := end(last); m.More || m.Summary.Rows != 2000 || rows != 2000-64 {
+		t.Fatalf("Fetch after the first window: frames %x rows %v End %+v, want the other 1936 rows and a summary of 2000",
+			types, rows, m)
+	}
+
+	// A failed open is one Error frame: the next response on the
+	// connection is the next request's.
+	if err := wire.WriteFrame(conn, wire.MsgQuery, wire.Query{Spec: wire.QuerySpec{Table: "nope"}}.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if typ, payload, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgError {
+		t.Fatalf("unknown table: frame %#02x (%q), %v, want one Error", typ, payload, err)
+	}
+	if err := wire.WriteFrame(conn, wire.MsgStats, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgStatsReply {
+		t.Fatalf("Stats after a failed open: frame %#02x, %v, want StatsReply", typ, err)
 	}
 }
 
@@ -118,6 +252,80 @@ func TestConnCloseEndsOpenStream(t *testing.T) {
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatalf("Rows.Close after Conn.Close: %v", err)
+	}
+}
+
+// TestCloseBeforeFirstNext: the first window is in flight before the
+// caller's first Next, so closing a stream that was never read must
+// drain it and resynchronise the connection — whether the window holds
+// the whole result, only its start, or the caller's context was
+// cancelled first. After each, the same Conn serves the next query,
+// the server counts one Cancel, and no goroutine outlives the streams.
+func TestCloseBeforeFirstNext(t *testing.T) {
+	addr, _ := startServer(t, server.Config{})
+	c := dial(t, addr)
+	base := runtime.NumGoroutine()
+	cases := []struct {
+		name      string
+		fetchRows int
+		q         smoothscan.Builder
+		cancel    bool
+	}{
+		{"complete", 0, rangeQuery(c, 0, 2000).Limit(2), false},
+		{"windowed", 64, rangeQuery(c, 0, 2000).Limit(2000).WithOptions(smoothscan.ScanOptions{Parallelism: 4}), false},
+		{"ctx-cancelled", 64, rangeQuery(c, 0, 2000).Limit(2000), true},
+	}
+	for i, tc := range cases {
+		c.SetFetchRows(tc.fetchRows)
+		ctx, cancel := context.WithCancel(context.Background())
+		rows, err := tc.q.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.cancel {
+			cancel()
+			if rows.Next() {
+				t.Fatalf("%s: Next advanced under a cancelled context", tc.name)
+			}
+			if !errors.Is(rows.Err(), context.Canceled) {
+				t.Fatalf("%s: Err = %v, want context.Canceled", tc.name, rows.Err())
+			}
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", tc.name, err)
+		}
+		cancel()
+		if !tc.cancel && rows.Err() != nil {
+			t.Fatalf("%s: Err after Close = %v", tc.name, rows.Err())
+		}
+		next, err := rangeQuery(c, 0, 2000).Limit(100).Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: query after Close: %v", tc.name, err)
+		}
+		if n := drain(t, next); n != 100 {
+			t.Fatalf("%s: query after Close returned %d rows, want 100", tc.name, n)
+		}
+		st, err := c.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cancels != int64(i+1) {
+			t.Fatalf("%s: server counted %d cancels after %d closes", tc.name, st.Cancels, i+1)
+		}
+	}
+	if c.Broken() {
+		t.Fatal("connection marked broken by early closes")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= base+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not settle: %d now vs %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

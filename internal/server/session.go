@@ -111,13 +111,15 @@ func (ss *session) setCancel(fn context.CancelFunc) {
 	ss.curMu.Unlock()
 }
 
-// send writes one frame and flushes it; a false return means the
-// connection is dead and the session must exit.
+// write buffers one frame without flushing it; a false return means
+// the connection is dead and the session must exit.
+func (ss *session) write(typ byte, payload []byte) bool {
+	return wire.WriteFrame(ss.bw, typ, payload) == nil
+}
+
+// send writes one frame and flushes everything buffered with it.
 func (ss *session) send(typ byte, payload []byte) bool {
-	if err := wire.WriteFrame(ss.bw, typ, payload); err != nil {
-		return false
-	}
-	return ss.bw.Flush() == nil
+	return ss.write(typ, payload) && ss.bw.Flush() == nil
 }
 
 // sendErr sends a typed Error frame.
@@ -213,7 +215,7 @@ func (ss *session) handle(fr frame) bool {
 		if err != nil {
 			return ss.fail(err)
 		}
-		return ss.handleQuery(m.Spec)
+		return ss.handleQuery(m)
 	case wire.MsgFetch:
 		m, err := wire.DecodeFetch(fr.payload)
 		if err != nil {
@@ -263,9 +265,6 @@ func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
 // prepared again — a plan-cache hit after the first time — and bound,
 // so bind errors and ExecStats are exactly a local Stmt.Run's.
 func (ss *session) handleExecute(m wire.Execute) bool {
-	if ss.cur != nil {
-		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
-	}
 	bind := make(smoothscan.Bind, len(m.Binds))
 	for _, b := range m.Binds {
 		bind[b.Name] = b.Val
@@ -276,21 +275,24 @@ func (ss *session) handleExecute(m wire.Execute) bool {
 			return nil, err
 		}
 		return stmt.Run(ctx, bind)
-	})
+	}, int(m.FetchRows))
 }
 
-func (ss *session) handleQuery(spec wire.QuerySpec) bool {
-	if ss.cur != nil {
-		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
-	}
+func (ss *session) handleQuery(m wire.Query) bool {
 	return ss.openCursor(func(ctx context.Context) (*smoothscan.Rows, error) {
-		return ss.srv.db.QueryFromSpec(spec).Run(ctx)
-	})
+		return ss.srv.db.QueryFromSpec(m.Spec).Run(ctx)
+	}, int(m.FetchRows))
 }
 
 // openCursor admits the query, runs it, and opens the session's
-// cursor, replying ExecOK with the result columns.
-func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error)) bool {
+// cursor. A failed open is answered by its Error frame alone; an open
+// cursor by ExecOK with the result columns, buffered, and then the
+// first window of up to fetchRows rows (0 = the default), exactly as a
+// Fetch would serve it. A short result therefore leaves as one write.
+func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error), fetchRows int) bool {
+	if ss.cur != nil {
+		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
+	}
 	release, err := ss.srv.admit()
 	if err != nil {
 		return ss.fail(err)
@@ -315,7 +317,7 @@ func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error
 	if need := batchRows * len(cols); len(ss.flat) < need {
 		ss.flat = make([]int64, need)
 	}
-	return ss.send(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal())
+	return ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) && ss.handleFetch(fetchRows)
 }
 
 // closeCursor tears the open cursor down: cancel the query context,
@@ -335,7 +337,9 @@ func (ss *session) closeCursor() {
 
 // handleFetch streams up to maxRows rows of the open cursor as Batch
 // frames, ending the window with End (More when the budget filled
-// before the stream ended) or a classified Error.
+// before the stream ended) or a classified Error. Frames are flushed
+// at End or Error, and after a full Batch with more of the window to
+// come, so the client decodes one batch while the next is encoded.
 func (ss *session) handleFetch(maxRows int) bool {
 	c := ss.cur
 	if c == nil {
@@ -358,12 +362,15 @@ func (ss *session) handleFetch(maxRows int) bool {
 		if n > 0 {
 			ss.enc.B = ss.enc.B[:0]
 			ss.enc.AppendBatch(ss.flat, n, c.width)
-			if !ss.send(wire.MsgBatch, ss.enc.B) {
+			if !ss.write(wire.MsgBatch, ss.enc.B) {
 				return false
 			}
 			ss.srv.ctr.rowsSent.Add(int64(n))
 			ss.srv.ctr.batchesSent.Add(1)
 			sent += n
+			if n == chunk && sent < maxRows && ss.bw.Flush() != nil {
+				return false
+			}
 		}
 		if n < chunk {
 			// Stream ended (or failed) inside this chunk.

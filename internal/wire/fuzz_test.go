@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -42,7 +44,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		{MsgHelloOK, HelloOK{Version: 1}.Marshal()},
 		{MsgPrepare, Prepare{Spec: spec}.Marshal()},
 		{MsgPrepareOK, PrepareOK{Params: []string{"hi"}}.Marshal()},
-		{MsgExecute, Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 42}}}.Marshal()},
+		{MsgExecute, Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 42}}, FetchRows: 64}.Marshal()},
 		{MsgExecOK, ExecOK{Cols: []string{"id", "val"}}.Marshal()},
 		{MsgFetch, Fetch{MaxRows: 1024}.Marshal()},
 		{MsgBatch, batch.B},
@@ -50,8 +52,10 @@ func FuzzDecodeMessage(f *testing.F) {
 		{MsgEnd, End{Summary: ExecSummary{Rows: 2, PlanCacheHit: true, Degraded: []string{"a"}}}.Marshal()},
 		{MsgError, ErrorMsg{Class: ClassTransient, Msg: "injected"}.Marshal()},
 		{MsgOK, nil},
-		{MsgQuery, Query{Spec: spec}.Marshal()},
+		{MsgQuery, Query{Spec: spec, FetchRows: 4096}.Marshal()},
 		{MsgQuery, Query{Spec: hostile}.Marshal()},
+		// A window budget one past MaxUint32: malformed, never truncated.
+		{MsgQuery, binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), math.MaxUint32+1)},
 		{MsgPrepare, Prepare{Spec: hostile}.Marshal()},
 		{MsgStatsReply, ServerStats{QueriesServed: 1}.Marshal()},
 		{MsgFaultCtl, FaultCtl{Seed: 1, Rules: []FaultRuleSpec{{Kind: 0, Rate: 0.5}}}.Marshal()},

@@ -24,7 +24,7 @@ func (m Hello) Marshal() []byte {
 // DecodeHello parses a Hello payload.
 func DecodeHello(p []byte) (Hello, error) {
 	d := NewDecoder(p)
-	m := Hello{Magic: uint32(d.Uvarint()), Version: uint32(d.Uvarint())}
+	m := Hello{Magic: d.U32(), Version: d.U32()}
 	return m, d.Finish()
 }
 
@@ -43,7 +43,7 @@ func (m HelloOK) Marshal() []byte {
 // DecodeHelloOK parses a HelloOK payload.
 func DecodeHelloOK(p []byte) (HelloOK, error) {
 	d := NewDecoder(p)
-	m := HelloOK{Version: uint32(d.Uvarint())}
+	m := HelloOK{Version: d.U32()}
 	return m, d.Finish()
 }
 
@@ -104,9 +104,14 @@ type BindKV struct {
 
 // Execute prepares the spec, binds it and runs it, opening the
 // session's cursor: a prepared statement's execution, self-contained.
+// The server answers ExecOK and serves the first window right away, as
+// if a Fetch{MaxRows: FetchRows} had followed.
 type Execute struct {
 	Spec  QuerySpec
 	Binds []BindKV
+	// FetchRows is the first window's row budget, Fetch.MaxRows's
+	// meaning: 0 selects the server's default window.
+	FetchRows uint32
 }
 
 // Marshal serialises the message payload.
@@ -118,6 +123,7 @@ func (m Execute) Marshal() []byte {
 		e.Str(b.Name)
 		e.Varint(b.Val)
 	}
+	e.Uvarint(uint64(m.FetchRows))
 	return e.B
 }
 
@@ -130,31 +136,37 @@ func DecodeExecute(p []byte) (Execute, error) {
 	for i := 0; i < n && d.Err == nil; i++ {
 		m.Binds = append(m.Binds, BindKV{Name: d.Str(), Val: d.Varint()})
 	}
+	m.FetchRows = d.U32()
 	return m, d.Finish()
 }
 
 // Query executes an ad-hoc query (literals inline); the server still
-// routes it through its plan cache.
+// routes it through its plan cache. Like Execute, it is answered with
+// ExecOK and the first window.
 type Query struct {
 	Spec QuerySpec
+	// FetchRows is the first window's row budget, as in Execute.
+	FetchRows uint32
 }
 
 // Marshal serialises the message payload.
 func (m Query) Marshal() []byte {
 	var e Encoder
 	e.AppendSpec(&m.Spec)
+	e.Uvarint(uint64(m.FetchRows))
 	return e.B
 }
 
 // DecodeQuery parses a Query payload.
 func DecodeQuery(p []byte) (Query, error) {
 	d := NewDecoder(p)
-	m := Query{Spec: d.DecodeSpec()}
+	m := Query{Spec: d.DecodeSpec(), FetchRows: d.U32()}
 	return m, d.Finish()
 }
 
 // ExecOK opens the result stream: the cursor exists and these are its
-// output columns.
+// output columns. The first window's Batch frames and End follow it
+// without a Fetch.
 type ExecOK struct {
 	Cols []string
 }
@@ -181,8 +193,9 @@ func DecodeExecOK(p []byte) (ExecOK, error) {
 	return m, d.Finish()
 }
 
-// Fetch pulls up to MaxRows rows from the open cursor. The server
-// answers with zero or more Batch frames followed by one End.
+// Fetch pulls up to MaxRows rows from the open cursor (0 = the
+// server's default window). The server answers with zero or more Batch
+// frames followed by one End.
 type Fetch struct {
 	MaxRows uint32
 }
@@ -197,7 +210,7 @@ func (m Fetch) Marshal() []byte {
 // DecodeFetch parses a Fetch payload.
 func DecodeFetch(p []byte) (Fetch, error) {
 	d := NewDecoder(p)
-	m := Fetch{MaxRows: uint32(d.Uvarint())}
+	m := Fetch{MaxRows: d.U32()}
 	return m, d.Finish()
 }
 

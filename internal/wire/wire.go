@@ -48,7 +48,10 @@ const (
 	// Version is the protocol revision; the server rejects a Hello
 	// carrying a different one. Version 2 made statements stateless:
 	// Execute carries its spec, and the server holds no handles.
-	Version uint32 = 2
+	// Version 3 made opening a stream one round trip: Query and Execute
+	// carry the first window's row budget, and the server answers ExecOK
+	// followed by that window without waiting for a Fetch.
+	Version uint32 = 3
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20
@@ -63,15 +66,15 @@ const (
 	MsgHelloOK      byte = 0x02 // server → client: handshake accepted
 	MsgPrepare      byte = 0x03 // client: validate a QuerySpec, learn its parameters
 	MsgPrepareOK    byte = 0x04 // server: parameter names
-	MsgExecute      byte = 0x05 // client: prepare + bind + execute a QuerySpec
-	MsgExecOK       byte = 0x06 // server: cursor opened, result columns follow
+	MsgExecute      byte = 0x05 // client: prepare + bind + execute a QuerySpec, serve the first window
+	MsgExecOK       byte = 0x06 // server: cursor opened; the first window's Batch* End follow
 	MsgFetch        byte = 0x07 // client: pull up to MaxRows rows from the cursor
 	MsgBatch        byte = 0x08 // server: one column-encoded row batch
 	MsgEnd          byte = 0x09 // server: fetch window done (More) or stream complete (summary)
 	MsgError        byte = 0x0a // server: typed error, terminates the current command
 	MsgOK           byte = 0x0c // server: generic success
 	MsgCancel       byte = 0x0d // client: cancel the open cursor (also valid mid-stream)
-	MsgQuery        byte = 0x0e // client: ad-hoc execute (literals inline)
+	MsgQuery        byte = 0x0e // client: ad-hoc execute (literals inline), serve the first window
 	MsgStats        byte = 0x0f // client: server counters snapshot
 	MsgStatsReply   byte = 0x10 // server: ServerStats
 	MsgFaultCtl     byte = 0x11 // client: attach/clear a fault-injection policy (admin)
@@ -341,6 +344,18 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	d.off += n
 	return v
+}
+
+// U32 reads an unsigned varint that must fit in 32 bits: a larger value
+// is malformed, never silently truncated (a forged 2^32 would otherwise
+// read as 0, which several fields give a meaning of its own).
+func (d *Decoder) U32() uint32 {
+	v := d.Uvarint()
+	if v > math.MaxUint32 {
+		d.fail("uvarint overflows uint32")
+		return 0
+	}
+	return uint32(v)
 }
 
 // Varint reads a zigzag-encoded signed varint.

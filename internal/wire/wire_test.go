@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -180,11 +181,18 @@ func TestMessageRoundTrips(t *testing.T) {
 			func(p []byte) (any, error) { return DecodePrepare(p) }, Prepare{Spec: spec}},
 		{"query", Query{Spec: spec}.Marshal(),
 			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec}},
+		{"query-window", Query{Spec: spec, FetchRows: 64}.Marshal(),
+			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec, FetchRows: 64}},
+		{"query-max-window", Query{Spec: spec, FetchRows: math.MaxUint32}.Marshal(),
+			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec, FetchRows: math.MaxUint32}},
 		{"prepareok", PrepareOK{Params: []string{"lo", "hi"}}.Marshal(),
 			func(p []byte) (any, error) { return DecodePrepareOK(p) }, PrepareOK{Params: []string{"lo", "hi"}}},
 		{"execute", Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecute(p) },
 			Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}},
+		{"execute-window", Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 3}}, FetchRows: 4096}.Marshal(),
+			func(p []byte) (any, error) { return DecodeExecute(p) },
+			Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 3}}, FetchRows: 4096}},
 		{"execok", ExecOK{Cols: []string{"a", "b"}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecOK(p) }, ExecOK{Cols: []string{"a", "b"}}},
 		{"fetch", Fetch{MaxRows: 512}.Marshal(),
@@ -215,6 +223,33 @@ func TestMessageRoundTrips(t *testing.T) {
 		if _, err := tc.decode(append(append([]byte{}, tc.marshal...), 0x00)); err == nil {
 			t.Fatalf("%s: trailing byte accepted", tc.name)
 		}
+	}
+}
+
+// TestWindowBudgetOverflowIsMalformed: a row budget travels as a
+// uvarint but means a uint32. A forged value past MaxUint32 must be
+// refused as malformed, not truncated: 2^32 would otherwise arrive as 0,
+// the server's default window (and 2^32+3 in a Hello as version 3).
+func TestWindowBudgetOverflowIsMalformed(t *testing.T) {
+	spec := QuerySpec{Table: "t"}
+	over := func(prefix []byte) []byte {
+		return binary.AppendUvarint(append([]byte(nil), prefix...), math.MaxUint32+1)
+	}
+	noBinds := binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 0)
+	magic := binary.AppendUvarint(nil, uint64(Magic))
+	cases := map[string]func() error{
+		"fetch":   func() error { _, err := DecodeFetch(over(nil)); return err },
+		"query":   func() error { _, err := DecodeQuery(over(Prepare{Spec: spec}.Marshal())); return err },
+		"execute": func() error { _, err := DecodeExecute(over(noBinds)); return err },
+		"hello":   func() error { _, err := DecodeHello(over(magic)); return err },
+	}
+	for name, decode := range cases {
+		if err := decode(); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s carrying 2^32: %v, want ErrMalformed", name, err)
+		}
+	}
+	if m, err := DecodeFetch(Fetch{MaxRows: math.MaxUint32}.Marshal()); err != nil || m.MaxRows != math.MaxUint32 {
+		t.Errorf("Fetch{MaxRows: MaxUint32} decoded as %+v, %v, want it accepted", m, err)
 	}
 }
 

@@ -533,6 +533,38 @@ func TestRemoteShardedStats(t *testing.T) {
 	}
 }
 
+// TestRemoteShardedEarlyClosePoolReuse: an ordered top-5 over two
+// remote shards closes each shard's stream while its first window is
+// still in flight. Closing must drain that window so the pooled
+// connection goes back in step; a desynchronised one would be marked
+// broken and re-dialed, which each node's session count would show.
+func TestRemoteShardedEarlyClosePoolReuse(t *testing.T) {
+	ctx := context.Background()
+	fx := buildRemoteSharded(t, 2, "hash")
+	const poolCap = 8 // the remote driver's idle connections per shard
+	before := make([]int64, len(fx.srvs))
+	for i, srv := range fx.srvs {
+		before[i] = srv.Stats().SessionsTotal
+	}
+	for i := 0; i < 20; i++ {
+		q := func(s *smoothscan.ShardedDB) *smoothscan.Query {
+			return s.Query("t").Where("val", smoothscan.Ge(int64(i*50))).OrderBy("id").Limit(5)
+		}
+		want := runDrain(t, q(fx.local), ctx)
+		got := runDrain(t, q(fx.remote), ctx)
+		if len(want) != 5 {
+			t.Fatalf("query %d: in-process sharded run returned %d rows, want 5", i, len(want))
+		}
+		requireSameRows(t, want, got, true)
+	}
+	for i, srv := range fx.srvs {
+		if grown := srv.Stats().SessionsTotal - before[i]; grown > poolCap {
+			t.Errorf("node %d: %d sessions opened over 20 queries, want at most %d (connections re-dialed after desynchronising)",
+				i, grown, poolCap)
+		}
+	}
+}
+
 // TestRemoteShardedErrorParity: a typed engine fault injected on one
 // node crosses the wire with its error class intact, exactly as for an
 // unsharded remote query.

@@ -9,9 +9,10 @@
 # Writes BENCH_e2e.json at the repository root: machine record, both
 # commits, and per workload x end-to-end metric both medians, both
 # quartile distances (Q3-Q1) and the pairs B won. Nothing under bench/
-# is touched; the ref's checkout lives under .bench_build/ab/ and is
-# removed on exit, the per-run result files stay in .bench_build/ab/runs/
-# until the next invocation.
+# is touched; the ref's sources are a `git archive` extract under
+# .bench_build/ab/ (no worktree, so the repository's git metadata is
+# never written), removed on exit; the per-run result files stay in
+# .bench_build/ab/runs/ until the next invocation.
 set -euo pipefail
 ref="${1:?usage: scripts/ab.sh <ref> [pairs=5] [seconds=4]}"
 pairs="${2:-5}"
@@ -26,15 +27,12 @@ b_commit="$(git rev-parse --short HEAD)"
 
 a_root="$root/.bench_build/ab/$a_commit"
 runs="$root/.bench_build/ab/runs"
-cleanup() {
-	git worktree remove --force "$a_root" 2>/dev/null || true
-	git worktree prune
-}
+cleanup() { rm -rf "$a_root"; }
 trap cleanup EXIT
 cleanup
 rm -rf "$runs"
-mkdir -p "$runs"
-git worktree add --detach "$a_root" "$a_commit" >/dev/null
+mkdir -p "$runs" "$a_root"
+git archive "$a_commit" | tar -x -C "$a_root"
 
 # One run of one side; run.sh rebuilds (from cache after the first time).
 run() { # side-root workload out-file

@@ -3,7 +3,10 @@
 // embedded engine exposes, spoken to a cmd/ssserver over TCP. A
 // prepared statement is a client-side value — its spec plus the
 // connection — and each Run ships the spec with its bind, so the
-// server keeps no per-session statement state.
+// server keeps no per-session statement state. Every Run is one round
+// trip to its first rows: the request carries the fetch window, and the
+// server answers with the opened stream and that window together, so a
+// result that fits in one window never needs a second exchange.
 //
 //	c, _ := ssclient.Dial(addr)
 //	defer c.Close()
@@ -86,8 +89,8 @@ type FaultRule struct {
 	ExtraCost float64
 }
 
-// DefaultFetchRows is the per-Fetch row budget Rows uses unless
-// Conn.SetFetchRows overrides it.
+// DefaultFetchRows is the fetch window (the first one included) Rows
+// uses unless Conn.SetFetchRows overrides it.
 const DefaultFetchRows = client.DefaultFetchRows
 
 // Conn is one protocol session. Not safe for concurrent use. The
