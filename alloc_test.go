@@ -65,20 +65,38 @@ func drainRows(t *testing.T, b smoothscan.Builder) int {
 
 // TestFacadeScanAllocBudget: a 20 % range scan through
 // Engine.Table(...).Where(...).Run and Next/Row costs what the operator
-// tree costs to build and run — nothing per row, nothing per batch.
+// tree costs to build and run — nothing per row, nothing per batch, and
+// no staging of a morphing region's rows (Smooth Scan decodes them from
+// the region's pages straight into the drain batch).
 func TestFacadeScanAllocBudget(t *testing.T) {
 	db, err := loadgen.BuildDB(allocRows, allocDomain, 3, smoothscan.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := drainRows(t, scanFifth(db, allocDomain))
+	scan := func() int { return drainRows(t, scanFifth(db, allocDomain)) }
+	rows := scan()
 	if rows < allocRows/6 || rows > allocRows/4 {
 		t.Fatalf("scan delivered %d rows, want about %d", rows, allocRows/5)
 	}
-	allocs := testing.AllocsPerRun(5, func() { drainRows(t, scanFifth(db, allocDomain)) })
+	allocs := testing.AllocsPerRun(5, func() { scan() })
 	t.Logf("facade scan: %.0f allocs/query for %d rows", allocs, rows)
 	if allocs > 250 {
 		t.Errorf("facade scan allocates %.0f times per query, budget is 250", allocs)
+	}
+	if raceEnabled {
+		return // the byte budget counts on the pooled drain batch coming back
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("facade scan: %.0f bytes/query", perQuery)
+	if perQuery > 32<<10 {
+		t.Errorf("facade scan allocates %.0f bytes per query, budget is 32 KB", perQuery)
 	}
 }
 

@@ -8,9 +8,15 @@
 // the disk). The paper evaluates cold runs; Reset restores that state
 // between queries.
 //
-// Pages are immutable at query time (the engine is bulk-load-then-read,
-// like the paper's experiments), so frames hold read-only aliases of
-// device memory and eviction never writes back.
+// Frames hold read-only aliases of device memory, and eviction only
+// drops a frame: it never writes back and never overwrites the bytes a
+// caller was handed. So a scan may hold page slices across NextBatch
+// calls — a full scan its read-ahead chunk, Smooth Scan its current
+// morphing region. The one writer is heap Insert, which rewrites the
+// table's last page in place (disk.Device.WritePage), after which its
+// caller invalidates that page's frame; a scan reading the page
+// meanwhile races with the write. That race is a known defect, still
+// open.
 //
 // A Pool is safe for concurrent use: the frame table is guarded by one
 // mutex shared by every view of the pool. A Pool value is itself a

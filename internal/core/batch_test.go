@@ -86,43 +86,110 @@ func TestBatchedSmoothScanEquivalence(t *testing.T) {
 }
 
 // TestBatchedSmoothScanTriggersAndModes covers the non-eager triggers
-// (which exercise the Tuple ID cache inside the batched analysePage)
-// and the Entire-Page-Probe-only mode cap.
+// (which exercise the Tuple ID cache: ordered page analysis skips, and
+// the unordered region drain vetoes, tuples produced in Mode 0),
+// residual conjuncts on the unordered path and the
+// Entire-Page-Probe-only mode cap. Rows, device counters and the
+// operator's Stats must all match a one-row-per-pull drain.
 func TestBatchedSmoothScanTriggersAndModes(t *testing.T) {
 	const numRows = 600
 	gen := func(i int64) int64 { return (i * 131) % numRows }
 	pred := tuple.RangePred{Col: 1, Lo: 50, Hi: 350}
+	residual := []tuple.RangePred{{Col: 2, Lo: 1, Hi: 3}}
 	cfgs := map[string]Config{
-		"optimizer-trigger": {Trigger: OptimizerDriven, EstimatedCard: 40},
-		"optimizer-ordered": {Trigger: OptimizerDriven, EstimatedCard: 40, Ordered: true},
-		"entire-page-only":  {MaxMode: ModeEntirePage},
+		"optimizer-trigger":  {Trigger: OptimizerDriven, EstimatedCard: 40},
+		"optimizer-ordered":  {Trigger: OptimizerDriven, EstimatedCard: 40, Ordered: true},
+		"optimizer-residual": {Trigger: OptimizerDriven, EstimatedCard: 40, Residual: residual},
+		"unordered-residual": {Residual: residual},
+		"entire-page-only":   {MaxMode: ModeEntirePage},
 	}
 	for name, cfg := range cfgs {
 		cfg := cfg
 		cfg.MaxRegionPages = 8
-		t.Run(name, func(t *testing.T) {
+		for _, batchCap := range []int{1, 7, 1024} {
+			t.Run(fmt.Sprintf("%s/batch=%d", name, batchCap), func(t *testing.T) {
+				fxA := newFixture(t, numRows, 32, gen)
+				ssA, err := NewSmoothScan(fxA.file, fxA.pool, fxA.tree, pred, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := drainBatched(t, ssA, 1)
+				if oracle := expectedMatching(fxA.rows, pred, cfg.Residual); len(want) != len(oracle) {
+					t.Fatalf("batch=1 drain has %d rows, want %d", len(want), len(oracle))
+				}
+
+				fxB := newFixture(t, numRows, 32, gen)
+				ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainBatched(t, ssB, batchCap)
+
+				if !rowsEqual(want, got) {
+					t.Fatalf("rows differ: batch=1 %d rows, wider %d rows", len(want), len(got))
+				}
+				if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
+					t.Errorf("device stats differ:\n batch=1: %+v\n wider:   %+v", sa, sb)
+				}
+				if sa, sb := ssA.Stats(), ssB.Stats(); sa != sb {
+					t.Errorf("operator stats differ:\n batch=1: %+v\n wider:   %+v", sa, sb)
+				}
+			})
+		}
+	}
+
+	// Closing mid-region drops the undelivered rest of the region; a
+	// re-Open starts over and must deliver exactly a fresh scan's rows.
+	for name, cfg := range cfgs {
+		cfg := cfg
+		cfg.MaxRegionPages = 8
+		t.Run(name+"/reopen", func(t *testing.T) {
 			fxA := newFixture(t, numRows, 32, gen)
 			ssA, err := NewSmoothScan(fxA.file, fxA.pool, fxA.tree, pred, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := drainBatched(t, ssA, 1)
+			want := drainBatched(t, ssA, 7)
 
 			fxB := newFixture(t, numRows, 32, gen)
 			ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainBatched(t, ssB, 64)
-
-			if !rowsEqual(want, got) {
-				t.Fatalf("rows differ: batch=1 %d rows, wider %d rows", len(want), len(got))
+			// Pull until the scan has flattened into multi-page regions,
+			// then stop with rows of the current region undelivered.
+			if err := ssB.Open(); err != nil {
+				t.Fatal(err)
 			}
-			if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-				t.Errorf("device stats differ:\n batch=1: %+v\n wider:   %+v", sa, sb)
+			b := tuple.NewBatchFor(ssB.Schema(), 7)
+			for i := 0; i < 6; i++ {
+				if _, err := ssB.NextBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !cfg.Ordered && ssB.next >= len(ssB.region) {
+				t.Fatalf("closed with no region rows pending; the case does not close mid-region")
+			}
+			if err := ssB.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := drainBatched(t, ssB, 7); !rowsEqual(want, got) {
+				t.Fatalf("re-opened scan: %d rows, fresh scan %d (or order differs)", len(got), len(want))
 			}
 		})
 	}
+}
+
+// expectedMatching returns the rows matching pred and every residual
+// conjunct, in load order.
+func expectedMatching(rows []tuple.Row, pred tuple.RangePred, residual []tuple.RangePred) []tuple.Row {
+	var out []tuple.Row
+	for _, r := range rows {
+		if pred.Matches(r) && tuple.MatchesAll(residual, r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // TestSmoothScanMixedCapacities alternates one-row and 32-row pulls on

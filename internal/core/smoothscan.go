@@ -285,10 +285,19 @@ type SmoothScan struct {
 	pageSeen *bitmap.Bitmap // Page ID cache
 	tupSeen  *bitmap.Bitmap // Tuple ID cache (non-eager triggers only)
 	cache    *spillingCache // ordered mode only
-	queue    *tuple.Batch   // unordered mode: pending region tuples, flat
-	queuePos int
-	runBuf   [][]byte  // GetRun scratch, reused across regions
-	scratch  tuple.Row // per-slot decode scratch (ordered/tupSeen paths)
+	scratch  tuple.Row      // per-slot decode scratch (ordered mode)
+
+	// region is GetRun's scratch, reused across regions. In unordered
+	// mode its front holds the current region's pages with results, in
+	// page order, and at their page numbers and resume slots; drain
+	// decodes them into the caller's batch from region[next] on.
+	// Ordered mode keeps nothing there.
+	region [][]byte
+	at     []pageCursor
+	next   int
+	// keep vetoes slots produced in Mode 0 (Tuple ID cache paths only);
+	// it is bound once per Open.
+	keep func(slot int) bool
 
 	regionPages int64 // current morphing region size
 	triggerCard int64 // produced-count threshold for non-eager triggers
@@ -298,6 +307,15 @@ type SmoothScan struct {
 	globalPagesWithRes int64
 
 	stats Stats
+}
+
+// pageCursor locates a staged region page, the slot its delivery
+// resumes at and its tuple count when it was analysed. drain reads only
+// those slots, so it delivers exactly what the analysis counted even if
+// a concurrent Insert has since appended to the page.
+type pageCursor struct {
+	no          int64
+	slot, count int32
 }
 
 // Validate checks everything about the configuration that does not
@@ -390,12 +408,7 @@ func (s *SmoothScan) Open() error {
 	s.pageSeen = bitmap.New(s.file.NumPages())
 	s.stats.PageCacheBytes = s.pageSeen.MemoryBytes()
 	s.regionPages = 1
-	if s.queue == nil {
-		s.queue = tuple.NewGrowableBatch(s.file.Schema().NumCols())
-	}
-	s.queue.Reset()
-	s.queuePos = 0
-	s.scratch = tuple.NewRow(s.file.Schema())
+	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
 	s.globalPagesSeen = 0
 	s.globalPagesWithRes = 0
 
@@ -414,8 +427,10 @@ func (s *SmoothScan) Open() error {
 	if s.mode == ModeIndex {
 		s.tupSeen = bitmap.New(s.file.NumTuples())
 		s.stats.TupleCacheBytes = s.tupSeen.MemoryBytes()
+		s.keep = s.unproduced
 	}
 	if s.cfg.Ordered {
+		s.scratch = tuple.NewRow(s.file.Schema())
 		bounds, err := s.tree.RootKeys(s.pool)
 		if err != nil {
 			return fmt.Errorf("smooth scan: %w", err)
@@ -427,12 +442,13 @@ func (s *SmoothScan) Open() error {
 	return nil
 }
 
-// Close releases the scan. Statistics (including Result Cache peaks)
-// remain readable after Close; the region queue's buffer is kept for
-// reuse by a later Open.
+// Close releases the scan, dropping any undelivered rest of the
+// current region. Statistics (including Result Cache peaks) remain
+// readable after Close.
 func (s *SmoothScan) Close() error {
 	s.open = false
 	s.it = nil
+	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
 	return nil
 }
 
@@ -440,19 +456,18 @@ func (s *SmoothScan) tidBit(tid heap.TID) int64 {
 	return tid.Page*int64(s.file.TuplesPerPage()) + int64(tid.Slot)
 }
 
-// NextBatch fills out with the next qualifying tuples. Whole regions
-// flow from the queue into the caller's batch as flat copies, so the
-// morphing fast path allocates nothing per tuple.
+// NextBatch fills out with the next qualifying tuples. An unordered
+// region's rows are decoded from its pages straight into out, resuming
+// where the previous call stopped, so the morphing fast path allocates
+// nothing per tuple and stages nothing.
 func (s *SmoothScan) NextBatch(out *tuple.Batch) (int, error) {
 	if !s.open {
 		return 0, ErrClosed
 	}
 	out.Reset()
 	for !out.Full() {
-		if s.queuePos < s.queue.Len() {
-			n := out.AppendRows(s.queue, s.queuePos, s.queue.Len()-s.queuePos)
-			s.queuePos += n
-			s.stats.Produced += int64(n)
+		if s.next < len(s.region) {
+			s.drain(out)
 			continue
 		}
 		row, ok, err := s.advance()
@@ -470,10 +485,33 @@ func (s *SmoothScan) NextBatch(out *tuple.Batch) (int, error) {
 	return out.Len(), nil
 }
 
+// drain decodes the region's pages into out from the resume cursor on,
+// until out fills or the region is delivered. Every charge and counter
+// of these pages was settled when the region was analysed; drain only
+// hands rows over and counts them as Produced.
+func (s *SmoothScan) drain(out *tuple.Batch) {
+	for ; s.next < len(s.region) && !out.Full(); s.next++ {
+		at := &s.at[s.next]
+		before := out.Len()
+		slot, _ := s.file.DecodeBatchMatching(s.region[s.next], int(at.slot), int(at.count), s.pred, s.cfg.Residual, s.keep, out)
+		s.stats.Produced += int64(out.Len() - before)
+		if slot < int(at.count) {
+			at.slot = int32(slot)
+			return
+		}
+	}
+}
+
+// unproduced reports whether a slot of the page being drained was not
+// already produced in Mode 0 — drain's veto on the Tuple ID cache path.
+func (s *SmoothScan) unproduced(slot int) bool {
+	return !s.tupSeen.Get(s.tidBit(heap.TID{Page: s.at[s.next].no, Slot: int32(slot)}))
+}
+
 // advance runs the morphing loop until it produces a direct row (mode-0
-// probe, ordered direct return or cache hit — returned non-nil), refills
-// the unordered queue (returned nil, true), or exhausts the index
-// (false). The caller accounts Produced.
+// probe, ordered direct return or cache hit — returned non-nil), stages
+// an unordered region for drain (returned nil, true), or exhausts the
+// index (false). The caller accounts Produced.
 func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 	if s.done {
 		return nil, false, nil
@@ -526,7 +564,7 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 			// Leaf pointer to an already-analysed page (✕ in Fig. 3).
 			s.stats.LeafPointersSkipped++
 			if !s.cfg.Ordered {
-				continue // tuple was already emitted from the queue
+				continue // tuple was already staged with its region
 			}
 			if s.tupSeen != nil && s.tupSeen.Get(s.tidBit(e.TID)) {
 				continue // produced during Mode 0
@@ -549,26 +587,21 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 			s.stats.DirectReturns++
 			return direct, true, nil
 		}
-		if s.queuePos < s.queue.Len() {
-			return nil, true, nil
-		}
-		// The probed page must contain the probed tuple, so the queue
-		// cannot be empty here unless every region tuple was already
-		// produced in Mode 0; loop to the next entry in that case.
+		return nil, true, nil
 	}
 }
 
 // processRegion fetches and analyses the morphing region starting at
-// the probed entry's page, records qualifying tuples, updates the Page
-// ID cache and lets the policy adjust the region size. In ordered mode
-// it returns the probed tuple; in unordered mode it fills the queue.
+// the probed entry's page, updates the Page ID cache and lets the policy
+// adjust the region size. In ordered mode it records qualifying tuples
+// and returns the probed tuple; in unordered mode it stages the pages
+// holding results for drain.
 func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 	start := probe.TID.Page
 	end := min64(start+s.regionPages, s.cfg.PageHi)
 
 	var direct tuple.Row
-	s.queue.Reset()
-	s.queuePos = 0
+	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
 	regionSeen := int64(0)
 	regionWithRes := int64(0)
 
@@ -582,17 +615,25 @@ func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 		for runEnd < end && !s.pageSeen.Get(runEnd) {
 			runEnd++
 		}
-		pages, err := s.file.GetRun(s.pool, p, runEnd-p, s.runBuf)
+		// GetRun writes the run behind the pages staged so far;
+		// stagePage moves those with results up to the front.
+		s.growRegion(int(runEnd - p))
+		pages, err := s.file.GetRun(s.pool, p, runEnd-p, s.region[len(s.region):cap(s.region)])
 		if err != nil {
 			return nil, fmt.Errorf("smooth scan: %w", err)
 		}
-		s.runBuf = pages
 		for i, page := range pages {
 			pageNo := p + int64(i)
 			s.pageSeen.Set(pageNo)
 			s.stats.PagesFetched++
 			regionSeen++
-			if s.analysePage(page, pageNo, probe, &direct) {
+			var found bool
+			if s.cfg.Ordered {
+				found = s.analysePage(page, pageNo, probe, &direct)
+			} else {
+				found = s.stagePage(page, pageNo)
+			}
+			if found {
 				s.stats.PagesWithResults++
 				regionWithRes++
 			}
@@ -611,23 +652,47 @@ func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 	return nil, nil
 }
 
-// analysePage scans every record of the page (Entire Page Probe),
-// dispatching qualifying tuples; reports whether any qualified.
-//
-// The hot configuration (unordered, eager trigger) decodes matching
-// rows straight into the flat region queue, reading only the predicate
-// column of non-matching slots and allocating nothing per tuple. Other
-// configurations take the general path below. Per-tuple CPU charges
-// are accumulated and flushed in runs (ChargeCPUN), preserving the
-// exact sequence of cost additions of tuple-at-a-time execution.
+// growRegion makes room in region (and at) for n more pages, doubling
+// the capacity when it must grow.
+func (s *SmoothScan) growRegion(n int) {
+	if cap(s.region)-len(s.region) >= n {
+		return
+	}
+	c := max(2*cap(s.region), len(s.region)+n)
+	s.region = append(make([][]byte, 0, c), s.region...)
+	s.at = append(make([]pageCursor, 0, c), s.at...)
+}
+
+// stagePage is unordered mode's Entire Page Probe of a fetched region
+// page: it charges the per-tuple CPU of every record and, when one
+// qualifies, stages the page for drain from its first qualifying slot.
+// It reports whether one did. Qualifying is the predicate plus every
+// residual conjunct, whether or not Mode 0 already produced the tuple,
+// as the ordered analysePage counts a page with results.
+func (s *SmoothScan) stagePage(page []byte, pageNo int64) bool {
+	count := heap.PageTupleCount(page)
+	s.pool.ChargeCPUN(simcost.Tuple, int64(count))
+	slot := s.file.FirstMatch(page, 0, count, s.pred, s.cfg.Residual)
+	if slot == count {
+		return false
+	}
+	// page sits at or beyond index len(s.region) of the backing array
+	// GetRun wrote, so this append neither reallocates nor overwrites a
+	// page still to be analysed.
+	s.region = append(s.region, page)
+	s.at = append(s.at, pageCursor{no: pageNo, slot: int32(slot), count: int32(count)})
+	return true
+}
+
+// analysePage is ordered mode's Entire Page Probe: it scans every
+// record of the page, returning the probed tuple through direct and
+// parking the other qualifying tuples in the Result Cache; it reports
+// whether any qualified. Per-tuple CPU charges are accumulated and
+// flushed in runs (ChargeCPUN), preserving the exact sequence of cost
+// additions of tuple-at-a-time execution. Ordered scans carry no
+// residual conjuncts (Config.Validate).
 func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, direct *tuple.Row) bool {
 	count := heap.PageTupleCount(page)
-	if !s.cfg.Ordered && s.tupSeen == nil {
-		before := s.queue.Len()
-		_, examined := s.file.DecodeBatchMatching(page, 0, count, s.pred, s.cfg.Residual, nil, s.queue)
-		s.pool.ChargeCPUN(simcost.Tuple, int64(examined))
-		return s.queue.Len() > before
-	}
 	found := false
 	pendingTuples := int64(0) // accumulated simcost.Tuple charges
 	for slot := 0; slot < count; slot++ {
@@ -636,43 +701,24 @@ func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, d
 		if v < s.pred.Lo || v >= s.pred.Hi {
 			continue
 		}
-		if !s.slotMatchesResidual(page, slot) {
-			continue
-		}
 		found = true
 		tid := heap.TID{Page: pageNo, Slot: int32(slot)}
 		if s.tupSeen != nil && s.tupSeen.Get(s.tidBit(tid)) {
 			continue // already produced in Mode 0
 		}
-		if s.cfg.Ordered {
-			row := s.file.DecodeRow(page, slot, s.scratch)
-			if tid == probe.TID {
-				*direct = row.Clone()
-			} else {
-				s.pool.ChargeCPUN(simcost.Tuple, pendingTuples)
-				pendingTuples = 0
-				s.pool.ChargeCPU(simcost.Hash)
-				s.cache.insert(row.Int(s.pred.Col), tid, row.Clone())
-				s.stats.CacheInserts++
-			}
+		row := s.file.DecodeRow(page, slot, s.scratch)
+		if tid == probe.TID {
+			*direct = row.Clone()
 		} else {
-			s.file.DecodeRow(page, slot, s.queue.AppendSlotRaw())
+			s.pool.ChargeCPUN(simcost.Tuple, pendingTuples)
+			pendingTuples = 0
+			s.pool.ChargeCPU(simcost.Hash)
+			s.cache.insert(row.Int(s.pred.Col), tid, row.Clone())
+			s.stats.CacheInserts++
 		}
 	}
 	s.pool.ChargeCPUN(simcost.Tuple, pendingTuples)
 	return found
-}
-
-// slotMatchesResidual evaluates the residual conjunction against a
-// slot, reading only the referenced columns.
-func (s *SmoothScan) slotMatchesResidual(page []byte, slot int) bool {
-	for _, p := range s.cfg.Residual {
-		v := s.file.ColInt(page, slot, p.Col)
-		if v < p.Lo || v >= p.Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // updatePolicy adjusts the morphing region after a region was

@@ -269,6 +269,23 @@ func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred
 	return s, s - lo
 }
 
+// FirstMatch returns the first slot in [lo, hi) of a raw page whose pred
+// column satisfies pred and that passes every residual predicate, or hi
+// when none does. Like DecodeBatchMatching it reads only the predicate
+// columns and decodes nothing.
+func (f *File) FirstMatch(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred) int {
+	size := f.schema.TupleSize()
+	predOff := headerSize + lo*size + 8*pred.Col
+	for s := lo; s < hi; s++ {
+		v := int64(binary.LittleEndian.Uint64(page[predOff:]))
+		predOff += size
+		if v >= pred.Lo && v < pred.Hi && (residual == nil || f.slotMatchesAll(page, s, residual)) {
+			return s
+		}
+	}
+	return hi
+}
+
 // slotMatchesAll evaluates a conjunction of range predicates against
 // slot s, reading only the referenced columns.
 func (f *File) slotMatchesAll(page []byte, s int, preds []tuple.RangePred) bool {

@@ -8,8 +8,9 @@ import "sort"
 // producers decode rows directly into slots returned by AppendSlot, so
 // moving a tuple through the pipeline costs no allocation. A batch
 // created with NewGrowableBatch instead grows amortised without bound;
-// the engine uses that form for internal staging buffers (for example
-// the Smooth Scan region queue) that are reused across refills.
+// the engine uses that form for operators that must hold a whole input
+// before producing (Sort Scan's result buffer, the hash join's build
+// arena, the merge join's duplicate-key group).
 //
 // Rows obtained from Row and AppendSlot are views into the backing
 // slice: they are valid until the next Reset (or, for growable batches,
