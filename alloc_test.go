@@ -164,6 +164,56 @@ func TestWireScanAllocsPerRow(t *testing.T) {
 	}
 }
 
+// TestWireStmtAllocs: over the wire a prepared statement's Run is the
+// Execute request an ad-hoc Run sends, plus its bind, and the server
+// answers both through one path. So a remote Stmt.Run of a point
+// lookup costs no more allocations, client and server together, than
+// the same lookup built and run ad hoc.
+func TestWireStmtAllocs(t *testing.T) {
+	db, err := loadgen.BuildDB(allocRows, allocDomain, 3, smoothscan.Options{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := ssclient.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	point := conn.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Eq(smoothscan.Param("v")))
+	stmt, err := conn.PrepareQuery(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := smoothscan.Bind{"v": allocDomain / 2}
+	adhoc := func() {
+		drainRows(t, conn.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Eq(allocDomain/2)))
+	}
+	prepared := func() {
+		cur, err := stmt.Run(context.Background(), bind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cur.Next() {
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adhoc() // warm both shapes in the server's plan cache and pools
+	prepared()
+	a := testing.AllocsPerRun(200, adhoc)
+	p := testing.AllocsPerRun(200, prepared)
+	t.Logf("wire point query: %.1f allocs ad hoc, %.1f prepared", a, p)
+	if p > a {
+		t.Errorf("a remote Stmt.Run allocates %.1f times, more than the %.1f of the ad-hoc query", p, a)
+	}
+}
+
 // TestBatchedScanAllocsPerTuple drives a full batched Smooth Scan at
 // 100% selectivity (the paper's worst case and the benchmark's
 // configuration) and asserts the whole run — operator construction,

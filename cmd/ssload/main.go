@@ -846,7 +846,8 @@ type loadResult struct {
 	SimCost     float64 `json:"simcost"`
 	// PlanReuseRate is the fraction of queries that reused a compiled
 	// plan template (ExecStats.PlanCacheHit): the DB plan cache for
-	// ad-hoc loads, the Stmt's template for prepared loads.
+	// ad-hoc loads, the Stmt's template for prepared loads — or, when
+	// the load is remote, the server's plan cache for both.
 	PlanReuseRate float64 `json:"plan_reuse_rate"`
 	// Errors counts queries that still failed after any application
 	// retries; failed queries are excluded from Queries, the latency

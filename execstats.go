@@ -84,7 +84,9 @@ type ExecStats struct {
 	// PlanCacheHit reports whether this execution reused a compiled
 	// plan template instead of compiling the query structure afresh:
 	// true for every Stmt.Run, and for an ad-hoc Query.Run whose
-	// canonical shape was in the DB-wide plan cache.
+	// canonical shape was in the DB-wide plan cache. A remote execution
+	// reports the server's plan cache, which every run probes: a remote
+	// Stmt.Run hits unless that cache dropped the shape (or is off).
 	PlanCacheHit bool
 	// ResultCache reports whether (and what) the semantic result-cache
 	// tier served this execution. Distinct from PlanCacheHit: the plan

@@ -1,7 +1,8 @@
 // Package client is the SSWP client transport: one connection speaking
 // the prepare → bind → execute → fetch lifecycle against an
-// internal/server session. Opening a stream is one round trip: the
-// Execute or Query request carries the first fetch window's budget, and
+// internal/server session. Every stream opens with one Execute request
+// — an ad-hoc query is an Execute without binds — and opening it is one
+// round trip: the request carries the first fetch window's budget, and
 // the server answers ExecOK followed by that window, so a short result
 // needs no Fetch at all. It depends only on the wire codec, so both
 // the public ssclient package (which re-exports it behind the engine's
@@ -253,21 +254,41 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 	return m.Params, nil
 }
 
-// RunSpec executes the query spec ad hoc (literals inline) and opens a
-// result stream. Parameterized specs must go through ExecuteSpec.
-func (c *Conn) RunSpec(ctx context.Context, spec wire.QuerySpec) (*Rows, error) {
-	return c.openRows(ctx, wire.MsgQuery, wire.Query{Spec: spec, FetchRows: uint32(c.fetchRows)}.Marshal())
-}
-
-// ExecuteSpec prepares the spec server-side, binds b and opens a result
-// stream: one prepared statement's Run. One stream may be open per
-// Conn at a time.
+// ExecuteSpec compiles the spec server-side, binds b and opens a result
+// stream. It is every remote run: an ad-hoc query passes a nil b (its
+// literals are inline), a prepared statement's Run its bind. One
+// stream may be open per Conn at a time.
+//
+// The request carries the first window's budget, so that window is
+// already on its way when ExecOK arrives: the Rows starts with it open
+// and reads it without sending a Fetch.
 func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64) (*Rows, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := c.usable(); err != nil {
+		return nil, err
+	}
 	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b)), FetchRows: uint32(c.fetchRows)}
 	for name, val := range b {
 		m.Binds = append(m.Binds, wire.BindKV{Name: name, Val: val})
 	}
-	return c.openRows(ctx, wire.MsgExecute, m.Marshal())
+	resp, err := c.roundTrip(wire.MsgExecute, m.Marshal(), wire.MsgExecOK)
+	if err != nil {
+		return nil, err
+	}
+	ok, err := wire.DecodeExecOK(resp)
+	if err != nil {
+		return nil, c.broken(err)
+	}
+	r := &Rows{c: c, ctx: ctx, cols: ok.Cols, fetchRows: c.fetchRows, windowOpen: true}
+	c.mu.Lock()
+	c.cur = r
+	c.mu.Unlock()
+	return r, nil
 }
 
 // ServerStats fetches the server's counter snapshot.
@@ -329,33 +350,4 @@ func (c *Conn) ColdCache() error {
 	}
 	_, err := c.roundTrip(wire.MsgColdCache, nil, wire.MsgOK)
 	return err
-}
-
-// openRows issues an Execute/Query request and materialises the
-// ExecOK response into a Rows stream. The request carried the first
-// window's budget, so that window is already on its way: the Rows
-// starts with it open and reads it without sending a Fetch.
-func (c *Conn) openRows(ctx context.Context, reqTyp byte, payload []byte) (*Rows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.usable(); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(reqTyp, payload, wire.MsgExecOK)
-	if err != nil {
-		return nil, err
-	}
-	m, err := wire.DecodeExecOK(resp)
-	if err != nil {
-		return nil, c.broken(err)
-	}
-	r := &Rows{c: c, ctx: ctx, cols: m.Cols, fetchRows: c.fetchRows, windowOpen: true}
-	c.mu.Lock()
-	c.cur = r
-	c.mu.Unlock()
-	return r, nil
 }

@@ -68,10 +68,11 @@ func drain(t *testing.T, rows smoothscan.Cursor) int64 {
 // versions before this one: the server answers each with a bad-request
 // Error naming both versions rather than a stream protocol the peer
 // does not speak (version 1 kept statement handles, version 2 waited
-// for a Fetch before serving any row).
+// for a Fetch before serving any row, version 3 opened ad-hoc streams
+// with a Query request).
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -142,11 +143,11 @@ func readUntilEnd(t *testing.T, conn net.Conn) (types []byte, rows int, last []b
 	}
 }
 
-// TestOpenServesFirstWindow pins protocol version 3 on raw frames: a
-// Query or Execute is answered by ExecOK and its first window with no
-// Fetch sent, a window budget in the request sizes that window, a Fetch
-// continues the stream, and a failed open writes one Error frame and
-// nothing else.
+// TestOpenServesFirstWindow pins the stream opening on raw frames: an
+// Execute, with binds or without, is answered by ExecOK and its first
+// window with no Fetch sent, a window budget in the request sizes that
+// window, a Fetch continues the stream, and a failed open writes one
+// Error frame and nothing else.
 func TestOpenServesFirstWindow(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
 	conn := rawSession(t, addr)
@@ -171,29 +172,25 @@ func TestOpenServesFirstWindow(t *testing.T) {
 	}
 
 	// A short result is the whole exchange: ExecOK, Batch, End{Summary}.
-	short := []struct {
-		typ     byte
-		payload []byte
-	}{
-		{wire.MsgQuery, wire.Query{Spec: spec(all().Limit(2))}.Marshal()},
-		{wire.MsgExecute, wire.Execute{Spec: spec(all().Limit(smoothscan.Param("n"))),
-			Binds: []wire.BindKV{{Name: "n", Val: 2}}}.Marshal()},
+	short := map[string]wire.Execute{
+		"ad hoc":   {Spec: spec(all().Limit(2))},
+		"prepared": {Spec: spec(all().Limit(smoothscan.Param("n"))), Binds: []wire.BindKV{{Name: "n", Val: 2}}},
 	}
-	for _, req := range short {
-		if err := wire.WriteFrame(conn, req.typ, req.payload); err != nil {
+	for name, req := range short {
+		if err := wire.WriteFrame(conn, wire.MsgExecute, req.Marshal()); err != nil {
 			t.Fatal(err)
 		}
 		types, rows, last := readUntilEnd(t, conn)
 		if want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) {
-			t.Fatalf("request %#02x: frames %x, want %x", req.typ, types, want)
+			t.Fatalf("%s: frames %x, want %x", name, types, want)
 		}
 		if m := end(last); m.More || m.Summary.Rows != 2 || rows != 2 {
-			t.Fatalf("request %#02x: End %+v after %v rows, want the summary of 2", req.typ, m, rows)
+			t.Fatalf("%s: End %+v after %v rows, want the summary of 2", name, m, rows)
 		}
 	}
 
 	// FetchRows: 64 sizes the first window; a Fetch serves the rest.
-	if err := wire.WriteFrame(conn, wire.MsgQuery, wire.Query{Spec: spec(all().Limit(2000)), FetchRows: 64}.Marshal()); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: spec(all().Limit(2000)), FetchRows: 64}.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	types, rows, last := readUntilEnd(t, conn)
@@ -214,7 +211,7 @@ func TestOpenServesFirstWindow(t *testing.T) {
 
 	// A failed open is one Error frame: the next response on the
 	// connection is the next request's.
-	if err := wire.WriteFrame(conn, wire.MsgQuery, wire.Query{Spec: wire.QuerySpec{Table: "nope"}}.Marshal()); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: wire.QuerySpec{Table: "nope"}}.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	if typ, payload, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgError {
@@ -225,6 +222,42 @@ func TestOpenServesFirstWindow(t *testing.T) {
 	}
 	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgStatsReply {
 		t.Fatalf("Stats after a failed open: frame %#02x, %v, want StatsReply", typ, err)
+	}
+}
+
+// TestRetiredRequestTypes sends the request types earlier versions
+// used — 0x0b, version 1's CloseStmt, and 0x0e, version 3's ad-hoc
+// Query, here with the payload version 3 gave it — on a current
+// session. Each is a bad-request Error naming the type, never a run,
+// and the session serves the next request.
+func TestRetiredRequestTypes(t *testing.T) {
+	addr, _ := startServer(t, server.Config{})
+	conn := rawSession(t, addr)
+	spec, err := smoothscan.NewQuery(loadgen.Table).Limit(2).Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3Query wire.Encoder
+	v3Query.AppendSpec(&spec)
+	v3Query.Uvarint(0)
+	for typ, payload := range map[byte][]byte{0x0b: {1}, 0x0e: v3Query.B} {
+		if err := wire.WriteFrame(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, rp, err := wire.ReadFrame(conn)
+		if err != nil || rtyp != wire.MsgError {
+			t.Fatalf("type %#02x: frame %#02x, %v, want Error", typ, rtyp, err)
+		}
+		m, err := wire.DecodeError(rp)
+		if want := fmt.Sprintf("unexpected message %#02x", typ); err != nil || m.Class != wire.ClassBadRequest || m.Msg != want {
+			t.Fatalf("type %#02x: %s %q (%v), want bad-request %q", typ, wire.ClassName(m.Class), m.Msg, err, want)
+		}
+	}
+	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: spec}.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if types, rows, _ := readUntilEnd(t, conn); rows != 2 || types[len(types)-1] != wire.MsgEnd {
+		t.Fatalf("Execute after the refusals: frames %x with %d rows, want 2 rows and End", types, rows)
 	}
 }
 
@@ -605,10 +638,10 @@ func TestBadRequests(t *testing.T) {
 			Preds: []wire.PredSpec{{Col: loadgen.IndexedCol, Kind: wire.PredEq, A: wire.ArgSpec{Param: "a|b"}}}},
 	}
 	for what, spec := range hostile {
-		_, qerr := c.Conn.RunSpec(context.Background(), spec)
 		_, perr := c.Conn.PrepareSpec(spec)
+		_, qerr := c.Conn.ExecuteSpec(context.Background(), spec, nil)
 		_, eerr := c.Conn.ExecuteSpec(context.Background(), spec, map[string]int64{"a|b": 1})
-		for _, err := range []error{qerr, perr, eerr} {
+		for _, err := range []error{perr, qerr, eerr} {
 			if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
 				t.Errorf("out-of-range %s: %v, want a bad-request RemoteError", what, err)
 			}

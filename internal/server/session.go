@@ -210,12 +210,6 @@ func (ss *session) handle(fr frame) bool {
 			return ss.fail(err)
 		}
 		return ss.handleExecute(m)
-	case wire.MsgQuery:
-		m, err := wire.DecodeQuery(fr.payload)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.handleQuery(m)
 	case wire.MsgFetch:
 		m, err := wire.DecodeFetch(fr.payload)
 		if err != nil {
@@ -261,37 +255,23 @@ func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
 	return ss.send(wire.MsgPrepareOK, wire.PrepareOK{Params: stmt.Params()}.Marshal())
 }
 
-// handleExecute runs one prepared statement's execution: the spec is
-// prepared again — a plan-cache hit after the first time — and bound,
-// so bind errors and ExecStats are exactly a local Stmt.Run's.
+// handleExecute admits one execution — an ad-hoc query (no binds) or a
+// prepared statement's run — runs it through DB.ExecuteSpec, so bind
+// errors are a local Stmt.Run's, and opens the session's cursor. A
+// failed open is answered by its Error frame alone; an open cursor by
+// ExecOK with the result columns, buffered, and then the first window
+// of up to FetchRows rows (0 = the default), exactly as a Fetch would
+// serve it. A short result therefore leaves as one write.
 func (ss *session) handleExecute(m wire.Execute) bool {
-	bind := make(smoothscan.Bind, len(m.Binds))
-	for _, b := range m.Binds {
-		bind[b.Name] = b.Val
-	}
-	return ss.openCursor(func(ctx context.Context) (*smoothscan.Rows, error) {
-		stmt, err := ss.srv.db.Prepare(ss.srv.db.QueryFromSpec(m.Spec))
-		if err != nil {
-			return nil, err
-		}
-		return stmt.Run(ctx, bind)
-	}, int(m.FetchRows))
-}
-
-func (ss *session) handleQuery(m wire.Query) bool {
-	return ss.openCursor(func(ctx context.Context) (*smoothscan.Rows, error) {
-		return ss.srv.db.QueryFromSpec(m.Spec).Run(ctx)
-	}, int(m.FetchRows))
-}
-
-// openCursor admits the query, runs it, and opens the session's
-// cursor. A failed open is answered by its Error frame alone; an open
-// cursor by ExecOK with the result columns, buffered, and then the
-// first window of up to fetchRows rows (0 = the default), exactly as a
-// Fetch would serve it. A short result therefore leaves as one write.
-func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error), fetchRows int) bool {
 	if ss.cur != nil {
 		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
+	}
+	var bind smoothscan.Bind
+	if len(m.Binds) > 0 {
+		bind = make(smoothscan.Bind, len(m.Binds))
+		for _, b := range m.Binds {
+			bind[b.Name] = b.Val
+		}
 	}
 	release, err := ss.srv.admit()
 	if err != nil {
@@ -299,7 +279,7 @@ func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error
 	}
 	ctx, cancel := context.WithCancel(ss.ctx)
 	ss.setCancel(cancel)
-	rows, err := run(ctx)
+	rows, err := ss.srv.db.ExecuteSpec(ctx, m.Spec, bind)
 	if err != nil {
 		ss.setCancel(nil)
 		cancel()
@@ -317,7 +297,7 @@ func (ss *session) openCursor(run func(context.Context) (*smoothscan.Rows, error
 	if need := batchRows * len(cols); len(ss.flat) < need {
 		ss.flat = make([]int64, need)
 	}
-	return ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) && ss.handleFetch(fetchRows)
+	return ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) && ss.handleFetch(int(m.FetchRows))
 }
 
 // closeCursor tears the open cursor down: cancel the query context,
@@ -343,7 +323,7 @@ func (ss *session) closeCursor() {
 func (ss *session) handleFetch(maxRows int) bool {
 	c := ss.cur
 	if c == nil {
-		return ss.sendErr(wire.ClassBadRequest, "no open cursor (Execute or Query first)")
+		return ss.sendErr(wire.ClassBadRequest, "no open cursor (Execute first)")
 	}
 	if maxRows <= 0 {
 		maxRows = ss.srv.cfg.FetchRows

@@ -52,10 +52,12 @@ func FuzzDecodeMessage(f *testing.F) {
 		{MsgEnd, End{Summary: ExecSummary{Rows: 2, PlanCacheHit: true, Degraded: []string{"a"}}}.Marshal()},
 		{MsgError, ErrorMsg{Class: ClassTransient, Msg: "injected"}.Marshal()},
 		{MsgOK, nil},
-		{MsgQuery, Query{Spec: spec, FetchRows: 4096}.Marshal()},
-		{MsgQuery, Query{Spec: hostile}.Marshal()},
+		{MsgExecute, Execute{Spec: spec, FetchRows: 4096}.Marshal()},
+		{MsgExecute, Execute{Spec: hostile}.Marshal()},
 		// A window budget one past MaxUint32: malformed, never truncated.
-		{MsgQuery, binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), math.MaxUint32+1)},
+		{MsgExecute, binary.AppendUvarint(binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 0), math.MaxUint32+1)},
+		// Version 3's ad-hoc Query: its type is retired, whatever it carries.
+		{0x0e, binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 4096)},
 		{MsgPrepare, Prepare{Spec: hostile}.Marshal()},
 		{MsgStatsReply, ServerStats{QueriesServed: 1}.Marshal()},
 		{MsgFaultCtl, FaultCtl{Seed: 1, Rules: []FaultRuleSpec{{Kind: 0, Rate: 0.5}}}.Marshal()},

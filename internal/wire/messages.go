@@ -102,10 +102,12 @@ type BindKV struct {
 	Val  int64
 }
 
-// Execute prepares the spec, binds it and runs it, opening the
-// session's cursor: a prepared statement's execution, self-contained.
-// The server answers ExecOK and serves the first window right away, as
-// if a Fetch{MaxRows: FetchRows} had followed.
+// Execute compiles the spec, binds it and runs it, opening the
+// session's cursor. It is the one request that opens a stream: an
+// ad-hoc query sends no binds (its literals are inline), a prepared
+// statement's run sends its spec again with the bind. The server
+// answers ExecOK and serves the first window right away, as if a
+// Fetch{MaxRows: FetchRows} had followed.
 type Execute struct {
 	Spec  QuerySpec
 	Binds []BindKV
@@ -137,30 +139,6 @@ func DecodeExecute(p []byte) (Execute, error) {
 		m.Binds = append(m.Binds, BindKV{Name: d.Str(), Val: d.Varint()})
 	}
 	m.FetchRows = d.U32()
-	return m, d.Finish()
-}
-
-// Query executes an ad-hoc query (literals inline); the server still
-// routes it through its plan cache. Like Execute, it is answered with
-// ExecOK and the first window.
-type Query struct {
-	Spec QuerySpec
-	// FetchRows is the first window's row budget, as in Execute.
-	FetchRows uint32
-}
-
-// Marshal serialises the message payload.
-func (m Query) Marshal() []byte {
-	var e Encoder
-	e.AppendSpec(&m.Spec)
-	e.Uvarint(uint64(m.FetchRows))
-	return e.B
-}
-
-// DecodeQuery parses a Query payload.
-func DecodeQuery(p []byte) (Query, error) {
-	d := NewDecoder(p)
-	m := Query{Spec: d.DecodeSpec(), FetchRows: d.U32()}
 	return m, d.Finish()
 }
 
@@ -569,8 +547,6 @@ func DecodeMessage(typ byte, payload []byte) (any, error) {
 			return nil, NewDecoder(payload).Finish()
 		}
 		return nil, nil
-	case MsgQuery:
-		return DecodeQuery(payload)
 	case MsgStatsReply:
 		return DecodeServerStats(payload)
 	case MsgFaultCtl:

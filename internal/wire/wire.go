@@ -4,7 +4,8 @@
 // (internal/server, cmd/ssserver). The protocol is stateless about
 // statements: Prepare only validates a spec and names its parameters,
 // and each Execute carries the spec again with its binds, so a server
-// session holds no statement handles.
+// session holds no statement handles. Execute is the only request that
+// opens a result stream; an ad-hoc query is an Execute without binds.
 //
 // # Framing
 //
@@ -50,8 +51,9 @@ const (
 	// Execute carries its spec, and the server holds no handles.
 	// Version 3 made opening a stream one round trip: Query and Execute
 	// carry the first window's row budget, and the server answers ExecOK
-	// followed by that window without waiting for a Fetch.
-	Version uint32 = 3
+	// followed by that window without waiting for a Fetch. Version 4
+	// retired Query: every stream opens with an Execute, binds or none.
+	Version uint32 = 4
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20
@@ -60,13 +62,14 @@ const (
 // Message types. The request/response pairing is strict per session:
 // the client writes one request and reads frames until the terminal
 // response; only Cancel may be injected while a response stream is in
-// flight.
+// flight. 0x0b (version 1's CloseStmt) and 0x0e (version 3's Query) are
+// retired: a server answers them like any unknown type.
 const (
 	MsgHello        byte = 0x01 // client → server: handshake
 	MsgHelloOK      byte = 0x02 // server → client: handshake accepted
 	MsgPrepare      byte = 0x03 // client: validate a QuerySpec, learn its parameters
 	MsgPrepareOK    byte = 0x04 // server: parameter names
-	MsgExecute      byte = 0x05 // client: prepare + bind + execute a QuerySpec, serve the first window
+	MsgExecute      byte = 0x05 // client: compile + bind + execute a QuerySpec, serve the first window
 	MsgExecOK       byte = 0x06 // server: cursor opened; the first window's Batch* End follow
 	MsgFetch        byte = 0x07 // client: pull up to MaxRows rows from the cursor
 	MsgBatch        byte = 0x08 // server: one column-encoded row batch
@@ -74,7 +77,6 @@ const (
 	MsgError        byte = 0x0a // server: typed error, terminates the current command
 	MsgOK           byte = 0x0c // server: generic success
 	MsgCancel       byte = 0x0d // client: cancel the open cursor (also valid mid-stream)
-	MsgQuery        byte = 0x0e // client: ad-hoc execute (literals inline), serve the first window
 	MsgStats        byte = 0x0f // client: server counters snapshot
 	MsgStatsReply   byte = 0x10 // server: ServerStats
 	MsgFaultCtl     byte = 0x11 // client: attach/clear a fault-injection policy (admin)

@@ -179,12 +179,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			func(p []byte) (any, error) { return DecodeHelloOK(p) }, HelloOK{Version: 7}},
 		{"prepare", Prepare{Spec: spec}.Marshal(),
 			func(p []byte) (any, error) { return DecodePrepare(p) }, Prepare{Spec: spec}},
-		{"query", Query{Spec: spec}.Marshal(),
-			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec}},
-		{"query-window", Query{Spec: spec, FetchRows: 64}.Marshal(),
-			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec, FetchRows: 64}},
-		{"query-max-window", Query{Spec: spec, FetchRows: math.MaxUint32}.Marshal(),
-			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Spec: spec, FetchRows: math.MaxUint32}},
 		{"prepareok", PrepareOK{Params: []string{"lo", "hi"}}.Marshal(),
 			func(p []byte) (any, error) { return DecodePrepareOK(p) }, PrepareOK{Params: []string{"lo", "hi"}}},
 		{"execute", Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}.Marshal(),
@@ -193,6 +187,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		{"execute-window", Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 3}}, FetchRows: 4096}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecute(p) },
 			Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 3}}, FetchRows: 4096}},
+		{"execute-adhoc", Execute{Spec: spec, FetchRows: 64}.Marshal(),
+			func(p []byte) (any, error) { return DecodeExecute(p) }, Execute{Spec: spec, Binds: []BindKV{}, FetchRows: 64}},
+		{"execute-max-window", Execute{Spec: spec, FetchRows: math.MaxUint32}.Marshal(),
+			func(p []byte) (any, error) { return DecodeExecute(p) }, Execute{Spec: spec, Binds: []BindKV{}, FetchRows: math.MaxUint32}},
 		{"execok", ExecOK{Cols: []string{"a", "b"}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecOK(p) }, ExecOK{Cols: []string{"a", "b"}}},
 		{"fetch", Fetch{MaxRows: 512}.Marshal(),
@@ -239,7 +237,6 @@ func TestWindowBudgetOverflowIsMalformed(t *testing.T) {
 	magic := binary.AppendUvarint(nil, uint64(Magic))
 	cases := map[string]func() error{
 		"fetch":   func() error { _, err := DecodeFetch(over(nil)); return err },
-		"query":   func() error { _, err := DecodeQuery(over(Prepare{Spec: spec}.Marshal())); return err },
 		"execute": func() error { _, err := DecodeExecute(over(noBinds)); return err },
 		"hello":   func() error { _, err := DecodeHello(over(magic)); return err },
 	}

@@ -1441,13 +1441,13 @@ func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bi
 		}
 	}
 
-	if annotate {
-		cq.annotate = true
-		if len(b) > 0 {
-			cq.binds = make([]bindPair, 0, len(b))
-			for name, val := range b {
-				cq.binds = append(cq.binds, bindPair{name: name, val: val})
-			}
+	// The bind snapshot is kept whenever there is one, not only for
+	// Explain: a fault-degradation step re-binds from it.
+	cq.annotate = annotate
+	if len(b) > 0 {
+		cq.binds = make([]bindPair, 0, len(b))
+		for name, val := range b {
+			cq.binds = append(cq.binds, bindPair{name: name, val: val})
 		}
 	}
 
@@ -1540,17 +1540,21 @@ func (cq *compiledQuery) renderBindNotes() []string {
 	return notes
 }
 
-// compile plans an ad-hoc query: fetch or build the structural
+// compile plans a query without a Stmt: fetch or build the structural
 // template (via the DB-wide plan cache), then bind the query's own
-// literals — the same prepare → bind pipeline a Stmt uses, which is
-// what keeps ad-hoc and prepared execution value-for-value identical.
-// The caller holds db.mu (read).
-func (db *DB) compile(q *Query) (*compiledQuery, error) {
+// literals and b — the same prepare → bind pipeline a Stmt uses, which
+// is what keeps ad-hoc and prepared execution value-for-value
+// identical. b is nil for Query.Run; ExecuteSpec passes a peer's bind,
+// checked as Stmt.Run checks it. The caller holds db.mu (read).
+func (db *DB) compile(q *Query, b Bind) (*compiledQuery, error) {
 	qt, lits, hit, err := db.templateFor(q)
 	if err != nil {
 		return nil, err
 	}
-	cq, err := db.bindTemplate(qt, qt.optsPer, lits, nil, false)
+	if err := qt.checkBind(b); err != nil {
+		return nil, err
+	}
+	cq, err := db.bindTemplate(qt, qt.optsPer, lits, b, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1779,7 +1783,7 @@ func (q *Query) Run(ctx context.Context) (*Rows, error) {
 func (db *DB) explainQuery(q *Query) (*Plan, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := db.compile(q)
+	cq, err := db.compile(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1787,9 +1791,28 @@ func (db *DB) explainQuery(q *Query) (*Plan, error) {
 }
 
 func (db *DB) runQuery(ctx context.Context, q *Query) (*Rows, error) {
+	return db.runBound(ctx, q, nil)
+}
+
+// ExecuteSpec runs a query structure received from a peer with b
+// bound — the server side of the wire's Execute, the one request that
+// opens a remote stream. With no binds it is QueryFromSpec(spec).Run;
+// with binds it is the Run of the spec's prepared statement, with
+// Stmt.Run's unknown- and unbound-parameter errors. Either way the
+// spec compiles through the plan cache, so ExecStats.PlanCacheHit
+// reports whether this DB held the shape: a Prepare of the same spec
+// puts it there.
+func (db *DB) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b Bind) (*Rows, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return db.runBound(ctx, db.QueryFromSpec(spec), b)
+}
+
+func (db *DB) runBound(ctx context.Context, q *Query, b Bind) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := db.compile(q)
+	cq, err := db.compile(q, b)
 	if err != nil {
 		return nil, err
 	}

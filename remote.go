@@ -256,7 +256,7 @@ func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows, err := c.RunSpec(ctx, spec)
+		rows, err := c.ExecuteSpec(ctx, spec, nil)
 		if err == nil {
 			return &remoteCursor{drv: d, conn: c, rows: rows}, nil
 		}

@@ -284,6 +284,72 @@ func TestRemotePreparedEquivalence(t *testing.T) {
 	}
 }
 
+// TestRemotePlanCacheHit pins what ExecStats.PlanCacheHit means across
+// the wire, where every run is one Execute and the server probes its
+// plan cache for each: an ad-hoc shape misses once and then hits, as it
+// does locally, and a remote statement's runs hit because its Prepare
+// cached the shape. On a server without a plan cache nothing hits: a
+// remote statement's template lives nowhere, so each run compiles it.
+// The server's hit and miss counters count the same probes.
+func TestRemotePlanCacheHit(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		planCache int
+		hit       bool
+	}{{"cache", 0, true}, {"no-cache", -1, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := loadgen.BuildDB(2000, 1000, 7, smoothscan.Options{PoolPages: 128, PlanCache: tc.planCache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.New(db, server.Config{})
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := ssclient.Dial(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			hit := func(cur smoothscan.Cursor, err error) bool {
+				t.Helper()
+				drainCursor(t, cur, err)
+				return cur.ExecStats().PlanCacheHit
+			}
+			adhoc := func(lo int64) bool {
+				return hit(c.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(lo, lo+10)).Run(ctx))
+			}
+			if adhoc(0) {
+				t.Error("first ad-hoc run of a shape hit the plan cache")
+			}
+			if got := adhoc(100); got != tc.hit {
+				t.Errorf("second ad-hoc run of the shape: PlanCacheHit %v, want %v", got, tc.hit)
+			}
+			stmt, err := c.PrepareQuery(c.Table(loadgen.Table).Where(loadgen.IndexedCol,
+				smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 3; i++ {
+				if got := hit(stmt.Run(ctx, smoothscan.Bind{"lo": i * 10, "hi": i*10 + 10})); got != tc.hit {
+					t.Errorf("statement run %d: PlanCacheHit %v, want %v", i, got, tc.hit)
+				}
+			}
+			st, err := c.ServerStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two ad-hoc runs, one Prepare, three statement runs.
+			if want := map[bool][2]int64{true: {4, 2}, false: {0, 0}}[tc.hit]; [2]int64{st.PlanCacheHits, st.PlanCacheMisses} != want {
+				t.Errorf("server plan cache hits/misses %d/%d, want %d/%d",
+					st.PlanCacheHits, st.PlanCacheMisses, want[0], want[1])
+			}
+		})
+	}
+}
+
 // TestRemoteStmtLifecycle holds more remote statements on one session
 // than any per-session table would have to, runs them in prepare order
 // and in reverse, and checks each behaves like the local Stmt of the
@@ -427,6 +493,59 @@ func TestRemoteFaultPropagation(t *testing.T) {
 	}
 	if err := run(); err != nil {
 		t.Fatalf("query after clearing faults: %v", err)
+	}
+}
+
+// TestRemoteStmtFaultDegradation: with the server's index space dead, a
+// parameterized remote Stmt.Run degrades down the same ladder a local
+// Stmt.Run does — it re-binds with the statement's bind values — and
+// returns the local run's rows and ExecStats.Degraded.
+func TestRemoteStmtFaultDegradation(t *testing.T) {
+	f := buildRemoteFixture(t)
+	c := f.dial(t)
+	ctx := context.Background()
+	idx, err := f.db.IndexSpace(loadgen.Table, loadgen.IndexedCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.db.SetFaultPolicy(smoothscan.NewFaultPolicy(5, smoothscan.FaultRule{
+		Space: idx, Kind: smoothscan.FaultPermanent, Rate: 1,
+	}))
+	bind := smoothscan.Bind{"lo": 100, "hi": 400}
+	for _, opts := range []smoothscan.ScanOptions{
+		{Path: smoothscan.PathIndex},
+		{Path: smoothscan.PathSmooth, Parallelism: 2},
+	} {
+		t.Run(fmt.Sprintf("%s-p%d", opts.Path, opts.Parallelism), func(t *testing.T) {
+			build := func(e smoothscan.Engine) smoothscan.Builder {
+				return e.Table(loadgen.Table).
+					Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
+					WithOptions(opts)
+			}
+			run := func(e smoothscan.Engine) ([][]int64, []string) {
+				t.Helper()
+				stmt, err := e.PrepareQuery(build(e))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer stmt.Close()
+				if err := f.db.ColdCache(); err != nil {
+					t.Fatal(err)
+				}
+				cur, err := stmt.Run(ctx, bind)
+				rows := drainCursor(t, cur, err)
+				return rows, cur.ExecStats().Degraded
+			}
+			local, ldeg := run(f.db)
+			remote, rdeg := run(c)
+			if len(ldeg) == 0 || !strings.Contains(ldeg[len(ldeg)-1], "full scan") {
+				t.Fatalf("local run did not degrade to a full scan: %v", ldeg)
+			}
+			if !slices.Equal(ldeg, rdeg) {
+				t.Errorf("remote Degraded %v, want the local %v", rdeg, ldeg)
+			}
+			requireSameRows(t, local, remote, false)
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ func viaWire(t *testing.T, shard0 *DB, q *Query) *Query {
 	if err != nil {
 		t.Fatalf("Spec: %v", err)
 	}
-	m, err := wire.DecodeQuery(wire.Query{Spec: spec}.Marshal())
+	m, err := wire.DecodeExecute(wire.Execute{Spec: spec}.Marshal())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

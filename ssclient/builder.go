@@ -77,14 +77,14 @@ func (q *Query) WithOptions(opts smoothscan.ScanOptions) smoothscan.Builder {
 }
 
 // Run executes the query ad hoc (literals inline) and opens a result
-// stream, a *Rows. Parameterized queries must go through
-// PrepareQuery.
+// stream, a *Rows: the same Execute request a Stmt.Run sends, without
+// a bind. Parameterized queries must go through PrepareQuery.
 func (q *Query) Run(ctx context.Context) (smoothscan.Cursor, error) {
 	spec, err := q.q.Spec()
 	if err != nil {
 		return nil, err
 	}
-	return cursorOf(q.c.Conn.RunSpec(ctx, spec))
+	return cursorOf(q.c.Conn.ExecuteSpec(ctx, spec, nil))
 }
 
 // PrepareQuery implements smoothscan.Engine: it compiles a Builder

@@ -2,8 +2,9 @@
 // protocol: the same prepare → bind → execute query surface the
 // embedded engine exposes, spoken to a cmd/ssserver over TCP. A
 // prepared statement is a client-side value — its spec plus the
-// connection — and each Run ships the spec with its bind, so the
-// server keeps no per-session statement state. Every Run is one round
+// connection. Every Run, ad hoc or prepared, is one Execute request
+// that ships the spec and, for a statement, its bind, so the server
+// keeps no per-session statement state. Every Run is one round
 // trip to its first rows: the request carries the fetch window, and the
 // server answers with the opened stream and that window together, so a
 // result that fits in one window never needs a second exchange.
@@ -131,8 +132,8 @@ func (c *Conn) SetFaultPolicy(seed int64, rules ...FaultRule) error {
 // Stmt is a remote prepared statement; it implements
 // smoothscan.PreparedQuery. It is the spec Conn.PrepareQuery compiled
 // plus its parameter names: each Run sends the spec with the bind, and
-// the server prepares, binds and runs it exactly as a local Stmt.Run
-// would, through its plan cache.
+// the server compiles it through its plan cache, binds and runs it,
+// with a local Stmt.Run's rows and bind errors.
 type Stmt struct {
 	c      *Conn
 	spec   wire.QuerySpec

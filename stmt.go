@@ -89,12 +89,12 @@ func (s *Stmt) Params() []string {
 	return append([]string(nil), s.qt.pt.Params...)
 }
 
-// checkBind rejects bind sets naming parameters the statement does
-// not have.
-func (s *Stmt) checkBind(b Bind) error {
+// checkBind rejects bind sets naming parameters the template does not
+// have.
+func (qt *qtemplate) checkBind(b Bind) error {
 	var unknown []string
 	for name := range b {
-		if !s.qt.pt.HasParam(name) {
+		if !qt.pt.HasParam(name) {
 			unknown = append(unknown, "$"+name)
 		}
 	}
@@ -103,7 +103,7 @@ func (s *Stmt) checkBind(b Bind) error {
 	}
 	sort.Strings(unknown)
 	have := "no parameters"
-	if ps := s.qt.pt.Params; len(ps) > 0 {
+	if ps := qt.pt.Params; len(ps) > 0 {
 		have = "$" + strings.Join(ps, ", $")
 	}
 	return fmt.Errorf("%w: %s (statement has %s)", ErrUnknownParam, strings.Join(unknown, ", "), have)
@@ -123,7 +123,7 @@ func (s *Stmt) Run(ctx context.Context, b Bind) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := s.checkBind(b); err != nil {
+	if err := s.qt.checkBind(b); err != nil {
 		return nil, err
 	}
 	return s.eng.runStmt(ctx, s, b)
@@ -147,7 +147,7 @@ func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
 // bind: …"). Parameter-fed predicate bounds render as $name markers in
 // the plan details.
 func (s *Stmt) Explain(b Bind) (*Plan, error) {
-	if err := s.checkBind(b); err != nil {
+	if err := s.qt.checkBind(b); err != nil {
 		return nil, err
 	}
 	return s.eng.explainStmt(s, b)
