@@ -25,10 +25,15 @@ build:
 ## parallelism (and the Row view contract over recycled buffers) again
 ## at several GOMAXPROCS — a single-P run cannot see that class of
 ## failure. The sharded statement tests ride along: each shard builds
-## its bound query inside a gather worker goroutine.
+## its bound query inside a gather worker goroutine, and so do the
+## remote shard tests: a shard's Rows releases its connection and
+## classifies a lost node inside the worker that drains it. The second
+## line repeats the client/server stream-lifecycle tests (cancel, close
+## before the first Next, a Conn closed under its stream) the same way.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestCancelMidStream|TestCloseBeforeFirstNext|TestConnCloseEndsOpenStream' ./internal/server
 
 ## race: the test suite under the race detector (the concurrent scan
 ## and session tests only prove anything when this runs).

@@ -100,6 +100,47 @@ func TestFacadeScanAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWireScanByteBudget is TestFacadeScanAllocBudget over SSWP
+// loopback, server and client together: a remote stream keeps no
+// per-query buffer of its own. The Conn reuses one decode buffer and
+// one result schema from stream to stream, and the rows land in the
+// pooled drain batch, so a query allocates about what the local scan
+// does (~15 KB against ~13 KB); a fresh 1024-row decode buffer per
+// stream would add 80 KB.
+func TestWireScanByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the byte budget counts on the pooled drain batches coming back")
+	}
+	db, err := loadgen.BuildDB(allocRows, allocDomain, 3, smoothscan.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := ssclient.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	scan := func() int { return drainRows(t, scanFifth(conn, allocDomain)) }
+	scan() // warm the session, the Conn's buffers and the pools
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("wire scan: %.0f bytes/query", perQuery)
+	if perQuery > 40<<10 {
+		t.Errorf("wire scan allocates %.0f bytes per query, budget is 40 KB", perQuery)
+	}
+}
+
 // TestFacadePointQueryAllocBudget: a warm two-row lookup pays for its
 // builder, plan-cache probe and operator tree, not for a fresh
 // exec.DefaultBatchSize-row drain batch.
@@ -211,6 +252,15 @@ func TestWireStmtAllocs(t *testing.T) {
 	t.Logf("wire point query: %.1f allocs ad hoc, %.1f prepared", a, p)
 	if p > a {
 		t.Errorf("a remote Stmt.Run allocates %.1f times, more than the %.1f of the ad-hoc query", p, a)
+	}
+	if raceEnabled {
+		return // the budgets count on the pooled drain batches coming back
+	}
+	// Absolute budgets, client and server together: the remote cursor
+	// is the engine's own Rows, and the Conn keeps the stream's decode
+	// buffer and result schema from one query to the next.
+	if a > 75 || p > 73 {
+		t.Errorf("wire point query allocates %.1f times ad hoc and %.1f prepared, budget is 75 and 73", a, p)
 	}
 }
 

@@ -54,16 +54,17 @@ type Builder interface {
 	Run(ctx context.Context) (Cursor, error)
 }
 
-// Cursor iterates a result stream: the uniform subset of *Rows (local
-// and sharded executions alike) and *ssclient.Rows, which satisfy it
-// directly. ExecStats is fully populated once the stream is drained; a
-// remote cursor's statistics arrive with the server's closing summary,
-// so mid-stream reads return the zero value there.
+// Cursor iterates a result stream. Every engine's cursor is a *Rows —
+// local, sharded and remote executions alike — so a caller that needs
+// more than this interface (CopyRow, Col, Column) asserts it to *Rows.
+// ExecStats is fully populated once the stream is drained; a remote
+// execution's statistics arrive with the server's closing summary, so
+// mid-stream reads return the zero value there.
 //
 // Row returns the current row as a view into a buffer the cursor owns:
 // it is valid until the next Next or Close on every engine, and has
 // length 0 when no row is current. A caller that keeps a row copies it
-// (slices.Clone, or the concrete cursors' CopyRow).
+// (slices.Clone, or Rows.CopyRow).
 type Cursor interface {
 	Next() bool
 	Row() []int64

@@ -8,7 +8,6 @@ import (
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
-	"smoothscan/internal/wire"
 )
 
 // ResultCacheExec describes one execution's interaction with the
@@ -112,29 +111,6 @@ type ExecStats struct {
 	Shards []ShardStats
 }
 
-// SummaryStats converts a remote execution's closing wire summary back
-// into the engine's shape — what ssclient's cursor and the remote
-// shard driver report as ExecStats. The fields a remote execution
-// cannot observe — operator and worker breakdowns, smooth-scan morph
-// state — stay zero; I/O, row count, plan-cache reuse, retry and fault
-// counters, the degradation ladder and the result-cache outcome all
-// survive the wire.
-func SummaryStats(sum wire.ExecSummary) ExecStats {
-	return ExecStats{
-		IO:           sum.IO,
-		RowsReturned: sum.Rows,
-		PlanCacheHit: sum.PlanCacheHit,
-		Retries:      sum.Retries,
-		FaultsSeen:   sum.FaultsSeen,
-		Degraded:     sum.Degraded,
-		ResultCache: ResultCacheExec{
-			Hit:   sum.ResultCacheHit,
-			Bytes: sum.ResultCacheBytes,
-			Age:   time.Duration(sum.ResultCacheAgeNs),
-		},
-	}
-}
-
 // ShardStats is one shard's slice of a sharded query's execution:
 // whether (and why) the planner pruned it, its device I/O delta, and
 // — for shards that ran — the rows it delivered and its own morphing
@@ -175,12 +151,13 @@ type ShardStats struct {
 	Degraded []string
 }
 
-// stats reports the sharded part of ExecStats: summed device deltas and
+// stats reports a sharded query's ExecStats: summed device deltas and
 // the per-shard breakdown. Per-shard scan internals (rows, morphing
 // counters, degradations) are filled once the query has quiesced —
 // before that the workers may still be running and only the I/O
 // deltas are read.
-func (se *shardExec) stats(closed, quiesced bool) ExecStats {
+func (se *shardExec) stats(r *Rows) ExecStats {
+	closed, quiesced := r.closed, r.closed || r.done
 	var st ExecStats
 	s := se.s
 	shards := make([]ShardStats, len(s.shards))
@@ -207,18 +184,15 @@ func (se *shardExec) stats(closed, quiesced bool) ExecStats {
 		}
 		a := se.adapters[k]
 		sh.Unavailable = a.unavailable
-		if a.cur == nil {
+		if a.rows == nil {
 			continue
 		}
-		// A remote cursor is the authority for its shard's I/O (the
-		// summary ships over the wire); an in-process shard's delta was
+		sub := a.rows.ExecStats()
+		// A remote shard's summary is the authority for its I/O (the
+		// mirror's device sees none); an in-process shard's delta was
 		// already read off its device above.
-		if io, ok := a.cur.ioStats(); ok {
-			sh.IO = io
-		}
-		sub, ok := a.cur.execStats()
-		if !ok {
-			continue
+		if s.remote {
+			sh.IO = sub.IO
 		}
 		sh.Rows = sub.RowsReturned
 		sh.PlanCacheHit = sub.PlanCacheHit
@@ -233,7 +207,7 @@ func (se *shardExec) stats(closed, quiesced bool) ExecStats {
 		st.IO = disk.Add(st.IO, shards[i].IO)
 	}
 	st.Shards = shards
-	return st
+	return r.engineStats(st)
 }
 
 // opCounter accumulates one operator's output counts. It is written

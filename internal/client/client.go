@@ -4,16 +4,18 @@
 // — an ad-hoc query is an Execute without binds — and opening it is one
 // round trip: the request carries the first fetch window's budget, and
 // the server answers ExecOK followed by that window, so a short result
-// needs no Fetch at all. It depends only on the wire codec, so both
-// the public ssclient package (which re-exports it behind the engine's
-// builder surface) and the root package's remote shard driver can share
-// one implementation without an import cycle through smoothscan.
+// needs no Fetch at all. It depends only on the wire codec and the
+// tuple schema, so the root package can run every remote stream —
+// ssclient's runs and the remote shard driver's slices alike — through
+// one implementation without an import cycle through smoothscan. The
+// transport stops at decoded Batch frames (Stream.Next); the root
+// package's Rows is the cursor over them.
 // Statements hold no server state: PrepareSpec only validates a spec,
 // and ExecuteSpec ships it again with each bind.
 //
 // A Conn owns one connection and runs one request/response exchange at
 // a time; it is not safe for concurrent use — give each goroutine its
-// own Conn. Rows.Close is always safe to call, including after the
+// own Conn. Stream.Close is always safe to call, including after the
 // server has disconnected: it releases local state first and treats an
 // unreachable server as already-closed rather than an error to
 // propagate.
@@ -29,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"smoothscan/internal/tuple"
 	"smoothscan/internal/wire"
 )
 
@@ -39,34 +42,43 @@ var (
 	// ErrConnLost marks a dead connection: the client can no longer
 	// exchange frames and must be re-dialed.
 	ErrConnLost = errors.New("ssclient: connection lost")
-	// ErrBusy: a new request was issued while a Rows stream is open on
-	// this connection. Drain or Close it first.
+	// ErrBusy: a new request was issued while a result stream is open
+	// on this connection. Drain or Close it first.
 	ErrBusy = errors.New("ssclient: a result stream is open")
 )
 
-// DefaultFetchRows is the fetch window (the first one included) Rows
-// uses unless Conn.SetFetchRows overrides it.
+// DefaultFetchRows is the fetch window (the first one included) a
+// stream uses unless Conn.SetFetchRows overrides it.
 const DefaultFetchRows = 4096
 
 // handshakeTimeout bounds Dial's Hello/HelloOK exchange.
 const handshakeTimeout = 10 * time.Second
 
-// maxKeptPayload is the largest response payload buffer a Conn keeps
-// for the next frame. A frame may be as large as wire.MaxFrame; a
-// buffer grown past this by one such frame is dropped after use, so a
-// peer cannot pin memory on the client by sending a single huge frame.
+// maxKeptPayload is the largest buffer, in bytes, a Conn keeps for the
+// next frame: the response payload buffer and the Batch decode buffer
+// alike. A frame may be as large as wire.MaxFrame and decode to as many
+// as 4M values; a buffer grown past this by one such frame is dropped
+// after use, so a peer cannot pin memory on the client by sending a
+// single huge frame.
 const maxKeptPayload = 1 << 20
 
 // Conn is one protocol session. Not safe for concurrent use.
+//
+// A Conn runs one stream at a time, so the per-stream buffers live
+// here and outlast the stream: the Batch decode buffer, and the result
+// schema, reused by the next stream whose ExecOK names the same
+// columns.
 type Conn struct {
 	conn      net.Conn
 	br        *bufio.Reader
 	bw        *bufio.Writer // a request frame leaves as one Write
 	payload   []byte        // recv's reused frame buffer, at most maxKeptPayload
+	flat      []int64       // Stream.Next's reused decode buffer, at most maxKeptPayload
+	schema    *tuple.Schema // the last stream's result schema
 	mu        sync.Mutex
 	err       error // sticky: once the connection failed, everything does
 	closed    bool
-	cur       *Rows
+	cur       *Stream
 	fetchRows int
 }
 
@@ -111,9 +123,9 @@ func Dial(addr string) (*Conn, error) {
 	}
 }
 
-// SetFetchRows overrides the fetch window of subsequent Rows, the first
-// window included (n <= 0 restores the default; a window is at most
-// math.MaxUint32 rows). Smaller windows trade throughput for finer
+// SetFetchRows overrides the fetch window of subsequent streams, the
+// first window included (n <= 0 restores the default; a window is at
+// most math.MaxUint32 rows). Smaller windows trade throughput for finer
 // cancellation granularity.
 func (c *Conn) SetFetchRows(n int) {
 	if n <= 0 {
@@ -140,8 +152,9 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.cur != nil {
-		c.cur.err, c.cur.done = ErrConnLost, true
+	if s := c.cur; s != nil {
+		s.err, s.done = ErrConnLost, true
+		s.owner.Cut(ErrConnLost)
 		c.cur = nil
 	}
 	return c.conn.Close()
@@ -191,7 +204,7 @@ func (c *Conn) send(typ byte, payload []byte) error {
 
 // recv reads one response frame. The payload is a view into the Conn's
 // reused frame buffer, valid until the next recv: every decoder copies
-// out what it keeps (strings via Decoder.Str, batches into Rows.flat).
+// out what it keeps (strings via Decoder.Str, batches into c.flat).
 func (c *Conn) recv() (byte, []byte, error) {
 	typ, payload, err := wire.ReadFrameBuf(c.br, c.payload)
 	if err != nil {
@@ -254,23 +267,23 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 	return m.Params, nil
 }
 
-// ExecuteSpec compiles the spec server-side, binds b and opens a result
-// stream. It is every remote run: an ad-hoc query passes a nil b (its
-// literals are inline), a prepared statement's Run its bind. One
-// stream may be open per Conn at a time.
+// ExecuteSpec compiles the spec server-side, binds b and opens its
+// result stream into s, whose rows go to owner. It is every remote run:
+// an ad-hoc query passes a nil b (its literals are inline), a prepared
+// statement's Run its bind. One stream may be open per Conn at a time.
 //
 // The request carries the first window's budget, so that window is
-// already on its way when ExecOK arrives: the Rows starts with it open
-// and reads it without sending a Fetch.
-func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64) (*Rows, error) {
+// already on its way when ExecOK arrives: the stream starts with it
+// open and reads it without sending a Fetch.
+func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64, s *Stream, owner Owner) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.usable(); err != nil {
-		return nil, err
+		return err
 	}
 	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b)), FetchRows: uint32(c.fetchRows)}
 	for name, val := range b {
@@ -278,17 +291,46 @@ func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[strin
 	}
 	resp, err := c.roundTrip(wire.MsgExecute, m.Marshal(), wire.MsgExecOK)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ok, err := wire.DecodeExecOK(resp)
 	if err != nil {
-		return nil, c.broken(err)
+		return c.broken(err)
 	}
-	r := &Rows{c: c, ctx: ctx, cols: ok.Cols, fetchRows: c.fetchRows, windowOpen: true}
+	schema, err := c.schemaFor(ok.Cols)
+	if err != nil {
+		return c.broken(err)
+	}
+	*s = Stream{c: c, ctx: ctx, schema: schema, owner: owner, fetchRows: c.fetchRows, windowOpen: true}
 	c.mu.Lock()
-	c.cur = r
+	c.cur = s
 	c.mu.Unlock()
-	return r, nil
+	return nil
+}
+
+// schemaFor returns the schema of a result whose ExecOK named cols: the
+// previous stream's when the names match, so a Conn that runs one query
+// shape after another builds its schema once.
+func (c *Conn) schemaFor(cols []string) (*tuple.Schema, error) {
+	if s := c.schema; s != nil && s.NumCols() == len(cols) {
+		i := 0
+		for i < len(cols) && s.Col(i).Name == cols[i] {
+			i++
+		}
+		if i == len(cols) {
+			return s, nil
+		}
+	}
+	tc := make([]tuple.Column, len(cols))
+	for i, name := range cols {
+		tc[i] = tuple.Column{Name: name, Type: tuple.Int64}
+	}
+	s, err := tuple.NewSchema(tc...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: result columns: %v", wire.ErrMalformed, err)
+	}
+	c.schema = s
+	return s, nil
 }
 
 // ServerStats fetches the server's counter snapshot.

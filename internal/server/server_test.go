@@ -639,8 +639,8 @@ func TestBadRequests(t *testing.T) {
 	}
 	for what, spec := range hostile {
 		_, perr := c.Conn.PrepareSpec(spec)
-		_, qerr := c.Conn.ExecuteSpec(context.Background(), spec, nil)
-		_, eerr := c.Conn.ExecuteSpec(context.Background(), spec, map[string]int64{"a|b": 1})
+		_, qerr := smoothscan.RunRemote(context.Background(), c.Conn, spec, nil)
+		_, eerr := smoothscan.RunRemote(context.Background(), c.Conn, spec, smoothscan.Bind{"a|b": 1})
 		for _, err := range []error{perr, qerr, eerr} {
 			if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
 				t.Errorf("out-of-range %s: %v, want a bad-request RemoteError", what, err)

@@ -151,14 +151,34 @@ func (b *Batch) AppendRows(src *Batch, from, n int) int {
 	if src.width != b.width {
 		panic("tuple: batch width mismatch")
 	}
-	max := b.FillCap()
-	if max > 0 && n > max-b.n {
+	n = b.room(n)
+	copy(b.extend(n), src.data[from*src.width:(from+n)*src.width])
+	return n
+}
+
+// AppendInts appends whole rows from vals, row-major values of b's
+// width (how a wire Batch frame decodes), stopping early when b fills;
+// it returns the number of rows appended.
+func (b *Batch) AppendInts(vals []int64) int {
+	n := b.room(len(vals) / b.width)
+	copy(Row(b.extend(n)).Ints(), vals)
+	return n
+}
+
+// room caps n at the rows b can still take under its fill capacity;
+// never negative.
+func (b *Batch) room(n int) int {
+	if max := b.FillCap(); max > 0 && n > max-b.n {
 		n = max - b.n
 	}
-	if n <= 0 {
-		return 0
-	}
-	need := (b.n + n) * b.width
+	return max(n, 0)
+}
+
+// extend grows b by n rows and returns their values, contents
+// undefined, for the caller to overwrite.
+func (b *Batch) extend(n int) []uint64 {
+	old := b.n * b.width
+	need := old + n*b.width
 	if cap(b.data) < need {
 		grown := make([]uint64, need, 2*need)
 		copy(grown, b.data)
@@ -166,9 +186,8 @@ func (b *Batch) AppendRows(src *Batch, from, n int) int {
 	} else {
 		b.data = b.data[:need]
 	}
-	copy(b.data[b.n*b.width:], src.data[from*src.width:(from+n)*src.width])
 	b.n += n
-	return n
+	return b.data[old:need]
 }
 
 // Append copies the row into the batch; it reports false (and appends

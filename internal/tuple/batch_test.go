@@ -123,6 +123,28 @@ func TestBatchAppendRows(t *testing.T) {
 	}
 }
 
+func TestBatchAppendInts(t *testing.T) {
+	vals := []int64{0, 0, 1, -1, 2, -2, 3, -3, 4, -4}
+	dst := NewBatch(2, 8)
+	dst.SetFillLimit(3)
+	dst.Append(IntsRow(9, 9))
+	if n := dst.AppendInts(vals); n != 2 {
+		t.Fatalf("AppendInts appended %d rows, want 2 (fill-limit-bounded)", n)
+	}
+	for i := 1; i < 3; i++ {
+		if got := dst.Row(i); got.Int(0) != int64(i-1) || got.Int(1) != int64(1-i) {
+			t.Errorf("dst row %d = %v, want [%d %d]", i, got, i-1, 1-i)
+		}
+	}
+	if n := dst.AppendInts(vals); n != 0 {
+		t.Fatalf("AppendInts into a full batch appended %d rows", n)
+	}
+	grow := NewGrowableBatch(2)
+	if n := grow.AppendInts(vals); n != 5 || grow.Row(4).Int(1) != -4 {
+		t.Fatalf("growable AppendInts appended %d rows, last %v", n, grow.Row(n-1))
+	}
+}
+
 func TestBatchTruncateAndFilter(t *testing.T) {
 	b := NewGrowableBatch(1)
 	for i := 0; i < 10; i++ {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 )
 
 // ColType is the type of a column.
@@ -158,6 +159,13 @@ func NewRow(s *Schema) Row { return make(Row, s.NumCols()) }
 
 // Int returns column i as an int64.
 func (r Row) Int(i int) int64 { return int64(r[i]) }
+
+// Ints returns the row's values as int64s: the same memory, not a copy,
+// so Ints()[i] is Int(i) and a write through either is seen by the
+// other. Its capacity is its length.
+func (r Row) Ints() []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(r))), len(r))
+}
 
 // SetInt stores an int64 into column i.
 func (r Row) SetInt(i int, v int64) { r[i] = uint64(v) }

@@ -75,6 +75,28 @@ func TestRowAccessors(t *testing.T) {
 	}
 }
 
+func TestRowIntsIsAView(t *testing.T) {
+	b := NewBatch(2, 2)
+	b.Append(IntsRow(1, -2))
+	b.Append(IntsRow(3, 4))
+	v := b.Row(0).Ints()
+	if len(v) != 2 || cap(v) != 2 || v[0] != 1 || v[1] != -2 {
+		t.Fatalf("Ints = %v (cap %d), want [1 -2] with cap 2", v, cap(v))
+	}
+	v[1] = 7
+	if b.Row(0).Int(1) != 7 {
+		t.Error("a write through Ints is not seen by the row")
+	}
+	// Capacity ends at the row, so an append cannot overwrite the next.
+	_ = append(v, 99)
+	if b.Row(1).Int(0) != 3 {
+		t.Errorf("append to Ints overwrote the next row: %v", b.Row(1))
+	}
+	if v := Row(nil).Ints(); len(v) != 0 {
+		t.Errorf("nil row Ints = %v, want empty", v)
+	}
+}
+
 func TestRowCloneIsIndependent(t *testing.T) {
 	r := IntsRow(1, 2, 3)
 	c := r.Clone()

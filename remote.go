@@ -230,23 +230,21 @@ func (d *remoteDriver) discard(c *client.Conn) {
 	}
 }
 
-// wrapErr classifies an execution error: transport-level failures
-// (connection lost, session closed under it) become
+// shardErr classifies an error from shard i's execution: transport
+// failures (connection lost, session closed under it) become
 // ErrShardUnavailable with the shard identified; everything else —
-// typed engine errors shipped in Error frames, context cancellation —
-// passes through untouched so errors.Is parity with in-process
-// execution holds.
-func (d *remoteDriver) wrapErr(err error) error {
-	if err == nil {
-		return nil
+// typed engine errors shipped in Error frames, context cancellation,
+// errors already classified — passes through untouched, so errors.Is
+// parity with in-process execution holds. An in-process shard never
+// sees a transport failure.
+func shardErr(i int, addr string, err error) error {
+	if errors.Is(err, ErrShardUnavailable) || !errors.Is(err, client.ErrConnLost) && !errors.Is(err, wire.ErrSessionClosed) {
+		return err
 	}
-	if errors.Is(err, client.ErrConnLost) || errors.Is(err, wire.ErrSessionClosed) {
-		return fmt.Errorf("%w: shard %d (%s): %w", ErrShardUnavailable, d.shard, d.addr, err)
-	}
-	return err
+	return fmt.Errorf("%w: shard %d (%s): %w", ErrShardUnavailable, i, addr, err)
 }
 
-func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
+func (d *remoteDriver) run(ctx context.Context, q *Query) (*Rows, error) {
 	spec, err := q.Spec()
 	if err != nil {
 		return nil, err
@@ -256,16 +254,16 @@ func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows, err := c.ExecuteSpec(ctx, spec, nil)
+		rows, err := openRemote(ctx, c, spec, nil, d)
 		if err == nil {
-			return &remoteCursor{drv: d, conn: c, rows: rows}, nil
+			return rows, nil
 		}
 		d.discard(c)
 		// A pooled connection may have died idle; retry once fresh.
 		if attempt == 0 && errors.Is(err, client.ErrConnLost) {
 			continue
 		}
-		return nil, d.wrapErr(err)
+		return nil, shardErr(d.shard, d.addr, err)
 	}
 }
 
@@ -293,55 +291,108 @@ func (d *remoteDriver) coldCache() error {
 	}
 	err = c.ColdCache()
 	d.release(c)
-	return d.wrapErr(err)
+	return shardErr(d.shard, d.addr, err)
 }
 
-// remoteCursor streams one shard's slice from its node, adapting the
-// wire cursor to the shardCursor protocol. The connection is owned for
-// the stream's lifetime and returned to the driver pool on close.
-type remoteCursor struct {
-	drv    *remoteDriver
-	conn   *client.Conn
-	rows   *client.Rows
-	closed bool
+// RunRemote runs spec with bind b on the remote session c and returns
+// its result stream as a *Rows: the one cursor of every engine. It is
+// what ssclient's Query.Run and Stmt.Run return (their parameters are
+// internal types, so code outside this module goes through ssclient),
+// and a remote shard's slice is the same Rows.
+//
+// The Rows' ExecStats is the server's closing summary — zero until the
+// stream has been drained: I/O, row count, plan and result cache reuse,
+// retry and fault counters and the degradation ladder survive the
+// wire; operator and worker breakdowns and the morphing counters stay
+// zero. Plan is nil. A cancelled ctx ends the stream at its next frame
+// and frees c, as draining it does.
+func RunRemote(ctx context.Context, c *client.Conn, spec wire.QuerySpec, b Bind) (Cursor, error) {
+	return cursorOf(openRemote(ctx, c, spec, b, nil))
 }
 
-func (rc *remoteCursor) fill(b *tuple.Batch) (int, error) {
+// openRemote opens the stream RunRemote describes. drv, when set, owns
+// c: closing the Rows returns the connection to drv's pool.
+func openRemote(ctx context.Context, c *client.Conn, spec wire.QuerySpec, b Bind, drv *remoteDriver) (*Rows, error) {
+	w := &wireExec{drv: drv, conn: c}
+	if err := c.ExecuteSpec(ctx, spec, b, &w.s, w); err != nil {
+		return nil, err
+	}
+	// The stream checks ctx itself, once per frame, so that a
+	// cancellation also cancels the server-side query and frees c.
+	w.rows = &Rows{run: w, op: w, schema: w.s.Schema(), ctx: context.Background()}
+	return w.rows, nil
+}
+
+// wireExec is one remote result stream, and both halves of the Rows
+// over it. As the execution, its statistics are the server's closing
+// summary; it never degrades (the server already did), never feeds the
+// local result cache and has no plan to render. As the Rows' leaf
+// operator, it copies the stream's decoded Batch frames into the
+// caller's batch, up to the batch's fill capacity, resuming mid-frame
+// at the next call.
+type wireExec struct {
+	s     client.Stream
+	rows  *Rows
+	drv   *remoteDriver // the pool conn returns to; nil for an ssclient session
+	conn  *client.Conn
+	frame []int64 // the current decoded frame, row-major; valid until the next s.Next
+	pos   int     // the next value of frame to copy
+	sum   wire.ExecSummary
+}
+
+func (w *wireExec) Schema() *tuple.Schema { return w.s.Schema() }
+func (w *wireExec) Open() error           { return nil }
+
+func (w *wireExec) NextBatch(b *tuple.Batch) (int, error) {
 	b.Reset()
-	for !b.Full() && rc.rows.Next() {
-		slot := b.AppendSlotRaw()
-		for i, v := range rc.rows.Row() {
-			slot.SetInt(i, v)
+	if width := w.s.Schema().NumCols(); b.Width() != width {
+		return 0, fmt.Errorf("%w: %d result columns for a %d-column batch", wire.ErrMalformed, width, b.Width())
+	}
+	if w.pos == len(w.frame) {
+		frame, err := w.s.Next(&w.sum)
+		if frame == nil {
+			return 0, err
 		}
+		w.frame, w.pos = frame, 0
 	}
-	if n := b.Len(); n > 0 {
-		return n, nil
-	}
-	return 0, rc.drv.wrapErr(rc.rows.Err())
+	n := b.AppendInts(w.frame[w.pos:])
+	w.pos += n * b.Width()
+	return n, nil
 }
 
-func (rc *remoteCursor) execStats() (ExecStats, bool) {
-	sum, ok := rc.rows.Summary()
-	return SummaryStats(sum), ok
+func (w *wireExec) Close() error {
+	w.s.Close()
+	return nil
 }
 
-// ioStats: the node's summary is the authority for the shard's I/O
-// delta; until it arrives (stream not drained) there is nothing to
-// report.
-func (rc *remoteCursor) ioStats() (IOStats, bool) {
-	sum, ok := rc.rows.Summary()
-	if !ok {
-		return IOStats{}, false
+// Cut ends the Rows when the session closes under the stream: the rows
+// already in its batch are not served either.
+func (w *wireExec) Cut(err error) { w.rows.stop(err) }
+
+func (w *wireExec) degrade(*Rows, error) bool { return false }
+func (w *wireExec) store(*resAccum)           {}
+func (w *wireExec) plan() *Plan               { return nil }
+
+func (w *wireExec) finish() error {
+	if w.drv != nil {
+		w.drv.release(w.conn)
 	}
-	return sum.IO, true
+	return nil
 }
 
-func (rc *remoteCursor) close() error {
-	if rc.closed {
-		return nil
+func (w *wireExec) stats(*Rows) ExecStats {
+	sum := &w.sum
+	return ExecStats{
+		IO:           sum.IO,
+		RowsReturned: sum.Rows,
+		PlanCacheHit: sum.PlanCacheHit,
+		Retries:      sum.Retries,
+		FaultsSeen:   sum.FaultsSeen,
+		Degraded:     sum.Degraded,
+		ResultCache: ResultCacheExec{
+			Hit:   sum.ResultCacheHit,
+			Bytes: sum.ResultCacheBytes,
+			Age:   time.Duration(sum.ResultCacheAgeNs),
+		},
 	}
-	rc.closed = true
-	err := rc.rows.Close()
-	rc.drv.release(rc.conn)
-	return rc.drv.wrapErr(err)
 }

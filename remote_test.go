@@ -11,14 +11,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"smoothscan"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
+	"smoothscan/internal/wire"
 	"smoothscan/ssclient"
 )
 
@@ -576,7 +580,7 @@ func TestRemoteRowsDoubleClose(t *testing.T) {
 	}
 
 	// The connection is resynchronised; a drained stream closes clean
-	// too, and its summary is available.
+	// too, and its ExecStats carries the server's summary.
 	rows2, err := c.Table(loadgen.Table).
 		Where(loadgen.IndexedCol, smoothscan.Between(0, 100)).
 		Run(context.Background())
@@ -590,12 +594,8 @@ func TestRemoteRowsDoubleClose(t *testing.T) {
 	if rows2.Err() != nil {
 		t.Fatal(rows2.Err())
 	}
-	sum, ok := rows2.(*ssclient.Rows).Summary()
-	if !ok {
-		t.Fatal("summary missing after full drain")
-	}
-	if sum.Rows != n {
-		t.Fatalf("summary rows %d, want %d", sum.Rows, n)
+	if got := rows2.ExecStats().RowsReturned; got != n {
+		t.Fatalf("ExecStats after the drain reports %d rows, want %d", got, n)
 	}
 	if err := rows2.Close(); err != nil {
 		t.Fatalf("Close after drain: %v", err)
@@ -637,12 +637,12 @@ func TestRemoteContextCancel(t *testing.T) {
 	}
 }
 
-// TestCursorNoCurrentRow pins the part of the cursor contract that
-// three separate implementations used to disagree on: on every engine,
-// Next is false after Close (and after the end) with Err unchanged,
-// and while no row is current — before the first Next, after the end,
-// after Close — Col reports false, CopyRow copies nothing and Column
-// (where the cursor has it) fails with ErrNoRow instead of panicking.
+// TestCursorNoCurrentRow pins the end of the cursor contract on every
+// engine, whose cursor is the one *smoothscan.Rows: Next is false after
+// Close (and after the end) with Err unchanged, and while no row is
+// current — before the first Next, after the end, after Close — Col
+// reports false, CopyRow copies nothing and Column fails with ErrNoRow
+// instead of panicking.
 func TestCursorNoCurrentRow(t *testing.T) {
 	f := buildRemoteFixture(t)
 	sharded, err := loadgen.BuildShardedDB(6000, 1500, 7, 2, smoothscan.Options{PoolPages: 256})
@@ -655,21 +655,13 @@ func TestCursorNoCurrentRow(t *testing.T) {
 		name string
 		e    smoothscan.Engine
 	}{{"local", f.db}, {"sharded", sharded}, {"remote", remote}}
-
-	// rowCursor is what *smoothscan.Rows and *ssclient.Rows share
-	// beyond Cursor.
-	type rowCursor interface {
-		smoothscan.Cursor
-		Col(name string) (int64, bool)
-		CopyRow(dst []int64) int
-	}
 	states := []struct {
 		name     string
-		arrange  func(t *testing.T, cur rowCursor)
+		arrange  func(t *testing.T, cur *smoothscan.Rows)
 		nextDone bool // Next must now report false, Err nil
 	}{
-		{"before-first-next", func(*testing.T, rowCursor) {}, false},
-		{"closed-mid-stream", func(t *testing.T, cur rowCursor) {
+		{"before-first-next", func(*testing.T, *smoothscan.Rows) {}, false},
+		{"closed-mid-stream", func(t *testing.T, cur *smoothscan.Rows) {
 			// The fixture's 6000 rows span several batches and fetch
 			// windows, so a buffered batch is still pending here.
 			if !cur.Next() {
@@ -679,11 +671,11 @@ func TestCursorNoCurrentRow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, true},
-		{"drained", func(t *testing.T, cur rowCursor) {
+		{"drained", func(t *testing.T, cur *smoothscan.Rows) {
 			for cur.Next() {
 			}
 		}, true},
-		{"drained-and-closed", func(t *testing.T, cur rowCursor) {
+		{"drained-and-closed", func(t *testing.T, cur *smoothscan.Rows) {
 			for cur.Next() {
 			}
 			if err := cur.Close(); err != nil {
@@ -700,7 +692,10 @@ func TestCursorNoCurrentRow(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer c.Close()
-				cur := c.(rowCursor)
+				cur, ok := c.(*smoothscan.Rows)
+				if !ok {
+					t.Fatalf("the cursor is a %T, want *smoothscan.Rows", c)
+				}
 				st.arrange(t, cur)
 				if st.nextDone && cur.Next() {
 					t.Error("Next returned true")
@@ -717,12 +712,94 @@ func TestCursorNoCurrentRow(t *testing.T) {
 				if row := cur.Row(); len(row) != 0 {
 					t.Errorf("Row with no current row = %v", row)
 				}
-				if cc, ok := c.(interface{ Column(string) (int64, error) }); ok {
-					if _, err := cc.Column(loadgen.IndexedCol); !errors.Is(err, smoothscan.ErrNoRow) {
-						t.Errorf("Column with no current row: %v, want ErrNoRow", err)
-					}
+				if _, err := cur.Column(loadgen.IndexedCol); !errors.Is(err, smoothscan.ErrNoRow) {
+					t.Errorf("Column with no current row: %v, want ErrNoRow", err)
 				}
 			})
 		}
+	}
+}
+
+// TestRemoteExecStatsIsTheSummary: a remote Rows reports the server's
+// closing summary as its ExecStats, field for field — plan and result
+// cache reuse, retry and fault counters included, none of them
+// recomputed on the client. A raw-frame fake server sends a summary
+// whose counters no real execution would produce together, so a field
+// derived locally instead of copied shows up as a mismatch.
+func TestRemoteExecStatsIsTheSummary(t *testing.T) {
+	sum := wire.ExecSummary{
+		Rows: 2, Retries: 3, FaultsSeen: 4, PlanCacheHit: true,
+		Degraded:       []string{"smooth→full"},
+		IO:             smoothscan.IOStats{Requests: 5, PagesRead: 6, Faults: 7, Retries: 8},
+		ResultCacheHit: true, ResultCacheBytes: 99, ResultCacheAgeNs: 1234,
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var rows wire.Encoder
+		rows.AppendBatch([]int64{1, 10, 2, 20}, 2, 2)
+		for _, f := range []struct {
+			typ     byte
+			payload []byte
+		}{
+			{wire.MsgHelloOK, wire.HelloOK{Version: wire.Version}.Marshal()},
+			{wire.MsgExecOK, wire.ExecOK{Cols: []string{"id", "val"}}.Marshal()},
+			{wire.MsgBatch, rows.B},
+			{wire.MsgEnd, wire.End{Summary: sum}.Marshal()},
+		} {
+			// HelloOK answers Hello and ExecOK Execute; Batch and End
+			// follow ExecOK unasked.
+			if f.typ == wire.MsgHelloOK || f.typ == wire.MsgExecOK {
+				if _, _, err := wire.ReadFrame(conn); err != nil {
+					return
+				}
+			}
+			if wire.WriteFrame(conn, f.typ, f.payload) != nil {
+				return
+			}
+		}
+	}()
+	c, err := ssclient.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cur, err := c.Table("t").Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	rows := cur.(*smoothscan.Rows)
+	if st := rows.ExecStats(); !reflect.DeepEqual(st, smoothscan.ExecStats{}) {
+		t.Errorf("ExecStats before the summary = %+v, want the zero value", st)
+	}
+	n := 0
+	for rows.Next() {
+		if v, err := rows.Column("val"); err != nil || v != int64(10*(n+1)) {
+			t.Fatalf("row %d: Column(val) = %d, %v", n, v, err)
+		}
+		n++
+	}
+	if err := rows.Err(); err != nil || n != 2 {
+		t.Fatalf("drained %d rows, err %v; want 2 rows", n, err)
+	}
+	want := smoothscan.ExecStats{
+		IO: sum.IO, RowsReturned: 2, PlanCacheHit: true, Retries: 3, FaultsSeen: 4,
+		Degraded:    []string{"smooth→full"},
+		ResultCache: smoothscan.ResultCacheExec{Hit: true, Bytes: 99, Age: 1234 * time.Nanosecond},
+	}
+	if st := rows.ExecStats(); !reflect.DeepEqual(st, want) {
+		t.Errorf("ExecStats = %+v\nwant        %+v", st, want)
+	}
+	if p := rows.Plan(); p != nil {
+		t.Errorf("a remote Rows has plan %v, want nil", p)
 	}
 }

@@ -17,10 +17,11 @@ import (
 // Close.
 var ErrNoRow = errors.New("smoothscan: no current row")
 
-// execution is what differs between the two things a Rows can iterate:
-// one DB's operator tree (localExec) and a sharded scatter-gather
-// (shardExec). Iteration, column access, error latching and the
-// result-cache tee are the Rows' own and identical for both.
+// execution is what differs between the three things a Rows can
+// iterate: one DB's operator tree (localExec), a sharded
+// scatter-gather (shardExec) and a remote result stream (wireExec).
+// Iteration, column access, error latching and the result-cache tee
+// are the Rows' own and identical for all three.
 type execution interface {
 	// degrade attempts open-stream fault recovery after the tree
 	// failed with err before any row was delivered; on success it has
@@ -33,18 +34,19 @@ type execution interface {
 	// result to the engine's result cache, if the execution is
 	// eligible.
 	store(a *resAccum)
-	// stats reports the execution's part of ExecStats: I/O, morphing
-	// counters, joins, degradations, the per-shard breakdown. quiesced
-	// says that no worker goroutine is running any more.
-	stats(closed, quiesced bool) ExecStats
+	// stats reports r's ExecStats: I/O, morphing counters, joins,
+	// degradations, the per-shard breakdown — an in-process execution
+	// completes its part with r.engineStats.
+	stats(r *Rows) ExecStats
 	// plan renders the executed plan; nil when rendering fails.
 	plan() *Plan
 }
 
-// Rows iterates a query result — of a single DB or of a sharded
-// scatter-gather alike. Internally it drains the operator tree through
-// the batched (vectorized) protocol: Next refills a private row batch
-// once per exec.DefaultBatchSize rows and then serves views into it,
+// Rows iterates a query result — of a single DB, a sharded
+// scatter-gather or a remote server alike. Internally it drains the
+// operator tree through the batched (vectorized) protocol: Next
+// refills a private row batch once per exec.DefaultBatchSize rows (a
+// remote stream's: once per Batch frame) and then serves views into it,
 // so the per-row cost of the public iterator is a bounds check and a
 // slice header.
 //
@@ -53,7 +55,8 @@ type execution interface {
 //
 // A Rows is owned by a single goroutine — share the DB, not the Rows.
 // Always Close a Rows when done with it; open Rows block ColdCache
-// and ResetStats.
+// and ResetStats, and a remote Rows holds its connection until it is
+// drained or closed.
 type Rows struct {
 	run        execution
 	op         exec.Operator
@@ -63,7 +66,6 @@ type Rows struct {
 	batch      *tuple.Batch // drain batch, on loan from drainBatches until Close
 	pos        int
 	cur        tuple.Row // nil while no row is current
-	view       []int64   // Row's result, overwritten row after row
 	err        error
 	counters   []*opCounter
 	plan       *Plan // cached Plan() result
@@ -176,32 +178,18 @@ func (r *Rows) fillBatch(b *tuple.Batch) (int, error) {
 	return n, nil
 }
 
-// Row returns the current row's values as a view into a buffer the
-// Rows owns: it is valid until the next Next or Close, like
-// bufio.Scanner.Bytes, and has length 0 when no row is current. CopyRow
-// (or slices.Clone(rows.Row())) is how a caller retains a row.
-func (r *Rows) Row() []int64 {
-	if r.view == nil {
-		r.view = make([]int64, r.schema.NumCols())
-	}
-	return r.view[:r.CopyRow(r.view)]
-}
+// Row returns the current row's values as a view into the Rows' batch:
+// it is valid until the next Next or Close, like bufio.Scanner.Bytes,
+// and has length 0 when no row is current. CopyRow (or
+// slices.Clone(rows.Row())) is how a caller retains a row.
+func (r *Rows) Row() []int64 { return r.cur.Ints() }
 
 // CopyRow copies the current row's values into dst and returns the
 // number of values copied (the smaller of the row width and len(dst);
 // 0 when no row is current). It is the retaining form of Row, and
 // streaming consumers — the wire server's result encoder is the
 // canonical one — drain a scan into a reused buffer with it.
-func (r *Rows) CopyRow(dst []int64) int {
-	n := len(r.cur)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.cur.Int(i)
-	}
-	return n
-}
+func (r *Rows) CopyRow(dst []int64) int { return copy(dst, r.Row()) }
 
 // Columns returns the names of the result columns, in output order —
 // the schema Select/GroupBy produced, or the table's columns when the
@@ -249,10 +237,11 @@ func (r *Rows) Column(name string) (int64, error) {
 func (r *Rows) Err() error { return r.err }
 
 // Close releases the scan (stopping any parallel or shard workers
-// still running) and freezes the query's ExecStats. Closing an
-// already-closed Rows is idempotent: the first call's error (if any)
-// is recorded and returned again by every later call, and is also
-// surfaced through Err when iteration itself saw no earlier error.
+// still running, cancelling a remote stream server-side) and freezes
+// the query's ExecStats. Closing an already-closed Rows is
+// idempotent: the first call's error (if any) is recorded and
+// returned again by every later call, and is also surfaced through Err
+// when iteration itself saw no earlier error.
 func (r *Rows) Close() error {
 	if r.closed {
 		return r.closeErr
@@ -320,8 +309,12 @@ func (r *Rows) Choice() (path string, estimatedRows int64, ok bool) {
 // partial: per-worker and per-shard internals are only read once the
 // workers have quiesced); after Close the snapshot is final, including
 // the I/O delta frozen at Close time.
-func (r *Rows) ExecStats() ExecStats {
-	st := r.run.stats(r.closed, r.closed || r.done)
+func (r *Rows) ExecStats() ExecStats { return r.run.stats(r) }
+
+// engineStats completes an in-process execution's stats with what the
+// Rows itself tracks: per-operator counts, plan and result cache reuse,
+// and the fault counters read off the I/O delta.
+func (r *Rows) engineStats(st ExecStats) ExecStats {
 	for _, c := range r.counters {
 		st.Operators = append(st.Operators, OperatorStats{Name: c.name, Rows: c.rows, Batches: c.batches})
 	}
@@ -382,7 +375,8 @@ func (l *localExec) store(a *resAccum) {
 
 func (l *localExec) plan() *Plan { return l.cq.plan() }
 
-func (l *localExec) stats(closed, quiesced bool) ExecStats {
+func (l *localExec) stats(r *Rows) ExecStats {
+	closed, quiesced := r.closed, r.closed || r.done
 	var st ExecStats
 	if closed {
 		st.IO = l.ioDelta
@@ -413,5 +407,5 @@ func (l *localExec) stats(closed, quiesced bool) ExecStats {
 	if len(l.cq.degraded) > 0 {
 		st.Degraded = append([]string(nil), l.cq.degraded...)
 	}
-	return st
+	return r.engineStats(st)
 }

@@ -13,12 +13,13 @@ import (
 )
 
 // TestRowIsAViewUntilNext pins Cursor.Row's one contract on all three
-// engines: the slice is the current row until the next Next or Close,
-// CopyRow (or a clone) retains it, and no row is current before the
-// first Next, after the last one, and after Close. The scan spans
-// several refills of the drain batch (and several Batch frames
-// remotely), so a clone taken in one refill is checked against the
-// oracle after the buffer under it has been overwritten.
+// engines, whose cursor is the one *smoothscan.Rows: the slice is the
+// current row until the next Next or Close, CopyRow (or a clone)
+// retains it, and no row is current before the first Next, after the
+// last one, and after Close. The scan spans several refills of the
+// drain batch (and several Batch frames remotely), so a clone taken in
+// one refill is checked against the oracle after the buffer under it
+// has been overwritten.
 func TestRowIsAViewUntilNext(t *testing.T) {
 	const (
 		numRows, domain, seed = 6000, 1000, 11
@@ -75,9 +76,9 @@ func TestRowIsAViewUntilNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cur.Close()
-			copier, ok := cur.(interface{ CopyRow([]int64) int })
+			rows, ok := cur.(*smoothscan.Rows)
 			if !ok {
-				t.Fatalf("%T has no CopyRow", cur)
+				t.Fatalf("the cursor is a %T, want *smoothscan.Rows", cur)
 			}
 			if row := cur.Row(); len(row) != 0 {
 				t.Errorf("Row() before the first Next = %v, want length 0", row)
@@ -86,11 +87,14 @@ func TestRowIsAViewUntilNext(t *testing.T) {
 			buf := make([]int64, 16)
 			for cur.Next() {
 				row := cur.Row()
-				if n := copier.CopyRow(buf); !slices.Equal(buf[:n], row) {
+				if n := rows.CopyRow(buf); !slices.Equal(buf[:n], row) {
 					t.Fatalf("row %d: CopyRow = %v, Row() = %v", len(got), buf[:n], row)
 				}
 				if again := cur.Row(); !slices.Equal(again, row) {
 					t.Fatalf("row %d: a second Row() = %v, the first = %v", len(got), again, row)
+				}
+				if cap(row) != len(row) {
+					t.Fatalf("row %d: Row() has capacity %d past its %d values; an append would overwrite the next row", len(got), cap(row), len(row))
 				}
 				got = append(got, slices.Clone(row))
 			}

@@ -708,50 +708,62 @@ func (s *ShardedDB) compileShardExec(qt *qtemplate, lits []int64, b Bind, annota
 	return se, nil
 }
 
-// shardRowsOp adapts one shard's cursor to the batched operator
-// protocol, so the parallel gather can drive it as a worker. start is
-// deferred to Open — pruned or never-opened shards never construct a
-// cursor, hence never touch their device (or network). The op records
-// whether its shard failed as unavailable, for ExecStats.Shards.
+// shardRowsOp drives one shard's Rows as a batched operator, so the
+// parallel gather can run it as a worker. start is deferred to Open —
+// pruned or never-opened shards never build or run their query, hence
+// never touch their device (or network). Every error the shard's
+// stream returns passes noteErr, which names a lost remote shard and
+// records it for ExecStats.Shards.
 type shardRowsOp struct {
 	schema      *tuple.Schema
-	start       func() (shardCursor, error)
-	cur         shardCursor
+	shard       int
+	drv         shardDriver
+	ctx         context.Context
+	query       func() *Query
+	rows        *Rows
 	unavailable bool
 }
 
 func (o *shardRowsOp) Schema() *tuple.Schema { return o.schema }
 
 func (o *shardRowsOp) Open() error {
-	cur, err := o.start()
+	rows, err := o.drv.run(o.ctx, o.query())
 	if err != nil {
 		return o.noteErr(err)
 	}
-	o.cur = cur
+	o.rows = rows
 	return nil
 }
 
 func (o *shardRowsOp) NextBatch(b *tuple.Batch) (int, error) {
-	n, err := o.cur.fill(b)
+	n, err := o.rows.fillBatch(b)
 	return n, o.noteErr(err)
 }
 
-// noteErr flags a shard-unavailable failure on its way out. The flag
-// is written by the worker goroutine driving this op and read only
-// after the gather has quiesced, the same discipline as the cursor's
-// stats.
+// noteErr classifies a shard error (shardErr) and flags a
+// shard-unavailable failure on its way out. The flag is written by the
+// worker goroutine driving this op and read only after the gather has
+// quiesced, the same discipline as the shard Rows' stats.
 func (o *shardRowsOp) noteErr(err error) error {
-	if err != nil && errors.Is(err, ErrShardUnavailable) {
+	err = shardErr(o.shard, o.drv.address(), err)
+	if errors.Is(err, ErrShardUnavailable) {
 		o.unavailable = true
 	}
 	return err
 }
 
+// Close closes the shard's Rows (idempotent), which returns a remote
+// shard's connection to its pool.
 func (o *shardRowsOp) Close() error {
-	if o.cur == nil {
+	if o.rows == nil {
 		return nil
 	}
-	return o.cur.close()
+	return o.noteErr(o.rows.Close())
+}
+
+// shardOp is the op reading shard si's result of query().
+func (se *shardExec) shardOp(ctx context.Context, si int, schema *tuple.Schema, query func() *Query) *shardRowsOp {
+	return &shardRowsOp{schema: schema, shard: si, drv: se.s.drivers[si], ctx: ctx, query: query}
 }
 
 // shardQuery is the query active shard si runs, bound to the shard's
@@ -824,22 +836,21 @@ func (se *shardExec) start(ctx context.Context) error {
 		// into memory once, before the workers start.
 		var bcRows []tuple.Row
 		if se.strategy == strategyBroadcast {
-			b := tuple.NewBatchFor(se.pt.Inputs[se.bcInput].Schema, exec.DefaultBatchSize)
+			bcSchema := se.pt.Inputs[se.bcInput].Schema
+			b := tuple.NewBatchFor(bcSchema, exec.DefaultBatchSize)
 			for _, si := range se.bcActive {
-				cur, err := s.drivers[si].run(ctx, se.q.sideQuery(s.shards[si], se.bcInput, se.pt))
-				if err != nil {
-					return err
-				}
-				for {
+				op := se.shardOp(ctx, si, bcSchema, func() *Query { return se.q.sideQuery(s.shards[si], se.bcInput, se.pt) })
+				err := op.Open()
+				for err == nil {
 					var n int
-					if n, err = cur.fill(b); n == 0 {
+					if n, err = op.NextBatch(b); n == 0 {
 						break
 					}
 					for i := 0; i < n; i++ {
 						bcRows = append(bcRows, b.Row(i).Clone())
 					}
 				}
-				if cerr := cur.close(); err == nil {
+				if cerr := op.Close(); err == nil {
 					err = cerr
 				}
 				if err != nil {
@@ -851,10 +862,7 @@ func (se *shardExec) start(ctx context.Context) error {
 		workers := make([]parallel.Worker, 0, len(se.active))
 		for _, si := range se.active {
 			si := si
-			a := &shardRowsOp{
-				schema: se.gatherSchema,
-				start:  func() (shardCursor, error) { return s.drivers[si].run(ctx, se.shardQuery(si)) },
-			}
+			a := se.shardOp(ctx, si, se.gatherSchema, func() *Query { return se.shardQuery(si) })
 			se.adapters = append(se.adapters, a)
 			var op exec.Operator = a
 			if se.strategy == strategyBroadcast {
@@ -929,7 +937,7 @@ func (se *shardExec) degrade(*Rows, error) bool { return false }
 // finish freezes the per-shard I/O deltas once the gather has closed
 // (stopping the shard workers).
 func (se *shardExec) finish() error {
-	// Workers close their shard cursors before their stream shuts down;
+	// Workers close their shard Rows before their stream shuts down;
 	// this sweep only matters when the gather never opened.
 	var first error
 	for _, a := range se.adapters {
@@ -1107,10 +1115,7 @@ func (se *shardExec) store(a *resAccum) {
 		if ad.unavailable {
 			return
 		}
-		if ad.cur == nil {
-			continue
-		}
-		if st, ok := ad.cur.execStats(); ok && len(st.Degraded) > 0 {
+		if ad.rows != nil && len(ad.rows.ExecStats().Degraded) > 0 {
 			return
 		}
 	}

@@ -11,13 +11,11 @@ import (
 // *smoothscan.DB or *smoothscan.ShardedDB drives a remote server by
 // swapping in a dialed Conn. Wire-specific capability (SetFetchRows,
 // Broken, ServerStats, fault administration) stays on the concrete
-// type, as does Rows.Summary — assert the Cursor to *Rows for it;
-// Engine code reads ExecStats instead, which every backend fills.
+// type. A run's cursor is a *smoothscan.Rows on every engine.
 var (
 	_ smoothscan.Engine        = (*Conn)(nil)
 	_ smoothscan.Builder       = (*Query)(nil)
 	_ smoothscan.PreparedQuery = (*Stmt)(nil)
-	_ smoothscan.Cursor        = (*Rows)(nil)
 )
 
 // Query is a remote query under construction: a detached
@@ -77,14 +75,15 @@ func (q *Query) WithOptions(opts smoothscan.ScanOptions) smoothscan.Builder {
 }
 
 // Run executes the query ad hoc (literals inline) and opens a result
-// stream, a *Rows: the same Execute request a Stmt.Run sends, without
-// a bind. Parameterized queries must go through PrepareQuery.
+// stream, a *smoothscan.Rows: the same Execute request a Stmt.Run
+// sends, without a bind. Parameterized queries must go through
+// PrepareQuery.
 func (q *Query) Run(ctx context.Context) (smoothscan.Cursor, error) {
 	spec, err := q.q.Spec()
 	if err != nil {
 		return nil, err
 	}
-	return cursorOf(q.c.Conn.ExecuteSpec(ctx, spec, nil))
+	return smoothscan.RunRemote(ctx, q.c.Conn, spec, nil)
 }
 
 // PrepareQuery implements smoothscan.Engine: it compiles a Builder

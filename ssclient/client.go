@@ -17,16 +17,18 @@
 //	for rows.Next() { use(rows.Row()) }
 //	rows.Close()
 //
-// Row returns a view that is valid until the next Next or Close, as in
-// the embedded engine; CopyRow retains a row.
+// Every run's result is a *smoothscan.Rows, the embedded engine's own
+// cursor: Row is a view valid until the next Next or Close, CopyRow
+// retains a row, Col and Column read one, and ExecStats carries the
+// server's closing summary once the stream is drained.
 //
 // A Conn is a smoothscan.Engine, and the query builder is the engine's
 // own: Conn.Table composes a real smoothscan.Query (via
 // smoothscan.NewQuery), so predicates, aggregates and Param
 // placeholders are the root package's types — smoothscan.Between works
 // identically at a local and a remote call site. The transport itself
-// lives in internal/client, shared with the engine's remote shard
-// driver.
+// lives in internal/client; the root package turns its streams into
+// Rows for this package and for the engine's remote shard driver alike.
 //
 // Error classes survive the wire: a remote error unwraps to the same
 // typed sentinels the embedded engine returns, so errors.Is and
@@ -39,9 +41,9 @@
 // its own Conn (connections are cheap; the server pools admission
 // across all of them). Rows.Close and Stmt.Close are always safe to
 // call, including after the server has disconnected or the client is
-// closed: Stmt.Close never talks to the server, and Rows.Close treats
-// an unreachable server as already-closed rather than an error to
-// propagate.
+// closed: Stmt.Close never talks to the server, and a remote Rows.Close
+// treats an unreachable server as already-closed rather than an error
+// to propagate.
 package ssclient
 
 import (
@@ -65,19 +67,14 @@ var (
 	// ErrConnLost marks a dead connection: the client can no longer
 	// exchange frames and must be re-dialed.
 	ErrConnLost = client.ErrConnLost
-	// ErrBusy: a new request was issued while a Rows stream is open on
-	// this connection. Drain or Close it first.
+	// ErrBusy: a new request was issued while a result stream is open
+	// on this connection. Drain or Close its Rows first.
 	ErrBusy = client.ErrBusy
 )
 
 // RemoteError is the typed error a server Error frame materialises
 // into; its Unwrap preserves the engine's error class.
 type RemoteError = wire.RemoteError
-
-// ExecSummary is a remote execution's closing statistics — the wire
-// projection of smoothscan.ExecStats (Rows.ExecStats converts it
-// back).
-type ExecSummary = wire.ExecSummary
 
 // ServerStats is the server's counter snapshot (Conn.ServerStats).
 type ServerStats = wire.ServerStats
@@ -90,8 +87,8 @@ type FaultRule struct {
 	ExtraCost float64
 }
 
-// DefaultFetchRows is the fetch window (the first one included) Rows
-// uses unless Conn.SetFetchRows overrides it.
+// DefaultFetchRows is the fetch window (the first one included) a
+// result stream uses unless Conn.SetFetchRows overrides it.
 const DefaultFetchRows = client.DefaultFetchRows
 
 // Conn is one protocol session. Not safe for concurrent use. The
@@ -147,12 +144,13 @@ func (s *Stmt) Params() []string {
 }
 
 // Run binds the parameters and executes the statement, opening a
-// result stream, a *Rows. One stream may be open per Conn at a time.
+// result stream, a *smoothscan.Rows. One stream may be open per Conn at
+// a time.
 func (s *Stmt) Run(ctx context.Context, b smoothscan.Bind) (smoothscan.Cursor, error) {
 	if s.closed {
 		return nil, errors.New("ssclient: Run on a closed Stmt")
 	}
-	return cursorOf(s.c.ExecuteSpec(ctx, s.spec, b))
+	return smoothscan.RunRemote(ctx, s.c.Conn, s.spec, b)
 }
 
 // Close marks the statement closed; later Runs fail. There is nothing
@@ -160,13 +158,4 @@ func (s *Stmt) Run(ctx context.Context, b smoothscan.Bind) (smoothscan.Cursor, e
 func (s *Stmt) Close() error {
 	s.closed = true
 	return nil
-}
-
-// cursorOf wraps a transport stream, keeping a failed open's nil from
-// becoming a non-nil Cursor.
-func cursorOf(r *client.Rows, err error) (smoothscan.Cursor, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Rows: r}, nil
 }
