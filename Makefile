@@ -30,10 +30,14 @@ build:
 ## classifies a lost node inside the worker that drains it. The second
 ## line repeats the client/server stream-lifecycle tests (cancel, close
 ## before the first Next, a Conn closed under its stream) the same way.
+## Pooled batches cross goroutines and queries, so the 2-shard byte
+## budget rides on the first line, and a third repeats the exchange's
+## batch-lifecycle tests.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow|TestShardedScanByteBudget' .
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestCancelMidStream|TestCloseBeforeFirstNext|TestConnCloseEndsOpenStream' ./internal/server
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestExchangeBatchLifecycle|TestExchangeDropsSwappedArrays' ./internal/parallel
 
 ## race: the test suite under the race detector (the concurrent scan
 ## and session tests only prove anything when this runs).

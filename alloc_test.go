@@ -9,6 +9,7 @@ package smoothscan_test
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -97,6 +98,106 @@ func TestFacadeScanAllocBudget(t *testing.T) {
 	t.Logf("facade scan: %.0f bytes/query", perQuery)
 	if perQuery > 32<<10 {
 		t.Errorf("facade scan allocates %.0f bytes per query, budget is 32 KB", perQuery)
+	}
+}
+
+// buildHashSharded loads the budgets' table shape over two shards,
+// hash-partitioned on the indexed column as the benchmark's
+// scan_sharded places it, so a range predicate prunes no shard.
+func buildHashSharded(t *testing.T, opts smoothscan.Options) *smoothscan.ShardedDB {
+	t.Helper()
+	s, err := smoothscan.OpenSharded(2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := s.CreateShardedTable(loadgen.Table, smoothscan.HashPartitioning(loadgen.IndexedCol, 2),
+		"id", loadgen.IndexedCol, "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]int64, 10)
+	for i := int64(0); i < allocRows; i++ {
+		vals[0] = i
+		for c := 1; c < len(vals); c++ {
+			vals[c] = rng.Int63n(allocDomain)
+		}
+		if err := tb.Append(vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex(loadgen.Table, loadgen.IndexedCol); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// bytesPerRun reports the bytes the process allocates per call of f,
+// averaged over runs calls.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestShardedScanByteBudget is TestFacadeScanAllocBudget's scan over
+// two hash-partitioned shards: the gather takes its exchange batches
+// from the batch pool only as its workers need them, and gives them
+// back at Close (~24 KB per query). Filling the exchange's 2P+1
+// ten-column 1024-row batches up front at every Open would add 400 KB.
+func TestShardedScanByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the byte budget counts on the pooled batches coming back")
+	}
+	s := buildHashSharded(t, smoothscan.Options{PoolPages: 32})
+	defer s.Close()
+	scan := func() { drainRows(t, scanFifth(s, allocDomain)) }
+	scan() // warm the plan cache and the batch pool
+	perQuery := bytesPerRun(20, scan)
+	t.Logf("sharded scan: %.0f bytes/query", perQuery)
+	if perQuery > 64<<10 {
+		t.Errorf("sharded scan allocates %.0f bytes per query, budget is 64 KB", perQuery)
+	}
+}
+
+// TestShardedPointByteBudget: a prepared point lookup on the same
+// two shards pays for its bind, shard plans and gather (~8 KB), not
+// for exchange batches it never fills (240 KB when a one-worker gather
+// filled its three up front).
+func TestShardedPointByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the byte budget counts on the pooled batches coming back")
+	}
+	s := buildHashSharded(t, smoothscan.Options{PoolPages: 4096})
+	defer s.Close()
+	stmt, err := s.Prepare(s.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Eq(smoothscan.Param("v"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := smoothscan.Bind{"v": allocDomain / 2}
+	point := func() {
+		cur, err := stmt.Run(context.Background(), bind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cur.Next() {
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	point() // warm the device pool, the plan cache and the batch pool
+	perQuery := bytesPerRun(200, point)
+	t.Logf("sharded prepared point query: %.0f bytes/query", perQuery)
+	if perQuery > 16<<10 {
+		t.Errorf("sharded prepared point query allocates %.0f bytes, budget is 16 KB", perQuery)
 	}
 }
 

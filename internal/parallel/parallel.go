@@ -37,6 +37,22 @@
 // (each worker pays its own initial seek, and index leaf pages are
 // walked once per worker rather than once), never in which heap pages
 // are analysed.
+//
+// # Exchange buffers
+//
+// Batches cross from workers to the consumer through bounded free
+// lists: one shared by every worker of an unordered fan-in, capped at
+// 2P+1 batches, and one per stream of an ordered merge, capped at three.
+// A list starts empty at Open. A worker that finds it empty takes a
+// batch from the engine's batch pool (exec.GetBatch) while its
+// exchange holds fewer than the cap, and otherwise waits for the
+// consumer to recycle one, so a query that returns a few rows pays for
+// the batches it used, not for the cap. Every batch of an exchange fits
+// in its free list, so recycling never blocks. A worker that stops —
+// at end of stream, on an error or on cancellation — puts the batch it
+// holds back on its free list; once the workers have quiesced, Close
+// hands the free lists, the batches still unread in the pipes and the
+// consumer's current batch back to the pool (exec.PutBatch).
 package parallel
 
 import (
@@ -44,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
@@ -144,7 +161,7 @@ type Scan struct {
 
 	// Unordered fan-in.
 	results chan *tuple.Batch
-	free    chan *tuple.Batch
+	free    *freeList
 	cur     *tuple.Batch // partially-copied received batch
 	curPos  int
 
@@ -155,11 +172,40 @@ type Scan struct {
 // stream is one worker's bounded pipe into the ordered merge.
 type stream struct {
 	ch   chan *tuple.Batch
-	free chan *tuple.Batch
+	free *freeList
 	cur  *tuple.Batch
 	pos  int
 	done bool
 }
+
+// freeList recycles an exchange's batches from the consumer back to its
+// workers. Its capacity is the exchange's cap on batches: made counts
+// the batches taken from the pool since Open, and a worker takes one
+// only while made is under the cap, so every batch of the exchange fits
+// in ch and a send to it never blocks.
+type freeList struct {
+	ch   chan *tuple.Batch
+	made atomic.Int32
+}
+
+func newFreeList(capacity int) *freeList {
+	return &freeList{ch: make(chan *tuple.Batch, capacity)}
+}
+
+// mayGrow reserves one more batch for the exchange, reporting false at
+// the cap. The Load keeps made from climbing past the cap on every
+// empty-list poll of a long scan.
+func (f *freeList) mayGrow() bool {
+	capacity := int32(cap(f.ch))
+	return f.made.Load() < capacity && f.made.Add(1) <= capacity
+}
+
+// Tests observe the exchange's batch traffic through these hooks; they
+// are nil outside tests.
+var (
+	testHookTake    func(b *tuple.Batch)
+	testHookRelease func(b *tuple.Batch, pooled bool)
+)
 
 // NewScan builds a parallel scan over the shard workers. Workers must
 // be listed in increasing shard page order for ordered merges to
@@ -186,9 +232,47 @@ func (s *Scan) Schema() *tuple.Schema { return s.opts.Schema }
 // Parallelism returns the worker count.
 func (s *Scan) Parallelism() int { return len(s.workers) }
 
-// newBatch allocates one exchange batch.
+// newBatch takes one exchange batch from the pool (allocating it when
+// BatchSize is not the pooled size).
 func (s *Scan) newBatch() *tuple.Batch {
-	return tuple.NewBatchFor(s.opts.Schema, s.opts.BatchSize)
+	var b *tuple.Batch
+	if s.opts.BatchSize == exec.DefaultBatchSize {
+		b = exec.GetBatch(s.opts.Schema)
+	} else {
+		b = tuple.NewBatchFor(s.opts.Schema, s.opts.BatchSize)
+	}
+	if testHookTake != nil {
+		testHookTake(b)
+	}
+	return b
+}
+
+// release gives an exchange batch back to the pool; nil is a no-op.
+func release(b *tuple.Batch) {
+	if b == nil {
+		return
+	}
+	pooled := exec.PutBatch(b)
+	if testHookRelease != nil {
+		testHookRelease(b, pooled)
+	}
+}
+
+// releaseAll releases every batch buffered in ch. Senders have all
+// returned, so ch holds everything it will ever hold; it may or may not
+// have been closed yet.
+func releaseAll(ch chan *tuple.Batch) {
+	for {
+		select {
+		case b, ok := <-ch:
+			if !ok {
+				return
+			}
+			release(b)
+		default:
+			return
+		}
+	}
 }
 
 // Open opens every shard operator — concurrently, but Open does not
@@ -250,23 +334,14 @@ func (s *Scan) Open() error {
 	if s.opts.Ordered {
 		s.streams = make([]*stream, p)
 		for i := range s.workers {
-			st := &stream{
-				ch:   make(chan *tuple.Batch, 2),
-				free: make(chan *tuple.Batch, 3),
-			}
-			for j := 0; j < cap(st.free); j++ {
-				st.free <- s.newBatch()
-			}
+			st := &stream{ch: make(chan *tuple.Batch, 2), free: newFreeList(3)}
 			s.streams[i] = st
 			s.wg.Add(1)
 			go s.runWorker(s.workers[i], s.wg, s.quit, st.free, st.ch, true)
 		}
 	} else {
 		s.results = make(chan *tuple.Batch, 2*p)
-		s.free = make(chan *tuple.Batch, 2*p+1)
-		for j := 0; j < cap(s.free); j++ {
-			s.free <- s.newBatch()
-		}
+		s.free = newFreeList(2*p + 1)
 		for i := range s.workers {
 			s.wg.Add(1)
 			go s.runWorker(s.workers[i], s.wg, s.quit, s.free, s.results, false)
@@ -283,13 +358,14 @@ func (s *Scan) Open() error {
 }
 
 // runWorker drains one already-opened shard operator into out,
-// recycling batches through free. With ownsOut (ordered mode: out has
+// recycling batches through free and taking new ones from the pool
+// while the exchange is under its cap. With ownsOut (ordered mode: out has
 // a single sender) the channel is closed when the worker finishes. The
 // WaitGroup, quit and fail channels and error sink are passed
 // explicitly (or captured before any blocking) so the goroutine stays
 // bound to the generation of the Open that spawned it even if the scan
 // is closed and reopened.
-func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, free <-chan *tuple.Batch, out chan<- *tuple.Batch, ownsOut bool) {
+func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, free *freeList, out chan<- *tuple.Batch, ownsOut bool) {
 	errs := s.errs
 	done := s.done
 	fail := s.fail
@@ -313,6 +389,14 @@ func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, fre
 			}
 		}
 	}()
+	// b is the batch the worker holds; whatever stops the worker, it
+	// goes back on the free list for Close to release.
+	var b *tuple.Batch
+	defer func() {
+		if b != nil {
+			free.ch <- b
+		}
+	}()
 	for {
 		// Cancellation is checked once per batch (never per tuple): a
 		// non-blocking poll here, plus the done/fail arms below that
@@ -325,15 +409,22 @@ func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, fre
 			return
 		default:
 		}
-		var b *tuple.Batch
 		select {
-		case b = <-free:
-		case <-quit:
-			return
-		case <-done:
-			return
-		case <-fail:
-			return
+		case b = <-free.ch:
+		default:
+			if free.mayGrow() {
+				b = s.newBatch()
+				break
+			}
+			select {
+			case b = <-free.ch:
+			case <-quit:
+				return
+			case <-done:
+				return
+			case <-fail:
+				return
+			}
 		}
 		n, err := w.Op.NextBatch(b)
 		if err != nil {
@@ -345,6 +436,7 @@ func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, fre
 		}
 		select {
 		case out <- b:
+			b = nil
 		case <-quit:
 			return
 		case <-done:
@@ -402,7 +494,7 @@ func (s *Scan) nextBatchUnordered(out *tuple.Batch) (int, error) {
 			n := out.AppendRows(s.cur, s.curPos, s.cur.Len()-s.curPos)
 			s.curPos += n
 			if s.curPos >= s.cur.Len() {
-				s.free <- s.cur
+				s.free.ch <- s.cur
 				s.cur = nil
 			}
 			if out.Len() > 0 {
@@ -419,7 +511,7 @@ func (s *Scan) nextBatchUnordered(out *tuple.Batch) (int, error) {
 			return out.Len(), nil
 		}
 		if out.Len() == 0 && out.TrySwap(b) {
-			s.free <- b
+			s.free.ch <- b
 			return out.Len(), nil
 		}
 		s.cur, s.curPos = b, 0
@@ -462,7 +554,7 @@ func (s *Scan) nextBatchOrdered(out *tuple.Batch) (int, error) {
 func (s *Scan) ensure(st *stream) error {
 	for !st.done && (st.cur == nil || st.pos >= st.cur.Len()) {
 		if st.cur != nil {
-			st.free <- st.cur
+			st.free.ch <- st.cur
 			st.cur = nil
 		}
 		b, ok := <-st.ch
@@ -476,10 +568,11 @@ func (s *Scan) ensure(st *stream) error {
 }
 
 // Close stops the workers (cancelling any still running), waits for
-// them to finish and releases the exchange buffers. It returns the
-// first worker error not yet surfaced through NextBatch, so a failed
-// scan closed before being fully drained still reports its failure.
-// The scan may be reopened.
+// them to finish and returns every exchange batch of this Open to the
+// pool: the free lists, the batches still unread in the pipes and the
+// consumer's current batch. It returns the first worker error not yet
+// surfaced through NextBatch, so a failed scan closed before being
+// fully drained still reports its failure. The scan may be reopened.
 func (s *Scan) Close() error {
 	if !s.open {
 		return nil
@@ -491,6 +584,17 @@ func (s *Scan) Close() error {
 	s.wg.Wait()
 	if err := s.firstErr(); err != nil && s.err == nil {
 		s.err = err
+	}
+	if s.opts.Ordered {
+		for _, st := range s.streams {
+			release(st.cur)
+			releaseAll(st.ch)
+			releaseAll(st.free.ch)
+		}
+	} else {
+		release(s.cur)
+		releaseAll(s.results)
+		releaseAll(s.free.ch)
 	}
 	s.results = nil
 	s.free = nil

@@ -223,6 +223,15 @@ func (b *Batch) TrySwap(o *Batch) bool {
 	return true
 }
 
+// ExactArray reports whether b is a fixed-capacity batch whose backing
+// array holds exactly Cap rows, as NewBatch allocated it. A TrySwap can
+// leave b a smaller, larger or growable batch's array instead, and an
+// append beyond a smaller one grows it; batch pools keep only exact
+// ones, so they never pin an oversized array.
+func (b *Batch) ExactArray() bool {
+	return b.maxRows > 0 && cap(b.data) == b.width*b.maxRows
+}
+
 // Truncate drops rows beyond the first n. It panics if n exceeds Len.
 func (b *Batch) Truncate(n int) {
 	if n > b.n {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"smoothscan/internal/core"
@@ -63,7 +62,7 @@ type Rows struct {
 	schema     *tuple.Schema
 	baseSchema *tuple.Schema // pre-projection schema (Column miss reasons)
 	ctx        context.Context
-	batch      *tuple.Batch // drain batch, on loan from drainBatches until Close
+	batch      *tuple.Batch // drain batch, on loan from exec's batch pool until Close
 	pos        int
 	cur        tuple.Row // nil while no row is current
 	err        error
@@ -98,7 +97,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if r.batch == nil {
-		r.batch = takeDrainBatch(r.schema)
+		r.batch = exec.GetBatch(r.schema)
 	}
 	for r.pos >= r.batch.Len() {
 		n, err := r.refill(r.batch)
@@ -112,27 +111,6 @@ func (r *Rows) Next() bool {
 	r.pos++
 	r.delivered = true
 	return true
-}
-
-// drainBatches recycles the batches Next drains the operator tree
-// into: a Rows takes one at its first Next and hands it back at Close,
-// so a query's fixed cost does not include a fresh
-// exec.DefaultBatchSize-row buffer. A batch is only ever visible to the
-// one Rows holding it.
-var drainBatches sync.Pool
-
-// takeDrainBatch returns an empty batch for rows of schema s: a
-// recycled one when its width fits, a fresh one otherwise. A recycled
-// batch may carry the fill limit a Limit left on it, and its backing
-// array may have been exchanged by a parallel gather's TrySwap, which
-// the append path tolerates.
-func takeDrainBatch(s *tuple.Schema) *tuple.Batch {
-	if b, _ := drainBatches.Get().(*tuple.Batch); b != nil && b.Width() == s.NumCols() {
-		b.Reset()
-		b.SetFillLimit(0)
-		return b
-	}
-	return tuple.NewBatchFor(s, exec.DefaultBatchSize)
 }
 
 // refill pulls the next non-empty batch of the stream into b; 0 means
@@ -251,7 +229,7 @@ func (r *Rows) Close() error {
 	r.closeErr = r.op.Close()
 	if r.batch != nil {
 		// The tree has closed (workers quiesced) and no view is out.
-		drainBatches.Put(r.batch)
+		exec.PutBatch(r.batch)
 		r.batch = nil
 	}
 	if err := r.run.finish(); r.closeErr == nil {

@@ -833,11 +833,12 @@ func (se *shardExec) start(ctx context.Context) error {
 		cur = count("empty", exec.NewValues(se.pt.Out, nil))
 	} else {
 		// Broadcast side: drain the replicated input's active shards
-		// into memory once, before the workers start.
+		// into memory once, before the workers start, through a pooled
+		// batch that goes back once its rows are cloned.
 		var bcRows []tuple.Row
 		if se.strategy == strategyBroadcast {
 			bcSchema := se.pt.Inputs[se.bcInput].Schema
-			b := tuple.NewBatchFor(bcSchema, exec.DefaultBatchSize)
+			b := exec.GetBatch(bcSchema)
 			for _, si := range se.bcActive {
 				op := se.shardOp(ctx, si, bcSchema, func() *Query { return se.q.sideQuery(s.shards[si], se.bcInput, se.pt) })
 				err := op.Open()
@@ -854,9 +855,11 @@ func (se *shardExec) start(ctx context.Context) error {
 					err = cerr
 				}
 				if err != nil {
+					exec.PutBatch(b)
 					return err
 				}
 			}
+			exec.PutBatch(b)
 		}
 
 		workers := make([]parallel.Worker, 0, len(se.active))
