@@ -40,9 +40,12 @@ test:
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestExchangeBatchLifecycle|TestExchangeDropsSwappedArrays' ./internal/parallel
 
 ## race: the test suite under the race detector (the concurrent scan
-## and session tests only prove anything when this runs).
+## and session tests only prove anything when this runs), then the
+## write-vs-scan race test again at several GOMAXPROCS: an Insert
+## replacing a page a scan still holds only races with real parallelism.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace' .
 
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:

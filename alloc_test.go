@@ -23,7 +23,6 @@ import (
 	"smoothscan/internal/server"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/workload"
-	"smoothscan/ssclient"
 )
 
 // The public-API budgets run the benchmark's table shape at a tenth of
@@ -36,13 +35,13 @@ const (
 
 // scanFifth is the benchmark's scan: the fifth of the table whose
 // indexed column falls in the first fifth of its domain.
-func scanFifth(e smoothscan.Engine, domain int64) smoothscan.Builder {
+func scanFifth(e smoothscan.Engine, domain int64) *smoothscan.Query {
 	return e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, domain/5))
 }
 
 // drainRows runs b and walks the result through Next and Row, the way
 // an application does, returning the number of rows delivered.
-func drainRows(t *testing.T, b smoothscan.Builder) int {
+func drainRows(t *testing.T, b *smoothscan.Query) int {
 	t.Helper()
 	cur, err := b.Run(context.Background())
 	if err != nil {
@@ -221,7 +220,7 @@ func TestWireScanByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := ssclient.Dial(srv.Addr().String())
+	conn, err := smoothscan.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +288,7 @@ func TestWireScanAllocsPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := ssclient.Dial(srv.Addr().String())
+	conn, err := smoothscan.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func TestWireStmtAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := ssclient.Dial(srv.Addr().String())
+	conn, err := smoothscan.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

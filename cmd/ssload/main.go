@@ -19,7 +19,7 @@
 //
 // By default the clients share one in-process DB. With -addr the same
 // workload runs against a remote ssserver instead: every client
-// goroutine owns one ssclient connection, queries travel the wire
+// goroutine owns one smoothscan.Conn, queries travel the wire
 // protocol, and the reported latencies are client-observed (dial,
 // frame round trips and result streaming included). -shards N and
 // -shard-addrs run it through the scatter-gather engine over
@@ -76,7 +76,6 @@ import (
 
 	"smoothscan"
 	"smoothscan/internal/loadgen"
-	"smoothscan/ssclient"
 )
 
 func main() {
@@ -461,7 +460,7 @@ type queryResult struct {
 // loadTemplate is the workload's one query shape, composed through
 // the Engine interface so every backend — in-process, sharded,
 // remote — compiles exactly the same builder calls.
-func loadTemplate(e smoothscan.Engine, opts smoothscan.ScanOptions) smoothscan.Builder {
+func loadTemplate(e smoothscan.Engine, opts smoothscan.ScanOptions) *smoothscan.Query {
 	return e.Table(loadgen.Table).
 		Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
 		WithOptions(opts)
@@ -469,18 +468,18 @@ func loadTemplate(e smoothscan.Engine, opts smoothscan.ScanOptions) smoothscan.B
 
 // engineRunner executes one client goroutine's queries; it is owned by
 // that goroutine and never shared. It drives a smoothscan.Engine and
-// drains the uniform Cursor, so the measured query path is literally
+// drains the one *Rows, so the measured query path is literally
 // the same code on every topology.
 type engineRunner struct {
 	cfg  loadConfig
 	eng  smoothscan.Engine
-	stmt smoothscan.PreparedQuery
-	// dial is set when the client owns its engine — conn, an ssclient
+	stmt *smoothscan.Stmt
+	// dial is set when the client owns its engine — conn, a
 	// session dialed through it, re-dialed when lost and closed with the
 	// runner. Both nil for an engine (and statement) shared through the
 	// harness.
-	dial  func() (*ssclient.Conn, error)
-	conn  *ssclient.Conn
+	dial  func() (*smoothscan.Conn, error)
+	conn  *smoothscan.Conn
 	recon int
 }
 
@@ -492,7 +491,7 @@ func (r *engineRunner) connect() error {
 	if err != nil {
 		return err
 	}
-	var stmt smoothscan.PreparedQuery
+	var stmt *smoothscan.Stmt
 	if r.cfg.prepared {
 		if stmt, err = c.PrepareQuery(loadTemplate(c, r.cfg.opts)); err != nil {
 			c.Close()
@@ -514,7 +513,7 @@ func (r *engineRunner) runQuery(ctx context.Context, lo, hi int64) (queryResult,
 		}
 		r.recon++
 	}
-	var cur smoothscan.Cursor
+	var cur *smoothscan.Rows
 	var err error
 	if r.cfg.prepared {
 		cur, err = r.stmt.Run(ctx, smoothscan.Bind{"lo": lo, "hi": hi})
@@ -599,7 +598,7 @@ func (n dbNode) close() {} // the harness's engine owns the DB
 // ctlNode reports simulated cost only: the server counters do not
 // break pages out (per-query page counts travel in ExecStats.Shards,
 // which the load loop does not accumulate).
-type ctlNode struct{ *ssclient.Conn }
+type ctlNode struct{ *smoothscan.Conn }
 
 func (n ctlNode) cost() (nodeCost, error) {
 	st, err := n.ServerStats()
@@ -610,7 +609,7 @@ func (n ctlNode) setFault(seed int64, rule *smoothscan.FaultRule) error {
 	if rule == nil {
 		return n.ClearFaultPolicy()
 	}
-	err := n.SetFaultPolicy(seed, ssclient.FaultRule{Kind: rule.Kind, Rate: rule.Rate, ExtraCost: rule.ExtraCost})
+	err := n.SetFaultPolicy(seed, *rule)
 	if err != nil {
 		return fmt.Errorf("%w (remote fault schedules need ssserver -fault-admin)", err)
 	}
@@ -635,8 +634,8 @@ type harness struct {
 	// concurrent queries: each remote shard driver pools its
 	// connections); nil when every client dials its own session.
 	eng  smoothscan.Engine
-	stmt smoothscan.PreparedQuery // shared prepared statement over eng, created lazily
-	dial func() (*ssclient.Conn, error)
+	stmt *smoothscan.Stmt // shared prepared statement over eng, created lazily
+	dial func() (*smoothscan.Conn, error)
 	// cold empties every buffer pool and result-cache tier. An ssserver
 	// without -fault-admin refuses; noCold then lets later windows
 	// measure warm instead of failing the run.
@@ -664,11 +663,11 @@ func shardedHarness(s *smoothscan.ShardedDB) *harness {
 }
 
 func remoteHarness(addr string) (*harness, error) {
-	ctl, err := ssclient.Dial(addr)
+	ctl, err := smoothscan.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	dial := func() (*ssclient.Conn, error) { return ssclient.Dial(addr) }
+	dial := func() (*smoothscan.Conn, error) { return smoothscan.Dial(addr) }
 	return &harness{mode: "remote", dial: dial, cold: ctl.ColdCache, nodes: []node{ctlNode{ctl}}}, nil
 }
 
@@ -690,7 +689,7 @@ func remoteShardedHarness(addrs []string, domain int64) (*harness, error) {
 	}
 	h := &harness{mode: fmt.Sprintf("remote-sharded[%d]", len(addrs)), eng: s, cold: s.ColdCache, sharded: s, shardMode: "remote"}
 	for _, p := range placements {
-		ctl, err := ssclient.Dial(p.Addr)
+		ctl, err := smoothscan.Dial(p.Addr)
 		if err != nil {
 			h.close()
 			return nil, fmt.Errorf("control dial %s: %w", p.Addr, err)
@@ -705,7 +704,7 @@ func remoteShardedHarness(addrs []string, domain int64) (*harness, error) {
 func (h *harness) mark() error {
 	if !h.noCold {
 		if err := h.cold(); err != nil {
-			var re *ssclient.RemoteError
+			var re *smoothscan.RemoteError
 			if !errors.As(err, &re) {
 				return err
 			}

@@ -1,6 +1,6 @@
 // Command ssserver serves a smoothscan engine over the wire protocol
 // (see docs/PROTOCOL.md): it bulk-loads the same synthetic table
-// ssload generates locally, then accepts ssclient sessions with
+// ssload generates locally, then accepts smoothscan.Conn sessions with
 // prepared statements, admission control and fault injection.
 //
 // Usage:

@@ -12,11 +12,13 @@
 // drops a frame: it never writes back and never overwrites the bytes a
 // caller was handed. So a scan may hold page slices across NextBatch
 // calls — a full scan its read-ahead chunk, Smooth Scan its current
-// morphing region. The one writer is heap Insert, which rewrites the
-// table's last page in place (disk.Device.WritePage), after which its
-// caller invalidates that page's frame; a scan reading the page
-// meanwhile races with the write. That race is a known defect, still
-// open.
+// morphing region. The one writer is heap Insert, which replaces the
+// table's last page with a fresh copy (disk.Device.WritePage) and then
+// invalidates that page's frame; the device installs the copy rather
+// than writing into the old slice, so a scan holding the old page reads
+// the bytes it was handed, never a torn write. A miss that read the
+// device while an invalidation ran does not cache its page, so the old
+// page cannot come back as a frame after the write.
 //
 // A Pool is safe for concurrent use: the frame table is guarded by one
 // mutex shared by every view of the pool. A Pool value is itself a
@@ -70,6 +72,10 @@ type state struct {
 	table    map[key]int // key -> frame index
 	hand     int
 	stats    Stats
+	// gen counts invalidations. A miss reads the device with mu
+	// released; if gen moved meanwhile, the page it read may be the one
+	// a write just replaced, so it is returned but not cached.
+	gen uint64
 }
 
 // Pool is a view of a fixed-capacity page cache: the cache itself is
@@ -168,13 +174,16 @@ func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 		return data, nil
 	}
 	st.stats.Misses++
+	gen := st.gen
 	st.mu.Unlock()
 	data, err := p.readPage(space, pageNo)
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
-	st.insert(k, data)
+	if st.gen == gen {
+		st.insert(k, data)
+	}
 	st.mu.Unlock()
 	return data, nil
 }
@@ -214,6 +223,7 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 		// (and for the caller's loop). insert tolerates pages raced in
 		// by another view meanwhile, and a single-threaded caller sees
 		// the classic probe/read/insert order unchanged.
+		gen := st.gen
 		st.mu.Unlock()
 		pages, err := p.readRun(space, runStart, end-runStart)
 		st.mu.Lock()
@@ -222,7 +232,9 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 		}
 		for i, data := range pages {
 			pageNo := runStart + int64(i)
-			st.insert(key{space, pageNo}, data)
+			if st.gen == gen {
+				st.insert(key{space, pageNo}, data)
+			}
 			out[pageNo-start] = data
 		}
 		runStart = -1
@@ -397,11 +409,13 @@ func (p *Pool) Reset() {
 }
 
 // InvalidatePage drops one cached page, if present; callers must
-// invoke it after an in-place page write (heap inserts).
+// invoke it after a page write (heap inserts). A read that was in
+// flight meanwhile does not cache what it read.
 func (p *Pool) InvalidatePage(space disk.SpaceID, pageNo int64) {
 	st := p.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.gen++
 	k := key{space, pageNo}
 	if idx, ok := st.table[k]; ok {
 		st.frames[idx] = frame{}
@@ -415,6 +429,7 @@ func (p *Pool) InvalidateSpace(space disk.SpaceID) {
 	st := p.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.gen++
 	for k, idx := range st.table {
 		if k.space == space {
 			st.frames[idx] = frame{}

@@ -2,6 +2,7 @@ package bufferpool
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -265,4 +266,59 @@ func TestPoolInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestWriteDuringMissIsNotCached: a writer replaces page 0 and
+// invalidates its frame over and over while other views miss on it
+// through Get and GetRun. A miss that read the page before a write
+// must not cache it after the invalidation, so after every write the
+// pool serves that write.
+func TestWriteDuringMissIsNotCached(t *testing.T) {
+	d, sp := newDev(t, 1)
+	p := New(d, 4)
+	const writes = 2000
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		v := p.View()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var err error
+				if i%2 == 0 {
+					_, err = v.Get(sp, 0)
+				} else {
+					_, err = v.GetRun(sp, 0, 1, nil)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= writes; i++ {
+		page := make([]byte, 64)
+		page[0] = byte(i)
+		if err := d.WritePage(sp, 0, page); err != nil {
+			t.Fatal(err)
+		}
+		p.InvalidatePage(sp, 0)
+		got, err := p.Get(sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != byte(i) {
+			t.Errorf("write %d: page 0 reads %d, an older write", i, got[0])
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

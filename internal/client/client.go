@@ -6,7 +6,7 @@
 // the server answers ExecOK followed by that window, so a short result
 // needs no Fetch at all. It depends only on the wire codec and the
 // tuple schema, so the root package can run every remote stream —
-// ssclient's runs and the remote shard driver's slices alike — through
+// a Conn's runs and the remote shard driver's slices alike — through
 // one implementation without an import cycle through smoothscan. The
 // transport stops at decoded Batch frames (Stream.Next); the root
 // package's Rows is the cursor over them.
@@ -36,15 +36,16 @@ import (
 )
 
 // Typed sentinels, matchable with errors.Is against any error a remote
-// exchange returns. The messages carry the public package's name —
-// ssclient re-exports these exact values as its own API.
+// exchange returns. The messages carry the public package's name — the
+// root package re-exports these exact values as smoothscan.ErrConnLost
+// and smoothscan.ErrBusy.
 var (
 	// ErrConnLost marks a dead connection: the client can no longer
 	// exchange frames and must be re-dialed.
-	ErrConnLost = errors.New("ssclient: connection lost")
+	ErrConnLost = errors.New("smoothscan: connection lost")
 	// ErrBusy: a new request was issued while a result stream is open
 	// on this connection. Drain or Close it first.
-	ErrBusy = errors.New("ssclient: a result stream is open")
+	ErrBusy = errors.New("smoothscan: a result stream is open")
 )
 
 // DefaultFetchRows is the fetch window (the first one included) a

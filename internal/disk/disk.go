@@ -275,7 +275,11 @@ func (d *Device) AppendPage(id SpaceID, data []byte) (int64, error) {
 	return int64(len(sp.pages) - 1), nil
 }
 
-// WritePage overwrites an existing page.
+// WritePage replaces an existing page with data. The device takes
+// ownership of data, which becomes the page: the caller must not reuse
+// it. The slice the page used to be is left as it was, so a reader that
+// still holds it — a buffer-pool frame, a scan's region — keeps seeing
+// the old bytes instead of racing with the write.
 func (d *Device) WritePage(id SpaceID, pageNo int64, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -289,7 +293,7 @@ func (d *Device) WritePage(id SpaceID, pageNo int64, data []byte) error {
 	if len(data) != d.profile.PageSize {
 		return fmt.Errorf("disk: write of %d bytes, want page size %d", len(data), d.profile.PageSize)
 	}
-	copy(sp.pages[pageNo], data)
+	sp.pages[pageNo] = data
 	d.stats.PagesWritten++
 	return nil
 }

@@ -54,6 +54,10 @@ func TestWritePage(t *testing.T) {
 	if _, err := d.AppendPage(sp, fill(1, 64)); err != nil {
 		t.Fatal(err)
 	}
+	before, err := d.ReadPage(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.WritePage(sp, 0, fill(9, 64)); err != nil {
 		t.Fatalf("WritePage: %v", err)
 	}
@@ -63,6 +67,11 @@ func TestWritePage(t *testing.T) {
 	}
 	if got[0] != 9 {
 		t.Errorf("read back %d, want 9", got[0])
+	}
+	// A slice read before the write is not written into: a reader that
+	// holds it keeps the old bytes.
+	if before[0] != 1 {
+		t.Errorf("the page read before the write now holds %d, want 1", before[0])
 	}
 }
 

@@ -30,14 +30,14 @@ var facadeSels = []struct {
 }
 
 // facadeQuery starts the sweeps' one query shape: val in [0, frac·domain).
-func facadeQuery(e smoothscan.Engine, frac float64) smoothscan.Builder {
+func facadeQuery(e smoothscan.Engine, frac float64) *smoothscan.Query {
 	return e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, int64(float64(facadeRows)*frac)))
 }
 
-// drain runs b to completion and returns its row count and the closed
+// drain runs q to completion and returns its row count and the closed
 // cursor's execution statistics.
-func drain(b smoothscan.Builder) (int64, smoothscan.ExecStats, error) {
-	rows, err := b.Run(context.Background())
+func drain(q *smoothscan.Query) (int64, smoothscan.ExecStats, error) {
+	rows, err := q.Run(context.Background())
 	if err != nil {
 		return 0, smoothscan.ExecStats{}, err
 	}

@@ -1,6 +1,6 @@
 // Package server is the serving side of the smoothscan wire protocol:
 // it owns one embedded smoothscan.DB and exposes it to remote clients
-// (package ssclient) over TCP. Each accepted connection becomes a
+// (smoothscan.Conn) over TCP. Each accepted connection becomes a
 // session holding at most one open cursor and no statements: a
 // prepared statement's every Execute carries its spec, which the DB's
 // plan cache resolves to the compiled template. Queries from every

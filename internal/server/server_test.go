@@ -12,10 +12,10 @@ import (
 	"time"
 
 	"smoothscan"
+	"smoothscan/internal/client"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
 	"smoothscan/internal/wire"
-	"smoothscan/ssclient"
 )
 
 // startServer boots a server over a small loadgen table on an
@@ -34,9 +34,9 @@ func startServer(t *testing.T, cfg server.Config) (addr string, db *smoothscan.D
 	return srv.Addr().String(), db
 }
 
-func dial(t *testing.T, addr string) *ssclient.Conn {
+func dial(t *testing.T, addr string) *smoothscan.Conn {
 	t.Helper()
-	c, err := ssclient.Dial(addr)
+	c, err := smoothscan.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func dial(t *testing.T, addr string) *ssclient.Conn {
 }
 
 // rangeQuery composes the standard probe query.
-func rangeQuery(c *ssclient.Conn, lo, hi any) smoothscan.Builder {
+func rangeQuery(c *smoothscan.Conn, lo, hi any) *smoothscan.Query {
 	return c.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(lo, hi))
 }
 
-func drain(t *testing.T, rows smoothscan.Cursor) int64 {
+func drain(t *testing.T, rows *smoothscan.Rows) int64 {
 	t.Helper()
 	var n int64
 	for rows.Next() {
@@ -149,7 +149,7 @@ func readUntilEnd(t *testing.T, conn net.Conn) (types []byte, rows int, last []b
 // window, a Fetch continues the stream, and a failed open writes one
 // Error frame and nothing else.
 func TestOpenServesFirstWindow(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr, db := startServer(t, server.Config{})
 	conn := rawSession(t, addr)
 	spec := func(q *smoothscan.Query) wire.QuerySpec {
 		t.Helper()
@@ -160,7 +160,7 @@ func TestOpenServesFirstWindow(t *testing.T) {
 		return sp
 	}
 	all := func() *smoothscan.Query {
-		return smoothscan.NewQuery(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000))
+		return db.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000))
 	}
 	end := func(p []byte) wire.End {
 		t.Helper()
@@ -231,9 +231,9 @@ func TestOpenServesFirstWindow(t *testing.T) {
 // session. Each is a bad-request Error naming the type, never a run,
 // and the session serves the next request.
 func TestRetiredRequestTypes(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr, db := startServer(t, server.Config{})
 	conn := rawSession(t, addr)
-	spec, err := smoothscan.NewQuery(loadgen.Table).Limit(2).Spec()
+	spec, err := db.Query(loadgen.Table).Limit(2).Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestConnCloseEndsOpenStream(t *testing.T) {
 	if rows.Next() {
 		t.Fatal("Next advanced after Conn.Close")
 	}
-	if !errors.Is(rows.Err(), ssclient.ErrConnLost) {
+	if !errors.Is(rows.Err(), smoothscan.ErrConnLost) {
 		t.Fatalf("stream error after Conn.Close: %v, want ErrConnLost", rows.Err())
 	}
 	if err := rows.Close(); err != nil {
@@ -301,7 +301,7 @@ func TestCloseBeforeFirstNext(t *testing.T) {
 	cases := []struct {
 		name      string
 		fetchRows int
-		q         smoothscan.Builder
+		q         *smoothscan.Query
 		cancel    bool
 	}{
 		{"complete", 0, rangeQuery(c, 0, 2000).Limit(2), false},
@@ -381,7 +381,7 @@ func TestIdleTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("request after idle close succeeded")
 	}
-	if !errors.Is(err, ssclient.ErrSessionClosed) && !errors.Is(err, ssclient.ErrConnLost) {
+	if !errors.Is(err, smoothscan.ErrSessionClosed) && !errors.Is(err, smoothscan.ErrConnLost) {
 		t.Fatalf("request after idle close: %v, want ErrSessionClosed or ErrConnLost", err)
 	}
 	if !c.Broken() {
@@ -462,7 +462,7 @@ func TestAdmissionControl(t *testing.T) {
 	start := time.Now()
 	_, err = rangeQuery(waiter, 0, 50).Run(context.Background())
 	waited := time.Since(start)
-	if !errors.Is(err, ssclient.ErrOverloaded) {
+	if !errors.Is(err, smoothscan.ErrOverloaded) {
 		t.Fatalf("overloaded Execute: %v, want ErrOverloaded", err)
 	}
 	if waited > 3*time.Second {
@@ -488,8 +488,8 @@ func TestConnLimit(t *testing.T) {
 	addr, _ := startServer(t, server.Config{MaxConns: 2})
 	dial(t, addr)
 	dial(t, addr)
-	_, err := ssclient.Dial(addr)
-	if !errors.Is(err, ssclient.ErrOverloaded) {
+	_, err := smoothscan.Dial(addr)
+	if !errors.Is(err, smoothscan.ErrOverloaded) {
 		t.Fatalf("Dial past MaxConns: %v, want ErrOverloaded", err)
 	}
 }
@@ -505,7 +505,7 @@ func TestCloseAfterServerShutdown(t *testing.T) {
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := ssclient.Dial(srv.Addr().String())
+	c, err := smoothscan.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +570,7 @@ func TestServerStats(t *testing.T) {
 func TestFaultAdminGate(t *testing.T) {
 	locked, _ := startServer(t, server.Config{})
 	c := dial(t, locked)
-	if err := c.SetFaultPolicy(1, ssclient.FaultRule{Kind: smoothscan.FaultTransient, Rate: 0.5}); err == nil {
+	if err := c.SetFaultPolicy(1, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 0.5}); err == nil {
 		t.Fatal("SetFaultPolicy without -fault-admin succeeded")
 	}
 	if err := c.ColdCache(); err == nil {
@@ -579,7 +579,7 @@ func TestFaultAdminGate(t *testing.T) {
 
 	open, _ := startServer(t, server.Config{FaultAdmin: true})
 	ca := dial(t, open)
-	if err := ca.SetFaultPolicy(1, ssclient.FaultRule{Kind: smoothscan.FaultTransient, Rate: 0.2}); err != nil {
+	if err := ca.SetFaultPolicy(1, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 0.2}); err != nil {
 		t.Fatalf("SetFaultPolicy: %v", err)
 	}
 	if err := ca.ColdCache(); err != nil {
@@ -589,10 +589,10 @@ func TestFaultAdminGate(t *testing.T) {
 		t.Fatalf("ClearFaultPolicy: %v", err)
 	}
 	// Out-of-range rules are rejected before touching the device.
-	if err := ca.SetFaultPolicy(1, ssclient.FaultRule{Kind: smoothscan.FaultKind(99), Rate: 0.5}); err == nil {
+	if err := ca.SetFaultPolicy(1, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultKind(99), Rate: 0.5}); err == nil {
 		t.Fatal("out-of-range fault kind accepted")
 	}
-	if err := ca.SetFaultPolicy(1, ssclient.FaultRule{Kind: smoothscan.FaultTransient, Rate: 1.5}); err == nil {
+	if err := ca.SetFaultPolicy(1, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 1.5}); err == nil {
 		t.Fatal("out-of-range fault rate accepted")
 	}
 }
@@ -607,7 +607,7 @@ func TestBadRequests(t *testing.T) {
 	if _, err := c.Table("nope").Run(context.Background()); err == nil {
 		t.Fatal("query on unknown table succeeded")
 	}
-	var re *ssclient.RemoteError
+	var re *smoothscan.RemoteError
 	_, err := c.Table("nope").Run(context.Background())
 	if !errors.As(err, &re) {
 		t.Fatalf("unknown table error is %T, want RemoteError", err)
@@ -639,8 +639,9 @@ func TestBadRequests(t *testing.T) {
 	}
 	for what, spec := range hostile {
 		_, perr := c.Conn.PrepareSpec(spec)
-		_, qerr := smoothscan.RunRemote(context.Background(), c.Conn, spec, nil)
-		_, eerr := smoothscan.RunRemote(context.Background(), c.Conn, spec, smoothscan.Bind{"a|b": 1})
+		var st client.Stream
+		qerr := c.Conn.ExecuteSpec(context.Background(), spec, nil, &st, nil)
+		eerr := c.Conn.ExecuteSpec(context.Background(), spec, smoothscan.Bind{"a|b": 1}, &st, nil)
 		for _, err := range []error{perr, qerr, eerr} {
 			if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
 				t.Errorf("out-of-range %s: %v, want a bad-request RemoteError", what, err)
@@ -680,7 +681,7 @@ func TestQueueDeadlineIsBounded(t *testing.T) {
 	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			c, err := ssclient.Dial(addr)
+			c, err := smoothscan.Dial(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -694,7 +695,7 @@ func TestQueueDeadlineIsBounded(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		select {
 		case err := <-errs:
-			if !errors.Is(err, ssclient.ErrOverloaded) {
+			if !errors.Is(err, smoothscan.ErrOverloaded) {
 				t.Fatalf("waiter %d: %v, want ErrOverloaded", i, err)
 			}
 		case <-timeout:

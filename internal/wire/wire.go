@@ -1,6 +1,6 @@
 // Package wire is the smoothscan wire protocol: a small length-prefixed
 // binary framing carrying the prepare → bind → execute query lifecycle
-// between a remote client (package ssclient) and the serving subsystem
+// between a remote client (smoothscan.Conn) and the serving subsystem
 // (internal/server, cmd/ssserver). The protocol is stateless about
 // statements: Prepare only validates a spec and names its parameters,
 // and each Execute carries the spec again with its binds, so a server

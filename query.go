@@ -204,22 +204,22 @@ var ErrNotSelected = errors.New("smoothscan: column not in query output")
 var ErrArgType = errors.New("smoothscan: unsupported argument type")
 
 // queryEngine is what a Query — and the Stmt prepared from it — is
-// bound to: the engine its Run and Explain execute on. *DB and
-// *ShardedDB implement it.
+// bound to: the engine its Run and Explain execute on. *DB, *ShardedDB
+// and *Conn implement it.
 type queryEngine interface {
 	runQuery(ctx context.Context, q *Query) (*Rows, error)
 	explainQuery(q *Query) (*Plan, error)
 	// prepare compiles q, already checked to be bound to this engine.
 	prepare(q *Query) (*Stmt, error)
-	// runStmt and explainStmt bind a statement this engine prepared; the
-	// bind set has passed Stmt.checkBind.
+	// runStmt and explainStmt bind a statement this engine prepared and
+	// check the bind set against its parameters.
 	runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error)
 	explainStmt(st *Stmt, b Bind) (*Plan, error)
 }
 
 // Query is a composable query under construction. Start one with
-// DB.Query or ShardedDB.Query (bound to that engine) or NewQuery
-// (detached), chain Where / Join / Select / GroupBy / OrderBy / Limit
+// DB.Query, ShardedDB.Query or an Engine's Table, which bind it to that
+// engine, chain Where / Join / Select / GroupBy / OrderBy / Limit
 // / WithOptions, then call Run to execute it or Explain to inspect the
 // plan the bound engine would choose. Builder methods record the first
 // error and make Run/Explain return it, so call sites can chain
@@ -227,14 +227,14 @@ type queryEngine interface {
 //
 // The query's structure is one plain value — the spec the wire
 // protocol encodes — so the in-process engines, the sharded
-// coordinator and the remote surfaces all execute the same thing.
+// coordinator and a Conn all execute the same thing.
 //
 // A Query is owned by its builder chain; it is not safe for concurrent
 // use, but the Rows returned by Run is independent of it. Compilation
 // reads table statistics at Run/Explain time, so the same Query re-run
 // after Analyze may pick a different access path.
 type Query struct {
-	eng  queryEngine // nil for a detached query
+	eng  queryEngine
 	spec wire.QuerySpec
 	err  error
 }
@@ -245,14 +245,6 @@ type Query struct {
 // otherwise).
 func (db *DB) Query(table string) *Query {
 	return &Query{eng: db, spec: wire.QuerySpec{Table: table}}
-}
-
-// NewQuery starts a composable query that is not attached to any
-// engine. Detached queries are the portable currency of the remote
-// surfaces — ssclient serialises their Spec to the wire; running one
-// directly fails, since there is no database to run against.
-func NewQuery(table string) *Query {
-	return &Query{spec: wire.QuerySpec{Table: table}}
 }
 
 // QueryFromSpec binds a query structure received from a peer to this
@@ -321,7 +313,7 @@ func (q *Query) checkPeerSpec() error {
 }
 
 // Spec returns the query's structure as the wire protocol encodes it —
-// what ssclient and the remote shard driver ship to a server. It
+// what a Conn and the remote shard driver ship to a server. It
 // propagates any builder error.
 func (q *Query) Spec() (wire.QuerySpec, error) {
 	if q.err != nil {
@@ -1545,7 +1537,7 @@ func (cq *compiledQuery) renderBindNotes() []string {
 // literals and b — the same prepare → bind pipeline a Stmt uses, which
 // is what keeps ad-hoc and prepared execution value-for-value
 // identical. b is nil for Query.Run; ExecuteSpec passes a peer's bind,
-// checked as Stmt.Run checks it. The caller holds db.mu (read).
+// checked as DB.runStmt checks it. The caller holds db.mu (read).
 func (db *DB) compile(q *Query, b Bind) (*compiledQuery, error) {
 	qt, lits, hit, err := db.templateFor(q)
 	if err != nil {
@@ -1746,21 +1738,13 @@ func (st *stages) describe(out *tuple.Schema) []string {
 	return d
 }
 
-// errDetached is what Run and Explain return for a query no engine is
-// bound to.
-var errDetached = errors.New("smoothscan: query has no database")
-
 // Explain compiles the query against its engine — access-path choice,
 // residual placement, parallelism, per-node cardinality estimates; on
 // a sharded engine the scatter strategy, pruning decisions, gather
 // mode and each active shard's own plan (Plan.Sharded) — without
 // executing it or touching any device, and returns the printable plan.
-func (q *Query) Explain() (*Plan, error) {
-	if q.eng == nil {
-		return nil, errDetached
-	}
-	return q.eng.explainQuery(q)
-}
+// On a Conn it returns an error: the wire protocol carries no plans.
+func (q *Query) Explain() (*Plan, error) { return q.eng.explainQuery(q) }
 
 // Run compiles and starts the query on its engine. The context cancels
 // it: the returned Rows checks ctx once per batch refill (never per
@@ -1771,9 +1755,6 @@ func (q *Query) Explain() (*Plan, error) {
 //
 // As with Scan, always Close the returned Rows.
 func (q *Query) Run(ctx context.Context) (*Rows, error) {
-	if q.eng == nil {
-		return nil, errDetached
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

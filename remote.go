@@ -294,11 +294,10 @@ func (d *remoteDriver) coldCache() error {
 	return shardErr(d.shard, d.addr, err)
 }
 
-// RunRemote runs spec with bind b on the remote session c and returns
-// its result stream as a *Rows: the one cursor of every engine. It is
-// what ssclient's Query.Run and Stmt.Run return (their parameters are
-// internal types, so code outside this module goes through ssclient),
-// and a remote shard's slice is the same Rows.
+// openRemote runs spec with bind b on the remote session c and returns
+// its result stream as a *Rows: a Conn's runs and a remote shard's
+// slices alike. drv, when set, owns c: closing the Rows returns the
+// connection to drv's pool.
 //
 // The Rows' ExecStats is the server's closing summary — zero until the
 // stream has been drained: I/O, row count, plan and result cache reuse,
@@ -306,12 +305,6 @@ func (d *remoteDriver) coldCache() error {
 // wire; operator and worker breakdowns and the morphing counters stay
 // zero. Plan is nil. A cancelled ctx ends the stream at its next frame
 // and frees c, as draining it does.
-func RunRemote(ctx context.Context, c *client.Conn, spec wire.QuerySpec, b Bind) (Cursor, error) {
-	return cursorOf(openRemote(ctx, c, spec, b, nil))
-}
-
-// openRemote opens the stream RunRemote describes. drv, when set, owns
-// c: closing the Rows returns the connection to drv's pool.
 func openRemote(ctx context.Context, c *client.Conn, spec wire.QuerySpec, b Bind, drv *remoteDriver) (*Rows, error) {
 	w := &wireExec{drv: drv, conn: c}
 	if err := c.ExecuteSpec(ctx, spec, b, &w.s, w); err != nil {
@@ -333,7 +326,7 @@ func openRemote(ctx context.Context, c *client.Conn, spec wire.QuerySpec, b Bind
 type wireExec struct {
 	s     client.Stream
 	rows  *Rows
-	drv   *remoteDriver // the pool conn returns to; nil for an ssclient session
+	drv   *remoteDriver // the pool conn returns to; nil for a Conn's own stream
 	conn  *client.Conn
 	frame []int64 // the current decoded frame, row-major; valid until the next s.Next
 	pos   int     // the next value of frame to copy

@@ -21,7 +21,6 @@ import (
 
 	"smoothscan"
 	"smoothscan/internal/server"
-	"smoothscan/ssclient"
 )
 
 const (
@@ -572,12 +571,12 @@ func TestRemoteShardedErrorParity(t *testing.T) {
 	ctx := context.Background()
 	fx := buildRemoteSharded(t, 2, "range")
 	// Rate-1 permanent faults on node 0's device.
-	ctl, err := ssclient.Dial(fx.addrs[0])
+	ctl, err := smoothscan.Dial(fx.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	if err := ctl.SetFaultPolicy(7, ssclient.FaultRule{Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
+	if err := ctl.SetFaultPolicy(7, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.ClearFaultPolicy()
@@ -756,12 +755,12 @@ func TestRemoteShardedBroadcastDrainErrors(t *testing.T) {
 	}
 	want := runDrain(t, query(fx.local), ctx)
 
-	ctl, err := ssclient.Dial(fx.addrs[0])
+	ctl, err := smoothscan.Dial(fx.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	if err := ctl.SetFaultPolicy(7, ssclient.FaultRule{Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
+	if err := ctl.SetFaultPolicy(7, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fx.remote.ColdCache(); err != nil {

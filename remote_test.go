@@ -23,7 +23,6 @@ import (
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
 	"smoothscan/internal/wire"
-	"smoothscan/ssclient"
 )
 
 // remoteFixture is one shared DB served both ways.
@@ -64,9 +63,9 @@ func buildRemoteFixture(t *testing.T) *remoteFixture {
 	return &remoteFixture{db: db, srv: srv, addr: srv.Addr().String()}
 }
 
-func (f *remoteFixture) dial(t *testing.T) *ssclient.Conn {
+func (f *remoteFixture) dial(t *testing.T) *smoothscan.Conn {
 	t.Helper()
-	c, err := ssclient.Dial(f.addr)
+	c, err := smoothscan.Dial(f.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +75,9 @@ func (f *remoteFixture) dial(t *testing.T) *ssclient.Conn {
 
 // drainCursor and collect are the single result path for every
 // backend: the local DB, the remote Conn (and a ShardedDB, were one in
-// play) all surface the uniform smoothscan.Cursor, so there is no
+// play) all surface the uniform *smoothscan.Rows, so there is no
 // per-backend drain code whose differences could mask a divergence.
-func drainCursor(t *testing.T, cur smoothscan.Cursor, err error) [][]int64 {
+func drainCursor(t *testing.T, cur *smoothscan.Rows, err error) [][]int64 {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func drainCursor(t *testing.T, cur smoothscan.Cursor, err error) [][]int64 {
 	return out
 }
 
-func collect(t *testing.T, b smoothscan.Builder) [][]int64 {
+func collect(t *testing.T, b *smoothscan.Query) [][]int64 {
 	t.Helper()
 	cur, err := b.Run(context.Background())
 	return drainCursor(t, cur, err)
@@ -163,7 +162,7 @@ func TestRemoteEquivalenceGrid(t *testing.T) {
 					opts := smoothscan.ScanOptions{Path: p.path, Parallelism: par}
 					// One query definition, two engines: the Engine
 					// interface guarantees the builders are the same calls.
-					build := func(e smoothscan.Engine) smoothscan.Builder {
+					build := func(e smoothscan.Engine) *smoothscan.Query {
 						b := e.Table(loadgen.Table).
 							Where(loadgen.IndexedCol, smoothscan.Between(lo, hi)).
 							WithOptions(opts)
@@ -190,7 +189,7 @@ func TestRemoteEquivalenceOrdered(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
 	c.SetFetchRows(128)
-	build := func(e smoothscan.Engine) smoothscan.Builder {
+	build := func(e smoothscan.Engine) *smoothscan.Query {
 		return e.Table(loadgen.Table).
 			Where(loadgen.IndexedCol, smoothscan.Between(200, 900)).
 			WithOptions(smoothscan.ScanOptions{Ordered: true})
@@ -205,7 +204,7 @@ func TestRemoteEquivalenceShaped(t *testing.T) {
 	c := f.dial(t)
 
 	t.Run("select-order-limit", func(t *testing.T) {
-		build := func(e smoothscan.Engine) smoothscan.Builder {
+		build := func(e smoothscan.Engine) *smoothscan.Query {
 			return e.Table(loadgen.Table).
 				Where(loadgen.IndexedCol, smoothscan.Ge(1200)).
 				Select("id", loadgen.IndexedCol).
@@ -216,7 +215,7 @@ func TestRemoteEquivalenceShaped(t *testing.T) {
 	})
 
 	t.Run("groupby-aggregates", func(t *testing.T) {
-		build := func(e smoothscan.Engine) smoothscan.Builder {
+		build := func(e smoothscan.Engine) *smoothscan.Query {
 			return e.Table(loadgen.Table).
 				Where(loadgen.IndexedCol, smoothscan.Lt(300)).
 				Join("d", loadgen.IndexedCol, "d_id").
@@ -239,7 +238,7 @@ func TestRemotePreparedEquivalence(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
 
-	build := func(e smoothscan.Engine) smoothscan.Builder {
+	build := func(e smoothscan.Engine) *smoothscan.Query {
 		return e.Table(loadgen.Table).
 			Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
 			Limit(smoothscan.Param("n"))
@@ -312,12 +311,12 @@ func TestRemotePlanCacheHit(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c, err := ssclient.Dial(srv.Addr().String())
+			c, err := smoothscan.Dial(srv.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			hit := func(cur smoothscan.Cursor, err error) bool {
+			hit := func(cur *smoothscan.Rows, err error) bool {
 				t.Helper()
 				drainCursor(t, cur, err)
 				return cur.ExecStats().PlanCacheHit
@@ -364,7 +363,7 @@ func TestRemoteStmtLifecycle(t *testing.T) {
 	c := f.dial(t)
 	ctx := context.Background()
 
-	build := func(e smoothscan.Engine) smoothscan.Builder {
+	build := func(e smoothscan.Engine) *smoothscan.Query {
 		return e.Table(loadgen.Table).
 			Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
 			Limit(smoothscan.Param("n"))
@@ -374,7 +373,7 @@ func TestRemoteStmtLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 40
-	stmts := make([]smoothscan.PreparedQuery, n)
+	stmts := make([]*smoothscan.Stmt, n)
 	for i := range stmts {
 		if stmts[i], err = c.PrepareQuery(build(c)); err != nil {
 			t.Fatalf("prepare %d: %v", i, err)
@@ -451,7 +450,7 @@ func TestRemoteFaultPropagation(t *testing.T) {
 
 	// Permanent faults on every read: the engine cannot recover, and
 	// the client must see the permanent class, not a wire error.
-	if err := c.SetFaultPolicy(3, ssclient.FaultRule{Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
+	if err := c.SetFaultPolicy(3, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultPermanent, Rate: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ColdCache(); err != nil {
@@ -474,7 +473,7 @@ func TestRemoteFaultPropagation(t *testing.T) {
 	// Saturating transient faults exhaust the engine's bounded retry;
 	// the client-visible class must be transient, the one retry loops
 	// key on.
-	if err := c.SetFaultPolicy(3, ssclient.FaultRule{Kind: smoothscan.FaultTransient, Rate: 1}); err != nil {
+	if err := c.SetFaultPolicy(3, smoothscan.FaultRule{Space: smoothscan.AnySpace, Kind: smoothscan.FaultTransient, Rate: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ColdCache(); err != nil {
@@ -521,7 +520,7 @@ func TestRemoteStmtFaultDegradation(t *testing.T) {
 		{Path: smoothscan.PathSmooth, Parallelism: 2},
 	} {
 		t.Run(fmt.Sprintf("%s-p%d", opts.Path, opts.Parallelism), func(t *testing.T) {
-			build := func(e smoothscan.Engine) smoothscan.Builder {
+			build := func(e smoothscan.Engine) *smoothscan.Query {
 				return e.Table(loadgen.Table).
 					Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))).
 					WithOptions(opts)
@@ -686,16 +685,12 @@ func TestCursorNoCurrentRow(t *testing.T) {
 	for _, eng := range engines {
 		for _, st := range states {
 			t.Run(eng.name+"/"+st.name, func(t *testing.T) {
-				c, err := eng.e.Table(loadgen.Table).
+				cur, err := eng.e.Table(loadgen.Table).
 					Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer c.Close()
-				cur, ok := c.(*smoothscan.Rows)
-				if !ok {
-					t.Fatalf("the cursor is a %T, want *smoothscan.Rows", c)
-				}
+				defer cur.Close()
 				st.arrange(t, cur)
 				if st.nextDone && cur.Next() {
 					t.Error("Next returned true")
@@ -767,17 +762,16 @@ func TestRemoteExecStatsIsTheSummary(t *testing.T) {
 			}
 		}
 	}()
-	c, err := ssclient.Dial(ln.Addr().String())
+	c, err := smoothscan.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cur, err := c.Table("t").Run(context.Background())
+	rows, err := c.Table("t").Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cur.Close()
-	rows := cur.(*smoothscan.Rows)
+	defer rows.Close()
 	if st := rows.ExecStats(); !reflect.DeepEqual(st, smoothscan.ExecStats{}) {
 		t.Errorf("ExecStats before the summary = %+v, want the zero value", st)
 	}

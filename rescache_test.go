@@ -18,12 +18,11 @@ import (
 	"smoothscan"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
-	"smoothscan/ssclient"
 )
 
 // drainCount drains a cursor, returning the row count and the fully
 // populated ExecStats.
-func drainCount(t *testing.T, cur smoothscan.Cursor, err error) (int, smoothscan.ExecStats) {
+func drainCount(t *testing.T, cur *smoothscan.Rows, err error) (int, smoothscan.ExecStats) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +340,7 @@ func TestResultCacheRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := ssclient.Dial(srv.Addr().String())
+	c, err := smoothscan.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"smoothscan"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
-	"smoothscan/ssclient"
 )
 
 // TestRowIsAViewUntilNext pins Cursor.Row's one contract on all three
@@ -55,7 +54,7 @@ func TestRowIsAViewUntilNext(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	conn, err := ssclient.Dial(srv.Addr().String())
+	conn, err := smoothscan.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestRowIsAViewUntilNext(t *testing.T) {
 	}{
 		{"DB", db},
 		{"ShardedDB", sharded},
-		{"ssclient.Conn", conn},
+		{"Conn", conn},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cur, err := tc.eng.Table(loadgen.Table).
@@ -76,10 +75,6 @@ func TestRowIsAViewUntilNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cur.Close()
-			rows, ok := cur.(*smoothscan.Rows)
-			if !ok {
-				t.Fatalf("the cursor is a %T, want *smoothscan.Rows", cur)
-			}
 			if row := cur.Row(); len(row) != 0 {
 				t.Errorf("Row() before the first Next = %v, want length 0", row)
 			}
@@ -87,7 +82,7 @@ func TestRowIsAViewUntilNext(t *testing.T) {
 			buf := make([]int64, 16)
 			for cur.Next() {
 				row := cur.Row()
-				if n := rows.CopyRow(buf); !slices.Equal(buf[:n], row) {
+				if n := cur.CopyRow(buf); !slices.Equal(buf[:n], row) {
 					t.Fatalf("row %d: CopyRow = %v, Row() = %v", len(got), buf[:n], row)
 				}
 				if again := cur.Row(); !slices.Equal(again, row) {

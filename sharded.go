@@ -308,7 +308,7 @@ func (s *ShardedDB) ShardRows(table string) ([]int64, error) {
 // the shards here are the coordinator's schema-only catalog mirrors,
 // whose devices see no data I/O: a remote query's I/O arrives per
 // query in ExecStats.Shards, and node-lifetime counters are read from
-// each node directly (ssclient's ServerStats — the reason ssload keeps
+// each node directly (Conn.ServerStats — the reason ssload keeps
 // a control session per node). The same holds for ShardIOStats and
 // ResetStats.
 func (s *ShardedDB) Stats() IOStats {
@@ -346,7 +346,7 @@ func (s *ShardedDB) ResetStats() error {
 // coordinator's result-cache tier (each shard purges its own tier
 // inside DB.ColdCache). On a remote topology the request is forwarded
 // to each node (the server must run with fault administration enabled,
-// as for ssclient's ColdCache).
+// as for Conn.ColdCache).
 func (s *ShardedDB) ColdCache() error {
 	s.resCache.Purge()
 	for i, db := range s.shards {
@@ -370,7 +370,8 @@ func (s *ShardedDB) Query(table string) *Query {
 }
 
 // clone deep-copies the builder state (a statement prepared on a
-// sharded engine must not alias slices the caller keeps appending to).
+// sharded engine or a Conn must not alias slices the caller keeps
+// appending to).
 func (q *Query) clone() *Query {
 	cp := *q
 	cp.spec.Preds = append([]wire.PredSpec(nil), q.spec.Preds...)
@@ -1024,13 +1025,16 @@ func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 	if _, _, err := s.strategyFor(qt.pt, part); err != nil {
 		return nil, err
 	}
-	return &Stmt{eng: s, qt: qt, lits: lits, q: snap}, nil
+	return &Stmt{eng: s, qt: qt, lits: lits, params: qt.pt.Params, q: snap}, nil
 }
 
 // bindStmt re-prunes the shard set from the bound predicate values; the
 // shards run the statement's query with the bind substituted, each
 // re-planning its slice through its own plan cache.
 func (s *ShardedDB) bindStmt(st *Stmt, b Bind) (*shardExec, error) {
+	if err := st.qt.checkBind(b); err != nil {
+		return nil, err
+	}
 	se, err := s.compileShardExec(st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, err

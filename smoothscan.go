@@ -20,8 +20,8 @@
 //
 // There is one Query builder and one Rows cursor for every engine:
 // ShardedDB.Query runs the same builder as a scatter-gather over
-// shards (in-process or remote), ssclient runs it against a server,
-// and the Engine interface abstracts over all three.
+// shards (in-process or remote), a dialed Conn's Table runs it against
+// a server, and the Engine interface abstracts over all three.
 //
 // Scans default to the adaptive Smooth Scan path (Elastic policy,
 // Eager trigger — the paper's recommendation); ScanOptions selects the

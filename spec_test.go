@@ -1,9 +1,6 @@
 package smoothscan
 
 import (
-	"context"
-	"errors"
-	"strings"
 	"testing"
 
 	"smoothscan/internal/wire"
@@ -119,48 +116,5 @@ func TestSpecRoundTrip(t *testing.T) {
 				t.Errorf("Explain changed:\n got %s\nwant %s", got, want)
 			}
 		})
-	}
-}
-
-// TestQueryEngineBinding pins the typed failures of a query used
-// against the wrong engine, or none.
-func TestQueryEngineBinding(t *testing.T) {
-	db, s := buildGridUnsharded(t), buildGridSharded(t, 2, "hash")
-	other := buildGridUnsharded(t)
-
-	detached := NewQuery("t").Where("val", Lt(10))
-	if _, err := detached.Run(context.Background()); !errors.Is(err, errDetached) {
-		t.Errorf("detached Run: %v", err)
-	}
-	if _, err := detached.Explain(); !errors.Is(err, errDetached) {
-		t.Errorf("detached Explain: %v", err)
-	}
-	if _, err := detached.Spec(); err != nil {
-		t.Errorf("a detached query must still serialise: %v", err)
-	}
-
-	engines := []struct {
-		name string
-		e    Engine
-	}{{"db", db}, {"sharded", s}, {"other-db", other}}
-	for _, mk := range engines {
-		for _, prep := range engines {
-			_, err := prep.e.PrepareQuery(mk.e.Table("t").Where("val", Lt(10)))
-			if own := mk.name == prep.name; own != (err == nil) {
-				t.Errorf("%s.PrepareQuery(%s builder): %v", prep.name, mk.name, err)
-			} else if !own && !strings.Contains(err.Error(), "not created by this engine") {
-				t.Errorf("%s.PrepareQuery(%s builder): untyped refusal %v", prep.name, mk.name, err)
-			}
-		}
-	}
-	// The concrete Prepare entry points refuse the same way.
-	if _, err := db.Prepare(s.Query("t")); err == nil {
-		t.Error("DB.Prepare accepted a ShardedDB's query")
-	}
-	if _, err := s.Prepare(db.Query("t")); err == nil {
-		t.Error("ShardedDB.Prepare accepted a DB's query")
-	}
-	if _, err := db.Prepare(detached); err == nil {
-		t.Error("DB.Prepare accepted a detached query")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // ErrUnboundParam is returned (wrapped) when a query references a
@@ -42,23 +43,31 @@ type Bind map[string]int64
 // wide one — and each active shard runs the query with the bind
 // substituted, re-planning its slice through its own plan cache.
 //
-// A Stmt is immutable and safe for concurrent use: any number of
-// goroutines may Run it simultaneously, each getting an independent
-// Rows. It holds no device, pool or server state, so Close is a no-op.
+// On a Conn, the statement is its query's spec: every Run ships it with
+// the bind, and the server binds it through its own plan cache.
+//
+// A Stmt on a DB or ShardedDB is safe for concurrent use: any number
+// of goroutines may Run it simultaneously, each getting an independent
+// Rows (a Conn runs one stream at a time). It holds no
+// device, pool or server state, so Close releases nothing; it only
+// makes later Runs fail.
 type Stmt struct {
-	eng  queryEngine
-	qt   *qtemplate
-	lits []int64
-	// q is the query as prepared, on a sharded engine only: bound per
-	// execution into the literal query the shards run.
-	q *Query
+	eng    queryEngine
+	qt     *qtemplate // nil on a Conn
+	lits   []int64
+	params []string
+	// q is the query as prepared, on a sharded engine and a Conn: bound
+	// per execution into the literal query the shards run, or shipped
+	// with the bind.
+	q      *Query
+	closed atomic.Bool
 }
 
 // prepareOn is Prepare on every engine: refuse a query the engine does
 // not own, then compile.
 func prepareOn(eng queryEngine, q *Query) (*Stmt, error) {
 	if q == nil || q.eng != eng {
-		return nil, errors.New("smoothscan: Prepare of a query that was not built on this engine (nil, detached, or another engine's)")
+		return nil, errors.New("smoothscan: Prepare of a query that was not built on this engine (nil or another engine's)")
 	}
 	return eng.prepare(q)
 }
@@ -81,12 +90,12 @@ func (db *DB) prepare(q *Query) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{eng: db, qt: qt, lits: lits}, nil
+	return &Stmt{eng: db, qt: qt, lits: lits, params: qt.pt.Params}, nil
 }
 
 // Params returns the statement's parameter names in first-use order.
 func (s *Stmt) Params() []string {
-	return append([]string(nil), s.qt.pt.Params...)
+	return append([]string(nil), s.params...)
 }
 
 // checkBind rejects bind sets naming parameters the template does not
@@ -118,18 +127,24 @@ func (qt *qtemplate) checkBind(b Bind) error {
 // return ErrUnboundParam, extra ones ErrUnknownParam.
 //
 // Run is safe to call from many goroutines at once; as with Query.Run,
-// always Close the returned Rows.
+// always Close the returned Rows. After Close it fails.
 func (s *Stmt) Run(ctx context.Context, b Bind) (*Rows, error) {
+	if s.closed.Load() {
+		return nil, errStmtClosed
+	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := s.qt.checkBind(b); err != nil {
-		return nil, err
 	}
 	return s.eng.runStmt(ctx, s, b)
 }
 
+// errStmtClosed is what Stmt.Run returns after Close.
+var errStmtClosed = errors.New("smoothscan: Run on a closed Stmt")
+
 func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
+	if err := st.qt.checkBind(b); err != nil {
+		return nil, err
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	cq, err := db.bindTemplate(st.qt, st.qt.optsPer, st.lits, b, true)
@@ -146,14 +161,12 @@ func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
 // estimate-sensitive decisions the bind phase re-made ("re-planned at
 // bind: …"). Parameter-fed predicate bounds render as $name markers in
 // the plan details.
-func (s *Stmt) Explain(b Bind) (*Plan, error) {
-	if err := s.qt.checkBind(b); err != nil {
-		return nil, err
-	}
-	return s.eng.explainStmt(s, b)
-}
+func (s *Stmt) Explain(b Bind) (*Plan, error) { return s.eng.explainStmt(s, b) }
 
 func (db *DB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
+	if err := st.qt.checkBind(b); err != nil {
+		return nil, err
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	cq, err := db.bindTemplate(st.qt, st.qt.optsPer, st.lits, b, true)
@@ -163,6 +176,9 @@ func (db *DB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
 	return cq.plan(), nil
 }
 
-// Close is a no-op on every engine — a statement holds nothing to
-// release — kept so a Stmt satisfies PreparedQuery.
-func (s *Stmt) Close() error { return nil }
+// Close marks the statement closed; later Runs fail. A statement holds
+// nothing to release, so Close is idempotent and never fails.
+func (s *Stmt) Close() error {
+	s.closed.Store(true)
+	return nil
+}
