@@ -42,10 +42,12 @@ test:
 ## race: the test suite under the race detector (the concurrent scan
 ## and session tests only prove anything when this runs), then the
 ## write-vs-scan race test again at several GOMAXPROCS: an Insert
-## replacing a page a scan still holds only races with real parallelism.
+## replacing a page a scan still holds only races with real
+## parallelism. The per-query I/O account test rides along: concurrent
+## queries charging the same device only overlap on several cores.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace' .
+	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace|TestQueryIOIsOwn' .
 
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:

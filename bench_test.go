@@ -334,9 +334,6 @@ func BenchmarkShardedScan(b *testing.B) {
 				if err := s.ColdCache(); err != nil {
 					b.Fatal(err)
 				}
-				if err := s.ResetStats(); err != nil {
-					b.Fatal(err)
-				}
 				rows, err := s.Query("t").Where("val", Between(0, domain)).Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
@@ -350,7 +347,7 @@ func BenchmarkShardedScan(b *testing.B) {
 				if err := rows.Close(); err != nil {
 					b.Fatal(err)
 				}
-				simTime = s.Stats().Time()
+				simTime = rows.ExecStats().IO.Time()
 			}
 			b.ReportMetric(float64(produced)/b.Elapsed().Seconds(), "tuples/s")
 			b.ReportMetric(simTime, "simcost")

@@ -81,7 +81,7 @@ func run() error {
 
 	fmt.Printf("matched %d orders, total %d.%02d\n", count, total/100, total%100)
 
-	// ExecStats unifies the query's observability: device I/O delta,
+	// ExecStats unifies the query's observability: its own I/O account,
 	// Smooth Scan morphing counters, per-operator row counts.
 	st := rows.ExecStats()
 	fmt.Printf("simulated cost: %.1f units (%.1f I/O + %.1f CPU), %d pages read\n",

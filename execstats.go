@@ -25,8 +25,8 @@ type ResultCacheExec struct {
 
 // JoinStats exposes one batched join operator's counters: rows
 // consumed from each input, hash build size, output rows, and — for a
-// hash join — the device I/O delta accrued while the build input was
-// drained. For a single join, the probe side's I/O is the query's IO
+// hash join — the growth of the query's I/O account while the build
+// input was drained. For a single join, the probe side's I/O is the query's IO
 // total minus BuildIO; in a chain, a later stage building on the
 // accumulated left side measures a window that contains the earlier
 // stages' I/O, so per-stage deltas nest rather than sum.
@@ -42,18 +42,20 @@ type OperatorStats struct {
 	Batches int64
 }
 
-// ExecStats unifies a query's observability in one place: the device
-// I/O delta, the Smooth Scan morphing counters (aggregated across
+// ExecStats unifies a query's observability in one place: the query's
+// I/O account, the Smooth Scan morphing counters (aggregated across
 // parallel workers and individually per worker), and per-operator
 // row/batch counts. Retrieve it from a Rows — the numbers are complete
 // once the Rows is closed (parallel workers have quiesced and flushed
 // their deferred CPU charges by then).
 type ExecStats struct {
-	// IO is the device-counter delta between the query's start and the
-	// moment the stats were taken (Close time, for a closed Rows). On
-	// a DB running concurrent scans the delta includes their traffic
-	// too — the device is shared; single-query accounting is exact
-	// when the query runs alone, the way the harness measures.
+	// IO is the execution's own account, from a fresh head: every page
+	// read, spill and CPU charge made for this query — by its parallel
+	// workers and by fault-ladder attempts that failed included —
+	// and nothing another query did, however many run concurrently.
+	// Its first read is classified a seek wherever the previous query
+	// left the head. For a sharded query it is the sum of Shards[i].IO;
+	// a result-cache hit reports zero.
 	IO IOStats
 	// HasSmooth reports whether the driving table's access path was a
 	// Smooth Scan, i.e. whether Smooth (and, when parallel, Workers)
@@ -93,10 +95,10 @@ type ExecStats struct {
 	// skips executing it at all.
 	ResultCache ResultCacheExec
 	// Retries is the number of bounded device-read retries the query
-	// window saw (IO.Retries): transient faults and corrupted pages the
+	// made (IO.Retries): transient faults and corrupted pages the
 	// buffer pool recovered by re-reading. Zero without a FaultPolicy.
 	Retries int64
-	// FaultsSeen totals the injected-fault events in the query window:
+	// FaultsSeen totals the injected-fault events the query met:
 	// failed reads (transient and permanent), corrupted pages served,
 	// and latency spikes charged. Zero without a FaultPolicy.
 	FaultsSeen int64
@@ -112,7 +114,7 @@ type ExecStats struct {
 }
 
 // ShardStats is one shard's slice of a sharded query's execution:
-// whether (and why) the planner pruned it, its device I/O delta, and
+// whether (and why) the planner pruned it, its I/O account, and
 // — for shards that ran — the rows it delivered and its own morphing
 // and degradation state.
 type ShardStats struct {
@@ -133,8 +135,11 @@ type ShardStats struct {
 	// PrunedWhy is the pruning (or empty-plan) reason for a pruned
 	// shard; "" for shards that ran.
 	PrunedWhy string
-	// IO is the shard device's counter delta over the query window
-	// (zero for pruned shards when the query ran alone).
+	// IO is the shard's own account, from a fresh head: its Rows'
+	// ExecStats().IO (a remote shard's is the node's summary) plus,
+	// under a broadcast join, the shard's side-query drain and the
+	// join's work above its stream. Zero for pruned shards; filled
+	// once the query has drained or closed.
 	IO IOStats
 	// Rows is the number of rows the shard's slice delivered into the
 	// gather; filled once the query has drained or closed.
@@ -151,13 +156,15 @@ type ShardStats struct {
 	Degraded []string
 }
 
-// stats reports a sharded query's ExecStats: summed device deltas and
-// the per-shard breakdown. Per-shard scan internals (rows, morphing
-// counters, degradations) are filled once the query has quiesced —
-// before that the workers may still be running and only the I/O
-// deltas are read.
+// stats reports a sharded query's ExecStats: the per-shard breakdown
+// and its sums. A shard's I/O is what its own executions report — its
+// Rows' ExecStats().IO, in process and remote alike — plus, under
+// broadcast, its side query's drain and its worker's join. The side
+// queries finish before the workers start; everything the workers own
+// (rows, I/O, morphing counters, degradations) is read once the query
+// has quiesced, because before that the workers may still be running.
 func (se *shardExec) stats(r *Rows) ExecStats {
-	closed, quiesced := r.closed, r.closed || r.done
+	quiesced := r.closed || r.done
 	var st ExecStats
 	s := se.s
 	shards := make([]ShardStats, len(s.shards))
@@ -169,10 +176,11 @@ func (se *shardExec) stats(r *Rows) ExecStats {
 			Pruned:    true,
 			PrunedWhy: se.prunedWhy[i],
 		}
-		if closed {
-			shards[i].IO = se.ioDelta[i]
-		} else {
-			shards[i].IO = s.shards[i].dev.Stats().Sub(se.ioStart[i])
+	}
+	for _, side := range se.sides {
+		if side.rows != nil {
+			sh := &shards[side.shard]
+			sh.IO = disk.Add(sh.IO, side.rows.ExecStats().IO)
 		}
 	}
 	for k, si := range se.active {
@@ -184,16 +192,14 @@ func (se *shardExec) stats(r *Rows) ExecStats {
 		}
 		a := se.adapters[k]
 		sh.Unavailable = a.unavailable
+		if a.join != nil {
+			sh.IO = disk.Add(sh.IO, a.join.Stats())
+		}
 		if a.rows == nil {
 			continue
 		}
 		sub := a.rows.ExecStats()
-		// A remote shard's summary is the authority for its I/O (the
-		// mirror's device sees none); an in-process shard's delta was
-		// already read off its device above.
-		if s.remote {
-			sh.IO = sub.IO
-		}
+		sh.IO = disk.Add(sh.IO, sub.IO)
 		sh.Rows = sub.RowsReturned
 		sh.PlanCacheHit = sub.PlanCacheHit
 		sh.HasSmooth = sub.HasSmooth

@@ -229,28 +229,29 @@ func (db *DB) rebind(cq *compiledQuery, i int, o ScanOptions, note string) (*com
 	return next, nil
 }
 
-// degradeAndReopen walks the degradation ladder until a plan opens
-// cleanly, returning the degraded query's opened operator tree. When
-// the ladder is exhausted (or a step fails with a non-fault error) it
+// degradeAndReopen walks the degradation ladder from execution l until
+// a plan opens cleanly, returning the degraded execution with its tree
+// opened. Every rebuilt tree reads through l's pool view, so the I/O
+// burned by failed attempts stays in the query's account. When the
+// ladder is exhausted (or a step fails with a non-fault error) it
 // returns the last error; the caller reports that to the user. The
 // caller holds db.mu (read).
-func (db *DB) degradeAndReopen(ctx context.Context, cq *compiledQuery, cause error) (*localExec, error) {
+func (db *DB) degradeAndReopen(ctx context.Context, l *localExec, cause error) (*localExec, error) {
 	err := cause
 	for IsFaultError(err) {
-		next, berr := db.degradeOnFault(cq)
+		cq, berr := db.degradeOnFault(l.cq)
 		if berr != nil {
 			return nil, berr
 		}
-		if next == nil {
+		if cq == nil {
 			return nil, err
 		}
-		cq = next
-		bq, berr := cq.build(db, ctx)
-		if berr != nil {
+		l = &localExec{db: db, cq: cq, pool: l.pool}
+		if berr := l.build(ctx); berr != nil {
 			return nil, berr
 		}
-		if err = bq.root.Open(); err == nil {
-			return bq, nil
+		if err = l.root.Open(); err == nil {
+			return l, nil
 		}
 	}
 	return nil, err
@@ -267,7 +268,7 @@ func (l *localExec) degrade(r *Rows, err error) bool {
 	}
 	l.db.mu.RLock()
 	defer l.db.mu.RUnlock()
-	next, derr := l.db.degradeAndReopen(r.ctx, l.cq, err)
+	next, derr := l.db.degradeAndReopen(r.ctx, l, err)
 	if derr != nil {
 		return false
 	}
@@ -275,7 +276,6 @@ func (l *localExec) degrade(r *Rows, err error) bool {
 	// failure above leaves the Rows exactly as it was (Close still
 	// closes the original operator once).
 	_ = r.op.Close()
-	next.ioStart = l.ioStart // failed attempts stay inside the query's I/O window
 	r.run, r.op, r.counters = next, next.root, next.counters
 	r.plan = nil // re-render: the plan now carries degradation notes
 	return true

@@ -168,6 +168,11 @@ func TestFaultDeadIndexDegradesToFullScan(t *testing.T) {
 			if !strings.Contains(last, "full scan") {
 				t.Fatalf("ladder should end at full scan, got %v", st.Degraded)
 			}
+			// Each step was forced by a failed read, and the attempts
+			// that failed stay in the query's account.
+			if st.IO.Faults < int64(len(st.Degraded)) {
+				t.Errorf("IO counts %d faults over %d degradation steps", st.IO.Faults, len(st.Degraded))
+			}
 			if plan := rows.Plan().String(); !strings.Contains(plan, "degraded on fault") {
 				t.Fatalf("Plan missing degradation header:\n%s", plan)
 			}

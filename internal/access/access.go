@@ -203,7 +203,6 @@ func (s *IndexScan) NextBatch(out *tuple.Batch) (int, error) {
 		return 0, ErrClosed
 	}
 	out.Reset()
-	dev := s.pool.Device()
 	for !out.Full() && !s.done {
 		e, ok, err := s.it.Next()
 		if err != nil {
@@ -216,7 +215,7 @@ func (s *IndexScan) NextBatch(out *tuple.Batch) (int, error) {
 		if _, err := s.file.DecodeRowAt(s.pool, e.TID, out.AppendSlotRaw()); err != nil {
 			return 0, fmt.Errorf("index scan: %w", err)
 		}
-		dev.ChargeCPU(simcost.Tuple)
+		s.pool.ChargeCPU(simcost.Tuple)
 	}
 	return out.Len(), nil
 }
@@ -265,9 +264,8 @@ func (s *SortScan) chargeSpill(dataBytes int64) {
 	if s.memBytes <= 0 || dataBytes <= s.memBytes {
 		return
 	}
-	dev := s.pool.Device()
-	pages := (dataBytes + int64(dev.PageSize()) - 1) / int64(dev.PageSize())
-	dev.ChargeSpill(pages)
+	pageSize := int64(s.pool.Device().PageSize())
+	s.pool.Channel().ChargeSpill((dataBytes + pageSize - 1) / pageSize)
 }
 
 // Schema returns the table schema.
@@ -275,7 +273,6 @@ func (s *SortScan) Schema() *tuple.Schema { return s.file.Schema() }
 
 // Open materialises the result (the blocking phase).
 func (s *SortScan) Open() error {
-	dev := s.pool.Device()
 	it, err := s.tree.SeekGE(s.pool, s.pred.Lo)
 	if err != nil {
 		return fmt.Errorf("sort scan: %w", err)
@@ -293,7 +290,7 @@ func (s *SortScan) Open() error {
 	}
 	// Pre-sort of TIDs in increasing heap-page order. TIDs are 20
 	// bytes in the on-disk representation.
-	dev.ChargeCPU(simcost.SortCost(len(tids)))
+	s.pool.ChargeCPU(simcost.SortCost(len(tids)))
 	s.chargeSpill(int64(len(tids)) * 20)
 	sort.Slice(tids, func(i, j int) bool { return tids[i].Less(tids[j]) })
 
@@ -318,7 +315,7 @@ func (s *SortScan) Open() error {
 			return fmt.Errorf("sort scan: %w", err)
 		}
 		s.runBuf = pages
-		dev.ChargeCPUN(simcost.Tuple, int64(j-i))
+		s.pool.ChargeCPUN(simcost.Tuple, int64(j-i))
 		for ; i < j; i++ {
 			page := pages[tids[i].Page-runStart]
 			s.file.DecodeRow(page, int(tids[i].Slot), s.results.AppendSlotRaw())
@@ -326,7 +323,7 @@ func (s *SortScan) Open() error {
 	}
 	// Posterior sort restoring the interesting order, if required.
 	if s.orderByKey {
-		dev.ChargeCPU(simcost.SortCost(s.results.Len()))
+		s.pool.ChargeCPU(simcost.SortCost(s.results.Len()))
 		s.chargeSpill(int64(s.results.Len()) * int64(s.file.Schema().TupleSize()))
 		s.results.SortByIntCol(s.pred.Col)
 	}

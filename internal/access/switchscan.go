@@ -79,7 +79,6 @@ func (s *SwitchScan) NextBatch(out *tuple.Batch) (int, error) {
 		return 0, ErrClosed
 	}
 	out.Reset()
-	dev := s.pool.Device()
 	for !out.Full() && !s.switched {
 		if s.done {
 			return out.Len(), nil
@@ -96,7 +95,7 @@ func (s *SwitchScan) NextBatch(out *tuple.Batch) (int, error) {
 			if _, err := s.file.DecodeRowAt(s.pool, e.TID, out.AppendSlotRaw()); err != nil {
 				return 0, fmt.Errorf("switch scan: %w", err)
 			}
-			dev.ChargeCPU(simcost.Tuple)
+			s.pool.ChargeCPU(simcost.Tuple)
 			s.produced++
 			s.seen.Set(s.tidBit(e.TID))
 			continue

@@ -22,10 +22,13 @@
 //
 // A Pool is safe for concurrent use: the frame table is guarded by one
 // mutex shared by every view of the pool. A Pool value is itself a
-// lightweight view — View returns a new handle over the same cache
-// whose reads go through a private disk.Channel, so each parallel scan
-// worker keeps its own random-vs-sequential head position and its own
-// deferred CPU meter while sharing every cached page.
+// lightweight view — a handle over the shared cache that reads and
+// charges through its own disk.Channel. A query's view (On) reads
+// through the query's channel, so every miss it takes lands in the
+// query's I/O account; View forks a view's channel, so each parallel
+// scan worker keeps its own random-vs-sequential head position and its
+// own deferred CPU meter while sharing every cached page and the
+// query's account.
 package bufferpool
 
 import (
@@ -79,10 +82,10 @@ type state struct {
 }
 
 // Pool is a view of a fixed-capacity page cache: the cache itself is
-// shared with every other view, while the I/O channel is private to
-// this view. The Pool returned by New reads through the device's
-// default channel (classic single-stream behaviour); views created
-// with View read through fresh channels.
+// shared with every other view, while the I/O channel is this view's.
+// The Pool returned by New reads through the device's default channel
+// (classic single-stream behaviour); On and View give views over other
+// channels.
 type Pool struct {
 	st *state
 	ch *disk.Channel
@@ -109,12 +112,19 @@ func New(dev *disk.Device, capacity int) *Pool {
 }
 
 // View returns a new handle over the same shared cache whose device
-// reads go through a private disk.Channel (fresh head position,
-// deferred CPU accounting). Parallel scan workers each take one view;
-// the caller must flush the view (FlushCPU) when the worker finishes.
+// reads go through a fork of this view's channel: a fresh head
+// position and deferred CPU accounting, charging the same account.
+// Parallel scan workers each take one view; the caller must flush the
+// view (FlushCPU) when the worker finishes.
 func (p *Pool) View() *Pool {
-	return &Pool{st: p.st, ch: p.st.dev.NewChannel()}
+	return &Pool{st: p.st, ch: p.ch.Fork()}
 }
+
+// On returns a view of the same shared cache that reads and charges
+// through ch — an execution's own channel, so that its misses land in
+// its account. It is returned by value so that the execution can embed
+// its view without an allocation.
+func (p *Pool) On(ch *disk.Channel) Pool { return Pool{st: p.st, ch: ch} }
 
 // Device returns the underlying device.
 func (p *Pool) Device() *disk.Device { return p.st.dev }
@@ -123,7 +133,8 @@ func (p *Pool) Device() *disk.Device { return p.st.dev }
 func (p *Pool) Channel() *disk.Channel { return p.ch }
 
 // FlushCPU folds the view's deferred CPU charges into the device
-// counters (no-op for the default view, which charges immediately).
+// counters and its account (no-op for a view that charges
+// immediately).
 func (p *Pool) FlushCPU() { p.ch.FlushCPU() }
 
 // ChargeCPU charges t CPU cost units through the view's channel.
@@ -132,7 +143,7 @@ func (p *Pool) FlushCPU() { p.ch.FlushCPU() }
 func (p *Pool) ChargeCPU(t float64) { p.ch.ChargeCPU(t) }
 
 // ChargeCPUN charges t CPU cost units n times through the view's
-// channel (n individual additions, like disk.Device.ChargeCPUN).
+// channel (n individual additions, like disk.Channel.ChargeCPUN).
 func (p *Pool) ChargeCPUN(t float64, n int64) { p.ch.ChargeCPUN(t, n) }
 
 // Capacity returns the pool capacity in pages.

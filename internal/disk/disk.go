@@ -11,7 +11,10 @@
 // files, e.g. one per heap file or index). All I/O statistics —
 // requests issued, random vs sequential accesses, pages and bytes
 // transferred, simulated time — are tracked per device, matching the
-// units the paper reports (Table II, Figures 4–11).
+// units the paper reports (Table II, Figures 4–11), and per account: a
+// Channel charges the same counters to the account it carries, which
+// is how a query's own I/O is told apart from everything else the
+// device did.
 package disk
 
 import (
@@ -68,7 +71,7 @@ type Stats struct {
 	// IOTime is the simulated time spent on I/O, in cost units.
 	IOTime float64
 	// CPUTime is the simulated time spent on CPU work, in cost
-	// units. Operators charge CPU through Device.ChargeCPU; keeping
+	// units. Operators charge CPU through Channel.ChargeCPU; keeping
 	// the two clocks side by side lets the harness reproduce the
 	// CPU-vs-I/O-wait breakdown of Figure 4.
 	CPUTime float64
@@ -88,8 +91,8 @@ type Stats struct {
 // Time returns total simulated time (I/O plus CPU).
 func (s Stats) Time() float64 { return s.IOTime + s.CPUTime }
 
-// Sub returns the difference s minus t, field by field. It is used to
-// compute per-query deltas from device-lifetime counters.
+// Sub returns the difference s minus t, field by field: the counters
+// accrued between two snapshots of the same device or account.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
 		Requests:       s.Requests - t.Requests,
@@ -137,12 +140,12 @@ type space struct {
 //
 // Random-vs-sequential classification is per Channel. The device owns
 // a default channel that its own read methods use, so single-threaded
-// callers see exactly the classic single-head behaviour; concurrent
-// workers open one Channel each (NewChannel) so that interleaved
-// requests from independent streams do not destroy each other's
-// sequentiality — the model is a device with per-stream read-ahead
-// state, which is what makes the random/sequential split meaningful
-// under parallel scans.
+// callers see exactly the classic single-head behaviour; each query
+// and each of its parallel workers reads through a Channel of its own
+// (OpenChannel, Fork) so that interleaved requests from independent
+// streams do not destroy each other's sequentiality — the model is a
+// device with per-stream read-ahead state, which is what makes the
+// random/sequential split meaningful under concurrent scans.
 type Device struct {
 	mu      sync.Mutex
 	profile Profile
@@ -174,21 +177,27 @@ func NewDevice(p Profile) *Device {
 	return d
 }
 
-// Channel is an independent I/O stream on a device. Each channel keeps
-// its own head position (lastSpace/lastPage), so the random-vs-
-// sequential classification of its reads is unaffected by other
-// channels' interleaved requests; all counters still accumulate into
-// the shared device Stats, and a per-channel contribution snapshot is
-// kept on the side.
+// Channel is an independent I/O stream on a device and the account it
+// charges. Each channel keeps its own head position (lastSpace/lastPage),
+// so the random-vs-sequential classification of its reads is
+// unaffected by other channels' interleaved requests. Every read, spill
+// and CPU charge made through a channel adds to the device Stats and to
+// the channel's account, under the device mutex.
 //
-// Channels obtained from NewChannel additionally defer CPU charges:
+// A channel from OpenChannel, NewChannel or DefaultChannel is its own
+// account. A channel forked from one (Fork) gets a fresh head position
+// but charges the same account: a query's parallel workers keep their
+// own sequentiality while every page they read stays the query's.
+//
+// Channels from NewChannel and Fork additionally defer CPU charges:
 // ChargeCPU/ChargeCPUN accumulate into a channel-local meter with no
-// locking, and FlushCPU folds the pending total into the device
-// counters. A parallel scan gives each worker one channel and flushes
-// when the worker finishes, so per-tuple CPU accounting never contends
-// on the device mutex.
+// locking, and FlushCPU folds the pending total into the device and
+// the account. A parallel scan gives each worker one such channel and
+// flushes when the worker finishes, so per-tuple CPU accounting never
+// contends on the device mutex.
 //
-// A Channel must be used by one goroutine at a time.
+// A Channel must be used by one goroutine at a time, and a channel
+// that has been forked must not be copied.
 type Channel struct {
 	dev *Device
 
@@ -198,21 +207,50 @@ type Channel struct {
 	lastPage  int64
 	hasPos    bool
 
-	// local is this channel's contribution to the device stats,
-	// guarded by dev.mu.
+	// owner is the channel whose account a forked channel charges; nil
+	// when the channel is its own account.
+	owner *Channel
+	// local is the account's counters when owner is nil, guarded by
+	// dev.mu.
 	local Stats
 
 	// deferred selects local CPU accumulation (worker channels) over
-	// immediate charging (the device's default channel).
+	// immediate charging.
 	deferred   bool
 	pendingCPU float64
 }
 
-// NewChannel opens a fresh I/O stream on the device with no head
-// position (its first read is classified random, like any cold stream)
-// and deferred CPU accounting.
+// OpenChannel returns a fresh I/O stream that is its own account: no
+// head position (its first read is classified random, like any cold
+// stream) and immediate CPU charging. It is returned by value so that
+// an execution can embed its channel without an allocation.
+func (d *Device) OpenChannel() Channel { return Channel{dev: d} }
+
+// NewChannel opens a fresh I/O stream that is its own account, with no
+// head position and deferred CPU accounting.
 func (d *Device) NewChannel() *Channel {
 	return &Channel{dev: d, deferred: true}
+}
+
+// Fork opens a fresh I/O stream charging c's account: no head position,
+// deferred CPU accounting.
+func (c *Channel) Fork() *Channel {
+	return &Channel{dev: c.dev, owner: c.account(), deferred: true}
+}
+
+// account returns the channel that owns c's account.
+func (c *Channel) account() *Channel {
+	if c.owner != nil {
+		return c.owner
+	}
+	return c
+}
+
+// charge adds delta to the device totals and to c's account. The
+// caller holds dev.mu.
+func (c *Channel) charge(delta Stats) {
+	c.dev.stats.add(delta)
+	c.account().local.add(delta)
 }
 
 // DefaultChannel returns the device's built-in channel: the head
@@ -355,10 +393,7 @@ func (c *Channel) ReadRun(id SpaceID, start, n int64) ([][]byte, error) {
 		if dec.err != nil {
 			// A failed read is counted but charged no transfer time:
 			// the request never completed.
-			var fd Stats
-			fd.Faults++
-			d.stats.add(fd)
-			c.local.add(fd)
+			c.charge(Stats{Faults: 1})
 			return nil, dec.err
 		}
 	}
@@ -393,8 +428,7 @@ func (c *Channel) ReadRun(id SpaceID, start, n int64) ([][]byte, error) {
 	delta.LatencySpikes += dec.latency
 	delta.Corruptions += int64(len(dec.corrupt))
 	c.lastSpace, c.lastPage, c.hasPos = id, start+n-1, true
-	d.stats.add(delta)
-	c.local.add(delta)
+	c.charge(delta)
 
 	out := make([][]byte, n)
 	for i := int64(0); i < n; i++ {
@@ -407,10 +441,6 @@ func (c *Channel) ReadRun(id SpaceID, start, n int64) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// ChargeSpill models an external-sort (or other out-of-core) spill on
-// the device's default channel; see Channel.ChargeSpill.
-func (d *Device) ChargeSpill(pages int64) { d.def.ChargeSpill(pages) }
 
 // ChargeSpill models an external-sort (or other out-of-core) spill:
 // pages are written to scratch space and read back once, both
@@ -431,30 +461,40 @@ func (c *Channel) ChargeSpill(pages int64) {
 	delta.BytesRead += pages * int64(d.profile.PageSize)
 	delta.IOTime += 2 * float64(pages) * d.profile.SeqCost
 	c.hasPos = false
-	d.stats.add(delta)
-	c.local.add(delta)
+	c.charge(delta)
 }
 
-// ChargeCPU adds t cost units to the CPU clock. Operators use it to
-// account for per-tuple predicate evaluation, sorting and hashing so
-// that the harness can reproduce the paper's CPU/I-O breakdown.
-func (d *Device) ChargeCPU(t float64) {
-	d.mu.Lock()
-	d.stats.CPUTime += t
-	d.mu.Unlock()
-}
+// ChargeCPU adds t cost units to the CPU clock via this channel: on a
+// deferred (worker) channel it accumulates locally with no locking,
+// otherwise it charges the device and the account immediately.
+// Operators use it to account for per-tuple predicate evaluation,
+// sorting and hashing so that the harness can reproduce the paper's
+// CPU/I-O breakdown.
+func (c *Channel) ChargeCPU(t float64) { c.ChargeCPUN(t, 1) }
 
-// ChargeCPUN adds t cost units to the CPU clock n times under a single
-// lock acquisition. It performs n individual floating-point additions,
-// so the accumulated CPUTime is bit-identical to n successive
-// ChargeCPU(t) calls — batched operators rely on this to keep the
-// simulated cost of a query independent of execution granularity.
-func (d *Device) ChargeCPUN(t float64, n int64) {
+// ChargeCPUN adds t cost units to the CPU clock n times via this
+// channel. It performs n individual floating-point additions on every
+// clock it charges — the device's and the account's, in one loop under
+// a single lock acquisition, or the deferred meter — so the accumulated
+// CPUTime is bit-identical to n successive ChargeCPU(t) calls: batched
+// operators rely on this to keep the simulated cost of a query
+// independent of execution granularity.
+func (c *Channel) ChargeCPUN(t float64, n int64) {
 	if n <= 0 {
 		return
 	}
+	if c.deferred {
+		c.pendingCPU = addN(c.pendingCPU, t, n)
+		return
+	}
+	d, a := c.dev, c.account()
 	d.mu.Lock()
-	d.stats.CPUTime = addN(d.stats.CPUTime, t, n)
+	dev, acct := d.stats.CPUTime, a.local.CPUTime
+	for i := int64(0); i < n; i++ {
+		dev += t
+		acct += t
+	}
+	d.stats.CPUTime, a.local.CPUTime = dev, acct
 	d.mu.Unlock()
 }
 
@@ -468,32 +508,10 @@ func addN(acc, t float64, n int64) float64 {
 	return acc
 }
 
-// ChargeCPU adds t cost units to the CPU clock via this channel: on a
-// deferred (worker) channel it accumulates locally with no locking, on
-// the device's default channel it charges immediately.
-func (c *Channel) ChargeCPU(t float64) {
-	if !c.deferred {
-		c.dev.ChargeCPU(t)
-		return
-	}
-	c.pendingCPU += t
-}
-
-// ChargeCPUN adds t cost units n times via this channel; like
-// Device.ChargeCPUN it performs n individual additions, so the
-// accumulated total is independent of batching granularity within the
-// channel.
-func (c *Channel) ChargeCPUN(t float64, n int64) {
-	if !c.deferred {
-		c.dev.ChargeCPUN(t, n)
-		return
-	}
-	c.pendingCPU = addN(c.pendingCPU, t, n)
-}
-
 // FlushCPU folds the channel's pending deferred CPU charges into the
-// device counters. A parallel scan calls it once per worker when the
-// worker finishes; it is a no-op on non-deferred channels.
+// device counters and the account. A parallel scan calls it once per
+// worker when the worker finishes; it is a no-op on non-deferred
+// channels.
 func (c *Channel) FlushCPU() {
 	if c.pendingCPU == 0 {
 		return
@@ -501,18 +519,19 @@ func (c *Channel) FlushCPU() {
 	d := c.dev
 	d.mu.Lock()
 	d.stats.CPUTime += c.pendingCPU
-	c.local.CPUTime += c.pendingCPU
+	c.account().local.CPUTime += c.pendingCPU
 	d.mu.Unlock()
 	c.pendingCPU = 0
 }
 
-// Stats returns this channel's contribution to the device counters,
-// including any not-yet-flushed deferred CPU. Reading it while the
-// owning worker is still running requires external synchronization for
-// the pending-CPU part.
+// Stats returns the channel's account — everything charged through
+// this channel and the channels sharing its account — plus this
+// channel's not-yet-flushed deferred CPU. Reading it while a deferred
+// channel's goroutine is still running requires external
+// synchronization for the pending-CPU part.
 func (c *Channel) Stats() Stats {
 	c.dev.mu.Lock()
-	st := c.local
+	st := c.account().local
 	c.dev.mu.Unlock()
 	st.CPUTime += c.pendingCPU
 	return st

@@ -260,8 +260,8 @@ func TestReadRunBounds(t *testing.T) {
 
 func TestChargeCPUAndTime(t *testing.T) {
 	d := newTestDevice(t)
-	d.ChargeCPU(2.5)
-	d.ChargeCPU(1.5)
+	d.DefaultChannel().ChargeCPU(2.5)
+	d.DefaultChannel().ChargeCPU(1.5)
 	s := d.Stats()
 	if s.CPUTime != 4 {
 		t.Errorf("CPUTime = %v, want 4", s.CPUTime)
@@ -369,8 +369,9 @@ func TestAccountingInvariants(t *testing.T) {
 // TestChargeCPUNMatchesSuccessiveCharges pins the identity batched
 // operators rely on: ChargeCPUN(t, n) leaves CPUTime bit-equal to n
 // successive ChargeCPU(t) calls from the same starting value — the
-// same additions in the same order — on the device and on a deferred
-// channel followed by FlushCPU.
+// same additions in the same order — on an immediate channel (the
+// device total and the account alike) and on a deferred channel
+// followed by FlushCPU.
 func TestChargeCPUNMatchesSuccessiveCharges(t *testing.T) {
 	type triple struct {
 		start, t float64
@@ -393,14 +394,17 @@ func TestChargeCPUNMatchesSuccessiveCharges(t *testing.T) {
 	}
 	for _, c := range cases {
 		batched, oneByOne := newTestDevice(t), newTestDevice(t)
-		batched.ChargeCPU(c.start)
-		batched.ChargeCPUN(c.t, c.n)
-		oneByOne.ChargeCPU(c.start)
+		batched.DefaultChannel().ChargeCPU(c.start)
+		batched.DefaultChannel().ChargeCPUN(c.t, c.n)
+		oneByOne.DefaultChannel().ChargeCPU(c.start)
 		for i := int64(0); i < c.n; i++ {
-			oneByOne.ChargeCPU(c.t)
+			oneByOne.DefaultChannel().ChargeCPU(c.t)
 		}
 		if got, want := batched.Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("device: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
+			t.Errorf("immediate channel: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
+		}
+		if got, want := batched.DefaultChannel().Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("account: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
 		}
 
 		batched, oneByOne = newTestDevice(t), newTestDevice(t)
@@ -450,5 +454,40 @@ func TestStatsFieldListsComplete(t *testing.T) {
 		if !diff.Field(i).IsZero() {
 			t.Errorf("s.Sub(s).%s = %v, want 0", name, diff.Field(i))
 		}
+	}
+}
+
+// TestForkSharesAccount: a channel's account is everything charged
+// through it and its forks — each fork with a head of its own — and
+// nothing charged through any other channel.
+func TestForkSharesAccount(t *testing.T) {
+	d := newTestDevice(t)
+	sp := d.CreateSpace()
+	for i := 0; i < 8; i++ {
+		if _, err := d.AppendPage(sp, fill(byte(i), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, other := d.OpenChannel(), d.OpenChannel()
+	w := q.Fork()
+	for _, ch := range []*Channel{&q, w, &other} {
+		if _, err := ch.ReadRun(sp, 2, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.ChargeCPU(0.5)
+	q.ChargeCPU(0.25)
+	if st := q.Stats(); st.RandomAccesses != 2 || st.PagesRead != 6 || st.CPUTime != 0.25 {
+		t.Errorf("account before the fork's flush = %+v, want 2 seeks, 6 pages, 0.25 CPU", st)
+	}
+	w.FlushCPU()
+	if st := q.Stats(); st.CPUTime != 0.75 {
+		t.Errorf("account CPU after the fork's flush = %v, want 0.75", st.CPUTime)
+	}
+	if st := other.Stats(); st.PagesRead != 3 || st.CPUTime != 0 {
+		t.Errorf("other account = %+v, want its own 3 pages only", st)
+	}
+	if st := d.Stats(); st.PagesRead != 9 || st.CPUTime != 0.75 {
+		t.Errorf("device = %+v, want every channel's 9 pages and 0.75 CPU", st)
 	}
 }

@@ -237,7 +237,6 @@ func (c *Channel) ChargeRetryBackoff(attempt int) {
 	var delta Stats
 	delta.Retries++
 	delta.IOTime += d.profile.RandCost * float64(attempt+1)
-	d.stats.add(delta)
-	c.local.add(delta)
+	c.charge(delta)
 	d.mu.Unlock()
 }

@@ -4,7 +4,7 @@ import "testing"
 
 func TestChargeSpillAccounting(t *testing.T) {
 	d := NewDevice(Profile{Name: "t", RandCost: 10, SeqCost: 1, PageSize: 64})
-	d.ChargeSpill(5)
+	d.DefaultChannel().ChargeSpill(5)
 	s := d.Stats()
 	if s.Requests != 2 {
 		t.Errorf("Requests = %d, want 2 (write pass + read pass)", s.Requests)
@@ -19,8 +19,8 @@ func TestChargeSpillAccounting(t *testing.T) {
 		t.Errorf("IOTime = %v, want 10 (2 passes x 5 pages x seq)", s.IOTime)
 	}
 	// Zero or negative spills are no-ops.
-	d.ChargeSpill(0)
-	d.ChargeSpill(-3)
+	d.DefaultChannel().ChargeSpill(0)
+	d.DefaultChannel().ChargeSpill(-3)
 	if got := d.Stats(); got != s {
 		t.Errorf("no-op spill changed stats: %+v", got)
 	}
@@ -38,7 +38,7 @@ func TestChargeSpillInvalidatesHeadPosition(t *testing.T) {
 	if _, err := d.ReadPage(sp, 0); err != nil {
 		t.Fatal(err)
 	}
-	d.ChargeSpill(2)
+	d.DefaultChannel().ChargeSpill(2)
 	// After a spill the head is at the scratch area; the "adjacent"
 	// page 1 must be charged as a seek.
 	before := d.Stats().RandomAccesses

@@ -14,7 +14,7 @@ const DefaultBatchSize = 1024
 // Invariance under batch capacity: the capacity of the batch a consumer
 // passes changes neither the I/O request schedule nor the per-tuple CPU
 // charge counts of any operator. Within one operator the charge
-// *sequence* is also preserved (see disk.ChargeCPUN), so pure scan
+// *sequence* is also preserved (see disk.Channel.ChargeCPUN), so pure scan
 // pipelines — the paper-figure experiments — produce bit-identical
 // simulated costs at every capacity, one row included. Across operator
 // boundaries a wider batch groups charges (a Filter charges its whole
@@ -60,8 +60,8 @@ func (f *Filter) NextBatch(out *tuple.Batch) (int, error) {
 		if n == 0 {
 			return 0, nil
 		}
-		if f.dev != nil {
-			f.dev.ChargeCPUN(simcost.Tuple, int64(n))
+		if f.ch != nil {
+			f.ch.ChargeCPUN(simcost.Tuple, int64(n))
 		}
 		out.Filter(f.pred)
 		if out.Len() > 0 {

@@ -121,7 +121,7 @@ func TestHashAggBatchInput(t *testing.T) {
 			tuple.IntsRow(1, 10), tuple.IntsRow(2, 20), tuple.IntsRow(1, 5),
 			tuple.IntsRow(3, 7), tuple.IntsRow(2, 1),
 		}
-		return NewHashAgg(NewValues(tuple.Ints(2), rows), dev, 0, []AggSpec{
+		return NewHashAgg(NewValues(tuple.Ints(2), rows), dev.DefaultChannel(), 0, []AggSpec{
 			{Name: "sum", Col: 1, Kind: AggSum},
 			{Name: "cnt", Col: 1, Kind: AggCount},
 		})

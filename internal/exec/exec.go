@@ -8,8 +8,10 @@
 //
 // There is one pull protocol, NextBatch; a per-tuple pull is a batch of
 // capacity one (see IndexNestedLoopJoin, the one operator that needs
-// it). All per-tuple work charges simulated CPU time on the device so
-// the harness can reproduce the paper's CPU-vs-I/O breakdowns.
+// it). All per-tuple work charges simulated CPU time through the disk
+// channel (or buffer-pool view) the operator was built with — the
+// query's I/O account — so the harness can reproduce the paper's
+// CPU-vs-I/O breakdowns.
 package exec
 
 import (
@@ -116,14 +118,14 @@ type Predicate func(tuple.Row) bool
 type Filter struct {
 	child Operator
 	pred  Predicate
-	dev   *disk.Device
+	ch    *disk.Channel
 	open  bool
 }
 
-// NewFilter wraps child with a row predicate; dev may be nil to skip
-// CPU accounting.
-func NewFilter(child Operator, dev *disk.Device, pred Predicate) *Filter {
-	return &Filter{child: child, pred: pred, dev: dev}
+// NewFilter wraps child with a row predicate, charging its CPU through
+// ch; ch may be nil to skip CPU accounting.
+func NewFilter(child Operator, ch *disk.Channel, pred Predicate) *Filter {
+	return &Filter{child: child, pred: pred, ch: ch}
 }
 
 // Schema returns the child schema.
@@ -251,7 +253,7 @@ func (l *Limit) Close() error { l.open = false; return l.child.Close() }
 type SortOp struct {
 	child    Operator
 	col      int
-	dev      *disk.Device
+	ch       *disk.Channel
 	memBytes int64 // 0 = unlimited (pure in-memory sort)
 	rows     []tuple.Row
 	pos      int
@@ -260,8 +262,8 @@ type SortOp struct {
 
 // NewSort sorts child's output by column col ascending, assuming the
 // whole input fits in memory.
-func NewSort(child Operator, dev *disk.Device, col int) *SortOp {
-	return &SortOp{child: child, col: col, dev: dev}
+func NewSort(child Operator, ch *disk.Channel, col int) *SortOp {
+	return &SortOp{child: child, col: col, ch: ch}
 }
 
 // NewExternalSort is NewSort with a memory budget: when the
@@ -269,18 +271,18 @@ func NewSort(child Operator, dev *disk.Device, col int) *SortOp {
 // sequential write pass and one sequential read pass over the data,
 // as a two-pass external merge sort does. This is what makes a
 // posterior ORDER BY expensive at high selectivity (Figure 5a).
-func NewExternalSort(child Operator, dev *disk.Device, col int, memBytes int64) *SortOp {
-	return &SortOp{child: child, col: col, dev: dev, memBytes: memBytes}
+func NewExternalSort(child Operator, ch *disk.Channel, col int, memBytes int64) *SortOp {
+	return &SortOp{child: child, col: col, ch: ch, memBytes: memBytes}
 }
 
 // chargeSpillIfNeeded charges the external-sort passes when dataBytes
 // exceeds the budget.
-func chargeSpillIfNeeded(dev *disk.Device, memBytes, dataBytes int64) {
-	if dev == nil || memBytes <= 0 || dataBytes <= memBytes {
+func chargeSpillIfNeeded(ch *disk.Channel, memBytes, dataBytes int64) {
+	if ch == nil || memBytes <= 0 || dataBytes <= memBytes {
 		return
 	}
-	pages := (dataBytes + int64(dev.PageSize()) - 1) / int64(dev.PageSize())
-	dev.ChargeSpill(pages)
+	pageSize := int64(ch.Device().PageSize())
+	ch.ChargeSpill((dataBytes + pageSize - 1) / pageSize)
 }
 
 // Schema returns the child schema.
@@ -292,13 +294,13 @@ func (s *SortOp) Open() error {
 	if err != nil {
 		return err
 	}
-	if s.dev != nil {
-		s.dev.ChargeCPU(simcost.SortCost(len(rows)))
+	if s.ch != nil {
+		s.ch.ChargeCPU(simcost.SortCost(len(rows)))
 		var dataBytes int64
 		for _, r := range rows {
 			dataBytes += int64(len(r) * 8)
 		}
-		chargeSpillIfNeeded(s.dev, s.memBytes, dataBytes)
+		chargeSpillIfNeeded(s.ch, s.memBytes, dataBytes)
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Int(s.col) < rows[j].Int(s.col) })
 	s.rows = rows
@@ -338,7 +340,7 @@ type HashAgg struct {
 	child    Operator
 	groupCol int
 	specs    []AggSpec
-	dev      *disk.Device
+	ch       *disk.Channel
 	schema   *tuple.Schema
 
 	out  []tuple.Row
@@ -349,14 +351,14 @@ type HashAgg struct {
 // NewHashAgg creates a grouped aggregation; groupCol < 0 means a
 // single global group. The group key output column is named "group";
 // use NewHashAggNamed to control it.
-func NewHashAgg(child Operator, dev *disk.Device, groupCol int, specs []AggSpec) *HashAgg {
-	return NewHashAggNamed(child, dev, groupCol, "group", specs)
+func NewHashAgg(child Operator, ch *disk.Channel, groupCol int, specs []AggSpec) *HashAgg {
+	return NewHashAggNamed(child, ch, groupCol, "group", specs)
 }
 
 // NewHashAggNamed is NewHashAgg with an explicit name for the group
 // key output column, so builder-generated plans can keep the user's
 // column name addressable in the result schema.
-func NewHashAggNamed(child Operator, dev *disk.Device, groupCol int, groupName string, specs []AggSpec) *HashAgg {
+func NewHashAggNamed(child Operator, ch *disk.Channel, groupCol int, groupName string, specs []AggSpec) *HashAgg {
 	cols := []tuple.Column{}
 	if groupCol >= 0 {
 		cols = append(cols, tuple.Column{Name: groupName, Type: tuple.Int64})
@@ -368,7 +370,7 @@ func NewHashAggNamed(child Operator, dev *disk.Device, groupCol int, groupName s
 		child:    child,
 		groupCol: groupCol,
 		specs:    specs,
-		dev:      dev,
+		ch:       ch,
 		schema:   tuple.MustSchema(cols...),
 	}
 }
@@ -402,8 +404,8 @@ func (h *HashAgg) Open() error {
 		if n == 0 {
 			break
 		}
-		if h.dev != nil {
-			h.dev.ChargeCPUN(simcost.Aggregate, int64(n))
+		if h.ch != nil {
+			h.ch.ChargeCPUN(simcost.Aggregate, int64(n))
 		}
 		for r := 0; r < n; r++ {
 			row := in.Row(r)

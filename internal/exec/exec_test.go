@@ -131,7 +131,7 @@ func TestSortChargesCPU(t *testing.T) {
 		rows = append(rows, tuple.IntsRow(int64(1000-i)))
 	}
 	v := NewValues(tuple.Ints(1), rows)
-	if _, err := Drain(NewSort(v, dev, 0)); err != nil {
+	if _, err := Drain(NewSort(v, dev.DefaultChannel(), 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Stats().CPUTime <= 0 {
@@ -392,7 +392,7 @@ func TestErrorPropagationThroughPlan(t *testing.T) {
 	scan := NewValues(tuple.Ints(3), nil)
 	_ = scan
 	fs := newHeapScan(file, pool)
-	plan := NewFilter(fs, dev, func(r tuple.Row) bool { return true })
+	plan := NewFilter(fs, dev.DefaultChannel(), func(r tuple.Row) bool { return true })
 	if err := plan.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 
 // JoinStats exposes a batched join operator's run-time counters: how
 // many rows each input delivered, how large the hash build was, and —
-// for a hash join — the device I/O delta accrued while the build input
-// was drained. For one join the probe side's I/O is the query total
-// minus this; when a join builds on an input that itself contains
+// for a hash join — the delta of the join's I/O account while the build
+// input was drained. For one join the probe side's I/O is the query
+// total minus this; when a join builds on an input that itself contains
 // joins, its build window contains theirs, so deltas nest rather than
 // sum.
 type JoinStats struct {
@@ -31,8 +31,9 @@ type JoinStats struct {
 	BuildKeys int64
 	// OutputRows counts joined rows produced so far.
 	OutputRows int64
-	// BuildIO is the device-counter delta while the hash build input
-	// was drained (Open time). Zero for merge joins and nil devices.
+	// BuildIO is the delta of the join's channel account while the
+	// hash build input was drained (Open time). Zero for merge joins
+	// and nil channels.
 	BuildIO disk.Stats
 }
 
@@ -54,7 +55,7 @@ type HashJoinBatch struct {
 	left, right       Operator
 	leftCol, rightCol int
 	buildLeft         bool
-	dev               *disk.Device
+	ch                *disk.Channel
 	schema            *tuple.Schema
 	lw                int
 
@@ -74,13 +75,15 @@ type HashJoinBatch struct {
 
 // NewHashJoinBatch joins left.leftCol = right.rightCol, draining the
 // side selected by buildLeft into the hash table and streaming the
-// other. dev may be nil to skip CPU accounting.
-func NewHashJoinBatch(left, right Operator, dev *disk.Device, leftCol, rightCol int, buildLeft bool) *HashJoinBatch {
+// other. It charges its CPU through ch, the channel the query's inputs
+// read through, so BuildIO is the build side's share of that account;
+// ch may be nil to skip accounting.
+func NewHashJoinBatch(left, right Operator, ch *disk.Channel, leftCol, rightCol int, buildLeft bool) *HashJoinBatch {
 	return &HashJoinBatch{
 		left: left, right: right,
 		leftCol: leftCol, rightCol: rightCol,
 		buildLeft: buildLeft,
-		dev:       dev,
+		ch:        ch,
 		schema:    left.Schema().Concat(right.Schema()),
 		lw:        left.Schema().NumCols(),
 	}
@@ -105,9 +108,9 @@ func (j *HashJoinBatch) Open() error {
 	j.probe = probe
 	j.stats = JoinStats{Algo: "hash", BuildLeft: j.buildLeft}
 
-	var ioStart disk.Stats
-	if j.dev != nil {
-		ioStart = j.dev.Stats()
+	var buildStart disk.Stats
+	if j.ch != nil {
+		buildStart = j.ch.Stats()
 	}
 	if err := build.Open(); err != nil {
 		return err
@@ -128,8 +131,8 @@ func (j *HashJoinBatch) Open() error {
 		if n == 0 {
 			break
 		}
-		if j.dev != nil {
-			j.dev.ChargeCPUN(simcost.Hash, int64(n))
+		if j.ch != nil {
+			j.ch.ChargeCPUN(simcost.Hash, int64(n))
 		}
 		for i := 0; i < n; i++ {
 			row := scratch.Row(i)
@@ -152,8 +155,8 @@ func (j *HashJoinBatch) Open() error {
 	} else {
 		j.stats.RightRows = int64(j.arena.Len())
 	}
-	if j.dev != nil {
-		j.stats.BuildIO = j.dev.Stats().Sub(ioStart)
+	if j.ch != nil {
+		j.stats.BuildIO = j.ch.Stats().Sub(buildStart)
 	}
 
 	// An empty build side means no probe row can match: skip the
@@ -225,8 +228,8 @@ func (j *HashJoinBatch) NextBatch(out *tuple.Batch) (int, error) {
 				if n == 0 {
 					return out.Len(), nil
 				}
-				if j.dev != nil {
-					j.dev.ChargeCPUN(simcost.Hash, int64(n))
+				if j.ch != nil {
+					j.ch.ChargeCPUN(simcost.Hash, int64(n))
 				}
 				if j.buildLeft {
 					j.stats.RightRows += int64(n)
@@ -267,7 +270,7 @@ func (j *HashJoinBatch) Close() error {
 type MergeJoinBatch struct {
 	left, right       Operator
 	leftCol, rightCol int
-	dev               *disk.Device
+	ch                *disk.Channel
 	schema            *tuple.Schema
 	lw, rw            int
 
@@ -288,13 +291,13 @@ type MergeJoinBatch struct {
 }
 
 // NewMergeJoinBatch joins left.leftCol = right.rightCol over inputs
-// sorted ascending on those columns. dev may be nil to skip CPU
-// accounting.
-func NewMergeJoinBatch(left, right Operator, dev *disk.Device, leftCol, rightCol int) *MergeJoinBatch {
+// sorted ascending on those columns, charging its CPU through ch; ch
+// may be nil to skip accounting.
+func NewMergeJoinBatch(left, right Operator, ch *disk.Channel, leftCol, rightCol int) *MergeJoinBatch {
 	return &MergeJoinBatch{
 		left: left, right: right,
 		leftCol: leftCol, rightCol: rightCol,
-		dev:    dev,
+		ch:     ch,
 		schema: left.Schema().Concat(right.Schema()),
 		lw:     left.Schema().NumCols(),
 		rw:     right.Schema().NumCols(),
@@ -343,8 +346,8 @@ func (j *MergeJoinBatch) fillLeft() error {
 			j.leftEOS = true
 			return nil
 		}
-		if j.dev != nil {
-			j.dev.ChargeCPUN(simcost.Compare, int64(n))
+		if j.ch != nil {
+			j.ch.ChargeCPUN(simcost.Compare, int64(n))
 		}
 		j.stats.LeftRows += int64(n)
 		for i := 0; i < n; i++ {
@@ -371,8 +374,8 @@ func (j *MergeJoinBatch) fillRight() error {
 			j.rightEOS = true
 			return nil
 		}
-		if j.dev != nil {
-			j.dev.ChargeCPUN(simcost.Compare, int64(n))
+		if j.ch != nil {
+			j.ch.ChargeCPUN(simcost.Compare, int64(n))
 		}
 		j.stats.RightRows += int64(n)
 		for i := 0; i < n; i++ {

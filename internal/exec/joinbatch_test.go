@@ -238,13 +238,13 @@ func TestJoinCapacityInvariance(t *testing.T) {
 	sortRowsByCol(right, 0)
 	joins := map[string]func(dev *disk.Device) Operator{
 		"hash": func(dev *disk.Device) Operator {
-			return NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev, 0, 0, false)
+			return NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev.DefaultChannel(), 0, 0, false)
 		},
 		"hash-build-left": func(dev *disk.Device) Operator {
-			return NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev, 0, 0, true)
+			return NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev.DefaultChannel(), 0, 0, true)
 		},
 		"merge": func(dev *disk.Device) Operator {
-			return NewMergeJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev, 0, 0)
+			return NewMergeJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), dev.DefaultChannel(), 0, 0)
 		},
 	}
 	wantLen := len(referenceJoin(left, right, 0, 0))

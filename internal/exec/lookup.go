@@ -44,7 +44,7 @@ func (l *IndexLookup) Find(key int64) ([]tuple.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.pool.Device().ChargeCPU(simcost.Tuple)
+		l.pool.ChargeCPU(simcost.Tuple)
 		out = append(out, row)
 	}
 }

@@ -99,7 +99,6 @@ func (l *MorphingLookup) Stats() MorphingLookupStats {
 // random heap accesses.
 func (l *MorphingLookup) Find(key int64) ([]tuple.Row, error) {
 	l.probes++
-	dev := l.pool.Device()
 	it, err := l.tree.SeekGE(l.pool, key)
 	if err != nil {
 		return nil, err
@@ -122,7 +121,7 @@ func (l *MorphingLookup) Find(key int64) ([]tuple.Row, error) {
 	if len(tids) == 0 {
 		return nil, nil
 	}
-	dev.ChargeCPU(simcost.Hash)
+	l.pool.ChargeCPU(simcost.Hash)
 	if allSeen {
 		l.hashHits++
 		return l.cache[key], nil
@@ -143,7 +142,7 @@ func (l *MorphingLookup) Find(key int64) ([]tuple.Row, error) {
 		count := heap.PageTupleCount(page)
 		for s := 0; s < count; s++ {
 			row := l.file.DecodeRow(page, s, nil)
-			dev.ChargeCPU(simcost.Tuple + simcost.Hash)
+			l.pool.ChargeCPU(simcost.Tuple + simcost.Hash)
 			k := row.Int(l.joinCol)
 			l.cache[k] = append(l.cache[k], row)
 			l.cacheBytes += int64(len(row) * 8)

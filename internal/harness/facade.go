@@ -55,7 +55,7 @@ func drain(q *smoothscan.Query) (int64, smoothscan.ExecStats, error) {
 	return n, rows.ExecStats(), nil
 }
 
-// ioCells formats an execution's device delta as the io-req, pages and
+// ioCells formats an execution's I/O account as the io-req, pages and
 // time columns.
 func ioCells(es smoothscan.ExecStats) []string {
 	return []string{
@@ -67,8 +67,9 @@ func ioCells(es smoothscan.ExecStats) []string {
 
 // ShardExp is the scatter-gather sweep: for N ∈ {1, 2, 4}
 // range-partitioned shards, each predicate width gathered unordered
-// and through the ordered merge. Time is the sum of per-shard device
-// deltas, so the table is byte-stable.
+// and through the ordered merge. Time is the sum of the shard
+// executions' I/O accounts, each from a fresh head, so the table is
+// byte-stable.
 func (r *Runner) ShardExp() (*Table, error) {
 	t := &Table{
 		Title:  "Sharded scatter-gather: shard count x pruning selectivity x gather mode (simulated cost)",

@@ -31,7 +31,7 @@ func fullScanPath() microPath {
 	return microPath{name: "FullScan", build: func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error) {
 		var op exec.Operator = access.NewFullScan(tab.File, pool, tab.PredForSelectivity(sel))
 		if ordered {
-			op = exec.NewExternalSort(op, dev, tab.IndexCol, poolBytes(pool, dev))
+			op = exec.NewExternalSort(op, pool.Channel(), tab.IndexCol, poolBytes(pool, dev))
 		}
 		return op, nil
 	}}

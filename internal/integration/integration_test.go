@@ -342,7 +342,7 @@ func TestMergeJoinOverOrderedSmoothScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mj := exec.NewMergeJoinBatch(lScan, rScan, dev, 1, 1)
+	mj := exec.NewMergeJoinBatch(lScan, rScan, pool.Channel(), 1, 1)
 	nMerge, err := exec.Count(mj)
 	if err != nil {
 		t.Fatalf("merge join over smooth scans: %v", err)
@@ -353,7 +353,7 @@ func TestMergeJoinOverOrderedSmoothScans(t *testing.T) {
 	hj := exec.NewHashJoinBatch(
 		access.NewFullScan(left.File, pool, pred),
 		access.NewFullScan(right.File, pool, pred),
-		dev, 1, 1, false,
+		pool.Channel(), 1, 1, false,
 	)
 	nHash, err := exec.Count(hj)
 	if err != nil {

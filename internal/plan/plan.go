@@ -267,8 +267,9 @@ type JoinSpec struct {
 	// the right (JoinHash only; the planner puts the smaller estimated
 	// input on the build side).
 	BuildLeft bool
-	// Dev accounts the join's CPU charges; nil skips accounting.
-	Dev *disk.Device
+	// Ch is the channel the join charges its CPU through — the I/O
+	// account of the query it runs in; nil skips accounting.
+	Ch *disk.Channel
 }
 
 // BuildJoin constructs the batched join operator for the spec. The
@@ -287,9 +288,9 @@ func BuildJoin(spec JoinSpec) (exec.Operator, error) {
 	}
 	switch spec.Algo {
 	case JoinHash:
-		return exec.NewHashJoinBatch(spec.Left, spec.Right, spec.Dev, spec.LeftCol, spec.RightCol, spec.BuildLeft), nil
+		return exec.NewHashJoinBatch(spec.Left, spec.Right, spec.Ch, spec.LeftCol, spec.RightCol, spec.BuildLeft), nil
 	case JoinMerge:
-		return exec.NewMergeJoinBatch(spec.Left, spec.Right, spec.Dev, spec.LeftCol, spec.RightCol), nil
+		return exec.NewMergeJoinBatch(spec.Left, spec.Right, spec.Ch, spec.LeftCol, spec.RightCol), nil
 	default:
 		return nil, fmt.Errorf("plan: unknown join algorithm %d", int(spec.Algo))
 	}

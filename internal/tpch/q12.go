@@ -62,7 +62,7 @@ func (db *DB) Q12(pool *bufferpool.Pool, p Q12Plan) (QueryResult, error) {
 		keyed := exec.NewProject(joined, tuple.Ints(1), func(r tuple.Row) tuple.Row {
 			return tuple.IntsRow(r.Int(priCol))
 		})
-		return exec.NewHashAgg(keyed, db.Dev, 0, []exec.AggSpec{
+		return exec.NewHashAgg(keyed, pool.Channel(), 0, []exec.AggSpec{
 			{Name: "line_count", Col: 0, Kind: exec.AggCount},
 		})
 	}
@@ -74,7 +74,7 @@ func (db *DB) Q12(pool *bufferpool.Pool, p Q12Plan) (QueryResult, error) {
 			return QueryResult{}, err
 		}
 		orders := access.NewFullScan(db.Orders.File, pool, tuple.All(OOrderkey))
-		join := exec.NewHashJoinBatch(scan, orders, db.Dev, LOrderkey, OOrderkey, false)
+		join := exec.NewHashJoinBatch(scan, orders, pool.Channel(), LOrderkey, OOrderkey, false)
 		return run(buildAgg(join))
 	case Q12PlanTunedINLJ:
 		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathIndex})

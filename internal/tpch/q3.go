@@ -60,7 +60,7 @@ func (db *DB) Q3(pool *bufferpool.Pool, spec ScanSpec, lineSel, orderSel float64
 		LeftCol:  LOrderkey,
 		RightCol: OOrderkey,
 		Algo:     plan.JoinHash,
-		Dev:      db.Dev,
+		Ch:       pool.Channel(),
 	})
 	if err != nil {
 		return QueryResult{}, exec.JoinStats{}, err
@@ -72,7 +72,7 @@ func (db *DB) Q3(pool *bufferpool.Pool, spec ScanSpec, lineSel, orderSel float64
 			r.Int(LExtendedprice)*(100-r.Int(LDiscount))/100,
 		)
 	})
-	agg := exec.NewHashAgg(keyed, db.Dev, 0, []exec.AggSpec{
+	agg := exec.NewHashAgg(keyed, pool.Channel(), 0, []exec.AggSpec{
 		{Name: "revenue", Col: 1, Kind: exec.AggSum},
 		{Name: "order_count", Col: 0, Kind: exec.AggCount},
 	})

@@ -90,7 +90,7 @@ func (db *DB) Q1(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 			r.Int(LDiscount),
 		)
 	})
-	agg := exec.NewHashAgg(keyed, db.Dev, 0, []exec.AggSpec{
+	agg := exec.NewHashAgg(keyed, pool.Channel(), 0, []exec.AggSpec{
 		{Name: "sum_qty", Col: 1, Kind: exec.AggSum},
 		{Name: "sum_base_price", Col: 2, Kind: exec.AggSum},
 		{Name: "count_order", Col: 0, Kind: exec.AggCount},
@@ -108,21 +108,21 @@ func (db *DB) Q4(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	late := exec.NewFilter(scan, db.Dev, func(r tuple.Row) bool {
+	late := exec.NewFilter(scan, pool.Channel(), func(r tuple.Row) bool {
 		return r.Int(LCommitdate) < r.Int(LReceiptdate)
 	})
 	join := exec.NewIndexNestedLoopJoin(late, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), LOrderkey)
 	// o_orderdate lands after the 13 lineitem columns.
 	ordCol := lineitemCols + OOrderdate
 	priCol := lineitemCols + OOrderpriority
-	quarter := exec.NewFilter(join, db.Dev, func(r tuple.Row) bool {
+	quarter := exec.NewFilter(join, pool.Channel(), func(r tuple.Row) bool {
 		d := r.Int(ordCol)
 		return d >= 820 && d < 912 // one quarter
 	})
 	keyed := exec.NewProject(quarter, tuple.Ints(1), func(r tuple.Row) tuple.Row {
 		return tuple.IntsRow(r.Int(priCol))
 	})
-	agg := exec.NewHashAgg(keyed, db.Dev, 0, []exec.AggSpec{
+	agg := exec.NewHashAgg(keyed, pool.Channel(), 0, []exec.AggSpec{
 		{Name: "order_count", Col: 0, Kind: exec.AggCount},
 	})
 	return run(agg)
@@ -137,13 +137,13 @@ func (db *DB) Q6(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	disc := exec.NewFilter(scan, db.Dev, func(r tuple.Row) bool {
+	disc := exec.NewFilter(scan, pool.Channel(), func(r tuple.Row) bool {
 		return r.Int(LDiscount) >= 2 && r.Int(LDiscount) <= 8 && r.Int(LQuantity) < 40
 	})
 	rev := exec.NewProject(disc, tuple.Ints(1), func(r tuple.Row) tuple.Row {
 		return tuple.IntsRow(r.Int(LExtendedprice) * r.Int(LDiscount) / 100)
 	})
-	agg := exec.NewHashAgg(rev, db.Dev, -1, []exec.AggSpec{
+	agg := exec.NewHashAgg(rev, pool.Channel(), -1, []exec.AggSpec{
 		{Name: "revenue", Col: 0, Kind: exec.AggSum},
 	})
 	return run(agg)
@@ -169,14 +169,14 @@ func (db *DB) Q7(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 	jCust := exec.NewIndexNestedLoopJoin(jOrd, exec.NewIndexLookup(db.Customer.File, pool, db.Customer.PK), oCust)
 	cNation := lineitemCols + supplierCols + ordersCols + CNationkey
 	// nation pair filter: (supp ∈ 1, cust ∈ 2) or (supp ∈ 2, cust ∈ 1).
-	pair := exec.NewFilter(jCust, db.Dev, func(r tuple.Row) bool {
+	pair := exec.NewFilter(jCust, pool.Channel(), func(r tuple.Row) bool {
 		a, b := r.Int(sNation), r.Int(cNation)
 		return (a == 1 && b == 2) || (a == 2 && b == 1)
 	})
 	year := exec.NewProject(pair, tuple.Ints(2), func(r tuple.Row) tuple.Row {
 		return tuple.IntsRow(r.Int(LShipdate)/365, r.Int(LExtendedprice)*(100-r.Int(LDiscount))/100)
 	})
-	agg := exec.NewHashAgg(year, db.Dev, 0, []exec.AggSpec{
+	agg := exec.NewHashAgg(year, pool.Channel(), 0, []exec.AggSpec{
 		{Name: "revenue", Col: 1, Kind: exec.AggSum},
 	})
 	return run(agg)
@@ -200,7 +200,7 @@ func (db *DB) Q14(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 		}
 		return tuple.IntsRow(promo, r.Int(LExtendedprice)*(100-r.Int(LDiscount))/100)
 	})
-	agg := exec.NewHashAgg(rev, db.Dev, -1, []exec.AggSpec{
+	agg := exec.NewHashAgg(rev, pool.Channel(), -1, []exec.AggSpec{
 		{Name: "promo_revenue", Col: 0, Kind: exec.AggSum},
 		{Name: "total_revenue", Col: 1, Kind: exec.AggSum},
 	})

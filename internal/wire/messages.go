@@ -201,9 +201,10 @@ type ExecSummary struct {
 	FaultsSeen   int64
 	PlanCacheHit bool
 	Degraded     []string
-	// IO is the execution's device-side I/O delta, so a remote shard
-	// driver can surface per-shard IOStats exactly as an in-process
-	// shard does (ExecStats.Shards, ssload balance reporting).
+	// IO is the execution's own I/O account on the server, so a remote
+	// shard driver can surface per-shard IOStats exactly as an
+	// in-process shard does (ExecStats.Shards, ssload balance
+	// reporting).
 	IO disk.Stats
 	// Result-cache interaction of the execution, mirroring
 	// smoothscan.ResultCacheExec: whether the server served the stream

@@ -1557,10 +1557,11 @@ func (db *DB) compile(q *Query, b Bind) (*compiledQuery, error) {
 // buildInput constructs one table access through the plan layer,
 // wrapped in its counter, context guard and (when the access path
 // could not absorb the residual conjuncts) a filter operator.
-func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess, bq *localExec, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
+func (l *localExec) buildInput(ctx context.Context, a *tableAccess, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
+	cq := l.cq
 	spec := plan.ScanSpec{
 		File:            a.tab.file,
-		Pool:            db.pool,
+		Pool:            &l.pool,
 		Pred:            a.driving.pred,
 		Residual:        a.residualPreds(),
 		Smooth:          a.cfg,
@@ -1589,8 +1590,8 @@ func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess,
 		return nil, err
 	}
 	if a == cq.driving() {
-		bq.smooth = built.Smooth
-		bq.workers = built.Workers
+		l.smooth = built.Smooth
+		l.workers = built.Workers
 	}
 
 	// Counter names keep the historical single-table form ("smooth",
@@ -1613,34 +1614,35 @@ func (cq *compiledQuery) buildInput(db *DB, ctx context.Context, a *tableAccess,
 		if multi {
 			name = fmt.Sprintf("filter(%s)", a.name)
 		}
-		cur = count(name, exec.NewFilter(cur, db.dev, func(r tuple.Row) bool {
+		cur = count(name, exec.NewFilter(cur, l.pool.Channel(), func(r tuple.Row) bool {
 			return tuple.MatchesAll(preds, r)
 		}))
 	}
 	return cur, nil
 }
 
-// build constructs the operator tree for a compiled query, wrapping
-// every stage in a row/batch counter for ExecStats. The caller holds
-// db.mu (read).
-func (cq *compiledQuery) build(db *DB, ctx context.Context) (*localExec, error) {
-	bq := &localExec{db: db, cq: cq}
+// build constructs the operator tree for the execution's compiled
+// query, reading and charging through its pool view and wrapping every
+// stage in a row/batch counter for ExecStats. The caller holds db.mu
+// (read).
+func (l *localExec) build(ctx context.Context) error {
+	cq := l.cq
 	count := func(name string, op exec.Operator) exec.Operator {
 		c := &opCounter{name: name}
-		bq.counters = append(bq.counters, c)
+		l.counters = append(l.counters, c)
 		return &countedOp{inner: op, c: c}
 	}
 
 	if cq.emptyWhy != "" {
-		bq.root = count("empty", exec.NewValues(cq.out, nil))
-		return bq, nil
+		l.root = count("empty", exec.NewValues(cq.out, nil))
+		return nil
 	}
 
 	inOps := make([]exec.Operator, len(cq.inputs))
 	for i, a := range cq.inputs {
-		op, err := cq.buildInput(db, ctx, a, bq, count)
+		op, err := l.buildInput(ctx, a, count)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inOps[i] = op
 	}
@@ -1654,21 +1656,21 @@ func (cq *compiledQuery) build(db *DB, ctx context.Context) (*localExec, error) 
 			RightCol:  st.rightCol,
 			Algo:      st.algo,
 			BuildLeft: st.buildLeft,
-			Dev:       db.dev,
+			Ch:        l.pool.Channel(),
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		bq.joins = append(bq.joins, op.(exec.JoinStatser))
+		l.joins = append(l.joins, op.(exec.JoinStatser))
 		cur = count(st.algo.String()+"-join", op)
 	}
 
-	root, err := cq.stages.build(cur, db.dev, cq.out, count)
+	root, err := cq.stages.build(cur, l.pool.Channel(), cq.out, count)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bq.root = root
-	return bq, nil
+	l.root = root
+	return nil
 }
 
 // stages is the operator list above a scan/join tree or above a
@@ -1696,11 +1698,11 @@ func (st *stages) aggName() string {
 	return "hash-agg"
 }
 
-// build stacks the stages on cur, each wrapped by count. dev is the
-// device blocking stages charge (nil above a gather: the per-shard work
-// is already charged to the shard devices, and merging partials is
-// host-side bookkeeping); out is the schema of the finished stack.
-func (st *stages) build(cur exec.Operator, dev *disk.Device, out *tuple.Schema, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
+// build stacks the stages on cur, each wrapped by count. ch is the
+// channel blocking stages charge (nil above a gather: the per-shard
+// work is already charged to the shard executions, and merging partials
+// is host-side bookkeeping); out is the schema of the finished stack.
+func (st *stages) build(cur exec.Operator, ch *disk.Channel, out *tuple.Schema, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
 	if st.selIdx != nil {
 		p, err := exec.NewColProject(cur, st.selIdx)
 		if err != nil {
@@ -1709,10 +1711,10 @@ func (st *stages) build(cur exec.Operator, dev *disk.Device, out *tuple.Schema, 
 		cur = count("project", p)
 	}
 	if st.groupIdx >= 0 {
-		cur = count(st.aggName(), exec.NewHashAggNamed(cur, dev, st.groupIdx, out.Col(0).Name, st.aggSpecs))
+		cur = count(st.aggName(), exec.NewHashAggNamed(cur, ch, st.groupIdx, out.Col(0).Name, st.aggSpecs))
 	}
 	if st.sortIdx >= 0 {
-		cur = count("sort", exec.NewSort(cur, dev, st.sortIdx))
+		cur = count("sort", exec.NewSort(cur, ch, st.sortIdx))
 	}
 	if st.hasLim {
 		cur = count("limit", exec.NewLimit(cur, st.limit))
@@ -1813,27 +1815,25 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 	cache := db.cacheable(cq)
 	if cache {
 		if v, ok := db.resCache.Lookup(cq.resKey, db.epochOfLocked); ok {
-			return (&localExec{db: db, cq: cq, ioStart: db.dev.Stats()}).rows(ctx).serveCached(v), nil
+			return db.newExec(cq).rows(ctx).serveCached(v), nil
 		}
 	}
-	bq, err := cq.build(db, ctx)
-	if err != nil {
+	bq := db.newExec(cq)
+	if err := bq.build(ctx); err != nil {
 		return nil, err
 	}
-	ioStart := db.dev.Stats()
 	if openErr := bq.root.Open(); openErr != nil {
 		// An open-time fault (a dead index root, a failing parallel
 		// worker) walks the degradation ladder before giving up; the
-		// I/O burned on failed attempts stays inside the query's delta.
+		// I/O burned on failed attempts stays in the query's account.
 		if !IsFaultError(openErr) {
 			return nil, openErr
 		}
-		bq, openErr = db.degradeAndReopen(ctx, cq, openErr)
-		if openErr != nil {
-			return nil, openErr
+		var err error
+		if bq, err = db.degradeAndReopen(ctx, bq, openErr); err != nil {
+			return nil, err
 		}
 	}
-	bq.ioStart = ioStart
 	rows := bq.rows(ctx)
 	if cache && len(bq.cq.degraded) == 0 {
 		rows.acc = newResAccum(cq.resKey, cq.resEpochs, db.resCache.EntryCap(), cq.out.NumCols())

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"smoothscan"
+	"smoothscan/internal/disk"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
 )
@@ -254,11 +255,19 @@ func TestResultCacheSharded(t *testing.T) {
 	}
 	ctx := context.Background()
 
+	// devices sums the shard devices' lifetime counters.
+	devices := func() smoothscan.IOStats {
+		var total smoothscan.IOStats
+		for i := 0; i < s.NumShards(); i++ {
+			total = disk.Add(total, s.Shard(i).Stats())
+		}
+		return total
+	}
 	run := func() (int, smoothscan.ExecStats, smoothscan.IOStats) {
-		before := s.Stats()
+		before := devices()
 		cur, err := s.Query("ev").Where("val", smoothscan.Between(10, 20)).Run(ctx)
 		n, st := drainCount(t, cur, err)
-		return n, st, s.Stats().Sub(before)
+		return n, st, devices().Sub(before)
 	}
 
 	n1, st1, _ := run()

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"time"
 
+	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/core"
+	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
 )
@@ -27,7 +29,7 @@ type execution interface {
 	// swapped a fallback tree into r.
 	degrade(r *Rows, err error) bool
 	// finish runs once, at Close, after the operator tree has closed:
-	// it freezes the I/O deltas and releases what the execution holds.
+	// it releases what the execution holds.
 	finish() error
 	// store admits a fully drained, error-free stream's accumulated
 	// result to the engine's result cache, if the execution is
@@ -54,8 +56,10 @@ type execution interface {
 //
 // A Rows is owned by a single goroutine — share the DB, not the Rows.
 // Always Close a Rows when done with it; open Rows block ColdCache
-// and ResetStats, and a remote Rows holds its connection until it is
-// drained or closed.
+// and DB.ResetStats, and a remote Rows holds its connection until it
+// is drained or closed. Its ExecStats.IO is its own account whatever
+// runs beside it, so concurrent Rows on one DB each report only their
+// own I/O.
 type Rows struct {
 	run        execution
 	op         exec.Operator
@@ -285,13 +289,12 @@ func (r *Rows) Choice() (path string, estimatedRows int64, ok bool) {
 // ExecStats returns the query's unified execution statistics. It may
 // be called while the scan is still running (counters are then
 // partial: per-worker and per-shard internals are only read once the
-// workers have quiesced); after Close the snapshot is final, including
-// the I/O delta frozen at Close time.
+// workers have quiesced); after Close the snapshot is final.
 func (r *Rows) ExecStats() ExecStats { return r.run.stats(r) }
 
 // engineStats completes an in-process execution's stats with what the
 // Rows itself tracks: per-operator counts, plan and result cache reuse,
-// and the fault counters read off the I/O delta.
+// and the fault counters read off the I/O account.
 func (r *Rows) engineStats(st ExecStats) ExecStats {
 	for _, c := range r.counters {
 		st.Operators = append(st.Operators, OperatorStats{Name: c.name, Rows: c.rows, Batches: c.batches})
@@ -306,10 +309,10 @@ func (r *Rows) engineStats(st ExecStats) ExecStats {
 	return st
 }
 
-// localExec is one DB's operator tree for a compiled query — the
-// outcome of compiledQuery.build — plus the handles ExecStats reads
-// (the driving table's Smooth Scan operator(s), the join operators,
-// the per-stage counters) and the query's device-I/O window.
+// localExec is one DB's operator tree for a compiled query — built by
+// localExec.build — plus the handles ExecStats reads (the driving
+// table's Smooth Scan operator(s), the join operators, the per-stage
+// counters) and the execution's I/O account.
 type localExec struct {
 	db       *DB
 	cq       *compiledQuery
@@ -318,8 +321,23 @@ type localExec struct {
 	workers  []*core.SmoothScan // parallel workers (PathSmooth)
 	joins    []exec.JoinStatser // batched join operators, leaf-most first
 	counters []*opCounter
-	ioStart  IOStats
-	ioDelta  IOStats // device delta frozen at Close
+
+	// pool is the view of the DB's buffer pool the tree reads and
+	// charges through; its channel is the execution's I/O account. A
+	// fresh execution's view is over ch, its own fresh-head channel; a
+	// degraded rebuild keeps the view of the execution it replaces.
+	pool bufferpool.Pool
+	ch   disk.Channel
+}
+
+// newExec starts an execution of cq on a fresh I/O account: a channel
+// with no head position and a view of the DB's buffer pool over it,
+// both embedded so the account costs no allocation. The caller holds
+// db.mu (read).
+func (db *DB) newExec(cq *compiledQuery) *localExec {
+	l := &localExec{db: db, cq: cq, ch: db.dev.OpenChannel()}
+	l.pool = db.pool.On(&l.ch)
+	return l
 }
 
 // rows hands out the Rows over the opened tree and registers it as an
@@ -338,9 +356,6 @@ func (l *localExec) rows(ctx context.Context) *Rows {
 }
 
 func (l *localExec) finish() error {
-	// Workers have quiesced and flushed their deferred CPU charges by
-	// the time the tree's Close returns, so the delta is complete.
-	l.ioDelta = l.db.dev.Stats().Sub(l.ioStart)
 	l.db.openScans.Add(-1)
 	return nil
 }
@@ -354,13 +369,8 @@ func (l *localExec) store(a *resAccum) {
 func (l *localExec) plan() *Plan { return l.cq.plan() }
 
 func (l *localExec) stats(r *Rows) ExecStats {
-	closed, quiesced := r.closed, r.closed || r.done
-	var st ExecStats
-	if closed {
-		st.IO = l.ioDelta
-	} else {
-		st.IO = l.db.dev.Stats().Sub(l.ioStart)
-	}
+	quiesced := r.closed || r.done
+	st := ExecStats{IO: l.pool.Channel().Stats()}
 	switch {
 	case l.smooth != nil:
 		// Serial: the operator runs on the caller's goroutine, so a

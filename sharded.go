@@ -304,44 +304,6 @@ func (s *ShardedDB) ShardRows(table string) ([]int64, error) {
 	return out, nil
 }
 
-// Stats sums the device counters across shards. On a remote topology
-// the shards here are the coordinator's schema-only catalog mirrors,
-// whose devices see no data I/O: a remote query's I/O arrives per
-// query in ExecStats.Shards, and node-lifetime counters are read from
-// each node directly (Conn.ServerStats — the reason ssload keeps
-// a control session per node). The same holds for ShardIOStats and
-// ResetStats.
-func (s *ShardedDB) Stats() IOStats {
-	var total IOStats
-	for _, db := range s.shards {
-		total = disk.Add(total, db.Stats())
-	}
-	return total
-}
-
-// ShardIOStats returns each shard's device counters, in shard order
-// (the catalog mirrors' on a remote topology; see Stats).
-func (s *ShardedDB) ShardIOStats() []IOStats {
-	out := make([]IOStats, len(s.shards))
-	for i, db := range s.shards {
-		out[i] = db.Stats()
-	}
-	return out
-}
-
-// ResetStats zeroes every shard's device counters (refused while any
-// shard has open scans, like DB.ResetStats). On a remote topology it
-// zeroes only the catalog mirrors' counters, never a node's (see
-// Stats).
-func (s *ShardedDB) ResetStats() error {
-	for _, db := range s.shards {
-		if err := db.ResetStats(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ColdCache empties every shard's buffer pool and purges the
 // coordinator's result-cache tier (each shard purges its own tier
 // inside DB.ColdCache). On a remote topology the request is forwarded
@@ -499,8 +461,7 @@ type shardExec struct {
 	root     exec.Operator
 	counters []*opCounter
 	adapters []*shardRowsOp
-	ioStart  []IOStats
-	ioDelta  []IOStats // per-shard device deltas frozen at Close
+	sides    []*shardRowsOp // the broadcast side's drained shard queries
 }
 
 // strategyFor decides the scatter strategy structurally: scan for
@@ -723,6 +684,10 @@ type shardRowsOp struct {
 	query       func() *Query
 	rows        *Rows
 	unavailable bool
+	// join is the I/O account of the broadcast join above this shard's
+	// stream (nil under the other strategies): the join runs on the
+	// worker's goroutine, on a channel of the shard's device.
+	join *disk.Channel
 }
 
 func (o *shardRowsOp) Schema() *tuple.Schema { return o.schema }
@@ -778,21 +743,11 @@ func (se *shardExec) shardQuery(si int) *Query {
 	return se.q.perShardQuery(db)
 }
 
-// ioSnapshot reads every shard's device counters.
-func (s *ShardedDB) ioSnapshot() []IOStats {
-	out := make([]IOStats, len(s.shards))
-	for i, db := range s.shards {
-		out[i] = db.dev.Stats()
-	}
-	return out
-}
-
 // execute runs a compiled scatter-gather. A coordinator result-cache
 // hit serves the materialized result with every shard untouched; a
 // miss captures the epochs now — before any shard worker starts — so
 // a write interleaving with the gather fails the store-time re-check.
 func (s *ShardedDB) execute(ctx context.Context, se *shardExec) (*Rows, error) {
-	se.ioStart = s.ioSnapshot()
 	cache := se.cacheable()
 	var eps map[string]uint64
 	if cache {
@@ -842,6 +797,7 @@ func (se *shardExec) start(ctx context.Context) error {
 			b := exec.GetBatch(bcSchema)
 			for _, si := range se.bcActive {
 				op := se.shardOp(ctx, si, bcSchema, func() *Query { return se.q.sideQuery(s.shards[si], se.bcInput, se.pt) })
+				se.sides = append(se.sides, op)
 				err := op.Open()
 				for err == nil {
 					var n int
@@ -868,15 +824,16 @@ func (se *shardExec) start(ctx context.Context) error {
 			si := si
 			a := se.shardOp(ctx, si, se.gatherSchema, func() *Query { return se.shardQuery(si) })
 			se.adapters = append(se.adapters, a)
-			var op exec.Operator = a
+			w := parallel.Worker{Op: a}
 			if se.strategy == strategyBroadcast {
 				a.schema = se.pt.Inputs[se.scanInput].Schema
+				a.join = s.shards[si].dev.NewChannel()
 				vals := exec.NewValues(se.pt.Inputs[se.bcInput].Schema, bcRows)
 				spec := plan.JoinSpec{
 					LeftCol:  se.pt.Joins[0].LeftCol,
 					RightCol: se.pt.Joins[0].RightCol,
 					Algo:     plan.JoinHash,
-					Dev:      s.shards[si].dev,
+					Ch:       a.join,
 				}
 				if se.bcInput == 0 {
 					spec.Left, spec.Right, spec.BuildLeft = vals, exec.Operator(a), true
@@ -887,9 +844,9 @@ func (se *shardExec) start(ctx context.Context) error {
 				if err != nil {
 					return err
 				}
-				op = j
+				w = parallel.Worker{Op: j, Flush: a.join.FlushCPU}
 			}
-			workers = append(workers, parallel.Worker{Op: op})
+			workers = append(workers, w)
 		}
 		g, err := parallel.NewScan(workers, parallel.Options{
 			Schema:  se.gatherSchema,
@@ -938,7 +895,7 @@ func (se *shardExec) rows(ctx context.Context) *Rows {
 // shard's fault degrades that shard, not the query), never up here.
 func (se *shardExec) degrade(*Rows, error) bool { return false }
 
-// finish freezes the per-shard I/O deltas once the gather has closed
+// finish closes every shard stream once the gather has closed
 // (stopping the shard workers).
 func (se *shardExec) finish() error {
 	// Workers close their shard Rows before their stream shuts down;
@@ -948,10 +905,6 @@ func (se *shardExec) finish() error {
 		if err := a.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
-	se.ioDelta = se.s.ioSnapshot()
-	for i := range se.ioDelta {
-		se.ioDelta[i] = se.ioDelta[i].Sub(se.ioStart[i])
 	}
 	return first
 }

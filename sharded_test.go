@@ -283,8 +283,8 @@ func TestShardedLimitUnordered(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestShardedN1CostIdentity pins the degenerate case: with one shard,
-// every query shape produces the same rows AND the same device-counter
-// delta as the unsharded engine — the scatter-gather layer adds zero
+// every query shape produces the same rows AND the same I/O account as
+// the unsharded engine — the scatter-gather layer adds zero
 // simulated cost. (parallel-smooth is compared by rows only: a
 // parallel smooth scan's pool-hit pattern depends on worker
 // interleaving, so its I/O is not run-to-run deterministic even
@@ -317,14 +317,14 @@ func TestShardedN1CostIdentity(t *testing.T) {
 				t.Fatalf("N=1 rows diverge: got %d rows, want %d", len(got), len(want))
 			}
 			if c.name != "parallel-smooth" && !ioApproxEqual(wes.IO, ges.IO) {
-				t.Errorf("N=1 device delta diverges:\nunsharded %+v\nsharded   %+v", wes.IO, ges.IO)
+				t.Errorf("N=1 I/O diverges:\nunsharded %+v\nsharded   %+v", wes.IO, ges.IO)
 			}
 		})
 	}
 }
 
-// ioApproxEqual compares device deltas: counters exactly, the two
-// simulated clocks within float rounding (deltas subtract different
+// ioApproxEqual compares I/O figures: counters exactly, the two
+// simulated clocks within float rounding (a device delta subtracts
 // accumulated histories, so the last ulp can differ).
 func ioApproxEqual(a, b IOStats) bool {
 	af, bf := a, b
@@ -963,6 +963,23 @@ func TestShardedJoinStrategies(t *testing.T) {
 		}
 		if !strings.Contains(sp.String(), "broadcast") {
 			t.Errorf("rendered plan misses the broadcast stage:\n%s", sp.String())
+		}
+	})
+
+	// A shard's account holds all the work done on it: its slice of the
+	// broadcast side's drain, its stream and the hash join above it —
+	// alone, exactly what its device did.
+	t.Run("broadcast-io", func(t *testing.T) {
+		before := make([]IOStats, bc.NumShards())
+		for i := range before {
+			before[i] = bc.Shard(i).Stats()
+		}
+		rows, err := bc.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900)).Run(ctx)
+		_, es := drainStats(t, rows, err)
+		for i, sh := range es.Shards {
+			if d := bc.Shard(i).Stats().Sub(before[i]); !ioApproxEqual(sh.IO, d) {
+				t.Errorf("shard %d reports\n%+v\nits device did\n%+v", i, sh.IO, d)
+			}
 		}
 	})
 

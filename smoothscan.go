@@ -531,13 +531,15 @@ func (db *DB) Tables() []TableInfo {
 	return out
 }
 
-// Stats returns the device counters accumulated so far.
+// Stats returns the device counters accumulated so far: every
+// execution's I/O and the loads, inserts and index builds that charge
+// no query. A query's own share is its Rows' ExecStats().IO.
 func (db *DB) Stats() IOStats { return db.dev.Stats() }
 
 // ResetStats zeroes the device counters. It is refused with
 // ErrScansOpen while any Rows is open: in-flight scans are still
-// charging the counters, and zeroing them mid-query would corrupt
-// both the query's and the device's accounting. The check excludes
+// charging the counters, and zeroing them mid-query would leave the
+// device totals holding part of a query. The check excludes
 // concurrent Scan calls (both hold db.mu), so a scan is either fully
 // registered and refused here, or starts after the reset.
 func (db *DB) ResetStats() error {
