@@ -44,10 +44,12 @@ test:
 ## write-vs-scan race test again at several GOMAXPROCS: an Insert
 ## replacing a page a scan still holds only races with real
 ## parallelism. The per-query I/O account test rides along: concurrent
-## queries charging the same device only overlap on several cores.
+## queries charging the same device only overlap on several cores. So
+## do distinct shapes compiled, evicted and keyed concurrently: a buffer
+## shared between executions' cache keys only races on several cores.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace|TestQueryIOIsOwn' .
+	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace|TestQueryIOIsOwn|TestAdHocShapesConcurrent' .
 
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:

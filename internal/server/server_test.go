@@ -237,8 +237,7 @@ func TestRetiredRequestTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v3Query wire.Encoder
-	v3Query.AppendSpec(&spec)
+	v3Query := wire.Encoder{B: wire.AppendSpec(nil, &spec)}
 	v3Query.Uvarint(0)
 	for typ, payload := range map[byte][]byte{0x0b: {1}, 0x0e: v3Query.B} {
 		if err := wire.WriteFrame(conn, typ, payload); err != nil {

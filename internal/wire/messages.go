@@ -56,9 +56,7 @@ type Prepare struct {
 
 // Marshal serialises the message payload.
 func (m Prepare) Marshal() []byte {
-	var e Encoder
-	e.AppendSpec(&m.Spec)
-	return e.B
+	return AppendSpec(nil, &m.Spec)
 }
 
 // DecodePrepare parses a Prepare payload.
@@ -118,8 +116,7 @@ type Execute struct {
 
 // Marshal serialises the message payload.
 func (m Execute) Marshal() []byte {
-	var e Encoder
-	e.AppendSpec(&m.Spec)
+	e := Encoder{B: AppendSpec(nil, &m.Spec)}
 	e.Uvarint(uint64(len(m.Binds)))
 	for _, b := range m.Binds {
 		e.Str(b.Name)

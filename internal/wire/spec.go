@@ -1,5 +1,7 @@
 package wire
 
+import "encoding/binary"
+
 // QuerySpec is a query's structure as plain data: driving table,
 // joins, conjunctive predicates, projection, grouping, ordering, limit,
 // scan options, with every argument either an inline literal or a
@@ -103,11 +105,12 @@ type QuerySpec struct {
 	Opts     OptsSpec
 }
 
-func (e *Encoder) arg(a ArgSpec) {
-	e.Str(a.Param)
+func appendArg(b []byte, a ArgSpec) []byte {
+	b = appendStr(b, a.Param)
 	if a.Param == "" {
-		e.Varint(a.Lit)
+		b = binary.AppendVarint(b, a.Lit)
 	}
+	return b
 }
 
 func (d *Decoder) arg() ArgSpec {
@@ -119,16 +122,14 @@ func (d *Decoder) arg() ArgSpec {
 	return a
 }
 
-func (e *Encoder) opts(o OptsSpec) {
-	e.U8(o.Path)
-	e.U8(o.Policy)
-	e.U8(o.Trigger)
-	e.Bool(o.Ordered)
-	e.Varint(o.EstimatedRows)
-	e.F64(o.SLABound)
-	e.Varint(o.MaxRegionPages)
-	e.Varint(o.ResultCacheBudget)
-	e.Varint(int64(o.Parallelism))
+func appendOpts(b []byte, o OptsSpec) []byte {
+	b = append(b, o.Path, o.Policy, o.Trigger)
+	b = appendBool(b, o.Ordered)
+	b = binary.AppendVarint(b, o.EstimatedRows)
+	b = appendF64(b, o.SLABound)
+	b = binary.AppendVarint(b, o.MaxRegionPages)
+	b = binary.AppendVarint(b, o.ResultCacheBudget)
+	return binary.AppendVarint(b, int64(o.Parallelism))
 }
 
 func (d *Decoder) optsSpec() OptsSpec {
@@ -145,51 +146,56 @@ func (d *Decoder) optsSpec() OptsSpec {
 	return o
 }
 
-// AppendSpec serialises the spec into the encoder.
-func (e *Encoder) AppendSpec(q *QuerySpec) {
-	e.Str(q.Table)
-	e.Uvarint(uint64(len(q.Preds)))
+// AppendSpec appends the spec's encoding to b and returns the extended
+// slice. It is the one serializer of a QuerySpec: the Prepare and
+// Execute payloads carry it, and smoothscan's plan- and result-cache
+// keys are it. It is append-style rather than an Encoder method so that
+// a caller's stack buffer stays on the stack — the keys are encoded on
+// every execution.
+func AppendSpec(b []byte, q *QuerySpec) []byte {
+	b = appendStr(b, q.Table)
+	b = binary.AppendUvarint(b, uint64(len(q.Preds)))
 	for _, p := range q.Preds {
-		e.Str(p.Col)
-		e.U8(p.Kind)
-		e.arg(p.A)
+		b = appendStr(b, p.Col)
+		b = append(b, p.Kind)
+		b = appendArg(b, p.A)
 		if p.Kind == PredBetween {
-			e.arg(p.B)
+			b = appendArg(b, p.B)
 		}
 	}
-	e.Uvarint(uint64(len(q.Joins)))
+	b = binary.AppendUvarint(b, uint64(len(q.Joins)))
 	for _, j := range q.Joins {
-		e.Str(j.Table)
-		e.Str(j.LeftCol)
-		e.Str(j.RightCol)
-		e.opts(j.Opts)
+		b = appendStr(b, j.Table)
+		b = appendStr(b, j.LeftCol)
+		b = appendStr(b, j.RightCol)
+		b = appendOpts(b, j.Opts)
 	}
-	e.Bool(q.HasSel)
+	b = appendBool(b, q.HasSel)
 	if q.HasSel {
-		e.Uvarint(uint64(len(q.Select)))
+		b = binary.AppendUvarint(b, uint64(len(q.Select)))
 		for _, c := range q.Select {
-			e.Str(c)
+			b = appendStr(b, c)
 		}
 	}
-	e.Bool(q.HasAgg)
+	b = appendBool(b, q.HasAgg)
 	if q.HasAgg {
-		e.Str(q.GroupCol)
-		e.Uvarint(uint64(len(q.Aggs)))
+		b = appendStr(b, q.GroupCol)
+		b = binary.AppendUvarint(b, uint64(len(q.Aggs)))
 		for _, a := range q.Aggs {
-			e.U8(a.Kind)
-			e.Str(a.Col)
-			e.Str(a.As)
+			b = append(b, a.Kind)
+			b = appendStr(b, a.Col)
+			b = appendStr(b, a.As)
 		}
 	}
-	e.Bool(q.HasOrd)
+	b = appendBool(b, q.HasOrd)
 	if q.HasOrd {
-		e.Str(q.OrderCol)
+		b = appendStr(b, q.OrderCol)
 	}
-	e.Bool(q.HasLim)
+	b = appendBool(b, q.HasLim)
 	if q.HasLim {
-		e.arg(q.Limit)
+		b = appendArg(b, q.Limit)
 	}
-	e.opts(q.Opts)
+	return appendOpts(b, q.Opts)
 }
 
 // DecodeSpec reads a QuerySpec from the decoder.

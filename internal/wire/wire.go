@@ -266,13 +266,7 @@ type Encoder struct {
 func (e *Encoder) U8(v byte) { e.B = append(e.B, v) }
 
 // Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
+func (e *Encoder) Bool(v bool) { e.B = appendBool(e.B, v) }
 
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) {
@@ -285,14 +279,26 @@ func (e *Encoder) Varint(v int64) {
 }
 
 // F64 appends a float64 as its IEEE-754 bits, little-endian.
-func (e *Encoder) F64(v float64) {
-	e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(v))
-}
+func (e *Encoder) F64(v float64) { e.B = appendF64(e.B, v) }
 
 // Str appends a length-prefixed string.
-func (e *Encoder) Str(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.B = append(e.B, s...)
+func (e *Encoder) Str(s string) { e.B = appendStr(e.B, s) }
+
+// The append-style forms of the primitives, for AppendSpec.
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Decoder consumes the primitives Encoder writes, accumulating the

@@ -2,11 +2,12 @@ package smoothscan
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
@@ -40,8 +41,10 @@ func Param(name string) Arg {
 	return Arg{spec: wire.ArgSpec{Param: name}}
 }
 
-// checkParamName enforces the parameter-name alphabet; canonicalKey
-// embeds names unquoted, so nothing outside it may get in.
+// checkParamName enforces the parameter-name alphabet. The cache keys
+// carry names length-prefixed, so they no longer need it; it stays as
+// the validation of a name a peer sent, which must be a name Param
+// would have accepted.
 func checkParamName(name string) error {
 	if name == "" {
 		return fmt.Errorf("smoothscan: empty parameter name")
@@ -378,7 +381,7 @@ func (q *Query) Join(table, leftCol, rightCol string) *Query {
 // table's access path (the builder-level WithOptions only configures
 // the driving table).
 func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) *Query {
-	q.spec.Joins = append(q.spec.Joins, wire.JoinSpec{Table: table, LeftCol: leftCol, RightCol: rightCol, Opts: optsSpec(opts)})
+	q.spec.Joins = append(q.spec.Joins, wire.JoinSpec{Table: table, LeftCol: leftCol, RightCol: rightCol, Opts: q.optsSpec(opts)})
 	return q
 }
 
@@ -460,12 +463,19 @@ func (q *Query) Limit(n any) *Query {
 // On a sharded engine they apply to every shard's driving-table access
 // (each shard still plans — and morphs — independently).
 func (q *Query) WithOptions(opts ScanOptions) *Query {
-	q.spec.Opts = optsSpec(opts)
+	q.spec.Opts = q.optsSpec(opts)
 	return q
 }
 
 // optsSpec and scanOptions are the one ScanOptions <-> spec mapping.
-func optsSpec(o ScanOptions) wire.OptsSpec {
+// The spec holds each enum in a byte, so a value that does not fit one
+// is a builder error rather than an alias of another value (uint makes
+// a negative one huge); Parallelism clamps to MaxParallelism, and
+// negatives to 0 (serial as well), before it narrows to an int32.
+func (q *Query) optsSpec(o ScanOptions) wire.OptsSpec {
+	if uint(o.Path) > math.MaxUint8 || uint(o.Policy) > math.MaxUint8 || uint(o.Trigger) > math.MaxUint8 {
+		q.fail(fmt.Errorf("smoothscan: ScanOptions Path %d, Policy %d, Trigger %d: each must be in 0..255", o.Path, o.Policy, o.Trigger))
+	}
 	return wire.OptsSpec{
 		Path:              byte(o.Path),
 		Policy:            byte(o.Policy),
@@ -475,7 +485,7 @@ func optsSpec(o ScanOptions) wire.OptsSpec {
 		SLABound:          o.SLABound,
 		MaxRegionPages:    o.MaxRegionPages,
 		ResultCacheBudget: o.ResultCacheBudget,
-		Parallelism:       int32(o.Parallelism),
+		Parallelism:       int32(min(max(o.Parallelism, 0), MaxParallelism)),
 	}
 }
 
@@ -850,156 +860,98 @@ func estJoinRows(estL, estR, rightTableRows int64) int64 {
 type qtemplate struct {
 	pt      *plan.Template
 	optsPer []ScanOptions
-	// key is the canonical shape the template was compiled from — the
-	// same string the plan cache indexes by. It distinguishes named
-	// parameters from literal slots, because the bind phase resolves
-	// them differently. Empty when neither cache wants it.
-	key string
-	// semKey is the parameter-blind canonical shape: every constant —
-	// literal or named parameter — renders as the same positional
-	// marker. The result-cache tier derives its entry keys from it
-	// (shape + resolved constant values in canonical argument order),
-	// which is what lets ad-hoc and prepared executions of the same
-	// query share one entry. Empty alongside key.
+	// semKey is the parameter-blind shape, specKey(c, true): the
+	// result-cache tier derives its entry keys from it (shape + resolved
+	// constant values in canonical argument order), which is what lets
+	// ad-hoc and prepared executions of the same query share one entry.
+	// Empty when the tier is off.
 	semKey string
 }
 
-// canonPred returns the predicate in canonical constant form: a
-// parameter-free predicate folds into its half-open Between range
-// right here, so Eq(5) and Between(5, 6) canonicalise to the same
-// shape and share one cached template; a parameterized predicate
-// keeps its comparison kind for bind-time folding.
-func canonPred(p wire.PredSpec) (kind plan.PredKind, a, b wire.ArgSpec) {
-	kind = predKinds[p.Kind]
-	if p.A.Param == "" && (kind != plan.KindBetween || p.B.Param == "") {
-		lo, hi := plan.FoldRange(kind, p.A.Lit, p.B.Lit)
-		return plan.KindBetween, wire.ArgSpec{Lit: lo}, wire.ArgSpec{Lit: hi}
-	}
-	return kind, p.A, p.B
-}
-
-// forEachArg visits every bind-time argument of the query in canonical
-// order: the Where conjuncts in call order (canonical form, lo then hi
-// for Between), then the Limit count. canonicalKey serialises
-// arguments in this order and buildTemplate assigns literal slots in
-// this order — the three walks must never diverge, or a cached
-// template would bind another query's literals to the wrong
-// predicates.
-func (q *Query) forEachArg(f func(a wire.ArgSpec)) {
-	for _, p := range q.spec.Preds {
-		kind, a, b := canonPred(p)
-		f(a)
-		if kind == plan.KindBetween {
-			f(b)
-		}
-	}
-	if q.spec.HasLim {
-		f(q.spec.Limit)
-	}
-}
-
-// collectLits extracts the query's literal argument values, in slot
-// order.
-func (q *Query) collectLits() []int64 {
+// canon returns the query's canonical form, the one thing both cache
+// keys and the template compiler read. A parameter-free conjunct folds
+// into its half-open Between range, so Eq(5) and Between(5, 6) share
+// one shape; a parameterized one keeps its comparison kind for
+// bind-time folding. Every literal argument — the Where conjuncts' in
+// call order (lo then hi for Between), then the Limit — moves into the
+// returned literal vector, and its ArgSpec.Lit becomes its slot number
+// there. Named parameters stay as they are: the bind phase resolves
+// them by name, so a prepared query and its literal twin have distinct
+// canonical specs.
+func (q *Query) canon() (wire.QuerySpec, []int64) {
+	c := q.spec
 	var lits []int64
-	q.forEachArg(func(a wire.ArgSpec) {
-		if a.Param == "" {
-			lits = append(lits, a.Lit)
+	slot := func(a wire.ArgSpec) wire.ArgSpec {
+		if a.Param != "" {
+			return a
 		}
-	})
-	return lits
-}
-
-// canonicalKey serialises the query's structure — tables, joins,
-// conjunct columns and comparison kinds, projection, grouping,
-// ordering, options — with every literal constant replaced by a
-// positional marker. Two queries with the same key compile to the
-// same template and differ only in the literal vector they bind, which
-// is exactly what makes the DB-wide plan cache safe. Named parameters
-// keep their names (the bind phase resolves them by name, not
-// position), so a prepared query and its literal twin get distinct
-// plan-cache keys.
-func (q *Query) canonicalKey() string { return q.structKey(false) }
-
-// semanticKey is canonicalKey with the parameter/literal distinction
-// erased: every constant renders as the same positional marker. Two
-// queries with the same semantic key and the same resolved constant
-// vector compute the same result, whichever mix of literals and
-// parameters expressed it — the property the result-cache tier keys
-// on.
-func (q *Query) semanticKey() string { return q.structKey(true) }
-
-func (q *Query) structKey(blind bool) string {
-	var sb strings.Builder
-	arg := func(a wire.ArgSpec) {
-		if a.Param != "" && !blind {
-			sb.WriteByte('$')
-			sb.WriteString(a.Param)
+		if lits == nil {
+			lits = make([]int64, 0, 2*len(c.Preds)+1)
+		}
+		lits = append(lits, a.Lit)
+		return wire.ArgSpec{Lit: int64(len(lits) - 1)}
+	}
+	for i, p := range q.spec.Preds {
+		kind := predKinds[p.Kind]
+		if p.A.Param == "" && (kind != plan.KindBetween || p.B.Param == "") {
+			lo, hi := plan.FoldRange(kind, p.A.Lit, p.B.Lit)
+			p.Kind, p.A, p.B = wire.PredBetween, wire.ArgSpec{Lit: lo}, wire.ArgSpec{Lit: hi}
+		}
+		p.A = slot(p.A)
+		if p.Kind == wire.PredBetween {
+			p.B = slot(p.B)
 		} else {
-			sb.WriteByte('?')
+			p.B = wire.ArgSpec{}
 		}
-	}
-	sb.WriteString("v1|")
-	sp := &q.spec
-	fmt.Fprintf(&sb, "%q", sp.Table)
-	for _, j := range sp.Joins {
-		fmt.Fprintf(&sb, "|J:%q,%q,%q,%+v", j.Table, j.LeftCol, j.RightCol, scanOptions(j.Opts))
-	}
-	for _, c := range sp.Preds {
-		kind, a, b := canonPred(c)
-		if blind {
-			// Every predicate folds to a half-open [lo, hi) range at
-			// bind time, so the semantic shape of any conjunct is a
-			// two-endpoint Between regardless of which comparison
-			// spelled it — Eq(x) and Between(x, x+1) must share.
-			fmt.Fprintf(&sb, "|W:%q,%d,?,?", c.Col, int(plan.KindBetween))
-			continue
+		if p == q.spec.Preds[i] {
+			continue // a parameterized conjunct is already canonical
 		}
-		fmt.Fprintf(&sb, "|W:%q,%d,", c.Col, int(kind))
-		arg(a)
-		if kind == plan.KindBetween {
-			sb.WriteByte(',')
-			arg(b)
+		if &c.Preds[0] == &q.spec.Preds[0] { // copy the query's conjuncts before the first change
+			c.Preds = slices.Clone(q.spec.Preds)
 		}
+		c.Preds[i] = p
 	}
-	if sp.HasSel {
-		sb.WriteString("|S:")
-		for i, s := range sp.Select {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%q", s)
-		}
+	if c.HasLim {
+		c.Limit = slot(c.Limit)
 	}
-	if sp.HasAgg {
-		fmt.Fprintf(&sb, "|G:%q", sp.GroupCol)
-		for _, a := range sp.Aggs {
-			fmt.Fprintf(&sb, ",%q:%q:%d", a.As, a.Col, int(aggKinds[a.Kind].kind))
-		}
-	}
-	if sp.HasOrd {
-		fmt.Fprintf(&sb, "|O:%q", sp.OrderCol)
-	}
-	if sp.HasLim {
-		sb.WriteString("|L:")
-		arg(sp.Limit)
-	}
-	fmt.Fprintf(&sb, "|opts:%+v", scanOptions(sp.Opts))
-	return sb.String()
+	return c, lits
 }
+
+// specKey is a canonical spec's wire encoding. With blind false it is
+// the plan-cache key: two queries with the same key compile to the same
+// template and differ only in the literal vector they bind. With blind
+// true it is the result-cache shape: every conjunct is a Between and
+// every constant is blank, literal or parameter alike — each predicate
+// folds to a half-open [lo, hi) range at bind time whichever comparison
+// spelled it — so two queries with the same blind key and the same
+// resolved constants compute the same result.
+func specKey(c *wire.QuerySpec, blind bool) string {
+	if blind {
+		b := *c
+		b.Preds = make([]wire.PredSpec, len(c.Preds))
+		for i, p := range c.Preds {
+			b.Preds[i] = wire.PredSpec{Col: p.Col, Kind: wire.PredBetween}
+		}
+		b.Limit = wire.ArgSpec{}
+		c = &b
+	}
+	var buf [keyBuf]byte
+	return string(wire.AppendSpec(buf[:0], c))
+}
+
+// keyBuf sizes the stack buffer a cache key is encoded into; a longer
+// key spills to the heap.
+const keyBuf = 256
 
 // buildTemplate runs the structural (prepare) phase: table and column
 // resolution, conjunct routing, join tree shape, projection / grouping
 // / ordering schemas — everything about the query that does not depend
-// on its constant values — against db's catalog. The caller holds
-// db.mu (read). The result is immutable; bindTemplate turns it into an
+// on its constant values — against db's catalog. sp is a canonical
+// spec (see canon) with slots literal slots. The caller holds db.mu
+// (read). The result is immutable; bindTemplate turns it into an
 // executable compiledQuery per execution.
-func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	sp := &q.spec
-	pt := &plan.Template{GroupIdx: -1, OrderIdx: -1}
+func buildTemplate(db *DB, sp *wire.QuerySpec, slots int) (*qtemplate, error) {
+	pt := &plan.Template{GroupIdx: -1, OrderIdx: -1, Slots: slots}
 
 	// Resolve every input table.
 	names := []string{sp.Table}
@@ -1017,32 +969,16 @@ func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
 		tabs[i] = t
 	}
 
-	// Assign bind-time Values in canonical argument order (see
-	// forEachArg): literals take positional slots, parameters are
-	// registered by name.
-	slots := 0
-	seen := map[string]bool{}
+	// Bind-time Values: a literal reads the slot canon gave it,
+	// parameters are registered by name in first-use order.
 	val := func(a wire.ArgSpec) plan.Value {
-		if a.Param != "" {
-			if !seen[a.Param] {
-				seen[a.Param] = true
-				pt.Params = append(pt.Params, a.Param)
-			}
-			return plan.Value{Param: a.Param}
+		if a.Param == "" {
+			return plan.Value{Slot: int(a.Lit)}
 		}
-		v := plan.Value{Slot: slots}
-		slots++
-		return v
-	}
-	condKinds := make([]plan.PredKind, len(sp.Preds))
-	condVals := make([][2]plan.Value, len(sp.Preds))
-	for ci, c := range sp.Preds {
-		kind, a, b := canonPred(c)
-		condKinds[ci] = kind
-		condVals[ci][0] = val(a)
-		if kind == plan.KindBetween {
-			condVals[ci][1] = val(b)
+		if !slices.Contains(pt.Params, a.Param) {
+			pt.Params = append(pt.Params, a.Param)
 		}
+		return plan.Value{Param: a.Param}
 	}
 
 	// Distribute the Where conjuncts: each predicate is pushed beneath
@@ -1050,12 +986,10 @@ func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
 	// grouped per column (first-mention order) for bind-time
 	// intersection.
 	pt.Inputs = make([]plan.AccessT, len(names))
-	byColPer := make([]map[string]int, len(names))
 	for i := range names {
 		pt.Inputs[i] = plan.AccessT{Table: names[i], Schema: tabs[i].file.Schema()}
-		byColPer[i] = map[string]int{}
 	}
-	for ci, c := range sp.Preds {
+	for _, c := range sp.Preds {
 		at := -1
 		for i, t := range tabs {
 			if t.file.Schema().ColIndex(c.Col) < 0 {
@@ -1076,18 +1010,22 @@ func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
 		ct := plan.CondT{
 			Col:  in.Schema.ColIndex(c.Col),
 			Name: c.Col,
-			Kind: condKinds[ci],
-			A:    condVals[ci][0],
-			B:    condVals[ci][1],
+			Kind: predKinds[c.Kind],
+			A:    val(c.A),
+		}
+		if c.Kind == wire.PredBetween {
+			ct.B = val(c.B)
 		}
 		idx := len(in.Conds)
 		in.Conds = append(in.Conds, ct)
-		if g, ok := byColPer[at][c.Col]; ok {
-			in.Merged[g] = append(in.Merged[g], idx)
-		} else {
-			byColPer[at][c.Col] = len(in.Merged)
-			in.Merged = append(in.Merged, []int{idx})
+		g := 0
+		for g < len(in.Merged) && in.Conds[in.Merged[g][0]].Name != c.Col {
+			g++
 		}
+		if g == len(in.Merged) {
+			in.Merged = append(in.Merged, nil)
+		}
+		in.Merged[g] = append(in.Merged[g], idx)
 	}
 
 	// Only the driving table of a join-free query can satisfy an ORDER
@@ -1193,42 +1131,36 @@ func (q *Query) buildTemplate(db *DB) (*qtemplate, error) {
 		pt.Limit = val(sp.Limit)
 	}
 	pt.Out = stage
-	pt.Slots = slots
 	return &qtemplate{pt: pt, optsPer: optsPer}, nil
 }
 
 // templateFor returns the query's compiled template together with its
 // literal vector, consulting the DB-wide plan cache: an ad-hoc query
 // whose canonical shape was compiled before reuses that template and
-// pays only the bind phase. The caller holds db.mu (read).
+// pays only the bind phase. Each key is encoded only when its cache is
+// on. The caller holds db.mu (read).
 func (db *DB) templateFor(q *Query) (qt *qtemplate, lits []int64, hit bool, err error) {
 	if q.err != nil {
 		return nil, nil, false, q.err
 	}
-	if db.planCache == nil {
-		qt, err = q.buildTemplate(db)
-		if err != nil {
-			return nil, nil, false, err
+	c, lits := q.canon()
+	var key string
+	if db.planCache != nil {
+		key = specKey(&c, false)
+		if v, ok := db.planCache.Get(key); ok {
+			return v.(*qtemplate), lits, true, nil
 		}
-		if db.resCache != nil {
-			// No plan cache to need the key, but the result cache does.
-			qt.key = q.canonicalKey()
-			qt.semKey = q.semanticKey()
-		}
-		return qt, q.collectLits(), false, nil
 	}
-	key := q.canonicalKey()
-	if v, ok := db.planCache.Get(key); ok {
-		return v.(*qtemplate), q.collectLits(), true, nil
-	}
-	qt, err = q.buildTemplate(db)
-	if err != nil {
+	if qt, err = buildTemplate(db, &c, len(lits)); err != nil {
 		return nil, nil, false, err
 	}
-	qt.key = key
-	qt.semKey = q.semanticKey()
-	db.planCache.Put(key, qt)
-	return qt, q.collectLits(), false, nil
+	if db.resCache != nil {
+		qt.semKey = specKey(&c, true)
+	}
+	if db.planCache != nil {
+		db.planCache.Put(key, qt)
+	}
+	return qt, lits, false, nil
 }
 
 // templColErr distinguishes "no such column" from "column projected
@@ -1443,18 +1375,17 @@ func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bi
 		}
 	}
 
-	// Result-cache tier: derive the entry key (parameter-blind
-	// canonical shape + every constant resolved to its bound value, in
-	// the template's canonical walk order) and capture the referenced
+	// Result-cache tier: derive the entry key (the blind shape, then
+	// every constant resolved to its bound value as a varint, in the
+	// template's canonical walk order) and capture the referenced
 	// tables' write epochs under the same lock the execution will run
 	// under. Resolving parameters to their values before keying is
 	// what lets an ad-hoc query with inline literals and a prepared
 	// statement bound to the same values share one entry. Empty-plan
 	// short-circuits stay out: they already cost zero I/O.
 	if db.resCache != nil && qt.semKey != "" && cq.emptyWhy == "" {
-		var sb strings.Builder
-		sb.WriteString(qt.semKey)
-		sb.WriteString("#v:")
+		var buf [keyBuf]byte
+		key := append(buf[:0], qt.semKey...)
 		resolve := func(v plan.Value) int64 {
 			if v.Param != "" {
 				return b[v.Param]
@@ -1464,21 +1395,22 @@ func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bi
 		for _, in := range pt.Inputs {
 			for _, c := range in.Conds {
 				// Serialise the folded half-open range, not the raw
-				// scalars: ad-hoc predicates folded at prepare time
-				// (canonPred) and parameterized ones folding here must
-				// produce the same vector.
+				// scalars: ad-hoc predicates folded by canon and
+				// parameterized ones folding here must produce the same
+				// vector.
 				var bv int64
 				if c.Kind == plan.KindBetween {
 					bv = resolve(c.B)
 				}
 				lo, hi := plan.FoldRange(c.Kind, resolve(c.A), bv)
-				fmt.Fprintf(&sb, "%d,%d,", lo, hi)
+				key = binary.AppendVarint(key, lo)
+				key = binary.AppendVarint(key, hi)
 			}
 		}
 		if pt.HasLim {
-			fmt.Fprintf(&sb, "L%d,", resolve(pt.Limit))
+			key = binary.AppendVarint(key, resolve(pt.Limit))
 		}
-		cq.resKey = sb.String()
+		cq.resKey = string(key)
 		cq.resEpochs = make(map[string]uint64, len(cq.inputs))
 		for _, a := range cq.inputs {
 			cq.resEpochs[a.name] = a.tab.epoch

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -539,6 +540,47 @@ func TestQueryBuilderErrors(t *testing.T) {
 	for name, q := range cases {
 		if _, err := q.Explain(); err == nil {
 			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+// TestScanOptionsOutOfRange: the spec holds Path, Policy and Trigger in
+// a byte and Parallelism in an int32. A value that does not fit is
+// refused by the builder instead of being narrowed into another one
+// (Path 257 once ran as PathAuto, Policy 256 as Elastic), and
+// Parallelism clamps to MaxParallelism before it narrows (1<<31 once
+// planned serial, 1<<32+4 four workers).
+func TestScanOptionsOutOfRange(t *testing.T) {
+	db := buildWideDB(t, 20_000, 1_000, 8)
+	q := func() *Query { return db.Query("t").Where("val", Between(100, 400)) }
+	refused := map[string]*Query{
+		"Path 257":      q().WithOptions(ScanOptions{Path: 257}),
+		"Path 258":      q().WithOptions(ScanOptions{Path: 258}),
+		"Path -1":       q().WithOptions(ScanOptions{Path: -1}),
+		"Policy 256":    q().WithOptions(ScanOptions{Policy: 256}),
+		"Trigger 257":   q().WithOptions(ScanOptions{Trigger: 257}),
+		"join Path 258": q().JoinWithOptions("t", "id", "id", ScanOptions{Path: 258}),
+	}
+	for name, q := range refused {
+		if _, err := q.Explain(); err == nil || !strings.Contains(err.Error(), "must be in 0..255") {
+			t.Errorf("%s: Explain error %v, want a byte-range error", name, err)
+		}
+	}
+
+	workers := func(par int) int {
+		p, err := q().WithOptions(ScanOptions{Path: PathFull, Parallelism: par}).Explain()
+		if err != nil {
+			t.Fatalf("Parallelism %d: %v", par, err)
+		}
+		return p.Parallelism
+	}
+	most, serial := workers(MaxParallelism), workers(0)
+	if most <= 4 || serial != 1 {
+		t.Fatalf("Parallelism %d plans %d workers and 0 plans %d; want more than 4 and 1", MaxParallelism, most, serial)
+	}
+	for par, want := range map[int]int{1 << 31: most, 1<<32 + 4: most, -(1 << 32) + 4: serial} {
+		if got := workers(par); got != want {
+			t.Errorf("Parallelism %d plans %d workers, want %d", par, got, want)
 		}
 	}
 }

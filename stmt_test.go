@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -606,6 +607,95 @@ func TestPlanCacheEvictionAndDisable(t *testing.T) {
 	collect(t, rows)
 	if !rows.ExecStats().PlanCacheHit {
 		t.Error("stmt run without cache did not report template reuse")
+	}
+}
+
+// TestAdHocShapesConcurrent runs distinct ad-hoc and prepared shapes
+// on one DB from several goroutines, with a plan cache smaller than the
+// shape set (so templates are evicted and rebuilt while others bind
+// them) and the result cache on. Several shapes share a template and
+// differ only in their literals, and some share a result entry with a
+// differently spelled twin; each run must return what the shape
+// returned serially. Every key is encoded per execution, so a buffer
+// shared between executions would show up here, under -race.
+func TestAdHocShapesConcurrent(t *testing.T) {
+	db := buildWideDBWith(t, Options{PlanCache: 4, ResultCacheBytes: 1 << 20}, 4_000, 1_000, 8)
+	byVal, err := db.Prepare(db.Query("t").Where("val", Between(Param("lo"), Param("hi"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byCat, err := db.Prepare(db.Query("t").Where("cat", Eq(Param("c"))).OrderBy("id").Limit(Param("n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	shapes := []func() (*Rows, error){
+		func() (*Rows, error) { return db.Query("t").Where("val", Between(0, 50)).Run(ctx) },
+		func() (*Rows, error) { return db.Query("t").Where("val", Between(400, 480)).Run(ctx) },
+		func() (*Rows, error) { return db.Query("t").Where("val", Eq(7)).Run(ctx) },
+		func() (*Rows, error) { return db.Query("t").Where("val", Between(7, 8)).Run(ctx) },
+		func() (*Rows, error) { return db.Query("t").Where("val", Lt(30)).Where("cat", Ge(6)).Run(ctx) },
+		func() (*Rows, error) { return db.Query("t").Where("cat", Eq(2)).OrderBy("id").Limit(9).Run(ctx) },
+		func() (*Rows, error) {
+			return db.Query("t").Where("val", Ge(900)).Select("id", "val").OrderBy("val").Run(ctx)
+		},
+		func() (*Rows, error) {
+			return db.Query("t").Where("val", Le(200)).GroupBy("cat", Count(), Sum("val")).Run(ctx)
+		},
+		func() (*Rows, error) {
+			return db.Query("t").Where("val", Between(100, 300)).WithOptions(ScanOptions{Path: PathFull}).Run(ctx)
+		},
+		func() (*Rows, error) { return byVal.Run(ctx, Bind{"lo": 0, "hi": 50}) },
+		func() (*Rows, error) { return byVal.Run(ctx, Bind{"lo": 600, "hi": 610}) },
+		func() (*Rows, error) { return byCat.Run(ctx, Bind{"c": 2, "n": 9}) },
+		func() (*Rows, error) { return byCat.Run(ctx, Bind{"c": 5, "n": 3}) },
+	}
+	run := func(shape func() (*Rows, error)) ([][]int64, error) {
+		rows, err := shape()
+		if err != nil {
+			return nil, err
+		}
+		defer rows.Close()
+		var out [][]int64
+		for rows.Next() {
+			out = append(out, slices.Clone(rows.Row()))
+		}
+		return out, rows.Err()
+	}
+	want := make([][][]int64, len(shapes))
+	for i, shape := range shapes {
+		if want[i], err = run(shape); err != nil {
+			t.Fatalf("shape %d: %v", i, err)
+		}
+	}
+	// Empty the result cache: the concurrent runs store afresh.
+	if err := db.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, rounds = 4, 20
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				i := (w*7 + r*5) % len(shapes)
+				got, err := run(shapes[i])
+				if err != nil {
+					t.Errorf("shape %d: %v", i, err)
+					return
+				}
+				if !slices.EqualFunc(got, want[i], slices.Equal) {
+					t.Errorf("shape %d: %d rows concurrently, %d serially", i, len(got), len(want[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := db.PlanCacheStats(); st.Evictions == 0 {
+		t.Errorf("plan cache never evicted (%+v); the test wants templates rebuilt under load", st)
 	}
 }
 
