@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke bench-build ab-gate loc bench cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build test race bench-smoke bench-build ab-gate loc bench cover equiv chaos server-smoke multinode-smoke fuzz
 
 ## check: everything CI runs — format, vet, build, tests (incl. -race),
 ## bench smoke, the bench/ module's own vet + test, the
@@ -109,6 +109,16 @@ equiv:
 chaos:
 	$(GO) test -race -cpu 1,4 -run 'TestFault' -count=1 . ./internal/disk/
 	$(GO) run ./cmd/ssload -chaos -rows 60000 -clients 4 -queries 32
+
+## fuzz: each fuzz target for 10 s, one go test per target (go
+## test -fuzz takes one target at a time): the wire's message and frame
+## decoders, the batch codec's round trip, and the query shape key's
+## equivalence classes.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzShapeKeyClasses$$' -fuzztime 10s .
 
 ## server-smoke: boot ssserver and drive it with ssload -addr, both
 ## race-instrumented — plain, prepared and chaos remote runs must be

@@ -69,10 +69,11 @@ func drain(t *testing.T, rows *smoothscan.Rows) int64 {
 // Error naming both versions rather than a stream protocol the peer
 // does not speak (version 1 kept statement handles, version 2 waited
 // for a Fetch before serving any row, version 3 opened ad-hoc streams
-// with a Query request).
+// with a Query request, version 4 sent Batch payloads as zigzag-varint
+// deltas).
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
 // FuzzDecodeMessage drives every payload decoder with arbitrary bytes.
 // The contract under test: whatever arrives, decoding returns a value
 // or an error — it never panics, and it never allocates proportionally
-// to a forged length field (the Count/bounds checks fail first).
+// to a forged length field (the Count/bounds checks fail first). A
+// Batch allocates at most maxBatchCells cells, and only after every
+// column header has been validated against the payload.
 func FuzzDecodeMessage(f *testing.F) {
 	spec := QuerySpec{
 		Table:  "t",
@@ -65,8 +68,24 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s.typ, s.payload)
 	}
+	// Batches of width 0 and 64, and forged ones: widths 57..63 and
+	// 65..255, a column one byte short, missing or wrong padding.
+	for _, b := range handBatches() {
+		f.Add(MsgBatch, b.p)
+	}
+	reused := make([]int64, 4096)
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		payload = slices.Clip(payload) // no spare capacity to read past the end into
 		v, err := DecodeMessage(typ, payload)
+		if typ == MsgBatch {
+			// A batch decoded into a large enough buffer, where the
+			// columns decode in the pass that validates them, must
+			// match the fresh decode, error for error.
+			flat, _, _, rerr := DecodeBatchPayload(payload, reused)
+			if (err == nil) != (rerr == nil) || (err == nil && !slices.Equal(flat, v.(BatchFrame).Flat)) {
+				t.Fatalf("batch into a reused buffer: %v, fresh: %v", rerr, err)
+			}
+		}
 		if err != nil {
 			return
 		}

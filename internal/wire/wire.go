@@ -16,8 +16,9 @@
 // where length counts the type byte plus the payload and is bounded by
 // MaxFrame. Payloads are encoded with unsigned/zigzag varints and
 // length-prefixed strings (Encoder/Decoder); result rows travel as
-// column-major delta-varint batches (AppendBatch/DecodeBatchPayload),
-// mirroring tuple.Batch as the engine's unit of vectorized execution.
+// column-major batches, each column bit-packed against a frame of
+// reference (AppendBatch/DecodeBatchPayload), mirroring tuple.Batch as
+// the engine's unit of vectorized execution.
 //
 // # Error model
 //
@@ -53,7 +54,9 @@ const (
 	// carry the first window's row budget, and the server answers ExecOK
 	// followed by that window without waiting for a Fetch. Version 4
 	// retired Query: every stream opens with an Execute, binds or none.
-	Version uint32 = 4
+	// Version 5 replaced the Batch payload's zigzag-varint deltas with
+	// frame-of-reference bit-packed columns.
+	Version uint32 = 5
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20

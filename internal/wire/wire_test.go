@@ -250,49 +250,6 @@ func TestWindowBudgetOverflowIsMalformed(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ rows, width int }{
-		{0, 3}, {1, 1}, {7, 4}, {1024, 10}, {65536, 1},
-	} {
-		flat := make([]int64, tc.rows*tc.width)
-		for i := range flat {
-			// Mixed magnitudes and signs exercise the zigzag coding.
-			flat[i] = int64((i*2654435761)%1000) - 500
-		}
-		if tc.rows > 0 {
-			flat[0] = math.MinInt64
-			flat[len(flat)-1] = math.MaxInt64
-		}
-		var e Encoder
-		e.AppendBatch(flat, tc.rows, tc.width)
-		got, rows, width, err := DecodeBatchPayload(e.B, nil)
-		if err != nil {
-			t.Fatalf("%dx%d: %v", tc.rows, tc.width, err)
-		}
-		if rows != tc.rows || width != tc.width {
-			t.Fatalf("%dx%d: decoded %dx%d", tc.rows, tc.width, rows, width)
-		}
-		if len(flat) > 0 && !reflect.DeepEqual(got[:rows*width], flat) {
-			t.Fatalf("%dx%d: payload mismatch", tc.rows, tc.width)
-		}
-	}
-}
-
-func TestBatchDecodeBounds(t *testing.T) {
-	var e Encoder
-	e.Uvarint(uint64(maxBatchRows + 1))
-	e.Uvarint(1)
-	if _, _, _, err := DecodeBatchPayload(e.B, nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("oversized rows: %v, want ErrMalformed", err)
-	}
-	e = Encoder{}
-	e.Uvarint(16) // claims 16 rows x 1 col, but carries no cells
-	e.Uvarint(1)
-	if _, _, _, err := DecodeBatchPayload(e.B, nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("truncated cells: %v, want ErrMalformed", err)
-	}
-}
-
 func TestErrorClassPreservation(t *testing.T) {
 	cases := []struct {
 		class    byte
