@@ -112,13 +112,15 @@ chaos:
 
 ## fuzz: each fuzz target for 10 s, one go test per target (go
 ## test -fuzz takes one target at a time): the wire's message and frame
-## decoders, the batch codec's round trip, and the query shape key's
-## equivalence classes.
+## decoders, the batch codec's round trip, the query shape key's
+## equivalence classes, and hostile Execute payloads run through
+## DB.ExecuteSpec.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShapeKeyClasses$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzExecuteSpec$$' -fuzztime 10s .
 
 ## server-smoke: boot ssserver and drive it with ssload -addr, both
 ## race-instrumented — plain, prepared and chaos remote runs must be

@@ -35,7 +35,7 @@ type ServerStats = wire.ServerStats
 
 // DefaultFetchRows is the fetch window (the first one included) a
 // result stream uses unless Conn.SetFetchRows overrides it.
-const DefaultFetchRows = client.DefaultFetchRows
+const DefaultFetchRows = wire.DefaultFetchRows
 
 // errNoRemoteExplain is what Query.Explain and Stmt.Explain return on
 // a Conn: the protocol ships results, not plans.
@@ -58,10 +58,12 @@ var errNoRemoteExplain = errors.New("smoothscan: Explain is not available over t
 //	rows.Close()
 //
 // Semantic validation (unknown tables and columns, ambiguous
-// conjuncts, bind errors) happens server-side, where the schema lives,
-// and its errors unwrap to the same typed sentinels an in-process run
-// returns. A remote Rows' ExecStats is the server's closing summary,
-// zero until the stream is drained; its Plan is nil.
+// conjuncts, bind errors) happens server-side, where the schema lives.
+// Bind errors unwrap to ErrUnboundParam and ErrUnknownParam, as an
+// in-process run's do; the structural ones carry the local message
+// under a not-found or bad-request class, with no sentinel. A remote
+// Rows' ExecStats is the server's closing summary, zero until the
+// stream is drained; its Plan is nil.
 //
 // A Conn runs one request/response exchange at a time; it is not safe
 // for concurrent use — give each goroutine its own Conn. Rows.Close and
@@ -125,19 +127,14 @@ func (c *Conn) prepare(q *Query) (*Stmt, error) {
 	return &Stmt{eng: c, q: snap, params: params}, nil
 }
 
-func (c *Conn) runQuery(ctx context.Context, q *Query) (*Rows, error) {
-	spec, err := q.Spec()
+// run ships the statement's spec with b; the server checks the bind,
+// with a local Stmt.Run's error text.
+func (c *Conn) run(ctx context.Context, st statement, b Bind) (*Rows, error) {
+	spec, err := st.q.Spec()
 	if err != nil {
 		return nil, err
 	}
-	return openRemote(ctx, c.Conn, spec, nil, nil)
+	return openRemote(ctx, c.Conn, spec, b, nil)
 }
 
-// runStmt ships the statement's spec with b; the server checks the
-// bind, with a local Stmt.Run's error text.
-func (c *Conn) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
-	return openRemote(ctx, c.Conn, st.q.spec, b, nil)
-}
-
-func (c *Conn) explainQuery(*Query) (*Plan, error)     { return nil, errNoRemoteExplain }
-func (c *Conn) explainStmt(*Stmt, Bind) (*Plan, error) { return nil, errNoRemoteExplain }
+func (c *Conn) explain(statement, Bind) (*Plan, error) { return nil, errNoRemoteExplain }

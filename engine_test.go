@@ -2,6 +2,7 @@ package smoothscan_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 
@@ -87,7 +88,10 @@ func TestRemoteExplainErrors(t *testing.T) {
 }
 
 // TestStmtCloseRefusesRun: on every engine a closed statement refuses
-// Run, and Close stays idempotent.
+// Run, and Close stays idempotent. Before that, each engine refuses the
+// binds a run cannot take: an ad-hoc Run of a Param query and a
+// Stmt.Run missing a parameter fail with ErrUnboundParam, a bind naming
+// an extra one with ErrUnknownParam.
 func TestStmtCloseRefusesRun(t *testing.T) {
 	f, conn, sharded := threeEngines(t)
 	for _, tc := range []struct {
@@ -103,6 +107,29 @@ func TestStmtCloseRefusesRun(t *testing.T) {
 			bind := smoothscan.Bind{"lo": 0, "hi": 20}
 			rows, err := st.Run(context.Background(), bind)
 			drainCursor(t, rows, err)
+			ctx := context.Background()
+			for _, bad := range []struct {
+				name string
+				run  func() (*smoothscan.Rows, error)
+				want error
+			}{
+				{"ad-hoc Param query", func() (*smoothscan.Rows, error) {
+					return tc.e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Lt(smoothscan.Param("hi"))).Run(ctx)
+				}, smoothscan.ErrUnboundParam},
+				{"missing bind", func() (*smoothscan.Rows, error) {
+					return st.Run(ctx, smoothscan.Bind{"lo": 0})
+				}, smoothscan.ErrUnboundParam},
+				{"extra bind", func() (*smoothscan.Rows, error) {
+					return st.Run(ctx, smoothscan.Bind{"lo": 0, "hi": 20, "typo": 1})
+				}, smoothscan.ErrUnknownParam},
+			} {
+				if rows, err := bad.run(); !errors.Is(err, bad.want) {
+					if err == nil {
+						rows.Close()
+					}
+					t.Errorf("%s: %v, want %v", bad.name, err, bad.want)
+				}
+			}
 			for i := 0; i < 2; i++ {
 				if err := st.Close(); err != nil {
 					t.Fatalf("Close %d: %v", i+1, err)

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // oracleRows runs the query shape used by the fault property tests on
@@ -313,13 +312,7 @@ func TestFaultUnrecoverableSurfacesTypedError(t *testing.T) {
 				t.Fatalf("Err() after Close = %v, want ErrPermanentFault", rows.Err())
 			}
 
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got := runtime.NumGoroutine(); got > base {
-				t.Errorf("%d goroutines alive after failed query (baseline %d)", got, base)
-			}
+			waitGoroutines(t, base)
 		})
 	}
 }
@@ -607,13 +600,7 @@ func TestFaultLadder(t *testing.T) {
 				if !errors.Is(err, ErrPermanentFault) {
 					t.Fatalf("err = %v, want ErrPermanentFault", err)
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-				}
-				if n := runtime.NumGoroutine(); n > base {
-					t.Errorf("%d goroutines alive after failed query (baseline %d)", n, base)
-				}
+				waitGoroutines(t, base)
 				return
 			}
 			if err != nil {

@@ -48,10 +48,6 @@ var (
 	ErrBusy = errors.New("smoothscan: a result stream is open")
 )
 
-// DefaultFetchRows is the fetch window (the first one included) a
-// stream uses unless Conn.SetFetchRows overrides it.
-const DefaultFetchRows = 4096
-
 // handshakeTimeout bounds Dial's Hello/HelloOK exchange.
 const handshakeTimeout = 10 * time.Second
 
@@ -92,7 +88,7 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), fetchRows: DefaultFetchRows}
+	c := &Conn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), fetchRows: wire.DefaultFetchRows}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if err := c.writeFrame(wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: wire.Version}.Marshal()); err != nil {
 		conn.Close()
@@ -130,7 +126,7 @@ func Dial(addr string) (*Conn, error) {
 // cancellation granularity.
 func (c *Conn) SetFetchRows(n int) {
 	if n <= 0 {
-		n = DefaultFetchRows
+		n = wire.DefaultFetchRows
 	}
 	c.fetchRows = min(n, math.MaxUint32)
 }

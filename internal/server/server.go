@@ -40,9 +40,6 @@ type Config struct {
 	// IdleTimeout closes sessions that stay silent longer than this;
 	// zero disables the idle reaper.
 	IdleTimeout time.Duration
-	// FetchRows is the row budget a Fetch with MaxRows == 0 gets
-	// (default 4096).
-	FetchRows int
 	// FaultAdmin allows clients to attach fault-injection policies via
 	// FaultCtl frames — the remote chaos harness. Off by default: fault
 	// injection is an operator decision, not a client right.
@@ -60,9 +57,6 @@ func (c *Config) fill() {
 	}
 	if c.QueueDeadline == 0 {
 		c.QueueDeadline = 2 * time.Second
-	}
-	if c.FetchRows <= 0 {
-		c.FetchRows = 4096
 	}
 }
 
@@ -290,8 +284,6 @@ func classify(err error) byte {
 		return wire.ClassNotFound
 	case errors.Is(err, smoothscan.ErrArgType),
 		errors.Is(err, smoothscan.ErrNotSelected),
-		errors.Is(err, smoothscan.ErrUnboundParam),
-		errors.Is(err, smoothscan.ErrUnknownParam),
 		errors.Is(err, wire.ErrMalformed):
 		return wire.ClassBadRequest
 	default:

@@ -226,6 +226,36 @@ func TestOpenServesFirstWindow(t *testing.T) {
 	}
 }
 
+// TestExecuteDefaultWindow: an Execute with FetchRows 0 gets the
+// protocol's default first window, exactly wire.DefaultFetchRows rows
+// of a larger result, and End says more remain.
+func TestExecuteDefaultWindow(t *testing.T) {
+	db, err := loadgen.BuildDB(wire.DefaultFetchRows+1000, 2000, 1, smoothscan.Options{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn := rawSession(t, srv.Addr().String())
+	spec, err := db.Query(loadgen.Table).Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: spec}.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	types, rows, last := readUntilEnd(t, conn)
+	if types[0] != wire.MsgExecOK || types[len(types)-1] != wire.MsgEnd || rows != wire.DefaultFetchRows {
+		t.Fatalf("frames %x with %d rows, want ExecOK, Batches of %d rows, End", types, rows, wire.DefaultFetchRows)
+	}
+	if m, err := wire.DecodeEnd(last); err != nil || !m.More {
+		t.Fatalf("first window of %d rows ended %+v (%v), want More", wire.DefaultFetchRows+1000, m, err)
+	}
+}
+
 // TestRetiredRequestTypes sends the request types earlier versions
 // used — 0x0b, version 1's CloseStmt, and 0x0e, version 3's ad-hoc
 // Query, here with the payload version 3 gave it — on a current

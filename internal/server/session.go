@@ -260,8 +260,8 @@ func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
 // errors are a local Stmt.Run's, and opens the session's cursor. A
 // failed open is answered by its Error frame alone; an open cursor by
 // ExecOK with the result columns, buffered, and then the first window
-// of up to FetchRows rows (0 = the default), exactly as a Fetch would
-// serve it. A short result therefore leaves as one write.
+// of up to FetchRows rows (0 = wire.DefaultFetchRows), exactly as a
+// Fetch would serve it. A short result therefore leaves as one write.
 func (ss *session) handleExecute(m wire.Execute) bool {
 	if ss.cur != nil {
 		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
@@ -326,7 +326,7 @@ func (ss *session) handleFetch(maxRows int) bool {
 		return ss.sendErr(wire.ClassBadRequest, "no open cursor (Execute first)")
 	}
 	if maxRows <= 0 {
-		maxRows = ss.srv.cfg.FetchRows
+		maxRows = wire.DefaultFetchRows
 	}
 	sent := 0
 	for sent < maxRows {

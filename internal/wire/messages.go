@@ -110,9 +110,13 @@ type Execute struct {
 	Spec  QuerySpec
 	Binds []BindKV
 	// FetchRows is the first window's row budget, Fetch.MaxRows's
-	// meaning: 0 selects the server's default window.
+	// meaning: 0 selects DefaultFetchRows.
 	FetchRows uint32
 }
+
+// DefaultFetchRows is the window a client uses unless told otherwise,
+// and the one a server serves for a budget of 0.
+const DefaultFetchRows = 4096
 
 // Marshal serialises the message payload.
 func (m Execute) Marshal() []byte {
@@ -168,8 +172,8 @@ func DecodeExecOK(p []byte) (ExecOK, error) {
 	return m, d.Finish()
 }
 
-// Fetch pulls up to MaxRows rows from the open cursor (0 = the
-// server's default window). The server answers with zero or more Batch
+// Fetch pulls up to MaxRows rows from the open cursor (0 =
+// DefaultFetchRows). The server answers with zero or more Batch
 // frames followed by one End.
 type Fetch struct {
 	MaxRows uint32

@@ -24,7 +24,8 @@
 //
 // Errors cross the wire as Error frames carrying a Class byte plus a
 // human-readable message. The classes preserve the engine's typed error
-// taxonomy (fault injection, admission control, cancellation):
+// taxonomy (fault injection, admission control, cancellation, bind
+// errors):
 // RemoteError unwraps to the same sentinels the in-process engine
 // returns, so errors.Is — and therefore smoothscan.IsTransientFault /
 // IsFaultError — give the same answers for a remote execution as for a
@@ -101,6 +102,8 @@ const (
 	ClassTransient  byte = 0x06 // injected transient fault (retry can succeed)
 	ClassPermanent  byte = 0x07 // injected permanent fault
 	ClassCorrupt    byte = 0x08 // page checksum mismatch
+	ClassUnbound    byte = 0x09 // a parameter the execution does not bind (ErrUnboundParam)
+	ClassUnknown    byte = 0x0a // a bind naming a parameter the statement lacks (ErrUnknownParam)
 )
 
 // Typed sentinels for conditions born on the wire layer itself. The
@@ -118,6 +121,11 @@ var (
 	// ErrMalformed marks a frame or payload that does not decode; the
 	// receiver drops the connection.
 	ErrMalformed = errors.New("wire: malformed frame")
+	// ErrUnboundParam and ErrUnknownParam are the engine's bind errors,
+	// which smoothscan re-exports. They live here so that a remote
+	// execution's bind errors unwrap to the same values.
+	ErrUnboundParam = errors.New("smoothscan: parameter not bound")
+	ErrUnknownParam = errors.New("smoothscan: bind names unknown parameter")
 )
 
 // classSentinel maps an error class to the sentinel RemoteError
@@ -137,6 +145,10 @@ func classSentinel(class byte) error {
 		return disk.ErrPermanentFault
 	case ClassCorrupt:
 		return disk.ErrPageCorrupt
+	case ClassUnbound:
+		return ErrUnboundParam
+	case ClassUnknown:
+		return ErrUnknownParam
 	default:
 		return nil
 	}
@@ -163,6 +175,10 @@ func ClassName(class byte) string {
 		return "permanent-fault"
 	case ClassCorrupt:
 		return "page-corrupt"
+	case ClassUnbound:
+		return "unbound-param"
+	case ClassUnknown:
+		return "unknown-param"
 	default:
 		return fmt.Sprintf("class-%#02x", class)
 	}
@@ -203,6 +219,10 @@ func Classify(err error) byte {
 		return ClassOverloaded
 	case errors.Is(err, ErrSessionClosed):
 		return ClassIdle
+	case errors.Is(err, ErrUnboundParam):
+		return ClassUnbound
+	case errors.Is(err, ErrUnknownParam):
+		return ClassUnknown
 	default:
 		return ClassInternal
 	}

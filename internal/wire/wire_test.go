@@ -261,6 +261,8 @@ func TestErrorClassPreservation(t *testing.T) {
 		{ClassCancelled, context.Canceled},
 		{ClassOverloaded, ErrOverloaded},
 		{ClassIdle, ErrSessionClosed},
+		{ClassUnbound, ErrUnboundParam},
+		{ClassUnknown, ErrUnknownParam},
 	}
 	for _, tc := range cases {
 		err := ErrorMsg{Class: tc.class, Msg: "x"}.Err()

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // joinFixture is a two-table join workload with the generated rows
@@ -373,13 +372,7 @@ func TestQueryJoinCancellationParallelProbe(t *testing.T) {
 		t.Fatalf("no rows before cancel: %v", rows.Err())
 	}
 	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Errorf("%d goroutines still alive after cancel (baseline %d)", got, base)
-	}
+	waitGoroutines(t, base)
 	for rows.Next() {
 	}
 	if !errors.Is(rows.Err(), context.Canceled) {

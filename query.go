@@ -208,16 +208,15 @@ var ErrArgType = errors.New("smoothscan: unsupported argument type")
 
 // queryEngine is what a Query — and the Stmt prepared from it — is
 // bound to: the engine its Run and Explain execute on. *DB, *ShardedDB
-// and *Conn implement it.
+// and *Conn implement it. An ad-hoc run is an unnamed statement bound
+// with no binds, so each engine has one path from a statement and a
+// bind to Rows, and one to a Plan.
 type queryEngine interface {
-	runQuery(ctx context.Context, q *Query) (*Rows, error)
-	explainQuery(q *Query) (*Plan, error)
 	// prepare compiles q, already checked to be bound to this engine.
 	prepare(q *Query) (*Stmt, error)
-	// runStmt and explainStmt bind a statement this engine prepared and
-	// check the bind set against its parameters.
-	runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error)
-	explainStmt(st *Stmt, b Bind) (*Plan, error)
+	// run and explain bind st, checking b against its parameters.
+	run(ctx context.Context, st statement, b Bind) (*Rows, error)
+	explain(st statement, b Bind) (*Plan, error)
 }
 
 // Query is a composable query under construction. Start one with
@@ -1464,21 +1463,27 @@ func (cq *compiledQuery) renderBindNotes() []string {
 	return notes
 }
 
-// compile plans a query without a Stmt: fetch or build the structural
-// template (via the DB-wide plan cache), then bind the query's own
-// literals and b — the same prepare → bind pipeline a Stmt uses, which
-// is what keeps ad-hoc and prepared execution value-for-value
-// identical. b is nil for Query.Run; ExecuteSpec passes a peer's bind,
-// checked as DB.runStmt checks it. The caller holds db.mu (read).
-func (db *DB) compile(q *Query, b Bind) (*compiledQuery, error) {
-	qt, lits, hit, err := db.templateFor(q)
-	if err != nil {
+// bind turns a statement and a bind set into an executable plan. A
+// prepared statement brings its template and literal vector; an unnamed
+// one takes them from the plan cache. Only a prepared statement's plan
+// renders its binds in Explain. The caller holds db.mu (read).
+func (db *DB) bind(st statement, b Bind) (*compiledQuery, error) {
+	prepared := st.stmt != nil
+	var (
+		qt   *qtemplate
+		lits []int64
+		hit  = prepared
+		err  error
+	)
+	if prepared {
+		qt, lits = st.stmt.qt, st.stmt.lits
+	} else if qt, lits, hit, err = db.templateFor(st.q); err != nil {
 		return nil, err
 	}
 	if err := qt.checkBind(b); err != nil {
 		return nil, err
 	}
-	cq, err := db.bindTemplate(qt, qt.optsPer, lits, b, false)
+	cq, err := db.bindTemplate(qt, qt.optsPer, lits, b, prepared)
 	if err != nil {
 		return nil, err
 	}
@@ -1678,7 +1683,7 @@ func (st *stages) describe(out *tuple.Schema) []string {
 // mode and each active shard's own plan (Plan.Sharded) — without
 // executing it or touching any device, and returns the printable plan.
 // On a Conn it returns an error: the wire protocol carries no plans.
-func (q *Query) Explain() (*Plan, error) { return q.eng.explainQuery(q) }
+func (q *Query) Explain() (*Plan, error) { return q.eng.explain(statement{q: q}, nil) }
 
 // Run compiles and starts the query on its engine. The context cancels
 // it: the returned Rows checks ctx once per batch refill (never per
@@ -1687,58 +1692,51 @@ func (q *Query) Explain() (*Plan, error) { return q.eng.explainQuery(q) }
 // aggregation) check it between the batches they drain. After
 // cancellation Rows.Err reports ctx.Err().
 //
+// Run is the run of an unnamed statement with no binds: the same
+// bind-and-run path as Stmt.Run, with a template from the plan cache.
 // As with Scan, always Close the returned Rows.
 func (q *Query) Run(ctx context.Context) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return q.eng.runQuery(ctx, q)
+	return q.eng.run(ctx, statement{q: q}, nil)
 }
 
-func (db *DB) explainQuery(q *Query) (*Plan, error) {
+// ExecuteSpec runs a query structure received from a peer with b
+// bound — the server side of the wire's Execute, the one request that
+// opens a remote stream. It is QueryFromSpec(spec) run as an unnamed
+// statement through the path Query.Run and Stmt.Run take, with the
+// peer's bind: no binds is an ad-hoc run, and binds get Stmt.Run's
+// unknown- and unbound-parameter errors. The spec compiles through the
+// plan cache, so ExecStats.PlanCacheHit reports whether this DB held
+// the shape: a Prepare of the same spec puts it there.
+func (db *DB) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b Bind) (*Rows, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return db.run(ctx, statement{q: db.QueryFromSpec(spec)}, b)
+}
+
+func (db *DB) explain(st statement, b Bind) (*Plan, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := db.compile(q, nil)
+	cq, err := db.bind(st, b)
 	if err != nil {
 		return nil, err
 	}
 	return cq.plan(), nil
 }
 
-func (db *DB) runQuery(ctx context.Context, q *Query) (*Rows, error) {
-	return db.runBound(ctx, q, nil)
-}
-
-// ExecuteSpec runs a query structure received from a peer with b
-// bound — the server side of the wire's Execute, the one request that
-// opens a remote stream. With no binds it is QueryFromSpec(spec).Run;
-// with binds it is the Run of the spec's prepared statement, with
-// Stmt.Run's unknown- and unbound-parameter errors. Either way the
-// spec compiles through the plan cache, so ExecStats.PlanCacheHit
-// reports whether this DB held the shape: a Prepare of the same spec
-// puts it there.
-func (db *DB) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b Bind) (*Rows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return db.runBound(ctx, db.QueryFromSpec(spec), b)
-}
-
-func (db *DB) runBound(ctx context.Context, q *Query, b Bind) (*Rows, error) {
+// run binds st and opens its operator tree. A fault at open walks the
+// degradation ladder before giving up.
+func (db *DB) run(ctx context.Context, st statement, b Bind) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := db.compile(q, b)
+	cq, err := db.bind(st, b)
 	if err != nil {
 		return nil, err
 	}
-	return db.startRows(ctx, cq)
-}
-
-// startRows builds and opens the operator tree for a bound query and
-// hands out its Rows — the shared execute step behind Query.Run and
-// Stmt.Run. The caller holds db.mu (read).
-func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
-	if err := ctx.Err(); err != nil {
+	if err = ctx.Err(); err != nil {
 		return nil, err
 	}
 	// Result-cache tier: a revalidated hit serves the materialized
@@ -1751,7 +1749,7 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 		}
 	}
 	bq := db.newExec(cq)
-	if err := bq.build(ctx); err != nil {
+	if err = bq.build(ctx); err != nil {
 		return nil, err
 	}
 	if openErr := bq.root.Open(); openErr != nil {
@@ -1761,7 +1759,6 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 		if !IsFaultError(openErr) {
 			return nil, openErr
 		}
-		var err error
 		if bq, err = db.degradeAndReopen(ctx, bq, openErr); err != nil {
 			return nil, err
 		}

@@ -51,6 +51,19 @@ func mustRun(t testing.TB, q *Query) *Rows {
 	return rows
 }
 
+// waitGoroutines polls until the goroutine count returns to the
+// baseline or the deadline passes.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines alive (baseline %d)", got, base)
+	}
+}
+
 // TestQueryMatchesScan proves the Scan wrapper and the builder are the
 // same path: identical rows and an identical device-stat delta for the
 // same single-predicate query on identically-built databases.
@@ -645,13 +658,7 @@ func TestQueryCancellationParallelWorkersExit(t *testing.T) {
 	// Stop consuming entirely and cancel: workers must exit on their
 	// own (the consumer is not draining the exchange channels).
 	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Errorf("%d goroutines still alive after cancel (baseline %d)", got, base)
-	}
+	waitGoroutines(t, base)
 	for rows.Next() {
 	}
 	if !errors.Is(rows.Err(), context.Canceled) {

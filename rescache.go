@@ -9,7 +9,7 @@ import (
 // Result-cache tier glue: how the semantic query-result cache
 // (internal/rescache) plugs into the execute path.
 //
-// Lookup happens in startRows, under the same db.mu read lock the
+// Lookup happens in DB.run, under the same db.mu read lock the
 // compile/bind phases hold, so the epoch revalidation sees a view
 // consistent with the bind-time capture: any Insert either completed
 // before the lock (its epoch bump fails the revalidation) or waits

@@ -457,7 +457,7 @@ type shardExec struct {
 
 	emptyWhy string
 
-	// Execution state, filled by ShardedDB.execute.
+	// Execution state, filled by ShardedDB.run.
 	root     exec.Operator
 	counters []*opCounter
 	adapters []*shardRowsOp
@@ -534,23 +534,25 @@ func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind)
 	return total, nil
 }
 
-// compileShardExec binds a sharded execution. The shard-0 binding of
-// the whole query supplies what the planner has already worked out —
+// compileShardExec binds a sharded execution of st. Shard 0 binds the
+// whole statement — an unnamed one takes its template from shard 0's
+// plan cache — and supplies what the planner has already worked out:
 // the folded predicates per input, the contradiction and LIMIT 0
-// short-circuits, the stage list — and the coordinator decides only
-// what is its own: the scatter strategy, the broadcast side, which
-// shards the partition predicates prune, and the gather mode.
-func (s *ShardedDB) compileShardExec(qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
-	pt := qt.pt
-	part, err := s.Partitioning(pt.Inputs[0].Table)
+// short-circuits, the stage list. The coordinator decides only what is
+// its own: the scatter strategy, the broadcast side, which shards the
+// partition predicates prune, and the gather mode. The shards run st's
+// query with b substituted, each re-planning its slice through its own
+// plan cache.
+func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
+	shard0 := s.shards[0]
+	shard0.mu.RLock()
+	cq0, err := shard0.bind(st, b)
+	shard0.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	cq0, err := shard0.bindTemplate(qt, qt.optsPer, lits, b, annotate)
-	shard0.mu.RUnlock()
+	qt, lits, pt := cq0.qt, cq0.lits, cq0.qt.pt
+	part, err := s.Partitioning(pt.Inputs[0].Table)
 	if err != nil {
 		return nil, err
 	}
@@ -561,15 +563,20 @@ func (s *ShardedDB) compileShardExec(qt *qtemplate, lits []int64, b Bind, annota
 	}
 
 	se := &shardExec{
-		s:         s,
-		pt:        pt,
-		cq0:       cq0,
-		part:      part,
-		strategy:  strategy,
-		prunedWhy: make([]string, len(s.shards)),
-		keyCol:    -1,
-		coord:     cq0.stages,
-		emptyWhy:  cq0.emptyWhy,
+		s:          s,
+		pt:         pt,
+		cq0:        cq0,
+		part:       part,
+		strategy:   strategy,
+		q:          st.q,
+		planCached: cq0.planCached,
+		prunedWhy:  make([]string, len(s.shards)),
+		keyCol:     -1,
+		coord:      cq0.stages,
+		emptyWhy:   cq0.emptyWhy,
+	}
+	if len(b) > 0 {
+		se.q = st.q.bound(b)
 	}
 
 	// Broadcast side selection: replicate the smaller estimated input.
@@ -743,11 +750,15 @@ func (se *shardExec) shardQuery(si int) *Query {
 	return se.q.perShardQuery(db)
 }
 
-// execute runs a compiled scatter-gather. A coordinator result-cache
+// run binds st and runs the scatter-gather. A coordinator result-cache
 // hit serves the materialized result with every shard untouched; a
 // miss captures the epochs now — before any shard worker starts — so
 // a write interleaving with the gather fails the store-time re-check.
-func (s *ShardedDB) execute(ctx context.Context, se *shardExec) (*Rows, error) {
+func (s *ShardedDB) run(ctx context.Context, st statement, b Bind) (*Rows, error) {
+	se, err := s.compileShardExec(st, b)
+	if err != nil {
+		return nil, err
+	}
 	cache := se.cacheable()
 	var eps map[string]uint64
 	if cache {
@@ -759,7 +770,7 @@ func (s *ShardedDB) execute(ctx context.Context, se *shardExec) (*Rows, error) {
 			eps[name] = s.epochOf(name)
 		}
 	}
-	if err := se.start(ctx); err != nil {
+	if err = se.start(ctx); err != nil {
 		return nil, err
 	}
 	rows := se.rows(ctx)
@@ -919,42 +930,8 @@ func (se *shardExec) plan() *Plan {
 	return p
 }
 
-// templateFor is DB.templateFor on shard 0, the validation and
-// template source of every sharded query.
-func (s *ShardedDB) templateFor(q *Query) (*qtemplate, []int64, bool, error) {
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	defer shard0.mu.RUnlock()
-	return shard0.templateFor(q)
-}
-
-// compileQuery compiles an ad-hoc sharded query into its scatter-gather
-// execution; the shards run the query as written.
-func (s *ShardedDB) compileQuery(q *Query) (*shardExec, error) {
-	qt, lits, hit, err := s.templateFor(q)
-	if err != nil {
-		return nil, err
-	}
-	se, err := s.compileShardExec(qt, lits, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	se.q, se.planCached = q, hit
-	return se, nil
-}
-
-// runQuery scatters the query to the unpruned shards and gathers
-// through the exchange.
-func (s *ShardedDB) runQuery(ctx context.Context, q *Query) (*Rows, error) {
-	se, err := s.compileQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(ctx, se)
-}
-
-func (s *ShardedDB) explainQuery(q *Query) (*Plan, error) {
-	se, err := s.compileQuery(q)
+func (s *ShardedDB) explain(st statement, b Bind) (*Plan, error) {
+	se, err := s.compileShardExec(st, b)
 	if err != nil {
 		return nil, err
 	}
@@ -967,7 +944,10 @@ func (s *ShardedDB) Prepare(q *Query) (*Stmt, error) { return prepareOn(s, q) }
 
 func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 	snap := q.clone()
-	qt, lits, _, err := s.templateFor(snap)
+	shard0 := s.shards[0]
+	shard0.mu.RLock()
+	qt, lits, _, err := shard0.templateFor(snap)
+	shard0.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -979,37 +959,6 @@ func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 		return nil, err
 	}
 	return &Stmt{eng: s, qt: qt, lits: lits, params: qt.pt.Params, q: snap}, nil
-}
-
-// bindStmt re-prunes the shard set from the bound predicate values; the
-// shards run the statement's query with the bind substituted, each
-// re-planning its slice through its own plan cache.
-func (s *ShardedDB) bindStmt(st *Stmt, b Bind) (*shardExec, error) {
-	if err := st.qt.checkBind(b); err != nil {
-		return nil, err
-	}
-	se, err := s.compileShardExec(st.qt, st.lits, b, true)
-	if err != nil {
-		return nil, err
-	}
-	se.q, se.planCached = st.q.bound(b), true
-	return se, nil
-}
-
-func (s *ShardedDB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
-	se, err := s.bindStmt(st, b)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(ctx, se)
-}
-
-func (s *ShardedDB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
-	se, err := s.bindStmt(st, b)
-	if err != nil {
-		return nil, err
-	}
-	return se.explain()
 }
 
 // Coordinator-level result caching: the sharded engine carries its own

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -516,13 +515,7 @@ func TestShardedCancelMidGather(t *testing.T) {
 			}
 			_ = rows.Close()
 
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > base {
-				t.Errorf("goroutine leak after cancel+close: %d live, started with %d", n, base)
-			}
+			waitGoroutines(t, base)
 		})
 	}
 }

@@ -7,18 +7,20 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"smoothscan/internal/wire"
 )
 
 // ErrUnboundParam is returned (wrapped) when a query references a
 // Param that the execution does not bind: running a parameterized
 // query ad hoc, or calling Stmt.Run / Stmt.Explain with a Bind set
 // that misses one of the statement's parameters.
-var ErrUnboundParam = errors.New("smoothscan: parameter not bound")
+var ErrUnboundParam = wire.ErrUnboundParam
 
 // ErrUnknownParam is returned (wrapped) when a Bind set names a
 // parameter the prepared statement does not have — almost always a
 // typo, so it is an error rather than silently ignored.
-var ErrUnknownParam = errors.New("smoothscan: bind names unknown parameter")
+var ErrUnknownParam = wire.ErrUnknownParam
 
 // Bind maps parameter names to the values of one execution. The same
 // parameter may appear at several places in the query; it binds once.
@@ -36,6 +38,12 @@ type Bind map[string]int64
 // statistics at that moment, with zero device I/O. Two bind sets can
 // therefore execute the same Stmt with different driving indexes — the
 // paper's statistics-robustness argument applied at the API layer.
+//
+// An ad-hoc Query.Run is the same execution: the run of an unnamed
+// statement whose template comes from the plan cache and whose bind is
+// nil. Query.Run, Stmt.Run and DB.ExecuteSpec share one bind-and-run
+// path on every engine, which is why a Stmt's rows, errors and
+// result-cache entries are those of its literal twin.
 //
 // On a sharded engine every Run binds the coordinator's template, which
 // re-prunes the shard set from the bound predicate values — so the same
@@ -61,6 +69,19 @@ type Stmt struct {
 	// with the bind.
 	q      *Query
 	closed atomic.Bool
+}
+
+// statement is what an engine binds and runs: a query and the Stmt it
+// was prepared into. Query.Run and Query.Explain pass an unnamed
+// statement, stmt nil, whose template the engine takes from its plan
+// cache; it is the same bind as a Stmt's, with no binds. A statement is
+// two pointers and travels by value, so an unnamed one costs no
+// allocation. The prepared template stays behind the Stmt pointer:
+// escape analysis does not tell a struct's fields apart, so a template
+// pointer beside q would make every bind move q to the heap.
+type statement struct {
+	q    *Query
+	stmt *Stmt
 }
 
 // prepareOn is Prepare on every engine: refuse a query the engine does
@@ -135,25 +156,11 @@ func (s *Stmt) Run(ctx context.Context, b Bind) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.eng.runStmt(ctx, s, b)
+	return s.eng.run(ctx, statement{q: s.q, stmt: s}, b)
 }
 
 // errStmtClosed is what Stmt.Run returns after Close.
 var errStmtClosed = errors.New("smoothscan: Run on a closed Stmt")
-
-func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
-	if err := st.qt.checkBind(b); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	cq, err := db.bindTemplate(st.qt, st.qt.optsPer, st.lits, b, true)
-	if err != nil {
-		return nil, err
-	}
-	cq.planCached = true
-	return db.startRows(ctx, cq)
-}
 
 // Explain binds the parameters and returns the plan this execution
 // would run, without touching the device — the same tree Query.Explain
@@ -161,20 +168,7 @@ func (db *DB) runStmt(ctx context.Context, st *Stmt, b Bind) (*Rows, error) {
 // estimate-sensitive decisions the bind phase re-made ("re-planned at
 // bind: …"). Parameter-fed predicate bounds render as $name markers in
 // the plan details.
-func (s *Stmt) Explain(b Bind) (*Plan, error) { return s.eng.explainStmt(s, b) }
-
-func (db *DB) explainStmt(st *Stmt, b Bind) (*Plan, error) {
-	if err := st.qt.checkBind(b); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	cq, err := db.bindTemplate(st.qt, st.qt.optsPer, st.lits, b, true)
-	if err != nil {
-		return nil, err
-	}
-	return cq.plan(), nil
-}
+func (s *Stmt) Explain(b Bind) (*Plan, error) { return s.eng.explain(statement{q: s.q, stmt: s}, b) }
 
 // Close marks the statement closed; later Runs fail. A statement holds
 // nothing to release, so Close is idempotent and never fails.

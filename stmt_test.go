@@ -730,7 +730,7 @@ func TestPreparedBindAllocs(t *testing.T) {
 
 	compileAllocs := testing.AllocsPerRun(200, func() {
 		db.mu.RLock()
-		if _, err := db.compile(lq, nil); err != nil {
+		if _, err := db.bind(statement{q: lq}, nil); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RUnlock()
