@@ -32,10 +32,11 @@ build:
 ## before the first Next, a Conn closed under its stream) the same way.
 ## Pooled batches cross goroutines and queries, so the 2-shard byte
 ## budget rides on the first line, and a third repeats the exchange's
-## batch-lifecycle tests.
+## batch-lifecycle tests. So does the exact-CPU-clock test: a parallel
+## scan's workers only interleave their CPU charges on several cores.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow|TestShardedScanByteBudget' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestParallelCPUIsExact|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow|TestShardedScanByteBudget' .
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestCancelMidStream|TestCloseBeforeFirstNext|TestConnCloseEndsOpenStream' ./internal/server
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestExchangeBatchLifecycle|TestExchangeDropsSwappedArrays' ./internal/parallel
 
@@ -47,9 +48,12 @@ test:
 ## queries charging the same device only overlap on several cores. So
 ## do distinct shapes compiled, evicted and keyed concurrently: a buffer
 ## shared between executions' cache keys only races on several cores.
+## The last line repeats the device's concurrent-snapshot test: its
+## atomic CPU tick counters only race on several cores.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace|TestQueryIOIsOwn|TestAdHocShapesConcurrent' .
+	$(GO) test -race -cpu 2,4 -count=10 -run TestStatsConcurrentSnapshot ./internal/disk
 
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:

@@ -46,8 +46,7 @@ type OperatorStats struct {
 // I/O account, the Smooth Scan morphing counters (aggregated across
 // parallel workers and individually per worker), and per-operator
 // row/batch counts. Retrieve it from a Rows — the numbers are complete
-// once the Rows is closed (parallel workers have quiesced and flushed
-// their deferred CPU charges by then).
+// once the Rows is closed (parallel workers have quiesced by then).
 type ExecStats struct {
 	// IO is the execution's own account, from a fresh head: every page
 	// read, spill and CPU charge made for this query — by its parallel

@@ -26,9 +26,9 @@
 // charges through its own disk.Channel. A query's view (On) reads
 // through the query's channel, so every miss it takes lands in the
 // query's I/O account; View forks a view's channel, so each parallel
-// scan worker keeps its own random-vs-sequential head position and its
-// own deferred CPU meter while sharing every cached page and the
-// query's account.
+// scan worker keeps its own random-vs-sequential head position while
+// sharing every cached page and the query's account, CPU clock
+// included.
 package bufferpool
 
 import (
@@ -36,6 +36,7 @@ import (
 	"sync"
 
 	"smoothscan/internal/disk"
+	"smoothscan/internal/simcost"
 )
 
 // Stats holds cache counters.
@@ -113,9 +114,8 @@ func New(dev *disk.Device, capacity int) *Pool {
 
 // View returns a new handle over the same shared cache whose device
 // reads go through a fork of this view's channel: a fresh head
-// position and deferred CPU accounting, charging the same account.
-// Parallel scan workers each take one view; the caller must flush the
-// view (FlushCPU) when the worker finishes.
+// position, charging the same account. Parallel scan workers each take
+// one view.
 func (p *Pool) View() *Pool {
 	return &Pool{st: p.st, ch: p.ch.Fork()}
 }
@@ -132,19 +132,13 @@ func (p *Pool) Device() *disk.Device { return p.st.dev }
 // Channel returns the disk channel this view reads through.
 func (p *Pool) Channel() *disk.Channel { return p.ch }
 
-// FlushCPU folds the view's deferred CPU charges into the device
-// counters and its account (no-op for a view that charges
-// immediately).
-func (p *Pool) FlushCPU() { p.ch.FlushCPU() }
+// ChargeCPU charges t CPU ticks through the view's channel, so that
+// they land in the view's account.
+func (p *Pool) ChargeCPU(t simcost.Ticks) { p.ch.ChargeCPU(t) }
 
-// ChargeCPU charges t CPU cost units through the view's channel.
-// Operators charge through their pool view so that a parallel worker's
-// per-tuple accounting stays off the device mutex.
-func (p *Pool) ChargeCPU(t float64) { p.ch.ChargeCPU(t) }
-
-// ChargeCPUN charges t CPU cost units n times through the view's
-// channel (n individual additions, like disk.Channel.ChargeCPUN).
-func (p *Pool) ChargeCPUN(t float64, n int64) { p.ch.ChargeCPUN(t, n) }
+// ChargeCPUN charges n times t CPU ticks through the view's channel
+// (see disk.Channel.ChargeCPUN).
+func (p *Pool) ChargeCPUN(t simcost.Ticks, n int64) { p.ch.ChargeCPUN(t, n) }
 
 // Capacity returns the pool capacity in pages.
 func (p *Pool) Capacity() int { return p.st.capacity }

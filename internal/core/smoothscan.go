@@ -687,16 +687,14 @@ func (s *SmoothScan) stagePage(page []byte, pageNo int64) bool {
 // analysePage is ordered mode's Entire Page Probe: it scans every
 // record of the page, returning the probed tuple through direct and
 // parking the other qualifying tuples in the Result Cache; it reports
-// whether any qualified. Per-tuple CPU charges are accumulated and
-// flushed in runs (ChargeCPUN), preserving the exact sequence of cost
-// additions of tuple-at-a-time execution. Ordered scans carry no
-// residual conjuncts (Config.Validate).
+// whether any qualified. Like stagePage it charges the per-tuple CPU
+// of every record once, up front. Ordered scans carry no residual
+// conjuncts (Config.Validate).
 func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, direct *tuple.Row) bool {
 	count := heap.PageTupleCount(page)
+	s.pool.ChargeCPUN(simcost.Tuple, int64(count))
 	found := false
-	pendingTuples := int64(0) // accumulated simcost.Tuple charges
 	for slot := 0; slot < count; slot++ {
-		pendingTuples++
 		v := s.file.ColInt(page, slot, s.pred.Col)
 		if v < s.pred.Lo || v >= s.pred.Hi {
 			continue
@@ -710,14 +708,11 @@ func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, d
 		if tid == probe.TID {
 			*direct = row.Clone()
 		} else {
-			s.pool.ChargeCPUN(simcost.Tuple, pendingTuples)
-			pendingTuples = 0
 			s.pool.ChargeCPU(simcost.Hash)
 			s.cache.insert(row.Int(s.pred.Col), tid, row.Clone())
 			s.stats.CacheInserts++
 		}
 	}
-	s.pool.ChargeCPUN(simcost.Tuple, pendingTuples)
 	return found
 }
 

@@ -14,8 +14,10 @@ import (
 )
 
 // rawDeviceStats is disk.Stats without its String method, whose 0.1
-// rounding would hide a reordered CPU charge: %v prints each float the
-// way strconv.FormatFloat(x, 'g', -1, 64) does, at full precision.
+// rounding would hide a missing or extra per-tuple CPU charge: %v
+// prints each float the way strconv.FormatFloat(x, 'g', -1, 64) does,
+// at full precision. CPUTime is an exact tick count converted to
+// units, so the order of the charges cannot move it.
 type rawDeviceStats disk.Stats
 
 // TestSmoothScanStatsGolden pins every observable of a Smooth Scan —

@@ -1,6 +1,10 @@
 package costmodel
 
-import "math"
+import (
+	"math"
+
+	"smoothscan/internal/simcost"
+)
 
 // CPU-inclusive cost model.
 //
@@ -22,9 +26,10 @@ type CPUParams struct {
 	CompareCPU float64
 }
 
-// WithCPU attaches the default simulation CPU rates to I/O parameters.
-func (p Params) WithCPU(tupleCPU, compareCPU float64) CPUParams {
-	return CPUParams{Params: p, TupleCPU: tupleCPU, CompareCPU: compareCPU}
+// WithCPU attaches the simulation's CPU rates (simcost.Tuple and
+// simcost.Compare, in cost units) to I/O parameters.
+func (p Params) WithCPU() CPUParams {
+	return CPUParams{Params: p, TupleCPU: simcost.Tuple.Units(), CompareCPU: simcost.Compare.Units()}
 }
 
 // FullScanTotalCost is the full scan's I/O plus examining every tuple.

@@ -3,7 +3,7 @@ package costmodel
 import "testing"
 
 func cpuParams(n int64) CPUParams {
-	return paperParams(n).WithCPU(0.001, 0.0002)
+	return paperParams(n).WithCPU()
 }
 
 func TestCPUTermsAreAdditive(t *testing.T) {

@@ -6,6 +6,8 @@
 // for its SSD). This package reproduces that model: it stores pages in
 // memory, classifies every access as random or sequential based on the
 // previous physical position, and charges simulated time accordingly.
+// Beside the I/O clock runs a CPU clock kept in whole simcost.Ticks, so
+// CPU charges add exactly whatever order concurrent workers make them in.
 //
 // A Device hosts any number of Spaces (independent page-addressed
 // files, e.g. one per heap file or index). All I/O statistics —
@@ -22,6 +24,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"smoothscan/internal/simcost"
 )
 
 // Profile describes the cost characteristics of a simulated device.
@@ -71,9 +75,10 @@ type Stats struct {
 	// IOTime is the simulated time spent on I/O, in cost units.
 	IOTime float64
 	// CPUTime is the simulated time spent on CPU work, in cost
-	// units. Operators charge CPU through Channel.ChargeCPU; keeping
-	// the two clocks side by side lets the harness reproduce the
-	// CPU-vs-I/O-wait breakdown of Figure 4.
+	// units: the integer tick count of the CPU clock converted once,
+	// when the snapshot is taken. Operators charge CPU through
+	// Channel.ChargeCPU; keeping the two clocks side by side lets the
+	// harness reproduce the CPU-vs-I/O-wait breakdown of Figure 4.
 	CPUTime float64
 	// Faults counts reads failed by an injected fault (transient or
 	// permanent). All four fault counters stay zero when no
@@ -135,8 +140,9 @@ type space struct {
 }
 
 // Device is a simulated disk. It is safe for concurrent use: page
-// storage and the Stats counters are guarded by one mutex, and Stats
-// always returns a consistent snapshot taken under that mutex.
+// storage and the I/O counters are guarded by one mutex, and Stats
+// returns a consistent snapshot of them taken under that mutex. The CPU
+// clock is a separate atomic tick counter.
 //
 // Random-vs-sequential classification is per Channel. The device owns
 // a default channel that its own read methods use, so single-threaded
@@ -150,7 +156,11 @@ type Device struct {
 	mu      sync.Mutex
 	profile Profile
 	spaces  []*space
-	stats   Stats
+	// stats holds the I/O counters, guarded by mu; its CPUTime stays
+	// zero, the CPU clock being cpu.
+	stats Stats
+	// cpu is the device's CPU clock in ticks.
+	cpu atomic.Int64
 
 	// def is the device's default I/O channel, used by the Device-level
 	// read methods.
@@ -180,21 +190,17 @@ func NewDevice(p Profile) *Device {
 // Channel is an independent I/O stream on a device and the account it
 // charges. Each channel keeps its own head position (lastSpace/lastPage),
 // so the random-vs-sequential classification of its reads is
-// unaffected by other channels' interleaved requests. Every read, spill
-// and CPU charge made through a channel adds to the device Stats and to
-// the channel's account, under the device mutex.
+// unaffected by other channels' interleaved requests. Every read and
+// spill made through a channel adds to the device Stats and to the
+// channel's account under the device mutex; a CPU charge is one atomic
+// add to the device's tick counter and one to the account's, taking no
+// lock.
 //
 // A channel from OpenChannel, NewChannel or DefaultChannel is its own
 // account. A channel forked from one (Fork) gets a fresh head position
 // but charges the same account: a query's parallel workers keep their
-// own sequentiality while every page they read stays the query's.
-//
-// Channels from NewChannel and Fork additionally defer CPU charges:
-// ChargeCPU/ChargeCPUN accumulate into a channel-local meter with no
-// locking, and FlushCPU folds the pending total into the device and
-// the account. A parallel scan gives each worker one such channel and
-// flushes when the worker finishes, so per-tuple CPU accounting never
-// contends on the device mutex.
+// own sequentiality while every page they read and every tick they
+// charge stays the query's, the moment it is charged.
 //
 // A Channel must be used by one goroutine at a time, and a channel
 // that has been forked must not be copied.
@@ -210,32 +216,27 @@ type Channel struct {
 	// owner is the channel whose account a forked channel charges; nil
 	// when the channel is its own account.
 	owner *Channel
-	// local is the account's counters when owner is nil, guarded by
-	// dev.mu.
+	// local is the account's I/O counters when owner is nil, guarded
+	// by dev.mu; its CPUTime stays zero.
 	local Stats
-
-	// deferred selects local CPU accumulation (worker channels) over
-	// immediate charging.
-	deferred   bool
-	pendingCPU float64
+	// cpu is the account's CPU clock in ticks when owner is nil.
+	cpu atomic.Int64
 }
 
-// OpenChannel returns a fresh I/O stream that is its own account: no
-// head position (its first read is classified random, like any cold
-// stream) and immediate CPU charging. It is returned by value so that
-// an execution can embed its channel without an allocation.
+// OpenChannel returns a fresh I/O stream that is its own account, with
+// no head position: its first read is classified random, like any cold
+// stream. It is returned by value so that an execution can embed its
+// channel without an allocation.
 func (d *Device) OpenChannel() Channel { return Channel{dev: d} }
 
 // NewChannel opens a fresh I/O stream that is its own account, with no
-// head position and deferred CPU accounting.
-func (d *Device) NewChannel() *Channel {
-	return &Channel{dev: d, deferred: true}
-}
+// head position.
+func (d *Device) NewChannel() *Channel { return &Channel{dev: d} }
 
-// Fork opens a fresh I/O stream charging c's account: no head position,
-// deferred CPU accounting.
+// Fork opens a fresh I/O stream charging c's account, with no head
+// position.
 func (c *Channel) Fork() *Channel {
-	return &Channel{dev: c.dev, owner: c.account(), deferred: true}
+	return &Channel{dev: c.dev, owner: c.account()}
 }
 
 // account returns the channel that owns c's account.
@@ -254,8 +255,8 @@ func (c *Channel) charge(delta Stats) {
 }
 
 // DefaultChannel returns the device's built-in channel: the head
-// position the Device-level read methods use, with immediate CPU
-// charging. Single-stream callers share it.
+// position the Device-level read methods use. Single-stream callers
+// share it.
 func (d *Device) DefaultChannel() *Channel { return &d.def }
 
 // Device returns the device the channel reads from.
@@ -464,76 +465,35 @@ func (c *Channel) ChargeSpill(pages int64) {
 	c.charge(delta)
 }
 
-// ChargeCPU adds t cost units to the CPU clock via this channel: on a
-// deferred (worker) channel it accumulates locally with no locking,
-// otherwise it charges the device and the account immediately.
-// Operators use it to account for per-tuple predicate evaluation,
-// sorting and hashing so that the harness can reproduce the paper's
-// CPU/I-O breakdown.
-func (c *Channel) ChargeCPU(t float64) { c.ChargeCPUN(t, 1) }
+// ChargeCPU adds t to the CPU clock of the device and of the channel's
+// account. Operators use it to account for per-tuple predicate
+// evaluation, sorting and hashing so that the harness can reproduce the
+// paper's CPU/I-O breakdown.
+func (c *Channel) ChargeCPU(t simcost.Ticks) { c.ChargeCPUN(t, 1) }
 
-// ChargeCPUN adds t cost units to the CPU clock n times via this
-// channel. It performs n individual floating-point additions on every
-// clock it charges — the device's and the account's, in one loop under
-// a single lock acquisition, or the deferred meter — so the accumulated
-// CPUTime is bit-identical to n successive ChargeCPU(t) calls: batched
-// operators rely on this to keep the simulated cost of a query
-// independent of execution granularity.
-func (c *Channel) ChargeCPUN(t float64, n int64) {
+// ChargeCPUN adds n charges of t to the CPU clocks: t*n ticks, one
+// atomic add on the device's counter and one on the account's. Integer
+// ticks make the total independent of how the charges are grouped and
+// ordered, so a batched operator, a per-tuple one and a parallel scan's
+// interleaved workers all reach the same CPUTime.
+func (c *Channel) ChargeCPUN(t simcost.Ticks, n int64) {
 	if n <= 0 {
 		return
 	}
-	if c.deferred {
-		c.pendingCPU = addN(c.pendingCPU, t, n)
-		return
-	}
-	d, a := c.dev, c.account()
-	d.mu.Lock()
-	dev, acct := d.stats.CPUTime, a.local.CPUTime
-	for i := int64(0); i < n; i++ {
-		dev += t
-		acct += t
-	}
-	d.stats.CPUTime, a.local.CPUTime = dev, acct
-	d.mu.Unlock()
+	ticks := int64(t) * n
+	c.dev.cpu.Add(ticks)
+	c.account().cpu.Add(ticks)
 }
 
-// addN returns acc after n successive additions of t — the same
-// additions in the same order as a loop over the accumulator's memory,
-// carried in a register.
-func addN(acc, t float64, n int64) float64 {
-	for i := int64(0); i < n; i++ {
-		acc += t
-	}
-	return acc
-}
-
-// FlushCPU folds the channel's pending deferred CPU charges into the
-// device counters and the account. A parallel scan calls it once per
-// worker when the worker finishes; it is a no-op on non-deferred
-// channels.
-func (c *Channel) FlushCPU() {
-	if c.pendingCPU == 0 {
-		return
-	}
-	d := c.dev
-	d.mu.Lock()
-	d.stats.CPUTime += c.pendingCPU
-	c.account().local.CPUTime += c.pendingCPU
-	d.mu.Unlock()
-	c.pendingCPU = 0
-}
-
-// Stats returns the channel's account — everything charged through
-// this channel and the channels sharing its account — plus this
-// channel's not-yet-flushed deferred CPU. Reading it while a deferred
-// channel's goroutine is still running requires external
-// synchronization for the pending-CPU part.
+// Stats returns the channel's account: everything charged through this
+// channel and the channels sharing its account. CPUTime is read after
+// the I/O counters, outside the device mutex.
 func (c *Channel) Stats() Stats {
+	a := c.account()
 	c.dev.mu.Lock()
-	st := c.account().local
+	st := a.local
 	c.dev.mu.Unlock()
-	st.CPUTime += c.pendingCPU
+	st.CPUTime = simcost.Ticks(a.cpu.Load()).Units()
 	return st
 }
 
@@ -561,13 +521,18 @@ func (s *Stats) add(t Stats) {
 	s.Retries += t.Retries
 }
 
-// Stats returns a snapshot of the device counters, taken under the
-// device mutex so concurrent readers always observe a consistent state
-// (no torn Requests-vs-IOTime pairs).
+// Stats returns a snapshot of the device counters. The I/O counters
+// are copied under the device mutex, so concurrent readers always
+// observe a consistent state (no torn Requests-vs-IOTime pairs).
+// CPUTime is read from the atomic CPU clock outside that lock: under
+// concurrent charging it may include ticks charged after the I/O
+// snapshot was taken.
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+	st := d.stats
+	d.mu.Unlock()
+	st.CPUTime = simcost.Ticks(d.cpu.Load()).Units()
+	return st
 }
 
 // ResetStats zeroes the counters and forgets the default channel's
@@ -581,6 +546,8 @@ func (d *Device) ResetStats() {
 	d.def.hasPos = false
 	d.def.local = Stats{}
 	d.mu.Unlock()
+	d.cpu.Store(0)
+	d.def.cpu.Store(0)
 }
 
 // FailAfter arms failure injection: the read that would transfer page

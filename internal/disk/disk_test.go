@@ -260,8 +260,8 @@ func TestReadRunBounds(t *testing.T) {
 
 func TestChargeCPUAndTime(t *testing.T) {
 	d := newTestDevice(t)
-	d.DefaultChannel().ChargeCPU(2.5)
-	d.DefaultChannel().ChargeCPU(1.5)
+	d.DefaultChannel().ChargeCPU(2.5 * simcost.TicksPerUnit)
+	d.DefaultChannel().ChargeCPU(1.5 * simcost.TicksPerUnit)
 	s := d.Stats()
 	if s.CPUTime != 4 {
 		t.Errorf("CPUTime = %v, want 4", s.CPUTime)
@@ -368,57 +368,51 @@ func TestAccountingInvariants(t *testing.T) {
 
 // TestChargeCPUNMatchesSuccessiveCharges pins the identity batched
 // operators rely on: ChargeCPUN(t, n) leaves CPUTime bit-equal to n
-// successive ChargeCPU(t) calls from the same starting value — the
-// same additions in the same order — on an immediate channel (the
-// device total and the account alike) and on a deferred channel
-// followed by FlushCPU.
+// successive ChargeCPU(t) calls from the same starting value, and to
+// (start + n*t) ticks, on the device total and the account alike, and
+// whether the charges go through the account's channel or a fork.
 func TestChargeCPUNMatchesSuccessiveCharges(t *testing.T) {
 	type triple struct {
-		start, t float64
+		start, t simcost.Ticks
 		n        int64
 	}
 	var cases []triple
 	for _, n := range []int64{0, 1, 7, 102, 200_000} {
 		cases = append(cases,
 			triple{0, simcost.Tuple, n},
-			triple{2476.405, simcost.Tuple, n},
-			triple{0.2804, simcost.Hash, n})
+			triple{24_764_050, simcost.Tuple, n},
+			triple{2804, simcost.Hash, n})
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
 		cases = append(cases, triple{
-			start: rng.Float64() * math.Pow(10, float64(rng.Intn(9)-2)),
-			t:     rng.Float64() * math.Pow(10, float64(-rng.Intn(6))),
+			start: simcost.Ticks(rng.Int63n(1 << 40)),
+			t:     simcost.Ticks(rng.Int63n(100_000)),
 			n:     rng.Int63n(2000),
 		})
 	}
 	for _, c := range cases {
+		want := (c.start + c.t*simcost.Ticks(c.n)).Units()
 		batched, oneByOne := newTestDevice(t), newTestDevice(t)
-		batched.DefaultChannel().ChargeCPU(c.start)
-		batched.DefaultChannel().ChargeCPUN(c.t, c.n)
+		q := batched.OpenChannel()
+		q.ChargeCPU(c.start)
+		q.Fork().ChargeCPUN(c.t, c.n)
 		oneByOne.DefaultChannel().ChargeCPU(c.start)
 		for i := int64(0); i < c.n; i++ {
 			oneByOne.DefaultChannel().ChargeCPU(c.t)
 		}
-		if got, want := batched.Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("immediate channel: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
-		}
-		if got, want := batched.DefaultChannel().Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("account: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
-		}
-
-		batched, oneByOne = newTestDevice(t), newTestDevice(t)
-		bc, oc := batched.NewChannel(), oneByOne.NewChannel()
-		bc.ChargeCPU(c.start)
-		bc.ChargeCPUN(c.t, c.n)
-		bc.FlushCPU()
-		oc.ChargeCPU(c.start)
-		for i := int64(0); i < c.n; i++ {
-			oc.ChargeCPU(c.t)
-		}
-		oc.FlushCPU()
-		if got, want := batched.Stats().CPUTime, oneByOne.Stats().CPUTime; math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("deferred channel: start %v + %d x %v: ChargeCPUN gives %v, successive ChargeCPU %v", c.start, c.n, c.t, got, want)
+		for _, got := range []struct {
+			name string
+			cpu  float64
+		}{
+			{"device, ChargeCPUN", batched.Stats().CPUTime},
+			{"account, ChargeCPUN", q.Stats().CPUTime},
+			{"device, successive ChargeCPU", oneByOne.Stats().CPUTime},
+			{"account, successive ChargeCPU", oneByOne.DefaultChannel().Stats().CPUTime},
+		} {
+			if math.Float64bits(got.cpu) != math.Float64bits(want) {
+				t.Errorf("%s: start %d + %d x %d ticks gives %v, want %v", got.name, c.start, c.n, c.t, got.cpu, want)
+			}
 		}
 	}
 }
@@ -475,14 +469,10 @@ func TestForkSharesAccount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.ChargeCPU(0.5)
-	q.ChargeCPU(0.25)
-	if st := q.Stats(); st.RandomAccesses != 2 || st.PagesRead != 6 || st.CPUTime != 0.25 {
-		t.Errorf("account before the fork's flush = %+v, want 2 seeks, 6 pages, 0.25 CPU", st)
-	}
-	w.FlushCPU()
-	if st := q.Stats(); st.CPUTime != 0.75 {
-		t.Errorf("account CPU after the fork's flush = %v, want 0.75", st.CPUTime)
+	w.ChargeCPU(0.5 * simcost.TicksPerUnit)
+	q.ChargeCPU(0.25 * simcost.TicksPerUnit)
+	if st := q.Stats(); st.RandomAccesses != 2 || st.PagesRead != 6 || st.CPUTime != 0.75 {
+		t.Errorf("account = %+v, want 2 seeks, 6 pages and the fork's CPU at once: 0.75", st)
 	}
 	if st := other.Stats(); st.PagesRead != 3 || st.CPUTime != 0 {
 		t.Errorf("other account = %+v, want its own 3 pages only", st)

@@ -3,14 +3,18 @@ package disk
 import (
 	"sync"
 	"testing"
+
+	"smoothscan/internal/simcost"
 )
 
 // TestStatsConcurrentSnapshot hammers a device with concurrent readers,
 // CPU chargers and Stats snapshotters. Under -race it proves the
 // counters are data-race free; in any mode it checks that the final
-// totals are consistent (no lost updates) and that every snapshot is
-// internally consistent (IOTime never behind what the observed request
-// count implies is impossible, i.e. non-negative and monotone).
+// totals are exact (no lost updates, CPU time included, on the device
+// and on the account the workers' forks share) and that every snapshot
+// is internally consistent (IOTime never behind what the observed
+// request count implies is impossible, i.e. non-negative and
+// monotone).
 func TestStatsConcurrentSnapshot(t *testing.T) {
 	dev := NewDevice(HDD)
 	sp := dev.CreateSpace()
@@ -27,20 +31,20 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 		workers   = 8
 		perWorker = 200
 	)
+	q := dev.OpenChannel()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ch := dev.NewChannel()
+			ch := q.Fork()
 			for i := 0; i < perWorker; i++ {
 				if _, err := ch.ReadRun(sp, int64((w*7+i)%numPages), 1); err != nil {
 					t.Error(err)
 					return
 				}
-				ch.ChargeCPUN(0.001, 3)
+				ch.ChargeCPUN(simcost.Tuple, 3)
 			}
-			ch.FlushCPU()
 		}(w)
 	}
 	// Concurrent snapshotters: every observed snapshot must be
@@ -80,9 +84,12 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 	if want := int64(workers * perWorker); st.PagesRead != want {
 		t.Errorf("PagesRead = %d, want %d (lost updates)", st.PagesRead, want)
 	}
-	wantCPU := float64(workers*perWorker) * 3 * 0.001
-	if diff := st.CPUTime - wantCPU; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("CPUTime = %v, want %v", st.CPUTime, wantCPU)
+	wantCPU := (workers * perWorker * 3 * simcost.Tuple).Units()
+	if st.CPUTime != wantCPU {
+		t.Errorf("device CPUTime = %v, want %v", st.CPUTime, wantCPU)
+	}
+	if got := q.Stats().CPUTime; got != wantCPU {
+		t.Errorf("account CPUTime = %v, want %v", got, wantCPU)
 	}
 }
 
@@ -142,28 +149,5 @@ func TestChannelClassificationIndependence(t *testing.T) {
 	}
 	if st := dev.Stats(); st.RandomAccesses != 64 {
 		t.Errorf("single-head interleaving: RandomAccesses = %d, want 64", st.RandomAccesses)
-	}
-}
-
-// TestDeferredCPUFlush checks deferred channels charge nothing until
-// FlushCPU and exactly their pending total at flush.
-func TestDeferredCPUFlush(t *testing.T) {
-	dev := NewDevice(HDD)
-	ch := dev.NewChannel()
-	ch.ChargeCPU(0.5)
-	ch.ChargeCPUN(0.25, 2)
-	if got := dev.Stats().CPUTime; got != 0 {
-		t.Errorf("device CPUTime before flush = %v, want 0", got)
-	}
-	if got := ch.Stats().CPUTime; got != 1.0 {
-		t.Errorf("channel pending CPUTime = %v, want 1.0", got)
-	}
-	ch.FlushCPU()
-	if got := dev.Stats().CPUTime; got != 1.0 {
-		t.Errorf("device CPUTime after flush = %v, want 1.0", got)
-	}
-	ch.FlushCPU() // idempotent
-	if got := dev.Stats().CPUTime; got != 1.0 {
-		t.Errorf("double flush changed CPUTime: %v", got)
 	}
 }

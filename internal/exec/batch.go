@@ -13,16 +13,12 @@ const DefaultBatchSize = 1024
 
 // Invariance under batch capacity: the capacity of the batch a consumer
 // passes changes neither the I/O request schedule nor the per-tuple CPU
-// charge counts of any operator. Within one operator the charge
-// *sequence* is also preserved (see disk.Channel.ChargeCPUN), so pure scan
-// pipelines — the paper-figure experiments — produce bit-identical
-// simulated costs at every capacity, one row included. Across operator
-// boundaries a wider batch groups charges (a Filter charges its whole
-// input batch before the consumer charges any of it), so a pipeline
-// mixing different cost constants (e.g. HashAgg's Aggregate over
-// Filter's Tuple) accumulates the same terms in a different order;
-// CPUTime then agrees only to floating-point reassociation (ULPs),
-// which is invisible at any reported precision.
+// charge counts of any operator. A wider batch may group charges
+// differently (a Filter charges its whole input batch before the
+// consumer charges any of it), but the CPU clock counts whole
+// simcost.Ticks, so the same charges reach the same CPUTime in any
+// order: every pipeline produces bit-identical simulated costs at every
+// capacity, one row included.
 
 // NextBatch is op.NextBatch(b); the free-function form is what the
 // frozen bench/ module calls.

@@ -6,7 +6,6 @@ import (
 	"smoothscan/internal/access"
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
-	"smoothscan/internal/simcost"
 )
 
 // ModelAccuracy validates the Section V cost model (with the CPU
@@ -22,7 +21,7 @@ func (r *Runner) ModelAccuracy() (*Table, error) {
 		return nil, err
 	}
 	pool := r.poolFor(dev, tab.File.NumPages())
-	params := r.microParams(dev, tab.File.NumTuples()).WithCPU(simcost.Tuple, simcost.Compare)
+	params := r.microParams(dev, tab.File.NumTuples()).WithCPU()
 
 	grid := []float64{0.001, 0.01, 0.1, 1, 10, 50, 100}
 	var rows [][]string

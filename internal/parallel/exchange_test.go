@@ -102,7 +102,7 @@ func TestExchangeBatchLifecycle(t *testing.T) {
 		for _, p := range []int{1, 2, 8} {
 			for _, ending := range endings {
 				t.Run(fmt.Sprintf("ordered=%v/P=%d/%s", ordered, p, ending), func(t *testing.T) {
-					workers := make([]Worker, p)
+					workers := make([]exec.Operator, p)
 					for w := range workers {
 						var rows []tuple.Row
 						if ending != "empty" {
@@ -115,7 +115,7 @@ func TestExchangeBatchLifecycle(t *testing.T) {
 						if ending == "worker-error" && w == p-1 {
 							op = failingValues{exec.NewValues(schema, rows)}
 						}
-						workers[w] = Worker{Op: op}
+						workers[w] = op
 					}
 					s, err := NewScan(workers, Options{Schema: schema, Ordered: ordered, KeyCol: 0})
 					if err != nil {
@@ -192,13 +192,13 @@ func TestExchangeDropsSwappedArrays(t *testing.T) {
 	for name, consumer := range consumers {
 		for _, p := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/P=%d", name, p), func(t *testing.T) {
-				workers := make([]Worker, p)
+				workers := make([]exec.Operator, p)
 				for w := range workers {
 					rows := make([]tuple.Row, 2*exec.DefaultBatchSize)
 					for i := range rows {
 						rows[i] = tuple.IntsRow(int64(i), int64(w))
 					}
-					workers[w] = Worker{Op: exec.NewValues(schema, rows)}
+					workers[w] = exec.NewValues(schema, rows)
 				}
 				s, err := NewScan(workers, Options{Schema: schema})
 				if err != nil {

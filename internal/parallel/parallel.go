@@ -29,14 +29,14 @@
 //
 // Each worker reads through its own bufferpool view (a private
 // disk.Channel), so its sequential shard traversal is classified
-// sequential regardless of how the scheduler interleaves workers, and
-// its per-tuple CPU charges accumulate locally, off the device mutex,
-// until the worker flushes on completion. Device totals after the scan
-// are the sum of the per-worker contributions. Relative to a serial
-// scan the totals can differ in random-vs-sequential classification
-// (each worker pays its own initial seek, and index leaf pages are
-// walked once per worker rather than once), never in which heap pages
-// are analysed.
+// sequential regardless of how the scheduler interleaves workers; its
+// per-tuple CPU charges are atomic adds of integer ticks to the query's
+// account, so the CPU total is exact whatever the interleaving. Device
+// totals after the scan are the sum of the per-worker contributions.
+// Relative to a serial scan the totals can differ in
+// random-vs-sequential classification (each worker pays its own
+// initial seek, and index leaf pages are walked once per worker rather
+// than once), never in which heap pages are analysed.
 //
 // # Exchange buffers
 //
@@ -103,17 +103,6 @@ func PartitionPages(numPages int64, p int) []Shard {
 	return shards
 }
 
-// Worker is one shard's scan operator plus its completion hook.
-type Worker struct {
-	// Op is the shard scan; it is Opened, drained via NextBatch and
-	// Closed entirely on the worker's goroutine.
-	Op exec.Operator
-	// Flush, when non-nil, runs on the worker goroutine after Op is
-	// closed — typically the bufferpool view's FlushCPU, folding the
-	// worker's deferred simulated-CPU charges into the device totals.
-	Flush func()
-}
-
 // Options configures a parallel Scan.
 type Options struct {
 	// Schema describes the rows every worker produces.
@@ -138,7 +127,7 @@ type Options struct {
 // A Scan (like any operator) must be driven by a single goroutine; the
 // parallelism lives behind it.
 type Scan struct {
-	workers []Worker
+	workers []exec.Operator
 	opts    Options
 
 	open bool
@@ -210,7 +199,7 @@ var (
 // NewScan builds a parallel scan over the shard workers. Workers must
 // be listed in increasing shard page order for ordered merges to
 // reproduce the serial (key, TID) order.
-func NewScan(workers []Worker, opts Options) (*Scan, error) {
+func NewScan(workers []exec.Operator, opts Options) (*Scan, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("parallel: no workers")
 	}
@@ -308,7 +297,7 @@ func (s *Scan) Open() error {
 		owg.Add(1)
 		go func(i int) {
 			defer owg.Done()
-			if err := s.workers[i].Op.Open(); err != nil {
+			if err := s.workers[i].Open(); err != nil {
 				openErrs[i] = err
 			} else {
 				opened[i] = true
@@ -322,10 +311,7 @@ func (s *Scan) Open() error {
 		}
 		for i, ok := range opened {
 			if ok {
-				_ = s.workers[i].Op.Close()
-			}
-			if s.workers[i].Flush != nil {
-				s.workers[i].Flush()
+				_ = s.workers[i].Close()
 			}
 		}
 		return openErr
@@ -365,7 +351,7 @@ func (s *Scan) Open() error {
 // explicitly (or captured before any blocking) so the goroutine stays
 // bound to the generation of the Open that spawned it even if the scan
 // is closed and reopened.
-func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, free *freeList, out chan<- *tuple.Batch, ownsOut bool) {
+func (s *Scan) runWorker(w exec.Operator, wg *sync.WaitGroup, quit <-chan struct{}, free *freeList, out chan<- *tuple.Batch, ownsOut bool) {
 	errs := s.errs
 	done := s.done
 	fail := s.fail
@@ -375,14 +361,11 @@ func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, fre
 		failOnce.Do(func() { close(fail) })
 	}
 	defer wg.Done()
-	if w.Flush != nil {
-		defer w.Flush()
-	}
 	if ownsOut {
 		defer close(out)
 	}
 	defer func() {
-		if err := w.Op.Close(); err != nil {
+		if err := w.Close(); err != nil {
 			select {
 			case errs <- err:
 			default:
@@ -426,7 +409,7 @@ func (s *Scan) runWorker(w Worker, wg *sync.WaitGroup, quit <-chan struct{}, fre
 				return
 			}
 		}
-		n, err := w.Op.NextBatch(b)
+		n, err := w.NextBatch(b)
 		if err != nil {
 			report(err)
 			return

@@ -113,7 +113,7 @@ func drainPairsCap(t *testing.T, s *Scan, batchCap int) [][2]int64 {
 
 func TestUnorderedFanIn(t *testing.T) {
 	schema := testSchema()
-	var workers []Worker
+	var workers []exec.Operator
 	want := map[[2]int64]int{}
 	for w := 0; w < 4; w++ {
 		var rows []tuple.Row
@@ -122,7 +122,7 @@ func TestUnorderedFanIn(t *testing.T) {
 			want[pair]++
 			rows = append(rows, tuple.IntsRow(pair[0], pair[1]))
 		}
-		workers = append(workers, Worker{Op: exec.NewValues(schema, rows)})
+		workers = append(workers, exec.NewValues(schema, rows))
 	}
 	s, err := NewScan(workers, Options{Schema: schema, BatchSize: 16})
 	if err != nil {
@@ -153,10 +153,10 @@ func TestOrderedMergeReproducesSerialOrder(t *testing.T) {
 	w0 := rowsOf([2]int64{1, 0}, [2]int64{5, 0}, [2]int64{5, 0}, [2]int64{9, 0})
 	w1 := rowsOf([2]int64{2, 1}, [2]int64{5, 1}, [2]int64{9, 1})
 	w2 := rowsOf([2]int64{5, 2}, [2]int64{6, 2})
-	s, err := NewScan([]Worker{
-		{Op: exec.NewValues(schema, w0)},
-		{Op: exec.NewValues(schema, w1)},
-		{Op: exec.NewValues(schema, w2)},
+	s, err := NewScan([]exec.Operator{
+		exec.NewValues(schema, w0),
+		exec.NewValues(schema, w1),
+		exec.NewValues(schema, w2),
 	}, Options{Schema: schema, Ordered: true, KeyCol: 0, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +206,9 @@ func TestWorkerErrorPropagates(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				rows = append(rows, tuple.IntsRow(int64(i), 0))
 			}
-			s, err := NewScan([]Worker{
-				{Op: exec.NewValues(schema, rows)},
-				{Op: newFailOp(schema, 3)},
+			s, err := NewScan([]exec.Operator{
+				exec.NewValues(schema, rows),
+				newFailOp(schema, 3),
 			}, Options{Schema: schema, Ordered: ordered, KeyCol: 0, BatchSize: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -238,13 +238,13 @@ func TestWorkerErrorPropagates(t *testing.T) {
 
 func TestCloseEarlyStopsWorkers(t *testing.T) {
 	schema := testSchema()
-	var workers []Worker
+	var workers []exec.Operator
 	for w := 0; w < 4; w++ {
 		var rows []tuple.Row
 		for i := 0; i < 50_000; i++ {
 			rows = append(rows, tuple.IntsRow(int64(i), int64(w)))
 		}
-		workers = append(workers, Worker{Op: exec.NewValues(schema, rows)})
+		workers = append(workers, exec.NewValues(schema, rows))
 	}
 	s, err := NewScan(workers, Options{Schema: schema, BatchSize: 64})
 	if err != nil {
@@ -278,13 +278,13 @@ func TestCloseEarlyStopsWorkers(t *testing.T) {
 func TestScanCapacityInvariance(t *testing.T) {
 	schema := testSchema()
 	for _, ordered := range []bool{false, true} {
-		var workers []Worker
+		var workers []exec.Operator
 		for w := 0; w < 3; w++ {
 			var rows []tuple.Row
 			for i := 0; i < 700; i++ {
 				rows = append(rows, tuple.IntsRow(int64(i/2), int64(w)))
 			}
-			workers = append(workers, Worker{Op: exec.NewValues(schema, rows)})
+			workers = append(workers, exec.NewValues(schema, rows))
 		}
 		s, err := NewScan(workers, Options{Schema: schema, Ordered: ordered, KeyCol: 0, BatchSize: 64})
 		if err != nil {

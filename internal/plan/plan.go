@@ -185,22 +185,21 @@ func Build(spec ScanSpec) (*Scan, error) {
 func parallelSmooth(spec ScanSpec, base core.Config, par int) (*parallel.Scan, []*core.SmoothScan, error) {
 	shards := parallel.PartitionPages(spec.File.NumPages(), par)
 	n := int64(len(shards))
-	workers := make([]parallel.Worker, len(shards))
+	workers := make([]exec.Operator, len(shards))
 	smooths := make([]*core.SmoothScan, len(shards))
 	for i, sh := range shards {
-		view := spec.Pool.View()
 		cfg := base
 		cfg.EstimatedCard = (base.EstimatedCard + n - 1) / n
 		cfg.SLABound = base.SLABound / float64(n)
 		cfg.ResultCacheBudget = splitBudget(base.ResultCacheBudget, n)
 		cfg.PageLo = sh.PageLo
 		cfg.PageHi = sh.PageHi
-		ss, err := core.NewSmoothScan(spec.File, view, spec.Tree, spec.Pred, cfg)
+		ss, err := core.NewSmoothScan(spec.File, spec.Pool.View(), spec.Tree, spec.Pred, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		smooths[i] = ss
-		workers[i] = parallel.Worker{Op: ss, Flush: view.FlushCPU}
+		workers[i] = ss
 	}
 	op, err := parallel.NewScan(workers, parallel.Options{
 		Schema:  spec.File.Schema(),
@@ -218,12 +217,11 @@ func parallelSmooth(spec ScanSpec, base core.Config, par int) (*parallel.Scan, [
 // shard, merged through an unordered fan-in.
 func parallelFull(spec ScanSpec, par int) (*parallel.Scan, error) {
 	shards := parallel.PartitionPages(spec.File.NumPages(), par)
-	workers := make([]parallel.Worker, len(shards))
+	workers := make([]exec.Operator, len(shards))
 	for i, sh := range shards {
-		view := spec.Pool.View()
-		fs := access.NewFullScanRange(spec.File, view, spec.Pred, sh.PageLo, sh.PageHi)
+		fs := access.NewFullScanRange(spec.File, spec.Pool.View(), spec.Pred, sh.PageLo, sh.PageHi)
 		fs.SetResidual(spec.Residual)
-		workers[i] = parallel.Worker{Op: fs, Flush: view.FlushCPU}
+		workers[i] = fs
 	}
 	return parallel.NewScan(workers, parallel.Options{Schema: spec.File.Schema(), Ctx: spec.Ctx})
 }

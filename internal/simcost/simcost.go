@@ -9,24 +9,39 @@
 // with minimal CPU overhead". The constants keep that ratio: scanning
 // all ~100 tuples of a page costs ~0.1 units against 1–10 units for
 // fetching it.
+//
+// Every constant is a whole number of Ticks, so the simulated CPU
+// clock is an integer: charges add exactly, in any order and from any
+// number of goroutines.
 package simcost
+
+// Ticks is simulated CPU time in units of 10⁻⁴ cost units.
+type Ticks int64
+
+// TicksPerUnit is the number of Ticks in one cost unit.
+const TicksPerUnit = 10_000
+
+// Units returns t in cost units.
+func (t Ticks) Units() float64 { return float64(t) / TicksPerUnit }
 
 const (
 	// Tuple is the cost of decoding one tuple and evaluating a simple
-	// predicate on it.
-	Tuple = 0.001
-	// Compare is the cost of one comparison during sorting.
-	Compare = 0.0002
+	// predicate on it (0.001 units).
+	Tuple Ticks = 10
+	// Compare is the cost of one comparison during sorting (0.0002
+	// units).
+	Compare Ticks = 2
 	// Hash is the cost of hashing a tuple into a hash table (build or
-	// probe side).
-	Hash = 0.0005
-	// Aggregate is the cost of folding one tuple into an aggregate.
-	Aggregate = 0.0003
+	// probe side; 0.0005 units).
+	Hash Ticks = 5
+	// Aggregate is the cost of folding one tuple into an aggregate
+	// (0.0003 units).
+	Aggregate Ticks = 3
 )
 
 // SortCost returns the CPU cost of sorting n items: n·log2(n)
-// comparisons at Compare units each.
-func SortCost(n int) float64 {
+// comparisons at Compare each.
+func SortCost(n int) Ticks {
 	if n < 2 {
 		return 0
 	}
@@ -34,5 +49,5 @@ func SortCost(n int) float64 {
 	for v := n; v > 1; v >>= 1 {
 		log2++
 	}
-	return float64(n) * float64(log2) * Compare
+	return Ticks(n) * Ticks(log2) * Compare
 }

@@ -198,6 +198,27 @@ func TestParallelFullScanEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelCPUIsExact: the simulated CPU clock counts whole ticks,
+// so a parallel full scan reports exactly the serial scan's CPUTime
+// whichever way the scheduler interleaves its workers' charges. Under
+// make test's -cpu 1,2,4 -count=5 the workers really interleave.
+func TestParallelCPUIsExact(t *testing.T) {
+	db := buildParallelTestDB(t, 25_000, 10_000, 5)
+	cpu := func(p int) float64 {
+		rows, err := db.Scan("t", "val", 0, 3000, ScanOptions{Path: PathFull, Parallelism: p})
+		_, es := drainStats(t, rows, err)
+		return es.IO.CPUTime
+	}
+	want := cpu(0)
+	for _, p := range []int{2, 4, 8} {
+		for run := 0; run < 5; run++ {
+			if got := cpu(p); got != want {
+				t.Fatalf("P=%d run %d: CPUTime %v, serial %v", p, run, got, want)
+			}
+		}
+	}
+}
+
 // TestConcurrentSessions runs many client goroutines against one DB —
 // mixed serial and parallel scans — and checks that every session sees
 // exactly its own correct result. Run under -race this doubles as the

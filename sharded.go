@@ -830,12 +830,12 @@ func (se *shardExec) start(ctx context.Context) error {
 			exec.PutBatch(b)
 		}
 
-		workers := make([]parallel.Worker, 0, len(se.active))
+		workers := make([]exec.Operator, 0, len(se.active))
 		for _, si := range se.active {
 			si := si
 			a := se.shardOp(ctx, si, se.gatherSchema, func() *Query { return se.shardQuery(si) })
 			se.adapters = append(se.adapters, a)
-			w := parallel.Worker{Op: a}
+			var w exec.Operator = a
 			if se.strategy == strategyBroadcast {
 				a.schema = se.pt.Inputs[se.scanInput].Schema
 				a.join = s.shards[si].dev.NewChannel()
@@ -855,7 +855,7 @@ func (se *shardExec) start(ctx context.Context) error {
 				if err != nil {
 					return err
 				}
-				w = parallel.Worker{Op: j, Flush: a.join.FlushCPU}
+				w = j
 			}
 			workers = append(workers, w)
 		}

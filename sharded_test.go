@@ -315,31 +315,11 @@ func TestShardedN1CostIdentity(t *testing.T) {
 			if !rowsEqual(got, want) {
 				t.Fatalf("N=1 rows diverge: got %d rows, want %d", len(got), len(want))
 			}
-			if c.name != "parallel-smooth" && !ioApproxEqual(wes.IO, ges.IO) {
+			if c.name != "parallel-smooth" && wes.IO != ges.IO {
 				t.Errorf("N=1 I/O diverges:\nunsharded %+v\nsharded   %+v", wes.IO, ges.IO)
 			}
 		})
 	}
-}
-
-// ioApproxEqual compares I/O figures: counters exactly, the two
-// simulated clocks within float rounding (a device delta subtracts
-// accumulated histories, so the last ulp can differ).
-func ioApproxEqual(a, b IOStats) bool {
-	af, bf := a, b
-	af.IOTime, af.CPUTime = 0, 0
-	bf.IOTime, bf.CPUTime = 0, 0
-	if af != bf {
-		return false
-	}
-	near := func(x, y float64) bool {
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
-		return d <= 1e-6*(1+x+y)
-	}
-	return near(a.IOTime, b.IOTime) && near(a.CPUTime, b.CPUTime)
 }
 
 // ---------------------------------------------------------------------------
@@ -970,7 +950,7 @@ func TestShardedJoinStrategies(t *testing.T) {
 		rows, err := bc.Query("f").Join("d", "fkey", "did").Where("fval", Between(200, 900)).Run(ctx)
 		_, es := drainStats(t, rows, err)
 		for i, sh := range es.Shards {
-			if d := bc.Shard(i).Stats().Sub(before[i]); !ioApproxEqual(sh.IO, d) {
+			if d := bc.Shard(i).Stats().Sub(before[i]); sh.IO != d {
 				t.Errorf("shard %d reports\n%+v\nits device did\n%+v", i, sh.IO, d)
 			}
 		}
