@@ -116,12 +116,14 @@ chaos:
 
 ## fuzz: each fuzz target for 10 s, one go test per target (go
 ## test -fuzz takes one target at a time): the wire's message and frame
-## decoders, the batch codec's round trip, the query shape key's
+## decoders, its Error frames against the error class table, the batch
+## codec's round trip, the query shape key's
 ## equivalence classes, and hostile Execute payloads run through
 ## DB.ExecuteSpec.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzErrorFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShapeKeyClasses$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteSpec$$' -fuzztime 10s .

@@ -59,9 +59,8 @@ var errNoRemoteExplain = errors.New("smoothscan: Explain is not available over t
 //
 // Semantic validation (unknown tables and columns, ambiguous
 // conjuncts, bind errors) happens server-side, where the schema lives.
-// Bind errors unwrap to ErrUnboundParam and ErrUnknownParam, as an
-// in-process run's do; the structural ones carry the local message
-// under a not-found or bad-request class, with no sentinel. A remote
+// Its errors unwrap to the sentinels an in-process run's do —
+// ErrNoTable, ErrUnknownColumn, ErrUnboundParam and the rest. A remote
 // Rows' ExecStats is the server's closing summary, zero until the
 // stream is drained; its Plan is nil.
 //

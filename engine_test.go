@@ -88,10 +88,7 @@ func TestRemoteExplainErrors(t *testing.T) {
 }
 
 // TestStmtCloseRefusesRun: on every engine a closed statement refuses
-// Run, and Close stays idempotent. Before that, each engine refuses the
-// binds a run cannot take: an ad-hoc Run of a Param query and a
-// Stmt.Run missing a parameter fail with ErrUnboundParam, a bind naming
-// an extra one with ErrUnknownParam.
+// Run, and Close stays idempotent.
 func TestStmtCloseRefusesRun(t *testing.T) {
 	f, conn, sharded := threeEngines(t)
 	for _, tc := range []struct {
@@ -107,29 +104,6 @@ func TestStmtCloseRefusesRun(t *testing.T) {
 			bind := smoothscan.Bind{"lo": 0, "hi": 20}
 			rows, err := st.Run(context.Background(), bind)
 			drainCursor(t, rows, err)
-			ctx := context.Background()
-			for _, bad := range []struct {
-				name string
-				run  func() (*smoothscan.Rows, error)
-				want error
-			}{
-				{"ad-hoc Param query", func() (*smoothscan.Rows, error) {
-					return tc.e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Lt(smoothscan.Param("hi"))).Run(ctx)
-				}, smoothscan.ErrUnboundParam},
-				{"missing bind", func() (*smoothscan.Rows, error) {
-					return st.Run(ctx, smoothscan.Bind{"lo": 0})
-				}, smoothscan.ErrUnboundParam},
-				{"extra bind", func() (*smoothscan.Rows, error) {
-					return st.Run(ctx, smoothscan.Bind{"lo": 0, "hi": 20, "typo": 1})
-				}, smoothscan.ErrUnknownParam},
-			} {
-				if rows, err := bad.run(); !errors.Is(err, bad.want) {
-					if err == nil {
-						rows.Close()
-					}
-					t.Errorf("%s: %v, want %v", bad.name, err, bad.want)
-				}
-			}
 			for i := 0; i < 2; i++ {
 				if err := st.Close(); err != nil {
 					t.Fatalf("Close %d: %v", i+1, err)
@@ -138,6 +112,114 @@ func TestStmtCloseRefusesRun(t *testing.T) {
 			if rows, err := st.Run(context.Background(), bind); err == nil {
 				rows.Close()
 				t.Fatal("Run on a closed Stmt succeeded")
+			}
+		})
+	}
+}
+
+// exportedSentinels is every error value the package exports for
+// errors.Is.
+var exportedSentinels = []error{
+	smoothscan.ErrNoTable, smoothscan.ErrUnknownColumn, smoothscan.ErrNoIndex,
+	smoothscan.ErrNotSelected, smoothscan.ErrScansOpen, smoothscan.ErrArgType,
+	smoothscan.ErrUnboundParam, smoothscan.ErrUnknownParam, smoothscan.ErrNoRow,
+	smoothscan.ErrNotSharded, smoothscan.ErrShardJoin, smoothscan.ErrShardUnavailable,
+	smoothscan.ErrOverloaded, smoothscan.ErrSessionClosed, smoothscan.ErrConnLost, smoothscan.ErrBusy,
+	smoothscan.ErrTransientFault, smoothscan.ErrPermanentFault, smoothscan.ErrPageCorrupt,
+}
+
+// TestEngineErrorConformance: a query fails alike on every engine. For
+// each misuse, errors.Is against every exported sentinel gives the same
+// answer on the DB, the ShardedDB and the Conn, and the expected
+// sentinel is among the matches: the structural errors cross the wire
+// as themselves, as the bind errors do.
+func TestEngineErrorConformance(t *testing.T) {
+	f, conn, sharded := threeEngines(t)
+	ctx := context.Background()
+	run := func(q *smoothscan.Query) error {
+		rows, err := q.Run(ctx)
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+		}
+		err = rows.Err()
+		rows.Close()
+		return err
+	}
+	runStmt := func(e smoothscan.Engine, bind smoothscan.Bind) error {
+		st, err := e.PrepareQuery(e.Table(loadgen.Table).
+			Where(loadgen.IndexedCol, smoothscan.Between(smoothscan.Param("lo"), smoothscan.Param("hi"))))
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		rows, err := st.Run(ctx, bind)
+		if err == nil {
+			rows.Close()
+		}
+		return err
+	}
+	cases := []struct {
+		name  string
+		want  error
+		query func(e smoothscan.Engine) error
+	}{
+		{"unknown table", smoothscan.ErrNoTable, func(e smoothscan.Engine) error {
+			return run(e.Table("nope").Where(loadgen.IndexedCol, smoothscan.Lt(10)))
+		}},
+		{"unknown Where column", smoothscan.ErrUnknownColumn, func(e smoothscan.Engine) error {
+			return run(e.Table(loadgen.Table).Where("ghost", smoothscan.Lt(10)))
+		}},
+		{"unknown Select column", smoothscan.ErrUnknownColumn, func(e smoothscan.Engine) error {
+			return run(e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Lt(10)).Select("id", "ghost"))
+		}},
+		{"unknown OrderBy column", smoothscan.ErrUnknownColumn, func(e smoothscan.Engine) error {
+			return run(e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Lt(10)).OrderBy("ghost"))
+		}},
+		{"PathIndex on an unindexed column", smoothscan.ErrNoIndex, func(e smoothscan.Engine) error {
+			return run(e.Table(loadgen.Table).Where("p1", smoothscan.Lt(10)).
+				WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathIndex}))
+		}},
+		{"GroupBy on a projected-away column", smoothscan.ErrNotSelected, func(e smoothscan.Engine) error {
+			return run(e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Lt(10)).
+				Select(loadgen.IndexedCol).GroupBy("p1", smoothscan.Count()))
+		}},
+		{"ad-hoc Param query", smoothscan.ErrUnboundParam, func(e smoothscan.Engine) error {
+			return run(e.Table(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Lt(smoothscan.Param("hi"))))
+		}},
+		{"missing bind", smoothscan.ErrUnboundParam, func(e smoothscan.Engine) error {
+			return runStmt(e, smoothscan.Bind{"lo": 0})
+		}},
+		{"extra bind", smoothscan.ErrUnknownParam, func(e smoothscan.Engine) error {
+			return runStmt(e, smoothscan.Bind{"lo": 0, "hi": 20, "typo": 1})
+		}},
+	}
+	engines := []struct {
+		name string
+		e    smoothscan.Engine
+	}{{"db", f.db}, {"sharded", sharded}, {"conn", conn}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref []bool
+			for _, eng := range engines {
+				err := tc.query(eng.e)
+				if !errors.Is(err, tc.want) {
+					t.Errorf("%s: %v, want %v", eng.name, err, tc.want)
+				}
+				is := make([]bool, len(exportedSentinels))
+				for i, s := range exportedSentinels {
+					is[i] = errors.Is(err, s)
+				}
+				if ref == nil {
+					ref = is
+					continue
+				}
+				for i, s := range exportedSentinels {
+					if is[i] != ref[i] {
+						t.Errorf("errors.Is(%s's %v, %v) = %v, %s says %v", eng.name, err, s, is[i], engines[0].name, ref[i])
+					}
+				}
 			}
 		})
 	}

@@ -271,22 +271,3 @@ func (s *Server) Stats() wire.ServerStats {
 		ResultCacheBytes:       rc.Bytes,
 	}
 }
-
-// classify maps a server-side error to its wire class: the facade's
-// structural sentinels first (unknown tables and columns are the
-// client's mistake, not the engine's fault), then the engine taxonomy
-// via wire.Classify.
-func classify(err error) byte {
-	switch {
-	case errors.Is(err, smoothscan.ErrNoTable),
-		errors.Is(err, smoothscan.ErrUnknownColumn),
-		errors.Is(err, smoothscan.ErrNoIndex):
-		return wire.ClassNotFound
-	case errors.Is(err, smoothscan.ErrArgType),
-		errors.Is(err, smoothscan.ErrNotSelected),
-		errors.Is(err, wire.ErrMalformed):
-		return wire.ClassBadRequest
-	default:
-		return wire.Classify(err)
-	}
-}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,25 @@ import (
 	"smoothscan/internal/server"
 	"smoothscan/internal/wire"
 )
+
+// TestMain fails the run when goroutines outlive the tests — a session,
+// reader or listener a Close left behind: after a passing run the count
+// must return to its pre-run baseline within 5 s, or the survivors'
+// stacks are printed and the binary exits 1.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	deadline := time.Now().Add(5 * time.Second)
+	for code == 0 && runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			fmt.Fprintf(os.Stderr, "%d goroutines alive after the tests (baseline %d)\n", runtime.NumGoroutine(), base)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	os.Exit(code)
+}
 
 // startServer boots a server over a small loadgen table on an
 // ephemeral port and tears it down with the test.
@@ -627,13 +648,38 @@ func TestFaultAdminGate(t *testing.T) {
 	}
 }
 
+// TestColdCacheUnderOpenCursor: a cursor one session holds open makes
+// another session's ColdCache fail with the engine's own ErrScansOpen,
+// and the eviction goes through once the cursor is closed.
+func TestColdCacheUnderOpenCursor(t *testing.T) {
+	addr, _ := startServer(t, server.Config{FaultAdmin: true})
+	a, b := dial(t, addr), dial(t, addr)
+	a.SetFetchRows(16)
+	rows, err := rangeQuery(a, 0, 2000).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	if err := b.ColdCache(); !errors.Is(err, smoothscan.ErrScansOpen) {
+		t.Fatalf("ColdCache beside an open cursor: %v, want ErrScansOpen", err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ColdCache(); err != nil {
+		t.Fatalf("ColdCache after the cursor closed: %v", err)
+	}
+}
+
 // TestBadRequests drives protocol misuse paths and checks each gets a
 // typed reject while the session stays usable.
 func TestBadRequests(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
 	c := dial(t, addr)
 
-	// Unknown table: a not-found reject, not a dropped connection.
+	// Unknown table: a no-table reject, not a dropped connection.
 	if _, err := c.Table("nope").Run(context.Background()); err == nil {
 		t.Fatal("query on unknown table succeeded")
 	}

@@ -128,9 +128,9 @@ func (ss *session) sendErr(class byte, format string, args ...any) bool {
 	return ss.send(wire.MsgError, m.Marshal())
 }
 
-// fail classifies err into an Error frame.
+// fail sends err as an Error frame of the class wire.Classify gives it.
 func (ss *session) fail(err error) bool {
-	return ss.sendErr(classify(err), "%s", err.Error())
+	return ss.sendErr(wire.Classify(err), "%s", err.Error())
 }
 
 // nextFrame waits for the next request, the idle timeout, or server

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +96,44 @@ func FuzzDecodeMessage(f *testing.F) {
 		clone := append([]byte(nil), payload...)
 		if _, err2 := DecodeMessage(typ, clone); err2 != nil {
 			t.Fatalf("decode succeeded then failed on identical bytes: %v (value %T)", err2, v)
+		}
+	})
+}
+
+// FuzzErrorFrame sends any class byte and message through an Error
+// frame. It must decode and render; its error must unwrap to a sentinel
+// of the class table or to nil; and a server relaying it must classify
+// it back to the class it carried whenever it unwraps to a sentinel
+// (to ClassInternal when it does not).
+func FuzzErrorFrame(f *testing.F) {
+	for _, row := range classes {
+		f.Add(row.class, row.name)
+	}
+	f.Add(byte(0x10), "")
+	f.Add(byte(0xff), "remote (internal): \x00")
+	f.Fuzz(func(t *testing.T, class byte, msg string) {
+		v, err := DecodeMessage(MsgError, ErrorMsg{Class: class, Msg: msg}.Marshal())
+		if err != nil {
+			t.Fatalf("Error frame {%#02x, %q} does not decode: %v", class, msg, err)
+		}
+		m := v.(ErrorMsg)
+		if m.Class != class || m.Msg != msg {
+			t.Fatalf("Error frame {%#02x, %q} decoded as {%#02x, %q}", class, msg, m.Class, m.Msg)
+		}
+		rerr := m.Err()
+		if !strings.HasSuffix(rerr.Error(), msg) {
+			t.Fatalf("%q does not render its message %q", rerr.Error(), msg)
+		}
+		sentinel := errors.Unwrap(rerr)
+		want := ClassInternal
+		if sentinel != nil {
+			want = class
+			if !slices.ContainsFunc(classes[:], func(r classRow) bool { return r.sentinel == sentinel }) {
+				t.Fatalf("class %#02x unwraps to %v, which no row of the table carries", class, sentinel)
+			}
+		}
+		if got := Classify(rerr); got != want {
+			t.Fatalf("class %#02x (unwrapping to %v) classifies as %s, want %s", class, sentinel, ClassName(got), ClassName(want))
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package wire
 
-import "smoothscan/internal/disk"
+import (
+	"fmt"
+
+	"smoothscan/internal/disk"
+)
 
 // Message payload structs and their codecs. Each message type has a
 // Marshal (payload bytes) and a Decode<Name> (payload → struct) pair;
@@ -556,7 +560,7 @@ func DecodeMessage(typ byte, payload []byte) (any, error) {
 	case MsgCatalogReply:
 		return DecodeCatalogReply(payload)
 	default:
-		return nil, &RemoteError{Class: ClassBadRequest, Msg: "unknown message type"}
+		return nil, fmt.Errorf("%w: unknown message type %#02x", ErrMalformed, typ)
 	}
 }
 

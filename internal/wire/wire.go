@@ -24,12 +24,12 @@
 //
 // Errors cross the wire as Error frames carrying a Class byte plus a
 // human-readable message. The classes preserve the engine's typed error
-// taxonomy (fault injection, admission control, cancellation, bind
-// errors):
-// RemoteError unwraps to the same sentinels the in-process engine
-// returns, so errors.Is — and therefore smoothscan.IsTransientFault /
-// IsFaultError — give the same answers for a remote execution as for a
-// local one.
+// taxonomy (fault injection, admission control, cancellation, bind and
+// structural errors) through one table of class, name and sentinel:
+// Classify picks the class on the server, and RemoteError unwraps to
+// the same sentinel the in-process engine returns, so errors.Is — and
+// therefore smoothscan.IsTransientFault / IsFaultError — give the same
+// answers for a remote execution as for a local one.
 package wire
 
 import (
@@ -89,26 +89,33 @@ const (
 	MsgCatalogReply byte = 0x14 // server: CatalogReply (table names, columns, indexes, row counts)
 )
 
-// Error classes carried by Error frames. Class* values preserve the
-// engine's error taxonomy across the wire; see RemoteError.Unwrap for
-// the sentinel each class resolves to.
+// Error classes carried by Error frames. Each is a row of classes, the
+// one table that maps a server-side error to its class and a class to
+// the sentinel RemoteError unwraps to. A client that predates a class
+// reads it as class-0xNN with no sentinel; the frame does not change.
 const (
-	ClassInternal   byte = 0x00 // unclassified server-side failure
-	ClassBadRequest byte = 0x01 // malformed or out-of-protocol request
-	ClassNotFound   byte = 0x02 // unknown table/column
-	ClassOverloaded byte = 0x03 // admission control rejected (ErrOverloaded)
-	ClassCancelled  byte = 0x04 // query cancelled (context.Canceled)
-	ClassIdle       byte = 0x05 // server closed the session (idle timeout / shutdown)
-	ClassTransient  byte = 0x06 // injected transient fault (retry can succeed)
-	ClassPermanent  byte = 0x07 // injected permanent fault
-	ClassCorrupt    byte = 0x08 // page checksum mismatch
-	ClassUnbound    byte = 0x09 // a parameter the execution does not bind (ErrUnboundParam)
-	ClassUnknown    byte = 0x0a // a bind naming a parameter the statement lacks (ErrUnknownParam)
+	ClassInternal      byte = 0x00 // unclassified server-side failure
+	ClassBadRequest    byte = 0x01 // malformed or out-of-protocol request
+	ClassNotFound      byte = 0x02 // unknown table/column/index, from a server predating 0x0b-0x0d
+	ClassOverloaded    byte = 0x03 // admission control rejected (ErrOverloaded)
+	ClassCancelled     byte = 0x04 // query cancelled (context.Canceled)
+	ClassIdle          byte = 0x05 // server closed the session (idle timeout / shutdown)
+	ClassTransient     byte = 0x06 // injected transient fault (retry can succeed)
+	ClassPermanent     byte = 0x07 // injected permanent fault
+	ClassCorrupt       byte = 0x08 // page checksum mismatch
+	ClassUnbound       byte = 0x09 // a parameter the execution does not bind (ErrUnboundParam)
+	ClassUnknown       byte = 0x0a // a bind naming a parameter the statement lacks (ErrUnknownParam)
+	ClassNoTable       byte = 0x0b // ErrNoTable
+	ClassUnknownColumn byte = 0x0c // ErrUnknownColumn
+	ClassNoIndex       byte = 0x0d // ErrNoIndex
+	ClassNotSelected   byte = 0x0e // ErrNotSelected
+	ClassScansOpen     byte = 0x0f // ErrScansOpen
 )
 
-// Typed sentinels for conditions born on the wire layer itself. The
-// engine-fault classes map to internal/disk's sentinels instead, so the
-// public smoothscan.Err* aliases match remote errors too.
+// Typed sentinels for conditions born on the wire layer itself, and the
+// engine's sentinels that smoothscan re-exports from here so that a
+// remote execution's errors unwrap to the same values. The engine-fault
+// classes map to internal/disk's sentinels instead.
 var (
 	// ErrOverloaded is the admission-control reject: the server refused
 	// the connection or query because a configured limit (connections,
@@ -121,74 +128,73 @@ var (
 	// ErrMalformed marks a frame or payload that does not decode; the
 	// receiver drops the connection.
 	ErrMalformed = errors.New("wire: malformed frame")
-	// ErrUnboundParam and ErrUnknownParam are the engine's bind errors,
-	// which smoothscan re-exports. They live here so that a remote
-	// execution's bind errors unwrap to the same values.
+	// The engine's bind errors.
 	ErrUnboundParam = errors.New("smoothscan: parameter not bound")
 	ErrUnknownParam = errors.New("smoothscan: bind names unknown parameter")
+	// The engine's structural errors: names a query or call refers to
+	// that do not exist, and ColdCache/ResetStats under open scans.
+	ErrNoTable       = errors.New("smoothscan: no such table")
+	ErrUnknownColumn = errors.New("smoothscan: no such column")
+	ErrNoIndex       = errors.New("smoothscan: no index on column")
+	ErrNotSelected   = errors.New("smoothscan: column not in query output")
+	ErrScansOpen     = errors.New("smoothscan: operation unsafe while scans are open")
 )
 
-// classSentinel maps an error class to the sentinel RemoteError
-// unwraps to, nil for classes with no sentinel (internal, bad request,
-// not found — the message is the information there).
-func classSentinel(class byte) error {
-	switch class {
-	case ClassOverloaded:
-		return ErrOverloaded
-	case ClassCancelled:
-		return context.Canceled
-	case ClassIdle:
-		return ErrSessionClosed
-	case ClassTransient:
-		return disk.ErrInjected
-	case ClassPermanent:
-		return disk.ErrPermanentFault
-	case ClassCorrupt:
-		return disk.ErrPageCorrupt
-	case ClassUnbound:
-		return ErrUnboundParam
-	case ClassUnknown:
-		return ErrUnknownParam
-	default:
-		return nil
-	}
+// classRow is one row of the error table: a class, its name and the
+// sentinel that maps to it.
+type classRow struct {
+	class    byte
+	name     string
+	sentinel error
 }
 
-// ClassName renders an error class for messages and logs.
+// classes is the error table. Classify answers the class of the first
+// row whose sentinel the error matches, so the order is precedence:
+// the client's mistakes first, then cancellation, then the faults
+// (corruption and permanence ahead of the transient fault), then
+// admission and the bind errors. ClassName
+// and RemoteError.Unwrap read the first row carrying the class. A row
+// with no sentinel only names its class; a later row for a class
+// already named is one-way: Classify sends its sentinel as that class,
+// and the class unwraps to the first row's sentinel.
+var classes = [...]classRow{
+	{ClassInternal, "internal", nil},
+	{ClassBadRequest, "bad-request", nil},
+	{ClassNotFound, "not-found", nil},
+	{ClassNoTable, "no-table", ErrNoTable},
+	{ClassUnknownColumn, "unknown-column", ErrUnknownColumn},
+	{ClassNoIndex, "no-index", ErrNoIndex},
+	{ClassNotSelected, "not-selected", ErrNotSelected},
+	{ClassScansOpen, "scans-open", ErrScansOpen},
+	{ClassBadRequest, "", ErrMalformed},
+	{ClassCancelled, "cancelled", context.Canceled},
+	{ClassCancelled, "", context.DeadlineExceeded},
+	{ClassCorrupt, "page-corrupt", disk.ErrPageCorrupt},
+	{ClassPermanent, "permanent-fault", disk.ErrPermanentFault},
+	{ClassTransient, "transient-fault", disk.ErrInjected},
+	{ClassOverloaded, "overloaded", ErrOverloaded},
+	{ClassIdle, "session-closed", ErrSessionClosed},
+	{ClassUnbound, "unbound-param", ErrUnboundParam},
+	{ClassUnknown, "unknown-param", ErrUnknownParam},
+}
+
+// ClassName renders an error class for messages and logs; a byte no
+// row carries renders as class-0xNN.
 func ClassName(class byte) string {
-	switch class {
-	case ClassInternal:
-		return "internal"
-	case ClassBadRequest:
-		return "bad-request"
-	case ClassNotFound:
-		return "not-found"
-	case ClassOverloaded:
-		return "overloaded"
-	case ClassCancelled:
-		return "cancelled"
-	case ClassIdle:
-		return "session-closed"
-	case ClassTransient:
-		return "transient-fault"
-	case ClassPermanent:
-		return "permanent-fault"
-	case ClassCorrupt:
-		return "page-corrupt"
-	case ClassUnbound:
-		return "unbound-param"
-	case ClassUnknown:
-		return "unknown-param"
-	default:
-		return fmt.Sprintf("class-%#02x", class)
+	for _, r := range classes {
+		if r.class == class {
+			return r.name
+		}
 	}
+	return fmt.Sprintf("class-%#02x", class)
 }
 
 // RemoteError is an Error frame materialised client-side. It unwraps
 // to the typed sentinel its class preserves — an injected transient
 // fault that crossed the wire still satisfies
 // smoothscan.IsTransientFault, an admission reject satisfies
-// errors.Is(err, ErrOverloaded), and so on.
+// errors.Is(err, ErrOverloaded), an unknown table errors.Is(err,
+// ErrNoTable), and so on.
 type RemoteError struct {
 	Class byte
 	Msg   string
@@ -198,34 +204,27 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote (%s): %s", ClassName(e.Class), e.Msg)
 }
 
-func (e *RemoteError) Unwrap() error { return classSentinel(e.Class) }
-
-// Classify maps a server-side execution error to the wire class that
-// preserves its type for the client. Order matters: corruption and
-// permanence are checked before the broader transient predicate.
-func Classify(err error) byte {
-	switch {
-	case err == nil:
-		return ClassInternal
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return ClassCancelled
-	case errors.Is(err, disk.ErrPageCorrupt):
-		return ClassCorrupt
-	case errors.Is(err, disk.ErrPermanentFault):
-		return ClassPermanent
-	case disk.IsTransient(err):
-		return ClassTransient
-	case errors.Is(err, ErrOverloaded):
-		return ClassOverloaded
-	case errors.Is(err, ErrSessionClosed):
-		return ClassIdle
-	case errors.Is(err, ErrUnboundParam):
-		return ClassUnbound
-	case errors.Is(err, ErrUnknownParam):
-		return ClassUnknown
-	default:
-		return ClassInternal
+// Unwrap returns the sentinel of the first row carrying the class: nil
+// for a name-only class and for a byte no row carries.
+func (e *RemoteError) Unwrap() error {
+	for _, r := range classes {
+		if r.class == e.Class {
+			return r.sentinel
+		}
 	}
+	return nil
+}
+
+// Classify maps a server-side error to the wire class that preserves
+// its type for the client: the first row whose sentinel it matches,
+// ClassInternal if none does.
+func Classify(err error) byte {
+	for _, r := range classes {
+		if r.sentinel != nil && errors.Is(err, r.sentinel) {
+			return r.class
+		}
+	}
+	return ClassInternal
 }
 
 // WriteFrame writes one frame: length, type byte, payload.

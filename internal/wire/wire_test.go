@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -251,28 +252,54 @@ func TestWindowBudgetOverflowIsMalformed(t *testing.T) {
 }
 
 func TestErrorClassPreservation(t *testing.T) {
-	cases := []struct {
-		class    byte
-		sentinel error
-	}{
-		{ClassTransient, disk.ErrInjected},
-		{ClassPermanent, disk.ErrPermanentFault},
-		{ClassCorrupt, disk.ErrPageCorrupt},
-		{ClassCancelled, context.Canceled},
-		{ClassOverloaded, ErrOverloaded},
-		{ClassIdle, ErrSessionClosed},
-		{ClassUnbound, ErrUnboundParam},
-		{ClassUnknown, ErrUnknownParam},
-	}
-	for _, tc := range cases {
-		err := ErrorMsg{Class: tc.class, Msg: "x"}.Err()
-		if !errors.Is(err, tc.sentinel) {
-			t.Errorf("class %s does not unwrap to %v", ClassName(tc.class), tc.sentinel)
+	named := map[byte]bool{}
+	for _, row := range classes {
+		first := !named[row.class]
+		named[row.class] = true
+		if first && row.name == "" || !first && row.name != "" {
+			t.Errorf("class %#02x: name %q; a class's first row names it and only that row", row.class, row.name)
 		}
-		// The class must survive a classify round trip: server-side
-		// Classify of the sentinel yields the class the frame carried.
-		if got := Classify(err); got != tc.class {
-			t.Errorf("Classify(%v) = %s, want %s", err, ClassName(got), ClassName(tc.class))
+		if row.sentinel == nil {
+			continue
+		}
+		// Server-side, the sentinel (wrapped, as the engine returns
+		// it) classifies to its row's class.
+		if got := Classify(fmt.Errorf("query: %w", row.sentinel)); got != row.class {
+			t.Errorf("Classify(%v) = %s, want %s", row.sentinel, ClassName(got), ClassName(row.class))
+		}
+		// Client-side, the frame unwraps to the sentinel — unless the
+		// row is one-way, and then the class is not lost but unwraps
+		// to its first row's sentinel.
+		err := ErrorMsg{Class: row.class, Msg: "x"}.Err()
+		if errors.Is(err, row.sentinel) != first {
+			t.Errorf("class %s unwraps to %v: %v, want %v", ClassName(row.class), row.sentinel, !first, first)
+		}
+		// A round-trip class survives a relay: Classify of the frame's
+		// own error yields the class the frame carried.
+		if got := Classify(err); first && got != row.class {
+			t.Errorf("Classify(%v) = %s, want %s", err, ClassName(got), ClassName(row.class))
+		}
+	}
+	// The bytes older peers speak keep their meaning: each unwraps to
+	// what it always did.
+	for class, want := range map[byte]error{
+		ClassInternal: nil, ClassBadRequest: nil, ClassNotFound: nil,
+		ClassOverloaded: ErrOverloaded, ClassCancelled: context.Canceled, ClassIdle: ErrSessionClosed,
+		ClassTransient: disk.ErrInjected, ClassPermanent: disk.ErrPermanentFault, ClassCorrupt: disk.ErrPageCorrupt,
+		ClassUnbound: ErrUnboundParam, ClassUnknown: ErrUnknownParam,
+	} {
+		if got := (&RemoteError{Class: class}).Unwrap(); got != want {
+			t.Errorf("class %s unwraps to %v, want %v", ClassName(class), got, want)
+		}
+	}
+	// A byte no row carries renders by number and unwraps to nil.
+	for _, class := range []byte{0x10, 0x7f, 0xff} {
+		if named[class] {
+			t.Fatalf("class %#02x is assigned; pick an unassigned byte", class)
+		}
+		re := &RemoteError{Class: class, Msg: "x"}
+		if want := fmt.Sprintf("remote (class-%#02x): x", class); re.Error() != want || re.Unwrap() != nil {
+			t.Errorf("unassigned class: %q unwrapping to %v, want %q and nil", re.Error(), re.Unwrap(), want)
 		}
 	}
 	// Transient injected faults must be recognisable through wrapping,
@@ -283,5 +310,17 @@ func TestErrorClassPreservation(t *testing.T) {
 	}
 	if disk.IsTransient(ErrorMsg{Class: ClassPermanent, Msg: "x"}.Err()) {
 		t.Fatal("remote permanent fault misclassified as transient")
+	}
+}
+
+// TestDecodeMessageUnknownType: a frame type no message has is a
+// malformed frame, not an error the peer sent.
+func TestDecodeMessageUnknownType(t *testing.T) {
+	for _, typ := range []byte{0x00, 0x0b, 0x0e, 0x15, 0xff} {
+		v, err := DecodeMessage(typ, nil)
+		var re *RemoteError
+		if v != nil || !errors.Is(err, ErrMalformed) || errors.As(err, &re) {
+			t.Errorf("type %#02x: %v, %v; want ErrMalformed and no RemoteError", typ, v, err)
+		}
 	}
 }

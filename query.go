@@ -195,12 +195,12 @@ func (a Agg) As(name string) Agg { a.spec.As = name; return a }
 
 // ErrUnknownColumn is returned (wrapped) when a query references a
 // column the table does not have.
-var ErrUnknownColumn = errors.New("smoothscan: no such column")
+var ErrUnknownColumn = wire.ErrUnknownColumn
 
-// ErrNotSelected is returned (wrapped) by Rows.Column when the column
-// exists on the scanned table but the query's Select/GroupBy projected
-// it away.
-var ErrNotSelected = errors.New("smoothscan: column not in query output")
+// ErrNotSelected is returned (wrapped) when a column exists on the
+// scanned table but the query's Select/GroupBy projected it away: by
+// Rows.Column, and by a run whose GroupBy or aggregate names it.
+var ErrNotSelected = wire.ErrNotSelected
 
 // ErrArgType is returned (wrapped) when a predicate constructor or
 // Limit receives an argument that is neither an integer nor a Param.

@@ -3,8 +3,12 @@ package smoothscan
 import (
 	"context"
 	"errors"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"testing"
@@ -51,17 +55,44 @@ func mustRun(t testing.TB, q *Query) *Rows {
 	return rows
 }
 
-// waitGoroutines polls until the goroutine count returns to the
-// baseline or the deadline passes.
+// settledGoroutines polls until the goroutine count returns to base or
+// 5 s pass, and returns the last count.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// waitGoroutines fails t unless the goroutine count returns to the
+// baseline within 5 s. Package smoothscan_test reaches it as
+// WaitGoroutines (export_test.go).
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
+	if got := settledGoroutines(base); got > base {
 		t.Errorf("%d goroutines alive (baseline %d)", got, base)
 	}
+}
+
+// TestMain fails the run when goroutines outlive the tests: after a
+// passing run the count must return to its pre-run baseline within
+// 5 s, or the survivors' stacks are printed and the binary exits 1. A
+// -fuzz run is not checked: the fuzzing engine itself leaves an
+// os/signal loop running for the rest of the process.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" {
+		if n := settledGoroutines(base); n > base {
+			fmt.Fprintf(os.Stderr, "%d goroutines alive after the tests (baseline %d)\n", n, base)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
 }
 
 // TestQueryMatchesScan proves the Scan wrapper and the builder are the

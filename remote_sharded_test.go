@@ -604,19 +604,6 @@ func TestRemoteShardedErrorParity(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count returns to the
-// baseline or the deadline passes.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Errorf("%d goroutines alive after failure (baseline %d)", got, base)
-	}
-}
-
 // TestRemoteShardedFailover: killing a shard node surfaces a typed
 // ErrShardUnavailable — before a query (dial retry exhaustion) and
 // mid-query (stream death) — flags the shard in ExecStats, leaks no
@@ -658,7 +645,7 @@ func TestRemoteShardedFailover(t *testing.T) {
 	if !errors.Is(err, smoothscan.ErrShardUnavailable) {
 		t.Fatalf("want ErrShardUnavailable, got: %v", err)
 	}
-	waitGoroutines(t, base)
+	smoothscan.WaitGoroutines(t, base)
 
 	// Restart a server for the same backing shard on the same address:
 	// the driver re-dials and the query heals.
@@ -712,7 +699,7 @@ func TestRemoteShardedFailoverPrepared(t *testing.T) {
 	if !errors.Is(err, smoothscan.ErrShardUnavailable) {
 		t.Fatalf("want ErrShardUnavailable, got: %v", err)
 	}
-	waitGoroutines(t, base)
+	smoothscan.WaitGoroutines(t, base)
 
 	srv := server.New(fx.backing[0], server.Config{FaultAdmin: true})
 	var serr error
@@ -780,7 +767,7 @@ func TestRemoteShardedBroadcastDrainErrors(t *testing.T) {
 	if err := runErr(); !errors.Is(err, smoothscan.ErrShardUnavailable) {
 		t.Fatalf("dead node under a broadcast join: want ErrShardUnavailable, got: %v", err)
 	}
-	waitGoroutines(t, base)
+	smoothscan.WaitGoroutines(t, base)
 }
 
 // TestRemoteShardedReadOnly: load-time mutators are refused on a

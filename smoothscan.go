@@ -33,7 +33,6 @@ package smoothscan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -50,6 +49,7 @@ import (
 	"smoothscan/internal/plan"
 	"smoothscan/internal/rescache"
 	"smoothscan/internal/tuple"
+	"smoothscan/internal/wire"
 )
 
 // Profile describes a simulated storage device.
@@ -294,17 +294,17 @@ func (db *DB) epochOf(name string) uint64 {
 }
 
 // ErrNoTable is returned for operations on unknown tables.
-var ErrNoTable = errors.New("smoothscan: no such table")
+var ErrNoTable = wire.ErrNoTable
 
 // ErrNoIndex is returned when a scan needs an index that does not
 // exist.
-var ErrNoIndex = errors.New("smoothscan: no index on column")
+var ErrNoIndex = wire.ErrNoIndex
 
 // ErrScansOpen is returned by ColdCache and ResetStats while Rows are
 // open: resetting the buffer pool or the device counters under an
 // in-flight iterator would silently corrupt its results, so the
 // operation is refused instead. Close every Rows first.
-var ErrScansOpen = errors.New("smoothscan: operation unsafe while scans are open")
+var ErrScansOpen = wire.ErrScansOpen
 
 // TableBuilder loads rows into a new table. All columns are int64.
 type TableBuilder struct {
