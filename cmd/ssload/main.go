@@ -2,11 +2,11 @@
 // smoothscan engine: it bulk-loads a synthetic table, then hammers it
 // from many client goroutines and reports an order-independent result
 // digest that must agree across topologies, prepared and ad-hoc
-// execution, fault schedules and cache tiers. The tuples/s, queries/s
-// and latencies it prints are what its clients observed, not a
-// performance claim — bench/ (BENCHMARK.json) is the one tool that
-// times. It is the inter-query counterpart of ScanOptions.Parallelism
-// (intra-query): both can be combined.
+// execution and fault schedules. The tuples/s, queries/s and
+// latencies it prints are what its clients observed, not a performance
+// claim — bench/ (BENCHMARK.json) is the one tool that times. It is
+// the inter-query counterpart of ScanOptions.Parallelism (intra-query):
+// both can be combined.
 //
 // Usage:
 //
@@ -14,7 +14,6 @@
 //	ssload -clients 4 -parallelism 4 -ordered
 //	ssload -shards 4 -prepare
 //	ssload -chaos -clients 4 -queries 64
-//	ssload -cache -clients 4 -queries 256
 //	ssload -addr 127.0.0.1:7744 -clients 8 -queries 64
 //
 // By default the clients share one in-process DB. With -addr the same
@@ -30,19 +29,6 @@
 // frame (the server must run with -fault-admin). A client whose
 // connection is lost re-dials transparently; reconnect counts land in
 // the JSON output next to the retry counters.
-//
-// The -cache mode exercises the semantic result-cache tier
-// (Options.ResultCacheBytes; see docs/CACHING.md): a Zipf-skewed
-// repeat-query workload runs once with the tier off and once with it
-// on (reporting the hit rate), then a third time with rows being
-// inserted mid-run, so the write-driven invalidation churn (every
-// Insert bumps the table epoch and kills the entries that read it)
-// shows up in the counters. The cached run's
-// digest must match the tier-off control's exactly: rows served from
-// the cache are bit-identical to re-executed ones. Local modes only
-// (with -addr the server side of the tier is the server's
-// -result-cache-bytes flag); -shards is supported and exercises the
-// coordinator-level tier above scatter-gather.
 //
 // The -chaos mode runs the workload once fault-free to record an
 // order-independent result digest, then re-runs it under a sweep of
@@ -107,9 +93,6 @@ func run(args []string) error {
 		addr        = fs.String("addr", "", "run against a remote ssserver at this address instead of in-process (the server owns the data; use matching -domain/-seed flags on both sides)")
 		shards      = fs.Int("shards", 0, "range-partition the table across N in-process shards and run the load through the scatter-gather engine (0 = unsharded); local modes only")
 		shardAddrs  = fs.String("shard-addrs", "", "comma-separated ssserver addresses, one per shard (each server started with -shard-id I -shard-count N and matching -rows/-domain/-seed); runs the load through the scatter-gather engine with remote shard drivers")
-		cache       = fs.Bool("cache", false, "result-cache mode: a Zipf-skewed repeat-query workload with the tier on vs off (hit rate, digest equality), then re-run under interleaved Inserts to show invalidation churn; local modes only")
-		rcBytes     = fs.Int64("result-cache-bytes", 0, "result-cache tier byte budget for local modes (0 disables the tier; -cache mode defaults it to 16 MiB)")
-		rcTTL       = fs.Duration("result-cache-ttl", 0, "result-cache entry time-to-live for local modes (0 = no expiry)")
 		clean       = fs.Bool("require-clean", false, "exit non-zero if any query failed")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here, as the flag package's own set would
@@ -122,14 +105,6 @@ func run(args []string) error {
 	}
 	if *shardAddrs != "" && (*addr != "" || *shards > 0) {
 		return fmt.Errorf("-shard-addrs does not combine with -addr or -shards")
-	}
-	if *cache {
-		if *addr != "" || *shardAddrs != "" {
-			return fmt.Errorf("-cache needs the in-process engine (the server's -result-cache-bytes owns the tier remotely)")
-		}
-		if *chaos || *prepare {
-			return fmt.Errorf("-cache does not combine with -chaos or -prepare")
-		}
 	}
 
 	ctx := context.Background()
@@ -153,30 +128,8 @@ func run(args []string) error {
 		prepared:    *prepare,
 	}
 
-	if *cache {
-		cfg.cacheTemplates, cfg.reportCache = cacheTemplateCount, true
-		ccfg := cacheCompareConfig{
-			rows: *rows, domain: *domain, seed: *seed,
-			pool: *pool, shards: *shards,
-			budget: *rcBytes, ttl: *rcTTL,
-			load: cfg,
-		}
-		if ccfg.budget <= 0 {
-			ccfg.budget = 16 << 20
-		}
-		fmt.Printf("ssload -cache: tier-on backend gets a %d byte budget\n", ccfg.budget)
-		report, err := runCacheCompare(ctx, ccfg, *jsonOut)
-		if err != nil {
-			return err
-		}
-		if *clean && report.errors() > 0 {
-			return fmt.Errorf("-require-clean: %d queries failed", report.errors())
-		}
-		return nil
-	}
-
 	var h *harness
-	dbOpts := smoothscan.Options{PoolPages: *pool, ResultCacheBytes: *rcBytes, ResultCacheTTL: *rcTTL}
+	dbOpts := smoothscan.Options{PoolPages: *pool}
 	switch {
 	case *shardAddrs != "":
 		if h, err = remoteShardedHarness(strings.Split(*shardAddrs, ","), *domain); err != nil {
@@ -224,172 +177,6 @@ func run(args []string) error {
 	return nil
 }
 
-// cacheTemplateCount is the -cache mode's predicate-range pool size:
-// enough distinct shapes that the tail stays cold, few enough that the
-// Zipf head repeats within even a small -queries budget.
-const cacheTemplateCount = 32
-
-// cacheCompareConfig carries the -cache mode's build and load knobs.
-type cacheCompareConfig struct {
-	rows, domain, seed int64
-	pool, shards       int
-	// budget/ttl configure the cached backend's result-cache tier (the
-	// control backend runs tier-off).
-	budget int64
-	ttl    time.Duration
-	load   loadConfig
-}
-
-// cacheReport is the -cache JSON document: the tier-off control run,
-// the tier-on run of the identical workload (same Zipf range stream),
-// and a third tier-on run under interleaved Inserts showing the
-// write-driven invalidation churn.
-type cacheReport struct {
-	Control loadResult `json:"control"`
-	Cached  loadResult `json:"cached"`
-	// DigestMatch reports whether the cached run reproduced the control
-	// run's result digest — served-from-cache rows must be bit-identical
-	// to re-executed ones. (The churn run's digest is not comparable:
-	// its Inserts land inside queried ranges by design.)
-	DigestMatch  bool       `json:"digest_match"`
-	Churn        loadResult `json:"churn"`
-	ChurnInserts int64      `json:"churn_inserts"`
-}
-
-func (r cacheReport) errors() int {
-	return r.Control.Errors + r.Cached.Errors + r.Churn.Errors
-}
-
-// build constructs one -cache backend (sharded when -shards is set)
-// with the tier on or off, returning its harness and an insert closure
-// for the churn writer.
-func (c cacheCompareConfig) build(tierOn bool) (*harness, func(vals ...int64) error, error) {
-	opts := smoothscan.Options{PoolPages: c.pool}
-	if tierOn {
-		opts.ResultCacheBytes = c.budget
-		opts.ResultCacheTTL = c.ttl
-	}
-	if c.shards > 0 {
-		s, err := loadgen.BuildShardedDB(c.rows, c.domain, c.seed, c.shards, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return shardedHarness(s), func(vals ...int64) error {
-			return s.Insert(loadgen.Table, vals...)
-		}, nil
-	}
-	db, err := loadgen.BuildDB(c.rows, c.domain, c.seed, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return localHarness(db), func(vals ...int64) error {
-		return db.Insert(loadgen.Table, vals...)
-	}, nil
-}
-
-// compareCached runs the same Zipf-skewed repeat-query workload on the
-// tier-off control backend, then on the tier-on one, and fails unless
-// the cached run reproduces the control's digest.
-func compareCached(ctx context.Context, control, cached *harness, cfg loadConfig) (cacheReport, error) {
-	report := cacheReport{}
-	res, err := runLoad(ctx, control, cfg)
-	if err != nil {
-		return report, err
-	}
-	report.Control = res
-	fmt.Printf("ssload -cache: control, tier off (%d clients x %d queries over %d Zipf ranges, mode=%s, cpus=%d)\n",
-		cfg.clients, cfg.queries, cacheTemplateCount, control.mode, runtime.NumCPU())
-	res.print(os.Stdout)
-
-	res, err = runLoad(ctx, cached, cfg)
-	if err != nil {
-		return report, err
-	}
-	report.Cached = res
-	report.DigestMatch = res.Digest == report.Control.Digest && res.Tuples == report.Control.Tuples
-	fmt.Println("ssload -cache: tier on (same workload)")
-	res.print(os.Stdout)
-	if !report.DigestMatch {
-		return report, fmt.Errorf("cache: cached run diverged from control (digest %016x vs %016x, %d vs %d tuples)",
-			res.Digest, report.Control.Digest, res.Tuples, report.Control.Tuples)
-	}
-	fmt.Println("  digest     matches the tier-off control (cached rows are bit-identical)")
-	return report, nil
-}
-
-// runCacheCompare runs the -cache mode: compareCached on two fresh
-// backends, then the same workload a third time on the cached one
-// while a writer inserts rows. Every Insert bumps the table epoch, so
-// each hot entry serves only until the next write lands, then misses,
-// re-executes and re-caches — invalidation churn under load, with
-// pre-write entries never served (the -race tests pin that; here the
-// counters make it visible at workload scale).
-func runCacheCompare(ctx context.Context, ccfg cacheCompareConfig, jsonOut string) (cacheReport, error) {
-	control, _, err := ccfg.build(false)
-	if err != nil {
-		return cacheReport{}, err
-	}
-	defer control.close()
-	cached, insert, err := ccfg.build(true)
-	if err != nil {
-		return cacheReport{}, err
-	}
-	defer cached.close()
-	report, err := compareCached(ctx, control, cached, ccfg.load)
-	if err != nil {
-		return report, err
-	}
-	var (
-		churnInserts int64
-		stopChurn    = make(chan struct{})
-		churnDone    = make(chan error, 1)
-	)
-	go func() {
-		wrng := rand.New(rand.NewSource(ccfg.seed * 104729))
-		vals := make([]int64, 10)
-		id := ccfg.rows
-		for {
-			select {
-			case <-stopChurn:
-				churnDone <- nil
-				return
-			default:
-			}
-			vals[0] = id
-			id++
-			for c := 1; c < len(vals); c++ {
-				vals[c] = wrng.Int63n(ccfg.domain)
-			}
-			if err := insert(vals...); err != nil {
-				churnDone <- err
-				return
-			}
-			churnInserts++
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-	res, err := runLoad(ctx, cached, ccfg.load)
-	close(stopChurn)
-	werr := <-churnDone
-	if err == nil {
-		err = werr
-	}
-	if err != nil {
-		return report, err
-	}
-	report.Churn = res
-	report.ChurnInserts = churnInserts
-	fmt.Printf("ssload -cache: tier on under churn (%d rows inserted mid-run)\n", churnInserts)
-	res.print(os.Stdout)
-
-	if jsonOut != "" {
-		if err := writeJSON(jsonOut, report); err != nil {
-			return report, err
-		}
-	}
-	return report, nil
-}
-
 func scanOptions(path, policy string, ordered bool, parallelism int) (smoothscan.ScanOptions, error) {
 	opts := smoothscan.ScanOptions{Ordered: ordered, Parallelism: parallelism}
 	switch path {
@@ -434,27 +221,17 @@ type loadConfig struct {
 	// of the engine's own bounded page retry. Chaos mode sets it so a
 	// recoverable schedule cannot strand a query.
 	retryFaults int
-	// cacheTemplates > 0 replaces the uniform random predicate ranges
-	// with a Zipf-skewed draw over this many precomputed ranges, so the
-	// workload repeats queries the way a result cache wants: a few hot
-	// shapes dominate, a long tail stays cold. The ranges are derived
-	// from seed, so control and cached runs see the same stream.
-	cacheTemplates int
-	// reportCache attaches the result-cache tier's counter deltas and
-	// the per-query hit rate to the loadResult.
-	reportCache bool
 }
 
 // queryResult is one successful query execution; a failed attempt's
 // partial rows are discarded wholesale so a retried query cannot
 // double-count into the digest.
 type queryResult struct {
-	digest   uint64
-	tuples   int64
-	reused   bool
-	cacheHit bool
-	retries  int64
-	faults   int64
+	digest  uint64
+	tuples  int64
+	reused  bool
+	retries int64
+	faults  int64
 }
 
 // loadTemplate is the workload's one query shape, composed through
@@ -538,7 +315,6 @@ func (r *engineRunner) runQuery(ctx context.Context, lo, hi int64) (queryResult,
 	// cursor's statistics arrive with the server's closing summary).
 	st := cur.ExecStats()
 	qr.reused = st.PlanCacheHit
-	qr.cacheHit = st.ResultCache.Hit
 	qr.retries = st.Retries
 	qr.faults = st.FaultsSeen
 	return qr, err
@@ -568,9 +344,6 @@ type node interface {
 	cost() (nodeCost, error)
 	// setFault installs a fault-injection schedule (nil clears it).
 	setFault(seed int64, rule *smoothscan.FaultRule) error
-	// resultCache reports the node's result-cache tier where this process
-	// owns it; a server's tier is its own and reads as zero.
-	resultCache() smoothscan.ResultCacheStats
 	// close releases what the node holds beyond the harness's engine.
 	close()
 }
@@ -590,8 +363,6 @@ func (n dbNode) setFault(seed int64, rule *smoothscan.FaultRule) error {
 	n.SetFaultPolicy(p)
 	return nil
 }
-
-func (n dbNode) resultCache() smoothscan.ResultCacheStats { return n.ResultCacheStats() }
 
 func (n dbNode) close() {} // the harness's engine owns the DB
 
@@ -615,8 +386,6 @@ func (n ctlNode) setFault(seed int64, rule *smoothscan.FaultRule) error {
 	}
 	return nil
 }
-
-func (n ctlNode) resultCache() smoothscan.ResultCacheStats { return smoothscan.ResultCacheStats{} }
 
 func (n ctlNode) close() { n.Close() }
 
@@ -748,29 +517,6 @@ func (h *harness) window() (float64, []shardBalance, error) {
 	return total, bal, nil
 }
 
-// resultCache sums the counters of every result-cache tier this
-// process owns: the coordinator's (whole sharded queries) and each
-// in-process DB's. All zero when the tier is disabled.
-func (h *harness) resultCache() smoothscan.ResultCacheStats {
-	var total smoothscan.ResultCacheStats
-	if h.sharded != nil {
-		total = h.sharded.ResultCacheStats()
-	}
-	for _, n := range h.nodes {
-		st := n.resultCache()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Stores += st.Stores
-		total.StoreSkips += st.StoreSkips
-		total.InvalidatedStale += st.InvalidatedStale
-		total.Evicted += st.Evicted
-		total.Expired += st.Expired
-		total.Entries += st.Entries
-		total.Bytes += st.Bytes
-	}
-	return total
-}
-
 func (h *harness) newRunner(cfg loadConfig) (*engineRunner, error) {
 	r := &engineRunner{cfg: cfg, eng: h.eng, dial: h.dial}
 	if h.dial != nil {
@@ -870,10 +616,6 @@ type loadResult struct {
 	// predicate stream spread the work evenly (remote nodes report
 	// SimCost only; their PagesRead stays zero).
 	Shards []shardBalance `json:"shards,omitempty"`
-	// ResultCache reports the result-cache tier's traffic attributed to
-	// this run (counter deltas around it) plus the per-query hit rate;
-	// set only when loadConfig.reportCache is on (the -cache mode).
-	ResultCache *resultCacheBlock `json:"result_cache,omitempty"`
 	// Digest is an order-independent checksum of every result row of
 	// every successful query (sum of per-row FNV-1a hashes), stable
 	// across client scheduling and parallel-worker interleavings. Two
@@ -883,25 +625,6 @@ type loadResult struct {
 	Digest uint64 `json:"digest"`
 	// PerClient breaks the run down by client goroutine.
 	PerClient []clientStat `json:"per_client,omitempty"`
-}
-
-// resultCacheBlock is one run's result-cache attribution: HitRate is
-// the fraction of successful queries whose ExecStats reported a
-// result-cache hit; the counters are tier-side deltas for the run's
-// measurement window (Entries/Bytes are the resident population at the
-// end of it). Invalidated is the write-driven churn — entries dropped
-// because a table epoch moved past their snapshot.
-type resultCacheBlock struct {
-	HitRate     float64 `json:"hit_rate"`
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Stores      int64   `json:"stores"`
-	StoreSkips  int64   `json:"store_skips"`
-	Invalidated int64   `json:"invalidated"`
-	Evicted     int64   `json:"evicted"`
-	Expired     int64   `json:"expired"`
-	Entries     int     `json:"entries"`
-	Bytes       int64   `json:"bytes"`
 }
 
 // shardBalance is one shard's slice of a sharded run.
@@ -928,11 +651,6 @@ func (r loadResult) print(w *os.File) {
 	}
 	if r.Reconnects > 0 {
 		fmt.Fprintf(w, "  reconnects %d lost connections re-dialed\n", r.Reconnects)
-	}
-	if rc := r.ResultCache; rc != nil {
-		fmt.Fprintf(w, "  result cache %.1f%% of queries served (%d hits / %d misses, %d stores, %d invalidated, %d evicted)\n",
-			rc.HitRate*100, rc.Hits, rc.Misses, rc.Stores, rc.Invalidated, rc.Evicted)
-		fmt.Fprintf(w, "               %d entries / %d bytes resident after the run\n", rc.Entries, rc.Bytes)
 	}
 	for _, sb := range r.Shards {
 		fmt.Fprintf(w, "  shard %-4d %8d rows, %10.1f simcost, %8d pages read\n",
@@ -969,28 +687,6 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 	if width < 1 {
 		width = 1
 	}
-	// With cacheTemplates set, clients draw their predicate range from a
-	// fixed Zipf-skewed pool instead of uniformly: the same few hot
-	// ranges recur across clients, which is the regime a semantic result
-	// cache exists for. The pool depends only on seed/domain/width, so a
-	// control run and a cached run replay the same candidate ranges.
-	var templates [][2]int64
-	if cfg.cacheTemplates > 0 {
-		trng := rand.New(rand.NewSource(cfg.seed*7919 + 17))
-		templates = make([][2]int64, cfg.cacheTemplates)
-		for i := range templates {
-			lo := int64(0)
-			if cfg.domain > width {
-				lo = trng.Int63n(cfg.domain - width)
-			}
-			templates[i] = [2]int64{lo, lo + width}
-		}
-	}
-	var rcBefore smoothscan.ResultCacheStats
-	if cfg.reportCache {
-		rcBefore = h.resultCache()
-	}
-
 	// Runners are created up front so a backend that cannot serve the
 	// run at all (bad prepare, unreachable server) fails it cleanly
 	// instead of being tallied as per-query errors.
@@ -1017,7 +713,6 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 		latencies []time.Duration
 		tuples    int64
 		reused    int64
-		cacheHits int64
 		digest    uint64
 		perClient []clientStat
 	)
@@ -1032,22 +727,13 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 				n++
 			}
 			rng := rand.New(rand.NewSource(cfg.seed + int64(c)*7919))
-			var zipf *rand.Zipf
-			if len(templates) > 1 {
-				zipf = rand.NewZipf(rng, 1.3, 1, uint64(len(templates)-1))
-			}
 			stat := clientStat{Client: c}
 			var localLat []time.Duration
-			var localTuples, localReused, localCacheHits int64
+			var localTuples, localReused int64
 			var localDigest uint64
 			for q := 0; q < n; q++ {
 				lo := int64(0)
-				switch {
-				case zipf != nil:
-					lo = templates[zipf.Uint64()][0]
-				case len(templates) == 1:
-					lo = templates[0][0]
-				case cfg.domain > width:
+				if cfg.domain > width {
 					lo = rng.Int63n(cfg.domain - width)
 				}
 				qStart := time.Now()
@@ -1060,7 +746,6 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 					qr.faults += once.faults
 					if err == nil {
 						qr.digest, qr.tuples, qr.reused = once.digest, once.tuples, once.reused
-						qr.cacheHit = once.cacheHit
 						break
 					}
 					if attempt >= cfg.retryFaults || !smoothscan.IsTransientFault(err) || ctx.Err() != nil {
@@ -1088,9 +773,6 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 				if qr.reused {
 					localReused++
 				}
-				if qr.cacheHit {
-					localCacheHits++
-				}
 				localTuples += qr.tuples
 				localDigest += qr.digest
 				localLat = append(localLat, time.Since(qStart))
@@ -1100,7 +782,6 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 			latencies = append(latencies, localLat...)
 			tuples += localTuples
 			reused += localReused
-			cacheHits += localCacheHits
 			digest += localDigest
 			perClient = append(perClient, stat)
 			mu.Unlock()
@@ -1155,24 +836,6 @@ func runLoad(ctx context.Context, h *harness, cfg loadConfig) (loadResult, error
 		res.Retries += st.Retries
 		res.FaultsSeen += st.FaultsSeen
 		res.Reconnects += st.Reconnects
-	}
-	if cfg.reportCache {
-		rcAfter := h.resultCache()
-		blk := &resultCacheBlock{
-			Hits:        rcAfter.Hits - rcBefore.Hits,
-			Misses:      rcAfter.Misses - rcBefore.Misses,
-			Stores:      rcAfter.Stores - rcBefore.Stores,
-			StoreSkips:  rcAfter.StoreSkips - rcBefore.StoreSkips,
-			Invalidated: rcAfter.InvalidatedStale - rcBefore.InvalidatedStale,
-			Evicted:     rcAfter.Evicted - rcBefore.Evicted,
-			Expired:     rcAfter.Expired - rcBefore.Expired,
-			Entries:     rcAfter.Entries,
-			Bytes:       rcAfter.Bytes,
-		}
-		if len(latencies) > 0 {
-			blk.HitRate = float64(cacheHits) / float64(len(latencies))
-		}
-		res.ResultCache = blk
 	}
 	return res, nil
 }

@@ -2,8 +2,13 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
+	"time"
 
 	"smoothscan"
 	"smoothscan/internal/loadgen"
@@ -18,6 +23,36 @@ const (
 )
 
 var testOpts = smoothscan.Options{PoolPages: 64}
+
+// settledGoroutines polls until the goroutine count returns to base or
+// 5 s pass, and returns the last count.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestMain fails the run when goroutines outlive the tests — a client,
+// a loopback server's session or a shard driver's pooled connection
+// that a close left behind: after a passing run the count must return
+// to its pre-run baseline within 5 s, or the survivors' stacks are
+// printed and the binary exits 1.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		if n := settledGoroutines(base); n > base {
+			fmt.Fprintf(os.Stderr, "%d goroutines alive after the tests (baseline %d)\n", n, base)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 func testConfig(prepared bool) loadConfig {
 	return loadConfig{
@@ -170,35 +205,6 @@ func TestServerWithoutFaultAdmin(t *testing.T) {
 		err = h.setFault(testSeed, &chaosSchedules[0].rule)
 		if err == nil || !strings.Contains(err.Error(), "need ssserver -fault-admin") {
 			t.Errorf("%s: refused fault install returned %v", name, err)
-		}
-	}
-}
-
-// The churn run (Inserts beside open scans) is deliberately not driven
-// here: that is ROADMAP item 1's known race, not this tool's.
-func TestCachedDigestMatchesControl(t *testing.T) {
-	for _, shards := range []int{0, testShards} {
-		cfg := testConfig(false)
-		cfg.queries = 48
-		cfg.cacheTemplates, cfg.reportCache = cacheTemplateCount, true
-		ccfg := cacheCompareConfig{rows: testRows, domain: testDomain, seed: testSeed, pool: 64, shards: shards, budget: 1 << 20}
-		control, _, err := ccfg.build(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(control.close)
-		cached, _, err := ccfg.build(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cached.close)
-		report, err := compareCached(context.Background(), control, cached, cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !report.DigestMatch || report.Cached.ResultCache.Hits == 0 || report.Control.ResultCache.Hits != 0 {
-			t.Errorf("shards=%d: match=%v, %d cached hits, %d control hits", shards,
-				report.DigestMatch, report.Cached.ResultCache.Hits, report.Control.ResultCache.Hits)
 		}
 	}
 }

@@ -62,7 +62,6 @@ func main() {
 		shardID       = flag.Int("shard-id", -1, "serve only shard N of a -shard-count-way placement instead of the whole table (pair with ssload -shard-addrs; -1 = unsharded)")
 		shardCount    = flag.Int("shard-count", 0, "total shards in the placement (with -shard-id)")
 		resCacheBytes = flag.Int64("result-cache-bytes", 0, "result-cache tier byte budget (0 disables; repeated queries are then served with zero device I/O)")
-		resCacheTTL   = flag.Duration("result-cache-ttl", 0, "result-cache entry time-to-live (0 = no expiry; with -result-cache-bytes)")
 		verbose       = flag.Bool("v", false, "log session lifecycle events")
 	)
 	flag.Parse()
@@ -81,7 +80,6 @@ func main() {
 	opts := smoothscan.Options{
 		PoolPages:        *pool,
 		ResultCacheBytes: *resCacheBytes,
-		ResultCacheTTL:   *resCacheTTL,
 	}
 	var db *smoothscan.DB
 	var err error

@@ -94,7 +94,7 @@ func (s *FullScan) nextChunk() (bool, error) {
 	if s.pageNo >= s.pageHi {
 		return false, nil
 	}
-	n := min64(fullScanChunk, s.pageHi-s.pageNo)
+	n := min(fullScanChunk, s.pageHi-s.pageNo)
 	pages, err := s.file.GetRun(s.pool, s.pageNo, n, s.runBuf)
 	if err != nil {
 		return false, fmt.Errorf("full scan: %w", err)
@@ -347,11 +347,4 @@ func (s *SortScan) NextBatch(out *tuple.Batch) (int, error) {
 func (s *SortScan) Close() error {
 	s.open = false
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

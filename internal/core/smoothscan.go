@@ -598,7 +598,7 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 // holding results for drain.
 func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 	start := probe.TID.Page
-	end := min64(start+s.regionPages, s.cfg.PageHi)
+	end := min(start+s.regionPages, s.cfg.PageHi)
 
 	var direct tuple.Row
 	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
@@ -740,7 +740,7 @@ func (s *SmoothScan) updatePolicy(regionSeen, regionWithRes int64) {
 	}
 	grow := func() {
 		if s.regionPages < s.cfg.MaxRegionPages {
-			s.regionPages = min64(s.regionPages*2, s.cfg.MaxRegionPages)
+			s.regionPages = min(s.regionPages*2, s.cfg.MaxRegionPages)
 			s.stats.Expansions++
 			s.mode = ModeFlattening
 		}
@@ -754,7 +754,7 @@ func (s *SmoothScan) updatePolicy(regionSeen, regionWithRes int64) {
 	// local >= global  ⇔  regionWithRes/regionSeen >= globalWithRes/globalSeen,
 	// compared without division. Before any page was seen, any result
 	// counts as an increase.
-	denser := regionWithRes*max64(s.globalPagesSeen, 1) >= s.globalPagesWithRes*regionSeen
+	denser := regionWithRes*max(s.globalPagesSeen, 1) >= s.globalPagesWithRes*regionSeen
 	if s.globalPagesSeen == 0 {
 		denser = regionWithRes > 0
 	}
@@ -772,18 +772,4 @@ func (s *SmoothScan) updatePolicy(regionSeen, regionWithRes int64) {
 			shrink()
 		}
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,5 @@
 package costmodel
 
-import "math"
-
 // This file implements the competitive analysis summarised in
 // Section V-A of the paper. The full derivation lives in the paper's
 // technical report; the closed forms below reproduce the numbers the
@@ -65,7 +63,7 @@ func (p Params) EveryKthPageCR(k int64) float64 {
 		// (stuck at <= 2 pages) adds one sequential read; leaf
 		// pointers are consumed from a sequential leaf walk.
 		probes := card
-		regionSeq := minf(2, float64(k)) - 1
+		regionSeq := min(2, float64(k)) - 1
 		ssCost = float64(p.Height())*p.RandCost +
 			float64(p.LeavesRes(card))*p.SeqCost +
 			float64(probes)*(p.RandCost+regionSeq*p.SeqCost)
@@ -108,12 +106,10 @@ func (p Params) GreedyCRForCard(card int64) float64 {
 	if card >= 63 {
 		fetched = pages
 	} else {
-		fetched = min64((int64(1)<<uint(card))-1, pages)
+		fetched = min((int64(1)<<uint(card))-1, pages)
 	}
-	jumps := min64(card, Mode2RandIOMin(fetched)+1)
+	jumps := min(card, Mode2RandIOMin(fetched)+1)
 	ssCost := float64(p.Height())*p.RandCost +
 		float64(jumps)*p.RandCost + float64(fetched-jumps)*p.SeqCost
 	return ssCost / p.OptimalCost(card)
 }
-
-func minf(a, b float64) float64 { return math.Min(a, b) }

@@ -96,7 +96,7 @@ func (p Params) LeavesRes(card int64) int64 {
 // PagesWithResults is Eq. 13: #P_res = min(card, #P) — worst case
 // (uniform spread), every result tuple on a distinct page.
 func (p Params) PagesWithResults(card int64) int64 {
-	return min64(card, p.Pages())
+	return min(card, p.Pages())
 }
 
 // FullScanCost is Eq. 10: all pages, sequentially.
@@ -159,7 +159,7 @@ func (p Params) Mode1Cost(cardM1 int64) float64 {
 	if cardM1 <= 0 {
 		return 0
 	}
-	return float64(min64(cardM1, p.Pages())) * p.RandCost
+	return float64(min(cardM1, p.Pages())) * p.RandCost
 }
 
 // Mode2Pages is Eq. 16: #P_m2 = min(card_m2, #P − #P_m1).
@@ -167,8 +167,8 @@ func (p Params) Mode2Pages(cardM1, cardM2 int64) int64 {
 	if cardM2 <= 0 {
 		return 0
 	}
-	pm1 := min64(max64(cardM1, 0), p.Pages())
-	return min64(cardM2, p.Pages()-pm1)
+	pm1 := min(max(cardM1, 0), p.Pages())
+	return min(cardM2, p.Pages()-pm1)
 }
 
 // Mode2RandIOMin is Eq. 20: the minimum number of random jumps needed
@@ -187,7 +187,7 @@ func (p Params) Mode2RandIOMax(pm2 int64) int64 {
 		return 0
 	}
 	bound := int64(math.Ceil(math.Log2(float64(p.Pages() + 1))))
-	return min64(pm2, bound)
+	return min(pm2, bound)
 }
 
 // Mode2Cost is Eq. 22: jumps at random cost, the rest sequential.
@@ -209,13 +209,13 @@ func (p Params) Mode2Cost(cardM1, cardM2 int64) float64 {
 // and the head movement between index and heap around each morphing
 // expansion (two seeks per expansion, at most ~log2(#P) expansions).
 func (p Params) WorstCaseSmoothScanCost(cardM0 int64) float64 {
-	rest := p.NumTuples - max64(cardM0, 0)
+	rest := p.NumTuples - max(cardM0, 0)
 	if rest < 0 {
 		rest = 0
 	}
 	// After the morph every page not yet seen is fetched with the
 	// flattening pattern; Mode 1 covers only the first page probe.
-	eq23 := p.SmoothScanCost(cardM0, min64(rest, 1), rest-min64(rest, 1))
+	eq23 := p.SmoothScanCost(cardM0, min(rest, 1), rest-min(rest, 1))
 	leafWalk := float64(p.LeavesRes(rest)) * p.SeqCost
 	bounces := 2 * float64(Mode2RandIOMin(p.Pages())) * p.RandCost
 	return eq23 + leafWalk + bounces
@@ -245,18 +245,4 @@ func (p Params) SLATriggerCard(slaBound float64) int64 {
 // denominator of the competitive ratio.
 func (p Params) OptimalCost(card int64) float64 {
 	return math.Min(p.FullScanCost(), math.Min(p.IndexScanCost(card), p.SortScanCost(card)))
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -58,7 +58,7 @@ func (c CPUParams) SmoothScanTotalCost(card int64) float64 {
 	if card <= 0 {
 		return float64(c.Height()) * c.RandCost
 	}
-	m1 := min64(card, 1)
+	m1 := min(card, 1)
 	io := c.SmoothScanCost(0, m1, card-m1)
 	io += float64(c.LeavesRes(card)) * c.SeqCost
 	io += 2 * float64(Mode2RandIOMin(c.PagesWithResults(card))) * c.RandCost

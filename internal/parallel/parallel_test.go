@@ -3,12 +3,45 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"testing"
+	"time"
 
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
 )
+
+// settledGoroutines polls until the goroutine count returns to base or
+// 5 s pass, and returns the last count.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestMain fails the run when goroutines outlive the tests — a scan
+// worker or producer that Close did not join: after a passing run the
+// count must return to its pre-run baseline within 5 s, or the
+// survivors' stacks are printed and the binary exits 1.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		if n := settledGoroutines(base); n > base {
+			fmt.Fprintf(os.Stderr, "%d goroutines alive after the tests (baseline %d)\n", n, base)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 func testSchema() *tuple.Schema {
 	return tuple.MustSchema(

@@ -15,16 +15,15 @@
 // of each table it read at creation time, and a lookup revalidates
 // those epochs against the caller's current view. A write (DB.Insert)
 // bumps the table's epoch, so any entry that read the pre-write state
-// can never serve again — it is dropped on its next lookup or by the
-// sweep. There is no invalidation broadcast to miss.
+// can never serve again — it is dropped on its next lookup, unless
+// budget pressure evicts it first. There is no invalidation broadcast
+// to miss.
 //
-// Eviction follows the ref_cnt/ref_last metadata scheme of the
-// scanner-cache-test reference workload: every entry carries a
-// reference count and a last-reference time; when a store pushes the
-// cache over its byte budget, the least recently referenced entries
-// are evicted until it fits. Entries older than the TTL are removed in
-// periodic batch sweeps (every sweepEvery stores) and lazily at
-// lookup.
+// Eviction is least-recently-referenced by list order: a hit moves its
+// entry to the front, and when a store pushes the cache over its byte
+// budget the entries at the back are evicted until it fits. The byte
+// budget is the tier's only setting; entries have no time-to-live,
+// because the epochs already keep every served result correct.
 package rescache
 
 import (
@@ -36,11 +35,6 @@ import (
 // bytes: a single giant result must not be able to evict the whole
 // working set on its way in.
 const defaultEntryDivisor = 4
-
-// sweepEvery is the store cadence of the TTL batch-purge sweep: every
-// sweepEvery-th store walks the whole cache once and drops expired
-// entries, amortising expiry work instead of timing it.
-const sweepEvery = 64
 
 // Stats is a point-in-time snapshot of a Cache's accounting.
 type Stats struct {
@@ -57,12 +51,9 @@ type Stats struct {
 	// table's epoch moved past the entry's snapshot — the write-driven
 	// invalidation churn.
 	InvalidatedStale int64 `json:"invalidated_stale"`
-	// Evicted counts entries pushed out by byte-budget pressure, in
-	// ref_last order (least recently referenced first).
+	// Evicted counts entries pushed out by byte-budget pressure, least
+	// recently referenced first.
 	Evicted int64 `json:"evicted"`
-	// Expired counts entries removed by the TTL batch-purge sweep or by
-	// a lookup that found them past their TTL.
-	Expired int64 `json:"expired"`
 	// Entries and Bytes are the current population; Budget is the
 	// configured byte bound.
 	Entries int   `json:"entries"`
@@ -80,15 +71,13 @@ type View struct {
 	Rows, Width int
 	// Bytes is the entry's accounted size.
 	Bytes int64
-	// RefCnt is the entry's reference count including this lookup.
-	RefCnt int64
 	// Age is the time since the entry was created (stored).
 	Age time.Duration
 }
 
-// entry is one cached result set with its eviction and invalidation
-// metadata. Entries form a doubly linked list in ref_last order
-// (front = most recently referenced).
+// entry is one cached result set with its invalidation metadata.
+// Entries form a doubly linked list in recency order (front = most
+// recently referenced).
 type entry struct {
 	key    string
 	flat   []uint64
@@ -97,8 +86,6 @@ type entry struct {
 	bytes  int64
 	epochs map[string]uint64 // table -> epoch captured at creation
 
-	refCnt  int64
-	refLast time.Time
 	created time.Time
 
 	prev, next *entry
@@ -111,32 +98,27 @@ type Cache struct {
 	budget int64
 	// entryCap is the per-entry admission bound (budget/defaultEntryDivisor).
 	entryCap int64
-	ttl      time.Duration
-	now      func() time.Time // injectable for deterministic TTL tests
+	now      func() time.Time // injectable for deterministic Age tests
 
 	entries map[string]*entry
-	// head/tail of the ref_last list: head = most recent.
+	// head/tail of the recency list: head = most recent.
 	head, tail *entry
 	bytes      int64
 
-	sinceSweep int
-	stats      Stats
+	stats Stats
 }
 
 // New creates a cache bounded to budget bytes. A non-positive budget
-// returns nil — callers treat a nil *Cache as "tier disabled". ttl of
-// zero (or negative) disables expiry.
+// returns nil — callers treat a nil *Cache as "tier disabled". ttl is
+// ignored, since entries do not expire; the parameter remains because
+// the bench module calls New(budget, 0).
 func New(budget int64, ttl time.Duration) *Cache {
 	if budget <= 0 {
 		return nil
 	}
-	if ttl < 0 {
-		ttl = 0
-	}
 	return &Cache{
 		budget:   budget,
 		entryCap: budget / defaultEntryDivisor,
-		ttl:      ttl,
 		now:      time.Now,
 		entries:  make(map[string]*entry),
 	}
@@ -147,7 +129,7 @@ func New(budget int64, ttl time.Duration) *Cache {
 // will not be cached).
 func (c *Cache) EntryCap() int64 { return c.entryCap }
 
-// unlink removes e from the ref_last list.
+// unlink removes e from the recency list.
 func (c *Cache) unlink(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -182,11 +164,6 @@ func (c *Cache) remove(e *entry) {
 	c.bytes -= e.bytes
 }
 
-// expired reports whether e is past its TTL at time t.
-func (c *Cache) expired(e *entry, t time.Time) bool {
-	return c.ttl > 0 && t.Sub(e.created) > c.ttl
-}
-
 // stale reports whether any table e read has moved past the entry's
 // epoch snapshot.
 func stale(e *entry, epochOf func(string) uint64) bool {
@@ -198,11 +175,11 @@ func stale(e *entry, epochOf func(string) uint64) bool {
 	return false
 }
 
-// Lookup returns the entry under key after revalidating it: the entry
-// must not be past its TTL and every table epoch captured at creation
-// must still match epochOf's current view. A failed revalidation drops
-// the entry and reports a miss — a stale entry can never serve.
-// Lookup refreshes ref_cnt/ref_last on a hit.
+// Lookup returns the entry under key after revalidating it: every
+// table epoch captured at creation must still match epochOf's current
+// view. A failed revalidation drops the entry and reports a miss — a
+// stale entry can never serve. A hit moves the entry to the front of
+// the recency list.
 func (c *Cache) Lookup(key string, epochOf func(string) uint64) (View, bool) {
 	if c == nil {
 		return View{}, false
@@ -214,31 +191,21 @@ func (c *Cache) Lookup(key string, epochOf func(string) uint64) (View, bool) {
 		c.stats.Misses++
 		return View{}, false
 	}
-	t := c.now()
-	if c.expired(e, t) {
-		c.remove(e)
-		c.stats.Expired++
-		c.stats.Misses++
-		return View{}, false
-	}
 	if stale(e, epochOf) {
 		c.remove(e)
 		c.stats.InvalidatedStale++
 		c.stats.Misses++
 		return View{}, false
 	}
-	e.refCnt++
-	e.refLast = t
 	c.unlink(e)
 	c.pushFront(e)
 	c.stats.Hits++
 	return View{
-		Flat:   e.flat,
-		Rows:   e.rows,
-		Width:  e.width,
-		Bytes:  e.bytes,
-		RefCnt: e.refCnt,
-		Age:    t.Sub(e.created),
+		Flat:  e.flat,
+		Rows:  e.rows,
+		Width: e.width,
+		Bytes: e.bytes,
+		Age:   c.now().Sub(e.created),
 	}, true
 }
 
@@ -246,9 +213,8 @@ func (c *Cache) Lookup(key string, epochOf func(string) uint64) (View, bool) {
 // epochs its execution captured. The accounted size covers the row
 // data plus a fixed per-entry overhead; a result over the per-entry
 // cap is refused (StoreSkips). Admission evicts least-recently-
-// referenced entries until the budget holds, and every sweepEvery-th
-// store runs the TTL batch purge first. Storing over an existing key
-// replaces it. It reports whether the result was admitted.
+// referenced entries until the budget holds. Storing over an existing
+// key replaces it. It reports whether the result was admitted.
 func (c *Cache) Store(key string, flat []uint64, rows, width int, epochs map[string]uint64) bool {
 	if c == nil {
 		return false
@@ -260,11 +226,6 @@ func (c *Cache) Store(key string, flat []uint64, rows, width int, epochs map[str
 		c.stats.StoreSkips++
 		return false
 	}
-	t := c.now()
-	c.sinceSweep++
-	if c.ttl > 0 && c.sinceSweep >= sweepEvery {
-		c.sweepLocked(t)
-	}
 	if old, ok := c.entries[key]; ok {
 		c.remove(old)
 	}
@@ -275,9 +236,7 @@ func (c *Cache) Store(key string, flat []uint64, rows, width int, epochs map[str
 		width:   width,
 		bytes:   bytes,
 		epochs:  epochs,
-		refCnt:  0,
-		refLast: t,
-		created: t,
+		created: c.now(),
 	}
 	c.entries[key] = e
 	c.pushFront(e)
@@ -292,34 +251,6 @@ func (c *Cache) Store(key string, flat []uint64, rows, width int, epochs map[str
 	}
 	c.stats.Stores++
 	return true
-}
-
-// sweepLocked is the TTL batch purge: one walk over every entry,
-// dropping the expired ones. Caller holds c.mu.
-func (c *Cache) sweepLocked(t time.Time) {
-	c.sinceSweep = 0
-	for e := c.head; e != nil; {
-		next := e.next
-		if c.expired(e, t) {
-			c.remove(e)
-			c.stats.Expired++
-		}
-		e = next
-	}
-}
-
-// SweepExpired runs the TTL batch purge immediately and returns the
-// number of entries removed. It is the explicit form of the sweep the
-// cache already runs every sweepEvery stores.
-func (c *Cache) SweepExpired() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	before := c.stats.Expired
-	c.sweepLocked(c.now())
-	return int(c.stats.Expired - before)
 }
 
 // Purge empties the cache, keeping the counters. DB.ColdCache calls it

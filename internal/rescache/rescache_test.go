@@ -35,9 +35,6 @@ func TestDisabledIsNil(t *testing.T) {
 		t.Fatal("nil cache admitted a store")
 	}
 	c.Purge()
-	if c.SweepExpired() != 0 {
-		t.Fatal("nil cache swept something")
-	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
@@ -45,10 +42,13 @@ func TestDisabledIsNil(t *testing.T) {
 
 func TestStoreLookupRoundTrip(t *testing.T) {
 	c := New(1<<20, 0)
+	clock := time.Unix(1000, 0)
+	c.now = func() time.Time { return clock }
 	epochs := map[string]uint64{"t": 3}
 	if !c.Store("k", flatOf(6), 3, 2, epochs) {
 		t.Fatal("store refused")
 	}
+	clock = clock.Add(30 * time.Second)
 	v, ok := c.Lookup("k", func(table string) uint64 {
 		if table != "t" {
 			t.Fatalf("unexpected table %q", table)
@@ -58,15 +58,11 @@ func TestStoreLookupRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after store")
 	}
-	if v.Rows != 3 || v.Width != 2 || len(v.Flat) != 6 {
+	if v.Rows != 3 || v.Width != 2 || len(v.Flat) != 6 || v.Age != 30*time.Second {
 		t.Fatalf("view = %+v", v)
 	}
-	if v.RefCnt != 1 {
-		t.Fatalf("RefCnt = %d, want 1", v.RefCnt)
-	}
-	v2, ok := c.Lookup("k", fixedEpochs(3))
-	if !ok || v2.RefCnt != 2 {
-		t.Fatalf("second lookup ok=%v RefCnt=%d", ok, v2.RefCnt)
+	if _, ok := c.Lookup("k", fixedEpochs(3)); !ok {
+		t.Fatal("second lookup missed")
 	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 0 || st.Stores != 1 || st.Entries != 1 {
@@ -140,53 +136,6 @@ func TestEvictionByRecency(t *testing.T) {
 	}
 }
 
-func TestTTLExpiryAtLookup(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	clock := time.Unix(1000, 0)
-	c.now = func() time.Time { return clock }
-	c.Store("k", flatOf(2), 1, 2, nil)
-	clock = clock.Add(30 * time.Second)
-	if v, ok := c.Lookup("k", fixedEpochs(0)); !ok || v.Age != 30*time.Second {
-		t.Fatalf("fresh lookup ok=%v age=%v", ok, v.Age)
-	}
-	clock = clock.Add(time.Hour)
-	if _, ok := c.Lookup("k", fixedEpochs(0)); ok {
-		t.Fatal("expired entry served")
-	}
-	if st := c.Stats(); st.Expired != 1 || st.Entries != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestTTLBatchSweep(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	clock := time.Unix(1000, 0)
-	c.now = func() time.Time { return clock }
-	for i := 0; i < 10; i++ {
-		c.Store(fmt.Sprintf("old%d", i), flatOf(2), 1, 2, nil)
-	}
-	clock = clock.Add(2 * time.Minute)
-	// The explicit sweep removes all expired entries in one batch.
-	if n := c.SweepExpired(); n != 10 {
-		t.Fatalf("swept %d, want 10", n)
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Expired != 10 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// The periodic sweep fires on its own every sweepEvery stores.
-	for i := 0; i < 10; i++ {
-		c.Store(fmt.Sprintf("a%d", i), flatOf(2), 1, 2, nil)
-	}
-	clock = clock.Add(2 * time.Minute)
-	for i := 0; c.Stats().Expired == 10 && i < 2*sweepEvery; i++ {
-		c.Store(fmt.Sprintf("b%d", i), flatOf(2), 1, 2, nil)
-	}
-	if st := c.Stats(); st.Expired <= 10 {
-		t.Fatalf("periodic sweep never fired: %+v", st)
-	}
-}
-
 func TestStoreReplacesAndPurge(t *testing.T) {
 	c := New(1<<20, 0)
 	c.Store("k", flatOf(2), 1, 2, nil)
@@ -208,7 +157,7 @@ func TestStoreReplacesAndPurge(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(1<<20, time.Minute)
+	c := New(1<<20, 0)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -217,9 +166,6 @@ func TestConcurrentAccess(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g+i)%8)
 				if _, ok := c.Lookup(key, fixedEpochs(0)); !ok {
 					c.Store(key, flatOf(8), 4, 2, map[string]uint64{"t": 0})
-				}
-				if i%50 == 0 {
-					c.SweepExpired()
 				}
 			}
 		}(g)

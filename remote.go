@@ -73,7 +73,7 @@ func OpenShardedRemote(placements []Placement, parts map[string]Partitioning, op
 			return nil, fmt.Errorf("smoothscan: partitioning of %q covers %d shards, %d placed", table, p.N, len(placements))
 		}
 	}
-	s := &ShardedDB{remote: true, parts: map[string]Partitioning{}, resCache: rescache.New(opts.ResultCacheBytes, opts.ResultCacheTTL)}
+	s := &ShardedDB{remote: true, parts: map[string]Partitioning{}, resCache: rescache.New(opts.ResultCacheBytes, 0)}
 	for t, p := range parts {
 		s.parts[t] = p
 	}

@@ -2,7 +2,7 @@ package smoothscan_test
 
 // Semantic result-cache tests at the public API boundary, across all
 // three execution fronts (local DB, ShardedDB coordinator, SSWP
-// server). The mechanism itself — keying, epochs, eviction, TTL — is
+// server). The mechanism itself — keying, epochs, eviction — is
 // unit-tested in internal/rescache; what these tests pin is the
 // wiring contract: a repeat execution is served with exactly zero
 // device I/O and ExecStats.ResultCache.Hit set, a returned Insert is
@@ -11,6 +11,7 @@ package smoothscan_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -232,9 +233,10 @@ func TestResultCacheAdhocPreparedShared(t *testing.T) {
 }
 
 // TestResultCacheSharded exercises the coordinator-level tier: a hit
-// is served above scatter-gather and touches no shard device, a write
-// routed to any shard invalidates (epoch = sum of shard epochs), and
-// the prepared path shares entries with ad-hoc just as locally.
+// is served above scatter-gather, touches no shard device and replays
+// exactly the rows the miss gathered, a write routed to any shard
+// invalidates (epoch = sum of shard epochs), and the prepared path
+// shares entries with ad-hoc just as locally.
 func TestResultCacheSharded(t *testing.T) {
 	s, err := smoothscan.OpenSharded(3, smoothscan.Options{PoolPages: 64, ResultCacheBytes: 1 << 20})
 	if err != nil {
@@ -263,41 +265,49 @@ func TestResultCacheSharded(t *testing.T) {
 		}
 		return total
 	}
-	run := func() (int, smoothscan.ExecStats, smoothscan.IOStats) {
+	// run returns the gathered rows sorted: the shards' fan-in order is
+	// arbitrary, so a hit and a miss compare as sorted row lists.
+	run := func() ([][]int64, smoothscan.ExecStats, smoothscan.IOStats) {
 		before := devices()
 		cur, err := s.Query("ev").Where("val", smoothscan.Between(10, 20)).Run(ctx)
-		n, st := drainCount(t, cur, err)
-		return n, st, devices().Sub(before)
+		rows := drainCursor(t, cur, err)
+		sortRows(rows)
+		return rows, cur.ExecStats(), devices().Sub(before)
 	}
 
-	n1, st1, _ := run()
+	r1, st1, _ := run()
 	if st1.ResultCache.Hit {
 		t.Fatal("first run hit")
 	}
-	n2, st2, io2 := run()
+	if len(r1) == 0 {
+		t.Fatal("empty baseline result")
+	}
+	r2, st2, io2 := run()
 	if !st2.ResultCache.Hit {
 		t.Fatalf("repeat run missed: %+v", s.ResultCacheStats())
 	}
 	if io2.Requests != 0 || io2.PagesRead != 0 {
 		t.Fatalf("coordinator hit touched a shard device: %+v", io2)
 	}
-	if n1 != n2 {
-		t.Fatalf("row count drifted: %d vs %d", n1, n2)
+	if !slices.EqualFunc(r1, r2, slices.Equal) {
+		t.Fatalf("hit rows differ from the miss's: %d vs %d rows", len(r2), len(r1))
 	}
 
 	if err := s.Insert("ev", 9999, 15); err != nil {
 		t.Fatal(err)
 	}
-	n3, st3, _ := run()
+	r3, st3, _ := run()
 	if st3.ResultCache.Hit {
 		t.Fatal("post-insert run served a stale entry")
 	}
-	if n3 != n1+1 {
-		t.Fatalf("post-insert rows %d, want %d", n3, n1+1)
+	want := append(slices.Clone(r1), []int64{9999, 15})
+	sortRows(want)
+	if !slices.EqualFunc(r3, want, slices.Equal) {
+		t.Fatalf("post-insert rows: %d, want the %d pre-insert rows plus (9999, 15)", len(r3), len(r1))
 	}
-	n4, st4, _ := run()
-	if !st4.ResultCache.Hit || n4 != n3 {
-		t.Fatalf("re-cache failed: hit=%v rows=%d", st4.ResultCache.Hit, n4)
+	r4, st4, _ := run()
+	if !st4.ResultCache.Hit || !slices.EqualFunc(r4, r3, slices.Equal) {
+		t.Fatalf("re-cache failed: hit=%v, %d rows vs the miss's %d", st4.ResultCache.Hit, len(r4), len(r3))
 	}
 
 	// Prepared sharing through the sharded front, and the plan marker.

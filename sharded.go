@@ -96,7 +96,7 @@ func OpenSharded(n int, opts Options) (*ShardedDB, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("smoothscan: shard count %d (want >= 1)", n)
 	}
-	s := &ShardedDB{parts: map[string]shard.Partitioning{}, resCache: rescache.New(opts.ResultCacheBytes, opts.ResultCacheTTL)}
+	s := &ShardedDB{parts: map[string]shard.Partitioning{}, resCache: rescache.New(opts.ResultCacheBytes, 0)}
 	for i := 0; i < n; i++ {
 		db, err := Open(opts)
 		if err != nil {

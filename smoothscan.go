@@ -37,7 +37,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"smoothscan/internal/btree"
 	"smoothscan/internal/bufferpool"
@@ -164,10 +163,6 @@ type Options struct {
 	// bounds the scan-internal Result Cache of one ordered Smooth Scan
 	// (paper Section IV-A) and has no cross-query effect.
 	ResultCacheBytes int64
-	// ResultCacheTTL expires result-cache entries this long after
-	// creation, purged in batch sweeps; zero = no expiry. Ignored
-	// unless ResultCacheBytes is positive.
-	ResultCacheTTL time.Duration
 }
 
 // DB is an embedded, read-optimised database: bulk-load tables, build
@@ -239,7 +234,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.PlanCache > 0 {
 		db.planCache = plan.NewCache(opts.PlanCache)
 	}
-	db.resCache = rescache.New(opts.ResultCacheBytes, opts.ResultCacheTTL)
+	db.resCache = rescache.New(opts.ResultCacheBytes, 0)
 	return db, nil
 }
 
@@ -268,12 +263,6 @@ type ResultCacheStats = rescache.Stats
 // InvalidatedStale counts entries dropped because a write moved a
 // referenced table's epoch past the entry's snapshot.
 func (db *DB) ResultCacheStats() ResultCacheStats { return db.resCache.Stats() }
-
-// ResultCacheSweepExpired runs the result cache's TTL batch-purge
-// sweep immediately and returns the number of entries removed. The
-// cache also runs the sweep on its own every few dozen stores; this
-// entry point exists for maintenance windows and tests.
-func (db *DB) ResultCacheSweepExpired() int { return db.resCache.SweepExpired() }
 
 // epochOfLocked returns the named table's write epoch; the caller
 // holds db.mu (read). Unknown tables report epoch 0 — they cannot be
