@@ -118,8 +118,9 @@ chaos:
 ## test -fuzz takes one target at a time): the wire's message and frame
 ## decoders, its Error frames against the error class table, the batch
 ## codec's round trip, the query shape key's
-## equivalence classes, and hostile Execute payloads run through
-## DB.ExecuteSpec.
+## equivalence classes, hostile Execute payloads run through
+## DB.ExecuteSpec, and the heap's page kernel against its scalar
+## oracle.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShapeKeyClasses$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteSpec$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzPageKernel$$' -fuzztime 10s ./internal/heap
 
 ## server-smoke: boot ssserver and drive it with ssload -addr, both
 ## race-instrumented — plain, prepared and chaos remote runs must be

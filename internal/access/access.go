@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"smoothscan/internal/bitmap"
 	"smoothscan/internal/btree"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/heap"
@@ -118,10 +119,9 @@ func (s *FullScan) NextBatch(out *tuple.Batch) (int, error) {
 }
 
 // fillBatch appends matching tuples to out until it fills or the table
-// is exhausted. keep, when non-nil, can veto a slot of the current
-// page after the predicate matched (SwitchScan's duplicate
-// suppression); it receives the page number and slot.
-func (s *FullScan) fillBatch(out *tuple.Batch, keep func(pageNo int64, slot int) bool) (int, error) {
+// is exhausted. seen, when non-nil, is a Tuple ID bitmap whose set
+// bits veto their tuples (SwitchScan's duplicate suppression).
+func (s *FullScan) fillBatch(out *tuple.Batch, seen *bitmap.Bitmap) (int, error) {
 	for !out.Full() {
 		if s.pageIdx >= len(s.pages) {
 			ok, err := s.nextChunk()
@@ -134,12 +134,12 @@ func (s *FullScan) fillBatch(out *tuple.Batch, keep func(pageNo int64, slot int)
 		}
 		page := s.pages[s.pageIdx]
 		count := heap.PageTupleCount(page)
-		var slotKeep func(slot int) bool
-		if keep != nil {
+		var veto *heap.Veto
+		if seen != nil {
 			pageNo := s.pageNo - int64(len(s.pages)) + int64(s.pageIdx)
-			slotKeep = func(slot int) bool { return keep(pageNo, slot) }
+			veto = &heap.Veto{Seen: seen, Base: pageNo * int64(s.file.TuplesPerPage())}
 		}
-		next, examined := s.file.DecodeBatchMatching(page, s.slot, count, s.pred, s.residual, slotKeep, out)
+		next, examined := s.file.DecodeBatchMatching(page, s.slot, count, s.pred, s.residual, veto, out)
 		s.pool.ChargeCPUN(simcost.Tuple, int64(examined))
 		s.slot = next
 		if next >= count {

@@ -112,9 +112,7 @@ func (s *SwitchScan) NextBatch(out *tuple.Batch) (int, error) {
 	}
 	// Full-scan phase: FullScan's batch loop with the Tuple ID bitmap
 	// vetoing tuples already produced through the index.
-	if _, err := s.full.fillBatch(out, func(pageNo int64, slot int) bool {
-		return !s.seen.Get(s.tidBit(heap.TID{Page: pageNo, Slot: int32(slot)}))
-	}); err != nil {
+	if _, err := s.full.fillBatch(out, s.seen); err != nil {
 		return 0, fmt.Errorf("switch scan: %w", err)
 	}
 	return out.Len(), nil

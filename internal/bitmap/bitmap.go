@@ -63,6 +63,21 @@ func (b *Bitmap) Get(i int64) bool {
 	return b.words[i/64]&(uint64(1)<<(uint(i)%64)) != 0
 }
 
+// Word returns the 64 bits starting at bit from, bit from in the
+// lowest place; bits at or beyond Len read as clear. from need not be
+// a multiple of 64: a page's slots start anywhere in a Tuple ID cache,
+// and the heap's page reader clears a 64-slot chunk's produced tuples
+// with one Word.
+func (b *Bitmap) Word(from int64) uint64 {
+	b.check(from)
+	w, sh := from/64, uint(from%64)
+	v := b.words[w] >> sh
+	if sh != 0 && w+1 < int64(len(b.words)) {
+		v |= b.words[w+1] << (64 - sh)
+	}
+	return v
+}
+
 // Clear clears bit i.
 func (b *Bitmap) Clear(i int64) {
 	b.check(i)

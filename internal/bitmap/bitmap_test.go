@@ -113,3 +113,35 @@ func TestBitmapMatchesMapProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWord checks Word against Get at every offset of a bitmap whose
+// length is not a multiple of 64: bit j of Word(from) is bit from+j,
+// and bits at or beyond Len read as clear.
+func TestWord(t *testing.T) {
+	const n = 200
+	b := New(n)
+	for i := int64(0); i < n; i++ {
+		if (i*i+3*i)%7 < 3 {
+			b.Set(i)
+		}
+	}
+	for from := int64(0); from < n; from++ {
+		w := b.Word(from)
+		for j := int64(0); j < 64; j++ {
+			want := from+j < n && b.Get(from+j)
+			if got := w&(1<<j) != 0; got != want {
+				t.Fatalf("Word(%d) bit %d = %v, Get(%d) = %v", from, j, got, from+j, want)
+			}
+		}
+	}
+	for _, from := range []int64{-1, n} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Word(%d) did not panic", from)
+				}
+			}()
+			b.Word(from)
+		}()
+	}
+}

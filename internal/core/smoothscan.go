@@ -295,9 +295,6 @@ type SmoothScan struct {
 	region [][]byte
 	at     []pageCursor
 	next   int
-	// keep vetoes slots produced in Mode 0 (Tuple ID cache paths only);
-	// it is bound once per Open.
-	keep func(slot int) bool
 
 	regionPages int64 // current morphing region size
 	triggerCard int64 // produced-count threshold for non-eager triggers
@@ -427,7 +424,6 @@ func (s *SmoothScan) Open() error {
 	if s.mode == ModeIndex {
 		s.tupSeen = bitmap.New(s.file.NumTuples())
 		s.stats.TupleCacheBytes = s.tupSeen.MemoryBytes()
-		s.keep = s.unproduced
 	}
 	if s.cfg.Ordered {
 		s.scratch = tuple.NewRow(s.file.Schema())
@@ -493,19 +489,17 @@ func (s *SmoothScan) drain(out *tuple.Batch) {
 	for ; s.next < len(s.region) && !out.Full(); s.next++ {
 		at := &s.at[s.next]
 		before := out.Len()
-		slot, _ := s.file.DecodeBatchMatching(s.region[s.next], int(at.slot), int(at.count), s.pred, s.cfg.Residual, s.keep, out)
+		var veto *heap.Veto
+		if s.tupSeen != nil {
+			veto = &heap.Veto{Seen: s.tupSeen, Base: s.tidBit(heap.TID{Page: at.no})}
+		}
+		slot, _ := s.file.DecodeBatchMatching(s.region[s.next], int(at.slot), int(at.count), s.pred, s.cfg.Residual, veto, out)
 		s.stats.Produced += int64(out.Len() - before)
 		if slot < int(at.count) {
 			at.slot = int32(slot)
 			return
 		}
 	}
-}
-
-// unproduced reports whether a slot of the page being drained was not
-// already produced in Mode 0 — drain's veto on the Tuple ID cache path.
-func (s *SmoothScan) unproduced(slot int) bool {
-	return !s.tupSeen.Get(s.tidBit(heap.TID{Page: s.at[s.next].no, Slot: int32(slot)}))
 }
 
 // advance runs the morphing loop until it produces a direct row (mode-0

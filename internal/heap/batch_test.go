@@ -3,6 +3,7 @@ package heap
 import (
 	"testing"
 
+	"smoothscan/internal/bitmap"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/tuple"
 )
@@ -123,11 +124,14 @@ func TestDecodeBatchMatching(t *testing.T) {
 		}
 	}
 
-	// Veto every even row number via keep.
+	// Veto every even row number through a Tuple ID bitmap.
 	got.Reset()
 	page := rawPage(t, f, 0)
-	f.DecodeBatchMatching(page, 0, PageTupleCount(page), tuple.All(0), nil,
-		func(slot int) bool { return slot%2 == 1 }, got)
+	seen := bitmap.New(f.NumTuples())
+	for i := int64(0); i < f.NumTuples(); i += 2 {
+		seen.Set(i)
+	}
+	f.DecodeBatchMatching(page, 0, PageTupleCount(page), tuple.All(0), nil, &Veto{Seen: seen}, got)
 	if got.Len() != 5 {
 		t.Fatalf("veto kept %d rows, want 5", got.Len())
 	}

@@ -9,12 +9,27 @@
 //
 // A tuple is addressed by a TID (page number, slot), exactly what a
 // non-clustered index leaf stores.
+//
+// The page readers (DecodeRow, DecodeBatch, DecodeBatchMatching,
+// FirstMatch) read a page as words: a tuple is NumCols little-endian
+// words and a batch row is NumCols words, so a run of slots is one
+// copy. That view is the page's own memory only on a little-endian
+// host (decided once, at init) and for a page slice that starts on an
+// 8-byte boundary (checked per call); otherwise the readers decode the
+// slots they read into a word buffer first, the one scalar fallback,
+// and run the same code on it. DecodeBatchMatching examines slots in
+// order and stops right after the slot that fills the batch; its
+// examined count is what every scan charges simcost.Tuple for, so the
+// simulated CPU clock depends on that stop point and not on how the
+// slots are read.
 package heap
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
+	"smoothscan/internal/bitmap"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/tuple"
@@ -194,18 +209,40 @@ func PageTupleCount(page []byte) int {
 	return int(binary.LittleEndian.Uint32(page[0:]))
 }
 
+// littleEndian reports whether the host stores a word's bytes in the
+// page format's order, so a page's words can be read in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// slots returns slots [lo, hi) of a raw page as words, slot lo's first
+// column first. On a little-endian host with an 8-byte-aligned page
+// they are the page's own memory (tuple.Words); otherwise they are
+// decoded into buf, allocated when buf is shorter than the span — the
+// page readers' one scalar fallback.
+func (f *File) slots(page []byte, lo, hi int, buf []uint64) []uint64 {
+	w := f.schema.NumCols()
+	from, to := headerSize/8+lo*w, headerSize/8+hi*w
+	if littleEndian {
+		if words, ok := tuple.Words(page); ok {
+			return words[from:to:to]
+		}
+	}
+	if len(buf) < to-from {
+		buf = make([]uint64, to-from)
+	}
+	buf = buf[:to-from]
+	for i := range buf {
+		buf[i] = binary.LittleEndian.Uint64(page[8*(from+i):])
+	}
+	return buf
+}
+
 // DecodeRow decodes slot s of a raw page into dst (allocating when dst
 // is nil) and returns it. The caller must ensure s < PageTupleCount.
 func (f *File) DecodeRow(page []byte, s int, dst tuple.Row) tuple.Row {
-	n := f.schema.NumCols()
 	if dst == nil {
-		dst = make(tuple.Row, n)
+		dst = make(tuple.Row, f.schema.NumCols())
 	}
-	off := headerSize + s*f.schema.TupleSize()
-	for i := 0; i < n; i++ {
-		dst[i] = binary.LittleEndian.Uint64(page[off:])
-		off += 8
-	}
+	copy(dst, f.slots(page, s, s+1, dst))
 	return dst
 }
 
@@ -216,87 +253,120 @@ func (f *File) ColInt(page []byte, s, col int) int64 {
 }
 
 // DecodeBatch decodes slots [lo, hi) of a raw page into dst, appending
-// one batch row per slot, and stops early when dst fills. It returns
-// the first slot not decoded (hi when every slot fit). The caller must
-// ensure hi <= PageTupleCount and that dst's width matches the schema.
+// one batch row per slot with one copy, and stops early when dst
+// fills. It returns the first slot not decoded (hi when every slot
+// fit). The caller must ensure hi <= PageTupleCount and that dst's
+// width matches the schema.
 func (f *File) DecodeBatch(page []byte, lo, hi int, dst *tuple.Batch) int {
-	size := f.schema.TupleSize()
-	off := headerSize + lo*size
-	s := lo
-	for ; s < hi; s++ {
-		slot := dst.AppendSlotRaw()
-		if slot == nil {
-			break
-		}
-		for i := range slot {
-			slot[i] = binary.LittleEndian.Uint64(page[off:])
-			off += 8
-		}
-	}
-	return s
+	got := dst.AppendRowsRaw(hi - lo)
+	n := len(got) / f.schema.NumCols()
+	copy(got, f.slots(page, lo, lo+n, got))
+	return lo + n
+}
+
+// Veto names the tuples a page read must skip: slot s of the page is
+// vetoed when bit Base+s of Seen is set. Seen is a Tuple ID cache
+// (one bit per tuple, page*TuplesPerPage+slot) and Base the page's
+// first bit.
+type Veto struct {
+	Seen *bitmap.Bitmap
+	Base int64
 }
 
 // DecodeBatchMatching examines slots [lo, hi) of a raw page in order,
-// appending to dst the rows whose pred column satisfies pred (and, for
-// slots that pass pred, every residual predicate), and stops as soon as
-// dst fills. The optional keep callback can veto a slot whose
-// predicates matched (used to suppress already-produced tuples). Only
-// the predicate columns are read for non-qualifying slots, so the scan
-// path never materialises rows it will not return — this is where a
-// multi-predicate plan's residual conjuncts are pushed down.
+// appending to dst the rows whose pred column satisfies pred, that
+// pass every residual predicate and that veto (when non-nil) does not
+// name, and stops as soon as dst fills. It works 64 slots at a time:
+// a selection mask from the predicate column, the veto's bitmap word
+// cleared from it, residuals read for the set bits only, then one copy
+// per run of adjacent set bits. Non-qualifying slots cost only their
+// predicate word, so the scan path never materialises rows it will not
+// return — this is where a multi-predicate plan's residual conjuncts
+// are pushed down.
 //
-// It returns the first slot not examined (hi when the page was
-// exhausted) and the number of slots examined, which is what operators
-// charge per-tuple CPU for. Residual checks piggyback on the same
-// per-slot examination charge: evaluating an extra column of an
-// already-resident page costs no additional simulated I/O or CPU.
-func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, keep func(slot int) bool, dst *tuple.Batch) (next, examined int) {
-	size := f.schema.TupleSize()
-	predOff := headerSize + lo*size + 8*pred.Col
-	s := lo
-	for ; s < hi; s++ {
-		if dst.Full() {
-			break
-		}
-		v := int64(binary.LittleEndian.Uint64(page[predOff:]))
-		predOff += size
-		if v >= pred.Lo && v < pred.Hi &&
-			(residual == nil || f.slotMatchesAll(page, s, residual)) &&
-			(keep == nil || keep(s)) {
-			f.DecodeRow(page, s, dst.AppendSlotRaw())
+// It returns the first slot not examined and the number of slots
+// examined, which is what operators charge per-tuple CPU for: when dst
+// fills with slot s, (s+1, s+1-lo); when the page is exhausted first,
+// (hi, hi-lo); when dst is full on entry, (lo, 0). Residual checks
+// piggyback on the same per-slot examination charge: evaluating an
+// extra column of an already-resident page costs no additional
+// simulated I/O or CPU.
+func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, dst *tuple.Batch) (next, examined int) {
+	if dst.Full() || lo >= hi {
+		return lo, 0
+	}
+	if pred.Empty() {
+		return hi, hi - lo
+	}
+	w := f.schema.NumCols()
+	rows := f.slots(page, lo, hi, nil)
+	for c := 0; c < hi-lo; c += 64 {
+		m := selectChunk(rows, w, c, pred, residual, veto, int64(lo))
+		for m != 0 {
+			i := bits.TrailingZeros64(m)
+			run := bits.TrailingZeros64(^(m >> i))
+			m &= ^uint64(0) << (i + run)
+			got := dst.AppendRowsRaw(run)
+			copy(got, rows[(c+i)*w:])
+			if dst.Full() {
+				s := lo + c + i + len(got)/w
+				return s, s - lo
+			}
 		}
 	}
-	return s, s - lo
+	return hi, hi - lo
 }
 
 // FirstMatch returns the first slot in [lo, hi) of a raw page whose pred
 // column satisfies pred and that passes every residual predicate, or hi
-// when none does. Like DecodeBatchMatching it reads only the predicate
-// columns and decodes nothing.
+// when none does: the first set bit of DecodeBatchMatching's masks. It
+// decodes nothing.
 func (f *File) FirstMatch(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred) int {
-	size := f.schema.TupleSize()
-	predOff := headerSize + lo*size + 8*pred.Col
-	for s := lo; s < hi; s++ {
-		v := int64(binary.LittleEndian.Uint64(page[predOff:]))
-		predOff += size
-		if v >= pred.Lo && v < pred.Hi && (residual == nil || f.slotMatchesAll(page, s, residual)) {
-			return s
+	if pred.Empty() || lo >= hi {
+		return hi
+	}
+	rows := f.slots(page, lo, hi, nil)
+	for c := 0; c < hi-lo; c += 64 {
+		if m := selectChunk(rows, f.schema.NumCols(), c, pred, residual, nil, 0); m != 0 {
+			return lo + c + bits.TrailingZeros64(m)
 		}
 	}
 	return hi
 }
 
-// slotMatchesAll evaluates a conjunction of range predicates against
-// slot s, reading only the referenced columns.
-func (f *File) slotMatchesAll(page []byte, s int, preds []tuple.RangePred) bool {
-	base := headerSize + s*f.schema.TupleSize()
-	for _, p := range preds {
-		v := int64(binary.LittleEndian.Uint64(page[base+8*p.Col:]))
-		if v < p.Lo || v >= p.Hi {
-			return false
+// selectChunk returns the selection mask of the up to 64 slots of rows
+// (width w, slot 0 at rows[0]) that start at slot c: bit i is set when
+// slot c+i satisfies pred, is not vetoed (slot c+i of rows is bit
+// veto.Base+first+c+i) and satisfies every residual. pred must not be
+// empty. The predicate test is branch-free: v is in [Lo, Hi) exactly
+// when v-Lo, as an unsigned word, is below Hi-Lo.
+func selectChunk(rows []uint64, w, c int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, first int64) uint64 {
+	n := min(64, len(rows)/w-c)
+	lo, span := uint64(pred.Lo), uint64(pred.Hi-pred.Lo)
+	var m uint64
+	col := rows[:(c+n)*w]
+	for off := c*w + pred.Col; off < len(col); off += w {
+		_, below := bits.Sub64(col[off]-lo, span, 0)
+		m = m>>1 | below<<63
+	}
+	m >>= 64 - n
+	if m != 0 && veto != nil {
+		m &^= veto.Seen.Word(veto.Base + first + int64(c))
+	}
+	if residual == nil {
+		return m
+	}
+	for t := m; t != 0; t &= t - 1 {
+		i := bits.TrailingZeros64(t)
+		row := rows[(c+i)*w:]
+		for _, p := range residual {
+			if v := int64(row[p.Col]); v < p.Lo || v >= p.Hi {
+				m &^= 1 << i
+				break
+			}
 		}
 	}
-	return true
+	return m
 }
 
 // GetPage reads a heap page through the buffer pool.

@@ -132,16 +132,16 @@ func (b *Batch) AppendSlotRaw() Row {
 	if b.Full() {
 		return nil
 	}
-	need := (b.n + 1) * b.width
-	if cap(b.data) < need {
-		grown := make([]uint64, need, 2*need)
-		copy(grown, b.data)
-		b.data = grown
-	} else {
-		b.data = b.data[:need]
-	}
-	b.n++
-	return b.Row(b.n - 1)
+	return Row(b.extend(1))
+}
+
+// AppendRowsRaw appends up to n rows, as many as the fill capacity
+// leaves room for, and returns their values for the caller to
+// overwrite: contents undefined, width values per row, so the rows
+// appended are len/Width. The heap's page reader copies a run of
+// qualifying slots into it with one copy.
+func (b *Batch) AppendRowsRaw(n int) []uint64 {
+	return b.extend(b.room(n))
 }
 
 // AppendRows copies rows [from, from+n) of src into b as one flat
@@ -187,7 +187,7 @@ func (b *Batch) extend(n int) []uint64 {
 		b.data = b.data[:need]
 	}
 	b.n += n
-	return b.data[old:need]
+	return b.data[old:need:need]
 }
 
 // Append copies the row into the batch; it reports false (and appends

@@ -123,6 +123,29 @@ func TestBatchAppendRows(t *testing.T) {
 	}
 }
 
+func TestBatchAppendRowsRaw(t *testing.T) {
+	dst := NewBatch(2, 8)
+	dst.SetFillLimit(5)
+	dst.Append(IntsRow(9, 9))
+	raw := dst.AppendRowsRaw(6)
+	if len(raw) != 8 || cap(raw) != 8 || dst.Len() != 5 || !dst.Full() {
+		t.Fatalf("AppendRowsRaw(6) under a 5-row limit: len %d cap %d, batch %d rows", len(raw), cap(raw), dst.Len())
+	}
+	for i := range raw {
+		raw[i] = uint64(i)
+	}
+	if got := dst.Row(4); got.Int(0) != 6 || got.Int(1) != 7 {
+		t.Errorf("last row = %v, want [6 7]", got)
+	}
+	if raw := dst.AppendRowsRaw(1); len(raw) != 0 || dst.Len() != 5 {
+		t.Errorf("AppendRowsRaw on a full batch returned %d values, batch %d rows", len(raw), dst.Len())
+	}
+	g := NewGrowableBatch(3)
+	if raw := g.AppendRowsRaw(100); len(raw) != 300 || g.Len() != 100 {
+		t.Errorf("growable AppendRowsRaw(100): %d values, %d rows", len(raw), g.Len())
+	}
+}
+
 func TestBatchAppendInts(t *testing.T) {
 	vals := []int64{0, 0, 1, -1, 2, -2, 3, -3, 4, -4}
 	dst := NewBatch(2, 8)

@@ -167,6 +167,17 @@ func (r Row) Ints() []int64 {
 	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(r))), len(r))
 }
 
+// Words returns b's memory as native-endian 64-bit words, len(b)/8 of
+// them, the way Ints views a row: the same memory, not a copy. It
+// reports false, with nil, when b does not start on an 8-byte boundary.
+func Words(b []byte) ([]uint64, bool) {
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if len(b) < 8 || uintptr(p)%8 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*uint64)(p), len(b)/8), true
+}
+
 // SetInt stores an int64 into column i.
 func (r Row) SetInt(i int, v int64) { r[i] = uint64(v) }
 

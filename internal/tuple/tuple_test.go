@@ -97,6 +97,24 @@ func TestRowIntsIsAView(t *testing.T) {
 	}
 }
 
+func TestWordsIsAView(t *testing.T) {
+	buf := make([]byte, 25)
+	words, ok := Words(buf)
+	if !ok || len(words) != 3 {
+		t.Fatalf("Words(25 aligned bytes) = %d words, ok %v; want 3, true", len(words), ok)
+	}
+	words[1] = 0x0102
+	if buf[8] != 0x02 && buf[15] != 0x02 {
+		t.Error("a write through Words is not seen by the bytes")
+	}
+	if w, ok := Words(buf[1:]); ok || w != nil {
+		t.Errorf("Words(misaligned) = %v, %v; want nil, false", w, ok)
+	}
+	if w, ok := Words(buf[:7]); ok || w != nil {
+		t.Errorf("Words(7 bytes) = %v, %v; want nil, false", w, ok)
+	}
+}
+
 func TestRowCloneIsIndependent(t *testing.T) {
 	r := IntsRow(1, 2, 3)
 	c := r.Clone()
