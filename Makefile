@@ -119,8 +119,8 @@ chaos:
 ## decoders, its Error frames against the error class table, the batch
 ## codec's round trip, the query shape key's
 ## equivalence classes, hostile Execute payloads run through
-## DB.ExecuteSpec, and the heap's page kernel against its scalar
-## oracle.
+## DB.ExecuteSpec, the heap's page kernel against its scalar oracle,
+## and the B+-tree's leaf-at-a-time count against its Next loop.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
@@ -129,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShapeKeyClasses$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteSpec$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzPageKernel$$' -fuzztime 10s ./internal/heap
+	$(GO) test -run '^$$' -fuzz '^FuzzCountBelow$$' -fuzztime 10s ./internal/btree
 
 ## server-smoke: boot ssserver and drive it with ssload -addr, both
 ## race-instrumented — plain, prepared and chaos remote runs must be

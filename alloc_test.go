@@ -80,8 +80,8 @@ func TestFacadeScanAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() { scan() })
 	t.Logf("facade scan: %.0f allocs/query for %d rows", allocs, rows)
-	if allocs > 250 {
-		t.Errorf("facade scan allocates %.0f times per query, budget is 250", allocs)
+	if allocs > 100 {
+		t.Errorf("facade scan allocates %.0f times per query, budget is 100", allocs)
 	}
 	if raceEnabled {
 		return // the byte budget counts on the pooled drain batch coming back
@@ -95,8 +95,8 @@ func TestFacadeScanAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("facade scan: %.0f bytes/query", perQuery)
-	if perQuery > 32<<10 {
-		t.Errorf("facade scan allocates %.0f bytes per query, budget is 32 KB", perQuery)
+	if perQuery > 16<<10 {
+		t.Errorf("facade scan allocates %.0f bytes per query, budget is 16 KB", perQuery)
 	}
 }
 

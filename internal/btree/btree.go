@@ -190,6 +190,10 @@ func leafEntry(page []byte, i int) Entry {
 	}
 }
 
+func leafKey(page []byte, i int) int64 {
+	return int64(binary.LittleEndian.Uint64(page[headerSize+i*leafEntrySize:]))
+}
+
 func internalKey(page []byte, i int) int64 {
 	off := headerSize + 8 + i*internalEntrySize
 	return int64(binary.LittleEndian.Uint64(page[off:]))
@@ -241,6 +245,11 @@ func (t *Tree) RootKeys(pool *bufferpool.Pool) ([]int64, error) {
 
 // Iter iterates entries in (key, TID) order, merging the on-disk run
 // with the in-memory insert delta.
+//
+// Next and CountBelow read leaves through the pool in the same order,
+// so a CountBelow(hi) call costs exactly the page accesses of a Next
+// loop that stops at the first key >= hi: every leaf up to the one
+// holding the run's first entry >= hi, or to the last leaf.
 type Iter struct {
 	tree *Tree
 	pool *bufferpool.Pool
@@ -270,7 +279,7 @@ func (t *Tree) SeekGE(pool *bufferpool.Pool, lo int64) (*Iter, error) {
 			it := &Iter{tree: t, pool: pool, page: page, leaf: pageNo, delta: t.deltaSeek(lo)}
 			// Binary search within the leaf for the first key >= lo.
 			n := nodeCount(page)
-			it.pos = sort.Search(n, func(i int) bool { return leafEntry(page, i).Key >= lo })
+			it.pos = sort.Search(n, func(i int) bool { return leafKey(page, i) >= lo })
 			// The landing leaf may be exhausted (descent can land one
 			// leaf early around duplicate boundaries); advance lazily
 			// in Next.
@@ -334,6 +343,44 @@ func (it *Iter) nextFromRun() (Entry, bool, error) {
 	e := leafEntry(it.page, it.pos)
 	it.pos++
 	return e, true, nil
+}
+
+// CountBelow consumes and counts the entries with key < hi: a Next
+// loop's count, had it stopped at the first entry with key >= hi
+// without consuming that entry, which the next Next returns. It reads
+// the same leaves in the same order as that loop, but counts each
+// leaf's entries below hi with one binary search instead of decoding
+// them, and the delta's with another.
+func (it *Iter) CountBelow(hi int64) (int64, error) {
+	var n int64
+	if it.havePending {
+		if it.pendingTree.Key >= hi {
+			return it.delta.countBelow(hi), nil
+		}
+		it.havePending = false
+		n++
+	}
+	for {
+		for it.pos >= nodeCount(it.page) {
+			if it.leaf+1 >= it.tree.numLeaves {
+				return n + it.delta.countBelow(hi), nil
+			}
+			it.leaf++
+			page, err := it.pool.Get(it.tree.space, it.leaf)
+			if err != nil {
+				return 0, err
+			}
+			it.page = page
+			it.pos = 0
+		}
+		count := nodeCount(it.page)
+		end := it.pos + sort.Search(count-it.pos, func(i int) bool { return leafKey(it.page, it.pos+i) >= hi })
+		n += int64(end - it.pos)
+		it.pos = end
+		if end < count {
+			return n + it.delta.countBelow(hi), nil
+		}
+	}
 }
 
 // NextInRange returns the next entry with Key < keyHi and TID.Page in

@@ -103,3 +103,15 @@ func (c *deltaCursor) peek() (Entry, bool) {
 }
 
 func (c *deltaCursor) advance() { c.pos++ }
+
+// countBelow advances past the entries with key < hi and returns how
+// many there were.
+func (c *deltaCursor) countBelow(hi int64) int64 {
+	if c == nil {
+		return 0
+	}
+	rest := c.entries[c.pos:]
+	n := sort.Search(len(rest), func(i int) bool { return rest[i].Key >= hi })
+	c.pos += n
+	return int64(n)
+}

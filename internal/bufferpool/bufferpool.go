@@ -20,6 +20,16 @@
 // device while an invalidation ran does not cache its page, so the old
 // page cannot come back as a frame after the write.
 //
+// The frame table is one array per space, indexed by page number and
+// holding the frame index plus one (0: not cached). A lookup is two
+// indexings, with no hashing. A space's array grows by doubling when a
+// page beyond its length is cached, and eviction only clears a slot.
+// So an array holds 4 bytes per page up to the highest page cached
+// since the space was last invalidated, and at most twice that after
+// a doubling: 32–64 KB for an 8 192-page table. InvalidateSpace frees
+// the array, which matters because btree.Tree.Compact abandons its
+// old space on every call.
+//
 // A Pool is safe for concurrent use: the frame table is guarded by one
 // mutex shared by every view of the pool. A Pool value is itself a
 // lightweight view — a handle over the shared cache that reads and
@@ -55,16 +65,12 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type key struct {
+type frame struct {
 	space disk.SpaceID
 	page  int64
-}
-
-type frame struct {
-	key  key
-	data []byte
-	ref  bool // clock reference bit
-	used bool // slot occupied
+	data  []byte
+	ref   bool // clock reference bit
+	used  bool // slot occupied
 }
 
 // state is the cache shared by every view of a Pool.
@@ -73,9 +79,13 @@ type state struct {
 	dev      *disk.Device
 	capacity int
 	frames   []frame
-	table    map[key]int // key -> frame index
-	hand     int
-	stats    Stats
+	// table maps a page to its frame: table[space][page] is the frame
+	// index plus one, 0 when the page is not cached. Space IDs are
+	// dense (disk.Device.CreateSpace appends), so a lookup is two
+	// indexings; a page beyond its space's array is not cached.
+	table [][]int32
+	hand  int
+	stats Stats
 	// gen counts invalidations. A miss reads the device with mu
 	// released; if gen moved meanwhile, the page it read may be the one
 	// a write just replaced, so it is returned but not cached.
@@ -106,7 +116,6 @@ func New(dev *disk.Device, capacity int) *Pool {
 			dev:      dev,
 			capacity: capacity,
 			frames:   make([]frame, capacity),
-			table:    make(map[key]int, capacity),
 		},
 		ch: dev.DefaultChannel(),
 	}
@@ -155,8 +164,7 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) Contains(space disk.SpaceID, pageNo int64) bool {
 	p.st.mu.Lock()
 	defer p.st.mu.Unlock()
-	_, ok := p.st.table[key{space, pageNo}]
-	return ok
+	return p.st.lookup(space, pageNo) >= 0
 }
 
 // Get returns the page, reading it from the device on a miss. The
@@ -169,9 +177,8 @@ func (p *Pool) Contains(space disk.SpaceID, pageNo int64) bool {
 // read, insert sequence.
 func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 	st := p.st
-	k := key{space, pageNo}
 	st.mu.Lock()
-	if idx, ok := st.table[k]; ok {
+	if idx := st.lookup(space, pageNo); idx >= 0 {
 		st.stats.Hits++
 		st.frames[idx].ref = true
 		data := st.frames[idx].data
@@ -181,16 +188,16 @@ func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 	st.stats.Misses++
 	gen := st.gen
 	st.mu.Unlock()
-	data, err := p.readPage(space, pageNo)
-	if err != nil {
+	var page [1][]byte
+	if err := p.readRun(space, pageNo, page[:]); err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	if st.gen == gen {
-		st.insert(k, data)
+		st.insert(space, pageNo, page[0])
 	}
 	st.mu.Unlock()
-	return data, nil
+	return page[0], nil
 }
 
 // GetRun returns n consecutive pages starting at start, reading
@@ -200,7 +207,8 @@ func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 // plus sequential transfers, and pages already cached cost nothing.
 //
 // scratch, when non-nil, is reused as the backing array of the returned
-// slice if it has the capacity; hot scan loops pass the previous result
+// slice if it has the capacity, and the device reads the uncached
+// stretches straight into it; hot scan loops pass the previous result
 // back in to avoid a per-run allocation. Pass nil when unsure.
 func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][]byte, error) {
 	if n <= 0 {
@@ -230,23 +238,22 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 		// the classic probe/read/insert order unchanged.
 		gen := st.gen
 		st.mu.Unlock()
-		pages, err := p.readRun(space, runStart, end-runStart)
+		pages := out[runStart-start : end-start]
+		err := p.readRun(space, runStart, pages)
 		st.mu.Lock()
 		if err != nil {
 			return err
 		}
-		for i, data := range pages {
-			pageNo := runStart + int64(i)
-			if st.gen == gen {
-				st.insert(key{space, pageNo}, data)
+		if st.gen == gen {
+			for i, data := range pages {
+				st.insert(space, runStart+int64(i), data)
 			}
-			out[pageNo-start] = data
 		}
 		runStart = -1
 		return nil
 	}
 	for pageNo := start; pageNo < start+n; pageNo++ {
-		if idx, ok := st.table[key{space, pageNo}]; ok {
+		if idx := st.lookup(space, pageNo); idx >= 0 {
 			st.stats.Hits++
 			st.frames[idx].ref = true
 			out[pageNo-start] = st.frames[idx].data
@@ -272,13 +279,14 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 // fault rate is 1 (or the fault is permanent, which is never retried).
 const MaxReadRetries = 4
 
-// readRun is the pool's device-read primitive: ch.ReadRun plus, when a
-// fault policy is attached, checksum verification of every returned
-// page and bounded retry with simulated-clock backoff for transient
-// faults. Corrupted or failed reads never reach the frame table — the
-// callers insert only pages this function returned, so a later retry
-// re-reads the device rather than serving damaged bytes from cache.
-// With no policy attached this is exactly ch.ReadRun.
+// readRun is the pool's device-read primitive: it reads len(dst)
+// pages from start into dst with ch.ReadRunInto plus, when a fault
+// policy is attached, checksum verification of every page and bounded
+// retry with simulated-clock backoff for transient faults. Corrupted
+// or failed reads never reach the frame table — the callers insert
+// only pages of a run this function returned without error, so a later
+// retry re-reads the device rather than serving damaged bytes from
+// cache. With no policy attached this is exactly ch.ReadRunInto.
 //
 // Retry is page-granular: when a multi-page run hits a transient fault
 // or a corrupted page, the run is re-read page by page, each page with
@@ -289,70 +297,47 @@ const MaxReadRetries = 4
 // the flaky sector, not the whole transfer. The split costs the same
 // simulated I/O time as the run (head position makes the follow-on
 // pages sequential) plus the backoff charges of the retried pages.
-func (p *Pool) readRun(space disk.SpaceID, start, n int64) ([][]byte, error) {
+func (p *Pool) readRun(space disk.SpaceID, start int64, dst [][]byte) error {
 	if !p.st.dev.Faulty() {
-		return p.ch.ReadRun(space, start, n)
+		return p.ch.ReadRunInto(space, start, dst)
 	}
-	if n == 1 {
-		page, err := p.readPageRetried(space, start)
-		if err != nil {
-			return nil, err
+	if len(dst) > 1 {
+		err := p.readVerified(space, start, dst)
+		if err == nil || !disk.IsTransient(err) {
+			return err
 		}
-		return [][]byte{page}, nil
+		p.ch.ChargeRetryBackoff(0)
 	}
-	pages, err := p.readVerified(space, start, n)
-	if err == nil {
-		return pages, nil
-	}
-	if !disk.IsTransient(err) {
-		return nil, err
-	}
-	p.ch.ChargeRetryBackoff(0)
-	out := make([][]byte, n)
-	for i := int64(0); i < n; i++ {
-		page, perr := p.readPageRetried(space, start+i)
-		if perr != nil {
-			return nil, perr
+	for i := range dst {
+		if err := p.readPageRetried(space, start+int64(i), dst[i:i+1]); err != nil {
+			return err
 		}
-		out[i] = page
 	}
-	return out, nil
+	return nil
 }
 
-// readVerified is one read attempt: ch.ReadRun plus checksum
-// verification of every returned page.
-func (p *Pool) readVerified(space disk.SpaceID, start, n int64) ([][]byte, error) {
-	pages, err := p.ch.ReadRun(space, start, n)
-	if err != nil {
-		return nil, err
+// readVerified is one read attempt: ch.ReadRunInto plus checksum
+// verification of every page read.
+func (p *Pool) readVerified(space disk.SpaceID, start int64, dst [][]byte) error {
+	if err := p.ch.ReadRunInto(space, start, dst); err != nil {
+		return err
 	}
-	if err := verifyRun(space, start, pages); err != nil {
-		return nil, err
-	}
-	return pages, nil
+	return verifyRun(space, start, dst)
 }
 
-// readPageRetried reads one page with bounded retry; each retry
-// charges backoff time and re-rolls the page's fault decisions.
-func (p *Pool) readPageRetried(space disk.SpaceID, pageNo int64) ([]byte, error) {
+// readPageRetried reads one page into page[0] with bounded retry; each
+// retry charges backoff time and re-rolls the page's fault decisions.
+func (p *Pool) readPageRetried(space disk.SpaceID, pageNo int64, page [][]byte) error {
 	for attempt := 0; ; attempt++ {
-		pages, err := p.readVerified(space, pageNo, 1)
+		err := p.readVerified(space, pageNo, page)
 		if err == nil {
-			return pages[0], nil
+			return nil
 		}
 		if attempt+1 >= MaxReadRetries || !disk.IsTransient(err) {
-			return nil, err
+			return err
 		}
 		p.ch.ChargeRetryBackoff(attempt)
 	}
-}
-
-func (p *Pool) readPage(space disk.SpaceID, pageNo int64) ([]byte, error) {
-	pages, err := p.readRun(space, pageNo, 1)
-	if err != nil {
-		return nil, err
-	}
-	return pages[0], nil
 }
 
 // verifyRun checks every page of a run against its stored checksum.
@@ -365,10 +350,23 @@ func verifyRun(space disk.SpaceID, start int64, pages [][]byte) error {
 	return nil
 }
 
+// lookup returns the frame index caching the page, or -1. Callers
+// hold st.mu.
+func (st *state) lookup(space disk.SpaceID, pageNo int64) int {
+	if uint64(space) >= uint64(len(st.table)) {
+		return -1
+	}
+	pages := st.table[space]
+	if uint64(pageNo) >= uint64(len(pages)) {
+		return -1
+	}
+	return int(pages[pageNo]) - 1
+}
+
 // insert places a page into a frame, evicting via clock sweep if full.
 // Callers hold st.mu.
-func (st *state) insert(k key, data []byte) {
-	if idx, ok := st.table[k]; ok { // already present (raced via GetRun)
+func (st *state) insert(space disk.SpaceID, pageNo int64, data []byte) {
+	if idx := st.lookup(space, pageNo); idx >= 0 { // already present (raced via GetRun)
 		st.frames[idx].data = data
 		st.frames[idx].ref = true
 		return
@@ -377,26 +375,38 @@ func (st *state) insert(k key, data []byte) {
 		f := &st.frames[st.hand]
 		slot := st.hand
 		st.hand = (st.hand + 1) % st.capacity
-		if !f.used {
-			*f = frame{key: k, data: data, ref: true, used: true}
-			st.table[k] = slot
-			return
+		if f.used {
+			if f.ref {
+				f.ref = false
+				continue
+			}
+			st.table[f.space][f.page] = 0
+			st.stats.Evictions++
 		}
-		if f.ref {
-			f.ref = false
-			continue
-		}
-		delete(st.table, f.key)
-		st.stats.Evictions++
-		*f = frame{key: k, data: data, ref: true, used: true}
-		st.table[k] = slot
+		*f = frame{space: space, page: pageNo, data: data, ref: true, used: true}
+		st.slots(space, pageNo)[pageNo] = int32(slot + 1)
 		return
 	}
 }
 
+// slots returns the space's page -> frame array, grown by doubling to
+// cover pageNo. Callers hold st.mu.
+func (st *state) slots(space disk.SpaceID, pageNo int64) []int32 {
+	for int(space) >= len(st.table) {
+		st.table = append(st.table, nil)
+	}
+	pages := st.table[space]
+	if pageNo >= int64(len(pages)) {
+		grown := make([]int32, max(pageNo+1, 2*int64(len(pages))))
+		copy(grown, pages)
+		st.table[space], pages = grown, grown
+	}
+	return pages
+}
+
 // Reset empties the cache and zeroes its counters, simulating the cold
 // buffer cache the paper starts every measured query with. The frame
-// array and the lookup map are cleared in place and reused, so a
+// array and the page tables are cleared in place and reused, so a
 // benchmark resetting between queries does not churn the allocator.
 //
 // Reset is not safe to run while other views are scanning; the facade
@@ -408,7 +418,9 @@ func (p *Pool) Reset() {
 	for i := range st.frames {
 		st.frames[i] = frame{}
 	}
-	clear(st.table)
+	for _, pages := range st.table {
+		clear(pages)
+	}
 	st.hand = 0
 	st.stats = Stats{}
 }
@@ -421,24 +433,27 @@ func (p *Pool) InvalidatePage(space disk.SpaceID, pageNo int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.gen++
-	k := key{space, pageNo}
-	if idx, ok := st.table[k]; ok {
+	if idx := st.lookup(space, pageNo); idx >= 0 {
 		st.frames[idx] = frame{}
-		delete(st.table, k)
+		st.table[space][pageNo] = 0
 	}
 }
 
-// InvalidateSpace drops every cached page of the space; callers must
-// invoke it after writing to a space outside the pool (bulk loads).
+// InvalidateSpace drops every cached page of the space and frees its
+// page table; callers must invoke it after writing to a space outside
+// the pool (bulk loads) or abandoning it (btree.Tree.Compact).
 func (p *Pool) InvalidateSpace(space disk.SpaceID) {
 	st := p.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.gen++
-	for k, idx := range st.table {
-		if k.space == space {
-			st.frames[idx] = frame{}
-			delete(st.table, k)
+	if uint64(space) >= uint64(len(st.table)) {
+		return
+	}
+	for _, slot := range st.table[space] {
+		if slot != 0 {
+			st.frames[slot-1] = frame{}
 		}
 	}
+	st.table[space] = nil
 }

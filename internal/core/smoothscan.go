@@ -183,7 +183,8 @@ type Stats struct {
 	// morphing accuracy of Figure 9b.
 	PagesWithResults int64
 	// LeafPointersSkipped counts index entries skipped because their
-	// page had already been analysed (the ✕ marks of Figure 3).
+	// page had already been analysed (the ✕ marks of Figure 3). An
+	// unordered scan counts them by leaf once every page is seen.
 	LeafPointersSkipped int64
 	// Expansions and Shrinks count morphing-region size changes.
 	Expansions int64
@@ -508,6 +509,19 @@ func (s *SmoothScan) drain(out *tuple.Batch) {
 // index (false). The caller accounts Produced.
 func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 	if s.done {
+		return nil, false, nil
+	}
+	if !s.cfg.Ordered && s.mode != ModeIndex && s.pageSeen.Count() == s.pageSeen.Len() {
+		// Every page is analysed, so each entry left below Hi is a leaf
+		// pointer to a seen page (✕ in Fig. 3): count them by leaf. A
+		// page-sharded worker never gets here, as it sets no bit
+		// outside its shard.
+		n, err := s.it.CountBelow(s.pred.Hi)
+		if err != nil {
+			return nil, false, fmt.Errorf("smooth scan: %w", err)
+		}
+		s.stats.LeafPointersSkipped += n
+		s.done = true
 		return nil, false, nil
 	}
 	for {

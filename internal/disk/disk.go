@@ -371,20 +371,35 @@ func (c *Channel) ReadRun(id SpaceID, start, n int64) ([][]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("disk: ReadRun of %d pages", n)
 	}
+	out := make([][]byte, n)
+	if err := c.ReadRunInto(id, start, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadRunInto is ReadRun of len(dst) pages into the caller's list:
+// dst[i] becomes page start+i. On error dst is left as it was. The
+// buffer pool reads straight into the slice it returns.
+func (c *Channel) ReadRunInto(id SpaceID, start int64, dst [][]byte) error {
+	n := int64(len(dst))
+	if n == 0 {
+		return fmt.Errorf("disk: ReadRun of %d pages", n)
+	}
 	d := c.dev
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sp, err := d.space(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if start < 0 || start+n > int64(len(sp.pages)) {
-		return nil, fmt.Errorf("%w: space %d pages [%d,%d)", ErrOutOfRange, id, start, start+n)
+		return fmt.Errorf("%w: space %d pages [%d,%d)", ErrOutOfRange, id, start, start+n)
 	}
 	if d.failAfter >= 0 {
 		if d.failAfter < n {
 			d.failAfter = -1
-			return nil, ErrInjected
+			return ErrInjected
 		}
 		d.failAfter -= n
 	}
@@ -395,7 +410,7 @@ func (c *Channel) ReadRun(id SpaceID, start, n int64) ([][]byte, error) {
 			// A failed read is counted but charged no transfer time:
 			// the request never completed.
 			c.charge(Stats{Faults: 1})
-			return nil, dec.err
+			return dec.err
 		}
 	}
 
@@ -431,16 +446,13 @@ func (c *Channel) ReadRun(id SpaceID, start, n int64) ([][]byte, error) {
 	c.lastSpace, c.lastPage, c.hasPos = id, start+n-1, true
 	c.charge(delta)
 
-	out := make([][]byte, n)
-	for i := int64(0); i < n; i++ {
-		out[i] = sp.pages[start+i]
-	}
+	copy(dst, sp.pages[start:start+n])
 	for _, i := range dec.corrupt {
 		// Corruption damages the returned copy, not the stored page;
 		// re-reading can return clean data.
-		out[i] = corruptCopy(out[i])
+		dst[i] = corruptCopy(dst[i])
 	}
-	return out, nil
+	return nil
 }
 
 // ChargeSpill models an external-sort (or other out-of-core) spill:

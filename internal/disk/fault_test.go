@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -245,5 +246,65 @@ func TestFaultErrorClassification(t *testing.T) {
 		if got := IsFault(c.err); got != c.fault {
 			t.Errorf("IsFault(%v) = %v, want %v", c.err, got, c.fault)
 		}
+	}
+}
+
+// TestReadRunIntoMatchesReadRun: the same random run reads through
+// ReadRun on one device and ReadRunInto on an identical one return the
+// same pages, the same errors and the same Stats, with no fault policy,
+// with one that fails and delays reads but corrupts none, and with one
+// that corrupts pages. A failed ReadRunInto leaves dst as it was.
+func TestReadRunIntoMatchesReadRun(t *testing.T) {
+	policies := map[string]func(SpaceID) *FaultPolicy{
+		"none": func(SpaceID) *FaultPolicy { return nil },
+		"transient+latency": func(sp SpaceID) *FaultPolicy {
+			return NewFaultPolicy(5,
+				FaultRule{Space: sp, Kind: FaultTransient, Rate: 0.1},
+				FaultRule{Space: sp, Kind: FaultLatency, Rate: 0.3, ExtraCost: 7})
+		},
+		"corrupt": func(sp SpaceID) *FaultPolicy {
+			return NewFaultPolicy(6, FaultRule{Space: sp, Kind: FaultCorrupt, Rate: 0.3})
+		},
+	}
+	for name, policy := range policies {
+		a, spA := faultTestDevice(t)
+		b, spB := faultTestDevice(t)
+		a.SetFaultPolicy(policy(spA))
+		b.SetFaultPolicy(policy(spB))
+		chA, chB := a.NewChannel(), b.NewChannel()
+		rng := rand.New(rand.NewSource(1))
+		dst := make([][]byte, 32)
+		for i := 0; i < 300; i++ {
+			start := rng.Int63n(34) - 1 // -1 and 32.. are out of range
+			n := rng.Int63n(6) + 1
+			want, errA := chA.ReadRun(spA, start, n)
+			for j := range dst {
+				dst[j] = nil
+			}
+			errB := chB.ReadRunInto(spB, start, dst[:n])
+			if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
+				t.Fatalf("%s read %d [%d,+%d): ReadRun err %v, ReadRunInto err %v", name, i, start, n, errA, errB)
+			}
+			for j := range dst[:n] {
+				switch {
+				case errB != nil && dst[j] != nil:
+					t.Fatalf("%s read %d: failed ReadRunInto wrote dst[%d]", name, i, j)
+				case errB == nil && !bytes.Equal(dst[j], want[j]):
+					t.Fatalf("%s read %d: page %d differs", name, i, start+int64(j))
+				}
+			}
+			if sa, sb := a.Stats(), b.Stats(); sa != sb {
+				t.Fatalf("%s read %d: device stats\n ReadRun     %+v\n ReadRunInto %+v", name, i, sa, sb)
+			}
+			if sa, sb := chA.Stats(), chB.Stats(); sa != sb {
+				t.Fatalf("%s read %d: channel stats\n ReadRun     %+v\n ReadRunInto %+v", name, i, sa, sb)
+			}
+		}
+		if name == "corrupt" && a.Stats().Corruptions == 0 {
+			t.Fatal("the corrupting policy corrupted nothing")
+		}
+	}
+	if err := newTestDevice(t).NewChannel().ReadRunInto(0, 0, nil); err == nil {
+		t.Error("ReadRunInto of no pages accepted")
 	}
 }

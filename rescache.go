@@ -108,15 +108,11 @@ func (c *cachedOp) NextBatch(out *tuple.Batch) (int, error) {
 		return 0, exec.ErrClosed
 	}
 	out.Reset()
-	for c.pos < c.rows {
-		slot := out.AppendSlotRaw()
-		if slot == nil {
-			break
-		}
-		copy(slot, c.flat[c.pos*c.width:(c.pos+1)*c.width])
-		c.pos++
-	}
-	return out.Len(), nil
+	dst := out.AppendRowsRaw(c.rows - c.pos)
+	n := out.Len()
+	copy(dst, c.flat[c.pos*c.width:(c.pos+n)*c.width])
+	c.pos += n
+	return n, nil
 }
 
 // cacheable reports whether this execution participates in the result
