@@ -33,10 +33,12 @@ build:
 ## Pooled batches cross goroutines and queries, so the 2-shard byte
 ## budget rides on the first line, and a third repeats the exchange's
 ## batch-lifecycle tests. So does the exact-CPU-clock test: a parallel
-## scan's workers only interleave their CPU charges on several cores.
+## scan's workers only interleave their CPU charges on several cores;
+## and so do the recoverable fault schedules, whose parallel full scan
+## must meet the same per-page faults whatever the interleaving.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestParallelCPUIsExact|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow|TestShardedScanByteBudget' .
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestFaultRecoverableMatchesOracle|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestParallelCPUIsExact|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow|TestShardedScanByteBudget' .
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestCancelMidStream|TestCloseBeforeFirstNext|TestConnCloseEndsOpenStream' ./internal/server
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestExchangeBatchLifecycle|TestExchangeDropsSwappedArrays' ./internal/parallel
 
@@ -108,8 +110,8 @@ equiv:
 ## chaos: the fault-injection matrix under the race detector plus the
 ## ssload chaos sweep — recovered results must be byte-identical to
 ## the fault-free oracle, unrecoverable faults must surface as typed
-## errors with no goroutine leaks. -cpu 4 gives the ladder's
-## parallel -> serial step real concurrent workers.
+## errors with no goroutine leaks. -cpu 4 gives the parallel full
+## scans under fault schedules real concurrent workers.
 chaos:
 	$(GO) test -race -cpu 1,4 -run 'TestFault' -count=1 . ./internal/disk/
 	$(GO) run ./cmd/ssload -chaos -rows 60000 -clients 4 -queries 32

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	ssload -rows 200000 -clients 8 -queries 64 -selectivity 0.01
-//	ssload -clients 4 -parallelism 4 -ordered
+//	ssload -clients 4 -path full -parallelism 4
 //	ssload -shards 4 -prepare
 //	ssload -chaos -clients 4 -queries 64
 //	ssload -addr 127.0.0.1:7744 -clients 8 -queries 64
@@ -80,7 +80,7 @@ func run(args []string) error {
 		clients     = fs.Int("clients", 4, "concurrent client goroutines")
 		queries     = fs.Int("queries", 64, "total queries across all clients")
 		selectivity = fs.Float64("selectivity", 0.01, "per-query selectivity (0..1]")
-		parallelism = fs.Int("parallelism", 1, "ScanOptions.Parallelism per query")
+		parallelism = fs.Int("parallelism", 1, "full-scan workers per query (ScanOptions.Parallelism); only -path full runs in parallel")
 		ordered     = fs.Bool("ordered", false, "request index-key-ordered output")
 		policy      = fs.String("policy", "elastic", "morphing policy: elastic, greedy, si")
 		path        = fs.String("path", "smooth", "access path: smooth, full, index, sort, switch")

@@ -43,8 +43,7 @@ type OperatorStats struct {
 }
 
 // ExecStats unifies a query's observability in one place: the query's
-// I/O account, the Smooth Scan morphing counters (aggregated across
-// parallel workers and individually per worker), and per-operator
+// I/O account, the Smooth Scan morphing counters, and per-operator
 // row/batch counts. Retrieve it from a Rows — the numbers are complete
 // once the Rows is closed (parallel workers have quiesced by then).
 type ExecStats struct {
@@ -57,21 +56,14 @@ type ExecStats struct {
 	// a result-cache hit reports zero.
 	IO IOStats
 	// HasSmooth reports whether the driving table's access path was a
-	// Smooth Scan, i.e. whether Smooth (and, when parallel, Workers)
-	// is set. For a join query this covers the first (driving) input;
-	// the join inputs' row counts are in Joins and Operators.
+	// Smooth Scan, i.e. whether Smooth is set. For a join query this
+	// covers the first (driving) input; the join inputs' row counts are
+	// in Joins and Operators.
 	HasSmooth bool
-	// Smooth holds the morphing counters: the operator's own for a
-	// serial scan, the core.AggregateStats roll-up for a parallel one.
-	// For a parallel scan still running, the roll-up is zero — worker
-	// counters are only read once the workers have quiesced (the scan
-	// drained to end-of-stream or closed), because reading them while
-	// worker goroutines still mutate them would race.
+	// Smooth holds the Smooth Scan operator's morphing counters. Smooth
+	// Scan always runs serially on the caller's goroutine, so a
+	// snapshot taken mid-scan is safe and current.
 	Smooth SmoothStats
-	// Workers holds per-worker morphing counters for a parallel Smooth
-	// Scan, in shard (heap page) order; nil otherwise (including while
-	// a parallel scan is still running, see Smooth).
-	Workers []SmoothStats
 	// Joins holds the join operators' build/probe counters, in
 	// leaf-to-root order of the left-deep join tree; nil for
 	// single-table queries.

@@ -24,12 +24,12 @@ import (
 //     mismatches from corrupted payloads) up to bufferpool.MaxReadRetries
 //     times, charging simulated backoff I/O time per retry;
 //   - permanent faults are never retried; they surface to the planner,
-//     which degrades the plan one step at a time — parallel scans drop
-//     to serial, index-driven paths (index, sort, switch) fall back to
-//     Smooth Scan, Smooth Scan falls back to a full scan — re-opening
-//     the query after each step. A step only edits one input's
-//     ScanOptions and re-binds the query (degradeOnFault); the binder
-//     re-decides everything else, as it does for a fresh query;
+//     which degrades the plan one step at a time — index-driven paths
+//     (index, sort, switch) fall back to Smooth Scan, Smooth Scan falls
+//     back to a full scan — re-opening the query after each step. A
+//     step only edits one input's ScanOptions and re-binds the query
+//     (degradeOnFault); the binder re-decides everything else, as it
+//     does for a fresh query;
 //   - what cannot be recovered or degraded around surfaces as a typed
 //     error from Run/Next/Err, never as a panic, with every worker
 //     goroutine exited.
@@ -148,33 +148,27 @@ func (db *DB) IndexSpace(tableName, col string) (SpaceID, error) {
 // degradation ladder, or returns nil when nothing is left to degrade.
 // A step edits one input's ScanOptions; the ladder, in order:
 //
-//  1. a parallel input drops to serial (a failing worker stops taking
-//     the siblings down with it): Parallelism = 1;
-//  2. an index-driven path (index, sort, switch) falls back to Smooth
+//  1. an index-driven path (index, sort, switch) falls back to Smooth
 //     Scan — same index, but morphing tolerates regions of the heap
 //     being re-read: Path = PathSmooth;
-//  3. Smooth Scan falls back to a full heap scan, which touches no
+//  2. Smooth Scan falls back to a full heap scan, which touches no
 //     index space at all: Path = PathFull, Ordered = false.
 //
-// The binder then re-decides everything else exactly as for a fresh
-// query — residual pushdown, scan order, merge or hash join and build
-// side, whether ORDER BY needs a posterior sort — so each step keeps
-// the query's result contract. Step 3 passes over only the driving
-// table of a join-free query whose Ordered option defines the result
-// order with no ORDER BY sort to restore it. The caller loops: a
+// A parallel full scan is never stepped down to serial: its serial
+// form reads the same heap pages, and a permanent fault fails the same
+// page on every attempt. The binder then re-decides everything else
+// exactly as for a fresh query — residual pushdown, scan order, merge
+// or hash join and build side, whether ORDER BY needs a posterior
+// sort, the full scan's parallelism — so each step keeps the query's
+// result contract. Step 2 passes over only the driving table of a
+// join-free query whose Ordered option defines the result order with
+// no ORDER BY sort to restore it. The caller loops: a
 // degraded plan that still hits the fault degrades again, so
 // multi-input queries converge even when the ladder picks a healthy
 // input first. The caller holds db.mu (read).
 func (db *DB) degradeOnFault(cq *compiledQuery) (*compiledQuery, error) {
 	if cq.emptyWhy != "" {
 		return nil, nil
-	}
-	for i, a := range cq.inputs {
-		if a.par > 1 {
-			o := cq.opts[i]
-			o.Parallelism = 1
-			return db.rebind(cq, i, o, fmt.Sprintf("%s: parallel[%d] -> serial (fault)", a.name, a.par))
-		}
 	}
 	for i, a := range cq.inputs {
 		switch a.path {

@@ -23,12 +23,9 @@ func oracleRows(t *testing.T, opts ScanOptions, lo, hi int64) [][]int64 {
 // faultyRows runs the same query with a fault policy attached,
 // returning the rows, the final ExecStats and the error (nil when the
 // schedule was recoverable).
-func faultyRows(t *testing.T, policy *FaultPolicy, onSpace func(db *DB) *FaultPolicy, opts ScanOptions, lo, hi int64) ([][]int64, ExecStats, error) {
+func faultyRows(t *testing.T, policy *FaultPolicy, opts ScanOptions, lo, hi int64) ([][]int64, ExecStats, error) {
 	t.Helper()
 	db := buildParallelTestDB(t, 20_000, 5_000, 11)
-	if onSpace != nil {
-		policy = onSpace(db)
-	}
 	db.SetFaultPolicy(policy)
 	rows, err := db.Scan("t", "val", lo, hi, opts)
 	if err != nil {
@@ -65,7 +62,7 @@ func TestFaultRecoverableMatchesOracle(t *testing.T) {
 		{"smooth-ordered", ScanOptions{Path: PathSmooth, Ordered: true}},
 		{"index", ScanOptions{Path: PathIndex}},
 		{"full", ScanOptions{Path: PathFull}},
-		{"parallel-smooth", ScanOptions{Path: PathSmooth, Parallelism: 4}},
+		{"parallel-full", ScanOptions{Path: PathFull, Parallelism: 4}},
 	}
 	for _, v := range variants {
 		want := oracleRows(t, v.opts, lo, hi)
@@ -75,27 +72,8 @@ func TestFaultRecoverableMatchesOracle(t *testing.T) {
 		}
 		for _, s := range schedules {
 			t.Run(v.name+"/"+s.name, func(t *testing.T) {
-				rule := s.rule
-				if v.opts.Parallelism > 1 && rule.Kind != FaultLatency {
-					// Parallel workers share index pages through the
-					// buffer pool, where duplicate reads can race; heap
-					// shards are disjoint, so scoping the schedule to
-					// the table keeps the attempt sequence — and hence
-					// the property — interleaving-independent.
-					got, st, err := faultyRows(t, nil, func(db *DB) *FaultPolicy {
-						sp, serr := db.TableSpace("t")
-						if serr != nil {
-							t.Fatal(serr)
-						}
-						r := rule
-						r.Space = sp
-						return NewFaultPolicy(99, r)
-					}, v.opts, lo, hi)
-					checkRecovered(t, got, want, st, err, ordered, rule.Kind)
-					return
-				}
-				got, st, err := faultyRows(t, NewFaultPolicy(99, rule), nil, v.opts, lo, hi)
-				checkRecovered(t, got, want, st, err, ordered, rule.Kind)
+				got, st, err := faultyRows(t, NewFaultPolicy(99, s.rule), v.opts, lo, hi)
+				checkRecovered(t, got, want, st, err, ordered, s.rule.Kind)
 			})
 		}
 	}
@@ -179,51 +157,6 @@ func TestFaultDeadIndexDegradesToFullScan(t *testing.T) {
 	}
 }
 
-// TestFaultParallelDegradesThroughSerial: a parallel scan over a dead
-// index space first drops to serial, then falls through the path
-// ladder, and still matches the oracle.
-func TestFaultParallelDegradesThroughSerial(t *testing.T) {
-	const lo, hi = 1_000, 2_500
-	opts := ScanOptions{Path: PathSmooth, Parallelism: 4}
-	want := oracleRows(t, opts, lo, hi)
-	sortRows(want)
-
-	db := buildParallelTestDB(t, 20_000, 5_000, 11)
-	idx, err := db.IndexSpace("t", "val")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
-		Space: idx, Kind: FaultPermanent, Rate: 1,
-	}))
-	rows, err := db.Scan("t", "val", lo, hi, opts)
-	if err != nil {
-		t.Fatalf("degradation did not rescue the query: %v", err)
-	}
-	defer rows.Close()
-	var got [][]int64
-	for rows.Next() {
-		got = append(got, slices.Clone(rows.Row()))
-	}
-	if rows.Err() != nil {
-		t.Fatalf("Err: %v", rows.Err())
-	}
-	sortRows(got)
-	if !rowsEqual(got, want) {
-		t.Fatalf("degraded run returned %d rows != oracle %d", len(got), len(want))
-	}
-	st := rows.ExecStats()
-	var sawSerial bool
-	for _, d := range st.Degraded {
-		if strings.Contains(d, "serial") {
-			sawSerial = true
-		}
-	}
-	if !sawSerial {
-		t.Fatalf("parallel step missing from ladder: %v", st.Degraded)
-	}
-}
-
 // TestFaultMidStreamDegrade: a fault that surfaces from the first
 // NextBatch — after Open succeeded but before any row was delivered —
 // is still degraded around. A sort drains its input on first pull, so
@@ -274,8 +207,14 @@ func TestFaultMidStreamDegrade(t *testing.T) {
 // failure must surface as a typed error from Rows.Err (never a panic),
 // with Close idempotent and every goroutine exited.
 func TestFaultUnrecoverableSurfacesTypedError(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(map[int]string{1: "serial", 4: "parallel"}[par], func(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		opts ScanOptions
+	}{
+		{"serial", ScanOptions{Path: PathSmooth}},
+		{"parallel", ScanOptions{Path: PathFull, Parallelism: 4}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
 			runtime.GC()
 			base := runtime.NumGoroutine()
 
@@ -287,9 +226,7 @@ func TestFaultUnrecoverableSurfacesTypedError(t *testing.T) {
 			db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 				Space: sp, Kind: FaultPermanent, Rate: 1,
 			}))
-			rows, err := db.Scan("t", "val", 1_000, 2_500, ScanOptions{
-				Path: PathSmooth, Parallelism: par,
-			})
+			rows, err := db.Scan("t", "val", 1_000, 2_500, v.opts)
 			if err != nil {
 				// The whole heap is dead; failing at open is as valid
 				// as failing at first Next — but it must be typed.
@@ -462,7 +399,6 @@ func TestFaultLadder(t *testing.T) {
 		}
 	}
 	const (
-		parSerial  = "t: parallel[4] -> serial (fault)"
 		tIdxSmooth = "t: index scan -> smooth scan (fault)"
 		uIdxSmooth = "u: index scan -> smooth scan (fault)"
 		tFull      = "t: smooth scan -> full scan (fault)"
@@ -494,7 +430,7 @@ func TestFaultLadder(t *testing.T) {
 			query: func(db *DB) *Query {
 				return scan(ScanOptions{Parallelism: 4})(db).Where("p2", Lt(15_000))
 			},
-			degraded: []string{parSerial, tFull}, ops: []string{"full-scan"}},
+			degraded: []string{tFull}, ops: []string{"parallel", "full-scan"}},
 		{name: "sort+orderby", dead: tDead, ordered: true,
 			query: func(db *DB) *Query {
 				return scan(ScanOptions{Path: PathSort})(db).OrderBy("val")
@@ -655,7 +591,7 @@ func TestFaultLatencyCostsMoreNotWrong(t *testing.T) {
 
 	got, st, err := faultyRows(t, NewFaultPolicy(77, FaultRule{
 		Space: AnySpace, Kind: FaultLatency, Rate: 1, ExtraCost: 25,
-	}), nil, opts, lo, hi)
+	}), opts, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

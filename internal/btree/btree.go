@@ -383,90 +383,6 @@ func (it *Iter) CountBelow(hi int64) (int64, error) {
 	}
 }
 
-// NextInRange returns the next entry with Key < keyHi and TID.Page in
-// [pageLo, pageHi), in (key, TID) order; ok is false at the end of the
-// tree or at the first entry (of any page) with Key >= keyHi, so leaf
-// I/O never extends past the key range. This is the probe stream of a
-// page-sharded parallel Smooth Scan worker: out-of-shard entries are
-// skipped with a two-word peek per entry, an order of magnitude
-// cheaper than full entry decodes through Next, which matters because
-// every worker walks the same leaf range.
-//
-// Use either Next or NextInRange on one iterator, not both.
-func (it *Iter) NextInRange(keyHi, pageLo, pageHi int64) (Entry, bool, error) {
-	// On-disk run side: scan raw leaf bytes for the next in-range entry.
-	if !it.havePending {
-		e, ok, err := it.nextFromRunInRange(keyHi, pageLo, pageHi)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if ok {
-			it.pendingTree = e
-			it.havePending = true
-		}
-	}
-	// Delta side: skip inserted entries outside the shard or key range.
-	de, dok := it.delta.peek()
-	for dok {
-		if de.Key >= keyHi {
-			dok = false
-			break
-		}
-		if de.TID.Page >= pageLo && de.TID.Page < pageHi {
-			break
-		}
-		it.delta.advance()
-		de, dok = it.delta.peek()
-	}
-	switch {
-	case !it.havePending && !dok:
-		return Entry{}, false, nil
-	case !it.havePending:
-		it.delta.advance()
-		return de, true, nil
-	case !dok || less(it.pendingTree, de):
-		it.havePending = false
-		return it.pendingTree, true, nil
-	default:
-		it.delta.advance()
-		return de, true, nil
-	}
-}
-
-// nextFromRunInRange is nextFromRun restricted to Key < keyHi and
-// TID.Page in [pageLo, pageHi). Skipped entries cost two 8-byte loads
-// (key, then page number) straight off the leaf page.
-func (it *Iter) nextFromRunInRange(keyHi, pageLo, pageHi int64) (Entry, bool, error) {
-	for {
-		for it.pos >= nodeCount(it.page) {
-			if it.leaf+1 >= it.tree.numLeaves {
-				return Entry{}, false, nil
-			}
-			it.leaf++
-			page, err := it.pool.Get(it.tree.space, it.leaf)
-			if err != nil {
-				return Entry{}, false, err
-			}
-			it.page = page
-			it.pos = 0
-		}
-		n := nodeCount(it.page)
-		for it.pos < n {
-			off := headerSize + it.pos*leafEntrySize
-			if int64(binary.LittleEndian.Uint64(it.page[off:])) >= keyHi {
-				return Entry{}, false, nil
-			}
-			heapPage := int64(binary.LittleEndian.Uint64(it.page[off+8:]))
-			if heapPage >= pageLo && heapPage < pageHi {
-				e := leafEntry(it.page, it.pos)
-				it.pos++
-				return e, true, nil
-			}
-			it.pos++
-		}
-	}
-}
-
 // BuildOnColumn indexes column col of the heap file: one entry per
 // tuple, scanning the file directly on the device (bulk load is not a
 // measured operation).

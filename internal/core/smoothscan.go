@@ -159,15 +159,6 @@ type Config struct {
 	// ordered Result Cache's invariants assume every index entry in the
 	// key range is eventually produced.
 	Residual []tuple.RangePred
-	// PageLo/PageHi restrict the scan to the heap pages [PageLo,
-	// PageHi): index entries pointing outside the range are skipped and
-	// morphing regions never extend past PageHi. A parallel scan gives
-	// each worker one disjoint page shard, so every heap page is
-	// analysed by exactly one worker and the exactly-once guarantee
-	// holds across workers by construction. Both zero means the whole
-	// file.
-	PageLo int64
-	PageHi int64
 }
 
 // Stats exposes the operator's run-time counters, the raw material of
@@ -212,41 +203,6 @@ type Stats struct {
 	TupleCacheBytes int64
 }
 
-// AggregateStats combines per-worker Smooth Scan stats into query
-// totals: counters are summed, peaks are summed for the Result Cache
-// (workers' caches coexist) but maxed for the morphing region (regions
-// are per-worker), and TriggeredAt is the earliest worker trigger (-1
-// when no worker's trigger fired).
-func AggregateStats(parts []Stats) Stats {
-	out := Stats{TriggeredAt: -1}
-	for _, p := range parts {
-		out.Produced += p.Produced
-		out.PagesFetched += p.PagesFetched
-		out.PagesWithResults += p.PagesWithResults
-		out.LeafPointersSkipped += p.LeafPointersSkipped
-		out.Expansions += p.Expansions
-		out.Shrinks += p.Shrinks
-		if p.PeakRegionPages > out.PeakRegionPages {
-			out.PeakRegionPages = p.PeakRegionPages
-		}
-		if p.TriggeredAt >= 0 && (out.TriggeredAt < 0 || p.TriggeredAt < out.TriggeredAt) {
-			out.TriggeredAt = p.TriggeredAt
-		}
-		out.CacheHits += p.CacheHits
-		out.CacheInserts += p.CacheInserts
-		out.DirectReturns += p.DirectReturns
-		out.CachePeakTuples += p.CachePeakTuples
-		out.CachePeakBytes += p.CachePeakBytes
-		out.Spill.Spills += p.Spill.Spills
-		out.Spill.Reloads += p.Spill.Reloads
-		out.Spill.SpillBytes += p.Spill.SpillBytes
-		out.Spill.ReloadBytes += p.Spill.ReloadBytes
-		out.PageCacheBytes += p.PageCacheBytes
-		out.TupleCacheBytes += p.TupleCacheBytes
-	}
-	return out
-}
-
 // MorphingAccuracy returns PagesWithResults/PagesFetched (Figure 9b),
 // or 0 when nothing was fetched.
 func (s Stats) MorphingAccuracy() float64 {
@@ -279,8 +235,8 @@ type SmoothScan struct {
 	cfg  Config
 
 	open     bool
-	done     bool // index exhausted or key bound passed; latched
-	sharded  bool // page shard narrower than the file (parallel worker)
+	done     bool  // index exhausted or key bound passed; latched
+	pages    int64 // heap pages at construction; regions stop here
 	mode     Mode
 	it       *btree.Iter
 	pageSeen *bitmap.Bitmap // Page ID cache
@@ -360,18 +316,10 @@ func NewSmoothScan(file *heap.File, pool *bufferpool.Pool, tree *btree.Tree, pre
 	if cfg.MaxRegionPages == 0 {
 		cfg.MaxRegionPages = DefaultMaxRegionPages
 	}
-	if cfg.PageLo == 0 && cfg.PageHi == 0 {
-		cfg.PageHi = file.NumPages()
-	}
-	if cfg.PageLo < 0 || cfg.PageLo > cfg.PageHi || cfg.PageHi > file.NumPages() {
-		return nil, fmt.Errorf("core: page shard [%d,%d) outside file of %d pages",
-			cfg.PageLo, cfg.PageHi, file.NumPages())
-	}
-	sharded := cfg.PageLo > 0 || cfg.PageHi < file.NumPages()
 	if cfg.MaxMode == ModeIndex {
 		cfg.MaxMode = ModeFlattening
 	}
-	return &SmoothScan{file: file, pool: pool, tree: tree, pred: pred, cfg: cfg, sharded: sharded}, nil
+	return &SmoothScan{file: file, pool: pool, tree: tree, pred: pred, cfg: cfg, pages: file.NumPages()}, nil
 }
 
 // Schema returns the table schema.
@@ -513,9 +461,7 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 	}
 	if !s.cfg.Ordered && s.mode != ModeIndex && s.pageSeen.Count() == s.pageSeen.Len() {
 		// Every page is analysed, so each entry left below Hi is a leaf
-		// pointer to a seen page (✕ in Fig. 3): count them by leaf. A
-		// page-sharded worker never gets here, as it sets no bit
-		// outside its shard.
+		// pointer to a seen page (✕ in Fig. 3): count them by leaf.
 		n, err := s.it.CountBelow(s.pred.Hi)
 		if err != nil {
 			return nil, false, fmt.Errorf("smooth scan: %w", err)
@@ -525,19 +471,9 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 		return nil, false, nil
 	}
 	for {
-		// A sharded (parallel) worker pulls only the index entries
-		// pointing into its own heap pages, filtered inside the leaf
-		// scan; the serial path keeps the classic entry stream.
-		var e btree.Entry
-		var ok bool
-		var err error
-		if s.sharded {
-			e, ok, err = s.it.NextInRange(s.pred.Hi, s.cfg.PageLo, s.cfg.PageHi)
-		} else {
-			e, ok, err = s.it.Next()
-			if ok && e.Key >= s.pred.Hi {
-				ok = false
-			}
+		e, ok, err := s.it.Next()
+		if ok && e.Key >= s.pred.Hi {
+			ok = false
 		}
 		if err != nil {
 			return nil, false, fmt.Errorf("smooth scan: %w", err)
@@ -606,7 +542,7 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 // holding results for drain.
 func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 	start := probe.TID.Page
-	end := min(start+s.regionPages, s.cfg.PageHi)
+	end := min(start+s.regionPages, s.pages)
 
 	var direct tuple.Row
 	s.region, s.at, s.next = s.region[:0], s.at[:0], 0

@@ -1,42 +1,40 @@
-// Package parallel implements intra-query parallel scans: a table's
-// heap page range is partitioned into P disjoint shards, one
-// independently-morphing scan worker runs per shard over the batched
-// NextBatch protocol, and the shard streams are merged back into a
-// single operator — an unordered fan-in, or a k-way ordered merge when
-// the plan needs index-key order.
+// Package parallel merges the streams of concurrent scan workers into
+// one operator over the batched NextBatch protocol: an unordered
+// fan-in, or a k-way ordered merge when the plan needs key order. Two
+// kinds of workers feed it. A parallel full scan partitions a table's
+// heap page range into P disjoint shards (PartitionPages) and runs one
+// access.FullScan per shard behind the fan-in; a sharded query runs
+// one worker per database shard behind the fan-in or, under ORDER BY,
+// the merge (the coordinator's gather and gather-merge).
 //
 // # Exactly-once
 //
-// Shards never share heap pages (PartitionPages produces disjoint,
-// contiguous page ranges), and a shard worker produces only tuples
-// living on its own pages: core.SmoothScan skips index entries whose
-// TID falls outside its shard and clamps morphing regions to the shard
-// boundary, and access.FullScan simply walks its page subrange. Every
-// qualifying tuple therefore belongs to exactly one worker, and the
-// per-worker exactly-once guarantees (Page ID / Tuple ID caches)
-// compose into a global exactly-once guarantee with no cross-worker
-// coordination.
+// Page shards never share heap pages: PartitionPages produces
+// disjoint, contiguous page ranges, and a full-scan worker walks only
+// its own subrange. Every qualifying tuple therefore belongs to
+// exactly one worker with no cross-worker coordination. Database
+// shards hold disjoint rows by partitioning.
 //
 // # Ordering
 //
-// Each ordered Smooth Scan worker emits its shard's tuples in
-// (key, TID) order. Because shard page ranges increase with worker
-// index, merging streams by key — breaking ties in favour of the
-// lowest worker index — reproduces exactly the (key, TID) total order
-// of the serial ordered scan.
+// The ordered merge serves only the sharded gather-merge: each shard
+// stream arrives sorted on the key column, and merging by key —
+// breaking ties in favour of the lowest worker index — yields one
+// stream sorted on that key. The fan-in keeps no order.
 //
 // # Cost accounting
 //
-// Each worker reads through its own bufferpool view (a private
-// disk.Channel), so its sequential shard traversal is classified
-// sequential regardless of how the scheduler interleaves workers; its
-// per-tuple CPU charges are atomic adds of integer ticks to the query's
-// account, so the CPU total is exact whatever the interleaving. Device
-// totals after the scan are the sum of the per-worker contributions.
-// Relative to a serial scan the totals can differ in
-// random-vs-sequential classification (each worker pays its own
-// initial seek, and index leaf pages are walked once per worker rather
-// than once), never in which heap pages are analysed.
+// Each full-scan worker reads through its own bufferpool view (a
+// private disk.Channel), so its sequential shard traversal is
+// classified sequential regardless of how the scheduler interleaves
+// workers; its per-tuple CPU charges are atomic adds of integer ticks
+// to the query's account, so the CPU total is exact whatever the
+// interleaving. Device totals after the scan are the sum of the
+// per-worker contributions. Workers read disjoint heap pages and no
+// index, so no two of them ever miss on the same page: from a cold
+// pool the totals are the same on every run with P workers. Relative
+// to the serial scan only the seek count differs, as each worker pays
+// its own initial seek; which heap pages are read never differs.
 //
 // # Exchange buffers
 //

@@ -2,8 +2,8 @@
 // declarative scan specification — table, driving predicate, residual
 // conjuncts, access path, morphing configuration, parallelism — into
 // the batched exec operator tree that executes it (serial Smooth /
-// Full / Index / Sort / Switch scans, or the page-sharded parallel
-// subsystem with its fan-in or ordered merge).
+// Full / Index / Sort / Switch scans, or a full scan split into page
+// shards behind the parallel subsystem's fan-in).
 //
 // Every workload in the repository goes through this one constructor:
 // the public Query builder and DB.Scan facade, and the TPC-H query
@@ -89,8 +89,9 @@ type ScanSpec struct {
 	Ordered bool
 	// SwitchThreshold is PathSwitch's result-count switch point.
 	SwitchThreshold int64
-	// Parallelism is the worker count; values <= 1 build the classic
-	// serial operator. Only PathSmooth and PathFull parallelise.
+	// Parallelism is the full scan's worker count; values <= 1 build
+	// the serial operator. Only PathFull parallelises: every other path
+	// builds its serial operator whatever the value.
 	Parallelism int
 	// Ctx cancels a parallel scan between batches; nil means no
 	// cancellation. Serial operators are cancelled by their driver
@@ -102,11 +103,8 @@ type ScanSpec struct {
 type Scan struct {
 	// Op is the root operator (the scan itself, or the parallel merge).
 	Op exec.Operator
-	// Smooth is the serial Smooth Scan operator (nil otherwise).
+	// Smooth is the Smooth Scan operator (nil for the other paths).
 	Smooth *core.SmoothScan
-	// Workers holds the per-shard Smooth Scans of a parallel smooth
-	// build (nil otherwise).
-	Workers []*core.SmoothScan
 	// ResidualPushed reports whether Spec.Residual was evaluated
 	// inside the scan; when false the caller must apply the residual
 	// conjuncts itself (e.g. with exec.Filter).
@@ -119,12 +117,9 @@ var ErrNeedsIndex = fmt.Errorf("plan: access path requires an index")
 
 // Build constructs the operator tree for the spec.
 func Build(spec ScanSpec) (*Scan, error) {
-	par := spec.Parallelism
-	if int64(par) > spec.File.NumPages() {
-		par = int(spec.File.NumPages())
-	}
 	switch spec.Path {
 	case PathFull:
+		par := int(min(int64(spec.Parallelism), spec.File.NumPages()))
 		if par > 1 {
 			op, err := parallelFull(spec, par)
 			if err != nil {
@@ -159,13 +154,6 @@ func Build(spec ScanSpec) (*Scan, error) {
 		if pushed {
 			cfg.Residual = spec.Residual
 		}
-		if par > 1 {
-			op, workers, err := parallelSmooth(spec, cfg, par)
-			if err != nil {
-				return nil, err
-			}
-			return &Scan{Op: op, Workers: workers, ResidualPushed: pushed}, nil
-		}
 		ss, err := core.NewSmoothScan(spec.File, spec.Pool, spec.Tree, spec.Pred, cfg)
 		if err != nil {
 			return nil, err
@@ -174,43 +162,6 @@ func Build(spec ScanSpec) (*Scan, error) {
 	default:
 		return nil, fmt.Errorf("plan: unknown access path %d", int(spec.Path))
 	}
-}
-
-// parallelSmooth builds one independently-morphing Smooth Scan per
-// disjoint heap page shard and merges them: an unordered fan-in, or —
-// when base.Ordered — a k-way merge reproducing the serial (key, TID)
-// output order. Each shard runs the query's base config with its page
-// bounds set and the whole-query knobs (cardinality estimate, SLA
-// bound, Result Cache budget) split evenly across the shards.
-func parallelSmooth(spec ScanSpec, base core.Config, par int) (*parallel.Scan, []*core.SmoothScan, error) {
-	shards := parallel.PartitionPages(spec.File.NumPages(), par)
-	n := int64(len(shards))
-	workers := make([]exec.Operator, len(shards))
-	smooths := make([]*core.SmoothScan, len(shards))
-	for i, sh := range shards {
-		cfg := base
-		cfg.EstimatedCard = (base.EstimatedCard + n - 1) / n
-		cfg.SLABound = base.SLABound / float64(n)
-		cfg.ResultCacheBudget = splitBudget(base.ResultCacheBudget, n)
-		cfg.PageLo = sh.PageLo
-		cfg.PageHi = sh.PageHi
-		ss, err := core.NewSmoothScan(spec.File, spec.Pool.View(), spec.Tree, spec.Pred, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		smooths[i] = ss
-		workers[i] = ss
-	}
-	op, err := parallel.NewScan(workers, parallel.Options{
-		Schema:  spec.File.Schema(),
-		Ordered: base.Ordered,
-		KeyCol:  spec.Pred.Col,
-		Ctx:     spec.Ctx,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return op, smooths, nil
 }
 
 // parallelFull builds one full-scan worker per disjoint heap page
@@ -292,17 +243,4 @@ func BuildJoin(spec JoinSpec) (exec.Operator, error) {
 	default:
 		return nil, fmt.Errorf("plan: unknown join algorithm %d", int(spec.Algo))
 	}
-}
-
-// splitBudget divides a byte budget across n workers, keeping a
-// non-zero per-worker slice whenever the whole budget was non-zero.
-func splitBudget(budget, n int64) int64 {
-	if budget <= 0 {
-		return 0
-	}
-	per := budget / n
-	if per < 1 {
-		per = 1
-	}
-	return per
 }

@@ -356,7 +356,7 @@ func TestCloseBeforeFirstNext(t *testing.T) {
 		cancel    bool
 	}{
 		{"complete", 0, rangeQuery(c, 0, 2000).Limit(2), false},
-		{"windowed", 64, rangeQuery(c, 0, 2000).Limit(2000).WithOptions(smoothscan.ScanOptions{Parallelism: 4}), false},
+		{"windowed", 64, rangeQuery(c, 0, 2000).Limit(2000).WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathFull, Parallelism: 4}), false},
 		{"ctx-cancelled", 64, rangeQuery(c, 0, 2000).Limit(2000), true},
 	}
 	for i, tc := range cases {
@@ -453,7 +453,7 @@ func TestCancelMidStream(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		rows, err := rangeQuery(c, 0, 2000).
-			WithOptions(smoothscan.ScanOptions{Parallelism: 4}).
+			WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathFull, Parallelism: 4}).
 			Run(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -142,7 +142,7 @@ func TestQueryJoinMatchesReference(t *testing.T) {
 		"smooth":   {},
 		"full":     {Path: PathFull},
 		"index":    {Path: PathIndex},
-		"parallel": {Parallelism: 4},
+		"parallel": {Path: PathFull, Parallelism: 4},
 	}
 	for _, li := range grid {
 		for _, ri := range grid {
@@ -363,7 +363,7 @@ func TestQueryJoinCancellationParallelProbe(t *testing.T) {
 	rows, err := f.db.Query("items").
 		Join("orders", "i_order", "o_id").
 		Where("i_date", Lt(1000)).
-		WithOptions(ScanOptions{Parallelism: 4}).
+		WithOptions(ScanOptions{Path: PathFull, Parallelism: 4}).
 		Run(ctx)
 	if err != nil {
 		t.Fatal(err)

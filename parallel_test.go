@@ -86,98 +86,78 @@ func rowsEqual(a, b [][]int64) bool {
 	return true
 }
 
-// TestParallelSerialEquivalence is the property test of the parallel
-// subsystem: for every morphing policy, ordered and unordered
-// delivery, and selectivities from 0.01% to 100%, P ∈ {1,2,4,8}
-// workers must produce exactly the rows of the serial scan — the same
-// multiset always, the same sequence when Ordered — and the same
-// total qualifying-tuple count.
+// scanWithStats drains a scan from a cold pool and returns its rows
+// in delivery order with the execution's final ExecStats.
+func scanWithStats(t testing.TB, db *DB, opts ScanOptions, lo, hi int64) ([][]int64, ExecStats) {
+	t.Helper()
+	if err := db.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Scan("t", "val", lo, hi, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]int64
+	for rows.Next() {
+		out = append(out, slices.Clone(rows.Row()))
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out, rows.ExecStats()
+}
+
+// TestParallelSerialEquivalence: Smooth Scan is one serial operator,
+// so Parallelism changes nothing about it. For every morphing policy,
+// ordered and unordered delivery, and selectivities from 0.01% to
+// 100%, P ∈ {2,4,8} must deliver the serial run's row sequence, charge
+// exactly its device I/O, report exactly its morphing counters, and
+// explain as a serial plan.
 func TestParallelSerialEquivalence(t *testing.T) {
 	const (
 		numRows = 30_000
 		domain  = 100_000
 	)
 	db := buildParallelTestDB(t, numRows, domain, 11)
-	selectivities := []float64{0.0001, 0.001, 0.01, 0.1, 1.0} // 0.01% .. 100%
-	policies := []Policy{Elastic, Greedy, SelectivityIncrease}
-	parallelisms := []int{1, 2, 4, 8}
-
-	for _, policy := range policies {
+	for _, policy := range []Policy{Elastic, Greedy, SelectivityIncrease} {
 		for _, ordered := range []bool{false, true} {
-			for _, sel := range selectivities {
+			for _, sel := range []float64{0.0001, 0.001, 0.01, 0.1, 1.0} { // 0.01% .. 100%
 				hi := int64(float64(domain) * sel)
-				base := ScanOptions{Policy: policy, Ordered: ordered}
-				serial := collectScan(t, db, base, 0, hi)
-				wantLen := len(serial)
-				serialSorted := append([][]int64(nil), serial...)
-				sortRows(serialSorted)
-
-				for _, p := range parallelisms {
-					opts := base
-					opts.Parallelism = p
-					got := collectScan(t, db, opts, 0, hi)
-					if len(got) != wantLen {
-						t.Fatalf("policy=%v ordered=%v sel=%v P=%d: %d rows, serial %d",
-							policy, ordered, sel, p, len(got), wantLen)
-					}
-					if ordered {
-						if !rowsEqual(got, serial) {
-							t.Fatalf("policy=%v sel=%v P=%d: ordered rows differ from serial",
-								policy, sel, p)
-						}
-						for i := 1; i < len(got); i++ {
-							if got[i][1] < got[i-1][1] {
-								t.Fatalf("policy=%v sel=%v P=%d: output not key-ordered at row %d",
-									policy, sel, p, i)
-							}
-						}
-					} else {
-						sortRows(got)
-						if !rowsEqual(got, serialSorted) {
-							t.Fatalf("policy=%v sel=%v P=%d: row multiset differs from serial",
-								policy, sel, p)
-						}
-					}
-				}
+				requireSerialSmooth(t, db, ScanOptions{Policy: policy, Ordered: ordered}, 0, hi)
 			}
 		}
 	}
 }
 
-// TestParallelSmoothStatsAggregate checks that the aggregated operator
-// stats of a parallel scan account for every produced tuple and every
-// heap page exactly once.
-func TestParallelSmoothStatsAggregate(t *testing.T) {
-	db := buildParallelTestDB(t, 20_000, 1000, 3)
-	rows, err := db.Scan("t", "val", 0, 1000, ScanOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+// requireSerialSmooth runs base at P ∈ {2,4,8} and requires each run
+// to be the serial Smooth Scan: the same row sequence, device I/O and
+// morphing counters as base itself, and a serial plan.
+func requireSerialSmooth(t *testing.T, db *DB, base ScanOptions, lo, hi int64) {
+	t.Helper()
+	serial, want := scanWithStats(t, db, base, lo, hi)
+	if !want.HasSmooth || want.Smooth.Produced != int64(len(serial)) {
+		t.Fatalf("%+v [%d,%d): serial Smooth = %+v for %d rows", base, lo, hi, want.Smooth, len(serial))
 	}
-	n := 0
-	for rows.Next() {
-		n++
-	}
-	if rows.Err() != nil {
-		t.Fatal(rows.Err())
-	}
-	st, ok := rows.SmoothStats()
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no smooth stats from parallel smooth scan")
-	}
-	if st.Produced != int64(n) || n != 20_000 {
-		t.Errorf("Produced = %d, drained %d, want 20000", st.Produced, n)
-	}
-	pages, err := db.NumPages("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100% selectivity: every heap page analysed exactly once across
-	// all workers (shards are disjoint).
-	if st.PagesFetched != pages {
-		t.Errorf("PagesFetched = %d, want %d (each page exactly once)", st.PagesFetched, pages)
+	for _, p := range []int{2, 4, 8} {
+		opts := base
+		opts.Parallelism = p
+		got, st := scanWithStats(t, db, opts, lo, hi)
+		if !rowsEqual(got, serial) {
+			t.Fatalf("%+v [%d,%d): %d rows differ from the serial run's %d", opts, lo, hi, len(got), len(serial))
+		}
+		if st.IO != want.IO {
+			t.Fatalf("%+v [%d,%d): IO differs\nserial %+v\ngot    %+v", opts, lo, hi, want.IO, st.IO)
+		}
+		if st.Smooth != want.Smooth {
+			t.Fatalf("%+v [%d,%d): Smooth differs\nserial %+v\ngot    %+v", opts, lo, hi, want.Smooth, st.Smooth)
+		}
+		plan, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(opts).Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Parallelism != 1 {
+			t.Fatalf("%+v: explains with Parallelism %d, want 1\n%s", opts, plan.Parallelism, plan)
+		}
 	}
 }
 
@@ -236,9 +216,11 @@ func TestConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			opts := ScanOptions{Parallelism: c % 4} // 0/1 serial, 2,3 parallel
-			if c%2 == 0 {
-				opts.Ordered = true
+			// Smooth Scan ordered and unordered; full scan on 2 and 3
+			// workers.
+			opts := ScanOptions{Ordered: c%4 == 0}
+			if p := c % 4; p >= 2 {
+				opts = ScanOptions{Path: PathFull, Parallelism: p}
 			}
 			for iter := 0; iter < 3; iter++ {
 				rows, err := db.Scan("t", "val", 100, 900, opts)
@@ -298,24 +280,20 @@ func TestColdCacheGuard(t *testing.T) {
 	}
 }
 
-// TestParallelEdgeConfigs covers configurations off the eager/unbounded
-// happy path: non-eager triggers (whose per-worker trigger points
-// differ from serial but whose result set must not), a spilling Result
-// Cache, insert-delta entries merged by the sharded leaf iterator, and
-// an empty key range.
+// TestParallelEdgeConfigs covers configurations off the eager,
+// unbounded happy path. Smooth Scan's non-eager triggers and spilling
+// Result Cache take whole-query estimates and budgets; with
+// Parallelism set they must still run exactly the serial scan. The
+// parallel full scan gets a residual conjunct pushed into every shard
+// worker, rows inserted after the table was loaded (new heap pages the
+// shards must cover), and an empty key range.
 func TestParallelEdgeConfigs(t *testing.T) {
 	db := buildParallelTestDB(t, 15_000, 5_000, 21)
+	full := func(p int) ScanOptions { return ScanOptions{Path: PathFull, Parallelism: p} }
 
 	t.Run("optimizer-trigger", func(t *testing.T) {
-		opts := ScanOptions{Trigger: OptimizerDriven, EstimatedRows: 50} // gross underestimate
-		serial := collectScan(t, db, opts, 0, 5_000)
-		sortRows(serial)
-		opts.Parallelism = 4
-		got := collectScan(t, db, opts, 0, 5_000)
-		sortRows(got)
-		if !rowsEqual(got, serial) {
-			t.Error("optimizer-driven trigger: parallel rows differ from serial")
-		}
+		// A gross underestimate: the trigger fires almost at once.
+		requireSerialSmooth(t, db, ScanOptions{Trigger: OptimizerDriven, EstimatedRows: 50}, 0, 5_000)
 	})
 
 	t.Run("sla-trigger", func(t *testing.T) {
@@ -323,24 +301,23 @@ func TestParallelEdgeConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := ScanOptions{Trigger: SLADriven, SLABound: 2 * bound}
-		serial := collectScan(t, db, opts, 0, 2_500)
-		sortRows(serial)
-		opts.Parallelism = 4
-		got := collectScan(t, db, opts, 0, 2_500)
-		sortRows(got)
-		if !rowsEqual(got, serial) {
-			t.Error("SLA-driven trigger: parallel rows differ from serial")
-		}
+		requireSerialSmooth(t, db, ScanOptions{Trigger: SLADriven, SLABound: 2 * bound}, 0, 2_500)
 	})
 
 	t.Run("spilling-result-cache", func(t *testing.T) {
-		opts := ScanOptions{Ordered: true, ResultCacheBudget: 16 << 10}
-		serial := collectScan(t, db, opts, 0, 5_000)
-		opts.Parallelism = 4
-		got := collectScan(t, db, opts, 0, 5_000)
+		requireSerialSmooth(t, db, ScanOptions{Ordered: true, ResultCacheBudget: 16 << 10}, 0, 5_000)
+	})
+
+	t.Run("residual", func(t *testing.T) {
+		run := func(p int) [][]int64 {
+			got := collect(t, mustRun(t, db.Query("t").Where("val", Between(0, 2_500)).
+				Where("id", Lt(6_000)).WithOptions(full(p))))
+			sortRows(got)
+			return got
+		}
+		serial, got := run(1), run(4)
 		if !rowsEqual(got, serial) {
-			t.Error("spilling ordered scan: parallel rows differ from serial")
+			t.Errorf("residual: parallel %d rows differ from serial %d", len(got), len(serial))
 		}
 	})
 
@@ -350,10 +327,12 @@ func TestParallelEdgeConfigs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		serial := collectScan(t, db, ScanOptions{Ordered: true}, 0, 5_000)
-		got := collectScan(t, db, ScanOptions{Ordered: true, Parallelism: 4}, 0, 5_000)
+		serial := collectScan(t, db, full(1), 0, 5_000)
+		sortRows(serial)
+		got := collectScan(t, db, full(4), 0, 5_000)
+		sortRows(got)
 		if !rowsEqual(got, serial) {
-			t.Error("after inserts: parallel ordered rows differ from serial")
+			t.Error("after inserts: parallel rows differ from serial")
 		}
 		if len(got) != 15_500 {
 			t.Errorf("drained %d rows, want 15500", len(got))
@@ -361,7 +340,7 @@ func TestParallelEdgeConfigs(t *testing.T) {
 	})
 
 	t.Run("empty-range", func(t *testing.T) {
-		got := collectScan(t, db, ScanOptions{Parallelism: 4}, 7, 7)
+		got := collectScan(t, db, full(4), 7, 7)
 		if len(got) != 0 {
 			t.Errorf("empty key range produced %d rows", len(got))
 		}
@@ -376,7 +355,7 @@ func TestParallelismClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collectScan(t, db, ScanOptions{Parallelism: int(pages) * 10, Ordered: true}, 0, 100)
+	got := collectScan(t, db, ScanOptions{Path: PathFull, Parallelism: int(pages) * 10}, 0, 100)
 	if len(got) != 2_000 {
 		t.Errorf("clamped parallel scan produced %d rows, want 2000", len(got))
 	}

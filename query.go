@@ -794,17 +794,11 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	a.ordered = nativeOrder
 	a.path = path
 
-	par := opts.Parallelism
-	if par > MaxParallelism {
-		par = MaxParallelism
-	}
-	if int64(par) > t.file.NumPages() {
-		par = int(t.file.NumPages())
-	}
-	if par > 1 && (path == PathSmooth || path == PathFull) {
-		a.par = par
-	} else {
-		a.par = 1
+	// Only a full scan splits into page shards; every other path
+	// runs serially whatever Parallelism asks for.
+	a.par = 1
+	if path == PathFull {
+		a.par = int(max(1, min(int64(opts.Parallelism), MaxParallelism, t.file.NumPages())))
 	}
 
 	a.cfg = core.Config{
@@ -1528,7 +1522,6 @@ func (l *localExec) buildInput(ctx context.Context, a *tableAccess, count func(s
 	}
 	if a == cq.driving() {
 		l.smooth = built.Smooth
-		l.workers = built.Workers
 	}
 
 	// Counter names keep the historical single-table form ("smooth",

@@ -9,7 +9,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -679,7 +678,7 @@ func TestQueryCancellationParallelWorkersExit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rows, err := db.Query("t").Where("val", Between(0, 10_000)).
-		WithOptions(ScanOptions{Parallelism: 4}).Run(ctx)
+		WithOptions(ScanOptions{Path: PathFull, Parallelism: 4}).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +706,7 @@ func TestQueryParallelAggregation(t *testing.T) {
 	want := collect(t, mustRun(t, db.Query("t").Where("val", Between(0, 500)).
 		GroupBy("val", Count())))
 	got := collect(t, mustRun(t, db.Query("t").Where("val", Between(0, 500)).
-		WithOptions(ScanOptions{Parallelism: 4}).
+		WithOptions(ScanOptions{Path: PathFull, Parallelism: 4}).
 		GroupBy("val", Count())))
 	if len(got) != len(want) {
 		t.Fatalf("parallel agg %d groups, serial %d", len(got), len(want))
@@ -719,30 +718,38 @@ func TestQueryParallelAggregation(t *testing.T) {
 	}
 }
 
-// TestQueryOrderedParallel: OrderBy on the driving column of a
-// parallel smooth scan uses the ordered merge, no sort operator.
+// TestQueryOrderedParallel: under OrderBy on the driving column, a
+// Smooth Scan with Parallelism set still runs serially and delivers
+// key order itself (no sort, one worker in the plan), while a parallel
+// full scan's fan-in gets a posterior sort; both return the serial
+// key sequence.
 func TestQueryOrderedParallel(t *testing.T) {
 	db := buildParallelTestDB(t, 30_000, 5_000, 11)
-	q := db.Query("t").Where("val", Between(0, 5_000)).
-		WithOptions(ScanOptions{Parallelism: 4}).OrderBy("val")
-	plan, err := q.Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Root.Name == "sort" {
-		t.Errorf("ordered parallel scan added a sort:\n%s", plan)
-	}
-	got := collect(t, mustRun(t, q))
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i][1] < got[j][1] }) {
-		t.Error("parallel ordered output not sorted by val")
-	}
 	want := collect(t, mustRun(t, db.Query("t").Where("val", Between(0, 5_000)).OrderBy("val")))
-	if len(got) != len(want) {
-		t.Fatalf("parallel ordered %d rows, serial %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i][0] != want[i][0] {
-			t.Fatalf("row %d differs: %v vs %v", i, got[i], want[i])
+	for _, c := range []struct {
+		opts     ScanOptions
+		root     string
+		parallel int
+	}{
+		{ScanOptions{Parallelism: 4}, "ordered", 1},
+		{ScanOptions{Path: PathFull, Parallelism: 4}, "sort", 4},
+	} {
+		q := db.Query("t").Where("val", Between(0, 5_000)).WithOptions(c.opts).OrderBy("val")
+		plan, err := q.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Root.Name != c.root || plan.Parallelism != c.parallel {
+			t.Errorf("%v: plan root %s x%d, want %s x%d:\n%s", c.opts.Path, plan.Root.Name, plan.Parallelism, c.root, c.parallel, plan)
+		}
+		got := collect(t, mustRun(t, q))
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d rows, serial %d", c.opts.Path, len(got), len(want))
+		}
+		for i := range got {
+			if got[i][1] != want[i][1] {
+				t.Fatalf("%v: row %d key %d, serial %d", c.opts.Path, i, got[i][1], want[i][1])
+			}
 		}
 	}
 }

@@ -302,7 +302,7 @@ func (d *remoteDriver) coldCache() error {
 // The Rows' ExecStats is the server's closing summary — zero until the
 // stream has been drained: I/O, row count, plan and result cache reuse,
 // retry and fault counters and the degradation ladder survive the
-// wire; operator and worker breakdowns and the morphing counters stay
+// wire; operator breakdowns and the morphing counters stay
 // zero. Plan is nil. A cancelled ctx ends the stream at its next frame
 // and frees c, as draining it does.
 func openRemote(ctx context.Context, c *client.Conn, spec wire.QuerySpec, b Bind, drv *remoteDriver) (*Rows, error) {

@@ -617,7 +617,7 @@ func TestRemoteContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rows, err := c.Table(loadgen.Table).
 		Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).
-		WithOptions(smoothscan.ScanOptions{Parallelism: 4}).
+		WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathFull, Parallelism: 4}).
 		Run(ctx)
 	if err != nil {
 		t.Fatal(err)

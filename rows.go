@@ -268,9 +268,7 @@ func (r *Rows) Plan() *Plan {
 }
 
 // SmoothStats returns the Smooth Scan operator counters when the scan
-// used PathSmooth (ExecStats().Smooth). For a parallel scan it returns
-// the per-worker counters aggregated into query totals; read it after
-// draining or closing the scan, when the workers have quiesced.
+// used PathSmooth (ExecStats().Smooth).
 func (r *Rows) SmoothStats() (SmoothStats, bool) {
 	st := r.ExecStats()
 	return st.Smooth, st.HasSmooth
@@ -288,8 +286,8 @@ func (r *Rows) Choice() (path string, estimatedRows int64, ok bool) {
 
 // ExecStats returns the query's unified execution statistics. It may
 // be called while the scan is still running (counters are then
-// partial: per-worker and per-shard internals are only read once the
-// workers have quiesced); after Close the snapshot is final.
+// partial: per-shard internals are only read once the shard workers
+// have quiesced); after Close the snapshot is final.
 func (r *Rows) ExecStats() ExecStats { return r.run.stats(r) }
 
 // engineStats completes an in-process execution's stats with what the
@@ -311,14 +309,13 @@ func (r *Rows) engineStats(st ExecStats) ExecStats {
 
 // localExec is one DB's operator tree for a compiled query — built by
 // localExec.build — plus the handles ExecStats reads (the driving
-// table's Smooth Scan operator(s), the join operators, the per-stage
+// table's Smooth Scan operator, the join operators, the per-stage
 // counters) and the execution's I/O account.
 type localExec struct {
 	db       *DB
 	cq       *compiledQuery
 	root     exec.Operator
 	smooth   *core.SmoothScan
-	workers  []*core.SmoothScan // parallel workers (PathSmooth)
 	joins    []exec.JoinStatser // batched join operators, leaf-most first
 	counters []*opCounter
 
@@ -369,25 +366,12 @@ func (l *localExec) store(a *resAccum) {
 func (l *localExec) plan() *Plan { return l.cq.plan() }
 
 func (l *localExec) stats(r *Rows) ExecStats {
-	quiesced := r.closed || r.done
 	st := ExecStats{IO: l.pool.Channel().Stats()}
-	switch {
-	case l.smooth != nil:
-		// Serial: the operator runs on the caller's goroutine, so a
-		// live snapshot is safe.
+	if l.smooth != nil {
+		// Smooth Scan runs on the caller's goroutine, so a live
+		// snapshot is safe.
 		st.HasSmooth = true
 		st.Smooth = l.smooth.Stats()
-	case len(l.workers) > 0:
-		st.HasSmooth = true
-		if quiesced {
-			// Worker counters are only stable once the workers are.
-			parts := make([]core.Stats, len(l.workers))
-			for i, w := range l.workers {
-				parts[i] = w.Stats()
-			}
-			st.Smooth = core.AggregateStats(parts)
-			st.Workers = parts
-		}
 	}
 	for _, j := range l.joins {
 		st.Joins = append(st.Joins, j.JoinStats())

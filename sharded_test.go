@@ -284,10 +284,7 @@ func TestShardedLimitUnordered(t *testing.T) {
 // TestShardedN1CostIdentity pins the degenerate case: with one shard,
 // every query shape produces the same rows AND the same I/O account as
 // the unsharded engine — the scatter-gather layer adds zero
-// simulated cost. (parallel-smooth is compared by rows only: a
-// parallel smooth scan's pool-hit pattern depends on worker
-// interleaving, so its I/O is not run-to-run deterministic even
-// unsharded.)
+// simulated cost.
 func TestShardedN1CostIdentity(t *testing.T) {
 	un := buildGridUnsharded(t)
 	s := buildGridSharded(t, 1, "range")
@@ -315,7 +312,7 @@ func TestShardedN1CostIdentity(t *testing.T) {
 			if !rowsEqual(got, want) {
 				t.Fatalf("N=1 rows diverge: got %d rows, want %d", len(got), len(want))
 			}
-			if c.name != "parallel-smooth" && wes.IO != ges.IO {
+			if wes.IO != ges.IO {
 				t.Errorf("N=1 I/O diverges:\nunsharded %+v\nsharded   %+v", wes.IO, ges.IO)
 			}
 		})

@@ -586,16 +586,15 @@ type ScanOptions struct {
 	// ResultCacheBudget bounds the ordered Smooth Scan's Result Cache
 	// resident memory in bytes; beyond it, far partitions spill to
 	// overflow files (charged as sequential I/O). Zero = unlimited.
-	// A parallel scan splits the budget evenly across its workers.
 	ResultCacheBudget int64
-	// Parallelism is the number of scan workers. Values <= 1 select
-	// the classic serial operator. For PathSmooth and PathFull the
-	// table's heap pages are partitioned into that many disjoint
-	// shards, one independently-morphing worker each, merged through
-	// an unordered fan-in (or a key-ordered merge when Ordered is
-	// set); the result rows are exactly those of the serial scan. The
-	// other access paths ignore the knob and run serially. The value
-	// is clamped to the table's page count and to MaxParallelism.
+	// Parallelism is the number of full-scan workers. With PathFull
+	// and a value above 1 the table's heap pages are partitioned into
+	// that many disjoint shards, one worker each, merged through an
+	// unordered fan-in; the result rows and the heap pages read are
+	// exactly those of the serial scan, and from a cold buffer pool the
+	// device totals are the same on every run. Every other access path,
+	// Smooth Scan included, ignores the knob and runs serially. The
+	// value is clamped to the table's page count and to MaxParallelism.
 	Parallelism int
 }
 
