@@ -32,6 +32,7 @@ type rawDeviceStats disk.Stats
 // only when a change means to move those numbers.
 func TestSmoothScanStatsGolden(t *testing.T) {
 	const numRows = 1200
+	const tightBudget = 480 // ten parked tuples of 8*3+24 bytes
 	gen := func(i int64) int64 { return (i * 131) % numRows }
 	residual := []tuple.RangePred{{Col: 2, Lo: 0, Hi: 2}}
 	type namedCfg struct {
@@ -55,6 +56,17 @@ func TestSmoothScanStatsGolden(t *testing.T) {
 			cfgs = append(cfgs, namedCfg{fmt.Sprintf("entire-page/%v/residual=%v", trig, res), c})
 		}
 	}
+	// Ordered scans carry no residual. A budget of 0 never spills; the
+	// tight one spills at 20% and 100% (asserted below), so the spill
+	// sequence and its counters are pinned too.
+	for _, trig := range []Trigger{Eager, OptimizerDriven} {
+		for _, pol := range []Policy{Elastic, Greedy, SelectivityIncrease} {
+			for _, budget := range []int64{0, tightBudget} {
+				c := Config{Policy: pol, Trigger: trig, EstimatedCard: 20, Ordered: true, ResultCacheBudget: budget}
+				cfgs = append(cfgs, namedCfg{fmt.Sprintf("%v/%v/ordered/budget=%d", pol, trig, budget), c})
+			}
+		}
+	}
 	sels := []struct {
 		name string
 		pred tuple.RangePred
@@ -75,6 +87,9 @@ func TestSmoothScanStatsGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 					n, digest := pullBatches(t, s, batchCap, batches)
+					if c.cfg.ResultCacheBudget > 0 && sel.name != "sel1pct" && batches == 0 && s.Stats().Spill.Spills == 0 {
+						t.Errorf("%s/%s/batch=%d: budget %d never spilled", c.name, sel.name, batchCap, c.cfg.ResultCacheBudget)
+					}
 					end := "drain"
 					if batches > 0 {
 						end = fmt.Sprintf("close@%d", batches)
