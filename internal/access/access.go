@@ -137,7 +137,7 @@ func (s *FullScan) fillBatch(out *tuple.Batch, seen *bitmap.Bitmap) (int, error)
 		var veto *heap.Veto
 		if seen != nil {
 			pageNo := s.pageNo - int64(len(s.pages)) + int64(s.pageIdx)
-			veto = &heap.Veto{Seen: seen, Base: pageNo * int64(s.file.TuplesPerPage())}
+			veto = &heap.Veto{Seen: seen, Base: s.file.TIDBit(heap.TID{Page: pageNo})}
 		}
 		next, examined := s.file.DecodeBatchMatching(page, s.slot, count, s.pred, s.residual, veto, out)
 		s.pool.ChargeCPUN(simcost.Tuple, int64(examined))

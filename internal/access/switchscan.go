@@ -66,10 +66,6 @@ func (s *SwitchScan) Open() error {
 	return nil
 }
 
-func (s *SwitchScan) tidBit(tid heap.TID) int64 {
-	return tid.Page*int64(s.file.TuplesPerPage()) + int64(tid.Slot)
-}
-
 // NextBatch fills out with the next matching tuples: index-ordered
 // until the switch, physical order afterwards. The full-scan phase
 // decodes qualifying pages directly into the batch, vetoing tuples
@@ -97,7 +93,7 @@ func (s *SwitchScan) NextBatch(out *tuple.Batch) (int, error) {
 			}
 			s.pool.ChargeCPU(simcost.Tuple)
 			s.produced++
-			s.seen.Set(s.tidBit(e.TID))
+			s.seen.Set(s.file.TIDBit(e.TID))
 			continue
 		}
 		s.switched = true

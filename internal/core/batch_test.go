@@ -241,3 +241,38 @@ func TestSmoothScanMixedCapacities(t *testing.T) {
 		t.Errorf("device stats differ:\n batch=1: %+v\n mixed:   %+v", sa, sb)
 	}
 }
+
+// TestModeZeroAllocsFlat pins that a scan which stays in Mode 0 decodes
+// each probe straight into the caller's batch: its allocations do not
+// grow with the rows it produces.
+func TestModeZeroAllocsFlat(t *testing.T) {
+	fx := newFixture(t, 1200, 512, func(i int64) int64 { return (i * 131) % 1200 })
+	cfg := Config{Trigger: OptimizerDriven, EstimatedCard: 1 << 40}
+	b := tuple.NewBatchFor(fx.file.Schema(), 16)
+	allocs := func(hi int64) float64 {
+		s, err := NewSmoothScan(fx.file, fx.pool, fx.tree, tuple.RangePred{Col: 1, Lo: 300, Hi: hi}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(5, func() {
+			if err := s.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if n, err := s.NextBatch(b); err != nil {
+					t.Fatal(err)
+				} else if n == 0 {
+					break
+				}
+			}
+			s.Close()
+		})
+		if st := s.Stats(); st.TriggeredAt != -1 || st.Produced != hi-300 {
+			t.Fatalf("range [300,%d): %+v, want %d rows in Mode 0", hi, st, hi-300)
+		}
+		return n
+	}
+	if few, many := allocs(310), allocs(500); many != few {
+		t.Errorf("Mode 0 allocations grow with rows: %v for 10 rows, %v for 200", few, many)
+	}
+}

@@ -241,14 +241,13 @@ type SmoothScan struct {
 	it       *btree.Iter
 	pageSeen *bitmap.Bitmap // Page ID cache
 	tupSeen  *bitmap.Bitmap // Tuple ID cache (non-eager triggers only)
-	cache    *spillingCache // ordered mode only
-	scratch  tuple.Row      // per-slot decode scratch (ordered mode)
+	cache    *resultCache   // ordered mode only
 
 	// region is GetRun's scratch, reused across regions. In unordered
 	// mode its front holds the current region's pages with results, in
 	// page order, and at their page numbers and resume slots; drain
 	// decodes them into the caller's batch from region[next] on.
-	// Ordered mode keeps nothing there.
+	// Ordered mode keeps nothing there and never grows at.
 	region [][]byte
 	at     []pageCursor
 	next   int
@@ -331,7 +330,7 @@ func (s *SmoothScan) Stats() Stats {
 	if s.cache != nil {
 		st.CachePeakTuples = s.cache.peakTuples
 		st.CachePeakBytes = s.cache.peakBytes
-		st.Spill = s.cache.stats()
+		st.Spill = s.cache.spill
 	}
 	return st
 }
@@ -375,13 +374,11 @@ func (s *SmoothScan) Open() error {
 		s.stats.TupleCacheBytes = s.tupSeen.MemoryBytes()
 	}
 	if s.cfg.Ordered {
-		s.scratch = tuple.NewRow(s.file.Schema())
 		bounds, err := s.tree.RootKeys(s.pool)
 		if err != nil {
 			return fmt.Errorf("smooth scan: %w", err)
 		}
-		rc := newResultCache(bounds, s.file.Schema().NumCols())
-		s.cache = newSpillingCache(rc, s.pool.Channel(), s.cfg.ResultCacheBudget)
+		s.cache = newResultCache(bounds, s.file.Schema().NumCols(), s.pool.Channel(), s.cfg.ResultCacheBudget)
 	}
 	s.open = true
 	return nil
@@ -397,35 +394,26 @@ func (s *SmoothScan) Close() error {
 	return nil
 }
 
-func (s *SmoothScan) tidBit(tid heap.TID) int64 {
-	return tid.Page*int64(s.file.TuplesPerPage()) + int64(tid.Slot)
-}
-
-// NextBatch fills out with the next qualifying tuples. An unordered
-// region's rows are decoded from its pages straight into out, resuming
-// where the previous call stopped, so the morphing fast path allocates
-// nothing per tuple and stages nothing.
+// NextBatch fills out with the next qualifying tuples. Every row is
+// decoded or copied straight into out — an unordered region's from its
+// pages, resuming where the previous call stopped — so no path
+// allocates a row of its own; Produced counts what out gained.
 func (s *SmoothScan) NextBatch(out *tuple.Batch) (int, error) {
 	if !s.open {
 		return 0, ErrClosed
 	}
 	out.Reset()
-	for !out.Full() {
+	for more := true; more && !out.Full(); {
+		before := out.Len()
 		if s.next < len(s.region) {
 			s.drain(out)
-			continue
+		} else {
+			var err error
+			if more, err = s.advance(out); err != nil {
+				return 0, err
+			}
 		}
-		row, ok, err := s.advance()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		if row != nil {
-			out.Append(row)
-			s.stats.Produced++
-		}
+		s.stats.Produced += int64(out.Len() - before)
 	}
 	return out.Len(), nil
 }
@@ -433,17 +421,15 @@ func (s *SmoothScan) NextBatch(out *tuple.Batch) (int, error) {
 // drain decodes the region's pages into out from the resume cursor on,
 // until out fills or the region is delivered. Every charge and counter
 // of these pages was settled when the region was analysed; drain only
-// hands rows over and counts them as Produced.
+// hands rows over.
 func (s *SmoothScan) drain(out *tuple.Batch) {
 	for ; s.next < len(s.region) && !out.Full(); s.next++ {
 		at := &s.at[s.next]
-		before := out.Len()
 		var veto *heap.Veto
 		if s.tupSeen != nil {
-			veto = &heap.Veto{Seen: s.tupSeen, Base: s.tidBit(heap.TID{Page: at.no})}
+			veto = &heap.Veto{Seen: s.tupSeen, Base: s.file.TIDBit(heap.TID{Page: at.no})}
 		}
 		slot, _ := s.file.DecodeBatchMatching(s.region[s.next], int(at.slot), int(at.count), s.pred, s.cfg.Residual, veto, out)
-		s.stats.Produced += int64(out.Len() - before)
 		if slot < int(at.count) {
 			at.slot = int32(slot)
 			return
@@ -451,24 +437,24 @@ func (s *SmoothScan) drain(out *tuple.Batch) {
 	}
 }
 
-// advance runs the morphing loop until it produces a direct row (mode-0
-// probe, ordered direct return or cache hit — returned non-nil), stages
-// an unordered region for drain (returned nil, true), or exhausts the
-// index (false). The caller accounts Produced.
-func (s *SmoothScan) advance() (tuple.Row, bool, error) {
+// advance runs the morphing loop until it appends a direct row to out
+// (Mode 0 probe, ordered direct return or cache hit), stages an
+// unordered region for drain, or exhausts the index (false). out must
+// have room for a row; the caller accounts Produced.
+func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 	if s.done {
-		return nil, false, nil
+		return false, nil
 	}
 	if !s.cfg.Ordered && s.mode != ModeIndex && s.pageSeen.Count() == s.pageSeen.Len() {
 		// Every page is analysed, so each entry left below Hi is a leaf
 		// pointer to a seen page (✕ in Fig. 3): count them by leaf.
 		n, err := s.it.CountBelow(s.pred.Hi)
 		if err != nil {
-			return nil, false, fmt.Errorf("smooth scan: %w", err)
+			return false, fmt.Errorf("smooth scan: %w", err)
 		}
 		s.stats.LeafPointersSkipped += n
 		s.done = true
-		return nil, false, nil
+		return false, nil
 	}
 	for {
 		e, ok, err := s.it.Next()
@@ -476,11 +462,11 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 			ok = false
 		}
 		if err != nil {
-			return nil, false, fmt.Errorf("smooth scan: %w", err)
+			return false, fmt.Errorf("smooth scan: %w", err)
 		}
 		if !ok {
 			s.done = true
-			return nil, false, nil
+			return false, nil
 		}
 		// Morphing trigger check (non-eager strategies).
 		if s.mode == ModeIndex && s.stats.Produced >= s.triggerCard {
@@ -489,16 +475,17 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 		}
 		if s.mode == ModeIndex {
 			// Mode 0: classic index-scan probe.
-			row, err := s.file.RowAt(s.pool, e.TID)
+			row, err := s.file.DecodeRowAt(s.pool, e.TID, out.AppendSlotRaw())
 			if err != nil {
-				return nil, false, fmt.Errorf("smooth scan: %w", err)
+				return false, fmt.Errorf("smooth scan: %w", err)
 			}
 			s.pool.ChargeCPU(simcost.Tuple)
-			s.tupSeen.Set(s.tidBit(e.TID))
+			s.tupSeen.Set(s.file.TIDBit(e.TID))
 			if !tuple.MatchesAll(s.cfg.Residual, row) {
+				out.Truncate(out.Len() - 1)
 				continue
 			}
-			return row, true, nil
+			return true, nil
 		}
 
 		if s.cfg.Ordered {
@@ -510,41 +497,40 @@ func (s *SmoothScan) advance() (tuple.Row, bool, error) {
 			if !s.cfg.Ordered {
 				continue // tuple was already staged with its region
 			}
-			if s.tupSeen != nil && s.tupSeen.Get(s.tidBit(e.TID)) {
+			if s.tupSeen != nil && s.tupSeen.Get(s.file.TIDBit(e.TID)) {
 				continue // produced during Mode 0
 			}
 			s.pool.ChargeCPU(simcost.Hash)
 			row, ok := s.cache.take(e.Key, e.TID)
 			if !ok {
-				return nil, false, fmt.Errorf("smooth scan: result cache miss for key %d tid %v (invariant violation)", e.Key, e.TID)
+				return false, fmt.Errorf("smooth scan: result cache miss for key %d tid %v (invariant violation)", e.Key, e.TID)
 			}
 			s.stats.CacheHits++
-			return row, true, nil
+			out.Append(row)
+			return true, nil
 		}
 
 		// Unseen page: analyse a whole morphing region around it.
-		direct, err := s.processRegion(e)
-		if err != nil {
-			return nil, false, err
+		if err := s.processRegion(e, out); err != nil {
+			return false, err
 		}
 		if s.cfg.Ordered {
 			s.stats.DirectReturns++
-			return direct, true, nil
 		}
-		return nil, true, nil
+		return true, nil
 	}
 }
 
 // processRegion fetches and analyses the morphing region starting at
 // the probed entry's page, updates the Page ID cache and lets the policy
-// adjust the region size. In ordered mode it records qualifying tuples
-// and returns the probed tuple; in unordered mode it stages the pages
-// holding results for drain.
-func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
+// adjust the region size. In ordered mode it parks qualifying tuples
+// and appends the probed tuple to out; in unordered mode it stages the
+// pages holding results for drain.
+func (s *SmoothScan) processRegion(probe btree.Entry, out *tuple.Batch) error {
 	start := probe.TID.Page
 	end := min(start+s.regionPages, s.pages)
 
-	var direct tuple.Row
+	direct := false
 	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
 	regionSeen := int64(0)
 	regionWithRes := int64(0)
@@ -564,7 +550,7 @@ func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 		s.growRegion(int(runEnd - p))
 		pages, err := s.file.GetRun(s.pool, p, runEnd-p, s.region[len(s.region):cap(s.region)])
 		if err != nil {
-			return nil, fmt.Errorf("smooth scan: %w", err)
+			return fmt.Errorf("smooth scan: %w", err)
 		}
 		for i, page := range pages {
 			pageNo := p + int64(i)
@@ -573,7 +559,7 @@ func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 			regionSeen++
 			var found bool
 			if s.cfg.Ordered {
-				found = s.analysePage(page, pageNo, probe, &direct)
+				found = s.analysePage(page, pageNo, probe, out, &direct)
 			} else {
 				found = s.stagePage(page, pageNo)
 			}
@@ -587,24 +573,20 @@ func (s *SmoothScan) processRegion(probe btree.Entry) (tuple.Row, error) {
 
 	s.updatePolicy(regionSeen, regionWithRes)
 
-	if s.cfg.Ordered {
-		if direct == nil {
-			return nil, fmt.Errorf("smooth scan: probed tuple %v not found on page %d (invariant violation)", probe.TID, probe.TID.Page)
-		}
-		return direct, nil
+	if s.cfg.Ordered && !direct {
+		return fmt.Errorf("smooth scan: probed tuple %v not found on page %d (invariant violation)", probe.TID, probe.TID.Page)
 	}
-	return nil, nil
+	return nil
 }
 
-// growRegion makes room in region (and at) for n more pages, doubling
-// the capacity when it must grow.
+// growRegion makes room in region for n more pages, doubling the
+// capacity when it must grow.
 func (s *SmoothScan) growRegion(n int) {
 	if cap(s.region)-len(s.region) >= n {
 		return
 	}
 	c := max(2*cap(s.region), len(s.region)+n)
 	s.region = append(make([][]byte, 0, c), s.region...)
-	s.at = append(make([]pageCursor, 0, c), s.at...)
 }
 
 // stagePage is unordered mode's Entire Page Probe of a fetched region
@@ -616,47 +598,49 @@ func (s *SmoothScan) growRegion(n int) {
 func (s *SmoothScan) stagePage(page []byte, pageNo int64) bool {
 	count := heap.PageTupleCount(page)
 	s.pool.ChargeCPUN(simcost.Tuple, int64(count))
-	slot := s.file.FirstMatch(page, 0, count, s.pred, s.cfg.Residual)
-	if slot == count {
+	first := -1
+	s.file.Matches(page, 0, count, s.pred, s.cfg.Residual, func(slot int, _ tuple.Row) bool {
+		first = slot
+		return false
+	})
+	if first < 0 {
 		return false
 	}
 	// page sits at or beyond index len(s.region) of the backing array
 	// GetRun wrote, so this append neither reallocates nor overwrites a
 	// page still to be analysed.
 	s.region = append(s.region, page)
-	s.at = append(s.at, pageCursor{no: pageNo, slot: int32(slot), count: int32(count)})
+	s.at = append(s.at, pageCursor{no: pageNo, slot: int32(first), count: int32(count)})
 	return true
 }
 
-// analysePage is ordered mode's Entire Page Probe: it scans every
-// record of the page, returning the probed tuple through direct and
-// parking the other qualifying tuples in the Result Cache; it reports
-// whether any qualified. Like stagePage it charges the per-tuple CPU
-// of every record once, up front. Ordered scans carry no residual
-// conjuncts (Config.Validate).
-func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, direct *tuple.Row) bool {
+// analysePage is ordered mode's Entire Page Probe: it walks every
+// qualifying record of the page, appending the probed tuple to out
+// (setting *direct) and parking the others in the Result Cache; it
+// reports whether any qualified, whether or not Mode 0 already
+// produced it. Like stagePage it charges the per-tuple CPU of every
+// record once, up front. Ordered scans carry no residual conjuncts
+// (Config.Validate).
+func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, out *tuple.Batch, direct *bool) bool {
 	count := heap.PageTupleCount(page)
 	s.pool.ChargeCPUN(simcost.Tuple, int64(count))
 	found := false
-	for slot := 0; slot < count; slot++ {
-		v := s.file.ColInt(page, slot, s.pred.Col)
-		if v < s.pred.Lo || v >= s.pred.Hi {
-			continue
-		}
+	s.file.Matches(page, 0, count, s.pred, nil, func(slot int, row tuple.Row) bool {
 		found = true
 		tid := heap.TID{Page: pageNo, Slot: int32(slot)}
-		if s.tupSeen != nil && s.tupSeen.Get(s.tidBit(tid)) {
-			continue // already produced in Mode 0
-		}
-		row := s.file.DecodeRow(page, slot, s.scratch)
-		if tid == probe.TID {
-			*direct = row.Clone()
-		} else {
+		switch {
+		case s.tupSeen != nil && s.tupSeen.Get(s.file.TIDBit(tid)):
+			// already produced in Mode 0
+		case tid == probe.TID:
+			copy(out.AppendSlotRaw(), row)
+			*direct = true
+		default:
 			s.pool.ChargeCPU(simcost.Hash)
 			s.cache.insert(row.Int(s.pred.Col), tid, row.Clone())
 			s.stats.CacheInserts++
 		}
-	}
+		return true
+	})
 	return found
 }
 

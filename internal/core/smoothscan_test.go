@@ -515,3 +515,48 @@ func TestSmoothScanEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSmoothScanWithCacheBudgetStaysCorrect(t *testing.T) {
+	// An ordered scan with a tiny Result Cache budget must return the
+	// identical (ordered) result, just with extra overflow I/O.
+	fx := newFixture(t, 1500, 256, func(i int64) int64 { return (i * 37) % 300 })
+	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 300}
+
+	sBig, wantRows := fx.scan(t, pred, Config{Policy: Elastic, Ordered: true})
+	noSpill := sBig.Stats()
+	if noSpill.Spill.Spills != 0 {
+		t.Fatalf("unlimited budget spilled: %+v", noSpill.Spill)
+	}
+	fx.pool.Reset()
+	sSmall, gotRows := fx.scan(t, pred, Config{
+		Policy:            Elastic,
+		Ordered:           true,
+		ResultCacheBudget: 2048, // a few dozen tuples
+	})
+	if !rowsEqual(gotRows, wantRows) {
+		t.Fatal("budgeted scan returned different rows")
+	}
+	st := sSmall.Stats()
+	if st.Spill.Spills == 0 {
+		t.Error("tiny budget never spilled")
+	}
+	if st.Spill.Reloads == 0 {
+		t.Error("spilled partitions never reloaded")
+	}
+}
+
+func TestSpillChargesMeasurableIO(t *testing.T) {
+	fx := newFixture(t, 1500, 256, func(i int64) int64 { return (i * 37) % 300 })
+	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 300}
+	run := func(budget int64) float64 {
+		fx.pool.Reset()
+		fx.dev.ResetStats()
+		fx.scan(t, pred, Config{Policy: Elastic, Ordered: true, ResultCacheBudget: budget})
+		return fx.dev.Stats().IOTime
+	}
+	unlimited := run(0)
+	tight := run(2048)
+	if tight <= unlimited {
+		t.Errorf("spilling should cost I/O: unlimited=%v tight=%v", unlimited, tight)
+	}
+}

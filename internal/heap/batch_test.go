@@ -161,18 +161,13 @@ func TestDecodeBatchMatchingStopsWhenFull(t *testing.T) {
 	}
 }
 
-// TestColInt checks the single-column fast path against full decode.
-func TestColInt(t *testing.T) {
+// TestTIDBitInvertsTIDOf checks the Tuple ID cache layout against the
+// load order: a bulk-loaded file's row i sits at bit i.
+func TestTIDBitInvertsTIDOf(t *testing.T) {
 	f, rows := buildFile(t, 25)
-	for pageNo := int64(0); pageNo < f.NumPages(); pageNo++ {
-		page := rawPage(t, f, pageNo)
-		for s := 0; s < PageTupleCount(page); s++ {
-			r := rows[pageNo*int64(f.TuplesPerPage())+int64(s)]
-			for c := 0; c < 3; c++ {
-				if got := f.ColInt(page, s, c); got != r.Int(c) {
-					t.Errorf("page %d slot %d col %d = %d, want %d", pageNo, s, c, got, r.Int(c))
-				}
-			}
+	for i := range rows {
+		if bit := f.TIDBit(f.TIDOf(int64(i))); bit != int64(i) {
+			t.Fatalf("TIDBit(TIDOf(%d)) = %d", i, bit)
 		}
 	}
 }

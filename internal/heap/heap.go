@@ -11,7 +11,7 @@
 // non-clustered index leaf stores.
 //
 // The page readers (DecodeRow, DecodeBatch, DecodeBatchMatching,
-// FirstMatch) read a page as words: a tuple is NumCols little-endian
+// Matches) read a page as words: a tuple is NumCols little-endian
 // words and a batch row is NumCols words, so a run of slots is one
 // copy. That view is the page's own memory only on a little-endian
 // host (decided once, at init) and for a page slice that starts on an
@@ -246,12 +246,6 @@ func (f *File) DecodeRow(page []byte, s int, dst tuple.Row) tuple.Row {
 	return dst
 }
 
-// ColInt returns column col of slot s as an int64 without decoding the
-// rest of the row — the predicate fast path of the batched scans.
-func (f *File) ColInt(page []byte, s, col int) int64 {
-	return int64(binary.LittleEndian.Uint64(page[headerSize+s*f.schema.TupleSize()+8*col:]))
-}
-
 // DecodeBatch decodes slots [lo, hi) of a raw page into dst, appending
 // one batch row per slot with one copy, and stops early when dst
 // fills. It returns the first slot not decoded (hi when every slot
@@ -264,10 +258,15 @@ func (f *File) DecodeBatch(page []byte, lo, hi int, dst *tuple.Batch) int {
 	return lo + n
 }
 
+// TIDBit returns tid's bit in a Tuple ID cache over the file: one bit
+// per tuple, page*TuplesPerPage+slot, so a page's bits are adjacent.
+func (f *File) TIDBit(tid TID) int64 {
+	return tid.Page*int64(f.tuplesPerPage) + int64(tid.Slot)
+}
+
 // Veto names the tuples a page read must skip: slot s of the page is
 // vetoed when bit Base+s of Seen is set. Seen is a Tuple ID cache
-// (one bit per tuple, page*TuplesPerPage+slot) and Base the page's
-// first bit.
+// (bits at TIDBit) and Base the page's first bit.
 type Veto struct {
 	Seen *bitmap.Bitmap
 	Base int64
@@ -317,21 +316,26 @@ func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred
 	return hi, hi - lo
 }
 
-// FirstMatch returns the first slot in [lo, hi) of a raw page whose pred
-// column satisfies pred and that passes every residual predicate, or hi
-// when none does: the first set bit of DecodeBatchMatching's masks. It
-// decodes nothing.
-func (f *File) FirstMatch(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred) int {
+// Matches calls yield, in slot order, with each slot in [lo, hi) of a
+// raw page whose pred column satisfies pred and that passes every
+// residual predicate, and with that slot's words (valid during the
+// call only), until yield returns false. It walks DecodeBatchMatching's
+// 64-slot masks without a veto, so each predicate word is read once
+// per call however early yield stops.
+func (f *File) Matches(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, yield func(slot int, row tuple.Row) bool) {
 	if pred.Empty() || lo >= hi {
-		return hi
+		return
 	}
+	w := f.schema.NumCols()
 	rows := f.slots(page, lo, hi, nil)
 	for c := 0; c < hi-lo; c += 64 {
-		if m := selectChunk(rows, f.schema.NumCols(), c, pred, residual, nil, 0); m != 0 {
-			return lo + c + bits.TrailingZeros64(m)
+		for m := selectChunk(rows, w, c, pred, residual, nil, 0); m != 0; m &= m - 1 {
+			i := c + bits.TrailingZeros64(m)
+			if !yield(lo+i, rows[i*w:(i+1)*w:(i+1)*w]) {
+				return
+			}
 		}
 	}
-	return hi
 }
 
 // selectChunk returns the selection mask of the up to 64 slots of rows

@@ -116,6 +116,8 @@ func checkKernel(t *testing.T, k kernelCase) {
 	if n, _ := scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, nil, one); one.Len() == 1 {
 		wantFirst = n - 1
 	}
+	wantMatches := tuple.NewGrowableBatch(w)
+	scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, nil, wantMatches)
 	wantAll := k.batch()
 	for s := k.lo; s < k.hi; s++ {
 		row := wantAll.AppendSlotRaw()
@@ -139,8 +141,25 @@ func checkKernel(t *testing.T, k kernelCase) {
 		if err := sameRows(got, want); err != nil {
 			t.Fatalf("%s/%s: %v", k.name, view.name, err)
 		}
-		if first := k.f.FirstMatch(view.page, k.lo, k.hi, k.pred, k.residual); first != wantFirst {
-			t.Fatalf("%s/%s: FirstMatch = %d, oracle %d", k.name, view.name, first, wantFirst)
+		matches, last := tuple.NewGrowableBatch(w), k.lo-1
+		k.f.Matches(view.page, k.lo, k.hi, k.pred, k.residual, func(slot int, row tuple.Row) bool {
+			if slot <= last || slot >= k.hi {
+				t.Fatalf("%s/%s: Matches yielded slot %d after %d", k.name, view.name, slot, last)
+			}
+			last = slot
+			matches.Append(row)
+			return true
+		})
+		if err := sameRows(matches, wantMatches); err != nil {
+			t.Fatalf("%s/%s: Matches: %v", k.name, view.name, err)
+		}
+		first, calls := k.hi, 0
+		k.f.Matches(view.page, k.lo, k.hi, k.pred, k.residual, func(slot int, _ tuple.Row) bool {
+			first, calls = slot, calls+1
+			return false
+		})
+		if first != wantFirst || calls > 1 {
+			t.Fatalf("%s/%s: Matches stopped at once = slot %d after %d calls, oracle %d", k.name, view.name, first, calls, wantFirst)
 		}
 		all := k.batch()
 		if next := k.f.DecodeBatch(view.page, k.lo, k.hi, all); next != k.lo+wantAll.Len() {
