@@ -111,10 +111,13 @@ equiv:
 ## ssload chaos sweep — recovered results must be byte-identical to
 ## the fault-free oracle, unrecoverable faults must surface as typed
 ## errors with no goroutine leaks. -cpu 4 gives the parallel full
-## scans under fault schedules real concurrent workers.
+## scans under fault schedules real concurrent workers. The second
+## sweep runs the ordered Smooth Scan (Result Cache and all) under the
+## same faults and clients.
 chaos:
 	$(GO) test -race -cpu 1,4 -run 'TestFault' -count=1 . ./internal/disk/
 	$(GO) run ./cmd/ssload -chaos -rows 60000 -clients 4 -queries 32
+	$(GO) run ./cmd/ssload -chaos -ordered -rows 60000 -clients 4 -queries 32
 
 ## fuzz: each fuzz target for 10 s, one go test per target (go
 ## test -fuzz takes one target at a time): the wire's message and frame

@@ -344,13 +344,9 @@ func (cq *compiledQuery) inputNode(a *tableAccess) *PlanNode {
 	}
 	node := &PlanNode{Name: a.path.String() + "-scan", Detail: strings.Join(d, ", "), EstRows: scanEst}
 	if a.par > 1 {
-		merge := "unordered fan-in"
-		if a.ordered {
-			merge = "ordered merge"
-		}
 		node = &PlanNode{
 			Name:     "parallel",
-			Detail:   fmt.Sprintf("%d workers, %s", a.par, merge),
+			Detail:   fmt.Sprintf("%d workers, unordered fan-in", a.par),
 			EstRows:  scanEst,
 			Children: []*PlanNode{node},
 		}

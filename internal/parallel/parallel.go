@@ -216,9 +216,6 @@ func NewScan(workers []exec.Operator, opts Options) (*Scan, error) {
 // Schema returns the row schema.
 func (s *Scan) Schema() *tuple.Schema { return s.opts.Schema }
 
-// Parallelism returns the worker count.
-func (s *Scan) Parallelism() int { return len(s.workers) }
-
 // newBatch takes one exchange batch from the pool (allocating it when
 // BatchSize is not the pooled size).
 func (s *Scan) newBatch() *tuple.Batch {
