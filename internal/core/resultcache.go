@@ -36,7 +36,7 @@ import (
 // its tuples in memory (the simulation has no real files), but the I/O
 // a real system would pay is charged on the operator's disk channel, so
 // spilling changes measured cost exactly the way an overflow file
-// would, and a parallel stream's overflow traffic moves only its own
+// would, and one query's overflow traffic moves only its own stream's
 // head position.
 type resultCache struct {
 	// parts[i] covers keys < parts[i].hi (and >= parts[i-1].hi); the
@@ -147,9 +147,6 @@ func (c *resultCache) dropBelow(key int64) {
 	c.parts = c.parts[i:]
 }
 
-// size returns the current number of cached tuples.
-func (c *resultCache) size() int64 { return c.curTuples }
-
 // bytes returns partition i's share of the memory estimate.
 func (c *resultCache) bytes(i int) int64 { return int64(len(c.parts[i].rows)) * c.rowBytes }
 
@@ -178,7 +175,7 @@ func (c *resultCache) maybeSpill(current int) {
 		// the accounting in one place. Partitions that are dropped
 		// before reload are slightly overcharged, which is the
 		// conservative direction.
-		c.ch.ChargeSpill(max((bytes+pageSize-1)/pageSize, 1))
+		c.ch.ChargeSpill((bytes + pageSize - 1) / pageSize)
 		p.spilled = true
 		c.spill.Spills++
 		c.spill.SpillBytes += bytes

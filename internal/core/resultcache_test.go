@@ -31,8 +31,8 @@ func TestResultCacheInsertTake(t *testing.T) {
 	tid := heap.TID{Page: 1, Slot: 2}
 	row := tuple.IntsRow(1, 2, 3)
 	c.insert(50, tid, row)
-	if c.size() != 1 {
-		t.Fatalf("size=%d", c.size())
+	if c.curTuples != 1 {
+		t.Fatalf("size=%d", c.curTuples)
 	}
 	if _, ok := c.take(50, heap.TID{Page: 9, Slot: 9}); ok {
 		t.Error("took a tuple that was never inserted")
@@ -41,8 +41,8 @@ func TestResultCacheInsertTake(t *testing.T) {
 	if !ok || !got.Equal(row) {
 		t.Fatalf("take = %v, %v", got, ok)
 	}
-	if c.size() != 0 {
-		t.Errorf("after take: size=%d", c.size())
+	if c.curTuples != 0 {
+		t.Errorf("after take: size=%d", c.curTuples)
 	}
 	if _, ok := c.take(50, tid); ok {
 		t.Error("double take succeeded")
@@ -55,14 +55,14 @@ func TestResultCacheDropBelow(t *testing.T) {
 	c.insert(15, heap.TID{Page: 0, Slot: 1}, tuple.IntsRow(15))
 	c.insert(25, heap.TID{Page: 0, Slot: 2}, tuple.IntsRow(25))
 	c.insert(35, heap.TID{Page: 0, Slot: 3}, tuple.IntsRow(35))
-	if c.size() != 4 {
-		t.Fatalf("size = %d", c.size())
+	if c.curTuples != 4 {
+		t.Fatalf("size = %d", c.curTuples)
 	}
 	// Advancing to key 20 drops partitions with hi <= 20: (-inf,10)
 	// and [10,20).
 	c.dropBelow(20)
-	if c.size() != 2 {
-		t.Errorf("size after dropBelow(20) = %d, want 2", c.size())
+	if c.curTuples != 2 {
+		t.Errorf("size after dropBelow(20) = %d, want 2", c.curTuples)
 	}
 	// The remaining tuples are still reachable.
 	if _, ok := c.take(25, heap.TID{Page: 0, Slot: 2}); !ok {
@@ -100,8 +100,8 @@ func TestResultCachePeaks(t *testing.T) {
 	if c.peakBytes != 10*c.rowBytes {
 		t.Errorf("peakBytes = %d", c.peakBytes)
 	}
-	if c.size() != 0 || c.curBytes != 0 {
-		t.Errorf("not drained: %d tuples %d bytes", c.size(), c.curBytes)
+	if c.curTuples != 0 || c.curBytes != 0 {
+		t.Errorf("not drained: %d tuples %d bytes", c.curTuples, c.curBytes)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestResultCacheMapEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return int(c.size()) == len(ref)
+		return int(c.curTuples) == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

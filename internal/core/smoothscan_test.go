@@ -406,8 +406,8 @@ func TestResultCacheDrainsCompletely(t *testing.T) {
 	if int64(len(got)) != fx.file.NumTuples() {
 		t.Fatalf("produced %d rows", len(got))
 	}
-	if s.cache.size() != 0 {
-		t.Errorf("result cache holds %d tuples after completion", s.cache.size())
+	if s.cache.curTuples != 0 {
+		t.Errorf("result cache holds %d tuples after completion", s.cache.curTuples)
 	}
 }
 
