@@ -320,8 +320,8 @@ func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred
 // raw page whose pred column satisfies pred and that passes every
 // residual predicate, and with that slot's words (valid during the
 // call only), until yield returns false. It walks DecodeBatchMatching's
-// 64-slot masks without a veto, so each predicate word is read once
-// per call however early yield stops.
+// 64-slot masks without a veto, so it reads each predicate word at most
+// once, whichever slot yield stops at.
 func (f *File) Matches(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, yield func(slot int, row tuple.Row) bool) {
 	if pred.Empty() || lo >= hi {
 		return
