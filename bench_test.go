@@ -249,7 +249,7 @@ func BenchmarkParallelFullScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	scan := func(b *testing.B, hi int64, p int) (int64, float64) {
-		rows, err := db.Scan("t", "val", 0, hi, ScanOptions{Path: PathFull, Parallelism: p})
+		rows, err := scanRange(db, "t", "val", 0, hi, ScanOptions{Path: PathFull, Parallelism: p})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -614,7 +614,7 @@ func BenchmarkPublicAPIScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.ColdCache()
-		rows, err := db.Scan("t", "val", 100, 200, ScanOptions{})
+		rows, err := scanRange(db, "t", "val", 100, 200, ScanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -63,7 +64,8 @@ func run() error {
 		} {
 			db.ColdCache()
 			db.ResetStats()
-			rows, err := db.Scan("events", "c2", q.lo, q.hi, smoothscan.ScanOptions{Path: p})
+			rows, err := db.Query("events").Where("c2", smoothscan.Between(q.lo, q.hi)).
+				WithOptions(smoothscan.ScanOptions{Path: p}).Run(context.Background())
 			if err != nil {
 				return err
 			}

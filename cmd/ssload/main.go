@@ -303,11 +303,19 @@ func (r *engineRunner) runQuery(ctx context.Context, lo, hi int64) (queryResult,
 	if err != nil {
 		return qr, err
 	}
+	var order keyOrder
 	for cur.Next() {
 		qr.tuples++
 		qr.digest += rowHash(cur.Row())
+		if r.cfg.opts.Ordered {
+			if err = order.add(cur.Row()); err != nil {
+				break
+			}
+		}
 	}
-	err = cur.Err()
+	if err == nil {
+		err = cur.Err()
+	}
 	if cerr := cur.Close(); err == nil {
 		err = cerr
 	}
@@ -656,6 +664,24 @@ func (r loadResult) print(w *os.File) {
 		fmt.Fprintf(w, "  shard %-4d %8d rows, %10.1f simcost, %8d pages read\n",
 			sb.Shard, sb.Rows, sb.SimCost, sb.PagesRead)
 	}
+}
+
+// keyOrder checks one -ordered query's rows arrive in index-key order:
+// the digest sums row hashes and cannot see order, so this check does.
+type keyOrder struct {
+	n    int64 // rows seen
+	last int64 // the last row's val
+}
+
+// add takes the next row and fails if its val column, the index key
+// (row[1]), is below the previous row's.
+func (k *keyOrder) add(row []int64) error {
+	v := row[1]
+	if k.n > 0 && v < k.last {
+		return fmt.Errorf("ordered query: row %d has %s %d after %d", k.n, loadgen.IndexedCol, v, k.last)
+	}
+	k.n, k.last = k.n+1, v
+	return nil
 }
 
 // rowHash hashes one result row; per-query and per-run digests are

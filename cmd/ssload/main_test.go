@@ -208,3 +208,24 @@ func TestServerWithoutFaultAdmin(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyOrderRejectsDecrease: -ordered's check accepts a val sequence
+// that never decreases, ties included, and fails the first row whose
+// val is below its predecessor's.
+func TestKeyOrderRejectsDecrease(t *testing.T) {
+	var ok keyOrder
+	for _, row := range [][]int64{{9, 1}, {4, 1}, {7, 3}, {2, 8}} {
+		if err := ok.add(row); err != nil {
+			t.Fatalf("sorted sequence refused at %v: %v", row, err)
+		}
+	}
+	var bad keyOrder
+	for _, row := range [][]int64{{0, 2}, {1, 5}} {
+		if err := bad.add(row); err != nil {
+			t.Fatalf("row %v refused: %v", row, err)
+		}
+	}
+	if err := bad.add([]int64{2, 4}); err == nil {
+		t.Fatal("val 4 after 5 accepted")
+	}
+}

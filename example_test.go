@@ -30,7 +30,7 @@ func Example() {
 		panic(err)
 	}
 
-	rows, err := db.Scan("t", "val", 3, 5, smoothscan.ScanOptions{})
+	rows, err := db.Query("t").Where("val", smoothscan.Between(3, 5)).Run(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -46,9 +46,9 @@ func Example() {
 	// Output: matched: 200
 }
 
-// ExampleDB_Scan_orderedSmooth demonstrates index-key-ordered delivery
-// through the Result Cache.
-func ExampleDB_Scan_orderedSmooth() {
+// ExampleQuery_WithOptions_orderedSmooth demonstrates index-key-ordered
+// delivery through the Result Cache.
+func ExampleQuery_WithOptions_orderedSmooth() {
 	db, _ := smoothscan.Open(smoothscan.Options{})
 	tb, _ := db.CreateTable("t", "id", "val")
 	for _, v := range []int64{5, 3, 9, 3, 7} {
@@ -57,7 +57,8 @@ func ExampleDB_Scan_orderedSmooth() {
 	tb.Finish()
 	db.CreateIndex("t", "val")
 
-	rows, _ := db.Scan("t", "val", 0, 10, smoothscan.ScanOptions{Ordered: true})
+	rows, _ := db.Query("t").Where("val", smoothscan.Between(0, 10)).
+		WithOptions(smoothscan.ScanOptions{Ordered: true}).Run(context.Background())
 	defer rows.Close()
 	for rows.Next() {
 		v, _ := rows.Col("val")
@@ -67,9 +68,10 @@ func ExampleDB_Scan_orderedSmooth() {
 	// Output: 3 3 5 7 9
 }
 
-// ExampleDB_Scan_accessPaths runs the same query under different
-// access paths; the result is identical, the cost profile is not.
-func ExampleDB_Scan_accessPaths() {
+// ExampleQuery_WithOptions_accessPaths runs the same query under
+// different access paths; the result is identical, the cost profile is
+// not.
+func ExampleQuery_WithOptions_accessPaths() {
 	db, _ := smoothscan.Open(smoothscan.Options{})
 	tb, _ := db.CreateTable("t", "id", "val")
 	for i := int64(0); i < 5000; i++ {
@@ -82,7 +84,8 @@ func ExampleDB_Scan_accessPaths() {
 		smoothscan.PathFull, smoothscan.PathIndex, smoothscan.PathSmooth,
 	} {
 		db.ColdCache()
-		rows, _ := db.Scan("t", "val", 10, 20, smoothscan.ScanOptions{Path: p})
+		rows, _ := db.Query("t").Where("val", smoothscan.Between(10, 20)).
+			WithOptions(smoothscan.ScanOptions{Path: p}).Run(context.Background())
 		n := 0
 		for rows.Next() {
 			n++
@@ -111,11 +114,12 @@ func ExampleDB_FullScanCost() {
 
 	fs, _ := db.FullScanCost("t")
 	db.ResetStats()
-	rows, err := db.Scan("t", "c2", 0, 50_000, smoothscan.ScanOptions{
-		Trigger:  smoothscan.SLADriven,
-		Policy:   smoothscan.Greedy,
-		SLABound: 2 * fs,
-	})
+	rows, err := db.Query("t").Where("c2", smoothscan.Between(0, 50_000)).
+		WithOptions(smoothscan.ScanOptions{
+			Trigger:  smoothscan.SLADriven,
+			Policy:   smoothscan.Greedy,
+			SLABound: 2 * fs,
+		}).Run(context.Background())
 	if err != nil {
 		panic(err)
 	}

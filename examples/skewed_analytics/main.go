@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -65,7 +66,8 @@ func run() error {
 	} {
 		db.ColdCache()
 		db.ResetStats()
-		rows, err := db.Scan("readings", "status", 0, 1, smoothscan.ScanOptions{Policy: policy.p})
+		rows, err := db.Query("readings").Where("status", smoothscan.Between(0, 1)).
+			WithOptions(smoothscan.ScanOptions{Policy: policy.p}).Run(context.Background())
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -68,7 +69,8 @@ func run() error {
 	} {
 		db.ColdCache()
 		db.ResetStats()
-		rows, err := db.Scan("metrics", "c2", 0, 100_000, variant.opts)
+		rows, err := db.Query("metrics").Where("c2", smoothscan.Between(0, 100_000)).
+			WithOptions(variant.opts).Run(context.Background())
 		if err != nil {
 			return err
 		}

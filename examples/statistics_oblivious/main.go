@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -56,7 +57,8 @@ func run() error {
 	query := func(label string, opts smoothscan.ScanOptions) (float64, error) {
 		db.ColdCache()
 		db.ResetStats()
-		rows, err := db.Scan("logs", "tenant", 7, 8, opts)
+		rows, err := db.Query("logs").Where("tenant", smoothscan.Between(7, 8)).
+			WithOptions(opts).Run(context.Background())
 		if err != nil {
 			return 0, err
 		}

@@ -266,32 +266,11 @@ func (se *shardExec) explain() (*Plan, error) {
 }
 
 // fmtPred renders a range predicate over a named column compactly,
-// eliding open bounds.
-func fmtPred(name string, p tuple.RangePred) string {
-	openLo := p.Lo == math.MinInt64
-	openHi := p.Hi == math.MaxInt64
-	switch {
-	case openLo && openHi:
-		return name + "=*"
-	case p.Hi == p.Lo+1:
-		return fmt.Sprintf("%s=%d", name, p.Lo)
-	case p.Hi <= p.Lo:
-		return name + "=∅"
-	case openLo:
-		return fmt.Sprintf("%s<%d", name, p.Hi)
-	case openHi:
-		return fmt.Sprintf("%s>=%d", name, p.Lo)
-	default:
-		return fmt.Sprintf("%d<=%s<%d", p.Lo, name, p.Hi)
-	}
-}
-
-// fmtPredMarked is fmtPred for predicates whose bounds came from
-// prepared-statement parameters: a parameter-fed bound renders as its
-// $name marker (the bound values appear on the plan's "bind:" header
-// line instead). loSrc/hiSrc name the parameters ("" = literal bound,
-// rendered as its value).
-func fmtPredMarked(name string, p tuple.RangePred, loSrc, hiSrc string) string {
+// eliding open bounds. A bound that came from a prepared-statement
+// parameter renders as its $name marker (the bound values appear on
+// the plan's "bind:" header line instead); loSrc/hiSrc name the
+// parameters, "" for a literal bound, rendered as its value.
+func fmtPred(name string, p tuple.RangePred, loSrc, hiSrc string) string {
 	bound := func(v int64, src string) string {
 		if src != "" {
 			return "$" + src
@@ -303,6 +282,8 @@ func fmtPredMarked(name string, p tuple.RangePred, loSrc, hiSrc string) string {
 	switch {
 	case openLo && openHi:
 		return name + "=*"
+	case p.Hi == p.Lo+1 && loSrc == "" && hiSrc == "":
+		return fmt.Sprintf("%s=%d", name, p.Lo)
 	case p.Hi <= p.Lo:
 		return name + "=∅"
 	case p.Hi == p.Lo+1 && loSrc == hiSrc && loSrc != "":
@@ -322,36 +303,37 @@ func fmtPredMarked(name string, p tuple.RangePred, loSrc, hiSrc string) string {
 func (cq *compiledQuery) inputNode(a *tableAccess) *PlanNode {
 	var d []string
 	d = append(d, a.name+": "+a.driving.render())
-	if a.path == PathSmooth {
-		d = append(d, "policy="+a.cfg.Policy.String(), "trigger="+a.cfg.Trigger.String())
+	if a.spec.Path == plan.PathSmooth {
+		d = append(d, "policy="+a.spec.Smooth.Policy.String(), "trigger="+a.spec.Smooth.Trigger.String())
 	}
 	if a.choice != nil {
 		d = append(d, "chosen-by=optimizer")
 	}
-	if a.ordered {
+	if a.spec.Ordered {
 		d = append(d, "ordered")
 	}
 	var rs []string
 	for _, r := range a.residual {
 		rs = append(rs, r.render())
 	}
-	if a.pushed {
+	pushed := a.pushed()
+	if pushed {
 		d = append(d, "residual: "+strings.Join(rs, " and "))
 	}
-	scanEst := a.estDriving
-	if a.pushed {
+	scanEst := a.spec.Smooth.EstimatedCard // the driving conjunct's estimate
+	if pushed {
 		scanEst = a.estScan
 	}
-	node := &PlanNode{Name: a.path.String() + "-scan", Detail: strings.Join(d, ", "), EstRows: scanEst}
-	if a.par > 1 {
+	node := &PlanNode{Name: a.spec.Path.String(), Detail: strings.Join(d, ", "), EstRows: scanEst}
+	if a.spec.Parallelism > 1 {
 		node = &PlanNode{
 			Name:     "parallel",
-			Detail:   fmt.Sprintf("%d workers, unordered fan-in", a.par),
+			Detail:   fmt.Sprintf("%d workers, unordered fan-in", a.spec.Parallelism),
 			EstRows:  scanEst,
 			Children: []*PlanNode{node},
 		}
 	}
-	if len(a.residual) > 0 && !a.pushed {
+	if len(a.residual) > 0 && !pushed {
 		node = &PlanNode{
 			Name:     "filter",
 			Detail:   strings.Join(rs, " and "),
@@ -369,9 +351,9 @@ func (cq *compiledQuery) plan() *Plan {
 	drv := cq.driving()
 	p := &Plan{
 		Table:         drv.name,
-		AccessPath:    drv.path,
+		AccessPath:    publicPaths[drv.spec.Path],
 		EstimatedRows: cq.estRoot(),
-		Parallelism:   drv.par,
+		Parallelism:   drv.spec.Parallelism,
 	}
 	if cq.annotate {
 		p.Binds = renderBinds(cq.binds)

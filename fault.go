@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"smoothscan/internal/disk"
+	"smoothscan/internal/plan"
 )
 
 // Fault injection.
@@ -171,16 +172,16 @@ func (db *DB) degradeOnFault(cq *compiledQuery) (*compiledQuery, error) {
 		return nil, nil
 	}
 	for i, a := range cq.inputs {
-		switch a.path {
-		case PathIndex, PathSort, PathSwitch:
+		switch a.spec.Path {
+		case plan.PathIndex, plan.PathSort, plan.PathSwitch:
 			o := cq.opts[i]
 			o.Path = PathSmooth
-			return db.rebind(cq, i, o, fmt.Sprintf("%s: %s scan -> smooth scan (fault)", a.name, a.path))
+			return db.rebind(cq, i, o, fmt.Sprintf("%s: %s scan -> smooth scan (fault)", a.name, publicPaths[a.spec.Path]))
 		}
 	}
 	for i, a := range cq.inputs {
 		o := cq.opts[i]
-		if a.path != PathSmooth || len(cq.joins) == 0 && o.Ordered && cq.orderVia != "scan" {
+		if a.spec.Path != plan.PathSmooth || len(cq.joins) == 0 && o.Ordered && cq.orderVia != "scan" {
 			continue
 		}
 		o.Path, o.Ordered = PathFull, false

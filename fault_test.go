@@ -27,7 +27,7 @@ func faultyRows(t *testing.T, policy *FaultPolicy, opts ScanOptions, lo, hi int6
 	t.Helper()
 	db := buildParallelTestDB(t, 20_000, 5_000, 11)
 	db.SetFaultPolicy(policy)
-	rows, err := db.Scan("t", "val", lo, hi, opts)
+	rows, err := scanRange(db, "t", "val", lo, hi, opts)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
@@ -121,7 +121,7 @@ func TestFaultDeadIndexDegradesToFullScan(t *testing.T) {
 			db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 				Space: idx, Kind: FaultPermanent, Rate: 1,
 			}))
-			rows, err := db.Scan("t", "val", lo, hi, opts)
+			rows, err := scanRange(db, "t", "val", lo, hi, opts)
 			if err != nil {
 				t.Fatalf("degradation did not rescue the query: %v", err)
 			}
@@ -226,7 +226,7 @@ func TestFaultUnrecoverableSurfacesTypedError(t *testing.T) {
 			db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 				Space: sp, Kind: FaultPermanent, Rate: 1,
 			}))
-			rows, err := db.Scan("t", "val", 1_000, 2_500, v.opts)
+			rows, err := scanRange(db, "t", "val", 1_000, 2_500, v.opts)
 			if err != nil {
 				// The whole heap is dead; failing at open is as valid
 				// as failing at first Next — but it must be typed.
@@ -265,7 +265,7 @@ func TestFaultUnrecoverableCorruption(t *testing.T) {
 	db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 		Space: sp, Kind: FaultCorrupt, Rate: 1,
 	}))
-	rows, err := db.Scan("t", "val", 1_000, 2_500, ScanOptions{Path: PathSmooth})
+	rows, err := scanRange(db, "t", "val", 1_000, 2_500, ScanOptions{Path: PathSmooth})
 	if err != nil {
 		if !errors.Is(err, ErrPageCorrupt) {
 			t.Fatalf("open error %v, want ErrPageCorrupt", err)
@@ -617,7 +617,7 @@ func TestFaultLatencyCostsMoreNotWrong(t *testing.T) {
 // subsystem existed (the golden-diffed harness depends on it).
 func TestFaultFreeQueriesUntouched(t *testing.T) {
 	db := buildParallelTestDB(t, 20_000, 5_000, 11)
-	rows, err := db.Scan("t", "val", 1_000, 2_500, ScanOptions{Path: PathSmooth})
+	rows, err := scanRange(db, "t", "val", 1_000, 2_500, ScanOptions{Path: PathSmooth})
 	if err != nil {
 		t.Fatal(err)
 	}

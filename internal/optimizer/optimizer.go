@@ -19,6 +19,7 @@ import (
 
 	"smoothscan/internal/costmodel"
 	"smoothscan/internal/heap"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
@@ -210,32 +211,10 @@ func (s *TableStats) EstimateCard(pred tuple.RangePred) int64 {
 	return int64(math.Round(s.EstimateSelectivity(pred) * float64(s.NumTuples)))
 }
 
-// AccessPath enumerates the optimizer's choices.
-type AccessPath int
-
-// The traditional access paths the optimizer chooses between.
-const (
-	PathFullScan AccessPath = iota
-	PathIndexScan
-	PathSortScan
-)
-
-func (p AccessPath) String() string {
-	switch p {
-	case PathFullScan:
-		return "full-scan"
-	case PathIndexScan:
-		return "index-scan"
-	case PathSortScan:
-		return "sort-scan"
-	default:
-		return fmt.Sprintf("AccessPath(%d)", int(p))
-	}
-}
-
 // Choice is the optimizer's decision for one table access.
 type Choice struct {
-	Path AccessPath
+	// Path is one of the traditional paths: full, index or sort scan.
+	Path plan.Path
 	// EstimatedCard is the cardinality estimate that drove the
 	// decision — the value the OptimizerDriven Smooth Scan trigger
 	// monitors.
@@ -257,13 +236,13 @@ func ChooseAccessPath(params costmodel.Params, stats *TableStats, pred tuple.Ran
 	if ordered && card > 1 {
 		sortPenalty = float64(card) * math.Log2(float64(card)) * 0.0002
 	}
-	best := Choice{Path: PathFullScan, EstimatedCard: card, EstimatedCost: params.FullScanCost() + sortPenalty}
+	best := Choice{Path: plan.PathFull, EstimatedCard: card, EstimatedCost: params.FullScanCost() + sortPenalty}
 	if hasIndex {
 		if c := params.IndexScanCost(card); c < best.EstimatedCost {
-			best = Choice{Path: PathIndexScan, EstimatedCard: card, EstimatedCost: c}
+			best = Choice{Path: plan.PathIndex, EstimatedCard: card, EstimatedCost: c}
 		}
 		if c := params.SortScanCost(card) + sortPenalty; c < best.EstimatedCost {
-			best = Choice{Path: PathSortScan, EstimatedCard: card, EstimatedCost: c}
+			best = Choice{Path: plan.PathSort, EstimatedCard: card, EstimatedCost: c}
 		}
 	}
 	return best

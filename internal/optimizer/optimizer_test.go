@@ -8,6 +8,7 @@ import (
 	"smoothscan/internal/costmodel"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/heap"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
@@ -162,7 +163,7 @@ func TestChooseAccessPathLowSelectivity(t *testing.T) {
 	stats := DefaultStats(10_000_000, 98040, map[int][2]int64{1: {0, 100_000}})
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 1} // ~0.001% estimated
 	c := ChooseAccessPath(params(10_000_000), stats, pred, true, false)
-	if c.Path == PathFullScan {
+	if c.Path == plan.PathFull {
 		t.Errorf("full scan chosen at 0.001%% selectivity")
 	}
 	if c.EstimatedCard <= 0 {
@@ -174,7 +175,7 @@ func TestChooseAccessPathHighSelectivity(t *testing.T) {
 	stats := DefaultStats(10_000_000, 98040, map[int][2]int64{1: {0, 100_000}})
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 50_000} // ~50%
 	c := ChooseAccessPath(params(10_000_000), stats, pred, true, false)
-	if c.Path != PathFullScan {
+	if c.Path != plan.PathFull {
 		t.Errorf("path = %v, want full-scan at 50%%", c.Path)
 	}
 }
@@ -183,7 +184,7 @@ func TestChooseAccessPathNoIndex(t *testing.T) {
 	stats := DefaultStats(10_000_000, 98040, map[int][2]int64{1: {0, 100_000}})
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 1}
 	c := ChooseAccessPath(params(10_000_000), stats, pred, false, false)
-	if c.Path != PathFullScan {
+	if c.Path != plan.PathFull {
 		t.Errorf("path = %v without an index", c.Path)
 	}
 }
@@ -196,7 +197,7 @@ func TestMisestimationFlipsDecision(t *testing.T) {
 	fake := DefaultStats(10_000_000, p.Pages(), map[int][2]int64{1: {0, 10_000_000}})
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 100} // est. 0.001%, true (say) 50%
 	c := ChooseAccessPath(p, fake, pred, true, false)
-	if c.Path == PathFullScan {
+	if c.Path == plan.PathFull {
 		t.Fatalf("misestimate did not flip the choice")
 	}
 	trueCard := p.Card(0.5)

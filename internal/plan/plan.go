@@ -5,11 +5,17 @@
 // Full / Index / Sort / Switch scans, or a full scan split into page
 // shards behind the parallel subsystem's fan-in).
 //
-// Every workload in the repository goes through this one constructor:
-// the public Query builder and DB.Scan facade, and the TPC-H query
-// plans the experiment harness runs. The optimizer (internal/optimizer)
-// decides *which* spec to build; this package owns *how* a spec
-// becomes operators, so access-path construction has exactly one home.
+// The public Query builder (every engine, prepared or ad hoc), the
+// TPC-H LINEITEM scans and Q3's ORDERS scan build here, and the rules
+// each access path follows — whether it needs an index, absorbs
+// residual conjuncts, keeps index-key order, or splits into workers —
+// are the Path methods below, which the builder's binder and Build
+// both call. The optimizer (internal/optimizer) decides *which* path
+// to use. Not everything goes through Build: the experiment harness's
+// micro-benchmark, skew, cost-model and fault experiments construct
+// their operators directly, to measure one operator in isolation, and
+// so does TPC-H Q12 for its ORDERS side (a full scan, or the lookup
+// side of an index nested-loop join).
 package plan
 
 import (
@@ -44,6 +50,35 @@ const (
 	PathSwitch
 )
 
+// NeedsIndex reports whether the path reads through a secondary index
+// on the predicate column: every path but the full scan does.
+func (p Path) NeedsIndex() bool { return p != PathFull }
+
+// DeliversOrder reports whether a scan on the path returns rows in
+// index-key order, given whether ordered delivery was requested: an
+// index scan always does, smooth and sort scans on request, full and
+// switch scans never.
+func (p Path) DeliversOrder(ordered bool) bool {
+	return p == PathIndex || ordered && (p == PathSmooth || p == PathSort)
+}
+
+// AbsorbsResidual reports whether a scan on the path, ordered or not,
+// evaluates the residual conjuncts inside its page decode. When it
+// does not, the caller filters above the scan.
+func (p Path) AbsorbsResidual(ordered bool) bool {
+	return p == PathFull || p == PathSmooth && !ordered
+}
+
+// Workers is the number of workers a scan on the path runs over a heap
+// of pages pages when parallelism workers are requested: only a full
+// scan splits, into at most one worker per page.
+func (p Path) Workers(parallelism int, pages int64) int {
+	if p != PathFull {
+		return 1
+	}
+	return int(max(1, min(int64(parallelism), pages)))
+}
+
 func (p Path) String() string {
 	switch p {
 	case PathSmooth:
@@ -69,29 +104,28 @@ type ScanSpec struct {
 	// per worker from it.
 	Pool *bufferpool.Pool
 	// Tree is the secondary index on Pred.Col; required by every path
-	// except PathFull.
+	// that Path.NeedsIndex.
 	Tree *btree.Tree
 	// Pred is the driving range predicate.
 	Pred tuple.RangePred
-	// Residual holds extra conjunctive predicates. Paths that support
-	// it (full scan; unordered Smooth Scan) evaluate them inside the
-	// page decode so non-matching rows are never materialised; for the
-	// rest the caller must filter above the scan — Build reports which
-	// through Scan.ResidualPushed.
+	// Residual holds extra conjunctive predicates. Paths that absorb
+	// them (Path.AbsorbsResidual: full scan, unordered Smooth Scan)
+	// evaluate them inside the page decode so non-matching rows are
+	// never materialised; above the rest the caller must filter.
 	Residual []tuple.RangePred
 	// Path selects the access path.
 	Path Path
 	// Smooth is the Smooth Scan configuration (policy, trigger,
-	// ordering, estimates, budgets) for PathSmooth.
+	// estimates, budgets) for PathSmooth. Build replaces its Ordered and
+	// Residual fields with the spec's.
 	Smooth core.Config
-	// Ordered requests index-key output order from PathSort (the
-	// other paths take it from Smooth.Ordered or deliver it natively).
+	// Ordered requests index-key output order from the paths that
+	// deliver it on request (Path.DeliversOrder).
 	Ordered bool
 	// SwitchThreshold is PathSwitch's result-count switch point.
 	SwitchThreshold int64
-	// Parallelism is the full scan's worker count; values <= 1 build
-	// the serial operator. Only PathFull parallelises: every other path
-	// builds its serial operator whatever the value.
+	// Parallelism is the requested worker count; Path.Workers says how
+	// many run. One worker builds the serial operator.
 	Parallelism int
 	// Ctx cancels a parallel scan between batches; nil means no
 	// cancellation. Serial operators are cancelled by their driver
@@ -105,10 +139,6 @@ type Scan struct {
 	Op exec.Operator
 	// Smooth is the Smooth Scan operator (nil for the other paths).
 	Smooth *core.SmoothScan
-	// ResidualPushed reports whether Spec.Residual was evaluated
-	// inside the scan; when false the caller must apply the residual
-	// conjuncts itself (e.g. with exec.Filter).
-	ResidualPushed bool
 }
 
 // ErrNeedsIndex is wrapped by Build when the requested path requires a
@@ -117,48 +147,38 @@ var ErrNeedsIndex = fmt.Errorf("plan: access path requires an index")
 
 // Build constructs the operator tree for the spec.
 func Build(spec ScanSpec) (*Scan, error) {
+	if spec.Path.NeedsIndex() && spec.Tree == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNeedsIndex, spec.Path)
+	}
 	switch spec.Path {
 	case PathFull:
-		par := int(min(int64(spec.Parallelism), spec.File.NumPages()))
-		if par > 1 {
+		if par := spec.Path.Workers(spec.Parallelism, spec.File.NumPages()); par > 1 {
 			op, err := parallelFull(spec, par)
 			if err != nil {
 				return nil, err
 			}
-			return &Scan{Op: op, ResidualPushed: true}, nil
+			return &Scan{Op: op}, nil
 		}
 		fs := access.NewFullScan(spec.File, spec.Pool, spec.Pred)
 		fs.SetResidual(spec.Residual)
-		return &Scan{Op: fs, ResidualPushed: true}, nil
+		return &Scan{Op: fs}, nil
 	case PathIndex:
-		if spec.Tree == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNeedsIndex, spec.Path)
-		}
 		return &Scan{Op: access.NewIndexScan(spec.File, spec.Pool, spec.Tree, spec.Pred)}, nil
 	case PathSort:
-		if spec.Tree == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNeedsIndex, spec.Path)
-		}
 		return &Scan{Op: access.NewSortScan(spec.File, spec.Pool, spec.Tree, spec.Pred, spec.Ordered)}, nil
 	case PathSwitch:
-		if spec.Tree == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNeedsIndex, spec.Path)
-		}
 		return &Scan{Op: access.NewSwitchScan(spec.File, spec.Pool, spec.Tree, spec.Pred, spec.SwitchThreshold)}, nil
 	case PathSmooth:
-		if spec.Tree == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNeedsIndex, spec.Path)
-		}
 		cfg := spec.Smooth
-		pushed := !cfg.Ordered
-		if pushed {
+		cfg.Ordered, cfg.Residual = spec.Ordered, nil
+		if spec.Path.AbsorbsResidual(spec.Ordered) {
 			cfg.Residual = spec.Residual
 		}
 		ss, err := core.NewSmoothScan(spec.File, spec.Pool, spec.Tree, spec.Pred, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &Scan{Op: ss, Smooth: ss, ResidualPushed: pushed}, nil
+		return &Scan{Op: ss, Smooth: ss}, nil
 	default:
 		return nil, fmt.Errorf("plan: unknown access path %d", int(spec.Path))
 	}

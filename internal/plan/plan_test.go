@@ -7,7 +7,6 @@ import (
 
 	"smoothscan/internal/btree"
 	"smoothscan/internal/bufferpool"
-	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/heap"
@@ -85,25 +84,26 @@ func TestBuildResidualPlacement(t *testing.T) {
 	}{
 		{ScanSpec{File: file, Pool: pool, Pred: pred, Residual: residual, Path: PathFull}, true},
 		{ScanSpec{File: file, Pool: pool, Tree: tree, Pred: pred, Residual: residual, Path: PathSmooth}, true},
-		{ScanSpec{File: file, Pool: pool, Tree: tree, Pred: pred, Residual: residual, Path: PathSmooth, Smooth: smoothOrdered()}, false},
+		{ScanSpec{File: file, Pool: pool, Tree: tree, Pred: pred, Residual: residual, Path: PathSmooth, Ordered: true}, false},
 		{ScanSpec{File: file, Pool: pool, Tree: tree, Pred: pred, Residual: residual, Path: PathIndex}, false},
 	} {
+		pushed := tc.spec.Path.AbsorbsResidual(tc.spec.Ordered)
+		if pushed != tc.want {
+			t.Errorf("%s (ordered=%v): AbsorbsResidual = %v, want %v",
+				tc.spec.Path, tc.spec.Ordered, pushed, tc.want)
+		}
 		built, err := Build(tc.spec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if built.ResidualPushed != tc.want {
-			t.Errorf("%s (ordered=%v): ResidualPushed = %v, want %v",
-				tc.spec.Path, tc.spec.Smooth.Ordered, built.ResidualPushed, tc.want)
 		}
 		n, err := exec.Count(built.Op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if built.ResidualPushed && n != 1000 {
+		if pushed && n != 1000 {
 			t.Errorf("%s: pushed residual produced %d rows, want 1000", tc.spec.Path, n)
 		}
-		if !built.ResidualPushed && n != 10_000 {
+		if !pushed && n != 10_000 {
 			t.Errorf("%s: unpushed residual produced %d rows, want 10000 (caller filters)", tc.spec.Path, n)
 		}
 	}
@@ -159,8 +159,4 @@ func TestBuildParallelCancellation(t *testing.T) {
 	if err := built.Op.Close(); err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("Close = %v", err)
 	}
-}
-
-func smoothOrdered() core.Config {
-	return core.Config{Ordered: true}
 }

@@ -41,15 +41,13 @@ func (db *DB) ScanLineitem(pool *bufferpool.Pool, pred tuple.RangePred, spec Sca
 	if pred.Col != LShipdate {
 		return nil, fmt.Errorf("tpch: lineitem scans are driven by the l_shipdate index, got predicate on column %d", pred.Col)
 	}
-	cfg := spec.Smooth
-	cfg.Ordered = spec.Ordered
 	built, err := plan.Build(plan.ScanSpec{
 		File:            db.Lineitem.File,
 		Pool:            pool,
 		Tree:            db.ShipIdx,
 		Pred:            pred,
 		Path:            spec.Path,
-		Smooth:          cfg,
+		Smooth:          spec.Smooth,
 		Ordered:         spec.Ordered,
 		SwitchThreshold: spec.SwitchThreshold,
 	})

@@ -40,7 +40,7 @@ func buildParallelTestDB(t testing.TB, numRows, domain int64, seed int64) *DB {
 // collect drains a scan into materialised rows.
 func collectScan(t testing.TB, db *DB, opts ScanOptions, lo, hi int64) [][]int64 {
 	t.Helper()
-	rows, err := db.Scan("t", "val", lo, hi, opts)
+	rows, err := scanRange(db, "t", "val", lo, hi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func scanWithStats(t testing.TB, db *DB, opts ScanOptions, lo, hi int64) ([][]in
 	if err := db.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Scan("t", "val", lo, hi, opts)
+	rows, err := scanRange(db, "t", "val", lo, hi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestParallelFullScanEquivalence(t *testing.T) {
 func TestParallelCPUIsExact(t *testing.T) {
 	db := buildParallelTestDB(t, 25_000, 10_000, 5)
 	cpu := func(p int) float64 {
-		rows, err := db.Scan("t", "val", 0, 3000, ScanOptions{Path: PathFull, Parallelism: p})
+		rows, err := scanRange(db, "t", "val", 0, 3000, ScanOptions{Path: PathFull, Parallelism: p})
 		_, es := drainStats(t, rows, err)
 		return es.IO.CPUTime
 	}
@@ -223,7 +223,7 @@ func TestConcurrentSessions(t *testing.T) {
 				opts = ScanOptions{Path: PathFull, Parallelism: p}
 			}
 			for iter := 0; iter < 3; iter++ {
-				rows, err := db.Scan("t", "val", 100, 900, opts)
+				rows, err := scanRange(db, "t", "val", 100, 900, opts)
 				if err != nil {
 					errCh <- err
 					return
@@ -256,7 +256,7 @@ func TestConcurrentSessions(t *testing.T) {
 // scans are open and allowed again after the last Close.
 func TestColdCacheGuard(t *testing.T) {
 	db := buildParallelTestDB(t, 5_000, 1000, 1)
-	rows, err := db.Scan("t", "val", 0, 1000, ScanOptions{})
+	rows, err := scanRange(db, "t", "val", 0, 1000, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -511,20 +511,16 @@ type resolvedPred struct {
 	loSrc, hiSrc string
 }
 
-// render formats the predicate for plan details: the plain literal
-// rendering when no bound came from a parameter, the $name-marked
-// variant otherwise.
+// render formats the predicate for plan details.
 func (r resolvedPred) render() string {
-	if r.loSrc == "" && r.hiSrc == "" {
-		return fmtPred(r.name, r.pred)
-	}
-	return fmtPredMarked(r.name, r.pred, r.loSrc, r.hiSrc)
+	return fmtPred(r.name, r.pred, r.loSrc, r.hiSrc)
 }
 
-// tableAccess is one base table's compiled access: its predicates,
-// the chosen access path, morphing configuration and parallelism —
-// the per-input slice of what used to be the whole compiled query
-// before joins made plans multi-input.
+// tableAccess is one base table's bound access: its predicates and
+// estimates, and the plan.ScanSpec the binder filled — path, morphing
+// configuration, ordering, worker count — which buildInput hands to
+// plan.Build with the execution's pool and context, and which Explain,
+// the bind notes and the fault ladder read.
 type tableAccess struct {
 	tab        *table
 	name       string
@@ -532,27 +528,16 @@ type tableAccess struct {
 	driving    resolvedPred
 	hasDriving bool // false: no predicates at all (pure full scan)
 	residual   []resolvedPred
-	path       AccessPath
+	spec       plan.ScanSpec
 	choice     *optimizer.Choice
-	cfg        core.Config
-	ordered    bool // scan-level ordered delivery
-	par        int
-	estDriving int64
 	estScan    int64 // after residual conjuncts
-	pushed     bool  // residual evaluated inside the scan
 	emptyWhy   string
 }
 
-// residualPreds extracts the bare predicates.
-func (a *tableAccess) residualPreds() []tuple.RangePred {
-	if len(a.residual) == 0 {
-		return nil
-	}
-	out := make([]tuple.RangePred, len(a.residual))
-	for i, r := range a.residual {
-		out[i] = r.pred
-	}
-	return out
+// pushed reports whether the scan evaluates the residual conjuncts
+// inside its page decode instead of under a filter above it.
+func (a *tableAccess) pushed() bool {
+	return len(a.residual) > 0 && a.spec.Path.AbsorbsResidual(a.spec.Ordered)
 }
 
 // rangeOn returns the folded range of the access's conjuncts on the
@@ -573,19 +558,9 @@ func (a *tableAccess) rangeOn(col string) tuple.RangePred {
 
 // deliversOrderOn reports whether the access emits rows ordered by the
 // given base-schema column: the column must drive the scan and the
-// path must preserve index-key order (index scans always do; smooth
-// and sort scans do when their ordered variant was chosen).
+// path must deliver index-key order.
 func (a *tableAccess) deliversOrderOn(col int) bool {
-	if a.driving.pred.Col != col {
-		return false
-	}
-	switch a.path {
-	case PathIndex:
-		return true
-	case PathSmooth, PathSort:
-		return a.ordered
-	}
-	return false
+	return a.driving.pred.Col == col && a.spec.Path.DeliversOrder(a.spec.Ordered)
 }
 
 // joinStage is one compiled equi-join of the left-deep join tree:
@@ -722,18 +697,17 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	} else {
 		a.driving = resolvedPred{name: a.base.Col(0).Name, pred: tuple.All(0)}
 	}
-	_, hasIndex := t.indexes[a.driving.name]
+	tree := t.indexes[a.driving.name]
 
 	// Cardinality estimates (independence assumption across conjuncts).
-	a.estDriving = opts.EstimatedRows
-	if a.estDriving == 0 {
-		a.estDriving = stats.EstimateCard(a.driving.pred)
+	est := opts.EstimatedRows
+	if est == 0 {
+		est = stats.EstimateCard(a.driving.pred)
 	}
 	sel := 1.0
 	for _, r := range a.residual {
 		sel *= stats.EstimateSelectivity(r.pred)
 	}
-	a.estScan = int64(math.Round(float64(a.estDriving) * sel))
 
 	// Does the caller want output in this column's order? Then an
 	// order-preserving access path driven by it satisfies the ORDER BY
@@ -742,77 +716,65 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	ordered := opts.Ordered || wantScanOrder
 
 	// Access-path resolution.
-	path := opts.Path
-	if path == PathAuto {
-		if !a.hasDriving {
-			path = PathFull
-		} else {
-			choice := optimizer.ChooseAccessPath(params, stats, a.driving.pred, hasIndex, opts.Ordered || wantScanOrder)
-			a.choice = &choice
-			switch choice.Path {
-			case optimizer.PathFullScan:
-				path = PathFull
-			case optimizer.PathIndexScan:
-				path = PathIndex
-			case optimizer.PathSortScan:
-				path = PathSort
-			}
-			a.estDriving = choice.EstimatedCard
-			a.estScan = int64(math.Round(float64(a.estDriving) * sel))
-		}
-	}
-	switch path {
-	case PathSmooth, PathIndex, PathSort, PathSwitch:
-		if !hasIndex {
-			if path == PathSmooth {
-				// The builder's default path is PathSmooth; without an
-				// index on the driving column it degrades gracefully to
-				// a full scan instead of failing, so predicate-less and
-				// unindexed queries still run (DB.Scan refuses up front).
-				path = PathFull
-			} else {
-				return nil, fmt.Errorf("%w: %q.%q", ErrNoIndex, name, a.driving.name)
-			}
-		}
-	case PathFull:
-	default:
+	path, ok := opts.Path.planPath()
+	switch {
+	case opts.Path == PathAuto && !a.hasDriving:
+		path = plan.PathFull
+	case opts.Path == PathAuto:
+		choice := optimizer.ChooseAccessPath(params, stats, a.driving.pred, tree != nil, ordered)
+		a.choice = &choice
+		path, est = choice.Path, choice.EstimatedCard
+	case !ok:
 		return nil, fmt.Errorf("smoothscan: unknown access path %d", opts.Path)
 	}
-	if opts.Ordered {
+	a.estScan = int64(math.Round(float64(est) * sel))
+	if path.NeedsIndex() && tree == nil {
+		if path != plan.PathSmooth {
+			return nil, fmt.Errorf("%w: %q.%q", ErrNoIndex, name, a.driving.name)
+		}
+		// The builder's default path is PathSmooth; without an index on
+		// the driving column it degrades gracefully to a full scan
+		// instead of failing, so predicate-less and unindexed queries
+		// still run.
+		path = plan.PathFull
+	}
+	if opts.Ordered && !path.DeliversOrder(true) {
 		// Explicit scan-level ordering keeps the historical contract:
 		// paths that cannot deliver it refuse, rather than silently
 		// sorting. Use OrderBy for a plan-level ordering that falls
 		// back to a posterior sort.
-		switch path {
-		case PathFull:
-			return nil, fmt.Errorf("smoothscan: full scan cannot deliver ordered output; add an explicit sort")
-		case PathSwitch:
-			return nil, fmt.Errorf("smoothscan: switch scan cannot guarantee ordered output")
+		if path == plan.PathSwitch {
+			return nil, errors.New("smoothscan: switch scan cannot guarantee ordered output")
+		}
+		return nil, errors.New("smoothscan: full scan cannot deliver ordered output; add an explicit sort")
+	}
+
+	var residual []tuple.RangePred
+	if len(a.residual) > 0 {
+		residual = make([]tuple.RangePred, len(a.residual))
+		for i, r := range a.residual {
+			residual[i] = r.pred
 		}
 	}
-	nativeOrder := ordered && (path == PathSmooth || path == PathIndex || path == PathSort)
-	a.ordered = nativeOrder
-	a.path = path
-
-	// Only a full scan splits into page shards; every other path
-	// runs serially whatever Parallelism asks for.
-	a.par = 1
-	if path == PathFull {
-		a.par = int(max(1, min(int64(opts.Parallelism), MaxParallelism, t.file.NumPages())))
+	a.spec = plan.ScanSpec{
+		File:     t.file,
+		Tree:     tree,
+		Pred:     a.driving.pred,
+		Residual: residual,
+		Path:     path,
+		Smooth: core.Config{
+			Policy:            opts.Policy,
+			Trigger:           opts.Trigger,
+			MaxRegionPages:    opts.MaxRegionPages,
+			EstimatedCard:     est,
+			SLABound:          opts.SLABound,
+			CostParams:        params,
+			ResultCacheBudget: opts.ResultCacheBudget,
+		},
+		Ordered:         ordered && path.DeliversOrder(true),
+		SwitchThreshold: est,
+		Parallelism:     path.Workers(min(opts.Parallelism, MaxParallelism), t.file.NumPages()),
 	}
-
-	a.cfg = core.Config{
-		Policy:            opts.Policy,
-		Trigger:           opts.Trigger,
-		Ordered:           nativeOrder,
-		MaxRegionPages:    opts.MaxRegionPages,
-		EstimatedCard:     a.estDriving,
-		SLABound:          opts.SLABound,
-		CostParams:        params,
-		ResultCacheBudget: opts.ResultCacheBudget,
-	}
-	a.pushed = len(a.residual) > 0 &&
-		(path == PathFull || (path == PathSmooth && !nativeOrder))
 	return a, nil
 }
 
@@ -1309,8 +1271,8 @@ func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bi
 		// Refuse here what NewSmoothScan would refuse at open, so Explain
 		// and Run reject the same options with the same error.
 		for _, a := range cq.inputs {
-			if a.path == PathSmooth {
-				if err := a.cfg.Validate(); err != nil {
+			if a.spec.Path == plan.PathSmooth {
+				if err := a.spec.Smooth.Validate(); err != nil {
 					return nil, err
 				}
 			}
@@ -1351,7 +1313,7 @@ func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bi
 		switch {
 		case pt.GroupIdx >= 0 && pt.OrderName == pt.AggSchema.Col(0).Name:
 			cq.orderVia = "group" // HashAgg emits ascending group keys
-		case len(cq.joins) == 0 && cq.driving().ordered && pt.GroupIdx < 0 && pt.OrderName == cq.driving().driving.name:
+		case len(cq.joins) == 0 && cq.driving().spec.Ordered && pt.GroupIdx < 0 && pt.OrderName == cq.driving().driving.name:
 			cq.orderVia = "scan"
 		default:
 			cq.sortIdx = pt.OrderIdx
@@ -1437,10 +1399,10 @@ func (cq *compiledQuery) renderBindNotes() []string {
 			notes = append(notes, fmt.Sprintf("driving(%s)=%s", a.name, a.driving.name))
 		}
 		if a.choice != nil {
-			notes = append(notes, fmt.Sprintf("path(%s)=%s", a.name, a.path))
+			notes = append(notes, fmt.Sprintf("path(%s)=%s", a.name, publicPaths[a.spec.Path]))
 		}
-		if a.par > 1 {
-			notes = append(notes, fmt.Sprintf("parallel(%s)=%d", a.name, a.par))
+		if par := a.spec.Parallelism; par > 1 {
+			notes = append(notes, fmt.Sprintf("parallel(%s)=%d", a.name, par))
 		}
 	}
 	for k, st := range cq.joins {
@@ -1490,32 +1452,8 @@ func (db *DB) bind(st statement, b Bind) (*compiledQuery, error) {
 // could not absorb the residual conjuncts) a filter operator.
 func (l *localExec) buildInput(ctx context.Context, a *tableAccess, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
 	cq := l.cq
-	spec := plan.ScanSpec{
-		File:            a.tab.file,
-		Pool:            &l.pool,
-		Pred:            a.driving.pred,
-		Residual:        a.residualPreds(),
-		Smooth:          a.cfg,
-		Ordered:         a.ordered,
-		SwitchThreshold: a.estDriving,
-		Parallelism:     a.par,
-		Ctx:             ctx,
-	}
-	if tree, ok := a.tab.indexes[a.driving.name]; ok {
-		spec.Tree = tree
-	}
-	switch a.path {
-	case PathSmooth:
-		spec.Path = plan.PathSmooth
-	case PathFull:
-		spec.Path = plan.PathFull
-	case PathIndex:
-		spec.Path = plan.PathIndex
-	case PathSort:
-		spec.Path = plan.PathSort
-	case PathSwitch:
-		spec.Path = plan.PathSwitch
-	}
+	spec := a.spec
+	spec.Pool, spec.Ctx = &l.pool, ctx
 	built, err := plan.Build(spec)
 	if err != nil {
 		return nil, err
@@ -1527,19 +1465,20 @@ func (l *localExec) buildInput(ctx context.Context, a *tableAccess, count func(s
 	// Counter names keep the historical single-table form ("smooth",
 	// "filter"); multi-input plans qualify them with the table.
 	multi := len(cq.inputs) > 1
-	scanName := a.path.String()
+	path := publicPaths[spec.Path]
+	scanName := path.String()
 	if multi {
-		scanName = fmt.Sprintf("%s(%s)", a.path, a.name)
+		scanName = fmt.Sprintf("%s(%s)", path, a.name)
 	}
-	if a.par > 1 {
-		scanName = fmt.Sprintf("parallel[%d] %s", a.par, scanName)
+	if spec.Parallelism > 1 {
+		scanName = fmt.Sprintf("parallel[%d] %s", spec.Parallelism, scanName)
 	}
 	cur := count(scanName, built.Op)
 	// Each input gets its own guard, so a blocking consumer (a
 	// hash-join build, a sort) observes cancellation per batch.
 	cur = &ctxGuard{inner: cur, ctx: ctx}
-	if len(a.residual) > 0 && !built.ResidualPushed {
-		preds := a.residualPreds()
+	if len(a.residual) > 0 && !a.pushed() {
+		preds := spec.Residual
 		name := "filter"
 		if multi {
 			name = fmt.Sprintf("filter(%s)", a.name)
@@ -1687,7 +1626,7 @@ func (q *Query) Explain() (*Plan, error) { return q.eng.explain(statement{q: q},
 //
 // Run is the run of an unnamed statement with no binds: the same
 // bind-and-run path as Stmt.Run, with a template from the plan cache.
-// As with Scan, always Close the returned Rows.
+// Always Close the returned Rows.
 func (q *Query) Run(ctx context.Context) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()

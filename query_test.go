@@ -5,13 +5,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"smoothscan/internal/core"
+	"smoothscan/internal/plan"
+	"smoothscan/internal/tuple"
 )
 
 // buildWideDB loads n rows (id, val, cat, payload) with indexes on val
@@ -94,25 +100,56 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestQueryMatchesScan proves the Scan wrapper and the builder are the
-// same path: identical rows and an identical device-stat delta for the
-// same single-predicate query on identically-built databases.
+// TestQueryMatchesScan proves the builder adds nothing to the scan it
+// binds: a default single-predicate query returns the rows and charges
+// the device-stat delta of the same Smooth Scan built straight through
+// plan.Build, the harness's route, on an identically-built database.
 func TestQueryMatchesScan(t *testing.T) {
 	gen := func(i int64) int64 { return (i * 7919) % 5000 }
 	dbA := buildDB(t, Options{}, 20_000, gen)
 	dbB := buildDB(t, Options{}, 20_000, gen)
 
-	rowsA, err := dbA.Scan("t", "val", 100, 900, ScanOptions{})
+	tab := dbA.tables["t"]
+	before := dbA.Stats()
+	built, err := plan.Build(plan.ScanSpec{
+		File: tab.file,
+		Pool: dbA.pool,
+		Tree: tab.indexes["val"],
+		Pred: tuple.RangePred{Col: 1, Lo: 100, Hi: 900},
+		Path: plan.PathSmooth,
+		Smooth: core.Config{
+			MaxRegionPages: core.DefaultMaxRegionPages,
+			CostParams:     dbA.costParams(tab),
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA := collect(t, rowsA)
+	if err := built.Op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var gotA [][]int64
+	for b := tuple.NewBatchFor(tab.file.Schema(), 1024); ; {
+		n, err := built.Op.NextBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		for i := range n {
+			gotA = append(gotA, slices.Clone(b.Row(i).Ints()))
+		}
+	}
+	if err := built.Op.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	rowsB := mustRun(t, dbB.Query("t").Where("val", Between(100, 900)))
 	gotB := collect(t, rowsB)
 
 	if len(gotA) != len(gotB) {
-		t.Fatalf("Scan returned %d rows, Query %d", len(gotA), len(gotB))
+		t.Fatalf("plan.Build returned %d rows, Query %d", len(gotA), len(gotB))
 	}
 	for i := range gotA {
 		for c := range gotA[i] {
@@ -122,9 +159,9 @@ func TestQueryMatchesScan(t *testing.T) {
 		}
 	}
 	if a, b := dbA.Stats(), dbB.Stats(); a != b {
-		t.Errorf("device stats differ:\nScan  %+v\nQuery %+v", a, b)
+		t.Errorf("device stats differ:\nplan.Build %+v\nQuery      %+v", a, b)
 	}
-	if a, b := rowsA.ExecStats().IO, rowsB.ExecStats().IO; a != b {
+	if a, b := dbA.Stats().Sub(before), rowsB.ExecStats().IO; a != b {
 		t.Errorf("per-query IO deltas differ: %+v vs %+v", a, b)
 	}
 }
@@ -538,8 +575,8 @@ func TestQueryExecStatsOperators(t *testing.T) {
 }
 
 // TestQueryUnindexedFallsBackToFullScan: the builder's default path
-// degrades to a full scan when the driving column has no index (the
-// Scan wrapper keeps the strict historical error).
+// degrades to a full scan when the driving column has no index (a
+// forced index path keeps the strict error).
 func TestQueryUnindexedFallsBackToFullScan(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -562,8 +599,8 @@ func TestQueryUnindexedFallsBackToFullScan(t *testing.T) {
 	if len(got) != 200 {
 		t.Errorf("returned %d rows, want 200", len(got))
 	}
-	if _, err := db.Scan("u", "b", 3, 4, ScanOptions{}); !errors.Is(err, ErrNoIndex) {
-		t.Errorf("Scan without index = %v, want ErrNoIndex", err)
+	if _, err := scanRange(db, "u", "b", 3, 4, ScanOptions{Path: PathIndex}); !errors.Is(err, ErrNoIndex) {
+		t.Errorf("forced index scan without index = %v, want ErrNoIndex", err)
 	}
 }
 
@@ -635,8 +672,8 @@ func TestScanContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cancel()
-	if _, err := db.ScanContext(ctx, "t", "val", 0, 100, ScanOptions{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("ScanContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := db.Query("t").Where("val", Between(0, 100)).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -750,6 +787,34 @@ func TestQueryOrderedParallel(t *testing.T) {
 			if got[i][1] != want[i][1] {
 				t.Fatalf("%v: row %d key %d, serial %d", c.opts.Path, i, got[i][1], want[i][1])
 			}
+		}
+	}
+}
+
+// TestFmtPred pins the predicate rendering Explain and the shard
+// pruning notes print, literal and parameter-marked.
+func TestFmtPred(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	for _, c := range []struct {
+		lo, hi       int64
+		loSrc, hiSrc string
+		want         string
+	}{
+		{lo, hi, "", "", "v=*"},
+		{5, 6, "", "", "v=5"},
+		{5, 5, "", "", "v=∅"},
+		{lo, 7, "", "", "v<7"},
+		{3, hi, "", "", "v>=3"},
+		{3, 7, "", "", "3<=v<7"},
+		{5, 6, "x", "x", "v=$x"},
+		{5, 6, "x", "", "$x<=v<6"},
+		{lo, 7, "", "y", "v<$y"},
+		{3, hi, "x", "", "v>=$x"},
+		{3, 7, "x", "y", "$x<=v<$y"},
+		{7, 3, "x", "y", "v=∅"},
+	} {
+		if got := fmtPred("v", tuple.RangePred{Lo: c.lo, Hi: c.hi}, c.loSrc, c.hiSrc); got != c.want {
+			t.Errorf("fmtPred(%d, %d, %q, %q) = %q, want %q", c.lo, c.hi, c.loSrc, c.hiSrc, got, c.want)
 		}
 	}
 }

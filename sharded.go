@@ -612,7 +612,7 @@ func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
 			if keep[si] {
 				next = append(next, si)
 			} else if se.prunedWhy[si] == "" {
-				se.prunedWhy[si] = fmt.Sprintf("%s excludes %s", fmtPred(p.Column, pr), p.DescribeShard(si))
+				se.prunedWhy[si] = fmt.Sprintf("%s excludes %s", fmtPred(p.Column, pr, "", ""), p.DescribeShard(si))
 			}
 		}
 		se.active = next

@@ -32,8 +32,8 @@
 package smoothscan
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,7 +102,7 @@ type SmoothStats = core.Stats
 // AccessPath selects the scan implementation.
 type AccessPath int
 
-// Access paths available to Scan.
+// Access paths a query can request through ScanOptions.
 const (
 	// PathSmooth is the adaptive Smooth Scan (default).
 	PathSmooth AccessPath = iota
@@ -139,6 +139,24 @@ func (p AccessPath) String() string {
 	}
 }
 
+// publicPaths is the one translation between the plan layer's access
+// paths and the public ones, indexed by plan.Path. PathAuto has no plan
+// path: the optimizer resolves it to one of the others.
+var publicPaths = [...]AccessPath{
+	plan.PathSmooth: PathSmooth,
+	plan.PathFull:   PathFull,
+	plan.PathIndex:  PathIndex,
+	plan.PathSort:   PathSort,
+	plan.PathSwitch: PathSwitch,
+}
+
+// planPath returns the plan-layer path a forced public path builds,
+// and false for PathAuto or an unknown value.
+func (p AccessPath) planPath() (plan.Path, bool) {
+	i := slices.Index(publicPaths[:], p)
+	return plan.Path(i), i >= 0
+}
+
 // Options configures a database.
 type Options struct {
 	// Disk is the device profile (default HDD).
@@ -169,7 +187,7 @@ type Options struct {
 // secondary indexes, scan with any access path.
 //
 // Concurrency: a DB is safe to share across goroutines for reads —
-// any number of Scans (serial or parallel) may run concurrently, each
+// any number of queries (serial or parallel) may run concurrently, each
 // returning its own Rows. A Rows is NOT safe to share: exactly one
 // goroutine may drive it. Mutating operations (CreateTable,
 // CreateIndex, Analyze, Insert, Compact) are mutually serialized but
@@ -529,7 +547,7 @@ func (db *DB) Stats() IOStats { return db.dev.Stats() }
 // ErrScansOpen while any Rows is open: in-flight scans are still
 // charging the counters, and zeroing them mid-query would leave the
 // device totals holding part of a query. The check excludes
-// concurrent Scan calls (both hold db.mu), so a scan is either fully
+// concurrent Query.Run calls (both hold db.mu), so a scan is either fully
 // registered and refused here, or starts after the reset.
 func (db *DB) ResetStats() error {
 	db.mu.Lock()
@@ -545,7 +563,7 @@ func (db *DB) ResetStats() error {
 // the system in the cold state the paper measures. It is refused with
 // ErrScansOpen while any Rows is open: evicting every frame under an
 // in-flight iterator would silently change what that scan reads and
-// pays for. Like ResetStats, it excludes concurrent Scan calls.
+// pays for. Like ResetStats, it excludes concurrent Query.Run calls.
 func (db *DB) ColdCache() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -559,9 +577,11 @@ func (db *DB) ColdCache() error {
 	return nil
 }
 
-// ScanOptions configures a Scan.
+// ScanOptions configures a query's table access (Query.WithOptions).
 type ScanOptions struct {
-	// Path selects the access path (default PathSmooth).
+	// Path selects the access path (default PathSmooth, which runs a
+	// full scan when the driving column has no index; every other
+	// index path returns ErrNoIndex there).
 	Path AccessPath
 	// Policy is the Smooth Scan morphing policy (default Elastic).
 	Policy Policy
@@ -600,44 +620,6 @@ type ScanOptions struct {
 
 // MaxParallelism caps ScanOptions.Parallelism.
 const MaxParallelism = 64
-
-// Scan returns the rows of tableName whose column value v satisfies
-// lo <= v < hi, using the configured access path. All paths except
-// PathFull require an index on the column (CreateIndex).
-//
-// Scan is the Query builder under another name —
-// db.Query(table).Where(column, Between(lo, hi)).WithOptions(opts).Run
-// — with one piece of strictness in front: the default PathSmooth on a
-// column without an index returns ErrNoIndex here, where the builder
-// falls back to a full scan. Everything else is the builder's
-// behaviour, including what earlier versions of Scan did differently:
-// an empty range short-circuits to an empty result without walking the
-// index, and a DB with the result cache enabled serves repeated Scans
-// from it. The simulated-cost golden (`make equiv`) is recorded through
-// the harness's own operator trees and pins the engine, not Scan.
-//
-// Prefer the Query builder (db.Query, or the backend-neutral
-// Engine.Table) in new code: it composes with joins, grouping, prepared
-// statements and every Engine backend — sharded and remote included.
-// Scan remains supported but gains no new capability. (The comment
-// deliberately avoids the machine-readable "Deprecated:" marker so
-// existing callers stay lint-clean.)
-func (db *DB) Scan(tableName, column string, lo, hi int64, opts ScanOptions) (*Rows, error) {
-	return db.ScanContext(context.Background(), tableName, column, lo, hi, opts)
-}
-
-// ScanContext is Scan with cancellation: ctx deadlines and cancels
-// propagate to the returned Rows (checked once per batch refill) and
-// to any parallel scan workers, which observe cancellation between
-// batches and exit promptly.
-func (db *DB) ScanContext(ctx context.Context, tableName, column string, lo, hi int64, opts ScanOptions) (*Rows, error) {
-	if opts.Path == PathSmooth {
-		if _, err := db.IndexSpace(tableName, column); err != nil {
-			return nil, err
-		}
-	}
-	return db.Query(tableName).Where(column, Between(lo, hi)).WithOptions(opts).Run(ctx)
-}
 
 // costParams derives Section V cost-model parameters for a table.
 func (db *DB) costParams(t *table) costmodel.Params {

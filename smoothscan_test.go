@@ -1,6 +1,7 @@
 package smoothscan
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -34,6 +35,12 @@ func buildDB(t testing.TB, opts Options, n int64, gen func(i int64) int64) *DB {
 	}
 	db.ResetStats()
 	return db
+}
+
+// scanRange runs the one-range query
+// db.Query(table).Where(col, Between(lo, hi)).WithOptions(opts).
+func scanRange(db *DB, table, col string, lo, hi int64, opts ScanOptions) (*Rows, error) {
+	return db.Query(table).Where(col, Between(lo, hi)).WithOptions(opts).Run(context.Background())
 }
 
 func collect(t testing.TB, rows *Rows) [][]int64 {
@@ -113,10 +120,10 @@ func TestLoadLifecycle(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	db := buildDB(t, Options{}, 10, func(i int64) int64 { return i })
-	if _, err := db.Scan("missing", "val", 0, 1, ScanOptions{}); !errors.Is(err, ErrNoTable) {
+	if _, err := scanRange(db, "missing", "val", 0, 1, ScanOptions{}); !errors.Is(err, ErrNoTable) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := db.Scan("t", "missing", 0, 1, ScanOptions{}); err == nil {
+	if _, err := scanRange(db, "t", "missing", 0, 1, ScanOptions{}); err == nil {
 		t.Error("unknown column accepted")
 	}
 	if err := db.CreateIndex("t", "missing"); err == nil {
@@ -125,8 +132,8 @@ func TestUnknownTableAndColumn(t *testing.T) {
 	if err := db.Analyze("t", "missing"); err == nil {
 		t.Error("analyze of unknown column accepted")
 	}
-	// Smooth scan on a column without an index.
-	if _, err := db.Scan("t", "id", 0, 1, ScanOptions{}); !errors.Is(err, ErrNoIndex) {
+	// A forced index scan on a column without an index.
+	if _, err := scanRange(db, "t", "id", 0, 1, ScanOptions{Path: PathIndex}); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("err = %v, want ErrNoIndex", err)
 	}
 }
@@ -139,7 +146,7 @@ func TestScanPathsAgree(t *testing.T) {
 	paths := []AccessPath{PathFull, PathIndex, PathSort, PathSwitch, PathSmooth, PathAuto}
 	for _, p := range paths {
 		db.ColdCache()
-		rows, err := db.Scan("t", "val", 100, 300, ScanOptions{Path: p})
+		rows, err := scanRange(db, "t", "val", 100, 300, ScanOptions{Path: p})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -167,7 +174,7 @@ func TestScanPathsAgree(t *testing.T) {
 func TestOrderedSmoothScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	db := buildDB(t, Options{PoolPages: 128}, 2000, func(i int64) int64 { return rng.Int63n(400) })
-	rows, err := db.Scan("t", "val", 0, 400, ScanOptions{Ordered: true})
+	rows, err := scanRange(db, "t", "val", 0, 400, ScanOptions{Ordered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +191,17 @@ func TestOrderedSmoothScan(t *testing.T) {
 
 func TestOrderedRejectedForFullAndSwitch(t *testing.T) {
 	db := buildDB(t, Options{}, 100, func(i int64) int64 { return i })
-	if _, err := db.Scan("t", "val", 0, 10, ScanOptions{Path: PathFull, Ordered: true}); err == nil {
+	if _, err := scanRange(db, "t", "val", 0, 10, ScanOptions{Path: PathFull, Ordered: true}); err == nil {
 		t.Error("ordered full scan accepted")
 	}
-	if _, err := db.Scan("t", "val", 0, 10, ScanOptions{Path: PathSwitch, Ordered: true}); err == nil {
+	if _, err := scanRange(db, "t", "val", 0, 10, ScanOptions{Path: PathSwitch, Ordered: true}); err == nil {
 		t.Error("ordered switch scan accepted")
 	}
 }
 
 func TestSmoothStatsExposed(t *testing.T) {
 	db := buildDB(t, Options{PoolPages: 128}, 2000, func(i int64) int64 { return (i * 7919) % 2000 })
-	rows, err := db.Scan("t", "val", 0, 2000, ScanOptions{})
+	rows, err := scanRange(db, "t", "val", 0, 2000, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestSmoothStatsExposed(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Non-smooth scans expose no smooth stats.
-	rows2, err := db.Scan("t", "val", 0, 10, ScanOptions{Path: PathIndex})
+	rows2, err := scanRange(db, "t", "val", 0, 10, ScanOptions{Path: PathIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestAutoPathUsesStatistics(t *testing.T) {
 	// The table must be large enough that an index probe can beat a
 	// full scan at all (a handful of random accesses vs ~400 pages).
 	db := buildDB(t, Options{PoolPages: 256}, 200_000, func(i int64) int64 { return i })
-	rows, err := db.Scan("t", "val", 0, 5, ScanOptions{Path: PathAuto})
+	rows, err := scanRange(db, "t", "val", 0, 5, ScanOptions{Path: PathAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestAutoPathUsesStatistics(t *testing.T) {
 	if err := db.Analyze("t", "val"); err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := db.Scan("t", "val", 0, 5, ScanOptions{Path: PathAuto})
+	rows2, err := scanRange(db, "t", "val", 0, 5, ScanOptions{Path: PathAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +292,7 @@ func TestSLAScan(t *testing.T) {
 	}
 	db.ColdCache()
 	db.ResetStats()
-	rows, err := db.Scan("t", "c2", 0, n, ScanOptions{
+	rows, err := scanRange(db, "t", "c2", 0, n, ScanOptions{
 		Policy:   Greedy,
 		Trigger:  SLADriven,
 		SLABound: 2.5 * fs,
@@ -304,7 +311,7 @@ func TestSLAScan(t *testing.T) {
 
 func TestColAccessor(t *testing.T) {
 	db := buildDB(t, Options{}, 10, func(i int64) int64 { return i * 2 })
-	rows, err := db.Scan("t", "val", 4, 5, ScanOptions{Path: PathIndex})
+	rows, err := scanRange(db, "t", "val", 4, 5, ScanOptions{Path: PathIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +332,7 @@ func TestColdCacheMatters(t *testing.T) {
 	db := buildDB(t, Options{PoolPages: 4096}, 3000, func(i int64) int64 { return i })
 	run := func() float64 {
 		db.ResetStats()
-		rows, err := db.Scan("t", "val", 0, 3000, ScanOptions{Path: PathFull})
+		rows, err := scanRange(db, "t", "val", 0, 3000, ScanOptions{Path: PathFull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,12 +359,12 @@ func TestPublicAPIEquivalenceProperty(t *testing.T) {
 		db := buildDB(t, Options{PoolPages: 64}, 800, func(i int64) int64 { return rng.Int63n(1000) })
 		lo := int64(loRaw) % 1100
 		hi := lo + int64(width)%400
-		full, err := db.Scan("t", "val", lo, hi, ScanOptions{Path: PathFull})
+		full, err := scanRange(db, "t", "val", lo, hi, ScanOptions{Path: PathFull})
 		if err != nil {
 			return false
 		}
 		a := collect(t, full)
-		smooth, err := db.Scan("t", "val", lo, hi, ScanOptions{Ordered: true})
+		smooth, err := scanRange(db, "t", "val", lo, hi, ScanOptions{Ordered: true})
 		if err != nil {
 			return false
 		}
@@ -388,7 +395,7 @@ func TestInsertAndCompact(t *testing.T) {
 	}
 	count := func(path AccessPath) int {
 		db.ColdCache()
-		rows, err := db.Scan("t", "val", 55, 56, ScanOptions{Path: path})
+		rows, err := scanRange(db, "t", "val", 55, 56, ScanOptions{Path: path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +447,7 @@ func TestInsertOrderedScanSeesDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := db.Scan("t", "val", 0, 40, ScanOptions{Ordered: true})
+	rows, err := scanRange(db, "t", "val", 0, 40, ScanOptions{Ordered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
