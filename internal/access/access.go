@@ -248,15 +248,13 @@ type SortScan struct {
 }
 
 // NewSortScan creates a sort scan; orderByKey adds the posterior sort
-// that restores index-key order.
-func NewSortScan(file *heap.File, pool *bufferpool.Pool, tree *btree.Tree, pred tuple.RangePred, orderByKey bool) *SortScan {
-	return &SortScan{file: file, pool: pool, tree: tree, pred: pred, orderByKey: orderByKey}
+// that restores index-key order. memBytes bounds the memory available
+// to the scan's sorting phases; beyond it, sorts spill with two
+// sequential passes over the spilled data (external merge sort). Zero
+// means unlimited.
+func NewSortScan(file *heap.File, pool *bufferpool.Pool, tree *btree.Tree, pred tuple.RangePred, orderByKey bool, memBytes int64) *SortScan {
+	return &SortScan{file: file, pool: pool, tree: tree, pred: pred, orderByKey: orderByKey, memBytes: memBytes}
 }
-
-// SetMemoryBudget bounds the memory available to the scan's sorting
-// phases; beyond it, sorts spill with two sequential passes over the
-// spilled data (external merge sort). Zero means unlimited.
-func (s *SortScan) SetMemoryBudget(bytes int64) { s.memBytes = bytes }
 
 // chargeSpill charges an external sort of dataBytes against the
 // budget.

@@ -181,7 +181,7 @@ func TestIndexScanRevisitsPages(t *testing.T) {
 func TestSortScanContentUnordered(t *testing.T) {
 	fx := newFixture(t, 500, 64, func(i int64) int64 { return (i * 37) % 100 })
 	pred := tuple.RangePred{Col: 1, Lo: 25, Hi: 75}
-	got := drain(t, NewSortScan(fx.file, fx.pool, fx.tree, pred, false))
+	got := drain(t, NewSortScan(fx.file, fx.pool, fx.tree, pred, false, 0))
 	want := expected(fx.rows, pred) // physical order: sort scan fetches in page order
 	if !rowsEqual(got, want) {
 		t.Fatalf("sort scan mismatch: got %d rows, want %d", len(got), len(want))
@@ -191,7 +191,7 @@ func TestSortScanContentUnordered(t *testing.T) {
 func TestSortScanOrderedRestoresKeyOrder(t *testing.T) {
 	fx := newFixture(t, 500, 64, func(i int64) int64 { return (i * 37) % 100 })
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 100}
-	got := drain(t, NewSortScan(fx.file, fx.pool, fx.tree, pred, true))
+	got := drain(t, NewSortScan(fx.file, fx.pool, fx.tree, pred, true, 0))
 	for i := 1; i < len(got); i++ {
 		if got[i].Int(1) < got[i-1].Int(1) {
 			t.Fatalf("ordered sort scan out of order at %d", i)
@@ -206,7 +206,7 @@ func TestSortScanFetchesOnlyResultPagesOnce(t *testing.T) {
 	fx := newFixture(t, 2000, 512, func(i int64) int64 { return i })
 	// Keys equal row numbers: range [0,100) lives on pages 0..9.
 	pred := tuple.RangePred{Col: 1, Lo: 0, Hi: 100}
-	drain(t, NewSortScan(fx.file, fx.pool, fx.tree, pred, false))
+	drain(t, NewSortScan(fx.file, fx.pool, fx.tree, pred, false, 0))
 	s := fx.dev.Stats()
 	// 10 heap pages + index descent + result leaf pages; far below
 	// the full table (200 pages).
@@ -275,7 +275,7 @@ func TestOperatorsNotOpen(t *testing.T) {
 	ops := []operator{
 		NewFullScan(fx.file, fx.pool, pred),
 		NewIndexScan(fx.file, fx.pool, fx.tree, pred),
-		NewSortScan(fx.file, fx.pool, fx.tree, pred, false),
+		NewSortScan(fx.file, fx.pool, fx.tree, pred, false, 0),
 		NewSwitchScan(fx.file, fx.pool, fx.tree, pred, 10),
 	}
 	for i, op := range ops {
@@ -317,7 +317,7 @@ func TestErrorPropagationThroughScans(t *testing.T) {
 	}
 	// SortScan fails in Open (blocking).
 	fx.pool.Reset()
-	ss := NewSortScan(fx.file, fx.pool, fx.tree, pred, false)
+	ss := NewSortScan(fx.file, fx.pool, fx.tree, pred, false, 0)
 	fx.dev.FailAfter(3)
 	if err := ss.Open(); !errors.Is(err, disk.ErrInjected) {
 		t.Errorf("sort scan open error = %v, want ErrInjected", err)
@@ -346,7 +346,7 @@ func TestAccessPathEquivalenceProperty(t *testing.T) {
 		paths := []operator{
 			NewFullScan(fx.file, fx.pool, pred),
 			NewIndexScan(fx.file, fx.pool, fx.tree, pred),
-			NewSortScan(fx.file, fx.pool, fx.tree, pred, true),
+			NewSortScan(fx.file, fx.pool, fx.tree, pred, true, 0),
 			NewSwitchScan(fx.file, fx.pool, fx.tree, pred, threshold),
 		}
 		for _, op := range paths {

@@ -53,7 +53,7 @@ func TestBatchedAccessPathEquivalence(t *testing.T) {
 			return NewIndexScan(fx.file, fx.pool, fx.tree, pred)
 		},
 		"sort": func(fx *fixture, pred tuple.RangePred) operator {
-			return NewSortScan(fx.file, fx.pool, fx.tree, pred, true)
+			return NewSortScan(fx.file, fx.pool, fx.tree, pred, true, 0)
 		},
 		"switch": func(fx *fixture, pred tuple.RangePred) operator {
 			return NewSwitchScan(fx.file, fx.pool, fx.tree, pred, 20)

@@ -120,7 +120,8 @@ func (m Mode) String() string {
 // optimal (Section VI-D).
 const DefaultMaxRegionPages = 2048
 
-// Config configures a SmoothScan.
+// Config configures a SmoothScan. The zero value is the paper's
+// favoured configuration: the Elastic policy with the Eager trigger.
 type Config struct {
 	// Policy is the morphing policy; the paper favours Elastic.
 	Policy Policy

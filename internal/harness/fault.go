@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
@@ -33,11 +33,15 @@ func (r *Runner) FaultExp() (*Table, error) {
 		defer dev.SetFaultPolicy(nil)
 		pool.Reset()
 		dev.ResetStats()
-		op, err := core.NewSmoothScan(tab.File, pool, tab.Index, tab.PredForSelectivity(0.10), core.Config{})
+		built, err := plan.Build(plan.ScanSpec{
+			File: tab.File, Pool: pool, Tree: tab.Index,
+			Pred: tab.PredForSelectivity(0.10),
+			Path: plan.PathSmooth,
+		})
 		if err != nil {
 			return 0, 0, disk.Stats{}, err
 		}
-		rows, err := exec.Drain(op)
+		rows, err := exec.Drain(built.Op)
 		if err != nil {
 			return 0, 0, dev.Stats(), err
 		}

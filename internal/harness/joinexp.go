@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"smoothscan/internal/plan"
-	"smoothscan/internal/tpch"
 )
 
 // JoinExp sweeps the TPC-H Q3-style hash join (LINEITEM probe x
@@ -38,7 +37,7 @@ func (r *Runner) JoinExp() (*Table, error) {
 			for i, p := range paths {
 				pool.Reset()
 				db.Dev.ResetStats()
-				_, js, err := db.Q3(pool, tpch.ScanSpec{Path: p, Smooth: tpch.DefaultSmooth()}, lsel, osel)
+				_, js, err := db.Q3(pool, plan.ScanSpec{Path: p}, lsel, osel)
 				if err != nil {
 					return nil, err
 				}

@@ -3,66 +3,61 @@ package harness
 import (
 	"fmt"
 
-	"smoothscan/internal/access"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
+	"smoothscan/internal/plan"
+	"smoothscan/internal/tuple"
 	"smoothscan/internal/workload"
 )
 
-// microPath identifies one access-path series in a sweep.
+// microPath is one access-path series in a sweep: its column name and
+// the access path with its knobs (Path, Smooth, SwitchThreshold). The
+// sweep fills in the rest of the spec.
 type microPath struct {
 	name string
-	// build constructs the operator for the predicate at sel (as a
-	// fraction); ordered requests index-key order from paths that can
-	// deliver it and adds a posterior sort to those that cannot.
-	build func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error)
+	spec plan.ScanSpec
+}
+
+var (
+	fullScanPath  = microPath{"FullScan", plan.ScanSpec{Path: plan.PathFull}}
+	indexScanPath = microPath{"IndexScan", plan.ScanSpec{Path: plan.PathIndex}}
+	sortScanPath  = microPath{"SortScan", plan.ScanSpec{Path: plan.PathSort}}
+	// smoothScanPath is the paper's default Smooth Scan: the zero
+	// core.Config is the Elastic policy with the Eager trigger.
+	smoothScanPath = microPath{"SmoothScan", plan.ScanSpec{Path: plan.PathSmooth}}
+)
+
+func smoothPath(name string, cfg core.Config) microPath {
+	return microPath{name, plan.ScanSpec{Path: plan.PathSmooth, Smooth: cfg}}
 }
 
 // poolBytes is the memory budget query operators get for sorting: the
 // same budget the buffer pool has, as in a real server where work_mem
 // and shared buffers compete for the same RAM.
-func poolBytes(pool *bufferpool.Pool, dev *disk.Device) int64 {
-	return int64(pool.Capacity()) * int64(dev.PageSize())
+func poolBytes(pool *bufferpool.Pool) int64 {
+	return int64(pool.Capacity()) * int64(pool.Device().PageSize())
 }
 
-func fullScanPath() microPath {
-	return microPath{name: "FullScan", build: func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error) {
-		var op exec.Operator = access.NewFullScan(tab.File, pool, tab.PredForSelectivity(sel))
-		if ordered {
-			op = exec.NewExternalSort(op, pool.Channel(), tab.IndexCol, poolBytes(pool, dev))
-		}
-		return op, nil
-	}}
-}
-
-func indexScanPath() microPath {
-	return microPath{name: "IndexScan", build: func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error) {
-		return access.NewIndexScan(tab.File, pool, tab.Index, tab.PredForSelectivity(sel)), nil
-	}}
-}
-
-func sortScanPath() microPath {
-	return microPath{name: "SortScan", build: func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error) {
-		ss := access.NewSortScan(tab.File, pool, tab.Index, tab.PredForSelectivity(sel), ordered)
-		ss.SetMemoryBudget(poolBytes(pool, dev))
-		return ss, nil
-	}}
-}
-
-func smoothPath(name string, cfg core.Config) microPath {
-	return microPath{name: name, build: func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error) {
-		c := cfg
-		c.Ordered = ordered
-		return core.NewSmoothScan(tab.File, pool, tab.Index, tab.PredForSelectivity(sel), c)
-	}}
-}
-
-func switchPath(threshold int64) microPath {
-	return microPath{name: "SwitchScan", build: func(tab *workload.Table, dev *disk.Device, pool *bufferpool.Pool, sel float64, ordered bool) (exec.Operator, error) {
-		return access.NewSwitchScan(tab.File, pool, tab.Index, tab.PredForSelectivity(sel), threshold), nil
-	}}
+// measureScan builds spec over tab through plan.Build and measures it
+// cold (see measure). spec supplies the access path and its knobs;
+// measureScan fills in the table, pool, index, predicate, the
+// requested index-key order and the pool-sized sort budget. A path
+// that cannot deliver the order pays a posterior external sort.
+func measureScan(dev *disk.Device, pool *bufferpool.Pool, tab *workload.Table, pred tuple.RangePred, ordered bool, spec plan.ScanSpec) (disk.Stats, int64, *plan.Scan, error) {
+	spec.File, spec.Pool, spec.Tree, spec.Pred = tab.File, pool, tab.Index, pred
+	spec.Ordered, spec.SortBudget = ordered, poolBytes(pool)
+	built, err := plan.Build(spec)
+	if err != nil {
+		return disk.Stats{}, 0, nil, err
+	}
+	op := built.Op
+	if ordered && !spec.Path.DeliversOrder(true) {
+		op = exec.NewExternalSort(op, pool.Channel(), tab.IndexCol, spec.SortBudget)
+	}
+	st, n, err := measure(dev, pool, op)
+	return st, n, built, err
 }
 
 // sweepSpec is one selectivity sweep over the micro-benchmark table:
@@ -94,11 +89,7 @@ func (r *Runner) sweep(s sweepSpec) (*Table, error) {
 	for _, pct := range s.grid {
 		row := []string{fmtSel(pct)}
 		for _, p := range s.paths {
-			op, err := p.build(tab, dev, pool, pct/100, s.ordered)
-			if err != nil {
-				return nil, fmt.Errorf("%s at %v%%: %w", p.name, pct, err)
-			}
-			st, _, err := measure(dev, pool, op)
+			st, _, _, err := measureScan(dev, pool, tab, tab.PredForSelectivity(pct/100), s.ordered, p.spec)
 			if err != nil {
 				return nil, fmt.Errorf("%s at %v%%: %w", p.name, pct, err)
 			}
@@ -111,10 +102,7 @@ func (r *Runner) sweep(s sweepSpec) (*Table, error) {
 
 // classicPaths are the Figure 5/10 series: the traditional access
 // paths against Elastic Smooth Scan.
-func classicPaths() []microPath {
-	return []microPath{fullScanPath(), indexScanPath(), sortScanPath(),
-		smoothPath("SmoothScan", core.Config{Policy: core.Elastic})}
-}
+var classicPaths = []microPath{fullScanPath, indexScanPath, sortScanPath, smoothScanPath}
 
 // Fig5a reproduces Figure 5a: Smooth Scan vs the traditional access
 // paths across the selectivity range, with an ORDER BY on the indexed
@@ -122,7 +110,7 @@ func classicPaths() []microPath {
 func (r *Runner) Fig5a() (*Table, error) {
 	return r.sweep(sweepSpec{
 		title:   "Smooth Scan vs alternatives WITH order by (HDD, simulated time units)",
-		profile: disk.HDD, grid: selGrid, ordered: true, paths: classicPaths(),
+		profile: disk.HDD, grid: selGrid, ordered: true, paths: classicPaths,
 		notes: []string{
 			"paper: IndexScan degrades 10x by 0.1% sel and >100x at 100%; SortScan best below 1%;",
 			"SmoothScan best above ~2.5% because it avoids the posterior sort.",
@@ -134,7 +122,7 @@ func (r *Runner) Fig5a() (*Table, error) {
 func (r *Runner) Fig5b() (*Table, error) {
 	return r.sweep(sweepSpec{
 		title:   "Smooth Scan vs alternatives WITHOUT order by (HDD)",
-		profile: disk.HDD, grid: selGrid, paths: classicPaths(),
+		profile: disk.HDD, grid: selGrid, paths: classicPaths,
 		notes: []string{
 			"paper: FullScan best above ~2.5%; SmoothScan within ~20% of FullScan at 100%",
 			"(here the gap includes the index leaf walk, shrinking with table size).",
@@ -151,8 +139,8 @@ func (r *Runner) Fig6() (*Table, error) {
 		profile: disk.HDD,
 		grid:    []float64{0, 0.001, 0.01, 0.1, 1, 5, 20, 50, 75, 100},
 		paths: []microPath{
-			fullScanPath(),
-			indexScanPath(),
+			fullScanPath,
+			indexScanPath,
 			smoothPath("SS(EntirePage)", core.Config{Policy: core.Elastic, MaxMode: core.ModeEntirePage}),
 			smoothPath("SS(Flattening)", core.Config{Policy: core.Elastic}),
 		},
@@ -242,20 +230,12 @@ func (r *Runner) Fig9() (*Table, error) {
 	for _, pct := range grid {
 		pred := tab.PredForSelectivity(pct / 100)
 		// Ordered run (uses the Result Cache).
-		sOrd, err := core.NewSmoothScan(tab.File, pool, tab.Index, pred, core.Config{Policy: core.Elastic, Ordered: true})
-		if err != nil {
-			return nil, err
-		}
-		stOrd, _, err := measure(dev, pool, sOrd)
+		stOrd, _, ord, err := measureScan(dev, pool, tab, pred, true, smoothScanPath.spec)
 		if err != nil {
 			return nil, err
 		}
 		// Unordered run (no Result Cache) to isolate the overhead.
-		sUn, err := core.NewSmoothScan(tab.File, pool, tab.Index, pred, core.Config{Policy: core.Elastic})
-		if err != nil {
-			return nil, err
-		}
-		stUn, _, err := measure(dev, pool, sUn)
+		stUn, _, _, err := measureScan(dev, pool, tab, pred, false, smoothScanPath.spec)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +246,7 @@ func (r *Runner) Fig9() (*Table, error) {
 				overhead = 0
 			}
 		}
-		ss := sOrd.Stats()
+		ss := ord.Smooth.Stats()
 		rows = append(rows, []string{
 			fmtSel(pct),
 			fmtPct(overhead),
@@ -292,7 +272,7 @@ func (r *Runner) Fig9() (*Table, error) {
 func (r *Runner) Fig10() (*Table, error) {
 	return r.sweep(sweepSpec{
 		title:   "Smooth Scan on SSD (rand:seq = 2:1)",
-		profile: disk.SSD, grid: selGrid, paths: classicPaths(),
+		profile: disk.SSD, grid: selGrid, paths: classicPaths,
 		notes: []string{
 			"paper: the index-beneficial region extends to ~0.1% on SSD (vs 0.01% on HDD);",
 			"SmoothScan beats SortScan above 0.1% and is within ~10% of FullScan at 100%.",
@@ -314,9 +294,9 @@ func (r *Runner) Fig11() (*Table, error) {
 		profile: disk.HDD,
 		grid:    []float64{0.001, 0.004, 0.008, 0.009, 0.01, 0.02, 0.05, 0.1, 1, 10, 100},
 		paths: []microPath{
-			fullScanPath(),
-			switchPath(threshold),
-			smoothPath("SmoothScan", core.Config{Policy: core.Elastic}),
+			fullScanPath,
+			{"SwitchScan", plan.ScanSpec{Path: plan.PathSwitch, SwitchThreshold: threshold}},
+			smoothScanPath,
 		},
 		notes: []string{
 			"paper: Switch Scan jumps by a full-scan's worth of time the moment the",

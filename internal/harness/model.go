@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"smoothscan/internal/access"
-	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 )
 
@@ -29,19 +27,15 @@ func (r *Runner) ModelAccuracy() (*Table, error) {
 		pred := tab.PredForSelectivity(pct / 100)
 		card := int64(float64(tab.File.NumTuples()) * pct / 100)
 
-		fsStats, _, err := measure(dev, pool, access.NewFullScan(tab.File, pool, pred))
+		fsStats, _, _, err := measureScan(dev, pool, tab, pred, false, fullScanPath.spec)
 		if err != nil {
 			return nil, err
 		}
-		isStats, isRows, err := measure(dev, pool, access.NewIndexScan(tab.File, pool, tab.Index, pred))
+		isStats, isRows, _, err := measureScan(dev, pool, tab, pred, false, indexScanPath.spec)
 		if err != nil {
 			return nil, err
 		}
-		ss, err := core.NewSmoothScan(tab.File, pool, tab.Index, pred, core.Config{Policy: core.Elastic})
-		if err != nil {
-			return nil, err
-		}
-		ssStats, _, err := measure(dev, pool, ss)
+		ssStats, _, _, err := measureScan(dev, pool, tab, pred, false, smoothScanPath.spec)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"smoothscan/internal/access"
 	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/workload"
@@ -39,55 +38,32 @@ func (r *Runner) Fig8() (*Table, error) {
 	pred := tab.PredForSelectivity(0) // c2 == 0 only: [0, 0) is empty, build directly
 	pred.Hi = 1                       // c2 in [0,1): the skewed match value
 
-	type variant struct {
-		name   string
-		smooth *core.Config
-	}
-	variants := []variant{
-		{name: "FullScan"},
-		{name: "IndexScan"},
-		{name: "SI Smooth", smooth: &core.Config{Policy: core.SelectivityIncrease}},
-		{name: "Elastic Smooth", smooth: &core.Config{Policy: core.Elastic}},
+	variants := []microPath{
+		fullScanPath,
+		indexScanPath,
+		smoothPath("SI Smooth", core.Config{Policy: core.SelectivityIncrease}),
+		smoothPath("Elastic Smooth", core.Config{Policy: core.Elastic}),
 	}
 	var rows [][]string
 	var elasticPages, siPages int64
 	for _, v := range variants {
-		var st disk.Stats
-		var n int64
-		var fetched string
-		switch {
-		case v.name == "FullScan":
-			s, got, err := measure(dev, pool, access.NewFullScan(tab.File, pool, pred))
-			if err != nil {
-				return nil, err
-			}
-			st, n = s, got
-			fetched = fmt.Sprintf("%d", st.PagesRead)
-		case v.name == "IndexScan":
-			s, got, err := measure(dev, pool, access.NewIndexScan(tab.File, pool, tab.Index, pred))
-			if err != nil {
-				return nil, err
-			}
-			st, n = s, got
-			fetched = fmt.Sprintf("%d", st.PagesRead)
-		default:
-			ss, err := core.NewSmoothScan(tab.File, pool, tab.Index, pred, *v.smooth)
-			if err != nil {
-				return nil, err
-			}
-			s, got, err := measure(dev, pool, ss)
-			if err != nil {
-				return nil, err
-			}
-			st, n = s, got
-			fetched = fmt.Sprintf("%d", ss.Stats().PagesFetched)
-			if v.name == "SI Smooth" {
-				siPages = ss.Stats().PagesFetched
-			} else {
-				elasticPages = ss.Stats().PagesFetched
-			}
+		st, n, built, err := measureScan(dev, pool, tab, pred, false, v.spec)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, []string{v.name, fmtTime(st.Time()), fetched, fmt.Sprintf("%d", n)})
+		// Smooth Scan reports the pages it fetched itself; the fixed
+		// paths' pages read are the device's.
+		fetched := st.PagesRead
+		if built.Smooth != nil {
+			fetched = built.Smooth.Stats().PagesFetched
+		}
+		switch v.name {
+		case "SI Smooth":
+			siPages = fetched
+		case "Elastic Smooth":
+			elasticPages = fetched
+		}
+		rows = append(rows, []string{v.name, fmtTime(st.Time()), fmt.Sprintf("%d", fetched), fmt.Sprintf("%d", n)})
 	}
 	notes := []string{
 		"paper: SI fetches 56x more pages than Elastic (8.8M vs 150K) and is 5x slower;",

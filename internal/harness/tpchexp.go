@@ -87,7 +87,7 @@ func (r *Runner) Fig1() (*Table, error) {
 		}
 
 		runScan := func(path plan.Path) (float64, error) {
-			op, err := db.ScanLineitem(pool, pred, tpch.ScanSpec{Path: path})
+			op, err := db.ScanLineitem(pool, pred, plan.ScanSpec{Path: path})
 			if err != nil {
 				return 0, err
 			}
@@ -183,10 +183,10 @@ func (r *Runner) Fig4() (*Table, error) {
 	for _, q := range db.Queries() {
 		for _, variant := range []struct {
 			label string
-			spec  tpch.ScanSpec
+			spec  plan.ScanSpec
 		}{
-			{"pSQL", tpch.ScanSpec{Path: plans[q.Name]}},
-			{"pSQL+SS", tpch.ScanSpec{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()}},
+			{"pSQL", plan.ScanSpec{Path: plans[q.Name]}},
+			{"pSQL+SS", plan.ScanSpec{Path: plan.PathSmooth}},
 		} {
 			pool.Reset()
 			db.Dev.ResetStats()
@@ -228,9 +228,9 @@ func (r *Runner) Table2() (*Table, error) {
 	var rows [][]string
 	for _, q := range db.Queries() {
 		cells := []string{q.Name}
-		for _, spec := range []tpch.ScanSpec{
+		for _, spec := range []plan.ScanSpec{
 			{Path: plans[q.Name]},
-			{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()},
+			{Path: plan.PathSmooth},
 		} {
 			pool.Reset()
 			db.Dev.ResetStats()

@@ -30,7 +30,7 @@ func buildScan(tab *workload.Table, pool *bufferpool.Pool, pred tuple.RangePred,
 	case "index":
 		return access.NewIndexScan(tab.File, pool, tab.Index, pred), nil
 	case "sort":
-		return access.NewSortScan(tab.File, pool, tab.Index, pred, false), nil
+		return access.NewSortScan(tab.File, pool, tab.Index, pred, false, 0), nil
 	case "switch":
 		return access.NewSwitchScan(tab.File, pool, tab.Index, pred, 64), nil
 	case "smooth-elastic":
@@ -275,7 +275,7 @@ func TestFailureInjectionThroughJoinPlans(t *testing.T) {
 	for _, q := range db.Queries() {
 		pool.Reset()
 		dev.FailAfter(3)
-		_, err := q.Run(pool, tpch.ScanSpec{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()})
+		_, err := q.Run(pool, plan.ScanSpec{Path: plan.PathSmooth})
 		if !errors.Is(err, disk.ErrInjected) {
 			t.Errorf("%s: err = %v, want ErrInjected", q.Name, err)
 		}
@@ -283,7 +283,7 @@ func TestFailureInjectionThroughJoinPlans(t *testing.T) {
 		// And the same query must succeed afterwards (no poisoned
 		// state).
 		pool.Reset()
-		if _, err := q.Run(pool, tpch.ScanSpec{Path: plan.PathSmooth, Smooth: tpch.DefaultSmooth()}); err != nil {
+		if _, err := q.Run(pool, plan.ScanSpec{Path: plan.PathSmooth}); err != nil {
 			t.Errorf("%s after recovery: %v", q.Name, err)
 		}
 	}

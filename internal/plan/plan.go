@@ -5,17 +5,14 @@
 // Full / Index / Sort / Switch scans, or a full scan split into page
 // shards behind the parallel subsystem's fan-in).
 //
-// The public Query builder (every engine, prepared or ad hoc), the
-// TPC-H LINEITEM scans and Q3's ORDERS scan build here, and the rules
-// each access path follows — whether it needs an index, absorbs
-// residual conjuncts, keeps index-key order, or splits into workers —
-// are the Path methods below, which the builder's binder and Build
-// both call. The optimizer (internal/optimizer) decides *which* path
-// to use. Not everything goes through Build: the experiment harness's
-// micro-benchmark, skew, cost-model and fault experiments construct
-// their operators directly, to measure one operator in isolation, and
-// so does TPC-H Q12 for its ORDERS side (a full scan, or the lookup
-// side of an index nested-loop join).
+// Every scan operator is built here: the public Query builder (every
+// engine, prepared or ad hoc), the TPC-H queries and the experiment
+// harness's exhibits alike, so the paper's plans differ only in their
+// ScanSpec. The rules each access path follows — whether it needs an
+// index, absorbs residual conjuncts, keeps index-key order, or splits
+// into workers — are the Path methods below, which the builder's
+// binder and Build both call. The optimizer (internal/optimizer)
+// decides *which* path to use.
 package plan
 
 import (
@@ -124,6 +121,14 @@ type ScanSpec struct {
 	Ordered bool
 	// SwitchThreshold is PathSwitch's result-count switch point.
 	SwitchThreshold int64
+	// SortBudget is the memory, in bytes, PathSort's sorts may use
+	// before they charge an external-sort spill; zero sorts in memory.
+	// The Query builder leaves it zero, so a public PathSort or OrderBy
+	// never spills. The experiment harness sets it to the buffer pool's
+	// size, as a server's sort memory and shared buffers compete for
+	// the same RAM, which is what makes a posterior sort expensive in
+	// the paper's Figure 5a.
+	SortBudget int64
 	// Parallelism is the requested worker count; Path.Workers says how
 	// many run. One worker builds the serial operator.
 	Parallelism int
@@ -165,7 +170,7 @@ func Build(spec ScanSpec) (*Scan, error) {
 	case PathIndex:
 		return &Scan{Op: access.NewIndexScan(spec.File, spec.Pool, spec.Tree, spec.Pred)}, nil
 	case PathSort:
-		return &Scan{Op: access.NewSortScan(spec.File, spec.Pool, spec.Tree, spec.Pred, spec.Ordered)}, nil
+		return &Scan{Op: access.NewSortScan(spec.File, spec.Pool, spec.Tree, spec.Pred, spec.Ordered, spec.SortBudget)}, nil
 	case PathSwitch:
 		return &Scan{Op: access.NewSwitchScan(spec.File, spec.Pool, spec.Tree, spec.Pred, spec.SwitchThreshold)}, nil
 	case PathSmooth:

@@ -160,3 +160,38 @@ func TestBuildParallelCancellation(t *testing.T) {
 		t.Errorf("Close = %v", err)
 	}
 }
+
+// TestBuildSortBudget pins PathSort's spill charge to the spec's
+// SortBudget: zero sorts in memory and writes nothing, and a budget
+// below both the TID bytes (4000 × 20) and the ordered result bytes
+// (4000 × 16) spills both sorts, 10 + 8 pages written and read back.
+func TestBuildSortBudget(t *testing.T) {
+	file, tree, pool := buildTable(t, 20_000, 500)
+	pred := tuple.RangePred{Col: 1, Lo: 100, Hi: 200}
+	for _, tc := range []struct {
+		budget                            int64
+		requests, pagesRead, pagesWritten int64
+		ioTime                            float64
+	}{
+		{budget: 0, requests: 13, pagesRead: 51, pagesWritten: 0, ioTime: 78},
+		{budget: 32 << 10, requests: 17, pagesRead: 69, pagesWritten: 18, ioTime: 114},
+	} {
+		built, err := Build(ScanSpec{File: file, Pool: pool, Tree: tree, Pred: pred, Path: PathSort, Ordered: true, SortBudget: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Reset()
+		pool.Device().ResetStats()
+		n, err := exec.Count(built.Op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := pool.Device().Stats()
+		if n != 4000 || st.Requests != tc.requests || st.PagesRead != tc.pagesRead ||
+			st.PagesWritten != tc.pagesWritten || st.IOTime != tc.ioTime {
+			t.Errorf("budget %d: rows %d, requests %d, pages read %d, written %d, I/O time %v; want 4000, %d, %d, %d, %v",
+				tc.budget, n, st.Requests, st.PagesRead, st.PagesWritten, st.IOTime,
+				tc.requests, tc.pagesRead, tc.pagesWritten, tc.ioTime)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package tpch
 import (
 	"fmt"
 
-	"smoothscan/internal/access"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/plan"
@@ -69,22 +68,25 @@ func (db *DB) Q12(pool *bufferpool.Pool, p Q12Plan) (QueryResult, error) {
 
 	switch p {
 	case Q12PlanHash:
-		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathFull})
+		scan, err := db.ScanLineitem(pool, pred, plan.ScanSpec{Path: plan.PathFull})
 		if err != nil {
 			return QueryResult{}, err
 		}
-		orders := access.NewFullScan(db.Orders.File, pool, tuple.All(OOrderkey))
+		orders, err := db.ScanOrders(pool, tuple.All(OOrderkey))
+		if err != nil {
+			return QueryResult{}, err
+		}
 		join := exec.NewHashJoinBatch(scan, orders, pool.Channel(), LOrderkey, OOrderkey, false)
 		return run(buildAgg(join))
 	case Q12PlanTunedINLJ:
-		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathIndex})
+		scan, err := db.ScanLineitem(pool, pred, plan.ScanSpec{Path: plan.PathIndex})
 		if err != nil {
 			return QueryResult{}, err
 		}
 		join := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), LOrderkey)
 		return run(buildAgg(join))
 	case Q12PlanSmooth:
-		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
+		scan, err := db.ScanLineitem(pool, pred, plan.ScanSpec{Path: plan.PathSmooth})
 		if err != nil {
 			return QueryResult{}, err
 		}

@@ -45,7 +45,7 @@ func (db *DB) ScanOrders(pool *bufferpool.Pool, pred tuple.RangePred) (exec.Oper
 // target — probes. lineSel and orderSel set each input's predicate
 // selectivity; spec picks the LINEITEM access path, as everywhere
 // else in this package.
-func (db *DB) Q3(pool *bufferpool.Pool, spec ScanSpec, lineSel, orderSel float64) (QueryResult, exec.JoinStats, error) {
+func (db *DB) Q3(pool *bufferpool.Pool, spec plan.ScanSpec, lineSel, orderSel float64) (QueryResult, exec.JoinStats, error) {
 	scan, err := db.ScanLineitem(pool, db.ShipdatePred(lineSel), spec)
 	if err != nil {
 		return QueryResult{}, exec.JoinStats{}, err

@@ -16,7 +16,7 @@ func q3Oracle(t *testing.T, db *DB, pool *bufferpool.Pool, lineSel, orderSel flo
 	t.Helper()
 	lpred := db.ShipdatePred(lineSel)
 	opred := db.OrderDatePred(orderSel)
-	liScan, err := db.ScanLineitem(pool, lpred, ScanSpec{Path: plan.PathFull})
+	liScan, err := db.ScanLineitem(pool, lpred, plan.ScanSpec{Path: plan.PathFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestQ3AgainstOracle(t *testing.T) {
 		for _, path := range []plan.Path{plan.PathFull, plan.PathSmooth, plan.PathIndex} {
 			pool.Reset()
 			dev.ResetStats()
-			res, js, err := db.Q3(pool, ScanSpec{Path: path, Smooth: DefaultSmooth()}, sel.l, sel.o)
+			res, js, err := db.Q3(pool, plan.ScanSpec{Path: path}, sel.l, sel.o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestQ3Deterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := bufferpool.New(dev, 128)
-		_, js, err := db.Q3(pool, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()}, 0.1, 0.5)
+		_, js, err := db.Q3(pool, plan.ScanSpec{Path: plan.PathSmooth}, 0.1, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

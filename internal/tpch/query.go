@@ -4,53 +4,26 @@ import (
 	"fmt"
 
 	"smoothscan/internal/bufferpool"
-	"smoothscan/internal/core"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
 
-// ScanSpec selects the LINEITEM access path and its knobs — the only
-// plan difference between the paper's "pSQL" and "pSQL with Smooth
-// Scan" runs (Section VI-B: "the access path operator choice is the
-// only change compared to the original plan").
-type ScanSpec struct {
-	Path plan.Path
-	// Smooth configures PathSmooth; the zero value is the paper's
-	// favoured Elastic + Eager configuration.
-	Smooth core.Config
-	// SwitchThreshold configures PathSwitch.
-	SwitchThreshold int64
-	// Ordered requests index-key order from order-preserving paths.
-	Ordered bool
-}
-
-// DefaultSmooth is the paper's favoured configuration: Elastic policy,
-// Eager trigger.
-func DefaultSmooth() core.Config {
-	return core.Config{Policy: core.Elastic, Trigger: core.Eager}
-}
-
 // ScanLineitem builds the LINEITEM access operator for a shipdate
 // range predicate through the shared plan-construction layer
 // (internal/plan) — the same constructor behind the public Query
-// builder — so the TPC-H plans differ from user queries only in their
+// builder. spec names the access path and its knobs; ScanLineitem
+// fills in the table, pool, index and predicate, so the TPC-H plans
+// differ from user queries, and from each other, only in their
 // declarative spec, exactly as the paper frames it ("the access path
-// operator choice is the only change compared to the original plan").
-func (db *DB) ScanLineitem(pool *bufferpool.Pool, pred tuple.RangePred, spec ScanSpec) (exec.Operator, error) {
+// operator choice is the only change compared to the original plan",
+// Section VI-B).
+func (db *DB) ScanLineitem(pool *bufferpool.Pool, pred tuple.RangePred, spec plan.ScanSpec) (exec.Operator, error) {
 	if pred.Col != LShipdate {
 		return nil, fmt.Errorf("tpch: lineitem scans are driven by the l_shipdate index, got predicate on column %d", pred.Col)
 	}
-	built, err := plan.Build(plan.ScanSpec{
-		File:            db.Lineitem.File,
-		Pool:            pool,
-		Tree:            db.ShipIdx,
-		Pred:            pred,
-		Path:            spec.Path,
-		Smooth:          spec.Smooth,
-		Ordered:         spec.Ordered,
-		SwitchThreshold: spec.SwitchThreshold,
-	})
+	spec.File, spec.Pool, spec.Tree, spec.Pred = db.Lineitem.File, pool, db.ShipIdx, pred
+	built, err := plan.Build(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +46,7 @@ func run(root exec.Operator) (QueryResult, error) {
 // LINEITEM aggregated by (returnflag, linestatus). The paper's plain
 // PostgreSQL picks Sort Scan here (the optimal choice); Smooth Scan
 // must add only marginal overhead.
-func (db *DB) Q1(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
+func (db *DB) Q1(pool *bufferpool.Pool, spec plan.ScanSpec) (QueryResult, error) {
 	pred := db.ShipdatePred(0.98)
 	scan, err := db.ScanLineitem(pool, pred, spec)
 	if err != nil {
@@ -100,7 +73,7 @@ func (db *DB) Q1(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 // outer of an index-nested-loop join with ORDERS (primary-key
 // look-up), with the l_commitdate < l_receiptdate residual. Plain
 // PostgreSQL correctly picks a full scan for the outer.
-func (db *DB) Q4(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
+func (db *DB) Q4(pool *bufferpool.Pool, spec plan.ScanSpec) (QueryResult, error) {
 	pred := db.ShipdatePred(0.65)
 	scan, err := db.ScanLineitem(pool, pred, spec)
 	if err != nil {
@@ -129,7 +102,7 @@ func (db *DB) Q4(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 // Q6 is the forecasting-revenue query: a ~2%-selectivity predicate on
 // LINEITEM with a global aggregate. This is the query where plain
 // PostgreSQL's index-scan choice costs it a factor of 10 in the paper.
-func (db *DB) Q6(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
+func (db *DB) Q6(pool *bufferpool.Pool, spec plan.ScanSpec) (QueryResult, error) {
 	pred := db.ShipdatePred(0.02)
 	scan, err := db.ScanLineitem(pool, pred, spec)
 	if err != nil {
@@ -151,7 +124,7 @@ func (db *DB) Q6(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 // scan of LINEITEM (joined to SUPPLIER, ORDERS, CUSTOMER and NATION
 // twice). An index choice over LINEITEM costs plain PostgreSQL a
 // factor of 7 in the paper.
-func (db *DB) Q7(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
+func (db *DB) Q7(pool *bufferpool.Pool, spec plan.ScanSpec) (QueryResult, error) {
 	pred := db.ShipdatePred(0.30)
 	scan, err := db.ScanLineitem(pool, pred, spec)
 	if err != nil {
@@ -183,7 +156,7 @@ func (db *DB) Q7(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
 // Q14 is the promotion-effect query: LINEITEM at ~1% selectivity
 // joined to PART by primary-key look-up. Smooth Scan beats the index
 // scan by a factor of 8 in the paper.
-func (db *DB) Q14(pool *bufferpool.Pool, spec ScanSpec) (QueryResult, error) {
+func (db *DB) Q14(pool *bufferpool.Pool, spec plan.ScanSpec) (QueryResult, error) {
 	pred := db.MonthPred(72) // one month, ≈1% of seven years
 	scan, err := db.ScanLineitem(pool, pred, spec)
 	if err != nil {
@@ -240,5 +213,5 @@ func (db *DB) Queries() []QuerySpec {
 type QuerySpec struct {
 	Name        string
 	Selectivity float64
-	Run         func(*bufferpool.Pool, ScanSpec) (QueryResult, error)
+	Run         func(*bufferpool.Pool, plan.ScanSpec) (QueryResult, error)
 }

@@ -131,11 +131,11 @@ func TestReferentialIntegrity(t *testing.T) {
 // access path — the access path is an implementation detail.
 func TestQueriesPathIndependent(t *testing.T) {
 	db := genDB(t, 1500)
-	specs := []ScanSpec{
+	specs := []plan.ScanSpec{
 		{Path: plan.PathFull},
 		{Path: plan.PathIndex},
 		{Path: plan.PathSort},
-		{Path: plan.PathSmooth, Smooth: DefaultSmooth()},
+		{Path: plan.PathSmooth},
 		{Path: plan.PathSmooth, Smooth: core.Config{Policy: core.Greedy, Trigger: core.Eager}},
 		{Path: plan.PathSwitch, SwitchThreshold: 100},
 	}
@@ -161,10 +161,10 @@ func TestQueriesPathIndependent(t *testing.T) {
 func TestScanLineitemRejectsWrongColumn(t *testing.T) {
 	db := genDB(t, 200)
 	pool := newPool(db)
-	if _, err := db.ScanLineitem(pool, tuple.RangePred{Col: LQuantity, Lo: 0, Hi: 10}, ScanSpec{Path: plan.PathFull}); err == nil {
+	if _, err := db.ScanLineitem(pool, tuple.RangePred{Col: LQuantity, Lo: 0, Hi: 10}, plan.ScanSpec{Path: plan.PathFull}); err == nil {
 		t.Error("predicate on non-indexed column accepted")
 	}
-	if _, err := db.ScanLineitem(pool, db.ShipdatePred(0.5), ScanSpec{Path: plan.Path(99)}); err == nil {
+	if _, err := db.ScanLineitem(pool, db.ShipdatePred(0.5), plan.ScanSpec{Path: plan.Path(99)}); err == nil {
 		t.Error("unknown path accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	db := genDB(t, 8000)
-	measure := func(q QuerySpec, spec ScanSpec) float64 {
+	measure := func(q QuerySpec, spec plan.ScanSpec) float64 {
 		pool := newPool(db)
 		db.Dev.ResetStats()
 		if _, err := q.Run(pool, spec); err != nil {
@@ -188,8 +188,8 @@ func TestFig4Shape(t *testing.T) {
 	}
 	plans := PaperPlans()
 	for _, q := range db.Queries() {
-		pSQL := measure(q, ScanSpec{Path: plans[q.Name]})
-		smooth := measure(q, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
+		pSQL := measure(q, plan.ScanSpec{Path: plans[q.Name]})
+		smooth := measure(q, plan.ScanSpec{Path: plan.PathSmooth})
 		ratio := pSQL / smooth
 		switch q.Name {
 		case "Q6", "Q7", "Q14":
@@ -211,7 +211,7 @@ func TestTableIIIOAccounting(t *testing.T) {
 	// The Table II effect on Q6: Smooth Scan issues far fewer I/O
 	// requests than the index scan, even if it reads more data.
 	db := genDB(t, 4000)
-	measure := func(spec ScanSpec) disk.Stats {
+	measure := func(spec plan.ScanSpec) disk.Stats {
 		pool := newPool(db)
 		db.Dev.ResetStats()
 		if _, err := db.Q6(pool, spec); err != nil {
@@ -219,8 +219,8 @@ func TestTableIIIOAccounting(t *testing.T) {
 		}
 		return db.Dev.Stats()
 	}
-	is := measure(ScanSpec{Path: plan.PathIndex})
-	ss := measure(ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
+	is := measure(plan.ScanSpec{Path: plan.PathIndex})
+	ss := measure(plan.ScanSpec{Path: plan.PathSmooth})
 	if ss.Requests >= is.Requests {
 		t.Errorf("smooth scan requests %d >= index scan %d", ss.Requests, is.Requests)
 	}
@@ -229,7 +229,7 @@ func TestTableIIIOAccounting(t *testing.T) {
 func TestQ1AggregatesAreStable(t *testing.T) {
 	db := genDB(t, 800)
 	pool := newPool(db)
-	r1, err := db.Q1(pool, ScanSpec{Path: plan.PathFull})
+	r1, err := db.Q1(pool, plan.ScanSpec{Path: plan.PathFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	db := genDB(t, 800)
 	pool := newPool(db)
 	pred := db.MonthPred(72)
-	scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
+	scan, err := db.ScanLineitem(pool, pred, plan.ScanSpec{Path: plan.PathSmooth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestMorphingLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan2, err := db.ScanLineitem(pool, pred, ScanSpec{Path: plan.PathSmooth, Smooth: DefaultSmooth()})
+	scan2, err := db.ScanLineitem(pool, pred, plan.ScanSpec{Path: plan.PathSmooth})
 	if err != nil {
 		t.Fatal(err)
 	}
