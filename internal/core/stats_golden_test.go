@@ -24,10 +24,11 @@ type rawDeviceStats disk.Stats
 // the rows and their order, the operator's Stats and the device's
 // counters at full float precision — across policies, triggers,
 // residuals, the Entire-Page-Probe cap, selectivities, batch capacities
-// and early closes, against a committed golden. The capacity tests
-// compare the code with itself; this one compares it with the code that
-// recorded the file, so a change to when rows are handed over cannot
-// also move a charge, a counter or an order unnoticed. Regenerate with
+// and early closes (some inside a multi-page region), against a
+// committed golden. The capacity tests compare the code with itself;
+// this one compares it with the code that recorded the file, so a
+// change to when rows are handed over cannot also move a charge, a
+// counter or an order unnoticed. Regenerate with
 // UPDATE_GOLDEN=1 go test -run TestSmoothScanStatsGolden ./internal/core
 // only when a change means to move those numbers.
 func TestSmoothScanStatsGolden(t *testing.T) {
@@ -101,6 +102,34 @@ func TestSmoothScanStatsGolden(t *testing.T) {
 		}
 	}
 
+	// Closes inside a multi-page region: an unordered 20% scan of a
+	// table 25 times larger, closed after its first batch of k rows.
+	// At k = 100 and 5000 the close lands in a region of several pages
+	// that is still being delivered, so whatever a region settles when
+	// it is analysed rather than delivered shows up here.
+	const bigRows = 30000
+	bigGen := func(i int64) int64 { return (i * 131) % bigRows }
+	for _, trig := range []Trigger{Eager, OptimizerDriven} {
+		for _, res := range []bool{false, true} {
+			for _, pol := range []Policy{Elastic, Greedy, SelectivityIncrease} {
+				c := Config{Policy: pol, Trigger: trig, EstimatedCard: 20}
+				if res {
+					c.Residual = residual
+				}
+				for _, k := range []int{1, 100, 5000} {
+					fx := newFixture(t, bigRows, 32, bigGen)
+					s, err := NewSmoothScan(fx.file, fx.pool, fx.tree, tuple.RangePred{Col: 1, Lo: 2000, Hi: 8000}, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, digest := pullBatches(t, s, k, 1)
+					fmt.Fprintf(&sb, "midregion/%v/%v/residual=%v/sel20pct/close@%drows rows=%d digest=%016x op=%+v dev=%+v\n",
+						pol, trig, res, k, n, digest, s.Stats(), rawDeviceStats(fx.dev.Stats()))
+				}
+			}
+		}
+	}
+
 	got := sb.String()
 	path := filepath.Join("testdata", "smoothscan_stats.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -156,4 +185,90 @@ func pullBatches(t *testing.T, s *SmoothScan, batchCap, batches int) (int, uint6
 		rows += n
 	}
 	return rows, h.Sum64()
+}
+
+// TestInsertMidRegion inserts a qualifying row into the table's last
+// page while an unordered scan is part-way through the region that
+// holds that page, and pins what the scan then delivers and counts.
+// The region's pages are the buffers fetched before the insert (Insert
+// writes a new page buffer), so the scan neither delivers the new row
+// nor counts a tuple it did not fetch, whenever it analyses the page.
+// The want lines were recorded when analysis happened at fetch time.
+func TestInsertMidRegion(t *testing.T) {
+	const numRows = 1195 // the last page holds 5 of its 10 slots
+	// Key 0 is row 1000, on page 100, so the regions run up the table
+	// and a later one ends at the last page.
+	gen := func(i int64) int64 { return (i + numRows - 1000) % numRows }
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Policy: Greedy},
+			"rows=1195 digest=f4e2403ba6254c3d op={Produced:1195 PagesFetched:120 PagesWithResults:120 LeafPointersSkipped:1187 Expansions:8 Shrinks:0 PeakRegionPages:256 TriggeredAt:0 CacheHits:0 CacheInserts:0 DirectReturns:0 CachePeakTuples:0 CachePeakBytes:0 Spill:{Spills:0 Reloads:0 SpillBytes:0 ReloadBytes:0} PageCacheBytes:16 TupleCacheBytes:0} dev={Requests:111 RandomAccesses:18 SeqAccesses:205 SkippedPages:0 PagesRead:223 PagesWritten:1 BytesRead:57088 IOTime:385 CPUTime:1.195 Faults:0 Corruptions:0 LatencySpikes:0 Retries:0}"},
+		{Config{Policy: Greedy, Trigger: OptimizerDriven, EstimatedCard: 20, Residual: []tuple.RangePred{{Col: 2, Lo: 0, Hi: 2}}},
+			"rows=797 digest=43318ca2688db522 op={Produced:797 PagesFetched:120 PagesWithResults:120 LeafPointersSkipped:1157 Expansions:8 Shrinks:0 PeakRegionPages:256 TriggeredAt:20 CacheHits:0 CacheInserts:0 DirectReturns:0 CachePeakTuples:0 CachePeakBytes:0 Spill:{Spills:0 Reloads:0 SpillBytes:0 ReloadBytes:0} PageCacheBytes:16 TupleCacheBytes:152} dev={Requests:114 RandomAccesses:24 SeqAccesses:202 SkippedPages:0 PagesRead:226 PagesWritten:1 BytesRead:57856 IOTime:442 CPUTime:1.225 Faults:0 Corruptions:0 LatencySpikes:0 Retries:0}"},
+	}
+	for _, c := range cases {
+		fx := newFixture(t, numRows, 32, gen)
+		last := fx.file.NumPages() - 1
+		s, err := NewSmoothScan(fx.file, fx.pool, fx.tree, tuple.RangePred{Col: 1, Lo: 0, Hi: numRows + 1}, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		b := tuple.NewBatchFor(s.Schema(), 4)
+		rows, inserted := 0, false
+		for {
+			n, err := s.NextBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			for r := 0; r < n; r++ {
+				for _, v := range b.Row(r) {
+					binary.LittleEndian.PutUint64(buf[:], v)
+					h.Write(buf[:])
+				}
+			}
+			rows += n
+			if !inserted && staged(s, last) {
+				tid, err := fx.file.Insert(tuple.IntsRow(numRows, 7, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tid.Page != last {
+					t.Fatalf("insert landed on page %d, want %d", tid.Page, last)
+				}
+				fx.pool.InvalidatePage(fx.file.Space(), tid.Page)
+				inserted = true
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !inserted {
+			t.Fatalf("%+v: no batch ended before the last page's region reached it", c.cfg)
+		}
+		got := fmt.Sprintf("rows=%d digest=%016x op=%+v dev=%+v", rows, h.Sum64(), s.Stats(), rawDeviceStats(fx.dev.Stats()))
+		if got != c.want {
+			t.Errorf("%+v:\n got  %s\n want %s", c.cfg, got, c.want)
+		}
+	}
+}
+
+// staged reports whether page pageNo is in s's current region and drain
+// has not reached it yet.
+func staged(s *SmoothScan, pageNo int64) bool {
+	for i := s.next + 1; i < len(s.region); i++ {
+		if s.at[i].no == pageNo {
+			return true
+		}
+	}
+	return false
 }
