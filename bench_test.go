@@ -68,13 +68,16 @@ func BenchmarkSmoothScanThroughput(b *testing.B) {
 	b.ReportMetric(float64(produced)/b.Elapsed().Seconds(), "tuples/s")
 }
 
-// BenchmarkSmoothScanSelectivities reports simulated cost across the
-// selectivity range in one run (sub-benchmarks per point).
+// BenchmarkSmoothScanSelectivities reports, per selectivity point,
+// the simulated cost of a cold-pool Smooth Scan alongside its real
+// throughput (tuples/s) and allocations.
 func BenchmarkSmoothScanSelectivities(b *testing.B) {
 	for _, pct := range []float64{0.01, 1, 20, 100} {
 		b.Run(strings.ReplaceAll(strconv.FormatFloat(pct, 'f', -1, 64), ".", "_")+"pct", func(b *testing.B) {
 			tab, dev, pool := benchTable(b, 100_000)
 			var simTime float64
+			var produced int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pool.Reset()
@@ -83,12 +86,15 @@ func BenchmarkSmoothScanSelectivities(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := exec.Count(ss); err != nil {
+				n, err := exec.Count(ss)
+				if err != nil {
 					b.Fatal(err)
 				}
+				produced += n
 				simTime = dev.Stats().Time()
 			}
 			b.ReportMetric(simTime, "simcost")
+			b.ReportMetric(float64(produced)/b.Elapsed().Seconds(), "tuples/s")
 		})
 	}
 }

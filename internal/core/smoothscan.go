@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"smoothscan/internal/bitmap"
 	"smoothscan/internal/btree"
@@ -163,12 +164,21 @@ type Config struct {
 }
 
 // Stats exposes the operator's run-time counters, the raw material of
-// Figures 6–9.
+// Figures 6–9. An unordered scan fetches a morphing region at once but
+// analyses each of its pages as it delivers the page's rows, so
+// mid-scan the page counters settle page by page with the rows: a
+// fetched page's tuple charges and PagesWithResults when drain first
+// reaches it, the region's policy step (Expansions, Shrinks,
+// PeakRegionPages) once its last page is analysed. Close analyses
+// whatever of the region was not delivered, so after Close every
+// counter and charge is what a scan that delivered the whole region
+// would show.
 type Stats struct {
 	// Produced is the number of result tuples returned.
 	Produced int64
-	// PagesFetched counts heap pages fetched and analysed by the
-	// morphing modes (each exactly once, thanks to the Page ID cache).
+	// PagesFetched counts heap pages fetched by the morphing modes,
+	// each exactly once, thanks to the Page ID cache; every one is
+	// analysed by the time the scan closes.
 	PagesFetched int64
 	// PagesWithResults counts fetched pages that contained at least
 	// one qualifying tuple; PagesWithResults/PagesFetched is the
@@ -245,28 +255,27 @@ type SmoothScan struct {
 	cache    *resultCache   // ordered mode only
 
 	// region is GetRun's scratch, reused across regions. In unordered
-	// mode its front holds the current region's pages with results, in
-	// page order, and at their page numbers and resume slots; drain
-	// decodes them into the caller's batch from region[next] on.
-	// Ordered mode keeps nothing there and never grows at.
+	// mode it holds every page of the current region, in page order;
+	// drain analyses and delivers them into the caller's batch from
+	// region[next], whose cursor is cur, on. Ordered mode keeps nothing
+	// there.
 	region [][]byte
-	at     []pageCursor
 	next   int
+	cur    pageCursor
 
-	regionPages int64 // current morphing region size
-	triggerCard int64 // produced-count threshold for non-eager triggers
-
-	// Policy state: global counters exclude the current region.
-	globalPagesSeen    int64
-	globalPagesWithRes int64
+	regionPages   int64 // current morphing region size
+	regionWithRes int64 // pages of the current region analysed with results
+	triggerCard   int64 // produced-count threshold for non-eager triggers
 
 	stats Stats
 }
 
-// pageCursor locates a staged region page, the slot its delivery
-// resumes at and its tuple count when it was analysed. drain reads only
-// those slots, so it delivers exactly what the analysis counted even if
-// a concurrent Insert has since appended to the page.
+// pageCursor locates the region page drain is at: its page number, the
+// slot its delivery resumes at and its tuple count, which is negative
+// until drain (or Close) analyses the page. The page is the buffer
+// GetRun returned, and an Insert writes a new buffer rather than into
+// it, so the analysis counts and drain delivers the tuples that were
+// fetched, however late the page is analysed.
 type pageCursor struct {
 	no          int64
 	slot, count int32
@@ -354,9 +363,7 @@ func (s *SmoothScan) Open() error {
 	s.pageSeen = bitmap.New(s.file.NumPages())
 	s.stats.PageCacheBytes = s.pageSeen.MemoryBytes()
 	s.regionPages = 1
-	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
-	s.globalPagesSeen = 0
-	s.globalPagesWithRes = 0
+	s.region, s.next = s.region[:0], 0
 
 	switch s.cfg.Trigger {
 	case Eager:
@@ -386,12 +393,26 @@ func (s *SmoothScan) Open() error {
 }
 
 // Close releases the scan, dropping any undelivered rest of the
-// current region. Statistics (including Result Cache peaks) remain
-// readable after Close.
+// current region. It first analyses the region's pages drain has not
+// reached, so a scan closed mid-region ends with the charges, counters
+// and policy state of one that delivered the region to its end.
+// Statistics (including Result Cache peaks) remain readable after
+// Close.
 func (s *SmoothScan) Close() error {
+	for ; s.next < len(s.region); s.step() {
+		if s.cur.count < 0 {
+			page := s.region[s.next]
+			s.cur.count = int32(heap.PageTupleCount(page))
+			found := false
+			for lo := 0; lo < int(s.cur.count) && !found; lo += 64 {
+				_, found = s.file.SelectChunk(page, lo, int(s.cur.count), s.pred, s.cfg.Residual, nil)
+			}
+			s.analysed(found)
+		}
+	}
 	s.open = false
 	s.it = nil
-	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
+	s.region, s.next = s.region[:0], 0
 	return nil
 }
 
@@ -419,22 +440,61 @@ func (s *SmoothScan) NextBatch(out *tuple.Batch) (int, error) {
 	return out.Len(), nil
 }
 
-// drain decodes the region's pages into out from the resume cursor on,
-// until out fills or the region is delivered. Every charge and counter
-// of these pages was settled when the region was analysed; drain only
-// hands rows over.
+// drain delivers the region's pages into out from the resume cursor
+// on, until out fills or the region is delivered. A page drain reaches
+// for the first time is analysed in the same pass that delivers its
+// rows (heap.ProbeBatch), while it is still in cache, and its charges
+// and counters settle then (analysed).
 func (s *SmoothScan) drain(out *tuple.Batch) {
-	for ; s.next < len(s.region) && !out.Full(); s.next++ {
-		at := &s.at[s.next]
+	for ; s.next < len(s.region) && !out.Full(); s.step() {
+		page := s.region[s.next]
+		fresh := s.cur.count < 0
+		if fresh {
+			s.cur.count = int32(heap.PageTupleCount(page))
+		}
 		var veto *heap.Veto
 		if s.tupSeen != nil {
-			veto = &heap.Veto{Seen: s.tupSeen, Base: s.file.TIDBit(heap.TID{Page: at.no})}
+			veto = &heap.Veto{Seen: s.tupSeen, Base: s.file.TIDBit(heap.TID{Page: s.cur.no})}
 		}
-		slot, _ := s.file.DecodeBatchMatching(s.region[s.next], int(at.slot), int(at.count), s.pred, s.cfg.Residual, veto, out)
-		if slot < int(at.count) {
-			at.slot = int32(slot)
+		slot, found := s.file.ProbeBatch(page, int(s.cur.slot), int(s.cur.count), s.pred, s.cfg.Residual, veto, out)
+		if fresh {
+			s.analysed(found)
+		}
+		if slot < int(s.cur.count) {
+			s.cur.slot = int32(slot)
 			return
 		}
+	}
+}
+
+// analysed settles the Entire Page Probe of the region page at the
+// cursor: the Page ID cache, the per-tuple CPU of each of its records,
+// the page's result count when found (a tuple qualified, whether or not
+// Mode 0 already produced it, as the ordered analysePage counts a page
+// with results) and, after the region's last page, the policy's look at
+// the whole region.
+func (s *SmoothScan) analysed(found bool) {
+	s.pageSeen.Set(s.cur.no)
+	s.pool.ChargeCPUN(simcost.Tuple, int64(s.cur.count))
+	if found {
+		s.stats.PagesWithResults++
+		s.regionWithRes++
+	}
+	if s.next == len(s.region)-1 {
+		s.updatePolicy(int64(len(s.region)))
+	}
+}
+
+// step moves the cursor to the region's next page: the first page
+// after the current one that the Page ID cache does not hold, since
+// the region's pages join it as they are analysed.
+func (s *SmoothScan) step() {
+	if s.next++; s.next < len(s.region) {
+		no := s.cur.no + 1
+		for s.pageSeen.Get(no) {
+			no++
+		}
+		s.cur = pageCursor{no: no, count: -1}
 	}
 }
 
@@ -496,7 +556,7 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 			// Leaf pointer to an already-analysed page (✕ in Fig. 3).
 			s.stats.LeafPointersSkipped++
 			if !s.cfg.Ordered {
-				continue // tuple was already staged with its region
+				continue // tuple was delivered with its region
 			}
 			if s.tupSeen != nil && s.tupSeen.Get(s.file.TIDBit(e.TID)) {
 				continue // produced during Mode 0
@@ -522,19 +582,21 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 	}
 }
 
-// processRegion fetches and analyses the morphing region starting at
-// the probed entry's page, updates the Page ID cache and lets the policy
-// adjust the region size. In ordered mode it parks qualifying tuples
-// and appends the probed tuple to out; in unordered mode it stages the
-// pages holding results for drain.
+// processRegion fetches the morphing region starting at the probed
+// entry's page: the maximal runs of pages the Page ID cache does not
+// hold. In ordered mode it analyses every page at once, adding it to
+// the Page ID cache, parking qualifying tuples and appending the probed
+// tuple to out, and lets the policy adjust the region size. In
+// unordered mode it records the pages, not yet analysed, for drain,
+// which settles each as it delivers it.
 func (s *SmoothScan) processRegion(probe btree.Entry, out *tuple.Batch) error {
 	start := probe.TID.Page
 	end := min(start+s.regionPages, s.pages)
 
 	direct := false
-	s.region, s.at, s.next = s.region[:0], s.at[:0], 0
+	s.region, s.next, s.regionWithRes = s.region[:0], 0, 0
+	s.cur = pageCursor{no: start, count: -1}
 	regionSeen := int64(0)
-	regionWithRes := int64(0)
 
 	// Fetch maximal unseen sub-runs of [start, end).
 	for p := start; p < end; {
@@ -546,36 +608,34 @@ func (s *SmoothScan) processRegion(probe btree.Entry, out *tuple.Batch) error {
 		for runEnd < end && !s.pageSeen.Get(runEnd) {
 			runEnd++
 		}
-		// GetRun writes the run behind the pages staged so far;
-		// stagePage moves those with results up to the front.
+		// GetRun writes the run behind the pages recorded so far.
 		s.growRegion(int(runEnd - p))
 		pages, err := s.file.GetRun(s.pool, p, runEnd-p, s.region[len(s.region):cap(s.region)])
 		if err != nil {
 			return fmt.Errorf("smooth scan: %w", err)
 		}
-		for i, page := range pages {
-			pageNo := p + int64(i)
-			s.pageSeen.Set(pageNo)
-			s.stats.PagesFetched++
-			regionSeen++
-			var found bool
-			if s.cfg.Ordered {
-				found = s.analysePage(page, pageNo, probe, out, &direct)
-			} else {
-				found = s.stagePage(page, pageNo)
-			}
-			if found {
-				s.stats.PagesWithResults++
-				regionWithRes++
+		s.stats.PagesFetched += int64(len(pages))
+		regionSeen += int64(len(pages))
+		if !s.cfg.Ordered {
+			s.region = s.region[:len(s.region)+len(pages)]
+		} else {
+			for i, page := range pages {
+				pageNo := p + int64(i)
+				s.pageSeen.Set(pageNo)
+				if s.analysePage(page, pageNo, probe, out, &direct) {
+					s.stats.PagesWithResults++
+					s.regionWithRes++
+				}
 			}
 		}
 		p = runEnd
 	}
 
-	s.updatePolicy(regionSeen, regionWithRes)
-
-	if s.cfg.Ordered && !direct {
-		return fmt.Errorf("smooth scan: probed tuple %v not found on page %d (invariant violation)", probe.TID, probe.TID.Page)
+	if s.cfg.Ordered {
+		s.updatePolicy(regionSeen)
+		if !direct {
+			return fmt.Errorf("smooth scan: probed tuple %v not found on page %d (invariant violation)", probe.TID, probe.TID.Page)
+		}
 	}
 	return nil
 }
@@ -590,75 +650,55 @@ func (s *SmoothScan) growRegion(n int) {
 	s.region = append(make([][]byte, 0, c), s.region...)
 }
 
-// stagePage is unordered mode's Entire Page Probe of a fetched region
-// page: it charges the per-tuple CPU of every record and, when one
-// qualifies, stages the page for drain from its first qualifying slot.
-// It reports whether one did. Qualifying is the predicate plus every
-// residual conjunct, whether or not Mode 0 already produced the tuple,
-// as the ordered analysePage counts a page with results.
-func (s *SmoothScan) stagePage(page []byte, pageNo int64) bool {
-	count := heap.PageTupleCount(page)
-	s.pool.ChargeCPUN(simcost.Tuple, int64(count))
-	first := -1
-	s.file.Matches(page, 0, count, s.pred, s.cfg.Residual, func(slot int, _ tuple.Row) bool {
-		first = slot
-		return false
-	})
-	if first < 0 {
-		return false
-	}
-	// page sits at or beyond index len(s.region) of the backing array
-	// GetRun wrote, so this append neither reallocates nor overwrites a
-	// page still to be analysed.
-	s.region = append(s.region, page)
-	s.at = append(s.at, pageCursor{no: pageNo, slot: int32(first), count: int32(count)})
-	return true
-}
-
 // analysePage is ordered mode's Entire Page Probe: it walks every
-// qualifying record of the page, appending the probed tuple to out
-// (setting *direct) and parking the others in the Result Cache; it
-// reports whether any qualified, whether or not Mode 0 already
-// produced it. Like stagePage it charges the per-tuple CPU of every
-// record once, up front. Ordered scans carry no residual conjuncts
-// (Config.Validate).
+// qualifying record of the page, 64 slots at a time, appending the
+// probed tuple to out (setting *direct) and parking the others in the
+// Result Cache; the Tuple ID veto skips those Mode 0 already produced.
+// It reports whether any qualified, whether or not Mode 0 already
+// produced it, and charges the per-tuple CPU of every record once, up
+// front. Ordered scans carry no residual conjuncts (Config.Validate).
 func (s *SmoothScan) analysePage(page []byte, pageNo int64, probe btree.Entry, out *tuple.Batch, direct *bool) bool {
 	count := heap.PageTupleCount(page)
 	s.pool.ChargeCPUN(simcost.Tuple, int64(count))
+	var veto *heap.Veto
+	if s.tupSeen != nil {
+		veto = &heap.Veto{Seen: s.tupSeen, Base: s.file.TIDBit(heap.TID{Page: pageNo})}
+	}
 	found := false
-	s.file.Matches(page, 0, count, s.pred, nil, func(slot int, row tuple.Row) bool {
-		found = true
-		tid := heap.TID{Page: pageNo, Slot: int32(slot)}
-		switch {
-		case s.tupSeen != nil && s.tupSeen.Get(s.file.TIDBit(tid)):
-			// already produced in Mode 0
-		case tid == probe.TID:
-			copy(out.AppendSlotRaw(), row)
-			*direct = true
-		default:
+	for lo := 0; lo < count; lo += 64 {
+		m, any := s.file.SelectChunk(page, lo, count, s.pred, nil, veto)
+		found = found || any
+		for ; m != 0; m &= m - 1 {
+			slot := lo + bits.TrailingZeros64(m)
+			tid := heap.TID{Page: pageNo, Slot: int32(slot)}
+			if tid == probe.TID {
+				s.file.DecodeRow(page, slot, out.AppendSlotRaw())
+				*direct = true
+				continue
+			}
 			s.pool.ChargeCPU(simcost.Hash)
-			s.cache.insert(row.Int(s.pred.Col), tid, row.Clone())
+			row := s.file.DecodeRow(page, slot, nil)
+			s.cache.insert(row.Int(s.pred.Col), tid, row)
 			s.stats.CacheInserts++
 		}
-		return true
-	})
+	}
 	return found
 }
 
-// updatePolicy adjusts the morphing region after a region was
-// processed, comparing the region's page-level result density (Eq. 1)
-// against the global density over all previously seen pages (Eq. 2).
+// updatePolicy adjusts the morphing region once every page of a region
+// of regionSeen pages is analysed, comparing the region's page-level
+// result density (Eq. 1) against the global density over all
+// previously seen pages (Eq. 2): the pages fetched, and those with
+// results, before this region.
 // Ties count as "dense": a region exactly as dense as the global
 // average is evidence the data keeps qualifying, so the scan keeps
 // flattening — this is what lets Smooth Scan converge to sequential
 // behaviour at 100% selectivity (Figures 5 and 6).
-func (s *SmoothScan) updatePolicy(regionSeen, regionWithRes int64) {
-	if regionSeen == 0 {
-		return
-	}
+func (s *SmoothScan) updatePolicy(regionSeen int64) {
+	regionWithRes := s.regionWithRes
+	globalSeen := s.stats.PagesFetched - regionSeen
+	globalWithRes := s.stats.PagesWithResults - regionWithRes
 	defer func() {
-		s.globalPagesSeen += regionSeen
-		s.globalPagesWithRes += regionWithRes
 		if s.regionPages > s.stats.PeakRegionPages {
 			s.stats.PeakRegionPages = s.regionPages
 		}
@@ -683,8 +723,8 @@ func (s *SmoothScan) updatePolicy(regionSeen, regionWithRes int64) {
 	// local >= global  ⇔  regionWithRes/regionSeen >= globalWithRes/globalSeen,
 	// compared without division. Before any page was seen, any result
 	// counts as an increase.
-	denser := regionWithRes*max(s.globalPagesSeen, 1) >= s.globalPagesWithRes*regionSeen
-	if s.globalPagesSeen == 0 {
+	denser := regionWithRes*max(globalSeen, 1) >= globalWithRes*regionSeen
+	if globalSeen == 0 {
 		denser = regionWithRes > 0
 	}
 	switch s.cfg.Policy {

@@ -262,11 +262,15 @@ func TestInsertMidRegion(t *testing.T) {
 	}
 }
 
-// staged reports whether page pageNo is in s's current region and drain
-// has not reached it yet.
+// staged reports whether page pageNo is in s's current region and
+// drain has not reached it yet. The region's pages after the cursor
+// are the pages after it the Page ID cache does not hold yet, in order.
 func staged(s *SmoothScan, pageNo int64) bool {
+	no := s.cur.no
 	for i := s.next + 1; i < len(s.region); i++ {
-		if s.at[i].no == pageNo {
+		for no++; s.pageSeen.Get(no); no++ {
+		}
+		if no == pageNo {
 			return true
 		}
 	}

@@ -11,17 +11,18 @@
 // non-clustered index leaf stores.
 //
 // The page readers (DecodeRow, DecodeBatch, DecodeBatchMatching,
-// Matches) read a page as words: a tuple is NumCols little-endian
-// words and a batch row is NumCols words, so a run of slots is one
-// copy. That view is the page's own memory only on a little-endian
-// host (decided once, at init) and for a page slice that starts on an
-// 8-byte boundary (checked per call); otherwise the readers decode the
-// slots they read into a word buffer first, the one scalar fallback,
-// and run the same code on it. DecodeBatchMatching examines slots in
-// order and stops right after the slot that fills the batch; its
-// examined count is what every scan charges simcost.Tuple for, so the
-// simulated CPU clock depends on that stop point and not on how the
-// slots are read.
+// ProbeBatch, SelectChunk) read a page as words: a tuple is NumCols
+// little-endian words and a batch row is NumCols words, so a run of
+// slots is one copy. That view is the page's own memory only on a
+// little-endian host (decided once, at init) and for a page slice that
+// starts on an 8-byte boundary (checked per call); otherwise the
+// readers decode the slots they read into a word buffer first, the one
+// scalar fallback, and run the same code on it. DecodeBatchMatching
+// examines slots in order and stops right after the slot that fills
+// the batch; its examined count is what the full scans charge
+// simcost.Tuple for, so the simulated CPU clock depends on that stop
+// point and not on how the slots are read. Smooth Scan charges every
+// slot of each page it analyses, whichever reader it analyses with.
 package heap
 
 import (
@@ -276,8 +277,8 @@ type Veto struct {
 // appending to dst the rows whose pred column satisfies pred, that
 // pass every residual predicate and that veto (when non-nil) does not
 // name, and stops as soon as dst fills. It works 64 slots at a time:
-// a selection mask from the predicate column, the veto's bitmap word
-// cleared from it, residuals read for the set bits only, then one copy
+// a selection mask from the predicate column, residuals read for the
+// set bits only, the veto's bitmap word cleared from it, then one copy
 // per run of adjacent set bits. Non-qualifying slots cost only their
 // predicate word, so the scan path never materialises rows it will not
 // return — this is where a multi-predicate plan's residual conjuncts
@@ -291,16 +292,35 @@ type Veto struct {
 // extra column of an already-resident page costs no additional
 // simulated I/O or CPU.
 func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, dst *tuple.Batch) (next, examined int) {
+	next, _ = f.ProbeBatch(page, lo, hi, pred, residual, veto, dst)
+	return next, next - lo
+}
+
+// ProbeBatch is DecodeBatchMatching for an Entire Page Probe, which
+// analyses a page and delivers its rows in the same pass: it returns
+// the first slot not examined (next - lo slots were examined) and
+// found, whether an examined slot satisfies pred and every residual,
+// vetoed or not. A call that fills dst has found one; a call that
+// exhausts the page has examined every slot from lo on, so from lo = 0
+// it answers for the whole page.
+func (f *File) ProbeBatch(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, dst *tuple.Batch) (next int, found bool) {
 	if dst.Full() || lo >= hi {
-		return lo, 0
+		return lo, false
 	}
 	if pred.Empty() {
-		return hi, hi - lo
+		return hi, false
 	}
 	w := f.schema.NumCols()
 	rows := f.slots(page, lo, hi, nil)
 	for c := 0; c < hi-lo; c += 64 {
-		m := selectChunk(rows, w, c, pred, residual, veto, int64(lo))
+		m := selectChunk(rows, w, c, pred, residual)
+		if m == 0 {
+			continue
+		}
+		found = true
+		if veto != nil {
+			m &^= veto.Seen.Word(veto.Base + int64(lo+c))
+		}
 		for m != 0 {
 			i := bits.TrailingZeros64(m)
 			run := bits.TrailingZeros64(^(m >> i))
@@ -308,43 +328,37 @@ func (f *File) DecodeBatchMatching(page []byte, lo, hi int, pred tuple.RangePred
 			got := dst.AppendRowsRaw(run)
 			copy(got, rows[(c+i)*w:])
 			if dst.Full() {
-				s := lo + c + i + len(got)/w
-				return s, s - lo
+				return lo + c + i + len(got)/w, true
 			}
 		}
 	}
-	return hi, hi - lo
+	return hi, found
 }
 
-// Matches calls yield, in slot order, with each slot in [lo, hi) of a
-// raw page whose pred column satisfies pred and that passes every
-// residual predicate, and with that slot's words (valid during the
-// call only), until yield returns false. It walks DecodeBatchMatching's
-// 64-slot masks without a veto, so it reads each predicate word at most
-// once, whichever slot yield stops at.
-func (f *File) Matches(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, yield func(slot int, row tuple.Row) bool) {
+// SelectChunk is the page readers' selection step alone, for a caller
+// that walks the qualifying slots itself: it returns the selection mask
+// of slots [lo, min(lo+64, hi)) of a raw page — bit i is set when slot
+// lo+i satisfies pred and every residual and veto (when non-nil) does
+// not name it — and found, whether one of those slots satisfies pred
+// and every residual, vetoed or not. hi must not exceed the page's
+// tuple count.
+func (f *File) SelectChunk(page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto) (sel uint64, found bool) {
 	if pred.Empty() || lo >= hi {
-		return
+		return 0, false
 	}
-	w := f.schema.NumCols()
-	rows := f.slots(page, lo, hi, nil)
-	for c := 0; c < hi-lo; c += 64 {
-		for m := selectChunk(rows, w, c, pred, residual, nil, 0); m != 0; m &= m - 1 {
-			i := c + bits.TrailingZeros64(m)
-			if !yield(lo+i, rows[i*w:(i+1)*w:(i+1)*w]) {
-				return
-			}
-		}
+	m := selectChunk(f.slots(page, lo, min(lo+64, hi), nil), f.schema.NumCols(), 0, pred, residual)
+	if m != 0 && veto != nil {
+		return m &^ veto.Seen.Word(veto.Base+int64(lo)), true
 	}
+	return m, m != 0
 }
 
 // selectChunk returns the selection mask of the up to 64 slots of rows
 // (width w, slot 0 at rows[0]) that start at slot c: bit i is set when
-// slot c+i satisfies pred, is not vetoed (slot c+i of rows is bit
-// veto.Base+first+c+i) and satisfies every residual. pred must not be
-// empty. The predicate test is branch-free: v is in [Lo, Hi) exactly
-// when v-Lo, as an unsigned word, is below Hi-Lo.
-func selectChunk(rows []uint64, w, c int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, first int64) uint64 {
+// slot c+i satisfies pred and every residual. pred must not be empty.
+// The predicate test is branch-free: v is in [Lo, Hi) exactly when
+// v-Lo, as an unsigned word, is below Hi-Lo.
+func selectChunk(rows []uint64, w, c int, pred tuple.RangePred, residual []tuple.RangePred) uint64 {
 	n := min(64, len(rows)/w-c)
 	lo, span := uint64(pred.Lo), uint64(pred.Hi-pred.Lo)
 	var m uint64
@@ -354,10 +368,7 @@ func selectChunk(rows []uint64, w, c int, pred tuple.RangePred, residual []tuple
 		m = m>>1 | below<<63
 	}
 	m >>= 64 - n
-	if m != 0 && veto != nil {
-		m &^= veto.Seen.Word(veto.Base + first + int64(c))
-	}
-	if residual == nil {
+	if m == 0 || residual == nil {
 		return m
 	}
 	for t := m; t != 0; t &= t - 1 {

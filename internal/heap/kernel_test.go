@@ -51,29 +51,44 @@ func misaligned(page []byte) []byte {
 // slot, then the veto bit, then the residuals, and decodes a matching
 // slot word by word.
 func scalarMatching(f *File, page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, dst *tuple.Batch) (next, examined int) {
-	size := f.schema.TupleSize()
 	s := lo
 	for ; s < hi; s++ {
 		if dst.Full() {
 			break
 		}
-		base := headerSize + s*size
-		v := int64(binary.LittleEndian.Uint64(page[base+8*pred.Col:]))
-		if v < pred.Lo || v >= pred.Hi || (veto != nil && veto.Seen.Get(veto.Base+int64(s))) {
-			continue
-		}
-		ok := true
-		for _, p := range residual {
-			if r := int64(binary.LittleEndian.Uint64(page[base+8*p.Col:])); r < p.Lo || r >= p.Hi {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if scalarQualifies(f, page, s, pred, residual) && !scalarVetoed(veto, s) {
 			scalarRow(f, page, s, dst.AppendSlotRaw())
 		}
 	}
 	return s, s - lo
+}
+
+// scalarQualifies reports whether slot s satisfies pred and every
+// residual, reading one column word at a time.
+func scalarQualifies(f *File, page []byte, s int, pred tuple.RangePred, residual []tuple.RangePred) bool {
+	base := headerSize + s*f.schema.TupleSize()
+	for _, p := range append([]tuple.RangePred{pred}, residual...) {
+		if v := int64(binary.LittleEndian.Uint64(page[base+8*p.Col:])); v < p.Lo || v >= p.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// scalarVetoed reports whether veto names slot s.
+func scalarVetoed(veto *Veto, s int) bool {
+	return veto != nil && veto.Seen.Get(veto.Base+int64(s))
+}
+
+// scalarFound reports whether a slot in [lo, hi) satisfies pred and
+// every residual, vetoed or not.
+func scalarFound(f *File, page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred) bool {
+	for s := lo; s < hi; s++ {
+		if scalarQualifies(f, page, s, pred, residual) {
+			return true
+		}
+	}
+	return false
 }
 
 // scalarRow decodes slot s into row word by word.
@@ -105,19 +120,16 @@ func (k kernelCase) batch() *tuple.Batch {
 }
 
 // checkKernel runs every page reader on k's page as given and on a
-// misaligned copy of it (the scalar fallback), and compares rows, next
-// and examined with the scalar oracle.
+// misaligned copy of it (the scalar fallback), and compares rows, next,
+// examined, found and selection masks with the scalar oracle.
 func checkKernel(t *testing.T, k kernelCase) {
 	t.Helper()
 	w := k.f.schema.NumCols()
 	want := k.batch()
 	wantNext, wantExamined := scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, k.veto, want)
-	wantFirst, one := k.hi, tuple.NewBatch(w, 1)
-	if n, _ := scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, nil, one); one.Len() == 1 {
-		wantFirst = n - 1
-	}
+	wantFound := scalarFound(k.f, k.page, k.lo, wantNext, k.pred, k.residual)
 	wantMatches := tuple.NewGrowableBatch(w)
-	scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, nil, wantMatches)
+	scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, k.veto, wantMatches)
 	wantAll := k.batch()
 	for s := k.lo; s < k.hi; s++ {
 		row := wantAll.AppendSlotRaw()
@@ -141,26 +153,16 @@ func checkKernel(t *testing.T, k kernelCase) {
 		if err := sameRows(got, want); err != nil {
 			t.Fatalf("%s/%s: %v", k.name, view.name, err)
 		}
-		matches, last := tuple.NewGrowableBatch(w), k.lo-1
-		k.f.Matches(view.page, k.lo, k.hi, k.pred, k.residual, func(slot int, row tuple.Row) bool {
-			if slot <= last || slot >= k.hi {
-				t.Fatalf("%s/%s: Matches yielded slot %d after %d", k.name, view.name, slot, last)
-			}
-			last = slot
-			matches.Append(row)
-			return true
-		})
-		if err := sameRows(matches, wantMatches); err != nil {
-			t.Fatalf("%s/%s: Matches: %v", k.name, view.name, err)
+		got = k.batch()
+		next, found := k.f.ProbeBatch(view.page, k.lo, k.hi, k.pred, k.residual, k.veto, got)
+		if next != wantNext || found != wantFound {
+			t.Fatalf("%s/%s: ProbeBatch next, found = %d, %v; oracle %d, %v", k.name, view.name, next, found, wantNext, wantFound)
 		}
-		first, calls := k.hi, 0
-		k.f.Matches(view.page, k.lo, k.hi, k.pred, k.residual, func(slot int, _ tuple.Row) bool {
-			first, calls = slot, calls+1
-			return false
-		})
-		if first != wantFirst || calls > 1 {
-			t.Fatalf("%s/%s: Matches stopped at once = slot %d after %d calls, oracle %d", k.name, view.name, first, calls, wantFirst)
+		if err := sameRows(got, want); err != nil {
+			t.Fatalf("%s/%s: ProbeBatch: %v", k.name, view.name, err)
 		}
+		checkResumes(t, k, view.name, view.page, wantMatches)
+		checkSelect(t, k, view.name, view.page)
 		all := k.batch()
 		if next := k.f.DecodeBatch(view.page, k.lo, k.hi, all); next != k.lo+wantAll.Len() {
 			t.Fatalf("%s/%s: DecodeBatch next = %d, oracle %d", k.name, view.name, next, k.lo+wantAll.Len())
@@ -172,6 +174,65 @@ func checkKernel(t *testing.T, k kernelCase) {
 			if row := k.f.DecodeRow(view.page, k.lo+i, nil); !row.Equal(wantAll.Row(i)) {
 				t.Fatalf("%s/%s: DecodeRow(%d) = %v, oracle %v", k.name, view.name, k.lo+i, row, wantAll.Row(i))
 			}
+		}
+	}
+}
+
+// checkResumes delivers k's span through one-row batches, resuming
+// each ProbeBatch call where the last stopped, so the batch fills at
+// every qualifying slot; the rows must be the oracle's and each call's
+// found must cover exactly the slots it examined.
+func checkResumes(t *testing.T, k kernelCase, view string, page []byte, want *tuple.Batch) {
+	t.Helper()
+	got, one := tuple.NewGrowableBatch(k.f.schema.NumCols()), tuple.NewBatch(k.f.schema.NumCols(), 1)
+	for lo := k.lo; lo < k.hi; {
+		one.Reset()
+		next, found := k.f.ProbeBatch(page, lo, k.hi, k.pred, k.residual, k.veto, one)
+		if next <= lo || next > k.hi {
+			t.Fatalf("%s/%s: ProbeBatch from %d: next %d", k.name, view, lo, next)
+		}
+		if wantFound := scalarFound(k.f, page, lo, next, k.pred, k.residual); found != wantFound {
+			t.Fatalf("%s/%s: ProbeBatch [%d,%d) found = %v, oracle %v", k.name, view, lo, next, found, wantFound)
+		}
+		if one.Len() == 1 && next-1 != lastSelected(k, page, lo, next) {
+			t.Fatalf("%s/%s: ProbeBatch from %d stopped at %d, after a slot the oracle did not select", k.name, view, lo, next)
+		}
+		got.AppendRows(one, 0, one.Len())
+		lo = next
+	}
+	if err := sameRows(got, want); err != nil {
+		t.Fatalf("%s/%s: one-row resumes: %v", k.name, view, err)
+	}
+}
+
+// lastSelected returns the last slot of [lo, hi) the oracle selects
+// (qualifying and not vetoed), or -1.
+func lastSelected(k kernelCase, page []byte, lo, hi int) int {
+	for s := hi - 1; s >= lo; s-- {
+		if scalarQualifies(k.f, page, s, k.pred, k.residual) && !scalarVetoed(k.veto, s) {
+			return s
+		}
+	}
+	return -1
+}
+
+// checkSelect compares SelectChunk's mask and found with the oracle for
+// every 64-slot chunk of k's span, starting at k.lo (so mid-word when
+// k.lo is not a multiple of 64).
+func checkSelect(t *testing.T, k kernelCase, view string, page []byte) {
+	t.Helper()
+	for lo := k.lo; lo < k.hi; lo += 64 {
+		var want uint64
+		end := min(lo+64, k.hi)
+		for s := lo; s < end; s++ {
+			if scalarQualifies(k.f, page, s, k.pred, k.residual) && !scalarVetoed(k.veto, s) {
+				want |= 1 << (s - lo)
+			}
+		}
+		wantFound := scalarFound(k.f, page, lo, end, k.pred, k.residual)
+		sel, found := k.f.SelectChunk(page, lo, k.hi, k.pred, k.residual, k.veto)
+		if sel != want || found != wantFound {
+			t.Fatalf("%s/%s: SelectChunk(%d) = %#x, %v; oracle %#x, %v", k.name, view, lo, sel, found, want, wantFound)
 		}
 	}
 }
