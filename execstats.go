@@ -62,7 +62,13 @@ type ExecStats struct {
 	HasSmooth bool
 	// Smooth holds the Smooth Scan operator's morphing counters. Smooth
 	// Scan always runs serially on the caller's goroutine, so a
-	// snapshot taken mid-scan is safe and current.
+	// snapshot taken mid-scan is safe, and it is current up to the rows
+	// delivered: a region's pages are counted fetched when it is read,
+	// but each page's tuple charges and PagesWithResults settle as its
+	// rows are delivered, the region's policy step (Expansions,
+	// Shrinks, PeakRegionPages) once its last page is analysed, and
+	// Close settles what is left, so after Close the counters match a
+	// scan that delivered the region to its end.
 	Smooth SmoothStats
 	// Joins holds the join operators' build/probe counters, in
 	// leaf-to-root order of the left-deep join tree; nil for
