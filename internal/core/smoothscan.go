@@ -499,7 +499,7 @@ func (s *SmoothScan) step() {
 }
 
 // advance runs the morphing loop until it appends a direct row to out
-// (Mode 0 probe, ordered direct return or cache hit), stages an
+// (Mode 0 probe, ordered direct return or cache hit), fetches an
 // unordered region for drain, or exhausts the index (false). out must
 // have room for a row; the caller accounts Produced.
 func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
@@ -571,7 +571,7 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 			return true, nil
 		}
 
-		// Unseen page: analyse a whole morphing region around it.
+		// Unseen page: fetch a whole morphing region around it.
 		if err := s.processRegion(e, out); err != nil {
 			return false, err
 		}

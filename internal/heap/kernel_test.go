@@ -47,9 +47,9 @@ func misaligned(page []byte) []byte {
 }
 
 // scalarMatching is the slot-at-a-time reader the mask kernel
-// replaced, kept as the oracle: it reads the predicate column of one
-// slot, then the veto bit, then the residuals, and decodes a matching
-// slot word by word.
+// replaced, kept as the oracle: it tests one slot's predicate and
+// residual columns, then its veto bit, and decodes a selected slot
+// word by word.
 func scalarMatching(f *File, page []byte, lo, hi int, pred tuple.RangePred, residual []tuple.RangePred, veto *Veto, dst *tuple.Batch) (next, examined int) {
 	s := lo
 	for ; s < hi; s++ {
@@ -128,8 +128,8 @@ func checkKernel(t *testing.T, k kernelCase) {
 	want := k.batch()
 	wantNext, wantExamined := scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, k.veto, want)
 	wantFound := scalarFound(k.f, k.page, k.lo, wantNext, k.pred, k.residual)
-	wantMatches := tuple.NewGrowableBatch(w)
-	scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, k.veto, wantMatches)
+	wantSelected := tuple.NewGrowableBatch(w)
+	scalarMatching(k.f, k.page, k.lo, k.hi, k.pred, k.residual, k.veto, wantSelected)
 	wantAll := k.batch()
 	for s := k.lo; s < k.hi; s++ {
 		row := wantAll.AppendSlotRaw()
@@ -161,7 +161,7 @@ func checkKernel(t *testing.T, k kernelCase) {
 		if err := sameRows(got, want); err != nil {
 			t.Fatalf("%s/%s: ProbeBatch: %v", k.name, view.name, err)
 		}
-		checkResumes(t, k, view.name, view.page, wantMatches)
+		checkResumes(t, k, view.name, view.page, wantSelected)
 		checkSelect(t, k, view.name, view.page)
 		all := k.batch()
 		if next := k.f.DecodeBatch(view.page, k.lo, k.hi, all); next != k.lo+wantAll.Len() {
