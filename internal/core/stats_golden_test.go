@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/tuple"
 )
@@ -125,6 +126,47 @@ func TestSmoothScanStatsGolden(t *testing.T) {
 					n, digest := pullBatches(t, s, k, 1)
 					fmt.Fprintf(&sb, "midregion/%v/%v/residual=%v/sel20pct/close@%drows rows=%d digest=%016x op=%+v dev=%+v\n",
 						pol, trig, res, k, n, digest, s.Stats(), rawDeviceStats(fx.dev.Stats()))
+				}
+			}
+		}
+	}
+
+	// Warm pools: the same scan run twice on one fixture, the second run
+	// recorded, over the paper's page geometry (102 tuples a page), with
+	// a pool that holds the table and its index and with one a fifth of
+	// the table. Each case starts from an emptied pool, so its first run
+	// is a cold scan and its second meets whatever the first left.
+	const warmRows = 20400 // 200 heap pages
+	warm := newBigFixture(t, warmRows, func(i int64) int64 { return (i * 131) % warmRows })
+	warmResidual := []tuple.RangePred{{Col: 0, Lo: 0, Hi: warmRows / 2}}
+	pools := []struct {
+		name string
+		pool *bufferpool.Pool
+	}{
+		{"pool=table", bufferpool.New(warm.dev, int(warm.file.NumPages())+100)},
+		{"pool=fifth", bufferpool.New(warm.dev, int(warm.file.NumPages())/5)},
+	}
+	for _, trig := range []Trigger{Eager, OptimizerDriven} {
+		for _, res := range []bool{false, true} {
+			for _, pol := range []Policy{Elastic, Greedy, SelectivityIncrease} {
+				c := Config{Policy: pol, Trigger: trig, EstimatedCard: 20}
+				if res {
+					c.Residual = warmResidual
+				}
+				for _, permille := range []int64{1, 10, 50, 200} {
+					pred := tuple.RangePred{Col: 1, Lo: 5000, Hi: 5000 + warmRows*permille/1000}
+					for _, p := range pools {
+						p.pool.Reset()
+						s, err := NewSmoothScan(warm.file, p.pool, warm.tree, pred, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pullBatches(t, s, 1024, 0)
+						warm.dev.ResetStats()
+						n, digest := pullBatches(t, s, 1024, 0)
+						fmt.Fprintf(&sb, "warm/%s/%v/%v/residual=%v/sel%gpct rows=%d digest=%016x op=%+v dev=%+v\n",
+							p.name, pol, trig, res, float64(permille)/10, n, digest, s.Stats(), rawDeviceStats(warm.dev.Stats()))
+					}
 				}
 			}
 		}
