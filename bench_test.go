@@ -16,6 +16,7 @@ package smoothscan
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -232,41 +233,9 @@ func BenchmarkParallelFullScan(b *testing.B) {
 		numRows = 200_000
 		domain  = 100_000
 	)
-	db, err := Open(Options{PoolPages: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb, err := db.CreateTable("t", "id", "val", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	vals := make([]int64, 10)
-	for i := int64(0); i < numRows; i++ {
-		vals[0] = i
-		for c := 1; c < 10; c++ {
-			vals[c] = rng.Int63n(domain)
-		}
-		if err := tb.Append(vals...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tb.Finish(); err != nil {
-		b.Fatal(err)
-	}
+	db := benchWideDB(b, 4096, numRows, domain, 17)
 	scan := func(b *testing.B, hi int64, p int) (int64, float64) {
-		rows, err := scanRange(db, "t", "val", 0, hi, ScanOptions{Path: PathFull, Parallelism: p})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var n int64
-		for rows.Next() {
-			n++
-		}
-		if err := rows.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return n, rows.ExecStats().IO.Time()
+		return benchScan(b, db, hi, ScanOptions{Path: PathFull, Parallelism: p})
 	}
 	scan(b, domain, 1) // warm the pool with every heap page
 	for _, r := range []struct {
@@ -286,6 +255,109 @@ func BenchmarkParallelFullScan(b *testing.B) {
 				b.ReportMetric(float64(produced)/b.Elapsed().Seconds(), "tuples/s")
 				b.ReportMetric(simTime, "simcost")
 			})
+		}
+	}
+}
+
+// benchWideDB loads numRows rows of ten columns (id dense, the others
+// uniform over [0, domain) from seed; 80-byte tuples, 102 a page) into
+// a DB with a pool of poolPages pages.
+func benchWideDB(b *testing.B, poolPages int, numRows, domain, seed int64) *DB {
+	b.Helper()
+	db, err := Open(Options{PoolPages: poolPages})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb, err := db.CreateTable("t", "id", "val", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]int64, 10)
+	for i := int64(0); i < numRows; i++ {
+		vals[0] = i
+		for c := 1; c < 10; c++ {
+			vals[c] = rng.Int63n(domain)
+		}
+		if err := tb.Append(vals...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tb.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// benchScan runs val in [0, hi) with opts, counting the rows, and
+// returns the count and the execution's simulated cost.
+func benchScan(b *testing.B, db *DB, hi int64, opts ScanOptions) (int64, float64) {
+	rows, err := scanRange(db, "t", "val", 0, hi, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n int64
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return n, rows.ExecStats().IO.Time()
+}
+
+// BenchmarkSmoothScanWarmPool times one range query on val over a
+// 200 000-row table (1 961 heap pages) with the buffer pool warm:
+// selectivity × access path (full scan, index scan, the default Eager
+// Smooth Scan, OptimizerDriven Smooth Scan with the estimate the table
+// gives) × a pool that holds the table (4 096 pages) or about a fifth
+// of it (400). Each sub-benchmark runs its query once before the timer,
+// so the pool holds what that query leaves behind. It reports µs/query
+// and tuples/s (wall clock) and simcost, the simulated cost of one
+// execution. Its full- and index-scan cells at 1 % and 5 % with the
+// table held measure costmodel.ResidentProbeSlots.
+func BenchmarkSmoothScanWarmPool(b *testing.B) {
+	const (
+		numRows = 200_000
+		domain  = 1_000_000
+	)
+	paths := []struct {
+		name string
+		opts ScanOptions
+	}{
+		{"full", ScanOptions{Path: PathFull}},
+		{"index", ScanOptions{Path: PathIndex}},
+		{"eager", ScanOptions{}},
+		{"od", ScanOptions{Trigger: OptimizerDriven}},
+	}
+	for _, pool := range []struct {
+		name  string
+		pages int
+	}{{"table", 4096}, {"fifth", 400}} {
+		db := benchWideDB(b, pool.pages, numRows, domain, 42)
+		if err := db.CreateIndex("t", "val"); err != nil {
+			b.Fatal(err)
+		}
+		for _, pct := range []float64{0.1, 1, 5, 20, 100} {
+			hi := int64(domain * pct / 100)
+			for _, p := range paths {
+				name := fmt.Sprintf("pool=%s/%gpct/%s", pool.name, pct, p.name)
+				b.Run(name, func(b *testing.B) {
+					benchScan(b, db, hi, p.opts)
+					b.ReportAllocs()
+					b.ResetTimer()
+					var produced int64
+					var simTime float64
+					for i := 0; i < b.N; i++ {
+						n, t := benchScan(b, db, hi, p.opts)
+						produced += n
+						simTime = t
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/query")
+					b.ReportMetric(float64(produced)/b.Elapsed().Seconds(), "tuples/s")
+					b.ReportMetric(simTime, "simcost")
+				})
+			}
 		}
 	}
 }

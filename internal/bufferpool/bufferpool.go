@@ -167,6 +167,20 @@ func (p *Pool) Contains(space disk.SpaceID, pageNo int64) bool {
 	return p.st.lookup(space, pageNo) >= 0
 }
 
+// GetResident returns the page when the pool holds it, counting a hit
+// and setting its reference bit as Get does, and nil otherwise, without
+// counting a miss or touching the device. It takes the pool lock once,
+// where Contains followed by Get would take it twice.
+func (p *Pool) GetResident(space disk.SpaceID, pageNo int64) []byte {
+	st := p.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if idx := st.lookup(space, pageNo); idx >= 0 {
+		return st.hit(idx)
+	}
+	return nil
+}
+
 // Get returns the page, reading it from the device on a miss. The
 // returned slice is read-only.
 //
@@ -179,9 +193,7 @@ func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 	st := p.st
 	st.mu.Lock()
 	if idx := st.lookup(space, pageNo); idx >= 0 {
-		st.stats.Hits++
-		st.frames[idx].ref = true
-		data := st.frames[idx].data
+		data := st.hit(idx)
 		st.mu.Unlock()
 		return data, nil
 	}
@@ -254,9 +266,7 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 	}
 	for pageNo := start; pageNo < start+n; pageNo++ {
 		if idx := st.lookup(space, pageNo); idx >= 0 {
-			st.stats.Hits++
-			st.frames[idx].ref = true
-			out[pageNo-start] = st.frames[idx].data
+			out[pageNo-start] = st.hit(idx)
 			if err := flush(pageNo); err != nil {
 				return nil, err
 			}
@@ -361,6 +371,14 @@ func (st *state) lookup(space disk.SpaceID, pageNo int64) int {
 		return -1
 	}
 	return int(pages[pageNo]) - 1
+}
+
+// hit counts a hit on frame idx, sets its reference bit and returns its
+// page. Callers hold st.mu.
+func (st *state) hit(idx int) []byte {
+	st.stats.Hits++
+	st.frames[idx].ref = true
+	return st.frames[idx].data
 }
 
 // insert places a page into a frame, evicting via clock sweep if full.

@@ -42,6 +42,18 @@ func (r *refPool) get(k refKey) {
 	r.insert(k)
 }
 
+// getResident follows GetResident: a cached page is a hit, referenced;
+// any other is left alone, uncounted. It reports whether the page was
+// cached.
+func (r *refPool) getResident(k refKey) bool {
+	idx, ok := r.table[k]
+	if ok {
+		r.stats.Hits++
+		r.frames[idx].ref = true
+	}
+	return ok
+}
+
 // getRun follows GetRun: a hit is counted and referenced before the
 // uncached stretch in front of it is read and inserted.
 func (r *refPool) getRun(space disk.SpaceID, start, n int64) {
@@ -113,8 +125,8 @@ func (r *refPool) reset() {
 }
 
 // TestFrameTableMatchesMapModel drives the pool and the map-keyed
-// reference through the same random Get, GetRun, InvalidatePage,
-// InvalidateSpace and Reset sequences over four spaces, whose pages
+// reference through the same random Get, GetResident, GetRun,
+// InvalidatePage, InvalidateSpace and Reset sequences over four spaces, whose pages
 // run far past the page arrays' first lengths, with pools small enough
 // to evict. Stats and Contains must agree after every step, and every
 // page served must be the one asked for.
@@ -157,6 +169,16 @@ func TestFrameTableMatchesMapModel(t *testing.T) {
 				}
 				checkPage(data, s, pageNo)
 				ref.get(refKey{space, pageNo})
+			case k < 55:
+				op = "GetResident"
+				data := p.GetResident(space, pageNo)
+				if want := ref.getResident(refKey{space, pageNo}); (data != nil) != want {
+					t.Fatalf("seed %d step %d: GetResident(%d, %d) served %v, reference cached %v",
+						seed, step, space, pageNo, data != nil, want)
+				}
+				if data != nil {
+					checkPage(data, s, pageNo)
+				}
 			case k < 85:
 				op = "GetRun"
 				n := rng.Int63n(min(16, size-pageNo)) + 1

@@ -12,6 +12,20 @@
 // cache, Tuple ID cache, Result Cache) guarantee every qualifying
 // tuple is produced exactly once, and in index-key order when the plan
 // requires it.
+//
+// The Entire Page Probe trades CPU for I/O: it reads a page once
+// instead of once per pointer, and pays for testing every slot. A page
+// the buffer pool already holds saves no I/O, so an unordered scan
+// without residual conjuncts probes such a page pointer by pointer, as
+// Mode 0 does, when the pages it has analysed are sparse: fewer than one
+// examined slot in costmodel.ResidentProbeSlots qualified. Its first
+// page is always analysed, and the pointers it probes never outnumber
+// the slots it has analysed, so it analyses a page again at least that
+// often and sees a change in density. A probed page stays probed for the
+// rest of the scan, however often its pointers recur, and is never
+// analysed. Which pages the pool holds is not something a scan can
+// repeat, so an unordered scan's row order may differ between runs of
+// one query; its rows do not.
 package core
 
 import (
@@ -123,6 +137,9 @@ const DefaultMaxRegionPages = 2048
 
 // Config configures a SmoothScan. The zero value is the paper's
 // favoured configuration: the Elastic policy with the Eager trigger.
+// No option selects the resident-page probe (see the package doc): it
+// applies to every unordered scan without residual conjuncts, and
+// never to an ordered one.
 type Config struct {
 	// Policy is the morphing policy; the paper favours Elastic.
 	Policy Policy
@@ -178,7 +195,8 @@ type Stats struct {
 	Produced int64
 	// PagesFetched counts heap pages fetched by the morphing modes,
 	// each exactly once, thanks to the Page ID cache; every one is
-	// analysed by the time the scan closes.
+	// analysed by the time the scan closes. A resident page probed
+	// pointer by pointer (see the package doc) is not fetched.
 	PagesFetched int64
 	// PagesWithResults counts fetched pages that contained at least
 	// one qualifying tuple; PagesWithResults/PagesFetched is the
@@ -186,7 +204,9 @@ type Stats struct {
 	PagesWithResults int64
 	// LeafPointersSkipped counts index entries skipped because their
 	// page had already been analysed (the ✕ marks of Figure 3). An
-	// unordered scan counts them by leaf once every page is seen.
+	// unordered scan counts them by leaf once every page is analysed.
+	// An entry pointing to a page probed pointer by pointer is probed,
+	// not skipped.
 	LeafPointersSkipped int64
 	// Expansions and Shrinks count morphing-region size changes.
 	Expansions int64
@@ -267,7 +287,67 @@ type SmoothScan struct {
 	regionWithRes int64 // pages of the current region analysed with results
 	triggerCard   int64 // produced-count threshold for non-eager triggers
 
-	stats Stats
+	// The resident-page probe (see the package doc): the slots drain has
+	// examined and the rows it delivered from them, the pointers probed
+	// in Mode 1 and above, and the pages those probes took.
+	slotsExamined, rowsFound, probes int64
+	probed                           pageSet
+
+	stats counters
+}
+
+// counters are the Stats the operator counts as it runs. Stats adds the
+// rest, read off the structures they describe: the Result Cache's peaks
+// and spills and the bitmaps' footprints.
+type counters struct {
+	Produced, PagesFetched, PagesWithResults, LeafPointersSkipped int64
+	Expansions, Shrinks, PeakRegionPages, TriggeredAt             int64
+	CacheHits, CacheInserts, DirectReturns                        int64
+}
+
+// pageSet is the set of pages the resident-page probe took. The first
+// few are held inline, so a short scan allocates nothing for them; past
+// those, a bitmap over the table holds every one.
+type pageSet struct {
+	n    int
+	few  [4]int64
+	bits *bitmap.Bitmap // every page once n > len(few)
+}
+
+func (p *pageSet) reset() { p.n = 0 }
+
+func (p *pageSet) has(no int64) bool {
+	if p.n > len(p.few) {
+		return p.bits.Get(no)
+	}
+	for _, q := range p.few[:p.n] {
+		if q == no {
+			return true
+		}
+	}
+	return false
+}
+
+// add puts page no, not yet in the set, into it; pages is the table's
+// page count.
+func (p *pageSet) add(no, pages int64) {
+	if p.n < len(p.few) {
+		p.few[p.n] = no
+		p.n++
+		return
+	}
+	if p.n == len(p.few) {
+		if p.bits == nil {
+			p.bits = bitmap.New(pages)
+		} else {
+			p.bits.Reset()
+		}
+		for _, q := range p.few {
+			p.bits.Set(q)
+		}
+	}
+	p.bits.Set(no)
+	p.n++
 }
 
 // pageCursor locates the region page drain is at: its page number, the
@@ -336,7 +416,19 @@ func (s *SmoothScan) Schema() *tuple.Schema { return s.file.Schema() }
 
 // Stats returns a snapshot of the operator counters.
 func (s *SmoothScan) Stats() Stats {
-	st := s.stats
+	c := s.stats
+	st := Stats{
+		Produced: c.Produced, PagesFetched: c.PagesFetched, PagesWithResults: c.PagesWithResults,
+		LeafPointersSkipped: c.LeafPointersSkipped, Expansions: c.Expansions, Shrinks: c.Shrinks,
+		PeakRegionPages: c.PeakRegionPages, TriggeredAt: c.TriggeredAt,
+		CacheHits: c.CacheHits, CacheInserts: c.CacheInserts, DirectReturns: c.DirectReturns,
+	}
+	if s.pageSeen != nil {
+		st.PageCacheBytes = s.pageSeen.MemoryBytes()
+	}
+	if s.tupSeen != nil {
+		st.TupleCacheBytes = s.tupSeen.MemoryBytes()
+	}
 	if s.cache != nil {
 		st.CachePeakTuples = s.cache.peakTuples
 		st.CachePeakBytes = s.cache.peakBytes
@@ -359,11 +451,12 @@ func (s *SmoothScan) Open() error {
 	}
 	s.it = it
 	s.done = false
-	s.stats = Stats{TriggeredAt: -1}
+	s.stats = counters{TriggeredAt: -1}
 	s.pageSeen = bitmap.New(s.file.NumPages())
-	s.stats.PageCacheBytes = s.pageSeen.MemoryBytes()
 	s.regionPages = 1
 	s.region, s.next = s.region[:0], 0
+	s.slotsExamined, s.rowsFound, s.probes = 0, 0, 0
+	s.probed.reset()
 
 	switch s.cfg.Trigger {
 	case Eager:
@@ -379,7 +472,6 @@ func (s *SmoothScan) Open() error {
 	}
 	if s.mode == ModeIndex {
 		s.tupSeen = bitmap.New(s.file.NumTuples())
-		s.stats.TupleCacheBytes = s.tupSeen.MemoryBytes()
 	}
 	if s.cfg.Ordered {
 		bounds, err := s.tree.RootKeys(s.pool)
@@ -444,7 +536,8 @@ func (s *SmoothScan) NextBatch(out *tuple.Batch) (int, error) {
 // on, until out fills or the region is delivered. A page drain reaches
 // for the first time is analysed in the same pass that delivers its
 // rows (heap.ProbeBatch), while it is still in cache, and its charges
-// and counters settle then (analysed).
+// and counters settle then (analysed). The slots each pass examines and
+// the rows it delivers are the resident-page probe's evidence.
 func (s *SmoothScan) drain(out *tuple.Batch) {
 	for ; s.next < len(s.region) && !out.Full(); s.step() {
 		page := s.region[s.next]
@@ -456,7 +549,10 @@ func (s *SmoothScan) drain(out *tuple.Batch) {
 		if s.tupSeen != nil {
 			veto = &heap.Veto{Seen: s.tupSeen, Base: s.file.TIDBit(heap.TID{Page: s.cur.no})}
 		}
+		n := out.Len()
 		slot, found := s.file.ProbeBatch(page, int(s.cur.slot), int(s.cur.count), s.pred, s.cfg.Residual, veto, out)
+		s.slotsExamined += int64(slot) - int64(s.cur.slot)
+		s.rowsFound += int64(out.Len() - n)
 		if fresh {
 			s.analysed(found)
 		}
@@ -487,11 +583,12 @@ func (s *SmoothScan) analysed(found bool) {
 
 // step moves the cursor to the region's next page: the first page
 // after the current one that the Page ID cache does not hold, since
-// the region's pages join it as they are analysed.
+// the region's pages join it as they are analysed, and that the
+// resident-page probe did not take.
 func (s *SmoothScan) step() {
 	if s.next++; s.next < len(s.region) {
 		no := s.cur.no + 1
-		for s.pageSeen.Get(no) {
+		for s.pageSeen.Get(no) || s.probed.has(no) {
 			no++
 		}
 		s.cur = pageCursor{no: no, count: -1}
@@ -536,14 +633,12 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 		}
 		if s.mode == ModeIndex {
 			// Mode 0: classic index-scan probe.
-			row, err := s.file.DecodeRowAt(s.pool, e.TID, out.AppendSlotRaw())
+			ok, err := s.probe(e.TID, nil, out)
 			if err != nil {
-				return false, fmt.Errorf("smooth scan: %w", err)
+				return false, err
 			}
-			s.pool.ChargeCPU(simcost.Tuple)
 			s.tupSeen.Set(s.file.TIDBit(e.TID))
-			if !tuple.MatchesAll(s.cfg.Residual, row) {
-				out.Truncate(out.Len() - 1)
+			if !ok {
 				continue
 			}
 			return true, nil
@@ -571,20 +666,81 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 			return true, nil
 		}
 
+		if !s.cfg.Ordered {
+			// A page the resident-page probe took, or one it takes now, is
+			// probed pointer by pointer, through the pool if it has been
+			// evicted since.
+			var page []byte
+			if !s.probed.has(e.TID.Page) {
+				if page = s.residentPage(e.TID.Page); page == nil {
+					// Unseen page: fetch a whole morphing region around it.
+					return true, s.processRegion(e, out)
+				}
+				s.probed.add(e.TID.Page, s.pages)
+			}
+			s.probes++
+			ok, err := s.probe(e.TID, page, out)
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				continue
+			}
+			return true, nil
+		}
+
 		// Unseen page: fetch a whole morphing region around it.
 		if err := s.processRegion(e, out); err != nil {
 			return false, err
 		}
-		if s.cfg.Ordered {
-			s.stats.DirectReturns++
-		}
+		s.stats.DirectReturns++
 		return true, nil
 	}
 }
 
+// residentPage decides how advance meets an unseen page in Mode 1 or
+// above (see the package doc). It returns the page, for advance to
+// probe pointer by pointer, when the scan is unordered and has no
+// residual conjuncts, the slots drain has examined hold fewer than one
+// delivered row in costmodel.ResidentProbeSlots (none before the first
+// page is analysed), the pointers probed so far do not outnumber those
+// slots, and the pool holds the page. Otherwise it returns nil, and the
+// page is fetched and analysed. The pool is asked last, so a dense scan
+// pays only the arithmetic.
+func (s *SmoothScan) residentPage(no int64) []byte {
+	if len(s.cfg.Residual) > 0 || s.rowsFound*costmodel.ResidentProbeSlots >= s.slotsExamined || s.probes >= s.slotsExamined {
+		return nil
+	}
+	return s.pool.GetResident(s.file.Space(), no)
+}
+
+// probe is the classic index-scan probe, of Mode 0 and of a page the
+// resident-page probe took: it decodes tid's tuple into out, from page
+// when the caller holds it and through the pool otherwise, charges its
+// CPU, and reports whether it passes every residual conjunct, taking it
+// back out of out when it does not.
+func (s *SmoothScan) probe(tid heap.TID, page []byte, out *tuple.Batch) (bool, error) {
+	var err error
+	if page == nil {
+		if page, err = s.file.GetPage(s.pool, tid.Page); err != nil {
+			return false, fmt.Errorf("smooth scan: %w", err)
+		}
+	}
+	row, err := s.file.DecodeRowIn(page, tid, out.AppendSlotRaw())
+	if err != nil {
+		return false, fmt.Errorf("smooth scan: %w", err)
+	}
+	s.pool.ChargeCPU(simcost.Tuple)
+	if !tuple.MatchesAll(s.cfg.Residual, row) {
+		out.Truncate(out.Len() - 1)
+		return false, nil
+	}
+	return true, nil
+}
+
 // processRegion fetches the morphing region starting at the probed
 // entry's page: the maximal runs of pages the Page ID cache does not
-// hold. In ordered mode it analyses every page at once, adding it to
+// hold and the resident-page probe did not take. In ordered mode it analyses every page at once, adding it to
 // the Page ID cache, parking qualifying tuples and appending the probed
 // tuple to out, and lets the policy adjust the region size. In
 // unordered mode it records the pages, not yet analysed, for drain,
@@ -600,12 +756,12 @@ func (s *SmoothScan) processRegion(probe btree.Entry, out *tuple.Batch) error {
 
 	// Fetch maximal unseen sub-runs of [start, end).
 	for p := start; p < end; {
-		if s.pageSeen.Get(p) {
+		if s.pageSeen.Get(p) || s.probed.has(p) {
 			p++
 			continue
 		}
 		runEnd := p + 1
-		for runEnd < end && !s.pageSeen.Get(runEnd) {
+		for runEnd < end && !s.pageSeen.Get(runEnd) && !s.probed.has(runEnd) {
 			runEnd++
 		}
 		// GetRun writes the run behind the pages recorded so far.

@@ -15,6 +15,19 @@ import (
 // constants the simulation charges (internal/simcost), so predictions
 // are directly comparable with measured engine time.
 
+// ResidentProbeSlots is what following one index pointer to a tuple
+// costs in wall-clock when the buffer pool already holds its page,
+// counted in the slots an Entire Page Probe tests in the same time. The
+// Entire Page Probe trades that CPU for I/O, and a resident page saves
+// none, so an unordered Smooth Scan probes a resident page it has not
+// analysed pointer by pointer while fewer than one examined slot in
+// ResidentProbeSlots has qualified (core.SmoothScan). It is a property
+// of this engine's code on its host, not a simulated cost: the time
+// per pointer of the index scan over the time per slot of the full
+// scan, both with the pool holding the table, in the root
+// BenchmarkSmoothScanWarmPool.
+const ResidentProbeSlots = 20
+
 // CPUParams extends Params with CPU cost rates (cost units per
 // operation; one sequential page read = 1 unit).
 type CPUParams struct {

@@ -411,6 +411,13 @@ func (f *File) DecodeRowAt(pool *bufferpool.Pool, tid TID, dst tuple.Row) (tuple
 	if err != nil {
 		return nil, err
 	}
+	return f.DecodeRowIn(page, tid, dst)
+}
+
+// DecodeRowIn is DecodeRowAt for a caller that already holds tid's
+// page: it decodes the tuple from page into dst (allocating when dst is
+// nil), checking tid's slot against the page's tuple count.
+func (f *File) DecodeRowIn(page []byte, tid TID, dst tuple.Row) (tuple.Row, error) {
 	if int(tid.Slot) >= PageTupleCount(page) {
 		return nil, fmt.Errorf("heap: slot %d out of range on page %d", tid.Slot, tid.Page)
 	}

@@ -58,6 +58,49 @@ func collect(t testing.TB, rows *Rows) [][]int64 {
 	return out
 }
 
+// TestWarmPoolKeepsRows: when the pool holds the table, an unordered
+// Smooth Scan probes sparse pages pointer by pointer instead of
+// analysing them, which moves the order it delivers rows in but not the
+// rows. A 1 % query returns the same row multiset from a cold pool and
+// a warm one, and with OrderBy the same sequence.
+func TestWarmPoolKeepsRows(t *testing.T) {
+	const n = 50_000
+	db := buildDB(t, Options{PoolPages: 4096}, n, func(i int64) int64 { return (i * 7919) % n })
+	for _, ordered := range []bool{false, true} {
+		q := db.Query("t").Where("val", Between(1000, 1500))
+		if ordered {
+			q = q.OrderBy("id")
+		}
+		if err := db.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		run := func() ([][]int64, SmoothStats) {
+			rows := mustRun(t, q)
+			got := collect(t, rows)
+			if !rows.ExecStats().HasSmooth {
+				t.Fatal("the query did not run a Smooth Scan")
+			}
+			return got, rows.ExecStats().Smooth
+		}
+		cold, coldStats := run()
+		warm, warmStats := run()
+		if len(cold) != 500 {
+			t.Fatalf("ordered=%v: %d rows, want 500", ordered, len(cold))
+		}
+		if warmStats.PagesFetched >= coldStats.PagesFetched {
+			t.Errorf("ordered=%v: warm scan fetched %d pages, cold %d; the warm one should probe instead",
+				ordered, warmStats.PagesFetched, coldStats.PagesFetched)
+		}
+		if !ordered {
+			slices.SortFunc(cold, slices.Compare)
+			slices.SortFunc(warm, slices.Compare)
+		}
+		if !slices.EqualFunc(cold, warm, slices.Equal) {
+			t.Errorf("ordered=%v: the warm run returned other rows than the cold one", ordered)
+		}
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{PoolPages: -5}); err == nil {
 		t.Error("negative pool accepted")

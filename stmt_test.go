@@ -598,7 +598,9 @@ func TestPlanCacheEvictionAndDisable(t *testing.T) {
 // them) and the result cache on. Several shapes share a template and
 // differ only in their literals, and some share a result entry with a
 // differently spelled twin; each run must return what the shape
-// returned serially. Every key is encoded per execution, so a buffer
+// returned serially: the same sequence for a shape with OrderBy, the
+// same row multiset for one without, whose order may follow what the
+// buffer pool holds. Every key is encoded per execution, so a buffer
 // shared between executions would show up here, under -race.
 func TestAdHocShapesConcurrent(t *testing.T) {
 	db := buildWideDBWith(t, Options{PlanCache: 4, ResultCacheBytes: 1 << 20}, 4_000, 1_000, 8)
@@ -611,29 +613,34 @@ func TestAdHocShapesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	shapes := []func() (*Rows, error){
-		func() (*Rows, error) { return db.Query("t").Where("val", Between(0, 50)).Run(ctx) },
-		func() (*Rows, error) { return db.Query("t").Where("val", Between(400, 480)).Run(ctx) },
-		func() (*Rows, error) { return db.Query("t").Where("val", Eq(7)).Run(ctx) },
-		func() (*Rows, error) { return db.Query("t").Where("val", Between(7, 8)).Run(ctx) },
-		func() (*Rows, error) { return db.Query("t").Where("val", Lt(30)).Where("cat", Ge(6)).Run(ctx) },
-		func() (*Rows, error) { return db.Query("t").Where("cat", Eq(2)).OrderBy("id").Limit(9).Run(ctx) },
-		func() (*Rows, error) {
+	shapes := []struct {
+		ordered bool // the shape has OrderBy
+		run     func() (*Rows, error)
+	}{
+		{false, func() (*Rows, error) { return db.Query("t").Where("val", Between(0, 50)).Run(ctx) }},
+		{false, func() (*Rows, error) { return db.Query("t").Where("val", Between(400, 480)).Run(ctx) }},
+		{false, func() (*Rows, error) { return db.Query("t").Where("val", Eq(7)).Run(ctx) }},
+		{false, func() (*Rows, error) { return db.Query("t").Where("val", Between(7, 8)).Run(ctx) }},
+		{false, func() (*Rows, error) { return db.Query("t").Where("val", Lt(30)).Where("cat", Ge(6)).Run(ctx) }},
+		{true, func() (*Rows, error) { return db.Query("t").Where("cat", Eq(2)).OrderBy("id").Limit(9).Run(ctx) }},
+		{true, func() (*Rows, error) {
 			return db.Query("t").Where("val", Ge(900)).Select("id", "val").OrderBy("val").Run(ctx)
-		},
-		func() (*Rows, error) {
+		}},
+		{false, func() (*Rows, error) {
 			return db.Query("t").Where("val", Le(200)).GroupBy("cat", Count(), Sum("val")).Run(ctx)
-		},
-		func() (*Rows, error) {
+		}},
+		{false, func() (*Rows, error) {
 			return db.Query("t").Where("val", Between(100, 300)).WithOptions(ScanOptions{Path: PathFull}).Run(ctx)
-		},
-		func() (*Rows, error) { return byVal.Run(ctx, Bind{"lo": 0, "hi": 50}) },
-		func() (*Rows, error) { return byVal.Run(ctx, Bind{"lo": 600, "hi": 610}) },
-		func() (*Rows, error) { return byCat.Run(ctx, Bind{"c": 2, "n": 9}) },
-		func() (*Rows, error) { return byCat.Run(ctx, Bind{"c": 5, "n": 3}) },
+		}},
+		{false, func() (*Rows, error) { return byVal.Run(ctx, Bind{"lo": 0, "hi": 50}) }},
+		{false, func() (*Rows, error) { return byVal.Run(ctx, Bind{"lo": 600, "hi": 610}) }},
+		{true, func() (*Rows, error) { return byCat.Run(ctx, Bind{"c": 2, "n": 9}) }},
+		{true, func() (*Rows, error) { return byCat.Run(ctx, Bind{"c": 5, "n": 3}) }},
 	}
-	run := func(shape func() (*Rows, error)) ([][]int64, error) {
-		rows, err := shape()
+	// run returns a shape's rows: in delivery order for an ordered
+	// shape, sorted for one without OrderBy.
+	run := func(i int) ([][]int64, error) {
+		rows, err := shapes[i].run()
 		if err != nil {
 			return nil, err
 		}
@@ -642,11 +649,14 @@ func TestAdHocShapesConcurrent(t *testing.T) {
 		for rows.Next() {
 			out = append(out, slices.Clone(rows.Row()))
 		}
+		if !shapes[i].ordered {
+			slices.SortFunc(out, slices.Compare)
+		}
 		return out, rows.Err()
 	}
 	want := make([][][]int64, len(shapes))
-	for i, shape := range shapes {
-		if want[i], err = run(shape); err != nil {
+	for i := range shapes {
+		if want[i], err = run(i); err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
 	}
@@ -663,7 +673,7 @@ func TestAdHocShapesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := range rounds {
 				i := (w*7 + r*5) % len(shapes)
-				got, err := run(shapes[i])
+				got, err := run(i)
 				if err != nil {
 					t.Errorf("shape %d: %v", i, err)
 					return
