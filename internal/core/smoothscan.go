@@ -668,45 +668,49 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 
 		if !s.cfg.Ordered {
 			// A page the resident-page probe took, or one it takes now, is
-			// probed pointer by pointer, through the pool if it has been
-			// evicted since.
+			// probed pointer by pointer, through the pool (page nil) if it
+			// has been evicted since.
 			var page []byte
-			if !s.probed.has(e.TID.Page) {
-				if page = s.residentPage(e.TID.Page); page == nil {
-					// Unseen page: fetch a whole morphing region around it.
-					return true, s.processRegion(e, out)
+			probed := s.probed.has(e.TID.Page)
+			if !probed {
+				if page = s.residentPage(e.TID.Page); page != nil {
+					s.probed.add(e.TID.Page, s.pages)
+					probed = true
 				}
-				s.probed.add(e.TID.Page, s.pages)
 			}
-			s.probes++
-			ok, err := s.probe(e.TID, page, out)
-			if err != nil {
-				return false, err
+			if probed {
+				s.probes++
+				ok, err := s.probe(e.TID, page, out)
+				if err != nil {
+					return false, err
+				}
+				if !ok {
+					continue
+				}
+				return true, nil
 			}
-			if !ok {
-				continue
-			}
-			return true, nil
 		}
 
 		// Unseen page: fetch a whole morphing region around it.
 		if err := s.processRegion(e, out); err != nil {
 			return false, err
 		}
-		s.stats.DirectReturns++
+		if s.cfg.Ordered {
+			s.stats.DirectReturns++
+		}
 		return true, nil
 	}
 }
 
-// residentPage decides how advance meets an unseen page in Mode 1 or
-// above (see the package doc). It returns the page, for advance to
-// probe pointer by pointer, when the scan is unordered and has no
-// residual conjuncts, the slots drain has examined hold fewer than one
-// delivered row in costmodel.ResidentProbeSlots (none before the first
-// page is analysed), the pointers probed so far do not outnumber those
-// slots, and the pool holds the page. Otherwise it returns nil, and the
-// page is fetched and analysed. The pool is asked last, so a dense scan
-// pays only the arithmetic.
+// residentPage decides how an unordered scan meets an unseen page in
+// Mode 1 or above (see the package doc). It returns the page, for
+// advance to probe pointer by pointer, when the scan has no residual
+// conjuncts, the slots drain has examined hold fewer than one delivered
+// row in costmodel.ResidentProbeSlots (none before the first page is
+// analysed), the pointers probed so far do not outnumber those slots,
+// and the pool holds the page. Otherwise it returns nil, and the page
+// is fetched and analysed. The pool is asked last, so a dense scan pays
+// only the arithmetic.
 func (s *SmoothScan) residentPage(no int64) []byte {
 	if len(s.cfg.Residual) > 0 || s.rowsFound*costmodel.ResidentProbeSlots >= s.slotsExamined || s.probes >= s.slotsExamined {
 		return nil
@@ -740,11 +744,12 @@ func (s *SmoothScan) probe(tid heap.TID, page []byte, out *tuple.Batch) (bool, e
 
 // processRegion fetches the morphing region starting at the probed
 // entry's page: the maximal runs of pages the Page ID cache does not
-// hold and the resident-page probe did not take. In ordered mode it analyses every page at once, adding it to
-// the Page ID cache, parking qualifying tuples and appending the probed
-// tuple to out, and lets the policy adjust the region size. In
-// unordered mode it records the pages, not yet analysed, for drain,
-// which settles each as it delivers it.
+// hold and the resident-page probe did not take. In ordered mode it
+// analyses every page at once, adding it to the Page ID cache, parking
+// qualifying tuples and appending the probed tuple to out, and lets the
+// policy adjust the region size. In unordered mode it records the
+// pages, not yet analysed, for drain, which settles each as it delivers
+// it.
 func (s *SmoothScan) processRegion(probe btree.Entry, out *tuple.Batch) error {
 	start := probe.TID.Page
 	end := min(start+s.regionPages, s.pages)
