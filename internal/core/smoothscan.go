@@ -328,8 +328,8 @@ func (p *pageSet) has(no int64) bool {
 	return false
 }
 
-// add puts page no, not yet in the set, into it; pages is the table's
-// page count.
+// add puts page no, not yet in the set, into it; pages bounds the
+// page numbers the set may hold.
 func (p *pageSet) add(no, pages int64) {
 	if p.n < len(p.few) {
 		p.few[p.n] = no
@@ -337,7 +337,7 @@ func (p *pageSet) add(no, pages int64) {
 		return
 	}
 	if p.n == len(p.few) {
-		if p.bits == nil {
+		if p.bits == nil || p.bits.Len() != pages {
 			p.bits = bitmap.New(pages)
 		} else {
 			p.bits.Reset()
@@ -674,7 +674,7 @@ func (s *SmoothScan) advance(out *tuple.Batch) (bool, error) {
 			probed := s.probed.has(e.TID.Page)
 			if !probed {
 				if page = s.residentPage(e.TID.Page); page != nil {
-					s.probed.add(e.TID.Page, s.pages)
+					s.probed.add(e.TID.Page, s.pageSeen.Len())
 					probed = true
 				}
 			}

@@ -25,7 +25,12 @@ import (
 // of this engine's code on its host, not a simulated cost: the time
 // per pointer of the index scan over the time per slot of the full
 // scan, both with the pool holding the table, in the root
-// BenchmarkSmoothScanWarmPool.
+// BenchmarkSmoothScanWarmPool. Over ten runs on a 2-vCPU Xeon
+// (go1.24.0) its 1 % cells (index 248 µs for ~2 000 pointers, full
+// 1 002 µs for 200 000 slots) put the ratio at 22.5, and its 5 % cells
+// (1 220 µs for ~10 000 pointers, 1 219 µs) at 19.3, medians of the
+// per-run ratios. Near the break-even both paths cost about the same,
+// so an imprecise value costs little.
 const ResidentProbeSlots = 20
 
 // CPUParams extends Params with CPU cost rates (cost units per
