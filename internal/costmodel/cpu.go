@@ -26,9 +26,9 @@ import (
 // per pointer of the index scan over the time per slot of the full
 // scan, both with the pool holding the table, in the root
 // BenchmarkSmoothScanWarmPool. Over ten runs on a 2-vCPU Xeon
-// (go1.24.0) its 1 % cells (index 248 µs for ~2 000 pointers, full
-// 1 002 µs for 200 000 slots) put the ratio at 22.5, and its 5 % cells
-// (1 220 µs for ~10 000 pointers, 1 219 µs) at 19.3, medians of the
+// (go1.24.0) its 1 % cells (index 263 µs for ~2 085 pointers, full
+// 1 091 µs for 200 000 slots) put the ratio at 23.3, and its 5 % cells
+// (1 338 µs for ~10 120 pointers, 1 296 µs) at 19.8, medians of the
 // per-run ratios. Near the break-even both paths cost about the same,
 // so an imprecise value costs little.
 const ResidentProbeSlots = 20
