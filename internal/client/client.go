@@ -2,9 +2,9 @@
 // the prepare → bind → execute → fetch lifecycle against an
 // internal/server session. Every stream opens with one Execute request
 // — an ad-hoc query is an Execute without binds — and opening it is one
-// round trip: the request carries the first fetch window's budget, and
-// the server answers ExecOK followed by that window, so a short result
-// needs no Fetch at all. It depends only on the wire codec and the
+// round trip: the request grants the first two fetch windows, and the
+// server answers ExecOK followed by them, so a short result needs no
+// Fetch at all and a long one never waits a round trip for a window. It depends only on the wire codec and the
 // tuple schema, so the root package can run every remote stream —
 // a Conn's runs and the remote shard driver's slices alike — through
 // one implementation without an import cycle through smoothscan. The
@@ -52,8 +52,8 @@ var (
 const handshakeTimeout = 10 * time.Second
 
 // maxKeptPayload is the largest buffer, in bytes, a Conn keeps for the
-// next frame: the response payload buffer and the Batch decode buffer
-// alike. A frame may be as large as wire.MaxFrame and decode to as many
+// next frame: the request and response payload buffers and the Batch
+// decode buffer alike. A frame may be as large as wire.MaxFrame and decode to as many
 // as 4M values; a buffer grown past this by one such frame is dropped
 // after use, so a peer cannot pin memory on the client by sending a
 // single huge frame.
@@ -70,6 +70,7 @@ type Conn struct {
 	br        *bufio.Reader
 	bw        *bufio.Writer // a request frame leaves as one Write
 	payload   []byte        // recv's reused frame buffer, at most maxKeptPayload
+	req       []byte        // send's reused request buffer, at most maxKeptPayload
 	flat      []int64       // Stream.Next's reused decode buffer, at most maxKeptPayload
 	schema    *tuple.Schema // the last stream's result schema
 	mu        sync.Mutex
@@ -122,8 +123,10 @@ func Dial(addr string) (*Conn, error) {
 
 // SetFetchRows overrides the fetch window of subsequent streams, the
 // first window included (n <= 0 restores the default; a window is at
-// most math.MaxUint32 rows). Smaller windows trade throughput for finer
-// cancellation granularity.
+// most math.MaxUint32 rows). A stream keeps two windows granted, so no
+// window waits a round trip; the window sizes how far the server may
+// run ahead of a client that stops reading — two windows — and how
+// much a Close mid-stream drains.
 func (c *Conn) SetFetchRows(n int) {
 	if n <= 0 {
 		n = wire.DefaultFetchRows
@@ -191,8 +194,16 @@ func (c *Conn) writeFrame(typ byte, payload []byte) error {
 	return c.bw.Flush()
 }
 
-// send writes one request frame.
+// send writes one request frame. Requests with a payload append it to
+// c.req[:0], and the buffer is kept for the next request unless this
+// one grew it past maxKeptPayload.
 func (c *Conn) send(typ byte, payload []byte) error {
+	if payload != nil {
+		c.req = payload[:0]
+		if cap(payload) > maxKeptPayload {
+			c.req = nil
+		}
+	}
 	if err := c.writeFrame(typ, payload); err != nil {
 		return c.broken(err)
 	}
@@ -253,7 +264,7 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(wire.MsgPrepare, wire.Prepare{Spec: spec}.Marshal(), wire.MsgPrepareOK)
+	resp, err := c.roundTrip(wire.MsgPrepare, wire.Prepare{Spec: spec}.AppendTo(c.req[:0]), wire.MsgPrepareOK)
 	if err != nil {
 		return nil, err
 	}
@@ -269,9 +280,9 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 // an ad-hoc query passes a nil b (its literals are inline), a prepared
 // statement's Run its bind. One stream may be open per Conn at a time.
 //
-// The request carries the first window's budget, so that window is
-// already on its way when ExecOK arrives: the stream starts with it
-// open and reads it without sending a Fetch.
+// The request grants the first two windows, so they are already on
+// their way when ExecOK arrives: the stream reads them without sending
+// a Fetch, and grants each later window as it reads an End{More}.
 func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64, s *Stream, owner Owner) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -286,7 +297,7 @@ func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[strin
 	for name, val := range b {
 		m.Binds = append(m.Binds, wire.BindKV{Name: name, Val: val})
 	}
-	resp, err := c.roundTrip(wire.MsgExecute, m.Marshal(), wire.MsgExecOK)
+	resp, err := c.roundTrip(wire.MsgExecute, m.AppendTo(c.req[:0]), wire.MsgExecOK)
 	if err != nil {
 		return err
 	}
@@ -298,7 +309,7 @@ func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[strin
 	if err != nil {
 		return c.broken(err)
 	}
-	*s = Stream{c: c, ctx: ctx, schema: schema, owner: owner, fetchRows: c.fetchRows, windowOpen: true}
+	*s = Stream{c: c, ctx: ctx, schema: schema, owner: owner, fetchRows: c.fetchRows}
 	c.mu.Lock()
 	c.cur = s
 	c.mu.Unlock()
@@ -372,7 +383,7 @@ func (c *Conn) SetFaultPolicy(seed int64, rules ...wire.FaultRuleSpec) error {
 		return err
 	}
 	m := wire.FaultCtl{Seed: seed, Rules: rules}
-	_, err := c.roundTrip(wire.MsgFaultCtl, m.Marshal(), wire.MsgOK)
+	_, err := c.roundTrip(wire.MsgFaultCtl, m.AppendTo(c.req[:0]), wire.MsgOK)
 	return err
 }
 

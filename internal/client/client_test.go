@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 
 	"smoothscan/internal/wire"
@@ -65,12 +66,13 @@ type nobody struct{}
 
 func (nobody) Cut(error) {}
 
-// TestConnDropsOversizedDecodeBuffer: the decode buffer a Conn keeps
-// from one stream to the next is bounded like recv's payload buffer. A
-// fake server answers a first query with one legal Batch frame that
-// decodes to more than maxKeptPayload bytes, then a second with three
-// short rows: the Conn keeps no buffer past the big frame, and the
-// second stream's rows are intact.
+// TestConnDropsOversizedDecodeBuffer: the decode and request buffers a
+// Conn keeps from one stream to the next are bounded like recv's payload
+// buffer. A first query's Execute is larger than maxKeptPayload, and a
+// fake server answers it with one legal Batch frame that decodes to more
+// than maxKeptPayload bytes, then a second, short query with three short
+// rows: the Conn keeps no buffer past the big frames, and the second
+// stream's rows are intact.
 func TestConnDropsOversizedDecodeBuffer(t *testing.T) {
 	near, far := net.Pipe()
 	defer near.Close()
@@ -112,10 +114,10 @@ func TestConnDropsOversizedDecodeBuffer(t *testing.T) {
 		}
 	}()
 
-	drain := func() (rows []int64, sum wire.ExecSummary) {
+	drain := func(table string) (rows []int64, sum wire.ExecSummary) {
 		t.Helper()
 		var s Stream
-		if err := c.ExecuteSpec(context.Background(), wire.QuerySpec{Table: "t"}, nil, &s, nobody{}); err != nil {
+		if err := c.ExecuteSpec(context.Background(), wire.QuerySpec{Table: table}, nil, &s, nobody{}); err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
@@ -130,18 +132,24 @@ func TestConnDropsOversizedDecodeBuffer(t *testing.T) {
 			rows = append(rows, flat...)
 		}
 	}
-	rows, sum := drain()
+	rows, sum := drain(strings.Repeat("t", maxKeptPayload+1))
 	if len(rows) != len(big) || sum.Rows != bigRows {
 		t.Fatalf("first stream: %d values, summary %d rows; want %d values, %d rows", len(rows), sum.Rows, len(big), bigRows)
 	}
 	if kept := 8 * cap(c.flat); kept > maxKeptPayload {
 		t.Fatalf("after a %d-byte decoded frame the Conn keeps a %d-byte decode buffer, cap is %d", 8*len(big), kept, maxKeptPayload)
 	}
-	rows, sum = drain()
+	if kept := cap(c.req); kept > maxKeptPayload {
+		t.Fatalf("after a %d-byte request the Conn keeps a %d-byte request buffer, cap is %d", maxKeptPayload+1, kept, maxKeptPayload)
+	}
+	rows, sum = drain("t")
 	if !slices.Equal(rows, small) || sum.Rows != 3 {
 		t.Fatalf("second stream: values %v, summary %d rows; want %v, 3 rows", rows, sum.Rows, small)
 	}
 	if kept := 8 * cap(c.flat); kept > maxKeptPayload {
 		t.Fatalf("the Conn keeps a %d-byte decode buffer, cap is %d", kept, maxKeptPayload)
+	}
+	if cap(c.req) == 0 {
+		t.Fatal("the Conn keeps no request buffer after a short request")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Stream is the transport half of one open result stream: its fetch
-// windows, its cancellation and its claim on the Conn. It hands the
+// window grants, its cancellation and its claim on the Conn. It hands the
 // rows over a decoded Batch frame at a time (Next); iterating them is
 // the caller's business. The caller owns the Stream's memory —
 // ExecuteSpec opens a stream into it — so opening one allocates
@@ -20,16 +20,21 @@ import (
 // any point — mid-stream it cancels the server-side query (parallel
 // scan workers exit promptly) — and safe after a server disconnect: a
 // stream the server can no longer serve is simply over.
+//
+// The stream is credit-based: the Execute that opened it granted two
+// windows, and Next grants one more with a Fetch as soon as it reads a
+// window's End{More}. So the server always holds the next window's
+// grant when it finishes one and keeps scanning while the client
+// decodes, and at most two windows are ever unread.
 type Stream struct {
 	c      *Conn
 	ctx    context.Context
 	schema *tuple.Schema
 	owner  Owner
 
-	fetchRows  int
-	windowOpen bool // a window was requested (the open or a Fetch) and its End not yet seen
-	done       bool // terminal frame seen (End without More, or Error)
-	closed     bool
+	fetchRows int
+	done      bool // terminal frame seen (End without More, or Error)
+	closed    bool
 
 	err error
 }
@@ -64,12 +69,6 @@ func (s *Stream) Next(end *wire.ExecSummary) ([]int64, error) {
 			s.detach()
 			return nil, err
 		}
-		if !s.windowOpen {
-			if err := c.send(wire.MsgFetch, wire.Fetch{MaxRows: uint32(s.fetchRows)}.Marshal()); err != nil {
-				return nil, s.fatal(err)
-			}
-			s.windowOpen = true
-		}
 		typ, payload, err := c.recv()
 		if err != nil {
 			return nil, s.fatal(err)
@@ -96,8 +95,11 @@ func (s *Stream) Next(end *wire.ExecSummary) ([]int64, error) {
 			if derr != nil {
 				return nil, s.fatal(c.broken(derr))
 			}
-			s.windowOpen = false
 			if m.More {
+				// Grant the window after the one already in flight.
+				if err := c.send(wire.MsgFetch, wire.Fetch{MaxRows: uint32(s.fetchRows)}.AppendTo(c.req[:0])); err != nil {
+					return nil, s.fatal(err)
+				}
 				continue
 			}
 			*end = m.Summary
@@ -109,7 +111,6 @@ func (s *Stream) Next(end *wire.ExecSummary) ([]int64, error) {
 			if derr != nil {
 				return nil, s.fatal(c.broken(derr))
 			}
-			s.windowOpen = false
 			s.err = m.Err()
 			s.done = true
 			if m.Class == wire.ClassIdle {
@@ -161,10 +162,11 @@ func (s *Stream) Close() {
 	s.detach()
 }
 
-// abort cancels the in-flight stream server-side: send Cancel, drain
-// the open fetch window (frames already in flight), and consume the
-// cancel acknowledgement. Any connection failure along the way just
-// marks the connection broken — the stream is over either way.
+// abort cancels the in-flight stream server-side: send Cancel, then
+// read up to the cancel acknowledgement, skipping the frames of the
+// granted windows already in flight — at most two. Any connection
+// failure along the way just marks the connection broken — the stream
+// is over either way.
 func (s *Stream) abort() {
 	c := s.c
 	c.mu.Lock()
@@ -176,21 +178,18 @@ func (s *Stream) abort() {
 	if err := c.send(wire.MsgCancel, nil); err != nil {
 		return
 	}
-	for s.windowOpen {
+	for {
 		typ, _, err := c.recv()
 		if err != nil {
 			return
 		}
 		switch typ {
-		case wire.MsgEnd, wire.MsgError:
-			s.windowOpen = false
+		case wire.MsgBatch, wire.MsgEnd, wire.MsgError:
+		case wire.MsgOK:
+			return
+		default:
+			c.broken(fmt.Errorf("unexpected frame %#02x for cancel acknowledgement", typ))
+			return
 		}
-	}
-	typ, _, err := c.recv()
-	if err != nil {
-		return
-	}
-	if typ != wire.MsgOK {
-		c.broken(fmt.Errorf("unexpected frame %#02x for cancel acknowledgement", typ))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +92,11 @@ func drain(t *testing.T, rows *smoothscan.Rows) int64 {
 // does not speak (version 1 kept statement handles, version 2 waited
 // for a Fetch before serving any row, version 3 opened ad-hoc streams
 // with a Query request, version 4 sent Batch payloads as zigzag-varint
-// deltas).
+// deltas, version 5 waited for a Fetch before serving each window after
+// the first).
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
-	for _, v := range []uint32{1, 2, 3, 4} {
+	for _, v := range []uint32{1, 2, 3, 4, 5} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -165,10 +167,13 @@ func readUntilEnd(t *testing.T, conn net.Conn) (types []byte, rows int, last []b
 	}
 }
 
-// TestOpenServesFirstWindow pins the stream opening on raw frames: an
-// Execute, with binds or without, is answered by ExecOK and its first
-// window with no Fetch sent, a window budget in the request sizes that
-// window, a Fetch continues the stream, and a failed open writes one
+// TestOpenServesFirstWindow pins the credit-based stream on raw frames:
+// an Execute, with binds or without, is answered by ExecOK and the two
+// windows it grants with no Fetch sent, a window budget in the request
+// sizes both, each Fetch serves exactly one more window, a grant that
+// arrives after the stream ended is dropped without a reply, a Fetch
+// with neither a cursor nor a stale grant is a bad-request Error, a
+// Cancel between windows is answered OK, and a failed open writes one
 // Error frame and nothing else.
 func TestOpenServesFirstWindow(t *testing.T) {
 	addr, db := startServer(t, server.Config{})
@@ -192,6 +197,60 @@ func TestOpenServesFirstWindow(t *testing.T) {
 		}
 		return m
 	}
+	send := func(typ byte, payload []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// next reads one frame and requires its type.
+	next := func(what string, want byte) []byte {
+		t.Helper()
+		typ, payload, err := wire.ReadFrame(conn)
+		if err != nil || typ != want {
+			t.Fatalf("%s: frame %#02x (%q), %v, want %#02x", what, typ, payload, err, want)
+		}
+		return payload
+	}
+	// silent requires that the server writes nothing more unprompted.
+	silent := func(what string) {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		typ, _, err := wire.ReadFrame(conn)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("%s: frame %#02x, %v, want nothing", what, typ, err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+	}
+	// stats requires that the next frame answers a Stats request: the
+	// session is usable and nothing else was owed to the client.
+	stats := func(what string) {
+		t.Helper()
+		send(wire.MsgStats, nil)
+		next(what, wire.MsgStatsReply)
+	}
+	// openTwoWindows sends Execute{FetchRows: 64} over 2 000 rows and
+	// requires exactly the two windows it grants: ExecOK Batch End{More}
+	// Batch End{More}, 128 rows, and then silence.
+	openTwoWindows := func(what string) {
+		t.Helper()
+		send(wire.MsgExecute, wire.Execute{Spec: spec(all().Limit(2000)), FetchRows: 64}.Marshal())
+		types, rows, last := readUntilEnd(t, conn)
+		if m := end(last); !m.More {
+			t.Fatalf("%s: first window of 64 out of 2000 rows ended %+v, want More", what, m)
+		}
+		types2, rows2, last := readUntilEnd(t, conn)
+		if m := end(last); !m.More {
+			t.Fatalf("%s: second window of 64 out of 2000 rows ended %+v, want More", what, m)
+		}
+		types = append(types, types2...)
+		want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd, wire.MsgBatch, wire.MsgEnd}
+		if !bytes.Equal(types, want) || rows+rows2 != 128 {
+			t.Fatalf("%s: frames %x rows %v, want %x with 128 rows", what, types, rows+rows2, want)
+		}
+		silent(what + ": a third window without a Fetch")
+	}
 
 	// A short result is the whole exchange: ExecOK, Batch, End{Summary}.
 	short := map[string]wire.Execute{
@@ -199,9 +258,7 @@ func TestOpenServesFirstWindow(t *testing.T) {
 		"prepared": {Spec: spec(all().Limit(smoothscan.Param("n"))), Binds: []wire.BindKV{{Name: "n", Val: 2}}},
 	}
 	for name, req := range short {
-		if err := wire.WriteFrame(conn, wire.MsgExecute, req.Marshal()); err != nil {
-			t.Fatal(err)
-		}
+		send(wire.MsgExecute, req.Marshal())
 		types, rows, last := readUntilEnd(t, conn)
 		if want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) {
 			t.Fatalf("%s: frames %x, want %x", name, types, want)
@@ -211,45 +268,80 @@ func TestOpenServesFirstWindow(t *testing.T) {
 		}
 	}
 
-	// FetchRows: 64 sizes the first window; a Fetch serves the rest.
-	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: spec(all().Limit(2000)), FetchRows: 64}.Marshal()); err != nil {
-		t.Fatal(err)
+	// FetchRows: 64 sizes both granted windows; each Fetch serves one
+	// more, and the 32nd window, 16 rows, ends the stream.
+	openTwoWindows("open")
+	total := 128
+	for w := 3; ; w++ {
+		send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
+		types, rows, last := readUntilEnd(t, conn)
+		total += rows
+		m := end(last)
+		if want := []byte{wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) {
+			t.Fatalf("window %d: frames %x, want %x", w, types, want)
+		}
+		if m.More {
+			if rows != 64 {
+				t.Fatalf("window %d: %d rows and More, want 64", w, rows)
+			}
+			continue
+		}
+		if w != 32 || rows != 16 || total != 2000 || m.Summary.Rows != 2000 {
+			t.Fatalf("window %d: %d rows, %d in all, End %+v, want window 32 of 16 rows and a summary of 2000",
+				w, rows, total, m)
+		}
+		break
 	}
-	types, rows, last := readUntilEnd(t, conn)
-	if want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) || rows != 64 {
-		t.Fatalf("first window: frames %x rows %v, want %x with 64 rows", types, rows, want)
+	// The server sent 31 End{More} and received 30 Fetches: the grant
+	// the client sends for the 31st is stale, and dropped.
+	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
+	stats("a stale grant after the final End")
+	// No cursor and no stale grant: a Fetch is a protocol error.
+	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
+	if m, err := wire.DecodeError(next("Fetch without a cursor", wire.MsgError)); err != nil || m.Class != wire.ClassBadRequest {
+		t.Fatalf("Fetch without a cursor: %+v, %v, want bad-request", m, err)
 	}
-	if m := end(last); !m.More {
-		t.Fatalf("first window of 64 out of 2000 rows ended %+v, want More", m)
+	stats("after a Fetch without a cursor")
+
+	// A Cancel while the server waits between windows, both grants in
+	// flight, is answered OK; it leaves no stale grant behind, so a
+	// Fetch after it is a protocol error again.
+	openTwoWindows("cancel between windows")
+	send(wire.MsgCancel, nil)
+	next("Cancel between windows", wire.MsgOK)
+	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
+	next("Fetch after a Cancel", wire.MsgError)
+	stats("after a Cancel between windows")
+
+	// A Cancel right behind a grant: the granted window is served, or
+	// ends early, before the OK.
+	openTwoWindows("cancel behind a grant")
+	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
+	send(wire.MsgCancel, nil)
+	for {
+		typ, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == wire.MsgOK {
+			break
+		}
+		if typ != wire.MsgBatch && typ != wire.MsgEnd && typ != wire.MsgError {
+			t.Fatalf("Cancel behind a grant: frame %#02x (%q) before the OK", typ, payload)
+		}
 	}
-	if err := wire.WriteFrame(conn, wire.MsgFetch, wire.Fetch{}.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	types, rows, last = readUntilEnd(t, conn)
-	if m := end(last); m.More || m.Summary.Rows != 2000 || rows != 2000-64 {
-		t.Fatalf("Fetch after the first window: frames %x rows %v End %+v, want the other 1936 rows and a summary of 2000",
-			types, rows, m)
-	}
+	stats("after a Cancel behind a grant")
 
 	// A failed open is one Error frame: the next response on the
 	// connection is the next request's.
-	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: wire.QuerySpec{Table: "nope"}}.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	if typ, payload, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgError {
-		t.Fatalf("unknown table: frame %#02x (%q), %v, want one Error", typ, payload, err)
-	}
-	if err := wire.WriteFrame(conn, wire.MsgStats, nil); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgStatsReply {
-		t.Fatalf("Stats after a failed open: frame %#02x, %v, want StatsReply", typ, err)
-	}
+	send(wire.MsgExecute, wire.Execute{Spec: wire.QuerySpec{Table: "nope"}}.Marshal())
+	next("unknown table", wire.MsgError)
+	stats("after a failed open")
 }
 
 // TestExecuteDefaultWindow: an Execute with FetchRows 0 gets the
-// protocol's default first window, exactly wire.DefaultFetchRows rows
-// of a larger result, and End says more remain.
+// protocol's default window twice: exactly wire.DefaultFetchRows rows of
+// a larger result, an End that says more remain, and then the rest.
 func TestExecuteDefaultWindow(t *testing.T) {
 	db, err := loadgen.BuildDB(wire.DefaultFetchRows+1000, 2000, 1, smoothscan.Options{PoolPages: 256})
 	if err != nil {
@@ -274,6 +366,11 @@ func TestExecuteDefaultWindow(t *testing.T) {
 	}
 	if m, err := wire.DecodeEnd(last); err != nil || !m.More {
 		t.Fatalf("first window of %d rows ended %+v (%v), want More", wire.DefaultFetchRows+1000, m, err)
+	}
+	_, rows, last = readUntilEnd(t, conn)
+	if m, err := wire.DecodeEnd(last); err != nil || m.More || rows != 1000 || m.Summary.Rows != wire.DefaultFetchRows+1000 {
+		t.Fatalf("second window: %d rows, End %+v (%v), want the last 1000 rows and a summary of %d",
+			rows, m, err, wire.DefaultFetchRows+1000)
 	}
 }
 
@@ -483,6 +580,100 @@ func TestCancelMidStream(t *testing.T) {
 			t.Fatalf("goroutines did not settle: %d now vs %d before", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCreditBoundsUnreadStream: a client that opens a stream and reads
+// nothing receives the two windows Execute granted and no more. The
+// server's RowsSent, polled from a second Conn, settles at 128 rows for
+// 64-row windows and stays there.
+func TestCreditBoundsUnreadStream(t *testing.T) {
+	addr, _ := startServer(t, server.Config{})
+	reader, poller := dial(t, addr), dial(t, addr)
+	reader.SetFetchRows(64)
+	sent := func() int64 {
+		t.Helper()
+		st, err := poller.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.RowsSent
+	}
+	base := sent()
+	rows, err := rangeQuery(reader, 0, 2000).Limit(2000).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := sent() - base; n != 128; n = sent() - base {
+		if n > 128 {
+			t.Fatalf("server sent %d rows to a client that read none, want at most two 64-row windows", n)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server sent %d rows, want the two granted 64-row windows", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if n := sent() - base; n != 128 {
+		t.Fatalf("server sent %d rows to a client that read none, want 128", n)
+	}
+}
+
+// TestCloseAfterKRows closes a 2 000-row stream of 64-row windows after
+// k rows, for k around each window edge, and after each close runs the
+// full query on the same Conn: it must return the in-process oracle's
+// rows. A close lands with zero, one or two windows in flight and with
+// grants the server has not yet received, so a stale-grant miscount
+// shows as a wrong, short or failed next query.
+func TestCloseAfterKRows(t *testing.T) {
+	addr, db := startServer(t, server.Config{})
+	c := dial(t, addr)
+	c.SetFetchRows(64)
+	collect := func(rows *smoothscan.Rows) [][]int64 {
+		t.Helper()
+		var out [][]int64
+		for rows.Next() {
+			out = append(out, slices.Clone(rows.Row()))
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(out, slices.Compare)
+		return out
+	}
+	local, err := db.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000)).Limit(2000).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := collect(local)
+	if len(oracle) != 2000 {
+		t.Fatalf("oracle has %d rows, want 2000", len(oracle))
+	}
+	for _, k := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1999} {
+		rows, err := rangeQuery(c, 0, 2000).Limit(2000).Run(context.Background())
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		for i := 0; i < k; i++ {
+			if !rows.Next() {
+				t.Fatalf("k=%d: stream ended after %d rows: %v", k, i, rows.Err())
+			}
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("k=%d: Close: %v", k, err)
+		}
+		full, err := rangeQuery(c, 0, 2000).Limit(2000).Run(context.Background())
+		if err != nil {
+			t.Fatalf("k=%d: query after Close: %v", k, err)
+		}
+		if got := collect(full); !slices.EqualFunc(got, oracle, slices.Equal) {
+			t.Fatalf("k=%d: query after Close returned %d rows, not the oracle's %d", k, len(got), len(oracle))
+		}
+	}
+	if c.Broken() {
+		t.Fatal("connection marked broken by early closes")
 	}
 }
 

@@ -24,6 +24,10 @@ const batchRows = 1024
 // connection.
 const writeBufSize = 64 << 10
 
+// endMore is the payload of every End{More:true}: a window filled and
+// the cursor stays open.
+var endMore = wire.End{More: true}.Marshal()
+
 // frame is one decoded wire frame in flight from the reader goroutine
 // to the session loop.
 type frame struct {
@@ -37,6 +41,9 @@ type cursor struct {
 	cancel  context.CancelFunc
 	release func()
 	width   int
+	// grants counts the window grants in flight from the client:
+	// End{More} frames sent minus Fetches received.
+	grants int
 }
 
 // session serves one connection. Two goroutines cooperate: the reader
@@ -59,8 +66,13 @@ type session struct {
 	curCancel context.CancelFunc
 
 	cur *cursor
+	// stale counts the grants of the last closed cursor still in
+	// flight: the client sent, or will send, one Fetch per End{More} it
+	// reads, and those reaching the session after the stream ended are
+	// dropped without a reply.
+	stale int
 
-	// handleFetch's staging, reused across batches and cursors: the
+	// serveWindow's staging, reused across batches and cursors: the
 	// session has one cursor at a time and one goroutine fetching.
 	flat []int64      // row-major batch, batchRows*width of the widest cursor so far
 	enc  wire.Encoder // the Batch payload under construction
@@ -219,9 +231,12 @@ func (ss *session) handle(fr frame) bool {
 	case wire.MsgCancel:
 		// The reader already fired the context; here the cursor (if
 		// any) is torn down and the cancel acknowledged, giving the
-		// client a deterministic frame to resynchronise on.
+		// client a deterministic frame to resynchronise on. The client
+		// sends Cancel after every grant it will ever send for the
+		// stream, so no stale grant can follow it.
 		ss.srv.ctr.cancels.Add(1)
 		ss.closeCursor()
+		ss.stale = 0
 		return ss.send(wire.MsgOK, nil)
 	case wire.MsgStats:
 		return ss.send(wire.MsgStatsReply, ss.srv.Stats().Marshal())
@@ -259,9 +274,11 @@ func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
 // prepared statement's run — runs it through DB.ExecuteSpec, so bind
 // errors are a local Stmt.Run's, and opens the session's cursor. A
 // failed open is answered by its Error frame alone; an open cursor by
-// ExecOK with the result columns, buffered, and then the first window
-// of up to FetchRows rows (0 = wire.DefaultFetchRows), exactly as a
-// Fetch would serve it. A short result therefore leaves as one write.
+// ExecOK with the result columns, buffered, and then the two windows
+// Execute grants, each of up to FetchRows rows (0 =
+// wire.DefaultFetchRows) and served exactly as a Fetch would serve it.
+// A short result therefore leaves as one write, and a long one keeps a
+// window in flight while the client reads the first.
 func (ss *session) handleExecute(m wire.Execute) bool {
 	if ss.cur != nil {
 		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
@@ -297,34 +314,50 @@ func (ss *session) handleExecute(m wire.Execute) bool {
 	if need := batchRows * len(cols); len(ss.flat) < need {
 		ss.flat = make([]int64, need)
 	}
-	return ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) && ss.handleFetch(int(m.FetchRows))
+	return ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) &&
+		ss.serveWindow(int(m.FetchRows)) &&
+		(ss.cur == nil || ss.serveWindow(int(m.FetchRows)))
 }
 
 // closeCursor tears the open cursor down: cancel the query context,
 // close the Rows (stopping parallel workers), release the admission
-// token. Idempotent.
+// token, and record the cursor's grants still in flight as stale.
+// Idempotent.
 func (ss *session) closeCursor() {
 	c := ss.cur
 	if c == nil {
 		return
 	}
 	ss.cur = nil
+	ss.stale = max(c.grants, 0)
 	ss.setCancel(nil)
 	c.cancel()
 	_ = c.rows.Close()
 	c.release()
 }
 
-// handleFetch streams up to maxRows rows of the open cursor as Batch
+// handleFetch takes one window grant: it serves the open cursor's next
+// window, or drops a stale grant of a stream that has already ended.
+func (ss *session) handleFetch(maxRows int) bool {
+	c := ss.cur
+	if c == nil {
+		if ss.stale > 0 {
+			ss.stale--
+			return true
+		}
+		return ss.sendErr(wire.ClassBadRequest, "no open cursor (Execute first)")
+	}
+	c.grants--
+	return ss.serveWindow(maxRows)
+}
+
+// serveWindow streams up to maxRows rows of the open cursor as Batch
 // frames, ending the window with End (More when the budget filled
 // before the stream ended) or a classified Error. Frames are flushed
 // at End or Error, and after a full Batch with more of the window to
 // come, so the client decodes one batch while the next is encoded.
-func (ss *session) handleFetch(maxRows int) bool {
+func (ss *session) serveWindow(maxRows int) bool {
 	c := ss.cur
-	if c == nil {
-		return ss.sendErr(wire.ClassBadRequest, "no open cursor (Execute first)")
-	}
 	if maxRows <= 0 {
 		maxRows = wire.DefaultFetchRows
 	}
@@ -384,8 +417,10 @@ func (ss *session) handleFetch(maxRows int) bool {
 			return ok
 		}
 	}
-	// Window filled; the cursor stays open for the next Fetch.
-	return ss.send(wire.MsgEnd, wire.End{More: true}.Marshal())
+	// Window filled; the cursor stays open, and the client grants one
+	// more window when it reads this End.
+	c.grants++
+	return ss.send(wire.MsgEnd, endMore)
 }
 
 // handleCatalog answers with the server's table catalog so a sharding

@@ -7,7 +7,8 @@ import (
 )
 
 // Message payload structs and their codecs. Each message type has a
-// Marshal (payload bytes) and a Decode<Name> (payload → struct) pair;
+// Marshal (payload bytes) and a Decode<Name> (payload → struct) pair,
+// and each request a client sends mid-session also an AppendTo;
 // DecodeMessage dispatches on the frame type for consumers (and the
 // fuzz harness) that want one entry point.
 
@@ -59,8 +60,12 @@ type Prepare struct {
 }
 
 // Marshal serialises the message payload.
-func (m Prepare) Marshal() []byte {
-	return AppendSpec(nil, &m.Spec)
+func (m Prepare) Marshal() []byte { return m.AppendTo(nil) }
+
+// AppendTo appends the message payload to dst and returns the extended
+// slice, as Execute.AppendTo does.
+func (m Prepare) AppendTo(dst []byte) []byte {
+	return AppendSpec(dst, &m.Spec)
 }
 
 // DecodePrepare parses a Prepare payload.
@@ -107,24 +112,30 @@ type BindKV struct {
 // Execute compiles the spec, binds it and runs it, opening the
 // session's cursor. It is the one request that opens a stream: an
 // ad-hoc query sends no binds (its literals are inline), a prepared
-// statement's run sends its spec again with the bind. The server
-// answers ExecOK and serves the first window right away, as if a
-// Fetch{MaxRows: FetchRows} had followed.
+// statement's run sends its spec again with the bind. Execute grants
+// the stream's first two windows: the server answers ExecOK and serves
+// both right away, as if two Fetch{MaxRows: FetchRows} had followed.
 type Execute struct {
 	Spec  QuerySpec
 	Binds []BindKV
-	// FetchRows is the first window's row budget, Fetch.MaxRows's
-	// meaning: 0 selects DefaultFetchRows.
+	// FetchRows is the size of one window, Fetch.MaxRows's meaning: 0
+	// selects DefaultFetchRows. It sizes both windows Execute grants.
 	FetchRows uint32
 }
 
 // DefaultFetchRows is the window a client uses unless told otherwise,
-// and the one a server serves for a budget of 0.
+// and the one a server serves for a budget of 0. With two windows
+// granted at a time, it bounds how far a server runs ahead of a
+// client that stops reading, and how much a Cancel drains.
 const DefaultFetchRows = 4096
 
 // Marshal serialises the message payload.
-func (m Execute) Marshal() []byte {
-	e := Encoder{B: AppendSpec(nil, &m.Spec)}
+func (m Execute) Marshal() []byte { return m.AppendTo(nil) }
+
+// AppendTo appends the message payload to dst and returns the extended
+// slice, so a client encodes every request into one reused buffer.
+func (m Execute) AppendTo(dst []byte) []byte {
+	e := Encoder{B: AppendSpec(dst, &m.Spec)}
 	e.Uvarint(uint64(len(m.Binds)))
 	for _, b := range m.Binds {
 		e.Str(b.Name)
@@ -148,8 +159,8 @@ func DecodeExecute(p []byte) (Execute, error) {
 }
 
 // ExecOK opens the result stream: the cursor exists and these are its
-// output columns. The first window's Batch frames and End follow it
-// without a Fetch.
+// output columns. The first two windows' Batch frames and Ends follow
+// it without a Fetch.
 type ExecOK struct {
 	Cols []string
 }
@@ -176,16 +187,23 @@ func DecodeExecOK(p []byte) (ExecOK, error) {
 	return m, d.Finish()
 }
 
-// Fetch pulls up to MaxRows rows from the open cursor (0 =
-// DefaultFetchRows). The server answers with zero or more Batch
-// frames followed by one End.
+// Fetch grants one more window of up to MaxRows rows from the open
+// cursor (0 = DefaultFetchRows). A client sends one for each
+// End{More} it reads, so the server always holds the next window's
+// grant when it finishes one. The server answers with zero or more
+// Batch frames followed by one End; a grant that reaches it after the
+// stream ended is dropped without a reply.
 type Fetch struct {
 	MaxRows uint32
 }
 
 // Marshal serialises the message payload.
-func (m Fetch) Marshal() []byte {
-	var e Encoder
+func (m Fetch) Marshal() []byte { return m.AppendTo(nil) }
+
+// AppendTo appends the message payload to dst and returns the extended
+// slice, as Execute.AppendTo does.
+func (m Fetch) AppendTo(dst []byte) []byte {
+	e := Encoder{B: dst}
 	e.Uvarint(uint64(m.MaxRows))
 	return e.B
 }
@@ -221,8 +239,9 @@ type ExecSummary struct {
 }
 
 // End closes a fetch window. More means the cursor has (or may have)
-// further rows — issue another Fetch; otherwise the stream is complete
-// and Summary is populated, the cursor closed server-side.
+// further rows — grant another window with a Fetch; otherwise the
+// stream is complete and Summary is populated, the cursor closed
+// server-side.
 type End struct {
 	More    bool
 	Summary ExecSummary
@@ -433,8 +452,12 @@ type FaultCtl struct {
 }
 
 // Marshal serialises the message payload.
-func (m FaultCtl) Marshal() []byte {
-	var e Encoder
+func (m FaultCtl) Marshal() []byte { return m.AppendTo(nil) }
+
+// AppendTo appends the message payload to dst and returns the extended
+// slice, as Execute.AppendTo does.
+func (m FaultCtl) AppendTo(dst []byte) []byte {
+	e := Encoder{B: dst}
 	e.Varint(m.Seed)
 	e.Uvarint(uint64(len(m.Rules)))
 	for _, r := range m.Rules {

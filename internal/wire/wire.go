@@ -56,8 +56,11 @@ const (
 	// followed by that window without waiting for a Fetch. Version 4
 	// retired Query: every stream opens with an Execute, binds or none.
 	// Version 5 replaced the Batch payload's zigzag-varint deltas with
-	// frame-of-reference bit-packed columns.
-	Version uint32 = 5
+	// frame-of-reference bit-packed columns. Version 6 made the stream
+	// credit-based: Execute grants two windows, the client grants one
+	// more with a Fetch for each End{More} it reads, and the server
+	// drops a grant that arrives after its stream ended.
+	Version uint32 = 6
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20
@@ -65,17 +68,17 @@ const (
 
 // Message types. The request/response pairing is strict per session:
 // the client writes one request and reads frames until the terminal
-// response; only Cancel may be injected while a response stream is in
-// flight. 0x0b (version 1's CloseStmt) and 0x0e (version 3's Query) are
+// response; only Fetch (a window grant) and Cancel may be injected
+// while a response stream is in flight. 0x0b (version 1's CloseStmt) and 0x0e (version 3's Query) are
 // retired: a server answers them like any unknown type.
 const (
 	MsgHello        byte = 0x01 // client → server: handshake
 	MsgHelloOK      byte = 0x02 // server → client: handshake accepted
 	MsgPrepare      byte = 0x03 // client: validate a QuerySpec, learn its parameters
 	MsgPrepareOK    byte = 0x04 // server: parameter names
-	MsgExecute      byte = 0x05 // client: compile + bind + execute a QuerySpec, serve the first window
-	MsgExecOK       byte = 0x06 // server: cursor opened; the first window's Batch* End follow
-	MsgFetch        byte = 0x07 // client: pull up to MaxRows rows from the cursor
+	MsgExecute      byte = 0x05 // client: compile + bind + execute a QuerySpec, serve the first two windows
+	MsgExecOK       byte = 0x06 // server: cursor opened; the first two windows' Batch* End follow
+	MsgFetch        byte = 0x07 // client: grant one more window of up to MaxRows rows
 	MsgBatch        byte = 0x08 // server: one column-encoded row batch
 	MsgEnd          byte = 0x09 // server: fetch window done (More) or stream complete (summary)
 	MsgError        byte = 0x0a // server: typed error, terminates the current command

@@ -225,6 +225,37 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// TestAppendToMatchesMarshal: each request a client sends mid-session
+// appends exactly its Marshal payload after whatever the buffer holds,
+// and appending into a buffer with room allocates nothing, so a Conn
+// encodes every request into one reused buffer.
+func TestAppendToMatchesMarshal(t *testing.T) {
+	spec := QuerySpec{Table: "t", Preds: []PredSpec{{Col: "v", Kind: PredBetween, A: ArgSpec{Param: "lo"}, B: ArgSpec{Param: "hi"}}}}
+	exec := Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -3}, {Name: "hi", Val: 9}}, FetchRows: 64}
+	fault := FaultCtl{Seed: 7, Rules: []FaultRuleSpec{{Kind: 1, Rate: 0.5, ExtraCost: 3}}}
+	cases := []struct {
+		name     string
+		appendTo func([]byte) []byte
+		marshal  []byte
+	}{
+		{"prepare", Prepare{Spec: spec}.AppendTo, Prepare{Spec: spec}.Marshal()},
+		{"execute", exec.AppendTo, exec.Marshal()},
+		{"fetch", Fetch{MaxRows: 4096}.AppendTo, Fetch{MaxRows: 4096}.Marshal()},
+		{"faultctl", fault.AppendTo, fault.Marshal()},
+	}
+	prefix := []byte("earlier bytes")
+	for _, tc := range cases {
+		buf := append(make([]byte, 0, 256), prefix...)
+		got := tc.appendTo(buf)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], tc.marshal) {
+			t.Fatalf("%s: AppendTo gave %x, want %x then %x", tc.name, got, prefix, tc.marshal)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = tc.appendTo(buf[:0]) }); n != 0 {
+			t.Fatalf("%s: AppendTo into a buffer with room allocates %v times", tc.name, n)
+		}
+	}
+}
+
 // TestWindowBudgetOverflowIsMalformed: a row budget travels as a
 // uvarint but means a uint32. A forged value past MaxUint32 must be
 // refused as malformed, not truncated: 2^32 would otherwise arrive as 0,
