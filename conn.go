@@ -34,7 +34,11 @@ type RemoteError = wire.RemoteError
 type ServerStats = wire.ServerStats
 
 // DefaultFetchRows is the fetch window (the first one included) a
-// result stream uses unless Conn.SetFetchRows overrides it.
+// result stream uses unless Conn.SetFetchRows overrides it. A stream
+// keeps two windows granted to the server, so no window waits a round
+// trip: the window sizes how far the server runs ahead of a client
+// that stops reading, two windows, and how much a Rows.Close mid-stream
+// drains.
 const DefaultFetchRows = wire.DefaultFetchRows
 
 // errNoRemoteExplain is what Query.Explain and Stmt.Explain return on
@@ -46,8 +50,9 @@ var errNoRemoteExplain = errors.New("smoothscan: Explain is not available over t
 // returns the same *Stmt, and every run's result is the same *Rows.
 // Every Run, ad hoc or prepared, is one Execute request that ships the
 // query's spec and, for a statement, its bind, so the server keeps no
-// per-session statement state; the request carries the first fetch
-// window, so a result that fits in one window is one round trip.
+// per-session statement state; the request grants the first two fetch
+// windows, so a result that fits in one window is one round trip and a
+// longer one streams without waiting a round trip per window.
 //
 //	c, _ := smoothscan.Dial(addr)
 //	defer c.Close()

@@ -4,10 +4,11 @@
 // — an ad-hoc query is an Execute without binds — and opening it is one
 // round trip: the request grants the first two fetch windows, and the
 // server answers ExecOK followed by them, so a short result needs no
-// Fetch at all and a long one never waits a round trip for a window. It depends only on the wire codec and the
-// tuple schema, so the root package can run every remote stream —
-// a Conn's runs and the remote shard driver's slices alike — through
-// one implementation without an import cycle through smoothscan. The
+// Fetch at all and a long one never waits a round trip for a window.
+// It depends only on the wire codec and the tuple schema, so the root
+// package can run every remote stream — a Conn's runs and the remote
+// shard driver's slices alike — through one implementation without an
+// import cycle through smoothscan. The
 // transport stops at decoded Batch frames (Stream.Next); the root
 // package's Rows is the cursor over them.
 // Statements hold no server state: PrepareSpec only validates a spec,
@@ -53,10 +54,10 @@ const handshakeTimeout = 10 * time.Second
 
 // maxKeptPayload is the largest buffer, in bytes, a Conn keeps for the
 // next frame: the request and response payload buffers and the Batch
-// decode buffer alike. A frame may be as large as wire.MaxFrame and decode to as many
-// as 4M values; a buffer grown past this by one such frame is dropped
-// after use, so a peer cannot pin memory on the client by sending a
-// single huge frame.
+// decode buffer alike. A frame may be as large as wire.MaxFrame and
+// decode to as many as 4M values; a buffer grown past this by one such
+// frame is dropped after use, so a peer cannot pin memory on the client
+// by sending a single huge frame.
 const maxKeptPayload = 1 << 20
 
 // Conn is one protocol session. Not safe for concurrent use.

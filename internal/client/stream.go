@@ -9,8 +9,8 @@ import (
 )
 
 // Stream is the transport half of one open result stream: its fetch
-// window grants, its cancellation and its claim on the Conn. It hands the
-// rows over a decoded Batch frame at a time (Next); iterating them is
+// window grants, its cancellation and its claim on the Conn. It hands
+// the rows over a decoded Batch frame at a time (Next); iterating them is
 // the caller's business. The caller owns the Stream's memory —
 // ExecuteSpec opens a stream into it — so opening one allocates
 // nothing for the Stream itself.

@@ -69,8 +69,9 @@ const (
 // Message types. The request/response pairing is strict per session:
 // the client writes one request and reads frames until the terminal
 // response; only Fetch (a window grant) and Cancel may be injected
-// while a response stream is in flight. 0x0b (version 1's CloseStmt) and 0x0e (version 3's Query) are
-// retired: a server answers them like any unknown type.
+// while a response stream is in flight. 0x0b (version 1's CloseStmt)
+// and 0x0e (version 3's Query) are retired: a server answers them like
+// any unknown type.
 const (
 	MsgHello        byte = 0x01 // client → server: handshake
 	MsgHelloOK      byte = 0x02 // server → client: handshake accepted
