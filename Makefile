@@ -29,8 +29,9 @@ build:
 ## remote shard tests: a shard's Rows releases its connection and
 ## classifies a lost node inside the worker that drains it. The second
 ## line repeats the client/server stream-lifecycle tests (cancel, close
-## before the first Next, a Conn closed under its stream, the two-window
-## credit bound, closes around each window edge) the same way.
+## before the first Next, a Conn closed under its stream, a reader that
+## stops reading reaped by the idle write deadline, closes around each
+## Batch edge) the same way.
 ## Pooled batches cross goroutines and queries, so the 2-shard byte
 ## budget rides on the first line, and a third repeats the exchange's
 ## batch-lifecycle tests. So does the exact-CPU-clock test: a parallel
@@ -40,7 +41,7 @@ build:
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestStmtRunMatchesLiteralQuery|TestFaultRecoverableMatchesOracle|TestParallelSerialEquivalence|TestParallelFullScanEquivalence|TestParallelCPUIsExact|TestRowIsAViewUntilNext|TestShardedStmtStrategies|TestShardedStmtBindPruning|TestRemoteShardedPrepared|TestRemoteShardedEarlyClosePoolReuse|TestRemoteShardedFailover|TestCursorNoCurrentRow|TestShardedScanByteBudget' .
-	$(GO) test -cpu 1,2,4 -count=5 -run 'TestCancelMidStream|TestCloseBeforeFirstNext|TestConnCloseEndsOpenStream|TestCreditBoundsUnreadStream|TestCloseAfterKRows' ./internal/server
+	$(GO) test -cpu 1,2,4 -count=5 -run 'TestCancelMidStream|TestCloseBeforeFirstNext|TestConnCloseEndsOpenStream|TestUnreadStreamIsReaped|TestCloseAfterKRows' ./internal/server
 	$(GO) test -cpu 1,2,4 -count=5 -run 'TestExchangeBatchLifecycle|TestExchangeDropsSwappedArrays' ./internal/parallel
 
 ## race: the test suite under the race detector (the concurrent scan

@@ -19,7 +19,8 @@
 // Dial fails typed, it never hangs), and queries beyond -max-inflight
 // queue up to -queue-deadline before being shed the same way.
 // Sessions silent longer than -idle-timeout are closed server-side
-// with a typed session-closed error.
+// with a typed session-closed error, and so are sessions whose client
+// stops reading a result for as long (the blocked write times out).
 //
 // With -fault-rate > 0 the server's simulated device starts with a
 // deterministic fault-injection policy attached, so remote clients

@@ -33,14 +33,6 @@ type RemoteError = wire.RemoteError
 // ServerStats is the server's counter snapshot (Conn.ServerStats).
 type ServerStats = wire.ServerStats
 
-// DefaultFetchRows is the fetch window (the first one included) a
-// result stream uses unless Conn.SetFetchRows overrides it. A stream
-// keeps two windows granted to the server, so no window waits a round
-// trip: the window sizes how far the server runs ahead of a client
-// that stops reading, two windows, and how much a Rows.Close mid-stream
-// drains.
-const DefaultFetchRows = wire.DefaultFetchRows
-
 // errNoRemoteExplain is what Query.Explain and Stmt.Explain return on
 // a Conn: the protocol ships results, not plans.
 var errNoRemoteExplain = errors.New("smoothscan: Explain is not available over the wire protocol")
@@ -50,9 +42,11 @@ var errNoRemoteExplain = errors.New("smoothscan: Explain is not available over t
 // returns the same *Stmt, and every run's result is the same *Rows.
 // Every Run, ad hoc or prepared, is one Execute request that ships the
 // query's spec and, for a statement, its bind, so the server keeps no
-// per-session statement state; the request grants the first two fetch
-// windows, so a result that fits in one window is one round trip and a
-// longer one streams without waiting a round trip per window.
+// per-session statement state. The server answers with the whole
+// result, so every Run is one round trip however many rows it returns;
+// the connection's TCP window is the stream's flow control, so a
+// server runs at most a socket buffer's worth of rows ahead of a
+// reader, and a Rows.Close mid-stream reads through what is in flight.
 //
 //	c, _ := smoothscan.Dial(addr)
 //	defer c.Close()
@@ -73,7 +67,7 @@ var errNoRemoteExplain = errors.New("smoothscan: Explain is not available over t
 // for concurrent use — give each goroutine its own Conn. Rows.Close and
 // Stmt.Close are always safe to call, also after the server has
 // disconnected. The embedded transport contributes Broken, Close,
-// SetFetchRows, ServerStats, ColdCache and ClearFaultPolicy.
+// ServerStats, ColdCache and ClearFaultPolicy.
 type Conn struct {
 	*client.Conn
 }

@@ -15,8 +15,8 @@ package smoothscan
 // union. Backend-specific capability stays on the concrete types:
 // mutation and administration (CreateTable, Insert, Analyze,
 // SetFaultPolicy), in-process introspection (Rows.Plan,
-// Rows.SmoothStats) and wire-level control (Conn.SetFetchRows,
-// Conn.Broken, Conn.ServerStats). Explain is a method of Query and
+// Rows.SmoothStats) and wire-level control (Conn.Broken,
+// Conn.ServerStats). Explain is a method of Query and
 // Stmt on every engine, but the wire protocol carries no plans, so on
 // a *Conn it returns an error. ExecStats is the one diagnostic rich
 // enough to keep: every backend fills IO, RowsReturned, PlanCacheHit

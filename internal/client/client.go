@@ -1,16 +1,14 @@
 // Package client is the SSWP client transport: one connection speaking
-// the prepare → bind → execute → fetch lifecycle against an
-// internal/server session. Every stream opens with one Execute request
-// — an ad-hoc query is an Execute without binds — and opening it is one
-// round trip: the request grants the first two fetch windows, and the
-// server answers ExecOK followed by them, so a short result needs no
-// Fetch at all and a long one never waits a round trip for a window.
-// It depends only on the wire codec and the tuple schema, so the root
-// package can run every remote stream — a Conn's runs and the remote
-// shard driver's slices alike — through one implementation without an
-// import cycle through smoothscan. The
-// transport stops at decoded Batch frames (Stream.Next); the root
-// package's Rows is the cursor over them.
+// the prepare → bind → execute lifecycle against an internal/server
+// session. Every stream opens with one Execute request — an ad-hoc
+// query is an Execute without binds — and the server answers ExecOK
+// followed by the whole result, so a stream is one round trip however
+// long it is, and TCP's window is its only flow control. It depends
+// only on the wire codec and the tuple schema, so the root package can
+// run every remote stream — a Conn's runs and the remote shard driver's
+// slices alike — through one implementation without an import cycle
+// through smoothscan. The transport stops at decoded Batch frames
+// (Stream.Next); the root package's Rows is the cursor over them.
 // Statements hold no server state: PrepareSpec only validates a spec,
 // and ExecuteSpec ships it again with each bind.
 //
@@ -27,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -67,18 +64,17 @@ const maxKeptPayload = 1 << 20
 // schema, reused by the next stream whose ExecOK names the same
 // columns.
 type Conn struct {
-	conn      net.Conn
-	br        *bufio.Reader
-	bw        *bufio.Writer // a request frame leaves as one Write
-	payload   []byte        // recv's reused frame buffer, at most maxKeptPayload
-	req       []byte        // send's reused request buffer, at most maxKeptPayload
-	flat      []int64       // Stream.Next's reused decode buffer, at most maxKeptPayload
-	schema    *tuple.Schema // the last stream's result schema
-	mu        sync.Mutex
-	err       error // sticky: once the connection failed, everything does
-	closed    bool
-	cur       *Stream
-	fetchRows int
+	conn    net.Conn
+	br      *bufio.Reader
+	bw      *bufio.Writer // a request frame leaves as one Write
+	payload []byte        // recv's reused frame buffer, at most maxKeptPayload
+	req     []byte        // send's reused request buffer, at most maxKeptPayload
+	flat    []int64       // Stream.Next's reused decode buffer, at most maxKeptPayload
+	schema  *tuple.Schema // the last stream's result schema
+	mu      sync.Mutex
+	err     error // sticky: once the connection failed, everything does
+	closed  bool
+	cur     *Stream
 }
 
 // Dial connects and performs the protocol handshake. A server at its
@@ -90,7 +86,7 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), fetchRows: wire.DefaultFetchRows}
+	c := &Conn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if err := c.writeFrame(wire.MsgHello, wire.Hello{Magic: wire.Magic, Version: wire.Version}.Marshal()); err != nil {
 		conn.Close()
@@ -120,19 +116,6 @@ func Dial(addr string) (*Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("%w: unexpected handshake frame %#02x", wire.ErrMalformed, typ)
 	}
-}
-
-// SetFetchRows overrides the fetch window of subsequent streams, the
-// first window included (n <= 0 restores the default; a window is at
-// most math.MaxUint32 rows). A stream keeps two windows granted, so no
-// window waits a round trip; the window sizes how far the server may
-// run ahead of a client that stops reading — two windows — and how
-// much a Close mid-stream drains.
-func (c *Conn) SetFetchRows(n int) {
-	if n <= 0 {
-		n = wire.DefaultFetchRows
-	}
-	c.fetchRows = min(n, math.MaxUint32)
 }
 
 // Broken reports whether the connection has failed; a broken
@@ -280,10 +263,8 @@ func (c *Conn) PrepareSpec(spec wire.QuerySpec) ([]string, error) {
 // result stream into s, whose rows go to owner. It is every remote run:
 // an ad-hoc query passes a nil b (its literals are inline), a prepared
 // statement's Run its bind. One stream may be open per Conn at a time.
-//
-// The request grants the first two windows, so they are already on
-// their way when ExecOK arrives: the stream reads them without sending
-// a Fetch, and grants each later window as it reads an End{More}.
+// The server streams the whole result behind ExecOK, so its first rows
+// are already on their way when ExecuteSpec returns.
 func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[string]int64, s *Stream, owner Owner) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,7 +275,7 @@ func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[strin
 	if err := c.usable(); err != nil {
 		return err
 	}
-	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b)), FetchRows: uint32(c.fetchRows)}
+	m := wire.Execute{Spec: spec, Binds: make([]wire.BindKV, 0, len(b))}
 	for name, val := range b {
 		m.Binds = append(m.Binds, wire.BindKV{Name: name, Val: val})
 	}
@@ -310,7 +291,7 @@ func (c *Conn) ExecuteSpec(ctx context.Context, spec wire.QuerySpec, b map[strin
 	if err != nil {
 		return c.broken(err)
 	}
-	*s = Stream{c: c, ctx: ctx, schema: schema, owner: owner, fetchRows: c.fetchRows}
+	*s = Stream{c: c, ctx: ctx, schema: schema, owner: owner}
 	c.mu.Lock()
 	c.cur = s
 	c.mu.Unlock()

@@ -77,7 +77,7 @@ func TestConnDropsOversizedDecodeBuffer(t *testing.T) {
 	near, far := net.Pipe()
 	defer near.Close()
 	defer far.Close()
-	c := &Conn{conn: near, br: bufio.NewReader(near), bw: bufio.NewWriter(near), fetchRows: wire.DefaultFetchRows}
+	c := &Conn{conn: near, br: bufio.NewReader(near), bw: bufio.NewWriter(near)}
 
 	const bigRows, bigCols = 1100, 128 // 140 800 values, 1.1 MB decoded
 	big := make([]int64, bigRows*bigCols)

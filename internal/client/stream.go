@@ -8,12 +8,12 @@ import (
 	"smoothscan/internal/wire"
 )
 
-// Stream is the transport half of one open result stream: its fetch
-// window grants, its cancellation and its claim on the Conn. It hands
-// the rows over a decoded Batch frame at a time (Next); iterating them is
-// the caller's business. The caller owns the Stream's memory —
-// ExecuteSpec opens a stream into it — so opening one allocates
-// nothing for the Stream itself.
+// Stream is the transport half of one open result stream: its
+// cancellation and its claim on the Conn. It hands the rows over a
+// decoded Batch frame at a time (Next); iterating them is the caller's
+// business. The caller owns the Stream's memory — ExecuteSpec opens a
+// stream into it — so opening one allocates nothing for the Stream
+// itself.
 //
 // A Stream is owned by a single goroutine, and its Conn can serve no
 // other request until the stream is drained or closed. Close is safe at
@@ -21,20 +21,17 @@ import (
 // scan workers exit promptly) — and safe after a server disconnect: a
 // stream the server can no longer serve is simply over.
 //
-// The stream is credit-based: the Execute that opened it granted two
-// windows, and Next grants one more with a Fetch as soon as it reads a
-// window's End{More}. So the server always holds the next window's
-// grant when it finishes one and keeps scanning while the client
-// decodes, and at most two windows are ever unread.
+// The server pushes the whole result without waiting for the client:
+// how far it runs ahead of a reader is bounded by the connection's
+// socket buffers, and a reader that stops reading stops it.
 type Stream struct {
 	c      *Conn
 	ctx    context.Context
 	schema *tuple.Schema
 	owner  Owner
 
-	fetchRows int
-	done      bool // terminal frame seen (End without More, or Error)
-	closed    bool
+	done   bool // terminal frame seen (End or Error)
+	closed bool
 
 	err error
 }
@@ -94,13 +91,6 @@ func (s *Stream) Next(end *wire.ExecSummary) ([]int64, error) {
 			m, derr := wire.DecodeEnd(payload)
 			if derr != nil {
 				return nil, s.fatal(c.broken(derr))
-			}
-			if m.More {
-				// Grant the window after the one already in flight.
-				if err := c.send(wire.MsgFetch, wire.Fetch{MaxRows: uint32(s.fetchRows)}.AppendTo(c.req[:0])); err != nil {
-					return nil, s.fatal(err)
-				}
-				continue
 			}
 			*end = m.Summary
 			s.done = true
@@ -163,10 +153,10 @@ func (s *Stream) Close() {
 }
 
 // abort cancels the in-flight stream server-side: send Cancel, then
-// read up to the cancel acknowledgement, skipping the frames of the
-// granted windows already in flight — at most two. Any connection
-// failure along the way just marks the connection broken — the stream
-// is over either way.
+// read up to the cancel acknowledgement, skipping the rest of the
+// stream — whatever the server wrote before the Cancel reached it, and
+// the End or Error it ended with. Any connection failure along the way
+// just marks the connection broken — the stream is over either way.
 func (s *Stream) abort() {
 	c := s.c
 	c.mu.Lock()

@@ -1,7 +1,7 @@
 // Package server is the serving side of the smoothscan wire protocol:
 // it owns one embedded smoothscan.DB and exposes it to remote clients
 // (smoothscan.Conn) over TCP. Each accepted connection becomes a
-// session holding at most one open cursor and no statements: a
+// session that streams one result at a time and holds no statements: a
 // prepared statement's every Execute carries its spec, which the DB's
 // plan cache resolves to the compiled template. Queries from every
 // session funnel through one shared admission gate, so a saturated
@@ -37,8 +37,10 @@ type Config struct {
 	// QueueDeadline is how long an Execute may wait for an admission
 	// slot (default 2s).
 	QueueDeadline time.Duration
-	// IdleTimeout closes sessions that stay silent longer than this;
-	// zero disables the idle reaper.
+	// IdleTimeout closes sessions that stay silent longer than this,
+	// and sessions whose client stops reading a result for as long: a
+	// stream's write that blocks past it ends the session. Zero
+	// disables the idle reaper.
 	IdleTimeout time.Duration
 	// FaultAdmin allows clients to attach fault-injection policies via
 	// FaultCtl frames — the remote chaos harness. Off by default: fault

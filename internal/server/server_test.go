@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -56,6 +55,41 @@ func startServer(t *testing.T, cfg server.Config) (addr string, db *smoothscan.D
 	return srv.Addr().String(), db
 }
 
+// startBigServer boots a server over a table of 4 000 rows with four
+// distinct values of the indexed column, whose self-join (bigQuery) is
+// about 4 M rows of 20 columns: far more than the socket buffers hold,
+// so a stream of it stays open server-side until its client reads it
+// through or cancels it.
+func startBigServer(t *testing.T, cfg server.Config) (addr string, srv *server.Server) {
+	t.Helper()
+	db, err := loadgen.BuildDB(4000, 4, 1, smoothscan.Options{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = server.New(db, cfg)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr().String(), srv
+}
+
+// bigQuery is startBigServer's self-join.
+func bigQuery(c *smoothscan.Conn) *smoothscan.Query {
+	return c.Table(loadgen.Table).Join(loadgen.Table, loadgen.IndexedCol, loadgen.IndexedCol)
+}
+
+// requireRunning fails the test unless srv has completed no query since
+// its QueriesServed read served: a stream the test relies on being open
+// server-side must not have run to its end, or what the test checks
+// next would pass vacuously.
+func requireRunning(t *testing.T, srv *server.Server, served int64) {
+	t.Helper()
+	if n := srv.Stats().QueriesServed - served; n != 0 {
+		t.Fatalf("the server completed %d queries while the stream under test should still run", n)
+	}
+}
+
 func dial(t *testing.T, addr string) *smoothscan.Conn {
 	t.Helper()
 	c, err := smoothscan.Dial(addr)
@@ -93,10 +127,11 @@ func drain(t *testing.T, rows *smoothscan.Rows) int64 {
 // for a Fetch before serving any row, version 3 opened ad-hoc streams
 // with a Query request, version 4 sent Batch payloads as zigzag-varint
 // deltas, version 5 waited for a Fetch before serving each window after
-// the first).
+// the first, version 6 served a window per grant and sent End{More}
+// between them).
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
-	for _, v := range []uint32{1, 2, 3, 4, 5} {
+	for _, v := range []uint32{1, 2, 3, 4, 5, 6} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -167,14 +202,12 @@ func readUntilEnd(t *testing.T, conn net.Conn) (types []byte, rows int, last []b
 	}
 }
 
-// TestOpenServesFirstWindow pins the credit-based stream on raw frames:
-// an Execute, with binds or without, is answered by ExecOK and the two
-// windows it grants with no Fetch sent, a window budget in the request
-// sizes both, each Fetch serves exactly one more window, a grant that
-// arrives after the stream ended is dropped without a reply, a Fetch
-// with neither a cursor nor a stale grant is a bad-request Error, a
-// Cancel between windows is answered OK, and a failed open writes one
-// Error frame and nothing else.
+// TestOpenServesFirstWindow pins the whole-result stream on raw frames:
+// an Execute, with binds or without, is answered by ExecOK, the result's
+// Batch frames of up to 1 024 rows and its End with the summary, with
+// nothing sent by the client in between and nothing after. A Cancel
+// after the stream is answered OK, and a failed open writes one Error
+// frame and nothing else.
 func TestOpenServesFirstWindow(t *testing.T) {
 	addr, db := startServer(t, server.Config{})
 	conn := rawSession(t, addr)
@@ -188,14 +221,6 @@ func TestOpenServesFirstWindow(t *testing.T) {
 	}
 	all := func() *smoothscan.Query {
 		return db.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000))
-	}
-	end := func(p []byte) wire.End {
-		t.Helper()
-		m, err := wire.DecodeEnd(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
 	}
 	send := func(typ byte, payload []byte) {
 		t.Helper()
@@ -223,162 +248,53 @@ func TestOpenServesFirstWindow(t *testing.T) {
 		}
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
 	}
-	// stats requires that the next frame answers a Stats request: the
-	// session is usable and nothing else was owed to the client.
-	stats := func(what string) {
+	// stream sends req and requires exactly ExecOK, Batch frames of the
+	// given row counts and an End summarising their total, then silence.
+	stream := func(what string, req wire.Execute, batches ...int) {
 		t.Helper()
-		send(wire.MsgStats, nil)
-		next(what, wire.MsgStatsReply)
-	}
-	// openTwoWindows sends Execute{FetchRows: 64} over 2 000 rows and
-	// requires exactly the two windows it grants: ExecOK Batch End{More}
-	// Batch End{More}, 128 rows, and then silence.
-	openTwoWindows := func(what string) {
-		t.Helper()
-		send(wire.MsgExecute, wire.Execute{Spec: spec(all().Limit(2000)), FetchRows: 64}.Marshal())
-		types, rows, last := readUntilEnd(t, conn)
-		if m := end(last); !m.More {
-			t.Fatalf("%s: first window of 64 out of 2000 rows ended %+v, want More", what, m)
+		send(wire.MsgExecute, req.Marshal())
+		next(what+": ExecOK", wire.MsgExecOK)
+		total := 0
+		for i, want := range batches {
+			_, n, _, err := wire.DecodeBatchPayload(next(fmt.Sprintf("%s: batch %d", what, i), wire.MsgBatch), nil)
+			if err != nil || n != want {
+				t.Fatalf("%s: batch %d of %d rows (%v), want %d", what, i, n, err, want)
+			}
+			total += n
 		}
-		types2, rows2, last := readUntilEnd(t, conn)
-		if m := end(last); !m.More {
-			t.Fatalf("%s: second window of 64 out of 2000 rows ended %+v, want More", what, m)
+		m, err := wire.DecodeEnd(next(what+": End", wire.MsgEnd))
+		if err != nil || m.Summary.Rows != int64(total) {
+			t.Fatalf("%s: End %+v (%v), want the summary of %d rows", what, m, err, total)
 		}
-		types = append(types, types2...)
-		want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd, wire.MsgBatch, wire.MsgEnd}
-		if !bytes.Equal(types, want) || rows+rows2 != 128 {
-			t.Fatalf("%s: frames %x rows %v, want %x with 128 rows", what, types, rows+rows2, want)
-		}
-		silent(what + ": a third window without a Fetch")
+		silent(what + ": after End")
 	}
 
 	// A short result is the whole exchange: ExecOK, Batch, End{Summary}.
-	short := map[string]wire.Execute{
-		"ad hoc":   {Spec: spec(all().Limit(2))},
-		"prepared": {Spec: spec(all().Limit(smoothscan.Param("n"))), Binds: []wire.BindKV{{Name: "n", Val: 2}}},
-	}
-	for name, req := range short {
-		send(wire.MsgExecute, req.Marshal())
-		types, rows, last := readUntilEnd(t, conn)
-		if want := []byte{wire.MsgExecOK, wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) {
-			t.Fatalf("%s: frames %x, want %x", name, types, want)
-		}
-		if m := end(last); m.More || m.Summary.Rows != 2 || rows != 2 {
-			t.Fatalf("%s: End %+v after %v rows, want the summary of 2", name, m, rows)
-		}
-	}
+	stream("ad hoc", wire.Execute{Spec: spec(all().Limit(2))}, 2)
+	stream("prepared", wire.Execute{Spec: spec(all().Limit(smoothscan.Param("n"))), Binds: []wire.BindKV{{Name: "n", Val: 2}}}, 2)
+	// A long one streams whole, in full Batch frames and a short last one.
+	stream("2 000 rows", wire.Execute{Spec: spec(all().Limit(2000))}, 1024, 976)
+	stream("1 024 rows", wire.Execute{Spec: spec(all().Limit(1024))}, 1024)
 
-	// FetchRows: 64 sizes both granted windows; each Fetch serves one
-	// more, and the 32nd window, 16 rows, ends the stream.
-	openTwoWindows("open")
-	total := 128
-	for w := 3; ; w++ {
-		send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
-		types, rows, last := readUntilEnd(t, conn)
-		total += rows
-		m := end(last)
-		if want := []byte{wire.MsgBatch, wire.MsgEnd}; !bytes.Equal(types, want) {
-			t.Fatalf("window %d: frames %x, want %x", w, types, want)
-		}
-		if m.More {
-			if rows != 64 {
-				t.Fatalf("window %d: %d rows and More, want 64", w, rows)
-			}
-			continue
-		}
-		if w != 32 || rows != 16 || total != 2000 || m.Summary.Rows != 2000 {
-			t.Fatalf("window %d: %d rows, %d in all, End %+v, want window 32 of 16 rows and a summary of 2000",
-				w, rows, total, m)
-		}
-		break
-	}
-	// The server sent 31 End{More} and received 30 Fetches: the grant
-	// the client sends for the 31st is stale, and dropped.
-	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
-	stats("a stale grant after the final End")
-	// No cursor and no stale grant: a Fetch is a protocol error.
-	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
-	if m, err := wire.DecodeError(next("Fetch without a cursor", wire.MsgError)); err != nil || m.Class != wire.ClassBadRequest {
-		t.Fatalf("Fetch without a cursor: %+v, %v, want bad-request", m, err)
-	}
-	stats("after a Fetch without a cursor")
-
-	// A Cancel while the server waits between windows, both grants in
-	// flight, is answered OK; it leaves no stale grant behind, so a
-	// Fetch after it is a protocol error again.
-	openTwoWindows("cancel between windows")
+	// A Cancel after the stream finds nothing to stop and is answered OK.
 	send(wire.MsgCancel, nil)
-	next("Cancel between windows", wire.MsgOK)
-	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
-	next("Fetch after a Cancel", wire.MsgError)
-	stats("after a Cancel between windows")
-
-	// A Cancel right behind a grant: the granted window is served, or
-	// ends early, before the OK.
-	openTwoWindows("cancel behind a grant")
-	send(wire.MsgFetch, wire.Fetch{MaxRows: 64}.Marshal())
-	send(wire.MsgCancel, nil)
-	for {
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ == wire.MsgOK {
-			break
-		}
-		if typ != wire.MsgBatch && typ != wire.MsgEnd && typ != wire.MsgError {
-			t.Fatalf("Cancel behind a grant: frame %#02x (%q) before the OK", typ, payload)
-		}
-	}
-	stats("after a Cancel behind a grant")
+	next("Cancel after the stream", wire.MsgOK)
+	send(wire.MsgStats, nil)
+	next("Stats after a Cancel", wire.MsgStatsReply)
 
 	// A failed open is one Error frame: the next response on the
 	// connection is the next request's.
 	send(wire.MsgExecute, wire.Execute{Spec: wire.QuerySpec{Table: "nope"}}.Marshal())
 	next("unknown table", wire.MsgError)
-	stats("after a failed open")
-}
-
-// TestExecuteDefaultWindow: an Execute with FetchRows 0 gets the
-// protocol's default window twice: exactly wire.DefaultFetchRows rows of
-// a larger result, an End that says more remain, and then the rest.
-func TestExecuteDefaultWindow(t *testing.T) {
-	db, err := loadgen.BuildDB(wire.DefaultFetchRows+1000, 2000, 1, smoothscan.Options{PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(db, server.Config{})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	conn := rawSession(t, srv.Addr().String())
-	spec, err := db.Query(loadgen.Table).Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, wire.MsgExecute, wire.Execute{Spec: spec}.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	types, rows, last := readUntilEnd(t, conn)
-	if types[0] != wire.MsgExecOK || types[len(types)-1] != wire.MsgEnd || rows != wire.DefaultFetchRows {
-		t.Fatalf("frames %x with %d rows, want ExecOK, Batches of %d rows, End", types, rows, wire.DefaultFetchRows)
-	}
-	if m, err := wire.DecodeEnd(last); err != nil || !m.More {
-		t.Fatalf("first window of %d rows ended %+v (%v), want More", wire.DefaultFetchRows+1000, m, err)
-	}
-	_, rows, last = readUntilEnd(t, conn)
-	if m, err := wire.DecodeEnd(last); err != nil || m.More || rows != 1000 || m.Summary.Rows != wire.DefaultFetchRows+1000 {
-		t.Fatalf("second window: %d rows, End %+v (%v), want the last 1000 rows and a summary of %d",
-			rows, m, err, wire.DefaultFetchRows+1000)
-	}
+	send(wire.MsgStats, nil)
+	next("Stats after a failed open", wire.MsgStatsReply)
 }
 
 // TestRetiredRequestTypes sends the request types earlier versions
-// used — 0x0b, version 1's CloseStmt, and 0x0e, version 3's ad-hoc
-// Query, here with the payload version 3 gave it — on a current
-// session. Each is a bad-request Error naming the type, never a run,
-// and the session serves the next request.
+// used — 0x0b, version 1's CloseStmt, 0x0e, version 3's ad-hoc Query,
+// and 0x07, version 6's Fetch, each with the payload its version gave
+// it — on a current session. Each is a bad-request Error naming the
+// type, never a run, and the session serves the next request.
 func TestRetiredRequestTypes(t *testing.T) {
 	addr, db := startServer(t, server.Config{})
 	conn := rawSession(t, addr)
@@ -388,7 +304,9 @@ func TestRetiredRequestTypes(t *testing.T) {
 	}
 	v3Query := wire.Encoder{B: wire.AppendSpec(nil, &spec)}
 	v3Query.Uvarint(0)
-	for typ, payload := range map[byte][]byte{0x0b: {1}, 0x0e: v3Query.B} {
+	var v6Fetch wire.Encoder
+	v6Fetch.Uvarint(4096)
+	for typ, payload := range map[byte][]byte{0x0b: {1}, 0x0e: v3Query.B, 0x07: v6Fetch.B} {
 		if err := wire.WriteFrame(conn, typ, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +332,6 @@ func TestRetiredRequestTypes(t *testing.T) {
 func TestConnCloseEndsOpenStream(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
 	c := dial(t, addr)
-	c.SetFetchRows(64)
 	rows, err := rangeQuery(c, 0, 2000).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -436,32 +353,37 @@ func TestConnCloseEndsOpenStream(t *testing.T) {
 	}
 }
 
-// TestCloseBeforeFirstNext: the first window is in flight before the
-// caller's first Next, so closing a stream that was never read must
-// drain it and resynchronise the connection — whether the window holds
-// the whole result, only its start, or the caller's context was
-// cancelled first. After each, the same Conn serves the next query,
-// the server counts one Cancel, and no goroutine outlives the streams.
+// TestCloseBeforeFirstNext: a result is on its way before the caller's
+// first Next, so closing a stream that was never read must read through
+// what is in flight and resynchronise the connection — whether the
+// stream holds the whole result, only the start of one still running
+// on the server, or the caller's context was cancelled first. After
+// each, the same Conn serves the next query, the server counts one
+// Cancel, and no goroutine outlives the streams.
 func TestCloseBeforeFirstNext(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr, srv := startBigServer(t, server.Config{})
 	c := dial(t, addr)
 	base := runtime.NumGoroutine()
 	cases := []struct {
-		name      string
-		fetchRows int
-		q         *smoothscan.Query
-		cancel    bool
+		name    string
+		q       *smoothscan.Query
+		running bool // still running on the server when closed
+		cancel  bool
 	}{
-		{"complete", 0, rangeQuery(c, 0, 2000).Limit(2), false},
-		{"windowed", 64, rangeQuery(c, 0, 2000).Limit(2000).WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathFull, Parallelism: 4}), false},
-		{"ctx-cancelled", 64, rangeQuery(c, 0, 2000).Limit(2000), true},
+		{"complete", rangeQuery(c, 0, 2000).Limit(2), false, false},
+		{"streaming", bigQuery(c).WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathFull, Parallelism: 4}), true, false},
+		{"ctx-cancelled", rangeQuery(c, 0, 2000).Limit(2000), false, true},
 	}
 	for i, tc := range cases {
-		c.SetFetchRows(tc.fetchRows)
+		served := srv.Stats().QueriesServed
 		ctx, cancel := context.WithCancel(context.Background())
 		rows, err := tc.q.Run(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.running {
+			time.Sleep(20 * time.Millisecond) // let the server fill the socket buffers
+			requireRunning(t, srv, served)
 		}
 		if tc.cancel {
 			cancel()
@@ -543,13 +465,13 @@ func TestIdleTimeout(t *testing.T) {
 // must reach the in-flight query's context so parallel scan workers
 // exit rather than block on a consumer that will never come.
 func TestCancelMidStream(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr, srv := startBigServer(t, server.Config{})
 	c := dial(t, addr)
-	c.SetFetchRows(64) // small windows: plenty of stream left to cancel into
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
-		rows, err := rangeQuery(c, 0, 2000).
+		served := srv.Stats().QueriesServed
+		rows, err := bigQuery(c).
 			WithOptions(smoothscan.ScanOptions{Path: smoothscan.PathFull, Parallelism: 4}).
 			Run(context.Background())
 		if err != nil {
@@ -558,11 +480,12 @@ func TestCancelMidStream(t *testing.T) {
 		if !rows.Next() {
 			t.Fatalf("iteration %d: no rows before cancel: %v", i, rows.Err())
 		}
+		requireRunning(t, srv, served)
 		if err := rows.Close(); err != nil {
 			t.Fatalf("iteration %d: mid-stream Close: %v", i, err)
 		}
 		// The same connection serves the next query after the cancel.
-		full, err := rangeQuery(c, 0, 50).Run(context.Background())
+		full, err := rangeQuery(c, 0, 1).Limit(100).Run(context.Background())
 		if err != nil {
 			t.Fatalf("iteration %d: query after cancel: %v", i, err)
 		}
@@ -583,54 +506,55 @@ func TestCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestCreditBoundsUnreadStream: a client that opens a stream and reads
-// nothing receives the two windows Execute granted and no more. The
-// server's RowsSent, polled from a second Conn, settles at 128 rows for
-// 64-row windows and stays there.
-func TestCreditBoundsUnreadStream(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
-	reader, poller := dial(t, addr), dial(t, addr)
-	reader.SetFetchRows(64)
-	sent := func() int64 {
-		t.Helper()
-		st, err := poller.ServerStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.RowsSent
-	}
-	base := sent()
-	rows, err := rangeQuery(reader, 0, 2000).Limit(2000).Run(context.Background())
+// TestUnreadStreamIsReaped: a client that opens a stream far larger
+// than the socket buffers and reads nothing blocks the server's write.
+// With an idle timeout set, that write times out: the session is closed
+// as idle, its admission slot is freed for another Conn's query, and
+// the abandoned stream ends in an error, never as a complete result.
+func TestUnreadStreamIsReaped(t *testing.T) {
+	addr, srv := startBigServer(t, server.Config{IdleTimeout: 150 * time.Millisecond, MaxInFlight: 1})
+	stalled := dial(t, addr)
+	served, idle := srv.Stats().QueriesServed, srv.Stats().IdleCloses
+	rows, err := bigQuery(stalled).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rows.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for n := sent() - base; n != 128; n = sent() - base {
-		if n > 128 {
-			t.Fatalf("server sent %d rows to a client that read none, want at most two 64-row windows", n)
-		}
+	for srv.Stats().IdleCloses == idle {
 		if time.Now().After(deadline) {
-			t.Fatalf("server sent %d rows, want the two granted 64-row windows", n)
+			t.Fatalf("the session of a client that reads nothing was not reaped within 5s (%d rows sent)", srv.Stats().RowsSent)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	time.Sleep(200 * time.Millisecond)
-	if n := sent() - base; n != 128 {
-		t.Fatalf("server sent %d rows to a client that read none, want 128", n)
+	requireRunning(t, srv, served)
+
+	other := dial(t, addr)
+	next, err := rangeQuery(other, 0, 1).Limit(10).Run(context.Background())
+	if err != nil {
+		t.Fatalf("query after the reap: %v", err)
+	}
+	if n := drain(t, next); n != 10 {
+		t.Fatalf("query after the reap returned %d rows, want 10", n)
+	}
+
+	for rows.Next() {
+	}
+	if !errors.Is(rows.Err(), smoothscan.ErrConnLost) {
+		t.Fatalf("reaped stream ended with %v, want ErrConnLost", rows.Err())
 	}
 }
 
-// TestCloseAfterKRows closes a 2 000-row stream of 64-row windows after
-// k rows, for k around each window edge, and after each close runs the
-// full query on the same Conn: it must return the in-process oracle's
-// rows. A close lands with zero, one or two windows in flight and with
-// grants the server has not yet received, so a stale-grant miscount
-// shows as a wrong, short or failed next query.
+// TestCloseAfterKRows closes a 4 000-row stream after k rows, for k
+// around each Batch edge, and after each close runs the full query on
+// the same Conn: it must return the in-process oracle's rows. A close
+// lands before, inside or right at the end of a Batch frame, with the
+// rest of the result in flight or the End already sent, so an abort
+// that reads too little or too far shows as a wrong, short or failed
+// next query.
 func TestCloseAfterKRows(t *testing.T) {
 	addr, db := startServer(t, server.Config{})
 	c := dial(t, addr)
-	c.SetFetchRows(64)
 	collect := func(rows *smoothscan.Rows) [][]int64 {
 		t.Helper()
 		var out [][]int64
@@ -643,16 +567,16 @@ func TestCloseAfterKRows(t *testing.T) {
 		slices.SortFunc(out, slices.Compare)
 		return out
 	}
-	local, err := db.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000)).Limit(2000).Run(context.Background())
+	local, err := db.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(0, 2000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := collect(local)
-	if len(oracle) != 2000 {
-		t.Fatalf("oracle has %d rows, want 2000", len(oracle))
+	if len(oracle) != 4000 {
+		t.Fatalf("oracle has %d rows, want 4000", len(oracle))
 	}
-	for _, k := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1999} {
-		rows, err := rangeQuery(c, 0, 2000).Limit(2000).Run(context.Background())
+	for _, k := range []int{0, 1, 1023, 1024, 1025, 2047, 2048, 3999} {
+		rows, err := rangeQuery(c, 0, 2000).Run(context.Background())
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -664,7 +588,7 @@ func TestCloseAfterKRows(t *testing.T) {
 		if err := rows.Close(); err != nil {
 			t.Fatalf("k=%d: Close: %v", k, err)
 		}
-		full, err := rangeQuery(c, 0, 2000).Limit(2000).Run(context.Background())
+		full, err := rangeQuery(c, 0, 2000).Run(context.Background())
 		if err != nil {
 			t.Fatalf("k=%d: query after Close: %v", k, err)
 		}
@@ -682,27 +606,28 @@ func TestCloseAfterKRows(t *testing.T) {
 // queue deadline — a shed, not a hang — while the in-flight query is
 // left to complete normally.
 func TestAdmissionControl(t *testing.T) {
-	addr, _ := startServer(t, server.Config{
+	addr, srv := startBigServer(t, server.Config{
 		MaxInFlight:   1,
 		QueueDeadline: 100 * time.Millisecond,
 	})
 	holder := dial(t, addr)
 	waiter := dial(t, addr)
 
-	// The holder's open cursor occupies the only admission slot. Small
-	// fetch windows keep it open: with the default window the whole
-	// result would stream in one Fetch and the slot free immediately.
-	holder.SetFetchRows(64)
-	rows, err := rangeQuery(holder, 0, 2000).Run(context.Background())
+	// The holder's stream occupies the only admission slot while it
+	// runs, and a result far larger than the socket buffers keeps it
+	// running until the holder reads it or closes it.
+	served := srv.Stats().QueriesServed
+	rows, err := bigQuery(holder).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rows.Next() {
 		t.Fatalf("holder got no rows: %v", rows.Err())
 	}
+	requireRunning(t, srv, served)
 
 	start := time.Now()
-	_, err = rangeQuery(waiter, 0, 50).Run(context.Background())
+	_, err = rangeQuery(waiter, 0, 1).Limit(50).Run(context.Background())
 	waited := time.Since(start)
 	if !errors.Is(err, smoothscan.ErrOverloaded) {
 		t.Fatalf("overloaded Execute: %v, want ErrOverloaded", err)
@@ -711,13 +636,15 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("reject took %v; admission control must shed, not hang", waited)
 	}
 
-	// The in-flight query is unaffected by the shed, and finishing it
+	// The in-flight query is unaffected by the shed, and closing it
 	// frees the slot for the waiter.
-	n := drain(t, rows)
-	if n == 0 {
-		t.Fatal("holder stream came back empty")
+	if !rows.Next() {
+		t.Fatalf("holder stream ended after the shed: %v", rows.Err())
 	}
-	rows2, err := rangeQuery(waiter, 0, 50).Run(context.Background())
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rows2, err := rangeQuery(waiter, 0, 1).Limit(50).Run(context.Background())
 	if err != nil {
 		t.Fatalf("query after slot freed: %v", err)
 	}
@@ -839,20 +766,22 @@ func TestFaultAdminGate(t *testing.T) {
 	}
 }
 
-// TestColdCacheUnderOpenCursor: a cursor one session holds open makes
-// another session's ColdCache fail with the engine's own ErrScansOpen,
-// and the eviction goes through once the cursor is closed.
+// TestColdCacheUnderOpenCursor: a stream still running in one session
+// holds its cursor open on the server, which makes another session's
+// ColdCache fail with the engine's own ErrScansOpen, and the eviction
+// goes through once the stream is closed.
 func TestColdCacheUnderOpenCursor(t *testing.T) {
-	addr, _ := startServer(t, server.Config{FaultAdmin: true})
+	addr, srv := startBigServer(t, server.Config{FaultAdmin: true})
 	a, b := dial(t, addr), dial(t, addr)
-	a.SetFetchRows(16)
-	rows, err := rangeQuery(a, 0, 2000).Run(context.Background())
+	served := srv.Stats().QueriesServed
+	rows, err := bigQuery(a).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rows.Next() {
 		t.Fatalf("no first row: %v", rows.Err())
 	}
+	requireRunning(t, srv, served)
 	if err := b.ColdCache(); !errors.Is(err, smoothscan.ErrScansOpen) {
 		t.Fatalf("ColdCache beside an open cursor: %v, want ErrScansOpen", err)
 	}
@@ -930,13 +859,13 @@ func TestBadRequests(t *testing.T) {
 // TestQueueDeadlineIsBounded pins down the "reject, don't hang"
 // property under a pile-up bigger than one waiter.
 func TestQueueDeadlineIsBounded(t *testing.T) {
-	addr, _ := startServer(t, server.Config{
+	addr, srv := startBigServer(t, server.Config{
 		MaxInFlight:   1,
 		QueueDeadline: 50 * time.Millisecond,
 	})
 	holder := dial(t, addr)
-	holder.SetFetchRows(64) // keep the cursor (and its slot) open
-	rows, err := rangeQuery(holder, 0, 2000).Run(context.Background())
+	served := srv.Stats().QueriesServed
+	rows, err := bigQuery(holder).Run(context.Background()) // keeps its slot while it runs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -944,6 +873,7 @@ func TestQueueDeadlineIsBounded(t *testing.T) {
 		t.Fatal("holder got no rows")
 	}
 	defer rows.Close()
+	requireRunning(t, srv, served)
 
 	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {

@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -12,9 +14,9 @@ import (
 	"smoothscan/internal/wire"
 )
 
-// batchRows caps one Batch frame; a Fetch window larger than this is
-// served as several frames so no single frame outgrows the decoder's
-// comfort zone.
+// batchRows caps one Batch frame; a result is streamed as frames of
+// batchRows rows, the last one shorter, so no single frame outgrows the
+// decoder's comfort zone.
 const batchRows = 1024
 
 // writeBufSize sizes the session's write buffer so that a full
@@ -24,26 +26,11 @@ const batchRows = 1024
 // connection.
 const writeBufSize = 64 << 10
 
-// endMore is the payload of every End{More:true}: a window filled and
-// the cursor stays open.
-var endMore = wire.End{More: true}.Marshal()
-
 // frame is one decoded wire frame in flight from the reader goroutine
 // to the session loop.
 type frame struct {
 	typ     byte
 	payload []byte
-}
-
-// cursor is the session's one open result stream.
-type cursor struct {
-	rows    *smoothscan.Rows
-	cancel  context.CancelFunc
-	release func()
-	width   int
-	// grants counts the window grants in flight from the client:
-	// End{More} frames sent minus Fetches received.
-	grants int
 }
 
 // session serves one connection. Two goroutines cooperate: the reader
@@ -65,16 +52,9 @@ type session struct {
 	curMu     sync.Mutex
 	curCancel context.CancelFunc
 
-	cur *cursor
-	// stale counts the grants of the last closed cursor still in
-	// flight: the client sent, or will send, one Fetch per End{More} it
-	// reads, and those reaching the session after the stream ended are
-	// dropped without a reply.
-	stale int
-
-	// serveWindow's staging, reused across batches and cursors: the
-	// session has one cursor at a time and one goroutine fetching.
-	flat []int64      // row-major batch, batchRows*width of the widest cursor so far
+	// stream's staging, reused across batches and results: the session
+	// streams one result at a time from one goroutine.
+	flat []int64      // row-major batch, batchRows*width of the widest result so far
 	enc  wire.Encoder // the Batch payload under construction
 }
 
@@ -124,14 +104,32 @@ func (ss *session) setCancel(fn context.CancelFunc) {
 }
 
 // write buffers one frame without flushing it; a false return means
-// the connection is dead and the session must exit.
+// the connection is dead and the session must exit. With an idle
+// timeout set, every write first moves the connection's write deadline
+// to that timeout from now, so a peer that stops reading is reaped like
+// one that stops sending: the write that blocks on it times out.
 func (ss *session) write(typ byte, payload []byte) bool {
-	return wire.WriteFrame(ss.bw, typ, payload) == nil
+	if d := ss.srv.cfg.IdleTimeout; d > 0 {
+		ss.conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	return ss.ok(wire.WriteFrame(ss.bw, typ, payload))
+}
+
+// flush writes out every buffered frame.
+func (ss *session) flush() bool { return ss.ok(ss.bw.Flush()) }
+
+// ok reports whether a write succeeded, counting one that timed out as
+// an idle close.
+func (ss *session) ok(err error) bool {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		ss.srv.ctr.idleCloses.Add(1)
+	}
+	return err == nil
 }
 
 // send writes one frame and flushes everything buffered with it.
 func (ss *session) send(typ byte, payload []byte) bool {
-	return ss.write(typ, payload) && ss.bw.Flush() == nil
+	return ss.write(typ, payload) && ss.flush()
 }
 
 // sendErr sends a typed Error frame.
@@ -170,7 +168,6 @@ func (ss *session) nextFrame() (frame, bool) {
 func (ss *session) run() {
 	go ss.readLoop()
 	defer func() {
-		ss.closeCursor()
 		ss.conn.Close()
 		// Unblock the reader if it is parked on the inbox send.
 		for range ss.inbox {
@@ -222,21 +219,12 @@ func (ss *session) handle(fr frame) bool {
 			return ss.fail(err)
 		}
 		return ss.handleExecute(m)
-	case wire.MsgFetch:
-		m, err := wire.DecodeFetch(fr.payload)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.handleFetch(int(m.MaxRows))
 	case wire.MsgCancel:
-		// The reader already fired the context; here the cursor (if
-		// any) is torn down and the cancel acknowledged, giving the
-		// client a deterministic frame to resynchronise on. The client
-		// sends Cancel after every grant it will ever send for the
-		// stream, so no stale grant can follow it.
+		// The reader fired the query's context when it read the Cancel,
+		// so the stream it landed in has ended, early or not; the
+		// acknowledgement gives the client a deterministic frame to
+		// resynchronise on.
 		ss.srv.ctr.cancels.Add(1)
-		ss.closeCursor()
-		ss.stale = 0
 		return ss.send(wire.MsgOK, nil)
 	case wire.MsgStats:
 		return ss.send(wire.MsgStatsReply, ss.srv.Stats().Marshal())
@@ -272,17 +260,11 @@ func (ss *session) handlePrepare(spec wire.QuerySpec) bool {
 
 // handleExecute admits one execution — an ad-hoc query (no binds) or a
 // prepared statement's run — runs it through DB.ExecuteSpec, so bind
-// errors are a local Stmt.Run's, and opens the session's cursor. A
-// failed open is answered by its Error frame alone; an open cursor by
-// ExecOK with the result columns, buffered, and then the two windows
-// Execute grants, each of up to FetchRows rows (0 =
-// wire.DefaultFetchRows) and served exactly as a Fetch would serve it.
-// A short result therefore leaves as one write, and a long one keeps a
-// window in flight while the client reads the first.
+// errors are a local Stmt.Run's, and streams its whole result before
+// it returns. A failed open is answered by its Error frame alone. The
+// admission slot, the query's context and its Rows are this call's and
+// released on every exit, a failed write included.
 func (ss *session) handleExecute(m wire.Execute) bool {
-	if ss.cur != nil {
-		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
-	}
 	var bind smoothscan.Bind
 	if len(m.Binds) > 0 {
 		bind = make(smoothscan.Bind, len(m.Binds))
@@ -294,133 +276,83 @@ func (ss *session) handleExecute(m wire.Execute) bool {
 	if err != nil {
 		return ss.fail(err)
 	}
+	defer release()
 	ctx, cancel := context.WithCancel(ss.ctx)
 	ss.setCancel(cancel)
-	rows, err := ss.srv.db.ExecuteSpec(ctx, m.Spec, bind)
-	if err != nil {
+	defer func() {
 		ss.setCancel(nil)
 		cancel()
-		release()
+	}()
+	rows, err := ss.srv.db.ExecuteSpec(ctx, m.Spec, bind)
+	if err != nil {
 		ss.srv.ctr.queriesFailed.Add(1)
 		return ss.fail(err)
 	}
+	defer rows.Close()
+	return ss.stream(rows)
+}
+
+// stream writes ExecOK with rows' columns, the result as Batch frames of
+// up to batchRows rows, and then End with the execution's summary, or a
+// classified Error. Frames are flushed after each full Batch and at End
+// or Error, so a short result leaves as one write, and a long one's
+// rows leave as soon as their batch is encoded: the client decodes one
+// batch while the next is produced. The connection is the only flow
+// control: a client that stops reading blocks the write.
+func (ss *session) stream(rows *smoothscan.Rows) bool {
 	cols := rows.Columns()
-	ss.cur = &cursor{
-		rows:    rows,
-		cancel:  cancel,
-		release: release,
-		width:   len(cols),
-	}
-	if need := batchRows * len(cols); len(ss.flat) < need {
+	width := len(cols)
+	if need := batchRows * width; len(ss.flat) < need {
 		ss.flat = make([]int64, need)
 	}
-	return ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) &&
-		ss.serveWindow(int(m.FetchRows)) &&
-		(ss.cur == nil || ss.serveWindow(int(m.FetchRows)))
-}
-
-// closeCursor tears the open cursor down: cancel the query context,
-// close the Rows (stopping parallel workers), release the admission
-// token, and record the cursor's grants still in flight as stale.
-// Idempotent.
-func (ss *session) closeCursor() {
-	c := ss.cur
-	if c == nil {
-		return
+	if !ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) {
+		return false
 	}
-	ss.cur = nil
-	ss.stale = max(c.grants, 0)
-	ss.setCancel(nil)
-	c.cancel()
-	_ = c.rows.Close()
-	c.release()
-}
-
-// handleFetch takes one window grant: it serves the open cursor's next
-// window, or drops a stale grant of a stream that has already ended.
-func (ss *session) handleFetch(maxRows int) bool {
-	c := ss.cur
-	if c == nil {
-		if ss.stale > 0 {
-			ss.stale--
-			return true
-		}
-		return ss.sendErr(wire.ClassBadRequest, "no open cursor (Execute first)")
-	}
-	c.grants--
-	return ss.serveWindow(maxRows)
-}
-
-// serveWindow streams up to maxRows rows of the open cursor as Batch
-// frames, ending the window with End (More when the budget filled
-// before the stream ended) or a classified Error. Frames are flushed
-// at End or Error, and after a full Batch with more of the window to
-// come, so the client decodes one batch while the next is encoded.
-func (ss *session) serveWindow(maxRows int) bool {
-	c := ss.cur
-	if maxRows <= 0 {
-		maxRows = wire.DefaultFetchRows
-	}
-	sent := 0
-	for sent < maxRows {
-		chunk := maxRows - sent
-		if chunk > batchRows {
-			chunk = batchRows
-		}
+	for {
 		n := 0
-		for n < chunk && c.rows.Next() {
-			c.rows.CopyRow(ss.flat[n*c.width : (n+1)*c.width])
+		for n < batchRows && rows.Next() {
+			rows.CopyRow(ss.flat[n*width : (n+1)*width])
 			n++
 		}
 		if n > 0 {
 			ss.enc.B = ss.enc.B[:0]
-			ss.enc.AppendBatch(ss.flat, n, c.width)
+			ss.enc.AppendBatch(ss.flat, n, width)
 			if !ss.write(wire.MsgBatch, ss.enc.B) {
 				return false
 			}
 			ss.srv.ctr.rowsSent.Add(int64(n))
 			ss.srv.ctr.batchesSent.Add(1)
-			sent += n
-			if n == chunk && sent < maxRows && ss.bw.Flush() != nil {
-				return false
-			}
 		}
-		if n < chunk {
-			// Stream ended (or failed) inside this chunk.
-			if err := c.rows.Err(); err != nil {
-				ss.srv.ctr.queriesFailed.Add(1)
-				ok := ss.fail(err)
-				ss.closeCursor()
-				return ok
-			}
-			if err := c.rows.Close(); err != nil {
-				ss.srv.ctr.queriesFailed.Add(1)
-				ok := ss.fail(err)
-				ss.closeCursor()
-				return ok
-			}
-			st := c.rows.ExecStats()
-			end := wire.End{Summary: wire.ExecSummary{
-				Rows:             st.RowsReturned,
-				Retries:          st.Retries,
-				FaultsSeen:       st.FaultsSeen,
-				PlanCacheHit:     st.PlanCacheHit,
-				Degraded:         st.Degraded,
-				IO:               st.IO,
-				ResultCacheHit:   st.ResultCache.Hit,
-				ResultCacheBytes: st.ResultCache.Bytes,
-				ResultCacheAgeNs: int64(st.ResultCache.Age),
-			}}
-			ss.srv.ctr.queriesServed.Add(1)
-			ok := ss.send(wire.MsgEnd, end.Marshal())
-			ss.closeCursor()
-			return ok
+		if n < batchRows {
+			break
+		}
+		if !ss.flush() {
+			return false
 		}
 	}
-	// Window filled; the cursor stays open, and the client grants one
-	// more window when it reads this End.
-	c.grants++
-	return ss.send(wire.MsgEnd, endMore)
+	// The stream ended, or failed.
+	err := rows.Err()
+	if err == nil {
+		err = rows.Close()
+	}
+	if err != nil {
+		ss.srv.ctr.queriesFailed.Add(1)
+		return ss.fail(err)
+	}
+	st := rows.ExecStats()
+	end := wire.End{Summary: wire.ExecSummary{
+		Rows:             st.RowsReturned,
+		Retries:          st.Retries,
+		FaultsSeen:       st.FaultsSeen,
+		PlanCacheHit:     st.PlanCacheHit,
+		Degraded:         st.Degraded,
+		IO:               st.IO,
+		ResultCacheHit:   st.ResultCache.Hit,
+		ResultCacheBytes: st.ResultCache.Bytes,
+		ResultCacheAgeNs: int64(st.ResultCache.Age),
+	}}
+	ss.srv.ctr.queriesServed.Add(1)
+	return ss.send(wire.MsgEnd, end.Marshal())
 }
 
 // handleCatalog answers with the server's table catalog so a sharding
@@ -446,9 +378,6 @@ func (ss *session) handleCatalog() bool {
 func (ss *session) handleColdCache() bool {
 	if !ss.srv.cfg.FaultAdmin {
 		return ss.sendErr(wire.ClassBadRequest, "cache administration is disabled on this server (-fault-admin)")
-	}
-	if ss.cur != nil {
-		return ss.sendErr(wire.ClassBadRequest, "ColdCache while a cursor is open")
 	}
 	if err := ss.srv.db.ColdCache(); err != nil {
 		return ss.fail(err)

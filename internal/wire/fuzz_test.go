@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -49,20 +48,24 @@ func FuzzDecodeMessage(f *testing.F) {
 		{MsgHelloOK, HelloOK{Version: 1}.Marshal()},
 		{MsgPrepare, Prepare{Spec: spec}.Marshal()},
 		{MsgPrepareOK, PrepareOK{Params: []string{"hi"}}.Marshal()},
-		{MsgExecute, Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 42}}, FetchRows: 64}.Marshal()},
+		{MsgExecute, Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 42}}}.Marshal()},
 		{MsgExecOK, ExecOK{Cols: []string{"id", "val"}}.Marshal()},
-		{MsgFetch, Fetch{MaxRows: 1024}.Marshal()},
 		{MsgBatch, batch.B},
-		{MsgEnd, End{More: true}.Marshal()},
 		{MsgEnd, End{Summary: ExecSummary{Rows: 2, PlanCacheHit: true, Degraded: []string{"a"}}}.Marshal()},
 		{MsgError, ErrorMsg{Class: ClassTransient, Msg: "injected"}.Marshal()},
 		{MsgOK, nil},
-		{MsgExecute, Execute{Spec: spec, FetchRows: 4096}.Marshal()},
+		{MsgExecute, Execute{Spec: spec}.Marshal()},
 		{MsgExecute, Execute{Spec: hostile}.Marshal()},
-		// A window budget one past MaxUint32: malformed, never truncated.
-		{MsgExecute, binary.AppendUvarint(binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 0), math.MaxUint32+1)},
-		// Version 3's ad-hoc Query: its type is retired, whatever it carries.
+		// Version 6's Execute, which ended in a window size: trailing
+		// bytes to a version 7 decoder, so malformed.
+		{MsgExecute, binary.AppendUvarint(binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 0), 4096)},
+		// Version 6's End{More}, a lone true flag that closed a window:
+		// a summary cut short to a version 7 decoder, so malformed.
+		{MsgEnd, []byte{1}},
+		// Version 3's ad-hoc Query and version 6's Fetch: their types
+		// are retired, whatever they carry.
 		{0x0e, binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 4096)},
+		{0x07, binary.AppendUvarint(nil, 1024)},
 		{MsgPrepare, Prepare{Spec: hostile}.Marshal()},
 		{MsgStatsReply, ServerStats{QueriesServed: 1}.Marshal()},
 		{MsgFaultCtl, FaultCtl{Seed: 1, Rules: []FaultRuleSpec{{Kind: 0, Rate: 0.5}}}.Marshal()},
@@ -145,7 +148,7 @@ func FuzzErrorFrame(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, MsgOK, nil)
-	WriteFrame(&buf, MsgFetch, Fetch{MaxRows: 16}.Marshal())
+	WriteFrame(&buf, MsgEnd, End{Summary: ExecSummary{Rows: 16}}.Marshal())
 	f.Add(buf.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0, 0, 0, 0})

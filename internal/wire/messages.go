@@ -110,24 +110,14 @@ type BindKV struct {
 }
 
 // Execute compiles the spec, binds it and runs it, opening the
-// session's cursor. It is the one request that opens a stream: an
-// ad-hoc query sends no binds (its literals are inline), a prepared
-// statement's run sends its spec again with the bind. Execute grants
-// the stream's first two windows: the server answers ExecOK and serves
-// both right away, as if two Fetch{MaxRows: FetchRows} had followed.
+// session's result stream. It is the one request that opens a stream:
+// an ad-hoc query sends no binds (its literals are inline), a prepared
+// statement's run sends its spec again with the bind. The server
+// answers ExecOK and streams the whole result behind it.
 type Execute struct {
 	Spec  QuerySpec
 	Binds []BindKV
-	// FetchRows is the size of one window, Fetch.MaxRows's meaning: 0
-	// selects DefaultFetchRows. It sizes both windows Execute grants.
-	FetchRows uint32
 }
-
-// DefaultFetchRows is the window a client uses unless told otherwise,
-// and the one a server serves for a budget of 0. With two windows
-// granted at a time, it bounds how far a server runs ahead of a
-// client that stops reading, and how much a Cancel drains.
-const DefaultFetchRows = 4096
 
 // Marshal serialises the message payload.
 func (m Execute) Marshal() []byte { return m.AppendTo(nil) }
@@ -141,7 +131,6 @@ func (m Execute) AppendTo(dst []byte) []byte {
 		e.Str(b.Name)
 		e.Varint(b.Val)
 	}
-	e.Uvarint(uint64(m.FetchRows))
 	return e.B
 }
 
@@ -154,13 +143,12 @@ func DecodeExecute(p []byte) (Execute, error) {
 	for i := 0; i < n && d.Err == nil; i++ {
 		m.Binds = append(m.Binds, BindKV{Name: d.Str(), Val: d.Varint()})
 	}
-	m.FetchRows = d.U32()
 	return m, d.Finish()
 }
 
-// ExecOK opens the result stream: the cursor exists and these are its
-// output columns. The first two windows' Batch frames and Ends follow
-// it without a Fetch.
+// ExecOK opens the result stream: the query runs and these are its
+// output columns. The result's Batch frames and its End or Error
+// follow it.
 type ExecOK struct {
 	Cols []string
 }
@@ -187,34 +175,6 @@ func DecodeExecOK(p []byte) (ExecOK, error) {
 	return m, d.Finish()
 }
 
-// Fetch grants one more window of up to MaxRows rows from the open
-// cursor (0 = DefaultFetchRows). A client sends one for each
-// End{More} it reads, so the server always holds the next window's
-// grant when it finishes one. The server answers with zero or more
-// Batch frames followed by one End; a grant that reaches it after the
-// stream ended is dropped without a reply.
-type Fetch struct {
-	MaxRows uint32
-}
-
-// Marshal serialises the message payload.
-func (m Fetch) Marshal() []byte { return m.AppendTo(nil) }
-
-// AppendTo appends the message payload to dst and returns the extended
-// slice, as Execute.AppendTo does.
-func (m Fetch) AppendTo(dst []byte) []byte {
-	e := Encoder{B: dst}
-	e.Uvarint(uint64(m.MaxRows))
-	return e.B
-}
-
-// DecodeFetch parses a Fetch payload.
-func DecodeFetch(p []byte) (Fetch, error) {
-	d := NewDecoder(p)
-	m := Fetch{MaxRows: d.U32()}
-	return m, d.Finish()
-}
-
 // ExecSummary is the execution's closing statistics, the remote
 // projection of smoothscan.ExecStats: row count, fault-recovery
 // counters, the degradation ladder taken, and plan-cache reuse.
@@ -238,33 +198,27 @@ type ExecSummary struct {
 	ResultCacheAgeNs int64
 }
 
-// End closes a fetch window. More means the cursor has (or may have)
-// further rows — grant another window with a Fetch; otherwise the
-// stream is complete and Summary is populated, the cursor closed
-// server-side.
+// End completes the result stream: the query ran to its end, and
+// Summary is its closing statistics.
 type End struct {
-	More    bool
 	Summary ExecSummary
 }
 
 // Marshal serialises the message payload.
 func (m End) Marshal() []byte {
 	var e Encoder
-	e.Bool(m.More)
-	if !m.More {
-		e.Varint(m.Summary.Rows)
-		e.Varint(m.Summary.Retries)
-		e.Varint(m.Summary.FaultsSeen)
-		e.Bool(m.Summary.PlanCacheHit)
-		e.Uvarint(uint64(len(m.Summary.Degraded)))
-		for _, s := range m.Summary.Degraded {
-			e.Str(s)
-		}
-		appendIOStats(&e, m.Summary.IO)
-		e.Bool(m.Summary.ResultCacheHit)
-		e.Varint(m.Summary.ResultCacheBytes)
-		e.Varint(m.Summary.ResultCacheAgeNs)
+	e.Varint(m.Summary.Rows)
+	e.Varint(m.Summary.Retries)
+	e.Varint(m.Summary.FaultsSeen)
+	e.Bool(m.Summary.PlanCacheHit)
+	e.Uvarint(uint64(len(m.Summary.Degraded)))
+	for _, s := range m.Summary.Degraded {
+		e.Str(s)
 	}
+	appendIOStats(&e, m.Summary.IO)
+	e.Bool(m.Summary.ResultCacheHit)
+	e.Varint(m.Summary.ResultCacheBytes)
+	e.Varint(m.Summary.ResultCacheAgeNs)
 	return e.B
 }
 
@@ -308,20 +262,18 @@ func decodeIOStats(d *Decoder) disk.Stats {
 func DecodeEnd(p []byte) (End, error) {
 	d := NewDecoder(p)
 	var m End
-	if m.More = d.Bool(); !m.More {
-		m.Summary.Rows = d.Varint()
-		m.Summary.Retries = d.Varint()
-		m.Summary.FaultsSeen = d.Varint()
-		m.Summary.PlanCacheHit = d.Bool()
-		n := d.Count(maxParams, "degraded")
-		for i := 0; i < n && d.Err == nil; i++ {
-			m.Summary.Degraded = append(m.Summary.Degraded, d.Str())
-		}
-		m.Summary.IO = decodeIOStats(d)
-		m.Summary.ResultCacheHit = d.Bool()
-		m.Summary.ResultCacheBytes = d.Varint()
-		m.Summary.ResultCacheAgeNs = d.Varint()
+	m.Summary.Rows = d.Varint()
+	m.Summary.Retries = d.Varint()
+	m.Summary.FaultsSeen = d.Varint()
+	m.Summary.PlanCacheHit = d.Bool()
+	n := d.Count(maxParams, "degraded")
+	for i := 0; i < n && d.Err == nil; i++ {
+		m.Summary.Degraded = append(m.Summary.Degraded, d.Str())
 	}
+	m.Summary.IO = decodeIOStats(d)
+	m.Summary.ResultCacheHit = d.Bool()
+	m.Summary.ResultCacheBytes = d.Varint()
+	m.Summary.ResultCacheAgeNs = d.Varint()
 	return m, d.Finish()
 }
 
@@ -559,8 +511,6 @@ func DecodeMessage(typ byte, payload []byte) (any, error) {
 		return DecodeExecute(payload)
 	case MsgExecOK:
 		return DecodeExecOK(payload)
-	case MsgFetch:
-		return DecodeFetch(payload)
 	case MsgBatch:
 		flat, rows, width, err := DecodeBatchPayload(payload, nil)
 		if err != nil {

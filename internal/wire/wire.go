@@ -57,10 +57,11 @@ const (
 	// retired Query: every stream opens with an Execute, binds or none.
 	// Version 5 replaced the Batch payload's zigzag-varint deltas with
 	// frame-of-reference bit-packed columns. Version 6 made the stream
-	// credit-based: Execute grants two windows, the client grants one
-	// more with a Fetch for each End{More} it reads, and the server
-	// drops a grant that arrives after its stream ended.
-	Version uint32 = 6
+	// credit-based: Execute granted two windows and the client one more
+	// with a Fetch for each End{More} it read. Version 7 streams every
+	// result whole, with TCP as its only flow control: Fetch,
+	// Execute's window size and End's More flag are gone.
+	Version uint32 = 7
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20
@@ -68,23 +69,22 @@ const (
 
 // Message types. The request/response pairing is strict per session:
 // the client writes one request and reads frames until the terminal
-// response; only Fetch (a window grant) and Cancel may be injected
-// while a response stream is in flight. 0x0b (version 1's CloseStmt)
-// and 0x0e (version 3's Query) are retired: a server answers them like
-// any unknown type.
+// response; only Cancel may be injected while a response stream is in
+// flight. 0x07 (version 6's Fetch), 0x0b (version 1's CloseStmt) and
+// 0x0e (version 3's Query) are retired: a server answers them like any
+// unknown type.
 const (
 	MsgHello        byte = 0x01 // client → server: handshake
 	MsgHelloOK      byte = 0x02 // server → client: handshake accepted
 	MsgPrepare      byte = 0x03 // client: validate a QuerySpec, learn its parameters
 	MsgPrepareOK    byte = 0x04 // server: parameter names
-	MsgExecute      byte = 0x05 // client: compile + bind + execute a QuerySpec, serve the first two windows
-	MsgExecOK       byte = 0x06 // server: cursor opened; the first two windows' Batch* End follow
-	MsgFetch        byte = 0x07 // client: grant one more window of up to MaxRows rows
+	MsgExecute      byte = 0x05 // client: compile + bind + execute a QuerySpec, stream its whole result
+	MsgExecOK       byte = 0x06 // server: query running; the result's Batch* and End (or Error) follow
 	MsgBatch        byte = 0x08 // server: one column-encoded row batch
-	MsgEnd          byte = 0x09 // server: fetch window done (More) or stream complete (summary)
+	MsgEnd          byte = 0x09 // server: stream complete (summary)
 	MsgError        byte = 0x0a // server: typed error, terminates the current command
 	MsgOK           byte = 0x0c // server: generic success
-	MsgCancel       byte = 0x0d // client: cancel the open cursor (also valid mid-stream)
+	MsgCancel       byte = 0x0d // client: cancel the open stream (also valid mid-stream)
 	MsgStats        byte = 0x0f // client: server counters snapshot
 	MsgStatsReply   byte = 0x10 // server: ServerStats
 	MsgFaultCtl     byte = 0x11 // client: attach/clear a fault-injection policy (admin)
@@ -381,8 +381,8 @@ func (d *Decoder) Uvarint() uint64 {
 }
 
 // U32 reads an unsigned varint that must fit in 32 bits: a larger value
-// is malformed, never silently truncated (a forged 2^32 would otherwise
-// read as 0, which several fields give a meaning of its own).
+// is malformed, never silently truncated (a forged 2^32+7 would
+// otherwise read as version 7).
 func (d *Decoder) U32() uint32 {
 	v := d.Uvarint()
 	if v > math.MaxUint32 {

@@ -185,19 +185,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		{"execute", Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecute(p) },
 			Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -9}, {Name: "hi", Val: math.MaxInt64}}}},
-		{"execute-window", Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 3}}, FetchRows: 4096}.Marshal(),
-			func(p []byte) (any, error) { return DecodeExecute(p) },
-			Execute{Spec: spec, Binds: []BindKV{{Name: "hi", Val: 3}}, FetchRows: 4096}},
-		{"execute-adhoc", Execute{Spec: spec, FetchRows: 64}.Marshal(),
-			func(p []byte) (any, error) { return DecodeExecute(p) }, Execute{Spec: spec, Binds: []BindKV{}, FetchRows: 64}},
-		{"execute-max-window", Execute{Spec: spec, FetchRows: math.MaxUint32}.Marshal(),
-			func(p []byte) (any, error) { return DecodeExecute(p) }, Execute{Spec: spec, Binds: []BindKV{}, FetchRows: math.MaxUint32}},
+		{"execute-adhoc", Execute{Spec: spec}.Marshal(),
+			func(p []byte) (any, error) { return DecodeExecute(p) }, Execute{Spec: spec, Binds: []BindKV{}}},
 		{"execok", ExecOK{Cols: []string{"a", "b"}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeExecOK(p) }, ExecOK{Cols: []string{"a", "b"}}},
-		{"fetch", Fetch{MaxRows: 512}.Marshal(),
-			func(p []byte) (any, error) { return DecodeFetch(p) }, Fetch{MaxRows: 512}},
-		{"end-more", End{More: true}.Marshal(),
-			func(p []byte) (any, error) { return DecodeEnd(p) }, End{More: true}},
 		{"end-summary", End{Summary: ExecSummary{Rows: 4, Retries: 1, FaultsSeen: 2, PlanCacheHit: true, Degraded: []string{"parallel->serial"}}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeEnd(p) },
 			End{Summary: ExecSummary{Rows: 4, Retries: 1, FaultsSeen: 2, PlanCacheHit: true, Degraded: []string{"parallel->serial"}}}},
@@ -231,7 +222,7 @@ func TestMessageRoundTrips(t *testing.T) {
 // encodes every request into one reused buffer.
 func TestAppendToMatchesMarshal(t *testing.T) {
 	spec := QuerySpec{Table: "t", Preds: []PredSpec{{Col: "v", Kind: PredBetween, A: ArgSpec{Param: "lo"}, B: ArgSpec{Param: "hi"}}}}
-	exec := Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -3}, {Name: "hi", Val: 9}}, FetchRows: 64}
+	exec := Execute{Spec: spec, Binds: []BindKV{{Name: "lo", Val: -3}, {Name: "hi", Val: 9}}}
 	fault := FaultCtl{Seed: 7, Rules: []FaultRuleSpec{{Kind: 1, Rate: 0.5, ExtraCost: 3}}}
 	cases := []struct {
 		name     string
@@ -240,7 +231,6 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 	}{
 		{"prepare", Prepare{Spec: spec}.AppendTo, Prepare{Spec: spec}.Marshal()},
 		{"execute", exec.AppendTo, exec.Marshal()},
-		{"fetch", Fetch{MaxRows: 4096}.AppendTo, Fetch{MaxRows: 4096}.Marshal()},
 		{"faultctl", fault.AppendTo, fault.Marshal()},
 	}
 	prefix := []byte("earlier bytes")
@@ -256,29 +246,22 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestWindowBudgetOverflowIsMalformed: a row budget travels as a
-// uvarint but means a uint32. A forged value past MaxUint32 must be
-// refused as malformed, not truncated: 2^32 would otherwise arrive as 0,
-// the server's default window (and 2^32+3 in a Hello as version 3).
-func TestWindowBudgetOverflowIsMalformed(t *testing.T) {
-	spec := QuerySpec{Table: "t"}
-	over := func(prefix []byte) []byte {
-		return binary.AppendUvarint(append([]byte(nil), prefix...), math.MaxUint32+1)
-	}
-	noBinds := binary.AppendUvarint(Prepare{Spec: spec}.Marshal(), 0)
+// TestU32OverflowIsMalformed: a uint32 field travels as a uvarint. A
+// forged value past MaxUint32 must be refused as malformed, not
+// truncated: 2^32+7 in a Hello would otherwise arrive as version 7.
+// Version 6's Execute ended in a window size, which a version 7 decoder
+// reads as trailing bytes.
+func TestU32OverflowIsMalformed(t *testing.T) {
 	magic := binary.AppendUvarint(nil, uint64(Magic))
-	cases := map[string]func() error{
-		"fetch":   func() error { _, err := DecodeFetch(over(nil)); return err },
-		"execute": func() error { _, err := DecodeExecute(over(noBinds)); return err },
-		"hello":   func() error { _, err := DecodeHello(over(magic)); return err },
+	if _, err := DecodeHello(binary.AppendUvarint(magic, math.MaxUint32+1+uint64(Version))); !errors.Is(err, ErrMalformed) {
+		t.Errorf("Hello carrying version 2^32+%d: %v, want ErrMalformed", Version, err)
 	}
-	for name, decode := range cases {
-		if err := decode(); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s carrying 2^32: %v, want ErrMalformed", name, err)
-		}
+	if m, err := DecodeHello(binary.AppendUvarint(magic, math.MaxUint32)); err != nil || m.Version != math.MaxUint32 {
+		t.Errorf("Hello{Version: MaxUint32} decoded as %+v, %v, want it accepted", m, err)
 	}
-	if m, err := DecodeFetch(Fetch{MaxRows: math.MaxUint32}.Marshal()); err != nil || m.MaxRows != math.MaxUint32 {
-		t.Errorf("Fetch{MaxRows: MaxUint32} decoded as %+v, %v, want it accepted", m, err)
+	v6 := binary.AppendUvarint(binary.AppendUvarint(Prepare{Spec: QuerySpec{Table: "t"}}.Marshal(), 0), 4096)
+	if _, err := DecodeExecute(v6); !errors.Is(err, ErrMalformed) {
+		t.Errorf("version 6 Execute with a window size: %v, want ErrMalformed", err)
 	}
 }
 

@@ -533,10 +533,11 @@ func TestRemoteShardedStats(t *testing.T) {
 }
 
 // TestRemoteShardedEarlyClosePoolReuse: an ordered top-5 over two
-// remote shards closes each shard's stream while its first window is
-// still in flight. Closing must drain that window so the pooled
-// connection goes back in step; a desynchronised one would be marked
-// broken and re-dialed, which each node's session count would show.
+// remote shards closes each shard's stream while the rest of its result
+// is still in flight. Closing must read through to the Cancel's
+// acknowledgement so the pooled connection goes back in step; a
+// desynchronised one would be marked broken and re-dialed, which each
+// node's session count would show.
 func TestRemoteShardedEarlyClosePoolReuse(t *testing.T) {
 	ctx := context.Background()
 	fx := buildRemoteSharded(t, 2, "hash")

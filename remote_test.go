@@ -143,7 +143,6 @@ func requireSameRows(t *testing.T, local, remote [][]int64, ordered bool) {
 func TestRemoteEquivalenceGrid(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
-	c.SetFetchRows(256) // several windows per query: paging is under test
 
 	paths := []struct {
 		name string
@@ -188,7 +187,6 @@ func TestRemoteEquivalenceGrid(t *testing.T) {
 func TestRemoteEquivalenceOrdered(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
-	c.SetFetchRows(128)
 	build := func(e smoothscan.Engine) *smoothscan.Query {
 		return e.Table(loadgen.Table).
 			Where(loadgen.IndexedCol, smoothscan.Between(200, 900)).
@@ -557,7 +555,6 @@ func TestRemoteStmtFaultDegradation(t *testing.T) {
 func TestRemoteRowsDoubleClose(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
-	c.SetFetchRows(64)
 
 	rows, err := c.Table(loadgen.Table).
 		Where(loadgen.IndexedCol, smoothscan.Between(0, 1500)).
@@ -612,7 +609,6 @@ func TestRemoteRowsDoubleClose(t *testing.T) {
 func TestRemoteContextCancel(t *testing.T) {
 	f := buildRemoteFixture(t)
 	c := f.dial(t)
-	c.SetFetchRows(32)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	rows, err := c.Table(loadgen.Table).
@@ -649,7 +645,6 @@ func TestCursorNoCurrentRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := f.dial(t)
-	remote.SetFetchRows(64)
 	engines := []struct {
 		name string
 		e    smoothscan.Engine
@@ -661,8 +656,8 @@ func TestCursorNoCurrentRow(t *testing.T) {
 	}{
 		{"before-first-next", func(*testing.T, *smoothscan.Rows) {}, false},
 		{"closed-mid-stream", func(t *testing.T, cur *smoothscan.Rows) {
-			// The fixture's 6000 rows span several batches and fetch
-			// windows, so a buffered batch is still pending here.
+			// The fixture's 6000 rows span several batches, so a
+			// buffered batch is still pending here.
 			if !cur.Next() {
 				t.Fatalf("no first row: %v", cur.Err())
 			}

@@ -8,7 +8,9 @@
 # in-process run of the same workload, sharded and unsharded. The
 # digest is an order-independent checksum over every result row, so a
 # match means the scatter-gather over real processes returned exactly
-# the rows the embedded engine does.
+# the rows the embedded engine does. Each query matches about 3 200
+# rows, so a shard's result streams as several Batch frames, and each
+# node's summary must count more batches than queries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,7 +67,9 @@ for i in $(seq 0 $((SHARDS - 1))); do
 done
 echo "multinode-smoke: shard nodes up on $ADDRS"
 
-LOAD_FLAGS=(-domain "$DOMAIN" -seed "$SEED" -clients 4 -queries 24 -selectivity 0.02)
+# 8% of the domain: about 3 200 rows a query, at least three Batch
+# frames of up to 1 024 rows from the shard that holds the range.
+LOAD_FLAGS=(-domain "$DOMAIN" -seed "$SEED" -clients 4 -queries 24 -selectivity 0.08)
 
 echo "multinode-smoke: remote-sharded load"
 "$TMP/ssload" -shard-addrs "$ADDRS" "${LOAD_FLAGS[@]}" \
@@ -111,5 +115,11 @@ SRV_PIDS=()
 for i in $(seq 0 $((SHARDS - 1))); do
 	echo "multinode-smoke: shard $i summary:"
 	grep '^ssserver: served' "$TMP/server$i.log" || cat "$TMP/server$i.log"
+	QUERIES="$(sed -n 's/^ssserver: served .*, \([0-9][0-9]*\) queries (.*/\1/p' "$TMP/server$i.log" | head -n 1)"
+	BATCHES="$(sed -n 's/^ssserver: served .* in \([0-9][0-9]*\) batches$/\1/p' "$TMP/server$i.log" | head -n 1)"
+	if [ -z "$QUERIES" ] || [ "${BATCHES:-0}" -le "$QUERIES" ]; then
+		echo "multinode-smoke: shard $i sent ${BATCHES:-no} batches for ${QUERIES:-no} queries, want more batches than queries" >&2
+		exit 1
+	fi
 done
 echo "multinode-smoke: OK"

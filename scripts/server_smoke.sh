@@ -5,7 +5,9 @@
 # (-require-clean), the plain run must report nonzero client-observed
 # throughput, the prepared run must reproduce the plain run's result
 # digest, and the server's summary must count at least one Prepare per
-# prepared-run client. This is the CI proof that the wire path
+# prepared-run client. Each query matches about 3 200 rows, so its
+# result streams as several Batch frames, and the summary must count
+# more batches than queries. This is the CI proof that the wire path
 # works end to end as processes, not just in-process test harnesses.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +29,9 @@ $GO build -race -o "$TMP/ssserver" ./cmd/ssserver
 $GO build -race -o "$TMP/ssload" ./cmd/ssload
 
 ROWS=40000 DOMAIN=20000 SEED=7
+# 8% of the domain: about 3 200 rows a query, at least three Batch
+# frames of up to 1 024 rows.
+SEL=0.08
 # -fault-admin so the remote harness can cold-start the pool between
 # measurement windows and the chaos run can install fault schedules.
 "$TMP/ssserver" -addr 127.0.0.1:0 -rows "$ROWS" -domain "$DOMAIN" -seed "$SEED" \
@@ -55,7 +60,7 @@ echo "server-smoke: ssserver up on $ADDR"
 
 echo "server-smoke: plain remote load"
 "$TMP/ssload" -addr "$ADDR" -domain "$DOMAIN" -seed "$SEED" \
-	-clients 4 -queries 24 -selectivity 0.02 \
+	-clients 4 -queries 24 -selectivity "$SEL" \
 	-require-clean -json "$TMP/plain.json"
 
 grep -q '"mode": *"remote"' "$TMP/plain.json" || {
@@ -71,7 +76,7 @@ echo "server-smoke: remote throughput $TPS tuples/s"
 
 echo "server-smoke: prepared-statement remote load"
 "$TMP/ssload" -addr "$ADDR" -domain "$DOMAIN" -seed "$SEED" \
-	-clients 4 -queries 24 -selectivity 0.02 -prepare \
+	-clients 4 -queries 24 -selectivity "$SEL" -prepare \
 	-require-clean -json "$TMP/prepared.json"
 
 digest() {
@@ -87,7 +92,7 @@ echo "server-smoke: digest $D_PLAIN identical across plain and prepared"
 
 echo "server-smoke: chaos remote load (typed faults over the wire)"
 "$TMP/ssload" -addr "$ADDR" -domain "$DOMAIN" -seed "$SEED" \
-	-clients 2 -queries 12 -selectivity 0.02 -chaos \
+	-clients 2 -queries 12 -selectivity "$SEL" -chaos \
 	-require-clean -json "$TMP/chaos.json"
 
 kill -TERM "$SRV_PID"
@@ -98,6 +103,12 @@ grep '^ssserver: served\|^ssserver: .*stmts prepared' "$TMP/server.log" || cat "
 PREPARED="$(sed -n 's/^ssserver: \([0-9][0-9]*\) stmts prepared.*/\1/p' "$TMP/server.log" | head -n 1)"
 if [ "${PREPARED:-0}" -lt 4 ]; then
 	echo "server-smoke: server counted ${PREPARED:-no} prepared statements, want >= 4 (one per client)" >&2
+	exit 1
+fi
+QUERIES="$(sed -n 's/^ssserver: served .*, \([0-9][0-9]*\) queries (.*/\1/p' "$TMP/server.log" | head -n 1)"
+BATCHES="$(sed -n 's/^ssserver: served .* in \([0-9][0-9]*\) batches$/\1/p' "$TMP/server.log" | head -n 1)"
+if [ -z "$QUERIES" ] || [ "${BATCHES:-0}" -le "$QUERIES" ]; then
+	echo "server-smoke: server sent ${BATCHES:-no} batches for ${QUERIES:-no} queries, want more batches than queries" >&2
 	exit 1
 fi
 echo "server-smoke: OK"

@@ -518,8 +518,8 @@ func FuzzExecuteSpec(f *testing.F) {
 		HasAgg: true, GroupCol: "i_order",
 	}
 	for _, m := range []wire.Execute{
-		{Spec: spec, Binds: []wire.BindKV{{Name: "hi", Val: 42}}, FetchRows: 64},
-		{Spec: spec, FetchRows: 4096},
+		{Spec: spec, Binds: []wire.BindKV{{Name: "hi", Val: 42}}},
+		{Spec: spec},
 		{Spec: hostile},
 		{Spec: wire.QuerySpec{Table: "orders", Preds: []wire.PredSpec{{Col: "o_date", Kind: wire.PredLt, A: wire.ArgSpec{Lit: 500}}},
 			HasOrd: true, OrderCol: "o_pri"}},
