@@ -2,7 +2,9 @@ package smoothscan
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 
 	"smoothscan/internal/plan"
@@ -227,7 +229,7 @@ func (se *shardExec) explain() (*Plan, error) {
 		EmptyWhy:  se.emptyWhy,
 	}
 	if se.cq0.annotate {
-		p.Binds = renderBinds(se.cq0.binds)
+		p.Binds = renderBinds(se.cq0.Binds)
 	}
 	whole := &Plan{Table: p.Table, Binds: p.Binds, Sharded: p}
 	if se.emptyWhy != "" {
@@ -297,47 +299,97 @@ func fmtPred(name string, p tuple.RangePred, loSrc, hiSrc string) string {
 	}
 }
 
-// inputNode renders one table access (scan leaf, parallel wrapper,
-// residual filter) as its Explain subtree — the same operators
-// buildInput constructs.
-func (cq *compiledQuery) inputNode(a *tableAccess) *PlanNode {
-	var d []string
-	d = append(d, a.name+": "+a.driving.render())
-	if a.spec.Path == plan.PathSmooth {
-		d = append(d, "policy="+a.spec.Smooth.Policy.String(), "trigger="+a.spec.Smooth.Trigger.String())
+// renderBinds formats a bind set for plan headers, sorted by name.
+func renderBinds(b map[string]int64) []string {
+	if len(b) == 0 {
+		return nil
 	}
-	if a.choice != nil {
+	out := make([]string, 0, len(b))
+	for _, name := range slices.Sorted(maps.Keys(b)) {
+		out = append(out, fmt.Sprintf("$%s=%d", name, b[name]))
+	}
+	return out
+}
+
+// renderBindNotes lists the estimate-sensitive decisions the bind
+// phase just re-made: the driving conjunct wherever more than one was
+// in play, the optimizer's access-path pick, the parallelism clamp,
+// and each join's algorithm and build side.
+func (cq *compiledQuery) renderBindNotes() []string {
+	var notes []string
+	for i := range cq.Inputs {
+		a := &cq.Inputs[i]
+		if len(a.Spec.Residual) > 0 {
+			notes = append(notes, fmt.Sprintf("driving(%s)=%s", a.Table, a.ColName(a.Spec.Pred.Col)))
+		}
+		if a.Choice != nil {
+			notes = append(notes, fmt.Sprintf("path(%s)=%s", a.Table, publicPath(a.Spec.Path)))
+		}
+		if par := a.Spec.Parallelism; par > 1 {
+			notes = append(notes, fmt.Sprintf("parallel(%s)=%d", a.Table, par))
+		}
+	}
+	for k, st := range cq.Joins {
+		if st.Algo == plan.JoinMerge {
+			notes = append(notes, fmt.Sprintf("join#%d=merge", k+1))
+			continue
+		}
+		build := cq.Inputs[k+1].Table
+		if st.BuildLeft {
+			build = "left"
+		}
+		notes = append(notes, fmt.Sprintf("join#%d=hash(build=%s)", k+1, build))
+	}
+	return notes
+}
+
+// inputNode renders input i's access (scan leaf, parallel wrapper,
+// residual filter) as its Explain subtree — the same operators
+// buildInput constructs. Column names come from the table's schema,
+// bind markers from the parameter sources of each folded predicate.
+func (cq *compiledQuery) inputNode(i int) *PlanNode {
+	a := &cq.Inputs[i]
+	render := func(p tuple.RangePred) string {
+		lo, hi := cq.Src(i, p.Col)
+		return fmtPred(a.ColName(p.Col), p, lo, hi)
+	}
+	var d []string
+	d = append(d, a.Table+": "+render(a.Spec.Pred))
+	if a.Spec.Path == plan.PathSmooth {
+		d = append(d, "policy="+a.Spec.Smooth.Policy.String(), "trigger="+a.Spec.Smooth.Trigger.String())
+	}
+	if a.Choice != nil {
 		d = append(d, "chosen-by=optimizer")
 	}
-	if a.spec.Ordered {
+	if a.Spec.Ordered {
 		d = append(d, "ordered")
 	}
 	var rs []string
-	for _, r := range a.residual {
-		rs = append(rs, r.render())
+	for _, r := range a.Spec.Residual {
+		rs = append(rs, render(r))
 	}
-	pushed := a.pushed()
+	pushed := a.Pushed()
 	if pushed {
 		d = append(d, "residual: "+strings.Join(rs, " and "))
 	}
-	scanEst := a.spec.Smooth.EstimatedCard // the driving conjunct's estimate
+	scanEst := a.Spec.Smooth.EstimatedCard // the driving conjunct's estimate
 	if pushed {
-		scanEst = a.estScan
+		scanEst = a.EstRows
 	}
-	node := &PlanNode{Name: a.spec.Path.String(), Detail: strings.Join(d, ", "), EstRows: scanEst}
-	if a.spec.Parallelism > 1 {
+	node := &PlanNode{Name: a.Spec.Path.String(), Detail: strings.Join(d, ", "), EstRows: scanEst}
+	if a.Spec.Parallelism > 1 {
 		node = &PlanNode{
 			Name:     "parallel",
-			Detail:   fmt.Sprintf("%d workers, unordered fan-in", a.spec.Parallelism),
+			Detail:   fmt.Sprintf("%d workers, unordered fan-in", a.Spec.Parallelism),
 			EstRows:  scanEst,
 			Children: []*PlanNode{node},
 		}
 	}
-	if len(a.residual) > 0 && !pushed {
+	if len(rs) > 0 && !pushed {
 		node = &PlanNode{
 			Name:     "filter",
 			Detail:   strings.Join(rs, " and "),
-			EstRows:  a.estScan,
+			EstRows:  a.EstRows,
 			Children: []*PlanNode{node},
 		}
 	}
@@ -348,96 +400,97 @@ func (cq *compiledQuery) inputNode(a *tableAccess) *PlanNode {
 // build exactly — every operator build constructs gets one node here,
 // so the explained plan is the executed plan.
 func (cq *compiledQuery) plan() *Plan {
-	drv := cq.driving()
+	pt := cq.Template
+	drv := cq.Driving()
 	p := &Plan{
-		Table:         drv.name,
-		AccessPath:    publicPaths[drv.spec.Path],
-		EstimatedRows: cq.estRoot(),
-		Parallelism:   drv.spec.Parallelism,
+		Table:         drv.Table,
+		AccessPath:    publicPath(drv.Spec.Path),
+		EstimatedRows: cq.EstRoot(),
+		Parallelism:   drv.Spec.Parallelism,
 	}
 	if cq.annotate {
-		p.Binds = renderBinds(cq.binds)
+		p.Binds = renderBinds(cq.Binds)
 		p.BindChoices = cq.renderBindNotes()
 	}
 	if len(cq.degraded) > 0 {
 		p.Degraded = append([]string(nil), cq.degraded...)
 	}
-	for _, a := range cq.inputs {
-		p.Tables = append(p.Tables, a.name)
+	for i := range cq.Inputs {
+		p.Tables = append(p.Tables, cq.Inputs[i].Table)
 	}
-	if cq.emptyWhy != "" {
+	if cq.EmptyWhy != "" {
 		p.Parallelism = 1
 		p.EstimatedRows = 0
-		p.Root = &PlanNode{Name: "empty", Detail: cq.emptyWhy + "; no device access", EstRows: 0}
+		p.Root = &PlanNode{Name: "empty", Detail: cq.EmptyWhy + "; no device access", EstRows: 0}
 		return p
 	}
 
 	// The scan/join tree: each input's access subtree, folded left to
 	// right through the join stages. leftLabel names the accumulated
 	// left side, so chained joins stay self-describing.
-	cur := cq.inputNode(drv)
-	leftLabel := drv.name
-	for k, st := range cq.joins {
-		right := cq.inputs[k+1]
-		d := fmt.Sprintf("%s = %s.%s", st.leftName, right.name, st.rightName)
-		if st.algo == plan.JoinMerge {
+	cur := cq.inputNode(0)
+	leftLabel := drv.Table
+	for k, st := range cq.Joins {
+		jt, right := &pt.Joins[k], &cq.Inputs[k+1]
+		d := fmt.Sprintf("%s = %s.%s", jt.LeftName, right.Table, jt.RightName)
+		if st.Algo == plan.JoinMerge {
 			d += ", both inputs key-ordered"
 		} else {
-			build, probe := right.name, leftLabel
-			if st.buildLeft {
+			build, probe := right.Table, leftLabel
+			if st.BuildLeft {
 				build, probe = probe, build
 			}
 			d += fmt.Sprintf(", build=%s, probe=%s", build, probe)
 		}
 		cur = &PlanNode{
-			Name:     st.algo.String() + "-join",
+			Name:     st.Algo.String() + "-join",
 			Detail:   d,
-			EstRows:  st.estRows,
-			Children: []*PlanNode{cur, cq.inputNode(right)},
+			EstRows:  st.EstRows,
+			Children: []*PlanNode{cur, cq.inputNode(k + 1)},
 		}
-		leftLabel = "(" + leftLabel + " ⋈ " + right.name + ")"
+		leftLabel = "(" + leftLabel + " ⋈ " + right.Table + ")"
 	}
 
 	wrap := func(n *PlanNode) {
 		n.Children = []*PlanNode{cur}
 		cur = n
 	}
-	if cq.selIdx != nil {
-		names := make([]string, len(cq.selIdx))
-		for i, c := range cq.selIdx {
-			names[i] = cq.base.Col(c).Name
+	if pt.SelIdx != nil {
+		names := make([]string, len(pt.SelIdx))
+		for i, c := range pt.SelIdx {
+			names[i] = pt.Base.Col(c).Name
 		}
 		wrap(&PlanNode{Name: "project", Detail: strings.Join(names, ", "), EstRows: cur.EstRows})
 	}
-	if cq.groupIdx >= 0 {
+	if pt.GroupIdx >= 0 {
 		var as []string
-		for _, sp := range cq.aggSpecs {
+		for _, sp := range pt.AggSpecs {
 			as = append(as, sp.Name)
 		}
 		wrap(&PlanNode{
 			Name:    "hash-agg",
-			Detail:  fmt.Sprintf("group by %s: %s", cq.out.Col(0).Name, strings.Join(as, ", ")),
+			Detail:  fmt.Sprintf("group by %s: %s", pt.Out.Col(0).Name, strings.Join(as, ", ")),
 			EstRows: -1,
 		})
 	}
-	if cq.orderIdx >= 0 {
-		name := cq.out.Col(cq.orderIdx).Name
-		if cq.sortIdx >= 0 {
+	if pt.OrderIdx >= 0 {
+		name := pt.Out.Col(pt.OrderIdx).Name
+		if cq.SortIdx >= 0 {
 			wrap(&PlanNode{Name: "sort", Detail: "by " + name, EstRows: cur.EstRows})
 		} else {
 			via := "order-preserving scan"
-			if cq.orderVia == "group" {
+			if cq.OrderVia == "group" {
 				via = "group-key order"
 			}
 			wrap(&PlanNode{Name: "ordered", Detail: "by " + name + " via " + via + ", no sort", EstRows: cur.EstRows})
 		}
 	}
-	if cq.hasLim {
-		est := cq.limit
+	if cq.HasLim {
+		est := cq.Limit
 		if cur.EstRows >= 0 && cur.EstRows < est {
 			est = cur.EstRows
 		}
-		wrap(&PlanNode{Name: "limit", Detail: fmt.Sprintf("%d", cq.limit), EstRows: est})
+		wrap(&PlanNode{Name: "limit", Detail: fmt.Sprintf("%d", cq.Limit), EstRows: est})
 	}
 	p.Root = cur
 	return p

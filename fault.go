@@ -6,7 +6,9 @@ import (
 	"slices"
 
 	"smoothscan/internal/disk"
+	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
+	"smoothscan/internal/wire"
 )
 
 // Fault injection.
@@ -28,9 +30,9 @@ import (
 //     which degrades the plan one step at a time — index-driven paths
 //     (index, sort, switch) fall back to Smooth Scan, Smooth Scan falls
 //     back to a full scan — re-opening the query after each step. A
-//     step only edits one input's ScanOptions and re-binds the query
-//     (degradeOnFault); the binder re-decides everything else, as it
-//     does for a fresh query;
+//     step only edits one input's scan options in a copy of the
+//     template and re-binds it (degradeOnFault); the bind phase
+//     re-decides everything else, as it does for a fresh query;
 //   - what cannot be recovered or degraded around surfaces as a typed
 //     error from Run/Next/Err, never as a panic, with every worker
 //     goroutine exited.
@@ -126,7 +128,7 @@ func (db *DB) TableSpace(name string) (SpaceID, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
-	return t.file.Space(), nil
+	return t.File.Space(), nil
 }
 
 // IndexSpace returns the disk space holding the named table's index on
@@ -138,7 +140,7 @@ func (db *DB) IndexSpace(tableName, col string) (SpaceID, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	tree, ok := t.indexes[col]
+	tree, ok := t.Indexes[col]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q.%q", ErrNoIndex, tableName, col)
 	}
@@ -147,7 +149,8 @@ func (db *DB) IndexSpace(tableName, col string) (SpaceID, error) {
 
 // degradeOnFault re-binds the query one step further down the
 // degradation ladder, or returns nil when nothing is left to degrade.
-// A step edits one input's ScanOptions; the ladder, in order:
+// A step edits one input's scan options, in their wire form; the
+// ladder, in order:
 //
 //  1. an index-driven path (index, sort, switch) falls back to Smooth
 //     Scan — same index, but morphing tolerates regions of the heap
@@ -168,56 +171,50 @@ func (db *DB) IndexSpace(tableName, col string) (SpaceID, error) {
 // multi-input queries converge even when the ladder picks a healthy
 // input first. The caller holds db.mu (read).
 func (db *DB) degradeOnFault(cq *compiledQuery) (*compiledQuery, error) {
-	if cq.emptyWhy != "" {
+	if cq.EmptyWhy != "" {
 		return nil, nil
 	}
-	for i, a := range cq.inputs {
-		switch a.spec.Path {
+	for i := range cq.Inputs {
+		switch p := cq.Inputs[i].Spec.Path; p {
 		case plan.PathIndex, plan.PathSort, plan.PathSwitch:
-			o := cq.opts[i]
-			o.Path = PathSmooth
-			return db.rebind(cq, i, o, fmt.Sprintf("%s: %s scan -> smooth scan (fault)", a.name, publicPaths[a.spec.Path]))
+			o := cq.Template.Inputs[i].Opts
+			o.Path = byte(PathSmooth)
+			return db.rebind(cq, i, o, fmt.Sprintf("%s: %s scan -> smooth scan (fault)", cq.Inputs[i].Table, publicPath(p)))
 		}
 	}
-	for i, a := range cq.inputs {
-		o := cq.opts[i]
-		if a.spec.Path != plan.PathSmooth || len(cq.joins) == 0 && o.Ordered && cq.orderVia != "scan" {
+	for i := range cq.Inputs {
+		o := cq.Template.Inputs[i].Opts
+		if cq.Inputs[i].Spec.Path != plan.PathSmooth || len(cq.Joins) == 0 && o.Ordered && cq.OrderVia != "scan" {
 			continue
 		}
-		o.Path, o.Ordered = PathFull, false
-		return db.rebind(cq, i, o, fmt.Sprintf("%s: smooth scan -> full scan (fault)", a.name))
+		o.Path, o.Ordered = byte(PathFull), false
+		return db.rebind(cq, i, o, fmt.Sprintf("%s: smooth scan -> full scan (fault)", cq.Inputs[i].Table))
 	}
 	return nil, nil
 }
 
-// rebind binds cq's template again with input i's options replaced by
-// o, under the bind values cq captured. The degradation notes are what
-// the binder decided differently — ORDER BY losing its scan order, a
-// join changing algorithm — followed by the step's own note.
-func (db *DB) rebind(cq *compiledQuery, i int, o ScanOptions, note string) (*compiledQuery, error) {
-	opts := slices.Clone(cq.opts)
-	opts[i] = o
-	var b Bind
-	if len(cq.binds) > 0 {
-		b = make(Bind, len(cq.binds))
-		for _, p := range cq.binds {
-			b[p.name] = p.val
-		}
-	}
-	next, err := db.bindTemplate(cq.qt, opts, cq.lits, b, cq.annotate)
-	if err != nil {
+// rebind binds a copy of cq's template with input i's options replaced
+// by o, under the constants cq was bound with. The degradation notes
+// are what the binder decided differently — ORDER BY losing its scan
+// order, a join changing algorithm — followed by the step's own note.
+func (db *DB) rebind(cq *compiledQuery, i int, o wire.OptsSpec, note string) (*compiledQuery, error) {
+	pt := *cq.Template
+	pt.Inputs = slices.Clone(pt.Inputs)
+	pt.Inputs[i].Opts = o
+	next := &compiledQuery{planCached: cq.planCached, annotate: cq.annotate, degraded: slices.Clone(cq.degraded)}
+	var err error
+	if next.Bound, err = optimizer.Bind(db.dev, db.planTable, &pt, cq.Lits, cq.Binds); err != nil {
 		return nil, err
 	}
-	next.planCached = cq.planCached
-	next.degraded = slices.Clone(cq.degraded)
-	if cq.orderVia == "scan" && next.sortIdx >= 0 {
+	if cq.OrderVia == "scan" && next.SortIdx >= 0 {
 		next.degraded = append(next.degraded,
-			fmt.Sprintf("order by %s: scan order -> posterior sort (fault)", cq.qt.pt.OrderName))
+			fmt.Sprintf("order by %s: scan order -> posterior sort (fault)", pt.OrderName))
 	}
-	for k, st := range cq.joins {
-		if algo := next.joins[k].algo; algo != st.algo {
+	for k, st := range cq.Joins {
+		if algo := next.Joins[k].Algo; algo != st.Algo {
+			jt := &pt.Joins[k]
 			next.degraded = append(next.degraded,
-				fmt.Sprintf("%s=%s: %s join -> %s join (fault)", st.leftName, st.rightName, st.algo, algo))
+				fmt.Sprintf("%s=%s: %s join -> %s join (fault)", jt.LeftName, jt.RightName, st.Algo, algo))
 		}
 	}
 	next.degraded = append(next.degraded, note)

@@ -1,8 +1,17 @@
-// Package optimizer implements the slice of a query optimizer the
-// paper's experiments exercise: per-column statistics (equi-width
-// histograms), cardinality estimation for range predicates, and
-// cost-based access-path selection between Full Scan, Index Scan and
-// Sort Scan using the Section V cost model.
+// Package optimizer is the engine's bind phase and the slice of a
+// query optimizer the paper's experiments exercise: per-column
+// statistics (equi-width histograms), cardinality estimation for range
+// predicates, and cost-based access-path selection between Full Scan,
+// Index Scan and Sort Scan using the Section V cost model.
+//
+// Bind (bind.go) turns a structural plan.Template and one execution's
+// constants into an executable plan, and is the one owner of every
+// decision taken from an estimate: the driving conjunct among the
+// indexed ones, PathAuto's path, merge vs hash and the hash build side,
+// the parallelism clamp, and (BroadcastSide) the side a sharded join
+// replicates. Every query of every engine — ad hoc or prepared, local
+// or behind a server or a shard — is bound here, and so is each step of
+// the fault ladder.
 //
 // Because the whole point of the paper is what happens when statistics
 // are missing or stale, the package also provides the two classic ways

@@ -10,12 +10,13 @@
 // harness's exhibits alike, so the paper's plans differ only in their
 // ScanSpec. The rules each access path follows — whether it needs an
 // index, absorbs residual conjuncts, keeps index-key order, or splits
-// into workers — are the Path methods below, which the builder's
-// binder and Build both call. The optimizer (internal/optimizer)
-// decides *which* path to use.
+// into workers — are the Path methods below, which the bind phase
+// (internal/optimizer) and Build both call. The bind phase decides
+// *which* path to use.
 package plan
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -74,6 +75,21 @@ func (p Path) Workers(parallelism int, pages int64) int {
 		return 1
 	}
 	return int(max(1, min(int64(parallelism), pages)))
+}
+
+// SpecPaths is the one translation between plan paths and the path
+// byte of a wire.OptsSpec — smoothscan.AccessPath's numbering —
+// indexed by Path. SpecAuto, the optimizer's pick, has no plan path.
+var SpecPaths = [...]byte{PathSmooth: 0, PathFull: 2, PathIndex: 3, PathSort: 4, PathSwitch: 5}
+
+// SpecAuto is the path byte that leaves the choice to the optimizer.
+const SpecAuto byte = 1
+
+// SpecPath returns the plan path a spec's path byte forces, and false
+// for SpecAuto or a byte no path has.
+func SpecPath(b byte) (Path, bool) {
+	i := bytes.IndexByte(SpecPaths[:], b)
+	return Path(i), i >= 0
 }
 
 func (p Path) String() string {

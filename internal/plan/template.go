@@ -4,10 +4,12 @@
 // A Template captures everything about a query that does NOT depend on
 // the constant values of its predicates: which tables it reads, which
 // column each conjunct lands on, the join tree shape and its resolved
-// join columns, the projection/grouping/ordering schemas. Building one
-// does the expensive work — name resolution, schema construction,
-// conjunct routing — exactly once; it can then be cached DB-wide (see
-// Cache) and shared by any number of executions.
+// join columns, the projection/grouping/ordering schemas, each input's
+// scan options. BuildTemplate does the expensive work — name
+// resolution, schema construction, conjunct routing — exactly once from
+// a canonical wire.QuerySpec (Canon); the template can then be cached
+// engine-wide (see Cache, keyed by SpecKey) and shared by any number of
+// executions.
 //
 // The constants live outside the template as bind-time Values: each
 // predicate bound references either a positional literal slot (filled
@@ -19,17 +21,21 @@
 // equivalent literal query.
 //
 // Everything estimate-sensitive — driving-conjunct choice, access-path
-// selection, hash-join build side, parallelism clamping — is
-// deliberately NOT in the template: the facade re-decides it at every
-// bind from the then-current statistics, which is what lets one
-// prepared statement flip its driving index between two bind sets.
+// selection, merge vs hash and the hash build side, parallelism
+// clamping — is deliberately NOT in the template: the bind phase
+// (internal/optimizer's Bind) re-decides it at every execution from the
+// then-current statistics, which is what lets one prepared statement
+// flip its driving index between two bind sets.
 package plan
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"smoothscan/internal/exec"
 	"smoothscan/internal/tuple"
+	"smoothscan/internal/wire"
 )
 
 // Value is a bind-time scalar source: a named parameter, or a
@@ -108,8 +114,6 @@ func FoldRange(k PredKind, a, b int64) (lo, hi int64) {
 type CondT struct {
 	// Col is the column index in the owning input's base schema.
 	Col int
-	// Name is the column name (plan rendering, driving-pick by index).
-	Name string
 	// Kind selects the fold semantics.
 	Kind PredKind
 	// A and B are the bound scalars (B only for KindBetween).
@@ -131,6 +135,9 @@ type AccessT struct {
 	// order — the ranges of one group intersect into one predicate at
 	// bind time.
 	Merged [][]int
+	// Opts are the input's scan options as the spec carries them: the
+	// driving table's WithOptions, a joined table's JoinWithOptions.
+	Opts wire.OptsSpec
 }
 
 // JoinT is one stage of the left-deep join tree with its equi-join
@@ -183,14 +190,300 @@ type Template struct {
 	Params []string
 	// Slots is the length of the positional literal vector.
 	Slots int
+	// ResultShape is the parameter-blind shape, SpecKey(c, true), that
+	// result-cache entry keys start with; empty when the engine that
+	// built the template caches no results.
+	ResultShape string
 }
 
-// HasParam reports whether name is one of the template's parameters.
-func (t *Template) HasParam(name string) bool {
-	for _, p := range t.Params {
-		if p == name {
-			return true
+// PredKinds maps the spec's predicate kind bytes to the planner's.
+var PredKinds = [...]PredKind{
+	wire.PredBetween: KindBetween,
+	wire.PredEq:      KindEq,
+	wire.PredLt:      KindLt,
+	wire.PredLe:      KindLe,
+	wire.PredGt:      KindGt,
+	wire.PredGe:      KindGe,
+}
+
+// AggKinds maps the spec's aggregate kind bytes to the executor's kind
+// and the constructor-default output name prefix.
+var AggKinds = [...]struct {
+	Kind exec.AggKind
+	Name string
+}{
+	wire.AggSum:   {exec.AggSum, "sum"},
+	wire.AggCount: {exec.AggCount, "count"},
+	wire.AggMin:   {exec.AggMin, "min"},
+	wire.AggMax:   {exec.AggMax, "max"},
+}
+
+// Canon returns a query's canonical form, the one thing both cache keys
+// and BuildTemplate read. A parameter-free conjunct folds into its
+// half-open Between range, so Eq(5) and Between(5, 6) share one shape;
+// a parameterized one keeps its comparison kind for bind-time folding.
+// Every literal argument — the Where conjuncts' in call order (lo then
+// hi for Between), then the Limit — moves into the returned literal
+// vector, and its ArgSpec.Lit becomes its slot number there. Named
+// parameters stay as they are: the bind phase resolves them by name, so
+// a prepared query and its literal twin have distinct canonical specs.
+// sp's kind bytes must be in range (PredKinds).
+func Canon(sp *wire.QuerySpec) (wire.QuerySpec, []int64) {
+	c := *sp
+	var lits []int64
+	slot := func(a wire.ArgSpec) wire.ArgSpec {
+		if a.Param != "" {
+			return a
 		}
+		if lits == nil {
+			lits = make([]int64, 0, 2*len(c.Preds)+1)
+		}
+		lits = append(lits, a.Lit)
+		return wire.ArgSpec{Lit: int64(len(lits) - 1)}
 	}
-	return false
+	for i, p := range sp.Preds {
+		kind := PredKinds[p.Kind]
+		if p.A.Param == "" && (kind != KindBetween || p.B.Param == "") {
+			lo, hi := FoldRange(kind, p.A.Lit, p.B.Lit)
+			p.Kind, p.A, p.B = wire.PredBetween, wire.ArgSpec{Lit: lo}, wire.ArgSpec{Lit: hi}
+		}
+		p.A = slot(p.A)
+		if p.Kind == wire.PredBetween {
+			p.B = slot(p.B)
+		} else {
+			p.B = wire.ArgSpec{}
+		}
+		if p == sp.Preds[i] {
+			continue // a parameterized conjunct is already canonical
+		}
+		if &c.Preds[0] == &sp.Preds[0] { // copy the query's conjuncts before the first change
+			c.Preds = slices.Clone(sp.Preds)
+		}
+		c.Preds[i] = p
+	}
+	if c.HasLim {
+		c.Limit = slot(c.Limit)
+	}
+	return c, lits
+}
+
+// SpecKey is a canonical spec's wire encoding. With blind false it is
+// the plan-cache key: two queries with the same key compile to the same
+// template and differ only in the literal vector they bind. With blind
+// true it is the result-cache shape: every conjunct is a Between and
+// every constant is blank, literal or parameter alike — each predicate
+// folds to a half-open [lo, hi) range at bind time whichever comparison
+// spelled it — so two queries with the same blind key and the same
+// resolved constants compute the same result.
+func SpecKey(c *wire.QuerySpec, blind bool) string {
+	if blind {
+		b := *c
+		b.Preds = make([]wire.PredSpec, len(c.Preds))
+		for i, p := range c.Preds {
+			b.Preds[i] = wire.PredSpec{Col: p.Col, Kind: wire.PredBetween}
+		}
+		b.Limit = wire.ArgSpec{}
+		c = &b
+	}
+	var buf [KeyBuf]byte
+	return string(wire.AppendSpec(buf[:0], c))
+}
+
+// KeyBuf sizes the stack buffer a cache key is encoded into; a longer
+// key spills to the heap.
+const KeyBuf = 256
+
+// BuildTemplate runs the structural (prepare) phase: table and column
+// resolution, conjunct routing, join tree shape, projection / grouping
+// / ordering schemas — everything about the query that does not depend
+// on its constant values. sp is a canonical spec (see Canon) with slots
+// literal slots; schema resolves a table name against the engine's
+// catalog. The result is immutable; the bind phase turns it into an
+// executable plan per execution.
+func BuildTemplate(sp *wire.QuerySpec, slots int, schema func(table string) (*tuple.Schema, error)) (*Template, error) {
+	pt := &Template{GroupIdx: -1, OrderIdx: -1, Slots: slots}
+
+	// Resolve every input table.
+	pt.Inputs = make([]AccessT, 1+len(sp.Joins))
+	pt.Inputs[0] = AccessT{Table: sp.Table, Opts: sp.Opts}
+	for i, j := range sp.Joins {
+		pt.Inputs[i+1] = AccessT{Table: j.Table, Opts: j.Opts}
+	}
+	for i := range pt.Inputs {
+		s, err := schema(pt.Inputs[i].Table)
+		if err != nil {
+			return nil, err
+		}
+		pt.Inputs[i].Schema = s
+	}
+
+	// Bind-time Values: a literal reads the slot Canon gave it,
+	// parameters are registered by name in first-use order.
+	val := func(a wire.ArgSpec) Value {
+		if a.Param == "" {
+			return Value{Slot: int(a.Lit)}
+		}
+		if !slices.Contains(pt.Params, a.Param) {
+			pt.Params = append(pt.Params, a.Param)
+		}
+		return Value{Param: a.Param}
+	}
+
+	// Distribute the Where conjuncts: each predicate is pushed beneath
+	// the joins into the one input whose schema has the column, and
+	// grouped per column (first-mention order) for bind-time
+	// intersection.
+	for _, c := range sp.Preds {
+		at := -1
+		for i := range pt.Inputs {
+			if pt.Inputs[i].Schema.ColIndex(c.Col) < 0 {
+				continue
+			}
+			if at >= 0 {
+				return nil, fmt.Errorf("smoothscan: Where column %q is ambiguous between tables %q and %q", c.Col, pt.Inputs[at].Table, pt.Inputs[i].Table)
+			}
+			at = i
+		}
+		if at < 0 {
+			if len(pt.Inputs) == 1 {
+				return nil, fmt.Errorf("%w: table %q has no column %q", wire.ErrUnknownColumn, sp.Table, c.Col)
+			}
+			return nil, fmt.Errorf("%w: no joined table has column %q", wire.ErrUnknownColumn, c.Col)
+		}
+		in := &pt.Inputs[at]
+		ct := CondT{Col: in.Schema.ColIndex(c.Col), Kind: PredKinds[c.Kind], A: val(c.A)}
+		if c.Kind == wire.PredBetween {
+			ct.B = val(c.B)
+		}
+		idx := len(in.Conds)
+		in.Conds = append(in.Conds, ct)
+		g := 0
+		for g < len(in.Merged) && in.Conds[in.Merged[g][0]].Col != ct.Col {
+			g++
+		}
+		if g == len(in.Merged) {
+			in.Merged = append(in.Merged, nil)
+		}
+		in.Merged[g] = append(in.Merged[g], idx)
+	}
+
+	// Only the driving table of a join-free query can satisfy an ORDER
+	// BY through an order-preserving scan; joins and grouping reorder.
+	if len(sp.Joins) == 0 && sp.HasOrd && !sp.HasAgg {
+		pt.FreeOrderCol = sp.OrderCol
+	}
+
+	// Join stages: resolve the equi-join columns and precompute each
+	// stage's output schema. Algorithm and build side are bind-time.
+	base := pt.Inputs[0].Schema
+	for k, jc := range sp.Joins {
+		right := &pt.Inputs[k+1]
+		leftCol := base.ColIndex(jc.LeftCol)
+		if leftCol < 0 {
+			return nil, fmt.Errorf("%w: join %d: %q is not a column of the query output joined so far", wire.ErrUnknownColumn, k+1, jc.LeftCol)
+		}
+		rightCol := right.Schema.ColIndex(jc.RightCol)
+		if rightCol < 0 {
+			return nil, fmt.Errorf("%w: table %q has no column %q", wire.ErrUnknownColumn, right.Table, jc.RightCol)
+		}
+		// The same concatenation the join operators apply at run time
+		// ("r." prefix on right columns shadowed by the left), a
+		// still-colliding name a compile-time error instead of a panic.
+		joined, err := base.ConcatChecked(right.Schema)
+		if err != nil {
+			return nil, fmt.Errorf("smoothscan: join output schema: %w (rename columns or reorder joins)", err)
+		}
+		pt.Joins = append(pt.Joins, JoinT{
+			LeftCol:   leftCol,
+			RightCol:  rightCol,
+			LeftName:  base.Col(leftCol).Name,
+			RightName: right.Schema.Col(rightCol).Name,
+			Joined:    joined,
+		})
+		base = joined
+	}
+	pt.Base = base
+
+	// SELECT list.
+	pt.SelSchema = pt.Base
+	if sp.HasSel {
+		cols := make([]tuple.Column, len(sp.Select))
+		pt.SelIdx = make([]int, len(sp.Select))
+		for i, name := range sp.Select {
+			col := pt.Base.ColIndex(name)
+			if col < 0 {
+				if len(pt.Inputs) == 1 {
+					return nil, fmt.Errorf("%w: table %q has no column %q", wire.ErrUnknownColumn, sp.Table, name)
+				}
+				return nil, fmt.Errorf("%w: join output has no column %q", wire.ErrUnknownColumn, name)
+			}
+			pt.SelIdx[i] = col
+			cols[i] = pt.Base.Col(col)
+		}
+		s, err := tuple.NewSchema(cols...)
+		if err != nil {
+			return nil, fmt.Errorf("smoothscan: Select: %w", err)
+		}
+		pt.SelSchema = s
+	}
+
+	// GROUP BY + aggregates.
+	stage := pt.SelSchema
+	if sp.HasAgg {
+		pt.GroupIdx = pt.SelSchema.ColIndex(sp.GroupCol)
+		if pt.GroupIdx < 0 {
+			return nil, pt.colErr(sp.GroupCol, "GroupBy")
+		}
+		outNames := map[string]bool{sp.GroupCol: true}
+		outCols := []tuple.Column{{Name: sp.GroupCol, Type: tuple.Int64}}
+		for _, a := range sp.Aggs {
+			spec := exec.AggSpec{Name: a.As, Kind: AggKinds[a.Kind].Kind}
+			if a.Kind != wire.AggCount {
+				spec.Col = pt.SelSchema.ColIndex(a.Col)
+				if spec.Col < 0 {
+					return nil, pt.colErr(a.Col, "aggregate")
+				}
+			}
+			if outNames[a.As] {
+				return nil, fmt.Errorf("smoothscan: duplicate output column %q in GroupBy", a.As)
+			}
+			outNames[a.As] = true
+			pt.AggSpecs = append(pt.AggSpecs, spec)
+			outCols = append(outCols, tuple.Column{Name: a.As, Type: tuple.Int64})
+		}
+		s, err := tuple.NewSchema(outCols...)
+		if err != nil {
+			return nil, fmt.Errorf("smoothscan: GroupBy: %w", err)
+		}
+		pt.AggSchema = s
+		stage = s
+	}
+
+	// ORDER BY resolution (sort-vs-free decisions are bind-time).
+	if sp.HasOrd {
+		pt.OrderIdx = stage.ColIndex(sp.OrderCol)
+		if pt.OrderIdx < 0 {
+			return nil, fmt.Errorf("%w: %q is not in the query output; add it to Select or GroupBy", wire.ErrUnknownColumn, sp.OrderCol)
+		}
+		pt.OrderName = sp.OrderCol
+	}
+
+	pt.HasLim = sp.HasLim
+	if sp.HasLim {
+		pt.Limit = val(sp.Limit)
+	}
+	pt.Out = stage
+	return pt, nil
+}
+
+// colErr distinguishes "no such column" from "column projected away"
+// for GroupBy/aggregate resolution against the template.
+func (t *Template) colErr(col, what string) error {
+	if t.Base.ColIndex(col) >= 0 {
+		return fmt.Errorf("%w: %s column %q was projected away by Select", wire.ErrNotSelected, what, col)
+	}
+	if len(t.Inputs) == 1 {
+		return fmt.Errorf("%w: table %q has no column %q (%s)", wire.ErrUnknownColumn, t.Inputs[0].Table, col, what)
+	}
+	return fmt.Errorf("%w: join output has no column %q (%s)", wire.ErrUnknownColumn, col, what)
 }

@@ -2,14 +2,10 @@ package smoothscan
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
-	"smoothscan/internal/core"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
 	"smoothscan/internal/optimizer"
@@ -110,16 +106,6 @@ type Pred struct {
 	err  error
 }
 
-// predKinds maps the spec's predicate kind bytes to the planner's.
-var predKinds = [...]plan.PredKind{
-	wire.PredBetween: plan.KindBetween,
-	wire.PredEq:      plan.KindEq,
-	wire.PredLt:      plan.KindLt,
-	wire.PredLe:      plan.KindLe,
-	wire.PredGt:      plan.KindGt,
-	wire.PredGe:      plan.KindGe,
-}
-
 // pred assembles a Pred, recording the first bad argument.
 func pred(kind byte, a, b Arg) Pred {
 	err := a.err
@@ -153,21 +139,9 @@ type Agg struct {
 	spec wire.AggSpec // As always carries the output name
 }
 
-// aggKinds maps the spec's aggregate kind bytes to the executor's kind
-// and the constructor-default output name prefix.
-var aggKinds = [...]struct {
-	kind exec.AggKind
-	name string
-}{
-	wire.AggSum:   {exec.AggSum, "sum"},
-	wire.AggCount: {exec.AggCount, "count"},
-	wire.AggMin:   {exec.AggMin, "min"},
-	wire.AggMax:   {exec.AggMax, "max"},
-}
-
 // agg builds an aggregate under its default output name.
 func agg(kind byte, col string) Agg {
-	name := aggKinds[kind].name
+	name := plan.AggKinds[kind].Name
 	if kind != wire.AggCount {
 		name += "_" + col
 	}
@@ -275,7 +249,7 @@ func (q *Query) checkPeerSpec() error {
 		return nil
 	}
 	for _, p := range s.Preds {
-		if int(p.Kind) >= len(predKinds) {
+		if int(p.Kind) >= len(plan.PredKinds) {
 			return fmt.Errorf("%w: predicate kind %d on %q", wire.ErrMalformed, p.Kind, p.Col)
 		}
 		if err := checkArg(p.A); err != nil {
@@ -301,7 +275,7 @@ func (q *Query) checkPeerSpec() error {
 	}
 	for i := range s.Aggs {
 		a := &s.Aggs[i]
-		if int(a.Kind) >= len(aggKinds) {
+		if int(a.Kind) >= len(plan.AggKinds) {
 			return fmt.Errorf("%w: aggregate kind %d", wire.ErrMalformed, a.Kind)
 		}
 		if a.Kind == wire.AggCount {
@@ -466,8 +440,8 @@ func (q *Query) WithOptions(opts ScanOptions) *Query {
 	return q
 }
 
-// optsSpec and scanOptions are the one ScanOptions <-> spec mapping.
-// The spec holds each enum in a byte, so a value that does not fit one
+// optsSpec is the one ScanOptions -> spec mapping; the bind phase
+// reads the spec. The spec holds each enum in a byte, so a value that does not fit one
 // is a builder error rather than an alias of another value (uint makes
 // a negative one huge); Parallelism clamps to MaxParallelism, and
 // negatives to 0 (serial as well), before it narrows to an int32.
@@ -488,135 +462,30 @@ func (q *Query) optsSpec(o ScanOptions) wire.OptsSpec {
 	}
 }
 
-func scanOptions(o wire.OptsSpec) ScanOptions {
-	return ScanOptions{
-		Path:              AccessPath(o.Path),
-		Policy:            Policy(o.Policy),
-		Trigger:           Trigger(o.Trigger),
-		Ordered:           o.Ordered,
-		EstimatedRows:     o.EstimatedRows,
-		SLABound:          o.SLABound,
-		MaxRegionPages:    o.MaxRegionPages,
-		ResultCacheBudget: o.ResultCacheBudget,
-		Parallelism:       int(o.Parallelism),
-	}
-}
-
-// resolvedPred is a bound predicate with its column name kept for plan
-// rendering; loSrc/hiSrc name the parameters its bounds came from (""
-// for literals) so Explain can render $name bind markers.
-type resolvedPred struct {
-	name         string
-	pred         tuple.RangePred
-	loSrc, hiSrc string
-}
-
-// render formats the predicate for plan details.
-func (r resolvedPred) render() string {
-	return fmtPred(r.name, r.pred, r.loSrc, r.hiSrc)
-}
-
-// tableAccess is one base table's bound access: its predicates and
-// estimates, and the plan.ScanSpec the binder filled — path, morphing
-// configuration, ordering, worker count — which buildInput hands to
-// plan.Build with the execution's pool and context, and which Explain,
-// the bind notes and the fault ladder read.
-type tableAccess struct {
-	tab        *table
-	name       string
-	base       *tuple.Schema
-	driving    resolvedPred
-	hasDriving bool // false: no predicates at all (pure full scan)
-	residual   []resolvedPred
-	spec       plan.ScanSpec
-	choice     *optimizer.Choice
-	estScan    int64 // after residual conjuncts
-	emptyWhy   string
-}
-
-// pushed reports whether the scan evaluates the residual conjuncts
-// inside its page decode instead of under a filter above it.
-func (a *tableAccess) pushed() bool {
-	return len(a.residual) > 0 && a.spec.Path.AbsorbsResidual(a.spec.Ordered)
-}
-
-// rangeOn returns the folded range of the access's conjuncts on the
-// named column (every column's conjuncts fold into one predicate, the
-// driving one or a residual), unbounded when it has none — what the
-// sharded coordinator prunes by.
-func (a *tableAccess) rangeOn(col string) tuple.RangePred {
-	if a.driving.name == col {
-		return a.driving.pred // All when there is no predicate at all
-	}
-	for _, r := range a.residual {
-		if r.name == col {
-			return r.pred
-		}
-	}
-	return tuple.All(0)
-}
-
-// deliversOrderOn reports whether the access emits rows ordered by the
-// given base-schema column: the column must drive the scan and the
-// path must deliver index-key order.
-func (a *tableAccess) deliversOrderOn(col int) bool {
-	return a.driving.pred.Col == col && a.spec.Path.DeliversOrder(a.spec.Ordered)
-}
-
-// joinStage is one compiled equi-join of the left-deep join tree:
-// stage k joins the output of everything before it with inputs[k+1].
-type joinStage struct {
-	leftCol   int // in the accumulated left schema
-	rightCol  int // in the right input's base schema
-	leftName  string
-	rightName string
-	algo      plan.JoinAlgo
-	buildLeft bool
-	estRows   int64
-}
-
-// compiledQuery is the outcome of planning: everything needed to build
-// the operator tree or render the Explain plan.
+// compiledQuery is one execution's plan: the bound plan the optimizer
+// returned, and what the facade tracks beside it.
 type compiledQuery struct {
-	inputs   []*tableAccess // left-deep; inputs[0] is the driving table
-	joins    []*joinStage   // len(inputs)-1 stages
-	base     *tuple.Schema  // joined row schema (inputs[0].base when no joins)
-	emptyWhy string         // non-empty: plan short-circuits to an empty result
-
-	// stages is what runs above the scan/join tree. Its sortIdx is
-	// orderIdx when the ordering needs a posterior sort and -1 when it
-	// comes for free (orderVia says from where).
-	stages
-	orderIdx int    // in the pre-sort schema; -1 = no ordering
-	orderVia string // "", "scan" (native order) or "group" (agg key order)
-
-	out *tuple.Schema
+	optimizer.Bound
 
 	// planCached reports whether the structural template came from the
 	// DB-wide plan cache (or a prepared Stmt) instead of a fresh
 	// template compilation; surfaced via ExecStats.PlanCacheHit.
 	planCached bool
 	// annotate marks prepared-statement executions: plan() then renders
-	// the bound parameter values (binds) and the estimate-sensitive
-	// decisions re-made at bind time. The strings are built lazily in
-	// plan() — Run never pays Explain-only formatting — and stay empty
-	// for ad-hoc queries so their Explain output is byte-identical to
-	// the pre-prepared-statement engine.
+	// the bound parameter values and the estimate-sensitive decisions
+	// re-made at bind time. The strings are built lazily in plan() —
+	// Run never pays Explain-only formatting — and stay empty for
+	// ad-hoc queries so their Explain output is byte-identical to the
+	// pre-prepared-statement engine.
 	annotate bool
-	binds    []bindPair
 
 	// degraded records the fault-recovery fallbacks applied to this
 	// plan, one human-readable note per ladder step (see
 	// degradeOnFault); empty for a plan that ran as compiled. Surfaced
 	// via ExecStats.Degraded and the Explain header.
 	degraded []string
-	// qt, opts and lits are what this plan was bound from; a ladder
-	// step re-binds them with one input's options changed.
-	qt   *qtemplate
-	opts []ScanOptions
-	lits []int64
 
-	// Result-cache tier fields (see rescache.go). resKey is the
+	// Result-cache tier fields (see keyResult). resKey is the
 	// execution's entry key — canonical shape plus every resolved
 	// constant — and resEpochs the write epochs of the referenced
 	// tables captured at bind time; both empty when the execution does
@@ -625,468 +494,11 @@ type compiledQuery struct {
 	resEpochs map[string]uint64
 }
 
-// bindPair is one bound parameter captured at bind time (the caller's
-// Bind map may be reused or mutated after Run returns; this snapshot
-// may not).
-type bindPair struct {
-	name string
-	val  int64
-}
-
-// driving returns the first (driving-table) input.
-func (cq *compiledQuery) driving() *tableAccess { return cq.inputs[0] }
-
-// estRoot is the cardinality estimate of the scan/join tree before
-// projection and aggregation.
-func (cq *compiledQuery) estRoot() int64 {
-	if n := len(cq.joins); n > 0 {
-		return cq.joins[n-1].estRows
-	}
-	return cq.driving().estScan
-}
-
-// bindAccess plans one base table's access at bind time, from its
-// already-folded per-column predicates and ScanOptions: it re-decides
-// everything estimate-sensitive — the driving conjunct among the
-// indexed ones, the access path (for PathAuto), the parallelism clamp
-// — from the table's current statistics, with zero device I/O.
-// orderCol, when non-empty, names a column whose order the plan could
-// use for free if it happens to drive an order-preserving path (the
-// free-ORDER-BY case).
-func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanOptions, orderCol string) (*tableAccess, error) {
-	a := &tableAccess{tab: t, name: name, base: t.file.Schema()}
-	if opts.MaxRegionPages == 0 {
-		opts.MaxRegionPages = core.DefaultMaxRegionPages
-	}
-	for _, m := range merged {
-		if m.pred.Empty() {
-			a.emptyWhy = fmt.Sprintf("predicates on %q are contradictory", m.name)
-		}
-	}
-
-	params := db.costParams(t)
-	stats := t.stats
-	if stats == nil {
-		stats = optimizer.DefaultStats(t.file.NumTuples(), t.file.NumPages(), nil)
-	}
-
-	// Driving-predicate selection: the most selective indexed conjunct
-	// (by the optimizer's cardinality estimate) drives the access path;
-	// everything else is residual.
-	drivingAt := -1
-	bestCard := int64(math.MaxInt64)
-	for i, m := range merged {
-		if _, ok := t.indexes[m.name]; !ok {
-			continue
-		}
-		if card := stats.EstimateCard(m.pred); card < bestCard {
-			bestCard, drivingAt = card, i
-		}
-	}
-	if drivingAt < 0 && len(merged) > 0 {
-		drivingAt = 0 // no indexed conjunct: full scan driven by the first
-	}
-	if drivingAt >= 0 {
-		a.driving = merged[drivingAt]
-		a.hasDriving = true
-		for i, m := range merged {
-			if i != drivingAt {
-				a.residual = append(a.residual, m)
-			}
-		}
-	} else {
-		a.driving = resolvedPred{name: a.base.Col(0).Name, pred: tuple.All(0)}
-	}
-	tree := t.indexes[a.driving.name]
-
-	// Cardinality estimates (independence assumption across conjuncts).
-	est := opts.EstimatedRows
-	if est == 0 {
-		est = stats.EstimateCard(a.driving.pred)
-	}
-	sel := 1.0
-	for _, r := range a.residual {
-		sel *= stats.EstimateSelectivity(r.pred)
-	}
-
-	// Does the caller want output in this column's order? Then an
-	// order-preserving access path driven by it satisfies the ORDER BY
-	// for free — the optimizer weighs the posterior sort against that.
-	wantScanOrder := orderCol != "" && a.hasDriving && orderCol == a.driving.name
-	ordered := opts.Ordered || wantScanOrder
-
-	// Access-path resolution.
-	path, ok := opts.Path.planPath()
-	switch {
-	case opts.Path == PathAuto && !a.hasDriving:
-		path = plan.PathFull
-	case opts.Path == PathAuto:
-		choice := optimizer.ChooseAccessPath(params, stats, a.driving.pred, tree != nil, ordered)
-		a.choice = &choice
-		path, est = choice.Path, choice.EstimatedCard
-	case !ok:
-		return nil, fmt.Errorf("smoothscan: unknown access path %d", opts.Path)
-	}
-	a.estScan = int64(math.Round(float64(est) * sel))
-	if path.NeedsIndex() && tree == nil {
-		if path != plan.PathSmooth {
-			return nil, fmt.Errorf("%w: %q.%q", ErrNoIndex, name, a.driving.name)
-		}
-		// The builder's default path is PathSmooth; without an index on
-		// the driving column it degrades gracefully to a full scan
-		// instead of failing, so predicate-less and unindexed queries
-		// still run.
-		path = plan.PathFull
-	}
-	if opts.Ordered && !path.DeliversOrder(true) {
-		// Explicit scan-level ordering keeps the historical contract:
-		// paths that cannot deliver it refuse, rather than silently
-		// sorting. Use OrderBy for a plan-level ordering that falls
-		// back to a posterior sort.
-		if path == plan.PathSwitch {
-			return nil, errors.New("smoothscan: switch scan cannot guarantee ordered output")
-		}
-		return nil, errors.New("smoothscan: full scan cannot deliver ordered output; add an explicit sort")
-	}
-
-	var residual []tuple.RangePred
-	if len(a.residual) > 0 {
-		residual = make([]tuple.RangePred, len(a.residual))
-		for i, r := range a.residual {
-			residual[i] = r.pred
-		}
-	}
-	a.spec = plan.ScanSpec{
-		File:     t.file,
-		Tree:     tree,
-		Pred:     a.driving.pred,
-		Residual: residual,
-		Path:     path,
-		Smooth: core.Config{
-			Policy:            opts.Policy,
-			Trigger:           opts.Trigger,
-			MaxRegionPages:    opts.MaxRegionPages,
-			EstimatedCard:     est,
-			SLABound:          opts.SLABound,
-			CostParams:        params,
-			ResultCacheBudget: opts.ResultCacheBudget,
-		},
-		Ordered:         ordered && path.DeliversOrder(true),
-		SwitchThreshold: est,
-		Parallelism:     path.Workers(min(opts.Parallelism, MaxParallelism), t.file.NumPages()),
-	}
-	return a, nil
-}
-
-// joinOutputSchema computes the join's output schema — the same
-// tuple.Schema concatenation the join operators apply at run time
-// ("r." prefix on right columns shadowed by the left) — turning a
-// still-colliding name into a compile-time error instead of a panic.
-func joinOutputSchema(left, right *tuple.Schema) (*tuple.Schema, error) {
-	s, err := left.ConcatChecked(right)
-	if err != nil {
-		return nil, fmt.Errorf("smoothscan: join output schema: %w (rename columns or reorder joins)", err)
-	}
-	return s, nil
-}
-
-// estJoinRows estimates an equi-join's output cardinality assuming
-// the right join column is key-like: |L| x |R| / |right table|,
-// floored at one row when both inputs are non-empty.
-func estJoinRows(estL, estR, rightTableRows int64) int64 {
-	if estL <= 0 || estR <= 0 {
-		return 0
-	}
-	if rightTableRows <= 0 {
-		return estL
-	}
-	est := int64(math.Round(float64(estL) * float64(estR) / float64(rightTableRows)))
-	if est < 1 {
-		est = 1
-	}
-	return est
-}
-
-// qtemplate is a query's compiled template: the structural
-// plan.Template plus the facade-level configuration that rides along
-// with the shape (per-input ScanOptions). It is
-// immutable once built and shared freely — by the DB-wide plan cache,
-// and by every execution of a prepared Stmt.
-type qtemplate struct {
-	pt      *plan.Template
-	optsPer []ScanOptions
-	// semKey is the parameter-blind shape, specKey(c, true): the
-	// result-cache tier derives its entry keys from it (shape + resolved
-	// constant values in canonical argument order), which is what lets
-	// ad-hoc and prepared executions of the same query share one entry.
-	// Empty when the tier is off.
-	semKey string
-}
-
-// canon returns the query's canonical form, the one thing both cache
-// keys and the template compiler read. A parameter-free conjunct folds
-// into its half-open Between range, so Eq(5) and Between(5, 6) share
-// one shape; a parameterized one keeps its comparison kind for
-// bind-time folding. Every literal argument — the Where conjuncts' in
-// call order (lo then hi for Between), then the Limit — moves into the
-// returned literal vector, and its ArgSpec.Lit becomes its slot number
-// there. Named parameters stay as they are: the bind phase resolves
-// them by name, so a prepared query and its literal twin have distinct
-// canonical specs.
-func (q *Query) canon() (wire.QuerySpec, []int64) {
-	c := q.spec
-	var lits []int64
-	slot := func(a wire.ArgSpec) wire.ArgSpec {
-		if a.Param != "" {
-			return a
-		}
-		if lits == nil {
-			lits = make([]int64, 0, 2*len(c.Preds)+1)
-		}
-		lits = append(lits, a.Lit)
-		return wire.ArgSpec{Lit: int64(len(lits) - 1)}
-	}
-	for i, p := range q.spec.Preds {
-		kind := predKinds[p.Kind]
-		if p.A.Param == "" && (kind != plan.KindBetween || p.B.Param == "") {
-			lo, hi := plan.FoldRange(kind, p.A.Lit, p.B.Lit)
-			p.Kind, p.A, p.B = wire.PredBetween, wire.ArgSpec{Lit: lo}, wire.ArgSpec{Lit: hi}
-		}
-		p.A = slot(p.A)
-		if p.Kind == wire.PredBetween {
-			p.B = slot(p.B)
-		} else {
-			p.B = wire.ArgSpec{}
-		}
-		if p == q.spec.Preds[i] {
-			continue // a parameterized conjunct is already canonical
-		}
-		if &c.Preds[0] == &q.spec.Preds[0] { // copy the query's conjuncts before the first change
-			c.Preds = slices.Clone(q.spec.Preds)
-		}
-		c.Preds[i] = p
-	}
-	if c.HasLim {
-		c.Limit = slot(c.Limit)
-	}
-	return c, lits
-}
-
-// specKey is a canonical spec's wire encoding. With blind false it is
-// the plan-cache key: two queries with the same key compile to the same
-// template and differ only in the literal vector they bind. With blind
-// true it is the result-cache shape: every conjunct is a Between and
-// every constant is blank, literal or parameter alike — each predicate
-// folds to a half-open [lo, hi) range at bind time whichever comparison
-// spelled it — so two queries with the same blind key and the same
-// resolved constants compute the same result.
-func specKey(c *wire.QuerySpec, blind bool) string {
-	if blind {
-		b := *c
-		b.Preds = make([]wire.PredSpec, len(c.Preds))
-		for i, p := range c.Preds {
-			b.Preds[i] = wire.PredSpec{Col: p.Col, Kind: wire.PredBetween}
-		}
-		b.Limit = wire.ArgSpec{}
-		c = &b
-	}
-	var buf [keyBuf]byte
-	return string(wire.AppendSpec(buf[:0], c))
-}
-
-// keyBuf sizes the stack buffer a cache key is encoded into; a longer
-// key spills to the heap.
-const keyBuf = 256
-
-// buildTemplate runs the structural (prepare) phase: table and column
-// resolution, conjunct routing, join tree shape, projection / grouping
-// / ordering schemas — everything about the query that does not depend
-// on its constant values — against db's catalog. sp is a canonical
-// spec (see canon) with slots literal slots. The caller holds db.mu
-// (read). The result is immutable; bindTemplate turns it into an
-// executable compiledQuery per execution.
-func buildTemplate(db *DB, sp *wire.QuerySpec, slots int) (*qtemplate, error) {
-	pt := &plan.Template{GroupIdx: -1, OrderIdx: -1, Slots: slots}
-
-	// Resolve every input table.
-	names := []string{sp.Table}
-	optsPer := []ScanOptions{scanOptions(sp.Opts)}
-	for _, j := range sp.Joins {
-		names = append(names, j.Table)
-		optsPer = append(optsPer, scanOptions(j.Opts))
-	}
-	tabs := make([]*table, len(names))
-	for i, name := range names {
-		t, err := db.tableLocked(name)
-		if err != nil {
-			return nil, err
-		}
-		tabs[i] = t
-	}
-
-	// Bind-time Values: a literal reads the slot canon gave it,
-	// parameters are registered by name in first-use order.
-	val := func(a wire.ArgSpec) plan.Value {
-		if a.Param == "" {
-			return plan.Value{Slot: int(a.Lit)}
-		}
-		if !slices.Contains(pt.Params, a.Param) {
-			pt.Params = append(pt.Params, a.Param)
-		}
-		return plan.Value{Param: a.Param}
-	}
-
-	// Distribute the Where conjuncts: each predicate is pushed beneath
-	// the joins into the one input whose schema has the column, and
-	// grouped per column (first-mention order) for bind-time
-	// intersection.
-	pt.Inputs = make([]plan.AccessT, len(names))
-	for i := range names {
-		pt.Inputs[i] = plan.AccessT{Table: names[i], Schema: tabs[i].file.Schema()}
-	}
-	for _, c := range sp.Preds {
-		at := -1
-		for i, t := range tabs {
-			if t.file.Schema().ColIndex(c.Col) < 0 {
-				continue
-			}
-			if at >= 0 {
-				return nil, fmt.Errorf("smoothscan: Where column %q is ambiguous between tables %q and %q", c.Col, names[at], names[i])
-			}
-			at = i
-		}
-		if at < 0 {
-			if len(names) == 1 {
-				return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, sp.Table, c.Col)
-			}
-			return nil, fmt.Errorf("%w: no joined table has column %q", ErrUnknownColumn, c.Col)
-		}
-		in := &pt.Inputs[at]
-		ct := plan.CondT{
-			Col:  in.Schema.ColIndex(c.Col),
-			Name: c.Col,
-			Kind: predKinds[c.Kind],
-			A:    val(c.A),
-		}
-		if c.Kind == wire.PredBetween {
-			ct.B = val(c.B)
-		}
-		idx := len(in.Conds)
-		in.Conds = append(in.Conds, ct)
-		g := 0
-		for g < len(in.Merged) && in.Conds[in.Merged[g][0]].Name != c.Col {
-			g++
-		}
-		if g == len(in.Merged) {
-			in.Merged = append(in.Merged, nil)
-		}
-		in.Merged[g] = append(in.Merged[g], idx)
-	}
-
-	// Only the driving table of a join-free query can satisfy an ORDER
-	// BY through an order-preserving scan; joins and grouping reorder.
-	if len(sp.Joins) == 0 && sp.HasOrd && !sp.HasAgg {
-		pt.FreeOrderCol = sp.OrderCol
-	}
-
-	// Join stages: resolve the equi-join columns and precompute each
-	// stage's output schema. Algorithm and build side are bind-time.
-	base := pt.Inputs[0].Schema
-	for k, jc := range sp.Joins {
-		right := &pt.Inputs[k+1]
-		leftCol := base.ColIndex(jc.LeftCol)
-		if leftCol < 0 {
-			return nil, fmt.Errorf("%w: join %d: %q is not a column of the query output joined so far", ErrUnknownColumn, k+1, jc.LeftCol)
-		}
-		rightCol := right.Schema.ColIndex(jc.RightCol)
-		if rightCol < 0 {
-			return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, right.Table, jc.RightCol)
-		}
-		joined, err := joinOutputSchema(base, right.Schema)
-		if err != nil {
-			return nil, err
-		}
-		pt.Joins = append(pt.Joins, plan.JoinT{
-			LeftCol:   leftCol,
-			RightCol:  rightCol,
-			LeftName:  base.Col(leftCol).Name,
-			RightName: right.Schema.Col(rightCol).Name,
-			Joined:    joined,
-		})
-		base = joined
-	}
-	pt.Base = base
-
-	// SELECT list.
-	pt.SelSchema = pt.Base
-	if sp.HasSel {
-		cols := make([]tuple.Column, len(sp.Select))
-		pt.SelIdx = make([]int, len(sp.Select))
-		for i, name := range sp.Select {
-			col := pt.Base.ColIndex(name)
-			if col < 0 {
-				if len(pt.Inputs) == 1 {
-					return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, sp.Table, name)
-				}
-				return nil, fmt.Errorf("%w: join output has no column %q", ErrUnknownColumn, name)
-			}
-			pt.SelIdx[i] = col
-			cols[i] = pt.Base.Col(col)
-		}
-		s, err := tuple.NewSchema(cols...)
-		if err != nil {
-			return nil, fmt.Errorf("smoothscan: Select: %w", err)
-		}
-		pt.SelSchema = s
-	}
-
-	// GROUP BY + aggregates.
-	stage := pt.SelSchema
-	if sp.HasAgg {
-		pt.GroupIdx = pt.SelSchema.ColIndex(sp.GroupCol)
-		if pt.GroupIdx < 0 {
-			return nil, templColErr(pt, sp.GroupCol, "GroupBy")
-		}
-		outNames := map[string]bool{sp.GroupCol: true}
-		outCols := []tuple.Column{{Name: sp.GroupCol, Type: tuple.Int64}}
-		for _, a := range sp.Aggs {
-			spec := exec.AggSpec{Name: a.As, Kind: aggKinds[a.Kind].kind}
-			if a.Kind != wire.AggCount {
-				spec.Col = pt.SelSchema.ColIndex(a.Col)
-				if spec.Col < 0 {
-					return nil, templColErr(pt, a.Col, "aggregate")
-				}
-			}
-			if outNames[a.As] {
-				return nil, fmt.Errorf("smoothscan: duplicate output column %q in GroupBy", a.As)
-			}
-			outNames[a.As] = true
-			pt.AggSpecs = append(pt.AggSpecs, spec)
-			outCols = append(outCols, tuple.Column{Name: a.As, Type: tuple.Int64})
-		}
-		s, err := tuple.NewSchema(outCols...)
-		if err != nil {
-			return nil, fmt.Errorf("smoothscan: GroupBy: %w", err)
-		}
-		pt.AggSchema = s
-		stage = s
-	}
-
-	// ORDER BY resolution (sort-vs-free decisions are bind-time).
-	if sp.HasOrd {
-		pt.OrderIdx = stage.ColIndex(sp.OrderCol)
-		if pt.OrderIdx < 0 {
-			return nil, fmt.Errorf("%w: %q is not in the query output; add it to Select or GroupBy", ErrUnknownColumn, sp.OrderCol)
-		}
-		pt.OrderName = sp.OrderCol
-	}
-
-	pt.HasLim = sp.HasLim
-	if sp.HasLim {
-		pt.Limit = val(sp.Limit)
-	}
-	pt.Out = stage
-	return &qtemplate{pt: pt, optsPer: optsPer}, nil
+// stages is the stage list the binding decided above the scan/join
+// tree.
+func (cq *compiledQuery) stages() stages {
+	pt := cq.Template
+	return stages{selIdx: pt.SelIdx, groupIdx: pt.GroupIdx, aggSpecs: pt.AggSpecs, sortIdx: cq.SortIdx, limit: cq.Limit, hasLim: cq.HasLim}
 }
 
 // templateFor returns the query's compiled template together with its
@@ -1094,329 +506,45 @@ func buildTemplate(db *DB, sp *wire.QuerySpec, slots int) (*qtemplate, error) {
 // whose canonical shape was compiled before reuses that template and
 // pays only the bind phase. Each key is encoded only when its cache is
 // on. The caller holds db.mu (read).
-func (db *DB) templateFor(q *Query) (qt *qtemplate, lits []int64, hit bool, err error) {
+func (db *DB) templateFor(q *Query) (pt *plan.Template, lits []int64, hit bool, err error) {
 	if q.err != nil {
 		return nil, nil, false, q.err
 	}
-	c, lits := q.canon()
+	c, lits := plan.Canon(&q.spec)
 	var key string
 	if db.planCache != nil {
-		key = specKey(&c, false)
+		key = plan.SpecKey(&c, false)
 		if v, ok := db.planCache.Get(key); ok {
-			return v.(*qtemplate), lits, true, nil
+			return v.(*plan.Template), lits, true, nil
 		}
 	}
-	if qt, err = buildTemplate(db, &c, len(lits)); err != nil {
+	pt, err = plan.BuildTemplate(&c, len(lits), func(name string) (*tuple.Schema, error) {
+		t, err := db.tableLocked(name)
+		if err != nil {
+			return nil, err
+		}
+		return t.File.Schema(), nil
+	})
+	if err != nil {
 		return nil, nil, false, err
 	}
 	if db.resCache != nil {
-		qt.semKey = specKey(&c, true)
+		pt.ResultShape = plan.SpecKey(&c, true)
 	}
 	if db.planCache != nil {
-		db.planCache.Put(key, qt)
+		db.planCache.Put(key, pt)
 	}
-	return qt, lits, false, nil
+	return pt, lits, false, nil
 }
 
-// templColErr distinguishes "no such column" from "column projected
-// away" for GroupBy/aggregate resolution against a template.
-func templColErr(pt *plan.Template, col, what string) error {
-	if pt.Base.ColIndex(col) >= 0 {
-		return fmt.Errorf("%w: %s column %q was projected away by Select", ErrNotSelected, what, col)
-	}
-	if len(pt.Inputs) == 1 {
-		return fmt.Errorf("%w: table %q has no column %q (%s)", ErrUnknownColumn, pt.Inputs[0].Table, col, what)
-	}
-	return fmt.Errorf("%w: join output has no column %q (%s)", ErrUnknownColumn, col, what)
-}
-
-// resolveValue turns a template Value into a scalar: a literal slot
-// reads the execution's literal vector, a parameter reads the bind
-// set. The second return names the parameter ("" for literals) for
-// Explain's bind markers.
-func resolveValue(v plan.Value, lits []int64, b Bind) (int64, string, error) {
-	if v.Param != "" {
-		x, ok := b[v.Param]
-		if !ok {
-			return 0, "", fmt.Errorf("%w: $%s", ErrUnboundParam, v.Param)
-		}
-		return x, v.Param, nil
-	}
-	return lits[v.Slot], "", nil
-}
-
-// foldGroup folds one column's conjuncts into a single range: each
-// conjunct's bound scalars fold through its comparison kind, and the
-// ranges intersect in Where order — exactly what the eager literal
-// constructors plus Intersect used to compute. The parameter sources
-// of the binding bounds survive for plan rendering.
-func foldGroup(at *plan.AccessT, group []int, lits []int64, b Bind) (resolvedPred, error) {
-	var out resolvedPred
-	for gi, ci := range group {
-		c := at.Conds[ci]
-		aVal, aSrc, err := resolveValue(c.A, lits, b)
-		if err != nil {
-			return out, err
-		}
-		var bVal int64
-		var bSrc string
-		if c.Kind == plan.KindBetween {
-			bVal, bSrc, err = resolveValue(c.B, lits, b)
-			if err != nil {
-				return out, err
-			}
-		}
-		lo, hi := plan.FoldRange(c.Kind, aVal, bVal)
-		var loSrc, hiSrc string
-		switch c.Kind {
-		case plan.KindBetween:
-			loSrc, hiSrc = aSrc, bSrc
-		case plan.KindEq:
-			loSrc, hiSrc = aSrc, aSrc
-		case plan.KindLt, plan.KindLe:
-			hiSrc = aSrc
-		case plan.KindGt, plan.KindGe:
-			loSrc = aSrc
-		}
-		rp := tuple.RangePred{Col: c.Col, Lo: lo, Hi: hi}
-		if gi == 0 {
-			out = resolvedPred{name: c.Name, pred: rp, loSrc: loSrc, hiSrc: hiSrc}
-			continue
-		}
-		if rp.Lo > out.pred.Lo {
-			out.loSrc = loSrc
-		}
-		if rp.Hi < out.pred.Hi {
-			out.hiSrc = hiSrc
-		}
-		out.pred = out.pred.Intersect(rp)
-	}
-	return out, nil
-}
-
-// bindInput plans input i of the template against db's copy of the
-// table: fold each column's conjuncts with the execution's constants,
-// then bindAccess under opts. Only the driving table of a join-free
-// query can deliver a free ORDER BY. The caller holds db.mu (read).
-func (db *DB) bindInput(qt *qtemplate, i int, opts ScanOptions, lits []int64, b Bind) (*tableAccess, error) {
-	at := &qt.pt.Inputs[i]
-	t, err := db.tableLocked(at.Table)
+// planTable is the bind phase's view of a finished table. The caller
+// holds db.mu (read).
+func (db *DB) planTable(name string) (*optimizer.Table, error) {
+	t, err := db.tableLocked(name)
 	if err != nil {
 		return nil, err
 	}
-	merged := make([]resolvedPred, len(at.Merged))
-	for g, group := range at.Merged {
-		if merged[g], err = foldGroup(at, group, lits, b); err != nil {
-			return nil, err
-		}
-	}
-	orderCol := ""
-	if i == 0 {
-		orderCol = qt.pt.FreeOrderCol
-	}
-	return bindAccess(db, at.Table, t, merged, opts, orderCol)
-}
-
-// bindTemplate runs the bind (execute-side) phase: substitute the
-// constants into the template and re-decide everything
-// estimate-sensitive — driving conjunct, access path, join algorithm
-// and build side, parallelism — from the tables' current statistics
-// and opts, the per-input ScanOptions (qt.optsPer, or a degradation
-// step's edit of them). It is the only code that produces an
-// executable plan. It allocates a fresh compiledQuery per call
-// (templates are shared across goroutines, bindings are not) and
-// touches no device state. annotate enables the prepared-statement
-// Explain extras (bind markers and re-planned-at-bind notes). The
-// caller holds db.mu (read).
-func (db *DB) bindTemplate(qt *qtemplate, opts []ScanOptions, lits []int64, b Bind, annotate bool) (*compiledQuery, error) {
-	pt := qt.pt
-	if len(lits) != pt.Slots {
-		return nil, fmt.Errorf("smoothscan: internal: %d literals for a %d-slot template", len(lits), pt.Slots)
-	}
-	cq := &compiledQuery{
-		stages:   stages{selIdx: pt.SelIdx, groupIdx: pt.GroupIdx, aggSpecs: pt.AggSpecs, sortIdx: -1},
-		orderIdx: -1,
-		out:      pt.Out,
-		qt:       qt,
-		opts:     opts,
-		lits:     lits,
-	}
-
-	cq.inputs = make([]*tableAccess, len(pt.Inputs))
-	for i := range pt.Inputs {
-		a, err := db.bindInput(qt, i, opts[i], lits, b)
-		if err != nil {
-			return nil, err
-		}
-		if a.emptyWhy != "" && cq.emptyWhy == "" {
-			cq.emptyWhy = a.emptyWhy
-		}
-		cq.inputs[i] = a
-	}
-
-	if pt.HasLim {
-		n, src, err := resolveValue(pt.Limit, lits, b)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("smoothscan: negative limit %d bound from $%s", n, src)
-		}
-		cq.limit, cq.hasLim = n, true
-	}
-	if cq.hasLim && cq.limit == 0 {
-		cq.emptyWhy = "LIMIT 0"
-	}
-	if cq.emptyWhy == "" {
-		// Refuse here what NewSmoothScan would refuse at open, so Explain
-		// and Run reject the same options with the same error.
-		for _, a := range cq.inputs {
-			if a.spec.Path == plan.PathSmooth {
-				if err := a.spec.Smooth.Validate(); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Join stages: pick the algorithm (merge when both inputs already
-	// arrive ordered by their join columns, hash otherwise) and the
-	// hash build side (the smaller estimated input).
-	cq.base = cq.inputs[0].base
-	estLeft := cq.inputs[0].estScan
-	for k := range pt.Joins {
-		jt := &pt.Joins[k]
-		right := cq.inputs[k+1]
-		st := &joinStage{
-			leftCol:   jt.LeftCol,
-			rightCol:  jt.RightCol,
-			leftName:  jt.LeftName,
-			rightName: jt.RightName,
-		}
-		if k == 0 && cq.inputs[0].deliversOrderOn(jt.LeftCol) && right.deliversOrderOn(jt.RightCol) {
-			st.algo = plan.JoinMerge
-		} else {
-			st.algo = plan.JoinHash
-			st.buildLeft = estLeft < right.estScan
-		}
-		st.estRows = estJoinRows(estLeft, right.estScan, right.tab.file.NumTuples())
-		cq.base = jt.Joined
-		estLeft = st.estRows
-		cq.joins = append(cq.joins, st)
-	}
-
-	// ORDER BY: decide whether the order comes for free (from the
-	// bind-chosen driving scan, or the aggregation's key order) or
-	// needs a posterior sort.
-	if pt.OrderIdx >= 0 {
-		cq.orderIdx = pt.OrderIdx
-		switch {
-		case pt.GroupIdx >= 0 && pt.OrderName == pt.AggSchema.Col(0).Name:
-			cq.orderVia = "group" // HashAgg emits ascending group keys
-		case len(cq.joins) == 0 && cq.driving().spec.Ordered && pt.GroupIdx < 0 && pt.OrderName == cq.driving().driving.name:
-			cq.orderVia = "scan"
-		default:
-			cq.sortIdx = pt.OrderIdx
-		}
-	}
-
-	// The bind snapshot is kept whenever there is one, not only for
-	// Explain: a fault-degradation step re-binds from it.
-	cq.annotate = annotate
-	if len(b) > 0 {
-		cq.binds = make([]bindPair, 0, len(b))
-		for name, val := range b {
-			cq.binds = append(cq.binds, bindPair{name: name, val: val})
-		}
-	}
-
-	// Result-cache tier: derive the entry key (the blind shape, then
-	// every constant resolved to its bound value as a varint, in the
-	// template's canonical walk order) and capture the referenced
-	// tables' write epochs under the same lock the execution will run
-	// under. Resolving parameters to their values before keying is
-	// what lets an ad-hoc query with inline literals and a prepared
-	// statement bound to the same values share one entry. Empty-plan
-	// short-circuits stay out: they already cost zero I/O.
-	if db.resCache != nil && qt.semKey != "" && cq.emptyWhy == "" {
-		var buf [keyBuf]byte
-		key := append(buf[:0], qt.semKey...)
-		resolve := func(v plan.Value) int64 {
-			if v.Param != "" {
-				return b[v.Param]
-			}
-			return lits[v.Slot]
-		}
-		for _, in := range pt.Inputs {
-			for _, c := range in.Conds {
-				// Serialise the folded half-open range, not the raw
-				// scalars: ad-hoc predicates folded by canon and
-				// parameterized ones folding here must produce the same
-				// vector.
-				var bv int64
-				if c.Kind == plan.KindBetween {
-					bv = resolve(c.B)
-				}
-				lo, hi := plan.FoldRange(c.Kind, resolve(c.A), bv)
-				key = binary.AppendVarint(key, lo)
-				key = binary.AppendVarint(key, hi)
-			}
-		}
-		if pt.HasLim {
-			key = binary.AppendVarint(key, resolve(pt.Limit))
-		}
-		cq.resKey = string(key)
-		cq.resEpochs = make(map[string]uint64, len(cq.inputs))
-		for _, a := range cq.inputs {
-			cq.resEpochs[a.name] = a.tab.epoch
-		}
-	}
-	return cq, nil
-}
-
-// renderBinds formats the captured bind snapshot for plan headers,
-// sorted by name.
-func renderBinds(pairs []bindPair) []string {
-	if len(pairs) == 0 {
-		return nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].name < pairs[j].name })
-	out := make([]string, len(pairs))
-	for i, p := range pairs {
-		out[i] = fmt.Sprintf("$%s=%d", p.name, p.val)
-	}
-	return out
-}
-
-// renderBindNotes lists the estimate-sensitive decisions the bind
-// phase just re-made: the driving conjunct wherever more than one was
-// in play, the optimizer's access-path pick, the parallelism clamp,
-// and each join's algorithm and build side.
-func (cq *compiledQuery) renderBindNotes() []string {
-	var notes []string
-	for _, a := range cq.inputs {
-		if a.hasDriving && len(a.residual) > 0 {
-			notes = append(notes, fmt.Sprintf("driving(%s)=%s", a.name, a.driving.name))
-		}
-		if a.choice != nil {
-			notes = append(notes, fmt.Sprintf("path(%s)=%s", a.name, publicPaths[a.spec.Path]))
-		}
-		if par := a.spec.Parallelism; par > 1 {
-			notes = append(notes, fmt.Sprintf("parallel(%s)=%d", a.name, par))
-		}
-	}
-	for k, st := range cq.joins {
-		if st.algo == plan.JoinMerge {
-			notes = append(notes, fmt.Sprintf("join#%d=merge", k+1))
-			continue
-		}
-		build := cq.inputs[k+1].name
-		if st.buildLeft {
-			build = "left"
-		}
-		notes = append(notes, fmt.Sprintf("join#%d=hash(build=%s)", k+1, build))
-	}
-	return notes
+	return &t.Table, nil
 }
 
 // bind turns a statement and a bind set into an executable plan. A
@@ -1426,49 +554,49 @@ func (cq *compiledQuery) renderBindNotes() []string {
 func (db *DB) bind(st statement, b Bind) (*compiledQuery, error) {
 	prepared := st.stmt != nil
 	var (
-		qt   *qtemplate
+		pt   *plan.Template
 		lits []int64
 		hit  = prepared
 		err  error
 	)
 	if prepared {
-		qt, lits = st.stmt.qt, st.stmt.lits
-	} else if qt, lits, hit, err = db.templateFor(st.q); err != nil {
+		pt, lits = st.stmt.pt, st.stmt.lits
+	} else if pt, lits, hit, err = db.templateFor(st.q); err != nil {
 		return nil, err
 	}
-	if err := qt.checkBind(b); err != nil {
+	if err := checkBind(pt, b); err != nil {
 		return nil, err
 	}
-	cq, err := db.bindTemplate(qt, qt.optsPer, lits, b, prepared)
-	if err != nil {
+	cq := &compiledQuery{planCached: hit, annotate: prepared}
+	if cq.Bound, err = optimizer.Bind(db.dev, db.planTable, pt, lits, b); err != nil {
 		return nil, err
 	}
-	cq.planCached = hit
+	db.keyResult(cq)
 	return cq, nil
 }
 
 // buildInput constructs one table access through the plan layer,
 // wrapped in its counter, context guard and (when the access path
 // could not absorb the residual conjuncts) a filter operator.
-func (l *localExec) buildInput(ctx context.Context, a *tableAccess, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
+func (l *localExec) buildInput(ctx context.Context, a *optimizer.Access, count func(string, exec.Operator) exec.Operator) (exec.Operator, error) {
 	cq := l.cq
-	spec := a.spec
+	spec := a.Spec
 	spec.Pool, spec.Ctx = &l.pool, ctx
 	built, err := plan.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	if a == cq.driving() {
+	if a == cq.Driving() {
 		l.smooth = built.Smooth
 	}
 
 	// Counter names keep the historical single-table form ("smooth",
 	// "filter"); multi-input plans qualify them with the table.
-	multi := len(cq.inputs) > 1
-	path := publicPaths[spec.Path]
+	multi := len(cq.Inputs) > 1
+	path := publicPath(spec.Path)
 	scanName := path.String()
 	if multi {
-		scanName = fmt.Sprintf("%s(%s)", path, a.name)
+		scanName = fmt.Sprintf("%s(%s)", path, a.Table)
 	}
 	if spec.Parallelism > 1 {
 		scanName = fmt.Sprintf("parallel[%d] %s", spec.Parallelism, scanName)
@@ -1477,11 +605,11 @@ func (l *localExec) buildInput(ctx context.Context, a *tableAccess, count func(s
 	// Each input gets its own guard, so a blocking consumer (a
 	// hash-join build, a sort) observes cancellation per batch.
 	cur = &ctxGuard{inner: cur, ctx: ctx}
-	if len(a.residual) > 0 && !a.pushed() {
+	if len(spec.Residual) > 0 && !a.Pushed() {
 		preds := spec.Residual
 		name := "filter"
 		if multi {
-			name = fmt.Sprintf("filter(%s)", a.name)
+			name = fmt.Sprintf("filter(%s)", a.Table)
 		}
 		cur = count(name, exec.NewFilter(cur, l.pool.Channel(), func(r tuple.Row) bool {
 			return tuple.MatchesAll(preds, r)
@@ -1502,14 +630,14 @@ func (l *localExec) build(ctx context.Context) error {
 		return &countedOp{inner: op, c: c}
 	}
 
-	if cq.emptyWhy != "" {
-		l.root = count("empty", exec.NewValues(cq.out, nil))
+	if cq.EmptyWhy != "" {
+		l.root = count("empty", exec.NewValues(cq.Template.Out, nil))
 		return nil
 	}
 
-	inOps := make([]exec.Operator, len(cq.inputs))
-	for i, a := range cq.inputs {
-		op, err := l.buildInput(ctx, a, count)
+	inOps := make([]exec.Operator, len(cq.Inputs))
+	for i := range cq.Inputs {
+		op, err := l.buildInput(ctx, &cq.Inputs[i], count)
 		if err != nil {
 			return err
 		}
@@ -1517,24 +645,26 @@ func (l *localExec) build(ctx context.Context) error {
 	}
 
 	cur := inOps[0]
-	for k, st := range cq.joins {
+	for k, st := range cq.Joins {
+		jt := &cq.Template.Joins[k]
 		op, err := plan.BuildJoin(plan.JoinSpec{
 			Left:      cur,
 			Right:     inOps[k+1],
-			LeftCol:   st.leftCol,
-			RightCol:  st.rightCol,
-			Algo:      st.algo,
-			BuildLeft: st.buildLeft,
+			LeftCol:   jt.LeftCol,
+			RightCol:  jt.RightCol,
+			Algo:      st.Algo,
+			BuildLeft: st.BuildLeft,
 			Ch:        l.pool.Channel(),
 		})
 		if err != nil {
 			return err
 		}
 		l.joins = append(l.joins, op.(exec.JoinStatser))
-		cur = count(st.algo.String()+"-join", op)
+		cur = count(st.Algo.String()+"-join", op)
 	}
 
-	root, err := cq.stages.build(cur, l.pool.Channel(), cq.out, count)
+	stages := cq.stages()
+	root, err := stages.build(cur, l.pool.Channel(), cq.Template.Out, count)
 	if err != nil {
 		return err
 	}
@@ -1544,7 +674,7 @@ func (l *localExec) build(ctx context.Context) error {
 
 // stages is the operator list above a scan/join tree or above a
 // sharded gather, in execution order: project, aggregate, sort, limit.
-// A compiledQuery embeds the one its binding decided; the sharded
+// A compiledQuery's is the one its binding decided; the sharded
 // coordinator derives its own from the shard-0 binding's (see
 // compileShardExec). The zero value of an index field is a real
 // column, so "absent" is spelled out: selIdx nil, groupIdx and sortIdx
@@ -1697,7 +827,7 @@ func (db *DB) run(ctx context.Context, st statement, b Bind) (*Rows, error) {
 	}
 	rows := bq.rows(ctx)
 	if cache && len(bq.cq.degraded) == 0 {
-		rows.acc = newResAccum(cq.resKey, cq.resEpochs, db.resCache.EntryCap(), cq.out.NumCols())
+		rows.acc = newResAccum(cq.resKey, cq.resEpochs, db.resCache.EntryCap(), cq.Template.Out.NumCols())
 	}
 	return rows, nil
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"smoothscan/internal/core"
+	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
 	"smoothscan/internal/tuple"
 )
@@ -112,14 +113,14 @@ func TestQueryMatchesScan(t *testing.T) {
 	tab := dbA.tables["t"]
 	before := dbA.Stats()
 	built, err := plan.Build(plan.ScanSpec{
-		File: tab.file,
+		File: tab.File,
 		Pool: dbA.pool,
-		Tree: tab.indexes["val"],
+		Tree: tab.Indexes["val"],
 		Pred: tuple.RangePred{Col: 1, Lo: 100, Hi: 900},
 		Path: plan.PathSmooth,
 		Smooth: core.Config{
 			MaxRegionPages: core.DefaultMaxRegionPages,
-			CostParams:     dbA.costParams(tab),
+			CostParams:     optimizer.CostParams(dbA.dev, tab.File),
 		},
 	})
 	if err != nil {
@@ -129,7 +130,7 @@ func TestQueryMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gotA [][]int64
-	for b := tuple.NewBatchFor(tab.file.Schema(), 1024); ; {
+	for b := tuple.NewBatchFor(tab.File.Schema(), 1024); ; {
 		n, err := built.Op.NextBatch(b)
 		if err != nil {
 			t.Fatal(err)
@@ -621,6 +622,34 @@ func TestQueryBuilderErrors(t *testing.T) {
 		if _, err := q.Explain(); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+}
+
+// TestAccessPathSpecNumbering: the spec carries an AccessPath as its
+// byte, which the bind phase reads through plan.SpecPath, so every plan
+// path must come back under its own public name and PathAuto must be
+// plan.SpecAuto.
+func TestAccessPathSpecNumbering(t *testing.T) {
+	want := map[plan.Path]AccessPath{
+		plan.PathSmooth: PathSmooth,
+		plan.PathFull:   PathFull,
+		plan.PathIndex:  PathIndex,
+		plan.PathSort:   PathSort,
+		plan.PathSwitch: PathSwitch,
+	}
+	for p, ap := range want {
+		if got := publicPath(p); got != ap {
+			t.Errorf("publicPath(%s) = %s, want %s", p, got, ap)
+		}
+		if back, ok := plan.SpecPath(byte(ap)); !ok || back != p {
+			t.Errorf("plan.SpecPath(%s) = %s, %v", ap, back, ok)
+		}
+	}
+	if AccessPath(plan.SpecAuto) != PathAuto {
+		t.Errorf("plan.SpecAuto is %s, not PathAuto", AccessPath(plan.SpecAuto))
+	}
+	if _, ok := plan.SpecPath(byte(PathAuto)); ok {
+		t.Error("PathAuto maps to a plan path")
 	}
 }
 

@@ -110,7 +110,7 @@ func OpenShardedRemote(placements []Placement, parts map[string]Partitioning, op
 			if err != nil {
 				return nil, fmt.Errorf("smoothscan: shard %d (%s) has no table %q", i, p.Addr, table)
 			}
-			if tab.file.Schema().ColIndex(part.Column) < 0 {
+			if tab.File.Schema().ColIndex(part.Column) < 0 {
 				return nil, fmt.Errorf("smoothscan: shard %d (%s): table %q has no partition column %q", i, p.Addr, table, part.Column)
 			}
 		}

@@ -1,7 +1,10 @@
 package smoothscan
 
 import (
+	"encoding/binary"
+
 	"smoothscan/internal/exec"
+	"smoothscan/internal/plan"
 	"smoothscan/internal/rescache"
 	"smoothscan/internal/tuple"
 )
@@ -113,6 +116,54 @@ func (c *cachedOp) NextBatch(out *tuple.Batch) (int, error) {
 	copy(dst, c.flat[c.pos*c.width:(c.pos+n)*c.width])
 	c.pos += n
 	return n, nil
+}
+
+// keyResult derives a bound execution's entry key — the template's
+// blind shape, then every constant resolved to its bound value as a
+// varint, in the template's canonical walk order — and captures the
+// referenced tables' write epochs under the same lock the execution
+// will run under. Resolving parameters to their values before keying
+// is what lets an ad-hoc query with inline literals and a prepared
+// statement bound to the same values share one entry. Empty-plan
+// short-circuits stay out: they already cost zero I/O. The caller
+// holds db.mu (read).
+func (db *DB) keyResult(cq *compiledQuery) {
+	pt := cq.Template
+	if db.resCache == nil || pt.ResultShape == "" || cq.EmptyWhy != "" {
+		return
+	}
+	var buf [plan.KeyBuf]byte
+	key := append(buf[:0], pt.ResultShape...)
+	resolve := func(v plan.Value) int64 {
+		if v.Param != "" {
+			return cq.Binds[v.Param]
+		}
+		return cq.Lits[v.Slot]
+	}
+	for _, in := range pt.Inputs {
+		for _, c := range in.Conds {
+			// Serialise the folded half-open range, not the raw
+			// scalars: ad-hoc predicates folded by Canon and
+			// parameterized ones folding here must produce the same
+			// vector.
+			var bv int64
+			if c.Kind == plan.KindBetween {
+				bv = resolve(c.B)
+			}
+			lo, hi := plan.FoldRange(c.Kind, resolve(c.A), bv)
+			key = binary.AppendVarint(key, lo)
+			key = binary.AppendVarint(key, hi)
+		}
+	}
+	if pt.HasLim {
+		key = binary.AppendVarint(key, resolve(pt.Limit))
+	}
+	cq.resKey = string(key)
+	cq.resEpochs = make(map[string]uint64, len(cq.Inputs))
+	for i := range cq.Inputs {
+		name := cq.Inputs[i].Table
+		cq.resEpochs[name] = db.epochOfLocked(name)
+	}
 }
 
 // cacheable reports whether this execution participates in the result

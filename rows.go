@@ -277,10 +277,10 @@ func (r *Rows) SmoothStats() (SmoothStats, bool) {
 // Choice returns the optimizer's decision when the scan used PathAuto.
 func (r *Rows) Choice() (path string, estimatedRows int64, ok bool) {
 	l, _ := r.run.(*localExec)
-	if l == nil || l.cq.driving().choice == nil {
+	if l == nil || l.cq.Driving().Choice == nil {
 		return "", 0, false
 	}
-	c := l.cq.driving().choice
+	c := l.cq.Driving().Choice
 	return c.Path.String(), c.EstimatedCard, true
 }
 
@@ -344,8 +344,8 @@ func (l *localExec) rows(ctx context.Context) *Rows {
 	return &Rows{
 		run:        l,
 		op:         l.root,
-		schema:     l.cq.out,
-		baseSchema: l.cq.base,
+		schema:     l.cq.Template.Out,
+		baseSchema: l.cq.Template.Base,
 		ctx:        ctx,
 		counters:   l.counters,
 		planCached: l.cq.planCached,

@@ -9,6 +9,7 @@ import (
 
 	"smoothscan/internal/disk"
 	"smoothscan/internal/exec"
+	"smoothscan/internal/optimizer"
 	"smoothscan/internal/parallel"
 	"smoothscan/internal/plan"
 	"smoothscan/internal/rescache"
@@ -246,7 +247,7 @@ func (s *ShardedDB) Insert(table string, vals ...int64) error {
 	if err != nil {
 		return err
 	}
-	col := t.file.Schema().ColIndex(p.Column)
+	col := t.File.Schema().ColIndex(p.Column)
 	if col < 0 || col >= len(vals) {
 		return fmt.Errorf("smoothscan: %d values for table %q", len(vals), table)
 	}
@@ -381,7 +382,7 @@ func (q *Query) perShardQuery(db *DB) *Query {
 }
 
 // sideQuery builds the single-table query for one side of a broadcast
-// join: that table, the Where conjuncts on its columns (buildTemplate
+// join: that table, the Where conjuncts on its columns (BuildTemplate
 // has rejected a column two inputs share), its ScanOptions — no
 // projection, ordering or limit (those happen above the join).
 func (q *Query) sideQuery(db *DB, input int, pt *plan.Template) *Query {
@@ -517,19 +518,19 @@ func (s *ShardedDB) strategyFor(pt *plan.Template, part shard.Partitioning) (str
 }
 
 // sideEstimate sums one input's post-predicate cardinality estimate
-// across shards — the broadcast strategy replicates the smaller side.
-// Each shard binds the input exactly as the side query it would run
-// does (a join query has no free-order column).
-func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind) (int64, error) {
+// across shards, each shard binding the input exactly as the side query
+// it would run does (a join query has no free-order column): what
+// optimizer.BroadcastSide compares.
+func (s *ShardedDB) sideEstimate(pt *plan.Template, input int, lits []int64, b Bind) (int64, error) {
 	var total int64
 	for _, db := range s.shards {
 		db.mu.RLock()
-		a, err := db.bindInput(qt, input, qt.optsPer[input], lits, b)
+		est, err := optimizer.InputEstimate(db.dev, db.planTable, pt, input, lits, b)
 		db.mu.RUnlock()
 		if err != nil {
 			return 0, err
 		}
-		total += a.estScan
+		total += est
 	}
 	return total, nil
 }
@@ -551,7 +552,7 @@ func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
 	if err != nil {
 		return nil, err
 	}
-	qt, lits, pt := cq0.qt, cq0.lits, cq0.qt.pt
+	pt, lits := cq0.Template, cq0.Lits
 	part, err := s.Partitioning(pt.Inputs[0].Table)
 	if err != nil {
 		return nil, err
@@ -572,34 +573,32 @@ func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
 		planCached: cq0.planCached,
 		prunedWhy:  make([]string, len(s.shards)),
 		keyCol:     -1,
-		coord:      cq0.stages,
-		emptyWhy:   cq0.emptyWhy,
+		coord:      cq0.stages(),
+		emptyWhy:   cq0.EmptyWhy,
 	}
 	if len(b) > 0 {
 		se.q = st.q.bound(b)
 	}
 
-	// Broadcast side selection: replicate the smaller estimated input.
+	// Broadcast side selection, from each side's estimate over every
+	// shard.
 	if strategy == strategyBroadcast {
-		est0, err := s.sideEstimate(qt, 0, lits, b)
+		est0, err := s.sideEstimate(pt, 0, lits, b)
 		if err != nil {
 			return nil, err
 		}
-		est1, err := s.sideEstimate(qt, 1, lits, b)
+		est1, err := s.sideEstimate(pt, 1, lits, b)
 		if err != nil {
 			return nil, err
 		}
-		se.bcInput, se.scanInput = 1, 0
-		if est0 < est1 {
-			se.bcInput, se.scanInput = 0, 1
-		}
+		se.bcInput, se.scanInput = optimizer.BroadcastSide(est0, est1)
 	}
 
 	// Partition pruning: keep only the shards that can hold rows inside
 	// the range input i's conjuncts fold to on its partition column.
 	prune := func(i int) {
 		p := parts[i]
-		pr := cq0.inputs[i].rangeOn(p.Column)
+		pr := cq0.Inputs[i].RangeOn(p.Column)
 		if pr.Lo == math.MinInt64 && pr.Hi == math.MaxInt64 {
 			return
 		}
@@ -626,7 +625,7 @@ func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
 		if strategy == strategyBroadcast {
 			prune(se.scanInput)
 			bcPart := parts[se.bcInput]
-			bcPr := cq0.inputs[se.bcInput].rangeOn(bcPart.Column)
+			bcPr := cq0.Inputs[se.bcInput].RangeOn(bcPart.Column)
 			se.bcActive = bcPart.Prune(bcPr.Lo, bcPr.Hi)
 			if len(se.bcActive) == 0 {
 				se.emptyWhy = fmt.Sprintf("broadcast side %q fully pruned", pt.Inputs[se.bcInput].Table)
@@ -946,7 +945,7 @@ func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 	snap := q.clone()
 	shard0 := s.shards[0]
 	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(snap)
+	pt, lits, _, err := shard0.templateFor(snap)
 	shard0.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -955,10 +954,10 @@ func (s *ShardedDB) prepare(q *Query) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := s.strategyFor(qt.pt, part); err != nil {
+	if _, _, err := s.strategyFor(pt, part); err != nil {
 		return nil, err
 	}
-	return &Stmt{eng: s, qt: qt, lits: lits, params: qt.pt.Params, q: snap}, nil
+	return &Stmt{eng: s, pt: pt, lits: lits, params: pt.Params, q: snap}, nil
 }
 
 // Coordinator-level result caching: the sharded engine carries its own

@@ -33,7 +33,6 @@ package smoothscan
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,7 +40,6 @@ import (
 	"smoothscan/internal/btree"
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/core"
-	"smoothscan/internal/costmodel"
 	"smoothscan/internal/disk"
 	"smoothscan/internal/heap"
 	"smoothscan/internal/optimizer"
@@ -139,23 +137,10 @@ func (p AccessPath) String() string {
 	}
 }
 
-// publicPaths is the one translation between the plan layer's access
-// paths and the public ones, indexed by plan.Path. PathAuto has no plan
-// path: the optimizer resolves it to one of the others.
-var publicPaths = [...]AccessPath{
-	plan.PathSmooth: PathSmooth,
-	plan.PathFull:   PathFull,
-	plan.PathIndex:  PathIndex,
-	plan.PathSort:   PathSort,
-	plan.PathSwitch: PathSwitch,
-}
-
-// planPath returns the plan-layer path a forced public path builds,
-// and false for PathAuto or an unknown value.
-func (p AccessPath) planPath() (plan.Path, bool) {
-	i := slices.Index(publicPaths[:], p)
-	return plan.Path(i), i >= 0
-}
+// publicPath is the public name of a plan-layer path: AccessPath
+// numbers the paths as plan.SpecPaths does, and PathAuto is
+// plan.SpecAuto.
+func publicPath(p plan.Path) AccessPath { return AccessPath(plan.SpecPaths[p]) }
 
 // Options configures a database.
 type Options struct {
@@ -214,10 +199,8 @@ type DB struct {
 }
 
 type table struct {
-	file    *heap.File
-	builder *heap.Builder // nil once finished
-	indexes map[string]*btree.Tree
-	stats   *optimizer.TableStats // nil until Analyze
+	optimizer.Table               // what the bind phase reads
+	builder         *heap.Builder // nil once finished
 
 	// epoch counts the writes the table has taken since creation
 	// (guarded by db.mu). Result-cache entries capture the epochs of
@@ -339,7 +322,7 @@ func (db *DB) CreateTable(name string, columns ...string) (*TableBuilder, error)
 	if err != nil {
 		return nil, err
 	}
-	t := &table{file: file, builder: file.NewBuilder(), indexes: map[string]*btree.Tree{}}
+	t := &table{Table: optimizer.Table{File: file, Indexes: map[string]*btree.Tree{}}, builder: file.NewBuilder()}
 	db.tables[name] = t
 	return &TableBuilder{tab: t, cols: len(columns)}, nil
 }
@@ -393,15 +376,15 @@ func (db *DB) CreateIndex(tableName, column string) error {
 	if err != nil {
 		return err
 	}
-	col := t.file.Schema().ColIndex(column)
+	col := t.File.Schema().ColIndex(column)
 	if col < 0 {
 		return fmt.Errorf("smoothscan: table %q has no column %q", tableName, column)
 	}
-	tree, err := btree.BuildOnColumn(db.dev, t.file, col)
+	tree, err := btree.BuildOnColumn(db.dev, t.File, col)
 	if err != nil {
 		return err
 	}
-	t.indexes[column] = tree
+	t.Indexes[column] = tree
 	return nil
 }
 
@@ -418,18 +401,18 @@ func (db *DB) Analyze(tableName string, columns ...string) error {
 	}
 	cols := make([]int, len(columns))
 	for i, c := range columns {
-		cols[i] = t.file.Schema().ColIndex(c)
+		cols[i] = t.File.Schema().ColIndex(c)
 		if cols[i] < 0 {
 			return fmt.Errorf("smoothscan: table %q has no column %q", tableName, c)
 		}
 	}
-	stats, err := optimizer.CollectStats(t.file, func(p int64) ([]byte, error) {
-		return db.dev.ReadPage(t.file.Space(), p)
+	stats, err := optimizer.CollectStats(t.File, func(p int64) ([]byte, error) {
+		return db.dev.ReadPage(t.File.Space(), p)
 	}, cols, 64)
 	if err != nil {
 		return err
 	}
-	t.stats = stats
+	t.Stats = stats
 	return nil
 }
 
@@ -445,17 +428,17 @@ func (db *DB) Insert(tableName string, vals ...int64) error {
 	if err != nil {
 		return err
 	}
-	if len(vals) != t.file.Schema().NumCols() {
-		return fmt.Errorf("smoothscan: %d values for %d columns", len(vals), t.file.Schema().NumCols())
+	if len(vals) != t.File.Schema().NumCols() {
+		return fmt.Errorf("smoothscan: %d values for %d columns", len(vals), t.File.Schema().NumCols())
 	}
 	row := tuple.IntsRow(vals...)
-	tid, err := t.file.Insert(row)
+	tid, err := t.File.Insert(row)
 	if err != nil {
 		return err
 	}
-	db.pool.InvalidatePage(t.file.Space(), tid.Page)
-	for column, tree := range t.indexes {
-		col := t.file.Schema().ColIndex(column)
+	db.pool.InvalidatePage(t.File.Space(), tid.Page)
+	for column, tree := range t.Indexes {
+		col := t.File.Schema().ColIndex(column)
 		tree.Insert(btree.Entry{Key: row.Int(col), TID: tid})
 	}
 	// The write invalidates every cached result that read this table:
@@ -474,7 +457,7 @@ func (db *DB) Compact(tableName string) error {
 	if err != nil {
 		return err
 	}
-	for _, tree := range t.indexes {
+	for _, tree := range t.Indexes {
 		if err := tree.Compact(db.dev, db.pool); err != nil {
 			return err
 		}
@@ -488,7 +471,7 @@ func (db *DB) NumRows(tableName string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.file.NumTuples(), nil
+	return t.File.NumTuples(), nil
 }
 
 // NumPages returns the heap page count of a table.
@@ -497,7 +480,7 @@ func (db *DB) NumPages(tableName string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.file.NumPages(), nil
+	return t.File.NumPages(), nil
 }
 
 // TableInfo describes one table: name, column order, which columns are
@@ -525,11 +508,11 @@ func (db *DB) Tables() []TableInfo {
 		if t.builder != nil {
 			continue // still loading; not queryable yet
 		}
-		info := TableInfo{Name: name, Rows: t.file.NumTuples()}
-		for _, c := range t.file.Schema().Columns() {
+		info := TableInfo{Name: name, Rows: t.File.NumTuples()}
+		for _, c := range t.File.Schema().Columns() {
 			info.Columns = append(info.Columns, c.Name)
 		}
-		for col := range t.indexes {
+		for col := range t.Indexes {
 			info.Indexed = append(info.Indexed, col)
 		}
 		sort.Strings(info.Indexed)
@@ -619,19 +602,7 @@ type ScanOptions struct {
 }
 
 // MaxParallelism caps ScanOptions.Parallelism.
-const MaxParallelism = 64
-
-// costParams derives Section V cost-model parameters for a table.
-func (db *DB) costParams(t *table) costmodel.Params {
-	return costmodel.Params{
-		TupleSize: t.file.Schema().TupleSize(),
-		PageSize:  db.dev.PageSize(),
-		KeySize:   8,
-		NumTuples: t.file.NumTuples(),
-		RandCost:  db.dev.Profile().RandCost,
-		SeqCost:   db.dev.Profile().SeqCost,
-	}
-}
+const MaxParallelism = optimizer.MaxParallelism
 
 // FullScanCost returns the cost-model estimate of a full scan of the
 // table, useful for expressing SLA bounds ("two full scans").
@@ -640,5 +611,5 @@ func (db *DB) FullScanCost(tableName string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return db.costParams(t).FullScanCost(), nil
+	return optimizer.CostParams(db.dev, t.File).FullScanCost(), nil
 }

@@ -39,8 +39,8 @@ func viaWire(t *testing.T, shard0 *DB, q *Query) *Query {
 // queryKey is the plan-cache key (blind false) or the result-cache
 // shape (blind true) of q's canonical spec.
 func queryKey(q *Query, blind bool) string {
-	c, _ := q.canon()
-	return specKey(&c, blind)
+	c, _ := plan.Canon(&q.spec)
+	return plan.SpecKey(&c, blind)
 }
 
 // explainText renders a query's plan, or its compile error (a
@@ -123,7 +123,7 @@ func TestSpecRoundTrip(t *testing.T) {
 			}
 			for _, blind := range []bool{false, true} {
 				if got, want := queryKey(back, blind), queryKey(sh.q, blind); got != want {
-					t.Errorf("specKey(blind=%v) changed:\n got %q\nwant %q", blind, got, want)
+					t.Errorf("SpecKey(blind=%v) changed:\n got %q\nwant %q", blind, got, want)
 				}
 			}
 			if got, want := explainText(back), explainText(sh.q); got != want {
@@ -145,7 +145,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // shape and share one cached template; a parameterized predicate
 // keeps its comparison kind for bind-time folding.
 func oracleCanonPred(p wire.PredSpec) (kind plan.PredKind, a, b wire.ArgSpec) {
-	kind = predKinds[p.Kind]
+	kind = plan.PredKinds[p.Kind]
 	if p.A.Param == "" && (kind != plan.KindBetween || p.B.Param == "") {
 		lo, hi := plan.FoldRange(kind, p.A.Lit, p.B.Lit)
 		return plan.KindBetween, wire.ArgSpec{Lit: lo}, wire.ArgSpec{Lit: hi}
@@ -156,7 +156,7 @@ func oracleCanonPred(p wire.PredSpec) (kind plan.PredKind, a, b wire.ArgSpec) {
 // oracleForEachArg visits every bind-time argument of the query in canonical
 // order: the Where conjuncts in call order (canonical form, lo then hi
 // for Between), then the Limit count. canonicalKey serialises
-// arguments in this order and buildTemplate assigns literal slots in
+// arguments in this order and plan.BuildTemplate assigns literal slots in
 // this order — the three walks must never diverge, or a cached
 // template would bind another query's literals to the wrong
 // predicates.
@@ -201,7 +201,7 @@ func oracleStructKey(q *Query, blind bool) string {
 	sp := &q.spec
 	fmt.Fprintf(&sb, "%q", sp.Table)
 	for _, j := range sp.Joins {
-		fmt.Fprintf(&sb, "|J:%q,%q,%q,%+v", j.Table, j.LeftCol, j.RightCol, scanOptions(j.Opts))
+		fmt.Fprintf(&sb, "|J:%q,%q,%q,%+v", j.Table, j.LeftCol, j.RightCol, j.Opts)
 	}
 	for _, c := range sp.Preds {
 		kind, a, b := oracleCanonPred(c)
@@ -232,7 +232,7 @@ func oracleStructKey(q *Query, blind bool) string {
 	if sp.HasAgg {
 		fmt.Fprintf(&sb, "|G:%q", sp.GroupCol)
 		for _, a := range sp.Aggs {
-			fmt.Fprintf(&sb, ",%q:%q:%d", a.As, a.Col, int(aggKinds[a.Kind].kind))
+			fmt.Fprintf(&sb, ",%q:%q:%d", a.As, a.Col, int(plan.AggKinds[a.Kind].Kind))
 		}
 	}
 	if sp.HasOrd {
@@ -242,7 +242,7 @@ func oracleStructKey(q *Query, blind bool) string {
 		sb.WriteString("|L:")
 		arg(sp.Limit)
 	}
-	fmt.Fprintf(&sb, "|opts:%+v", scanOptions(sp.Opts))
+	fmt.Fprintf(&sb, "|opts:%+v", sp.Opts)
 	return sb.String()
 }
 
@@ -294,7 +294,7 @@ func sweepArg(r *rand.Rand) Arg {
 }
 
 func sweepPred(r *rand.Rand) predRecipe {
-	p := predRecipe{col: pick(r, sweepCols), kind: byte(r.IntN(len(predKinds))), a: sweepArg(r)}
+	p := predRecipe{col: pick(r, sweepCols), kind: byte(r.IntN(len(plan.PredKinds))), a: sweepArg(r)}
 	if p.kind == wire.PredBetween {
 		p.b = sweepArg(r)
 	}
@@ -322,7 +322,7 @@ func respell(p predRecipe) predRecipe {
 	if p.a.spec.Param != "" || p.kind == wire.PredBetween && p.b.spec.Param != "" {
 		return p
 	}
-	lo, hi := plan.FoldRange(predKinds[p.kind], p.a.spec.Lit, p.b.spec.Lit)
+	lo, hi := plan.FoldRange(plan.PredKinds[p.kind], p.a.spec.Lit, p.b.spec.Lit)
 	return predRecipe{col: p.col, kind: wire.PredBetween, a: lit(lo), b: lit(hi)}
 }
 
@@ -440,7 +440,7 @@ func checkShapePair(t *testing.T, seed uint64) (samePlan, sameShape bool) {
 	}
 	q1, q2 := s1.query(t), s2.query(t)
 	for _, q := range []*Query{q1, q2} {
-		if _, lits := q.canon(); !slices.Equal(lits, oracleCollectLits(q)) {
+		if _, lits := plan.Canon(&q.spec); !slices.Equal(lits, oracleCollectLits(q)) {
 			t.Errorf("seed %d: canon literals %v, oracle %v (%+v)", seed, lits, oracleCollectLits(q), q.spec)
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"smoothscan/internal/plan"
 	"smoothscan/internal/wire"
 )
 
@@ -61,7 +63,7 @@ type Bind map[string]int64
 // makes later Runs fail.
 type Stmt struct {
 	eng    queryEngine
-	qt     *qtemplate // nil on a Conn
+	pt     *plan.Template // nil on a Conn
 	lits   []int64
 	params []string
 	// q is the query as prepared, on a sharded engine and a Conn: bound
@@ -107,11 +109,11 @@ func (db *DB) Prepare(q *Query) (*Stmt, error) { return prepareOn(db, q) }
 func (db *DB) prepare(q *Query) (*Stmt, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	qt, lits, _, err := db.templateFor(q)
+	pt, lits, _, err := db.templateFor(q)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{eng: db, qt: qt, lits: lits, params: qt.pt.Params}, nil
+	return &Stmt{eng: db, pt: pt, lits: lits, params: pt.Params}, nil
 }
 
 // Params returns the statement's parameter names in first-use order.
@@ -121,10 +123,10 @@ func (s *Stmt) Params() []string {
 
 // checkBind rejects bind sets naming parameters the template does not
 // have.
-func (qt *qtemplate) checkBind(b Bind) error {
+func checkBind(pt *plan.Template, b Bind) error {
 	var unknown []string
 	for name := range b {
-		if !qt.pt.HasParam(name) {
+		if !slices.Contains(pt.Params, name) {
 			unknown = append(unknown, "$"+name)
 		}
 	}
@@ -133,7 +135,7 @@ func (qt *qtemplate) checkBind(b Bind) error {
 	}
 	sort.Strings(unknown)
 	have := "no parameters"
-	if ps := qt.pt.Params; len(ps) > 0 {
+	if ps := pt.Params; len(ps) > 0 {
 		have = "$" + strings.Join(ps, ", $")
 	}
 	return fmt.Errorf("%w: %s (statement has %s)", ErrUnknownParam, strings.Join(unknown, ", "), have)

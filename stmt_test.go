@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"smoothscan/internal/optimizer"
 )
 
 // buildWideDBWith is buildWideDB with explicit Options (plan-cache
@@ -727,12 +729,11 @@ func TestPreparedBindAllocs(t *testing.T) {
 		}
 		db.mu.RUnlock()
 	})
-	// annotate=true is what Stmt.Run actually passes, so the enforced
-	// budget covers the real per-execution path (annotation strings
+	// The bind phase alone, as Stmt.Run calls it (annotation strings
 	// are rendered lazily in plan(), not here).
 	bindAllocs := testing.AllocsPerRun(200, func() {
 		db.mu.RLock()
-		if _, err := db.bindTemplate(stmt.qt, stmt.qt.optsPer, stmt.lits, b, true); err != nil {
+		if _, err := optimizer.Bind(db.dev, db.planTable, stmt.pt, stmt.lits, b); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RUnlock()
