@@ -142,8 +142,8 @@ func main() {
 		fatal(err)
 	}
 	st := srv.Stats()
-	fmt.Printf("ssserver: served %d sessions, %d queries (%d failed, %d shed), %d rows in %d batches\n",
-		st.SessionsTotal, st.QueriesServed, st.QueriesFailed, st.QueriesRejected, st.RowsSent, st.BatchesSent)
+	fmt.Printf("ssserver: served %d sessions, %d queries (%d failed, %d aborted, %d shed), %d rows in %d batches\n",
+		st.SessionsTotal, st.QueriesServed, st.QueriesFailed, st.QueriesAborted, st.QueriesRejected, st.RowsSent, st.BatchesSent)
 	fmt.Printf("ssserver: %d stmts prepared, %d cancels, %d idle closes, %d conns rejected, simcost %.1f\n",
 		st.StmtsPrepared, st.Cancels, st.IdleCloses, st.ConnsRejected, st.DeviceSimCost)
 	if *resCacheBytes > 0 {

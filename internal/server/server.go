@@ -70,6 +70,7 @@ type counters struct {
 	stmtsPrepared   atomic.Int64
 	queriesServed   atomic.Int64
 	queriesFailed   atomic.Int64
+	queriesAborted  atomic.Int64
 	queriesRejected atomic.Int64
 	cancels         atomic.Int64
 	idleCloses      atomic.Int64
@@ -257,6 +258,7 @@ func (s *Server) Stats() wire.ServerStats {
 		StmtsPrepared:   s.ctr.stmtsPrepared.Load(),
 		QueriesServed:   s.ctr.queriesServed.Load(),
 		QueriesFailed:   s.ctr.queriesFailed.Load(),
+		QueriesAborted:  s.ctr.queriesAborted.Load(),
 		QueriesRejected: s.ctr.queriesRejected.Load(),
 		Cancels:         s.ctr.cancels.Load(),
 		IdleCloses:      s.ctr.idleCloses.Load(),

@@ -131,7 +131,7 @@ func drain(t *testing.T, rows *smoothscan.Rows) int64 {
 // between them).
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
-	for _, v := range []uint32{1, 2, 3, 4, 5, 6} {
+	for _, v := range []uint32{1, 2, 3, 4, 5, 6, 7} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -511,23 +511,27 @@ func TestCancelMidStream(t *testing.T) {
 // With an idle timeout set, that write times out: the session is closed
 // as idle, its admission slot is freed for another Conn's query, and
 // the abandoned stream ends in an error, never as a complete result.
+// The server counts it as aborted, so served + failed + aborted still
+// account for every Execute the test had admitted.
 func TestUnreadStreamIsReaped(t *testing.T) {
 	addr, srv := startBigServer(t, server.Config{IdleTimeout: 150 * time.Millisecond, MaxInFlight: 1})
 	stalled := dial(t, addr)
-	served, idle := srv.Stats().QueriesServed, srv.Stats().IdleCloses
+	before := srv.Stats()
+	ended := func(st wire.ServerStats) int64 { return st.QueriesServed + st.QueriesFailed + st.QueriesAborted }
 	rows, err := bigQuery(stalled).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rows.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().IdleCloses == idle {
+	for st := srv.Stats(); st.IdleCloses == before.IdleCloses || st.QueriesAborted == before.QueriesAborted; st = srv.Stats() {
 		if time.Now().After(deadline) {
-			t.Fatalf("the session of a client that reads nothing was not reaped within 5s (%d rows sent)", srv.Stats().RowsSent)
+			t.Fatalf("the stream of a client that reads nothing was not reaped and counted within 5s (%d rows sent, %d idle closes, %d aborted)",
+				st.RowsSent, st.IdleCloses-before.IdleCloses, st.QueriesAborted-before.QueriesAborted)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	requireRunning(t, srv, served)
+	requireRunning(t, srv, before.QueriesServed)
 
 	other := dial(t, addr)
 	next, err := rangeQuery(other, 0, 1).Limit(10).Run(context.Background())
@@ -542,6 +546,14 @@ func TestUnreadStreamIsReaped(t *testing.T) {
 	}
 	if !errors.Is(rows.Err(), smoothscan.ErrConnLost) {
 		t.Fatalf("reaped stream ended with %v, want ErrConnLost", rows.Err())
+	}
+	after := srv.Stats()
+	if n := after.QueriesAborted - before.QueriesAborted; n != 1 {
+		t.Fatalf("QueriesAborted moved by %d, want 1", n)
+	}
+	if n := ended(after) - ended(before); n != 2 {
+		t.Fatalf("served + failed + aborted moved by %d over 2 admitted Executes (served %+d, failed %+d, aborted %+d)", n,
+			after.QueriesServed-before.QueriesServed, after.QueriesFailed-before.QueriesFailed, after.QueriesAborted-before.QueriesAborted)
 	}
 }
 

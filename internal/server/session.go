@@ -306,7 +306,7 @@ func (ss *session) stream(rows *smoothscan.Rows) bool {
 		ss.flat = make([]int64, need)
 	}
 	if !ss.write(wire.MsgExecOK, wire.ExecOK{Cols: cols}.Marshal()) {
-		return false
+		return ss.aborted()
 	}
 	for {
 		n := 0
@@ -318,7 +318,7 @@ func (ss *session) stream(rows *smoothscan.Rows) bool {
 			ss.enc.B = ss.enc.B[:0]
 			ss.enc.AppendBatch(ss.flat, n, width)
 			if !ss.write(wire.MsgBatch, ss.enc.B) {
-				return false
+				return ss.aborted()
 			}
 			ss.srv.ctr.rowsSent.Add(int64(n))
 			ss.srv.ctr.batchesSent.Add(1)
@@ -327,7 +327,7 @@ func (ss *session) stream(rows *smoothscan.Rows) bool {
 			break
 		}
 		if !ss.flush() {
-			return false
+			return ss.aborted()
 		}
 	}
 	// The stream ended, or failed.
@@ -353,6 +353,14 @@ func (ss *session) stream(rows *smoothscan.Rows) bool {
 	}}
 	ss.srv.ctr.queriesServed.Add(1)
 	return ss.send(wire.MsgEnd, end.Marshal())
+}
+
+// aborted counts a stream cut short by a failed write — a reaped or
+// vanished client — and ends the session. Every admitted Execute ends
+// as exactly one of served, failed or aborted.
+func (ss *session) aborted() bool {
+	ss.srv.ctr.queriesAborted.Add(1)
+	return false
 }
 
 // handleCatalog answers with the server's table catalog so a sharding

@@ -315,6 +315,7 @@ type ServerStats struct {
 	// Query admission and completion.
 	QueriesServed   int64 // streams that completed (End with summary)
 	QueriesFailed   int64 // streams that ended in an Error frame
+	QueriesAborted  int64 // streams cut short by a failed write (client reaped or gone)
 	QueriesRejected int64 // admission-control rejects (queue deadline)
 	Cancels         int64 // Cancel messages honoured
 	IdleCloses      int64 // sessions closed by the idle timeout
@@ -358,6 +359,7 @@ func (m ServerStats) Marshal() []byte {
 	e.Varint(m.ResultCacheInvalidated)
 	e.Varint(m.ResultCacheEntries)
 	e.Varint(m.ResultCacheBytes)
+	e.Varint(m.QueriesAborted)
 	return e.B
 }
 
@@ -384,6 +386,7 @@ func DecodeServerStats(p []byte) (ServerStats, error) {
 	m.ResultCacheInvalidated = d.Varint()
 	m.ResultCacheEntries = d.Varint()
 	m.ResultCacheBytes = d.Varint()
+	m.QueriesAborted = d.Varint()
 	return m, d.Finish()
 }
 

@@ -60,8 +60,10 @@ const (
 	// credit-based: Execute granted two windows and the client one more
 	// with a Fetch for each End{More} it read. Version 7 streams every
 	// result whole, with TCP as its only flow control: Fetch,
-	// Execute's window size and End's More flag are gone.
-	Version uint32 = 7
+	// Execute's window size and End's More flag are gone. Version 8
+	// added ServerStats.QueriesAborted, so every admitted Execute is
+	// counted as served, failed or aborted.
+	Version uint32 = 8
 	// MaxFrame bounds a frame's length field; a peer announcing more is
 	// malformed and the connection is dropped.
 	MaxFrame = 16 << 20

@@ -194,9 +194,9 @@ func TestMessageRoundTrips(t *testing.T) {
 			End{Summary: ExecSummary{Rows: 4, Retries: 1, FaultsSeen: 2, PlanCacheHit: true, Degraded: []string{"parallel->serial"}}}},
 		{"error", ErrorMsg{Class: ClassCorrupt, Msg: "page 7"}.Marshal(),
 			func(p []byte) (any, error) { return DecodeError(p) }, ErrorMsg{Class: ClassCorrupt, Msg: "page 7"}},
-		{"stats", ServerStats{SessionsOpen: 1, QueriesServed: 2, RowsSent: 3, DeviceSimCost: 4.5, PlanCacheHits: 6}.Marshal(),
+		{"stats", ServerStats{SessionsOpen: 1, QueriesServed: 2, QueriesAborted: 7, RowsSent: 3, DeviceSimCost: 4.5, PlanCacheHits: 6}.Marshal(),
 			func(p []byte) (any, error) { return DecodeServerStats(p) },
-			ServerStats{SessionsOpen: 1, QueriesServed: 2, RowsSent: 3, DeviceSimCost: 4.5, PlanCacheHits: 6}},
+			ServerStats{SessionsOpen: 1, QueriesServed: 2, QueriesAborted: 7, RowsSent: 3, DeviceSimCost: 4.5, PlanCacheHits: 6}},
 		{"faultctl", FaultCtl{Seed: -5, Rules: []FaultRuleSpec{{Kind: 2, Rate: 0.25, ExtraCost: 50}}}.Marshal(),
 			func(p []byte) (any, error) { return DecodeFaultCtl(p) },
 			FaultCtl{Seed: -5, Rules: []FaultRuleSpec{{Kind: 2, Rate: 0.25, ExtraCost: 50}}}},
