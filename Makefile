@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race examples bench-smoke bench-build ab-gate loc bench cover equiv chaos server-smoke multinode-smoke fuzz
+.PHONY: check fmt vet build test race bench-smoke bench-build ab-gate loc bench cover equiv chaos server-smoke multinode-smoke fuzz
 
-## check: everything CI runs — format, vet, build, tests (incl. -race),
-## the example programs, bench smoke, the bench/ module's own vet +
-## test, the facade-equivalence golden diff, the coverage floor, the
-## chaos sweep, and the client/server and multinode smokes.
-check: fmt vet build test race examples bench-smoke bench-build equiv cover chaos server-smoke multinode-smoke
+## check: everything CI runs — format, vet, build, tests (incl. -race
+## and the checked Example programs), bench smoke, the bench/ module's
+## own vet + test, the facade-equivalence golden diff, the coverage
+## floor, the chaos sweep, and the client/server and multinode smokes.
+check: fmt vet build test race bench-smoke bench-build equiv cover chaos server-smoke multinode-smoke
 
 ## COVER_FLOOR: minimum total statement coverage (percent) make cover accepts.
 COVER_FLOOR ?= 70.0
@@ -58,15 +58,6 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 2,4 -count=10 -run 'TestResultCacheInvalidationRace|TestQueryIOIsOwn|TestAdHocShapesConcurrent' .
 	$(GO) test -race -cpu 2,4 -count=10 -run TestStatsConcurrentSnapshot ./internal/disk
-
-## examples: run every examples/* program to completion; a non-zero
-## exit fails the target. Their output goes to /dev/null, their errors
-## to the terminal.
-examples:
-	@for d in examples/*/; do \
-		echo "$(GO) run ./$$d"; \
-		$(GO) run ./$$d > /dev/null || { echo "$$d exited non-zero" >&2; exit 1; }; \
-	done
 
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:

@@ -1,47 +1,39 @@
-// Quickstart: load a table, build a secondary index, and run composable
-// queries with the Smooth Scan access path — no statistics required.
-package main
+package smoothscan_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"smoothscan"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// Quickstart: load a table, build a secondary index, and run composable
+// queries with the Smooth Scan access path — no statistics required.
+func Example_quickstart() {
 	// A database on a simulated HDD (random I/O 10x slower than
 	// sequential) with a 256-page buffer pool.
 	db, err := smoothscan.Open(smoothscan.Options{Disk: smoothscan.HDD, PoolPages: 256})
 	if err != nil {
-		return err
+		panic(err)
 	}
 
 	// Orders: (id, amount_cents, items). 50,000 rows, amounts uniform.
 	tb, err := db.CreateTable("orders", "id", "amount", "items")
 	if err != nil {
-		return err
+		panic(err)
 	}
 	rng := rand.New(rand.NewSource(2024))
 	for i := int64(0); i < 50_000; i++ {
 		if err := tb.Append(i, rng.Int63n(10_000_00), 1+rng.Int63n(8)); err != nil {
-			return err
+			panic(err)
 		}
 	}
 	if err := tb.Finish(); err != nil {
-		return err
+		panic(err)
 	}
 	if err := db.CreateIndex("orders", "amount"); err != nil {
-		return err
+		panic(err)
 	}
 
 	// Query: orders between 100.00 and 150.00 with few items — ranges
@@ -57,13 +49,13 @@ func run() error {
 	// Explain compiles the query without touching the device.
 	plan, err := q.Explain()
 	if err != nil {
-		return err
+		panic(err)
 	}
 	fmt.Print(plan)
 
 	rows, err := q.Run(context.Background())
 	if err != nil {
-		return err
+		panic(err)
 	}
 	defer rows.Close()
 	var count, total int64
@@ -73,10 +65,10 @@ func run() error {
 		count++
 	}
 	if rows.Err() != nil {
-		return rows.Err()
+		panic(rows.Err())
 	}
 	if err := rows.Close(); err != nil {
-		return err
+		panic(err)
 	}
 
 	fmt.Printf("matched %d orders, total %d.%02d\n", count, total/100, total%100)
@@ -93,5 +85,13 @@ func run() error {
 	for _, op := range st.Operators {
 		fmt.Printf("operator %-12s %6d rows in %d batches\n", op.Name, op.Rows, op.Batches)
 	}
-	return nil
+	// Output:
+	// Query(orders) via smooth
+	// └─ project(id, amount)                            est≈5556 rows
+	//    └─ smooth-scan(orders: 10000<=amount<15000, policy=elastic, trigger=eager, residual: items<4) est≈5556 rows
+	// matched 102 orders, total 12728.34
+	// simulated cost: 545.7 units (496.0 I/O + 49.7 CPU), 149 pages read
+	// smooth scan: fetched 147 heap pages, morphing accuracy 48%, peak region 128 pages
+	// operator smooth          102 rows in 1 batches
+	// operator project         102 rows in 1 batches
 }

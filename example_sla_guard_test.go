@@ -1,3 +1,13 @@
+package smoothscan_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+
+	"smoothscan"
+)
+
 // SLA guard: Section III-C's SLA-driven trigger. A dashboard query
 // must finish within a budget (here: 2.5 full scans' worth of I/O)
 // no matter what the selectivity turns out to be. The scan starts as
@@ -5,50 +15,32 @@
 // worst-case completion would endanger the SLA, morphs into Smooth
 // Scan behaviour — bounding the damage a wrong cardinality estimate
 // can do.
-package main
-
-import (
-	"context"
-	"fmt"
-	"math/rand"
-	"os"
-
-	"smoothscan"
-)
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func Example_slaGuard() {
 	db, err := smoothscan.Open(smoothscan.Options{Disk: smoothscan.HDD, PoolPages: 512})
 	if err != nil {
-		return err
+		panic(err)
 	}
 	const n = 150_000
 	tb, err := db.CreateTable("metrics", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10")
 	if err != nil {
-		return err
+		panic(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := int64(0); i < n; i++ {
 		if err := tb.Append(i, rng.Int63n(100_000), 0, 0, 0, 0, 0, 0, 0, 0); err != nil {
-			return err
+			panic(err)
 		}
 	}
 	if err := tb.Finish(); err != nil {
-		return err
+		panic(err)
 	}
 	if err := db.CreateIndex("metrics", "c2"); err != nil {
-		return err
+		panic(err)
 	}
 
 	fullScan, err := db.FullScanCost("metrics")
 	if err != nil {
-		return err
+		panic(err)
 	}
 	sla := 2.5 * fullScan
 	fmt.Printf("full scan costs %.0f units; SLA budget = %.0f units\n\n", fullScan, sla)
@@ -72,14 +64,14 @@ func run() error {
 		rows, err := db.Query("metrics").Where("c2", smoothscan.Between(0, 100_000)).
 			WithOptions(variant.opts).Run(context.Background())
 		if err != nil {
-			return err
+			panic(err)
 		}
 		count := 0
 		for rows.Next() {
 			count++
 		}
 		if rows.Err() != nil {
-			return rows.Err()
+			panic(rows.Err())
 		}
 		st := db.Stats()
 		verdict := "within SLA"
@@ -92,5 +84,10 @@ func run() error {
 		}
 		rows.Close()
 	}
-	return nil
+	// Output:
+	// full scan costs 1471 units; SLA budget = 3678 units
+	//
+	// plain index scan           150000 rows, I/O=   985768 units  -> SLA VIOLATED by 268.1x
+	// SLA-guarded smooth scan    150000 rows, I/O=     2916 units  -> within SLA
+	//                            morphing triggered after 83 tuples (cost-model decision)
 }

@@ -1,3 +1,13 @@
+package smoothscan_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+
+	"smoothscan"
+)
+
 // Statistics-oblivious execution: the paper's core claim. Yesterday,
 // tenant 7 had a hundred log events, so the plan cache holds an index
 // scan for "events of tenant 7". Overnight a misbehaving client made
@@ -6,28 +16,10 @@
 // someone re-runs ANALYZE and invalidates the plan. Smooth Scan needs
 // neither: it is the same operator in both worlds and lands near the
 // optimum in each.
-package main
-
-import (
-	"context"
-	"fmt"
-	"math/rand"
-	"os"
-
-	"smoothscan"
-)
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func Example_statisticsOblivious() {
 	db, err := smoothscan.Open(smoothscan.Options{Disk: smoothscan.HDD, PoolPages: 512})
 	if err != nil {
-		return err
+		panic(err)
 	}
 
 	// Today's data: 70% of rows belong to tenant 7 (heavy skew).
@@ -35,7 +27,7 @@ func run() error {
 	tb, err := db.CreateTable("logs",
 		"seq", "tenant", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
 	if err != nil {
-		return err
+		panic(err)
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := int64(0); i < n; i++ {
@@ -44,14 +36,14 @@ func run() error {
 			tenant = rng.Int63n(10_000)
 		}
 		if err := tb.Append(i, tenant, rng.Int63n(1_000_000), 0, 0, 0, 0, 0, 0, 0); err != nil {
-			return err
+			panic(err)
 		}
 	}
 	if err := tb.Finish(); err != nil {
-		return err
+		panic(err)
 	}
 	if err := db.CreateIndex("logs", "tenant"); err != nil {
-		return err
+		panic(err)
 	}
 
 	query := func(label string, opts smoothscan.ScanOptions) (float64, error) {
@@ -78,21 +70,29 @@ func run() error {
 	fmt.Println()
 	stale, err := query("yesterday's cached plan (index scan)", smoothscan.ScanOptions{Path: smoothscan.PathIndex})
 	if err != nil {
-		return err
+		panic(err)
 	}
 	smooth, err := query("smooth scan (no statistics, no cache)", smoothscan.ScanOptions{})
 	if err != nil {
-		return err
+		panic(err)
 	}
 	if err := db.Analyze("logs", "tenant"); err != nil {
-		return err
+		panic(err)
 	}
 	fresh, err := query("re-optimized plan (full scan)", smoothscan.ScanOptions{Path: smoothscan.PathFull})
 	if err != nil {
-		return err
+		panic(err)
 	}
 	fmt.Println()
 	fmt.Printf("the stale plan cost %.0fx the optimum; smooth scan, with zero knowledge,\n", stale/fresh)
 	fmt.Printf("stayed within %.1fx of it — robustness without statistics.\n", smooth/fresh)
-	return nil
+	// Output:
+	// query: all events of tenant 7 (truly ~70% of the table today)
+	//
+	// yesterday's cached plan (index scan)    83907 rows  time=   5184.9
+	// smooth scan (no statistics, no cache)   83907 rows  time=   1684.0
+	// re-optimized plan (full scan)           83907 rows  time=   1306.0
+	//
+	// the stale plan cost 4x the optimum; smooth scan, with zero knowledge,
+	// stayed within 1.3x of it — robustness without statistics.
 }
