@@ -517,22 +517,28 @@ func (s *ShardedDB) strategyFor(pt *plan.Template, part shard.Partitioning) (str
 	return "", nil, fmt.Errorf("%w: %d join stages with non-co-partitioned inputs (broadcast handles one)", ErrShardJoin, len(pt.Joins))
 }
 
-// sideEstimate sums one input's post-predicate cardinality estimate
-// across shards, each shard binding the input exactly as the side query
-// it would run does (a join query has no free-order column): what
-// optimizer.BroadcastSide compares.
-func (s *ShardedDB) sideEstimate(pt *plan.Template, input int, lits []int64, b Bind) (int64, error) {
-	var total int64
+// broadcastSide picks the input of a broadcast join to replicate:
+// optimizer.BroadcastSide over each input's post-predicate estimate
+// summed across shards, each shard binding an input exactly as the
+// side query it would run does (a join query has no free-order column).
+func (s *ShardedDB) broadcastSide(pt *plan.Template, lits []int64, b Bind) (bc, scan int, err error) {
+	var est [2]int64
 	for _, db := range s.shards {
 		db.mu.RLock()
-		est, err := optimizer.InputEstimate(db.dev, db.planTable, pt, input, lits, b)
+		for i := range est {
+			var n int64
+			if n, err = optimizer.InputEstimate(db.dev, db.planTable, pt, i, lits, b); err != nil {
+				break
+			}
+			est[i] += n
+		}
 		db.mu.RUnlock()
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		total += est
 	}
-	return total, nil
+	bc, scan = optimizer.BroadcastSide(est[0], est[1])
+	return bc, scan, nil
 }
 
 // compileShardExec binds a sharded execution of st. Shard 0 binds the
@@ -583,15 +589,9 @@ func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
 	// Broadcast side selection, from each side's estimate over every
 	// shard.
 	if strategy == strategyBroadcast {
-		est0, err := s.sideEstimate(pt, 0, lits, b)
-		if err != nil {
+		if se.bcInput, se.scanInput, err = s.broadcastSide(pt, lits, b); err != nil {
 			return nil, err
 		}
-		est1, err := s.sideEstimate(pt, 1, lits, b)
-		if err != nil {
-			return nil, err
-		}
-		se.bcInput, se.scanInput = optimizer.BroadcastSide(est0, est1)
 	}
 
 	// Partition pruning: keep only the shards that can hold rows inside
