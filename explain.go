@@ -2,7 +2,6 @@ package smoothscan
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -229,7 +228,7 @@ func (se *shardExec) explain() (*Plan, error) {
 		EmptyWhy:  se.emptyWhy,
 	}
 	if se.cq0.annotate {
-		p.Binds = renderBinds(se.cq0.Binds)
+		p.Binds = se.cq0.renderBinds()
 	}
 	whole := &Plan{Table: p.Table, Binds: p.Binds, Sharded: p}
 	if se.emptyWhy != "" {
@@ -299,14 +298,16 @@ func fmtPred(name string, p tuple.RangePred, loSrc, hiSrc string) string {
 	}
 }
 
-// renderBinds formats a bind set for plan headers, sorted by name.
-func renderBinds(b map[string]int64) []string {
-	if len(b) == 0 {
+// renderBinds formats the bound parameter values for plan headers,
+// sorted by name.
+func (cq *compiledQuery) renderBinds() []string {
+	names := cq.Template.Params
+	if len(names) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(b))
-	for _, name := range slices.Sorted(maps.Keys(b)) {
-		out = append(out, fmt.Sprintf("$%s=%d", name, b[name]))
+	out := make([]string, 0, len(names))
+	for _, name := range slices.Sorted(slices.Values(names)) {
+		out = append(out, fmt.Sprintf("$%s=%d", name, cq.Vals[slices.Index(names, name)]))
 	}
 	return out
 }
@@ -409,7 +410,7 @@ func (cq *compiledQuery) plan() *Plan {
 		Parallelism:   drv.Spec.Parallelism,
 	}
 	if cq.annotate {
-		p.Binds = renderBinds(cq.Binds)
+		p.Binds = cq.renderBinds()
 		p.BindChoices = cq.renderBindNotes()
 	}
 	if len(cq.degraded) > 0 {

@@ -203,7 +203,7 @@ func (db *DB) rebind(cq *compiledQuery, i int, o wire.OptsSpec, note string) (*c
 	pt.Inputs[i].Opts = o
 	next := &compiledQuery{planCached: cq.planCached, annotate: cq.annotate, degraded: slices.Clone(cq.degraded)}
 	var err error
-	if next.Bound, err = optimizer.Bind(db.dev, db.planTable, &pt, cq.Lits, cq.Binds); err != nil {
+	if next.Bound, err = optimizer.Bind(db.dev, db.planTable, &pt, cq.Lits, cq.Vals); err != nil {
 		return nil, err
 	}
 	if cq.OrderVia == "scan" && next.SortIdx >= 0 {

@@ -103,11 +103,11 @@ type Join struct {
 // resolved and every estimate-driven decision made.
 type Bound struct {
 	Template *plan.Template
-	// Lits and Binds are what the plan was bound from: the literal
-	// vector and a copy of the bind set (nil when empty), which a
-	// re-bind reuses and Explain renders.
-	Lits  []int64
-	Binds map[string]int64
+	// Lits and Vals are what the plan was bound from: the literal
+	// vector and the parameter values in Template.Params order (nil
+	// when there are none), which a re-bind reuses and Explain renders.
+	Lits []int64
+	Vals []int64
 	// Inputs are the bound accesses, driving table first; Joins has one
 	// entry per Template.Joins.
 	Inputs []Access
@@ -133,11 +133,17 @@ func (b *Bound) Src(i, col int) (lo, hi string) {
 	at := &b.Template.Inputs[i]
 	for _, group := range at.Merged {
 		if at.Conds[group[0]].Col == col {
-			_, src, _ := foldGroup(at, group, b.Lits, b.Binds)
+			_, src := foldGroup(at, group, b.Lits, b.Vals)
 			return src[0], src[1]
 		}
 	}
 	return "", ""
+}
+
+// Value is the constant v was bound to.
+func (b *Bound) Value(v plan.Value) int64 {
+	x, _ := resolveValue(v, b.Lits, b.Vals)
+	return x
 }
 
 // Driving returns the driving-table access.
@@ -152,23 +158,44 @@ func (b *Bound) EstRoot() int64 {
 	return b.Inputs[0].EstRows
 }
 
+// ParamValues resolves a bind set against the template's parameters:
+// their values in Template.Params order, nil when it has none, or
+// ErrUnboundParam naming the first parameter b leaves unbound. The
+// vector is the binding's own, so the caller's map may change after
+// Run returns; a fault-degradation re-bind and a late Explain read it.
+func ParamValues(pt *plan.Template, b map[string]int64) ([]int64, error) {
+	if len(pt.Params) == 0 {
+		return nil, nil
+	}
+	vals := make([]int64, len(pt.Params))
+	for i, name := range pt.Params {
+		v, ok := b[name]
+		if !ok {
+			return nil, fmt.Errorf("%w: $%s", wire.ErrUnboundParam, name)
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
 // Bind runs the bind phase: substitute the constants — lits for the
-// template's literal slots, b for its parameters — and re-decide
-// everything estimate-sensitive — driving conjunct, access path, join
-// algorithm and build side, free or posterior ORDER BY, parallelism —
+// template's literal slots, vals (ParamValues) for its parameters —
+// and re-decide everything estimate-sensitive — driving conjunct,
+// access path, join algorithm and build side, free or posterior ORDER
+// BY, parallelism —
 // from the tables' current statistics and the template's scan options.
 // It is the only code that produces an executable plan, and it touches
 // no device state. table resolves a table name against the engine's
 // catalog, dev is the device the tables live on; the caller keeps both
 // stable for the call.
-func Bind(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Template, lits []int64, b map[string]int64) (Bound, error) {
+func Bind(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Template, lits, vals []int64) (Bound, error) {
 	if len(lits) != pt.Slots {
 		return Bound{}, fmt.Errorf("smoothscan: internal: %d literals for a %d-slot template", len(lits), pt.Slots)
 	}
-	out := Bound{Template: pt, Lits: lits, SortIdx: -1}
+	out := Bound{Template: pt, Lits: lits, Vals: vals, SortIdx: -1}
 	out.Inputs = make([]Access, len(pt.Inputs))
 	for i := range pt.Inputs {
-		a, err := bindInput(dev, table, pt, i, lits, b)
+		a, err := bindInput(dev, table, pt, i, lits, vals)
 		if err != nil {
 			return Bound{}, err
 		}
@@ -179,10 +206,7 @@ func Bind(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Te
 	}
 
 	if pt.HasLim {
-		n, src, err := resolveValue(pt.Limit, lits, b)
-		if err != nil {
-			return Bound{}, err
-		}
+		n, src := resolveValue(pt.Limit, lits, vals)
 		if n < 0 {
 			return Bound{}, fmt.Errorf("smoothscan: negative limit %d bound from $%s", n, src)
 		}
@@ -235,24 +259,13 @@ func Bind(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Te
 			out.SortIdx = pt.OrderIdx
 		}
 	}
-
-	// The bind set is copied whenever there is one: the caller's map
-	// may change after Run returns, and a fault-degradation re-bind and
-	// a late Explain read this copy. (maps.Clone would move every
-	// caller's map to the heap.)
-	if len(b) > 0 {
-		out.Binds = make(map[string]int64, len(b))
-		for name, v := range b {
-			out.Binds[name] = v
-		}
-	}
 	return out, nil
 }
 
 // InputEstimate is input i's estimated output after its conjuncts,
 // bound exactly as Bind binds it.
-func InputEstimate(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Template, i int, lits []int64, b map[string]int64) (int64, error) {
-	a, err := bindInput(dev, table, pt, i, lits, b)
+func InputEstimate(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Template, i int, lits, vals []int64) (int64, error) {
+	a, err := bindInput(dev, table, pt, i, lits, vals)
 	return a.EstRows, err
 }
 
@@ -270,7 +283,7 @@ func BroadcastSide(est0, est1 int64) (bc, scan int) {
 // conjuncts with the execution's constants, then bindAccess under the
 // input's options. Only the driving table of a join-free query can
 // deliver a free ORDER BY.
-func bindInput(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Template, i int, lits []int64, b map[string]int64) (Access, error) {
+func bindInput(dev *disk.Device, table func(name string) (*Table, error), pt *plan.Template, i int, lits, vals []int64) (Access, error) {
 	at := &pt.Inputs[i]
 	t, err := table(at.Table)
 	if err != nil {
@@ -284,10 +297,7 @@ func bindInput(dev *disk.Device, table func(name string) (*Table, error), pt *pl
 		preds = make([]tuple.RangePred, len(at.Merged))
 	}
 	for g, group := range at.Merged {
-		p, _, err := foldGroup(at, group, lits, b)
-		if err != nil {
-			return Access{}, err
-		}
+		p, _ := foldGroup(at, group, lits, vals)
 		if p.Empty() {
 			emptyWhy = fmt.Sprintf("predicates on %q are contradictory", at.Schema.Col(p.Col).Name)
 		}
@@ -443,18 +453,14 @@ func estJoinRows(estL, estR, rightTableRows int64) int64 {
 }
 
 // resolveValue turns a template Value into a scalar: a literal slot
-// reads the execution's literal vector, a parameter reads the bind
-// set. The second return names the parameter ("" for literals) for
+// reads the execution's literal vector, a parameter its value vector.
+// The second return names the parameter ("" for literals) for
 // Explain's bind markers.
-func resolveValue(v plan.Value, lits []int64, b map[string]int64) (int64, string, error) {
+func resolveValue(v plan.Value, lits, vals []int64) (int64, string) {
 	if v.Param != "" {
-		x, ok := b[v.Param]
-		if !ok {
-			return 0, "", fmt.Errorf("%w: $%s", wire.ErrUnboundParam, v.Param)
-		}
-		return x, v.Param, nil
+		return vals[v.Slot], v.Param
 	}
-	return lits[v.Slot], "", nil
+	return lits[v.Slot], ""
 }
 
 // foldGroup folds one column's conjuncts into a single range: each
@@ -462,24 +468,18 @@ func resolveValue(v plan.Value, lits []int64, b map[string]int64) (int64, string
 // ranges intersect in Where order — exactly what the eager literal
 // constructors plus Intersect compute. The parameter sources of the
 // binding lo and hi bounds are returned for plan rendering (Src).
-func foldGroup(at *plan.AccessT, group []int, lits []int64, b map[string]int64) (tuple.RangePred, [2]string, error) {
+func foldGroup(at *plan.AccessT, group []int, lits, vals []int64) (tuple.RangePred, [2]string) {
 	var (
 		out tuple.RangePred
 		src [2]string
 	)
 	for gi, ci := range group {
 		c := at.Conds[ci]
-		aVal, aSrc, err := resolveValue(c.A, lits, b)
-		if err != nil {
-			return out, src, err
-		}
+		aVal, aSrc := resolveValue(c.A, lits, vals)
 		var bVal int64
 		var bSrc string
 		if c.Kind == plan.KindBetween {
-			bVal, bSrc, err = resolveValue(c.B, lits, b)
-			if err != nil {
-				return out, src, err
-			}
+			bVal, bSrc = resolveValue(c.B, lits, vals)
 		}
 		lo, hi := plan.FoldRange(c.Kind, aVal, bVal)
 		var s [2]string
@@ -506,5 +506,5 @@ func foldGroup(at *plan.AccessT, group []int, lits []int64, b map[string]int64) 
 		}
 		out = out.Intersect(rp)
 	}
-	return out, src, nil
+	return out, src
 }

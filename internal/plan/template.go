@@ -44,7 +44,8 @@ import (
 type Value struct {
 	// Param is the parameter name; empty for a literal slot.
 	Param string
-	// Slot indexes the execution's literal vector when Param is empty.
+	// Slot indexes the execution's literal vector when Param is empty,
+	// and the template's Params (so a binding's values) otherwise.
 	Slot int
 }
 
@@ -318,15 +319,18 @@ func BuildTemplate(sp *wire.QuerySpec, slots int, schema func(table string) (*tu
 	}
 
 	// Bind-time Values: a literal reads the slot Canon gave it,
-	// parameters are registered by name in first-use order.
+	// parameters are registered by name in first-use order and read
+	// their position there.
 	val := func(a wire.ArgSpec) Value {
 		if a.Param == "" {
 			return Value{Slot: int(a.Lit)}
 		}
-		if !slices.Contains(pt.Params, a.Param) {
+		i := slices.Index(pt.Params, a.Param)
+		if i < 0 {
+			i = len(pt.Params)
 			pt.Params = append(pt.Params, a.Param)
 		}
-		return Value{Param: a.Param}
+		return Value{Param: a.Param, Slot: i}
 	}
 
 	// Distribute the Where conjuncts: each predicate is pushed beneath

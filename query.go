@@ -567,8 +567,12 @@ func (db *DB) bind(st statement, b Bind) (*compiledQuery, error) {
 	if err := checkBind(pt, b); err != nil {
 		return nil, err
 	}
+	vals, err := optimizer.ParamValues(pt, b)
+	if err != nil {
+		return nil, err
+	}
 	cq := &compiledQuery{planCached: hit, annotate: prepared}
-	if cq.Bound, err = optimizer.Bind(db.dev, db.planTable, pt, lits, b); err != nil {
+	if cq.Bound, err = optimizer.Bind(db.dev, db.planTable, pt, lits, vals); err != nil {
 		return nil, err
 	}
 	db.keyResult(cq)

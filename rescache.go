@@ -134,12 +134,6 @@ func (db *DB) keyResult(cq *compiledQuery) {
 	}
 	var buf [plan.KeyBuf]byte
 	key := append(buf[:0], pt.ResultShape...)
-	resolve := func(v plan.Value) int64 {
-		if v.Param != "" {
-			return cq.Binds[v.Param]
-		}
-		return cq.Lits[v.Slot]
-	}
 	for _, in := range pt.Inputs {
 		for _, c := range in.Conds {
 			// Serialise the folded half-open range, not the raw
@@ -148,15 +142,15 @@ func (db *DB) keyResult(cq *compiledQuery) {
 			// vector.
 			var bv int64
 			if c.Kind == plan.KindBetween {
-				bv = resolve(c.B)
+				bv = cq.Value(c.B)
 			}
-			lo, hi := plan.FoldRange(c.Kind, resolve(c.A), bv)
+			lo, hi := plan.FoldRange(c.Kind, cq.Value(c.A), bv)
 			key = binary.AppendVarint(key, lo)
 			key = binary.AppendVarint(key, hi)
 		}
 	}
 	if pt.HasLim {
-		key = binary.AppendVarint(key, resolve(pt.Limit))
+		key = binary.AppendVarint(key, cq.Value(pt.Limit))
 	}
 	cq.resKey = string(key)
 	cq.resEpochs = make(map[string]uint64, len(cq.Inputs))

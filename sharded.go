@@ -521,13 +521,13 @@ func (s *ShardedDB) strategyFor(pt *plan.Template, part shard.Partitioning) (str
 // optimizer.BroadcastSide over each input's post-predicate estimate
 // summed across shards, each shard binding an input exactly as the
 // side query it would run does (a join query has no free-order column).
-func (s *ShardedDB) broadcastSide(pt *plan.Template, lits []int64, b Bind) (bc, scan int, err error) {
+func (s *ShardedDB) broadcastSide(pt *plan.Template, lits, vals []int64) (bc, scan int, err error) {
 	var est [2]int64
 	for _, db := range s.shards {
 		db.mu.RLock()
 		for i := range est {
 			var n int64
-			if n, err = optimizer.InputEstimate(db.dev, db.planTable, pt, i, lits, b); err != nil {
+			if n, err = optimizer.InputEstimate(db.dev, db.planTable, pt, i, lits, vals); err != nil {
 				break
 			}
 			est[i] += n
@@ -589,7 +589,7 @@ func (s *ShardedDB) compileShardExec(st statement, b Bind) (*shardExec, error) {
 	// Broadcast side selection, from each side's estimate over every
 	// shard.
 	if strategy == strategyBroadcast {
-		if se.bcInput, se.scanInput, err = s.broadcastSide(pt, lits, b); err != nil {
+		if se.bcInput, se.scanInput, err = s.broadcastSide(pt, lits, cq0.Vals); err != nil {
 			return nil, err
 		}
 	}

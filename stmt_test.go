@@ -733,7 +733,11 @@ func TestPreparedBindAllocs(t *testing.T) {
 	// are rendered lazily in plan(), not here).
 	bindAllocs := testing.AllocsPerRun(200, func() {
 		db.mu.RLock()
-		if _, err := optimizer.Bind(db.dev, db.planTable, stmt.pt, stmt.lits, b); err != nil {
+		vals, err := optimizer.ParamValues(stmt.pt, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := optimizer.Bind(db.dev, db.planTable, stmt.pt, stmt.lits, vals); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RUnlock()
